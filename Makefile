@@ -5,9 +5,9 @@ RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster
 # Packages with testing.B microbenchmarks on the extraction hot path.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve
 
-.PHONY: check build test vet fmt race bench bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
+.PHONY: check build test vet fmt race bench-harness bench bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
 
-check: fmt vet build test race
+check: fmt vet build test race bench-harness
 
 build:
 	$(GO) build ./...
@@ -28,17 +28,25 @@ fmt:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# The benchmark harness is its own module (benchmark/go.mod, replace ugache
+# => ../) and so outside ./...: vet and test it here, so that changing an
+# internal/ symbol it imports fails the check instead of the benchmark run.
+bench-harness:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Hot-path microbenchmarks with allocation counts (compare against the
 # checked-in BENCH_hotpath.json numbers).
 bench:
 	$(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
 
 # Solver control-plane benchmarks: parallel branch-and-bound throughput
-# (W=1 vs W=4) and cold-vs-warm refresh re-solves (compare against the
+# (W=1 vs W=4), cold-vs-warm refresh re-solves, and the shipped policy's
+# whole solve on the benchmark's three problems (compare against the
 # checked-in BENCH_solver.json numbers).
 bench-solver:
 	$(GO) test -run xxx -bench BenchmarkMILPSolve -benchmem ./internal/milp
-	$(GO) test -run xxx -bench BenchmarkRefreshSolve -benchmem ./internal/solver
+	$(GO) test -run xxx -bench 'BenchmarkRefreshSolve|BenchmarkPolicySolve' -benchmem ./internal/solver
 
 # Drift-adaptive refresh benchmark: served p99 through a flash-crowd shift
 # under blind-periodic vs drift-triggered refresh vs an online LFU baseline

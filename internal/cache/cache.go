@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -83,6 +84,24 @@ func (c *GPUCache) insert(key int64, src RowSource, buf []byte) error {
 		}
 	}
 	return c.Table.Insert(key, hashtable.Location{GPU: int32(c.GPU), Offset: off})
+}
+
+// fill caches every entry of the placement's blocks stored on this GPU, in
+// block order.
+func (c *GPUCache) fill(pl *solver.Placement, src RowSource) error {
+	buf := make([]byte, c.EntryBytes)
+	for bi := range pl.Blocks {
+		b := &pl.Blocks[bi]
+		if !b.Store[c.GPU] {
+			continue
+		}
+		for _, e := range pl.ByRank[b.Start:b.End] {
+			if err := c.insert(int64(e), src, buf); err != nil {
+				return fmt.Errorf("cache: gpu %d: %w", c.GPU, err)
+			}
+		}
+	}
+	return nil
 }
 
 // clone deep-copies the cache, pointing its arena into the given clone of
@@ -214,33 +233,25 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 			EntryBytes: eb,
 		}
 	}
-	// Insert every stored entry.
-	buf := make([]byte, eb)
-	for bi := range pl.Blocks {
-		b := &pl.Blocks[bi]
-		for g, stored := range b.Store {
-			if !stored {
-				continue
-			}
-			c := sn.caches[g]
-			for r := b.Start; r < b.End; r++ {
-				key := int64(pl.ByRank[r])
-				off, err := c.Arena.Alloc(int64(eb))
-				if err != nil {
-					return nil, fmt.Errorf("cache: gpu %d: %w", g, err)
-				}
-				if opt.Source != nil {
-					if err := opt.Source.ReadRow(key, buf); err != nil {
-						return nil, err
-					}
-					if err := c.Arena.Write(off, buf); err != nil {
-						return nil, err
-					}
-				}
-				if err := c.Table.Insert(key, hashtable.Location{GPU: int32(g), Offset: off}); err != nil {
-					return nil, err
-				}
-			}
+	// Insert every stored entry, GPUs side by side: each cache owns its
+	// table and arena, and a GPU's blocks go in block order as before, so
+	// every offset and table layout is the sequential fill's.
+	errs := make([]error, p.N)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for _, c := range sn.caches {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			errs[c.GPU] = c.fill(pl, opt.Source)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	sys.snap.Store(sn)

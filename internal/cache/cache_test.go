@@ -3,9 +3,12 @@ package cache
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"ugache/internal/emb"
+	"ugache/internal/hashtable"
+	"ugache/internal/memsim"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/solver"
@@ -309,6 +312,75 @@ func TestRepeatedRefreshReusesSlots(t *testing.T) {
 		out := make([]byte, 4*table.EntryBytes())
 		if err := sys.Gather(1, []int64{0, 1, 2998, 2999}, out); err != nil {
 			t.Fatalf("round %d gather: %v", round, err)
+		}
+	}
+}
+
+// sequentialFill is the Filler as it ran before GPUs were filled side by
+// side: one goroutine, blocks outermost.
+func sequentialFill(t *testing.T, p *platform.Platform, pl *solver.Placement, capacity int64, src RowSource) []*GPUCache {
+	t.Helper()
+	space, err := memsim.NewBackedSpace(p.N, capacity*int64(pl.EntryBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := make([]*GPUCache, p.N)
+	for g, used := range pl.CapacityUsed() {
+		caches[g] = &GPUCache{GPU: g, Table: hashtable.New(int(used) + 16), Arena: space.GPUs[g], EntryBytes: pl.EntryBytes}
+	}
+	buf := make([]byte, pl.EntryBytes)
+	for bi := range pl.Blocks {
+		b := &pl.Blocks[bi]
+		for g, stored := range b.Store {
+			for r := b.Start; stored && r < b.End; r++ {
+				if err := caches[g].insert(int64(pl.ByRank[r]), src, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return caches
+}
+
+// TestFillMatchesSequentialFill: filling GPUs concurrently must leave every
+// GPU's table and arena exactly as the sequential Filler did — same keys at
+// the same offsets holding the same bytes — at any parallelism.
+func TestFillMatchesSequentialFill(t *testing.T) {
+	p := platform.ServerC()
+	pl, in := testPlacement(t, p, 6000, 0.1)
+	table, err := emb.NewMaterialized("t", 6000, 16, emb.Float32, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequentialFill(t, p, pl, in.Capacity[0], table)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Source: table})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ref := make([]byte, pl.EntryBytes), make([]byte, pl.EntryBytes)
+		for g, c := range sys.Caches() {
+			if c.Table.Len() != want[g].Table.Len() || c.Arena.Used() != want[g].Arena.Used() {
+				t.Fatalf("procs %d gpu %d: %d keys in %d bytes, sequential fill has %d in %d", procs, g,
+					c.Table.Len(), c.Arena.Used(), want[g].Table.Len(), want[g].Arena.Used())
+			}
+			want[g].Table.Range(func(key int64, loc hashtable.Location) bool {
+				if l, ok := c.Table.Lookup(key); !ok || l != loc {
+					t.Fatalf("procs %d gpu %d key %d: at %+v (found %v), sequential fill put it at %+v", procs, g, key, l, ok, loc)
+				}
+				if err := c.Arena.Read(loc.Offset, got); err != nil {
+					t.Fatal(err)
+				}
+				if err := want[g].Arena.Read(loc.Offset, ref); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("procs %d gpu %d key %d: row bytes differ from the sequential fill", procs, g, key)
+				}
+				return true
+			})
 		}
 	}
 }

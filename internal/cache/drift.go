@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"ugache/internal/telemetry"
@@ -120,8 +119,8 @@ type DriftDetector struct {
 
 	// Reused check scratch.
 	measured workload.Hotness
-	measRank []int32 // entry -> measured rank
-	order    []int32 // rank -> entry, sort scratch
+	measRank []int32         // entry -> measured rank
+	ranker   workload.Ranker // keeps the sort buffers between checks
 
 	met *driftMetrics
 }
@@ -145,7 +144,6 @@ func NewDriftDetector(sampler *HotnessSampler, reference workload.Hotness, cfg D
 		refTop:   make([]bool, n),
 		measured: make(workload.Hotness, n),
 		measRank: make([]int32, n),
-		order:    make([]int32, n),
 	}
 	d.rebase(reference)
 	return d, nil
@@ -190,13 +188,14 @@ func (d *DriftDetector) Rebase(reference workload.Hotness) error {
 // (or is the constructor).
 func (d *DriftDetector) rebase(reference workload.Hotness) {
 	copy(d.refHot, reference)
-	rankInto(d.refHot, d.order, d.refRank)
 	clear(d.refTop)
 	d.refMass = 0
-	for r := 0; r < d.cfg.TopK; r++ {
-		e := d.order[r]
-		d.refTop[e] = true
-		d.refMass += d.refHot[e]
+	for r, k := range d.ranker.Rank(d.refHot) {
+		d.refRank[k.Entry] = int32(r)
+		if r < d.cfg.TopK {
+			d.refTop[k.Entry] = true
+			d.refMass += d.refHot[k.Entry]
+		}
 	}
 }
 
@@ -211,7 +210,9 @@ func (d *DriftDetector) Check() (DriftStatus, error) {
 	if err != nil {
 		return DriftStatus{}, err
 	}
-	rankInto(d.measured, d.order, d.measRank)
+	for r, k := range d.ranker.Rank(d.measured) {
+		d.measRank[k.Entry] = int32(r)
+	}
 
 	// Mass-weighted top-K overlap and weighted rank distance, both over the
 	// reference head in one pass.
@@ -258,23 +259,4 @@ func (d *DriftDetector) Check() (DriftStatus, error) {
 		m.batches.Set(float64(batches))
 	}
 	return st, nil
-}
-
-// rankInto sorts entries by descending hotness (ties by ascending entry,
-// so ranking is deterministic) into order (rank -> entry) and fills rank
-// (entry -> rank). Both buffers are caller-owned and reused across calls.
-func rankInto(h workload.Hotness, order []int32, rank []int32) {
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := order[a], order[b]
-		if h[ea] != h[eb] {
-			return h[ea] > h[eb]
-		}
-		return ea < eb
-	})
-	for r, e := range order {
-		rank[e] = int32(r)
-	}
 }

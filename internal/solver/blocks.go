@@ -2,26 +2,67 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ugache/internal/platform"
+	"ugache/internal/workload"
 )
 
-// ctx is the shared per-solve state: the hotness ranking and its prefix
-// sums, from which policies build blocks and evaluate masses cheaply.
+// ctx is the shared per-solve state, built once per top-level solve: the
+// validated input, its cost model, the hotness ranking, the rank-ordered
+// hotness with its prefix sums, and the log2-level boundaries. Building it
+// is the solve's only per-entry work (one O(E log E)-equivalent rank and one
+// O(E) scan); policies then build blocks and score candidates from it at
+// block granularity.
 type ctx struct {
 	in     *Input
+	m      *costModel
+	budget int64     // block budget build works to
 	ranked []int64   // rank -> entry
+	hot    []float64 // rank -> hotness
 	prefix []float64 // prefix[r] = Σ hotness of ranks [0, r)
+	levels []int64   // ascending ranks in (0, E) where floor(log2(hotness)) changes
 }
 
-func newCtx(in *Input) *ctx {
-	ranked := in.Hotness.Rank()
-	prefix := make([]float64, len(ranked)+1)
-	for r, e := range ranked {
-		prefix[r+1] = prefix[r] + in.Hotness[e]
+func newCtx(in *Input) (*ctx, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
 	}
-	return &ctx{in: in, ranked: ranked, prefix: prefix}
+	n := len(in.Hotness)
+	c := &ctx{in: in, m: newCostModel(in), budget: int64(in.blockBudget()),
+		ranked: make([]int64, n), hot: make([]float64, n), prefix: make([]float64, n+1)}
+	var rk workload.Ranker
+	level := 0
+	for r, k := range rk.Rank(in.Hotness) {
+		h := k.Hotness()
+		c.ranked[r], c.hot[r] = k.Entry, h
+		c.prefix[r+1] = c.prefix[r] + h
+		if l := hotnessLevel(h); l != level {
+			if r > 0 {
+				c.levels = append(c.levels, int64(r))
+			}
+			level = l
+		}
+	}
+	return c, nil
+}
+
+// hotnessLevel is the §6.3 log-scale level floor(log2(h)) exactly as
+// math.Floor(math.Log2(h)) computes it (rounding quirks just under a power
+// of two included — block boundaries depend on it). A normal h whose
+// mantissa is not within 2^-8 of either end of its binade has log2 at least
+// 0.0028 away from an integer, far beyond Log2's rounding error, so the
+// level is the exponent field; only the rest pays for the logarithm.
+func hotnessLevel(h float64) int {
+	if h <= 0 {
+		return math.MinInt32
+	}
+	bits := math.Float64bits(h)
+	if exp, top := int(bits>>52), byte(bits>>44); exp != 0 && top != 0 && top != 0xff {
+		return exp - 1023
+	}
+	return int(math.Floor(math.Log2(h)))
 }
 
 // mass returns the hotness mass of rank range [start, end).
@@ -32,47 +73,52 @@ func (c *ctx) mass(start, end int64) float64 {
 // numEntries returns the entry count.
 func (c *ctx) numEntries() int64 { return int64(len(c.ranked)) }
 
+// bounds merges ascending interior boundaries with the mandatory cuts into
+// the sorted, duplicate-free segment boundaries of [0, E].
+func (c *ctx) bounds(interior, cuts []int64) []int64 {
+	e := c.numEntries()
+	cs := make([]int64, 0, len(cuts))
+	for _, cut := range cuts {
+		if cut > 0 && cut < e {
+			cs = append(cs, cut)
+		}
+	}
+	slices.Sort(cs)
+	out := append(make([]int64, 0, len(interior)+len(cs)+2), 0)
+	for i, j := 0, 0; i < len(interior) || j < len(cs); {
+		var v int64
+		if j == len(cs) || (i < len(interior) && interior[i] <= cs[j]) {
+			v, i = interior[i], i+1
+		} else {
+			v, j = cs[j], j+1
+		}
+		if v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return append(out, e)
+}
+
 // build batches ranks into hotness blocks per §6.3 — log-scale levels, fine
 // splitting with a 0.5% size cap and at least N blocks per level — while
 // honouring the given mandatory cut points (policies cut at capacity
 // boundaries so a block never straddles a cache edge). If the block budget
-// would be exceeded, the size cap doubles until it fits.
+// would be exceeded, the size cap doubles until it fits. The cost is
+// O(levels + blocks), independent of the entry count.
 func (c *ctx) build(cuts ...int64) []Block {
 	e := c.numEntries()
 	n := int64(c.in.P.N)
 
 	// Segment boundaries: level starts plus mandatory cuts.
-	bset := map[int64]struct{}{0: {}, e: {}}
-	lvlOf := func(h float64) int {
-		if h <= 0 {
-			return math.MinInt32
-		}
-		return int(math.Floor(math.Log2(h)))
-	}
-	cur := lvlOf(c.in.Hotness[c.ranked[0]])
-	for r := int64(1); r < e; r++ {
-		if l := lvlOf(c.in.Hotness[c.ranked[r]]); l != cur {
-			bset[r] = struct{}{}
-			cur = l
-		}
-	}
-	for _, cut := range cuts {
-		if cut > 0 && cut < e {
-			bset[cut] = struct{}{}
-		}
-	}
-	bounds := make([]int64, 0, len(bset))
-	for b := range bset {
-		bounds = append(bounds, b)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	bounds := c.bounds(c.levels, cuts)
 
-	budget := int64(c.in.blockBudget())
+	budget := c.budget
 	// A budget below the level count cannot be met by size capping alone;
-	// fall back to equal-hotness-mass quantile boundaries (still merged
-	// with the mandatory cuts) so tiny exact models stay tiny.
+	// fall back to at most budget/N equal-hotness-mass segments (so that
+	// after the ≥N fine-splitting the block count still fits), still merged
+	// with the mandatory cuts, so tiny exact models stay tiny.
 	if int64(len(bounds)-1) > budget {
-		bounds = c.quantileBounds(budget, cuts)
+		bounds = c.bounds(c.quantileCuts(max(budget/n, 1)), cuts)
 	}
 	sizeCap := int64(math.Ceil(float64(e) * 0.005))
 	if sizeCap < 1 {
@@ -98,51 +144,31 @@ func (c *ctx) build(cuts ...int64) []Block {
 			if end > hi {
 				end = hi
 			}
-			blocks = append(blocks, Block{
-				Start: b, End: end,
-				HotPerEntry: c.mass(b, end) / float64(end-b),
-				Store:       make([]bool, c.in.P.N),
-				Access:      newFallbackAccess(c.in),
-			})
+			blocks = append(blocks, c.newBlock(b, end))
 		}
 	}
 	return blocks
 }
 
-// quantileBounds splits rank space into at most budget/N equal-hotness-mass
-// segments (so that after the ≥N fine-splitting the block count still fits
-// the budget), merged with the mandatory cuts.
-func (c *ctx) quantileBounds(budget int64, cuts []int64) []int64 {
+// quantileCuts returns the ascending ranks that split rank space into at
+// most segs equal-hotness-mass segments.
+func (c *ctx) quantileCuts(segs int64) []int64 {
 	e := c.numEntries()
-	segs := budget / int64(c.in.P.N)
-	if segs < 1 {
-		segs = 1
-	}
 	total := c.prefix[e]
-	bset := map[int64]struct{}{0: {}, e: {}}
+	var cuts []int64
 	if total > 0 {
-		r := int64(0)
+		r := 0
 		for k := int64(1); k < segs; k++ {
 			target := total * float64(k) / float64(segs)
-			for r < e && c.prefix[r+1] < target {
-				r++
-			}
-			if r > 0 && r < e {
-				bset[r] = struct{}{}
+			// prefix is non-decreasing: the first rank at or past r whose
+			// inclusive mass reaches the target.
+			r += sort.Search(int(e)-r, func(i int) bool { return c.prefix[r+i+1] >= target })
+			if r > 0 && int64(r) < e {
+				cuts = append(cuts, int64(r))
 			}
 		}
 	}
-	for _, cut := range cuts {
-		if cut > 0 && cut < e {
-			bset[cut] = struct{}{}
-		}
-	}
-	bounds := make([]int64, 0, len(bset))
-	for b := range bset {
-		bounds = append(bounds, b)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	return bounds
+	return cuts
 }
 
 // newFallbackAccess returns an access arrangement where every GPU reads the
@@ -177,42 +203,20 @@ func numBlocks(l, n, sizeCap int64) int64 {
 // per-level fine splitting — the tiny exact models (OptimalLP's general
 // formulation) need hard control of the block count.
 func (c *ctx) buildQuantile(maxBlocks int) []Block {
-	e := c.numEntries()
-	segs := int64(maxBlocks)
-	if segs < 1 {
-		segs = 1
-	}
-	if segs > e {
-		segs = e
-	}
-	total := c.prefix[e]
-	bset := map[int64]struct{}{0: {}, e: {}}
-	if total > 0 {
-		r := int64(0)
-		for k := int64(1); k < segs; k++ {
-			target := total * float64(k) / float64(segs)
-			for r < e && c.prefix[r+1] < target {
-				r++
-			}
-			if r > 0 && r < e {
-				bset[r] = struct{}{}
-			}
-		}
-	}
-	bounds := make([]int64, 0, len(bset))
-	for b := range bset {
-		bounds = append(bounds, b)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	bounds := c.bounds(c.quantileCuts(min(max(int64(maxBlocks), 1), c.numEntries())), nil)
 	blocks := make([]Block, 0, len(bounds)-1)
 	for s := 0; s+1 < len(bounds); s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		blocks = append(blocks, Block{
-			Start: lo, End: hi,
-			HotPerEntry: c.mass(lo, hi) / float64(hi-lo),
-			Store:       make([]bool, c.in.P.N),
-			Access:      newFallbackAccess(c.in),
-		})
+		blocks = append(blocks, c.newBlock(bounds[s], bounds[s+1]))
 	}
 	return blocks
+}
+
+// newBlock returns the uncached block over ranks [start, end).
+func (c *ctx) newBlock(start, end int64) Block {
+	return Block{
+		Start: start, End: end,
+		HotPerEntry: c.mass(start, end) / float64(end-start),
+		Store:       make([]bool, c.in.P.N),
+		Access:      newFallbackAccess(c.in),
+	}
 }

@@ -43,7 +43,7 @@ func (bm *blockModel) zVar() int          { return bm.nb*bm.g*bm.srcs + bm.nb*bm
 func buildBlockModel(in *Input, c *ctx, blocks []Block) (*blockModel, error) {
 	g := in.P.N
 	srcs := in.P.NumSources()
-	m := newCostModel(in)
+	m := c.m
 	nb := len(blocks)
 	totalBytes := c.mass(0, c.numEntries()) * float64(in.EntryBytes)
 	scale := 1.0
@@ -248,7 +248,8 @@ func (ex Exact) Solve(in *Input) (*Placement, error) { return ex.SolveOpt(in, ex
 
 // SolveOpt implements OptionedPolicy.
 func (ex Exact) SolveOpt(in *Input, opt Options) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
 	maxBlocks := ex.MaxBlocks
@@ -258,7 +259,6 @@ func (ex Exact) SolveOpt(in *Input, opt Options) (*Placement, error) {
 			maxBlocks = in.BlockBudget
 		}
 	}
-	c := newCtx(in)
 	blocks := c.buildQuantile(maxBlocks)
 	bm, err := buildBlockModel(in, c, blocks)
 	if err != nil {

@@ -1,0 +1,197 @@
+package solver
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"ugache/internal/platform"
+	"ugache/internal/rng"
+	"ugache/internal/workload"
+)
+
+// presenceHotness is the benchmark harness's hotness (benchmark/inputs.go):
+// Zipf ranks scattered over the key space by a seeded permutation, each key
+// carrying its expected per-batch presence 1-(1-p)^8192.
+func presenceHotness(tb testing.TB, n int64, alpha float64, seed uint64) workload.Hotness {
+	tb.Helper()
+	z, err := workload.NewZipf(n, alpha)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	perm := rng.New(seed).Split("key-permutation").Perm(int(n))
+	h := make(workload.Hotness, n)
+	for r := int64(0); r < n; r++ {
+		p := z.CDF(r+1) - z.CDF(r)
+		h[perm[r]] = -math.Expm1(8192 * math.Log1p(-p))
+	}
+	return h
+}
+
+func uniformCapacity(p *platform.Platform, n int, ratio float64) []int64 {
+	caps := make([]int64, p.N)
+	for g := range caps {
+		caps[g] = int64(math.Ceil(ratio * float64(n)))
+	}
+	return caps
+}
+
+// The pinned solve inputs: the three problems the benchmark's set-up solves
+// (benchmark/system.go) and one asymmetric platform for the greedy path.
+var pinnedInputs = []struct {
+	name  string
+	short bool // part of the -short subset
+	build func(tb testing.TB) *Input
+}{
+	{"serverA-400k", true, func(tb testing.TB) *Input {
+		p := platform.ServerA()
+		return &Input{P: p, Hotness: presenceHotness(tb, 400_000, 1.2, 42), EntryBytes: 128,
+			Capacity: uniformCapacity(p, 400_000, 0.10)}
+	}},
+	{"cluster2-400k", false, func(tb testing.TB) *Input {
+		p, err := platform.ClusterOf(platform.ServerAConfig(), platform.DefaultNetwork(2))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return &Input{P: p, Hotness: presenceHotness(tb, 400_000, 0.9, 42), EntryBytes: 128,
+			Capacity: uniformCapacity(p, 400_000, 0.02)}
+	}},
+	{"serverC-cr", false, func(tb testing.TB) *Input {
+		p := platform.ServerC()
+		ds, err := workload.CR.Build(0.05, 42)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r := rng.New(42).Split("train-warm")
+		warm := make([][]int64, 96)
+		for i := range warm {
+			warm[i] = ds.GenBatchWith(r, 2048)
+		}
+		hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return &Input{P: p, Hotness: hot, EntryBytes: ds.MT.MaxEntryBytes(),
+			Capacity: uniformCapacity(p, len(hot), 0.10)}
+	}},
+	{"serverB-60k", true, func(tb testing.TB) *Input {
+		p := platform.ServerB()
+		return &Input{P: p, Hotness: zipfHotness(60_000, 1.1, 200_000, 42), EntryBytes: 512,
+			Capacity: uniformCapacity(p, 60_000, 0.08)}
+	}},
+}
+
+var goldenPolicies = []struct {
+	name string
+	pol  Policy
+}{
+	{"ugache", UGache{}},
+	{"ugache-greedy", UGacheGreedy{}},
+	{"rep-part-17", RepPart{}},
+	{"rep-part-33", RepPart{Candidates: 33}},
+	{"optimal-lp", OptimalLP{}},
+	{"replication", Replication{}},
+	{"partition", Partition{}},
+	{"clique-partition", CliquePartition{}},
+}
+
+// goldenShort forces the -short subset (set in race builds, see race_test.go).
+var goldenShort bool
+
+type goldenSolve struct {
+	saveSHA string // SHA-256 of Placement.Save bytes
+	estBits uint64 // math.Float64bits(max(EstTimes))
+}
+
+// TestGoldenPlacements pins every policy's output on the pinned inputs to the
+// bytes recorded before the single-pass solve rewrite: the same Save stream
+// and the same modelled makespan to the last bit. To re-record after an
+// intended placement change, empty goldenSolves, run the test and paste the
+// lines it prints.
+func TestGoldenPlacements(t *testing.T) {
+	short := testing.Short() || goldenShort
+	for _, pi := range pinnedInputs {
+		if short && !pi.short {
+			continue
+		}
+		in := pi.build(t)
+		for _, gp := range goldenPolicies {
+			key := pi.name + "/" + gp.name
+			if short && gp.name == "optimal-lp" {
+				continue // the reference LP is most of the full run's time
+			}
+			pl, err := gp.pol.Solve(in)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			var buf bytes.Buffer
+			if err := pl.Save(&buf); err != nil {
+				t.Fatalf("%s: save: %v", key, err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			got := goldenSolve{hex.EncodeToString(sum[:]), math.Float64bits(maxF(pl.EstTimes))}
+			if want, ok := goldenSolves[key]; !ok || got != want {
+				t.Errorf("golden mismatch (have %v):\n\t%q: {%q, %#x},", ok, key, got.saveSHA, got.estBits)
+			}
+		}
+	}
+}
+
+var goldenSolves = map[string]goldenSolve{
+	"serverA-400k/ugache":            {"366e27a5d4efe7c9c241e0173ae03653fce8a1138f1ce03ca88332af9246715a", 0x3eb9a79fb37f1972},
+	"serverA-400k/ugache-greedy":     {"5b9af92ad42195c2076830c78e0d9f38eeaa32f5bf0996434ff7565295241385", 0x3ebb8e6ae969577f},
+	"serverA-400k/rep-part-17":       {"11a9f1d83d5b6910417a276587a68ca7e136eb93de9f2d0d3c6b610a2f31cce8", 0x3eba57619a866d86},
+	"serverA-400k/rep-part-33":       {"5f71f21d3c542d52c3072935b5dedb09553d2c8c2f693a3e5f98a811db2ee900", 0x3eb9a79fb37f1972},
+	"serverA-400k/optimal-lp":        {"8a70041e69e6fc4309290a467e134000109df88561903e43a6304495729236aa", 0x3eb9e147e24d63e8},
+	"serverA-400k/replication":       {"eac691575fe52c640e7f973a87414a1a198509ced0fe7ea82c6c2dcc0148b35a", 0x3ed18f79955e9257},
+	"serverA-400k/partition":         {"d97daa1b3c62bf1a82208930a76f28270d5449c1b0302259e662df3f1481e0d2", 0x3ebcaeb8733ce80a},
+	"serverA-400k/clique-partition":  {"afabd61c4b0dfee51b293ef444dddd749e9de9e98d0975889c382f550e328e10", 0x3ebcaeb8733ce80a},
+	"cluster2-400k/ugache":           {"aeb2bca095ff2404f015092d7b29a82a9d6451448e7d33a332ff1f25c7f1a11c", 0x3efcb81ddd95e6cd},
+	"cluster2-400k/ugache-greedy":    {"97346a21dada3f6faf73837f13aa1c2398b70b39045a14e9709f9ad9c15ee944", 0x3efc4c828f60d58a},
+	"cluster2-400k/rep-part-17":      {"12ba876e0d7e4ccc71699f9fff92b0e6c788bfa33fe288dcc1405b46abc49c0f", 0x3efd11e96a885a64},
+	"cluster2-400k/rep-part-33":      {"12ba876e0d7e4ccc71699f9fff92b0e6c788bfa33fe288dcc1405b46abc49c0f", 0x3efd11e96a885a64},
+	"cluster2-400k/optimal-lp":       {"33650aa48ba9a6e9259524017cdd8b9c7c33061e3a50f465d26771579985e9d0", 0x3efcb81ddd95e6cd},
+	"cluster2-400k/replication":      {"196187db6a97e14d1c98b86a1fc4aa64707787a56f7ae3970a31a3478a432b79", 0x3f0439c72f9e59be},
+	"cluster2-400k/partition":        {"5c6328ac2e42bedbd5c38de44630a715f593b1dfe19e0b9c21af48e5c5dbc1d6", 0x3efd38254f63bf53},
+	"cluster2-400k/clique-partition": {"fe31bafc7f4d43e6e4b92bd20713dca355fac11edd59cd82f3cb5fa04d4c5d16", 0x3efd38254f63bf53},
+	"serverC-cr/ugache":              {"df67ec6b5f75ec562081e6b6f76a8ab8c092b0ac794741629e297bd9b7855cb0", 0x3ee5205d946e0dfe},
+	"serverC-cr/ugache-greedy":       {"5554fc025966325e960bae825ec782b543b07cf67cc90096bf157e4755d2df59", 0x3eebd112ab33b025},
+	"serverC-cr/rep-part-17":         {"704c2d00c54b28f4a06c2b4cc2f0e90321c19b61db886742fc89d59f5027c910", 0x3ee552b4f57cd340},
+	"serverC-cr/rep-part-33":         {"2bbe5ad7ba900d3983d17d91e1fceeaad04bf02c5bc919513fff60ed9504672f", 0x3ee5205d946e0dfe},
+	"serverC-cr/optimal-lp":          {"ebf46bed87ce30fa02bb8fda0c6b78c57271ffdfb4881ee30acb76d91c2a10f3", 0x3ee5b8eae6707299},
+	"serverC-cr/replication":         {"640af9d40371f2e6f5bffaab172a73d1ce0fd374dad28711d44f99caceb91bab", 0x3f023e2cf6ad14f1},
+	"serverC-cr/partition":           {"1bfd0e776f258a6bc762315d9d879c3b0849f634dfd506ada695d2baa2f0a85d", 0x3ef4653c90ba2f71},
+	"serverC-cr/clique-partition":    {"5cb9c6534a8d3fc5f63fba391b30cf95ea3f7c79e5b8a1dd7412986aed544b1e", 0x3ef4653c90ba2f71},
+	"serverB-60k/ugache":             {"8b94b16c94cb93b4e34279b8e5cd458f36a34c69bbcfd2f4915f615447d4037c", 0x3f40ba885587c5ca},
+	"serverB-60k/ugache-greedy":      {"2006e758c7d61ebaba8a178fa5621f33682ff34e28fb00437035441b578fca15", 0x3f424735288a8a0a},
+	"serverB-60k/rep-part-17":        {"cd69ced22064794ea0a3cdd38ec2f2ed14c62d54c4cc8a826721e586f8ce784a", 0x3f40d50dae8b57a4},
+	"serverB-60k/rep-part-33":        {"fadcb582146b75e72fa956c71719e93727414a710f2414c120c61bf3e854cecb", 0x3f40ba885587c5ca},
+	"serverB-60k/optimal-lp":         {"c442753ec2a90c6e73f9d3bbf1e5203fbf5ad8bff5f9085b797c62f6a7901bab", 0x3f5fc74b8678715d},
+	"serverB-60k/replication":        {"9b267a9e87bf1c1a1eb4cb8c7f85190b7487673ae2a6eb938ac75b65ea9f87b2", 0x3f526c5beecd8958},
+	"serverB-60k/partition":          {"1edae804435cc87d96ed56d4d915c3a5c481d212bee1c27e264dafabd3a1b2d5", 0x3f721cf27b78171a},
+	"serverB-60k/clique-partition":   {"b6738bcc5adf6f894f9712d00210a126c2b26e52ab5acb9ba9e6bf12a41e018f", 0x3f574bb9608b4928},
+}
+
+var benchPlacement *Placement
+
+// BenchmarkPolicySolve times the shipped policy's whole solve on the three
+// problems the benchmark's set-up solves (BENCH_solver.json records the
+// numbers before and after the single-pass rewrite).
+func BenchmarkPolicySolve(b *testing.B) {
+	for _, pi := range pinnedInputs[:3] {
+		b.Run(pi.name, func(b *testing.B) {
+			in := pi.build(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pl, err := (UGache{}).Solve(in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchPlacement = pl
+			}
+		})
+	}
+}

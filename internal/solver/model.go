@@ -81,12 +81,9 @@ func (m *costModel) perByteCost(i int, j platform.SourceID) float64 {
 	return m.packCost[i][j] + m.invEff[i][j]
 }
 
-// volumes accumulates B_{i←j} in bytes for a placement. When byRank is
-// non-nil, block masses are recomputed from the input's hotness through the
-// rank mapping (so the model can be re-evaluated under NEW hotness with an
-// OLD placement — the §7.2 refresh trigger); otherwise the solve-time
-// per-block masses are used.
-func volumes(in *Input, blocks []Block, byRank []int32) [][]float64 {
+// volumes accumulates B_{i←j} in bytes for a set of blocks whose hotness
+// masses the caller supplies.
+func volumes(in *Input, blocks []Block, mass func(b *Block) float64) [][]float64 {
 	srcs := in.P.NumSources()
 	b := make([][]float64, in.P.N)
 	for i := range b {
@@ -94,14 +91,7 @@ func volumes(in *Input, blocks []Block, byRank []int32) [][]float64 {
 	}
 	for bi := range blocks {
 		blk := &blocks[bi]
-		mass := blk.Mass()
-		if byRank != nil {
-			mass = 0
-			for r := blk.Start; r < blk.End; r++ {
-				mass += in.Hotness[byRank[r]]
-			}
-		}
-		bytes := mass * float64(in.EntryBytes)
+		bytes := mass(blk) * float64(in.EntryBytes)
 		for i := 0; i < in.P.N; i++ {
 			b[i][blk.Access[i]] += bytes
 		}
@@ -130,9 +120,31 @@ func (m *costModel) times(vol [][]float64) []float64 {
 }
 
 // EstimateTimes evaluates the §6.2 model for a finished placement: the
-// per-GPU estimated extraction seconds per iteration.
+// per-GPU estimated extraction seconds per iteration. Block masses are
+// re-summed from the input's hotness through the placement's rank mapping,
+// so the model can be evaluated under NEW hotness with an OLD placement
+// (the §7.2 refresh trigger).
 func EstimateTimes(in *Input, pl *Placement) []float64 {
-	return newCostModel(in).times(volumes(in, pl.Blocks, pl.ByRank))
+	return newCostModel(in).times(volumes(in, pl.Blocks, func(b *Block) float64 {
+		mass := 0.0
+		for _, e := range pl.ByRank[b.Start:b.End] {
+			mass += in.Hotness[e]
+		}
+		return mass
+	}))
+}
+
+// estimate is EstimateTimes for blocks still being planned in this solve:
+// the same sums in the same order, over the contiguous rank-ordered hotness
+// (prefix-sum differences would drift from them by ulps).
+func (c *ctx) estimate(blocks []Block) []float64 {
+	return c.m.times(volumes(c.in, blocks, func(b *Block) float64 {
+		mass := 0.0
+		for _, h := range c.hot[b.Start:b.End] {
+			mass += h
+		}
+		return mass
+	}))
 }
 
 // EstimateMakespan returns max_i EstimateTimes.

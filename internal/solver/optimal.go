@@ -35,22 +35,17 @@ func (OptimalLP) Name() string { return "optimal-lp" }
 
 // Solve implements Policy.
 func (o OptimalLP) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
-	if symmetric(in) {
-		budget := in.BlockBudget
-		if budget == 0 {
-			budget = 768 // finer than UGache's default: the reference policy
-		}
-		pl, err := solveSymmetricLP(in, budget)
-		if err != nil {
-			return nil, err
-		}
-		pl.Policy = "optimal-lp"
-		return pl, nil
+	if !symmetric(in) {
+		return o.solveGeneral(c)
 	}
-	return o.solveGeneral(in)
+	if in.BlockBudget == 0 {
+		c.budget = 768 // finer than UGache's default: the reference policy
+	}
+	return solveSymmetricLP(c)
 }
 
 // symmetric reports whether every GPU sees an identical platform and
@@ -96,14 +91,10 @@ func symmetric(in *Input) bool {
 //	     z ≥ Σ src bytes·packCost                 (packing bound)
 //
 // where localBytes/remoteBytes/hostBytes are linear in x.
-func solveSymmetricLP(in *Input, budget int) (*Placement, error) {
-	inB := *in
-	inB.BlockBudget = budget
-	in = &inB
-	c := newCtx(in)
+func solveSymmetricLP(c *ctx) (*Placement, error) {
+	in, m := c.in, c.m
 	blocks := c.build()
 	g := in.P.N
-	m := newCostModel(in)
 	host := int(in.fallback())
 
 	nb := len(blocks)
@@ -240,12 +231,7 @@ func realizeSymmetric(in *Input, c *ctx, blocks []Block, sol *lp.Solution, xv fu
 			if n == 0 {
 				continue
 			}
-			nb := Block{
-				Start: start, End: start + n,
-				HotPerEntry: blockMean(c, start, start+n),
-				Store:       make([]bool, g),
-				Access:      newFallbackAccess(in),
-			}
+			nb := c.newBlock(start, start+n)
 			for k := 0; k < cnt; k++ {
 				m := -1
 				for j := 0; j < g; j++ {
@@ -327,22 +313,15 @@ func roundDistribution(n int64, g int, frac func(cnt int) float64) []int64 {
 	return sizes
 }
 
-func blockMean(c *ctx, start, end int64) float64 {
-	if end <= start {
-		return 0
-	}
-	return c.mass(start, end) / float64(end-start)
-}
-
 // solveGeneral solves the full §6.2 block model with per-reader access
 // variables for asymmetric platforms (the shared blockModel, see exact.go),
 // as a fractional LP with rounded realization.
-func (o OptimalLP) solveGeneral(in *Input) (*Placement, error) {
+func (o OptimalLP) solveGeneral(c *ctx) (*Placement, error) {
+	in := c.in
 	maxBlocks := o.MaxGeneralBlocks
 	if maxBlocks <= 0 {
 		maxBlocks = 22 // as many as the dense simplex's row limit allows
 	}
-	c := newCtx(in)
 	blocks := c.buildQuantile(maxBlocks)
 	bm, err := buildBlockModel(in, c, blocks)
 	if err != nil {

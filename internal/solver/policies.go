@@ -17,10 +17,10 @@ func (Replication) Name() string { return "replication" }
 
 // Solve implements Policy.
 func (Replication) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
-	c := newCtx(in)
 	cuts := make([]int64, 0, in.P.N)
 	for _, cap := range in.Capacity {
 		cuts = append(cuts, minI64(cap, c.numEntries()))
@@ -51,10 +51,10 @@ func (Partition) Name() string { return "partition" }
 
 // Solve implements Policy.
 func (Partition) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
-	c := newCtx(in)
 	var total int64
 	for _, cap := range in.Capacity {
 		total += cap
@@ -76,10 +76,10 @@ func (CliquePartition) Name() string { return "clique-partition" }
 
 // Solve implements Policy.
 func (CliquePartition) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
-	c := newCtx(in)
 	cliques := CliqueCover(in.P)
 	cuts := make([]int64, 0, len(cliques))
 	for _, cl := range cliques {
@@ -111,9 +111,19 @@ func (RepPart) Name() string { return "rep-part" }
 
 // Solve implements Policy.
 func (rp RepPart) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
+	blocks, _ := rp.scan(c)
+	return newPlacement(c, "rep-part", blocks), nil
+}
+
+// scan returns the best candidate's blocks and modelled makespan. Candidates
+// are built and scored from the context at block granularity; nothing
+// per-entry is materialized for the losers.
+func (rp RepPart) scan(c *ctx) ([]Block, float64) {
+	in := c.in
 	cands := rp.Candidates
 	if cands <= 0 {
 		cands = 17
@@ -122,12 +132,14 @@ func (rp RepPart) Solve(in *Input) (*Placement, error) {
 	for _, cap := range in.Capacity {
 		minCap = minI64(minCap, cap)
 	}
-	c := newCtx(in)
 	cliques := CliqueCover(in.P)
-	var best *Placement
+	var best []Block
 	bestT := math.Inf(1)
 	for k := 0; k < cands; k++ {
-		x := minI64(int64(float64(minCap)*float64(k)/float64(cands-1)), c.numEntries())
+		x := int64(0) // a single candidate is the pure-partition split
+		if cands > 1 {
+			x = minI64(int64(float64(minCap)*float64(k)/float64(cands-1)), c.numEntries())
+		}
 		blocks := c.build(repPartCuts(in, cliques, x, c.numEntries())...)
 		// Replicated prefix.
 		for bi := range blocks {
@@ -151,13 +163,12 @@ func (rp RepPart) Solve(in *Input) (*Placement, error) {
 			end := minI64(x+total, c.numEntries())
 			assignPartitionRange(in, blocks, cl, capLeft, x, end)
 		}
-		pl := newPlacement(c, "rep-part", blocks)
-		if t := maxF(pl.EstTimes); t < bestT {
+		if t := maxF(c.estimate(blocks)); t < bestT {
 			bestT = t
-			best = pl
+			best = blocks
 		}
 	}
-	return best, nil
+	return best, bestT
 }
 
 func repPartCuts(in *Input, cliques [][]int, x, e int64) []int64 {

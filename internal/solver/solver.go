@@ -329,28 +329,26 @@ type Policy interface {
 }
 
 // newPlacement builds the shared skeleton from a solve context: ranks and
-// the rank→block map are filled; Store/Access come from the blocks as the
-// policy populated them.
+// the rank→block map are filled in one pass; Store/Access come from the
+// blocks (which tile the rank space) as the policy populated them.
 func newPlacement(c *ctx, policy string, blocks []Block) *Placement {
-	n := len(c.in.Hotness)
+	n := len(c.ranked)
 	pl := &Placement{
-		Policy:     policy,
-		NumGPUs:    c.in.P.N,
-		EntryBytes: c.in.EntryBytes,
-		Rank:       make([]int32, n),
-		ByRank:     make([]int32, n),
-		Blocks:     blocks,
+		Policy:      policy,
+		NumGPUs:     c.in.P.N,
+		EntryBytes:  c.in.EntryBytes,
+		Rank:        make([]int32, n),
+		ByRank:      make([]int32, n),
+		Blocks:      blocks,
+		blockOfRank: make([]int32, n),
+		EstTimes:    c.estimate(blocks),
 	}
+	bi := 0
 	for r, e := range c.ranked {
-		pl.Rank[e] = int32(r)
-		pl.ByRank[r] = int32(e)
-	}
-	pl.blockOfRank = make([]int32, n)
-	for bi := range blocks {
-		for r := blocks[bi].Start; r < blocks[bi].End; r++ {
-			pl.blockOfRank[r] = int32(bi)
+		for int64(r) >= blocks[bi].End {
+			bi++
 		}
+		pl.Rank[e], pl.ByRank[r], pl.blockOfRank[r] = int32(r), int32(e), int32(bi)
 	}
-	pl.EstTimes = EstimateTimes(c.in, pl)
 	return pl
 }

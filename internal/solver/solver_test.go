@@ -55,7 +55,10 @@ func mustSolve(t *testing.T, pol Policy, in *Input) *Placement {
 
 func TestBlockBuilding(t *testing.T) {
 	in := testInput(t, platform.ServerC(), 100000, 1.1, 0.1)
-	c := newCtx(in)
+	c, err := newCtx(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blocks := c.build()
 	if len(blocks) == 0 || len(blocks) > in.blockBudget() {
 		t.Fatalf("%d blocks for budget %d", len(blocks), in.blockBudget())

@@ -27,14 +27,17 @@ type UGache struct {
 // Name implements Policy.
 func (UGache) Name() string { return "ugache" }
 
-// Solve implements Policy.
+// Solve implements Policy. One solve context serves the LP pass, the greedy
+// fallback and the RepPart scan; the scan's winner is materialized only when
+// it beats the placement it is compared with.
 func (u UGache) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
 	var best *Placement
 	if symmetric(in) {
-		if pl, err := solveSymmetricLP(in, in.blockBudget()); err == nil {
+		if pl, err := solveSymmetricLP(c); err == nil {
 			best = pl
 		}
 		// Fall through to the heuristic candidates on LP failure — and
@@ -43,17 +46,10 @@ func (u UGache) Solve(in *Input) (*Placement, error) {
 		// that a structured scan sometimes beats.
 	}
 	if best == nil {
-		g, err := u.Greedy.Solve(in)
-		if err != nil {
-			return nil, err
-		}
-		best = g
+		best = u.Greedy.solve(c)
 	}
-	rp, err := (RepPart{Candidates: 33}).Solve(in)
-	if err != nil {
-		return nil, err
-	}
-	if maxF(rp.EstTimes) < maxF(best.EstTimes) {
+	if blocks, t := (RepPart{Candidates: 33}).scan(c); t < maxF(best.EstTimes) {
+		rp := newPlacement(c, "rep-part", blocks)
 		rp.LowerBound = best.LowerBound
 		best = rp
 	}
@@ -135,9 +131,15 @@ func (h *moveHeap) Pop() any {
 
 // Solve implements Policy.
 func (u UGacheGreedy) Solve(in *Input) (*Placement, error) {
-	if err := in.validate(); err != nil {
+	c, err := newCtx(in)
+	if err != nil {
 		return nil, err
 	}
+	return u.solve(c), nil
+}
+
+func (u UGacheGreedy) solve(c *ctx) *Placement {
+	in := c.in
 	theta := u.Theta
 	if theta == 0 {
 		theta = 4
@@ -147,10 +149,9 @@ func (u UGacheGreedy) Solve(in *Input) (*Placement, error) {
 		reweightEvery = 64
 	}
 
-	c := newCtx(in)
 	st := &gstate{
 		in:      in,
-		m:       newCostModel(in),
+		m:       c.m,
 		blocks:  c.build(),
 		capLeft: append([]int64(nil), in.Capacity...),
 		fb:      in.fallback(),
@@ -230,7 +231,7 @@ func (u UGacheGreedy) Solve(in *Input) (*Placement, error) {
 		st.refine(refineRounds)
 	}
 	st.rebalance()
-	return newPlacement(c, "ugache-greedy", st.blocks), nil
+	return newPlacement(c, "ugache-greedy", st.blocks)
 }
 
 // bestSource returns the cheapest reachable source for reader i of block b

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Hotness is the paper's §6.1 metric: the expected number of accesses per
 // iteration for each embedding entry, indexed by key. The solver consumes
@@ -115,18 +118,68 @@ func (h Hotness) TopShare(fraction float64) float64 {
 // Rank returns entry indices sorted by descending hotness (stable in index
 // for ties, so results are deterministic).
 func (h Hotness) Rank() []int64 {
+	var rk Ranker
 	idx := make([]int64, len(h))
-	for i := range idx {
-		idx[i] = int64(i)
+	for r, k := range rk.Rank(h) {
+		idx[r] = k.Entry
 	}
-	// Sort by (-hotness, index) with a simple 64-bit radix-friendly
-	// comparator via sort.Slice equivalent; len is a few million, sort
-	// package handles it fine.
-	sortSlice(idx, func(a, b int64) bool {
-		if h[a] != h[b] {
-			return h[a] > h[b]
-		}
-		return a < b
-	})
 	return idx
+}
+
+// RankedEntry is one position of a ranking: the entry and, packed so that
+// sorting compares integers and touches no other memory, its hotness.
+type RankedEntry struct {
+	key   uint64 // ^Float64bits(hotness): ascending key is descending hotness
+	Entry int64
+}
+
+// Hotness returns the entry's hotness (a −0 input reads back as +0).
+func (e RankedEntry) Hotness() float64 { return math.Float64frombits(^e.key) }
+
+// Ranker orders entries by descending hotness, ties by ascending index — the
+// one ranking every consumer (solver, drift detector) shares. It keeps its two
+// sort buffers, so ranking same-sized vectors repeatedly allocates nothing.
+type Ranker struct{ keys, spare []RankedEntry }
+
+// Rank returns h's ranking, hottest first; the result is valid until the
+// next call. Hotness must be non-negative and finite (the solver validates
+// this), which makes the IEEE bit pattern order the numeric order: an LSD
+// radix sort over the key bytes, stable and seeded in index order, leaves
+// ties in ascending index.
+func (rk *Ranker) Rank(h Hotness) []RankedEntry {
+	n := len(h)
+	if cap(rk.keys) < n {
+		rk.keys, rk.spare = make([]RankedEntry, n), make([]RankedEntry, n)
+	}
+	keys, spare := rk.keys[:n], rk.spare[:n]
+	var counts [8][256]int
+	for i, v := range h {
+		bits := math.Float64bits(v)
+		if v == 0 {
+			bits = 0 // −0 ties with +0
+		}
+		keys[i] = RankedEntry{^bits, int64(i)}
+		for p := range counts {
+			counts[p][byte(^bits>>(8*p))]++
+		}
+	}
+	for p := range counts {
+		c := &counts[p]
+		shift := uint(8 * p)
+		if n == 0 || c[byte(keys[0].key>>shift)] == n {
+			continue // every key shares this byte
+		}
+		sum := 0
+		for d, cnt := range c {
+			c[d], sum = sum, sum+cnt
+		}
+		for _, k := range keys {
+			d := byte(k.key >> shift)
+			spare[c[d]] = k
+			c[d]++
+		}
+		keys, spare = spare, keys
+	}
+	rk.keys, rk.spare = keys, spare
+	return keys
 }

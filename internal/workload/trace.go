@@ -5,13 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
-
-// sortSlice is a local alias so hotness.go stays import-light.
-func sortSlice(idx []int64, less func(a, b int64) bool) {
-	sort.Slice(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-}
 
 // Trace is a recorded sequence of key batches: the unit of record/replay
 // used to feed identical access streams to every system under comparison.
