@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster
 # Packages with testing.B microbenchmarks on the extraction hot path.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve
 
-.PHONY: check build test vet fmt race bench-harness bench bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
+.PHONY: check build test vet fmt race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
 
 check: fmt vet build test race bench-harness
 
@@ -35,10 +35,21 @@ bench-harness:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Hot-path microbenchmarks with allocation counts (compare against the
-# checked-in BENCH_hotpath.json numbers).
+# Hot-path microbenchmarks with allocation counts (regenerates the checked-in
+# BENCH_hotpath.json; the allocs/op column is the budget, ns/op moves with
+# the machine). A failed run leaves the baseline as it was.
+HOTPATH_BENCH = $(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
 bench:
-	$(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
+	$(HOTPATH_BENCH) | $(GO) run ./scripts/bench_envelope BENCH_hotpath.json "$(HOTPATH_BENCH)" \
+		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, 256-deep trace ring, TraceEvery 1); the Flight variants attach the flight recorder as well. Budget: the serve flush allocates 6 times per operation in timing mode and 7 in functional mode (the caller-owned Result.Rows block), with and without flight; core lookups allocate nothing."
+
+# Paired end-to-end runs of a base commit against the working tree, e.g.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=serve-steady [PAIRS=10 SEED=42 KEEP=dir]
+# (ten pairs, about seven minutes; not part of check or CI).
+PAIRS ?= 10
+SEED ?= 42
+bench-pairs:
+	scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED) $(KEEP)
 
 # Solver control-plane benchmarks: parallel branch-and-bound throughput
 # (W=1 vs W=4), cold-vs-warm refresh re-solves, and the shipped policy's
@@ -85,7 +96,7 @@ trace-smoke:
 		-refresh -trace-out /tmp/ugache-trace-smoke.json
 	$(GO) run ./cmd/ugache-trace -check-timeline /tmp/ugache-trace-smoke.json
 
-# End-to-end flight-recorder smoke test: overload an open-loop run against a
+# End-to-end flight-recorder smoke test: drive an open-loop run against a
 # deliberately unmeetable p99 SLO so the watchdog trips and writes a
 # diagnostic bundle, then validate it (manifest, JSONL events, metrics,
 # exemplar batch resolving to a span tree in the dumped timeline window).

@@ -109,7 +109,6 @@ func runCluster(o options) error {
 		}
 		srv, err := serve.New(sys, serve.Config{
 			MaxBatchKeys: o.maxBatch,
-			MaxWait:      o.maxWait,
 			Telemetry:    reg,
 			TraceDepth:   o.traceDepth,
 			Timeline:     tl,

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	ugache-serve -dataset SYN-A -clients 16 -requests 200
-//	ugache-serve -dataset CR -scale 0.1 -ratio 0.08 -max-wait 1ms
+//	ugache-serve -dataset CR -scale 0.1 -ratio 0.08 -max-batch 4096
 //	ugache-serve -refresh -trace-out trace.json   # Perfetto-loadable spans
 //	ugache-serve -open-loop -qps 200000 -arrivals mmpp -duration 5s
 //	ugache-serve -open-loop -qps 300000 -admission 500us   # bounded wait
@@ -58,7 +58,6 @@ type options struct {
 	requests   int
 	batch      int
 	maxBatch   int
-	maxWait    time.Duration
 	seed       uint64
 	listen     string
 	traceDepth int
@@ -102,8 +101,7 @@ func main() {
 	flag.IntVar(&o.clients, "clients", 8, "concurrent closed-loop clients")
 	flag.IntVar(&o.requests, "requests", 100, "requests per client")
 	flag.IntVar(&o.batch, "batch", 16, "inference samples per request")
-	flag.IntVar(&o.maxBatch, "max-batch", 8192, "coalescer flush threshold in pending keys")
-	flag.DurationVar(&o.maxWait, "max-wait", 2*time.Millisecond, "coalescer flush deadline")
+	flag.IntVar(&o.maxBatch, "max-batch", 8192, "cap on one coalesced batch, in pending keys")
 	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
 	flag.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/trace, /debug/timeline, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
 	flag.IntVar(&o.traceDepth, "trace-depth", 256, "per-batch trace ring depth (negative disables tracing)")
@@ -301,7 +299,6 @@ func run(o options) error {
 	}
 	srv, err := serve.New(sys, serve.Config{
 		MaxBatchKeys: o.maxBatch,
-		MaxWait:      o.maxWait,
 		Telemetry:    reg,
 		TraceDepth:   o.traceDepth,
 		Sampler:      sampler,

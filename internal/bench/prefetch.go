@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"ugache/internal/core"
 	"ugache/internal/serve"
@@ -82,7 +81,6 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 	}
 	srv, err := serve.New(sys, serve.Config{
 		MaxBatchKeys: sc.keysPerBatch,
-		MaxWait:      5 * time.Millisecond,
 		Telemetry:    reg,
 		TraceDepth:   sc.batches + 8,
 		Lookahead:    lookahead,

@@ -148,7 +148,6 @@ func (sc *serveScenario) newServeServer(o Options) (*core.System, *serve.Server,
 	}
 	srv, err := serve.New(sys, serve.Config{
 		MaxBatchKeys: sc.maxBatchKeys,
-		MaxWait:      200 * time.Microsecond,
 		QueueDepth:   sc.queueDepth,
 		Telemetry:    reg,
 		TraceDepth:   -1,

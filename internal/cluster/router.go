@@ -2,10 +2,10 @@
 // single-machine serving nodes. A lookup arrives at one node, splits into a
 // local sub-lookup (keys the arrival node can serve from its own tiers) and
 // per-peer sub-lookups (network-class keys owned by another machine's host
-// shard), coalesces the cross-node legs per destination so many requests
-// ride one wire dispatch, and reassembles the scattered results under a
-// per-node deadline — a missing leg fails partial instead of stalling the
-// whole lookup (DESIGN.md §6.9).
+// shard), coalesces the cross-node legs queued for one destination so under
+// load many requests ride one wire dispatch, and reassembles the scattered
+// results under a per-node deadline — a missing leg fails partial instead of
+// stalling the whole lookup (DESIGN.md §6.9).
 package cluster
 
 import (
@@ -47,13 +47,11 @@ type FrontConfig struct {
 	Seed uint64
 	// Vnodes is the ring's virtual-node count per node (0 = DefaultVnodes).
 	Vnodes int
-	// MaxSubKeys flushes a per-peer coalescing queue once this many keys are
-	// pending for that destination (default 4096).
+	// MaxSubKeys caps one cross-node dispatch: a dispatcher stops taking
+	// queued sub-lookups once this many keys are in hand for its destination
+	// (default 4096). A dispatch never waits to reach the cap — it leaves as
+	// soon as the dispatcher's queue is empty.
 	MaxSubKeys int
-	// MaxWait flushes a non-empty per-peer queue after this long even if it
-	// is not full (default 200µs) — the wire-amortization knob: one
-	// dispatch's RTT is shared by every sub-lookup coalesced into it.
-	MaxWait time.Duration
 	// Deadline bounds how long a lookup waits for its cross-node legs
 	// (default 50ms). An expired leg fails partial (ErrPartial) rather than
 	// stalling the caller behind a slow peer.
@@ -75,9 +73,6 @@ type FrontConfig struct {
 func (c FrontConfig) normalize() FrontConfig {
 	if c.MaxSubKeys <= 0 {
 		c.MaxSubKeys = 4096
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 200 * time.Microsecond
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 50 * time.Millisecond
@@ -145,10 +140,11 @@ type subResult struct {
 }
 
 // dispatcher coalesces one origin node's sub-lookups toward one destination
-// node: queued calls flush as a single Handle on the destination's server
-// once MaxSubKeys are pending or MaxWait after the first arrival — so the
-// wire round trip and the destination's batch formation are paid once per
-// dispatch, not once per request.
+// node: whatever is queued when it comes round — up to MaxSubKeys — leaves as
+// a single Handle on the destination's server, so under load the wire round
+// trip and the destination's batch formation are paid once per dispatch, not
+// once per request, and a sub-lookup that finds the dispatcher idle leaves at
+// once.
 type dispatcher struct {
 	f            *Front
 	origin, dest int
@@ -156,47 +152,30 @@ type dispatcher struct {
 	rr           atomic.Int64 // round-robin GPU pick on the destination
 }
 
+// run is the dispatcher's loop: block for the first sub-call, take the rest
+// of the backlog without blocking, send. It returns once Close has closed
+// calls and everything queued before that has been sent.
 func (d *dispatcher) run() {
 	defer d.f.wg.Done()
-	cfg := d.f.cfg
-	var pending []*subCall
-	var pendingKeys int
-	var timer *time.Timer
-	var expire <-chan time.Time
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		batch := pending
-		keys := pendingKeys
-		pending, pendingKeys = nil, 0
-		if timer != nil {
-			timer.Stop()
-			timer, expire = nil, nil
+	for first := range d.calls {
+		batch := []*subCall{first}
+		keys := len(first.keys)
+	fill:
+		for keys < d.f.cfg.MaxSubKeys {
+			select {
+			case c, ok := <-d.calls:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, c)
+				keys += len(c.keys)
+			default:
+				break fill
+			}
 		}
 		d.f.observeDispatch(d.origin, d.dest, keys)
 		d.f.wg.Add(1)
 		go d.send(batch, keys)
-	}
-	for {
-		select {
-		case c, ok := <-d.calls:
-			if !ok {
-				flush()
-				return
-			}
-			pending = append(pending, c)
-			pendingKeys += len(c.keys)
-			if pendingKeys >= cfg.MaxSubKeys {
-				flush()
-			} else if timer == nil {
-				timer = time.NewTimer(cfg.MaxWait)
-				expire = timer.C
-			}
-		case <-expire:
-			timer, expire = nil, nil
-			flush()
-		}
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ugache/internal/cache"
 	"ugache/internal/core"
 	"ugache/internal/emb"
 	"ugache/internal/platform"
@@ -15,11 +17,31 @@ import (
 	"ugache/internal/workload"
 )
 
+// heldSource is a node's RowSource with a one-shot hold: once armed, the
+// node's next host read blocks until open. A serve worker blocked there is
+// inside a flush, so the leg it carries cannot answer before the test says
+// so — a slow peer without a clock.
+type heldSource struct {
+	cache.RowSource
+	armed atomic.Bool
+	gate  chan struct{}
+	once  sync.Once
+}
+
+func (h *heldSource) ReadRow(key int64, dst []byte) error {
+	if h.armed.CompareAndSwap(true, false) {
+		<-h.gate
+	}
+	return h.RowSource.ReadRow(key, dst)
+}
+
+func (h *heldSource) open() { h.once.Do(func() { close(h.gate) }) }
+
 // buildFront assembles an in-process N-node cluster: each node solves the
 // same clustered platform with its own ring-shard Owned predicate, serves
 // it behind a serve.Server, and the Front routes across them. Returns the
-// front, the shared backing table, and a cleanup.
-func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb.Table) {
+// front, the shared backing table, and each node's holdable view of it.
+func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb.Table, []*heldSource) {
 	t.Helper()
 	table, err := emb.NewMaterialized("t", int64(entries), 8, emb.Float32, 7)
 	if err != nil {
@@ -37,7 +59,9 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 		h[perm[rank]] = math.Pow(float64(rank+1), -1.1)
 	}
 	ns := make([]*Node, nodes)
+	holds := make([]*heldSource, nodes)
 	for i := 0; i < nodes; i++ {
+		holds[i] = &heldSource{RowSource: table, gate: make(chan struct{})}
 		p, err := platform.New(platform.Config{
 			Name: "2xV100", Kind: platform.HardWired, GPU: platform.V100x16, N: 2,
 			PCIeBW: 12e9, DRAMBW: 140e9, PairBW: pair, Network: &net,
@@ -51,13 +75,13 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 			Hotness:    h,
 			EntryBytes: table.EntryBytes(),
 			CacheRatio: 0.1,
-			Source:     table,
+			Source:     holds[i],
 			Owned:      func(k int64) bool { return ring.Owner(k) == self },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := serve.New(sys, serve.Config{MaxWait: time.Millisecond})
+		srv, err := serve.New(sys, serve.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,19 +92,22 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		for _, h := range holds {
+			h.open()
+		}
 		f.Close()
 		for _, n := range ns {
 			n.Srv.Close()
 		}
 	})
-	return f, table
+	return f, table, holds
 }
 
 // TestFrontFunctionalRoundTrip: rows routed across the cluster are byte-
 // identical to the backing table, and cross-node traffic actually happened.
 func TestFrontFunctionalRoundTrip(t *testing.T) {
 	const entries = 3000
-	f, table := buildFront(t, 2, entries, FrontConfig{Seed: 1, MaxWait: 100 * time.Microsecond})
+	f, table, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
 	eb := table.EntryBytes()
 	z, _ := workload.NewZipf(entries, 1.05)
 	r := rng.New(3)
@@ -121,55 +148,65 @@ func TestFrontFunctionalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrontCoalescing: concurrent lookups from one node toward the same
-// peer share dispatches — the wire is paid per coalesced batch, not per
-// lookup.
-func TestFrontCoalescing(t *testing.T) {
-	const entries = 3000
-	f, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1, MaxWait: 2 * time.Millisecond})
-	const clients = 16
-	var wg sync.WaitGroup
-	var remoteLegs int64
-	var mu sync.Mutex
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			z, _ := workload.NewZipf(entries, 1.05)
-			r := rng.New(uint64(c + 1))
-			keys := make([]int64, 48)
-			for j := range keys {
-				keys[j] = z.Sample(r)
+// TestDispatcherCoalescesBacklog: sub-calls queued ahead of a dispatcher
+// leave as one dispatch — the wire is paid per backlog, not per lookup — cut
+// only by MaxSubKeys, and each caller gets its own rows back.
+func TestDispatcherCoalescesBacklog(t *testing.T) {
+	const entries, n = 2000, 6
+	for _, c := range []struct {
+		name       string
+		maxSubKeys int
+		dispatches int64
+	}{{"one dispatch", 0, 1}, {"cut at the cap", 4, 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			f, table, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1, MaxSubKeys: c.maxSubKeys})
+			// A dispatcher of the test's own, so that its queue can be filled
+			// before its loop starts.
+			d := &dispatcher{f: f, origin: 0, dest: 1, calls: make(chan *subCall, n)}
+			calls := make([]*subCall, n)
+			for i := range calls {
+				calls[i] = &subCall{keys: []int64{int64(i), int64(i + 1000)}, done: make(chan subResult, 1)}
+				d.calls <- calls[i]
 			}
-			res := f.Lookup(0, 0, keys)
-			if res.Err != nil {
-				t.Error(res.Err)
-				return
+			close(d.calls)
+			f.wg.Add(1)
+			d.run()
+
+			eb := table.EntryBytes()
+			want := make([]byte, eb)
+			for i, call := range calls {
+				sub := <-call.done
+				if sub.err != nil {
+					t.Fatalf("sub-call %d: %v", i, sub.err)
+				}
+				for j, k := range call.keys {
+					if err := table.ReadRow(k, want); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sub.rows[j*eb:(j+1)*eb], want) {
+						t.Fatalf("sub-call %d key %d: row mismatch", i, k)
+					}
+				}
 			}
-			if res.RemoteKeys > 0 {
-				mu.Lock()
-				remoteLegs++
-				mu.Unlock()
+			if got := f.met.dispatches.Value(); got != c.dispatches {
+				t.Fatalf("cluster_dispatches_total = %d for %d queued sub-calls, want %d", got, n, c.dispatches)
 			}
-		}(c)
-	}
-	wg.Wait()
-	if remoteLegs < 2 {
-		t.Skip("workload produced <2 remote legs; nothing to coalesce")
-	}
-	if d := f.met.dispatches.Value(); d >= remoteLegs {
-		t.Fatalf("%d dispatches for %d remote legs: no coalescing", d, remoteLegs)
+			if got := f.met.dispatchKeys.Value(); got != 2*n {
+				t.Fatalf("cluster_dispatch_keys_total = %d, want %d", got, 2*n)
+			}
+		})
 	}
 }
 
-// TestFrontPartialDeadline: a deadline shorter than the coalescing window
+// TestFrontPartialDeadline: a peer that does not answer before the deadline
 // fails the remote leg partial — local rows still arrive, missing keys are
 // counted, and the front keeps serving afterwards.
 func TestFrontPartialDeadline(t *testing.T) {
 	const entries = 3000
-	f, table := buildFront(t, 2, entries, FrontConfig{
-		Seed: 1, MaxWait: 20 * time.Millisecond, Deadline: time.Nanosecond,
+	f, table, holds := buildFront(t, 2, entries, FrontConfig{
+		Seed: 1, Deadline: time.Nanosecond,
 	})
+	holds[1].armed.Store(true) // node 1 answers nothing until opened
 	eb := table.EntryBytes()
 	z, _ := workload.NewZipf(entries, 1.05)
 	r := rng.New(5)
@@ -209,6 +246,7 @@ func TestFrontPartialDeadline(t *testing.T) {
 		t.Fatal("no local keys to check")
 	}
 	// The expired leg must not wedge the dispatchers.
+	holds[1].open()
 	res2 := f.Lookup(1, 0, keys[:32])
 	if res2.Err != nil && res2.Err != ErrPartial {
 		t.Fatalf("follow-up lookup: %v", res2.Err)
@@ -219,7 +257,7 @@ func TestFrontPartialDeadline(t *testing.T) {
 // Close is idempotent.
 func TestFrontClose(t *testing.T) {
 	const entries = 2000
-	f, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
+	f, _, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
 	f.Close()
 	f.Close()
 	z, _ := workload.NewZipf(entries, 1.05)

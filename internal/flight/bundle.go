@@ -15,10 +15,14 @@ import (
 )
 
 // TimelineWriter is anything that can export a Chrome trace-event JSON
-// document — in practice *timeline.Recorder, accepted as an interface so
-// wiring stays one-directional.
+// document and say how far back one writer's window reaches — in practice
+// *timeline.Recorder, accepted as an interface so wiring stays
+// one-directional.
 type TimelineWriter interface {
 	WriteTrace(w io.Writer) error
+	// OldestArg returns arg key of the oldest event named name that writer
+	// shard still holds.
+	OldestArg(shard int, name, key string) (float64, bool)
 }
 
 // BundleConfig describes what a diagnostic bundle captures. Any nil source
@@ -50,15 +54,52 @@ const (
 	HeapFile       = "heap.pprof"
 )
 
-// Exemplar references the slowest coalesced batch observed in the watchdog
-// window: the (GPU, Seq) pair resolves to the batch's span tree in the
-// bundled timeline window (the root "batch" span carries a matching seq
-// arg), linking the flight events, the metrics and the timeline.
+// Exemplar references the slowest coalesced batch in the watchdog window
+// whose span tree the bundle holds: the (GPU, Seq) pair resolves to the
+// batch's span tree in the bundled timeline window (the root "batch" span
+// carries a matching seq arg), linking the flight events, the metrics and
+// the timeline.
 type Exemplar struct {
 	GPU            int32   `json:"gpu"`
 	Seq            int64   `json:"seq"`
 	LatencySeconds float64 `json:"latency_seconds"`
 	UnixNanos      int64   `json:"unix_nanos"`
+}
+
+// pickExemplar returns the slowest batch among events recorded in
+// [since, until] — restricted, when tl is non-nil, to those at or past
+// their worker's oldest surviving root span — or nil when there is none.
+func pickExemplar(events []Event, since, until int64, tl TimelineWriter) *Exemplar {
+	floors := map[int32]int64{} // per GPU; -1 = no batch span left
+	var best *Event
+	for i := range events {
+		e := &events[i]
+		if e.Kind != KindBatch || e.UnixNanos < since || e.UnixNanos > until {
+			continue
+		}
+		if best != nil && e.V[BatchLatencySeconds] <= best.V[BatchLatencySeconds] {
+			continue
+		}
+		if tl != nil {
+			floor, seen := floors[e.GPU]
+			if !seen {
+				floor = -1
+				if v, ok := tl.OldestArg(int(e.GPU), "batch", "seq"); ok {
+					floor = int64(v)
+				}
+				floors[e.GPU] = floor
+			}
+			if floor < 0 || e.Seq < floor {
+				continue
+			}
+		}
+		best = e
+	}
+	if best == nil {
+		return nil
+	}
+	return &Exemplar{GPU: best.GPU, Seq: best.Seq,
+		LatencySeconds: best.V[BatchLatencySeconds], UnixNanos: best.UnixNanos}
 }
 
 // Manifest indexes one diagnostic bundle.
@@ -80,7 +121,18 @@ const manifestVersion = 1
 // WriteBundle drains cfg's sources into a new timestamped directory under
 // cfg.Dir and returns the bundle path. The manifest is written last, so
 // readers may treat its presence as a completeness marker.
-func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, ex *Exemplar) (string, error) {
+//
+// The manifest's exemplar is the slowest batch event at or after
+// exemplarSince (unix nanos; 0 = everything the rings hold). The span rings
+// are sized in events and a flush costs them many more than it costs a
+// flight ring, so a batch can outlive its span tree; with a timeline in cfg
+// the exemplar is therefore chosen among the batches whose tree the
+// bundle's own timeline.json holds. That is exact, not best effort: the
+// timeline is written first, each worker's oldest surviving root span is
+// read after it (a tree still there now was there then), and a batch counts
+// only if its event predates the write (the worker emits a batch's spans
+// before its flight event).
+func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exemplarSince int64) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")
 	}
@@ -95,7 +147,6 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, ex *
 		Created:          now.UTC().Format(time.RFC3339Nano),
 		Reason:           reason,
 		Violations:       violations,
-		Exemplar:         ex,
 	}
 	writeFile := func(name string, fill func(io.Writer) error) error {
 		f, err := os.Create(filepath.Join(dir, name))
@@ -118,9 +169,15 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, ex *
 		return nil
 	}
 
+	if cfg.Timeline != nil {
+		if err := writeFile(TimelineFile, cfg.Timeline.WriteTrace); err != nil {
+			return "", err
+		}
+	}
 	if cfg.Recorder != nil {
 		events := cfg.Recorder.Snapshot()
 		man.FlightEvents = len(events)
+		man.Exemplar = pickExemplar(events, exemplarSince, now.UnixNano(), cfg.Timeline)
 		if err := writeFile(EventsFile, func(w io.Writer) error {
 			var buf []byte
 			for i := range events {
@@ -147,11 +204,6 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, ex *
 			enc.SetIndent("", "  ")
 			return enc.Encode(out)
 		}); err != nil {
-			return "", err
-		}
-	}
-	if cfg.Timeline != nil {
-		if err := writeFile(TimelineFile, cfg.Timeline.WriteTrace); err != nil {
 			return "", err
 		}
 	}

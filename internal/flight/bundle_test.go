@@ -46,8 +46,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		Timeline: testTimeline(t, 3, 17),
 	}
 	violations := []SignalState{{Name: "admitted_p99_seconds", Short: 0.025, Long: 0.020, Threshold: 0.010, Breached: true}}
-	ex := &Exemplar{GPU: 3, Seq: 17, LatencySeconds: 0.025, UnixNanos: 100}
-	path, err := WriteBundle(cfg, "slo:admitted_p99_seconds", violations, ex)
+	path, err := WriteBundle(cfg, "slo:admitted_p99_seconds", violations, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +80,56 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	}
 }
 
+// TestBundleExemplarHasItsSpanTree: the slowest batch the flight rings hold
+// has already lost its span tree (the span ring is the shorter-lived of the
+// two), so the bundle names the slowest batch whose tree it does hold.
+func TestBundleExemplarHasItsSpanTree(t *testing.T) {
+	rec := NewRecorder(1, 16)
+	for i, lat := range []float64{0.090, 0.010, 0.030, 0.020} {
+		e := batchEvent(0, int64(i+1), lat, int64(100+i))
+		rec.Ring(0).Record(&e)
+	}
+	// Two events a flush and room for five: seq 1 and seq 2's root are gone.
+	tl := timeline.NewRecorder(1, 5)
+	for seq := int64(1); seq <= 4; seq++ {
+		root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,
+			PID: timeline.ProcServe, Start: float64(seq), Dur: 0.5}
+		root.AddArg("seq", float64(seq))
+		tl.Shard(0).Emit(&root)
+		child := timeline.Event{Name: "extract", Cat: "serve", Ph: timeline.PhSpan,
+			PID: timeline.ProcServe, Start: float64(seq) + 0.1, Dur: 0.2}
+		tl.Shard(0).Emit(&child)
+	}
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: tl, SkipProfiles: true},
+		"test", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ValidateBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rep.Manifest.Exemplar; ex == nil || ex.Seq != 3 || rep.ExemplarSpans != 2 {
+		t.Fatalf("exemplar = %+v (%d spans), want seq 3 with its root and child", ex, rep.ExemplarSpans)
+	}
+
+	// No batch span left at all: no exemplar, rather than one that dangles.
+	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: timeline.NewRecorder(1, 4), SkipProfiles: true},
+		"test", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = ValidateBundle(path); err != nil || rep.Manifest.Exemplar != nil {
+		t.Fatalf("exemplar without any span tree = %+v (err %v)", rep.Manifest.Exemplar, err)
+	}
+}
+
 func TestWriteBundleSkipProfiles(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
 	e := batchEvent(0, 1, 0.001, 1)
 	rec.Ring(0).Record(&e)
-	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, nil)
+	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +146,7 @@ func TestWriteBundleSkipProfiles(t *testing.T) {
 }
 
 func TestWriteBundleNoDir(t *testing.T) {
-	if _, err := WriteBundle(BundleConfig{}, "x", nil, nil); err == nil {
+	if _, err := WriteBundle(BundleConfig{}, "x", nil, 0); err == nil {
 		t.Fatal("WriteBundle without a directory succeeded")
 	}
 }
@@ -113,13 +156,22 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	e := batchEvent(0, 1, 0.001, 1)
 	rec.Ring(0).Record(&e)
-	// Timeline holds seq 99; the exemplar claims seq 1 — resolution must fail.
 	path, err := WriteBundle(BundleConfig{
-		Dir: dir, Recorder: rec, Timeline: testTimeline(t, 0, 99), SkipProfiles: true,
-	}, "test", nil, &Exemplar{GPU: 0, Seq: 1})
+		Dir: dir, Recorder: rec, Timeline: testTimeline(t, 0, 1), SkipProfiles: true,
+	}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Swap in a timeline that holds seq 99 only: the manifest's exemplar
+	// (seq 1) now dangles, and resolution must fail.
+	f, err := os.Create(filepath.Join(path, TimelineFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := testTimeline(t, 0, 99).WriteTrace(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	if _, err := ValidateBundle(path); err == nil || !strings.Contains(err.Error(), "no matching span") {
 		t.Fatalf("ValidateBundle on a dangling exemplar: %v", err)
 	}
@@ -130,7 +182,7 @@ func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	e := batchEvent(0, 1, 0.001, 1)
 	rec.Ring(0).Record(&e)
-	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, nil)
+	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -391,14 +391,14 @@ func (w *Watchdog) Tick() bool {
 	w.state.Trips++
 	w.state.LastTripUnixNanos = now.UnixNano()
 	reason := "slo:" + strings.Join(breached, ",")
-	ex := w.state.Exemplar
+	since := w.snaps[0].at
 	violations := append([]SignalState(nil), signals...)
 	w.mu.Unlock()
 
 	// The bundle write happens outside the lock: it drains rings, renders
 	// the timeline and collects profiles, none of which should block State
 	// readers or the next tick's evaluation.
-	path, err := WriteBundle(w.cfg.Bundle, reason, violations, ex)
+	path, err := WriteBundle(w.cfg.Bundle, reason, violations, since)
 	w.noteBundle(path, err)
 	return true
 }
@@ -412,9 +412,12 @@ func (w *Watchdog) TriggerBundle(reason string) (string, error) {
 	}
 	w.mu.Lock()
 	violations := append([]SignalState(nil), w.state.Signals...)
-	ex := w.state.Exemplar
+	since := int64(0)
+	if len(w.snaps) > 0 {
+		since = w.snaps[0].at
+	}
 	w.mu.Unlock()
-	path, err := WriteBundle(w.cfg.Bundle, reason, violations, ex)
+	path, err := WriteBundle(w.cfg.Bundle, reason, violations, since)
 	w.noteBundle(path, err)
 	return path, err
 }

@@ -337,7 +337,11 @@ func TestWatchdogConcurrent(t *testing.T) {
 			_ = wd.WriteFlightState(&buf)
 		}
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Three spinning goroutines share the processors with the 1 ms ticker:
+	// wait for a tick rather than for a fixed time.
+	for deadline := time.Now().Add(10 * time.Second); wd.State().Ticks == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if _, err := wd.TriggerBundle("concurrent-test"); err != nil {
 		t.Errorf("manual bundle under load: %v", err)
 	}

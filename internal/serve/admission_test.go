@@ -11,43 +11,17 @@ import (
 	"ugache/internal/telemetry"
 )
 
-// parkWorker admits one request on GPU 0 and waits long enough for the
-// worker to pop it and park in the fill loop (MaxWait must be large and
-// MaxBatchKeys above the request's key count). While parked, the worker
-// consumes nothing, so direct ring pushes below stay queued — the white-box
-// setup the deterministic admission tests build on.
-func parkWorker(t *testing.T, srv *Server) <-chan Result {
-	t.Helper()
-	ch := srv.Handle(0, []int64{1, 2})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if inf, bg := srv.QueueDepths(0); inf == 0 && bg == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the parking request")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// After the pop above the worker polls the ring once more before parking
-	// in its fill-loop select; give it a beat so direct pushes stay queued.
-	time.Sleep(20 * time.Millisecond)
-	return ch
-}
-
-// fillRing stuffs n requests straight into GPU 0's ring of the given class
-// without posting the wakeup token, so the parked worker does not drain
-// them. Returns their result channels.
+// fillRing admits n single-key requests of the given class on GPU 0 — whose
+// worker the caller holds with parkWorker, so they stay queued — and returns
+// their result channels.
 func fillRing(t *testing.T, srv *Server, n int, class Class) []<-chan Result {
 	t.Helper()
 	chans := make([]<-chan Result, n)
-	for i := 0; i < n; i++ {
-		out := make(chan Result, 1)
-		r := &request{keys: []int64{int64(i % 50)}, out: out, enqueued: time.Now(), class: class}
-		if !srv.queues[0].push(r) {
-			t.Fatalf("direct push %d failed below ring capacity", i)
-		}
-		chans[i] = out
+	for i := range chans {
+		chans[i] = srv.HandleClass(0, []int64{int64(i % 50)}, class)
+	}
+	if inf, bg := srv.QueueDepths(0); inf+bg != n {
+		t.Fatalf("QueueDepths = (%d, %d) after admitting %d below ring capacity", inf, bg, n)
 	}
 	return chans
 }
@@ -70,16 +44,8 @@ func admissionSystem(t *testing.T) *core.System {
 // immediately with ErrOverload, counts the shed, and later-drained requests
 // still complete.
 func TestAdmissionFastFail(t *testing.T) {
-	srv, err := New(admissionSystem(t), Config{
-		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Minute,
-		QueueDepth:   2,
-		TraceDepth:   -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := parkWorker(t, srv)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, TraceDepth: -1})
+	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassInference)
 
 	res := <-srv.Handle(0, []int64{7})
@@ -93,15 +59,10 @@ func TestAdmissionFastFail(t *testing.T) {
 		t.Fatalf("QueueDepths = (%d, %d), want (2, 0)", inf, bg)
 	}
 
-	srv.Close()
+	gate.open()
 	for i, ch := range append([]<-chan Result{parked}, queued...) {
-		select {
-		case r := <-ch:
-			if r.Err != nil {
-				t.Fatalf("queued request %d failed after Close: %v", i, r.Err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("queued request %d stranded", i)
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("queued request %d failed: %v", i, r.Err)
 		}
 	}
 }
@@ -110,17 +71,8 @@ func TestAdmissionFastFail(t *testing.T) {
 // smaller ring — with it saturated, background sheds (and is counted in the
 // background-shed metric) while inference traffic still admits.
 func TestAdmissionBackgroundShedsFirst(t *testing.T) {
-	srv, err := New(admissionSystem(t), Config{
-		MaxBatchKeys:         1 << 20,
-		MaxWait:              time.Minute,
-		QueueDepth:           16,
-		BackgroundQueueDepth: 2,
-		TraceDepth:           -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := parkWorker(t, srv)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 16, BackgroundQueueDepth: 2, TraceDepth: -1})
+	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassBackground)
 
 	res := <-srv.HandleClass(0, []int64{7}, ClassBackground)
@@ -135,11 +87,10 @@ func TestAdmissionBackgroundShedsFirst(t *testing.T) {
 		t.Fatalf("inference admission shed while only background was full (rejected=%d)", got)
 	}
 
-	srv.Close()
+	gate.open()
 	for i, ch := range append([]<-chan Result{parked, infCh}, queued...) {
-		r := <-ch
-		if r.Err != nil {
-			t.Fatalf("request %d failed after Close: %v", i, r.Err)
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("request %d failed: %v", i, r.Err)
 		}
 	}
 }
@@ -148,24 +99,21 @@ func TestAdmissionBackgroundShedsFirst(t *testing.T) {
 // admitted once the worker's flushes free space, and the late admit is
 // counted.
 func TestAdmitWaitAdmits(t *testing.T) {
-	// MaxWait is the space-freeing clock here: long enough (vs parkWorker's
-	// 50ms settle) that the worker is still parked while the ring is filled,
-	// short enough that its flushes free space well before the 10s admission
-	// deadline.
-	srv, err := New(admissionSystem(t), Config{
-		MaxBatchKeys: 1 << 20,
-		MaxWait:      300 * time.Millisecond,
-		QueueDepth:   2,
-		AdmitWait:    10 * time.Second,
-		TraceDepth:   -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := parkWorker(t, srv)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: time.Minute, TraceDepth: -1})
+	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassInference)
 
-	// Parks on the space signal until a MaxWait flush frees ring slots.
+	// The worker may only be let go once the admission below has found the
+	// ring full. The space-token slot holds one token and only an admission
+	// whose push already failed receives from it, so a second blocking send
+	// completing proves that point was passed. The tokens themselves are
+	// harmless: the admitter retries, finds the ring still full, parks again.
+	go func() {
+		space := srv.queues[0].space
+		space <- struct{}{}
+		space <- struct{}{}
+		gate.open()
+	}()
 	res := <-srv.Handle(0, []int64{9})
 	if res.Err != nil {
 		t.Fatalf("bounded-wait admission failed: %v", res.Err)
@@ -176,7 +124,6 @@ func TestAdmitWaitAdmits(t *testing.T) {
 	if got := srv.met.rejected.Value(); got != 0 {
 		t.Fatalf("serve_rejected_total = %d, want 0", got)
 	}
-	srv.Close()
 	for _, ch := range append([]<-chan Result{parked}, queued...) {
 		if r := <-ch; r.Err != nil {
 			t.Fatalf("queued request failed: %v", r.Err)
@@ -184,20 +131,11 @@ func TestAdmitWaitAdmits(t *testing.T) {
 	}
 }
 
-// TestAdmitWaitExpires: with the worker parked (huge MaxWait) nothing frees
-// space, so a bounded wait sheds with ErrOverload once its deadline fires.
+// TestAdmitWaitExpires: with the worker held nothing frees space, so a
+// bounded wait sheds with ErrOverload once its deadline fires.
 func TestAdmitWaitExpires(t *testing.T) {
-	srv, err := New(admissionSystem(t), Config{
-		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Minute,
-		QueueDepth:   2,
-		AdmitWait:    50 * time.Millisecond,
-		TraceDepth:   -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := parkWorker(t, srv)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: 50 * time.Millisecond, TraceDepth: -1})
+	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassInference)
 
 	start := time.Now()
@@ -208,7 +146,7 @@ func TestAdmitWaitExpires(t *testing.T) {
 	if waited := time.Since(start); waited < 40*time.Millisecond || waited > 5*time.Second {
 		t.Fatalf("bounded wait lasted %v, want ~50ms", waited)
 	}
-	srv.Close()
+	gate.open()
 	for _, ch := range append([]<-chan Result{parked}, queued...) {
 		if r := <-ch; r.Err != nil {
 			t.Fatalf("queued request failed: %v", r.Err)
@@ -217,9 +155,9 @@ func TestAdmitWaitExpires(t *testing.T) {
 }
 
 // TestDrainCoalesces is the regression test for the one-batch-per-leftover
-// drain: requests still queued at Close must be coalesced up to MaxBatchKeys
-// per flush. 20 requests x 4 keys against MaxBatchKeys 16 must drain in
-// exactly ceil(80/16) = 5 batches, not 20.
+// drain: requests still queued at Close are coalesced up to MaxBatchKeys per
+// flush, like any other backlog. 20 requests x 4 keys against MaxBatchKeys 16
+// must drain in exactly ceil(80/16) = 5 batches, not 20.
 func TestDrainCoalesces(t *testing.T) {
 	srv, err := New(admissionSystem(t), Config{
 		MaxBatchKeys: 16,
@@ -243,7 +181,8 @@ func TestDrainCoalesces(t *testing.T) {
 		}
 		chans[i] = out
 	}
-	srv.drain(0, srv.queues[0], srv.newWorkerScratch(0))
+	for sc := srv.newWorkerScratch(0); srv.flushNext(0, srv.queues[0], sc, true); {
+	}
 
 	for i, ch := range chans {
 		select {
@@ -282,7 +221,6 @@ func TestOverloadCloseFlood(t *testing.T) {
 			for round := 0; round < 10; round++ {
 				srv, err := New(sys, Config{
 					MaxBatchKeys: 8,
-					MaxWait:      20 * time.Microsecond,
 					QueueDepth:   2,
 					AdmitWait:    mode.admitWait,
 					TraceDepth:   -1,

@@ -35,7 +35,6 @@ func TestCloseHandleRace(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		srv, err := New(sys, Config{
 			MaxBatchKeys: 16,
-			MaxWait:      50 * time.Microsecond,
 			QueueDepth:   2, // tiny queue: enqueues block and straddle Close
 			TraceDepth:   -1,
 		})
@@ -95,7 +94,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sys, Config{MaxWait: 100 * time.Microsecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"ugache/internal/core"
 	"ugache/internal/flight"
@@ -20,7 +19,7 @@ func TestServeFlightEvents(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
 	fl := flight.NewRecorder(sys.P.N, 256)
 	rec := timeline.NewRecorder(sys.P.N, 4096)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond, Flight: fl, Timeline: rec})
+	srv, err := New(sys, Config{Flight: fl, Timeline: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestServeFlightEvents(t *testing.T) {
 func TestServeFlightConcurrent(t *testing.T) {
 	sys, _ := buildFunctional(t, 2000)
 	fl := flight.NewRecorder(sys.P.N, 64)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond, Flight: fl})
+	srv, err := New(sys, Config{Flight: fl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestServeFlightAllocParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(sys, Config{MaxBatchKeys: 1, MaxWait: time.Millisecond, Flight: fl})
+		srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
 		if err != nil {
 			t.Fatal(err)
 		}

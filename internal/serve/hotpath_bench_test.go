@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"ugache/internal/core"
 	"ugache/internal/emb"
@@ -15,7 +14,7 @@ import (
 // Serving-engine hot-path microbenchmarks (run with `make bench`). The
 // coalesced-lookup benchmarks drive the full flush path — dedup, simulated
 // extraction, functional gather, fan-out — one synchronous request per
-// batch (MaxBatchKeys 1 flushes immediately, so no MaxWait stalls).
+// batch (MaxBatchKeys 1: every request is its own flush).
 // Results are tracked in BENCH_hotpath.json at the repo root.
 
 func buildBenchServer(b *testing.B, n int, functional bool, fl *flight.Recorder) *Server {
@@ -38,7 +37,7 @@ func buildBenchServer(b *testing.B, n int, functional bool, fl *flight.Recorder)
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(sys, Config{MaxBatchKeys: 1, MaxWait: time.Millisecond, Flight: fl})
+	srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
 	if err != nil {
 		b.Fatal(err)
 	}

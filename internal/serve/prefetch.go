@@ -76,6 +76,14 @@ func (g *pendingGate) wait() {
 	g.mu.Unlock()
 }
 
+// batchClock is GPU g's staleness clock: how many batches' worth of keys
+// (Config.MaxBatchKeys each) its flushes have answered so far. Counting keys
+// rather than flushes keeps a window of S batches the same amount of traffic
+// whether it left in full batches or one request per flush.
+func (s *Server) batchClock(g int) int64 {
+	return s.servedKeys[g].Load() / int64(s.cfg.MaxBatchKeys)
+}
+
 // Prefetch announces the keys of an upcoming batch on GPU gpu so the
 // prefetch worker can stage their would-be misses ahead of the batch's
 // flush (the BagPipe-style lookahead oracle: a DLR/GNN input pipeline knows
@@ -201,7 +209,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 	arena := s.staging[g]
 	pl := s.sys.Placement()
 	version := s.sys.PlacementVersion()
-	now := s.batchSeq[g].Load()
+	now := s.batchClock(g)
 	stale := int64(s.cfg.StaleBatches)
 	n := pl.NumEntries()
 	announced := len(w.keys)

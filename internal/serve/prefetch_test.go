@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	"ugache/internal/rng"
 	"ugache/internal/telemetry"
@@ -15,7 +14,7 @@ import (
 // windows, exposes no arena, and WaitPrefetch is a no-op.
 func TestServePrefetchDisabled(t *testing.T) {
 	sys, _ := buildFunctional(t, 1000)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,6 @@ func TestServePrefetchFunctionalRows(t *testing.T) {
 	reg := telemetry.NewRegistry(sys.P.N)
 	srv, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Millisecond,
 		Telemetry:    reg,
 		Lookahead:    4,
 	})
@@ -94,7 +92,6 @@ func TestServePrefetchStaleServing(t *testing.T) {
 	reg := telemetry.NewRegistry(sys.P.N)
 	srv, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Millisecond,
 		Telemetry:    reg,
 		Lookahead:    2,
 		StaleBatches: 8,
@@ -141,7 +138,6 @@ func TestServePrefetchStaleServing(t *testing.T) {
 	// With S=0 the same sequence must instead discard the staged rows.
 	srv0, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Millisecond,
 		Lookahead:    2,
 		StaleBatches: 0,
 	})
@@ -164,6 +160,41 @@ func TestServePrefetchStaleServing(t *testing.T) {
 	}
 }
 
+// TestStaleWindowCountsKeysNotFlushes: the staleness window is S batches of
+// MaxBatchKeys keys of traffic, however many flushes carry them. With S = 1
+// and MaxBatchKeys 4, rows staged before a refresh outlive eight one-key
+// flushes (two batches' worth: clock 0, then 1) and die at the ninth; counted
+// in flushes they would have died at the third.
+func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
+	sys, _ := buildFunctional(t, 3000)
+	srv, err := New(sys, Config{MaxBatchKeys: 4, Lookahead: 4, StaleBatches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	keys := []int64{2999, 2888, 2777, 2666, 2555, 2444, 2333, 2222, 2111}
+	if !srv.Prefetch(0, keys) {
+		t.Fatal("prefetch rejected")
+	}
+	srv.WaitPrefetch(0)
+	if staged := sampleValue(t, srv.Metrics(), "serve_prefetch_staged_keys_total"); int(staged) != len(keys) {
+		t.Fatalf("staged %g of %d keys; pick colder keys", staged, len(keys))
+	}
+	if _, err := sys.Refresh(testHotness(3000, 0.8, 99), 0.001, quickRefreshConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if _, err := srv.Lookup(0, []int64{k}); err != nil {
+			t.Fatal(err)
+		}
+		want := float64(min(i+1, 8))
+		if got := sampleValue(t, srv.Metrics(), "serve_stale_served_keys_total"); got != want {
+			t.Fatalf("after %d one-key flushes: %g keys served stale, want %g", i+1, got, want)
+		}
+	}
+}
+
 // TestServePrefetchRefreshRace races the whole pipeline under -race:
 // prefetch completions committing into the arenas, serving flushes
 // consuming staged rows, and concurrent Refreshes swapping the placement
@@ -173,7 +204,6 @@ func TestServePrefetchRefreshRace(t *testing.T) {
 	sys, table := buildFunctional(t, 2000)
 	srv, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
-		MaxWait:      200 * time.Microsecond,
 		Lookahead:    3,
 		StaleBatches: 4,
 	})

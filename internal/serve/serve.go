@@ -1,9 +1,9 @@
 // Package serve is the concurrent serving engine on top of core.System: a
-// per-GPU worker pulls lookup requests off a queue and coalesces them into
-// iteration-sized extraction batches (max-batch / max-wait, the way DLR
-// inference servers batch sparse lookups), so many small client requests
-// ride one locate/extract pass — the batched-extraction regime the paper's
-// model assumes (§3.2, §6.2).
+// per-GPU worker pulls lookup requests off a queue and coalesces whatever
+// backlog it finds, up to one iteration-sized extraction batch, so under
+// load many small client requests ride one locate/extract pass — the
+// batched-extraction regime the paper's model assumes (§3.2, §6.2) — while
+// a request that finds the worker idle leaves at once.
 //
 // The engine works in both modes of the underlying system: in functional
 // mode each request gets its embedding rows back; in timing-only mode it
@@ -40,6 +40,12 @@ import (
 // server.
 var ErrClosed = errors.New("serve: server closed")
 
+// ErrBadKey is returned (wrapped, with the offending key) to the caller of a
+// request that names a key outside the table. The request is refused before
+// admission, so it never shares a batch with — and can never fail — anyone
+// else's.
+var ErrBadKey = errors.New("serve: key out of range")
+
 // ErrOverload is returned by requests the admission controller sheds: the
 // destination GPU's queue was full and either the server runs fast-fail
 // admission (Config.AdmitWait == 0) or the bounded wait expired without
@@ -50,12 +56,11 @@ var ErrOverload = errors.New("serve: overloaded, request shed")
 
 // Config tunes the coalescer.
 type Config struct {
-	// MaxBatchKeys flushes a batch once this many (non-deduplicated) keys
-	// are pending on a GPU (default 8192, one paper-sized iteration).
+	// MaxBatchKeys caps a coalesced batch: the worker stops taking queued
+	// requests once this many (non-deduplicated) keys are in hand (default
+	// 8192, one paper-sized iteration). A batch never waits to reach the cap
+	// — it leaves as soon as the queue is empty.
 	MaxBatchKeys int
-	// MaxWait flushes a non-empty batch after this long even if it is not
-	// full (default 2ms) — the latency/throughput knob.
-	MaxWait time.Duration
 	// QueueDepth bounds the per-GPU inference admission ring (default 256,
 	// rounded up to a power of two). A full ring sheds instead of blocking:
 	// see AdmitWait.
@@ -73,18 +78,25 @@ type Config struct {
 	AdmitWait time.Duration
 
 	// Lookahead enables the prefetch pipeline: L is how many batches ahead
-	// clients announce upcoming keys via Prefetch, and sizes the per-GPU
-	// prefetch queue. 0 (the default) disables prefetching entirely — no
-	// staging arena, no workers, and a flush path identical to a
-	// non-prefetching server.
+	// clients announce upcoming keys via Prefetch. Here and in StaleBatches a
+	// batch is MaxBatchKeys requested keys of traffic on the GPU — one
+	// paper-sized iteration — however many flushes carried them: a full
+	// batch at saturation, hundreds of single-request flushes below the knee.
+	// Announced windows wait for the prefetch worker in a per-GPU queue as
+	// deep as the inference ring (one window per request that can be
+	// pending; 2L if that is more) and are dropped beyond it.
+	// 0 (the default) disables prefetching entirely — no staging arena, no
+	// workers, and a flush path identical to a non-prefetching server.
 	Lookahead int
 	// StaleBatches is the bounded-staleness window S: after a Refresh swaps
 	// the placement, staged rows committed under the outgoing version may
-	// still be served for up to S batches instead of being discarded. 0
-	// means staged rows die with their snapshot.
+	// still be served until S batches of keys (S x MaxBatchKeys, see
+	// Lookahead) have been served since their commit, instead of being
+	// discarded. 0 means staged rows die with their snapshot.
 	StaleBatches int
 	// StagingEntries sizes each GPU's staging arena in rows (default
-	// Lookahead x MaxBatchKeys).
+	// Lookahead x MaxBatchKeys: the announced traffic, if none of it were
+	// cached).
 	StagingEntries int
 
 	// Telemetry receives the engine's metrics. Nil creates a private
@@ -127,9 +139,6 @@ type Config struct {
 func (c Config) normalize() Config {
 	if c.MaxBatchKeys <= 0 {
 		c.MaxBatchKeys = 8192
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -211,6 +220,7 @@ type request struct {
 // naming scheme and overhead contract.
 type metrics struct {
 	requests      *telemetry.Counter
+	failed        *telemetry.Counter
 	batches       *telemetry.Counter
 	requestedKeys *telemetry.Counter
 	uniqueKeys    *telemetry.Counter
@@ -256,13 +266,14 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	latencyBuckets := telemetry.ExpBuckets(1e-6, 2, 23)
 	return &metrics{
 		requests:      reg.Counter("serve_requests_total", "requests completed"),
+		failed:        reg.Counter("serve_failed_total", "admitted requests answered with an extraction or gather error"),
 		batches:       reg.Counter("serve_batches_total", "coalesced batches flushed"),
 		requestedKeys: reg.Counter("serve_requested_keys_total", "keys requested before dedup"),
 		uniqueKeys:    reg.Counter("serve_unique_keys_total", "unique keys extracted"),
 		simSeconds:    reg.FloatCounter("serve_sim_seconds_total", "simulated extraction seconds"),
 		fill: [3]*telemetry.Counter{
 			telemetry.FillFull:  reg.Counter("serve_batch_fill_full_total", "batches flushed because MaxBatchKeys was reached"),
-			telemetry.FillTimer: reg.Counter("serve_batch_fill_timer_total", "batches flushed by the MaxWait deadline"),
+			telemetry.FillIdle:  reg.Counter("serve_batch_fill_idle_total", "batches flushed because the queue ran empty"),
 			telemetry.FillDrain: reg.Counter("serve_batch_fill_drain_total", "batches flushed by the shutdown drain"),
 		},
 		latency:   reg.Histogram("serve_request_latency_seconds", "request latency from enqueue to reply", latencyBuckets),
@@ -293,6 +304,7 @@ type Server struct {
 	sys        *core.System
 	cfg        Config
 	entryBytes int
+	numEntries int64
 	functional bool
 
 	queues []*gpuQueue
@@ -329,12 +341,13 @@ type Server struct {
 	fl      *flight.Recorder
 
 	// Lookahead prefetch pipeline (nil/empty when Config.Lookahead == 0).
-	// batchSeq[g] counts GPU g's flushed batches; it is the logical clock
-	// the staging arena's bounded-staleness contract is measured in.
+	// servedKeys[g] counts the keys GPU g's flushes have answered; in units
+	// of MaxBatchKeys (batchClock) it is the logical clock the staging
+	// arena's bounded-staleness contract is measured in.
 	staging      []*cache.StagingArena
 	prefetchQ    []chan *prefetchWindow
 	prefetchGate []*pendingGate
-	batchSeq     []atomic.Int64
+	servedKeys   []atomic.Int64
 	windowPool   sync.Pool
 }
 
@@ -352,6 +365,7 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		sys:        sys,
 		cfg:        cfg,
 		entryBytes: sys.Cache.EntryBytes,
+		numEntries: sys.Placement().NumEntries(),
 		functional: sys.Functional(),
 		queues:     make([]*gpuQueue, sys.P.N),
 		shed:       make([]atomic.Int64, sys.P.N),
@@ -406,12 +420,9 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		for g := 0; g < n; g++ {
 			s.prefetchGate[g] = newPendingGate()
 		}
-		s.batchSeq = make([]atomic.Int64, n)
+		s.servedKeys = make([]atomic.Int64, n)
 		s.windowPool.New = func() any { return &prefetchWindow{} }
-		depth := 2 * cfg.Lookahead
-		if depth < 8 {
-			depth = 8
-		}
+		depth := max(2*cfg.Lookahead, cfg.QueueDepth)
 		for g := 0; g < n; g++ {
 			arena, err := cache.NewStaging(cfg.StagingEntries, s.entryBytes, s.functional)
 			if err != nil {
@@ -461,7 +472,8 @@ func (s *Server) Handle(gpu int, keys []int64) <-chan Result {
 
 // HandleClass is Handle with an explicit admission class. ClassBackground
 // requests ride the smaller low-priority ring: they shed earlier under
-// pressure and are only served when no inference request is pending.
+// pressure and are only served when no inference request is pending. A key
+// outside the table fails this request alone, with ErrBadKey.
 func (s *Server) HandleClass(gpu int, keys []int64, class Class) <-chan Result {
 	out := make(chan Result, 1)
 	if gpu < 0 || gpu >= len(s.queues) {
@@ -471,6 +483,15 @@ func (s *Server) HandleClass(gpu int, keys []int64, class Class) <-chan Result {
 	if len(keys) == 0 {
 		out <- Result{}
 		return out
+	}
+	// Checked here, on the caller's goroutine: past admission a request
+	// shares its batch's one extraction, where a bad key would fail every
+	// request coalesced with it.
+	for _, k := range keys {
+		if k < 0 || k >= s.numEntries {
+			out <- Result{Err: fmt.Errorf("%w: %d not in [0, %d)", ErrBadKey, k, s.numEntries)}
+			return out
+		}
 	}
 	r := &request{keys: keys, out: out, enqueued: time.Now(), class: class}
 	if err := s.admit(gpu, r); err != nil {
@@ -609,9 +630,9 @@ type workerScratch struct {
 	seq   int64 // batches flushed by this worker (trace sampling)
 	span  *timeline.Shard
 
-	// reqs is the reusable batch-formation slice (the worker and the drain
-	// rebuild it in place every batch) and lastShed the shed count already
-	// published to the overload track and the flight ring.
+	// reqs is the reusable batch-formation slice (flushNext rebuilds it in
+	// place every batch) and lastShed the shed count already published to
+	// the overload track and the flight ring.
 	reqs     []*request
 	lastShed int64
 
@@ -651,64 +672,66 @@ func (s *Server) newWorkerScratch(g int) *workerScratch {
 	return sc
 }
 
-// worker is GPU g's coalescing loop: wait for one request, then keep
-// accumulating until the batch is full or MaxWait elapsed, then flush. The
-// rings are polled directly; when both are empty the worker parks on the
-// queue's wakeup token (producers post it after every successful push, and
-// the worker re-checks the rings after every token, so a wakeup is never
-// lost — see gpuQueue).
+// worker is GPU g's coalescing loop: flush whatever backlog the rings hold,
+// one batch at a time, and park on the queue's wakeup token only when both
+// are empty (producers post it after every successful push, and the worker
+// re-checks the rings after every token, so a wakeup is never lost — see
+// gpuQueue). There is no timer: a request that finds the worker idle leaves
+// alone and at once, and batches grow only because requests queued up while
+// the previous flush ran.
 func (s *Server) worker(g int) {
 	defer s.wg.Done()
 	q := s.queues[g]
 	sc := s.newWorkerScratch(g)
-	timer := time.NewTimer(s.cfg.MaxWait)
-	defer timer.Stop()
 	for {
-		first := q.pop()
-		if first == nil {
-			select {
-			case <-q.notify:
-				continue
-			case <-s.done:
-				s.drain(g, q, sc)
-				return
-			}
+		if s.flushNext(g, q, sc, false) {
+			continue
 		}
-		queueWait := time.Since(first.enqueued)
-		batch := append(sc.reqs[:0], first)
-		pending := len(first.keys)
-		reason := telemetry.FillFull
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+		select {
+		case <-q.notify:
+		case <-s.done:
+			// Close's write lock has excluded every producer by the time done
+			// closes, so an empty poll now means the rings are empty for
+			// good: flush what is left so no admitted caller is stranded.
+			for s.flushNext(g, q, sc, true) {
 			}
+			return
 		}
-		timer.Reset(s.cfg.MaxWait)
-	fill:
-		for pending < s.cfg.MaxBatchKeys {
-			if r := q.pop(); r != nil {
-				batch = append(batch, r)
-				pending += len(r.keys)
-				continue
-			}
-			select {
-			case <-q.notify:
-			case <-timer.C:
-				reason = telemetry.FillTimer
-				break fill
-			case <-s.done:
-				reason = telemetry.FillDrain
-				break fill
-			}
-		}
-		sc.reqs = batch
-		s.observeQueue(g, q, sc)
-		s.flush(g, batch, sc, reason, queueWait)
-		// The batch formation freed ring space: wake one bounded-wait
-		// admitter, if any are parked.
-		q.freed()
 	}
+}
+
+// flushNext forms one batch from the backlog — the oldest queued request
+// plus every follower until MaxBatchKeys keys are in hand or the rings are
+// empty — and flushes it. It reports false, having done nothing, when there
+// was no request to take. draining marks the shutdown drain's batches.
+func (s *Server) flushNext(g int, q *gpuQueue, sc *workerScratch, draining bool) bool {
+	first := q.pop()
+	if first == nil {
+		return false
+	}
+	queueWait := time.Since(first.enqueued)
+	batch := append(sc.reqs[:0], first)
+	pending := len(first.keys)
+	reason := telemetry.FillFull
+	for pending < s.cfg.MaxBatchKeys {
+		r := q.pop()
+		if r == nil {
+			reason = telemetry.FillIdle
+			break
+		}
+		batch = append(batch, r)
+		pending += len(r.keys)
+	}
+	if draining {
+		reason = telemetry.FillDrain
+	}
+	sc.reqs = batch
+	s.observeQueue(g, q, sc)
+	s.flush(g, batch, sc, reason, queueWait)
+	// The batch formation freed ring space: wake one bounded-wait admitter,
+	// if any are parked.
+	q.freed()
+	return true
 }
 
 // observeQueue publishes the admission-side backpressure signals at batch
@@ -766,33 +789,6 @@ func (s *Server) observeQueue(g int, q *gpuQueue, sc *workerScratch) {
 	}
 }
 
-// drain flushes whatever is still queued at Close time so no admitted
-// caller is left waiting. It runs after close(s.done), by which point
-// Close's write lock has excluded every producer, so an empty poll really
-// means the rings are empty for good. Leftovers are coalesced up to
-// MaxBatchKeys per flush — a Close under backlog runs O(backlog/batch)
-// extractions, not one per request.
-func (s *Server) drain(g int, q *gpuQueue, sc *workerScratch) {
-	for {
-		first := q.pop()
-		if first == nil {
-			return
-		}
-		batch := append(sc.reqs[:0], first)
-		pending := len(first.keys)
-		for pending < s.cfg.MaxBatchKeys {
-			r := q.pop()
-			if r == nil {
-				break
-			}
-			batch = append(batch, r)
-			pending += len(r.keys)
-		}
-		sc.reqs = batch
-		s.flush(g, batch, sc, telemetry.FillDrain, time.Since(first.enqueued))
-	}
-}
-
 // flush coalesces the batch's keys, runs one extraction, and fans the
 // per-request results back out. Everything it needs lives in the worker's
 // scratch; the only steady-state allocation is the batch-sized Rows block
@@ -845,7 +841,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 		}
 		hitMask := sc.hit[:len(uniq)]
 		version := s.sys.PlacementVersion()
-		now := s.batchSeq[g].Load()
+		now := s.batchClock(g)
 		prefetchHits, staleServed, staleMax = s.staging[g].Consume(
 			uniq, now, int64(s.cfg.StaleBatches), version, rows, hitMask)
 		if prefetchHits > 0 {
@@ -878,7 +874,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 		sc.batch.Staged[g] = nil
 	}
 	if err != nil {
-		s.fail(batch, err)
+		s.fail(g, batch, err)
 		return
 	}
 	if sc.span != nil {
@@ -938,7 +934,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 				}
 				dr := sc.demandRows[:need]
 				if err := s.sys.LookupWith(g, extractKeys, dr, sc.core); err != nil {
-					s.fail(batch, err)
+					s.fail(g, batch, err)
 					return
 				}
 				for j, i := range sc.demandIdx {
@@ -946,7 +942,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 				}
 			}
 		} else if err := s.sys.LookupWith(g, uniq, rows, sc.core); err != nil {
-			s.fail(batch, err)
+			s.fail(g, batch, err)
 			return
 		}
 		if sc.span != nil {
@@ -997,14 +993,21 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 		}
 		m.staleness.Set(float64(staleMax))
 		// Advance GPU g's batch clock: the staleness window of every staged
-		// row is measured against this sequence.
-		s.batchSeq[g].Add(1)
+		// row is measured against it.
+		s.servedKeys[g].Add(int64(requested))
+	}
+
+	if sc.span != nil {
+		ft.replyEnd = s.tl.Now()
+		s.emitFlushSpans(g, sc, &ft, len(batch), requested, len(uniq), reason, simTime, phases, sampled, prefetchHits, staleMax)
 	}
 
 	if sc.flight != nil {
 		// The event's Seq is this worker's batch sequence — the same value
 		// the timeline root span carries as its seq arg, which is what lets
-		// a bundle's exemplar resolve into the matching span tree.
+		// a bundle's exemplar resolve into the matching span tree. Recorded
+		// after the spans are out, so an event that predates a timeline
+		// snapshot has its whole tree in it (flight.WriteBundle).
 		e := flight.Event{Kind: flight.KindBatch, GPU: int32(g), Seq: sc.seq,
 			UnixNanos: time.Now().UnixNano()}
 		e.V[flight.BatchLatencySeconds] = maxLat
@@ -1017,11 +1020,6 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 		e.V[flight.BatchHostSeconds] = flHost
 		e.V[flight.BatchNetworkSeconds] = flNetwork
 		sc.flight.Record(&e)
-	}
-
-	if sc.span != nil {
-		ft.replyEnd = s.tl.Now()
-		s.emitFlushSpans(g, sc, &ft, len(batch), requested, len(uniq), reason, simTime, phases, sampled, prefetchHits, staleMax)
 	}
 }
 
@@ -1139,8 +1137,12 @@ func (s *Server) recordTrace(g int, seq int64, batch []*request, res *extract.Re
 	s.ring.Record(&tr)
 }
 
-func (s *Server) fail(batch []*request, err error) {
+// fail answers every request of a batch whose extraction or gather errored,
+// and counts them: requests + rejected + failed is every request admission
+// was asked to take.
+func (s *Server) fail(g int, batch []*request, err error) {
 	for _, r := range batch {
 		r.out <- Result{Err: err}
 	}
+	s.met.failed.Add(g, int64(len(batch)))
 }

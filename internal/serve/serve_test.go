@@ -2,10 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"ugache/internal/cache"
 	"ugache/internal/core"
@@ -52,7 +52,7 @@ func buildFunctional(t *testing.T, n int) (*core.System, *emb.Table) {
 
 func TestServeFunctionalRows(t *testing.T) {
 	sys, table := buildFunctional(t, 3000)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,55 +108,6 @@ func TestServeFunctionalRows(t *testing.T) {
 	}
 }
 
-func TestServeCoalesces(t *testing.T) {
-	sys, _ := buildFunctional(t, 2000)
-	// Generous deadline and batch: concurrent requests must share batches.
-	srv, err := New(sys, Config{MaxBatchKeys: 1 << 20, MaxWait: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const reqs = 40
-	chans := make([]<-chan Result, reqs)
-	for i := 0; i < reqs; i++ {
-		chans[i] = srv.Handle(0, []int64{int64(i), int64(i + 100)})
-	}
-	for i, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			t.Fatalf("request %d: %v", i, res.Err)
-		}
-	}
-	st := srv.Stats()
-	if st.Batches >= reqs {
-		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, reqs)
-	}
-	if st.MeanBatchKeys() <= 2 {
-		t.Fatalf("mean batch size %g not coalesced", st.MeanBatchKeys())
-	}
-}
-
-func TestServeMaxBatchFlushesEarly(t *testing.T) {
-	sys, _ := buildFunctional(t, 2000)
-	// Tiny max batch with a deadline far beyond the test: only the size
-	// trigger can flush follow-up batches.
-	srv, err := New(sys, Config{MaxBatchKeys: 4, MaxWait: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	done := make(chan Result, 1)
-	go func() { done <- <-srv.Handle(1, []int64{1, 2, 3, 4, 5}) }()
-	select {
-	case res := <-done:
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("size-triggered flush did not happen")
-	}
-}
-
 func TestServeTimingOnlyMode(t *testing.T) {
 	sys, err := core.Build(core.Config{
 		Platform:   platform.ServerA(),
@@ -167,7 +118,7 @@ func TestServeTimingOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sys, Config{MaxWait: time.Millisecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +137,7 @@ func TestServeTimingOnlyMode(t *testing.T) {
 
 func TestServeEdgeCases(t *testing.T) {
 	sys, _ := buildFunctional(t, 1000)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +147,8 @@ func TestServeEdgeCases(t *testing.T) {
 	if res := <-srv.Handle(0, nil); res.Err != nil || res.Rows != nil {
 		t.Fatalf("empty request: %+v", res)
 	}
-	if res := <-srv.Handle(0, []int64{-1}); res.Err == nil {
-		t.Fatal("bad key accepted")
+	if res := <-srv.Handle(0, []int64{-1}); !errors.Is(res.Err, ErrBadKey) {
+		t.Fatalf("bad key: err %v, want ErrBadKey", res.Err)
 	}
 	srv.Close()
 	srv.Close() // idempotent
@@ -211,7 +162,7 @@ func TestServeEdgeCases(t *testing.T) {
 
 func TestServeDuringRefresh(t *testing.T) {
 	sys, table := buildFunctional(t, 3000)
-	srv, err := New(sys, Config{MaxWait: 500 * time.Microsecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

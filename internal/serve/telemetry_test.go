@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"errors"
 	"testing"
-	"time"
 
 	"ugache/internal/cache"
 	"ugache/internal/core"
@@ -39,7 +39,6 @@ func TestServeTelemetry(t *testing.T) {
 	sampler := cache.NewHotnessSampler(2000, 1)
 	srv, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Millisecond,
 		Telemetry:    reg,
 		TraceDepth:   32,
 		Sampler:      sampler,
@@ -74,11 +73,11 @@ func TestServeTelemetry(t *testing.T) {
 		t.Fatalf("serve_unique_keys_total %g out of range", uniq)
 	}
 	batches := sampleValue(t, reg, "serve_batches_total")
-	if batches <= 0 || batches >= reqs {
-		t.Fatalf("serve_batches_total %g: no coalescing", batches)
+	if batches <= 0 || batches > reqs {
+		t.Fatalf("serve_batches_total %g for %d requests", batches, reqs)
 	}
 	fills := sampleValue(t, reg, "serve_batch_fill_full_total") +
-		sampleValue(t, reg, "serve_batch_fill_timer_total") +
+		sampleValue(t, reg, "serve_batch_fill_idle_total") +
 		sampleValue(t, reg, "serve_batch_fill_drain_total")
 	if fills != batches {
 		t.Fatalf("fill reasons sum %g, batches %g", fills, batches)
@@ -152,6 +151,39 @@ func TestServeTelemetry(t *testing.T) {
 	}
 }
 
+// TestServeCounterConservation pins the north-star identity on the serve
+// counters: every request admission was asked to take is counted exactly
+// once, as served, shed or failed. The failures are injected host-read
+// errors under one coalesced batch.
+func TestServeCounterConservation(t *testing.T) {
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2})
+	parked := parkWorker(t, srv, gate)
+	host := hostKey(t, srv)
+	doomed := []<-chan Result{srv.Handle(0, []int64{1}), srv.Handle(0, []int64{host})}
+	if res := <-srv.Handle(0, []int64{2}); !errors.Is(res.Err, ErrOverload) {
+		t.Fatalf("full ring: err %v, want ErrOverload", res.Err)
+	}
+	gate.failing.Store(true) // the held read is already past the check
+	gate.open()
+
+	if res := <-parked; res.Err != nil {
+		t.Fatalf("parking request: %v", res.Err)
+	}
+	for i, ch := range doomed {
+		if res := <-ch; !errors.Is(res.Err, errInjected) {
+			t.Fatalf("request %d: err %v, want the injected read failure", i, res.Err)
+		}
+	}
+	const sent = 4
+	reg := srv.Metrics()
+	served := sampleValue(t, reg, "serve_requests_total")
+	shed := sampleValue(t, reg, "serve_rejected_total")
+	failed := sampleValue(t, reg, "serve_failed_total")
+	if served != 1 || shed != 1 || failed != 2 || served+shed+failed != sent {
+		t.Fatalf("served %g + shed %g + failed %g, want 1 + 1 + 2 = %d sent", served, shed, failed, sent)
+	}
+}
+
 // TestServeTelemetryPrefetchFillSplit drives a lookahead-enabled server
 // with a perfectly announced stream and checks the fill-source counters:
 // prefetch hits appear, and hits + demand misses always equal the unique
@@ -170,7 +202,6 @@ func TestServeTelemetryPrefetchFillSplit(t *testing.T) {
 	}
 	srv, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
-		MaxWait:      time.Millisecond,
 		Telemetry:    reg,
 		Lookahead:    2,
 	})
@@ -215,7 +246,7 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sys, Config{MaxBatchKeys: 1, MaxWait: time.Millisecond, TraceEvery: 4})
+	srv, err := New(sys, Config{MaxBatchKeys: 1, TraceEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

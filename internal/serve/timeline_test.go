@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"ugache/internal/timeline"
 )
@@ -16,7 +15,7 @@ import (
 func TestServeTimelineSpans(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
 	rec := timeline.NewRecorder(sys.P.N, 4096)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond, Timeline: rec})
+	srv, err := New(sys, Config{Timeline: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestServeTimelineSpans(t *testing.T) {
 // worker scratch carries no span shard and sim phase recording stays off.
 func TestServeNoTimelineNoSpans(t *testing.T) {
 	sys, _ := buildFunctional(t, 1000)
-	srv, err := New(sys, Config{MaxWait: time.Millisecond})
+	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

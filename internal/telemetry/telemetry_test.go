@@ -169,7 +169,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	r := NewRegistry(1)
 	r.Counter("serve_requests_total", "requests").Add(0, 7)
 	ring := NewTraceRing(8)
-	ring.Record(&BatchTrace{Seq: 1, GPU: 2, Requests: 3, RequestedKeys: 6, UniqueKeys: 4, Reason: FillTimer, SimSeconds: 0.001})
+	ring.Record(&BatchTrace{Seq: 1, GPU: 2, Requests: 3, RequestedKeys: 6, UniqueKeys: 4, Reason: FillIdle, SimSeconds: 0.001})
 	srv := httptest.NewServer(Handler(r, ring))
 	defer srv.Close()
 
@@ -195,7 +195,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Body.Close()
-	if len(traces) != 1 || traces[0]["reason"] != "timer" || traces[0]["dedup_ratio"].(float64) != 1.5 {
+	if len(traces) != 1 || traces[0]["reason"] != "idle" || traces[0]["dedup_ratio"].(float64) != 1.5 {
 		t.Fatalf("trace endpoint %+v", traces)
 	}
 

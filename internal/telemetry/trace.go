@@ -10,10 +10,11 @@ import (
 type FillReason uint8
 
 const (
-	// FillFull: the pending key count reached MaxBatchKeys.
+	// FillFull: the keys in hand reached MaxBatchKeys.
 	FillFull FillReason = iota
-	// FillTimer: the MaxWait deadline fired on a partial batch.
-	FillTimer
+	// FillIdle: the queue ran empty, so the batch left with what it had —
+	// at low load a single request.
+	FillIdle
 	// FillDrain: the server was closing and drained the queue.
 	FillDrain
 )
@@ -22,8 +23,8 @@ func (f FillReason) String() string {
 	switch f {
 	case FillFull:
 		return "full"
-	case FillTimer:
-		return "timer"
+	case FillIdle:
+		return "idle"
 	default:
 		return "drain"
 	}
@@ -55,7 +56,7 @@ type BatchTrace struct {
 	// RequestedKeys counts keys before dedup, UniqueKeys after.
 	RequestedKeys int `json:"requested_keys"`
 	UniqueKeys    int `json:"unique_keys"`
-	// Reason is the flush trigger (full / timer / drain).
+	// Reason is the flush trigger (full / idle / drain).
 	Reason FillReason `json:"reason"`
 	// SimSeconds is the modelled extraction time of the batch.
 	SimSeconds float64 `json:"sim_seconds"`

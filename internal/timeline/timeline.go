@@ -165,6 +165,25 @@ func (s *Shard) snapshot(dst []Event) []Event {
 	return dst
 }
 
+// oldestArg returns arg key of the oldest held event named name.
+func (s *Shard) oldestArg(name, key string) (float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := (s.next - s.n + len(s.buf)) % len(s.buf)
+	for i := 0; i < s.n; i++ {
+		e := &s.buf[(start+i)%len(s.buf)]
+		if e.Name != name {
+			continue
+		}
+		for a := int32(0); a < e.NArgs; a++ {
+			if e.Args[a].Key == key {
+				return e.Args[a].Val, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Recorder owns the per-worker span rings and the track-name registry of
 // one process. One recorder is shared by every instrumented layer (serve,
 // core, cache, solver); nil recorders disable tracing at each layer behind
@@ -215,6 +234,15 @@ func (r *Recorder) Shard(i int) *Shard {
 		i = -i
 	}
 	return &r.shards[i%len(r.shards)]
+}
+
+// OldestArg returns arg key of the oldest event named name that writer
+// shard i still holds: for a name whose events carry a rising sequence
+// number (the serve worker's "batch" roots and their "seq"), how far back
+// that writer's window reaches — everything it emitted from that event on is
+// still in the ring.
+func (r *Recorder) OldestArg(i int, name, key string) (float64, bool) {
+	return r.Shard(i).oldestArg(name, key)
 }
 
 // Now returns seconds since the recorder's epoch — the Start value for a

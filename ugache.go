@@ -201,8 +201,8 @@ func NewHotnessSampler(numEntries int64, every int) *HotnessSampler {
 	return cache.NewHotnessSampler(numEntries, every)
 }
 
-// ServeConfig tunes the serving engine's request coalescer (max-batch /
-// max-wait deadlines, queue depth).
+// ServeConfig tunes the serving engine (the cap on one coalesced batch,
+// queue depths and admission, lookahead).
 type ServeConfig = serve.Config
 
 // Server is the concurrent serving engine: one worker per GPU coalesces
@@ -228,10 +228,13 @@ const (
 
 // Admission outcomes (DESIGN.md §6.7): a request against a full bounded
 // queue is shed with ErrOverload (immediately, or after ServeConfig's
-// AdmitWait bound); requests racing shutdown observe ErrClosed.
+// AdmitWait bound); requests racing shutdown observe ErrClosed; a request
+// naming a key outside the table is refused with ErrBadKey before it can
+// share a batch with anyone else's.
 var (
 	ErrOverload = serve.ErrOverload
 	ErrClosed   = serve.ErrClosed
+	ErrBadKey   = serve.ErrBadKey
 )
 
 // Serve starts the serving engine on a built system. Close the returned
