@@ -5,9 +5,9 @@ RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster
 # Packages with testing.B microbenchmarks on the extraction hot path.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve
 
-.PHONY: check build test vet fmt race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
 
-check: fmt vet build test race bench-harness
+check: fmt vet build test fuzz-smoke race bench-harness
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Ten seconds of each fuzz target beyond its seed corpus (go test alone runs
+# only the seeds). A failure writes its input under the package's
+# testdata/fuzz/ — commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzLPSolve -fuzztime 10s ./internal/lp
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner, and the
@@ -51,11 +57,14 @@ SEED ?= 42
 bench-pairs:
 	scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED) $(KEEP)
 
-# Solver control-plane benchmarks: parallel branch-and-bound throughput
-# (W=1 vs W=4), cold-vs-warm refresh re-solves, and the shipped policy's
-# whole solve on the benchmark's three problems (compare against the
-# checked-in BENCH_solver.json numbers).
+# Solver control-plane benchmarks: the simplex on a dense and on a
+# block-shaped sparse LP, parallel branch-and-bound throughput (W=1 vs W=4),
+# cold-vs-warm refresh re-solves, and the shipped policy's whole solve on the
+# benchmark's three problems (compare against the checked-in
+# BENCH_solver.json numbers; its description says how its parent/change rows
+# were paired).
 bench-solver:
+	$(GO) test -run xxx -bench 'BenchmarkSimplexMedium|BenchmarkSimplexBlockLP' -benchmem ./internal/lp
 	$(GO) test -run xxx -bench BenchmarkMILPSolve -benchmem ./internal/milp
 	$(GO) test -run xxx -bench 'BenchmarkRefreshSolve|BenchmarkPolicySolve' -benchmem ./internal/solver
 

@@ -109,22 +109,27 @@ func TestSolveBoundedInfeasibleBounds(t *testing.T) {
 }
 
 // TestScratchReuseAllocFree pins the point of Scratch: after a warm-up
-// solve, repeat solves of the same shape allocate nothing.
+// solve, repeat solves of the same shape allocate nothing — on a dense
+// instance and on a block-shaped one whose rows go through the non-zero sets
+// and the pivot's column buffer, all of which live in the Scratch.
 func TestScratchReuseAllocFree(t *testing.T) {
-	r := rng.New(11)
-	p := randomProblem(t, r, 8, 6)
 	bounds := []Bound{{Var: 0, Op: LE, RHS: 2}, {Var: 3, Op: GE, RHS: 1}}
-	sc := &Scratch{}
-	if _, err := p.SolveBounded(bounds, sc); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for name, p := range map[string]*Problem{
+		"dense":  randomProblem(t, rng.New(11), 8, 6),
+		"blocks": blockLP(t, 24, 4),
+	} {
+		sc := &Scratch{}
 		if _, err := p.SolveBounded(bounds, sc); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("warm SolveBounded allocates %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := p.SolveBounded(bounds, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("%s: warm SolveBounded allocates %.1f times per run, want 0", name, allocs)
+		}
 	}
 }
 
@@ -185,4 +190,34 @@ func TestConcurrentSolveBounded(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestIterationLimitIsNotOptimal forces the simplex's iteration cap (through
+// the package's iterationCap hook) on solves that need several pivots — one
+// that runs out in phase 1, one that has no phase 1 and runs out in phase 2.
+// The result must say so and carry no point and no objective, where it used
+// to be reported as Optimal at whatever vertex the cap caught.
+func TestIterationLimitIsNotOptimal(t *testing.T) {
+	phase1, _ := fuzzLP(blockLPBytes) // five artificials to drive out
+	phase2, _ := NewProblem(2, []float64{-1, -2})
+	phase2.AddConstraint([]Coef{{0, 1}, {1, 1}}, LE, 4)
+	phase2.AddConstraint([]Coef{{0, 1}}, LE, 3)
+	phase2.AddConstraint([]Coef{{1, 1}}, LE, 2)
+	shipped := iterationCap
+	defer func() { iterationCap = shipped }()
+	for name, p := range map[string]*Problem{"phase 1": phase1, "phase 2": phase2} {
+		iterationCap = shipped
+		if sol, err := p.SolveBounded(nil, nil); err != nil || sol.Status != Optimal {
+			t.Fatalf("%s, shipped cap: %v, %v", name, sol.Status, err)
+		}
+		iterationCap = func(m, n int) int { return 1 }
+		sol, err := p.SolveBounded(nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sol.Status != IterationLimit || sol.X != nil || sol.Objective != 0 {
+			t.Fatalf("%s: status %v, objective %v, point %v; want a bare iteration limit", name, sol.Status, sol.Objective, sol.X)
+		}
+		sameSolution(t, sol, referenceSolve(p, nil))
+	}
 }

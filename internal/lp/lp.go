@@ -11,14 +11,17 @@
 // instead.
 //
 // The implementation is a dense tableau with Dantzig pricing and a Bland's
-// rule fallback for anti-cycling. It is deliberately simple and heavily
-// validated rather than fast.
+// rule fallback for anti-cycling, deliberately simple and heavily validated.
+// Its one concession to speed is that it knows where a row's zeros are: each
+// row carries a bitset covering its non-zero columns, and pivots and pricing
+// skip the rest (see tableau).
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Op is a constraint relation.
@@ -123,6 +126,9 @@ const (
 	Optimal Status = iota
 	Infeasible
 	Unbounded
+	// IterationLimit means the simplex stopped at its iteration cap without
+	// proving anything: there is no objective, no point and no bound.
+	IterationLimit
 )
 
 func (s Status) String() string {
@@ -131,12 +137,15 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	default:
+	case Unbounded:
 		return "unbounded"
+	default:
+		return "iteration limit"
 	}
 }
 
-// Solution holds an LP result.
+// Solution holds an LP result; Objective and X are set only when Status is
+// Optimal.
 type Solution struct {
 	Status    Status
 	Objective float64
@@ -162,15 +171,19 @@ type Bound struct {
 	RHS float64
 }
 
-// Scratch holds the simplex working set — tableau cells, bases, objective
-// rows, pricing and result buffers — so repeated solves (branch-and-bound
-// nodes) stop allocating once the buffers have grown to the instance size.
-// A Scratch may be used by one goroutine at a time; distinct goroutines
-// solving the same read-only Problem concurrently must use distinct
-// Scratches.
+// Scratch holds the simplex working set — tableau cells and their non-zero
+// sets, bases, objective rows, pricing and result buffers — so repeated
+// solves (branch-and-bound nodes, refresh re-solves) stop allocating once the
+// buffers have grown to the instance size. A Scratch may be used by one
+// goroutine at a time; distinct goroutines solving the same read-only Problem
+// concurrently must use distinct Scratches.
 type Scratch struct {
 	cells   []float64
 	rows    [][]float64
+	nzWords []uint64
+	nz      [][]uint64
+	nzCount []int
+	cols    []int
 	b       []float64
 	basis   []int
 	artCols []bool
@@ -299,25 +312,31 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 		if coefs != nil {
 			for _, cf := range coefs {
 				t.a[i][cf.Var] += sign * cf.Value
+				t.mark(i, cf.Var)
 			}
 		} else {
 			t.a[i][bvar] += sign
+			t.mark(i, bvar)
 		}
 		t.b[i] = rhs
 		switch op {
 		case LE:
 			t.a[i][slackAt] = 1
+			t.mark(i, slackAt)
 			basis[i] = slackAt
 			slackAt++
 		case GE:
 			t.a[i][slackAt] = -1
+			t.mark(i, slackAt)
 			slackAt++
 			t.a[i][artAt] = 1
+			t.mark(i, artAt)
 			basis[i] = artAt
 			artCols[artAt] = true
 			artAt++
 		case EQ:
 			t.a[i][artAt] = 1
+			t.mark(i, artAt)
 			basis[i] = artAt
 			artCols[artAt] = true
 			artAt++
@@ -342,9 +361,11 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 				phase1[j] = 0
 			}
 		}
-		status := t.run(phase1, basis, nil, rc)
-		if status == Unbounded {
+		switch t.run(phase1, basis, nil, rc) {
+		case Unbounded:
 			return Solution{}, fmt.Errorf("lp: phase 1 unbounded (internal error)")
+		case IterationLimit:
+			return Solution{Status: IterationLimit}, nil
 		}
 		if t.objective(phase1, basis) > 1e-7 {
 			return Solution{Status: Infeasible}, nil
@@ -374,9 +395,8 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 	for j := n; j < nCols; j++ {
 		phase2[j] = 0
 	}
-	status := t.run(phase2, basis, blocked, rc)
-	if status == Unbounded {
-		return Solution{Status: Unbounded}, nil
+	if status := t.run(phase2, basis, blocked, rc); status != Optimal {
+		return Solution{Status: status}, nil
 	}
 	x := growF(&sc.x, p.numVars)
 	for i := range x {
@@ -435,30 +455,49 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 	return true
 }
 
+// tableau is the simplex tableau B⁻¹A with its right-hand side. nz[i] is a
+// bitset over columns that covers every non-zero cell of row i (it may also
+// cover cells that have cancelled to zero), and nzCount[i] its population. A
+// row update a[i] -= f·a[r] can only create non-zeros where a[r] has them, so
+// pivot keeps the cover by or-ing nz[r] into nz[i]; pivot and reducedCosts
+// then visit only covered columns. The terms they skip are x -= f·0, so every
+// cell, reduced cost and ratio is the value the full-width loops compute and
+// the pivot sequence is the same one. A row whose cover is a large share of
+// the width is walked at full width instead — the plain loop is cheaper per
+// column than bit extraction — so dense problems pay only the or.
 type tableau struct {
-	m, n int
-	a    [][]float64
-	b    []float64
+	m, n    int
+	a       [][]float64
+	b       []float64
+	nz      [][]uint64
+	nzCount []int
+	cols    []int // pivot's buffer: the pivot row's covered columns
 }
 
-// tableau carves an m×n zeroed tableau out of the scratch buffers.
+// tableau carves an m×n zeroed tableau, with empty non-zero sets, out of the
+// scratch buffers.
 func (sc *Scratch) tableau(m, n int) *tableau {
-	need := m * n
-	if cap(sc.cells) < need {
-		sc.cells = make([]float64, need)
+	cells := growF(&sc.cells, m*n)
+	clear(cells)
+	words := (n + 63) / 64
+	if cap(sc.nzWords) < m*words {
+		sc.nzWords = make([]uint64, m*words)
 	}
-	cells := sc.cells[:need]
-	for i := range cells {
-		cells[i] = 0
-	}
+	nzWords := sc.nzWords[:m*words]
+	clear(nzWords)
 	if cap(sc.rows) < m {
 		sc.rows = make([][]float64, m)
+		sc.nz = make([][]uint64, m)
 	}
-	rows := sc.rows[:m]
+	rows, nz := sc.rows[:m], sc.nz[:m]
 	for i := 0; i < m; i++ {
 		rows[i] = cells[i*n : (i+1)*n : (i+1)*n]
+		nz[i] = nzWords[i*words : (i+1)*words : (i+1)*words]
 	}
-	sc.tab = tableau{m: m, n: n, a: rows, b: growF(&sc.b, m)}
+	nzCount := growI(&sc.nzCount, m)
+	clear(nzCount)
+	sc.tab = tableau{m: m, n: n, a: rows, b: growF(&sc.b, m),
+		nz: nz, nzCount: nzCount, cols: growI(&sc.cols, n)[:0]}
 	return &sc.tab
 }
 
@@ -467,11 +506,26 @@ func (sc *Scratch) boolRow(n int) []bool {
 		sc.artCols = make([]bool, n)
 	}
 	row := sc.artCols[:n]
-	for i := range row {
-		row[i] = false
-	}
+	clear(row)
 	return row
 }
+
+// mark adds column j to row i's non-zero set.
+func (t *tableau) mark(i, j int) {
+	w, bit := &t.nz[i][j>>6], uint64(1)<<(j&63)
+	if *w&bit == 0 {
+		*w |= bit
+		t.nzCount[i]++
+	}
+}
+
+// denseShare is the cover, as a fraction 1/denseShare of the width, from
+// which a row is walked at full width.
+const denseShare = 4
+
+// dense reports whether row i is walked at full width rather than through
+// its non-zero set.
+func (t *tableau) dense(i int) bool { return t.nzCount[i]*denseShare >= t.n }
 
 // reducedCosts computes c_j - c_Bᵀ B⁻¹ A_j for all columns given the
 // current basis (the tableau rows are already B⁻¹A).
@@ -483,8 +537,15 @@ func (t *tableau) reducedCosts(c []float64, basis []int, out []float64) {
 			continue
 		}
 		row := t.a[i]
-		for j := 0; j < t.n; j++ {
-			out[j] -= cb * row[j]
+		if t.dense(i) {
+			subScaled(out, row, cb)
+			continue
+		}
+		for w, word := range t.nz[i] {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				out[j] -= cb * row[j]
+			}
 		}
 	}
 }
@@ -497,13 +558,19 @@ func (t *tableau) objective(c []float64, basis []int) float64 {
 	return v
 }
 
+// iterationCap bounds one run's pivots. It is generous — Bland's rule takes
+// over at half of it and guarantees termination — and a variable only so that
+// a test can force the cap.
+var iterationCap = func(m, n int) int { return 50 * (m + n) }
+
+// afterPivot, when set by a test, observes the tableau after every pivot.
+var afterPivot func(t *tableau)
+
 // run optimizes the given objective from the current basis. blocked columns
 // may not enter; rc is the caller-provided pricing buffer (len ≥ t.n).
 func (t *tableau) run(c []float64, basis []int, blocked []bool, rc []float64) Status {
 	rc = rc[:t.n]
-	// Iteration cap: generous; Bland's rule kicks in late to guarantee
-	// termination.
-	maxIter := 50 * (t.m + t.n)
+	maxIter := iterationCap(t.m, t.n)
 	blandAfter := maxIter / 2
 	for iter := 0; iter < maxIter; iter++ {
 		t.reducedCosts(c, basis, rc)
@@ -550,38 +617,81 @@ func (t *tableau) run(c []float64, basis []int, blocked []bool, rc []float64) St
 		}
 		t.pivot(leave, enter, basis)
 	}
-	// Did not converge within the cap; treat the current point as optimal
-	// enough (this should not happen on the model sizes we feed it; tests
-	// would catch drift).
-	return Optimal
+	// Not converged: the current point is neither optimal nor a bound, and
+	// callers must not read it as either.
+	return IterationLimit
+}
+
+// subScaled computes dst -= f·src over the full width. It and subScaledAt
+// are the simplex's innermost loops; they stay out of line so that pivot's
+// register pressure does not spill their counters.
+//
+//go:noinline
+func subScaled(dst, src []float64, f float64) {
+	for j, v := range src[:len(dst)] {
+		dst[j] -= f * v
+	}
+}
+
+// subScaledAt computes dst -= f·src on the given columns only.
+//
+//go:noinline
+func subScaledAt(dst, src []float64, f float64, cols []int) {
+	for _, j := range cols {
+		dst[j] -= f * src[j]
+	}
 }
 
 func (t *tableau) pivot(row, col int, basis []int) {
-	p := t.a[row][col]
-	inv := 1 / p
-	for j := 0; j < t.n; j++ {
-		t.a[row][j] *= inv
+	rowR := t.a[row]
+	inv := 1 / rowR[col]
+	wide := t.dense(row)
+	cols := t.cols[:0]
+	if wide {
+		for j := range rowR {
+			rowR[j] *= inv
+		}
+	} else {
+		for w, word := range t.nz[row] {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				rowR[j] *= inv
+				cols = append(cols, j)
+			}
+		}
 	}
 	t.b[row] *= inv
-	t.a[row][col] = 1 // exact
+	rowR[col] = 1 // exact
+	nzR := t.nz[row]
 	for i := 0; i < t.m; i++ {
 		if i == row {
 			continue
 		}
-		f := t.a[i][col]
+		rowI := t.a[i]
+		f := rowI[col]
 		if f == 0 {
 			continue
 		}
-		rowR := t.a[row]
-		rowI := t.a[i]
-		for j := 0; j < t.n; j++ {
-			rowI[j] -= f * rowR[j]
+		if wide {
+			subScaled(rowI, rowR, f)
+		} else {
+			subScaledAt(rowI, rowR, f, cols)
 		}
 		rowI[col] = 0 // exact
+		count := 0
+		for w, word := range t.nz[i] {
+			word |= nzR[w]
+			t.nz[i][w] = word
+			count += bits.OnesCount64(word)
+		}
+		t.nzCount[i] = count
 		t.b[i] -= f * t.b[row]
 		if t.b[i] < 0 && t.b[i] > -1e-11 {
 			t.b[i] = 0
 		}
 	}
 	basis[row] = col
+	if afterPivot != nil {
+		afterPivot(t)
+	}
 }

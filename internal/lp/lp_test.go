@@ -225,7 +225,8 @@ func TestRandomFeasibilityProperty(t *testing.T) {
 }
 
 func TestStatusStrings(t *testing.T) {
-	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || Unbounded.String() != "unbounded" {
+	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || Unbounded.String() != "unbounded" ||
+		IterationLimit.String() != "iteration limit" {
 		t.Fatal("status strings")
 	}
 	if LE.String() != "<=" || EQ.String() != "=" || GE.String() != ">=" {
@@ -258,5 +259,94 @@ func BenchmarkSimplexMedium(b *testing.B) {
 		if err != nil || s.Status != Optimal {
 			b.Fatalf("status %v err %v", s.Status, err)
 		}
+	}
+}
+
+// blockLP builds the policy solve's LP shape at any size: nb hotness blocks
+// (Zipf masses, growing entry counts) on g symmetric GPUs, one replication-
+// count distribution per block. Of its nb+5 rows, nb are "sums to 1"
+// equalities with g+1 non-zeros; the capacity row and the four "z ≥ time"
+// rows span nearly every column.
+func blockLP(tb testing.TB, nb, g int) *Problem {
+	tb.Helper()
+	nx := nb * (g + 1)
+	obj := make([]float64, nx+1)
+	obj[nx] = 1
+	p, err := NewProblem(nx+1, obj)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	add := func(coefs []Coef, op Op, rhs float64) {
+		if err := p.AddConstraint(coefs, op, rhs); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	mass := make([]float64, nb)
+	total, entries := 0.0, 0.0
+	for b := range mass {
+		mass[b] = math.Pow(float64(b+1), -1.2)
+		total += mass[b]
+		entries += float64(b + 1)
+	}
+	var capacity []Coef
+	for b := 0; b < nb; b++ {
+		ones := make([]Coef, g+1)
+		for cnt := range ones {
+			ones[cnt] = Coef{Var: b*(g+1) + cnt, Value: 1}
+			if cnt > 0 {
+				capacity = append(capacity, Coef{Var: b*(g+1) + cnt, Value: float64(b+1) * float64(cnt) / float64(g)})
+			}
+		}
+		add(ones, EQ, 1)
+	}
+	add(capacity, LE, 0.1*entries)
+	// Seconds per unit of mass read from the local GPU, a peer and the host,
+	// as link time and as packing time.
+	const linkLoc, linkRem, linkHost, packLoc, packRem, packHost = 0.02, 0.1, 1, 0.03, 0.08, 0.5
+	timeRow := func(weight func(local, remote, host float64) float64) {
+		coefs := []Coef{{Var: nx, Value: 1}}
+		for b := 0; b < nb; b++ {
+			for cnt := 0; cnt <= g; cnt++ {
+				local := float64(cnt) / float64(g)
+				remote, host := 1-local, 0.0
+				if cnt == 0 {
+					remote, host = 0, 1
+				}
+				if w := weight(local, remote, host); w != 0 {
+					coefs = append(coefs, Coef{Var: b*(g+1) + cnt, Value: -mass[b] / total * w})
+				}
+			}
+		}
+		add(coefs, GE, 0)
+	}
+	timeRow(func(l, r, h float64) float64 { return l * linkLoc })
+	timeRow(func(l, r, h float64) float64 { return r * linkRem / float64(g-1) })
+	timeRow(func(l, r, h float64) float64 { return h * linkHost })
+	timeRow(func(l, r, h float64) float64 { return l*packLoc + r*packRem + h*packHost })
+	return p
+}
+
+var benchSolution Solution
+
+// BenchmarkSimplexBlockLP is the sparse counterpart of BenchmarkSimplexMedium:
+// the policy solve's LP at the default block budget's scale on four GPUs
+// (235 rows × ~1 400 columns, ~230 of the rows with five non-zeros), solved
+// warm — one Scratch, as the solver's pool provides — so allocs/op is the
+// warm-solve budget, 0.
+func BenchmarkSimplexBlockLP(b *testing.B) {
+	p := blockLP(b, 230, 4)
+	sc := &Scratch{}
+	solveOnce := func() {
+		sol, err := p.SolveBounded(nil, sc)
+		if err != nil || sol.Status != Optimal {
+			b.Fatalf("status %v err %v", sol.Status, err)
+		}
+		benchSolution = sol
+	}
+	solveOnce()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveOnce()
 	}
 }

@@ -18,6 +18,7 @@ package milp
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -177,6 +178,11 @@ type search struct {
 	sinceProg int
 }
 
+// errIterationLimit fails the whole search: a relaxation without an answer
+// leaves a subtree that can be neither bounded nor discarded, so there is no
+// proof left to offer.
+var errIterationLimit = errors.New("milp: an LP relaxation hit the simplex iteration limit")
+
 // Solve minimizes the problem with the given variables restricted to
 // integers. Variables keep their x ≥ 0 domain; callers add upper bounds as
 // ordinary constraints.
@@ -201,6 +207,9 @@ func Solve(p *lp.Problem, integers []int, opt Options) (*Solution, error) {
 	root, err := p.Solve()
 	if err != nil {
 		return nil, err
+	}
+	if root.Status == lp.IterationLimit {
+		return nil, errIterationLimit
 	}
 	if root.Status != lp.Optimal {
 		if opt.OnProgress != nil {
@@ -267,6 +276,9 @@ func (s *search) worker(w int) {
 		}
 		bounds = materialize(n, bounds[:0])
 		sol, lpErr := s.p.SolveBounded(bounds, sc)
+		if lpErr == nil && sol.Status == lp.IterationLimit {
+			lpErr = errIterationLimit
+		}
 
 		s.mu.Lock()
 		if lpErr != nil {

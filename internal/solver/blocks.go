@@ -4,26 +4,35 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"ugache/internal/platform"
 	"ugache/internal/workload"
 )
 
 // ctx is the shared per-solve state, built once per top-level solve: the
-// validated input, its cost model, the hotness ranking, the rank-ordered
-// hotness with its prefix sums, and the log2-level boundaries. Building it
-// is the solve's only per-entry work (one O(E log E)-equivalent rank and one
-// O(E) scan); policies then build blocks and score candidates from it at
-// block granularity.
+// validated input, its cost model, the hotness ranking in both directions,
+// the rank-ordered hotness with its prefix sums, and the log2-level
+// boundaries. Building it is the solve's only per-entry work (one
+// O(E log E)-equivalent rank and one O(E) scan); policies then build blocks
+// and score candidates from it at block granularity.
 type ctx struct {
 	in     *Input
 	m      *costModel
 	budget int64     // block budget build works to
-	ranked []int64   // rank -> entry
+	ranked []int32   // rank -> entry; every placement of this solve shares it as ByRank
+	rankOf []int32   // entry -> rank; shared as Rank
 	hot    []float64 // rank -> hotness
 	prefix []float64 // prefix[r] = Σ hotness of ranks [0, r)
 	levels []int64   // ascending ranks in (0, E) where floor(log2(hotness)) changes
+	// sums memoises rangeSum: candidates of one solve share most of their
+	// blocks, so each distinct rank range is summed once.
+	sums map[[2]int64]float64
 }
+
+// rankers recycles the ranking's sort buffers (32 bytes per entry) between
+// solves; a refresh re-solve ranks a vector the size of the last one.
+var rankers = sync.Pool{New: func() any { return new(workload.Ranker) }}
 
 func newCtx(in *Input) (*ctx, error) {
 	if err := in.validate(); err != nil {
@@ -31,12 +40,15 @@ func newCtx(in *Input) (*ctx, error) {
 	}
 	n := len(in.Hotness)
 	c := &ctx{in: in, m: newCostModel(in), budget: int64(in.blockBudget()),
-		ranked: make([]int64, n), hot: make([]float64, n), prefix: make([]float64, n+1)}
-	var rk workload.Ranker
+		ranked: make([]int32, n), rankOf: make([]int32, n),
+		hot: make([]float64, n), prefix: make([]float64, n+1),
+		sums: make(map[[2]int64]float64)}
+	rk := rankers.Get().(*workload.Ranker)
+	defer rankers.Put(rk)
 	level := 0
 	for r, k := range rk.Rank(in.Hotness) {
 		h := k.Hotness()
-		c.ranked[r], c.hot[r] = k.Entry, h
+		c.ranked[r], c.rankOf[k.Entry], c.hot[r] = int32(k.Entry), int32(r), h
 		c.prefix[r+1] = c.prefix[r] + h
 		if l := hotnessLevel(h); l != level {
 			if r > 0 {
@@ -68,6 +80,21 @@ func hotnessLevel(h float64) int {
 // mass returns the hotness mass of rank range [start, end).
 func (c *ctx) mass(start, end int64) float64 {
 	return c.prefix[end] - c.prefix[start]
+}
+
+// rangeSum returns the hotness of rank range [start, end) summed entry by
+// entry in rank order — the sum EstimateTimes forms for a block, which mass's
+// prefix difference only approximates to a few ulps.
+func (c *ctx) rangeSum(start, end int64) float64 {
+	key := [2]int64{start, end}
+	sum, ok := c.sums[key]
+	if !ok {
+		for _, h := range c.hot[start:end] {
+			sum += h
+		}
+		c.sums[key] = sum
+	}
+	return sum
 }
 
 // numEntries returns the entry count.

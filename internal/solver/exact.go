@@ -167,7 +167,7 @@ func (bm *blockModel) warmIncumbent(in *Input, c *ctx, old *Placement) []float64
 		for j := 0; j < bm.g; j++ {
 			var stored int64
 			for r := blk.Start; r < blk.End; r++ {
-				if old.StoredOn(j, c.ranked[r]) {
+				if old.StoredOn(j, int64(c.ranked[r])) {
 					stored++
 				}
 			}

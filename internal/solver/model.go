@@ -139,11 +139,7 @@ func EstimateTimes(in *Input, pl *Placement) []float64 {
 // (prefix-sum differences would drift from them by ulps).
 func (c *ctx) estimate(blocks []Block) []float64 {
 	return c.m.times(volumes(c.in, blocks, func(b *Block) float64 {
-		mass := 0.0
-		for _, h := range c.hot[b.Start:b.End] {
-			mass += h
-		}
-		return mass
+		return c.rangeSum(b.Start, b.End)
 	}))
 }
 

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ugache/internal/lp"
 	"ugache/internal/platform"
@@ -79,6 +80,11 @@ func symmetric(in *Input) bool {
 	}
 	return true
 }
+
+// lpScratch recycles the simplex working set (a few MB at the full block
+// budget) between solves, so that a refresh re-solve neither allocates nor
+// page-faults a tableau of its own.
+var lpScratch = sync.Pool{New: func() any { return new(lp.Scratch) }}
 
 // solveSymmetricLP builds the replication-count LP:
 //
@@ -193,7 +199,9 @@ func solveSymmetricLP(c *ctx) (*Placement, error) {
 		return nil, err
 	}
 
-	sol, err := prob.Solve()
+	sc := lpScratch.Get().(*lp.Scratch)
+	defer lpScratch.Put(sc) // sol.X is sc's until the realization below has read it
+	sol, err := prob.SolveBounded(nil, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +211,7 @@ func solveSymmetricLP(c *ctx) (*Placement, error) {
 
 	// Realize: split each block by its count distribution, round-robin the
 	// replica members, then rebalance access.
-	realized := realizeSymmetric(in, c, blocks, sol, xv)
+	realized := realizeSymmetric(in, c, blocks, &sol, xv)
 	pl := newPlacement(c, "optimal-lp", realized)
 	pl.LowerBound = sol.Objective / scale
 	return pl, nil

@@ -328,27 +328,27 @@ type Policy interface {
 	Solve(in *Input) (*Placement, error)
 }
 
-// newPlacement builds the shared skeleton from a solve context: ranks and
-// the rank→block map are filled in one pass; Store/Access come from the
-// blocks (which tile the rank space) as the policy populated them.
+// newPlacement builds the shared skeleton from a solve context: the ranking
+// is the context's own (placements of one solve share those two slices, which
+// nothing writes after the solve), the rank→block map is filled in one pass,
+// and Store/Access come from the blocks (which tile the rank space) as the
+// policy populated them.
 func newPlacement(c *ctx, policy string, blocks []Block) *Placement {
-	n := len(c.ranked)
 	pl := &Placement{
 		Policy:      policy,
 		NumGPUs:     c.in.P.N,
 		EntryBytes:  c.in.EntryBytes,
-		Rank:        make([]int32, n),
-		ByRank:      make([]int32, n),
+		Rank:        c.rankOf,
+		ByRank:      c.ranked,
 		Blocks:      blocks,
-		blockOfRank: make([]int32, n),
+		blockOfRank: make([]int32, len(c.ranked)),
 		EstTimes:    c.estimate(blocks),
 	}
-	bi := 0
-	for r, e := range c.ranked {
-		for int64(r) >= blocks[bi].End {
-			bi++
+	for bi := range blocks {
+		of := pl.blockOfRank[blocks[bi].Start:blocks[bi].End]
+		for r := range of {
+			of[r] = int32(bi)
 		}
-		pl.Rank[e], pl.ByRank[r], pl.blockOfRank[r] = int32(r), int32(e), int32(bi)
 	}
 	return pl
 }

@@ -25,18 +25,23 @@ func ProfileBatches(numEntries int64, batches [][]int64) (Hotness, error) {
 		return nil, fmt.Errorf("workload: need at least one batch to profile")
 	}
 	h := make(Hotness, numEntries)
-	seen := make(map[int64]struct{})
+	// seenIn[k] is the stamp of the last batch k was counted in: one array
+	// lookup per key instead of a set rebuilt per batch.
+	seenIn := make([]uint32, numEntries)
+	stamp := uint32(0)
 	for _, b := range batches {
-		clear(seen)
+		if stamp++; stamp == 0 { // 2³² batches on: the stamps start over
+			clear(seenIn)
+			stamp = 1
+		}
 		for _, k := range b {
 			if k < 0 || k >= numEntries {
 				return nil, fmt.Errorf("workload: key %d outside [0, %d)", k, numEntries)
 			}
-			if _, dup := seen[k]; dup {
-				continue
+			if seenIn[k] != stamp {
+				seenIn[k] = stamp
+				h[k]++
 			}
-			seen[k] = struct{}{}
-			h[k]++
 		}
 	}
 	// Good–Turing smoothing for the unseen tail: a finite profiling window
@@ -141,10 +146,19 @@ func (e RankedEntry) Hotness() float64 { return math.Float64frombits(^e.key) }
 // sort buffers, so ranking same-sized vectors repeatedly allocates nothing.
 type Ranker struct{ keys, spare []RankedEntry }
 
+// The ranking's radix sort takes the 64-bit key in six 11-bit digits (the
+// last holds the 9 bits left over): two passes fewer over the 16-byte entries
+// than byte digits, with the six count tables still within the L2 cache.
+const (
+	rankDigitBits = 11
+	rankDigits    = (64 + rankDigitBits - 1) / rankDigitBits
+	rankRadix     = 1 << rankDigitBits
+)
+
 // Rank returns h's ranking, hottest first; the result is valid until the
 // next call. Hotness must be non-negative and finite (the solver validates
 // this), which makes the IEEE bit pattern order the numeric order: an LSD
-// radix sort over the key bytes, stable and seeded in index order, leaves
+// radix sort over the key digits, stable and seeded in index order, leaves
 // ties in ascending index.
 func (rk *Ranker) Rank(h Hotness) []RankedEntry {
 	n := len(h)
@@ -152,29 +166,30 @@ func (rk *Ranker) Rank(h Hotness) []RankedEntry {
 		rk.keys, rk.spare = make([]RankedEntry, n), make([]RankedEntry, n)
 	}
 	keys, spare := rk.keys[:n], rk.spare[:n]
-	var counts [8][256]int
+	var counts [rankDigits][rankRadix]int
 	for i, v := range h {
 		bits := math.Float64bits(v)
 		if v == 0 {
 			bits = 0 // −0 ties with +0
 		}
-		keys[i] = RankedEntry{^bits, int64(i)}
+		k := ^bits
+		keys[i] = RankedEntry{k, int64(i)}
 		for p := range counts {
-			counts[p][byte(^bits>>(8*p))]++
+			counts[p][k>>(rankDigitBits*p)&(rankRadix-1)]++
 		}
 	}
 	for p := range counts {
 		c := &counts[p]
-		shift := uint(8 * p)
-		if n == 0 || c[byte(keys[0].key>>shift)] == n {
-			continue // every key shares this byte
+		shift := uint(rankDigitBits * p)
+		if n == 0 || c[keys[0].key>>shift&(rankRadix-1)] == n {
+			continue // every key shares this digit
 		}
 		sum := 0
 		for d, cnt := range c {
 			c[d], sum = sum, sum+cnt
 		}
 		for _, k := range keys {
-			d := byte(k.key >> shift)
+			d := k.key >> shift & (rankRadix - 1)
 			spare[c[d]] = k
 			c[d]++
 		}

@@ -311,3 +311,77 @@ func BenchmarkProfileBatches(b *testing.B) {
 		}
 	}
 }
+
+// referenceProfile is ProfileBatches as first written: a set per batch, then
+// the same Good–Turing tail.
+func referenceProfile(numEntries int64, batches [][]int64) Hotness {
+	h := make(Hotness, numEntries)
+	for _, b := range batches {
+		seen := make(map[int64]struct{})
+		for _, k := range b {
+			if _, dup := seen[k]; !dup {
+				seen[k] = struct{}{}
+				h[k]++
+			}
+		}
+	}
+	var once, unseen int64
+	for _, c := range h {
+		switch c {
+		case 0:
+			unseen++
+		case 1:
+			once++
+		}
+	}
+	inv := 1 / float64(len(batches))
+	tail := 0.0
+	if unseen > 0 {
+		tail = float64(once) * inv / float64(unseen)
+	}
+	for i := range h {
+		if h[i] == 0 {
+			h[i] = tail
+		} else {
+			h[i] *= inv
+		}
+	}
+	return h
+}
+
+// TestProfileBatchesMatchesSetReference checks the stamp-array dedupe against
+// the per-batch set it replaced, element for element, on random batches full
+// of duplicates (within a batch and across batches, empty batches included),
+// and that a key outside the table is still refused wherever it sits.
+func TestProfileBatchesMatchesSetReference(t *testing.T) {
+	r := rng.New(19)
+	for trial := 0; trial < 40; trial++ {
+		n := int64(1 + r.Intn(300))
+		batches := make([][]int64, 1+r.Intn(12))
+		for i := range batches {
+			keys := make([]int64, r.Intn(4*int(n)))
+			hot := 1 + r.Intn(int(n)) // draw from a prefix: more duplicates
+			for j := range keys {
+				keys[j] = int64(r.Intn(hot))
+			}
+			batches[i] = keys
+		}
+		got, err := ProfileBatches(n, batches)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := referenceProfile(n, batches)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: hotness[%d] = %v, set reference says %v", trial, k, got[k], want[k])
+			}
+		}
+		for _, bad := range []int64{-1, n, n + 7} {
+			last := len(batches) - 1
+			spoiled := append(append([][]int64(nil), batches[:last]...), append(append([]int64(nil), batches[last]...), bad))
+			if _, err := ProfileBatches(n, spoiled); err == nil {
+				t.Fatalf("trial %d: key %d outside [0, %d) accepted", trial, bad, n)
+			}
+		}
+	}
+}
