@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster
 # Packages with testing.B microbenchmarks on the extraction hot path.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve
 
-.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-serve bench-cluster figures trace-smoke flight-smoke
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-cluster figures trace-smoke flight-smoke
 
 check: fmt vet build test fuzz-smoke race bench-harness
 
@@ -47,7 +47,7 @@ bench-harness:
 HOTPATH_BENCH = $(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
 bench:
 	$(HOTPATH_BENCH) | $(GO) run ./scripts/bench_envelope BENCH_hotpath.json "$(HOTPATH_BENCH)" \
-		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, 256-deep trace ring, TraceEvery 1); the Flight variants attach the flight recorder as well. Budget: the serve flush allocates 6 times per operation in timing mode and 7 in functional mode (the caller-owned Result.Rows block), with and without flight; core lookups allocate nothing."
+		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead. Budget: the serve flush allocates 6 times per operation in timing mode and 7 in functional mode (the caller-owned Result.Rows block), with either recorder; core lookups allocate nothing."
 
 # Paired end-to-end runs of a base commit against the working tree, e.g.
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=serve-steady [PAIRS=10 SEED=42 KEEP=dir]
@@ -80,12 +80,6 @@ bench-drift:
 # checked-in BENCH_prefetch.json).
 bench-prefetch:
 	$(GO) run ./cmd/ugache-bench -exp prefetch -scale 0.25 -json-out BENCH_prefetch.json
-
-# Open-loop overload sweep: latency vs offered load past saturation with
-# bounded admission — knee, shed counts, and admitted-p99 per step
-# (regenerates the checked-in BENCH_serve.json).
-bench-serve:
-	$(GO) run ./cmd/ugache-bench -exp serve -scale 1 -json-out BENCH_serve.json
 
 # Multi-node scale-out sweep: virtual-time offered-load curves for 1/2/4
 # machines joined by the network fabric — knee scaling vs a single machine

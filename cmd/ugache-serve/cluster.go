@@ -110,7 +110,6 @@ func runCluster(o options) error {
 		srv, err := serve.New(sys, serve.Config{
 			MaxBatchKeys: o.maxBatch,
 			Telemetry:    reg,
-			TraceDepth:   o.traceDepth,
 			Timeline:     tl,
 			Flight:       fl,
 			QueueDepth:   o.queueDepth,

@@ -60,7 +60,6 @@ type options struct {
 	maxBatch   int
 	seed       uint64
 	listen     string
-	traceDepth int
 	traceOut   string
 	refresh    bool
 	mode       string
@@ -104,7 +103,6 @@ func main() {
 	flag.IntVar(&o.maxBatch, "max-batch", 8192, "cap on one coalesced batch, in pending keys")
 	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
 	flag.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/trace, /debug/timeline, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
-	flag.IntVar(&o.traceDepth, "trace-depth", 256, "per-batch trace ring depth (negative disables tracing)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "record a span timeline and write Chrome trace-event JSON (Perfetto / chrome://tracing) to this file at exit")
 	flag.BoolVar(&o.refresh, "refresh", false, "shorthand for -refresh-mode post")
 	flag.StringVar(&o.mode, "refresh-mode", "off", "refresh policy: off, post (one refresh after the client loop), periodic (blind cadence) or drift (re-solve when measured hotness drifts)")
@@ -122,8 +120,8 @@ func main() {
 	flag.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
 	flag.StringVar(&o.admission, "admission", "fastfail", "admission policy when the per-GPU queue is full: fastfail (shed immediately with ErrOverload) or a wait bound like 500us (shed only after waiting that long for space)")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth (0 = engine default 256)")
-	flag.BoolVar(&o.flight, "flight", true, "record flight-recorder events (always-on per-worker rings; zero hot-path allocations)")
-	flag.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker flight ring depth in events")
+	flag.BoolVar(&o.flight, "flight", true, "run the flight recorder: control events, the SLO watchdog and diagnostic bundles (the per-batch records behind /debug/trace are kept either way, 256 deep without it)")
+	flag.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches: how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
 	flag.Float64Var(&o.sloP99Ms, "slo-p99-ms", 0, "admitted-request p99 SLO in milliseconds; > 0 arms the watchdog (p99, shed ratio, queue saturation, solve wall, prefetch drops) to write a diagnostic bundle on violation")
 	flag.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (watchdog trips, SIGQUIT, POST /debug/flight/bundle)")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the final telemetry snapshot as JSON to this file at exit")
@@ -300,7 +298,6 @@ func run(o options) error {
 	srv, err := serve.New(sys, serve.Config{
 		MaxBatchKeys: o.maxBatch,
 		Telemetry:    reg,
-		TraceDepth:   o.traceDepth,
 		Sampler:      sampler,
 		Controller:   ctrl,
 		Timeline:     tl,
@@ -358,10 +355,10 @@ func run(o options) error {
 		}
 		wd.Start()
 		if o.sloP99Ms > 0 {
-			fmt.Printf("flight:            %d rings x %d events; watchdog armed (p99 %gms, bundles -> %s)\n",
+			fmt.Printf("flight:            %d rings x %d records; watchdog armed (p99 %gms, bundles -> %s)\n",
 				fl.Workers(), o.flightDepth, o.sloP99Ms, o.bundleDir)
 		} else {
-			fmt.Printf("flight:            %d rings x %d events; watchdog disarmed (SIGQUIT or POST /debug/flight/bundle for a manual bundle)\n",
+			fmt.Printf("flight:            %d rings x %d records; watchdog disarmed (SIGQUIT or POST /debug/flight/bundle for a manual bundle)\n",
 				fl.Workers(), o.flightDepth)
 		}
 	}
@@ -402,7 +399,7 @@ func run(o options) error {
 			}
 			if wd != nil {
 				st := wd.State()
-				fmt.Printf("flight:            %d events recorded, %d watchdog trips\n",
+				fmt.Printf("flight:            %d records, %d watchdog trips\n",
 					fl.Recorded(), st.Trips)
 				if st.LastBundlePath != "" {
 					fmt.Printf("flight bundle:     %s\n", st.LastBundlePath)

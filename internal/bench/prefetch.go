@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ugache/internal/core"
+	"ugache/internal/flight"
 	"ugache/internal/serve"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
@@ -22,7 +23,7 @@ type PrefetchModeReport struct {
 	P99Ms float64 `json:"p99_ms"`
 	// LocalHitRate is the effective hit rate: the fraction of served bytes
 	// resolved on the destination GPU (placement-local plus staged), from
-	// the per-batch trace ring — prefetch traffic itself is excluded.
+	// the per-batch records — prefetch traffic itself is excluded.
 	LocalHitRate float64 `json:"local_hit_rate"`
 	// PrefetchHitRate is the fraction of unique served keys that were
 	// staged hits.
@@ -82,7 +83,7 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 	srv, err := serve.New(sys, serve.Config{
 		MaxBatchKeys: sc.keysPerBatch,
 		Telemetry:    reg,
-		TraceDepth:   sc.batches + 8,
+		Flight:       flight.NewRecorder(sc.p.N, sc.batches), // every batch's record is read back
 		Lookahead:    lookahead,
 		StaleBatches: stale,
 		Timeline:     o.Timeline,
@@ -127,8 +128,8 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 			}
 		}
 	}
+	srv.Close() // a flush writes its record after its replies: wait for the last one
 	traces := srv.Trace().Snapshot(nil)
-	srv.Close()
 
 	q := stats.Quantiles(append([]float64(nil), lats...), 0.50, 0.99)
 	rep.P50Ms, rep.P99Ms = q[0]*1e3, q[1]*1e3

@@ -12,18 +12,8 @@ import (
 	"time"
 
 	"ugache/internal/telemetry"
+	"ugache/internal/timeline"
 )
-
-// TimelineWriter is anything that can export a Chrome trace-event JSON
-// document and say how far back one writer's window reaches — in practice
-// *timeline.Recorder, accepted as an interface so wiring stays
-// one-directional.
-type TimelineWriter interface {
-	WriteTrace(w io.Writer) error
-	// OldestArg returns arg key of the oldest event named name that writer
-	// shard still holds.
-	OldestArg(shard int, name, key string) (float64, bool)
-}
 
 // BundleConfig describes what a diagnostic bundle captures. Any nil source
 // simply omits its file; the manifest records what was written.
@@ -37,7 +27,7 @@ type BundleConfig struct {
 	Registry *telemetry.Registry
 	// Timeline supplies timeline.json (the current span-ring window, the
 	// same Chrome trace-event document /debug/timeline serves).
-	Timeline TimelineWriter
+	Timeline *timeline.Recorder
 	// SkipProfiles omits the goroutine dump and heap profile — tests use it
 	// to keep bundle writing fast; production bundles always want both.
 	SkipProfiles bool
@@ -53,54 +43,6 @@ const (
 	GoroutinesFile = "goroutines.txt"
 	HeapFile       = "heap.pprof"
 )
-
-// Exemplar references the slowest coalesced batch in the watchdog window
-// whose span tree the bundle holds: the (GPU, Seq) pair resolves to the
-// batch's span tree in the bundled timeline window (the root "batch" span
-// carries a matching seq arg), linking the flight events, the metrics and
-// the timeline.
-type Exemplar struct {
-	GPU            int32   `json:"gpu"`
-	Seq            int64   `json:"seq"`
-	LatencySeconds float64 `json:"latency_seconds"`
-	UnixNanos      int64   `json:"unix_nanos"`
-}
-
-// pickExemplar returns the slowest batch among events recorded in
-// [since, until] — restricted, when tl is non-nil, to those at or past
-// their worker's oldest surviving root span — or nil when there is none.
-func pickExemplar(events []Event, since, until int64, tl TimelineWriter) *Exemplar {
-	floors := map[int32]int64{} // per GPU; -1 = no batch span left
-	var best *Event
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindBatch || e.UnixNanos < since || e.UnixNanos > until {
-			continue
-		}
-		if best != nil && e.V[BatchLatencySeconds] <= best.V[BatchLatencySeconds] {
-			continue
-		}
-		if tl != nil {
-			floor, seen := floors[e.GPU]
-			if !seen {
-				floor = -1
-				if v, ok := tl.OldestArg(int(e.GPU), "batch", "seq"); ok {
-					floor = int64(v)
-				}
-				floors[e.GPU] = floor
-			}
-			if floor < 0 || e.Seq < floor {
-				continue
-			}
-		}
-		best = e
-	}
-	if best == nil {
-		return nil
-	}
-	return &Exemplar{GPU: best.GPU, Seq: best.Seq,
-		LatencySeconds: best.V[BatchLatencySeconds], UnixNanos: best.UnixNanos}
-}
 
 // Manifest indexes one diagnostic bundle.
 type Manifest struct {
@@ -122,16 +64,11 @@ const manifestVersion = 1
 // cfg.Dir and returns the bundle path. The manifest is written last, so
 // readers may treat its presence as a completeness marker.
 //
-// The manifest's exemplar is the slowest batch event at or after
-// exemplarSince (unix nanos; 0 = everything the rings hold). The span rings
-// are sized in events and a flush costs them many more than it costs a
-// flight ring, so a batch can outlive its span tree; with a timeline in cfg
-// the exemplar is therefore chosen among the batches whose tree the
-// bundle's own timeline.json holds. That is exact, not best effort: the
-// timeline is written first, each worker's oldest surviving root span is
-// read after it (a tree still there now was there then), and a batch counts
-// only if its event predates the write (the worker emits a batch's spans
-// before its flight event).
+// The manifest's exemplar is the slowest batch that completed at or after
+// exemplarSince (unix nanos; 0 = everything the rings hold). A batch's span
+// tree is rendered from its ring slot when the timeline is exported, so the
+// exemplar is chosen among the batches recorded before the timeline write
+// and still held after it: its tree is in the bundle's own timeline.json.
 func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exemplarSince int64) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")
@@ -169,26 +106,20 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exem
 		return nil
 	}
 
+	var mark []uint64
+	if cfg.Recorder != nil {
+		mark = cfg.Recorder.mark()
+	}
 	if cfg.Timeline != nil {
 		if err := writeFile(TimelineFile, cfg.Timeline.WriteTrace); err != nil {
 			return "", err
 		}
 	}
 	if cfg.Recorder != nil {
-		events := cfg.Recorder.Snapshot()
-		man.FlightEvents = len(events)
-		man.Exemplar = pickExemplar(events, exemplarSince, now.UnixNano(), cfg.Timeline)
-		if err := writeFile(EventsFile, func(w io.Writer) error {
-			var buf []byte
-			for i := range events {
-				buf = events[i].appendJSON(buf[:0])
-				buf = append(buf, '\n')
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
+		man.Exemplar = cfg.Recorder.exemplar(exemplarSince, mark)
+		lines := cfg.Recorder.lines(0)
+		man.FlightEvents = len(lines)
+		if err := writeFile(EventsFile, func(w io.Writer) error { return writeLines(w, lines) }); err != nil {
 			return "", err
 		}
 	}

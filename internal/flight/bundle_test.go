@@ -6,35 +6,38 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
 )
 
-// testTimeline builds a span recorder holding one batch span tree on GPU
-// gpu with the given seq arg, plus a child span nested inside it.
-func testTimeline(t *testing.T, gpu int32, seq int64) *timeline.Recorder {
-	t.Helper()
-	tl := timeline.NewRecorder(1, 0)
-	sh := tl.Shard(0)
-	root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,
-		PID: timeline.ProcServe, TID: gpu, Start: 0.010, Dur: 0.004}
-	root.AddArg("seq", float64(seq))
-	sh.Emit(&root)
-	child := timeline.Event{Name: "extract", Cat: "serve", Ph: timeline.PhSpan,
-		PID: timeline.ProcServe, TID: gpu, Start: 0.011, Dur: 0.002}
-	sh.Emit(&child)
+// spanTimeline returns a span recorder whose shards hold depth events and
+// whose export renders rec's batch trees, as serve.New wires it.
+func spanTimeline(rec *Recorder, depth int) *timeline.Recorder {
+	tl := timeline.NewRecorder(1, depth)
+	tl.AddSource(func(dst []timeline.Event) []timeline.Event { return rec.Trace().AppendSpans(tl, dst) })
 	return tl
+}
+
+// stagedBatch is a functional-mode batch on gpu completing in seconds from
+// now (past any span recorder's epoch) whose five stages share lat equally.
+func stagedBatch(gpu int, lat float64, in int) Batch {
+	return Batch{GPU: gpu, UnixNanos: time.Now().Add(time.Duration(in) * time.Second).UnixNano(), Requests: 3,
+		QueueWaitSeconds: lat / 5, CoalesceSeconds: lat / 5, ExtractSeconds: lat / 5,
+		GatherSeconds: lat / 5, ReplySeconds: lat / 5}
 }
 
 func TestWriteBundleAndValidate(t *testing.T) {
 	dir := t.TempDir()
-	rec := NewRecorder(1, 16)
-	e := batchEvent(3, 17, 0.025, 100)
-	rec.Ring(0).Record(&e)
+	rec := NewRecorder(1, 32)
+	ring := rec.Claim()
+	skipTo(ring, 17)
+	b := stagedBatch(3, 0.025, 1)
+	ring.Record(&b)
 	q := Event{Kind: KindQueue, GPU: 3, UnixNanos: 101}
 	q.V[QueueDepth] = 5
-	rec.Ring(0).Record(&q)
+	rec.RecordControl(&q)
 
 	reg := telemetry.NewRegistry(1)
 	reg.Counter("serve_requests_total", "x").Add(0, 42)
@@ -43,7 +46,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		Dir:      dir,
 		Recorder: rec,
 		Registry: reg,
-		Timeline: testTimeline(t, 3, 17),
+		Timeline: spanTimeline(rec, 0),
 	}
 	violations := []SignalState{{Name: "admitted_p99_seconds", Short: 0.025, Long: 0.020, Threshold: 0.010, Breached: true}}
 	path, err := WriteBundle(cfg, "slo:admitted_p99_seconds", violations, 0)
@@ -64,41 +67,35 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EventLines != 2 || rep.EventsByKind["batch"] != 1 || rep.EventsByKind["queue"] != 1 {
+	if rep.EventLines != 18 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["queue"] != 1 {
 		t.Fatalf("events = %d %v", rep.EventLines, rep.EventsByKind)
 	}
 	if rep.MetricCount == 0 {
 		t.Fatal("no metric samples in bundle")
 	}
-	if rep.ExemplarSpans != 2 {
-		t.Fatalf("exemplar resolved to %d spans, want 2 (root + child)", rep.ExemplarSpans)
+	if rep.ExemplarSpans != 6 {
+		t.Fatalf("exemplar resolved to %d spans, want 6 (root + five stages)", rep.ExemplarSpans)
 	}
 	man := rep.Manifest
 	if man.Reason != "slo:admitted_p99_seconds" || len(man.Violations) != 1 ||
-		!man.Violations[0].Breached || man.Exemplar == nil || man.Exemplar.Seq != 17 {
+		!man.Violations[0].Breached || man.Exemplar == nil || man.Exemplar.Seq != 17 || man.Exemplar.GPU != 3 {
 		t.Fatalf("manifest = %+v", man)
 	}
 }
 
-// TestBundleExemplarHasItsSpanTree: the slowest batch the flight rings hold
-// has already lost its span tree (the span ring is the shorter-lived of the
-// two), so the bundle names the slowest batch whose tree it does hold.
+// TestBundleExemplarHasItsSpanTree: the exemplar and its span tree come out
+// of the same ring slot, so the slowest batch resolves however short the
+// span rings are and however much else has churned through them.
 func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	rec := NewRecorder(1, 16)
+	ring := rec.Claim()
+	tl := spanTimeline(rec, 8)
 	for i, lat := range []float64{0.090, 0.010, 0.030, 0.020} {
-		e := batchEvent(0, int64(i+1), lat, int64(100+i))
-		rec.Ring(0).Record(&e)
-	}
-	// Two events a flush and room for five: seq 1 and seq 2's root are gone.
-	tl := timeline.NewRecorder(1, 5)
-	for seq := int64(1); seq <= 4; seq++ {
-		root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,
-			PID: timeline.ProcServe, Start: float64(seq), Dur: 0.5}
-		root.AddArg("seq", float64(seq))
-		tl.Shard(0).Emit(&root)
-		child := timeline.Event{Name: "extract", Cat: "serve", Ph: timeline.PhSpan,
-			PID: timeline.ProcServe, Start: float64(seq) + 0.1, Dur: 0.2}
-		tl.Shard(0).Emit(&child)
+		b := stagedBatch(0, lat, 1+i)
+		ring.Record(&b)
+		for i := 0; i < 26; i++ { // a flush's worth of link-flow spans
+			tl.Shard(0).Emit(&timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan, PID: timeline.ProcSim})
+		}
 	}
 	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: tl, SkipProfiles: true},
 		"test", nil, 0)
@@ -109,26 +106,31 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := rep.Manifest.Exemplar; ex == nil || ex.Seq != 3 || rep.ExemplarSpans != 2 {
-		t.Fatalf("exemplar = %+v (%d spans), want seq 3 with its root and child", ex, rep.ExemplarSpans)
+	if ex := rep.Manifest.Exemplar; ex == nil || ex.Seq != 1 || ex.LatencySeconds < 0.0899 || rep.ExemplarSpans != 6 {
+		t.Fatalf("exemplar = %+v (%d spans), want seq 1 with its root and five stages", ex, rep.ExemplarSpans)
 	}
 
-	// No batch span left at all: no exemplar, rather than one that dangles.
-	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: timeline.NewRecorder(1, 4), SkipProfiles: true},
+	// No batch at all: no exemplar, rather than one that dangles.
+	empty := NewRecorder(1, 16)
+	empty.RecordControl(&Event{Kind: KindRefresh, GPU: -1, UnixNanos: 1})
+	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, Timeline: spanTimeline(empty, 8), SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, err = ValidateBundle(path); err != nil || rep.Manifest.Exemplar != nil {
-		t.Fatalf("exemplar without any span tree = %+v (err %v)", rep.Manifest.Exemplar, err)
+	if rep, err = ValidateBundle(path); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Manifest.Exemplar != nil {
+		t.Fatalf("exemplar without any batch = %+v", rep.Manifest.Exemplar)
 	}
 }
 
 func TestWriteBundleSkipProfiles(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
-	e := batchEvent(0, 1, 0.001, 1)
-	rec.Ring(0).Record(&e)
+	b := stagedBatch(0, 0.001, 1)
+	rec.Claim().Record(&b)
 	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -154,21 +156,23 @@ func TestWriteBundleNoDir(t *testing.T) {
 func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
-	e := batchEvent(0, 1, 0.001, 1)
-	rec.Ring(0).Record(&e)
+	b := stagedBatch(0, 0.001, 1)
+	rec.Claim().Record(&b)
 	path, err := WriteBundle(BundleConfig{
-		Dir: dir, Recorder: rec, Timeline: testTimeline(t, 0, 1), SkipProfiles: true,
+		Dir: dir, Recorder: rec, Timeline: spanTimeline(rec, 0), SkipProfiles: true,
 	}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap in a timeline that holds seq 99 only: the manifest's exemplar
-	// (seq 1) now dangles, and resolution must fail.
+	// Swap in the timeline of a ring that has lapped seq 1: the manifest's
+	// exemplar now dangles, and resolution must fail.
 	f, err := os.Create(filepath.Join(path, TimelineFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := testTimeline(t, 0, 99).WriteTrace(f); err != nil {
+	lapped := NewRecorder(1, 8)
+	skipTo(lapped.Claim(), 10)
+	if err := spanTimeline(lapped, 0).WriteTrace(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -180,8 +184,8 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
-	e := batchEvent(0, 1, 0.001, 1)
-	rec.Ring(0).Record(&e)
+	b := stagedBatch(0, 0.001, 1)
+	rec.Claim().Record(&b)
 	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)

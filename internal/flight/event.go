@@ -1,12 +1,15 @@
 // Package flight is the serving stack's always-on flight recorder: a
-// constant-memory, zero-hot-path-allocation log of structured events
-// (coalesced-batch completions, queue-depth and shed samples, refresh /
-// solver / drift control events) held in per-worker lock-free rings, plus
-// an SLO watchdog that evaluates rolling multi-window burn-rate style
-// objectives over the live telemetry and, on a violation, drains everything
-// the post-hoc debugger needs into a self-contained diagnostic bundle
-// (events as JSONL, a telemetry snapshot, the current span-timeline window,
-// a goroutine dump and a heap profile, tied together by a manifest).
+// constant-memory, zero-hot-path-allocation log held in lock-free seqlock
+// rings. Each serving worker writes one Batch record per flushed batch into a
+// ring of its own — the single store behind /debug/trace, the flight JSONL
+// and the Chrome-trace batch span trees, which are all rendered from it on
+// the read side — and slow-path writers (refresh, drift, prefetch, the
+// cluster router) share a control ring of Events. On top sits an SLO watchdog
+// that evaluates rolling multi-window burn-rate style objectives over the
+// live telemetry and, on a violation, drains everything the post-hoc
+// debugger needs into a self-contained diagnostic bundle (records as JSONL, a
+// telemetry snapshot, the current span-timeline window, a goroutine dump and
+// a heap profile, tied together by a manifest).
 //
 // Where internal/telemetry answers "how many / how long on average" and
 // internal/timeline answers "when, on which track", flight answers "what
@@ -20,18 +23,14 @@ import (
 	"strconv"
 )
 
-// Kind tags one recorded event's type; it selects which payload slots are
-// meaningful and how they are named in the JSONL export.
+// Kind tags one control-ring event's type; it selects which payload slots are
+// meaningful and how they are named in the JSONL export. Flushed batches are
+// not events: each is one Batch record in its worker's ring (batch.go).
 type Kind uint8
 
 const (
-	// KindBatch is one coalesced serving batch's completion.
-	KindBatch Kind = iota + 1
-	// KindQueue is one admission-queue sample, taken at batch formation.
-	KindQueue
-	// KindShed marks admission sheds observed since the previous queue
-	// sample (emitted only when the count moved).
-	KindShed
+	// KindQueue is one cluster-router dispatch-queue sample.
+	KindQueue Kind = iota + 1
 	// KindRefresh is one completed placement refresh (control plane).
 	KindRefresh
 	// KindDrift is one drift-detector evaluation (control plane).
@@ -40,56 +39,21 @@ const (
 	KindPrefetch
 )
 
+var kindNames = [...]string{KindQueue: "queue", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch"}
+
 // String returns the kind's JSONL name.
 func (k Kind) String() string {
-	switch k {
-	case KindBatch:
-		return "batch"
-	case KindQueue:
-		return "queue"
-	case KindShed:
-		return "shed"
-	case KindRefresh:
-		return "refresh"
-	case KindDrift:
-		return "drift"
-	case KindPrefetch:
-		return "prefetch"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "unknown"
 }
 
 // MaxPayload is the number of numeric payload slots on an Event.
-const MaxPayload = 9
+const MaxPayload = 5
 
-// Payload slot indices for KindBatch events.
-const (
-	// BatchLatencySeconds is the slowest coalesced request's
-	// enqueue-to-reply latency — the per-batch exemplar the watchdog
-	// resolves into the timeline span tree.
-	BatchLatencySeconds = iota
-	BatchRequests
-	BatchUniqueKeys
-	BatchPrefetchHits
-	BatchSimSeconds
-	BatchLocalSeconds
-	BatchRemoteSeconds
-	BatchHostSeconds
-	// BatchNetworkSeconds is the modelled network-tier (remote-machine)
-	// share; non-zero only on clustered platforms.
-	BatchNetworkSeconds
-)
-
-// Payload slot indices for KindQueue events.
-const (
-	QueueDepth = iota
-	QueueShedTotal
-)
-
-// Payload slot indices for KindShed events.
-const (
-	ShedNew = iota
-)
+// QueueDepth is the payload slot of KindQueue events.
+const QueueDepth = 0
 
 // Payload slot indices for KindRefresh events.
 const (
@@ -119,27 +83,23 @@ const (
 // kindFields names each kind's used payload slots, in slot order; the JSONL
 // export emits exactly these.
 var kindFields = map[Kind][]string{
-	KindBatch: {"latency_s", "requests", "unique_keys", "prefetch_hits",
-		"sim_s", "local_s", "remote_s", "host_s", "network_s"},
-	KindQueue:    {"depth", "shed_total"},
-	KindShed:     {"new_sheds"},
+	KindQueue:    {"depth"},
 	KindRefresh:  {"solve_wall_s", "duration_s", "moved_entries", "mean_impact", "solve_nodes"},
 	KindDrift:    {"score", "topk_overlap", "rank_distance", "window_batches", "drifted"},
 	KindPrefetch: {"announced_keys", "fetched_keys", "sim_s"},
 }
 
-// Event is one flight-recorder record. The struct is flat — no pointers, no
-// slices, no strings — so recording is a fixed number of atomic word stores
-// into a preallocated ring slot and never allocates.
+// Event is one control-ring record. The struct is flat — no pointers, no
+// slices, no strings — so recording is a copy into a preallocated ring slot
+// and never allocates.
 type Event struct {
 	// Kind selects the payload schema.
 	Kind Kind
 	// GPU is the worker/GPU the event belongs to, or -1 for control-plane
 	// events that have no single GPU.
 	GPU int32
-	// Seq is a kind-specific sequence: the worker's batch sequence for
-	// KindBatch (the exemplar key that resolves into the timeline's batch
-	// span tree), the placement version for KindRefresh, 0 otherwise.
+	// Seq is a kind-specific sequence: the placement version for
+	// KindRefresh, the destination node for KindQueue, 0 otherwise.
 	Seq int64
 	// UnixNanos is the event's wall-clock time.
 	UnixNanos int64
@@ -151,24 +111,38 @@ type Event struct {
 // appendJSON renders the event as one JSON object (no trailing newline),
 // using the kind's field names for the used payload slots.
 func (e *Event) appendJSON(buf []byte) []byte {
-	buf = append(buf, `{"kind":"`...)
-	buf = append(buf, e.Kind.String()...)
-	buf = append(buf, `","unix_nanos":`...)
-	buf = strconv.AppendInt(buf, e.UnixNanos, 10)
-	buf = append(buf, `,"gpu":`...)
-	buf = strconv.AppendInt(buf, int64(e.GPU), 10)
-	buf = append(buf, `,"seq":`...)
-	buf = strconv.AppendInt(buf, e.Seq, 10)
+	buf = appendHead(buf, e.Kind.String(), e.UnixNanos, int64(e.GPU), e.Seq)
 	for i, name := range kindFields[e.Kind] {
-		buf = append(buf, ',', '"')
-		buf = append(buf, name...)
-		buf = append(buf, '"', ':')
-		v := e.V[i]
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			v = 0
-		}
-		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+		buf = appendFloat(buf, name, e.V[i])
 	}
-	buf = append(buf, '}')
-	return buf
+	return append(buf, '}')
+}
+
+// appendHead opens a JSONL object with the four keys every line carries.
+func appendHead(buf []byte, kind string, nanos, gpu, seq int64) []byte {
+	buf = append(buf, `{"kind":"`...)
+	buf = append(buf, kind...)
+	buf = append(buf, '"')
+	buf = appendInt(buf, "unix_nanos", nanos)
+	buf = appendInt(buf, "gpu", gpu)
+	return appendInt(buf, "seq", seq)
+}
+
+func appendKey(buf []byte, key string) []byte {
+	buf = append(buf, ',', '"')
+	buf = append(buf, key...)
+	return append(buf, '"', ':')
+}
+
+func appendInt(buf []byte, key string, v int64) []byte {
+	return strconv.AppendInt(appendKey(buf, key), v, 10)
+}
+
+// appendFloat renders one numeric field; non-finite values read 0 so every
+// line stays valid JSON.
+func appendFloat(buf []byte, key string, v float64) []byte {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		v = 0
+	}
+	return strconv.AppendFloat(appendKey(buf, key), v, 'g', -1, 64)
 }

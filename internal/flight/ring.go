@@ -1,42 +1,34 @@
 package flight
 
 import (
-	"bufio"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// slotWords is the number of payload words a ring slot carries beyond its
-// sequence word: one packed kind/GPU word, the event sequence, the
-// wall-clock nanos, and MaxPayload float64 slots.
-const slotWords = 3 + MaxPayload
-
 // slot is one ring entry, stored entirely in atomic words so a writer and
 // any number of concurrent readers never perform a data race. The sn word
 // is a seqlock: the writer bumps it to odd before touching the payload and
 // to even after; a reader that observes an odd value, or a value that moved
-// while it copied, discards the slot instead of surfacing a torn event.
+// while it copied, discards the slot instead of surfacing a torn batch.
 type slot struct {
 	sn atomic.Uint64
-	w  [slotWords]atomic.Uint64
+	w  [batchWords]atomic.Uint64
 }
 
-// Ring is one writer's fixed-capacity event ring. Record is single-producer
-// (each serving worker owns its ring; the recorder serializes control-plane
-// writers with a mutex of its own) and lock-free: a fixed number of atomic
-// stores, no allocation, no branches beyond the seqlock protocol. Readers
-// snapshot concurrently without stopping the writer — an overwritten or
-// in-flight slot is simply skipped.
+// Ring is one serving worker's fixed-capacity batch ring. Record is
+// single-producer (the worker that claimed the ring) and lock-free: a fixed
+// number of atomic stores, no allocation, no branches beyond the seqlock
+// protocol. Readers snapshot concurrently without stopping the writer — an
+// overwritten or in-flight slot is simply skipped.
 type Ring struct {
 	slots []slot
 	mask  uint64
-	head  atomic.Uint64 // total records ever written; next slot = head & mask
+	head  atomic.Uint64 // total batches ever written; next slot = head & mask
 }
 
-// NewRing returns a ring holding the last depth events (rounded up to a
+// NewRing returns a ring holding the last depth batches (rounded up to a
 // power of two, min 8).
 func NewRing(depth int) *Ring {
 	cap := 8
@@ -46,70 +38,58 @@ func NewRing(depth int) *Ring {
 	return &Ring{slots: make([]slot, cap), mask: uint64(cap - 1)}
 }
 
-// Depth returns the ring capacity in events.
+// Depth returns the ring capacity in batches.
 func (r *Ring) Depth() int { return len(r.slots) }
 
-// Record copies one event into the ring, overwriting the oldest once full.
-// Single producer per ring; concurrent readers are safe.
-func (r *Ring) Record(e *Event) {
+// Record numbers the batch (b.Seq becomes its 1-based position in this ring)
+// and copies it in, overwriting the oldest once full. Single producer per
+// ring; concurrent readers are safe.
+func (r *Ring) Record(b *Batch) {
 	h := r.head.Load()
+	b.Seq = int64(h) + 1
 	s := &r.slots[h&r.mask]
 	sn := s.sn.Load()
 	s.sn.Store(sn + 1) // odd: write in progress
-	s.w[0].Store(uint64(e.Kind)<<32 | uint64(uint32(e.GPU)))
-	s.w[1].Store(uint64(e.Seq))
-	s.w[2].Store(uint64(e.UnixNanos))
-	for i := 0; i < MaxPayload; i++ {
-		s.w[3+i].Store(math.Float64bits(e.V[i]))
-	}
+	b.store(&s.w)
 	s.sn.Store(sn + 2) // even: committed
 	r.head.Store(h + 1)
 }
 
-// Recorded returns the total number of events ever written.
+// Recorded returns the total number of batches ever written.
 func (r *Ring) Recorded() uint64 { return r.head.Load() }
 
-// Snapshot appends the ring's current events to dst, oldest first, and
+// Snapshot appends the ring's current batches to dst, oldest first, and
 // returns it. Runs concurrently with Record: slots being overwritten during
 // the copy are dropped rather than surfaced torn, so a snapshot under a hot
-// writer may hold slightly fewer than Depth events.
-func (r *Ring) Snapshot(dst []Event) []Event {
+// writer may hold slightly fewer than Depth batches.
+func (r *Ring) Snapshot(dst []Batch) []Batch {
 	h := r.head.Load()
-	n := uint64(len(r.slots))
-	if h < n {
-		n = h
-	}
-	for i := h - n; i < h; i++ {
+	for i := h - min(h, uint64(len(r.slots))); i < h; i++ {
 		s := &r.slots[i&r.mask]
-		sn1 := s.sn.Load()
-		if sn1%2 == 1 {
+		sn := s.sn.Load()
+		if sn%2 == 1 {
 			continue // mid-write
 		}
-		var e Event
-		kg := s.w[0].Load()
-		e.Kind = Kind(kg >> 32)
-		e.GPU = int32(uint32(kg))
-		e.Seq = int64(s.w[1].Load())
-		e.UnixNanos = int64(s.w[2].Load())
-		for j := 0; j < MaxPayload; j++ {
-			e.V[j] = math.Float64frombits(s.w[3+j].Load())
+		var b Batch
+		b.load(&s.w)
+		if s.sn.Load() == sn { // else torn: lapped by the writer
+			dst = append(dst, b)
 		}
-		if s.sn.Load() != sn1 || e.Kind == 0 {
-			continue // torn (lapped by the writer) or never written
-		}
-		dst = append(dst, e)
 	}
 	return dst
 }
 
-// Recorder owns one flight ring per serving worker plus a shared
-// control-plane ring (refresh / solver / drift events, which have several
-// slow-path writers and therefore take a short mutex). Memory is fixed at
-// construction: workers x depth + depth slots, nothing grows afterwards.
+// Recorder owns one batch ring per serving worker plus a shared control ring
+// (refresh / drift / prefetch / router events: several slow-path writers and
+// slow-path readers, so a plain ring under a short mutex). Memory is fixed
+// at construction: workers x depth + depth slots, nothing grows afterwards.
 type Recorder struct {
-	rings []*Ring
-	ctrl  *Ring
+	rings   []*Ring
+	claimed atomic.Int64
+
 	ctrlM sync.Mutex
+	ctrl  []Event // circular; the next write goes to ctrl[ctrlN % len]
+	ctrlN uint64  // control events ever written
 }
 
 // DefaultDepth is the per-ring depth used when NewRecorder is given a
@@ -117,7 +97,9 @@ type Recorder struct {
 const DefaultDepth = 4096
 
 // NewRecorder creates a recorder with one ring per worker (values < 1 are
-// raised to 1) plus the control ring, each holding the last depth events.
+// raised to 1) plus the control ring, each holding the last depth records.
+// Size workers to every serving worker that will record into it: servers
+// sharing a recorder each claim their own rings.
 func NewRecorder(workers, depth int) *Recorder {
 	if workers < 1 {
 		workers = 1
@@ -125,90 +107,134 @@ func NewRecorder(workers, depth int) *Recorder {
 	if depth < 1 {
 		depth = DefaultDepth
 	}
-	r := &Recorder{rings: make([]*Ring, workers), ctrl: NewRing(depth)}
+	r := &Recorder{rings: make([]*Ring, workers)}
 	for i := range r.rings {
 		r.rings[i] = NewRing(depth)
 	}
+	r.ctrl = make([]Event, r.rings[0].Depth())
 	return r
 }
 
 // Workers returns the number of per-worker rings.
 func (r *Recorder) Workers() int { return len(r.rings) }
 
-// Ring returns worker i's ring (reduced modulo the worker count). Cache the
-// pointer next to the worker's scratch; worker i must be the ring's only
-// producer.
-func (r *Recorder) Ring(i int) *Ring {
-	if i < 0 {
-		i = -i
+// Claim hands out the next unclaimed worker ring, or nil when every ring has
+// an owner. A ring has exactly one producer for the recorder's lifetime, so
+// a worker claims once and keeps the pointer next to its scratch.
+func (r *Recorder) Claim() *Ring {
+	i := r.claimed.Add(1) - 1
+	if i >= int64(len(r.rings)) {
+		return nil
 	}
-	return r.rings[i%len(r.rings)]
+	return r.rings[i]
 }
 
-// RecordControl records one control-plane event (refresh, solver, drift)
-// into the shared control ring under a short mutex — control writers are
-// slow-path and may be concurrent.
+// Trace returns the read-side view over every worker ring.
+func (r *Recorder) Trace() *Trace { return NewTrace(r.rings) }
+
+// RecordControl records one control-plane event (refresh, drift, prefetch,
+// router), overwriting the oldest once the control ring is full.
 func (r *Recorder) RecordControl(e *Event) {
 	r.ctrlM.Lock()
-	r.ctrl.Record(e)
+	r.ctrl[r.ctrlN%uint64(len(r.ctrl))] = *e
+	r.ctrlN++
 	r.ctrlM.Unlock()
 }
 
-// Recorded sums the events ever written across all rings.
+// Events returns the control ring's current events, oldest first.
+func (r *Recorder) Events() []Event {
+	r.ctrlM.Lock()
+	defer r.ctrlM.Unlock()
+	n := uint64(len(r.ctrl))
+	out := make([]Event, 0, min(r.ctrlN, n))
+	for i := r.ctrlN - uint64(cap(out)); i < r.ctrlN; i++ {
+		out = append(out, r.ctrl[i%n])
+	}
+	return out
+}
+
+// Recorded sums the records ever written across all rings.
 func (r *Recorder) Recorded() uint64 {
-	total := r.ctrl.Recorded()
+	r.ctrlM.Lock()
+	total := r.ctrlN
+	r.ctrlM.Unlock()
 	for _, rg := range r.rings {
 		total += rg.Recorded()
 	}
 	return total
 }
 
-// Snapshot returns a merged copy of every ring's events sorted by wall time
-// (stable across rings: ties keep worker order, control last).
-func (r *Recorder) Snapshot() []Event {
-	var out []Event
-	for _, rg := range r.rings {
-		out = rg.Snapshot(out)
+// Exemplar references one batch record: its (GPU, Seq) pair resolves to the
+// batch's span tree in a timeline export (the root "batch" span carries a
+// matching seq arg), linking the flight records, the metrics and the
+// timeline.
+type Exemplar struct {
+	GPU            int32   `json:"gpu"`
+	Seq            int64   `json:"seq"`
+	LatencySeconds float64 `json:"latency_seconds"`
+	UnixNanos      int64   `json:"unix_nanos"`
+}
+
+// mark returns how many batches each worker ring has taken so far.
+func (r *Recorder) mark() []uint64 {
+	m := make([]uint64, len(r.rings))
+	for i, rg := range r.rings {
+		m[i] = rg.Recorded()
 	}
-	out = r.ctrl.Snapshot(out)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].UnixNanos < out[j].UnixNanos
-	})
+	return m
+}
+
+// exemplar returns the slowest batch the rings hold that completed at or
+// after since (unix nanos; 0 = everything), or nil when there is none — the
+// one picker behind the watchdog state and the bundle manifest. A non-nil
+// mark (see mark) also bounds each ring to the batches recorded before it
+// was taken.
+func (r *Recorder) exemplar(since int64, mark []uint64) *Exemplar {
+	var best *Exemplar
+	var buf []Batch
+	for i, rg := range r.rings {
+		buf = rg.Snapshot(buf[:0])
+		for j := range buf {
+			b := &buf[j]
+			if b.UnixNanos < since || (mark != nil && uint64(b.Seq) > mark[i]) {
+				continue
+			}
+			if lat := b.LatencySeconds(); best == nil || lat > best.LatencySeconds {
+				best = &Exemplar{GPU: int32(b.GPU), Seq: b.Seq, LatencySeconds: lat, UnixNanos: b.UnixNanos}
+			}
+		}
+	}
+	return best
+}
+
+// lines renders the newest limit held records (limit <= 0: all of them) —
+// batches and control events — as one JSON object each, merged oldest first
+// (ties: batches before events).
+func (r *Recorder) lines(limit int) [][]byte {
+	batches := r.Trace().Snapshot(nil)
+	events := r.Events()
+	sort.SliceStable(events, func(i, j int) bool { return events[i].UnixNanos < events[j].UnixNanos })
+	if n := len(batches) + len(events); limit <= 0 || limit > n {
+		limit = n
+	}
+	out := make([][]byte, limit)
+	for k := limit - 1; k >= 0; k-- { // newest first, filling from the back
+		nb, ne := len(batches), len(events)
+		if nb == 0 || (ne > 0 && events[ne-1].UnixNanos >= batches[nb-1].UnixNanos) {
+			out[k], events = events[ne-1].appendJSON(nil), events[:ne-1]
+		} else {
+			out[k], batches = batches[nb-1].appendJSON(nil), batches[:nb-1]
+		}
+	}
 	return out
 }
 
-// SlowestBatch returns the KindBatch event with the highest latency at or
-// after sinceNanos (0 scans everything) — the watchdog's exemplar.
-func (r *Recorder) SlowestBatch(sinceNanos int64) (Event, bool) {
-	var best Event
-	found := false
-	var buf []Event
-	for _, rg := range r.rings {
-		buf = rg.Snapshot(buf[:0])
-		for i := range buf {
-			e := &buf[i]
-			if e.Kind != KindBatch || e.UnixNanos < sinceNanos {
-				continue
-			}
-			if !found || e.V[BatchLatencySeconds] > best.V[BatchLatencySeconds] {
-				best, found = *e, true
-			}
-		}
-	}
-	return best, found
-}
-
-// WriteJSONL drains a merged snapshot as JSON Lines, one event object per
-// line, oldest first — the bundle's flight.jsonl format.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, e := range r.Snapshot() {
-		buf = e.appendJSON(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
+// writeLines writes JSON objects one per line.
+func writeLines(w io.Writer, lines [][]byte) error {
+	for _, l := range lines {
+		if _, err := w.Write(append(l, '\n')); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }

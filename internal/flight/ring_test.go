@@ -4,16 +4,49 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func batchEvent(gpu int32, seq int64, lat float64, nanos int64) Event {
-	e := Event{Kind: KindBatch, GPU: gpu, Seq: seq, UnixNanos: nanos}
-	e.V[BatchLatencySeconds] = lat
-	e.V[BatchRequests] = 3
-	return e
+// testBatch is a batch on gpu that completed at nanos after lat seconds, all
+// of them spent waiting in the queue.
+func testBatch(gpu int, lat float64, nanos int64) Batch {
+	return Batch{GPU: gpu, UnixNanos: nanos, QueueWaitSeconds: lat, Requests: 3}
+}
+
+// skipTo writes zero filler batches until the next Record is numbered seq.
+func skipTo(r *Ring, seq int64) {
+	for int64(r.Recorded()) < seq-1 {
+		b := Batch{}
+		r.Record(&b)
+	}
+}
+
+// randomBatch fills every field of a Batch with a random value of its kind,
+// through reflection, so a field added to the struct but forgotten in
+// store/load fails the round trip.
+func randomBatch(rnd *rand.Rand) Batch {
+	var b Batch
+	v := reflect.ValueOf(&b).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(rnd.Int31()) - 1<<30) // GPU is 32 bits in the ring, negatives included
+		case reflect.Int64:
+			f.SetInt(rnd.Int63() - 1<<62)
+		case reflect.Float64:
+			f.SetFloat(rnd.NormFloat64() * 1e3)
+		case reflect.Uint8:
+			f.SetUint(uint64(rnd.Intn(3)))
+		default:
+			panic("Batch field " + v.Type().Field(i).Name + " is not a ring word kind")
+		}
+	}
+	return b
 }
 
 func TestRingRoundTrip(t *testing.T) {
@@ -21,21 +54,28 @@ func TestRingRoundTrip(t *testing.T) {
 	if r.Depth() != 16 {
 		t.Fatalf("depth = %d, want 16", r.Depth())
 	}
+	rnd := rand.New(rand.NewSource(1))
+	var want []Batch
 	for i := 0; i < 5; i++ {
-		e := batchEvent(2, int64(i+1), float64(i)*1e-3, int64(1000+i))
-		r.Record(&e)
+		b := randomBatch(rnd)
+		r.Record(&b)
+		if b.Seq != int64(i+1) {
+			t.Fatalf("record %d numbered %d", i, b.Seq)
+		}
+		want = append(want, b)
 	}
 	got := r.Snapshot(nil)
 	if len(got) != 5 {
-		t.Fatalf("snapshot holds %d events, want 5", len(got))
+		t.Fatalf("snapshot holds %d batches, want 5", len(got))
 	}
-	for i, e := range got {
-		if e.Kind != KindBatch || e.GPU != 2 || e.Seq != int64(i+1) || e.UnixNanos != int64(1000+i) {
-			t.Fatalf("event %d = %+v", i, e)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("batch %d read back\n %+v, wrote\n %+v", i, got[i], want[i])
 		}
-		if e.V[BatchLatencySeconds] != float64(i)*1e-3 {
-			t.Fatalf("event %d latency = %g", i, e.V[BatchLatencySeconds])
-		}
+	}
+	// GPU and Reason share a word; every other field has one of its own.
+	if n := reflect.TypeOf(Batch{}).NumField(); n-1 != batchWords {
+		t.Fatalf("Batch has %d fields for %d ring words", n, batchWords)
 	}
 }
 
@@ -50,16 +90,20 @@ func TestRingDepthRounding(t *testing.T) {
 func TestRingOverwriteKeepsNewest(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 20; i++ {
-		e := batchEvent(0, int64(i), 0, int64(i))
-		r.Record(&e)
+		b := testBatch(0, 0, int64(i))
+		b.RequestedKeys, b.UniqueKeys = 2*i, i
+		r.Record(&b)
 	}
 	got := r.Snapshot(nil)
 	if len(got) != 8 {
-		t.Fatalf("snapshot holds %d events, want 8", len(got))
+		t.Fatalf("snapshot holds %d batches, want 8", len(got))
 	}
-	for i, e := range got {
-		if want := int64(12 + i); e.Seq != want {
-			t.Fatalf("slot %d seq = %d, want %d (oldest first)", i, e.Seq, want)
+	if dr := got[0].DedupRatio(); dr != 2 {
+		t.Fatalf("dedup ratio %g, want 2", dr)
+	}
+	for i, b := range got {
+		if want := int64(13 + i); b.Seq != want || b.UnixNanos != want-1 {
+			t.Fatalf("slot %d = seq %d at %d, want seq %d (oldest first)", i, b.Seq, b.UnixNanos, want)
 		}
 	}
 	if r.Recorded() != 20 {
@@ -68,18 +112,19 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 }
 
 func TestRingNegativeGPURoundTrips(t *testing.T) {
-	r := NewRing(8)
+	rec := NewRecorder(1, 8)
 	e := Event{Kind: KindRefresh, GPU: -1, Seq: 7, UnixNanos: 1}
-	r.Record(&e)
-	got := r.Snapshot(nil)
-	if len(got) != 1 || got[0].GPU != -1 {
-		t.Fatalf("control event GPU = %+v, want -1", got)
+	e.V[RefreshSolveNodes] = 12
+	rec.RecordControl(&e)
+	got := rec.Events()
+	if len(got) != 1 || got[0] != e {
+		t.Fatalf("control event read back %+v, wrote %+v", got, e)
 	}
 }
 
 // TestRingConcurrentSnapshot hammers one producer against concurrent
 // readers; under -race this is the proof the seqlock slots are sound, and in
-// any mode every surfaced event must be internally consistent (never torn).
+// any mode every surfaced batch must be internally consistent (never torn).
 func TestRingConcurrentSnapshot(t *testing.T) {
 	r := NewRing(64)
 	const writes = 20000
@@ -89,7 +134,7 @@ func TestRingConcurrentSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []Event
+			var buf []Batch
 			for {
 				select {
 				case <-stop:
@@ -97,15 +142,12 @@ func TestRingConcurrentSnapshot(t *testing.T) {
 				default:
 				}
 				buf = r.Snapshot(buf[:0])
-				for _, e := range buf {
-					if e.Kind != KindBatch {
-						t.Errorf("torn event kind %d", e.Kind)
-						return
-					}
-					// Writer keeps Seq == UnixNanos == V[0]; a torn read
-					// would mix words from different writes.
-					if e.Seq != e.UnixNanos || float64(e.Seq) != e.V[0] {
-						t.Errorf("torn event: seq=%d nanos=%d v0=%g", e.Seq, e.UnixNanos, e.V[0])
+				for _, b := range buf {
+					// The writer keeps the first and the last ring word, and
+					// some in between, equal; a torn read would mix words
+					// from different writes.
+					if b.Seq != b.UnixNanos || b.Seq != int64(b.UniqueKeys) || float64(b.Seq) != b.NetworkSeconds {
+						t.Errorf("torn batch: %+v", b)
 						return
 					}
 				}
@@ -113,9 +155,8 @@ func TestRingConcurrentSnapshot(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= writes; i++ {
-		e := Event{Kind: KindBatch, GPU: 0, Seq: int64(i), UnixNanos: int64(i)}
-		e.V[0] = float64(i)
-		r.Record(&e)
+		b := Batch{UnixNanos: int64(i), UniqueKeys: i, NetworkSeconds: float64(i)}
+		r.Record(&b)
 	}
 	close(stop)
 	wg.Wait()
@@ -126,20 +167,22 @@ func TestRecorderSnapshotMergesSorted(t *testing.T) {
 	if rec.Workers() != 2 {
 		t.Fatalf("workers = %d", rec.Workers())
 	}
-	e := batchEvent(0, 1, 0, 30)
-	rec.Ring(0).Record(&e)
-	e = batchEvent(1, 1, 0, 10)
-	rec.Ring(1).Record(&e)
+	r0, r1 := rec.Claim(), rec.Claim()
+	if r0 == nil || r1 == nil || r0 == r1 || rec.Claim() != nil {
+		t.Fatal("Claim must hand out each ring once, then nil")
+	}
+	b := testBatch(0, 0, 30)
+	r0.Record(&b)
+	b = testBatch(1, 0, 10)
+	r1.Record(&b)
 	ctrl := Event{Kind: KindRefresh, GPU: -1, Seq: 2, UnixNanos: 20}
 	rec.RecordControl(&ctrl)
-	got := rec.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("merged snapshot holds %d events, want 3", len(got))
+	got := rec.Trace().Snapshot(nil)
+	if len(got) != 2 || got[0].GPU != 1 || got[1].GPU != 0 {
+		t.Fatalf("merged snapshot not time-sorted: %+v", got)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i].UnixNanos < got[i-1].UnixNanos {
-			t.Fatalf("snapshot not time-sorted: %v", got)
-		}
+	if own := NewTrace([]*Ring{r1}).Snapshot(nil); len(own) != 1 || own[0].GPU != 1 {
+		t.Fatalf("a view over one ring holds %+v", own)
 	}
 	if rec.Recorded() != 3 {
 		t.Fatalf("Recorded() = %d, want 3", rec.Recorded())
@@ -148,35 +191,41 @@ func TestRecorderSnapshotMergesSorted(t *testing.T) {
 
 func TestRecorderSlowestBatch(t *testing.T) {
 	rec := NewRecorder(2, 8)
+	rings := []*Ring{rec.Claim(), rec.Claim()}
 	for i, lat := range []float64{0.001, 0.050, 0.002} {
-		e := batchEvent(int32(i%2), int64(i), lat, int64(100+i))
-		rec.Ring(i % 2).Record(&e)
+		b := testBatch(i%2, lat, int64(100+i))
+		rings[i%2].Record(&b)
 	}
-	ex, ok := rec.SlowestBatch(0)
-	if !ok || ex.Seq != 1 || ex.V[BatchLatencySeconds] != 0.050 {
-		t.Fatalf("SlowestBatch = %+v ok=%v, want seq 1 at 50ms", ex, ok)
+	ex := rec.exemplar(0, nil)
+	if ex == nil || ex.GPU != 1 || ex.Seq != 1 || ex.LatencySeconds != 0.050 {
+		t.Fatalf("exemplar = %+v, want gpu 1 seq 1 at 50ms", ex)
 	}
 	// The since bound excludes the slowest; the later, faster one wins.
-	ex, ok = rec.SlowestBatch(102)
-	if !ok || ex.Seq != 2 {
-		t.Fatalf("SlowestBatch(since) = %+v ok=%v, want seq 2", ex, ok)
+	if ex = rec.exemplar(102, nil); ex == nil || ex.GPU != 0 || ex.Seq != 2 {
+		t.Fatalf("exemplar(since) = %+v, want gpu 0 seq 2", ex)
 	}
-	if _, ok := rec.SlowestBatch(1000); ok {
-		t.Fatal("SlowestBatch past the end found something")
+	// So does a mark taken before it was recorded.
+	if ex = rec.exemplar(0, []uint64{2, 0}); ex == nil || ex.GPU != 0 || ex.Seq != 2 {
+		t.Fatalf("exemplar(mark) = %+v, want gpu 0 seq 2", ex)
+	}
+	if ex = rec.exemplar(1000, nil); ex != nil {
+		t.Fatalf("exemplar past the end found %+v", ex)
 	}
 }
 
 func TestWriteJSONLParses(t *testing.T) {
 	rec := NewRecorder(1, 8)
-	e := batchEvent(0, 9, 0.004, 1)
-	rec.Ring(0).Record(&e)
+	ring := rec.Claim()
+	skipTo(ring, 9)
+	b := testBatch(0, 0.004, 1)
+	ring.Record(&b)
 	d := Event{Kind: KindDrift, GPU: -1, UnixNanos: 2}
 	d.V[DriftScore] = 0.42
 	d.V[DriftDrifted] = 1
 	rec.RecordControl(&d)
 
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
+	if err := writeLines(&buf, rec.lines(0)); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -186,13 +235,16 @@ func TestWriteJSONLParses(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
 			t.Fatalf("line %q does not parse: %v", sc.Text(), err)
 		}
+		if obj["unix_nanos"].(float64) == 0 {
+			continue // filler
+		}
 		kinds = append(kinds, obj["kind"].(string))
-		switch obj["kind"] {
-		case "batch":
-			if obj["latency_s"].(float64) != 0.004 || obj["seq"].(float64) != 9 {
+		switch {
+		case obj["kind"] == "batch":
+			if obj["latency_s"].(float64) != 0.004 || obj["seq"].(float64) != 9 || obj["reason"] != "full" {
 				t.Fatalf("batch line = %v", obj)
 			}
-		case "drift":
+		case obj["kind"] == "drift":
 			if obj["score"].(float64) != 0.42 || obj["drifted"].(float64) != 1 {
 				t.Fatalf("drift line = %v", obj)
 			}
@@ -206,11 +258,72 @@ func TestWriteJSONLParses(t *testing.T) {
 	}
 }
 
+// TestBatchViewKeysGolden pins the key sets of the two JSON views of a batch
+// record to the ones they had as separate stores (telemetry.BatchTrace behind
+// /debug/trace, a KindBatch Event in the flight JSONL) plus what has been
+// appended since. Tools parse these: append keys, never rename or drop one.
+func TestBatchViewKeysGolden(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2))
+	b := randomBatch(rnd)
+	b.PrefetchHits, b.StaleBatches = 1, 1 // omitempty fields show
+	ring := NewRing(8)
+	ring.Record(&b)
+
+	keysOf := func(raw []byte) string {
+		var obj map[string]any
+		if err := json.Unmarshal(raw, &obj); err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		var keys []string
+		for k := range obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return strings.Join(keys, " ")
+	}
+
+	var buf bytes.Buffer
+	if err := NewTrace([]*Ring{ring}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var arr []json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil || len(arr) != 1 {
+		t.Fatalf("/debug/trace body: %v\n%s", err, buf.String())
+	}
+	const traceKeys = "dedup_ratio gpu host_bytes host_seconds local_bytes local_seconds " +
+		"network_bytes network_seconds prefetch_hits queue_wait_seconds reason remote_bytes " +
+		"remote_seconds requested_keys requests seq sim_seconds stale_batches unique_keys unix_nanos" +
+		// appended by the one-record change
+		" coalesce_seconds extract_seconds gather_seconds latency_seconds queue_depth reply_seconds shed_total"
+	if got, want := keysOf(arr[0]), sortedWords(traceKeys); got != want {
+		t.Errorf("/debug/trace keys\n got %s\nwant %s", got, want)
+	}
+
+	const jsonlKeys = "kind unix_nanos gpu seq latency_s requests unique_keys prefetch_hits " +
+		"sim_s local_s remote_s host_s network_s" +
+		// appended by the one-record change
+		" requested_keys reason stale_batches queue_depth shed_total queue_wait_s coalesce_s extract_s gather_s reply_s"
+	if got, want := keysOf(b.appendJSON(nil)), sortedWords(jsonlKeys); got != want {
+		t.Errorf("flight JSONL batch keys\n got %s\nwant %s", got, want)
+	}
+}
+
+func sortedWords(s string) string {
+	w := strings.Fields(s)
+	sort.Strings(w)
+	return strings.Join(w, " ")
+}
+
 // TestRecordNoAlloc pins the zero-allocation contract of the recording path.
 func TestRecordNoAlloc(t *testing.T) {
-	r := NewRing(64)
-	e := batchEvent(0, 1, 0.001, 123)
-	if n := testing.AllocsPerRun(1000, func() { r.Record(&e) }); n != 0 {
+	rec := NewRecorder(1, 64)
+	ring := rec.Claim()
+	b := testBatch(0, 0.001, 123)
+	if n := testing.AllocsPerRun(1000, func() { ring.Record(&b) }); n != 0 {
 		t.Fatalf("Record allocates %.1f per op, want 0", n)
+	}
+	e := Event{Kind: KindPrefetch, UnixNanos: 1}
+	if n := testing.AllocsPerRun(1000, func() { rec.RecordControl(&e) }); n != 0 {
+		t.Fatalf("RecordControl allocates %.1f per op, want 0", n)
 	}
 }

@@ -103,7 +103,8 @@ type State struct {
 	LastBundleErr  string `json:"last_bundle_err,omitempty"`
 	// Signals holds every enabled signal's last evaluation.
 	Signals []SignalState `json:"signals,omitempty"`
-	// Exemplar is the slowest batch seen in the last long window.
+	// Exemplar is the slowest batch seen in the last long window (shared
+	// with the watchdog: read-only).
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
@@ -127,6 +128,9 @@ type snap struct {
 // sharded atomics and diffs histogram buckets — no locks on any hot path).
 type Watchdog struct {
 	cfg WatchdogConfig
+	// now is the watchdog's one clock: snapshot timestamps and the trip
+	// cooldown both read it, so tests advance a fake instead of sleeping.
+	now func() time.Time
 
 	mu       sync.Mutex
 	snaps    []snap // oldest first, at most LongWindow+1
@@ -156,7 +160,7 @@ func NewWatchdog(cfg WatchdogConfig) (*Watchdog, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("flight: watchdog needs a telemetry registry")
 	}
-	w := &Watchdog{cfg: cfg, done: make(chan struct{})}
+	w := &Watchdog{cfg: cfg, now: time.Now, done: make(chan struct{})}
 	w.state.Armed = cfg.SLO != (SLO{})
 	return w, nil
 }
@@ -244,7 +248,7 @@ func gaugeVal(g *telemetry.Gauge) float64 {
 // take reads one cumulative snapshot.
 func (w *Watchdog) take() snap {
 	s := snap{
-		at:         time.Now().UnixNano(),
+		at:         w.now().UnixNano(),
 		requests:   counterVal(w.requests),
 		rejected:   counterVal(w.rejected),
 		pfWindows:  counterVal(w.pfWindows),
@@ -288,7 +292,7 @@ func ratio(a, b int64) float64 {
 func (w *Watchdog) evaluate() []SignalState {
 	slo := w.cfg.SLO
 	cur := &w.snaps[len(w.snaps)-1]
-	shortBase := &w.snaps[maxInt(0, len(w.snaps)-1-w.cfg.ShortWindow)]
+	shortBase := &w.snaps[max(0, len(w.snaps)-1-w.cfg.ShortWindow)]
 	longBase := &w.snaps[0]
 	var out []SignalState
 
@@ -337,13 +341,6 @@ func (w *Watchdog) evaluate() []SignalState {
 	return out
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Tick takes one snapshot, evaluates the windows, refreshes the exemplar,
 // and writes a bundle when a signal trips outside the cooldown. It returns
 // whether this tick tripped.
@@ -363,13 +360,7 @@ func (w *Watchdog) Tick() bool {
 	signals := w.evaluate()
 	w.state.Signals = signals
 	if w.cfg.Recorder != nil {
-		if ex, ok := w.cfg.Recorder.SlowestBatch(w.snaps[0].at); ok {
-			w.state.Exemplar = &Exemplar{
-				GPU: ex.GPU, Seq: ex.Seq,
-				LatencySeconds: ex.V[BatchLatencySeconds],
-				UnixNanos:      ex.UnixNanos,
-			}
-		}
+		w.state.Exemplar = w.cfg.Recorder.exemplar(w.snaps[0].at, nil)
 	}
 	var breached []string
 	for _, sig := range signals {
@@ -377,7 +368,7 @@ func (w *Watchdog) Tick() bool {
 			breached = append(breached, sig.Name)
 		}
 	}
-	now := time.Now()
+	now := w.now()
 	// Automatic trips wait for a full short window of history — a cold-start
 	// tick where both "windows" collapse onto one diff must not burn the
 	// cooldown on a single slow batch.
@@ -440,18 +431,14 @@ func (w *Watchdog) State() State {
 	defer w.mu.Unlock()
 	st := w.state
 	st.Signals = append([]SignalState(nil), w.state.Signals...)
-	if w.state.Exemplar != nil {
-		ex := *w.state.Exemplar
-		st.Exemplar = &ex
-	}
 	return st
 }
 
-// recentStateEvents caps how many trailing events WriteFlightState embeds.
+// recentStateEvents caps how many trailing records WriteFlightState embeds.
 const recentStateEvents = 256
 
 // WriteFlightState renders the watchdog state plus the most recent flight
-// events as one JSON document — the /debug/flight endpoint body. It also
+// records (batches and control events) as one JSON document — the /debug/flight endpoint body. It also
 // satisfies telemetry.FlightDebug.
 func (w *Watchdog) WriteFlightState(out io.Writer) error {
 	st := w.State()
@@ -460,14 +447,8 @@ func (w *Watchdog) WriteFlightState(out io.Writer) error {
 		Events []json.RawMessage `json:"events"`
 	}{State: st, Events: []json.RawMessage{}}
 	if w.cfg.Recorder != nil {
-		events := w.cfg.Recorder.Snapshot()
-		if len(events) > recentStateEvents {
-			events = events[len(events)-recentStateEvents:]
-		}
-		var buf []byte
-		for i := range events {
-			buf = events[i].appendJSON(nil)
-			body.Events = append(body.Events, json.RawMessage(buf))
+		for _, l := range w.cfg.Recorder.lines(recentStateEvents) {
+			body.Events = append(body.Events, json.RawMessage(l))
 		}
 	}
 	enc := json.NewEncoder(out)

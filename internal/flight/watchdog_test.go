@@ -14,7 +14,8 @@ import (
 )
 
 // testWatchdog builds a watchdog against a fresh registry with the serving
-// metrics the signals read, short windows, and a profile-free bundle sink.
+// metrics the signals read, short windows, a profile-free bundle sink, and a
+// clock that only moves when the test calls advance.
 func testWatchdog(t *testing.T, slo SLO, mutate func(cfg *WatchdogConfig)) (*Watchdog, *telemetry.Registry, string) {
 	t.Helper()
 	reg := telemetry.NewRegistry(1)
@@ -43,7 +44,15 @@ func testWatchdog(t *testing.T, slo SLO, mutate func(cfg *WatchdogConfig)) (*Wat
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
+	wd.now = func() time.Time { return start }
 	return wd, reg, dir
+}
+
+// advance moves wd's clock — frozen by testWatchdog — forward by d.
+func advance(wd *Watchdog, d time.Duration) {
+	at := wd.now().Add(d)
+	wd.now = func() time.Time { return at }
 }
 
 func TestWatchdogP99Trips(t *testing.T) {
@@ -61,7 +70,7 @@ func TestWatchdogP99Trips(t *testing.T) {
 			tripped = true
 			break
 		}
-		time.Sleep(2 * time.Millisecond) // outlive the test cooldown
+		advance(wd, 2*time.Millisecond) // outlive the test cooldown
 	}
 	if !tripped {
 		t.Fatal("sustained 50ms p99 against a 10ms SLO never tripped")
@@ -158,7 +167,7 @@ func TestWatchdogShedRatio(t *testing.T) {
 			tripped = true
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
+		advance(wd, 2*time.Millisecond)
 	}
 	if !tripped {
 		t.Fatal("20% shed ratio against a 5% SLO never tripped")
@@ -186,7 +195,7 @@ func TestWatchdogSolveWallNeedsRefresh(t *testing.T) {
 			break
 		}
 		refreshes.Add(0, 1) // keep a refresh inside the rolling window
-		time.Sleep(2 * time.Millisecond)
+		advance(wd, 2*time.Millisecond)
 	}
 	if !tripped {
 		t.Fatal("10s solve wall with refreshes in-window never tripped")
@@ -203,7 +212,7 @@ func TestWatchdogQueueSaturation(t *testing.T) {
 			tripped = true
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
+		advance(wd, 2*time.Millisecond)
 	}
 	if !tripped {
 		t.Fatal("saturated queue never tripped")
@@ -232,8 +241,10 @@ func TestWatchdogExemplarTracksSlowestBatch(t *testing.T) {
 	wd, _, _ := testWatchdog(t, SLO{P99: 10 * time.Millisecond},
 		func(cfg *WatchdogConfig) { cfg.Recorder = rec; cfg.Bundle.Recorder = rec })
 	wd.Tick() // window opens at this snapshot's timestamp
-	e := batchEvent(2, 7, 0.080, time.Now().UnixNano())
-	rec.Ring(0).Record(&e)
+	ring := rec.Claim()
+	skipTo(ring, 7)
+	b := testBatch(2, 0.080, wd.now().UnixNano())
+	ring.Record(&b)
 	wd.Tick()
 	st := wd.State()
 	if st.Exemplar == nil || st.Exemplar.Seq != 7 || st.Exemplar.GPU != 2 {
@@ -245,8 +256,8 @@ func TestTriggerBundleBypassesCooldownAndArming(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	wd, _, _ := testWatchdog(t, SLO{},
 		func(cfg *WatchdogConfig) { cfg.Recorder = rec; cfg.Bundle.Recorder = rec })
-	e := batchEvent(0, 1, 0.001, 1)
-	rec.Ring(0).Record(&e)
+	b := testBatch(0, 0.001, 1)
+	rec.Claim().Record(&b)
 	path, err := wd.TriggerBundle("sigquit")
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +278,10 @@ func TestWriteFlightStateJSON(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	wd, _, _ := testWatchdog(t, SLO{P99: time.Millisecond},
 		func(cfg *WatchdogConfig) { cfg.Recorder = rec })
-	e := batchEvent(1, 3, 0.002, 5)
-	rec.Ring(0).Record(&e)
+	ring := rec.Claim()
+	skipTo(ring, 3)
+	b := testBatch(1, 0.002, 5)
+	ring.Record(&b)
 	wd.Tick()
 	var buf bytes.Buffer
 	if err := wd.WriteFlightState(&buf); err != nil {
@@ -281,11 +294,11 @@ func TestWriteFlightStateJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &body); err != nil {
 		t.Fatalf("flight state does not parse: %v\n%s", err, buf.String())
 	}
-	if !body.State.Armed || body.State.Ticks != 1 || len(body.Events) != 1 {
+	if !body.State.Armed || body.State.Ticks != 1 || len(body.Events) != 3 {
 		t.Fatalf("flight state = %+v with %d events", body.State, len(body.Events))
 	}
 	var ev map[string]any
-	if err := json.Unmarshal(body.Events[0], &ev); err != nil {
+	if err := json.Unmarshal(body.Events[2], &ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev["kind"] != "batch" || ev["seq"].(float64) != 3 {
@@ -310,15 +323,15 @@ func TestWatchdogConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ring := rec.Ring(w)
-			for i := 1; ; i++ {
+			ring := rec.Claim()
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				e := batchEvent(int32(w), int64(i), 0.002, time.Now().UnixNano())
-				ring.Record(&e)
+				b := testBatch(w, 0.002, time.Now().UnixNano())
+				ring.Record(&b)
 				h.Observe(w, 0.002)
 			}
 		}(w)

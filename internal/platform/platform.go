@@ -77,7 +77,7 @@ type SourceID int
 
 // NetworkConfig describes the inter-machine fabric joining M identical
 // single-machine platforms into a cluster. Each machine owns one NIC whose
-// effective gather bandwidth and base round-trip latency are modelled like
+// effective gather bandwidth and base one-way latency are modelled like
 // any other link; a degraded twin (see degraded.go) covers unorganized
 // extraction over the wire.
 type NetworkConfig struct {
@@ -85,13 +85,14 @@ type NetworkConfig struct {
 	Machines int
 	// LinkBW is the effective per-machine NIC bandwidth, bytes/s.
 	LinkBW float64
-	// LatencySec is the base network round-trip latency added per
-	// cross-machine dispatch (amortized by sub-batch coalescing).
+	// LatencySec is the base one-way network latency; a cross-machine
+	// dispatch is charged the round trip, 2 x LatencySec (amortized by
+	// sub-batch coalescing).
 	LatencySec float64
 }
 
 // DefaultNetwork is the stock inter-machine fabric: a 200 Gb/s-class RDMA
-// NIC at 25 GB/s effective gather bandwidth and a 10 µs base round trip.
+// NIC at 25 GB/s effective gather bandwidth and a 10 µs one-way latency.
 // The per-GPU NIC share (LinkBW/N) deliberately sits below the per-GPU host
 // DRAM share, so the network tier is the slowest rung of the hierarchy.
 func DefaultNetwork(machines int) NetworkConfig {

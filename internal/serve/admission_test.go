@@ -2,13 +2,15 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ugache/internal/core"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
-	"ugache/internal/telemetry"
+	"ugache/internal/timeline"
 )
 
 // fillRing admits n single-key requests of the given class on GPU 0 — whose
@@ -42,9 +44,12 @@ func admissionSystem(t *testing.T) *core.System {
 
 // TestAdmissionFastFail: with AdmitWait unset, a full inference ring sheds
 // immediately with ErrOverload, counts the shed, and later-drained requests
-// still complete.
+// still complete. The shed reaches the timeline's overload track through the
+// batch records: the batch formed after it carries the new total, and the
+// export renders the counter step and one shed instant from that.
 func TestAdmissionFastFail(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, TraceDepth: -1})
+	tl := timeline.NewRecorder(4, 64)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Timeline: tl})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassInference)
 
@@ -65,13 +70,28 @@ func TestAdmissionFastFail(t *testing.T) {
 			t.Fatalf("queued request %d failed: %v", i, r.Err)
 		}
 	}
+
+	srv.Close() // both flushes are over: their records are in the ring
+	var shedTotals, newSheds []float64
+	for _, ev := range tl.Events() {
+		switch {
+		case ev.PID != timeline.ProcOverload || ev.TID != 0:
+		case ev.Name == "shed_total":
+			shedTotals = append(shedTotals, ev.Args[0].Val)
+		case ev.Name == "overload-shed":
+			newSheds = append(newSheds, ev.Args[0].Val)
+		}
+	}
+	if !slices.Equal(shedTotals, []float64{0, 1}) || !slices.Equal(newSheds, []float64{1}) {
+		t.Fatalf("overload track: shed_total samples %v, shed instants %v; want [0 1] and [1]", shedTotals, newSheds)
+	}
 }
 
 // TestAdmissionBackgroundShedsFirst: the background class rides its own
 // smaller ring — with it saturated, background sheds (and is counted in the
 // background-shed metric) while inference traffic still admits.
 func TestAdmissionBackgroundShedsFirst(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 16, BackgroundQueueDepth: 2, TraceDepth: -1})
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 16, BackgroundQueueDepth: 2})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassBackground)
 
@@ -99,7 +119,7 @@ func TestAdmissionBackgroundShedsFirst(t *testing.T) {
 // admitted once the worker's flushes free space, and the late admit is
 // counted.
 func TestAdmitWaitAdmits(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: time.Minute, TraceDepth: -1})
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: time.Minute})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassInference)
 
@@ -134,7 +154,7 @@ func TestAdmitWaitAdmits(t *testing.T) {
 // TestAdmitWaitExpires: with the worker held nothing frees space, so a
 // bounded wait sheds with ErrOverload once its deadline fires.
 func TestAdmitWaitExpires(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: 50 * time.Millisecond, TraceDepth: -1})
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: 50 * time.Millisecond})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2, ClassInference)
 
@@ -162,7 +182,6 @@ func TestDrainCoalesces(t *testing.T) {
 	srv, err := New(admissionSystem(t), Config{
 		MaxBatchKeys: 16,
 		QueueDepth:   32,
-		TraceDepth:   -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +217,7 @@ func TestDrainCoalesces(t *testing.T) {
 	if st.Batches != 5 {
 		t.Fatalf("drain flushed %d batches for %d requests, want 5 coalesced", st.Batches, reqs)
 	}
-	if got := srv.met.fill[telemetry.FillDrain].Value(); got != 5 {
+	if got := srv.met.fill[flight.FillDrain].Value(); got != 5 {
 		t.Fatalf("serve_batch_fill_drain_total = %d, want 5", got)
 	}
 }
@@ -223,7 +242,6 @@ func TestOverloadCloseFlood(t *testing.T) {
 					MaxBatchKeys: 8,
 					QueueDepth:   2,
 					AdmitWait:    mode.admitWait,
-					TraceDepth:   -1,
 				})
 				if err != nil {
 					t.Fatal(err)

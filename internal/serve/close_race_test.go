@@ -36,7 +36,6 @@ func TestCloseHandleRace(t *testing.T) {
 		srv, err := New(sys, Config{
 			MaxBatchKeys: 16,
 			QueueDepth:   2, // tiny queue: enqueues block and straddle Close
-			TraceDepth:   -1,
 		})
 		if err != nil {
 			t.Fatal(err)

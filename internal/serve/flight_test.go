@@ -11,9 +11,9 @@ import (
 )
 
 // TestServeFlightEvents drives a functional server with the flight recorder
-// attached and checks the event stream: every flushed batch lands in the
-// worker's ring with sane fields, queue samples ride along, and each batch
-// event's (gpu, seq) pair resolves to the matching timeline span tree — the
+// attached and checks the record stream: every flushed batch lands in its
+// worker's ring with sane fields, its stages add up to its latency, and each
+// record's (gpu, seq) pair resolves to the matching timeline span tree — the
 // exemplar linkage diagnostic bundles rely on.
 func TestServeFlightEvents(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
@@ -33,66 +33,50 @@ func TestServeFlightEvents(t *testing.T) {
 	}
 	srv.Close()
 
-	events := fl.Snapshot()
-	var batches, queues []flight.Event
-	for _, e := range events {
-		switch e.Kind {
-		case flight.KindBatch:
-			batches = append(batches, e)
-		case flight.KindQueue:
-			queues = append(queues, e)
-		}
+	batches := fl.Trace().Snapshot(nil)
+	if len(batches) != 8 || fl.Recorded() != 8 {
+		t.Fatalf("%d records held, %d recorded, want 8 and 8 (one per flush, nothing else)", len(batches), fl.Recorded())
 	}
-	if len(batches) == 0 {
-		t.Fatal("no batch events recorded")
-	}
-	if len(queues) == 0 {
-		t.Fatal("no queue events recorded")
-	}
-	for _, e := range batches {
-		if e.GPU < 0 || int(e.GPU) >= sys.P.N || e.Seq <= 0 || e.UnixNanos == 0 {
-			t.Fatalf("batch event identity = %+v", e)
+	for _, b := range batches {
+		if b.GPU < 0 || b.GPU >= 2 || b.Seq <= 0 || b.UnixNanos == 0 {
+			t.Fatalf("record identity = %+v", b)
 		}
-		if e.V[flight.BatchLatencySeconds] <= 0 ||
-			e.V[flight.BatchRequests] < 1 ||
-			e.V[flight.BatchUniqueKeys] < 1 ||
-			e.V[flight.BatchUniqueKeys] > float64(len(keys)) {
-			t.Fatalf("batch event payload = %+v", e)
+		if b.Requests != 1 || b.RequestedKeys != len(keys) || b.UniqueKeys != 5 || b.Reason != flight.FillIdle {
+			t.Fatalf("record formation = %+v", b)
 		}
-		split := e.V[flight.BatchLocalSeconds] + e.V[flight.BatchRemoteSeconds] + e.V[flight.BatchHostSeconds]
-		if split <= 0 || e.V[flight.BatchSimSeconds] <= 0 {
-			t.Fatalf("batch event tier split = %+v", e)
+		if b.QueueWaitSeconds <= 0 || b.CoalesceSeconds <= 0 || b.ExtractSeconds <= 0 ||
+			b.GatherSeconds <= 0 || b.ReplySeconds <= 0 {
+			t.Fatalf("record stages = %+v", b)
+		}
+		if split := b.LocalSeconds + b.RemoteSeconds + b.HostSeconds; split <= 0 || b.SimSeconds <= 0 {
+			t.Fatalf("record tier split = %+v", b)
 		}
 	}
 
-	// Every batch event resolves into the timeline: a "batch" root span on
-	// the same GPU track carrying a matching seq arg.
-	for _, e := range batches {
+	// Every record resolves into the timeline: a "batch" root span on the
+	// same GPU track carrying a matching seq arg, as long as its latency.
+	spans := rec.Events()
+	for _, b := range batches {
 		found := false
-		for _, sp := range rec.Events() {
-			if sp.PID != timeline.ProcServe || sp.Name != "batch" || sp.TID != e.GPU {
+		for _, sp := range spans {
+			if sp.PID != timeline.ProcServe || sp.Name != "batch" || sp.TID != int32(b.GPU) {
 				continue
 			}
 			for i := int32(0); i < sp.NArgs; i++ {
-				if sp.Args[i].Key == "seq" && int64(sp.Args[i].Val) == e.Seq {
+				if sp.Args[i].Key == "seq" && int64(sp.Args[i].Val) == b.Seq && sp.Dur == b.LatencySeconds() {
 					found = true
 				}
 			}
 		}
 		if !found {
-			t.Fatalf("batch event gpu=%d seq=%d has no matching timeline span", e.GPU, e.Seq)
+			t.Fatalf("record gpu=%d seq=%d has no matching timeline span", b.GPU, b.Seq)
 		}
-	}
-
-	ex, ok := fl.SlowestBatch(0)
-	if !ok || ex.V[flight.BatchLatencySeconds] <= 0 {
-		t.Fatalf("SlowestBatch = %+v ok=%v", ex, ok)
 	}
 }
 
 // TestServeFlightConcurrent hammers lookups on every GPU while a reader
 // drains snapshots — the -race proof that worker rings (single producer) and
-// concurrent Snapshot readers coexist, mirroring the live /debug/flight
+// concurrent Snapshot readers coexist, mirroring the live /debug/trace
 // endpoint scraping a serving process.
 func TestServeFlightConcurrent(t *testing.T) {
 	sys, _ := buildFunctional(t, 2000)
@@ -112,9 +96,9 @@ func TestServeFlightConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			for _, e := range fl.Snapshot() {
-				if e.Kind == 0 || e.Kind > flight.KindPrefetch {
-					t.Errorf("torn event kind %d", e.Kind)
+			for _, b := range srv.Trace().Snapshot(nil) {
+				if b.Requests != 1 || b.RequestedKeys != 3 || b.UniqueKeys != 3 || b.UnixNanos == 0 {
+					t.Errorf("torn record %+v", b)
 					return
 				}
 			}
@@ -137,8 +121,65 @@ func TestServeFlightConcurrent(t *testing.T) {
 	close(stop)
 	reader.Wait()
 	srv.Close()
-	if fl.Recorded() == 0 {
-		t.Fatal("no events recorded")
+	if got, want := fl.Recorded(), uint64(50*sys.P.N); got != want {
+		t.Fatalf("%d records, want %d", got, want)
+	}
+}
+
+// TestServersShareRecorder: two servers on one recorder each claim their own
+// rings, so every ring keeps a single producer. With flushes interleaved
+// (run under -race), each server's Trace() holds exactly its own batches —
+// the key count tells them apart — none torn; a third server finds no ring
+// left and is refused.
+func TestServersShareRecorder(t *testing.T) {
+	sysA, _ := buildFunctional(t, 2000)
+	sysB, _ := buildFunctional(t, 2000)
+	n := sysA.P.N
+	fl := flight.NewRecorder(2*n, 64)
+	servers := make([]*Server, 2)
+	for i, sys := range []*core.System{sysA, sysB} {
+		srv, err := New(sys, Config{Flight: fl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		servers[i] = srv
+	}
+	if _, err := New(sysA, Config{Flight: fl}); err == nil {
+		t.Fatal("a third server claimed rings from an exhausted recorder")
+	}
+	const rounds = 40
+	var wg sync.WaitGroup
+	for i, srv := range servers {
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(i, g int, srv *Server) {
+				defer wg.Done()
+				keys := []int64{1, 2, 3, 4}[:2+i] // server 0: 2 keys a batch, server 1: 3
+				for r := 0; r < rounds; r++ {
+					if _, err := srv.Lookup(g, keys); err != nil {
+						t.Errorf("server %d gpu %d: %v", i, g, err)
+						return
+					}
+				}
+			}(i, g, srv)
+		}
+	}
+	wg.Wait()
+	for i, srv := range servers {
+		srv.Close() // a flush writes its record after its replies
+		got := srv.Trace().Snapshot(nil)
+		if len(got) != rounds*n {
+			t.Fatalf("server %d holds %d records, want %d", i, len(got), rounds*n)
+		}
+		for _, b := range got {
+			if b.RequestedKeys != 2+i || b.UniqueKeys != 2+i || b.Requests != 1 || b.Seq < 1 || b.Seq > rounds {
+				t.Fatalf("server %d holds a record that is not its own: %+v", i, b)
+			}
+		}
+	}
+	if got := len(fl.Trace().Snapshot(nil)); got != 2*rounds*n {
+		t.Fatalf("recorder holds %d records, want %d", got, 2*rounds*n)
 	}
 }
 
@@ -178,7 +219,7 @@ func TestServeFlightAllocParity(t *testing.T) {
 		})
 	}
 	off := measure(build(nil))
-	on := measure(build(flight.NewRecorder(2, 1024)))
+	on := measure(build(flight.NewRecorder(4, 1024)))
 	if on > off {
 		t.Fatalf("flight recording adds allocations to the flush path: %.1f with, %.1f without", on, off)
 	}

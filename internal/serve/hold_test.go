@@ -10,8 +10,8 @@ import (
 	"ugache/internal/cache"
 	"ugache/internal/core"
 	"ugache/internal/emb"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
-	"ugache/internal/telemetry"
 )
 
 // gatedSource is the tests' handle on a live worker: a RowSource whose next
@@ -165,7 +165,7 @@ func TestBacklogCoalesces(t *testing.T) {
 	if st.Batches != 2 || st.Requests != k+1 {
 		t.Fatalf("%d batches for %d requests, want 2 (the parking flush and the backlog) for %d", st.Batches, st.Requests, k+1)
 	}
-	if got := srv.met.fill[telemetry.FillIdle].Value(); got != 2 {
+	if got := srv.met.fill[flight.FillIdle].Value(); got != 2 {
 		t.Fatalf("serve_batch_fill_idle_total = %d, want 2", got)
 	}
 }

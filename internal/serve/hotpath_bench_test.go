@@ -91,7 +91,7 @@ func BenchmarkServeCoalescedFunctional(b *testing.B) {
 // (the recorder's zero-allocation contract, also pinned by
 // TestServeFlightAllocParity).
 func BenchmarkServeCoalescedTimingFlight(b *testing.B) {
-	srv := buildBenchServer(b, 20000, false, flight.NewRecorder(2, flight.DefaultDepth))
+	srv := buildBenchServer(b, 20000, false, flight.NewRecorder(4, flight.DefaultDepth))
 	reqs := benchRequests(20000, 64, 256, 11)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -105,7 +105,7 @@ func BenchmarkServeCoalescedTimingFlight(b *testing.B) {
 // BenchmarkServeCoalescedFunctionalFlight is the full serve path with the
 // flight recorder attached.
 func BenchmarkServeCoalescedFunctionalFlight(b *testing.B) {
-	srv := buildBenchServer(b, 20000, true, flight.NewRecorder(2, flight.DefaultDepth))
+	srv := buildBenchServer(b, 20000, true, flight.NewRecorder(4, flight.DefaultDepth))
 	reqs := benchRequests(20000, 64, 256, 11)
 	b.ReportAllocs()
 	b.ResetTimer()

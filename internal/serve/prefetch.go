@@ -258,11 +258,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 		}
 		var rows []byte
 		if s.functional {
-			need := len(fetch) * s.entryBytes
-			if cap(sc.rows) < need {
-				sc.rows = make([]byte, need)
-			}
-			rows = sc.rows[:need]
+			rows = grow(&sc.rows, len(fetch)*s.entryBytes)
 			if err := s.sys.LookupWith(g, fetch, rows, sc.core); err != nil {
 				s.met.prefetchErrors.Add(g, 1)
 				return
@@ -279,16 +275,14 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 	m.prefetchStagedKeys.Add(g, int64(len(fetch)))
 	m.prefetchSimSeconds.Add(g, simTime)
 
-	if s.fl != nil {
-		// Prefetch workers run concurrently with GPU g's serving worker, so
-		// they must not write its single-producer ring; staged windows are
-		// off the critical path and ride the mutex-guarded control ring.
-		e := flight.Event{Kind: flight.KindPrefetch, GPU: int32(g), UnixNanos: time.Now().UnixNano()}
-		e.V[flight.PrefetchAnnouncedKeys] = float64(announced)
-		e.V[flight.PrefetchFetchedKeys] = float64(len(fetch))
-		e.V[flight.PrefetchSimSeconds] = simTime
-		s.fl.RecordControl(&e)
-	}
+	// Prefetch workers run concurrently with GPU g's serving worker, so they
+	// must not write its single-producer ring; staged windows are off the
+	// critical path and ride the mutex-guarded control ring.
+	e := flight.Event{Kind: flight.KindPrefetch, GPU: int32(g), UnixNanos: time.Now().UnixNano()}
+	e.V[flight.PrefetchAnnouncedKeys] = float64(announced)
+	e.V[flight.PrefetchFetchedKeys] = float64(len(fetch))
+	e.V[flight.PrefetchSimSeconds] = simTime
+	s.fl.RecordControl(&e)
 
 	if sc.span != nil {
 		tEnd := s.tl.Now()

@@ -184,14 +184,31 @@ func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
 	if _, err := sys.Refresh(testHotness(3000, 0.8, 99), 0.001, quickRefreshConfig()); err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range keys {
+	for _, k := range keys {
 		if _, err := srv.Lookup(0, []int64{k}); err != nil {
 			t.Fatal(err)
 		}
-		want := float64(min(i+1, 8))
-		if got := sampleValue(t, srv.Metrics(), "serve_stale_served_keys_total"); got != want {
-			t.Fatalf("after %d one-key flushes: %g keys served stale, want %g", i+1, got, want)
+	}
+	// A flush bumps its counters and writes its record after it has replied,
+	// so nothing is read until Close has waited for the worker. The records
+	// then say which flushes the staged rows served: the first eight, not the
+	// ninth.
+	srv.Close()
+	records := srv.Trace().Snapshot(nil)
+	if len(records) != len(keys) {
+		t.Fatalf("%d records for %d one-key flushes", len(records), len(keys))
+	}
+	for i, b := range records {
+		want := 1
+		if i >= 8 {
+			want = 0
 		}
+		if b.PrefetchHits != want {
+			t.Fatalf("one-key flush %d: %d staged hits, want %d (record %+v)", i+1, b.PrefetchHits, want, b)
+		}
+	}
+	if got := sampleValue(t, srv.Metrics(), "serve_stale_served_keys_total"); got != 8 {
+		t.Fatalf("%g keys served stale over %d one-key flushes, want 8", got, len(keys))
 	}
 }
 

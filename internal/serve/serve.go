@@ -13,10 +13,12 @@
 // one placement snapshot.
 //
 // Every server carries a telemetry registry (request-latency and queue-wait
-// histograms, batch fill-reason counters, coalescing totals) and a
-// per-batch trace ring; both update through lock-free per-worker shards and
-// preallocated records, so instrumentation keeps the flush path at its
-// BENCH_hotpath.json allocation budget (DESIGN.md §6.2).
+// histograms, batch fill-reason counters, coalescing totals) and one
+// flight.Batch record per flushed batch, written once into the worker's own
+// seqlock ring; both update through lock-free per-worker state, so
+// instrumentation keeps the flush path at its BENCH_hotpath.json allocation
+// budget (DESIGN.md §6.2). Server.Trace, the flight JSONL and the Chrome-trace
+// batch trees are read-side views of those rings.
 package serve
 
 import (
@@ -104,12 +106,9 @@ type Config struct {
 	// the same registry to core.Config.Telemetry to get the extraction and
 	// refresh metrics alongside.
 	Telemetry *telemetry.Registry
-	// TraceDepth sizes the per-batch trace ring (default 256; negative
-	// disables tracing entirely).
-	TraceDepth int
-	// TraceEvery records every Nth batch per worker into the trace ring
-	// (default 1: every batch — recording is allocation-free, so the
-	// default sampling keeps the hot path at its benchmarked budget).
+	// TraceEvery samples the fluid-sim link-flow spans: every Nth batch per
+	// worker emits them (default 1: every batch). Only read with a Timeline
+	// attached; the batch record itself is written on every flush.
 	TraceEvery int
 	// Sampler, when non-nil, observes every coalesced batch's unique keys
 	// for §7.2 hotness re-estimation. Worker g feeds the sampler's shard g,
@@ -121,20 +120,24 @@ type Config struct {
 	// Async controller here — a synchronous one would run solves inline on
 	// the flush path.
 	Controller *core.Controller
-	// Timeline, when non-nil, records every flushed batch as a span tree on
-	// the serve track (queue-wait → coalesce → extract → gather → reply)
-	// and, for TraceEvery-sampled batches, the extraction's fluid-sim phases
-	// as per-link utilization spans (DESIGN.md §6.3). Worker g emits into
-	// the recorder's shard g. Nil disables tracing behind one pointer check.
+	// Timeline, when non-nil, exports every held batch record as a span tree
+	// on the serve track (queue-wait → coalesce → extract → gather → reply),
+	// rendered from the record rings when the trace is written, and records,
+	// for TraceEvery-sampled batches, the extraction's fluid-sim phases as
+	// per-link utilization spans (DESIGN.md §6.3; worker g emits those into
+	// the recorder's shard g). Nil disables both behind one pointer check.
 	Timeline *timeline.Recorder
-	// Flight, when non-nil, receives the always-on flight-recorder events
-	// (DESIGN.md §6.8): every flushed batch (latency / tier split / prefetch
-	// hits), queue-depth samples and shed deltas at batch formation, and
-	// staged prefetch windows. Worker g records into the recorder's ring g;
-	// recording is a fixed set of atomic stores, so the flush path stays at
-	// its BENCH_hotpath.json allocation budget with flight enabled.
+	// Flight is the recorder whose rings take the batch records (DESIGN.md
+	// §6.8) and whose control ring takes staged prefetch windows. Every
+	// worker claims a ring of its own, so a recorder shared between servers
+	// must be sized to all their workers. Nil creates a private recorder, so
+	// Trace always works.
 	Flight *flight.Recorder
 }
+
+// privateRecordDepth is the per-worker ring depth of the recorder a server
+// makes for itself when Config.Flight is nil.
+const privateRecordDepth = 256
 
 func (c Config) normalize() Config {
 	if c.MaxBatchKeys <= 0 {
@@ -151,9 +154,6 @@ func (c Config) normalize() Config {
 	}
 	if c.AdmitWait < 0 {
 		c.AdmitWait = 0
-	}
-	if c.TraceDepth == 0 {
-		c.TraceDepth = 256
 	}
 	if c.TraceEvery <= 0 {
 		c.TraceEvery = 1
@@ -225,7 +225,7 @@ type metrics struct {
 	requestedKeys *telemetry.Counter
 	uniqueKeys    *telemetry.Counter
 	simSeconds    *telemetry.FloatCounter
-	fill          [3]*telemetry.Counter // indexed by telemetry.FillReason
+	fill          [3]*telemetry.Counter // indexed by flight.FillReason
 	latency       *telemetry.Histogram
 	queueWait     *telemetry.Histogram
 
@@ -272,9 +272,9 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		uniqueKeys:    reg.Counter("serve_unique_keys_total", "unique keys extracted"),
 		simSeconds:    reg.FloatCounter("serve_sim_seconds_total", "simulated extraction seconds"),
 		fill: [3]*telemetry.Counter{
-			telemetry.FillFull:  reg.Counter("serve_batch_fill_full_total", "batches flushed because MaxBatchKeys was reached"),
-			telemetry.FillIdle:  reg.Counter("serve_batch_fill_idle_total", "batches flushed because the queue ran empty"),
-			telemetry.FillDrain: reg.Counter("serve_batch_fill_drain_total", "batches flushed by the shutdown drain"),
+			flight.FillFull:  reg.Counter("serve_batch_fill_full_total", "batches flushed because MaxBatchKeys was reached"),
+			flight.FillIdle:  reg.Counter("serve_batch_fill_idle_total", "batches flushed because the queue ran empty"),
+			flight.FillDrain: reg.Counter("serve_batch_fill_drain_total", "batches flushed by the shutdown drain"),
 		},
 		latency:   reg.Histogram("serve_request_latency_seconds", "request latency from enqueue to reply", latencyBuckets),
 		queueWait: reg.Histogram("serve_queue_wait_seconds", "queue wait of a batch's first request", latencyBuckets),
@@ -311,10 +311,10 @@ type Server struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// Per-GPU overload accounting feeding the timeline overload track: sheds
-	// since start, and the peak combined ring depth a worker observed.
+	// Overload accounting: per-GPU sheds since start (stamped into every
+	// batch record), and the peak combined ring depth any worker observed.
 	shed      []atomic.Int64
-	peakDepth []atomic.Int64
+	peakDepth atomic.Int64
 
 	// closeMu fences admission against Close (the two-phase shutdown): an
 	// admission pushes under the read lock after checking closed; Close sets
@@ -330,15 +330,18 @@ type Server struct {
 
 	tel     *telemetry.Registry
 	met     *metrics
-	ring    *telemetry.TraceRing
 	sampler *cache.HotnessSampler
 	ctrl    *core.Controller
-	tpb     [][]float64 // platform.TimePerByteTable, for alloc-free trace records
+	tpb     [][]float64 // platform.TimePerByteTable, for the records' tier split
 	netSrc  int         // cluster network SourceID as int, -1 off-cluster
+
+	// fl is the flight recorder (Config.Flight or a private one), rings the
+	// worker rings claimed from it (ring g is worker g's).
+	fl    *flight.Recorder
+	rings []*flight.Ring
 
 	tl      *timeline.Recorder
 	linkCap []float64 // topology link capacities, for utilization span args
-	fl      *flight.Recorder
 
 	// Lookahead prefetch pipeline (nil/empty when Config.Lookahead == 0).
 	// servedKeys[g] counts the keys GPU g's flushes have answered; in units
@@ -369,47 +372,29 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		functional: sys.Functional(),
 		queues:     make([]*gpuQueue, sys.P.N),
 		shed:       make([]atomic.Int64, sys.P.N),
-		peakDepth:  make([]atomic.Int64, sys.P.N),
 		done:       make(chan struct{}),
 		tel:        reg,
 		met:        newMetrics(reg),
 		sampler:    cfg.Sampler,
 		ctrl:       cfg.Controller,
+		tpb:        sys.P.TimePerByteTable(),
 		netSrc:     -1,
+		fl:         cfg.Flight,
 	}
 	if sys.P.HasNetwork() {
 		s.netSrc = int(sys.P.Network())
 	}
-	if cfg.TraceDepth > 0 {
-		s.ring = telemetry.NewTraceRing(cfg.TraceDepth)
-		s.tpb = sys.P.TimePerByteTable()
-	}
-	if cfg.Flight != nil {
-		s.fl = cfg.Flight
-		if s.tpb == nil {
-			// Flight batch events carry the per-tier time split even when the
-			// trace ring is disabled.
-			s.tpb = sys.P.TimePerByteTable()
-		}
-	}
 	if cfg.Timeline != nil {
-		// Register the serve and fluid-sim track names once at wiring time;
-		// the fmt output here is the interned-string source the hot path
-		// reuses (Event names themselves are package literals).
+		// Register the serve and fluid-sim track names once at wiring time
+		// (Event names themselves are package literals).
 		s.tl = cfg.Timeline
-		s.tl.SetProcessName(timeline.ProcServe, "serve")
-		for g := 0; g < sys.P.N; g++ {
-			s.tl.SetThreadName(timeline.ProcServe, int32(g), fmt.Sprintf("gpu %d worker", g))
-		}
+		s.nameTracks(timeline.ProcServe, "serve", "gpu %d worker")
+		s.nameTracks(timeline.ProcOverload, "overload", "gpu %d admission")
 		s.tl.SetProcessName(timeline.ProcSim, "fluid-sim links")
 		s.linkCap = make([]float64, len(sys.P.Topo.Links))
 		for l, link := range sys.P.Topo.Links {
 			s.tl.SetThreadName(timeline.ProcSim, int32(l), link.Name)
 			s.linkCap[l] = link.Capacity
-		}
-		s.tl.SetProcessName(timeline.ProcOverload, "overload")
-		for g := 0; g < sys.P.N; g++ {
-			s.tl.SetThreadName(timeline.ProcOverload, int32(g), fmt.Sprintf("gpu %d admission", g))
 		}
 	}
 	if cfg.Lookahead > 0 {
@@ -432,11 +417,23 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 			s.prefetchQ[g] = make(chan *prefetchWindow, depth)
 		}
 		if s.tl != nil {
-			s.tl.SetProcessName(timeline.ProcPrefetch, "prefetch")
-			for g := 0; g < n; g++ {
-				s.tl.SetThreadName(timeline.ProcPrefetch, int32(g), fmt.Sprintf("gpu %d prefetch", g))
-			}
+			s.nameTracks(timeline.ProcPrefetch, "prefetch", "gpu %d prefetch")
 		}
+	}
+	if s.fl == nil {
+		s.fl = flight.NewRecorder(sys.P.N, privateRecordDepth)
+	}
+	s.rings = make([]*flight.Ring, sys.P.N)
+	for g := range s.rings {
+		if s.rings[g] = s.fl.Claim(); s.rings[g] == nil {
+			return nil, fmt.Errorf("serve: flight recorder has no unclaimed ring left for worker %d of %d (it has %d; size it to every worker recording into it)",
+				g, sys.P.N, s.fl.Workers())
+		}
+	}
+	if tl, trace := s.tl, s.Trace(); tl != nil {
+		// The source outlives the server in the recorder: it holds the rings,
+		// not the server and its cache.
+		tl.AddSource(func(dst []timeline.Event) []timeline.Event { return trace.AppendSpans(tl, dst) })
 	}
 	for g := range s.queues {
 		s.queues[g] = newGPUQueue(s.cfg.QueueDepth, s.cfg.BackgroundQueueDepth)
@@ -452,12 +449,21 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// nameTracks names a timeline process group and its one track per GPU.
+func (s *Server) nameTracks(pid int32, process, thread string) {
+	s.tl.SetProcessName(pid, process)
+	for g := 0; g < s.sys.P.N; g++ {
+		s.tl.SetThreadName(pid, int32(g), fmt.Sprintf(thread, g))
+	}
+}
+
 // Metrics returns the server's telemetry registry (the one passed in
 // Config.Telemetry, or the private default).
 func (s *Server) Metrics() *telemetry.Registry { return s.tel }
 
-// Trace returns the per-batch trace ring, or nil when tracing is disabled.
-func (s *Server) Trace() *telemetry.TraceRing { return s.ring }
+// Trace returns the read-side view over this server's batch records: the
+// last ring-depth flushes of each worker.
+func (s *Server) Trace() *flight.Trace { return flight.NewTrace(s.rings) }
 
 // Handle enqueues one inference-class request for GPU gpu and returns the
 // channel its Result will arrive on (buffered; the caller need not be
@@ -627,18 +633,15 @@ type workerScratch struct {
 	batch extract.Batch
 	rows  []byte
 	core  *core.Scratch
-	seq   int64 // batches flushed by this worker (trace sampling)
-	span  *timeline.Shard
+	span  *timeline.Shard // link-flow spans; nil without a Timeline
 
 	// reqs is the reusable batch-formation slice (flushNext rebuilds it in
-	// place every batch) and lastShed the shed count already published to
-	// the overload track and the flight ring.
-	reqs     []*request
-	lastShed int64
-
-	// flight is this worker's flight ring (nil when flight recording is
-	// off); the worker is its only producer.
-	flight *flight.Ring
+	// place every batch). rec is the record of the batch in hand — flushNext
+	// fills in how it formed, flush the rest — and ring this worker's own
+	// ring, which takes it once the flush is done.
+	reqs []*request
+	rec  flight.Batch
+	ring *flight.Ring
 
 	// Staging-consume buffers, used only when the prefetch pipeline is on:
 	// the per-unique-key hit mask, the residual demand keys with their
@@ -658,6 +661,7 @@ func (s *Server) newWorkerScratch(g int) *workerScratch {
 		dedup: hashtable.NewDedup(s.cfg.MaxBatchKeys),
 		batch: extract.Batch{Keys: make([][]int64, s.sys.P.N)},
 		core:  core.NewScratch(),
+		ring:  s.rings[g],
 	}
 	if s.staging != nil {
 		sc.batch.Staged = make([][]int64, s.sys.P.N)
@@ -666,10 +670,15 @@ func (s *Server) newWorkerScratch(g int) *workerScratch {
 		sc.span = s.tl.Shard(g)
 		sc.core.RecordSimPhases(true)
 	}
-	if s.fl != nil {
-		sc.flight = s.fl.Ring(g)
-	}
 	return sc
+}
+
+// grow returns (*buf)[:n], reallocating when the capacity falls short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // worker is GPU g's coalescing loop: flush whatever backlog the rings hold,
@@ -709,165 +718,69 @@ func (s *Server) flushNext(g int, q *gpuQueue, sc *workerScratch, draining bool)
 	if first == nil {
 		return false
 	}
-	queueWait := time.Since(first.enqueued)
+	dequeued := time.Now()
 	batch := append(sc.reqs[:0], first)
 	pending := len(first.keys)
-	reason := telemetry.FillFull
+	reason := flight.FillFull
 	for pending < s.cfg.MaxBatchKeys {
 		r := q.pop()
 		if r == nil {
-			reason = telemetry.FillIdle
+			reason = flight.FillIdle
 			break
 		}
 		batch = append(batch, r)
 		pending += len(r.keys)
 	}
 	if draining {
-		reason = telemetry.FillDrain
+		reason = flight.FillDrain
 	}
 	sc.reqs = batch
-	s.observeQueue(g, q, sc)
-	s.flush(g, batch, sc, reason, queueWait)
+	sc.rec = flight.Batch{GPU: g, Reason: reason, Requests: len(batch), RequestedKeys: pending,
+		QueueDepth: s.observeQueue(q), ShedTotal: s.shed[g].Load(),
+		QueueWaitSeconds: dequeued.Sub(first.enqueued).Seconds()}
+	s.flush(g, batch, sc, dequeued)
 	// The batch formation freed ring space: wake one bounded-wait admitter,
 	// if any are parked.
 	q.freed()
 	return true
 }
 
-// observeQueue publishes the admission-side backpressure signals at batch
-// formation: the queue-depth gauges, the peak tracker, and — when a span
-// recorder or flight ring is wired — the overload counter series (queued
-// depth and cumulative sheds per GPU), so saturation is visible in Perfetto
-// and survives in the flight rings alongside the batch events.
-func (s *Server) observeQueue(g int, q *gpuQueue, sc *workerScratch) {
+// observeQueue publishes the admission-side backpressure gauges at batch
+// formation — the last and the peak combined queue depth — and returns the
+// depth, which the batch record carries (with the shed count) so saturation
+// shows on the overload track and in the flight rings.
+func (s *Server) observeQueue(q *gpuQueue) int {
 	depth := q.depth()
 	s.met.queueDepth.Set(float64(depth))
-	if peak := s.peakDepth[g].Load(); int64(depth) > peak {
-		s.peakDepth[g].Store(int64(depth))
-		max := int64(depth)
-		for i := range s.peakDepth {
-			if v := s.peakDepth[i].Load(); v > max {
-				max = v
-			}
-		}
-		s.met.queueDepthPeak.Set(float64(max))
-	}
-	if sc.span == nil && sc.flight == nil {
-		return
-	}
-	shed := s.shed[g].Load()
-	newSheds := shed - sc.lastShed
-	sc.lastShed = shed
-	if sc.flight != nil {
-		e := flight.Event{Kind: flight.KindQueue, GPU: int32(g), UnixNanos: time.Now().UnixNano()}
-		e.V[flight.QueueDepth] = float64(depth)
-		e.V[flight.QueueShedTotal] = float64(shed)
-		sc.flight.Record(&e)
-		if newSheds > 0 {
-			e = flight.Event{Kind: flight.KindShed, GPU: int32(g), UnixNanos: e.UnixNanos}
-			e.V[flight.ShedNew] = float64(newSheds)
-			sc.flight.Record(&e)
+	for peak := s.peakDepth.Load(); int64(depth) > peak; peak = s.peakDepth.Load() {
+		if s.peakDepth.CompareAndSwap(peak, int64(depth)) {
+			s.met.queueDepthPeak.Set(float64(depth))
 		}
 	}
-	if sc.span == nil {
-		return
-	}
-	now := s.tl.Now()
-	ev := timeline.Event{Name: "queue_depth", Cat: "overload", Ph: timeline.PhCounter,
-		PID: timeline.ProcOverload, TID: int32(g), Start: now}
-	ev.AddArg("requests", float64(depth))
-	sc.span.Emit(&ev)
-	ev2 := timeline.Event{Name: "shed_total", Cat: "overload", Ph: timeline.PhCounter,
-		PID: timeline.ProcOverload, TID: int32(g), Start: now}
-	ev2.AddArg("requests", float64(shed))
-	sc.span.Emit(&ev2)
-	if newSheds > 0 {
-		inst := timeline.Event{Name: "overload-shed", Cat: "overload", Ph: timeline.PhInstant,
-			PID: timeline.ProcOverload, TID: int32(g), Start: now}
-		inst.AddArg("new_sheds", float64(newSheds))
-		sc.span.Emit(&inst)
-	}
+	return depth
 }
 
 // flush coalesces the batch's keys, runs one extraction, and fans the
 // per-request results back out. Everything it needs lives in the worker's
 // scratch; the only steady-state allocation is the batch-sized Rows block
-// handed to the callers (see Result.Rows). The telemetry updates are
-// lock-free shard writes and one preallocated trace-ring copy.
-func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason telemetry.FillReason, queueWait time.Duration) {
-	// Wall-clock checkpoints for the span tree; only taken when tracing is
-	// on (sc.span is nil otherwise, and the clock reads cost nothing).
-	var ft flushTimes
-	if sc.span != nil {
-		ft.enqueue = s.tl.Since(batch[0].enqueued)
-		ft.dequeue = ft.enqueue + queueWait.Seconds()
-	}
-	// Dedupe across requests with the generation-stamped open-addressing
-	// table, remembering each unique key's row index.
-	requested := 0
-	for _, r := range batch {
-		requested += len(r.keys)
-	}
-	sc.dedup.Reset(requested)
-	uniq := sc.uniq[:0]
-	for _, r := range batch {
-		for _, k := range r.keys {
-			if _, fresh := sc.dedup.Add(k); fresh {
-				uniq = append(uniq, k)
-			}
-		}
-	}
-	sc.uniq = uniq
-
-	// Resolve staged prefetch hits before the extraction (pipeline on only):
-	// hit rows are copied straight out of the staging arena under one read
-	// lock, the residual demand keys ride the extraction as usual, and the
-	// staged keys are charged as local reads via the staged-source plan so
-	// the batch's modelled time reflects the overlap win.
-	extractKeys := uniq
-	prefetchHits, staleServed := 0, 0
-	staleMax := int64(0)
+// handed to the callers (see Result.Rows). What it observes goes to
+// lock-free telemetry shards and, once, into sc.rec — the one record of this
+// batch, written to the worker's ring as the last step.
+func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time.Time) {
+	rec := &sc.rec
+	uniq := sc.dedupe(batch)
+	rec.UniqueKeys = len(uniq)
 	var rows []byte
 	if s.functional {
-		need := len(uniq) * s.entryBytes
-		if cap(sc.rows) < need {
-			sc.rows = make([]byte, need)
-		}
-		rows = sc.rows[:need]
+		rows = grow(&sc.rows, len(uniq)*s.entryBytes)
 	}
-	if s.staging != nil {
-		if cap(sc.hit) < len(uniq) {
-			sc.hit = make([]bool, len(uniq))
-		}
-		hitMask := sc.hit[:len(uniq)]
-		version := s.sys.PlacementVersion()
-		now := s.batchClock(g)
-		prefetchHits, staleServed, staleMax = s.staging[g].Consume(
-			uniq, now, int64(s.cfg.StaleBatches), version, rows, hitMask)
-		if prefetchHits > 0 {
-			demand := sc.demand[:0]
-			demandIdx := sc.demandIdx[:0]
-			stagedKeys := sc.staged[:0]
-			for i, k := range uniq {
-				if hitMask[i] {
-					stagedKeys = append(stagedKeys, k)
-				} else {
-					demand = append(demand, k)
-					demandIdx = append(demandIdx, int32(i))
-				}
-			}
-			sc.demand, sc.demandIdx, sc.staged = demand, demandIdx, stagedKeys
-			sc.batch.Staged[g] = stagedKeys
-			extractKeys = demand
-		}
-	}
+	extractKeys, staleServed := s.consumeStaged(g, sc, uniq, rows)
 
 	// One simulated extraction for the whole coalesced batch. The result
-	// aliases sc.core, so pull out the scalars we need before reusing it.
+	// aliases sc.core, so what the record needs of it is read before the
+	// gather below reuses the scratch.
 	sc.batch.Keys[g] = extractKeys
-	if sc.span != nil {
-		ft.extractStart = s.tl.Now()
-	}
+	extractStart := time.Now()
 	res, err := s.sys.ExtractBatchWith(&sc.batch, sc.core)
 	sc.batch.Keys[g] = nil
 	if sc.batch.Staged != nil {
@@ -877,39 +790,10 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 		s.fail(g, batch, err)
 		return
 	}
-	if sc.span != nil {
-		ft.extractEnd = s.tl.Now()
-		ft.gatherEnd = ft.extractEnd
-	}
-	simTime := res.Time
+	extractEnd := time.Now()
+	rec.SimSeconds = res.Time
+	s.tierSplit(g, res.SrcBytes[g], rec)
 	phases := res.Phases
-	sc.seq++
-	sampled := sc.seq%int64(s.cfg.TraceEvery) == 0
-	if s.ring != nil && sampled {
-		s.recordTrace(g, sc.seq, batch, res, requested, len(uniq), reason, queueWait, simTime, prefetchHits, staleMax)
-	}
-	// The flight batch event's tier split is read here, before the
-	// functional gather below reuses sc.core (res aliases the scratch).
-	var flLocal, flRemote, flHost, flNetwork float64
-	if sc.flight != nil {
-		host, network := int(s.sys.P.Host()), s.netSrc
-		for j, bytes := range res.SrcBytes[g] {
-			if bytes == 0 {
-				continue
-			}
-			sec := bytes * s.tpb[g][j]
-			switch {
-			case j == host:
-				flHost += sec
-			case j == network:
-				flNetwork += sec
-			case j == g:
-				flLocal += sec
-			default:
-				flRemote += sec
-			}
-		}
-	}
 
 	// Feed the §7.2 hotness sampler with this batch's unique keys; shard g
 	// belongs to this worker, so the observation is race-free.
@@ -920,46 +804,157 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 		s.ctrl.BatchObserved()
 	}
 
-	// One functional gather into the worker's row buffer, if the system
-	// holds bytes. With staged hits the gather covers only the residual
-	// demand keys — their rows land in a side buffer and are scattered back
-	// into the hit-interleaved positions; the staged rows were already
-	// copied by Consume.
+	gatherEnd := extractEnd
 	if s.functional {
-		if prefetchHits > 0 {
-			if len(extractKeys) > 0 {
-				need := len(extractKeys) * s.entryBytes
-				if cap(sc.demandRows) < need {
-					sc.demandRows = make([]byte, need)
-				}
-				dr := sc.demandRows[:need]
-				if err := s.sys.LookupWith(g, extractKeys, dr, sc.core); err != nil {
-					s.fail(g, batch, err)
-					return
-				}
-				for j, i := range sc.demandIdx {
-					copy(rows[int(i)*s.entryBytes:(int(i)+1)*s.entryBytes], dr[j*s.entryBytes:(j+1)*s.entryBytes])
-				}
-			}
-		} else if err := s.sys.LookupWith(g, uniq, rows, sc.core); err != nil {
+		if err := s.gather(g, sc, uniq, extractKeys, rows); err != nil {
 			s.fail(g, batch, err)
 			return
 		}
-		if sc.span != nil {
-			ft.gatherEnd = s.tl.Now()
+		gatherEnd = time.Now()
+	}
+	// Counted before the replies go out: a caller holding its Result finds
+	// itself in Stats, and requests + rejected + failed equals what admission
+	// was asked to take at every instant a caller can observe.
+	m := s.met
+	m.requests.Add(g, int64(len(batch)))
+	m.batches.Add(g, 1)
+	m.requestedKeys.Add(g, int64(rec.RequestedKeys))
+	m.uniqueKeys.Add(g, int64(len(uniq)))
+	m.simSeconds.Add(g, rec.SimSeconds)
+	m.fill[rec.Reason].Add(g, 1)
+	m.queueWait.Observe(g, rec.QueueWaitSeconds)
+	m.fillPrefetchHit.Add(g, int64(rec.PrefetchHits))
+	m.fillDemandMiss.Add(g, int64(len(uniq)-rec.PrefetchHits))
+	if s.staging != nil {
+		if staleServed > 0 {
+			m.staleServedKeys.Add(g, int64(staleServed))
+		}
+		m.staleness.Set(float64(rec.StaleBatches))
+		// Advance GPU g's batch clock: the staleness window of every staged
+		// row is measured against it.
+		s.servedKeys[g].Add(int64(rec.RequestedKeys))
+	}
+	s.reply(g, batch, sc, rows)
+
+	done := time.Now()
+	rec.CoalesceSeconds = extractStart.Sub(dequeued).Seconds()
+	rec.ExtractSeconds = extractEnd.Sub(extractStart).Seconds()
+	rec.GatherSeconds = gatherEnd.Sub(extractEnd).Seconds()
+	rec.ReplySeconds = done.Sub(gatherEnd).Seconds()
+	rec.UnixNanos = done.UnixNano()
+	sc.ring.Record(rec)
+	if sc.span != nil && rec.Seq%int64(s.cfg.TraceEvery) == 0 {
+		s.emitLinkFlows(sc, phases, s.tl.Since(extractStart))
+	}
+}
+
+// dedupe coalesces the batch's keys with the generation-stamped
+// open-addressing table, remembering each unique key's row index, and
+// returns the unique keys in first-seen order.
+func (sc *workerScratch) dedupe(batch []*request) []int64 {
+	sc.dedup.Reset(sc.rec.RequestedKeys)
+	uniq := sc.uniq[:0]
+	for _, r := range batch {
+		for _, k := range r.keys {
+			if _, fresh := sc.dedup.Add(k); fresh {
+				uniq = append(uniq, k)
+			}
 		}
 	}
+	sc.uniq = uniq
+	return uniq
+}
 
-	// Fan back out: one caller-owned allocation for the whole batch, carved
-	// into full-capacity-clipped per-request sub-slices.
+// consumeStaged resolves staged prefetch hits before the extraction
+// (pipeline on only): hit rows are copied straight out of the staging arena
+// under one read lock, the residual demand keys — the return value — ride
+// the extraction as usual, and the staged keys are charged as local reads
+// via the staged-source plan so the batch's modelled time reflects the
+// overlap win. The hit count and the maximum staleness go into the record.
+func (s *Server) consumeStaged(g int, sc *workerScratch, uniq []int64, rows []byte) (demand []int64, staleServed int) {
+	if s.staging == nil {
+		return uniq, 0
+	}
+	hitMask := grow(&sc.hit, len(uniq))
+	rec := &sc.rec
+	rec.PrefetchHits, staleServed, rec.StaleBatches = s.staging[g].Consume(
+		uniq, s.batchClock(g), int64(s.cfg.StaleBatches), s.sys.PlacementVersion(), rows, hitMask)
+	if rec.PrefetchHits == 0 {
+		return uniq, staleServed
+	}
+	demand = sc.demand[:0]
+	demandIdx := sc.demandIdx[:0]
+	stagedKeys := sc.staged[:0]
+	for i, k := range uniq {
+		if hitMask[i] {
+			stagedKeys = append(stagedKeys, k)
+		} else {
+			demand = append(demand, k)
+			demandIdx = append(demandIdx, int32(i))
+		}
+	}
+	sc.demand, sc.demandIdx, sc.staged = demand, demandIdx, stagedKeys
+	sc.batch.Staged[g] = stagedKeys
+	return demand, staleServed
+}
+
+// tierSplit is the one place an extraction's per-source volumes become the
+// record's local / remote / host / network bytes and modelled seconds.
+func (s *Server) tierSplit(g int, srcBytes []float64, rec *flight.Batch) {
+	host, network := int(s.sys.P.Host()), s.netSrc
+	for j, bytes := range srcBytes {
+		if bytes == 0 {
+			continue
+		}
+		sec := bytes * s.tpb[g][j]
+		switch {
+		case j == host:
+			rec.HostBytes += bytes
+			rec.HostSeconds += sec
+		case j == network:
+			rec.NetworkBytes += bytes
+			rec.NetworkSeconds += sec
+		case j == g:
+			rec.LocalBytes += bytes
+			rec.LocalSeconds += sec
+		default:
+			rec.RemoteBytes += bytes
+			rec.RemoteSeconds += sec
+		}
+	}
+}
+
+// gather is the one functional gather into the worker's row buffer. With
+// staged hits it covers only the residual demand keys — their rows land in a
+// side buffer and are scattered back into the hit-interleaved positions; the
+// staged rows were already copied by Consume.
+func (s *Server) gather(g int, sc *workerScratch, uniq, demand []int64, rows []byte) error {
+	if sc.rec.PrefetchHits == 0 {
+		return s.sys.LookupWith(g, uniq, rows, sc.core)
+	}
+	if len(demand) == 0 {
+		return nil
+	}
+	dr := grow(&sc.demandRows, len(demand)*s.entryBytes)
+	if err := s.sys.LookupWith(g, demand, dr, sc.core); err != nil {
+		return err
+	}
+	for j, i := range sc.demandIdx {
+		copy(rows[int(i)*s.entryBytes:(int(i)+1)*s.entryBytes], dr[j*s.entryBytes:(j+1)*s.entryBytes])
+	}
+	return nil
+}
+
+// reply fans the results back out: one caller-owned allocation for the whole
+// batch, carved into full-capacity-clipped per-request sub-slices.
+func (s *Server) reply(g int, batch []*request, sc *workerScratch, rows []byte) {
 	var outBuf []byte
 	if rows != nil {
-		outBuf = make([]byte, requested*s.entryBytes)
+		outBuf = make([]byte, sc.rec.RequestedKeys*s.entryBytes)
 	}
 	off := 0
-	maxLat := 0.0
 	for _, r := range batch {
-		out := Result{SimSeconds: simTime, BatchKeys: len(uniq)}
+		out := Result{SimSeconds: sc.rec.SimSeconds, BatchKeys: sc.rec.UniqueKeys}
 		if rows != nil {
 			end := off + len(r.keys)*s.entryBytes
 			out.Rows = outBuf[off:end:end]
@@ -970,108 +965,17 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, reason teleme
 			off = end
 		}
 		r.out <- out
-		lat := time.Since(r.enqueued).Seconds()
-		if lat > maxLat {
-			maxLat = lat
-		}
-		s.met.latency.Observe(g, lat)
-	}
-
-	m := s.met
-	m.requests.Add(g, int64(len(batch)))
-	m.batches.Add(g, 1)
-	m.requestedKeys.Add(g, int64(requested))
-	m.uniqueKeys.Add(g, int64(len(uniq)))
-	m.simSeconds.Add(g, simTime)
-	m.fill[reason].Add(g, 1)
-	m.queueWait.Observe(g, queueWait.Seconds())
-	m.fillPrefetchHit.Add(g, int64(prefetchHits))
-	m.fillDemandMiss.Add(g, int64(len(uniq)-prefetchHits))
-	if s.staging != nil {
-		if staleServed > 0 {
-			m.staleServedKeys.Add(g, int64(staleServed))
-		}
-		m.staleness.Set(float64(staleMax))
-		// Advance GPU g's batch clock: the staleness window of every staged
-		// row is measured against it.
-		s.servedKeys[g].Add(int64(requested))
-	}
-
-	if sc.span != nil {
-		ft.replyEnd = s.tl.Now()
-		s.emitFlushSpans(g, sc, &ft, len(batch), requested, len(uniq), reason, simTime, phases, sampled, prefetchHits, staleMax)
-	}
-
-	if sc.flight != nil {
-		// The event's Seq is this worker's batch sequence — the same value
-		// the timeline root span carries as its seq arg, which is what lets
-		// a bundle's exemplar resolve into the matching span tree. Recorded
-		// after the spans are out, so an event that predates a timeline
-		// snapshot has its whole tree in it (flight.WriteBundle).
-		e := flight.Event{Kind: flight.KindBatch, GPU: int32(g), Seq: sc.seq,
-			UnixNanos: time.Now().UnixNano()}
-		e.V[flight.BatchLatencySeconds] = maxLat
-		e.V[flight.BatchRequests] = float64(len(batch))
-		e.V[flight.BatchUniqueKeys] = float64(len(uniq))
-		e.V[flight.BatchPrefetchHits] = float64(prefetchHits)
-		e.V[flight.BatchSimSeconds] = simTime
-		e.V[flight.BatchLocalSeconds] = flLocal
-		e.V[flight.BatchRemoteSeconds] = flRemote
-		e.V[flight.BatchHostSeconds] = flHost
-		e.V[flight.BatchNetworkSeconds] = flNetwork
-		sc.flight.Record(&e)
+		s.met.latency.Observe(g, time.Since(r.enqueued).Seconds())
 	}
 }
 
-// flushTimes are one traced flush's wall-clock checkpoints, in seconds since
-// the recorder epoch. gatherEnd equals extractEnd in timing-only mode.
-type flushTimes struct {
-	enqueue, dequeue, extractStart, extractEnd, gatherEnd, replyEnd float64
-}
-
-// emitFlushSpans renders one flushed batch as its span tree on the serve
-// track and — for sampled batches whose extraction carried a fluid-sim phase
-// log — the per-link flow spans on the sim track, anchored at the
-// extraction's wall start so the simulated timeline nests visually under the
-// extract span. All names are package literals; nothing here allocates
-// beyond the shard's ring copy.
-func (s *Server) emitFlushSpans(g int, sc *workerScratch, ft *flushTimes,
-	requests, requested, unique int, reason telemetry.FillReason,
-	simTime float64, phases *sim.PhaseLog, sampled bool,
-	prefetchHits int, staleMax int64) {
-	tid := int32(g)
-	root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,
-		PID: timeline.ProcServe, TID: tid, Start: ft.enqueue, Dur: ft.replyEnd - ft.enqueue}
-	// seq keys the span tree to this worker's batch sequence — the join
-	// column flight-recorder exemplars resolve through.
-	root.AddArg("seq", float64(sc.seq))
-	root.AddArg("requests", float64(requests))
-	root.AddArg("requested_keys", float64(requested))
-	root.AddArg("unique_keys", float64(unique))
-	root.AddArg("sim_seconds", simTime)
-	root.AddArg("fill_reason", float64(reason))
-	if s.staging != nil {
-		root.AddArg("prefetch_hits", float64(prefetchHits))
-		root.AddArg("staleness_batches", float64(staleMax))
-	}
-	sc.span.Emit(&root)
-	child := func(name string, start, end float64) {
-		if end < start {
-			end = start
-		}
-		ev := timeline.Event{Name: name, Cat: "serve", Ph: timeline.PhSpan,
-			PID: timeline.ProcServe, TID: tid, Start: start, Dur: end - start}
-		sc.span.Emit(&ev)
-	}
-	child("queue-wait", ft.enqueue, ft.dequeue)
-	child("coalesce", ft.dequeue, ft.extractStart)
-	child("extract", ft.extractStart, ft.extractEnd)
-	if ft.gatherEnd > ft.extractEnd {
-		child("gather", ft.extractEnd, ft.gatherEnd)
-	}
-	child("reply", ft.gatherEnd, ft.replyEnd)
-
-	if !sampled || phases == nil {
+// emitLinkFlows renders a sampled extraction's fluid-sim phase log as
+// per-link flow spans on the sim track, anchored at the extraction's wall
+// start (seconds since the recorder epoch) so the simulated timeline nests
+// visually under the batch's extract span. All names are package literals;
+// nothing here allocates beyond the shard's ring copy.
+func (s *Server) emitLinkFlows(sc *workerScratch, phases *sim.PhaseLog, start float64) {
+	if phases == nil {
 		return
 	}
 	prev := 0.0
@@ -1083,7 +987,7 @@ func (s *Server) emitFlushSpans(g int, sc *workerScratch, ft *flushTimes,
 				continue
 			}
 			ev := timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan,
-				PID: timeline.ProcSim, TID: int32(l), Start: ft.extractStart + prev, Dur: end - prev}
+				PID: timeline.ProcSim, TID: int32(l), Start: start + prev, Dur: end - prev}
 			if c := s.linkCap[l]; c > 0 {
 				ev.AddArg("util", rate/c)
 			}
@@ -1094,55 +998,12 @@ func (s *Server) emitFlushSpans(g int, sc *workerScratch, ft *flushTimes,
 	}
 }
 
-// recordTrace snapshots one batch into the trace ring: formation stats plus
-// the per-tier bytes and modelled seconds from the extractor's
-// source-volume matrix (read before the scratch is reused).
-func (s *Server) recordTrace(g int, seq int64, batch []*request, res *extract.Result,
-	requested, unique int, reason telemetry.FillReason, queueWait time.Duration, simTime float64,
-	prefetchHits int, staleMax int64) {
-	tr := telemetry.BatchTrace{
-		Seq:              seq,
-		GPU:              g,
-		UnixNanos:        time.Now().UnixNano(),
-		QueueWaitSeconds: queueWait.Seconds(),
-		Requests:         len(batch),
-		RequestedKeys:    requested,
-		UniqueKeys:       unique,
-		Reason:           reason,
-		SimSeconds:       simTime,
-		PrefetchHits:     prefetchHits,
-		StaleBatches:     staleMax,
-	}
-	host, network := int(s.sys.P.Host()), s.netSrc
-	for j, bytes := range res.SrcBytes[g] {
-		if bytes == 0 {
-			continue
-		}
-		sec := bytes * s.tpb[g][j]
-		switch {
-		case j == host:
-			tr.HostBytes += bytes
-			tr.HostSeconds += sec
-		case j == network:
-			tr.NetworkBytes += bytes
-			tr.NetworkSeconds += sec
-		case j == g:
-			tr.LocalBytes += bytes
-			tr.LocalSeconds += sec
-		default:
-			tr.RemoteBytes += bytes
-			tr.RemoteSeconds += sec
-		}
-	}
-	s.ring.Record(&tr)
-}
-
 // fail answers every request of a batch whose extraction or gather errored,
 // and counts them: requests + rejected + failed is every request admission
 // was asked to take.
 func (s *Server) fail(g int, batch []*request, err error) {
+	s.met.failed.Add(g, int64(len(batch))) // before the replies, as in flush
 	for _, r := range batch {
 		r.out <- Result{Err: err}
 	}
-	s.met.failed.Add(g, int64(len(batch)))
 }

@@ -8,6 +8,7 @@ import (
 	"ugache/internal/core"
 	"ugache/internal/platform"
 	"ugache/internal/telemetry"
+	"ugache/internal/timeline"
 )
 
 func sampleValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
@@ -23,7 +24,7 @@ func sampleValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 
 // TestServeTelemetry drives the instrumented engine end to end and checks
 // the whole surface: coalescing counters, fill reasons, the latency
-// histogram, the per-tier extraction split, and the trace ring.
+// histogram, the per-tier extraction split, and the batch records.
 func TestServeTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry(4)
 	sys, err := core.Build(core.Config{
@@ -40,7 +41,6 @@ func TestServeTelemetry(t *testing.T) {
 	srv, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
 		Telemetry:    reg,
-		TraceDepth:   32,
 		Sampler:      sampler,
 	})
 	if err != nil {
@@ -115,12 +115,8 @@ func TestServeTelemetry(t *testing.T) {
 		t.Fatalf("core_extract_batches_total %g, serve batches %g", got, batches)
 	}
 
-	// Trace ring: records exist and are internally consistent.
-	ring := srv.Trace()
-	if ring == nil {
-		t.Fatal("trace ring disabled at default config")
-	}
-	traces := ring.Snapshot(nil)
+	// Batch records: they exist and are internally consistent.
+	traces := srv.Trace().Snapshot(nil)
 	if len(traces) == 0 {
 		t.Fatal("no batch traces recorded")
 	}
@@ -139,7 +135,7 @@ func TestServeTelemetry(t *testing.T) {
 		}
 	}
 	if traceReqs != reqs {
-		t.Fatalf("traced requests %d, want %d (TraceEvery default must record every batch)", traceReqs, reqs)
+		t.Fatalf("traced requests %d, want %d (every batch leaves a record)", traceReqs, reqs)
 	}
 
 	// Sampler wiring: every flushed batch was observed, shard-per-worker.
@@ -235,7 +231,10 @@ func TestServeTelemetryPrefetchFillSplit(t *testing.T) {
 	}
 }
 
-// TestServeTelemetryTraceSampling checks TraceEvery thins the ring.
+// TestServeTelemetryTraceSampling pins what TraceEvery samples and what it
+// does not: every flush writes exactly one record into its worker's ring
+// (Recorded() == N after N flushes, and nowhere else), while only every
+// TraceEvery-th batch emits link-flow spans.
 func TestServeTelemetryTraceSampling(t *testing.T) {
 	sys, err := core.Build(core.Config{
 		Platform:   platform.ServerA(),
@@ -246,19 +245,45 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sys, Config{MaxBatchKeys: 1, TraceEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if _, err := srv.Lookup(0, []int64{int64(i)}); err != nil {
+	linkFlows := func(every int) (int, *Server) {
+		tl := timeline.NewRecorder(sys.P.N, 4096)
+		srv, err := New(sys, Config{MaxBatchKeys: 1, TraceEvery: every, Timeline: tl})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 16; i++ {
+			if _, err := srv.Lookup(0, []int64{int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		n := 0
+		for _, ev := range tl.Events() {
+			if ev.Name == "link-flow" {
+				n++
+			}
+		}
+		return n, srv
 	}
-	srv.Close()
-	// 16 single-request batches on worker 0, every 4th traced.
-	if n := srv.Trace().Len(); n != 4 {
-		t.Fatalf("trace ring holds %d records, want 4", n)
+	all, _ := linkFlows(1)
+	sampled, srv := linkFlows(4)
+	if sampled == 0 || sampled >= all {
+		t.Fatalf("link-flow spans: %d at TraceEvery 4, %d at 1 — sampling should thin them", sampled, all)
+	}
+	// 16 single-request batches on worker 0: 16 records there, none elsewhere.
+	for g, ring := range srv.rings {
+		if want := uint64(16); g == 0 && ring.Recorded() != want || g != 0 && ring.Recorded() != 0 {
+			t.Fatalf("worker %d ring recorded %d", g, ring.Recorded())
+		}
+	}
+	traces := srv.Trace().Snapshot(nil)
+	if len(traces) != 16 {
+		t.Fatalf("Trace() holds %d records, want 16", len(traces))
+	}
+	for i, tr := range traces {
+		if tr.Seq != int64(i+1) || tr.GPU != 0 {
+			t.Fatalf("record %d = %+v", i, tr)
+		}
 	}
 	st := srv.Stats()
 	if st.Requests != 16 || st.Batches != 16 {

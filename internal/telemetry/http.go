@@ -9,6 +9,13 @@ import (
 	"strconv"
 )
 
+// TraceWriter renders the last-N per-batch records as a JSON array — in
+// practice *flight.Trace (serve.Server.Trace), accepted as an interface so
+// telemetry does not import the flight package.
+type TraceWriter interface {
+	WriteJSON(w io.Writer) error
+}
+
 // TimelineWriter is anything that can export a Chrome trace-event JSON
 // document — in practice *timeline.Recorder, accepted as an interface so
 // telemetry does not import the timeline package.
@@ -32,8 +39,8 @@ type FlightDebug interface {
 type HandlerConfig struct {
 	// Registry backs /metrics (plain-text exposition format).
 	Registry *Registry
-	// Trace backs /debug/trace (last-N batch trace records, JSON).
-	Trace *TraceRing
+	// Trace backs /debug/trace (last-N batch records, JSON).
+	Trace TraceWriter
 	// Timeline backs /debug/timeline (Chrome trace-event JSON for
 	// Perfetto / chrome://tracing).
 	Timeline TimelineWriter
@@ -180,12 +187,4 @@ func mustJSON(v interface{}) string {
 		return `{"error":"encode failure"}`
 	}
 	return string(b)
-}
-
-// Handler serves the registry at /metrics and, when ring is non-nil, the
-// last-N batch traces at /debug/trace. It is the pre-timeline form of
-// NewHandler, kept for callers that need neither timeline export nor health
-// probes; either argument may be nil (404 on the matching endpoint).
-func Handler(reg *Registry, ring *TraceRing) http.Handler {
-	return NewHandler(HandlerConfig{Registry: reg, Trace: ring})
 }

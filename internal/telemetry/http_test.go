@@ -75,8 +75,7 @@ func TestTimelineEndpoint(t *testing.T) {
 }
 
 func TestHandlerNilEndpoints404(t *testing.T) {
-	// The legacy wrapper exposes neither timeline nor health.
-	srv := httptest.NewServer(Handler(nil, nil))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{}))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/debug/trace", "/debug/timeline", "/healthz", "/readyz", "/nope"} {
 		if resp, _ := get(t, srv, path); resp.StatusCode != http.StatusNotFound {

@@ -165,25 +165,6 @@ func (s *Shard) snapshot(dst []Event) []Event {
 	return dst
 }
 
-// oldestArg returns arg key of the oldest held event named name.
-func (s *Shard) oldestArg(name, key string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := (s.next - s.n + len(s.buf)) % len(s.buf)
-	for i := 0; i < s.n; i++ {
-		e := &s.buf[(start+i)%len(s.buf)]
-		if e.Name != name {
-			continue
-		}
-		for a := int32(0); a < e.NArgs; a++ {
-			if e.Args[a].Key == key {
-				return e.Args[a].Val, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // Recorder owns the per-worker span rings and the track-name registry of
 // one process. One recorder is shared by every instrumented layer (serve,
 // core, cache, solver); nil recorders disable tracing at each layer behind
@@ -195,6 +176,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	procs   map[int32]string
 	threads map[int64]string // pid<<32 | tid
+	sources []func(dst []Event) []Event
 }
 
 // DefaultDepth is the per-shard ring depth used when NewRecorder is given
@@ -236,13 +218,14 @@ func (r *Recorder) Shard(i int) *Shard {
 	return &r.shards[i%len(r.shards)]
 }
 
-// OldestArg returns arg key of the oldest event named name that writer
-// shard i still holds: for a name whose events carry a rising sequence
-// number (the serve worker's "batch" roots and their "seq"), how far back
-// that writer's window reaches — everything it emitted from that event on is
-// still in the ring.
-func (r *Recorder) OldestArg(i int, name, key string) (float64, bool) {
-	return r.Shard(i).oldestArg(name, key)
+// AddSource registers a function Events (and so WriteTrace) calls to append
+// events that are rendered on demand instead of being stored in a shard —
+// the serve batch trees, which are derived from the flight record rings at
+// export time. src must be safe to call from any goroutine.
+func (r *Recorder) AddSource(src func(dst []Event) []Event) {
+	r.mu.Lock()
+	r.sources = append(r.sources, src)
+	r.mu.Unlock()
 }
 
 // Now returns seconds since the recorder's epoch — the Start value for a
@@ -282,13 +265,20 @@ func (r *Recorder) Dropped() int64 {
 	return total
 }
 
-// Events returns a merged snapshot of every shard, sorted by start time
-// (ties broken by pid, tid, name, duration so the order — and therefore the
-// exported JSON — is deterministic for identical recorded content).
+// Events returns a merged snapshot of every shard and source, sorted by
+// start time (ties broken by pid, tid, name, duration so the order — and
+// therefore the exported JSON — is deterministic for identical recorded
+// content).
 func (r *Recorder) Events() []Event {
 	var out []Event
 	for i := range r.shards {
 		out = r.shards[i].snapshot(out)
+	}
+	r.mu.Lock()
+	sources := r.sources[:len(r.sources):len(r.sources)]
+	r.mu.Unlock()
+	for _, src := range sources {
+		out = src(out)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]

@@ -45,6 +45,7 @@ import (
 	"ugache/internal/core"
 	"ugache/internal/emb"
 	"ugache/internal/extract"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/serve"
@@ -251,16 +252,24 @@ type TelemetryRegistry = telemetry.Registry
 // lock-free update shards (use the platform's GPU count for serving).
 func NewTelemetryRegistry(shards int) *TelemetryRegistry { return telemetry.NewRegistry(shards) }
 
-// BatchTrace is one coalesced batch's trace record (Server.Trace).
-type BatchTrace = telemetry.BatchTrace
+// BatchTrace is one coalesced batch's record (Server.Trace): how it formed,
+// where its wall time went, and its modelled cost split by source tier.
+type BatchTrace = flight.Batch
 
-// TraceRing is the last-N ring of batch traces kept by a Server.
-type TraceRing = telemetry.TraceRing
+// TraceRing is the read-side view over the last-N batch records a Server's
+// workers hold (Server.Trace).
+type TraceRing = flight.Trace
 
 // TelemetryHandler serves /metrics (Prometheus text format) and
-// /debug/trace (JSON) for a registry and an optional trace ring.
+// /debug/trace (JSON) for a registry and an optional trace view.
 func TelemetryHandler(reg *TelemetryRegistry, ring *TraceRing) http.Handler {
-	return telemetry.Handler(reg, ring)
+	cfg := telemetry.HandlerConfig{Registry: reg}
+	if ring != nil {
+		// Assigned only when non-nil: a typed-nil view in the interface
+		// field would pass the handler's nil check and panic.
+		cfg.Trace = ring
+	}
+	return telemetry.NewHandler(cfg)
 }
 
 // TelemetryHandlerConfig selects the endpoints of NewTelemetryHandler:
