@@ -27,6 +27,7 @@ fmt:
 # testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLPSolve -fuzztime 10s ./internal/lp
+	$(GO) test -run xxx -fuzz FuzzEstimatePresence -fuzztime 10s ./internal/workload
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner, and the

@@ -85,9 +85,23 @@ func main() {
 		}
 		fmt.Printf("%s: %d batches, %d keys total, %d entries\n",
 			*info, len(tr.Batches), total, tr.NumEntries)
-		for _, frac := range []float64{0.001, 0.01, 0.1} {
+		fracs := []float64{0.001, 0.01, 0.1}
+		for _, frac := range fracs {
 			fmt.Printf("  top %5.1f%% of entries cover %5.1f%% of accesses\n",
 				frac*100, hot.TopShare(frac)*100)
+		}
+		// The estimate checks itself: what a profile of the first half says
+		// its hottest entries cover, next to what they cover in the second.
+		if predicted, delivered, err := tr.HeldOutCoverage(fracs); err != nil {
+			fmt.Printf("  no held-out check: %v\n", err)
+		} else {
+			half := len(tr.Batches) / 2
+			fmt.Printf("  profile of batches 1-%d against batches %d-%d, share of a batch's distinct keys:\n",
+				half, half+1, len(tr.Batches))
+			fmt.Printf("    hottest entries  predicted  delivered\n")
+			for i, frac := range fracs {
+				fmt.Printf("    %14.1f%%  %8.1f%%  %8.1f%%\n", frac*100, predicted[i]*100, delivered[i]*100)
+			}
 		}
 
 	case *checkTL != "":

@@ -106,7 +106,9 @@ type driftMetrics struct {
 //
 // The measured side merges incrementally from the sampler's existing
 // per-worker shards into a reused buffer — a check allocates nothing in
-// steady state and never blocks observation for longer than one shard merge.
+// steady state and never blocks a worker's observation for longer than one
+// pass over its shard (a sampler with a single shard is estimated in place,
+// and holds it for the estimate).
 type DriftDetector struct {
 	cfg     DriftConfig
 	sampler *HotnessSampler

@@ -184,6 +184,7 @@ type HotnessSampler struct {
 
 	mu     sync.Mutex
 	shards []*SamplerShard
+	merged []uint32 // the shards' counts summed, when there are several
 }
 
 // SamplerShard is one caller's private slice of the sampler. A shard
@@ -192,7 +193,7 @@ type HotnessSampler struct {
 // background Hotness merge may run while observation continues.
 type SamplerShard struct {
 	mu      sync.Mutex
-	counts  []float64
+	counts  []uint32
 	dedup   *hashtable.Dedup
 	sampled int
 	seen    int
@@ -218,7 +219,7 @@ func (h *HotnessSampler) Shard(i int) *SamplerShard {
 	defer h.mu.Unlock()
 	for len(h.shards) <= i {
 		h.shards = append(h.shards, &SamplerShard{
-			counts: make([]float64, h.numEntries),
+			counts: make([]uint32, h.numEntries),
 			dedup:  hashtable.NewDedup(256),
 			every:  h.every,
 		})
@@ -246,8 +247,8 @@ func (s *SamplerShard) Observe(keys []int64) {
 		if k < 0 || k >= int64(len(s.counts)) {
 			continue
 		}
-		if _, fresh := s.dedup.Add(k); fresh {
-			s.counts[k]++
+		if _, fresh := s.dedup.Add(k); fresh && s.counts[k] != math.MaxUint32 {
+			s.counts[k]++ // saturating: a window nobody resets must not wrap to "never seen"
 		}
 	}
 }
@@ -265,8 +266,8 @@ func (h *HotnessSampler) Batches() int {
 	return total
 }
 
-// Hotness merges the shards into the measured per-entry expected accesses
-// per iteration.
+// Hotness merges the shards into the measured per-entry expected presence
+// per batch (see HotnessInto).
 func (h *HotnessSampler) Hotness() (workload.Hotness, error) {
 	out := make(workload.Hotness, h.numEntries)
 	if _, err := h.HotnessInto(out); err != nil {
@@ -275,10 +276,14 @@ func (h *HotnessSampler) Hotness() (workload.Hotness, error) {
 	return out, nil
 }
 
-// HotnessInto merges the shards into dst (len NumEntries, overwritten) and
-// returns how many batches the merge covers. It allocates nothing, so a
-// periodic caller — the drift detector — can re-merge against a reused
-// buffer as observation continues.
+// HotnessInto merges the shards' presence counts and writes the hotness they
+// estimate into dst (len NumEntries, overwritten), returning how many batches
+// the merge covers. The estimate is workload.EstimatePresence, the same one
+// ProfileBatches applies to recorded batches, so an online re-solve plans on
+// what the window predicts for the batches after it, not on raw counts. It
+// allocates nothing in steady state (several shards share one summed-count
+// buffer the sampler keeps), so a periodic caller — the drift detector — can
+// re-merge against a reused buffer as observation continues.
 func (h *HotnessSampler) HotnessInto(dst workload.Hotness) (int, error) {
 	if int64(len(dst)) != h.numEntries {
 		return 0, fmt.Errorf("cache: hotness buffer for %d entries, sampler has %d", len(dst), h.numEntries)
@@ -294,15 +299,28 @@ func (h *HotnessSampler) HotnessInto(dst workload.Hotness) (int, error) {
 	if sampled == 0 {
 		return 0, fmt.Errorf("cache: no batches sampled")
 	}
-	clear(dst)
-	inv := 1 / float64(sampled)
-	for _, s := range h.shards {
+	if len(h.shards) == 1 { // nothing to sum: estimate straight from the shard
+		s := h.shards[0]
 		s.mu.Lock()
-		for i, c := range s.counts {
-			dst[i] += c * inv
+		workload.EstimatePresence(dst, s.counts, sampled)
+		s.mu.Unlock()
+		return sampled, nil
+	}
+	if h.merged == nil {
+		h.merged = make([]uint32, h.numEntries)
+	}
+	for n, s := range h.shards {
+		s.mu.Lock()
+		if n == 0 {
+			copy(h.merged, s.counts)
+		} else {
+			for i, c := range s.counts {
+				h.merged[i] += c
+			}
 		}
 		s.mu.Unlock()
 	}
+	workload.EstimatePresence(dst, h.merged, sampled)
 	return sampled, nil
 }
 

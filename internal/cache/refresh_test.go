@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ugache/internal/platform"
+	"ugache/internal/rng"
 	"ugache/internal/solver"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
@@ -288,8 +289,65 @@ func TestHotnessSamplerEvery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h[1] != 1 || h[2] != 0.5 || h[3] != 0 {
+	// Key 3's batch was skipped: it reads like key 0, which no batch held (the
+	// never-seen estimate, 0 until the sampler shared ProfileBatches'
+	// estimator), not like a key seen once in two batches.
+	if h[1] != 1 || h[2] != 0.5 || h[3] != h[0] || h[3] >= h[2] {
 		t.Fatalf("hotness %v", h[:4])
+	}
+}
+
+// TestHotnessSamplerSharesProfileEstimator pins the two doors to the solver to
+// one estimator: a sampler fed the batches ProfileBatches is given returns the
+// same vector bit for bit, whether one shard saw them or three did, on an
+// input large enough for adjusted counts and many buckets. And re-merging
+// into a caller's buffer allocates nothing once the sampler has its
+// summed-count buffer.
+func TestHotnessSamplerSharesProfileEstimator(t *testing.T) {
+	const n, batches = 20_000, 48
+	z, err := workload.NewZipf(n, 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(23)
+	rec := make([][]int64, batches)
+	for i := range rec {
+		for j := 0; j < 700; j++ {
+			rec[i] = append(rec[i], z.Sample(r))
+		}
+	}
+	want, err := workload.ProfileBatches(n, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := map[float64]bool{}
+	for _, v := range want {
+		levels[v] = true
+	}
+	if len(levels) < 2*batches {
+		t.Fatalf("%d distinct estimates: the input does not reach the local levels", len(levels))
+	}
+	for _, shards := range []int{1, 3} {
+		s := NewHotnessSampler(n, 1)
+		for i, b := range rec {
+			s.Shard(i % shards).Observe(b)
+		}
+		got := make(workload.Hotness, n)
+		if _, err := s.HotnessInto(got); err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%d shards: hotness[%d] = %v, ProfileBatches says %v", shards, k, got[k], want[k])
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			if _, err := s.HotnessInto(got); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%d shards: HotnessInto allocates %v times per merge", shards, allocs)
+		}
 	}
 }
 

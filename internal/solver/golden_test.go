@@ -139,6 +139,11 @@ func TestGoldenPlacements(t *testing.T) {
 	}
 }
 
+// The eight serverC-cr entries were re-recorded when ProfileBatches, which
+// builds that input's hotness, took workload.EstimatePresence in place of raw
+// presence counts: the solver is untouched, its input moved (modelled
+// makespan 10.07 us -> 8.70 us). The other three inputs compute their hotness
+// analytically and kept their bytes through that change.
 var goldenSolves = map[string]goldenSolve{
 	"serverA-400k/ugache":            {"366e27a5d4efe7c9c241e0173ae03653fce8a1138f1ce03ca88332af9246715a", 0x3eb9a79fb37f1972},
 	"serverA-400k/ugache-greedy":     {"5b9af92ad42195c2076830c78e0d9f38eeaa32f5bf0996434ff7565295241385", 0x3ebb8e6ae969577f},
@@ -156,14 +161,14 @@ var goldenSolves = map[string]goldenSolve{
 	"cluster2-400k/replication":      {"196187db6a97e14d1c98b86a1fc4aa64707787a56f7ae3970a31a3478a432b79", 0x3f0439c72f9e59be},
 	"cluster2-400k/partition":        {"5c6328ac2e42bedbd5c38de44630a715f593b1dfe19e0b9c21af48e5c5dbc1d6", 0x3efd38254f63bf53},
 	"cluster2-400k/clique-partition": {"fe31bafc7f4d43e6e4b92bd20713dca355fac11edd59cd82f3cb5fa04d4c5d16", 0x3efd38254f63bf53},
-	"serverC-cr/ugache":              {"df67ec6b5f75ec562081e6b6f76a8ab8c092b0ac794741629e297bd9b7855cb0", 0x3ee5205d946e0dfe},
-	"serverC-cr/ugache-greedy":       {"5554fc025966325e960bae825ec782b543b07cf67cc90096bf157e4755d2df59", 0x3eebd112ab33b025},
-	"serverC-cr/rep-part-17":         {"704c2d00c54b28f4a06c2b4cc2f0e90321c19b61db886742fc89d59f5027c910", 0x3ee552b4f57cd340},
-	"serverC-cr/rep-part-33":         {"2bbe5ad7ba900d3983d17d91e1fceeaad04bf02c5bc919513fff60ed9504672f", 0x3ee5205d946e0dfe},
-	"serverC-cr/optimal-lp":          {"ebf46bed87ce30fa02bb8fda0c6b78c57271ffdfb4881ee30acb76d91c2a10f3", 0x3ee5b8eae6707299},
-	"serverC-cr/replication":         {"640af9d40371f2e6f5bffaab172a73d1ce0fd374dad28711d44f99caceb91bab", 0x3f023e2cf6ad14f1},
-	"serverC-cr/partition":           {"1bfd0e776f258a6bc762315d9d879c3b0849f634dfd506ada695d2baa2f0a85d", 0x3ef4653c90ba2f71},
-	"serverC-cr/clique-partition":    {"5cb9c6534a8d3fc5f63fba391b30cf95ea3f7c79e5b8a1dd7412986aed544b1e", 0x3ef4653c90ba2f71},
+	"serverC-cr/ugache":              {"4b117b4b69631b67d2cdcd1f84fe1e4634709ea0ac21a3f4b2cbbf805126b908", 0x3ee240e335c8c9dd},
+	"serverC-cr/ugache-greedy":       {"27193cc84d1875e42c2d55e67a35eb3f933085ecd5ebbb1dc9d59d6a5eb6690e", 0x3ee3be7e7c7129a9},
+	"serverC-cr/rep-part-17":         {"4aa59ab778eb2127414d2d420264a2ec035b50f2f5bd6d97c1009746f38f9a8b", 0x3ee25c34879a0e20},
+	"serverC-cr/rep-part-33":         {"cafea744c55fb91b824f6abbff3d584c20774306b42d637825912c8b7393ae9f", 0x3ee240e335c8c9dd},
+	"serverC-cr/optimal-lp":          {"7309cddd706a9dd112b46c6f5d0f587d5dc709df46a7071e77c23e906266cfb7", 0x3ee4405796115f5f},
+	"serverC-cr/replication":         {"93b9d8f4289509836af2d1704082d0c11b8055e7a888f14f46ac94f69bf80db1", 0x3efc1b36c1ad0b55},
+	"serverC-cr/partition":           {"3961dd26313970f8e25856fa5b7103a1436e7f8c3d3c7bee4bcbf5fae799d20c", 0x3ef3dd2745e08eaf},
+	"serverC-cr/clique-partition":    {"5182161cc397095a7b1d4591977ed379eb3c209b23afa5c6279c48a138d9ef5a", 0x3ef3dd2745e08eaf},
 	"serverB-60k/ugache":             {"8b94b16c94cb93b4e34279b8e5cd458f36a34c69bbcfd2f4915f615447d4037c", 0x3f40ba885587c5ca},
 	"serverB-60k/ugache-greedy":      {"2006e758c7d61ebaba8a178fa5621f33682ff34e28fb00437035441b578fca15", 0x3f424735288a8a0a},
 	"serverB-60k/rep-part-17":        {"cd69ced22064794ea0a3cdd38ec2f2ed14c62d54c4cc8a826721e586f8ce784a", 0x3f40d50dae8b57a4},

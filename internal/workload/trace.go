@@ -85,3 +85,38 @@ func Record(numEntries int64, n int, gen func() []int64) *Trace {
 	}
 	return t
 }
+
+// HeldOutCoverage checks the hotness estimate against the trace itself: it
+// profiles the first half of the batches and, for the hottest `fraction` of
+// entries by that estimate, returns the share of a batch's distinct keys the
+// estimate says they hold next to the share they do hold in the second half,
+// which the profile never saw. The two agree when the estimate is honest
+// about batches outside its recording.
+func (t *Trace) HeldOutCoverage(fractions []float64) (predicted, delivered []float64, err error) {
+	half := len(t.Batches) / 2
+	if half == 0 {
+		return nil, nil, fmt.Errorf("workload: a held-out check needs two batches, the trace has %d", len(t.Batches))
+	}
+	hot, err := ProfileBatches(t.NumEntries, t.Batches[:half])
+	if err != nil {
+		return nil, nil, err
+	}
+	later, err := countPresence(t.NumEntries, t.Batches[half:])
+	if err != nil {
+		return nil, nil, err
+	}
+	laterTotal := 0.0
+	for _, c := range later {
+		laterTotal += float64(c)
+	}
+	ranked := hot.Rank()
+	for _, f := range fractions {
+		got := 0.0
+		for _, e := range ranked[:min(len(ranked), int(float64(len(ranked))*f))] {
+			got += float64(later[e])
+		}
+		predicted = append(predicted, hot.TopShare(f))
+		delivered = append(delivered, got/max(laterTotal, 1))
+	}
+	return predicted, delivered, nil
+}

@@ -177,8 +177,10 @@ func TestProfileBatches(t *testing.T) {
 	}
 	// Presence counting: duplicates within a batch count once. Entry 3 was
 	// never seen: Good–Turing gives it the once-seen mass (entries 0 and 2,
-	// each seen once => unseen mass 2/2 = 1) spread over 1 unseen entry.
-	want := Hotness{0.5, 1, 0.5, 1}
+	// each seen once => unseen mass 2/2 = 1) spread over 1 unseen entry —
+	// which used to be pinned here as hotness 1, twice what the two entries
+	// seen once have. The estimate is held to what one sighting counts for.
+	want := Hotness{0.5, 1, 0.5, 0.5}
 	for i := range want {
 		if math.Abs(h[i]-want[i]) > 1e-12 {
 			t.Fatalf("h[%d] = %g, want %g", i, h[i], want[i])
@@ -312,47 +314,13 @@ func BenchmarkProfileBatches(b *testing.B) {
 	}
 }
 
-// referenceProfile is ProfileBatches as first written: a set per batch, then
-// the same Good–Turing tail.
-func referenceProfile(numEntries int64, batches [][]int64) Hotness {
-	h := make(Hotness, numEntries)
-	for _, b := range batches {
-		seen := make(map[int64]struct{})
-		for _, k := range b {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				h[k]++
-			}
-		}
-	}
-	var once, unseen int64
-	for _, c := range h {
-		switch c {
-		case 0:
-			unseen++
-		case 1:
-			once++
-		}
-	}
-	inv := 1 / float64(len(batches))
-	tail := 0.0
-	if unseen > 0 {
-		tail = float64(once) * inv / float64(unseen)
-	}
-	for i := range h {
-		if h[i] == 0 {
-			h[i] = tail
-		} else {
-			h[i] *= inv
-		}
-	}
-	return h
-}
-
 // TestProfileBatchesMatchesSetReference checks the stamp-array dedupe against
-// the per-batch set it replaced, element for element, on random batches full
-// of duplicates (within a batch and across batches, empty batches included),
-// and that a key outside the table is still refused wherever it sits.
+// the per-batch set it replaced, count for count, on random batches full of
+// duplicates (within a batch and across batches, empty batches included),
+// that ProfileBatches is the estimate of exactly those counts, and that a key
+// outside the table is still refused wherever it sits. (It compared hotness
+// against a copy of the old smoothing until the estimator changed; the
+// dedupe it is about produces counts.)
 func TestProfileBatchesMatchesSetReference(t *testing.T) {
 	r := rng.New(19)
 	for trial := 0; trial < 40; trial++ {
@@ -366,14 +334,32 @@ func TestProfileBatchesMatchesSetReference(t *testing.T) {
 			}
 			batches[i] = keys
 		}
-		got, err := ProfileBatches(n, batches)
+		want := make([]uint32, n)
+		for _, b := range batches {
+			seen := make(map[int64]struct{})
+			for _, k := range b {
+				if _, dup := seen[k]; !dup {
+					seen[k] = struct{}{}
+					want[k]++
+				}
+			}
+		}
+		got, err := countPresence(n, batches)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := referenceProfile(n, batches)
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("trial %d: hotness[%d] = %v, set reference says %v", trial, k, got[k], want[k])
+				t.Fatalf("trial %d: key %d counted in %d batches, set reference says %d", trial, k, got[k], want[k])
+			}
+		}
+		h, err := ProfileBatches(n, batches)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for k, v := range estimate(want, len(batches)) {
+			if h[k] != v {
+				t.Fatalf("trial %d: hotness[%d] = %v, the estimate of the reference counts is %v", trial, k, h[k], v)
 			}
 		}
 		for _, bad := range []int64{-1, n, n + 7} {
