@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster
 # Packages with testing.B microbenchmarks on the extraction hot path.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve
 
-.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-cluster figures trace-smoke flight-smoke
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch figures trace-smoke flight-smoke cluster-smoke
 
 check: fmt vet build test fuzz-smoke race bench-harness
 
@@ -28,6 +28,7 @@ fmt:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLPSolve -fuzztime 10s ./internal/lp
 	$(GO) test -run xxx -fuzz FuzzEstimatePresence -fuzztime 10s ./internal/workload
+	$(GO) test -run xxx -fuzz FuzzRingOwner -fuzztime 10s ./internal/cluster
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner, and the
@@ -48,7 +49,7 @@ bench-harness:
 HOTPATH_BENCH = $(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
 bench:
 	$(HOTPATH_BENCH) | $(GO) run ./scripts/bench_envelope BENCH_hotpath.json "$(HOTPATH_BENCH)" \
-		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead. Budget: the serve flush allocates 6 times per operation in timing mode and 7 in functional mode (the caller-owned Result.Rows block), with either recorder; core lookups allocate nothing."
+		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead. Budget: the serve flush allocates 5 times per operation in timing mode and 6 in functional mode (the caller-owned Result.Rows block), with either recorder; core lookups allocate nothing."
 
 # Paired end-to-end runs of a base commit against the working tree, e.g.
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=serve-steady [PAIRS=10 SEED=42 KEEP=dir]
@@ -82,13 +83,6 @@ bench-drift:
 bench-prefetch:
 	$(GO) run ./cmd/ugache-bench -exp prefetch -scale 0.25 -json-out BENCH_prefetch.json
 
-# Multi-node scale-out sweep: virtual-time offered-load curves for 1/2/4
-# machines joined by the network fabric — knee scaling vs a single machine
-# (regenerates the checked-in BENCH_cluster.json; deterministic, so the
-# output should be byte-identical up to the recorded command line).
-bench-cluster:
-	$(GO) run ./cmd/ugache-bench -exp cluster -scale 1 -json-out BENCH_cluster.json
-
 # Regenerate the paper's tables and figures (minutes at full scale).
 figures:
 	$(GO) run ./cmd/ugache-bench -exp all
@@ -110,3 +104,18 @@ flight-smoke:
 		-slo-p99-ms 0.01 -bundle-dir /tmp/ugache-flight-smoke
 	$(GO) run ./cmd/ugache-trace \
 		-check-bundle "$$(ls -td /tmp/ugache-flight-smoke/flight-* | head -1)"
+
+# End-to-end cluster smoke test, the one automated run of ugache-serve's
+# -nodes mode: two in-process nodes behind the router, then validate the
+# exported trace and check in the metrics snapshot that the router counted
+# every lookup (4 clients x 20 requests) and that keys crossed nodes. Partial
+# lookups are printed, not failed: the 50 ms leg deadline is on the wall clock
+# of a shared runner. (Cluster numbers are measured in benchmark/'s
+# cluster-scatter workload; this only checks that the mode runs.)
+cluster-smoke:
+	$(GO) run ./cmd/ugache-serve -nodes 2 -scale 0.02 -clients 4 -requests 20 \
+		-trace-out /tmp/ugache-cluster-smoke.json -metrics-out /tmp/ugache-cluster-smoke-metrics.json
+	$(GO) run ./cmd/ugache-trace -check-timeline /tmp/ugache-cluster-smoke.json
+	grep -E '"cluster_(lookups|remote_keys|partial_lookups)_total"' /tmp/ugache-cluster-smoke-metrics.json
+	grep -Eq '"cluster_lookups_total": 80,?$$' /tmp/ugache-cluster-smoke-metrics.json
+	grep -Eq '"cluster_remote_keys_total": [1-9][0-9]*,?$$' /tmp/ugache-cluster-smoke-metrics.json

@@ -1,0 +1,285 @@
+package ugache_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// censusStructs are the option structs the census holds to its rule, by
+// directory and type name.
+var censusStructs = []struct{ dir, name string }{
+	{"internal/serve", "Config"},
+	{"internal/cluster", "FrontConfig"},
+	{"internal/cache", "DriftConfig"},
+	{"internal/cache", "RefreshConfig"},
+	{"internal/solver", "UGache"},
+	{"internal/solver", "UGacheGreedy"},
+	{"internal/solver", "OptimalLP"},
+	{"internal/solver", "Exact"},
+	{"internal/solver", "Options"},
+	{"internal/workload", "OpenLoopConfig"},
+	{"internal/app", "MemoryModel"},
+	{"internal/app", "GNNConfig"},
+	{"internal/core", "Config"},
+	{"internal/core", "ControllerConfig"},
+	{"internal/flight", "WatchdogConfig"},
+	{"internal/flight", "BundleConfig"},
+	{"internal/milp", "Options"},
+	{"internal/platform", "Config"},
+	{"internal/bench", "Options"},
+}
+
+// censusAllow lists the fields nothing outside a test sets and that stay all
+// the same, each with its reason — but for the last, a seam that a test of
+// other behaviour needs.
+var censusAllow = map[string]string{
+	"flight.WatchdogConfig.Interval":    "watchdog tests tick in milliseconds instead of the 200 ms default",
+	"flight.WatchdogConfig.ShortWindow": "watchdog tests fill a burn-rate window in a few ticks",
+	"flight.WatchdogConfig.LongWindow":  "as ShortWindow",
+	"flight.WatchdogConfig.Cooldown":    "watchdog tests trip twice without waiting out the default cooldown",
+	"flight.BundleConfig.SkipProfiles":  "bundle tests skip the heap profile and goroutine dump they do not read",
+	"milp.Options.OnProgress":           "the bound-monotonicity tests observe the search through it",
+	"milp.Options.MaxNodes":             "the truncated-search tests (incomplete result, bound reporting) cut a search short with it; solver.Options.MaxNodes was its one pass-through",
+	"solver.Exact.MaxBlocks":            "exact-policy tests solve reduced instances; PolicyByName's \"exact\" takes Input.BlockBudget instead",
+	"solver.UGacheGreedy.RefineRounds":  "the refinement test compares the search with and without its local-search pass",
+	"platform.Config.PairBW":            "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
+}
+
+type censusFile struct {
+	path, dir string
+	ast       *ast.File
+	imports   map[string]string // local package name -> directory under the repo root
+}
+
+// parseTree parses every non-test Go file of the module, cmd/, examples/ and
+// benchmark/ (its own module, but the same tree).
+func parseTree(t *testing.T) []*censusFile {
+	t.Helper()
+	var files []*censusFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		cf := &censusFile{path: filepath.ToSlash(path), dir: filepath.ToSlash(filepath.Dir(path)), ast: f, imports: map[string]string{}}
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(ipath, "ugache")
+			if !ok || (dir != "" && dir[0] != '/') {
+				continue
+			}
+			dir = strings.TrimPrefix(dir, "/")
+			if dir == "" {
+				dir = "."
+			}
+			local := filepath.Base(ipath)
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			cf.imports[local] = dir
+		}
+		files = append(files, cf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOptionCensus holds every exported field of the option structs above to
+// the simplicity rule for options: something that is not a test sets it — a
+// composite-literal key or a `.Field =` assignment in a non-test file other
+// than the one that declares the struct, anywhere in the module, cmd/,
+// examples/ or benchmark/ — or censusAllow says why it stays. A field that
+// fails has one value in use and wants to be a constant.
+//
+// The census is syntactic (go/parser, no type checker). A literal whose type
+// is written out (`serve.Config{…}`, `Config{…}` in the struct's own package,
+// either through the façade's aliases) counts for that struct alone; a
+// literal with its type elided and every `x.Field = …` assignment count for
+// any struct with a field of that name. So a name two structs share can hide
+// an unset field, but nothing that is set is ever reported.
+func TestOptionCensus(t *testing.T) {
+	files := parseTree(t)
+
+	// Declarations: where each struct lives and what it exports; and the
+	// aliases (`type ServeConfig = serve.Config`) that name them elsewhere.
+	type typeKey struct{ dir, name string }
+	declFile := map[typeKey]string{}
+	fields := map[typeKey][]string{}
+	alias := map[typeKey]typeKey{}
+	want := map[typeKey]bool{}
+	for _, s := range censusStructs {
+		want[typeKey{s.dir, s.name}] = true
+	}
+	resolve := func(f *censusFile, e ast.Expr) (typeKey, bool) {
+		var k typeKey
+		switch x := e.(type) {
+		case *ast.Ident:
+			k = typeKey{f.dir, x.Name}
+		case *ast.SelectorExpr:
+			pkg, ok := x.X.(*ast.Ident)
+			if !ok {
+				return k, false
+			}
+			dir, ok := f.imports[pkg.Name]
+			if !ok {
+				return k, false
+			}
+			k = typeKey{dir, x.Sel.Name}
+		default:
+			return k, false
+		}
+		for hops := 0; hops < 4; hops++ {
+			next, ok := alias[k]
+			if !ok {
+				break
+			}
+			k = next
+		}
+		return k, true
+	}
+	for pass := 0; pass < 2; pass++ { // aliases first: resolve follows them
+		for _, f := range files {
+			for _, decl := range f.ast.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					k := typeKey{f.dir, ts.Name.Name}
+					if pass == 0 {
+						if ts.Assign.IsValid() {
+							if target, ok := resolve(f, ts.Type); ok {
+								alias[k] = target
+							}
+						}
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !want[k] {
+						continue
+					}
+					declFile[k] = f.path
+					fields[k] = []string{}
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							if n.IsExported() {
+								fields[k] = append(fields[k], n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for k := range want {
+		if _, ok := declFile[k]; !ok {
+			t.Errorf("census struct %s.%s not found", k.dir, k.name)
+		}
+	}
+
+	// Setters: typed[k][field] from literals of a known type, and per file the
+	// names set with the type unknown (they count outside k's declaring file).
+	typed := map[typeKey]map[string]bool{}
+	untyped := map[string]map[string]bool{} // field name -> files setting it
+	setUntyped := func(f *censusFile, name string) {
+		if untyped[name] == nil {
+			untyped[name] = map[string]bool{}
+		}
+		untyped[name][f.path] = true
+	}
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				k, known := typeKey{}, false
+				if x.Type != nil {
+					k, known = resolve(f, x.Type)
+				}
+				if known && declFile[k] == f.path {
+					return true // the declaring file's own defaults do not count
+				}
+				for _, el := range x.Elts {
+					kv, ok := el.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					key, ok := kv.Key.(*ast.Ident)
+					if !ok {
+						continue
+					}
+					if x.Type == nil {
+						setUntyped(f, key.Name)
+					} else if known && want[k] {
+						if typed[k] == nil {
+							typed[k] = map[string]bool{}
+						}
+						typed[k][key.Name] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						setUntyped(f, sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var problems []string
+	used := map[string]bool{}
+	for k, names := range fields {
+		for _, name := range names {
+			set := typed[k][name]
+			for path := range untyped[name] {
+				if path != declFile[k] {
+					set = true
+				}
+			}
+			id := filepath.Base(k.dir) + "." + k.name + "." + name
+			switch _, allowed := censusAllow[id]; {
+			case set && allowed:
+				used[id] = true
+				problems = append(problems, id+": on the allowlist, but a non-test file sets it now — drop the entry")
+			case allowed:
+				used[id] = true
+			case !set:
+				problems = append(problems, id+": no non-test file outside "+declFile[k]+" sets it — make it a constant, or give censusAllow the reason it stays")
+			}
+		}
+	}
+	for id := range censusAllow {
+		if !used[id] {
+			problems = append(problems, id+": on the allowlist, but not an unset field of a census struct")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}

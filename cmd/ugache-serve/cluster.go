@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,16 +21,9 @@ import (
 // server: the same GPUs and intra-machine links, joined to machines-1 peers
 // over the configured network fabric.
 func clusterPlatform(name string, machines int, linkBW float64, latency time.Duration) (*platform.Platform, error) {
-	var cfg platform.Config
-	switch name {
-	case "A", "a":
-		cfg = platform.ServerAConfig()
-	case "B", "b":
-		cfg = platform.ServerBConfig()
-	case "C", "c":
-		cfg = platform.ServerCConfig()
-	default:
-		return nil, fmt.Errorf("unknown server %q (have A, B, C)", name)
+	cfg, err := platform.ConfigByName(name)
+	if err != nil {
+		return nil, err
 	}
 	net := platform.NetworkConfig{Machines: machines, LinkBW: linkBW, LatencySec: latency.Seconds()}
 	return platform.ClusterOf(cfg, net)
@@ -47,7 +39,7 @@ func runCluster(o options) error {
 	if o.openLoop || o.refresh || o.mode != "off" || o.lookahead > 0 {
 		return fmt.Errorf("-nodes > 1 supports the closed-loop client mode only (no -open-loop, -refresh, -refresh-mode, -lookahead)")
 	}
-	spec, err := specByName(o.dataset)
+	spec, err := workload.DLRSpecByName(o.dataset)
 	if err != nil {
 		return err
 	}
@@ -89,9 +81,12 @@ func runCluster(o options) error {
 	// The ring must exist before the engines (each node's Owned predicate is
 	// its shard); rings are deterministic in (n, vnodes, seed), so the front
 	// built later from the same seed is an exact twin.
-	ring := cluster.MustRing(o.nodes, 0, o.seed)
+	ring := cluster.MustRing(o.nodes, cluster.DefaultVnodes, o.seed)
 	t0 := time.Now()
 	nodes := make([]*cluster.Node, o.nodes)
+	// Every node solves the same platform, hotness and capacity, so node 0
+	// solves and the rest take its placement; only the Owned shard differs.
+	var placement *solver.Placement
 	for i := range nodes {
 		self := i
 		sys, err := core.Build(core.Config{
@@ -101,12 +96,14 @@ func runCluster(o options) error {
 			CacheRatio: o.ratio,
 			Source:     ds.MT,
 			Solver:     solver.Options{Workers: o.workers, RelGap: o.relgap},
+			Placement:  placement,
 			Telemetry:  reg,
 			Owned:      func(k int64) bool { return ring.Owner(k) == self },
 		})
 		if err != nil {
 			return fmt.Errorf("node %d: %w", i, err)
 		}
+		placement = sys.Placement()
 		srv, err := serve.New(sys, serve.Config{
 			MaxBatchKeys: o.maxBatch,
 			Telemetry:    reg,
@@ -134,7 +131,7 @@ func runCluster(o options) error {
 			nd.Srv.Close()
 		}
 	}()
-	fmt.Printf("built %d nodes:     cache ratio %g solved and filled in %.2fs (placements are identical; one solve per node)\n",
+	fmt.Printf("built %d nodes:     cache ratio %g solved once and filled per node in %.2fs\n",
 		o.nodes, o.ratio, time.Since(t0).Seconds())
 
 	// Closed loop across the cluster: client c sticks to node c%N (session
@@ -187,27 +184,14 @@ func runCluster(o options) error {
 		return firstErr
 	}
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(q float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[int(q*float64(len(lats)-1))]
-	}
-	metric := func(name string) float64 {
-		for _, s := range reg.Samples() {
-			if s.Name == name {
-				return s.Value
-			}
-		}
-		return 0
-	}
+	p50, p99, maxLat := latencyQuantiles(lats)
+	metric := reg.Value
 	total := len(lats)
 	fmt.Printf("\n%d clients x %d requests (%d samples each) over %d nodes in %.2fs\n",
 		o.clients, o.requests, o.batch, o.nodes, wall.Seconds())
 	fmt.Printf("throughput:        %.0f req/s, %.0f keys/s\n",
 		float64(total)/wall.Seconds(), metric("serve_requested_keys_total")/wall.Seconds())
-	fmt.Printf("latency:           p50 %v  p99 %v  max %v\n", pct(0.50), pct(0.99), pct(1.0))
+	fmt.Printf("latency:           p50 %v  p99 %v  max %v\n", p50, p99, maxLat)
 	local, remote, host, network := metric("core_hit_local_keys_total"),
 		metric("core_hit_remote_keys_total"), metric("core_hit_host_keys_total"),
 		metric("core_hit_network_keys_total")

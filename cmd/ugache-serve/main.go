@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -43,6 +42,7 @@ import (
 	"ugache/internal/rng"
 	"ugache/internal/serve"
 	"ugache/internal/solver"
+	"ugache/internal/stats"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
 	"ugache/internal/workload"
@@ -158,25 +158,15 @@ func main() {
 	}
 }
 
-func specByName(name string) (workload.DLRSpec, error) {
-	for _, s := range workload.DLRDatasets {
-		if s.Name == name {
-			return s, nil
-		}
+// latencyQuantiles returns the p50, p99 and maximum of the measured request
+// latencies.
+func latencyQuantiles(lats []time.Duration) (p50, p99, max time.Duration) {
+	sample := make([]float64, len(lats))
+	for i, l := range lats {
+		sample[i] = float64(l)
 	}
-	return workload.DLRSpec{}, fmt.Errorf("unknown dataset %q (have CR, SYN-A, SYN-B)", name)
-}
-
-func platformByName(name string) (*platform.Platform, error) {
-	switch name {
-	case "A", "a":
-		return platform.ServerA(), nil
-	case "B", "b":
-		return platform.ServerB(), nil
-	case "C", "c":
-		return platform.ServerC(), nil
-	}
-	return nil, fmt.Errorf("unknown server %q (have A, B, C)", name)
+	q := stats.Quantiles(sample, 0.50, 0.99, 1)
+	return time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2])
 }
 
 func run(o options) error {
@@ -204,11 +194,11 @@ func run(o options) error {
 			return err
 		}
 	}
-	spec, err := specByName(o.dataset)
+	spec, err := workload.DLRSpecByName(o.dataset)
 	if err != nil {
 		return err
 	}
-	p, err := platformByName(o.server)
+	p, err := platform.ByName(o.server)
 	if err != nil {
 		return err
 	}
@@ -285,8 +275,7 @@ func run(o options) error {
 		}
 		switch mode {
 		case core.RefreshDrift:
-			dc := ctrl.Detector().Config()
-			fmt.Printf("refresh mode drift: top-%d overlap + rank distance, threshold %.2f\n", dc.TopK, dc.Threshold)
+			fmt.Printf("refresh mode drift: top-1/16 overlap + rank distance, threshold %.2f\n", ctrl.Detector().Config().Threshold)
 		case core.RefreshPeriodic:
 			period := o.period
 			if period <= 0 {
@@ -330,12 +319,11 @@ func run(o options) error {
 				MaxPrefetchDropRatio: 0.5,
 			}
 		}
-		infCap, _ := srv.QueueCapacity()
 		wd, err = flight.NewWatchdog(flight.WatchdogConfig{
 			SLO:           slo,
 			Registry:      reg,
 			Recorder:      fl,
-			QueueCapacity: infCap,
+			QueueCapacity: srv.QueueCapacity(),
 			Bundle: flight.BundleConfig{
 				Dir:      o.bundleDir,
 				Recorder: fl,
@@ -545,48 +533,33 @@ func run(o options) error {
 	for _, l := range latencies {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(q float64) time.Duration {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(all)-1))
-		return all[i]
-	}
+	p50, p99, maxLat := latencyQuantiles(all)
 	st := srv.Stats()
 	total := len(all)
 	fmt.Printf("\n%d clients x %d requests (%d samples each) in %.2fs\n",
 		o.clients, o.requests, o.batch, wall.Seconds())
 	fmt.Printf("throughput:        %.0f req/s, %.0f keys/s\n",
 		float64(total)/wall.Seconds(), float64(st.RequestedKeys)/wall.Seconds())
-	fmt.Printf("latency:           p50 %v  p99 %v  max %v\n", pct(0.50), pct(0.99), pct(1.0))
+	fmt.Printf("latency:           p50 %v  p99 %v  max %v\n", p50, p99, maxLat)
 	fmt.Printf("coalescing:        %d batches, %.1f unique keys/batch (%.1f requested)\n",
 		st.Batches, st.MeanBatchKeys(), float64(st.RequestedKeys)/float64(maxI64(st.Batches, 1)))
 	fmt.Printf("simulated extract: %.3f ms/batch mean, %.1f ms total per request stream\n",
 		st.SimSeconds/float64(maxI64(st.Batches, 1))*1e3, simSum/float64(maxI64(int64(o.clients), 1))*1e3)
 
 	// Per-tier hit split from the shared registry (local / peer / host).
-	tier := func(name string) float64 {
-		for _, s := range reg.Samples() {
-			if s.Name == name {
-				return s.Value
-			}
-		}
-		return 0
-	}
-	local, remote, host, network := tier("core_hit_local_keys_total"),
-		tier("core_hit_remote_keys_total"), tier("core_hit_host_keys_total"),
-		tier("core_hit_network_keys_total")
+	local, remote, host, network := reg.Value("core_hit_local_keys_total"),
+		reg.Value("core_hit_remote_keys_total"), reg.Value("core_hit_host_keys_total"),
+		reg.Value("core_hit_network_keys_total")
 	if sum := local + remote + host + network; sum > 0 {
 		fmt.Printf("hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network (of %d unique keys)\n",
 			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, st.UniqueKeys)
 	}
 	if o.lookahead > 0 {
-		hits := tier("serve_fill_prefetch_hit")
+		hits := reg.Value("serve_fill_prefetch_hit")
 		fmt.Printf("prefetch:          %.0f windows staged %.0f keys; %.0f staged hits (%.1f%% of unique), %.0f dropped windows\n",
-			tier("serve_prefetch_windows_total"), tier("serve_prefetch_staged_keys_total"),
-			hits, 100*hits/float64(maxI64(st.UniqueKeys, 1)), tier("serve_prefetch_dropped_windows_total"))
-		if stale := tier("serve_stale_served_keys_total"); stale > 0 {
+			reg.Value("serve_prefetch_windows_total"), reg.Value("serve_prefetch_staged_keys_total"),
+			hits, 100*hits/float64(maxI64(st.UniqueKeys, 1)), reg.Value("serve_prefetch_dropped_windows_total"))
+		if stale := reg.Value("serve_stale_served_keys_total"); stale > 0 {
 			fmt.Printf("stale serving:     %.0f keys served from outgoing snapshots within S=%d\n", stale, o.staleThr)
 		}
 	}
@@ -752,22 +725,7 @@ func runOpenLoop(o options, srv *serve.Server, p *platform.Platform, numKeys int
 		return firstErr
 	}
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(q float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[int(q*float64(len(lats)-1))]
-	}
-	metric := func(name string) float64 { // exact name, or max over per-GPU expansions
-		var v float64
-		for _, s := range reg.Samples() {
-			if strings.HasPrefix(s.Name, name) && s.Value > v {
-				v = s.Value
-			}
-		}
-		return v
-	}
+	p50, p99, maxLat := latencyQuantiles(lats)
 	offered := float64(dispatched) / o.duration.Seconds()
 	shedPct := 0.0
 	if dispatched > 0 {
@@ -778,15 +736,14 @@ func runOpenLoop(o options, srv *serve.Server, p *platform.Platform, numKeys int
 		served, float64(served)/wall.Seconds(), shed, shedPct)
 	if admitWait > 0 {
 		fmt.Printf("admission:         bounded wait %v; %.0f requests admitted after waiting (serve_admit_wait_admitted_total)\n",
-			admitWait, metric("serve_admit_wait_admitted_total"))
+			admitWait, reg.Value("serve_admit_wait_admitted_total"))
 	} else {
 		fmt.Printf("admission:         fast-fail (queue full sheds immediately; serve_rejected_total %.0f)\n",
-			metric("serve_rejected_total"))
+			reg.Value("serve_rejected_total"))
 	}
-	infCap, _ := srv.QueueCapacity()
 	fmt.Printf("queue:             peak depth %.0f of %d (serve_queue_depth_peak)\n",
-		metric("serve_queue_depth_peak"), infCap)
-	fmt.Printf("latency (from intended arrival): p50 %v  p99 %v  max %v\n", pct(0.50), pct(0.99), pct(1.0))
+		reg.Value("serve_queue_depth_peak"), srv.QueueCapacity())
+	fmt.Printf("latency (from intended arrival): p50 %v  p99 %v  max %v\n", p50, p99, maxLat)
 	return nil
 }
 
@@ -840,7 +797,6 @@ func printFinalSnapshot(reg *telemetry.Registry) {
 		case s.Name == "serve_requests_total" || s.Name == "serve_batches_total" ||
 			s.Name == "serve_unique_keys_total" || s.Name == "cache_refresh_total" ||
 			s.Name == "core_extract_total" || s.Name == "serve_rejected_total" ||
-			s.Name == "serve_rejected_background_total" ||
 			s.Name == "serve_admit_wait_admitted_total":
 			fmt.Printf("  %-42s %.0f\n", s.Name, s.Value)
 		case strings.HasPrefix(s.Name, "serve_queue_depth_peak") && s.Value > 0:

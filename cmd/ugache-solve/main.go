@@ -37,16 +37,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var p *platform.Platform
-	switch *server {
-	case "A":
-		p = platform.ServerA()
-	case "B":
-		p = platform.ServerB()
-	case "C":
-		p = platform.ServerC()
-	default:
-		fmt.Fprintf(os.Stderr, "ugache-solve: unknown server %q\n", *server)
+	p, err := platform.ByName(*server)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ugache-solve: %v\n", err)
 		os.Exit(1)
 	}
 

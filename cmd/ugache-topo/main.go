@@ -28,39 +28,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugache-topo: -nodes must be >= 1, got %d\n", *nodes)
 		os.Exit(1)
 	}
-	configs := map[string]platform.Config{
-		"A": platform.ServerAConfig(),
-		"B": platform.ServerBConfig(),
-		"C": platform.ServerCConfig(),
-	}
 	build := func(name string) *platform.Platform {
-		cfg := configs[name]
-		if *nodes > 1 {
-			net := platform.NetworkConfig{Machines: *nodes, LinkBW: *netBW, LatencySec: netLatency.Seconds()}
-			p, err := platform.ClusterOf(cfg, net)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ugache-topo: %v\n", err)
-				os.Exit(1)
-			}
-			return p
+		var p *platform.Platform
+		cfg, err := platform.ConfigByName(name)
+		switch {
+		case err != nil:
+		case *nodes > 1:
+			p, err = platform.ClusterOf(cfg, platform.NetworkConfig{Machines: *nodes, LinkBW: *netBW, LatencySec: netLatency.Seconds()})
+		default:
+			p, err = platform.New(cfg)
 		}
-		p, err := platform.New(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ugache-topo: %v\n", err)
 			os.Exit(1)
 		}
 		return p
 	}
-	order := []string{"A", "B", "C"}
 	if *server != "" {
-		if _, ok := configs[*server]; !ok {
-			fmt.Fprintf(os.Stderr, "ugache-topo: unknown server %q\n", *server)
-			os.Exit(1)
-		}
 		show(build(*server))
 		return
 	}
-	for _, k := range order {
+	for _, k := range []string{"A", "B", "C"} {
 		show(build(k))
 		fmt.Println()
 	}

@@ -36,16 +36,9 @@ func main() {
 
 	switch {
 	case *gen != "":
-		var spec workload.DLRSpec
-		switch *dataset {
-		case "CR":
-			spec = workload.CR
-		case "SYN-A":
-			spec = workload.SYNA
-		case "SYN-B":
-			spec = workload.SYNB
-		default:
-			fatal("unknown dataset %q", *dataset)
+		spec, err := workload.DLRSpecByName(*dataset)
+		if err != nil {
+			fatal("%v", err)
 		}
 		ds, err := spec.Build(*scale, *seed)
 		if err != nil {

@@ -31,21 +31,20 @@ type MemoryModel struct {
 	// MemScale scales the physical GPU memory (default 0.01, matching the
 	// 1/100-scale datasets).
 	MemScale float64
-	// WorkspaceFrac is reserved for activations and buffers (default 0.25).
-	WorkspaceFrac float64
 }
+
+// workspaceFrac is the share of GPU memory reserved for activations and
+// buffers; the cache sizes of every figure are stated against it.
+const workspaceFrac = 0.25
 
 // DefaultMemoryModel matches the stock 1/100-scale datasets.
 func DefaultMemoryModel() MemoryModel {
-	return MemoryModel{MemScale: 0.01, WorkspaceFrac: 0.25}
+	return MemoryModel{MemScale: 0.01}
 }
 
 func (m MemoryModel) normalize() MemoryModel {
 	if m.MemScale <= 0 {
 		m.MemScale = 0.01
-	}
-	if m.WorkspaceFrac <= 0 || m.WorkspaceFrac >= 1 {
-		m.WorkspaceFrac = 0.25
 	}
 	return m
 }
@@ -55,7 +54,7 @@ func (m MemoryModel) normalize() MemoryModel {
 // topology for GNN systems that store it on the GPU).
 func (m MemoryModel) CapacityEntries(p *platform.Platform, entryBytes int, residentBytes int64) int64 {
 	m = m.normalize()
-	budget := int64(float64(p.GPU.MemBytes)*m.MemScale*(1-m.WorkspaceFrac)) - residentBytes
+	budget := int64(float64(p.GPU.MemBytes)*m.MemScale*(1-workspaceFrac)) - residentBytes
 	if budget < 0 {
 		budget = 0
 	}

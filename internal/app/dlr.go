@@ -209,15 +209,6 @@ func (a *DLRApp) evictionTime(res *extract.Result, b *extract.Batch) float64 {
 	return t
 }
 
-// Spec returns the system spec under test.
-func (a *DLRApp) Spec() baselines.Spec { return a.cfg.Spec }
-
-// Dataset returns the dataset under test.
-func (a *DLRApp) Dataset() *workload.DLRDataset { return a.cfg.DS }
-
-// BatchSize returns the per-GPU batch.
-func (a *DLRApp) BatchSize() int { return a.cfg.BatchSize }
-
 // dispatchBatch implements locality-aware dispatching: the iteration's
 // G×batch samples are generated centrally and each sample goes to the GPU
 // caching the most of its keys, subject to per-GPU quotas (load balance).

@@ -31,8 +31,6 @@ type GNNConfig struct {
 	// ratio-sweep figures).
 	CacheRatio float64
 	Mem        MemoryModel
-	// Hidden is the GNN hidden width (default 256).
-	Hidden int
 	// ProfileBatches presamples this many batches for hotness (default 32,
 	// the "first epoch profiling" of §6.1).
 	ProfileBatches int
@@ -58,6 +56,10 @@ type GNNApp struct {
 	scratch map[int64]struct{}
 }
 
+// gnnHidden is the hidden width of both GNN models, the value every figure
+// was produced with.
+const gnnHidden = 256
+
 func gnnFanouts(model string) ([]int, error) {
 	switch model {
 	case "gcn":
@@ -79,9 +81,6 @@ func NewGNN(cfg GNNConfig) (*GNNApp, error) {
 		return nil, fmt.Errorf("app: dataset is required")
 	}
 	cfg.BatchSize = batchOr(cfg.BatchSize)
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = 256
-	}
 	if cfg.ProfileBatches <= 0 {
 		cfg.ProfileBatches = 32
 	}
@@ -179,7 +178,7 @@ func NewGNN(cfg GNNConfig) (*GNNApp, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := nn.NewGNN(cfg.Model, []int{cfg.DS.Table.Dim, cfg.Hidden, cfg.Hidden}, r.Split("model"))
+	model, err := nn.NewGNN(cfg.Model, []int{cfg.DS.Table.Dim, gnnHidden, gnnHidden}, r.Split("model"))
 	if err != nil {
 		return nil, err
 	}

@@ -121,39 +121,3 @@ func TestExperimentDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestClusterScaling pins the scale-out acceptance bar: the virtual-time
-// sweep must show near-linear knee scaling (>= 1.7x at 2 nodes, >= 3x at
-// 4) because each machine adds its own GPUs, host shard and PCIe lanes,
-// and the clustered configs must actually exercise the network tier.
-func TestClusterScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three solves; skipped with -short")
-	}
-	res, err := Run("cluster", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := res.JSON.(*ClusterReport)
-	if !ok {
-		t.Fatalf("cluster JSON is %T", res.JSON)
-	}
-	if len(rep.Configs) != 3 {
-		t.Fatalf("got %d configs, want 3", len(rep.Configs))
-	}
-	minScale := map[int]float64{1: 1.0, 2: 1.7, 4: 3.0}
-	for _, c := range rep.Configs {
-		if c.KneeQPS <= 0 {
-			t.Fatalf("%d nodes: no knee found", c.Nodes)
-		}
-		if c.ScaleVsSingle < minScale[c.Nodes] {
-			t.Errorf("%d nodes: knee scale %.2fx, want >= %.1fx", c.Nodes, c.ScaleVsSingle, minScale[c.Nodes])
-		}
-		if c.Nodes > 1 && c.NetworkShare <= 0 {
-			t.Errorf("%d nodes: network tier share is zero — the wire was never modelled", c.Nodes)
-		}
-		if c.Nodes == 1 && c.NetworkShare != 0 {
-			t.Errorf("single machine reports network share %g", c.NetworkShare)
-		}
-	}
-}

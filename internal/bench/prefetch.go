@@ -50,15 +50,6 @@ type PrefetchReport struct {
 	Modes        []PrefetchModeReport `json:"modes"`
 }
 
-func metricValue(reg *telemetry.Registry, name string) float64 {
-	for _, s := range reg.Samples() {
-		if s.Name == name {
-			return s.Value
-		}
-	}
-	return 0
-}
-
 // runPrefetchMode replays the shared flash-crowd schedule through a serving
 // engine at one lookahead depth. The announce stream is a same-seeded rng
 // replica running L batches ahead of the serve stream (the
@@ -141,15 +132,15 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 	if total > 0 {
 		rep.LocalHitRate = local / total
 	}
-	uniq := metricValue(reg, "serve_unique_keys_total")
-	rep.PrefetchHits = int64(metricValue(reg, "serve_fill_prefetch_hit"))
+	uniq := reg.Value("serve_unique_keys_total")
+	rep.PrefetchHits = int64(reg.Value("serve_fill_prefetch_hit"))
 	if uniq > 0 {
 		rep.PrefetchHitRate = float64(rep.PrefetchHits) / uniq
 	}
-	rep.StagedKeys = int64(metricValue(reg, "serve_prefetch_staged_keys_total"))
-	rep.StaleServedKeys = int64(metricValue(reg, "serve_stale_served_keys_total"))
-	rep.DroppedWindows = int64(metricValue(reg, "serve_prefetch_dropped_windows_total"))
-	rep.OverlapSimSeconds = metricValue(reg, "serve_prefetch_sim_seconds_total")
+	rep.StagedKeys = int64(reg.Value("serve_prefetch_staged_keys_total"))
+	rep.StaleServedKeys = int64(reg.Value("serve_stale_served_keys_total"))
+	rep.DroppedWindows = int64(reg.Value("serve_prefetch_dropped_windows_total"))
+	rep.OverlapSimSeconds = reg.Value("serve_prefetch_sim_seconds_total")
 	return rep, nil
 }
 

@@ -210,9 +210,9 @@ func TestRefresh(t *testing.T) {
 	if rep.Duration <= cfg.SolveSeconds {
 		t.Fatalf("duration %g too small", rep.Duration)
 	}
-	// Impact bounded: never above UpdateImpact, mean below ~12%.
+	// Impact bounded: never above updateImpact, mean below ~12%.
 	for _, st := range rep.Timeline {
-		if st.IterTime > base*cfg.UpdateImpact+1e-12 {
+		if st.IterTime > base*updateImpact+1e-12 {
 			t.Fatalf("impact exceeded: %g", st.IterTime)
 		}
 		if st.IterTime < base-1e-12 {

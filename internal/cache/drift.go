@@ -10,10 +10,6 @@ import (
 
 // DriftConfig tunes the hotness-drift detector.
 type DriftConfig struct {
-	// TopK is the hot-head size the overlap statistic tracks. 0 defaults to
-	// 1/16 of the entry space (min 16) — roughly the mass a cache-ratio-
-	// sized head covers on the paper's skews.
-	TopK int
 	// Threshold is the drift score in [0, 1] above which Check reports
 	// Drifted (0 defaults to 0.3). The score is max(1 - top-K overlap,
 	// weighted rank distance), so 0.3 means "30% of the hot head changed
@@ -32,16 +28,14 @@ type DriftConfig struct {
 	MaxBatches int
 }
 
-func (c DriftConfig) normalize(numEntries int64) DriftConfig {
-	if c.TopK <= 0 {
-		c.TopK = int(numEntries / 16)
-		if c.TopK < 16 {
-			c.TopK = 16
-		}
-	}
-	if int64(c.TopK) > numEntries {
-		c.TopK = int(numEntries)
-	}
+// driftTopK is the hot-head size K the overlap statistic tracks: 1/16 of the
+// entry space — roughly the mass a cache-ratio-sized head covers on the
+// paper's skews — but at least 16 entries, and never more than there are.
+func driftTopK(numEntries int64) int {
+	return int(min(max(numEntries/16, 16), numEntries))
+}
+
+func (c DriftConfig) normalize() DriftConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = 0.3
 	}
@@ -111,6 +105,7 @@ type driftMetrics struct {
 // and holds it for the estimate).
 type DriftDetector struct {
 	cfg     DriftConfig
+	topK    int // driftTopK of the entry space
 	sampler *HotnessSampler
 
 	mu      sync.Mutex
@@ -139,7 +134,8 @@ func NewDriftDetector(sampler *HotnessSampler, reference workload.Hotness, cfg D
 	}
 	n := len(reference)
 	d := &DriftDetector{
-		cfg:      cfg.normalize(int64(n)),
+		cfg:      cfg.normalize(),
+		topK:     driftTopK(int64(n)),
 		sampler:  sampler,
 		refHot:   make(workload.Hotness, n),
 		refRank:  make([]int32, n),
@@ -194,7 +190,7 @@ func (d *DriftDetector) rebase(reference workload.Hotness) {
 	d.refMass = 0
 	for r, k := range d.ranker.Rank(d.refHot) {
 		d.refRank[k.Entry] = int32(r)
-		if r < d.cfg.TopK {
+		if r < d.topK {
 			d.refTop[k.Entry] = true
 			d.refMass += d.refHot[k.Entry]
 		}
@@ -222,7 +218,7 @@ func (d *DriftDetector) Check() (DriftStatus, error) {
 	if d.refMass > 0 {
 		hitMass := 0.0
 		n := float64(len(d.refHot))
-		topK := int32(d.cfg.TopK)
+		topK := int32(d.topK)
 		for e, top := range d.refTop {
 			if !top {
 				continue

@@ -243,19 +243,19 @@ func TestDriftDetectorWindowSlide(t *testing.T) {
 }
 
 // TestDriftConfigNormalize pins the defaulting rules, including the
-// MaxBatches floor at MinBatches.
+// MaxBatches floor at MinBatches, and the derived head size.
 func TestDriftConfigNormalize(t *testing.T) {
-	c := DriftConfig{}.normalize(1024)
-	if c.TopK != 64 || c.Threshold != 0.3 || c.MinBatches != 16 || c.MaxBatches != 64 {
+	c := DriftConfig{}.normalize()
+	if c.Threshold != 0.3 || c.MinBatches != 16 || c.MaxBatches != 64 {
 		t.Fatalf("defaults %+v", c)
 	}
-	if c := (DriftConfig{}).normalize(100); c.TopK != 16 {
-		t.Fatalf("small-space TopK %d, want the 16 floor", c.TopK)
+	if k := driftTopK(1024); k != 64 {
+		t.Fatalf("head of 1024 entries is %d, want 1/16 = 64", k)
 	}
-	if c := (DriftConfig{TopK: 5000}).normalize(1024); c.TopK != 1024 {
-		t.Fatalf("TopK %d not clamped to the entry space", c.TopK)
+	if k := driftTopK(100); k != 16 {
+		t.Fatalf("small-space head %d, want the 16 floor", k)
 	}
-	if c := (DriftConfig{MinBatches: 10, MaxBatches: 3}).normalize(1024); c.MaxBatches != 10 {
+	if c := (DriftConfig{MinBatches: 10, MaxBatches: 3}).normalize(); c.MaxBatches != 10 {
 		t.Fatalf("MaxBatches %d not raised to MinBatches", c.MaxBatches)
 	}
 }
@@ -276,8 +276,7 @@ func TestDriftDetectorValidation(t *testing.T) {
 	if err := det.Rebase(make(workload.Hotness, 4)); err == nil {
 		t.Fatal("short rebase accepted")
 	}
-	cfg := det.Config()
-	if cfg.TopK != 8 || cfg.MinBatches != 16 {
-		t.Fatalf("normalized config %+v", cfg)
+	if cfg := det.Config(); det.topK != 8 || cfg.MinBatches != 16 {
+		t.Fatalf("head %d (want all 8 entries), normalized config %+v", det.topK, cfg)
 	}
 }

@@ -367,19 +367,12 @@ type RefreshConfig struct {
 	// SolveSeconds is the simulated background policy-solve time (the paper
 	// reports ~10 s for the MILP).
 	SolveSeconds float64
-	// SolveImpact is the foreground slowdown factor while solving on
-	// restricted CPU cores (e.g. 1.02).
-	SolveImpact float64
 	// BatchEntries is the number of cache entries updated per small-batch
 	// step (update granularity).
 	BatchEntries int64
 	// PauseSeconds separates consecutive update batches, bounding
 	// foreground impact.
 	PauseSeconds float64
-	// UpdateImpact is the foreground slowdown factor while an update batch
-	// occupies the GPU (e.g. 1.25; the duty cycle brings the average down
-	// to the paper's ~10%).
-	UpdateImpact float64
 	// UpdateBandwidth is the effective bytes/s for moving cache updates
 	// (host-to-device over PCIe).
 	UpdateBandwidth float64
@@ -391,16 +384,24 @@ type RefreshConfig struct {
 	Solve *SolveStats
 }
 
+// Foreground slowdown factors of the §7.2 replay (Fig. 17's shape).
+const (
+	// solveImpact applies while the background solve runs, on restricted CPU
+	// cores.
+	solveImpact = 1.02
+	// updateImpact applies while an update batch occupies the GPU; the
+	// batch/pause duty cycle brings the average down to the paper's ~10%.
+	updateImpact = 1.25
+)
+
 // DefaultRefreshConfig mirrors the behaviour in §7.2/Fig. 17: a ~10 s
 // solve, small-batch updates with pauses, ≈10% average foreground impact,
 // and a 20–30 s total duration on the evaluation workloads.
 func DefaultRefreshConfig() RefreshConfig {
 	return RefreshConfig{
 		SolveSeconds:    10,
-		SolveImpact:     1.02,
 		BatchEntries:    50_000,
 		PauseSeconds:    0.25,
-		UpdateImpact:    1.25,
 		UpdateBandwidth: 10e9,
 		SamplePeriod:    0.5,
 	}
@@ -518,7 +519,7 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 		case t < 0 || t >= duration:
 			// steady state
 		case t < cfg.SolveSeconds:
-			it = baseIterTime * cfg.SolveImpact
+			it = baseIterTime * solveImpact
 		default:
 			// Inside the update phase: batches alternate with pauses; the
 			// final (possibly partial) step keeps the GPU busy only for its
@@ -531,7 +532,7 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 				busy = remStep
 			}
 			if math.Mod(u, stepLen) < busy {
-				it = baseIterTime * cfg.UpdateImpact
+				it = baseIterTime * updateImpact
 			}
 		}
 		if t >= 0 && t < duration {

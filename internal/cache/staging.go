@@ -71,9 +71,6 @@ func NewStaging(slots, entryBytes int, backed bool) (*StagingArena, error) {
 	return a, nil
 }
 
-// Backed reports whether the arena holds real row bytes.
-func (a *StagingArena) Backed() bool { return a.data != nil }
-
 // Capacity returns the slot count.
 func (a *StagingArena) Capacity() int { return len(a.keys) }
 

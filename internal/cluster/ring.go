@@ -27,7 +27,6 @@ type point struct {
 
 // Ring is an immutable consistent-hash ring over n nodes.
 type Ring struct {
-	n      int
 	seed   uint64
 	points []point // sorted by (hash, node)
 }
@@ -66,7 +65,7 @@ func NewRing(n, vnodes int, seed uint64) (*Ring, error) {
 	if vnodes < 1 {
 		return nil, fmt.Errorf("cluster: vnodes must be positive, got %d", vnodes)
 	}
-	r := &Ring{n: n, seed: seed, points: make([]point, 0, n*vnodes)}
+	r := &Ring{seed: seed, points: make([]point, 0, n*vnodes)}
 	for node := 0; node < n; node++ {
 		for rep := 0; rep < vnodes; rep++ {
 			r.points = append(r.points, point{pointHash(seed, node, rep), node})
@@ -93,9 +92,6 @@ func MustRing(n, vnodes int, seed uint64) *Ring {
 	return r
 }
 
-// Nodes returns the ring's node count.
-func (r *Ring) Nodes() int { return r.n }
-
 // Owner returns the node owning key: the node of the first point at or
 // after the key's hash, wrapping at the top of the circle.
 func (r *Ring) Owner(key int64) int {
@@ -106,29 +102,4 @@ func (r *Ring) Owner(key int64) int {
 		i = 0
 	}
 	return pts[i].node
-}
-
-// Split partitions keys into per-node sub-batches. A key the local
-// predicate accepts is served by self regardless of ring ownership — the
-// solver replicated it on every machine, so shipping it over the wire
-// would only burn NIC bandwidth; everything else goes to its ring owner
-// (which may also be self). subs is reused when it has capacity for n
-// nodes; each sub-slice is truncated and refilled, so callers can hold one
-// scratch [][]int64 per dispatcher.
-func (r *Ring) Split(self int, keys []int64, local func(int64) bool, subs [][]int64) [][]int64 {
-	if cap(subs) < r.n {
-		subs = make([][]int64, r.n)
-	}
-	subs = subs[:r.n]
-	for i := range subs {
-		subs[i] = subs[i][:0]
-	}
-	for _, k := range keys {
-		node := self
-		if local == nil || !local(k) {
-			node = r.Owner(k)
-		}
-		subs[node] = append(subs[node], k)
-	}
-	return subs
 }

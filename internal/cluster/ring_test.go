@@ -80,44 +80,3 @@ func TestRingBoundedMovement(t *testing.T) {
 		}
 	}
 }
-
-// TestRingSplit: the local predicate overrides ring ownership, everything
-// else lands on its owner, and the scratch slices are reused.
-func TestRingSplit(t *testing.T) {
-	r := MustRing(4, 0, 0xC0FFEE)
-	keys := make([]int64, 1000)
-	for i := range keys {
-		keys[i] = int64(i)
-	}
-	local := func(k int64) bool { return k%3 == 0 }
-	subs := r.Split(1, keys, local, nil)
-	if len(subs) != 4 {
-		t.Fatalf("Split returned %d sub-batches, want 4", len(subs))
-	}
-	total := 0
-	for node, sub := range subs {
-		total += len(sub)
-		for _, k := range sub {
-			switch {
-			case local(k):
-				if node != 1 {
-					t.Fatalf("local key %d routed to node %d, not self", k, node)
-				}
-			case r.Owner(k) != node:
-				t.Fatalf("key %d on node %d, owner is %d", k, node, r.Owner(k))
-			}
-		}
-	}
-	if total != len(keys) {
-		t.Fatalf("Split kept %d of %d keys", total, len(keys))
-	}
-	// Reuse: the returned scratch must be accepted and refilled in place.
-	again := r.Split(1, keys[:100], nil, subs)
-	total = 0
-	for _, sub := range again {
-		total += len(sub)
-	}
-	if total != 100 {
-		t.Fatalf("reused Split kept %d of 100 keys", total)
-	}
-}

@@ -45,13 +45,6 @@ type FrontConfig struct {
 	// Seed keys the hash ring (both vnode points and key hashes); every
 	// node of a deployment must use the same seed.
 	Seed uint64
-	// Vnodes is the ring's virtual-node count per node (0 = DefaultVnodes).
-	Vnodes int
-	// MaxSubKeys caps one cross-node dispatch: a dispatcher stops taking
-	// queued sub-lookups once this many keys are in hand for its destination
-	// (default 4096). A dispatch never waits to reach the cap — it leaves as
-	// soon as the dispatcher's queue is empty.
-	MaxSubKeys int
 	// Deadline bounds how long a lookup waits for its cross-node legs
 	// (default 50ms). An expired leg fails partial (ErrPartial) rather than
 	// stalling the caller behind a slow peer.
@@ -63,22 +56,22 @@ type FrontConfig struct {
 	// Timeline, when non-nil, records per-node router tracks (ProcRouter):
 	// dispatch spans and queue-depth counter series, one tid per node.
 	Timeline *timeline.Recorder
-	// Flight, when non-nil, receives one control-plane queue sample per
-	// dispatch formation (Kind=queue, GPU=origin node, Seq=destination
-	// node), so the watchdog's bundles show router backlog next to the
-	// per-GPU admission samples.
+	// Flight, when non-nil, receives one control-ring event per partial
+	// lookup (Kind=partial, GPU=origin node: keys missing, remote keys
+	// asked) — the router's one slow-path fact, kept where a watchdog bundle
+	// finds it next to the refresh and drift events. Dispatch depth is
+	// per-lookup traffic and stays out of that ring: the two queue gauges
+	// and the timeline's counter track carry it.
 	Flight *flight.Recorder
 }
 
-func (c FrontConfig) normalize() FrontConfig {
-	if c.MaxSubKeys <= 0 {
-		c.MaxSubKeys = 4096
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 50 * time.Millisecond
-	}
-	return c
-}
+// maxSubKeys caps one cross-node dispatch: a dispatcher stops taking queued
+// sub-lookups once this many keys are in hand for its destination. Half a
+// paper-sized serve batch (serve.Config.MaxBatchKeys defaults to 8192), so
+// a full dispatch still shares the destination's flush with that node's own
+// traffic. A dispatch never waits to reach the cap — it leaves as soon as the
+// dispatcher's queue is empty.
+const maxSubKeys = 4096
 
 // Result is what one cluster lookup gets back.
 type Result struct {
@@ -140,7 +133,7 @@ type subResult struct {
 }
 
 // dispatcher coalesces one origin node's sub-lookups toward one destination
-// node: whatever is queued when it comes round — up to MaxSubKeys — leaves as
+// node: whatever is queued when it comes round — up to maxSubKeys — leaves as
 // a single Handle on the destination's server, so under load the wire round
 // trip and the destination's batch formation are paid once per dispatch, not
 // once per request, and a sub-lookup that finds the dispatcher idle leaves at
@@ -161,7 +154,7 @@ func (d *dispatcher) run() {
 		batch := []*subCall{first}
 		keys := len(first.keys)
 	fill:
-		for keys < d.f.cfg.MaxSubKeys {
+		for keys < maxSubKeys {
 			select {
 			case c, ok := <-d.calls:
 				if !ok {
@@ -173,7 +166,7 @@ func (d *dispatcher) run() {
 				break fill
 			}
 		}
-		d.f.observeDispatch(d.origin, d.dest, keys)
+		d.f.observeDispatch(d.origin, keys)
 		d.f.wg.Add(1)
 		go d.send(batch, keys)
 	}
@@ -223,7 +216,6 @@ type Front struct {
 	nodes      []*Node
 	out        [][]*dispatcher // out[origin][dest], nil on the diagonal
 	met        *routerMetrics
-	tel        *telemetry.Registry
 	tl         *timeline.Recorder
 	fl         *flight.Recorder
 	entryBytes int
@@ -258,8 +250,10 @@ func NewFront(nodes []*Node, cfg FrontConfig) (*Front, error) {
 			return nil, fmt.Errorf("cluster: node %d platform models %d machines, front has %d", i, m, len(nodes))
 		}
 	}
-	cfg = cfg.normalize()
-	ring, err := NewRing(len(nodes), cfg.Vnodes, cfg.Seed)
+	if cfg.Deadline <= 0 {
+		cfg.Deadline = 50 * time.Millisecond
+	}
+	ring, err := NewRing(len(nodes), DefaultVnodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +267,6 @@ func NewFront(nodes []*Node, cfg FrontConfig) (*Front, error) {
 		ring:       ring,
 		nodes:      nodes,
 		met:        newRouterMetrics(reg),
-		tel:        reg,
 		tl:         cfg.Timeline,
 		fl:         cfg.Flight,
 		entryBytes: nodes[0].Sys.Cache.EntryBytes,
@@ -307,12 +300,9 @@ func NewFront(nodes []*Node, cfg FrontConfig) (*Front, error) {
 // predicates for the nodes' engines).
 func (f *Front) Ring() *Ring { return f.ring }
 
-// Metrics returns the router's telemetry registry.
-func (f *Front) Metrics() *telemetry.Registry { return f.tel }
-
-// observeDispatch records one dispatch formation across telemetry, the
-// timeline counter track, and the flight recorder's control ring.
-func (f *Front) observeDispatch(origin, dest, keys int) {
+// observeDispatch records one dispatch formation in telemetry and on the
+// timeline's counter track.
+func (f *Front) observeDispatch(origin, keys int) {
 	f.met.dispatches.Add(origin, 1)
 	f.met.dispatchKeys.Add(origin, int64(keys))
 	f.met.queueDepth.Set(float64(keys))
@@ -332,12 +322,6 @@ func (f *Front) observeDispatch(origin, dest, keys int) {
 			PID: timeline.ProcRouter, TID: int32(origin), Start: f.tl.Now()}
 		ev.AddArg("pending_keys", float64(keys))
 		sh.Emit(&ev)
-	}
-	if f.fl != nil {
-		e := flight.Event{Kind: flight.KindQueue, GPU: int32(origin),
-			Seq: int64(dest), UnixNanos: time.Now().UnixNano()}
-		e.V[flight.QueueDepth] = float64(keys)
-		f.fl.RecordControl(&e)
 	}
 }
 
@@ -464,6 +448,12 @@ func (f *Front) Lookup(node, gpu int, keys []int64) Result {
 		f.met.missingKeys.Add(node, int64(out.Missing))
 		if out.Err == nil {
 			out.Err = ErrPartial
+		}
+		if f.fl != nil {
+			e := flight.Event{Kind: flight.KindPartial, GPU: int32(node), UnixNanos: time.Now().UnixNano()}
+			e.V[flight.PartialMissingKeys] = float64(out.Missing)
+			e.V[flight.PartialRemoteKeys] = float64(out.RemoteKeys)
+			f.fl.RecordControl(&e)
 		}
 	}
 	out.Rows = rows

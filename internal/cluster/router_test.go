@@ -11,6 +11,7 @@ import (
 	"ugache/internal/cache"
 	"ugache/internal/core"
 	"ugache/internal/emb"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/serve"
@@ -49,7 +50,7 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 	}
 	// The Owned predicates need the ring before the Front exists; rings are
 	// deterministic in (n, vnodes, seed), so building a twin is exact.
-	ring := MustRing(nodes, cfg.Vnodes, cfg.Seed)
+	ring := MustRing(nodes, DefaultVnodes, cfg.Seed)
 	pair := [][]float64{{0, 50e9}, {50e9, 0}}
 	net := platform.DefaultNetwork(nodes)
 	r := rng.New(11)
@@ -150,22 +151,31 @@ func TestFrontFunctionalRoundTrip(t *testing.T) {
 
 // TestDispatcherCoalescesBacklog: sub-calls queued ahead of a dispatcher
 // leave as one dispatch — the wire is paid per backlog, not per lookup — cut
-// only by MaxSubKeys, and each caller gets its own rows back.
+// only by maxSubKeys, and each caller gets its own rows back.
 func TestDispatcherCoalescesBacklog(t *testing.T) {
-	const entries, n = 2000, 6
+	const entries = 2000
 	for _, c := range []struct {
-		name       string
-		maxSubKeys int
-		dispatches int64
-	}{{"one dispatch", 0, 1}, {"cut at the cap", 4, 3}} {
+		name        string
+		calls       int
+		keysPerCall int
+		dispatches  int64
+	}{
+		{"one dispatch", 6, 2, 1},
+		// Two half-cap sub-calls reach the cap and leave; the third follows alone.
+		{"cut at the cap", 3, maxSubKeys / 2, 2},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			f, table, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1, MaxSubKeys: c.maxSubKeys})
+			f, table, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
 			// A dispatcher of the test's own, so that its queue can be filled
 			// before its loop starts.
-			d := &dispatcher{f: f, origin: 0, dest: 1, calls: make(chan *subCall, n)}
-			calls := make([]*subCall, n)
+			d := &dispatcher{f: f, origin: 0, dest: 1, calls: make(chan *subCall, c.calls)}
+			calls := make([]*subCall, c.calls)
 			for i := range calls {
-				calls[i] = &subCall{keys: []int64{int64(i), int64(i + 1000)}, done: make(chan subResult, 1)}
+				keys := make([]int64, c.keysPerCall)
+				for j := range keys {
+					keys[j] = int64((i + 1000*j) % entries)
+				}
+				calls[i] = &subCall{keys: keys, done: make(chan subResult, 1)}
 				d.calls <- calls[i]
 			}
 			close(d.calls)
@@ -189,10 +199,10 @@ func TestDispatcherCoalescesBacklog(t *testing.T) {
 				}
 			}
 			if got := f.met.dispatches.Value(); got != c.dispatches {
-				t.Fatalf("cluster_dispatches_total = %d for %d queued sub-calls, want %d", got, n, c.dispatches)
+				t.Fatalf("cluster_dispatches_total = %d for %d queued sub-calls, want %d", got, c.calls, c.dispatches)
 			}
-			if got := f.met.dispatchKeys.Value(); got != 2*n {
-				t.Fatalf("cluster_dispatch_keys_total = %d, want %d", got, 2*n)
+			if got, want := f.met.dispatchKeys.Value(), int64(c.calls*c.keysPerCall); got != want {
+				t.Fatalf("cluster_dispatch_keys_total = %d, want %d", got, want)
 			}
 		})
 	}
@@ -269,5 +279,146 @@ func TestFrontClose(t *testing.T) {
 	res := f.Lookup(0, 0, keys)
 	if res.Err != ErrClosed && res.Err == nil {
 		t.Fatalf("expected ErrClosed on a routed lookup, got %v", res.Err)
+	}
+}
+
+// zipfKeys draws n Zipf(1.05) keys over [0, entries).
+func zipfKeys(t *testing.T, r *rng.Rand, entries, n int) []int64 {
+	t.Helper()
+	z, err := workload.NewZipf(int64(entries), 1.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = z.Sample(r)
+	}
+	return keys
+}
+
+// TestRouterLeavesControlRingToSlowPath is the regression test for the
+// router lapping the flight recorder's control ring: it used to write one
+// queue event per dispatch — per lookup — so a ring as deep as this one lost
+// its refresh event to the first eight routed lookups, and the shipped
+// 4096-deep ring kept a fifth of a second of history. Routed lookups now
+// leave the ring alone, and a partial lookup writes exactly one event.
+func TestRouterLeavesControlRingToSlowPath(t *testing.T) {
+	const entries = 3000
+	fl := flight.NewRecorder(1, 8)
+	refresh := flight.Event{Kind: flight.KindRefresh, GPU: -1, Seq: 2, UnixNanos: 1}
+	fl.RecordControl(&refresh)
+	f, _, holds := buildFront(t, 2, entries, FrontConfig{Seed: 1, Flight: fl, Deadline: time.Minute})
+	r := rng.New(3)
+	for i := 0; i < 100; i++ {
+		if res := f.Lookup(i%2, i%2, zipfKeys(t, r, entries, 64)); res.Err != nil {
+			t.Fatalf("lookup %d: %v", i, res.Err)
+		}
+	}
+	if f.met.dispatches.Value() < 8 {
+		t.Fatalf("%d dispatches in 100 lookups: too few to have lapped the ring", f.met.dispatches.Value())
+	}
+	if evs := fl.Events(); len(evs) != 1 || evs[0].Kind != flight.KindRefresh {
+		t.Fatalf("control ring after 100 routed lookups: %+v, want the one refresh event", evs)
+	}
+
+	// A held peer and no patience: the lookup's remote leg goes missing. No
+	// lookup is in flight, so the deadline can be changed under the front.
+	f.cfg.Deadline = time.Nanosecond
+	holds[1].armed.Store(true)
+	res := f.Lookup(0, 0, zipfKeys(t, r, entries, 256))
+	if res.Err != ErrPartial {
+		t.Fatalf("held peer: err %v, want ErrPartial", res.Err)
+	}
+	evs := fl.Events()
+	if len(evs) != 2 || evs[0].Kind != flight.KindRefresh {
+		t.Fatalf("control ring after one partial lookup: %+v, want the refresh and one partial event", evs)
+	}
+	got := evs[1]
+	if got.Kind != flight.KindPartial || got.GPU != 0 ||
+		got.V[flight.PartialMissingKeys] != float64(res.Missing) || got.V[flight.PartialRemoteKeys] != float64(res.RemoteKeys) {
+		t.Fatalf("partial event %+v for a result missing %d of %d remote keys at node 0", got, res.Missing, res.RemoteKeys)
+	}
+}
+
+// TestClusterCounterConservation holds the cluster_* counter family to its
+// identities across healthy lookups and lookups cut short by a held peer:
+// every key sent is counted local or remote, every Result accounts for every
+// key it was asked (rows returned + Missing), and the nodes' servers answered
+// exactly the local legs plus the dispatches — a dispatch whose lookup gave
+// up on it is still a request its destination serves.
+func TestClusterCounterConservation(t *testing.T) {
+	const entries = 3000
+	f, table, holds := buildFront(t, 2, entries, FrontConfig{Seed: 1, Deadline: time.Minute})
+	eb := table.EntryBytes()
+	r := rng.New(5)
+	want := make([]byte, eb)
+	var sent, localLegs, partials int64
+	lookup := func(node, gpu, n int) {
+		keys := zipfKeys(t, r, entries, n)
+		res := f.Lookup(node, gpu, keys)
+		if res.Err != nil && res.Err != ErrPartial {
+			t.Fatal(res.Err)
+		}
+		sent += int64(len(keys))
+		if res.LocalKeys > 0 {
+			localLegs++
+		}
+		if res.Missing > 0 {
+			partials++
+		}
+		if res.LocalKeys+res.RemoteKeys != len(keys) {
+			t.Fatalf("result splits %d + %d keys of %d asked", res.LocalKeys, res.RemoteKeys, len(keys))
+		}
+		returned := 0
+		for j, k := range keys {
+			if err := table.ReadRow(k, want); err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows != nil && bytes.Equal(res.Rows[j*eb:(j+1)*eb], want) {
+				returned++
+			}
+		}
+		if returned+res.Missing != len(keys) {
+			t.Fatalf("result returned %d rows and counts %d missing of %d keys asked", returned, res.Missing, len(keys))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		lookup(i%2, i%2, 64)
+	}
+	if partials != 0 {
+		t.Fatalf("%d partial lookups with both peers healthy", partials)
+	}
+	// No lookup is in flight, so the deadline can be changed under the front.
+	f.cfg.Deadline = time.Nanosecond
+	holds[1].armed.Store(true)
+	for i := 0; i < 10; i++ {
+		lookup(0, i%2, 256)
+	}
+	if partials == 0 {
+		t.Fatal("no partial lookup under a held peer: the test is vacuous")
+	}
+
+	// Let the held dispatch through and wait for every send and every flush,
+	// so that the servers' counters are final.
+	holds[1].open()
+	f.Close()
+	var served int64
+	for _, n := range f.nodes {
+		n.Srv.Close()
+		served += n.Srv.Stats().Requests
+	}
+	m := f.met
+	if got := m.localKeys.Value() + m.remoteKeys.Value(); got != sent {
+		t.Fatalf("cluster_local_keys_total + cluster_remote_keys_total = %d, %d keys sent", got, sent)
+	}
+	if got := m.lookups.Value(); got != 30 {
+		t.Fatalf("cluster_lookups_total = %d, want 30", got)
+	}
+	if got := m.partials.Value(); got != partials {
+		t.Fatalf("cluster_partial_lookups_total = %d, %d results were partial", got, partials)
+	}
+	if want := localLegs + m.dispatches.Value(); served != want {
+		t.Fatalf("the nodes' serve_requests_total sum to %d, want %d local legs + %d dispatches",
+			served, localLegs, m.dispatches.Value())
 	}
 }

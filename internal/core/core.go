@@ -66,8 +66,10 @@ type Config struct {
 	// BlockBudget caps solver blocks (0 = solver default).
 	BlockBudget int
 	// Placement, when non-nil, skips solving and uses this pre-solved
-	// placement (e.g. loaded with solver.LoadPlacement); it is validated
-	// against the rest of the config.
+	// placement — loaded with solver.LoadPlacement, or another System's
+	// (the nodes of a cluster solve once and share it: a placement is
+	// read-only once built, and the Owned shard is not part of it). It is
+	// validated against the rest of the config.
 	Placement *solver.Placement
 	// Owned, on clustered platforms, reports whether this machine's host
 	// shard owns a key: owned network-class keys are served over the local
@@ -397,9 +399,6 @@ func (s *System) emitSolveSpan(start time.Time, wallSeconds float64, pl *solver.
 	s.tl.Shard(0).Emit(&ev)
 }
 
-// Telemetry reports whether the system was built with a telemetry registry.
-func (s *System) Telemetry() bool { return s.met != nil }
-
 // Placement returns the currently active placement.
 func (s *System) Placement() *solver.Placement { return s.state.Load().placement }
 
@@ -417,13 +416,9 @@ func (s *System) Extractor() *extract.Extractor { return s.state.Load().extracto
 func (s *System) Functional() bool { return s.Cache.Functional() }
 
 // ExtractBatch simulates one iteration's extraction with the configured
-// mechanism and returns the timing result.
+// mechanism and returns the timing result, which the caller owns.
 func (s *System) ExtractBatch(b *extract.Batch) (*extract.Result, error) {
-	res, err := s.state.Load().extractor.Run(s.Mechanism, b)
-	if err == nil && s.met != nil {
-		s.observeExtract(res)
-	}
-	return res, err
+	return s.ExtractBatchWith(b, nil)
 }
 
 // ExtractWith simulates one extraction with an explicit mechanism
@@ -435,7 +430,7 @@ func (s *System) ExtractWith(m extract.Mechanism, b *extract.Batch) (*extract.Re
 
 // Lookup functionally gathers rows for GPU dst into out; requires a Source.
 func (s *System) Lookup(dst int, keys []int64, out []byte) error {
-	return s.Cache.Gather(dst, keys, out)
+	return s.LookupWith(dst, keys, out, nil)
 }
 
 // Stats returns the modelled per-GPU access split.

@@ -417,4 +417,63 @@ func TestPreSolvedPlacement(t *testing.T) {
 	if err == nil {
 		t.Fatalf("oversized placement accepted: %v", tiny.Placement().CapacityUsed())
 	}
+
+	// Two nodes of a cluster share one solve (ugache-serve -nodes N solves on
+	// node 0 and hands the placement on): the same *Placement under different
+	// Owned shards serves the table's bytes on both, and each node counts as
+	// network-tier exactly the network-class keys the other one owns.
+	cp, err := platform.ClusterOf(platform.ServerAConfig(), platform.DefaultNetwork(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := emb.NewMaterialized("t", 2000, 16, emb.Float32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]int64, 2000)
+	for k := range keys {
+		keys[k] = int64(k)
+	}
+	eb := table.EntryBytes()
+	var shared *solver.Placement
+	for node := int64(0); node < 2; node++ {
+		reg := telemetry.NewRegistry(cp.N)
+		sys, err := Build(Config{
+			Platform: cp, Hotness: h, EntryBytes: eb, CacheRatio: 0.1, Source: table,
+			Placement: shared, Telemetry: reg,
+			Owned: func(k int64) bool { return k%2 == node },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared == nil {
+			shared = sys.Placement()
+		} else if sys.Placement() != shared {
+			t.Fatal("node 1 did not take node 0's placement")
+		}
+		b := &extract.Batch{Keys: make([][]int64, cp.N)}
+		b.Keys[0] = keys
+		if _, err := sys.ExtractBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		rows, want := make([]byte, len(keys)*eb), make([]byte, eb)
+		if err := sys.Lookup(0, keys, rows); err != nil {
+			t.Fatal(err)
+		}
+		notOwned := 0
+		for _, k := range keys {
+			if err := table.ReadRow(k, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rows[int(k)*eb:int(k+1)*eb], want) {
+				t.Fatalf("node %d key %d: row differs from the table", node, k)
+			}
+			if shared.SourceOf(0, k) == cp.Network() && k%2 != node {
+				notOwned++
+			}
+		}
+		if got := reg.Value("core_hit_network_keys_total"); notOwned == 0 || got != float64(notOwned) {
+			t.Fatalf("node %d: core_hit_network_keys_total = %g, want its %d network-class keys of the other shard", node, got, notOwned)
+		}
+	}
 }

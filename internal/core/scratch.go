@@ -32,10 +32,10 @@ func NewScratch() *Scratch {
 // can be rendered; off (the default) costs nothing on the hot path.
 func (s *Scratch) RecordSimPhases(on bool) { s.extract.RecordPhases(on) }
 
-// ExtractBatchWith is ExtractBatch with an optional scratch. With a non-nil
-// scratch the returned Result aliases the scratch's buffers and is valid
-// only until the scratch's next use. A nil scratch is identical to
-// ExtractBatch (caller-owned Result).
+// ExtractBatchWith is ExtractBatch on a caller's scratch: the returned
+// Result aliases the scratch's buffers and is valid only until the scratch's
+// next use. A nil scratch means a fresh one of the call's own
+// (extract.Extractor.RunWith), so the Result is the caller's to keep.
 func (s *System) ExtractBatchWith(b *extract.Batch, sc *Scratch) (*extract.Result, error) {
 	var esc *extract.Scratch
 	if sc != nil {

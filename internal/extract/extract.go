@@ -162,14 +162,17 @@ func (e *Extractor) Run(m Mechanism, b *Batch) (*Result, error) {
 	return e.RunWith(m, b, nil)
 }
 
-// RunWith is Run with an optional scratch. With a non-nil scratch the
-// Factored and FactoredStatic mechanisms reuse its buffers — the returned
-// Result (SrcBytes, PerGPU, LinkBytes) then aliases the scratch and is valid
-// only until the scratch's next use. PeerRandom and MessageBased accept a
-// scratch for the grouping step but still allocate their stage plans (they
-// are comparison baselines, not the serving hot path). With a nil scratch
-// RunWith is identical to Run.
+// RunWith is Run on a caller's scratch: the Factored and FactoredStatic
+// mechanisms reuse its buffers, so the returned Result (SrcBytes, PerGPU,
+// LinkBytes) aliases the scratch and is valid only until the scratch's next
+// use. PeerRandom and MessageBased take the scratch for the grouping step but
+// still allocate their stage plans (they are comparison baselines, not the
+// serving hot path). A nil scratch means a fresh one of the call's own, which
+// is what makes Run's Result the caller's to keep.
 func (e *Extractor) RunWith(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
+	if sc == nil {
+		sc = NewScratch()
+	}
 	vol, err := e.srcBytes(b, sc)
 	if err != nil {
 		return nil, err
@@ -189,26 +192,12 @@ func (e *Extractor) RunWith(m Mechanism, b *Batch, sc *Scratch) (*Result, error)
 }
 
 // runFactored implements §5.3: per-source dedicated core groups with local
-// padding. With a scratch, the demand plan, index table and simulator state
-// are all reused across runs.
+// padding. The demand plan, index table and simulator state are the
+// scratch's, reused across runs.
 func (e *Extractor) runFactored(vol [][]float64, sc *Scratch) (*Result, error) {
 	ns := e.P.NumSources()
-	var demands []sim.Demand
-	var idx [][]int // demand index per (gpu, source)
-	var simSc *sim.RunScratch
-	if sc != nil {
-		demands = sc.demands[:0]
-		idx = sc.idxMatrix(e.P.N, ns)
-		simSc = &sc.sim
-	} else {
-		idx = make([][]int, e.P.N)
-		for g := range idx {
-			idx[g] = make([]int, ns)
-			for j := range idx[g] {
-				idx[g][j] = -1
-			}
-		}
-	}
+	demands := sc.demands[:0]
+	idx := sc.idxMatrix(e.P.N, ns) // demand index per (gpu, source)
 	pc := e.plan
 	// Local demands first so non-local groups can pad into them.
 	for g := 0; g < e.P.N; g++ {
@@ -258,27 +247,28 @@ func (e *Extractor) runFactored(vol [][]float64, sc *Scratch) (*Result, error) {
 			}
 		}
 	}
-	if sc != nil {
-		sc.demands = demands // keep grown capacity for the next run
-	}
-	res, err := e.P.Topo.RunWith(demands, simSc)
+	return e.runPlan(demands, idx, vol, sc)
+}
+
+// runPlan is the shared tail of the two factored mechanisms: simulate the
+// demand plan and fold the per-demand finish times into per-GPU completion
+// times through the plan's (gpu, source) -> demand index table.
+func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, vol [][]float64, sc *Scratch) (*Result, error) {
+	sc.demands = demands // keep grown capacity for the next run
+	res, err := e.P.Topo.RunWith(demands, &sc.sim)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{
 		Time:      res.Makespan,
+		PerGPU:    sc.perGPUSlice(e.P.N),
 		LinkBytes: res.LinkBytes,
 		SrcBytes:  vol,
 		Phases:    res.Phases,
 	}
-	if sc != nil {
-		out.PerGPU = sc.perGPUSlice(e.P.N)
-	} else {
-		out.PerGPU = make([]float64, e.P.N)
-	}
-	for g := 0; g < e.P.N; g++ {
-		for j := 0; j < ns; j++ {
-			if di := idx[g][j]; di >= 0 && res.Finish[di] > out.PerGPU[g] {
+	for g, row := range idx {
+		for _, di := range row {
+			if di >= 0 && res.Finish[di] > out.PerGPU[g] {
 				out.PerGPU[g] = res.Finish[di]
 			}
 		}
@@ -489,22 +479,8 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 // proportionally to their byte volume (at least one core), no handoff.
 func (e *Extractor) runFactoredStatic(vol [][]float64, sc *Scratch) (*Result, error) {
 	ns := e.P.NumSources()
-	var demands []sim.Demand
-	var owner [][]int
-	var simSc *sim.RunScratch
-	if sc != nil {
-		demands = sc.demands[:0]
-		owner = sc.idxMatrix(e.P.N, ns)
-		simSc = &sc.sim
-	} else {
-		owner = make([][]int, e.P.N)
-		for g := range owner {
-			owner[g] = make([]int, ns)
-			for j := range owner[g] {
-				owner[g][j] = -1
-			}
-		}
-	}
+	demands := sc.demands[:0]
+	owner := sc.idxMatrix(e.P.N, ns)
 	pc := e.plan
 	for g := 0; g < e.P.N; g++ {
 		total := 0.0
@@ -530,30 +506,5 @@ func (e *Extractor) runFactoredStatic(vol [][]float64, sc *Scratch) (*Result, er
 			})
 		}
 	}
-	if sc != nil {
-		sc.demands = demands
-	}
-	res, err := e.P.Topo.RunWith(demands, simSc)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Time:      res.Makespan,
-		LinkBytes: res.LinkBytes,
-		SrcBytes:  vol,
-		Phases:    res.Phases,
-	}
-	if sc != nil {
-		out.PerGPU = sc.perGPUSlice(e.P.N)
-	} else {
-		out.PerGPU = make([]float64, e.P.N)
-	}
-	for g := 0; g < e.P.N; g++ {
-		for j := 0; j < ns; j++ {
-			if di := owner[g][j]; di >= 0 && res.Finish[di] > out.PerGPU[g] {
-				out.PerGPU[g] = res.Finish[di]
-			}
-		}
-	}
-	return out, nil
+	return e.runPlan(demands, owner, vol, sc)
 }

@@ -58,8 +58,9 @@ func newPlanCache(p *platform.Platform) *planCache {
 
 // Scratch holds the reusable buffers of one extraction run — the per-GPU
 // source-volume matrix, the demand plan, the demand-index table, and the
-// fluid simulator's working state. Passing a Scratch to RunWith makes the
-// steady-state Factored/FactoredStatic extraction path allocation-free.
+// fluid simulator's working state. Every run has one: keeping a Scratch and
+// passing it to RunWith makes the steady-state Factored/FactoredStatic
+// extraction path allocation-free; Run (RunWith with nil) makes one per call.
 //
 // A Scratch is owned by one goroutine at a time. The Result returned by a
 // scratch-backed run aliases the scratch (SrcBytes, PerGPU, LinkBytes) and
@@ -177,16 +178,7 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 	}
 	eb := e.entryBytes()
 	n := e.Pl.NumEntries()
-	ns := e.P.NumSources()
-	var out [][]float64
-	if sc != nil {
-		out = sc.volMatrix(e.P.N, ns)
-	} else {
-		out = make([][]float64, e.P.N)
-		for g := range out {
-			out[g] = make([]float64, ns)
-		}
-	}
+	out := sc.volMatrix(e.P.N, e.P.NumSources())
 	// Staged keys are few (bounded by the staging arena) and need only a
 	// range check, so they are folded in up front on the sequential path.
 	for g, staged := range b.Staged {
@@ -216,17 +208,12 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 		}
 		return out, nil
 	}
-	var errs []error
-	if sc != nil {
-		if cap(sc.errs) < e.P.N {
-			sc.errs = make([]error, e.P.N)
-		}
-		errs = sc.errs[:e.P.N]
-		for i := range errs {
-			errs[i] = nil
-		}
-	} else {
-		errs = make([]error, e.P.N)
+	if cap(sc.errs) < e.P.N {
+		sc.errs = make([]error, e.P.N)
+	}
+	errs := sc.errs[:e.P.N]
+	for i := range errs {
+		errs[i] = nil
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -35,8 +35,8 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	skipTo(ring, 17)
 	b := stagedBatch(3, 0.025, 1)
 	ring.Record(&b)
-	q := Event{Kind: KindQueue, GPU: 3, UnixNanos: 101}
-	q.V[QueueDepth] = 5
+	q := Event{Kind: KindPartial, GPU: 3, UnixNanos: 101}
+	q.V[PartialMissingKeys] = 5
 	rec.RecordControl(&q)
 
 	reg := telemetry.NewRegistry(1)
@@ -67,7 +67,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EventLines != 18 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["queue"] != 1 {
+	if rep.EventLines != 18 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 {
 		t.Fatalf("events = %d %v", rep.EventLines, rep.EventsByKind)
 	}
 	if rep.MetricCount == 0 {

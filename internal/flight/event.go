@@ -29,8 +29,9 @@ import (
 type Kind uint8
 
 const (
-	// KindQueue is one cluster-router dispatch-queue sample.
-	KindQueue Kind = iota + 1
+	// KindPartial is one cluster lookup that came back partial: a cross-node
+	// leg missed the deadline or failed.
+	KindPartial Kind = iota + 1
 	// KindRefresh is one completed placement refresh (control plane).
 	KindRefresh
 	// KindDrift is one drift-detector evaluation (control plane).
@@ -39,7 +40,7 @@ const (
 	KindPrefetch
 )
 
-var kindNames = [...]string{KindQueue: "queue", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch"}
+var kindNames = [...]string{KindPartial: "partial", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch"}
 
 // String returns the kind's JSONL name.
 func (k Kind) String() string {
@@ -52,8 +53,11 @@ func (k Kind) String() string {
 // MaxPayload is the number of numeric payload slots on an Event.
 const MaxPayload = 5
 
-// QueueDepth is the payload slot of KindQueue events.
-const QueueDepth = 0
+// Payload slot indices for KindPartial events.
+const (
+	PartialMissingKeys = iota
+	PartialRemoteKeys
+)
 
 // Payload slot indices for KindRefresh events.
 const (
@@ -83,7 +87,7 @@ const (
 // kindFields names each kind's used payload slots, in slot order; the JSONL
 // export emits exactly these.
 var kindFields = map[Kind][]string{
-	KindQueue:    {"depth"},
+	KindPartial:  {"missing_keys", "remote_keys"},
 	KindRefresh:  {"solve_wall_s", "duration_s", "moved_entries", "mean_impact", "solve_nodes"},
 	KindDrift:    {"score", "topk_overlap", "rank_distance", "window_batches", "drifted"},
 	KindPrefetch: {"announced_keys", "fetched_keys", "sim_s"},
@@ -95,11 +99,11 @@ var kindFields = map[Kind][]string{
 type Event struct {
 	// Kind selects the payload schema.
 	Kind Kind
-	// GPU is the worker/GPU the event belongs to, or -1 for control-plane
-	// events that have no single GPU.
+	// GPU is the worker/GPU the event belongs to (the origin node for
+	// KindPartial), or -1 for control-plane events that have no single GPU.
 	GPU int32
 	// Seq is a kind-specific sequence: the placement version for
-	// KindRefresh, the destination node for KindQueue, 0 otherwise.
+	// KindRefresh, 0 otherwise.
 	Seq int64
 	// UnixNanos is the event's wall-clock time.
 	UnixNanos int64

@@ -22,7 +22,7 @@ type SLO struct {
 	// (serve_rejected_total / (requests + rejected)) per window.
 	MaxShedRatio float64
 	// MaxQueueFrac is the tolerated admission-queue depth as a fraction of
-	// the inference ring capacity (peak over each window).
+	// the admission ring capacity (peak over each window).
 	MaxQueueFrac float64
 	// MaxSolveWall is the refresh policy-solve wall-clock budget; the
 	// signal fires only when a refresh actually completed inside the window.
@@ -50,7 +50,7 @@ type WatchdogConfig struct {
 	Registry *telemetry.Registry
 	// Recorder supplies the exemplar scan and the bundled flight.jsonl.
 	Recorder *Recorder
-	// QueueCapacity is the per-GPU inference admission ring capacity the
+	// QueueCapacity is the per-GPU admission ring capacity the
 	// saturation signal is measured against (0 disables that signal).
 	QueueCapacity int
 	// Bundle configures where and what trips write.

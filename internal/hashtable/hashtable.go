@@ -74,9 +74,6 @@ func New(capacity int) *Table {
 // Len returns the number of live entries.
 func (t *Table) Len() int { return t.used }
 
-// Cap returns the slot count.
-func (t *Table) Cap() int { return len(t.keys) }
-
 func hash(key int64) uint64 {
 	x := uint64(key)
 	x ^= x >> 33

@@ -83,9 +83,6 @@ func NewProblem(numVars int, objective []float64) (*Problem, error) {
 // NumVars returns the variable count.
 func (p *Problem) NumVars() int { return p.numVars }
 
-// NumConstraints returns the row count.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // AddConstraint appends a row.
 func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) error {
 	for _, c := range coefs {

@@ -332,6 +332,29 @@ func ServerCConfig() Config {
 // effective per-GPU port bandwidth.
 func ServerC() *Platform { return mustNew(ServerCConfig()) }
 
+// ConfigByName returns the config of the paper's server "A", "B" or "C"
+// (either case) — what the commands' -server flag names.
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "A", "a":
+		return ServerAConfig(), nil
+	case "B", "b":
+		return ServerBConfig(), nil
+	case "C", "c":
+		return ServerCConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown server %q (have A, B, C)", name)
+}
+
+// ByName builds the server ConfigByName names.
+func ByName(name string) (*Platform, error) {
+	cfg, err := ConfigByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return New(cfg)
+}
+
 // ClusterOf turns a single-machine config into one machine of a cluster
 // joined by the given fabric. Every machine in the cluster is identical, so
 // one Platform value describes each of them; the Machines count feeds the
@@ -491,20 +514,10 @@ func (p *Platform) TimePerByteTable() [][]float64 {
 	return tbl
 }
 
-// HBMLink, PCIeLink, DRAMLink, OutLink, InLink and PairLink expose link IDs
-// for utilization reporting (Fig. 13).
-func (p *Platform) HBMLink(g int) sim.LinkID  { return p.hbm[g] }
-func (p *Platform) PCIeLink(g int) sim.LinkID { return p.pcie[g] }
-func (p *Platform) DRAMLink() sim.LinkID      { return p.dram }
-
-// NICLink returns the inter-machine NIC link, or -1 on single-machine
-// platforms.
-func (p *Platform) NICLink() sim.LinkID {
-	if !p.hasNet {
-		return -1
-	}
-	return p.nic
-}
+// HBMLink, DRAMLink, OutLink, InLink and PairLink expose link IDs for
+// utilization reporting (Fig. 13).
+func (p *Platform) HBMLink(g int) sim.LinkID { return p.hbm[g] }
+func (p *Platform) DRAMLink() sim.LinkID     { return p.dram }
 
 // OutLink returns the NVSwitch outbound port of g, or -1 on hard-wired
 // platforms.

@@ -22,6 +22,15 @@ func TestStockServers(t *testing.T) {
 			t.Fatalf("%s: NumSources=%d", tc.p.Name, tc.p.NumSources())
 		}
 	}
+	// The -server flag's names, either case.
+	for name, want := range map[string]string{"A": "ServerA-4xV100", "b": "ServerB-8xV100", "C": "ServerC-8xA100"} {
+		if p, err := ByName(name); err != nil || p.Name != want {
+			t.Fatalf("ByName(%q) = %v, %v; want %s", name, p, err, want)
+		}
+	}
+	if _, err := ByName("D"); err == nil {
+		t.Fatal("ByName accepted server D")
+	}
 }
 
 func TestServerAFullyConnected(t *testing.T) {

@@ -13,17 +13,17 @@ import (
 	"ugache/internal/timeline"
 )
 
-// fillRing admits n single-key requests of the given class on GPU 0 — whose
-// worker the caller holds with parkWorker, so they stay queued — and returns
-// their result channels.
-func fillRing(t *testing.T, srv *Server, n int, class Class) []<-chan Result {
+// fillRing admits n single-key requests on GPU 0 — whose worker the caller
+// holds with parkWorker, so they stay queued — and returns their result
+// channels.
+func fillRing(t *testing.T, srv *Server, n int) []<-chan Result {
 	t.Helper()
 	chans := make([]<-chan Result, n)
 	for i := range chans {
-		chans[i] = srv.HandleClass(0, []int64{int64(i % 50)}, class)
+		chans[i] = srv.Handle(0, []int64{int64(i % 50)})
 	}
-	if inf, bg := srv.QueueDepths(0); inf+bg != n {
-		t.Fatalf("QueueDepths = (%d, %d) after admitting %d below ring capacity", inf, bg, n)
+	if got := srv.QueueDepths(0); got != n {
+		t.Fatalf("QueueDepths = %d after admitting %d below ring capacity", got, n)
 	}
 	return chans
 }
@@ -42,7 +42,7 @@ func admissionSystem(t *testing.T) *core.System {
 	return sys
 }
 
-// TestAdmissionFastFail: with AdmitWait unset, a full inference ring sheds
+// TestAdmissionFastFail: with AdmitWait unset, a full ring sheds
 // immediately with ErrOverload, counts the shed, and later-drained requests
 // still complete. The shed reaches the timeline's overload track through the
 // batch records: the batch formed after it carries the new total, and the
@@ -51,7 +51,7 @@ func TestAdmissionFastFail(t *testing.T) {
 	tl := timeline.NewRecorder(4, 64)
 	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Timeline: tl})
 	parked := parkWorker(t, srv, gate)
-	queued := fillRing(t, srv, 2, ClassInference)
+	queued := fillRing(t, srv, 2)
 
 	res := <-srv.Handle(0, []int64{7})
 	if !errors.Is(res.Err, ErrOverload) {
@@ -60,8 +60,8 @@ func TestAdmissionFastFail(t *testing.T) {
 	if got := srv.met.rejected.Value(); got != 1 {
 		t.Fatalf("serve_rejected_total = %d, want 1", got)
 	}
-	if inf, bg := srv.QueueDepths(0); inf != 2 || bg != 0 {
-		t.Fatalf("QueueDepths = (%d, %d), want (2, 0)", inf, bg)
+	if got := srv.QueueDepths(0); got != 2 {
+		t.Fatalf("QueueDepths = %d after the shed, want 2", got)
 	}
 
 	gate.open()
@@ -87,41 +87,13 @@ func TestAdmissionFastFail(t *testing.T) {
 	}
 }
 
-// TestAdmissionBackgroundShedsFirst: the background class rides its own
-// smaller ring — with it saturated, background sheds (and is counted in the
-// background-shed metric) while inference traffic still admits.
-func TestAdmissionBackgroundShedsFirst(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 16, BackgroundQueueDepth: 2})
-	parked := parkWorker(t, srv, gate)
-	queued := fillRing(t, srv, 2, ClassBackground)
-
-	res := <-srv.HandleClass(0, []int64{7}, ClassBackground)
-	if !errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("full background ring: got err %v, want ErrOverload", res.Err)
-	}
-	if got := srv.met.rejectedBackground.Value(); got != 1 {
-		t.Fatalf("serve_rejected_background_total = %d, want 1", got)
-	}
-	infCh := srv.Handle(0, []int64{8})
-	if got := srv.met.rejected.Value(); got != 1 {
-		t.Fatalf("inference admission shed while only background was full (rejected=%d)", got)
-	}
-
-	gate.open()
-	for i, ch := range append([]<-chan Result{parked, infCh}, queued...) {
-		if r := <-ch; r.Err != nil {
-			t.Fatalf("request %d failed: %v", i, r.Err)
-		}
-	}
-}
-
 // TestAdmitWaitAdmits: a bounded-wait admission parked on a full ring is
 // admitted once the worker's flushes free space, and the late admit is
 // counted.
 func TestAdmitWaitAdmits(t *testing.T) {
 	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: time.Minute})
 	parked := parkWorker(t, srv, gate)
-	queued := fillRing(t, srv, 2, ClassInference)
+	queued := fillRing(t, srv, 2)
 
 	// The worker may only be let go once the admission below has found the
 	// ring full. The space-token slot holds one token and only an admission
@@ -156,7 +128,7 @@ func TestAdmitWaitAdmits(t *testing.T) {
 func TestAdmitWaitExpires(t *testing.T) {
 	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: 50 * time.Millisecond})
 	parked := parkWorker(t, srv, gate)
-	queued := fillRing(t, srv, 2, ClassInference)
+	queued := fillRing(t, srv, 2)
 
 	start := time.Now()
 	res := <-srv.Handle(0, []int64{3})
@@ -194,7 +166,7 @@ func TestDrainCoalesces(t *testing.T) {
 	for i := 0; i < reqs; i++ {
 		out := make(chan Result, 1)
 		keys := []int64{int64(i), int64(i + 50), int64(i + 100), int64(i + 150)}
-		r := &request{keys: keys, out: out, enqueued: time.Now(), class: ClassInference}
+		r := &request{keys: keys, out: out, enqueued: time.Now()}
 		if !srv.queues[0].push(r) {
 			t.Fatalf("push %d failed", i)
 		}
@@ -257,11 +229,7 @@ func TestOverloadCloseFlood(t *testing.T) {
 						defer wg.Done()
 						<-start
 						for i := 0; i < perClient; i++ {
-							class := ClassInference
-							if i%4 == 3 {
-								class = ClassBackground
-							}
-							chans[c*perClient+i] = srv.HandleClass((c+i)%sys.P.N, []int64{int64(i % 200)}, class)
+							chans[c*perClient+i] = srv.Handle((c+i)%sys.P.N, []int64{int64(i % 200)})
 						}
 					}(c)
 				}

@@ -170,28 +170,27 @@ func TestBacklogCoalesces(t *testing.T) {
 	}
 }
 
-// TestBackgroundWaitsForInference: the cap still cuts a backlog into batches
-// (MaxBatchKeys 2 here), and a background request is taken only once the
-// inference ring is empty — although it was queued first.
-func TestBackgroundWaitsForInference(t *testing.T) {
+// TestBatchCutAtMaxBatchKeys: the cap cuts a backlog into batches, oldest
+// first (MaxBatchKeys 2 here, three single-key requests queued behind a held
+// worker).
+func TestBatchCutAtMaxBatchKeys(t *testing.T) {
 	srv, gate, _ := heldServer(t, Config{MaxBatchKeys: 2})
 	parked := parkWorker(t, srv, gate)
 
-	bg := srv.HandleClass(0, []int64{10}, ClassBackground)
-	inf1 := srv.Handle(0, []int64{11})
-	inf2 := srv.Handle(0, []int64{12})
+	first := srv.Handle(0, []int64{10})
+	second := srv.Handle(0, []int64{11})
+	third := srv.Handle(0, []int64{12})
 	gate.open()
 
 	if res := <-parked; res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	// [11 12] reaches the cap and leaves full; [10] follows alone. Taken in
-	// arrival order the batches would have been [10 11] and [12].
+	// [10 11] reaches the cap and leaves full; [12] follows alone.
 	for _, c := range []struct {
 		name string
 		ch   <-chan Result
 		keys int
-	}{{"first inference", inf1, 2}, {"second inference", inf2, 2}, {"background", bg, 1}} {
+	}{{"first", first, 2}, {"second", second, 2}, {"third", third, 1}} {
 		res := <-c.ch
 		if res.Err != nil {
 			t.Fatalf("%s request: %v", c.name, res.Err)
@@ -202,7 +201,7 @@ func TestBackgroundWaitsForInference(t *testing.T) {
 	}
 	reg := srv.Metrics()
 	if full, idle := sampleValue(t, reg, "serve_batch_fill_full_total"), sampleValue(t, reg, "serve_batch_fill_idle_total"); full != 1 || idle != 2 {
-		t.Fatalf("fill reasons: %g full, %g idle; want 1 (the capped batch) and 2 (the parking flush, the background request)", full, idle)
+		t.Fatalf("fill reasons: %g full, %g idle; want 1 (the capped batch) and 2 (the parking flush, the last request)", full, idle)
 	}
 }
 

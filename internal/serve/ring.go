@@ -103,70 +103,24 @@ func (r *mpscRing) depth() int {
 	return int(d)
 }
 
-// Class is a request's admission class. Inference traffic outranks
-// background work (refresh-driven re-warms, speculative lookups) twice
-// over: background rides a smaller ring, so it sheds earlier as pressure
-// builds, and the worker drains the inference ring first, so background
-// never delays a batch that inference traffic is waiting on.
-type Class uint8
-
-const (
-	// ClassInference is latency-sensitive foreground traffic (the default
-	// for Handle/Lookup).
-	ClassInference Class = iota
-	// ClassBackground is sheddable maintenance traffic: it is admitted only
-	// into the smaller low-priority ring and served when no inference
-	// request is pending.
-	ClassBackground
-)
-
-// String names the class for logs and reports.
-func (c Class) String() string {
-	if c == ClassBackground {
-		return "background"
-	}
-	return "inference"
-}
-
-// gpuQueue is one GPU's admission state: the two priority rings plus the
-// worker-wakeup and space-freed notification channels. Both channels are
-// buffered(1) token slots — a producer's failed non-blocking send means a
-// token is already pending, and the receiver re-checks the rings after every
-// token, so wakeups are never lost (see the worker loop).
+// gpuQueue is one GPU's admission state: the ring plus the worker-wakeup and
+// space-freed notification channels. Both channels are buffered(1) token
+// slots — a producer's failed non-blocking send means a token is already
+// pending, and the receiver re-checks the ring after every token, so wakeups
+// are never lost (see the worker loop).
 type gpuQueue struct {
-	high   *mpscRing // ClassInference
-	low    *mpscRing // ClassBackground
+	*mpscRing
 	notify chan struct{}
 	space  chan struct{}
 }
 
-func newGPUQueue(highDepth, lowDepth int) *gpuQueue {
+func newGPUQueue(depth int) *gpuQueue {
 	return &gpuQueue{
-		high:   newRing(highDepth),
-		low:    newRing(lowDepth),
-		notify: make(chan struct{}, 1),
-		space:  make(chan struct{}, 1),
+		mpscRing: newRing(depth),
+		notify:   make(chan struct{}, 1),
+		space:    make(chan struct{}, 1),
 	}
 }
-
-// push admits one request into its class ring. Never blocks.
-func (q *gpuQueue) push(r *request) bool {
-	if r.class == ClassBackground {
-		return q.low.push(r)
-	}
-	return q.high.push(r)
-}
-
-// pop dequeues the next request, inference first. Consumer-only.
-func (q *gpuQueue) pop() *request {
-	if r := q.high.pop(); r != nil {
-		return r
-	}
-	return q.low.pop()
-}
-
-// depth is the combined queued-request estimate across both classes.
-func (q *gpuQueue) depth() int { return q.high.depth() + q.low.depth() }
 
 // wake posts the worker-wakeup token (no-op if one is already pending).
 func (q *gpuQueue) wake() {

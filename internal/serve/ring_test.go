@@ -106,47 +106,6 @@ func TestRingConcurrentProducers(t *testing.T) {
 	}
 }
 
-func TestGPUQueuePriority(t *testing.T) {
-	q := newGPUQueue(8, 8)
-	bg := &request{keys: []int64{1}, class: ClassBackground}
-	inf := &request{keys: []int64{2}, class: ClassInference}
-	if !q.push(bg) || !q.push(inf) {
-		t.Fatal("push failed on empty queue")
-	}
-	if got := q.pop(); got != inf {
-		t.Fatal("pop did not prefer the inference ring")
-	}
-	if got := q.pop(); got != bg {
-		t.Fatal("background request lost")
-	}
-	if q.pop() != nil {
-		t.Fatal("pop on empty queue returned a request")
-	}
-}
-
-func TestGPUQueueClassRouting(t *testing.T) {
-	// Background rides the smaller low ring: with it full, background sheds
-	// while inference still admits.
-	q := newGPUQueue(16, 2)
-	for i := 0; i < 2; i++ {
-		if !q.push(&request{class: ClassBackground}) {
-			t.Fatalf("background push %d failed below capacity", i)
-		}
-	}
-	if q.push(&request{class: ClassBackground}) {
-		t.Fatal("background push succeeded past the low ring's capacity")
-	}
-	if !q.push(&request{class: ClassInference}) {
-		t.Fatal("inference push shed while only the background ring was full")
-	}
-}
-
-func TestClassString(t *testing.T) {
-	if ClassInference.String() != "inference" || ClassBackground.String() != "background" {
-		t.Fatalf("Class.String: %q / %q", ClassInference.String(), ClassBackground.String())
-	}
-}
-
 func TestPendingGate(t *testing.T) {
 	g := newPendingGate()
 	g.wait() // zero count: returns immediately

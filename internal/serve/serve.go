@@ -63,14 +63,10 @@ type Config struct {
 	// 8192, one paper-sized iteration). A batch never waits to reach the cap
 	// — it leaves as soon as the queue is empty.
 	MaxBatchKeys int
-	// QueueDepth bounds the per-GPU inference admission ring (default 256,
-	// rounded up to a power of two). A full ring sheds instead of blocking:
-	// see AdmitWait.
+	// QueueDepth bounds the per-GPU admission ring (default 256, rounded up
+	// to a power of two). A full ring sheds instead of blocking: see
+	// AdmitWait.
 	QueueDepth int
-	// BackgroundQueueDepth bounds the per-GPU background (ClassBackground)
-	// ring (default QueueDepth/4, min 4). Background work rides a smaller
-	// ring so it sheds before inference traffic as pressure builds.
-	BackgroundQueueDepth int
 	// AdmitWait bounds how long an admission may wait for queue space before
 	// shedding with ErrOverload. 0 (the default) is fast-fail admission: a
 	// full ring sheds immediately. A positive value lets Handle park — off
@@ -85,8 +81,10 @@ type Config struct {
 	// paper-sized iteration — however many flushes carried them: a full
 	// batch at saturation, hundreds of single-request flushes below the knee.
 	// Announced windows wait for the prefetch worker in a per-GPU queue as
-	// deep as the inference ring (one window per request that can be
-	// pending; 2L if that is more) and are dropped beyond it.
+	// deep as the admission ring (one window per request that can be
+	// pending; 2L if that is more) and are dropped beyond it. Each GPU's
+	// staging arena holds Lookahead x MaxBatchKeys rows: the announced
+	// traffic, if none of it were cached.
 	// 0 (the default) disables prefetching entirely — no staging arena, no
 	// workers, and a flush path identical to a non-prefetching server.
 	Lookahead int
@@ -96,20 +94,12 @@ type Config struct {
 	// Lookahead) have been served since their commit, instead of being
 	// discarded. 0 means staged rows die with their snapshot.
 	StaleBatches int
-	// StagingEntries sizes each GPU's staging arena in rows (default
-	// Lookahead x MaxBatchKeys: the announced traffic, if none of it were
-	// cached).
-	StagingEntries int
 
 	// Telemetry receives the engine's metrics. Nil creates a private
 	// registry (sharded per GPU), so Metrics and Stats always work; pass
 	// the same registry to core.Config.Telemetry to get the extraction and
 	// refresh metrics alongside.
 	Telemetry *telemetry.Registry
-	// TraceEvery samples the fluid-sim link-flow spans: every Nth batch per
-	// worker emits them (default 1: every batch). Only read with a Timeline
-	// attached; the batch record itself is written on every flush.
-	TraceEvery int
 	// Sampler, when non-nil, observes every coalesced batch's unique keys
 	// for §7.2 hotness re-estimation. Worker g feeds the sampler's shard g,
 	// so one sampler may serve all workers concurrently.
@@ -122,10 +112,10 @@ type Config struct {
 	Controller *core.Controller
 	// Timeline, when non-nil, exports every held batch record as a span tree
 	// on the serve track (queue-wait → coalesce → extract → gather → reply),
-	// rendered from the record rings when the trace is written, and records,
-	// for TraceEvery-sampled batches, the extraction's fluid-sim phases as
-	// per-link utilization spans (DESIGN.md §6.3; worker g emits those into
-	// the recorder's shard g). Nil disables both behind one pointer check.
+	// rendered from the record rings when the trace is written, and records
+	// every batch's fluid-sim phases as per-link utilization spans (DESIGN.md
+	// §6.3; worker g emits those into the recorder's shard g). Nil disables
+	// both behind one pointer check.
 	Timeline *timeline.Recorder
 	// Flight is the recorder whose rings take the batch records (DESIGN.md
 	// §6.8) and whose control ring takes staged prefetch windows. Every
@@ -146,26 +136,14 @@ func (c Config) normalize() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BackgroundQueueDepth <= 0 {
-		c.BackgroundQueueDepth = c.QueueDepth / 4
-		if c.BackgroundQueueDepth < 4 {
-			c.BackgroundQueueDepth = 4
-		}
-	}
 	if c.AdmitWait < 0 {
 		c.AdmitWait = 0
-	}
-	if c.TraceEvery <= 0 {
-		c.TraceEvery = 1
 	}
 	if c.Lookahead < 0 {
 		c.Lookahead = 0
 	}
 	if c.StaleBatches < 0 {
 		c.StaleBatches = 0
-	}
-	if c.Lookahead > 0 && c.StagingEntries <= 0 {
-		c.StagingEntries = c.Lookahead * c.MaxBatchKeys
 	}
 	return c
 }
@@ -213,7 +191,6 @@ type request struct {
 	keys     []int64
 	out      chan Result
 	enqueued time.Time
-	class    Class
 }
 
 // metrics is the serve-layer metric bundle; see DESIGN.md §6.2 for the
@@ -230,14 +207,13 @@ type metrics struct {
 	queueWait     *telemetry.Histogram
 
 	// Admission-control observability (DESIGN.md §6.7): requests shed by
-	// the bounded rings, the background-class subset, requests that were
-	// admitted only after a bounded wait, and the last/peak combined queue
-	// depth a worker observed at batch formation.
-	rejected           *telemetry.Counter
-	rejectedBackground *telemetry.Counter
-	admitWaitAdmitted  *telemetry.Counter
-	queueDepth         *telemetry.Gauge
-	queueDepthPeak     *telemetry.Gauge
+	// the bounded ring, requests that were admitted only after a bounded
+	// wait, and the last/peak queue depth a worker observed at batch
+	// formation.
+	rejected          *telemetry.Counter
+	admitWaitAdmitted *telemetry.Counter
+	queueDepth        *telemetry.Gauge
+	queueDepthPeak    *telemetry.Gauge
 
 	// Fill-source split: every unique key a flush resolves is either a
 	// prefetch hit (served from the staging arena) or a demand miss (paid
@@ -279,11 +255,10 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		latency:   reg.Histogram("serve_request_latency_seconds", "request latency from enqueue to reply", latencyBuckets),
 		queueWait: reg.Histogram("serve_queue_wait_seconds", "queue wait of a batch's first request", latencyBuckets),
 
-		rejected:           reg.Counter("serve_rejected_total", "requests shed by bounded admission (fast-fail or expired bounded wait)"),
-		rejectedBackground: reg.Counter("serve_rejected_background_total", "background-class requests shed by bounded admission"),
-		admitWaitAdmitted:  reg.Counter("serve_admit_wait_admitted_total", "requests admitted after a bounded wait on a full queue"),
-		queueDepth:         reg.Gauge("serve_queue_depth_last", "combined queued requests observed at the last batch formation"),
-		queueDepthPeak:     reg.Gauge("serve_queue_depth_peak", "peak combined queued requests observed at any batch formation"),
+		rejected:          reg.Counter("serve_rejected_total", "requests shed by bounded admission (fast-fail or expired bounded wait)"),
+		admitWaitAdmitted: reg.Counter("serve_admit_wait_admitted_total", "requests admitted after a bounded wait on a full queue"),
+		queueDepth:        reg.Gauge("serve_queue_depth_last", "queued requests observed at the last batch formation"),
+		queueDepthPeak:    reg.Gauge("serve_queue_depth_peak", "peak queued requests observed at any batch formation"),
 
 		fillPrefetchHit: reg.Counter("serve_fill_prefetch_hit", "unique keys served from the lookahead staging arena"),
 		fillDemandMiss:  reg.Counter("serve_fill_demand_miss", "unique keys paid for by the batch's own demand extraction"),
@@ -312,7 +287,7 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// Overload accounting: per-GPU sheds since start (stamped into every
-	// batch record), and the peak combined ring depth any worker observed.
+	// batch record), and the peak ring depth any worker observed.
 	shed      []atomic.Int64
 	peakDepth atomic.Int64
 
@@ -409,7 +384,7 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		s.windowPool.New = func() any { return &prefetchWindow{} }
 		depth := max(2*cfg.Lookahead, cfg.QueueDepth)
 		for g := 0; g < n; g++ {
-			arena, err := cache.NewStaging(cfg.StagingEntries, s.entryBytes, s.functional)
+			arena, err := cache.NewStaging(cfg.Lookahead*cfg.MaxBatchKeys, s.entryBytes, s.functional)
 			if err != nil {
 				return nil, err
 			}
@@ -436,7 +411,7 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		tl.AddSource(func(dst []timeline.Event) []timeline.Event { return trace.AppendSpans(tl, dst) })
 	}
 	for g := range s.queues {
-		s.queues[g] = newGPUQueue(s.cfg.QueueDepth, s.cfg.BackgroundQueueDepth)
+		s.queues[g] = newGPUQueue(s.cfg.QueueDepth)
 		s.wg.Add(1)
 		go s.worker(g)
 	}
@@ -465,22 +440,15 @@ func (s *Server) Metrics() *telemetry.Registry { return s.tel }
 // last ring-depth flushes of each worker.
 func (s *Server) Trace() *flight.Trace { return flight.NewTrace(s.rings) }
 
-// Handle enqueues one inference-class request for GPU gpu and returns the
-// channel its Result will arrive on (buffered; the caller need not be
-// ready). The keys slice is not retained past completion but must not be
-// mutated until the result arrives. Admission is bounded: a full queue
-// sheds with ErrOverload (after Config.AdmitWait, when set) instead of
-// blocking the caller. Every request admitted before Close returns is
-// guaranteed a Result; requests racing Close get ErrClosed.
+// Handle enqueues one request for GPU gpu and returns the channel its Result
+// will arrive on (buffered; the caller need not be ready). The keys slice is
+// not retained past completion but must not be mutated until the result
+// arrives. Admission is bounded: a full queue sheds with ErrOverload (after
+// Config.AdmitWait, when set) instead of blocking the caller. A key outside
+// the table fails this request alone, with ErrBadKey. Every request admitted
+// before Close returns is guaranteed a Result; requests racing Close get
+// ErrClosed.
 func (s *Server) Handle(gpu int, keys []int64) <-chan Result {
-	return s.HandleClass(gpu, keys, ClassInference)
-}
-
-// HandleClass is Handle with an explicit admission class. ClassBackground
-// requests ride the smaller low-priority ring: they shed earlier under
-// pressure and are only served when no inference request is pending. A key
-// outside the table fails this request alone, with ErrBadKey.
-func (s *Server) HandleClass(gpu int, keys []int64, class Class) <-chan Result {
 	out := make(chan Result, 1)
 	if gpu < 0 || gpu >= len(s.queues) {
 		out <- Result{Err: fmt.Errorf("serve: bad gpu %d", gpu)}
@@ -499,7 +467,7 @@ func (s *Server) HandleClass(gpu int, keys []int64, class Class) <-chan Result {
 			return out
 		}
 	}
-	r := &request{keys: keys, out: out, enqueued: time.Now(), class: class}
+	r := &request{keys: keys, out: out, enqueued: time.Now()}
 	if err := s.admit(gpu, r); err != nil {
 		out <- Result{Err: err}
 	}
@@ -525,7 +493,7 @@ func (s *Server) admit(gpu int, r *request) error {
 		return nil
 	}
 	if s.cfg.AdmitWait <= 0 {
-		return s.reject(gpu, r.class)
+		return s.reject(gpu)
 	}
 	// Bounded wait: park outside the close fence so Close never stalls
 	// behind waiters, re-attempt the push on every space signal, and shed
@@ -537,7 +505,7 @@ func (s *Server) admit(gpu int, r *request) error {
 		select {
 		case <-q.space:
 		case <-timer.C:
-			return s.reject(gpu, r.class)
+			return s.reject(gpu)
 		case <-s.done:
 			return ErrClosed
 		}
@@ -557,11 +525,8 @@ func (s *Server) admit(gpu int, r *request) error {
 }
 
 // reject records one shed and returns ErrOverload.
-func (s *Server) reject(gpu int, class Class) error {
+func (s *Server) reject(gpu int) error {
 	s.met.rejected.Add(gpu, 1)
-	if class == ClassBackground {
-		s.met.rejectedBackground.Add(gpu, 1)
-	}
 	s.shed[gpu].Add(1)
 	return ErrOverload
 }
@@ -572,22 +537,19 @@ func (s *Server) Lookup(gpu int, keys []int64) (Result, error) {
 	return res, res.Err
 }
 
-// QueueDepths returns GPU gpu's current (approximate) queued-request counts
-// for the inference and background rings — a diagnostics/backpressure probe,
-// not a synchronization primitive.
-func (s *Server) QueueDepths(gpu int) (inference, background int) {
+// QueueDepths returns GPU gpu's current (approximate) queued-request count —
+// a diagnostics/backpressure probe, not a synchronization primitive.
+func (s *Server) QueueDepths(gpu int) int {
 	if gpu < 0 || gpu >= len(s.queues) {
-		return 0, 0
+		return 0
 	}
-	return s.queues[gpu].high.depth(), s.queues[gpu].low.depth()
+	return s.queues[gpu].depth()
 }
 
-// QueueCapacity returns the per-GPU admission ring capacities (inference
-// and background) after defaulting and power-of-two rounding — what load
-// drivers should report peak depths against.
-func (s *Server) QueueCapacity() (inference, background int) {
-	return s.queues[0].high.capacity(), s.queues[0].low.capacity()
-}
+// QueueCapacity returns the per-GPU admission ring capacity after defaulting
+// and power-of-two rounding — what load drivers should report peak depths
+// against.
+func (s *Server) QueueCapacity() int { return s.queues[0].capacity() }
 
 // Close stops accepting requests, flushes everything already queued, and
 // waits for the workers to exit. Safe to call more than once; concurrent
@@ -681,10 +643,10 @@ func grow[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// worker is GPU g's coalescing loop: flush whatever backlog the rings hold,
-// one batch at a time, and park on the queue's wakeup token only when both
-// are empty (producers post it after every successful push, and the worker
-// re-checks the rings after every token, so a wakeup is never lost — see
+// worker is GPU g's coalescing loop: flush whatever backlog the ring holds,
+// one batch at a time, and park on the queue's wakeup token only when it is
+// empty (producers post it after every successful push, and the worker
+// re-checks the ring after every token, so a wakeup is never lost — see
 // gpuQueue). There is no timer: a request that finds the worker idle leaves
 // alone and at once, and batches grow only because requests queued up while
 // the previous flush ran.
@@ -700,7 +662,7 @@ func (s *Server) worker(g int) {
 		case <-q.notify:
 		case <-s.done:
 			// Close's write lock has excluded every producer by the time done
-			// closes, so an empty poll now means the rings are empty for
+			// closes, so an empty poll now means the ring is empty for
 			// good: flush what is left so no admitted caller is stranded.
 			for s.flushNext(g, q, sc, true) {
 			}
@@ -710,7 +672,7 @@ func (s *Server) worker(g int) {
 }
 
 // flushNext forms one batch from the backlog — the oldest queued request
-// plus every follower until MaxBatchKeys keys are in hand or the rings are
+// plus every follower until MaxBatchKeys keys are in hand or the ring is
 // empty — and flushes it. It reports false, having done nothing, when there
 // was no request to take. draining marks the shutdown drain's batches.
 func (s *Server) flushNext(g int, q *gpuQueue, sc *workerScratch, draining bool) bool {
@@ -746,7 +708,7 @@ func (s *Server) flushNext(g int, q *gpuQueue, sc *workerScratch, draining bool)
 }
 
 // observeQueue publishes the admission-side backpressure gauges at batch
-// formation — the last and the peak combined queue depth — and returns the
+// formation — the last and the peak queue depth — and returns the
 // depth, which the batch record carries (with the shed count) so saturation
 // shows on the overload track and in the flight rings.
 func (s *Server) observeQueue(q *gpuQueue) int {
@@ -843,7 +805,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 	rec.ReplySeconds = done.Sub(gatherEnd).Seconds()
 	rec.UnixNanos = done.UnixNano()
 	sc.ring.Record(rec)
-	if sc.span != nil && rec.Seq%int64(s.cfg.TraceEvery) == 0 {
+	if sc.span != nil {
 		s.emitLinkFlows(sc, phases, s.tl.Since(extractStart))
 	}
 }
@@ -969,7 +931,7 @@ func (s *Server) reply(g int, batch []*request, sc *workerScratch, rows []byte) 
 	}
 }
 
-// emitLinkFlows renders a sampled extraction's fluid-sim phase log as
+// emitLinkFlows renders an extraction's fluid-sim phase log as
 // per-link flow spans on the sim track, anchored at the extraction's wall
 // start (seconds since the recorder epoch) so the simulated timeline nests
 // visually under the batch's extract span. All names are package literals;

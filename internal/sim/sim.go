@@ -187,45 +187,37 @@ func (t *Topology) Run(demands []Demand) (*Result, error) {
 	return t.RunWith(demands, nil)
 }
 
-// RunWith is Run with an optional scratch. With a non-nil scratch the
-// returned Result's Finish and LinkBytes slices are scratch-owned: they are
-// valid only until the scratch's next RunWith call, and callers that need
-// them longer must copy. With a nil scratch it is identical to Run.
+// RunWith is Run on a caller's scratch: the returned Result's Finish and
+// LinkBytes slices are scratch-owned, valid only until the scratch's next
+// RunWith call, and callers that need them longer must copy. A nil scratch
+// means a fresh one of the call's own, which is what makes Run's Result the
+// caller's to keep.
 func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
-	var flows []*flow
-	var resid, weight []float64
-	var activeBuf []*flow
-	res := &Result{}
-	if sc != nil {
-		if cap(sc.flows) < len(demands) {
-			sc.flows = make([]flow, len(demands))
-			sc.ptrs = make([]*flow, len(demands))
-			for i := range sc.flows {
-				sc.ptrs[i] = &sc.flows[i]
-			}
-			sc.active = make([]*flow, 0, len(demands))
+	if sc == nil {
+		sc = new(RunScratch)
+	}
+	if cap(sc.flows) < len(demands) {
+		sc.flows = make([]flow, len(demands))
+		sc.ptrs = make([]*flow, len(demands))
+		for i := range sc.flows {
+			sc.ptrs[i] = &sc.flows[i]
 		}
-		sc.flows = sc.flows[:len(demands)]
-		flows = sc.ptrs[:len(demands)]
-		activeBuf = sc.active[:0]
-		sc.resid = growF64(sc.resid, len(t.Links))
-		sc.weight = growF64(sc.weight, len(t.Links))
-		resid, weight = sc.resid, sc.weight
-		res.Finish = growF64(sc.finish, len(demands))
-		res.LinkBytes = growF64(sc.bytes, len(t.Links))
-		sc.finish, sc.bytes = res.Finish, res.LinkBytes
-		if sc.Record {
-			sc.Log.T = sc.Log.T[:0]
-			sc.Log.Rate = sc.Log.Rate[:0]
-			sc.Log.Links = len(t.Links)
-			res.Phases = &sc.Log
-		}
-	} else {
-		flows = make([]*flow, len(demands))
-		resid = make([]float64, len(t.Links))
-		weight = make([]float64, len(t.Links))
-		res.Finish = make([]float64, len(demands))
-		res.LinkBytes = make([]float64, len(t.Links))
+		sc.active = make([]*flow, 0, len(demands))
+	}
+	sc.flows = sc.flows[:len(demands)]
+	flows := sc.ptrs[:len(demands)]
+	activeBuf := sc.active[:0]
+	sc.resid = growF64(sc.resid, len(t.Links))
+	sc.weight = growF64(sc.weight, len(t.Links))
+	resid, weight := sc.resid, sc.weight
+	sc.finish = growF64(sc.finish, len(demands))
+	sc.bytes = growF64(sc.bytes, len(t.Links))
+	res := &Result{Finish: sc.finish, LinkBytes: sc.bytes}
+	if sc.Record {
+		sc.Log.T = sc.Log.T[:0]
+		sc.Log.Rate = sc.Log.Rate[:0]
+		sc.Log.Links = len(t.Links)
+		res.Phases = &sc.Log
 	}
 	for i, d := range demands {
 		if d.Bytes < 0 {
@@ -244,9 +236,6 @@ func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
 		}
 		if d.PadTo >= len(demands) {
 			return nil, fmt.Errorf("sim: demand %d (%s) pads into unknown demand %d", i, d.Label, d.PadTo)
-		}
-		if flows[i] == nil {
-			flows[i] = &flow{}
 		}
 		*flows[i] = flow{
 			idx: i, rem: d.Bytes, cores: d.Cores, rcore: d.RCore,
@@ -286,7 +275,7 @@ func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
 		// Record this phase's boundary and per-link aggregate rates. The
 		// append stays within capacity at steady state, so recording keeps
 		// the allocation-free discipline once warmed up.
-		if sc != nil && sc.Record {
+		if sc.Record {
 			base := len(sc.Log.Rate)
 			need := base + len(t.Links)
 			if cap(sc.Log.Rate) < need {

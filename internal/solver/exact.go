@@ -235,16 +235,14 @@ type Exact struct {
 	// access plus G binary storage variables, so the search grows
 	// exponentially with it — keep instances reduced, as the paper does.
 	MaxBlocks int
-	// Opt is the default solve configuration used by plain Solve calls;
-	// SolveOpt's argument replaces it.
-	Opt Options
 }
 
 // Name implements Policy.
 func (Exact) Name() string { return "exact" }
 
-// Solve implements Policy.
-func (ex Exact) Solve(in *Input) (*Placement, error) { return ex.SolveOpt(in, ex.Opt) }
+// Solve implements Policy: SolveOpt under the zero Options (sequential, cold
+// start, prove optimality).
+func (ex Exact) Solve(in *Input) (*Placement, error) { return ex.SolveOpt(in, Options{}) }
 
 // SolveOpt implements OptionedPolicy.
 func (ex Exact) SolveOpt(in *Input, opt Options) (*Placement, error) {
@@ -264,11 +262,7 @@ func (ex Exact) SolveOpt(in *Input, opt Options) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	mopt := milp.Options{
-		Workers:  opt.Workers,
-		RelGap:   opt.RelGap,
-		MaxNodes: opt.MaxNodes,
-	}
+	mopt := milp.Options{Workers: opt.Workers, RelGap: opt.RelGap}
 	if opt.WarmStart != nil {
 		mopt.Incumbent = bm.warmIncumbent(in, c, opt.WarmStart)
 	}

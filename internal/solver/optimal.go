@@ -26,10 +26,11 @@ import (
 //     the paper, too, had to shrink Server B instances ("SYN-As/Bs") to
 //     obtain an optimal reference. The realized placement rounds storage
 //     fractions; LowerBound carries the exact LP objective.
-type OptimalLP struct {
-	// MaxGeneralBlocks caps the asymmetric formulation (0 = 12).
-	MaxGeneralBlocks int
-}
+type OptimalLP struct{}
+
+// maxGeneralBlocks caps the asymmetric formulation's quantile blocks: as many
+// as the dense simplex's row limit allows on an 8-GPU platform.
+const maxGeneralBlocks = 22
 
 // Name implements Policy.
 func (OptimalLP) Name() string { return "optimal-lp" }
@@ -326,11 +327,7 @@ func roundDistribution(n int64, g int, frac func(cnt int) float64) []int64 {
 // as a fractional LP with rounded realization.
 func (o OptimalLP) solveGeneral(c *ctx) (*Placement, error) {
 	in := c.in
-	maxBlocks := o.MaxGeneralBlocks
-	if maxBlocks <= 0 {
-		maxBlocks = 22 // as many as the dense simplex's row limit allows
-	}
-	blocks := c.buildQuantile(maxBlocks)
+	blocks := c.buildQuantile(maxGeneralBlocks)
 	bm, err := buildBlockModel(in, c, blocks)
 	if err != nil {
 		return nil, err

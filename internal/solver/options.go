@@ -19,8 +19,6 @@ type Options struct {
 	// early (0 = prove optimality). Trades placement determinism for solve
 	// latency.
 	RelGap float64
-	// MaxNodes caps branch-and-bound nodes (0 = the milp default).
-	MaxNodes int
 }
 
 // OptionedPolicy is implemented by policies whose solves accept Options;

@@ -361,7 +361,7 @@ func TestOptimalLPSymmetric(t *testing.T) {
 func TestOptimalLPGeneralDGX1(t *testing.T) {
 	p := platform.ServerB()
 	in := testInput(t, p, 5000, 1.2, 0.06)
-	opt, err := (OptimalLP{MaxGeneralBlocks: 10}).Solve(in)
+	opt, err := (OptimalLP{}).Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 
 	"ugache/internal/platform"
@@ -19,10 +18,7 @@ import (
 // falls back to the best of a lazy-greedy marginal-benefit search
 // (UGacheGreedy) and a connectivity-aware hot-replicate/warm-partition scan
 // (RepPart).
-type UGache struct {
-	// Greedy tunes the fallback search.
-	Greedy UGacheGreedy
-}
+type UGache struct{}
 
 // Name implements Policy.
 func (UGache) Name() string { return "ugache" }
@@ -30,7 +26,7 @@ func (UGache) Name() string { return "ugache" }
 // Solve implements Policy. One solve context serves the LP pass, the greedy
 // fallback and the RepPart scan; the scan's winner is materialized only when
 // it beats the placement it is compared with.
-func (u UGache) Solve(in *Input) (*Placement, error) {
+func (UGache) Solve(in *Input) (*Placement, error) {
 	c, err := newCtx(in)
 	if err != nil {
 		return nil, err
@@ -46,7 +42,7 @@ func (u UGache) Solve(in *Input) (*Placement, error) {
 		// that a structured scan sometimes beats.
 	}
 	if best == nil {
-		best = u.Greedy.solve(c)
+		best = UGacheGreedy{}.solve(c)
 	}
 	if blocks, t := (RepPart{Candidates: 33}).scan(c); t < maxF(best.EstTimes) {
 		rp := newPlacement(c, "rep-part", blocks)
@@ -73,16 +69,21 @@ func (u UGache) Solve(in *Input) (*Placement, error) {
 //   - a final rebalancing pass re-picks every reader's source with
 //     load-aware tie-breaking, spreading remote traffic across replicas.
 type UGacheGreedy struct {
-	// Theta is the minimax reweighting sharpness (0 = 4).
-	Theta float64
-	// ReweightEvery applies this many moves between weight updates (0 = 64).
-	ReweightEvery int
 	// RefineRounds bounds the swap-based local search after construction
 	// (0 = 4; negative disables refinement).
 	RefineRounds int
-	// Debug prints search progress (development aid).
-	Debug bool
 }
+
+// The minimax reweighting schedule of the greedy search: every
+// greedyReweightEvery applied moves, GPU i's weight becomes
+// exp(greedyTheta * (t_i/t_max - 1)), normalised to mean 1 — at sharpness 4 a
+// GPU at half the slowest one's time weighs e^-2 (about 1/7) of it. Nothing
+// ever set other values, and these are the ones every golden placement was
+// recorded with.
+const (
+	greedyTheta         = 4.0
+	greedyReweightEvery = 64
+)
 
 // Name implements Policy.
 func (UGacheGreedy) Name() string { return "ugache-greedy" }
@@ -140,15 +141,6 @@ func (u UGacheGreedy) Solve(in *Input) (*Placement, error) {
 
 func (u UGacheGreedy) solve(c *ctx) *Placement {
 	in := c.in
-	theta := u.Theta
-	if theta == 0 {
-		theta = 4
-	}
-	reweightEvery := u.ReweightEvery
-	if reweightEvery <= 0 {
-		reweightEvery = 64
-	}
-
 	st := &gstate{
 		in:      in,
 		m:       c.m,
@@ -189,17 +181,9 @@ func (u UGacheGreedy) solve(c *ctx) *Placement {
 	heap.Init(&h)
 
 	applied := 0
-	pops := 0
 	for h.Len() > 0 {
 		it := heap.Pop(&h).(moveItem)
-		pops++
-		if u.Debug && pops%500 == 0 {
-			fmt.Printf("pop %d: benefit=%g applied=%d heap=%d\n", pops, it.benefit, applied, h.Len())
-		}
 		if it.benefit <= 0 {
-			if u.Debug {
-				fmt.Printf("stop: stale benefit %g after %d applies, %d pops\n", it.benefit, applied, pops)
-			}
 			break
 		}
 		b := &st.blocks[it.block]
@@ -218,8 +202,8 @@ func (u UGacheGreedy) solve(c *ctx) *Placement {
 		}
 		st.apply(it.block, it.gpu)
 		applied++
-		if applied%reweightEvery == 0 {
-			st.reweight(theta)
+		if applied%greedyReweightEvery == 0 {
+			st.reweight()
 		}
 	}
 
@@ -351,7 +335,7 @@ func (st *gstate) apply(bi, g int) {
 
 // reweight pushes weight toward the slowest GPUs (multiplicative weights on
 // the minimax objective).
-func (st *gstate) reweight(theta float64) {
+func (st *gstate) reweight() {
 	maxT := 0.0
 	for _, v := range st.t {
 		if v > maxT {
@@ -363,7 +347,7 @@ func (st *gstate) reweight(theta float64) {
 	}
 	sum := 0.0
 	for i, v := range st.t {
-		st.w[i] = expFast(theta * (v/maxT - 1))
+		st.w[i] = expFast(greedyTheta * (v/maxT - 1))
 		sum += st.w[i]
 	}
 	scale := float64(len(st.w)) / sum

@@ -1,7 +1,7 @@
-// Package stats provides the small numeric-summary and report-rendering
-// helpers shared by the benchmark harness: streaming summaries, fixed-bucket
-// histograms, and fixed-width table/series rendering used to print the rows
-// and series of the paper's tables and figures.
+// Package stats provides the small numeric and report-rendering helpers
+// shared by the benchmark harness and the commands: exact sample quantiles,
+// the geometric mean, and the fixed-width table/series rendering used to
+// print the rows and series of the paper's tables and figures.
 package stats
 
 import (
@@ -10,120 +10,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Summary accumulates streaming moments and extremes of a sequence.
-type Summary struct {
-	n        int
-	sum, sq  float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-	s.sq += v * v
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Min returns the smallest observation, or 0 with none.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with none.
-func (s *Summary) Max() float64 { return s.max }
-
-// Std returns the population standard deviation.
-func (s *Summary) Std() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Histogram is a fixed-bucket histogram over [Lo, Hi); values outside the
-// range are clamped into the first/last bucket.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given range and bucket count.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram range is empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	b := int(float64(len(h.Counts)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bucket b.
-func (h *Histogram) Fraction(b int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[b]) / float64(h.total)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated from bucket
-// midpoints.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	acc := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		acc += float64(c)
-		if acc >= target {
-			return h.Lo + (float64(i)+0.5)*width
-		}
-	}
-	return h.Hi
-}
 
 // Quantiles computes exact quantiles of a sample (which it sorts in place).
 func Quantiles(sample []float64, qs ...float64) []float64 {

@@ -119,6 +119,18 @@ func TestRegistryFind(t *testing.T) {
 	if m := reg.Find("still_missing"); m != nil {
 		t.Fatalf("Find created %v", m)
 	}
+	// Value reads the three single-valued kinds through Find; a histogram and
+	// a missing name read 0.
+	c.Add(0, 2)
+	c.Add(1, 3)
+	reg.FloatCounter("x_seconds_total", "x").Add(1, 0.5)
+	reg.Gauge("x_last", "x").Set(7)
+	h.Observe(0, 0.25)
+	for name, want := range map[string]float64{"x_total": 5, "x_seconds_total": 0.5, "x_last": 7, "x_seconds": 0, "still_missing": 0} {
+		if got := reg.Value(name); got != want {
+			t.Fatalf("Value(%s) = %g, want %g", name, got, want)
+		}
+	}
 }
 
 func TestHistogramBucketsMerged(t *testing.T) {

@@ -233,9 +233,6 @@ func NewRegistry(shards int) *Registry {
 	return &Registry{nshards: shards, byName: make(map[string]interface{})}
 }
 
-// Shards returns the registry's shard count.
-func (r *Registry) Shards() int { return r.nshards }
-
 func (r *Registry) lookup(name string, mk func() interface{}) interface{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -258,6 +255,22 @@ func (r *Registry) Find(name string) interface{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.byName[name]
+}
+
+// Value returns the current value of the counter, float counter or gauge
+// registered under name, and 0 when there is none (or it is a histogram,
+// which has no single value) — the read a report makes of a metric another
+// subsystem owns.
+func (r *Registry) Value(name string) float64 {
+	switch m := r.Find(name).(type) {
+	case *Counter:
+		return float64(m.Value())
+	case *FloatCounter:
+		return m.Value()
+	case *Gauge:
+		return m.Value()
+	}
+	return 0
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -70,6 +70,17 @@ var (
 // DLRDatasets lists the stock specs in the paper's presentation order.
 var DLRDatasets = []DLRSpec{CR, SYNA, SYNB}
 
+// DLRSpecByName returns the stock spec with the given name — what the
+// commands' -dataset flag names.
+func DLRSpecByName(name string) (DLRSpec, error) {
+	for _, s := range DLRDatasets {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return DLRSpec{}, fmt.Errorf("unknown dataset %q (have CR, SYN-A, SYN-B)", name)
+}
+
 // DLRDataset is a built DLR workload: the flattened tables plus per-table
 // key samplers.
 type DLRDataset struct {

@@ -54,18 +54,6 @@ type OpenLoopConfig struct {
 	// per-user state — a user's working set is derived by hashing, so
 	// millions of users cost nothing.
 	Users int64
-	// UserAlpha is the Zipf skew of user activity (default 1.05): a few
-	// users issue most requests, the long tail is nearly idle.
-	UserAlpha float64
-	// WorkingSet is the number of distinct keys in one user's affinity set
-	// (default 64).
-	WorkingSet int
-	// Affinity is the probability a requested key comes from the user's own
-	// working set rather than the global popularity distribution (default
-	// 0.8). Affinity draws are deterministic per (user, slot), so a user's
-	// requests re-touch the same keys — the temporal locality real serving
-	// traffic has and uniform resampling lacks.
-	Affinity float64
 
 	// KeysPerRequest is how many keys one request carries (default 26, one
 	// key per CR table).
@@ -73,22 +61,37 @@ type OpenLoopConfig struct {
 	// NumKeys is the key space size (required, > 0). Keys are drawn in
 	// [0, NumKeys).
 	NumKeys int64
-	// KeyAlpha is the Zipf skew of key popularity (default 1.2), applied
-	// both to global draws and, through the hash, to affinity sets — hot
-	// keys appear in many users' working sets.
-	KeyAlpha float64
-
-	// BurstRatio is the MMPP burst-state rate multiplier over the quiet
-	// state (default 8).
-	BurstRatio float64
-	// BurstFraction is the long-run fraction of time spent in the burst
-	// state (default 0.1). The quiet/burst rates are solved so the long-run
-	// offered rate stays exactly QPS.
-	BurstFraction float64
-	// QuietSojourn is the mean dwell time in the quiet state (default 1s);
-	// the burst dwell follows from BurstFraction.
-	QuietSojourn time.Duration
 }
+
+// The shape of the simulated population and of the bursty arrival process.
+// Nothing sets these per stream: one population and one burst shape are what
+// the serving experiments are stated against.
+const (
+	// userAlpha is the Zipf skew of user activity: a few users issue most
+	// requests, the long tail is nearly idle.
+	userAlpha = 1.05
+	// workingSet is the number of distinct keys in one user's affinity set.
+	workingSet = 64
+	// affinity is the probability a requested key comes from the user's own
+	// working set rather than the global popularity distribution. Affinity
+	// draws are deterministic per (user, slot), so a user's requests re-touch
+	// the same keys — the temporal locality real serving traffic has and
+	// uniform resampling lacks.
+	affinity = 0.8
+	// keyAlpha is the Zipf skew of key popularity (the skew of the paper's
+	// SYN-A), applied both to global draws and, through the hash, to affinity
+	// sets — hot keys appear in many users' working sets.
+	keyAlpha = 1.2
+	// burstRatio is the MMPP burst-state rate multiplier over the quiet
+	// state, and burstFraction the long-run fraction of time spent in the
+	// burst state; the quiet/burst rates are solved so the long-run offered
+	// rate stays exactly QPS.
+	burstRatio    = 8.0
+	burstFraction = 0.1
+	// quietSojourn is the mean dwell time in the quiet state, in seconds;
+	// the burst dwell follows from burstFraction.
+	quietSojourn = 1.0
+)
 
 func (c OpenLoopConfig) normalize() (OpenLoopConfig, error) {
 	if c.QPS <= 0 {
@@ -100,32 +103,8 @@ func (c OpenLoopConfig) normalize() (OpenLoopConfig, error) {
 	if c.Users <= 0 {
 		c.Users = 1_000_000
 	}
-	if c.UserAlpha <= 0 {
-		c.UserAlpha = 1.05
-	}
-	if c.WorkingSet <= 0 {
-		c.WorkingSet = 64
-	}
-	if c.Affinity < 0 || c.Affinity > 1 {
-		return c, fmt.Errorf("workload: affinity must be in [0, 1], got %g", c.Affinity)
-	}
-	if c.Affinity == 0 {
-		c.Affinity = 0.8
-	}
 	if c.KeysPerRequest <= 0 {
 		c.KeysPerRequest = 26
-	}
-	if c.KeyAlpha <= 0 {
-		c.KeyAlpha = 1.2
-	}
-	if c.BurstRatio <= 1 {
-		c.BurstRatio = 8
-	}
-	if c.BurstFraction <= 0 || c.BurstFraction >= 1 {
-		c.BurstFraction = 0.1
-	}
-	if c.QuietSojourn <= 0 {
-		c.QuietSojourn = time.Second
 	}
 	return c, nil
 }
@@ -173,11 +152,11 @@ func NewOpenLoop(cfg OpenLoopConfig, seed uint64) (*OpenLoop, error) {
 	if err != nil {
 		return nil, err
 	}
-	users, err := NewZipf(cfg.Users, cfg.UserAlpha)
+	users, err := NewZipf(cfg.Users, userAlpha)
 	if err != nil {
 		return nil, err
 	}
-	keys, err := NewZipf(cfg.NumKeys, cfg.KeyAlpha)
+	keys, err := NewZipf(cfg.NumKeys, keyAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -189,14 +168,14 @@ func NewOpenLoop(cfg OpenLoopConfig, seed uint64) (*OpenLoop, error) {
 		keyBuf: make([]int64, cfg.KeysPerRequest),
 	}
 	if cfg.Arrivals == MMPP {
-		// Stationary split pi_hi = BurstFraction with exponential sojourns,
-		// and rate_hi = BurstRatio * rate_lo; solve rate_lo so the long-run
+		// Stationary split pi_hi = burstFraction with exponential sojourns,
+		// and rate_hi = burstRatio * rate_lo; solve rate_lo so the long-run
 		// offered rate is exactly QPS:
-		//   QPS = (1-f)*rate_lo + f*BurstRatio*rate_lo.
-		f := cfg.BurstFraction
-		o.rateLo = cfg.QPS / ((1 - f) + f*cfg.BurstRatio)
-		o.rateHi = cfg.BurstRatio * o.rateLo
-		o.meanLo = cfg.QuietSojourn.Seconds()
+		//   QPS = (1-f)*rate_lo + f*burstRatio*rate_lo.
+		const f = burstFraction
+		o.rateLo = cfg.QPS / ((1 - f) + f*burstRatio)
+		o.rateHi = burstRatio * o.rateLo
+		o.meanLo = quietSojourn
 		o.meanHi = o.meanLo * f / (1 - f)
 		o.burst = false
 		o.rate = o.rateLo
@@ -229,11 +208,11 @@ func (o *OpenLoop) Next(req *OpenLoopRequest) {
 	user := o.users.Sample(o.r)
 	keys := o.keyBuf[:o.cfg.KeysPerRequest]
 	for i := range keys {
-		if o.r.Float64() < o.cfg.Affinity {
+		if o.r.Float64() < affinity {
 			// Affinity draw: a stable slot of this user's working set,
 			// mapped through the key-popularity CDF so hot keys land in
 			// many working sets.
-			slot := o.r.Intn(o.cfg.WorkingSet)
+			slot := o.r.Intn(workingSet)
 			h := splitmix64(uint64(user)*0x100000001b3 + uint64(slot))
 			keys[i] = o.keys.Rank(unit(h))
 		} else {
@@ -274,7 +253,7 @@ func (o *OpenLoop) advanceClock() {
 // UserKeys returns user u's full working set — the keys its affinity draws
 // can produce — for tests and cache-warmup tooling.
 func (o *OpenLoop) UserKeys(u int64) []int64 {
-	out := make([]int64, o.cfg.WorkingSet)
+	out := make([]int64, workingSet)
 	for slot := range out {
 		h := splitmix64(uint64(u)*0x100000001b3 + uint64(slot))
 		out[slot] = o.keys.Rank(unit(h))

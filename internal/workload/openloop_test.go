@@ -84,11 +84,13 @@ func TestOpenLoopPoissonRate(t *testing.T) {
 // dispersion (variance/mean of per-window arrival counts) is ~1 for Poisson
 // and must rise well above it under MMPP.
 func TestOpenLoopMMPP(t *testing.T) {
-	const qps = 20_000.0
+	// 400k arrivals at 2000 qps are 200 s of stream: some 180 quiet/burst
+	// cycles at the one-second mean quiet sojourn, enough for the long-run
+	// rate to show (2040 here; 20 s of stream read 16 % low).
+	const qps = 2_000.0
 	dispersion := func(arrivals Arrival) (rate, idx float64) {
 		o, err := NewOpenLoop(OpenLoopConfig{
 			QPS: qps, NumKeys: 10_000, Arrivals: arrivals,
-			BurstRatio: 10, BurstFraction: 0.1, QuietSojourn: 100 * time.Millisecond,
 		}, 11)
 		if err != nil {
 			t.Fatal(err)
@@ -132,11 +134,11 @@ func TestOpenLoopMMPP(t *testing.T) {
 }
 
 // TestOpenLoopAffinity checks per-user key locality: one user's requests
-// must overlap their own working set far more than another user's.
+// must come from their own working set, and from it rather than another
+// user's.
 func TestOpenLoopAffinity(t *testing.T) {
 	o, err := NewOpenLoop(OpenLoopConfig{
-		QPS: 1000, NumKeys: 1 << 20, KeyAlpha: 1.01, // weak skew: global collisions rare
-		Users: 1 << 30, WorkingSet: 32, Affinity: 0.9, KeysPerRequest: 8,
+		QPS: 1000, NumKeys: 1 << 20, Users: 1 << 30, KeysPerRequest: 8,
 	}, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -150,28 +152,34 @@ func TestOpenLoopAffinity(t *testing.T) {
 		return false
 	}
 	var req OpenLoopRequest
-	own, other, total := 0, 0, 0
+	own, ownOnly, otherOnly, total := 0, 0, 0, 0
 	for i := 0; i < 3000; i++ {
 		o.Next(&req)
 		mine := o.UserKeys(req.User)
 		theirs := o.UserKeys(req.User + 1_000_003)
 		for _, k := range req.Keys {
 			total++
-			if inSet(mine, k) {
+			m, th := inSet(mine, k), inSet(theirs, k)
+			if m {
 				own++
 			}
-			if inSet(theirs, k) {
-				other++
+			if m && !th {
+				ownOnly++
+			}
+			if th && !m {
+				otherOnly++
 			}
 		}
 	}
-	ownFrac := float64(own) / float64(total)
-	otherFrac := float64(other) / float64(total)
-	if ownFrac < 0.8 {
+	// Four keys in five are affinity draws, and a global draw can land in the
+	// set by chance: 0.88 here. Popular keys sit in many users' sets by
+	// design, so the per-user part is what only one of the two sets explains:
+	// 0.48 of the keys for the user's own, 0.014 for the stranger's.
+	if ownFrac := float64(own) / float64(total); ownFrac < 0.8 {
 		t.Fatalf("only %.2f of keys from the user's own working set, want >= 0.8", ownFrac)
 	}
-	if otherFrac > 0.3*ownFrac {
-		t.Fatalf("unrelated user's set matched %.2f of keys (own %.2f) — affinity not per-user", otherFrac, ownFrac)
+	if 10*otherOnly > ownOnly {
+		t.Fatalf("%d keys only the user's own set explains, %d only an unrelated user's — affinity not per-user", ownOnly, otherOnly)
 	}
 }
 
@@ -181,9 +189,6 @@ func TestOpenLoopConfigErrors(t *testing.T) {
 	}
 	if _, err := NewOpenLoop(OpenLoopConfig{QPS: 100}, 1); err == nil {
 		t.Fatal("accepted NumKeys <= 0")
-	}
-	if _, err := NewOpenLoop(OpenLoopConfig{QPS: 100, NumKeys: 10, Affinity: 1.5}, 1); err == nil {
-		t.Fatal("accepted affinity > 1")
 	}
 	if _, err := ParseArrival("bogus"); err == nil {
 		t.Fatal("parsed bogus arrival process")

@@ -140,6 +140,12 @@ func TestDLRSpecShapes(t *testing.T) {
 	if len(DLRDatasets) != 3 {
 		t.Fatal("registry size")
 	}
+	if s, err := DLRSpecByName("SYN-B"); err != nil || s.Alpha != SYNB.Alpha {
+		t.Fatalf("DLRSpecByName(SYN-B) = %+v, %v", s, err)
+	}
+	if _, err := DLRSpecByName("SYN-C"); err == nil {
+		t.Fatal("DLRSpecByName accepted SYN-C")
+	}
 	if _, err := CR.Build(0, 1); err == nil {
 		t.Fatal("zero scale accepted")
 	}

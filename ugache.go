@@ -218,15 +218,6 @@ type ServeResult = serve.Result
 // ServeStats are the engine's cumulative counters.
 type ServeStats = serve.Stats
 
-// ServeClass prioritizes admission: inference requests outrank background
-// work, which rides a smaller queue and is shed first under pressure.
-type ServeClass = serve.Class
-
-const (
-	ClassInference  = serve.ClassInference
-	ClassBackground = serve.ClassBackground
-)
-
 // Admission outcomes (DESIGN.md §6.7): a request against a full bounded
 // queue is shed with ErrOverload (immediately, or after ServeConfig's
 // AdmitWait bound); requests racing shutdown observe ErrClosed; a request
