@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster
 # Packages with testing.B microbenchmarks on the extraction hot path.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve
 
-.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch figures trace-smoke flight-smoke cluster-smoke
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-drift bench-prefetch bench-sim-check figures figures-golden trace-smoke flight-smoke cluster-smoke
 
 check: fmt vet build test fuzz-smoke race bench-harness
 
@@ -83,9 +83,30 @@ bench-drift:
 bench-prefetch:
 	$(GO) run ./cmd/ugache-bench -exp prefetch -scale 0.25 -json-out BENCH_prefetch.json
 
+# The gate on those two (CI runs it): both are simulated-clock sweeps and
+# regenerate byte for byte, so regenerate each to a temporary file and
+# compare it with the checked-in one — everything but the `command` line
+# (it names the output path) and the `go` line (it follows the runner's
+# patch release).
+BENCH_BODY = grep -v -e '^  "command": ' -e '^  "go": '
+bench-sim-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && for e in drift prefetch; do \
+		$(GO) run ./cmd/ugache-bench -exp $$e -scale 0.25 -json-out $$tmp/$$e.json >/dev/null || exit 1; \
+		$(BENCH_BODY) BENCH_$$e.json >$$tmp/$$e.want; \
+		$(BENCH_BODY) $$tmp/$$e.json | diff $$tmp/$$e.want - || \
+			{ echo "BENCH_$$e.json no longer regenerates (want <, got >): make bench-$$e re-records it if the move is meant"; exit 1; }; \
+		echo "BENCH_$$e.json regenerates unchanged"; \
+	done
+
 # Regenerate the paper's tables and figures (minutes at full scale).
 figures:
 	$(GO) run ./cmd/ugache-bench -exp all
+
+# Re-record internal/bench/testdata/*.golden, the body of every experiment
+# at the test scale that TestExperimentsSmoke compares against. Run it when
+# a change is meant to move a cell, and review the diff.
+figures-golden:
+	$(GO) test ./internal/bench -run TestExperimentsSmoke -update
 
 # End-to-end timeline smoke test: run a short serving loop with tracing and
 # a refresh, then validate the exported Chrome trace.

@@ -34,7 +34,7 @@ func main() {
 		iters      = flag.Int("iters", 3, "measured iterations per configuration")
 		seed       = flag.Uint64("seed", 42, "random seed")
 		quick      = flag.Bool("quick", false, "trim the configuration matrix")
-		workers    = flag.Int("workers", 0, "pre-warm worker pool size (0 = one per CPU, 1 = sequential)")
+		workers    = flag.Int("workers", 0, "workers computing a figure's configurations (0 = one per CPU, 1 = sequential); output is the same at any value")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		telem      = flag.Bool("telemetry", false, "instrument the experiments' core systems and print a summary table of all collected metrics")
 		jsonOut    = flag.String("json-out", "", "write the machine-readable reports of experiments that produce one (e.g. drift, prefetch) to this JSON file")

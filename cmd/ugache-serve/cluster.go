@@ -14,7 +14,6 @@ import (
 	"ugache/internal/solver"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
-	"ugache/internal/workload"
 )
 
 // clusterPlatform builds the clustered twin of the named single-machine
@@ -39,29 +38,7 @@ func runCluster(o options) error {
 	if o.openLoop || o.refresh || o.mode != "off" || o.lookahead > 0 {
 		return fmt.Errorf("-nodes > 1 supports the closed-loop client mode only (no -open-loop, -refresh, -refresh-mode, -lookahead)")
 	}
-	spec, err := workload.DLRSpecByName(o.dataset)
-	if err != nil {
-		return err
-	}
-	p, err := clusterPlatform(o.server, o.nodes, o.netBW, o.netLatency)
-	if err != nil {
-		return err
-	}
-	ds, err := spec.Build(o.scale, o.seed)
-	if err != nil {
-		return err
-	}
-	n := ds.NumEntries()
-	fmt.Printf("dataset %s at scale %g: %d tables, %d entries, %d B rows\n",
-		spec.Name, o.scale, ds.KeysPerSample(), n, ds.MT.MaxEntryBytes())
-	fmt.Printf("cluster:           %d nodes of %s, wire %.0f GB/s, %.0fus one-way\n",
-		o.nodes, p.Name, o.netBW/1e9, o.netLatency.Seconds()*1e6)
-
-	var rec [][]int64
-	for i := 0; i < 64; i++ {
-		rec = append(rec, ds.GenBatch(o.batch*o.clients))
-	}
-	hot, err := workload.ProfileBatches(n, rec)
+	p, ds, hot, err := setUp(o)
 	if err != nil {
 		return err
 	}
@@ -192,13 +169,7 @@ func runCluster(o options) error {
 	fmt.Printf("throughput:        %.0f req/s, %.0f keys/s\n",
 		float64(total)/wall.Seconds(), metric("serve_requested_keys_total")/wall.Seconds())
 	fmt.Printf("latency:           p50 %v  p99 %v  max %v\n", p50, p99, maxLat)
-	local, remote, host, network := metric("core_hit_local_keys_total"),
-		metric("core_hit_remote_keys_total"), metric("core_hit_host_keys_total"),
-		metric("core_hit_network_keys_total")
-	if sum := local + remote + host + network; sum > 0 {
-		fmt.Printf("hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network\n",
-			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum)
-	}
+	printHitTiers(reg, "")
 	fmt.Printf("router:            %.0f lookups; %.0f keys local, %.0f cross-node (%.0f dispatches, %.1f keys/dispatch)\n",
 		metric("cluster_lookups_total"), metric("cluster_local_keys_total"),
 		metric("cluster_remote_keys_total"), metric("cluster_dispatches_total"),
@@ -208,19 +179,10 @@ func runCluster(o options) error {
 	if partials > 0 {
 		fmt.Printf("partial results:   %d lookups returned partial (%d keys missed the deadline)\n", partials, missing)
 	}
-	if o.traceOut != "" {
-		if err := writeTrace(tl, o.traceOut); err != nil {
-			return err
-		}
-		fmt.Printf("timeline:          %d spans -> %s\n", len(tl.Events()), o.traceOut)
+	if err := writeTrace(tl, o.traceOut, ""); err != nil {
+		return err
 	}
-	if o.metricsOut != "" {
-		if err := writeMetricsJSON(reg, o.metricsOut); err != nil {
-			return err
-		}
-		fmt.Printf("metrics:           final snapshot -> %s\n", o.metricsOut)
-	}
-	return nil
+	return writeMetricsJSON(reg, o.metricsOut)
 }
 
 func maxF64(a, b float64) float64 {

@@ -169,6 +169,43 @@ func latencyQuantiles(lats []time.Duration) (p50, p99, max time.Duration) {
 	return time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2])
 }
 
+// setUp is what both modes start from: the platform (the clustered twin of
+// -server under -nodes N), the -dataset built at -scale, and the hotness of
+// 64 profiling batches of one iteration's worth of requests each, drawn
+// from the stream the seed and the dataset's name give.
+func setUp(o options) (*platform.Platform, *workload.DLRDataset, workload.Hotness, error) {
+	spec, err := workload.DLRSpecByName(o.dataset)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var p *platform.Platform
+	if o.nodes > 1 {
+		p, err = clusterPlatform(o.server, o.nodes, o.netBW, o.netLatency)
+	} else {
+		p, err = platform.ByName(o.server)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ds, err := spec.Build(o.scale, o.seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fmt.Printf("dataset %s at scale %g: %d tables, %d entries, %d B rows\n",
+		spec.Name, o.scale, ds.KeysPerSample(), ds.NumEntries(), ds.MT.MaxEntryBytes())
+	if o.nodes > 1 {
+		fmt.Printf("cluster:           %d nodes of %s, wire %.0f GB/s, %.0fus one-way\n",
+			o.nodes, p.Name, o.netBW/1e9, o.netLatency.Seconds()*1e6)
+	}
+	r := rng.New(o.seed).Split("dlr-" + spec.Name)
+	var rec [][]int64
+	for i := 0; i < 64; i++ {
+		rec = append(rec, ds.GenBatchWith(r, o.batch*o.clients))
+	}
+	hot, err := workload.ProfileBatches(ds.NumEntries(), rec)
+	return p, ds, hot, err
+}
+
 func run(o options) error {
 	if o.nodes < 1 {
 		return fmt.Errorf("-nodes must be >= 1, got %d", o.nodes)
@@ -194,34 +231,15 @@ func run(o options) error {
 			return err
 		}
 	}
-	spec, err := workload.DLRSpecByName(o.dataset)
-	if err != nil {
-		return err
-	}
-	p, err := platform.ByName(o.server)
-	if err != nil {
-		return err
-	}
-	ds, err := spec.Build(o.scale, o.seed)
+	p, ds, hot, err := setUp(o)
 	if err != nil {
 		return err
 	}
 	n := ds.NumEntries()
-	fmt.Printf("dataset %s at scale %g: %d tables, %d entries, %d B rows\n",
-		spec.Name, o.scale, ds.KeysPerSample(), n, ds.MT.MaxEntryBytes())
-
-	// Warm hotness from the dataset's own stream, then build the system in
-	// functional mode so lookups return (and verify against) real bytes.
-	var rec [][]int64
-	for i := 0; i < 64; i++ {
-		rec = append(rec, ds.GenBatch(o.batch*o.clients))
-	}
-	hot, err := workload.ProfileBatches(n, rec)
-	if err != nil {
-		return err
-	}
-	// One registry shared across the core (extraction tiers, refresh) and
-	// the serving engine (latency, coalescing); the HTTP handler reads it.
+	// The system is built in functional mode so lookups return (and verify
+	// against) real bytes. One registry is shared across the core
+	// (extraction tiers, refresh) and the serving engine (latency,
+	// coalescing); the HTTP handler reads it.
 	// The span recorder, when -trace-out asks for one, is shared the same
 	// way so serve, sim, refresh and solver spans land in one trace.
 	reg := telemetry.NewRegistry(p.N)
@@ -377,13 +395,8 @@ func run(o options) error {
 						cst.LastMoved, cst.LastRebuild)
 				}
 			}
-			if o.traceOut != "" {
-				if err := writeTrace(tl, o.traceOut); err != nil {
-					fmt.Fprintf(os.Stderr, "ugache-serve: %v\n", err)
-				} else {
-					fmt.Printf("timeline:          %d spans -> %s (open in https://ui.perfetto.dev)\n",
-						len(tl.Events()), o.traceOut)
-				}
+			if err := writeTrace(tl, o.traceOut, " (open in https://ui.perfetto.dev)"); err != nil {
+				fmt.Fprintf(os.Stderr, "ugache-serve: %v\n", err)
 			}
 			if wd != nil {
 				st := wd.State()
@@ -393,12 +406,8 @@ func run(o options) error {
 					fmt.Printf("flight bundle:     %s\n", st.LastBundlePath)
 				}
 			}
-			if o.metricsOut != "" {
-				if err := writeMetricsJSON(reg, o.metricsOut); err != nil {
-					fmt.Fprintf(os.Stderr, "ugache-serve: %v\n", err)
-				} else {
-					fmt.Printf("metrics:           final snapshot -> %s\n", o.metricsOut)
-				}
+			if err := writeMetricsJSON(reg, o.metricsOut); err != nil {
+				fmt.Fprintf(os.Stderr, "ugache-serve: %v\n", err)
 			}
 			printFinalSnapshot(reg)
 		})
@@ -546,14 +555,7 @@ func run(o options) error {
 	fmt.Printf("simulated extract: %.3f ms/batch mean, %.1f ms total per request stream\n",
 		st.SimSeconds/float64(maxI64(st.Batches, 1))*1e3, simSum/float64(maxI64(int64(o.clients), 1))*1e3)
 
-	// Per-tier hit split from the shared registry (local / peer / host).
-	local, remote, host, network := reg.Value("core_hit_local_keys_total"),
-		reg.Value("core_hit_remote_keys_total"), reg.Value("core_hit_host_keys_total"),
-		reg.Value("core_hit_network_keys_total")
-	if sum := local + remote + host + network; sum > 0 {
-		fmt.Printf("hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network (of %d unique keys)\n",
-			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, st.UniqueKeys)
-	}
+	printHitTiers(reg, fmt.Sprintf(" (of %d unique keys)", st.UniqueKeys))
 	if o.lookahead > 0 {
 		hits := reg.Value("serve_fill_prefetch_hit")
 		fmt.Printf("prefetch:          %.0f windows staged %.0f keys; %.0f staged hits (%.1f%% of unique), %.0f dropped windows\n",
@@ -582,12 +584,17 @@ func run(o options) error {
 		fmt.Printf("refresh:           %d evicted, %d inserted in %.1fs simulated (%.1f%% mean impact)\n",
 			rep.EvictedEntries, rep.InsertedEntries, rep.Duration, 100*rep.MeanImpact)
 		if st := rep.Solve; st != nil {
-			nodes := ""
-			if st.Nodes > 0 {
-				nodes = fmt.Sprintf(", %d B&B nodes", st.Nodes)
+			// Workers and the warm start are a fact only of a policy that
+			// takes solver options; the default one solves cold.
+			how := ""
+			if st.WarmStart {
+				how = fmt.Sprintf(" (workers %d, warm start", st.Workers)
+				if st.Nodes > 0 {
+					how += fmt.Sprintf(", %d B&B nodes", st.Nodes)
+				}
+				how += ")"
 			}
-			fmt.Printf("refresh solve:     %.3fs wall (workers %d, warm start%s)\n",
-				st.WallSeconds, st.Workers, nodes)
+			fmt.Printf("refresh solve:     %.3fs wall%s\n", st.WallSeconds, how)
 		}
 	}
 
@@ -656,43 +663,36 @@ func runOpenLoop(o options, srv *serve.Server, p *platform.Platform, numKeys int
 			var q []pending
 			var nDisp, nServed, nShed int64
 			var myLats []time.Duration
+			// settle books the result of the oldest in-flight request.
+			settle := func(res serve.Result) {
+				switch {
+				case res.Err == nil:
+					nServed++
+					myLats = append(myLats, time.Since(q[0].intended))
+				case errors.Is(res.Err, serve.ErrOverload):
+					nShed++
+				default:
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = res.Err
+					}
+					mu.Unlock()
+				}
+				q = q[1:]
+			}
+			// collect settles what has completed, or with block everything.
 			collect := func(block bool) {
 				for len(q) > 0 {
-					if !block {
-						select {
-						case res := <-q[0].ch:
-							if res.Err == nil {
-								nServed++
-								myLats = append(myLats, time.Since(q[0].intended))
-							} else if errors.Is(res.Err, serve.ErrOverload) {
-								nShed++
-							} else {
-								mu.Lock()
-								if firstErr == nil {
-									firstErr = res.Err
-								}
-								mu.Unlock()
-							}
-							q = q[1:]
-							continue
-						default:
-						}
+					if block {
+						settle(<-q[0].ch)
+						continue
+					}
+					select {
+					case res := <-q[0].ch:
+						settle(res)
+					default:
 						return
 					}
-					res := <-q[0].ch
-					if res.Err == nil {
-						nServed++
-						myLats = append(myLats, time.Since(q[0].intended))
-					} else if errors.Is(res.Err, serve.ErrOverload) {
-						nShed++
-					} else {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = res.Err
-						}
-						mu.Unlock()
-					}
-					q = q[1:]
 				}
 			}
 			var req workload.OpenLoopRequest
@@ -747,8 +747,12 @@ func runOpenLoop(o options, srv *serve.Server, p *platform.Platform, numKeys int
 	return nil
 }
 
-// writeTrace exports the recorder to path.
-func writeTrace(tl *timeline.Recorder, path string) error {
+// writeTrace exports the recorder to path, if -trace-out named one, and
+// says so; note ends the line.
+func writeTrace(tl *timeline.Recorder, path, note string) error {
+	if path == "" {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace-out: %w", err)
@@ -760,13 +764,18 @@ func writeTrace(tl *timeline.Recorder, path string) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("trace-out: %w", err)
 	}
+	fmt.Printf("timeline:          %d spans -> %s%s\n", len(tl.Events()), path, note)
 	return nil
 }
 
 // writeMetricsJSON dumps the registry's Samples snapshot as one flat JSON
 // object (name -> value) — the machine-readable form of the final telemetry,
-// so short runs keep it without scraping the HTTP endpoint.
+// so short runs keep it without scraping the HTTP endpoint. Without
+// -metrics-out it does nothing.
 func writeMetricsJSON(reg *telemetry.Registry, path string) error {
+	if path == "" {
+		return nil
+	}
 	samples := reg.Samples()
 	out := make(map[string]float64, len(samples))
 	for _, s := range samples {
@@ -785,7 +794,20 @@ func writeMetricsJSON(reg *telemetry.Registry, path string) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("metrics-out: %w", err)
 	}
+	fmt.Printf("metrics:           final snapshot -> %s\n", path)
 	return nil
+}
+
+// printHitTiers reports the per-tier hit split of the run from the shared
+// registry (local / peer / host / network); note ends the line.
+func printHitTiers(reg *telemetry.Registry, note string) {
+	local, remote, host, network := reg.Value("core_hit_local_keys_total"),
+		reg.Value("core_hit_remote_keys_total"), reg.Value("core_hit_host_keys_total"),
+		reg.Value("core_hit_network_keys_total")
+	if sum := local + remote + host + network; sum > 0 {
+		fmt.Printf("hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network%s\n",
+			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, note)
+	}
 }
 
 // printFinalSnapshot reports the closing telemetry state: the cumulative

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"ugache/internal/flight"
+	"ugache/internal/rng"
 	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
@@ -44,8 +45,9 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
+		r := rng.New(*seed).Split("dlr-" + spec.Name)
 		tr := workload.Record(ds.NumEntries(), *batches, func() []int64 {
-			return ds.GenBatch(*batch)
+			return ds.GenBatchWith(r, *batch)
 		})
 		f, err := os.Create(*gen)
 		if err != nil {

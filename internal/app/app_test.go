@@ -215,7 +215,8 @@ func TestDLREndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []baselines.Spec{baselines.HPS, baselines.SOK, baselines.UGache} {
+	var keys float64
+	for i, spec := range []baselines.Spec{baselines.HPS, baselines.SOK, baselines.UGache} {
 		a, err := NewDLR(DLRConfig{
 			P: p, DS: ds, Model: "dlrm", BatchSize: 512, Spec: spec,
 			CacheRatio: 0.1, Seed: 2,
@@ -226,6 +227,14 @@ func TestDLREndToEnd(t *testing.T) {
 		rep, err := a.RunIters(3)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		// A comparison between systems hands every one of them the same
+		// requests, whichever ran first on the dataset.
+		if i == 0 {
+			keys = rep.UniqueKeysPerIter
+		} else if rep.UniqueKeysPerIter != keys {
+			t.Fatalf("%s read %g unique keys per iteration, HPS %g: not the same requests",
+				spec.Name, rep.UniqueKeysPerIter, keys)
 		}
 		if rep.PerIter.Extract <= 0 || rep.PerIter.Dense <= 0 {
 			t.Fatalf("%s breakdown %+v", spec.Name, rep.PerIter)
@@ -272,19 +281,26 @@ func TestDLRDCN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewDLR(DLRConfig{
-		P: p, DS: ds, Model: "dcn", BatchSize: 256, Spec: baselines.UGache,
-		CacheRatio: 0.05, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	reps := map[string]*Report{}
+	for _, model := range []string{"dlrm", "dcn"} {
+		a, err := NewDLR(DLRConfig{
+			P: p, DS: ds, Model: model, BatchSize: 256, Spec: baselines.UGache,
+			CacheRatio: 0.05, Seed: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps[model], err = a.RunIters(2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rep, err := a.RunIters(2)
-	if err != nil {
-		t.Fatal(err)
+	if reps["dcn"].PerIter.Dense <= 0 || reps["dcn"].PerIter.Dense == reps["dlrm"].PerIter.Dense {
+		t.Fatalf("dense time: dcn %g, dlrm %g", reps["dcn"].PerIter.Dense, reps["dlrm"].PerIter.Dense)
 	}
-	if rep.PerIter.Dense <= 0 {
-		t.Fatal("no dense time")
+	// Extraction never sees the dense model.
+	if reps["dcn"].PerIter.Extract != reps["dlrm"].PerIter.Extract {
+		t.Fatalf("extraction differs by dense model: dcn %g, dlrm %g",
+			reps["dcn"].PerIter.Extract, reps["dlrm"].PerIter.Extract)
 	}
 }
 

@@ -41,7 +41,11 @@ type DLRConfig struct {
 type DLRApp struct {
 	Sys *core.System
 
-	cfg     DLRConfig
+	cfg DLRConfig
+	// r is the app's own request stream, derived from the seed and the
+	// dataset's name alone: every system of a comparison reads the same
+	// requests, whatever ran before it.
+	r       *rng.Rand
 	dlrm    *nn.DLRM
 	dcn     *nn.DCN
 	tm      nn.TimeModel
@@ -79,9 +83,10 @@ func NewDLR(cfg DLRConfig) (*DLRApp, error) {
 	}
 
 	// Warm-up profiling (the paper warms the first 1000 iterations).
+	reqs := rng.New(cfg.Seed).Split("dlr-" + cfg.DS.Spec.Name)
 	var rec [][]int64
 	for i := 0; i < cfg.ProfileBatches; i++ {
-		rec = append(rec, cfg.DS.GenBatch(cfg.BatchSize))
+		rec = append(rec, cfg.DS.GenBatchWith(reqs, cfg.BatchSize))
 	}
 	hot, err := workload.ProfileBatches(n, rec)
 	if err != nil {
@@ -99,7 +104,7 @@ func NewDLR(cfg DLRConfig) (*DLRApp, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &DLRApp{Sys: sys, cfg: cfg, tm: nn.TimeModelFor(cfg.P.GPU), scratch: make(map[int64]struct{})}
+	a := &DLRApp{Sys: sys, cfg: cfg, r: reqs, tm: nn.TimeModelFor(cfg.P.GPU), scratch: make(map[int64]struct{})}
 	r := rng.New(cfg.Seed).Split("dlr-model")
 	switch cfg.Model {
 	case "dlrm":
@@ -129,7 +134,7 @@ func (a *DLRApp) RunIters(iters int) (*Report, error) {
 			}
 		} else {
 			for g := 0; g < a.cfg.P.N; g++ {
-				raw := a.cfg.DS.GenBatch(a.cfg.BatchSize)
+				raw := a.cfg.DS.GenBatchWith(a.r, a.cfg.BatchSize)
 				b.Keys[g] = workload.Unique(raw, a.scratch)
 				keysSum += float64(len(b.Keys[g]))
 			}
@@ -219,7 +224,7 @@ func (a *DLRApp) dispatchBatch(b *extract.Batch) {
 	assigned := make([]int, g)
 	raw := make([][]int64, 0, g*a.cfg.BatchSize)
 	for i := 0; i < g*a.cfg.BatchSize; i++ {
-		raw = append(raw, a.cfg.DS.GenBatch(1)[:per])
+		raw = append(raw, a.cfg.DS.GenBatchWith(a.r, 1)[:per])
 	}
 	perGPU := make([][]int64, g)
 	for _, sample := range raw {

@@ -258,7 +258,7 @@ func ablationBatch(p *platform.Platform, n int, seed uint64) (*extract.Batch, er
 // (GNNLab-style) versus the vertex-degree proxy (PaGraph-style).
 func ablateHotness(o Options) (*Result, error) {
 	p := platform.ServerC()
-	ds, err := gnnDataset(graph.PA, o)
+	ds, err := dataset(graph.PA.Name, o, graph.PA.Build)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +270,7 @@ func ablateHotness(o Options) (*Result, error) {
 	}{{"presampled (§6.1 profiling)", false}, {"degree proxy (PaGraph)", true}} {
 		a, err := app.NewGNN(app.GNNConfig{
 			P: p, DS: ds, Model: "sage", Supervised: true,
-			BatchSize: gnnBatch(o), Spec: baselines.UGache, CacheRatio: 0.08,
+			BatchSize: batchSize(o), Spec: baselines.UGache, CacheRatio: 0.08,
 			DegreeHotness: mode.degree, Seed: o.Seed,
 		})
 		if err != nil {
@@ -297,7 +297,7 @@ func ablateHotness(o Options) (*Result, error) {
 // the application's dispatching.
 func ablateDispatch(o Options) (*Result, error) {
 	p := platform.ServerC()
-	ds, err := dlrDataset(workload.SYNA, o)
+	ds, err := dataset(workload.SYNA.Name, o, workload.SYNA.Build)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,7 @@ func ablateDispatch(o Options) (*Result, error) {
 		"system", "extract (ms)", "local", "remote", "host")
 	run := func(label string, spec baselines.Spec, dispatch bool) error {
 		a, err := app.NewDLR(app.DLRConfig{
-			P: p, DS: ds, Model: "dlrm", BatchSize: dlrBatch(o), Spec: spec,
+			P: p, DS: ds, Model: "dlrm", BatchSize: batchSize(o), Spec: spec,
 			Mem:              app.MemoryModel{MemScale: o.memScale()},
 			LocalityDispatch: dispatch, Seed: o.Seed,
 		})

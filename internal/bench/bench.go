@@ -15,11 +15,9 @@ import (
 	"strings"
 	"sync"
 
-	"ugache/internal/graph"
 	"ugache/internal/platform"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
-	"ugache/internal/workload"
 )
 
 // Options tunes an experiment run.
@@ -34,10 +32,10 @@ type Options struct {
 	Seed uint64
 	// Quick trims the configuration matrix for fast runs.
 	Quick bool
-	// Workers bounds the pre-warm pool that computes a figure's independent
-	// configurations concurrently: 0 uses one worker per CPU, 1 disables
-	// the pre-warm entirely (fully sequential execution). Output is
-	// byte-identical regardless of the setting.
+	// Workers bounds the pool that computes a figure's configurations
+	// concurrently: 0 uses one worker per CPU, 1 computes each report as
+	// the render reaches it. Output is byte-identical regardless of the
+	// setting.
 	Workers int
 	// Telemetry, when non-nil, is threaded into the core systems an
 	// experiment builds so the caller can render the accumulated samples
@@ -55,6 +53,9 @@ type Options struct {
 	// experiment serves under (0 = the experiment default of 16;
 	// cmd/ugache-bench -stale-threshold).
 	StaleBatches int
+
+	// plan, when non-nil, marks a planning pass (see matrix).
+	plan *plan
 }
 
 func (o Options) normalize() Options {
@@ -114,12 +115,9 @@ func Names() []string {
 // it between iterations so repeat runs measure the real pipeline rather
 // than cache hits.
 func ResetCaches() {
-	gnnCacheMu.Lock()
-	gnnCache = map[string]*graph.Dataset{}
-	gnnCacheMu.Unlock()
-	dlrCacheMu.Lock()
-	dlrCache = map[string]*workload.DLRDataset{}
-	dlrCacheMu.Unlock()
+	datasetMu.Lock()
+	datasets = map[string]any{}
+	datasetMu.Unlock()
 	resetReportCache()
 }
 
@@ -140,43 +138,29 @@ func serverSet(o Options) []*platform.Platform {
 	return []*platform.Platform{platform.ServerA(), platform.ServerB(), platform.ServerC()}
 }
 
-// Dataset caches: generation dominates setup cost, and every figure wants
-// the same graphs.
+// The dataset memo: generation dominates setup cost, every figure wants the
+// same graphs and tables, and a built dataset is immutable, so one instance
+// serves every run (concurrent ones included) of a (name, scale, seed).
 var (
-	gnnCacheMu sync.Mutex
-	gnnCache   = map[string]*graph.Dataset{}
-	dlrCacheMu sync.Mutex
-	dlrCache   = map[string]*workload.DLRDataset{}
+	datasetMu sync.Mutex
+	datasets  = map[string]any{}
 )
 
-func gnnDataset(spec graph.DatasetSpec, o Options) (*graph.Dataset, error) {
-	key := fmt.Sprintf("%s/%g/%d", spec.Name, o.Scale, o.Seed)
-	gnnCacheMu.Lock()
-	defer gnnCacheMu.Unlock()
-	if d, ok := gnnCache[key]; ok {
-		return d, nil
+// dataset returns the memoised dataset of a stock spec (GNN or DLR: the
+// type is part of the key), building it with the spec's Build on a miss.
+func dataset[T any](name string, o Options, build func(scale float64, seed uint64) (T, error)) (T, error) {
+	var d T
+	key := fmt.Sprintf("%T/%s/%g/%d", d, name, o.Scale, o.Seed)
+	datasetMu.Lock()
+	defer datasetMu.Unlock()
+	if hit, ok := datasets[key]; ok {
+		return hit.(T), nil
 	}
-	d, err := spec.Build(o.Scale, o.Seed)
-	if err != nil {
-		return nil, err
+	d, err := build(o.Scale, o.Seed)
+	if err == nil {
+		datasets[key] = d
 	}
-	gnnCache[key] = d
-	return d, nil
-}
-
-func dlrDataset(spec workload.DLRSpec, o Options) (*workload.DLRDataset, error) {
-	key := fmt.Sprintf("%s/%g/%d", spec.Name, o.Scale, o.Seed)
-	dlrCacheMu.Lock()
-	defer dlrCacheMu.Unlock()
-	if d, ok := dlrCache[key]; ok {
-		return d, nil
-	}
-	d, err := spec.Build(o.Scale, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	dlrCache[key] = d
-	return d, nil
+	return d, err
 }
 
 // fmtMS renders seconds as milliseconds.

@@ -1,9 +1,15 @@
 package bench
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// -update re-records testdata/*.golden from this tree (make figures-golden).
+var update = flag.Bool("update", false, "rewrite internal/bench/testdata/*.golden with the bodies this tree renders")
 
 // quickOpt keeps experiment smoke tests fast.
 func quickOpt() Options {
@@ -45,8 +51,10 @@ func TestOptionNormalization(t *testing.T) {
 }
 
 // TestExperimentsSmoke runs every registered experiment at a tiny scale and
-// checks the output renders. This is the integration test of the whole
-// reproduction pipeline.
+// compares the body with its checked-in golden, so a change that moves a
+// cell shows which one in review. This is the integration test of the whole
+// reproduction pipeline. ablate-blocks is only checked to render: its
+// solve(ms) column is the one wall-clock figure in any body.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are seconds each; skipped with -short")
@@ -64,28 +72,47 @@ func TestExperimentsSmoke(t *testing.T) {
 			if !strings.Contains(res.Text, "=") {
 				t.Fatalf("%s: no table rendered", name)
 			}
+			if name == "ablate-blocks" {
+				return
+			}
+			golden := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(res.Text), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (record it with make figures-golden)", err)
+			}
+			if res.Text != string(want) {
+				t.Fatalf("%s moved from %s (make figures-golden re-records it if the move is meant)\n--- got ---\n%s\n--- want ---\n%s",
+					name, golden, res.Text, want)
+			}
 		})
 	}
 }
 
 func TestDatasetCaching(t *testing.T) {
 	o := quickOpt().normalize()
-	d1, err := gnnDataset(gnnDatasetsFor(o)[0], o)
+	g, w := gnnDatasetsFor(o)[0], dlrDatasetsFor(o)[0]
+	d1, err := dataset(g.Name, o, g.Build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := gnnDataset(gnnDatasetsFor(o)[0], o)
+	d2, err := dataset(g.Name, o, g.Build)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1 != d2 {
 		t.Fatal("dataset not cached")
 	}
-	w1, err := dlrDataset(dlrDatasetsFor(o)[0], o)
+	w1, err := dataset(w.Name, o, w.Build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, _ := dlrDataset(dlrDatasetsFor(o)[0], o)
+	w2, _ := dataset(w.Name, o, w.Build)
 	if w1 != w2 {
 		t.Fatal("dlr dataset not cached")
 	}
@@ -106,12 +133,18 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestExperimentDeterminism(t *testing.T) {
 	// Identical options must render byte-identical reports — the whole
-	// pipeline is seeded and free of wall-clock or map-order leaks.
-	for _, name := range []string{"fig6", "table3", "fig9", "ablate-dedication"} {
+	// pipeline is seeded and free of wall-clock or map-order leaks. The
+	// memos are dropped between the two runs, so the second one rebuilds
+	// its datasets and recomputes its reports (fig14 samples a graph, fig4
+	// two DLR datasets).
+	defer ResetCaches()
+	for _, name := range []string{"fig6", "table3", "fig9", "ablate-dedication", "fig14", "fig4"} {
+		ResetCaches()
 		a, err := Run(name, quickOpt())
 		if err != nil {
 			t.Fatal(err)
 		}
+		ResetCaches()
 		b, err := Run(name, quickOpt())
 		if err != nil {
 			t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 )
 
 func init() {
-	register("fig12", "extraction time, incrementally applying UGache's techniques (sup. SAGE, PA+CF, Server C)", figure12)
-	register("fig14", "access split local/remote/host vs cache ratio (sup. SAGE, PA+CF, Server C)", figure14)
-	register("fig15", "per-source extraction time vs cache ratio (all with UGache's extractor)", figure15)
+	register("fig12", "extraction time, incrementally applying UGache's techniques (sup. SAGE, PA+CF, Server C)", matrix(figure12))
+	register("fig14", "access split local/remote/host vs cache ratio (sup. SAGE, PA+CF, Server C)", matrix(figure14))
+	register("fig15", "per-source extraction time vs cache ratio (all with UGache's extractor)", matrix(figure15))
 }
 
 func fig12Ratios(o Options) []float64 {
@@ -28,18 +28,6 @@ func fig12Ratios(o Options) []float64 {
 // RepU/PartU baselines.
 func figure12(o Options) (*Result, error) {
 	p := platform.ServerC()
-	var jobs []job
-	for _, ds := range []graph.DatasetSpec{graph.PA, graph.CF} {
-		for _, ratio := range fig12Ratios(o) {
-			for _, spec := range []baselines.Spec{
-				baselines.RepU, baselines.PartU,
-				baselines.UGache.WithMechanism(extract.PeerRandom), baselines.UGache,
-			} {
-				jobs = append(jobs, gnnJob(o, p, spec, ds, "sage", true, ratio))
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var parts []string
 	for _, ds := range []graph.DatasetSpec{graph.PA, graph.CF} {
 		repU := &stats.Series{Name: "RepU"}
@@ -89,15 +77,6 @@ func figure14(o Options) (*Result, error) {
 	if o.Quick {
 		ratios = []float64{0.02, 0.08, 0.12}
 	}
-	var jobs []job
-	for _, ds := range []graph.DatasetSpec{graph.PA, graph.CF} {
-		for _, ratio := range ratios {
-			for _, spec := range []baselines.Spec{baselines.PartU, baselines.UGache, baselines.RepU} {
-				jobs = append(jobs, gnnJob(o, p, spec, ds, "sage", true, ratio))
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var parts []string
 	for _, ds := range []graph.DatasetSpec{graph.PA, graph.CF} {
 		t := stats.NewTable(
@@ -131,17 +110,6 @@ func figure15(o Options) (*Result, error) {
 	if o.Quick {
 		ratios = []float64{0.02, 0.08, 0.12}
 	}
-	var jobs []job
-	for _, ds := range []graph.DatasetSpec{graph.PA, graph.CF} {
-		for _, ratio := range ratios {
-			for _, base := range []baselines.Spec{baselines.PartU, baselines.UGache, baselines.RepU} {
-				spec := base
-				spec.Mechanism = extract.Factored
-				jobs = append(jobs, gnnJob(o, p, spec, ds, "sage", true, ratio))
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var parts []string
 	for _, ds := range []graph.DatasetSpec{graph.PA, graph.CF} {
 		t := stats.NewTable(

@@ -16,9 +16,9 @@ import (
 )
 
 func init() {
-	register("fig16", "UGache vs theoretically optimal cache policy", figure16)
+	register("fig16", "UGache vs theoretically optimal cache policy", matrix(figure16))
 	register("fig17", "refresh timeline: inference latency with two triggered refreshes", figure17)
-	register("summary", "average/max speedups vs replication and partition systems (from fig10 data)", summary)
+	register("summary", "average/max speedups vs replication and partition systems (from fig10 data)", matrix(summary))
 }
 
 // figure16 reproduces Figure 16: extraction time of UGache's
@@ -30,38 +30,6 @@ func init() {
 func figure16(o Options) (*Result, error) {
 	optSpec := baselines.UGache.WithPolicy(solver.OptimalLP{})
 	optSpec.Name = "Optimal"
-	{
-		a := platform.ServerA()
-		dlrSets := []workload.DLRSpec{workload.CR, workload.SYNA, workload.SYNB}
-		if o.Quick {
-			dlrSets = dlrSets[1:2]
-		}
-		var jobs []job
-		for _, ds := range dlrSets {
-			for _, spec := range []baselines.Spec{baselines.UGache, optSpec} {
-				jobs = append(jobs, dlrJob(o, a, spec, ds, "dlrm", 0))
-			}
-		}
-		if !o.Quick {
-			b := platform.ServerB()
-			oSmall := o
-			oSmall.Scale = o.Scale * 0.125
-			for _, ds := range []workload.DLRSpec{workload.SYNA, workload.SYNB} {
-				for _, spec := range []baselines.Spec{baselines.UGache, optSpec} {
-					jobs = append(jobs, dlrJob(oSmall, b, spec, ds, "dlrm", 0.06))
-				}
-			}
-		}
-		c := platform.ServerC()
-		for _, w := range gnnWorkloads(o) {
-			for _, ds := range gnnDatasetsFor(o) {
-				for _, spec := range []baselines.Spec{baselines.UGache, optSpec} {
-					jobs = append(jobs, gnnJob(o, c, spec, ds, w.Model, w.Sup, 0))
-				}
-			}
-		}
-		prewarm(o, jobs)
-	}
 	t := stats.NewTable("Figure 16: extraction time (ms), UGache vs optimal policy",
 		"server", "workload", "UGache", "Optimal", "gap")
 	addRow := func(p *platform.Platform, label string, run func(spec baselines.Spec) (float64, error)) error {
@@ -153,15 +121,16 @@ func figure16(o Options) (*Result, error) {
 // in small batches and inflates foreground latency by ~10% for ~20-30 s.
 func figure17(o Options) (*Result, error) {
 	p := platform.ServerC()
-	ds, err := dlrDataset(workload.CR, o)
+	ds, err := dataset(workload.CR.Name, o, workload.CR.Build)
 	if err != nil {
 		return nil, err
 	}
 	n := ds.NumEntries()
 	// Build with a solver-policy cache and functional refresh support.
+	reqs := rng.New(o.Seed).Split("dlr-" + ds.Spec.Name)
 	var rec [][]int64
 	for i := 0; i < 64; i++ {
-		rec = append(rec, ds.GenBatch(dlrBatch(o)))
+		rec = append(rec, ds.GenBatchWith(reqs, batchSize(o)))
 	}
 	hot, err := workload.ProfileBatches(n, rec)
 	if err != nil {
@@ -189,7 +158,7 @@ func figure17(o Options) (*Result, error) {
 	batch := func() *extract.Batch {
 		b := &extract.Batch{Keys: make([][]int64, p.N)}
 		for g := 0; g < p.N; g++ {
-			b.Keys[g] = workload.Unique(ds.GenBatch(dlrBatch(o)), scratch)
+			b.Keys[g] = workload.Unique(ds.GenBatchWith(reqs, batchSize(o)), scratch)
 		}
 		return b
 	}
@@ -253,24 +222,6 @@ func figure17(o Options) (*Result, error) {
 // speedups of UGache over the replication and partition systems across the
 // fig10 matrix.
 func summary(o Options) (*Result, error) {
-	var jobs []job
-	for _, p := range serverSet(o) {
-		for _, w := range gnnWorkloads(o) {
-			for _, ds := range gnnDatasetsFor(o) {
-				for _, spec := range []baselines.Spec{baselines.UGache, baselines.GNNLab, baselines.PartU} {
-					jobs = append(jobs, gnnJob(o, p, spec, ds, w.Model, w.Sup, 0))
-				}
-			}
-		}
-		for _, model := range dlrModelsFor(o) {
-			for _, ds := range dlrDatasetsFor(o) {
-				for _, spec := range []baselines.Spec{baselines.UGache, baselines.HPS, baselines.SOK} {
-					jobs = append(jobs, dlrJob(o, p, spec, ds, model, 0))
-				}
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var repGNN, partGNN, repDLR, partDLR []float64
 	maxOf := func(xs []float64) float64 {
 		m := 0.0

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("fig2", "hit rate and extraction time vs cache ratio: Rep vs Part vs UGache (sup. SAGE, PA, Server C)", figure2)
+	register("fig2", "hit rate and extraction time vs cache ratio: Rep vs Part vs UGache (sup. SAGE, PA, Server C)", matrix(figure2))
 	register("fig6", "link tolerance of concurrent cores (the Fig. 6 microbenchmark)", figure6)
 }
 
@@ -23,13 +23,6 @@ func figure2(o Options) (*Result, error) {
 	if o.Quick {
 		ratios = []float64{0.02, 0.08, 0.15, 0.25}
 	}
-	var jobs []job
-	for _, ratio := range ratios {
-		for _, spec := range []baselines.Spec{baselines.RepU, baselines.PartU, baselines.UGache} {
-			jobs = append(jobs, gnnJob(o, p, spec, graph.PA, "sage", true, ratio))
-		}
-	}
-	prewarm(o, jobs)
 	repHit := &stats.Series{Name: "Rep"}
 	partLocal := &stats.Series{Name: "Part.Local"}
 	partGlobal := &stats.Series{Name: "Part.Global"}

@@ -12,10 +12,10 @@ import (
 )
 
 func init() {
-	register("fig4", "extraction time: message vs peer vs UGache (DLRM on CR and SYN-A)", figure4)
-	register("fig10", "end-to-end time: all systems × servers × models × datasets", figure10)
-	register("fig11", "embedding extraction time per iteration (same matrix + RepU/PartU)", figure11)
-	register("fig13", "PCIe/NVLink utilization with and without FEM (Server C)", figure13)
+	register("fig4", "extraction time: message vs peer vs UGache (DLRM on CR and SYN-A)", matrix(figure4))
+	register("fig10", "end-to-end time: all systems × servers × models × datasets", matrix(figure10))
+	register("fig11", "embedding extraction time per iteration (same matrix + RepU/PartU)", matrix(figure11))
+	register("fig13", "PCIe/NVLink utilization with and without FEM (Server C)", matrix(figure13))
 }
 
 // figure4 reproduces Figure 4: DLR inference extraction time under
@@ -24,15 +24,6 @@ func init() {
 func figure4(o Options) (*Result, error) {
 	servers := []*platform.Platform{platform.ServerA(), platform.ServerC()}
 	datasets := []workload.DLRSpec{workload.CR, workload.SYNA}
-	var jobs []job
-	for _, ds := range datasets {
-		for _, p := range servers {
-			for _, spec := range []baselines.Spec{baselines.SOK, baselines.PartU, baselines.UGache} {
-				jobs = append(jobs, dlrJob(o, p, spec, ds, "dlrm", 0))
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var parts []string
 	for _, ds := range datasets {
 		t := stats.NewTable(fmt.Sprintf("Figure 4: DLRM extraction time (ms), %s", ds.Name),
@@ -102,26 +93,6 @@ func dlrModelsFor(o Options) []string {
 // launch failures render as "fail" (the paper's PartU exists precisely to
 // cover them).
 func figure10(o Options) (*Result, error) {
-	var jobs []job
-	for _, p := range serverSet(o) {
-		for _, w := range gnnWorkloads(o) {
-			for _, ds := range gnnDatasetsFor(o) {
-				for _, spec := range baselines.GNNSystems {
-					jobs = append(jobs, gnnJob(o, p, spec, ds, w.Model, w.Sup, 0))
-				}
-			}
-		}
-	}
-	for _, p := range serverSet(o) {
-		for _, model := range dlrModelsFor(o) {
-			for _, ds := range dlrDatasetsFor(o) {
-				for _, spec := range baselines.DLRSystems {
-					jobs = append(jobs, dlrJob(o, p, spec, ds, model, 0))
-				}
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var parts []string
 	for _, p := range serverSet(o) {
 		t := stats.NewTable(fmt.Sprintf("Figure 10(a): GNN epoch time (s), %s", p.Name),
@@ -172,26 +143,6 @@ func figure10(o Options) (*Result, error) {
 // iteration, adding RepU and PartU to the DLR comparison as the paper does.
 func figure11(o Options) (*Result, error) {
 	dlrSpecs := []baselines.Spec{baselines.RepU, baselines.PartU, baselines.UGache, baselines.HPS, baselines.SOK}
-	var jobs []job
-	for _, p := range serverSet(o) {
-		for _, w := range gnnWorkloads(o) {
-			for _, ds := range gnnDatasetsFor(o) {
-				for _, spec := range baselines.GNNSystems {
-					jobs = append(jobs, gnnJob(o, p, spec, ds, w.Model, w.Sup, 0))
-				}
-			}
-		}
-	}
-	for _, p := range serverSet(o) {
-		for _, model := range dlrModelsFor(o) {
-			for _, ds := range dlrDatasetsFor(o) {
-				for _, spec := range dlrSpecs {
-					jobs = append(jobs, dlrJob(o, p, spec, ds, model, 0))
-				}
-			}
-		}
-	}
-	prewarm(o, jobs)
 	var parts []string
 	for _, p := range serverSet(o) {
 		t := stats.NewTable(fmt.Sprintf("Figure 11(a): GNN extraction time (ms), %s", p.Name),
@@ -274,18 +225,6 @@ func figure13(o Options) (*Result, error) {
 	// Same UGache cache policy; only the mechanism changes, as in the paper.
 	withFEM := baselines.UGache
 	withoutFEM := baselines.UGache.WithMechanism(extract.PeerRandom)
-	var jobs []job
-	for _, ds := range []graph.DatasetSpec{graph.CF, graph.MAG} {
-		for _, spec := range []baselines.Spec{withoutFEM, withFEM} {
-			jobs = append(jobs, gnnJob(o, p, spec, ds, "gcn", true, 0))
-		}
-	}
-	for _, ds := range []workload.DLRSpec{workload.CR, workload.SYNA} {
-		for _, spec := range []baselines.Spec{withoutFEM, withFEM} {
-			jobs = append(jobs, dlrJob(o, p, spec, ds, "dlrm", 0))
-		}
-	}
-	prewarm(o, jobs)
 	for _, c := range cfgs {
 		pOff, nOff, err := c.run(withoutFEM)
 		if err != nil {

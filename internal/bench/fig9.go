@@ -18,7 +18,7 @@ func init() {
 // over log-scale hotness levels and how the §6.3 coarse/fine block-size
 // control splits them, for a profiled GNN workload.
 func figure9(o Options) (*Result, error) {
-	ds, err := gnnDataset(graph.PA, o)
+	ds, err := dataset(graph.PA.Name, o, graph.PA.Build)
 	if err != nil {
 		return nil, err
 	}

@@ -1,78 +1,110 @@
 package bench
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
 
-// TestParallelRunnerMatchesSequential verifies the pre-warm pool's core
-// contract: a figure rendered with concurrent workers is byte-identical to
-// the same figure rendered fully sequentially (Workers: 1 disables the
-// pool entirely). fig4 exercises the DLR path whose runs share a dataset
-// RNG stream (the ordering-sensitive case); fig2 exercises the
-// embarrassingly parallel GNN sweep.
+	"ugache/internal/app"
+)
+
+// matrixFigures are the experiments that are renders over memoised reports.
+var matrixFigures = []string{
+	"fig2", "fig4", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "summary",
+}
+
+// TestParallelRunnerMatchesSequential verifies the pool's contract: every
+// matrix figure rendered with concurrent workers is byte-identical to the
+// same figure computed report by report as the render reaches it
+// (Workers: 1 skips the planning pass and the pool).
 func TestParallelRunnerMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs figures twice; skipped with -short")
 	}
-	for _, name := range []string{"fig2", "fig4"} {
-		seqOpt := quickOpt()
-		seqOpt.Workers = 1
+	defer ResetCaches()
+	render := func(workers int) map[string]string {
 		ResetCaches()
-		seq, err := Run(name, seqOpt)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", name, err)
+		o := quickOpt()
+		o.Workers = workers
+		out := map[string]string{}
+		for _, name := range matrixFigures {
+			res, err := Run(name, o)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", name, workers, err)
+			}
+			out[name] = res.Text
 		}
-
-		parOpt := quickOpt()
-		parOpt.Workers = 4
-		ResetCaches()
-		par, err := Run(name, parOpt)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
-		}
-
-		if seq.Text != par.Text {
-			t.Fatalf("%s: parallel output differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				name, seq.Text, par.Text)
+		return out
+	}
+	seq, par := render(1), render(4)
+	for _, name := range matrixFigures {
+		if seq[name] != par[name] {
+			t.Errorf("%s: parallel output differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				name, seq[name], par[name])
 		}
 	}
-	ResetCaches()
 }
 
-func TestPrewarmDedupesAndGroups(t *testing.T) {
-	o := Options{Workers: 4}
-	var order []string
-	ch := make(chan string, 16)
-	mk := func(group, key string) job {
-		return job{group: group, key: key, run: func() error {
-			ch <- key
-			return nil
-		}}
+// TestReportsAreHistoryFree renders fig4 first on empty memos, and again
+// after fig10 and fig16 with nothing reset between the three: a report
+// depends on its configuration, not on what ran before it. (The reset
+// before fig10 is what makes the second fig4 compute anything at all.)
+func TestReportsAreHistoryFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs figures; skipped with -short")
 	}
-	jobs := []job{
-		mk("g1", "a"), mk("g1", "b"),
-		mk("g2", "c"),
-		mk("g1", "a"), // duplicate key: must run once
+	defer ResetCaches()
+	// fig4 reads CR and SYN-A on Servers A and C, under Quick too; fig10
+	// reads SYN-A on C and fig16 SYN-A on A before the second rendering.
+	ResetCaches()
+	first, err := Run("fig4", quickOpt())
+	if err != nil {
+		t.Fatal(err)
 	}
-	prewarm(o, jobs)
-	close(ch)
-	counts := map[string]int{}
-	for k := range ch {
-		order = append(order, k)
-		counts[k]++
-	}
-	if counts["a"] != 1 || counts["b"] != 1 || counts["c"] != 1 {
-		t.Fatalf("runs %v", counts)
-	}
-	// Within g1, a must precede b.
-	ia, ib := -1, -1
-	for i, k := range order {
-		if k == "a" {
-			ia = i
-		}
-		if k == "b" {
-			ib = i
+	ResetCaches()
+	for _, name := range []string{"fig10", "fig16"} {
+		if _, err := Run(name, quickOpt()); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if ia > ib {
-		t.Fatalf("group order violated: %v", order)
+	after, err := Run("fig4", quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Text != after.Text {
+		t.Fatalf("fig4 after fig10 and fig16 differs from fig4 rendered first\n--- first ---\n%s\n--- after ---\n%s",
+			first.Text, after.Text)
+	}
+}
+
+// TestMatrixRunsEachReportOnce drives the planning pass with a render that
+// asks for one configuration twice and checks the pool computed every
+// distinct configuration exactly once before the render read any of them.
+func TestMatrixRunsEachReportOnce(t *testing.T) {
+	defer ResetCaches()
+	ResetCaches()
+	var runs [3]atomic.Int32
+	render := func(o Options) (*Result, error) {
+		for _, i := range []int{0, 1, 2, 0} {
+			i := i
+			rep, err := o.report([]string{"a", "b", "c"}[i], func() (*app.Report, error) {
+				runs[i].Add(1)
+				return &app.Report{Iterations: i + 1}, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			if o.plan == nil && rep.Iterations != i+1 {
+				t.Errorf("report %d: the render read %+v", i, rep)
+			}
+		}
+		return &Result{}, nil
+	}
+	if _, err := matrix(render)(Options{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Errorf("report %d ran %d times", i, n)
+		}
 	}
 }

@@ -12,11 +12,12 @@ import (
 	"ugache/internal/workload"
 )
 
-// Reports are deterministic in their full configuration, and fig10, fig11
-// and the summary share the same configuration matrix — cache them. Errors
-// are cached too: a failed run must not execute twice, or the second
-// attempt would consume its dataset's RNG stream differently from a
-// sequential run.
+// A report is a function of its configuration alone — every app draws from
+// a generator derived from the seed, and a built dataset is immutable — so
+// reports are memoised by configuration (fig10, fig11 and the summary share
+// one matrix) and may be computed in any order, on any number of workers.
+// Errors are memoised too: a launch failure renders as "fail" in several
+// figures and need not be found twice.
 type reportEntry struct {
 	rep *app.Report
 	err error
@@ -33,173 +34,72 @@ func resetReportCache() {
 	reportMu.Unlock()
 }
 
-func cachedReport(key string, run func() (*app.Report, error)) (*app.Report, error) {
+// plan collects the distinct reports a render asks for.
+type plan struct {
+	keys map[string]bool
+	runs []func()
+}
+
+// report returns the report of one configuration from the memo. Under a
+// planning pass it only notes the request, once per configuration, and
+// answers with a blank report.
+func (o Options) report(key string, run func() (*app.Report, error)) (*app.Report, error) {
+	if pl := o.plan; pl != nil {
+		if !pl.keys[key] {
+			pl.keys[key] = true
+			pl.runs = append(pl.runs, func() { _, _ = memoReport(key, run) })
+		}
+		return &app.Report{}, nil
+	}
+	return memoReport(key, run)
+}
+
+// memoReport returns the memoised outcome of run under key, running it on
+// a miss.
+func memoReport(key string, run func() (*app.Report, error)) (*app.Report, error) {
 	reportMu.Lock()
-	if e, ok := reportCache[key]; ok {
+	e, ok := reportCache[key]
+	reportMu.Unlock()
+	if !ok {
+		e.rep, e.err = run()
+		reportMu.Lock()
+		reportCache[key] = e
 		reportMu.Unlock()
-		return e.rep, e.err
 	}
-	reportMu.Unlock()
-	r, err := run()
-	reportMu.Lock()
-	reportCache[key] = reportEntry{rep: r, err: err}
-	reportMu.Unlock()
-	return r, err
+	return e.rep, e.err
 }
 
-func gnnKey(o Options, p *platform.Platform, spec baselines.Spec, dsSpec graph.DatasetSpec,
-	model string, supervised bool, ratio float64) string {
-	return fmt.Sprintf("gnn/%s/%s/%s/%s/%s/%v/%g/%g/%d/%d",
-		p.Name, spec.Name, spec.Mechanism, dsSpec.Name, model, supervised, ratio, o.Scale, o.Iters, o.Seed)
-}
-
-func dlrKey(o Options, p *platform.Platform, spec baselines.Spec, dsSpec workload.DLRSpec,
-	model string, ratio float64) string {
-	return fmt.Sprintf("dlr/%s/%s/%s/%s/%s/%g/%g/%d/%d",
-		p.Name, spec.Name, spec.Mechanism, dsSpec.Name, model, ratio, o.Scale, o.Iters, o.Seed)
-}
-
-// runGNN builds and measures one GNN configuration. ratio == 0 derives the
-// cache capacity from the (scaled) memory model, as the end-to-end figures
-// do; ratio > 0 pins it, as the sweep figures do.
-func runGNN(o Options, p *platform.Platform, spec baselines.Spec, dsSpec graph.DatasetSpec,
-	model string, supervised bool, ratio float64) (*app.Report, error) {
-	return cachedReport(gnnKey(o, p, spec, dsSpec, model, supervised, ratio), func() (*app.Report, error) {
-		return runGNNUncached(o, p, spec, dsSpec, model, supervised, ratio)
-	})
-}
-
-func runGNNUncached(o Options, p *platform.Platform, spec baselines.Spec, dsSpec graph.DatasetSpec,
-	model string, supervised bool, ratio float64) (*app.Report, error) {
-	ds, err := gnnDataset(dsSpec, o)
-	if err != nil {
-		return nil, err
-	}
-	a, err := app.NewGNN(app.GNNConfig{
-		P: p, DS: ds, Model: model, Supervised: supervised,
-		BatchSize: gnnBatch(o), Spec: spec, CacheRatio: ratio,
-		Mem:  app.MemoryModel{MemScale: o.memScale()},
-		Seed: o.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a.RunIters(o.Iters)
-}
-
-// runDLR builds and measures one DLR configuration.
-func runDLR(o Options, p *platform.Platform, spec baselines.Spec, dsSpec workload.DLRSpec,
-	model string, ratio float64) (*app.Report, error) {
-	return cachedReport(dlrKey(o, p, spec, dsSpec, model, ratio), func() (*app.Report, error) {
-		return runDLRUncached(o, p, spec, dsSpec, model, ratio)
-	})
-}
-
-func runDLRUncached(o Options, p *platform.Platform, spec baselines.Spec, dsSpec workload.DLRSpec,
-	model string, ratio float64) (*app.Report, error) {
-	ds, err := dlrDataset(dsSpec, o)
-	if err != nil {
-		return nil, err
-	}
-	a, err := app.NewDLR(app.DLRConfig{
-		P: p, DS: ds, Model: model, BatchSize: dlrBatch(o), Spec: spec,
-		CacheRatio: ratio,
-		Mem:        app.MemoryModel{MemScale: o.memScale()},
-		Seed:       o.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a.RunIters(o.Iters)
-}
-
-// job is one pre-warm unit: a report computed ahead of a figure's render
-// pass so independent configurations run concurrently.
-type job struct {
-	// group: jobs sharing a group run sequentially in submission order.
-	// DLR runs sharing a dataset draw from its single RNG stream, so their
-	// relative order decides the exact batches each run sees; the group is
-	// keyed by the dataset so that order matches a sequential render pass.
-	group string
-	// key is the report-cache key; duplicate keys prewarm once.
-	key string
-	run func() error
-}
-
-// gnnJob is a prewarm unit for one GNN configuration. GNN runs share no
-// mutable state (each derives a fresh RNG from the seed), so every job is
-// its own group and all of them may run concurrently.
-func gnnJob(o Options, p *platform.Platform, spec baselines.Spec, dsSpec graph.DatasetSpec,
-	model string, supervised bool, ratio float64) job {
-	key := gnnKey(o, p, spec, dsSpec, model, supervised, ratio)
-	return job{
-		group: key,
-		key:   key,
-		run: func() error {
-			_, err := runGNN(o, p, spec, dsSpec, model, supervised, ratio)
-			return err
-		},
-	}
-}
-
-// dlrJob is a prewarm unit for one DLR configuration, grouped by the
-// dataset instance whose RNG stream the run consumes.
-func dlrJob(o Options, p *platform.Platform, spec baselines.Spec, dsSpec workload.DLRSpec,
-	model string, ratio float64) job {
-	return job{
-		group: fmt.Sprintf("dlr-ds/%s/%g/%d", dsSpec.Name, o.Scale, o.Seed),
-		key:   dlrKey(o, p, spec, dsSpec, model, ratio),
-		run: func() error {
-			_, err := runDLR(o, p, spec, dsSpec, model, ratio)
-			return err
-		},
-	}
-}
-
-// prewarm fills the report cache for a figure's whole configuration matrix
-// on a bounded worker pool before the (sequential) render pass formats it.
-// Figures must submit jobs in render order: groups run concurrently, but
-// within a group jobs run sequentially in submission order, which replays
-// the exact schedule a sequential run would use for state-sharing runs.
-// Errors are not surfaced here — they are cached, and the render pass hits
-// them at the same point a sequential run would.
-func prewarm(o Options, jobs []job) {
-	workers := o.workerCount()
-	if workers <= 1 || len(jobs) <= 1 {
-		return
-	}
-	seen := make(map[string]bool, len(jobs))
-	groups := make(map[string][]job)
-	var order []string
-	for _, j := range jobs {
-		if seen[j.key] {
-			continue
-		}
-		seen[j.key] = true
-		if groups[j.group] == nil {
-			order = append(order, j.group)
-		}
-		groups[j.group] = append(groups[j.group], j)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, g := range order {
-		gjobs := groups[g]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(gjobs []job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, j := range gjobs {
-				_ = j.run()
+// matrix wraps a figure that is a render over memoised reports: the render
+// runs once against blank reports to collect the configurations it asks
+// for, a bounded pool computes them, and the render runs for real. The
+// render is the one statement of the figure's matrix; it must ask for the
+// same reports whatever an earlier one held.
+func matrix(render func(Options) (*Result, error)) func(Options) (*Result, error) {
+	return func(o Options) (*Result, error) {
+		if workers := o.workerCount(); workers > 1 {
+			dry := o
+			dry.plan = &plan{keys: map[string]bool{}}
+			// The dry render's own result and error mean nothing: it read blanks.
+			_, _ = render(dry)
+			sem := make(chan struct{}, workers)
+			var wg sync.WaitGroup
+			for _, run := range dry.plan.runs {
+				wg.Add(1)
+				sem <- struct{}{}
+				go func(run func()) {
+					defer wg.Done()
+					run()
+					<-sem
+				}(run)
 			}
-		}(gjobs)
+			wg.Wait()
+		}
+		return render(o)
 	}
-	wg.Wait()
 }
 
 // workerCount resolves Options.Workers: 0 means one worker per CPU, 1 means
-// fully sequential (prewarm disabled).
+// no pool (the render computes each report as it reaches it).
 func (o Options) workerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -207,17 +107,57 @@ func (o Options) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Batch sizes follow the paper's 8K per GPU, scaled down with the datasets
-// so neighbourhoods keep a comparable coverage of the graph.
-func gnnBatch(o Options) int {
-	b := int(8192 * o.Scale)
-	if b < 64 {
-		b = 64
-	}
-	return b
+// runGNN builds and measures one GNN configuration. ratio == 0 derives the
+// cache capacity from the (scaled) memory model, as the end-to-end figures
+// do; ratio > 0 pins it, as the sweep figures do.
+func runGNN(o Options, p *platform.Platform, spec baselines.Spec, dsSpec graph.DatasetSpec,
+	model string, supervised bool, ratio float64) (*app.Report, error) {
+	key := fmt.Sprintf("gnn/%s/%s/%s/%s/%s/%v/%g/%g/%d/%d",
+		p.Name, spec.Name, spec.Mechanism, dsSpec.Name, model, supervised, ratio, o.Scale, o.Iters, o.Seed)
+	return o.report(key, func() (*app.Report, error) {
+		ds, err := dataset(dsSpec.Name, o, dsSpec.Build)
+		if err != nil {
+			return nil, err
+		}
+		a, err := app.NewGNN(app.GNNConfig{
+			P: p, DS: ds, Model: model, Supervised: supervised,
+			BatchSize: batchSize(o), Spec: spec, CacheRatio: ratio,
+			Mem:  app.MemoryModel{MemScale: o.memScale()},
+			Seed: o.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return a.RunIters(o.Iters)
+	})
 }
 
-func dlrBatch(o Options) int {
+// runDLR builds and measures one DLR configuration.
+func runDLR(o Options, p *platform.Platform, spec baselines.Spec, dsSpec workload.DLRSpec,
+	model string, ratio float64) (*app.Report, error) {
+	key := fmt.Sprintf("dlr/%s/%s/%s/%s/%s/%g/%g/%d/%d",
+		p.Name, spec.Name, spec.Mechanism, dsSpec.Name, model, ratio, o.Scale, o.Iters, o.Seed)
+	return o.report(key, func() (*app.Report, error) {
+		ds, err := dataset(dsSpec.Name, o, dsSpec.Build)
+		if err != nil {
+			return nil, err
+		}
+		a, err := app.NewDLR(app.DLRConfig{
+			P: p, DS: ds, Model: model, BatchSize: batchSize(o), Spec: spec,
+			CacheRatio: ratio,
+			Mem:        app.MemoryModel{MemScale: o.memScale()},
+			Seed:       o.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return a.RunIters(o.Iters)
+	})
+}
+
+// batchSize follows the paper's 8K per GPU, scaled down with the datasets
+// so neighbourhoods keep a comparable coverage of the graph.
+func batchSize(o Options) int {
 	b := int(8192 * o.Scale)
 	if b < 64 {
 		b = 64

@@ -33,14 +33,14 @@ func table1(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := gnnDataset(graph.MAG, o)
+	ds, err := dataset(graph.MAG.Name, o, graph.MAG.Build)
 	if err != nil {
 		return nil, err
 	}
 	run := func(ratio float64) (*app.Report, error) {
 		a, err := app.NewGNN(app.GNNConfig{
 			P: p, DS: ds, Model: "sage", Supervised: false,
-			BatchSize: gnnBatch(o), Spec: baselines.UGache, CacheRatio: ratio,
+			BatchSize: batchSize(o), Spec: baselines.UGache, CacheRatio: ratio,
 			Mem:  app.MemoryModel{MemScale: o.memScale()},
 			Seed: o.Seed,
 		})
@@ -90,7 +90,7 @@ func table3(o Options) (*Result, error) {
 	t := stats.NewTable("Table 3: GNN datasets (scaled stand-ins)",
 		"dataset", "#vertex", "#edge", "dim", "dtype", "VolumeG(GB)", "VolumeE(GB)", "train%")
 	for _, spec := range graph.GNNDatasets {
-		ds, err := gnnDataset(spec, o)
+		ds, err := dataset(spec.Name, o, spec.Build)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func table3(o Options) (*Result, error) {
 	t2 := stats.NewTable("Table 3 (cont.): DLR datasets",
 		"dataset", "#entry", "#table", "dim", "skew", "VolumeE(GB)")
 	for _, spec := range workload.DLRDatasets {
-		ds, err := dlrDataset(spec, o)
+		ds, err := dataset(spec.Name, o, spec.Build)
 		if err != nil {
 			return nil, err
 		}

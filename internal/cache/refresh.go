@@ -355,10 +355,11 @@ type SolveStats struct {
 	// Nodes is the branch-and-bound node count (0 for LP and heuristic
 	// policies, which have no search tree).
 	Nodes int64
-	// Workers is the solver parallelism the solve ran with.
+	// Workers is the solver parallelism an optioned policy was handed (0
+	// for a policy that takes no options).
 	Workers int
 	// WarmStart records whether the solve was seeded with the previous
-	// placement as an initial incumbent.
+	// placement as an initial incumbent; only optioned policies can be.
 	WarmStart bool
 }
 

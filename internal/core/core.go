@@ -485,11 +485,11 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	// Surface the real solve cost next to the simulated Fig. 17 replay: the
 	// cache layer publishes these through its solve-wall gauges and the
 	// refresh-solve span args.
-	cfg.Solve = &cache.SolveStats{
-		WallSeconds: solveWall,
-		Nodes:       pl.SolveNodes,
-		Workers:     opt.Workers,
-		WarmStart:   true,
+	cfg.Solve = &cache.SolveStats{WallSeconds: solveWall, Nodes: pl.SolveNodes}
+	// Only an optioned policy was handed the workers and the warm start;
+	// any other solved cold, at its own parallelism.
+	if _, ok := s.policy.(solver.OptionedPolicy); ok {
+		cfg.Solve.Workers, cfg.Solve.WarmStart = opt.Workers, true
 	}
 	// Build every fallible piece before touching shared state, so a failed
 	// refresh leaves the old placement, caches and extractor paired.

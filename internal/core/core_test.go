@@ -240,6 +240,10 @@ func TestShouldRefreshAndRefresh(t *testing.T) {
 	if rep.Duration <= 0 || rep.InsertedEntries == 0 {
 		t.Fatalf("report %+v", rep)
 	}
+	// The default policy takes no solver options: its re-solve is cold.
+	if rep.Solve == nil || rep.Solve.WarmStart || rep.Solve.Workers != 0 {
+		t.Fatalf("solve stats %+v: the default policy takes neither workers nor a warm start", rep.Solve)
+	}
 	// After refresh the new placement is as good for h2 as the old one was
 	// for h.
 	newMax := maxOf(sys.EstimatedTimes())

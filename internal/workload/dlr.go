@@ -82,12 +82,13 @@ func DLRSpecByName(name string) (DLRSpec, error) {
 }
 
 // DLRDataset is a built DLR workload: the flattened tables plus per-table
-// key samplers.
+// key samplers. It is immutable once built: every reader draws batches from
+// a generator of its own (GenBatchWith), so what one reader sees never
+// depends on who else has read.
 type DLRDataset struct {
 	Spec  DLRSpec
 	MT    *emb.MultiTable
 	zipfs []*Zipf
-	r     *rng.Rand
 }
 
 // Build constructs the dataset at the given scale. Table sizes scale down
@@ -121,30 +122,15 @@ func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DLRDataset{
-		Spec: s, MT: mt, zipfs: zipfs,
-		r: rng.New(seed).Split("dlr-" + s.Name),
-	}, nil
+	return &DLRDataset{Spec: s, MT: mt, zipfs: zipfs}, nil
 }
 
 // NumEntries returns the flattened entry count.
 func (d *DLRDataset) NumEntries() int64 { return d.MT.NumEntries() }
 
-// GenBatch draws one inference batch of the given sample count and returns
-// the flattened keys (batchSize × numTables keys, duplicates possible; the
-// extractor deduplicates).
-func (d *DLRDataset) GenBatch(batchSize int) []int64 {
-	keys := make([]int64, 0, batchSize*len(d.zipfs))
-	for s := 0; s < batchSize; s++ {
-		for t, z := range d.zipfs {
-			keys = append(keys, d.MT.Offset(t)+z.Sample(d.r))
-		}
-	}
-	return keys
-}
-
-// GenBatchWith is GenBatch drawing from an explicit generator instead of
-// the dataset's own stream — concurrent clients each use their own.
+// GenBatchWith draws one inference batch of the given sample count from r
+// and returns the flattened keys (batchSize × numTables keys, duplicates
+// possible; the extractor deduplicates).
 func (d *DLRDataset) GenBatchWith(r *rng.Rand, batchSize int) []int64 {
 	keys := make([]int64, 0, batchSize*len(d.zipfs))
 	for s := 0; s < batchSize; s++ {

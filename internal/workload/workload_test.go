@@ -95,7 +95,7 @@ func TestDLRBuildAndBatch(t *testing.T) {
 	if d.KeysPerSample() != 26 {
 		t.Fatalf("keys per sample %d", d.KeysPerSample())
 	}
-	batch := d.GenBatch(100)
+	batch := d.GenBatchWith(rng.New(11), 100)
 	if len(batch) != 2600 {
 		t.Fatalf("batch len %d", len(batch))
 	}
@@ -281,11 +281,13 @@ func TestRecord(t *testing.T) {
 }
 
 func TestDLRDeterminism(t *testing.T) {
+	// Two builds from one seed, and two readers of one build, draw the same
+	// batch from same-seeded generators: a dataset keeps no stream of its own.
 	a, _ := SYNA.Build(0.01, 5)
 	b, _ := SYNA.Build(0.01, 5)
-	ba, bb := a.GenBatch(10), b.GenBatch(10)
+	ba, bb, again := a.GenBatchWith(rng.New(5), 10), b.GenBatchWith(rng.New(5), 10), a.GenBatchWith(rng.New(5), 10)
 	for i := range ba {
-		if ba[i] != bb[i] {
+		if ba[i] != bb[i] || ba[i] != again[i] {
 			t.Fatalf("batch differs at %d", i)
 		}
 	}
