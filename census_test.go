@@ -37,8 +37,8 @@ var censusStructs = []struct{ dir, name string }{
 }
 
 // censusAllow lists the fields nothing outside a test sets and that stay all
-// the same, each with its reason — but for the last, a seam that a test of
-// other behaviour needs.
+// the same, each with its reason — but for the last two, a seam that a test
+// of other behaviour needs.
 var censusAllow = map[string]string{
 	"flight.WatchdogConfig.Interval":    "watchdog tests tick in milliseconds instead of the 200 ms default",
 	"flight.WatchdogConfig.ShortWindow": "watchdog tests fill a burn-rate window in a few ticks",
@@ -50,6 +50,7 @@ var censusAllow = map[string]string{
 	"solver.Exact.MaxBlocks":            "exact-policy tests solve reduced instances; PolicyByName's \"exact\" takes Input.BlockBudget instead",
 	"solver.UGacheGreedy.RefineRounds":  "the refinement test compares the search with and without its local-search pass",
 	"platform.Config.PairBW":            "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
+	"core.Config.Solver":                "no command selects an optioned policy (ugache-serve's -solver-workers and -relgap reached none and are gone), but the façade exposes Config and PolicyByName(\"exact\"): TestRefreshExactWarmStartStats is the field's contract",
 }
 
 type censusFile struct {
@@ -276,6 +277,92 @@ func TestOptionCensus(t *testing.T) {
 	for id := range censusAllow {
 		if !used[id] {
 			problems = append(problems, id+": on the allowlist, but not an unset field of a census struct")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// funcAllow lists the exported functions and methods under internal/ that no
+// non-test file names and that stay all the same, each with its reason.
+var funcAllow = map[string]string{
+	"flight.FillReason.MarshalJSON": "json.Marshaler: encoding/json calls it when /debug/trace encodes a Batch",
+	"milp.nodeHeap.Less":            "container/heap's interface, with Len, Push and Pop that the search does name",
+	"milp.nodeHeap.Swap":            "as Less",
+	"solver.moveHeap.Less":          "container/heap's interface, with Len, Push and Pop that the refinement does name",
+	"solver.moveHeap.Swap":          "as Less",
+	"bench.ResetCaches":             "the determinism tests and the package's benchmarks drop the report memos between two runs of one experiment",
+	"emb.DecodeFloats":              "the inverse of the row generator's encoding: the value-range and float16 tests read rows back through it",
+}
+
+// TestFuncCensus is the option census's rule applied to code: every exported
+// function or method declared in a non-test file under internal/ is named by
+// some non-test file — anywhere in the module, cmd/, examples/ or benchmark/,
+// the façade ugache.go (the public API) included — or funcAllow says why it
+// stays. One that fails is called by tests alone: delete it, and point its
+// tests at the form callers use.
+//
+// Like the option census it is syntactic and name-level: any identifier
+// spelled like the function, other than its own declaration, counts as a
+// reference. So two declarations sharing a name can hide an unused one, but
+// nothing that is used is ever reported.
+func TestFuncCensus(t *testing.T) {
+	files := parseTree(t)
+	named := map[string]bool{}
+	type decl struct{ id, name string }
+	var decls []decl
+	for _, f := range files {
+		own := map[*ast.Ident]bool{}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			own[fd.Name] = true
+			if !fd.Name.IsExported() || !strings.HasPrefix(f.dir, "internal/") {
+				continue
+			}
+			id := filepath.Base(f.dir) + "."
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok { // a generic receiver
+					recv = ix.X
+				}
+				if tn, ok := recv.(*ast.Ident); ok {
+					id += tn.Name + "."
+				}
+			}
+			decls = append(decls, decl{id + fd.Name.Name, fd.Name.Name})
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if x, ok := n.(*ast.Ident); ok && !own[x] {
+				named[x.Name] = true
+			}
+			return true
+		})
+	}
+
+	var problems []string
+	used := map[string]bool{}
+	for _, d := range decls {
+		switch _, allowed := funcAllow[d.id]; {
+		case named[d.name] && allowed:
+			used[d.id] = true
+			problems = append(problems, d.id+": on the allowlist, but a non-test file names it now — drop the entry")
+		case allowed:
+			used[d.id] = true
+		case !named[d.name]:
+			problems = append(problems, d.id+": no non-test file names it — delete it (tests call the form callers use), or give funcAllow the reason it stays")
+		}
+	}
+	for id := range funcAllow {
+		if !used[id] {
+			problems = append(problems, id+": on the allowlist, but not an unnamed exported function under internal/")
 		}
 	}
 	sort.Strings(problems)

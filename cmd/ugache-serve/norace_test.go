@@ -1,0 +1,6 @@
+//go:build !race
+
+package main
+
+// The scale `make trace-smoke`, `flight-smoke` and `cluster-smoke` ran at.
+const smokeScale = "0.02"

@@ -1,0 +1,322 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"ugache/internal/flight"
+	"ugache/internal/timeline"
+)
+
+var update = flag.Bool("update", false, "re-record testdata/*.golden from this tree's output")
+
+// output is run's writer in these tests: safe for the watchdog's concurrent
+// writes, and something a test can wait on.
+type output struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	grew chan struct{} // holds a token when there is text a waiter has not looked at
+}
+
+func newOutput() *output { return &output{grew: make(chan struct{}, 1)} }
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	select {
+	case o.grew <- struct{}{}:
+	default:
+	}
+	return o.buf.Write(p)
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// waitFor blocks until the output matches re and returns the match.
+func (o *output) waitFor(t *testing.T, re string) []string {
+	t.Helper()
+	rx := regexp.MustCompile(re)
+	deadline := time.After(30 * time.Second)
+	for {
+		if m := rx.FindStringSubmatch(o.String()); m != nil {
+			return m
+		}
+		select {
+		case <-o.grew:
+		case <-deadline:
+			t.Fatalf("no %q in the output after 30 s:\n%s", re, o.String())
+		}
+	}
+}
+
+// A number, with the unit time.Duration prints glued to it: latencies change
+// unit with the machine ("812.4µs", "1.2ms"), and all of it masks to "N".
+var number = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?((ns|µs|ms|s)\b)?`)
+
+// clockLines are the report lines whose presence or place, not just their
+// numbers, depends on the wall clock: a router leg that missed its 50 ms deadline, a
+// staged row served inside the staleness window, the last bundle's path
+// (none if the watchdog had no time to trip), and the gauges the final
+// snapshot lists only when positive (a link's peak utilisation, a queue that
+// was ever found non-empty).
+var clockLines = []string{"partial results:", "stale serving:", "flight bundle:", "  sim_link_peak_util", "  serve_queue_depth_peak",
+	// Always there when the watchdog trips, but wherever in the report its
+	// goroutine finished writing the bundle; the flight-smoke case asserts it.
+	"flight:            wrote diagnostic bundle"}
+
+// mask is the report with its numbers masked, its clock lines dropped and
+// the test's directory named TMP.
+func mask(out, tmp string) string {
+	var b strings.Builder
+next:
+	for _, line := range strings.SplitAfter(strings.ReplaceAll(out, tmp, "TMP"), "\n") {
+		for _, p := range clockLines {
+			if strings.HasPrefix(line, p) {
+				continue next
+			}
+		}
+		b.WriteString(number.ReplaceAllString(line, "N"))
+	}
+	return b.String()
+}
+
+// runArgs parses the argument list (TMP standing for dir) and runs it.
+func runArgs(ctx context.Context, args, dir string, w io.Writer) error {
+	o, err := parse(strings.Fields(strings.ReplaceAll(args, "TMP", dir)))
+	if err != nil {
+		return err
+	}
+	return run(ctx, o, w)
+}
+
+func checkTimeline(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := timeline.Validate(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if rep.Events == 0 {
+		t.Errorf("%s: a valid trace of no events", path)
+	}
+}
+
+func readMetrics(t *testing.T, path string) map[string]float64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]float64
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return m
+}
+
+// checkCluster is what `make cluster-smoke` grepped for: the router counted
+// every lookup (4 clients x 20 requests) and keys crossed nodes.
+func checkCluster(t *testing.T, m map[string]float64) {
+	t.Helper()
+	if got := m["cluster_lookups_total"]; got != 4*20 {
+		t.Errorf("cluster_lookups_total = %v, want clients x requests = 80", got)
+	}
+	if got := m["cluster_remote_keys_total"]; got <= 0 {
+		t.Errorf("cluster_remote_keys_total = %v, want > 0", got)
+	}
+}
+
+// TestRunGolden runs the command's known traffic — the argument lists of the
+// three former make smokes (trace-smoke with -refresh spelled -refresh-mode
+// post; at smokeScale), and the README's closed-loop prefetch and drift shapes — and holds
+// each report, masked, to its golden, first recorded from the binary that
+// still had a private cluster path. The smokes' own checks run in-process on
+// the files the run left.
+func TestRunGolden(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name, args string
+		check      func(t *testing.T, dir, out string)
+	}{
+		{"trace-smoke", "-scale " + smokeScale + " -clients 4 -requests 20 -refresh-mode post -trace-out TMP/trace.json",
+			func(t *testing.T, dir, _ string) { checkTimeline(t, filepath.Join(dir, "trace.json")) }},
+		{"flight-smoke", "-scale " + smokeScale + " -open-loop -qps 4000 -duration 3s -slo-p99-ms 0.01 -bundle-dir TMP/bundles",
+			func(t *testing.T, dir, out string) {
+				// The unmeetable SLO trips the watchdog once (its cooldown
+				// outlasts the run); the bundle must validate, exemplar included.
+				bundles, _ := filepath.Glob(filepath.Join(dir, "bundles", "flight-*"))
+				if len(bundles) != 1 || !strings.Contains(out, "wrote diagnostic bundle "+bundles[0]) {
+					t.Fatalf("bundles written: %v, want one, and the report to say so:\n%s", bundles, out)
+				}
+				rep, err := flight.ValidateBundle(bundles[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Manifest.Exemplar == nil || rep.ExemplarSpans == 0 {
+					t.Errorf("bundle exemplar %+v resolved to %d spans, want a span tree", rep.Manifest.Exemplar, rep.ExemplarSpans)
+				}
+			}},
+		{"cluster-smoke", "-nodes 2 -scale " + smokeScale + " -clients 4 -requests 20 -trace-out TMP/trace.json -metrics-out TMP/metrics.json",
+			func(t *testing.T, dir, _ string) {
+				checkTimeline(t, filepath.Join(dir, "trace.json"))
+				checkCluster(t, readMetrics(t, filepath.Join(dir, "metrics.json")))
+			}},
+		{"post-lookahead", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode post -lookahead 2 -stale-threshold 4", nil},
+		{"drift", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode drift", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			out := newOutput()
+			if err := runArgs(context.Background(), tc.args, dir, out); err != nil {
+				t.Fatalf("run: %v\n%s", err, out)
+			}
+			if tc.check != nil {
+				tc.check(t, dir, out.String())
+			}
+			got, golden := mask(out.String(), dir), filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("masked report differs from %s (-update re-records):\n--- got\n%s--- want\n%s", golden, got, want)
+			}
+		})
+	}
+}
+
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestClusterSharesTheSetUp is what the private cluster path hid: under
+// -nodes 2 the listener, the watchdog and the shared shutdown's -metrics-out
+// and final snapshot all exist, and a bad -admission is refused.
+func TestClusterSharesTheSetUp(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0 -slo-p99-ms 0.01 -bundle-dir TMP/bundles -metrics-out TMP/metrics.json"
+
+	err := runArgs(context.Background(), args+" -admission bogus", dir, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-admission") {
+		t.Errorf("-admission bogus under -nodes 2: error %v, want the -admission one", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := newOutput()
+	done := make(chan error, 1)
+	go func() { done <- runArgs(ctx, args, dir, out) }()
+	base := "http://" + out.waitFor(t, `telemetry: +http://([^/]+)/metrics`)[1]
+	out.waitFor(t, `run complete; telemetry still live`)
+	if !strings.Contains(out.String(), "watchdog armed (p99 0.01ms") {
+		t.Errorf("-slo-p99-ms did not arm the watchdog:\n%s", out)
+	}
+	if code, _ := get(t, base+"/readyz"); code != http.StatusOK {
+		t.Errorf("/readyz while the run is live: %d, want 200", code)
+	}
+	if code, body := get(t, base+"/metrics"); code != http.StatusOK || !strings.Contains(body, "cluster_lookups_total 80") {
+		t.Errorf("/metrics: %d, without cluster_lookups_total 80", code)
+	}
+	if code, _ := get(t, base+"/debug/flight"); code != http.StatusOK {
+		t.Errorf("/debug/flight: %d, want the watchdog's state", code)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	checkCluster(t, readMetrics(t, filepath.Join(dir, "metrics.json")))
+	if n := strings.Count(out.String(), "final telemetry snapshot:"); n != 1 {
+		t.Errorf("final snapshot printed %d times, want once:\n%s", n, out)
+	}
+	if _, err := http.Get(base + "/readyz"); err == nil {
+		t.Errorf("the listener outlived the run")
+	}
+}
+
+// TestCancelMidOpenLoop cancels the context while the dispatchers are
+// offering load: run stops them, shuts down as a finished run does, and
+// returns nil — what a SIGINT does to the command.
+func TestCancelMidOpenLoop(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := newOutput()
+	done := make(chan error, 1)
+	go func() {
+		done <- runArgs(ctx, "-scale 0.002 -open-loop -qps 2000 -duration 1m -listen 127.0.0.1:0", "", out)
+	}()
+	base := "http://" + out.waitFor(t, `telemetry: +http://([^/]+)/metrics`)[1]
+	out.waitFor(t, `open loop: `)
+	// Mid-run means requests have been served: poll the live registry.
+	for served := regexp.MustCompile(`(?m)^serve_requests_total [1-9]`); ; time.Sleep(5 * time.Millisecond) {
+		if _, body := get(t, base+"/metrics"); served.MatchString(body) {
+			break
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("run still going 2 s after the cancel:\n%s", out)
+	}
+	text := out.String()
+	if n := strings.Count(text, "final telemetry snapshot:"); n != 1 {
+		t.Errorf("final snapshot printed %d times, want once:\n%s", n, text)
+	}
+	if !strings.Contains(text, "interrupted; flushing") || strings.Contains(text, "offered:") {
+		t.Errorf("want the interrupt noted and no summary of the cut-short run:\n%s", text)
+	}
+}
+
+// TestParseDroppedFlags: the three flags that reached nothing are gone, not
+// ignored.
+func TestParseDroppedFlags(t *testing.T) {
+	for _, f := range []string{"-refresh", "-solver-workers=2", "-relgap=0.1"} {
+		if _, err := parse([]string{f}); err == nil {
+			t.Errorf("parse(%s) succeeded, want an unknown-flag error", f)
+		}
+	}
+	if o, err := parse(nil); err != nil || o.nodes != 1 || o.mode != "off" || !o.flight {
+		t.Errorf("parse(nil) = %+v, %v", o, err)
+	}
+}

@@ -37,11 +37,6 @@ type MemoryModel struct {
 // buffers; the cache sizes of every figure are stated against it.
 const workspaceFrac = 0.25
 
-// DefaultMemoryModel matches the stock 1/100-scale datasets.
-func DefaultMemoryModel() MemoryModel {
-	return MemoryModel{MemScale: 0.01}
-}
-
 func (m MemoryModel) normalize() MemoryModel {
 	if m.MemScale <= 0 {
 		m.MemScale = 0.01

@@ -29,7 +29,7 @@ func smallGNN(t *testing.T, p *platform.Platform, spec baselines.Spec, model str
 
 func TestMemoryModel(t *testing.T) {
 	p := platform.ServerC()
-	m := DefaultMemoryModel()
+	m := MemoryModel{MemScale: 0.01}
 	cap1 := m.CapacityEntries(p, 512, 0)
 	if cap1 <= 0 {
 		t.Fatal("no capacity")

@@ -7,7 +7,7 @@
 //
 // Concurrency model: all placement state (hash tables, arenas, the
 // placement itself) lives in an immutable snapshot behind an atomic
-// pointer. Readers (Locate, Gather, HitCounts) load the snapshot once per
+// pointer. Readers (Locate, GatherWith) load the snapshot once per
 // call and never observe mutation; the Refresher builds the next snapshot
 // off to the side — cloning the tables and arenas, applying the eviction/
 // insertion diff in small batches — and publishes it with a single atomic
@@ -286,25 +286,4 @@ func (sn *snapshot) locate(p *platform.Platform, dst int, key int64) (src platfo
 // the owner's hash table (the locate() step of the extract function, §3.2).
 func (s *System) Locate(dst int, key int64) (src platform.SourceID, loc hashtable.Location, err error) {
 	return s.snap.Load().locate(s.P, dst, key)
-}
-
-// HitCounts classifies a batch of keys for one GPU (local, remote, host) —
-// the measured counterpart of solver.Placement.Stats. The whole batch is
-// classified against a single snapshot.
-func (s *System) HitCounts(dst int, keys []int64) (local, remote, host int, err error) {
-	sn := s.snap.Load()
-	for _, key := range keys {
-		src, _, err := sn.locate(s.P, dst, key)
-		switch {
-		case err != nil:
-			return 0, 0, 0, err
-		case src == s.P.Host():
-			host++
-		case int(src) == dst:
-			local++
-		default:
-			remote++
-		}
-	}
-	return local, remote, host, nil
 }

@@ -64,6 +64,9 @@ func TestFillAndLocate(t *testing.T) {
 	}
 }
 
+// arenaUsed is the arena's allocated byte count.
+func arenaUsed(a *memsim.Arena) int64 { return a.Capacity - a.Free() }
+
 func TestFunctionalGatherMatchesTable(t *testing.T) {
 	p := platform.ServerA()
 	pl, in := testPlacement(t, p, 2000, 0.15)
@@ -83,7 +86,7 @@ func TestFunctionalGatherMatchesTable(t *testing.T) {
 	}
 	out := make([]byte, len(keys)*table.EntryBytes())
 	for dst := 0; dst < p.N; dst++ {
-		if err := sys.Gather(dst, keys, out); err != nil {
+		if err := sys.GatherWith(dst, keys, out, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, table.EntryBytes())
@@ -104,9 +107,29 @@ func TestGatherRequiresFunctionalMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Gather(0, []int64{1}, make([]byte, 64)); err == nil {
+	if err := sys.GatherWith(0, []int64{1}, make([]byte, 64), nil); err == nil {
 		t.Fatal("size-only gather accepted")
 	}
+}
+
+// hitCounts classifies a batch of keys for one GPU (local, remote, host) by
+// where Locate finds each — the measured counterpart of
+// solver.Placement.Stats.
+func hitCounts(sys *System, dst int, keys []int64) (local, remote, host int, err error) {
+	for _, key := range keys {
+		src, _, err := sys.Locate(dst, key)
+		switch {
+		case err != nil:
+			return 0, 0, 0, err
+		case src == sys.P.Host():
+			host++
+		case int(src) == dst:
+			local++
+		default:
+			remote++
+		}
+	}
+	return local, remote, host, nil
 }
 
 func TestHitCountsMatchPlacementStats(t *testing.T) {
@@ -120,7 +143,7 @@ func TestHitCountsMatchPlacementStats(t *testing.T) {
 	for e := int64(0); e < 4000; e++ {
 		keys = append(keys, e)
 	}
-	local, remote, host, err := sys.HitCounts(2, keys)
+	local, remote, host, err := hitCounts(sys, 2, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +256,7 @@ func TestRefresh(t *testing.T) {
 	}
 	keys := []int64{0, 1, 2, 3999}
 	out := make([]byte, len(keys)*table.EntryBytes())
-	if err := sys.Gather(0, keys, out); err != nil {
+	if err := sys.GatherWith(0, keys, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, table.EntryBytes())
@@ -304,7 +327,7 @@ func TestRepeatedRefreshReusesSlots(t *testing.T) {
 		if _, err := sys.Refresh(target, 0.001, cfg); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		used := sys.Caches()[0].Arena.Used()
+		used := arenaUsed(sys.Caches()[0].Arena)
 		if usedAfterFirst < 0 {
 			usedAfterFirst = used
 		} else if used > usedAfterFirst {
@@ -313,7 +336,7 @@ func TestRepeatedRefreshReusesSlots(t *testing.T) {
 		}
 		// Content still correct.
 		out := make([]byte, 4*table.EntryBytes())
-		if err := sys.Gather(1, []int64{0, 1, 2998, 2999}, out); err != nil {
+		if err := sys.GatherWith(1, []int64{0, 1, 2998, 2999}, out, nil); err != nil {
 			t.Fatalf("round %d gather: %v", round, err)
 		}
 	}
@@ -365,9 +388,9 @@ func TestFillMatchesSequentialFill(t *testing.T) {
 		}
 		got, ref := make([]byte, pl.EntryBytes), make([]byte, pl.EntryBytes)
 		for g, c := range sys.Caches() {
-			if c.Table.Len() != want[g].Table.Len() || c.Arena.Used() != want[g].Arena.Used() {
+			if c.Table.Len() != want[g].Table.Len() || arenaUsed(c.Arena) != arenaUsed(want[g].Arena) {
 				t.Fatalf("procs %d gpu %d: %d keys in %d bytes, sequential fill has %d in %d", procs, g,
-					c.Table.Len(), c.Arena.Used(), want[g].Table.Len(), want[g].Arena.Used())
+					c.Table.Len(), arenaUsed(c.Arena), want[g].Table.Len(), arenaUsed(want[g].Arena))
 			}
 			want[g].Table.Range(func(key int64, loc hashtable.Location) bool {
 				if l, ok := c.Table.Lookup(key); !ok || l != loc {

@@ -206,7 +206,7 @@ func TestDriftDetectorStationaryAndShift(t *testing.T) {
 // accumulating.
 func TestDriftDetectorWindowSlide(t *testing.T) {
 	const n, kpb = 1024, 128
-	wl, err := workload.NewDiurnalZipf(n, 1.05, 1.05, 100)
+	wl, err := workload.NewFlashCrowd(n, 1.05, 1<<30, 0) // stationary: the crowd never comes
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,18 +51,12 @@ func (sc *GatherScratch) probeBuffers(n int) ([]hashtable.Location, []bool) {
 	return sc.locs[:n], sc.found[:n]
 }
 
-// Gather functionally extracts keys for GPU dst into out (len(keys) rows of
-// EntryBytes): cached rows are peer-read from the owning GPU's arena,
+// GatherWith functionally extracts keys for GPU dst into out (len(keys) rows
+// of EntryBytes): cached rows are peer-read from the owning GPU's arena,
 // misses fall back to the host source. Requires functional mode. The whole
 // gather resolves against a single snapshot, so concurrent refreshes never
-// produce a torn result. Scratch buffers are recycled through an internal
-// pool; workers that want full control pass their own to GatherWith.
-func (s *System) Gather(dst int, keys []int64, out []byte) error {
-	return s.GatherWith(dst, keys, out, nil)
-}
-
-// GatherWith is Gather with an explicit scratch (nil falls back to the
-// internal pool). The gather runs in two passes over a single snapshot:
+// produce a torn result. Scratch buffers come from sc; nil recycles them
+// through an internal pool. The gather runs in two passes over the snapshot:
 // first every key is classified by the placement's access arrangement —
 // host keys are read from the source immediately, GPU keys are grouped per
 // owning GPU — then each owner's group is resolved with one batched hash

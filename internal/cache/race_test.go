@@ -64,7 +64,7 @@ func TestConcurrentGatherDuringRefresh(t *testing.T) {
 					keys[i] = z.Sample(r)
 				}
 				dst := w % p.N
-				if err := sys.Gather(dst, keys, out); err != nil {
+				if err := sys.GatherWith(dst, keys, out, nil); err != nil {
 					t.Errorf("gather: %v", err)
 					return
 				}
@@ -87,7 +87,7 @@ func TestConcurrentGatherDuringRefresh(t *testing.T) {
 						k, src, pl.SourceOf(dst, k), pl2.SourceOf(dst, k))
 					return
 				}
-				if l, rm, h, err := sys.HitCounts(dst, keys); err != nil || l+rm+h != len(keys) {
+				if l, rm, h, err := hitCounts(sys, dst, keys); err != nil || l+rm+h != len(keys) {
 					t.Errorf("hitcounts %d/%d/%d err %v", l, rm, h, err)
 					return
 				}

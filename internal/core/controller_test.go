@@ -108,7 +108,7 @@ func TestControllerDriftBoundedTrigger(t *testing.T) {
 // PeriodBatches, aligned to the CheckEvery boundary, regardless of drift.
 func TestControllerPeriodic(t *testing.T) {
 	const n, kpb = 2048, 256
-	wl, err := workload.NewDiurnalZipf(n, 1.05, 1.05, 1000)
+	wl, err := workload.NewFlashCrowd(n, 1.05, 1<<30, 0) // stationary: the crowd never comes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestControllerPeriodic(t *testing.T) {
 // never refreshes.
 func TestControllerAsyncSingleFlight(t *testing.T) {
 	const n, kpb = 1024, 128
-	wl, err := workload.NewDiurnalZipf(n, 1.0, 1.0, 1000)
+	wl, err := workload.NewFlashCrowd(n, 1.0, 1<<30, 0) // stationary: the crowd never comes
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,6 @@ func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*
 	return t, nil
 }
 
-// Materialized reports whether the table holds real bytes.
-func (t *Table) Materialized() bool { return t.data != nil }
-
 // EntryBytes returns the byte size of one row.
 func (t *Table) EntryBytes() int { return t.Dim * t.DType.Size() }
 
@@ -104,18 +101,6 @@ func (t *Table) ReadRow(key int64, dst []byte) error {
 	}
 	t.generate(key, dst)
 	return nil
-}
-
-// RowFloats decodes row key into float32 values (converting from float16 if
-// needed); it allocates.
-func (t *Table) RowFloats(key int64) ([]float32, error) {
-	buf := make([]byte, t.EntryBytes())
-	if err := t.ReadRow(key, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float32, t.Dim)
-	DecodeFloats(buf, t.DType, out)
-	return out, nil
 }
 
 // generate fills dst with the deterministic row for key. Values are small

@@ -26,11 +26,6 @@ func (g *CSR) NumNodes() int { return len(g.IndPtr) - 1 }
 // NumEdges returns the edge count.
 func (g *CSR) NumEdges() int64 { return g.IndPtr[len(g.IndPtr)-1] }
 
-// Degree returns node v's out-degree.
-func (g *CSR) Degree(v int32) int {
-	return int(g.IndPtr[v+1] - g.IndPtr[v])
-}
-
 // Neighbors returns node v's adjacency slice (shared storage; do not
 // modify).
 func (g *CSR) Neighbors(v int32) []int32 {

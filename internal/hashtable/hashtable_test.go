@@ -154,7 +154,7 @@ func TestAgainstMapModel(t *testing.T) {
 		k := int64(r.Intn(500))
 		switch r.Intn(3) {
 		case 0, 1:
-			loc := Location{GPU: int32(r.Intn(8)), Offset: r.Int63() % 1e9}
+			loc := Location{GPU: int32(r.Intn(8)), Offset: int64(r.Uint64n(1e9))}
 			ht.Insert(k, loc)
 			model[k] = loc
 		case 2:

@@ -36,12 +36,6 @@ func NewBackedArena(name string, capacity int64) (*Arena, error) {
 	return &Arena{Name: name, Capacity: capacity, data: make([]byte, capacity)}, nil
 }
 
-// Backed reports whether the arena holds real bytes.
-func (a *Arena) Backed() bool { return a.data != nil }
-
-// Used returns the allocated byte count.
-func (a *Arena) Used() int64 { return a.used }
-
 // Free returns the unallocated byte count.
 func (a *Arena) Free() int64 { return a.Capacity - a.used }
 

@@ -16,14 +16,14 @@ func TestArenaAllocAccounting(t *testing.T) {
 	if err != nil || off2 != 60 {
 		t.Fatalf("alloc2: off=%d err=%v", off2, err)
 	}
-	if a.Used() != 100 || a.Free() != 0 {
-		t.Fatalf("used=%d free=%d", a.Used(), a.Free())
+	if a.used != 100 || a.Free() != 0 {
+		t.Fatalf("used=%d free=%d", a.used, a.Free())
 	}
 	if _, err := a.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("expected OOM, got %v", err)
 	}
 	a.Reset()
-	if a.Used() != 0 {
+	if a.used != 0 {
 		t.Fatal("reset failed")
 	}
 	if _, err := a.Alloc(-1); err == nil {
@@ -36,7 +36,7 @@ func TestBackedReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Backed() {
+	if a.data == nil {
 		t.Fatal("not backed")
 	}
 	off, _ := a.Alloc(16)

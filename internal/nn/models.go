@@ -237,28 +237,3 @@ func (g *GNN) FLOPs(nodesPerHop []int) float64 {
 // Kernels returns the launch count per iteration (aggregate + matmul +
 // backward per layer).
 func (g *GNN) Kernels() int { return len(g.Layers) * 5 }
-
-// ForwardFlat runs the dense transforms over a flattened frontier where
-// each node's "neighbourhood mean" is supplied directly; it exercises the
-// numeric path for tests without a full message-passing engine.
-func (g *GNN) ForwardFlat(x []float32, rows int) ([]float32, error) {
-	var err error
-	for i, l := range g.Layers {
-		in := x
-		if g.Model == "sage" {
-			// Self features stand in for the aggregated neighbourhood.
-			dim := len(x) / rows
-			cat := make([]float32, rows*dim*2)
-			for r := 0; r < rows; r++ {
-				copy(cat[r*dim*2:], x[r*dim:(r+1)*dim])
-				copy(cat[r*dim*2+dim:], x[r*dim:(r+1)*dim])
-			}
-			in = cat
-		}
-		x, err = l.Lin.Forward(in, rows)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-	}
-	return x, nil
-}

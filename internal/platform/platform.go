@@ -514,37 +514,9 @@ func (p *Platform) TimePerByteTable() [][]float64 {
 	return tbl
 }
 
-// HBMLink, DRAMLink, OutLink, InLink and PairLink expose link IDs for
-// utilization reporting (Fig. 13).
+// HBMLink and DRAMLink expose link IDs for utilization reporting (Fig. 13).
 func (p *Platform) HBMLink(g int) sim.LinkID { return p.hbm[g] }
 func (p *Platform) DRAMLink() sim.LinkID     { return p.dram }
-
-// OutLink returns the NVSwitch outbound port of g, or -1 on hard-wired
-// platforms.
-func (p *Platform) OutLink(g int) sim.LinkID {
-	if p.Kind != SwitchBased {
-		return -1
-	}
-	return p.out[g]
-}
-
-// InLink returns the NVSwitch inbound port of g, or -1 on hard-wired
-// platforms.
-func (p *Platform) InLink(g int) sim.LinkID {
-	if p.Kind != SwitchBased {
-		return -1
-	}
-	return p.in[g]
-}
-
-// PairLink returns the directed NVLink for dst reading src, or -1 when
-// absent (switch-based platforms or unconnected pairs).
-func (p *Platform) PairLink(dst, src int) sim.LinkID {
-	if p.Kind != HardWired || dst == src {
-		return -1
-	}
-	return p.pair[dst][src]
-}
 
 // NVLinkIDs returns every NVLink/NVSwitch link ID, for aggregate
 // utilization reporting.

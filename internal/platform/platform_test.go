@@ -117,11 +117,11 @@ func TestServerCSwitch(t *testing.T) {
 	if !ok || bw != 270e9 {
 		t.Fatalf("switch remote bw %g", bw)
 	}
-	if p.OutLink(3) < 0 || p.InLink(3) < 0 {
+	if p.out[3] < 0 || p.in[3] < 0 {
 		t.Fatal("missing switch ports")
 	}
-	if ServerA().OutLink(0) != -1 {
-		t.Fatal("hard-wired platform should not expose switch ports")
+	if a := ServerA(); a.out != nil || a.in != nil {
+		t.Fatal("hard-wired platform should not have switch ports")
 	}
 }
 
@@ -288,14 +288,14 @@ func TestLinkIDAccessors(t *testing.T) {
 	if len(p.PCIeIDs()) != 8 {
 		t.Fatal("PCIeIDs count")
 	}
-	if p.PairLink(0, 3) < 0 || p.PairLink(0, 5) != -1 {
-		t.Fatal("PairLink lookup")
+	if p.pair[0][3] < 0 || p.pair[0][5] != -1 {
+		t.Fatal("pair link lookup")
 	}
 	c := ServerC()
 	if len(c.NVLinkIDs()) != 16 {
 		t.Fatalf("switch NVLinkIDs count %d", len(c.NVLinkIDs()))
 	}
-	if c.PairLink(0, 1) != -1 {
-		t.Fatal("switch platform should not expose pair links")
+	if c.pair != nil {
+		t.Fatal("switch platform should not have pair links")
 	}
 }

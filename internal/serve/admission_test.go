@@ -22,8 +22,8 @@ func fillRing(t *testing.T, srv *Server, n int) []<-chan Result {
 	for i := range chans {
 		chans[i] = srv.Handle(0, []int64{int64(i % 50)})
 	}
-	if got := srv.QueueDepths(0); got != n {
-		t.Fatalf("QueueDepths = %d after admitting %d below ring capacity", got, n)
+	if got := srv.queues[0].depth(); got != n {
+		t.Fatalf("queue depth %d after admitting %d below ring capacity", got, n)
 	}
 	return chans
 }
@@ -60,8 +60,8 @@ func TestAdmissionFastFail(t *testing.T) {
 	if got := srv.met.rejected.Value(); got != 1 {
 		t.Fatalf("serve_rejected_total = %d, want 1", got)
 	}
-	if got := srv.QueueDepths(0); got != 2 {
-		t.Fatalf("QueueDepths = %d after the shed, want 2", got)
+	if got := srv.queues[0].depth(); got != 2 {
+		t.Fatalf("queue depth %d after the shed, want 2", got)
 	}
 
 	gate.open()

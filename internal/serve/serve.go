@@ -537,15 +537,6 @@ func (s *Server) Lookup(gpu int, keys []int64) (Result, error) {
 	return res, res.Err
 }
 
-// QueueDepths returns GPU gpu's current (approximate) queued-request count —
-// a diagnostics/backpressure probe, not a synchronization primitive.
-func (s *Server) QueueDepths(gpu int) int {
-	if gpu < 0 || gpu >= len(s.queues) {
-		return 0
-	}
-	return s.queues[gpu].depth()
-}
-
 // QueueCapacity returns the per-GPU admission ring capacity after defaulting
 // and power-of-two rounding — what load drivers should report peak depths
 // against.

@@ -142,15 +142,3 @@ func (c *ctx) estimate(blocks []Block) []float64 {
 		return c.rangeSum(b.Start, b.End)
 	}))
 }
-
-// EstimateMakespan returns max_i EstimateTimes.
-func EstimateMakespan(in *Input, pl *Placement) float64 {
-	t := EstimateTimes(in, pl)
-	max := 0.0
-	for _, v := range t {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}

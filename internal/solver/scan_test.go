@@ -1,12 +1,15 @@
 package solver
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestScanMemoMatchesDirectSums checks the block sums RepPart's scan shares
 // between its candidates against the sums each candidate used to form for
 // itself: every memoised range is == the entry-by-entry sum over that range,
 // and the winner's modelled makespan is == what the memo-free public
-// evaluation (EstimateMakespan, over the materialized placement) says.
+// evaluation (EstimateTimes, over the materialized placement) says.
 func TestScanMemoMatchesDirectSums(t *testing.T) {
 	short := testing.Short() || goldenShort
 	for _, pi := range pinnedInputs {
@@ -31,8 +34,8 @@ func TestScanMemoMatchesDirectSums(t *testing.T) {
 				t.Fatalf("%s: memoised sum of ranks [%d, %d) is %v, summed directly %v", pi.name, key[0], key[1], got, want)
 			}
 		}
-		if direct := EstimateMakespan(in, newPlacement(c, "rep-part", blocks)); direct != best {
-			t.Fatalf("%s: scan scored its winner %v, EstimateMakespan says %v", pi.name, best, direct)
+		if direct := slices.Max(EstimateTimes(in, newPlacement(c, "rep-part", blocks))); direct != best {
+			t.Fatalf("%s: scan scored its winner %v, EstimateTimes' maximum says %v", pi.name, best, direct)
 		}
 	}
 }

@@ -50,20 +50,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row where the first cell is a label and the rest are
-// numbers formatted with the given verb (e.g. "%.2f").
-func (t *Table) AddRowf(label, verb string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(verb, v))
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	width := make([]int, len(t.Headers))

@@ -21,7 +21,7 @@ func TestQuantilesExact(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("demo", "name", "v1", "v2")
-	tab.AddRowf("row-a", "%.1f", 1.0, 2.0)
+	tab.AddRow("row-a", "1.0", "2.0")
 	tab.AddRow("row-b", "3", "4")
 	out := tab.String()
 	for _, want := range []string{"== demo ==", "name", "row-a", "1.0", "row-b"} {
@@ -29,8 +29,8 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tab.NumRows())
+	if len(tab.rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(tab.rows))
 	}
 }
 

@@ -249,14 +249,3 @@ func (o *OpenLoop) advanceClock() {
 		}
 	}
 }
-
-// UserKeys returns user u's full working set — the keys its affinity draws
-// can produce — for tests and cache-warmup tooling.
-func (o *OpenLoop) UserKeys(u int64) []int64 {
-	out := make([]int64, workingSet)
-	for slot := range out {
-		h := splitmix64(uint64(u)*0x100000001b3 + uint64(slot))
-		out[slot] = o.keys.Rank(unit(h))
-	}
-	return out
-}

@@ -133,6 +133,17 @@ func TestOpenLoopMMPP(t *testing.T) {
 	}
 }
 
+// userKeys is user u's full working set: the keys Next's affinity draws can
+// produce, one per slot.
+func userKeys(o *OpenLoop, u int64) []int64 {
+	out := make([]int64, workingSet)
+	for slot := range out {
+		h := splitmix64(uint64(u)*0x100000001b3 + uint64(slot))
+		out[slot] = o.keys.Rank(unit(h))
+	}
+	return out
+}
+
 // TestOpenLoopAffinity checks per-user key locality: one user's requests
 // must come from their own working set, and from it rather than another
 // user's.
@@ -155,8 +166,8 @@ func TestOpenLoopAffinity(t *testing.T) {
 	own, ownOnly, otherOnly, total := 0, 0, 0, 0
 	for i := 0; i < 3000; i++ {
 		o.Next(&req)
-		mine := o.UserKeys(req.User)
-		theirs := o.UserKeys(req.User + 1_000_003)
+		mine := userKeys(o, req.User)
+		theirs := userKeys(o, req.User+1_000_003)
 		for _, k := range req.Keys {
 			total++
 			m, th := inSet(mine, k), inSet(theirs, k)

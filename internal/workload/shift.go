@@ -8,51 +8,19 @@ import (
 )
 
 // ShiftingZipf generates a batch-indexed Zipf key stream whose distribution
-// moves over time — the non-stationary scenarios a drift-adaptive refresh
-// must handle:
+// moves over time — the non-stationary scenario a drift-adaptive refresh
+// must handle, the flash crowd: at one batch index the rank→key mapping
+// rotates by a fixed offset, so a previously cold slice of the key space
+// becomes the hot head overnight. Identity changes, skew does not.
 //
-//   - diurnal sweep: the Zipf skew α oscillates sinusoidally between a low
-//     and a high value over a fixed period, modelling day/night traffic
-//     concentration. Key identities never change; only how much mass the
-//     head holds.
-//   - flash crowd: at one batch index the rank→key mapping rotates by a
-//     fixed offset, so a previously cold slice of the key space becomes the
-//     hot head overnight. Identity changes, skew does not.
-//
-// The generator is deterministic in (seeded rng, batch index): GenBatch
-// advances an internal batch counter, and ExpectedHotness reproduces the
-// analytic per-batch hotness for any index so tests and benches can build
-// "correct for phase X" placements without profiling.
+// The generator is a function of (seeded rng, batch index): GenBatchAt draws
+// the batch of any index, and ExpectedHotness reproduces the analytic
+// per-batch hotness for any index so tests and benches can build "correct
+// for phase X" placements without profiling.
 type ShiftingZipf struct {
-	n     int64
-	batch int
-
-	// Diurnal sweep (period 0 = stationary at alphaLo).
-	alphaLo, alphaHi float64
-	period           int
-
-	// Flash crowd (shiftAt < 0 = never).
+	z       *Zipf // the key space and the skew, which never moves
 	shiftAt int
 	rotate  int64
-}
-
-// NewDiurnalZipf builds a sweep between alphaLo and alphaHi with the given
-// full-cycle period in batches. Batch 0 starts at alphaLo.
-func NewDiurnalZipf(n int64, alphaLo, alphaHi float64, periodBatches int) (*ShiftingZipf, error) {
-	if alphaHi < alphaLo {
-		return nil, fmt.Errorf("workload: diurnal sweep needs alphaHi >= alphaLo, got %g < %g", alphaHi, alphaLo)
-	}
-	if periodBatches <= 0 {
-		return nil, fmt.Errorf("workload: diurnal sweep needs a positive period, got %d", periodBatches)
-	}
-	// Validate both extremes through the Zipf constructor once.
-	if _, err := NewZipf(n, alphaLo); err != nil {
-		return nil, err
-	}
-	if _, err := NewZipf(n, alphaHi); err != nil {
-		return nil, err
-	}
-	return &ShiftingZipf{n: n, alphaLo: alphaLo, alphaHi: alphaHi, period: periodBatches, shiftAt: -1}, nil
 }
 
 // NewFlashCrowd builds a stationary-skew stream whose rank→key mapping
@@ -60,7 +28,8 @@ func NewDiurnalZipf(n int64, alphaLo, alphaHi float64, periodBatches int) (*Shif
 // maps to key rotate%n from then on). rotate 0 defaults to n/2 — the head
 // lands in the middle of the previously cold region.
 func NewFlashCrowd(n int64, alpha float64, shiftAtBatch int, rotate int64) (*ShiftingZipf, error) {
-	if _, err := NewZipf(n, alpha); err != nil {
+	z, err := NewZipf(n, alpha)
+	if err != nil {
 		return nil, err
 	}
 	if shiftAtBatch < 0 {
@@ -73,56 +42,31 @@ func NewFlashCrowd(n int64, alpha float64, shiftAtBatch int, rotate int64) (*Shi
 	if rotate < 0 {
 		rotate += n
 	}
-	return &ShiftingZipf{n: n, alphaLo: alpha, alphaHi: alpha, shiftAt: shiftAtBatch, rotate: rotate}, nil
+	return &ShiftingZipf{z: z, shiftAt: shiftAtBatch, rotate: rotate}, nil
 }
 
 // NumEntries returns the key-space size.
-func (s *ShiftingZipf) NumEntries() int64 { return s.n }
+func (s *ShiftingZipf) NumEntries() int64 { return s.z.N }
 
-// Batch returns how many batches have been generated.
-func (s *ShiftingZipf) Batch() int { return s.batch }
-
-// ShiftBatch returns the flash-crowd shift index, or -1 for sweeps.
+// ShiftBatch returns the flash-crowd shift index.
 func (s *ShiftingZipf) ShiftBatch() int { return s.shiftAt }
-
-// AlphaAt returns the Zipf skew in effect at a batch index.
-func (s *ShiftingZipf) AlphaAt(batch int) float64 {
-	if s.period <= 0 {
-		return s.alphaLo
-	}
-	phase := 2 * math.Pi * float64(batch) / float64(s.period)
-	return s.alphaLo + (s.alphaHi-s.alphaLo)*(1-math.Cos(phase))/2
-}
 
 // keyAt maps a hotness rank to a key under the mapping in effect at the
 // given batch index.
 func (s *ShiftingZipf) keyAt(batch int, rank int64) int64 {
-	if s.shiftAt >= 0 && batch >= s.shiftAt {
-		return (rank + s.rotate) % s.n
+	if batch >= s.shiftAt {
+		return (rank + s.rotate) % s.z.N
 	}
 	return rank
 }
 
-// GenBatch draws one batch of `size` keys from the distribution in effect
-// at the current batch index, then advances the index.
-func (s *ShiftingZipf) GenBatch(r *rng.Rand, size int) []int64 {
-	keys := s.GenBatchAt(r, s.batch, size)
-	s.batch++
-	return keys
-}
-
-// GenBatchAt draws a batch for an explicit batch index without advancing
-// the stream (replays, multi-mode benches running the same schedule).
+// GenBatchAt draws the batch of `size` keys at a batch index; the stream
+// keeps no position, so replays and several modes running one schedule ask
+// for the indices they want.
 func (s *ShiftingZipf) GenBatchAt(r *rng.Rand, batch, size int) []int64 {
-	z, err := NewZipf(s.n, s.AlphaAt(batch))
-	if err != nil {
-		// Both α extremes were validated at construction; interpolations
-		// between them cannot fail.
-		panic(err)
-	}
 	keys := make([]int64, size)
 	for i := range keys {
-		keys[i] = s.keyAt(batch, z.Sample(r))
+		keys[i] = s.keyAt(batch, s.z.Sample(r))
 	}
 	return keys
 }
@@ -132,13 +76,10 @@ func (s *ShiftingZipf) GenBatchAt(r *rng.Rand, batch, size int) []int64 {
 // keysPerBatch draws, each key's hotness is its probability of appearing at
 // least once (presence, since the extractor deduplicates batches).
 func (s *ShiftingZipf) ExpectedHotness(batch, keysPerBatch int) Hotness {
-	z, err := NewZipf(s.n, s.AlphaAt(batch))
-	if err != nil {
-		panic(err)
-	}
-	h := make(Hotness, s.n)
+	z := s.z
+	h := make(Hotness, z.N)
 	m := float64(keysPerBatch)
-	for rank := int64(0); rank < s.n; rank++ {
+	for rank := int64(0); rank < z.N; rank++ {
 		p := z.CDF(rank+1) - z.CDF(rank)
 		h[s.keyAt(batch, rank)] = 1 - math.Pow(1-p, m)
 	}

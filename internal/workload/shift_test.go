@@ -7,37 +7,6 @@ import (
 	"ugache/internal/rng"
 )
 
-func TestDiurnalAlphaAt(t *testing.T) {
-	wl, err := NewDiurnalZipf(1000, 0.8, 1.2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wl.AlphaAt(0); got != 0.8 {
-		t.Fatalf("alpha at batch 0 = %g, want the low extreme", got)
-	}
-	if got := wl.AlphaAt(32); math.Abs(got-1.2) > 1e-12 {
-		t.Fatalf("alpha at half period = %g, want the high extreme", got)
-	}
-	if got := wl.AlphaAt(64); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("alpha after a full period = %g, want the low extreme", got)
-	}
-	if got := wl.AlphaAt(16); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("alpha at quarter period = %g, want the midpoint", got)
-	}
-	if wl.ShiftBatch() != -1 {
-		t.Fatalf("sweep has shift batch %d", wl.ShiftBatch())
-	}
-	if wl.NumEntries() != 1000 {
-		t.Fatalf("NumEntries %d", wl.NumEntries())
-	}
-	if _, err := NewDiurnalZipf(1000, 1.2, 0.8, 64); err == nil {
-		t.Fatal("inverted alpha range accepted")
-	}
-	if _, err := NewDiurnalZipf(1000, 0.8, 1.2, 0); err == nil {
-		t.Fatal("zero period accepted")
-	}
-}
-
 func TestFlashCrowdRotation(t *testing.T) {
 	wl, err := NewFlashCrowd(100, 1.1, 10, 30)
 	if err != nil {
@@ -87,15 +56,12 @@ func TestShiftingZipfReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// GenBatchAt with an explicit index must reproduce the streaming
-	// GenBatch schedule draw for draw, without advancing the stream.
+	// The stream keeps no position: a same-seeded rng asked for the same
+	// indices in the same order reproduces the schedule draw for draw.
 	r1, r2 := rng.New(3), rng.New(3)
 	for b := 0; b < 8; b++ {
 		replay := wl.GenBatchAt(r1, b, 64)
-		if wl.Batch() != b {
-			t.Fatalf("GenBatchAt advanced the stream to %d", wl.Batch())
-		}
-		live := wl.GenBatch(r2, 64)
+		live := wl.GenBatchAt(r2, b, 64)
 		for i := range live {
 			if live[i] != replay[i] {
 				t.Fatalf("batch %d draw %d: stream %d, replay %d", b, i, live[i], replay[i])
@@ -104,9 +70,6 @@ func TestShiftingZipfReplay(t *testing.T) {
 				t.Fatalf("key %d out of range", live[i])
 			}
 		}
-	}
-	if wl.Batch() != 8 {
-		t.Fatalf("stream at batch %d after 8 draws", wl.Batch())
 	}
 }
 
@@ -181,7 +144,7 @@ func TestGenBatchAtLookaheadReplay(t *testing.T) {
 		if b+L < batches {
 			peeked = append(peeked, wl.GenBatchAt(peekR, b+L, size))
 		}
-		served := wl.GenBatch(serveR, size)
+		served := wl.GenBatchAt(serveR, b, size)
 		if len(served) != size || len(peeked[b]) != size {
 			t.Fatalf("batch %d: sizes %d/%d", b, len(peeked[b]), len(served))
 		}
