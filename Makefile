@@ -29,6 +29,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLPSolve -fuzztime 10s ./internal/lp
 	$(GO) test -run xxx -fuzz FuzzEstimatePresence -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzRingOwner -fuzztime 10s ./internal/cluster
+	$(GO) test -run xxx -fuzz FuzzRealizeSymmetric -fuzztime 10s ./internal/solver
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner, the

@@ -61,8 +61,8 @@ func main() {
 	}
 	fmt.Printf("%s, %d entries, zipf %.2f, ratio %.1f%%, dim %d\n\n",
 		p.Name, *entries, *alpha, *ratio*100, *dim)
-	fmt.Printf("%-18s %12s %10s %8s %8s %8s %10s\n",
-		"policy", "est time", "solve", "local", "remote", "host", "blocks")
+	fmt.Printf("%-18s %12s %10s %8s %8s %8s %10s %9s %13s\n",
+		"policy", "est time", "solve", "local", "remote", "host", "blocks", "est/bound", "cap used")
 	for _, name := range names {
 		pol, err := solver.PolicyByName(name)
 		if err != nil {
@@ -87,9 +87,25 @@ func main() {
 			}
 		}
 		st := pl.Stats(h)[0]
-		fmt.Printf("%-18s %10.4gus %10s %7.1f%% %7.1f%% %7.1f%% %10d\n",
+		// The two columns a realization that ships less than its solve priced
+		// shows up in: modelled time over the proven bound (blank where the
+		// policy proves none), and the emptiest and fullest cache.
+		overBound := ""
+		if pl.LowerBound > 0 {
+			overBound = fmt.Sprintf("%.4f", maxT/pl.LowerBound)
+		}
+		minUsed, maxUsed := 1.0, 0.0
+		for g, used := range pl.CapacityUsed() {
+			share := 1.0
+			if caps[g] > 0 {
+				share = float64(used) / float64(caps[g])
+			}
+			minUsed, maxUsed = min(minUsed, share), max(maxUsed, share)
+		}
+		fmt.Printf("%-18s %10.4gus %10s %7.1f%% %7.1f%% %7.1f%% %10d %9s %5.1f-%.1f%%\n",
 			name, maxT*1e6, el.Round(time.Millisecond),
-			st.Local*100, st.Remote*100, st.Host*100, len(pl.Blocks))
+			st.Local*100, st.Remote*100, st.Host*100, len(pl.Blocks),
+			overBound, minUsed*100, maxUsed*100)
 		if pl.LowerBound > 0 {
 			if pl.SolveNodes > 0 {
 				fmt.Printf("%-18s   (lower bound %.4gus, %d B&B nodes)\n", "", pl.LowerBound*1e6, pl.SolveNodes)

@@ -173,7 +173,7 @@ func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	keys := []int64{2999, 2888, 2777, 2666, 2555, 2444, 2333, 2222, 2111}
+	keys := []int64{2999, 2888, 2777, 2666, 2555, 2444, 2333, 2000, 2111}
 	if !srv.Prefetch(0, keys) {
 		t.Fatal("prefetch rejected")
 	}

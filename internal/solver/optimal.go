@@ -210,115 +210,114 @@ func solveSymmetricLP(c *ctx) (*Placement, error) {
 		return nil, fmt.Errorf("solver: optimal LP %v", sol.Status)
 	}
 
-	// Realize: split each block by its count distribution, round-robin the
-	// replica members, then rebalance access.
-	realized := realizeSymmetric(in, c, blocks, &sol, xv)
+	realized, err := realizeSymmetric(c, blocks, sol.X[:nx])
+	if err != nil {
+		return nil, err
+	}
 	pl := newPlacement(c, "optimal-lp", realized)
 	pl.LowerBound = sol.Objective / scale
 	return pl, nil
 }
 
-// realizeSymmetric turns the fractional count distribution into concrete
-// blocks: largest-remainder rounding of each block's count distribution (no
-// entries leak to buckets the LP did not choose), replica members picked by
-// most free capacity, and remote access spread across replicas by least
-// accumulated traffic.
-func realizeSymmetric(in *Input, c *ctx, blocks []Block, sol *lp.Solution, xv func(b, cnt int) int) []Block {
-	g := in.P.N
-	host := in.fallback()
+// realizeSymmetric turns the LP's count distributions (x holds G+1 shares per
+// block, counts 0..G) into concrete blocks the way the LP priced them. A run
+// of n entries at count c, 0 < c < G, becomes G contiguous rank strips, strip
+// k stored on the c GPUs from k+offset on (cyclic): every GPU stores n·c/G of
+// the run to within one entry, reads c/G of it locally and the rest from
+// peers. The offset advances by one per run, so odd entries and the hotter
+// leading strips even out and the strip→GPU map depends on rank position
+// alone. A reader takes a remote strip from the holder it has pulled the least
+// from — the model charges its busiest link, so the tally is per (reader,
+// source). Counts 0 and G keep the LP's blocks. A run is a sub-block extended
+// over the following ones at its count while its hotness spans no more than
+// one of a §6.3 level's N blocks does (2^(1/G)): strips stay as even as one
+// block's, and a size-capped cold level's many like blocks do not multiply the
+// block count by G. A holder without room passes its share to the next GPU in
+// cyclic order with some (cutting the strip where one fills up); when fewer
+// than c have any, the realization fails rather than ship less than priced.
+func realizeSymmetric(c *ctx, blocks []Block, x []float64) ([]Block, error) {
+	g := c.in.P.N
+	capLeft := append([]int64(nil), c.in.Capacity...)
+	vol := make([]float64, g*g) // vol[i*g+j]: hotness mass reader i pulls from GPU j
 	var out []Block
-	capLeft := append([]int64(nil), in.Capacity...)
-	vol := make([]float64, g) // per-source accumulated remote traffic
-	for b := range blocks {
-		blk := &blocks[b]
-		sizes := roundDistribution(blk.Entries(), g, func(cnt int) float64 {
-			return sol.X[xv(b, cnt)]
-		})
-		start := blk.Start
-		for cnt := 0; cnt <= g; cnt++ {
-			n := sizes[cnt]
-			if n == 0 {
-				continue
-			}
-			nb := c.newBlock(start, start+n)
-			for k := 0; k < cnt; k++ {
-				m := -1
-				for j := 0; j < g; j++ {
-					if nb.Store[j] || capLeft[j] < n {
+	runs := 0
+	stripe := func(lo, hi int64, cnt int) error {
+		strips := int64(1)
+		if cnt > 0 && cnt < g {
+			strips = int64(g) // of fewer than G entries some are empty, the rest spread over the GPUs
+			runs++
+		}
+		for k := int64(0); k < strips; k++ {
+			for s, end := lo+(hi-lo)*k/strips, lo+(hi-lo)*(k+1)/strips; s < end; {
+				n, holders := end-s, make([]int, 0, cnt)
+				for d := 0; d < g && len(holders) < cnt; d++ {
+					if j := (runs + int(k) + d) % g; capLeft[j] > 0 {
+						holders, n = append(holders, j), min(n, capLeft[j])
+					}
+				}
+				if len(holders) < cnt {
+					return fmt.Errorf("solver: ranks [%d, %d) planned on %d GPUs, %d have room", s, end, cnt, len(holders))
+				}
+				nb := c.newBlock(s, s+n)
+				for _, j := range holders {
+					nb.Store[j], nb.Access[j] = true, platform.SourceID(j)
+					capLeft[j] -= n
+				}
+				for i := 0; i < g && cnt > 0; i++ {
+					if nb.Store[i] {
 						continue
 					}
-					if m < 0 || capLeft[j] > capLeft[m] {
-						m = j
+					src := holders[0]
+					for _, j := range holders[1:] {
+						if vol[i*g+j] < vol[i*g+src] {
+							src = j
+						}
 					}
+					nb.Access[i] = platform.SourceID(src)
+					vol[i*g+src] += nb.Mass()
 				}
-				if m < 0 {
-					break
-				}
-				nb.Store[m] = true
-				capLeft[m] -= n
+				out = append(out, nb)
+				s += n
 			}
-			for i := 0; i < g; i++ {
-				if nb.Store[i] {
-					nb.Access[i] = platform.SourceID(i)
-					continue
+		}
+		return nil
+	}
+	spread := math.Pow(2, 1/float64(g))
+	lo, hi, cur := int64(0), int64(0), 0 // the pending run: ranks [lo, hi) at count cur
+	for b := range blocks {
+		sizes := splitCounts(blocks[b].Entries(), x[b*(g+1):(b+1)*(g+1)])
+		for cnt := g; cnt >= 0; cnt-- { // the block's hotter ranks take its higher counts
+			n := sizes[cnt]
+			if n > 0 && (cnt != cur || cnt == 0 || cnt == g || c.hot[lo] > spread*c.hot[hi+n-1]) {
+				if err := stripe(lo, hi, cur); err != nil {
+					return nil, err
 				}
-				best, bestVol := host, math.Inf(1)
-				for j := 0; j < g; j++ {
-					if nb.Store[j] && vol[j] < bestVol {
-						best, bestVol = platform.SourceID(j), vol[j]
-					}
-				}
-				nb.Access[i] = best
-				if int(best) < g {
-					vol[best] += nb.Mass()
-				}
+				lo, cur = hi, cnt
 			}
-			out = append(out, nb)
-			start += n
+			hi += n
 		}
 	}
-	return out
+	err := stripe(lo, hi, cur)
+	return out, err
 }
 
-// roundDistribution apportions n entries across buckets 0..g proportionally
-// to frac(cnt) using the largest-remainder method; the result sums to n
-// exactly. A degenerate all-zero distribution lands in bucket 0 (host).
-func roundDistribution(n int64, g int, frac func(cnt int) float64) []int64 {
-	sizes := make([]int64, g+1)
+// splitCounts apportions n entries across counts 0..G in proportion to dist,
+// rounding the cumulative shares down from count G: the result sums to n, and
+// Σ cnt·sizes[cnt] never exceeds the Σ cnt·n·dist[cnt] the LP's capacity row
+// was charged. An all-zero distribution is count 0.
+func splitCounts(n int64, dist []float64) []int64 {
+	sizes := make([]int64, len(dist))
 	total := 0.0
-	for cnt := 0; cnt <= g; cnt++ {
-		if f := frac(cnt); f > 0 {
-			total += f
-		}
+	for _, f := range dist {
+		total += max(f, 0)
 	}
-	if total <= 0 {
-		sizes[0] = n
-		return sizes
+	above, cum := int64(0), 0.0 // entries, and share, at counts > cnt
+	for cnt := len(dist) - 1; cnt > 0 && total > 0; cnt-- {
+		cum += max(dist[cnt], 0)
+		upTo := min(int64(float64(n)*cum/total+1e-6), n) // the simplex leaves a whole block 0.99999999 of itself
+		sizes[cnt], above = upTo-above, upTo
 	}
-	rem := make([]float64, g+1)
-	var assigned int64
-	for cnt := 0; cnt <= g; cnt++ {
-		f := frac(cnt)
-		if f < 0 {
-			f = 0
-		}
-		exact := float64(n) * f / total
-		fl := int64(exact)
-		sizes[cnt] = fl
-		assigned += fl
-		rem[cnt] = exact - float64(fl)
-	}
-	for assigned < n {
-		best := 0
-		for cnt := 1; cnt <= g; cnt++ {
-			if rem[cnt] > rem[best] {
-				best = cnt
-			}
-		}
-		sizes[best]++
-		rem[best] = -1
-		assigned++
-	}
+	sizes[0] = n - above
 	return sizes
 }
 

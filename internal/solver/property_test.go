@@ -55,6 +55,41 @@ func TestRandomInputsAllPoliciesValid(t *testing.T) {
 	}
 }
 
+// TestOptimalLPNoWorseOnSymmetricInputs: on a symmetric platform the
+// reference policy's placement is modelled no slower than any other policy's.
+// Hotness is what the system's producers emit, a per-batch presence
+// probability (the harness's, a tenth of it zeroed); the tolerance is the realization's one entry per strip plus the
+// capacity-edge cuts the baselines make inside what is one block to the LP
+// (measured under 1e-3 over 150 such inputs). A vector whose first row alone
+// carries a tenth of the traffic is outside the LP's premise — one row is not
+// a divisible block — and there RepPart can win (CHANGES.md, PR 24).
+func TestOptimalLPNoWorseOnSymmetricInputs(t *testing.T) {
+	r := rng.New(2025)
+	platforms := []*platform.Platform{platform.ServerA(), platform.ServerC()}
+	others := []Policy{
+		Replication{}, Partition{}, CliquePartition{}, RepPart{Candidates: 33},
+		UGacheGreedy{}, UGache{},
+	}
+	for trial := 0; trial < 25; trial++ {
+		p := platforms[r.Intn(len(platforms))]
+		n := 4000 + r.Intn(20000)
+		alpha := 0.5 + r.Float64()*1.2
+		h := presenceHotness(t, int64(n), alpha, r.Uint64())
+		for e := 0; e < n/10; e++ {
+			h[r.Intn(n)] = 0
+		}
+		in := &Input{P: p, Hotness: h, EntryBytes: 8 * (1 + r.Intn(128)),
+			Capacity: uniformCapacity(p, n, 0.01+0.29*r.Float64())}
+		opt := maxF(mustSolve(t, OptimalLP{}, in).EstTimes)
+		for _, pol := range others {
+			if est := maxF(mustSolve(t, pol, in).EstTimes); opt > est*(1+1e-3) {
+				t.Errorf("trial %d on %s (n=%d alpha=%.2f cap=%d): optimal-lp %g, %s %g",
+					trial, p.Name, n, alpha, in.Capacity[0], opt, pol.Name(), est)
+			}
+		}
+	}
+}
+
 // TestZeroCapacityDegradesToHost checks that with no cache at all, every
 // policy routes everything to host and the model prices it identically.
 func TestZeroCapacityDegradesToHost(t *testing.T) {

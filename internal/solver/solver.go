@@ -123,8 +123,9 @@ type Placement struct {
 	// EstTimes[g] is the model-estimated extraction time per iteration
 	// (§6.2), filled by policies that plan with the model.
 	EstTimes []float64
-	// LowerBound, when non-zero, is a proven lower bound on the optimal
-	// modelled makespan (set by OptimalLP and Exact).
+	// LowerBound, when non-zero, is a proven lower bound on the modelled
+	// makespan of placements uniform within each block the policy solved over
+	// (set by OptimalLP and Exact); one cutting inside a block can dip under it.
 	LowerBound float64
 	// SolveNodes, when non-zero, is the number of branch-and-bound nodes the
 	// policy expanded to produce this placement (set by Exact). With

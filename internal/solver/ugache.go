@@ -36,10 +36,10 @@ func (UGache) Solve(in *Input) (*Placement, error) {
 		if pl, err := solveSymmetricLP(c); err == nil {
 			best = pl
 		}
-		// Fall through to the heuristic candidates on LP failure — and
-		// compare against them regardless: the LP is exact on the model
-		// but its realization into whole blocks carries a little slack
-		// that a structured scan sometimes beats.
+		// Fall through to the heuristic candidates on LP failure — and compare
+		// against the scan regardless: the striped realization costs what the
+		// LP priced where blocks are divisible, but one row carrying a tenth of
+		// the traffic is not, and there the scan's replicated head wins.
 	}
 	if best == nil {
 		best = UGacheGreedy{}.solve(c)
