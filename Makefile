@@ -63,14 +63,13 @@ bench-pairs:
 
 # Solver control-plane benchmarks: the simplex on a dense and on a
 # block-shaped sparse LP, parallel branch-and-bound throughput (W=1 vs W=4),
-# cold-vs-warm refresh re-solves, and the shipped policy's whole solve on the
-# benchmark's three problems (compare against the checked-in
-# BENCH_solver.json numbers; its description says how its parent/change rows
-# were paired).
+# and the shipped policy's whole solve on the benchmark's three problems
+# (compare against the checked-in BENCH_solver.json numbers; its description
+# says how its parent/change rows were paired).
 bench-solver:
 	$(GO) test -run xxx -bench 'BenchmarkSimplexMedium|BenchmarkSimplexBlockLP' -benchmem ./internal/lp
 	$(GO) test -run xxx -bench BenchmarkMILPSolve -benchmem ./internal/milp
-	$(GO) test -run xxx -bench 'BenchmarkRefreshSolve|BenchmarkPolicySolve' -benchmem ./internal/solver
+	$(GO) test -run xxx -bench BenchmarkPolicySolve -benchmem ./internal/solver
 
 # Drift-adaptive refresh benchmark: served p99 through a flash-crowd shift
 # under blind-periodic vs drift-triggered refresh vs an online LFU baseline

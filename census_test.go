@@ -50,7 +50,6 @@ var censusAllow = map[string]string{
 	"solver.Exact.MaxBlocks":            "exact-policy tests solve reduced instances; PolicyByName's \"exact\" takes Input.BlockBudget instead",
 	"solver.UGacheGreedy.RefineRounds":  "the refinement test compares the search with and without its local-search pass",
 	"platform.Config.PairBW":            "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
-	"core.Config.Solver":                "no command selects an optioned policy (ugache-serve's -solver-workers and -relgap reached none and are gone), but the façade exposes Config and PolicyByName(\"exact\"): TestRefreshExactWarmStartStats is the field's contract",
 }
 
 type censusFile struct {

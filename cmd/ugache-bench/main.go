@@ -40,7 +40,7 @@ func main() {
 		jsonOut    = flag.String("json-out", "", "write the machine-readable reports of experiments that produce one (e.g. drift, prefetch) to this JSON file")
 		lookahead  = flag.Int("lookahead", 0, "narrow the prefetch experiment's lookahead sweep to {0, L} (0 = default {0, 2, 8})")
 		staleThr   = flag.Int("stale-threshold", 0, "bounded-staleness window S in batches for the prefetch experiment (0 = experiment default 16)")
-		timelineF  = flag.String("timeline", "", "record refresh/solver spans from the instrumented experiments and write Chrome trace-event JSON to this file")
+		timelineF  = flag.String("timeline", "", "record the experiments' serve, refresh, solver, drift and prefetch tracks and write Chrome trace-event JSON to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)

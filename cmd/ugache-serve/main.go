@@ -109,7 +109,7 @@ func parse(args []string) (options, error) {
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
 	fs.StringVar(&o.admission, "admission", "fastfail", "admission policy when the per-GPU queue is full: fastfail (shed immediately with ErrOverload) or a wait bound like 500us (shed only after waiting that long for space)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth (0 = engine default 256)")
-	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder: control events, the SLO watchdog and diagnostic bundles (the per-batch records behind /debug/trace are kept either way, 256 deep without it)")
+	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with its SLO watchdog and diagnostic bundles (-trace-out runs the recorder alone: its control ring is the trace's refresh, drift and prefetch tracks; the per-batch records behind /debug/trace are kept either way, 256 deep without either)")
 	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches: how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
 	fs.Float64Var(&o.sloP99Ms, "slo-p99-ms", 0, "admitted-request p99 SLO in milliseconds; > 0 arms the watchdog (p99, shed ratio, queue saturation, solve wall, prefetch drops) to write a diagnostic bundle on violation")
 	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (watchdog trips, SIGQUIT, POST /debug/flight/bundle)")

@@ -75,7 +75,7 @@ type engine struct {
 	ds      *workload.DLRDataset
 	reg     *telemetry.Registry
 	tl      *timeline.Recorder // nil without -trace-out or -flight
-	fl      *flight.Recorder   // nil without -flight
+	fl      *flight.Recorder   // as tl
 	wd      *flight.Watchdog   // nil without -flight
 	health  *telemetry.Health
 	nodes   []*cluster.Node
@@ -167,17 +167,18 @@ func (e *engine) build() (err error) {
 
 	// One registry, span recorder and flight recorder shared by the core
 	// (extraction tiers, refresh), every node's serving engine and the router,
-	// so /metrics, the trace and a bundle show the whole run. The flight
-	// recorder keeps the span recorder on even without -trace-out: a bundle
-	// dumps the current timeline window, and its exemplar batch resolves into
-	// that window's span trees.
+	// so /metrics, the trace and a bundle show the whole run. The two
+	// recorders come as a pair: the trace draws its control and prefetch
+	// tracks from the flight recorder's control ring, and -flight keeps the
+	// span recorder on even without -trace-out, since a bundle dumps the
+	// current timeline window and its exemplar batch resolves into that
+	// window's span trees.
 	workers := p.N * o.nodes
 	e.reg = telemetry.NewRegistry(workers)
 	if o.traceOut != "" || o.flight {
 		e.tl = timeline.NewRecorder(workers, 0)
-	}
-	if o.flight {
 		e.fl = flight.NewRecorder(workers, o.flightDepth)
+		e.fl.DrawControl(e.tl)
 	}
 	if e.post || e.mode != core.RefreshOff {
 		e.sampler = cache.NewHotnessSampler(ds.NumEntries(), 1)
@@ -205,7 +206,6 @@ func (e *engine) build() (err error) {
 			Placement:  placement,
 			Owned:      owned,
 			Telemetry:  e.reg,
-			Timeline:   e.tl,
 			Flight:     e.fl,
 		})
 		if err != nil {
@@ -269,7 +269,7 @@ func (e *engine) build() (err error) {
 	// SLO signal set (bundles on sustained violation); otherwise the recorder
 	// still runs and manual triggers (SIGQUIT, the /debug endpoint) work.
 	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: srv.Trace(), Timeline: e.tl, Health: e.health, EnablePprof: o.pprofOn}
-	if e.fl != nil {
+	if o.flight {
 		slo, armed := flight.SLO{}, "disarmed (SIGQUIT or POST /debug/flight/bundle for a manual bundle)"
 		if o.sloP99Ms > 0 {
 			armed = fmt.Sprintf("armed (p99 %gms, bundles -> %s)", o.sloP99Ms, o.bundleDir)
@@ -558,6 +558,9 @@ func (e *engine) closedLoop(ctx context.Context) error {
 		}
 	}
 	if o.lookahead > 0 {
+		for g := 0; g < p.N; g++ { // the last announced windows may still be staging
+			e.nodes[0].Srv.WaitPrefetch(g)
+		}
 		hits := metric("serve_fill_prefetch_hit")
 		fmt.Fprintf(w, "prefetch:          %.0f windows staged %.0f keys; %.0f staged hits (%.1f%% of unique), %.0f dropped windows\n",
 			metric("serve_prefetch_windows_total"), metric("serve_prefetch_staged_keys_total"),
@@ -571,7 +574,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 	}
 
 	// One §7.2 refresh against the hotness measured during the run, so the
-	// control tracks (solver + refresh steps) appear in the timeline.
+	// control tracks (solver + refresh steps) appear in the trace.
 	measured, err := e.sampler.Hotness()
 	if err != nil {
 		return fmt.Errorf("refresh: %w", err)

@@ -104,7 +104,7 @@ func runArgs(ctx context.Context, args, dir string, w io.Writer) error {
 	return run(ctx, o, w)
 }
 
-func checkTimeline(t *testing.T, path string) {
+func checkTimeline(t *testing.T, path string) *timeline.ValidationReport {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -118,6 +118,7 @@ func checkTimeline(t *testing.T, path string) {
 	if rep.Events == 0 {
 		t.Errorf("%s: a valid trace of no events", path)
 	}
+	return rep
 }
 
 func readMetrics(t *testing.T, path string) map[string]float64 {
@@ -158,7 +159,15 @@ func TestRunGolden(t *testing.T) {
 		check      func(t *testing.T, dir, out string)
 	}{
 		{"trace-smoke", "-scale " + smokeScale + " -clients 4 -requests 20 -refresh-mode post -trace-out TMP/trace.json",
-			func(t *testing.T, dir, _ string) { checkTimeline(t, filepath.Join(dir, "trace.json")) }},
+			func(t *testing.T, dir, _ string) {
+				// The one post-run refresh is one tree on the control track.
+				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
+				for _, name := range []string{"refresh", "refresh-solve", "policy-solve"} {
+					if n := rep.Names[timeline.ProcName{PID: timeline.ProcControl, Name: name}]; n != 1 {
+						t.Errorf("trace holds %d %s spans, want the one refresh's", n, name)
+					}
+				}
+			}},
 		{"flight-smoke", "-scale " + smokeScale + " -open-loop -qps 4000 -duration 3s -slo-p99-ms 0.01 -bundle-dir TMP/bundles",
 			func(t *testing.T, dir, out string) {
 				// The unmeetable SLO trips the watchdog once (its cooldown

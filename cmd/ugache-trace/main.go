@@ -110,21 +110,19 @@ func main() {
 			fatal("%v", err)
 		}
 		fmt.Printf("%s: valid Chrome trace, %d events\n", *checkTL, rep.Events)
-		phases := make([]string, 0, len(rep.ByPhase))
-		for ph := range rep.ByPhase {
-			phases = append(phases, ph)
-		}
-		sort.Strings(phases)
-		for _, ph := range phases {
+		for _, ph := range sortedKeys(rep.ByPhase) {
 			fmt.Printf("  phase %q: %d\n", ph, rep.ByPhase[ph])
 		}
-		names := make([]string, 0, len(rep.Names))
-		for name := range rep.Names {
-			names = append(names, name)
+		names := make([]timeline.ProcName, 0, len(rep.Names))
+		for k := range rep.Names {
+			names = append(names, k)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("  %-34s %d\n", name, rep.Names[name])
+		sort.Slice(names, func(i, j int) bool {
+			a, b := names[i], names[j]
+			return a.PID < b.PID || a.PID == b.PID && a.Name < b.Name
+		})
+		for _, k := range names {
+			fmt.Printf("  pid %d %-34s %d\n", k.PID, k.Name, rep.Names[k])
 		}
 
 	case *checkBun != "":
@@ -136,16 +134,14 @@ func main() {
 		fmt.Printf("%s: valid bundle (reason %q, created %s)\n", *checkBun, man.Reason, man.Created)
 		fmt.Printf("  files:            %v\n", man.Files)
 		fmt.Printf("  flight events:    %d\n", rep.EventLines)
-		kinds := make([]string, 0, len(rep.EventsByKind))
-		for k := range rep.EventsByKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
+		for _, k := range sortedKeys(rep.EventsByKind) {
 			fmt.Printf("    %-16s %d\n", k, rep.EventsByKind[k])
 		}
 		fmt.Printf("  metric samples:   %d\n", rep.MetricCount)
 		fmt.Printf("  timeline events:  %d\n", rep.TimelineEvents)
+		for _, k := range sortedKeys(rep.ControlSpans) {
+			fmt.Printf("    %-16s %d records in %s, %d spans\n", k, rep.EventsByKind[k], flight.EventsFile, rep.ControlSpans[k])
+		}
 		for _, v := range man.Violations {
 			state := "ok"
 			if v.Breached {
@@ -163,6 +159,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func fatal(format string, args ...any) {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
@@ -41,9 +42,11 @@ type Options struct {
 	// experiment builds so the caller can render the accumulated samples
 	// after the run. Nil (the default) leaves instrumentation disabled.
 	Telemetry *telemetry.Registry
-	// Timeline, when non-nil, is threaded alongside Telemetry into the
-	// instrumented core systems so refresh and solver spans land in a
-	// Chrome trace (cmd/ugache-bench -timeline).
+	// Timeline, when non-nil, receives a Chrome trace (cmd/ugache-bench
+	// -timeline): the serving engines an experiment builds record into it,
+	// and it draws the control ring of every flight recorder an experiment
+	// hands its core systems — their refreshes, solves, drift checks and
+	// prefetch windows (see flight).
 	Timeline *timeline.Recorder
 	// Lookahead, when positive, narrows the prefetch experiment's sweep to
 	// {0, Lookahead} instead of the default {0, 2, 8} (cmd/ugache-bench
@@ -69,6 +72,16 @@ func (o Options) normalize() Options {
 		o.Seed = 42
 	}
 	return o
+}
+
+// flight returns a flight recorder of workers rings depth deep whose control
+// ring the run's timeline draws, when there is one.
+func (o Options) flight(workers, depth int) *flight.Recorder {
+	fl := flight.NewRecorder(workers, depth)
+	if o.Timeline != nil {
+		fl.DrawControl(o.Timeline)
+	}
+	return fl
 }
 
 // memScale converts the dataset scale into the memory-model scale: stock

@@ -149,7 +149,7 @@ func runControllerMode(o Options, sc *driftScenario, mode core.RefreshMode) (Dri
 		EntryBytes:         sc.entryBytes,
 		CacheEntriesPerGPU: sc.capacity,
 		Telemetry:          o.Telemetry,
-		Timeline:           o.Timeline,
+		Flight:             o.flight(1, sc.batches),
 	})
 	if err != nil {
 		return rep, err

@@ -147,7 +147,7 @@ func figure17(o Options) (*Result, error) {
 		EntryBytes:         ds.MT.MaxEntryBytes(),
 		CacheEntriesPerGPU: maxI64b(capacity, 1),
 		Telemetry:          o.Telemetry,
-		Timeline:           o.Timeline,
+		Flight:             o.flight(1, 8), // its two refreshes
 	})
 	if err != nil {
 		return nil, err

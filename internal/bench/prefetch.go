@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ugache/internal/core"
-	"ugache/internal/flight"
 	"ugache/internal/serve"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
@@ -60,13 +59,14 @@ type PrefetchReport struct {
 func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (PrefetchModeReport, error) {
 	rep := PrefetchModeReport{Lookahead: lookahead}
 	reg := telemetry.NewRegistry(sc.p.N)
+	fl := o.flight(sc.p.N, sc.batches) // every batch's record is read back
 	sys, err := core.Build(core.Config{
 		Platform:           sc.p,
 		Hotness:            sc.refHot,
 		EntryBytes:         sc.entryBytes,
 		CacheEntriesPerGPU: sc.capacity,
 		Telemetry:          o.Telemetry,
-		Timeline:           o.Timeline,
+		Flight:             fl,
 	})
 	if err != nil {
 		return rep, err
@@ -74,7 +74,7 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 	srv, err := serve.New(sys, serve.Config{
 		MaxBatchKeys: sc.keysPerBatch,
 		Telemetry:    reg,
-		Flight:       flight.NewRecorder(sc.p.N, sc.batches), // every batch's record is read back
+		Flight:       fl,
 		Lookahead:    lookahead,
 		StaleBatches: stale,
 		Timeline:     o.Timeline,

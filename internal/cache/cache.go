@@ -25,7 +25,6 @@ import (
 	"ugache/internal/memsim"
 	"ugache/internal/platform"
 	"ugache/internal/solver"
-	"ugache/internal/timeline"
 )
 
 // RowSource supplies embedding rows from (simulated) host memory; both
@@ -156,9 +155,6 @@ type System struct {
 	// refreshMet, when set via SetTelemetry, receives each refresh report
 	// as gauges (§7.2 impact timeline).
 	refreshMet atomic.Pointer[refreshMetrics]
-	// refreshTL, when set via SetTimeline, receives each refresh's
-	// Fig.-17-style span timeline (solve phase plus per-update-step spans).
-	refreshTL atomic.Pointer[timeline.Recorder]
 }
 
 // Placement returns the currently published placement.

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
+	"ugache/internal/flight"
 	"ugache/internal/hashtable"
 	"ugache/internal/solver"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
 
@@ -50,102 +51,29 @@ func (s *System) SetTelemetry(reg *telemetry.Registry) {
 	})
 }
 
-// SetTimeline attaches a timeline recorder; every later Refresh emits its
-// Fig.-17 span timeline (parent refresh span, solve child, per-update-step
-// spans) on the control track. Pass nil to detach.
-func (s *System) SetTimeline(rec *timeline.Recorder) {
-	if rec == nil {
-		s.refreshTL.Store(nil)
-		return
-	}
-	s.refreshTL.Store(rec)
-}
-
-// maxRefreshStepSpans caps the number of per-update-step spans one refresh
-// emits so a huge diff cannot flood the span ring; the refresh span's
-// update_steps arg always carries the true total.
-const maxRefreshStepSpans = 128
-
-// emitTimeline renders one refresh report as spans: the whole refresh is
-// anchored at its wall-clock start and laid out in simulated time — a parent
-// "refresh" span covering trigger-to-completion, a "refresh-solve" child for
-// the background solve phase, and one "refresh-update-step" span per
-// small-batch update step (busy time only; the pauses between steps show as
-// gaps, exactly the Fig. 17 duty cycle).
-func emitTimeline(rec *timeline.Recorder, wallStart float64, rep *RefreshReport, perStep, remStep, pause float64, fullSteps int64) {
-	sh := rec.Shard(0)
-	root := timeline.Event{
-		Name:  "refresh",
-		Cat:   "refresh",
-		Ph:    timeline.PhSpan,
-		PID:   timeline.ProcControl,
-		TID:   timeline.TIDRefresh,
-		Start: wallStart,
-		Dur:   rep.Duration,
-	}
-	root.AddArg("evicted_entries", float64(rep.EvictedEntries))
-	root.AddArg("inserted_entries", float64(rep.InsertedEntries))
-	root.AddArg("mean_impact", rep.MeanImpact)
-	root.AddArg("solve_seconds", rep.SolveSeconds)
-	root.AddArg("update_seconds", rep.UpdateSeconds)
-	steps := fullSteps
-	if remStep > 0 {
-		steps++
-	}
-	root.AddArg("update_steps", float64(steps))
-	sh.Emit(&root)
-
-	solve := timeline.Event{
-		Name:  "refresh-solve",
-		Cat:   "refresh",
-		Ph:    timeline.PhSpan,
-		PID:   timeline.ProcControl,
-		TID:   timeline.TIDRefresh,
-		Start: wallStart,
-		Dur:   rep.SolveSeconds,
-	}
+// Record returns the report as the refresh's flight control record, stamped
+// now: the measured solve, the Fig. 17 layout, the wall seconds since
+// trigger (the solve's start) and pl's storage summary — everything the
+// timeline's solver and refresh tracks are drawn from
+// (flight.Recorder.DrawControl). The caller sets Seq.
+func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight.Event {
+	var wall, nodes, estMax float64
 	if st := rep.Solve; st != nil {
-		solve.AddArg("solve_wall_seconds", st.WallSeconds)
-		solve.AddArg("solve_nodes", float64(st.Nodes))
-		solve.AddArg("workers", float64(st.Workers))
-		warm := 0.0
-		if st.WarmStart {
-			warm = 1
-		}
-		solve.AddArg("warm_start", warm)
+		wall, nodes = st.WallSeconds, float64(st.Nodes)
 	}
-	sh.Emit(&solve)
-
-	stepLen := perStep + pause
-	for i := int64(0); i < steps && i < maxRefreshStepSpans; i++ {
-		busy := perStep
-		if i >= fullSteps {
-			busy = remStep
-		}
-		ev := timeline.Event{
-			Name:  "refresh-update-step",
-			Cat:   "refresh",
-			Ph:    timeline.PhSpan,
-			PID:   timeline.ProcControl,
-			TID:   timeline.TIDRefresh,
-			Start: wallStart + rep.SolveSeconds + float64(i)*stepLen,
-			Dur:   busy,
-		}
-		ev.AddArg("step", float64(i))
-		sh.Emit(&ev)
+	for _, t := range pl.EstTimes {
+		estMax = max(estMax, t)
 	}
-	if steps > maxRefreshStepSpans {
-		ev := timeline.Event{
-			Name:  "refresh-update-steps-truncated",
-			Cat:   "refresh",
-			Ph:    timeline.PhInstant,
-			PID:   timeline.ProcControl,
-			TID:   timeline.TIDRefresh,
-			Start: wallStart + rep.SolveSeconds + float64(maxRefreshStepSpans)*stepLen,
-		}
-		ev.AddArg("omitted_steps", float64(steps-maxRefreshStepSpans))
-		sh.Emit(&ev)
-	}
+	sum, now := pl.StorageSummary(), time.Now()
+	return flight.Event{Kind: flight.KindRefresh, GPU: -1, UnixNanos: now.UnixNano(), V: [flight.MaxPayload]float64{
+		// In slot order, flight.RefreshSolveWallSeconds to RefreshEstTimeMax.
+		wall, rep.Duration, float64(rep.EvictedEntries + rep.InsertedEntries), rep.MeanImpact, nodes,
+		float64(rep.EvictedEntries), float64(rep.InsertedEntries), rep.SolveSeconds, rep.UpdateSeconds,
+		float64(rep.Steps), rep.StepSeconds, rep.LastStepSeconds, rep.PauseSeconds, now.Sub(trigger).Seconds(),
+		float64(len(pl.Blocks)), float64(sum.ReplicatedBlocks), float64(sum.PartialBlocks),
+		float64(sum.PartitionedBlocks), float64(sum.UncachedBlocks),
+		sum.ReplicatedMass, sum.PartitionedMass, sum.UncachedMass, estMax,
+	}}
 }
 
 // publish pushes one refresh report into the gauges. A report without solve
@@ -348,19 +276,13 @@ func (h *HotnessSampler) NumEntries() int64 { return h.numEntries }
 // opposed to RefreshConfig.SolveSeconds, which is the simulated solve
 // duration replayed into the Fig. 17 timeline. The core engine fills it
 // from the solver; it flows untouched into the report, the
-// cache_refresh_last_solve_* gauges, and the refresh-solve span args.
+// cache_refresh_last_solve_* gauges, and the refresh's flight record.
 type SolveStats struct {
 	// WallSeconds is the measured wall-clock duration of the solve.
 	WallSeconds float64
 	// Nodes is the branch-and-bound node count (0 for LP and heuristic
 	// policies, which have no search tree).
 	Nodes int64
-	// Workers is the solver parallelism an optioned policy was handed (0
-	// for a policy that takes no options).
-	Workers int
-	// WarmStart records whether the solve was seeded with the previous
-	// placement as an initial incumbent; only optioned policies can be.
-	WarmStart bool
 }
 
 // RefreshConfig tunes the §7.2 background refresh.
@@ -380,8 +302,8 @@ type RefreshConfig struct {
 	// SamplePeriod is the timeline sampling period in seconds.
 	SamplePeriod float64
 	// Solve, when non-nil, attaches the real solve's statistics to the
-	// report, gauges and timeline (the simulated impact replay above is
-	// driven by SolveSeconds regardless).
+	// report and gauges (the simulated impact replay above is driven by
+	// SolveSeconds regardless).
 	Solve *SolveStats
 }
 
@@ -428,6 +350,11 @@ type RefreshReport struct {
 	RebuildEntries int64
 	MeanImpact     float64 // average iteration-time inflation during refresh
 	Timeline       []RefreshStep
+	// The update phase's step layout: Steps small-batch steps, each busy for
+	// StepSeconds (the last for LastStepSeconds, its remainder's transfer)
+	// and followed by PauseSeconds.
+	Steps                                      int64
+	StepSeconds, LastStepSeconds, PauseSeconds float64
 	// Solve carries the real solve's statistics when the caller provided
 	// them in RefreshConfig.Solve; nil otherwise.
 	Solve *SolveStats
@@ -452,11 +379,6 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 	if m := s.refreshMet.Load(); m != nil {
 		m.active.Set(1)
 		defer m.active.Set(0)
-	}
-	tl := s.refreshTL.Load()
-	wallStart := 0.0
-	if tl != nil {
-		wallStart = tl.Now()
 	}
 	old := s.snap.Load()
 	if newPl.NumGPUs != s.P.N || newPl.NumEntries() != old.placement.NumEntries() {
@@ -507,6 +429,14 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 		InsertedEntries: inserted,
 		RebuildEntries:  storedEntries(old.placement) + storedEntries(newPl),
 		Solve:           cfg.Solve,
+		Steps:           fullSteps,
+		StepSeconds:     perStep,
+		LastStepSeconds: perStep,
+		PauseSeconds:    cfg.PauseSeconds,
+	}
+	if remEntries > 0 {
+		rep.Steps++
+		rep.LastStepSeconds = remStep
 	}
 	// Samples are indexed by integer sample number with t derived per
 	// sample: accumulating t += SamplePeriod drifts by an ulp per step, and
@@ -572,9 +502,6 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 	s.snap.Store(next)
 	if m := s.refreshMet.Load(); m != nil {
 		m.publish(rep)
-	}
-	if tl != nil {
-		emitTimeline(tl, wallStart, rep, perStep, remStep, cfg.PauseSeconds, fullSteps)
 	}
 	return rep, nil
 }

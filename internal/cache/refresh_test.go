@@ -4,7 +4,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/solver"
@@ -176,9 +178,9 @@ func TestRefreshTelemetryGauges(t *testing.T) {
 }
 
 // TestRefreshSolveStats: a SolveStats attached to the config flows into the
-// report, the solve-wall gauges, and the refresh-solve span args — the
-// channel the core engine uses to surface real (measured) solve cost next
-// to the simulated Fig. 17 replay.
+// report, the solve-wall gauges, and the refresh-solve span args drawn from
+// the refresh's flight record — the channel the core engine uses to surface
+// real (measured) solve cost next to the simulated Fig. 17 replay.
 func TestRefreshSolveStats(t *testing.T) {
 	p := platform.ServerC()
 	pl, in := testPlacement(t, p, 2000, 0.1)
@@ -188,8 +190,6 @@ func TestRefreshSolveStats(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry(2)
 	sys.SetTelemetry(reg)
-	rec := timeline.NewRecorder(1, 1024)
-	sys.SetTimeline(rec)
 
 	h2 := make(workload.Hotness, 2000)
 	for i := range h2 {
@@ -203,7 +203,7 @@ func TestRefreshSolveStats(t *testing.T) {
 	}
 	cfg := DefaultRefreshConfig()
 	cfg.BatchEntries = 200
-	cfg.Solve = &SolveStats{WallSeconds: 0.042, Nodes: 37, Workers: 4, WarmStart: true}
+	cfg.Solve = &SolveStats{WallSeconds: 0.042, Nodes: 37}
 	rep, err := sys.Refresh(pl2, 0.001, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestRefreshSolveStats(t *testing.T) {
 		t.Fatalf("solve nodes gauge %g", vals["cache_refresh_last_solve_nodes"])
 	}
 	var solve *timeline.Event
-	for _, ev := range rec.Events() {
+	for _, ev := range drawn(rep, pl2) {
 		if ev.Name == "refresh-solve" {
 			ev := ev
 			solve = &ev
@@ -235,8 +235,7 @@ func TestRefreshSolveStats(t *testing.T) {
 	for i := int32(0); i < solve.NArgs; i++ {
 		args[solve.Args[i].Key] = solve.Args[i].Val
 	}
-	if args["solve_wall_seconds"] != 0.042 || args["solve_nodes"] != 37 ||
-		args["workers"] != 4 || args["warm_start"] != 1 {
+	if args["solve_wall_seconds"] != 0.042 || args["solve_nodes"] != 37 {
 		t.Fatalf("refresh-solve span args %v", args)
 	}
 
@@ -245,11 +244,12 @@ func TestRefreshSolveStats(t *testing.T) {
 	// refresh must not leave the previous MILP solve's wall time and node
 	// count published against the wrong placement.
 	cfg.Solve = nil
-	if _, err := sys.Refresh(pl, 0.001, cfg); err != nil {
+	rep, err = sys.Refresh(pl, 0.001, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var last *timeline.Event
-	for _, ev := range rec.Events() {
+	for _, ev := range drawn(rep, pl) {
 		if ev.Name == "refresh-solve" {
 			ev := ev
 			last = &ev
@@ -351,10 +351,21 @@ func TestHotnessSamplerSharesProfileEstimator(t *testing.T) {
 	}
 }
 
-// TestRefreshTimelineSpans checks SetTimeline renders a refresh as the
-// Fig.-17 span layout: one parent refresh span, one solve child starting
-// with it, and per-update-step spans whose busy time tiles the update phase
-// with pause gaps.
+// drawn returns the spans a trace draws from rep's flight record: the one
+// store of a refresh's Fig. 17 layout (flight.Recorder.DrawControl).
+func drawn(rep *RefreshReport, pl *solver.Placement) []timeline.Event {
+	fl := flight.NewRecorder(1, 8)
+	e := rep.Record(pl, time.Now())
+	fl.RecordControl(&e)
+	tl := timeline.NewRecorder(1, 8)
+	fl.DrawControl(tl)
+	return tl.Events()
+}
+
+// TestRefreshTimelineSpans checks a refresh's record draws the Fig.-17 span
+// layout: one parent refresh span, one solve child starting with it, and
+// per-update-step spans whose busy time tiles the update phase with pause
+// gaps.
 func TestRefreshTimelineSpans(t *testing.T) {
 	p := platform.ServerC()
 	pl, in := testPlacement(t, p, 2000, 0.1)
@@ -362,8 +373,6 @@ func TestRefreshTimelineSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := timeline.NewRecorder(1, 1024)
-	sys.SetTimeline(rec)
 
 	h2 := make(workload.Hotness, 2000)
 	for i := range h2 {
@@ -385,7 +394,7 @@ func TestRefreshTimelineSpans(t *testing.T) {
 
 	var root, solve *timeline.Event
 	var steps []timeline.Event
-	for _, ev := range rec.Events() {
+	for _, ev := range drawn(rep, pl2) {
 		if ev.PID != timeline.ProcControl || ev.TID != timeline.TIDRefresh {
 			t.Fatalf("refresh span on wrong track: pid %d tid %d", ev.PID, ev.TID)
 		}
@@ -414,8 +423,8 @@ func TestRefreshTimelineSpans(t *testing.T) {
 	if moved%cfg.BatchEntries != 0 {
 		wantSteps++
 	}
-	if wantSteps > maxRefreshStepSpans {
-		wantSteps = maxRefreshStepSpans
+	if wantSteps > flight.MaxRefreshStepSpans {
+		wantSteps = flight.MaxRefreshStepSpans
 	}
 	if len(steps) != wantSteps {
 		t.Fatalf("%d update-step spans, want %d (moved %d)", len(steps), wantSteps, moved)
@@ -430,15 +439,6 @@ func TestRefreshTimelineSpans(t *testing.T) {
 		if i > 0 && st.Start < steps[i-1].Start+steps[i-1].Dur {
 			t.Fatalf("step %d overlaps step %d", i, i-1)
 		}
-	}
-	// Detach: no further spans recorded.
-	sys.SetTimeline(nil)
-	before := len(rec.Events())
-	if _, err := sys.Refresh(pl, 0.001, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rec.Events()); got != before {
-		t.Fatalf("detached recorder gained %d events", got-before)
 	}
 }
 
@@ -512,8 +512,6 @@ func TestRefreshTimelineRemainderStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl2 := reversedPlacement(t, in)
-	rec := timeline.NewRecorder(1, 1024)
-	sys.SetTimeline(rec)
 
 	cfg := DefaultRefreshConfig()
 	cfg.BatchEntries = 301
@@ -528,13 +526,13 @@ func TestRefreshTimelineRemainderStep(t *testing.T) {
 		t.Fatalf("diff of %d entries is a multiple of %d; test needs a remainder", moved, cfg.BatchEntries)
 	}
 	var steps []timeline.Event
-	for _, ev := range rec.Events() {
+	for _, ev := range drawn(rep, pl2) {
 		if ev.Name == "refresh-update-step" {
 			steps = append(steps, ev)
 		}
 	}
 	wantSteps := int(moved/cfg.BatchEntries) + 1
-	if wantSteps > maxRefreshStepSpans {
+	if wantSteps > flight.MaxRefreshStepSpans {
 		t.Fatalf("%d steps would truncate; shrink the diff or raise BatchEntries", wantSteps)
 	}
 	if len(steps) != wantSteps {
@@ -553,7 +551,7 @@ func TestRefreshTimelineRemainderStep(t *testing.T) {
 }
 
 // TestRefreshTimelineTruncation: a diff spanning more than
-// maxRefreshStepSpans update steps emits exactly the cap in step spans plus
+// flight.MaxRefreshStepSpans update steps draws exactly the cap in step spans plus
 // one refresh-update-steps-truncated instant carrying the omitted count; the
 // root span's update_steps arg still reports the true total.
 func TestRefreshTimelineTruncation(t *testing.T) {
@@ -564,8 +562,6 @@ func TestRefreshTimelineTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl2 := reversedPlacement(t, in)
-	rec := timeline.NewRecorder(1, 4096)
-	sys.SetTimeline(rec)
 
 	cfg := DefaultRefreshConfig()
 	cfg.BatchEntries = 7 // tiny steps force the span cap
@@ -579,12 +575,12 @@ func TestRefreshTimelineTruncation(t *testing.T) {
 	if moved%cfg.BatchEntries != 0 {
 		totalSteps++
 	}
-	if totalSteps <= maxRefreshStepSpans {
-		t.Fatalf("only %d steps; test needs more than %d", totalSteps, maxRefreshStepSpans)
+	if totalSteps <= flight.MaxRefreshStepSpans {
+		t.Fatalf("only %d steps; test needs more than %d", totalSteps, flight.MaxRefreshStepSpans)
 	}
 	var root, trunc *timeline.Event
 	stepSpans := 0
-	for _, ev := range rec.Events() {
+	for _, ev := range drawn(rep, pl2) {
 		ev := ev
 		switch ev.Name {
 		case "refresh":
@@ -595,8 +591,8 @@ func TestRefreshTimelineTruncation(t *testing.T) {
 			trunc = &ev
 		}
 	}
-	if stepSpans != maxRefreshStepSpans {
-		t.Fatalf("%d update-step spans, want the %d cap", stepSpans, maxRefreshStepSpans)
+	if stepSpans != flight.MaxRefreshStepSpans {
+		t.Fatalf("%d update-step spans, want the %d cap", stepSpans, flight.MaxRefreshStepSpans)
 	}
 	if trunc == nil {
 		t.Fatal("missing refresh-update-steps-truncated instant")
@@ -605,7 +601,7 @@ func TestRefreshTimelineTruncation(t *testing.T) {
 	for i := int32(0); i < trunc.NArgs; i++ {
 		args[trunc.Args[i].Key] = trunc.Args[i].Val
 	}
-	if want := float64(totalSteps - maxRefreshStepSpans); args["omitted_steps"] != want {
+	if want := float64(totalSteps - flight.MaxRefreshStepSpans); args["omitted_steps"] != want {
 		t.Fatalf("omitted_steps %g, want %g", args["omitted_steps"], want)
 	}
 	if root == nil {

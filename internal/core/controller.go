@@ -11,7 +11,6 @@ import (
 	"ugache/internal/cache"
 	"ugache/internal/flight"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
 
@@ -200,9 +199,6 @@ func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 			errors:    cfg.Telemetry.Counter("cache_refresh_controller_errors_total", "controller check/refresh failures"),
 		}
 	}
-	if sys.tl != nil {
-		sys.tl.SetThreadName(timeline.ProcControl, timeline.TIDDrift, "drift detector")
-	}
 	return c, nil
 }
 
@@ -287,7 +283,7 @@ func (c *Controller) tickDrift() (bool, error) {
 	stCopy := st
 	stCopy.Measured = nil // the buffer is reused; don't leak it via Stats
 	c.lastStatus.Store(&stCopy)
-	c.emitCheckSpan(&st)
+	c.recordCheck(&st)
 	if !st.Drifted {
 		c.minWindow = c.det.Config().MinBatches // quiet: re-arm fast reaction
 		return false, nil
@@ -339,40 +335,23 @@ func (c *Controller) refresh(measured workload.Hotness, atBatch int64) error {
 	return nil
 }
 
-// emitCheckSpan records one drift evaluation on the control track and, when
-// a flight recorder is wired, mirrors it into the control flight ring so the
-// detector's last evaluations survive into diagnostic bundles.
-func (c *Controller) emitCheckSpan(st *cache.DriftStatus) {
-	if fl := c.sys.fl; fl != nil {
-		e := flight.Event{Kind: flight.KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()}
-		e.V[flight.DriftScore] = st.Score
-		e.V[flight.DriftTopKOverlap] = st.TopKOverlap
-		e.V[flight.DriftRankDistance] = st.RankDistance
-		e.V[flight.DriftWindowBatches] = float64(st.Batches)
-		if st.Drifted {
-			e.V[flight.DriftDrifted] = 1
-		}
-		fl.RecordControl(&e)
-	}
-	tl := c.sys.tl
-	if tl == nil {
+// recordCheck records one drift evaluation into the flight control ring,
+// when the system has one: the detector's last evaluations survive into
+// diagnostic bundles, and a timeline draws them as drift-check instants.
+func (c *Controller) recordCheck(st *cache.DriftStatus) {
+	fl := c.sys.fl
+	if fl == nil {
 		return
 	}
-	ev := timeline.Event{
-		Name: "drift-check", Cat: "refresh", Ph: timeline.PhInstant,
-		PID: timeline.ProcControl, TID: timeline.TIDDrift,
-		Start: tl.Now(),
-	}
-	ev.AddArg("score", st.Score)
-	ev.AddArg("topk_overlap", st.TopKOverlap)
-	ev.AddArg("rank_distance", st.RankDistance)
-	ev.AddArg("window_batches", float64(st.Batches))
-	drifted := 0.0
+	e := flight.Event{Kind: flight.KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()}
+	e.V[flight.DriftScore] = st.Score
+	e.V[flight.DriftTopKOverlap] = st.TopKOverlap
+	e.V[flight.DriftRankDistance] = st.RankDistance
+	e.V[flight.DriftWindowBatches] = float64(st.Batches)
 	if st.Drifted {
-		drifted = 1
+		e.V[flight.DriftDrifted] = 1
 	}
-	ev.AddArg("drifted", drifted)
-	tl.Shard(0).Emit(&ev)
+	fl.RecordControl(&e)
 }
 
 // Wait blocks until any in-flight async check/refresh finished. Call at

@@ -30,7 +30,6 @@ import (
 	"ugache/internal/sim"
 	"ugache/internal/solver"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
 
@@ -52,12 +51,6 @@ type Config struct {
 	CacheRatio float64
 	// Policy picks the placement algorithm (default solver.UGache{}).
 	Policy solver.Policy
-	// Solver configures how optioned policies solve (branch-and-bound
-	// workers, relative gap, node caps). Build uses it as-is; Refresh
-	// additionally seeds WarmStart with the outgoing placement so
-	// drifted-hotness re-solves start from a near-optimal incumbent.
-	// Policies without options (heuristics) ignore it.
-	Solver solver.Options
 	// Mechanism picks the extraction mechanism (default extract.Factored).
 	Mechanism extract.Mechanism
 	// Source, when non-nil, enables functional mode: Lookup returns real
@@ -79,21 +72,18 @@ type Config struct {
 	Owned func(key int64) bool
 	// Telemetry, when non-nil, receives the engine's extraction metrics
 	// (simulated time split by source tier, per-tier cache-hit key
-	// counters) and the cache layer's refresh gauges. Nil disables
-	// instrumentation entirely — the no-op fast path is a single nil
-	// check per extraction.
+	// counters) and the cache layer's refresh gauges; extractions made with
+	// a phase-recording Scratch (a traced server's) also publish per-link
+	// peak utilization gauges. Nil disables instrumentation entirely — the
+	// no-op fast path is a single nil check per extraction.
 	Telemetry *telemetry.Registry
-	// Timeline, when non-nil, receives span-level traces from the slow
-	// control paths: Refresh emits a solver span (with the placement's
-	// replication-vs-partition storage summary as args) and the cache layer
-	// emits the Fig.-17-style per-step refresh timeline. Extractions made
-	// with a phase-recording Scratch additionally publish per-link peak
-	// utilization gauges into Telemetry. Nil disables all of it.
-	Timeline *timeline.Recorder
-	// Flight, when non-nil, receives control-plane flight events: every
-	// completed Refresh (solve wall, applied delta, impact) and every drift
-	// evaluation from an attached controller, recorded into the flight
-	// recorder's shared control ring (DESIGN.md §6.8).
+	// Flight, when non-nil, receives control-plane flight records into the
+	// recorder's shared control ring (DESIGN.md §6.8): every completed
+	// Refresh (cache.RefreshReport.Record: the solve, the applied delta and
+	// its Fig. 17 layout, the placement's storage summary) and every drift
+	// evaluation from an attached controller. They are the only store of
+	// those facts: a timeline draws its control track from the ring
+	// (flight.Recorder.DrawControl).
 	Flight *flight.Recorder
 }
 
@@ -119,7 +109,6 @@ type System struct {
 	Mechanism extract.Mechanism
 
 	policy   solver.Policy
-	solveOpt solver.Options
 	capacity []int64
 	owned    func(key int64) bool // cluster shard-ownership predicate, nil off-cluster
 
@@ -130,9 +119,6 @@ type System struct {
 	// met is nil unless Config.Telemetry was set; every extraction then
 	// reports its per-tier split through lock-free shard updates.
 	met *extractMetrics
-	// tl is nil unless Config.Timeline was set; Refresh then emits solver
-	// spans into it (the cache layer emits its own refresh-step spans).
-	tl *timeline.Recorder
 	// fl is nil unless Config.Flight was set; Refresh and any attached
 	// controller then record control-plane flight events.
 	fl *flight.Recorder
@@ -323,7 +309,7 @@ func Build(cfg Config) (*System, error) {
 	}
 	pl := cfg.Placement
 	if pl == nil {
-		solved, err := solver.SolveWith(policy, &in, cfg.Solver)
+		solved, err := policy.Solve(&in)
 		if err != nil {
 			return nil, fmt.Errorf("core: policy %s: %w", policy.Name(), err)
 		}
@@ -350,8 +336,8 @@ func Build(cfg Config) (*System, error) {
 		Cache:     cs,
 		Mechanism: cfg.Mechanism,
 		policy:    policy,
-		solveOpt:  cfg.Solver,
 		capacity:  capacity,
+		fl:        cfg.Flight,
 	}
 	if cfg.Platform.HasNetwork() {
 		s.owned = cfg.Owned
@@ -361,42 +347,8 @@ func Build(cfg Config) (*System, error) {
 		s.met = newExtractMetrics(cfg.Telemetry, cfg.Platform)
 		cs.SetTelemetry(cfg.Telemetry)
 	}
-	if cfg.Timeline != nil {
-		s.tl = cfg.Timeline
-		cs.SetTimeline(cfg.Timeline)
-		cfg.Timeline.SetProcessName(timeline.ProcControl, "control")
-		cfg.Timeline.SetThreadName(timeline.ProcControl, timeline.TIDRefresh, "cache refresh")
-		cfg.Timeline.SetThreadName(timeline.ProcControl, timeline.TIDSolver, "policy solver")
-	}
-	s.fl = cfg.Flight
 	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: 1})
 	return s, nil
-}
-
-// emitSolveSpan records one policy solve on the control track: wall-clock
-// duration plus the solved placement's replication-vs-partition storage
-// summary (the §6.2 decision the solver introspection is after).
-func (s *System) emitSolveSpan(start time.Time, wallSeconds float64, pl *solver.Placement) {
-	if s.tl == nil {
-		return
-	}
-	sum := pl.StorageSummary()
-	ev := timeline.Event{
-		Name: "policy-solve", Cat: "solver", Ph: timeline.PhSpan,
-		PID: timeline.ProcControl, TID: timeline.TIDSolver,
-		Start: s.tl.Since(start), Dur: wallSeconds,
-	}
-	ev.AddArg("blocks", float64(len(pl.Blocks)))
-	ev.AddArg("replicated_blocks", float64(sum.ReplicatedBlocks))
-	ev.AddArg("partial_blocks", float64(sum.PartialBlocks))
-	ev.AddArg("partitioned_blocks", float64(sum.PartitionedBlocks))
-	ev.AddArg("uncached_blocks", float64(sum.UncachedBlocks))
-	ev.AddArg("replicated_mass", sum.ReplicatedMass)
-	ev.AddArg("partitioned_mass", sum.PartitionedMass)
-	ev.AddArg("uncached_mass", sum.UncachedMass)
-	ev.AddArg("est_time_max", maxOf(pl.EstTimes))
-	ev.AddArg("solve_nodes", float64(pl.SolveNodes))
-	s.tl.Shard(0).Emit(&ev)
 }
 
 // Placement returns the currently active placement.
@@ -467,13 +419,8 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	}
 	in := old.input
 	in.Hotness = newHotness
-	// Re-solves are warm-started from the outgoing placement: exact policies
-	// adopt it as the initial incumbent, so a drifted-hotness solve prunes
-	// from the first node instead of rediscovering the placement.
-	opt := s.solveOpt
-	opt.WarmStart = old.placement
 	solveStart := time.Now()
-	pl, err := solver.SolveWith(s.policy, &in, opt)
+	pl, err := s.policy.Solve(&in)
 	if err != nil {
 		return nil, err
 	}
@@ -481,16 +428,10 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	if err := pl.Validate(&in); err != nil {
 		return nil, err
 	}
-	s.emitSolveSpan(solveStart, solveWall, pl)
 	// Surface the real solve cost next to the simulated Fig. 17 replay: the
-	// cache layer publishes these through its solve-wall gauges and the
-	// refresh-solve span args.
+	// cache layer publishes these through its solve-wall gauges, and they
+	// join the refresh's flight record.
 	cfg.Solve = &cache.SolveStats{WallSeconds: solveWall, Nodes: pl.SolveNodes}
-	// Only an optioned policy was handed the workers and the warm start;
-	// any other solved cold, at its own parallelism.
-	if _, ok := s.policy.(solver.OptionedPolicy); ok {
-		cfg.Solve.Workers, cfg.Solve.WarmStart = opt.Workers, true
-	}
 	// Build every fallible piece before touching shared state, so a failed
 	// refresh leaves the old placement, caches and extractor paired.
 	ex, err := extract.New(s.P, pl)
@@ -504,16 +445,11 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	}
 	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: old.version + 1})
 	if s.fl != nil {
-		// One control-plane flight event per applied refresh; Seq is the new
-		// placement version, so bundle readers can line refreshes up against
-		// the staging arena's staleness decisions.
-		e := flight.Event{Kind: flight.KindRefresh, GPU: -1,
-			Seq: int64(old.version + 1), UnixNanos: time.Now().UnixNano()}
-		e.V[flight.RefreshSolveWallSeconds] = solveWall
-		e.V[flight.RefreshDurationSeconds] = rep.Duration
-		e.V[flight.RefreshMovedEntries] = float64(rep.EvictedEntries + rep.InsertedEntries)
-		e.V[flight.RefreshMeanImpact] = rep.MeanImpact
-		e.V[flight.RefreshSolveNodes] = float64(pl.SolveNodes)
+		// One control record per applied refresh, its solve included; Seq is
+		// the new placement version, so bundle readers can line refreshes up
+		// against the staging arena's staleness decisions.
+		e := rep.Record(pl, solveStart)
+		e.Seq = int64(old.version + 1)
 		s.fl.RecordControl(&e)
 	}
 	return rep, nil

@@ -8,6 +8,7 @@ import (
 	"ugache/internal/cache"
 	"ugache/internal/emb"
 	"ugache/internal/extract"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/solver"
@@ -240,9 +241,8 @@ func TestShouldRefreshAndRefresh(t *testing.T) {
 	if rep.Duration <= 0 || rep.InsertedEntries == 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	// The default policy takes no solver options: its re-solve is cold.
-	if rep.Solve == nil || rep.Solve.WarmStart || rep.Solve.Workers != 0 {
-		t.Fatalf("solve stats %+v: the default policy takes neither workers nor a warm start", rep.Solve)
+	if rep.Solve == nil || rep.Solve.WallSeconds <= 0 {
+		t.Fatalf("solve stats %+v: want the measured re-solve", rep.Solve)
 	}
 	// After refresh the new placement is as good for h2 as the old one was
 	// for h.
@@ -255,12 +255,11 @@ func TestShouldRefreshAndRefresh(t *testing.T) {
 	}
 }
 
-// TestRefreshExactWarmStartStats runs the full control plane with the Exact
-// branch-and-bound policy on a reduced 2-GPU instance: Build solves under
-// Config.Solver, Refresh warm-starts from the outgoing placement, and the
-// measured solve statistics surface in the report, the solve-wall gauges,
-// and the policy-solve span.
-func TestRefreshExactWarmStartStats(t *testing.T) {
+// TestRefreshExactSolveStats runs the full control plane with the Exact
+// branch-and-bound policy on a reduced 2-GPU instance: the re-solve's
+// measured statistics surface in the report, the solve-wall gauges, and the
+// policy-solve span a trace draws from the refresh's flight record.
+func TestRefreshExactSolveStats(t *testing.T) {
 	pair := [][]float64{{0, 50e9}, {50e9, 0}}
 	p, err := platform.New(platform.Config{
 		Name: "2xV100", Kind: platform.HardWired, GPU: platform.V100x16, N: 2,
@@ -275,16 +274,17 @@ func TestRefreshExactWarmStartStats(t *testing.T) {
 		h[e] = math.Pow(float64(e+1), -1.2) * 1000
 	}
 	reg := telemetry.NewRegistry(p.N)
-	rec := timeline.NewRecorder(1, 1024)
+	fl := flight.NewRecorder(1, 8)
+	rec := timeline.NewRecorder(1, 8)
+	fl.DrawControl(rec)
 	sys, err := Build(Config{
 		Platform:           p,
 		Hotness:            h,
 		EntryBytes:         512,
 		CacheEntriesPerGPU: 16,
 		Policy:             solver.Exact{MaxBlocks: 6},
-		Solver:             solver.Options{Workers: 2, RelGap: 0.02},
 		Telemetry:          reg,
-		Timeline:           rec,
+		Flight:             fl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,8 +296,8 @@ func TestRefreshExactWarmStartStats(t *testing.T) {
 		t.Fatal("build solve recorded no nodes")
 	}
 
-	// Drift the hotness and refresh: the re-solve must be warm-started and
-	// its measured stats published end to end.
+	// Drift the hotness and refresh: the re-solve's measured stats must be
+	// published end to end.
 	h2 := make(workload.Hotness, n)
 	for e := range h2 {
 		h2[e] = h[e] * (1 + 0.2*math.Sin(float64(e)*2.39996))
@@ -311,9 +311,6 @@ func TestRefreshExactWarmStartStats(t *testing.T) {
 	st := rep.Solve
 	if st == nil {
 		t.Fatal("refresh report missing solve stats")
-	}
-	if !st.WarmStart || st.Workers != 2 {
-		t.Fatalf("solve stats %+v: want warm start with 2 workers", st)
 	}
 	if st.Nodes != sys.Placement().SolveNodes || st.Nodes <= 0 {
 		t.Fatalf("solve stats nodes %d, placement %d", st.Nodes, sys.Placement().SolveNodes)
@@ -347,6 +344,13 @@ func TestRefreshExactWarmStartStats(t *testing.T) {
 	}
 	if args["solve_nodes"] != float64(st.Nodes) {
 		t.Fatalf("policy-solve span solve_nodes %g, want %d", args["solve_nodes"], st.Nodes)
+	}
+	// The record's storage summary lines up with the placement it describes.
+	pl := sys.Placement()
+	if sum := pl.StorageSummary(); args["blocks"] != float64(len(pl.Blocks)) ||
+		args["uncached_blocks"] != float64(sum.UncachedBlocks) || args["uncached_mass"] != sum.UncachedMass ||
+		args["est_time_max"] != maxOf(pl.EstTimes) {
+		t.Fatalf("policy-solve span args %v, placement summary %+v", args, sum)
 	}
 }
 

@@ -69,6 +69,8 @@ const manifestVersion = 1
 // tree is rendered from its ring slot when the timeline is exported, so the
 // exemplar is chosen among the batches recorded before the timeline write
 // and still held after it: its tree is in the bundle's own timeline.json.
+// For the same reason flight.jsonl holds the control records recorded before
+// the timeline write, each of which timeline.json draws.
 func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exemplarSince int64) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")
@@ -117,7 +119,7 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exem
 	}
 	if cfg.Recorder != nil {
 		man.Exemplar = cfg.Recorder.exemplar(exemplarSince, mark)
-		lines := cfg.Recorder.lines(0)
+		lines := cfg.Recorder.lines(0, mark)
 		man.FlightEvents = len(lines)
 		if err := writeFile(EventsFile, func(w io.Writer) error { return writeLines(w, lines) }); err != nil {
 			return "", err

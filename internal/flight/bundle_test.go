@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,10 +14,12 @@ import (
 )
 
 // spanTimeline returns a span recorder whose shards hold depth events and
-// whose export renders rec's batch trees, as serve.New wires it.
+// whose export renders rec's batch trees, as serve.New wires it, and its
+// control records, as ugache-serve does.
 func spanTimeline(rec *Recorder, depth int) *timeline.Recorder {
 	tl := timeline.NewRecorder(1, depth)
 	tl.AddSource(func(dst []timeline.Event) []timeline.Event { return rec.Trace().AppendSpans(tl, dst) })
+	rec.DrawControl(tl)
 	return tl
 }
 
@@ -35,9 +38,16 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	skipTo(ring, 17)
 	b := stagedBatch(3, 0.025, 1)
 	ring.Record(&b)
-	q := Event{Kind: KindPartial, GPU: 3, UnixNanos: 101}
-	q.V[PartialMissingKeys] = 5
-	rec.RecordControl(&q)
+	now := time.Now().UnixNano()
+	for _, e := range []Event{
+		{Kind: KindPartial, GPU: 3, UnixNanos: 101, V: [MaxPayload]float64{PartialMissingKeys: 5}},
+		{Kind: KindRefresh, GPU: -1, UnixNanos: now, V: [MaxPayload]float64{RefreshSteps: 3, RefreshSolveWallSeconds: 0.01}},
+		{Kind: KindDrift, GPU: -1, UnixNanos: now},
+		{Kind: KindPrefetch, GPU: 2, UnixNanos: now},
+		{Kind: KindPrefetch, GPU: 3, UnixNanos: now},
+	} {
+		rec.RecordControl(&e)
+	}
 
 	reg := telemetry.NewRegistry(1)
 	reg.Counter("serve_requests_total", "x").Add(0, 42)
@@ -67,8 +77,11 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EventLines != 18 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 {
+	if rep.EventLines != 22 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 {
 		t.Fatalf("events = %d %v", rep.EventLines, rep.EventsByKind)
+	}
+	if want := map[string]int{"refresh": 1, "drift": 1, "prefetch": 2}; !maps.Equal(rep.ControlSpans, want) {
+		t.Fatalf("control spans %v, want one per record: %v", rep.ControlSpans, want)
 	}
 	if rep.MetricCount == 0 {
 		t.Fatal("no metric samples in bundle")
@@ -178,6 +191,32 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	f.Close()
 	if _, err := ValidateBundle(path); err == nil || !strings.Contains(err.Error(), "no matching span") {
 		t.Fatalf("ValidateBundle on a dangling exemplar: %v", err)
+	}
+}
+
+// TestValidateBundleRejectsUndrawnControl: a bundle whose timeline does not
+// draw the control records flight.jsonl holds fails validation.
+func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
+	rec := NewRecorder(1, 8)
+	rec.RecordControl(&Event{Kind: KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()})
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec, 0), SkipProfiles: true},
+		"test", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateBundle(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(path, TimelineFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := timeline.NewRecorder(1, 8).WriteTrace(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := ValidateBundle(path); err == nil || !strings.Contains(err.Error(), "0 drift-check spans of the 1 drift records") {
+		t.Fatalf("ValidateBundle on an undrawn drift check: %v", err)
 	}
 }
 

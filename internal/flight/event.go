@@ -4,12 +4,13 @@
 // ring of its own — the single store behind /debug/trace, the flight JSONL
 // and the Chrome-trace batch span trees, which are all rendered from it on
 // the read side — and slow-path writers (refresh, drift, prefetch, the
-// cluster router) share a control ring of Events. On top sits an SLO watchdog
-// that evaluates rolling multi-window burn-rate style objectives over the
-// live telemetry and, on a violation, drains everything the post-hoc
-// debugger needs into a self-contained diagnostic bundle (records as JSONL, a
-// telemetry snapshot, the current span-timeline window, a goroutine dump and
-// a heap profile, tied together by a manifest).
+// cluster router) share a control ring of Events, likewise the one store the
+// timeline's control and prefetch tracks are drawn from (DrawControl). On
+// top sits an SLO watchdog that evaluates rolling multi-window burn-rate
+// style objectives over the live telemetry and, on a violation, drains
+// everything the post-hoc debugger needs into a self-contained diagnostic
+// bundle (records as JSONL, a telemetry snapshot, the current span-timeline
+// window, a goroutine dump and a heap profile, tied together by a manifest).
 //
 // Where internal/telemetry answers "how many / how long on average" and
 // internal/timeline answers "when, on which track", flight answers "what
@@ -32,7 +33,9 @@ const (
 	// KindPartial is one cluster lookup that came back partial: a cross-node
 	// leg missed the deadline or failed.
 	KindPartial Kind = iota + 1
-	// KindRefresh is one completed placement refresh (control plane).
+	// KindRefresh is one completed placement refresh (control plane): its
+	// policy solve and its §7.2 apply, everything the timeline's solver and
+	// refresh tracks are drawn from.
 	KindRefresh
 	// KindDrift is one drift-detector evaluation (control plane).
 	KindDrift
@@ -51,7 +54,7 @@ func (k Kind) String() string {
 }
 
 // MaxPayload is the number of numeric payload slots on an Event.
-const MaxPayload = 5
+const MaxPayload = 23
 
 // Payload slot indices for KindPartial events.
 const (
@@ -59,13 +62,35 @@ const (
 	PartialRemoteKeys
 )
 
-// Payload slot indices for KindRefresh events.
+// Payload slot indices for KindRefresh events: the measured solve, the
+// report's simulated Fig. 17 layout (Steps update steps of StepSeconds busy
+// time, the last one LastStepSeconds, each followed by PauseSeconds), the
+// wall seconds from the trigger to the record, and the solved placement's
+// storage summary in solver.StorageSummary's order.
 const (
 	RefreshSolveWallSeconds = iota
 	RefreshDurationSeconds
 	RefreshMovedEntries
 	RefreshMeanImpact
 	RefreshSolveNodes
+	RefreshEvictedEntries
+	RefreshInsertedEntries
+	RefreshSolveSeconds
+	RefreshUpdateSeconds
+	RefreshSteps
+	RefreshStepSeconds
+	RefreshLastStepSeconds
+	RefreshPauseSeconds
+	RefreshWallSeconds
+	RefreshBlocks
+	RefreshReplicatedBlocks
+	RefreshPartialBlocks
+	RefreshPartitionedBlocks
+	RefreshUncachedBlocks
+	RefreshReplicatedMass
+	RefreshPartitionedMass
+	RefreshUncachedMass
+	RefreshEstTimeMax
 )
 
 // Payload slot indices for KindDrift events.
@@ -77,20 +102,30 @@ const (
 	DriftDrifted
 )
 
-// Payload slot indices for KindPrefetch events.
+// Payload slot indices for KindPrefetch events: the window's keys, its
+// modelled extraction, and the wall seconds of its three stages, which end
+// at the record's time.
 const (
 	PrefetchAnnouncedKeys = iota
 	PrefetchFetchedKeys
 	PrefetchSimSeconds
+	PrefetchFilterSeconds
+	PrefetchExtractSeconds
+	PrefetchStageSeconds
 )
 
 // kindFields names each kind's used payload slots, in slot order; the JSONL
-// export emits exactly these.
+// export emits exactly these, and the timeline draws the drift evaluation
+// and the storage summary under the same names. New names are only ever
+// appended.
 var kindFields = map[Kind][]string{
-	KindPartial:  {"missing_keys", "remote_keys"},
-	KindRefresh:  {"solve_wall_s", "duration_s", "moved_entries", "mean_impact", "solve_nodes"},
+	KindPartial: {"missing_keys", "remote_keys"},
+	KindRefresh: {"solve_wall_s", "duration_s", "moved_entries", "mean_impact", "solve_nodes",
+		"evicted_entries", "inserted_entries", "solve_s", "update_s", "update_steps", "step_s", "last_step_s", "pause_s", "wall_s",
+		"blocks", "replicated_blocks", "partial_blocks", "partitioned_blocks", "uncached_blocks",
+		"replicated_mass", "partitioned_mass", "uncached_mass", "est_time_max"},
 	KindDrift:    {"score", "topk_overlap", "rank_distance", "window_batches", "drifted"},
-	KindPrefetch: {"announced_keys", "fetched_keys", "sim_s"},
+	KindPrefetch: {"announced_keys", "fetched_keys", "sim_s", "filter_s", "extract_s", "stage_s"},
 }
 
 // Event is one control-ring record. The struct is flat — no pointers, no
@@ -105,7 +140,7 @@ type Event struct {
 	// Seq is a kind-specific sequence: the placement version for
 	// KindRefresh, 0 otherwise.
 	Seq int64
-	// UnixNanos is the event's wall-clock time.
+	// UnixNanos is the wall-clock time the event completed.
 	UnixNanos int64
 	// V holds the payload slots; meaning per kind (see the slot index
 	// constants), unused slots stay zero.

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -142,12 +143,17 @@ func (r *Recorder) RecordControl(e *Event) {
 }
 
 // Events returns the control ring's current events, oldest first.
-func (r *Recorder) Events() []Event {
+func (r *Recorder) Events() []Event { return r.events(math.MaxUint64) }
+
+// events returns the control ring's current events among the first end ever
+// recorded, oldest first.
+func (r *Recorder) events(end uint64) []Event {
 	r.ctrlM.Lock()
 	defer r.ctrlM.Unlock()
 	n := uint64(len(r.ctrl))
-	out := make([]Event, 0, min(r.ctrlN, n))
-	for i := r.ctrlN - uint64(cap(out)); i < r.ctrlN; i++ {
+	start, end := r.ctrlN-min(r.ctrlN, n), min(end, r.ctrlN)
+	out := make([]Event, 0, end-min(start, end))
+	for i := start; i < end; i++ {
 		out = append(out, r.ctrl[i%n])
 	}
 	return out
@@ -175,12 +181,16 @@ type Exemplar struct {
 	UnixNanos      int64   `json:"unix_nanos"`
 }
 
-// mark returns how many batches each worker ring has taken so far.
+// mark returns how many records each worker ring, and last the control
+// ring, has taken so far.
 func (r *Recorder) mark() []uint64 {
-	m := make([]uint64, len(r.rings))
+	m := make([]uint64, len(r.rings)+1)
 	for i, rg := range r.rings {
 		m[i] = rg.Recorded()
 	}
+	r.ctrlM.Lock()
+	m[len(r.rings)] = r.ctrlN
+	r.ctrlM.Unlock()
 	return m
 }
 
@@ -208,11 +218,16 @@ func (r *Recorder) exemplar(since int64, mark []uint64) *Exemplar {
 }
 
 // lines renders the newest limit held records (limit <= 0: all of them) —
-// batches and control events — as one JSON object each, merged oldest first
-// (ties: batches before events).
-func (r *Recorder) lines(limit int) [][]byte {
+// batches and control events, the latter only those recorded before mark
+// when it is non-nil — as one JSON object each, merged oldest first (ties:
+// batches before events).
+func (r *Recorder) lines(limit int, mark []uint64) [][]byte {
 	batches := r.Trace().Snapshot(nil)
-	events := r.Events()
+	end := uint64(math.MaxUint64)
+	if mark != nil {
+		end = mark[len(r.rings)]
+	}
+	events := r.events(end)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].UnixNanos < events[j].UnixNanos })
 	if n := len(batches) + len(events); limit <= 0 || limit > n {
 		limit = n

@@ -225,7 +225,7 @@ func TestWriteJSONLParses(t *testing.T) {
 	rec.RecordControl(&d)
 
 	var buf bytes.Buffer
-	if err := writeLines(&buf, rec.lines(0)); err != nil {
+	if err := writeLines(&buf, rec.lines(0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)

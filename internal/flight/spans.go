@@ -74,3 +74,121 @@ func (t *Trace) AppendSpans(tl *timeline.Recorder, dst []timeline.Event) []timel
 	}
 	return dst
 }
+
+// MaxRefreshStepSpans caps the update-step spans one refresh draws so a huge
+// diff cannot flood the trace; a refresh-update-steps-truncated instant then
+// carries the omitted count, and the refresh span's update_steps arg the
+// true total.
+const MaxRefreshStepSpans = 128
+
+// drawnAs names the span (or instant) each control kind is drawn as; a
+// partial router lookup is not drawn.
+var drawnAs = map[string]string{"refresh": "refresh", "drift": "drift-check", "prefetch": "prefetch-window"}
+
+// DrawControl makes tl draw the control ring at export, the way serve.New
+// registers its batch rings: the control track (the refresh → refresh-solve
+// / refresh-update-step trees of the Fig. 17 duty cycle, the policy solves
+// and the drift checks) and the prefetch track's window trees. The ring is
+// their only store. Call it once per recorder pair, from whoever builds both.
+func (r *Recorder) DrawControl(tl *timeline.Recorder) {
+	tl.SetProcessName(timeline.ProcControl, "control")
+	tl.SetThreadName(timeline.ProcControl, timeline.TIDRefresh, "cache refresh")
+	tl.SetThreadName(timeline.ProcControl, timeline.TIDSolver, "policy solver")
+	tl.SetThreadName(timeline.ProcControl, timeline.TIDDrift, "drift detector")
+	tl.AddSource(func(dst []timeline.Event) []timeline.Event {
+		for _, e := range r.Events() {
+			end := tl.Since(time.Unix(0, e.UnixNanos))
+			switch e.Kind {
+			case KindRefresh:
+				dst = appendRefresh(dst, &e.V, max(0, end-e.V[RefreshWallSeconds]))
+			case KindDrift:
+				ev := timeline.Event{Name: "drift-check", Cat: "refresh", Ph: timeline.PhInstant,
+					PID: timeline.ProcControl, TID: timeline.TIDDrift, Start: end}
+				for i, name := range kindFields[KindDrift] {
+					ev.AddArg(name, e.V[i])
+				}
+				dst = append(dst, ev)
+			case KindPrefetch:
+				dst = appendPrefetch(dst, &e, end)
+			}
+		}
+		return dst
+	})
+}
+
+// appendRefresh draws one refresh record from start, its trigger: the real
+// policy solve on the solver track, and on the refresh track the simulated
+// §7.2 replay — a refresh span covering trigger to completion, a
+// refresh-solve child for the background solve phase, and one
+// refresh-update-step span per small-batch step (busy time only; the pauses
+// between steps show as gaps, exactly the Fig. 17 duty cycle). A record
+// without a measured solve draws neither the solve span nor the solve args.
+func appendRefresh(dst []timeline.Event, v *[MaxPayload]float64, start float64) []timeline.Event {
+	span := func(name string, start, dur float64) timeline.Event {
+		return timeline.Event{Name: name, Cat: "refresh", Ph: timeline.PhSpan,
+			PID: timeline.ProcControl, TID: timeline.TIDRefresh, Start: start, Dur: dur}
+	}
+	root := span("refresh", start, v[RefreshDurationSeconds])
+	root.AddArg("evicted_entries", v[RefreshEvictedEntries])
+	root.AddArg("inserted_entries", v[RefreshInsertedEntries])
+	root.AddArg("mean_impact", v[RefreshMeanImpact])
+	root.AddArg("solve_seconds", v[RefreshSolveSeconds])
+	root.AddArg("update_seconds", v[RefreshUpdateSeconds])
+	root.AddArg("update_steps", v[RefreshSteps])
+	sim := span("refresh-solve", start, v[RefreshSolveSeconds])
+	if wall := v[RefreshSolveWallSeconds]; wall > 0 {
+		sim.AddArg("solve_wall_seconds", wall)
+		sim.AddArg("solve_nodes", v[RefreshSolveNodes])
+		solve := timeline.Event{Name: "policy-solve", Cat: "solver", Ph: timeline.PhSpan,
+			PID: timeline.ProcControl, TID: timeline.TIDSolver, Start: start, Dur: wall}
+		for i := RefreshBlocks; i <= RefreshEstTimeMax; i++ {
+			solve.AddArg(kindFields[KindRefresh][i], v[i])
+		}
+		solve.AddArg("solve_nodes", v[RefreshSolveNodes])
+		dst = append(dst, solve)
+	}
+	dst = append(dst, root, sim)
+
+	steps, at := int64(v[RefreshSteps]), start+v[RefreshSolveSeconds]
+	stepLen := v[RefreshStepSeconds] + v[RefreshPauseSeconds]
+	for i := int64(0); i < min(steps, MaxRefreshStepSpans); i++ {
+		busy := v[RefreshStepSeconds]
+		if i == steps-1 {
+			busy = v[RefreshLastStepSeconds]
+		}
+		ev := span("refresh-update-step", at+float64(i)*stepLen, busy)
+		ev.AddArg("step", float64(i))
+		dst = append(dst, ev)
+	}
+	if steps > MaxRefreshStepSpans {
+		ev := timeline.Event{Name: "refresh-update-steps-truncated", Cat: "refresh", Ph: timeline.PhInstant,
+			PID: timeline.ProcControl, TID: timeline.TIDRefresh, Start: at + MaxRefreshStepSpans*stepLen}
+		ev.AddArg("omitted_steps", float64(steps-MaxRefreshStepSpans))
+		dst = append(dst, ev)
+	}
+	return dst
+}
+
+// appendPrefetch draws one staged window ending at end on its GPU's prefetch
+// track: the window span, with filter, extract and stage children.
+func appendPrefetch(dst []timeline.Event, e *Event, end float64) []timeline.Event {
+	v := &e.V
+	stages := [...]struct {
+		name string
+		dur  float64
+	}{{"filter", v[PrefetchFilterSeconds]}, {"extract", v[PrefetchExtractSeconds]}, {"stage", v[PrefetchStageSeconds]}}
+	dur := stages[0].dur + stages[1].dur + stages[2].dur
+	at := max(0, end-dur)
+	root := timeline.Event{Name: "prefetch-window", Cat: "prefetch", Ph: timeline.PhSpan,
+		PID: timeline.ProcPrefetch, TID: e.GPU, Start: at, Dur: dur}
+	root.AddArg("announced_keys", v[PrefetchAnnouncedKeys])
+	root.AddArg("fetched_keys", v[PrefetchFetchedKeys])
+	root.AddArg("sim_seconds", v[PrefetchSimSeconds])
+	dst = append(dst, root)
+	for _, st := range stages {
+		dst = append(dst, timeline.Event{Name: st.name, Cat: "prefetch", Ph: timeline.PhSpan,
+			PID: timeline.ProcPrefetch, TID: e.GPU, Start: at, Dur: st.dur})
+		at += st.dur
+	}
+	return dst
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"ugache/internal/timeline"
 )
@@ -31,15 +32,21 @@ type BundleReport struct {
 	// (the root "batch" span plus its children), 0 when the manifest has no
 	// exemplar.
 	ExemplarSpans int
+	// ControlSpans counts, per control kind the timeline draws (refresh,
+	// drift, prefetch), the spans timeline.json holds of it.
+	ControlSpans map[string]int
 }
 
 // ValidateBundle checks a diagnostic bundle directory end to end: the
 // manifest parses and every file it lists exists non-empty, flight.jsonl
 // parses line by line with the event count the manifest promised,
-// metrics.json and timeline.json parse, profiles are non-empty, and — when
-// the manifest carries an exemplar — the exemplar's (GPU, batch seq)
-// resolves to a root "batch" span with a matching seq arg in the bundled
-// timeline window, along with the child spans nested under it.
+// metrics.json and timeline.json parse, profiles are non-empty, the
+// timeline draws every control record flight.jsonl holds (at least as many
+// refresh, drift-check and prefetch-window spans as refresh, drift and
+// prefetch records), and — when the manifest carries an exemplar — the
+// exemplar's (GPU, batch seq) resolves to a root "batch" span with a
+// matching seq arg in the bundled timeline window, along with the child
+// spans nested under it.
 func ValidateBundle(dir string) (*BundleReport, error) {
 	rep := &BundleReport{Dir: dir, EventsByKind: make(map[string]int)}
 
@@ -64,12 +71,12 @@ func ValidateBundle(dir string) (*BundleReport, error) {
 		}
 	}
 
-	if hasFile(rep.Manifest.Files, EventsFile) {
+	if slices.Contains(rep.Manifest.Files, EventsFile) {
 		if err := rep.checkEvents(dir); err != nil {
 			return nil, err
 		}
 	}
-	if hasFile(rep.Manifest.Files, MetricsFile) {
+	if slices.Contains(rep.Manifest.Files, MetricsFile) {
 		var metrics map[string]float64
 		raw, err := os.ReadFile(filepath.Join(dir, MetricsFile))
 		if err != nil {
@@ -84,21 +91,12 @@ func ValidateBundle(dir string) (*BundleReport, error) {
 				MetricsFile, rep.MetricCount, rep.Manifest.MetricSamples)
 		}
 	}
-	if hasFile(rep.Manifest.Files, TimelineFile) {
+	if slices.Contains(rep.Manifest.Files, TimelineFile) {
 		if err := rep.checkTimeline(dir); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
-}
-
-func hasFile(files []string, name string) bool {
-	for _, f := range files {
-		if f == name {
-			return true
-		}
-	}
-	return false
 }
 
 // checkEvents parses flight.jsonl line by line and cross-checks the count
@@ -168,7 +166,8 @@ func (ev *traceEvent) numArg(key string) (float64, bool) {
 	return v, true
 }
 
-// checkTimeline parses timeline.json and, when the manifest carries an
+// checkTimeline parses timeline.json, holds its control spans to the
+// control records checkEvents counted and, when the manifest carries an
 // exemplar, resolves its (GPU, seq) to the matching batch span tree.
 func (rep *BundleReport) checkTimeline(dir string) error {
 	raw, err := os.ReadFile(filepath.Join(dir, TimelineFile))
@@ -182,6 +181,19 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 		return fmt.Errorf("flight: %s does not parse: %w", TimelineFile, err)
 	}
 	rep.TimelineEvents = len(doc.TraceEvents)
+
+	rep.ControlSpans = make(map[string]int, len(drawnAs))
+	for kind, name := range drawnAs {
+		for i := range doc.TraceEvents {
+			if doc.TraceEvents[i].Name == name {
+				rep.ControlSpans[kind]++
+			}
+		}
+		if rep.ControlSpans[kind] < rep.EventsByKind[kind] {
+			return fmt.Errorf("flight: %s draws %d %s spans of the %d %s records in %s",
+				TimelineFile, rep.ControlSpans[kind], name, rep.EventsByKind[kind], kind, EventsFile)
+		}
+	}
 
 	ex := rep.Manifest.Exemplar
 	if ex == nil {

@@ -447,7 +447,7 @@ func (w *Watchdog) WriteFlightState(out io.Writer) error {
 		Events []json.RawMessage `json:"events"`
 	}{State: st, Events: []json.RawMessage{}}
 	if w.cfg.Recorder != nil {
-		for _, l := range w.cfg.Recorder.lines(recentStateEvents) {
+		for _, l := range w.cfg.Recorder.lines(recentStateEvents, nil) {
 			body.Events = append(body.Events, json.RawMessage(l))
 		}
 	}

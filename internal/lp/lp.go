@@ -411,47 +411,6 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 	return Solution{Status: Optimal, Objective: objVal, X: x}, nil
 }
 
-// ObjectiveValue evaluates cᵀx for a candidate point (len(x) must equal
-// NumVars).
-func (p *Problem) ObjectiveValue(x []float64) float64 {
-	v := 0.0
-	for j, c := range p.obj {
-		v += c * x[j]
-	}
-	return v
-}
-
-// Feasible reports whether x satisfies every constraint within tol (scaled
-// by the row's magnitude), used to vet warm-start points before adopting
-// them as branch-and-bound incumbents.
-func (p *Problem) Feasible(x []float64, tol float64) bool {
-	if len(x) != p.numVars {
-		return false
-	}
-	for _, c := range p.cons {
-		lhs := 0.0
-		for _, cf := range c.Coefs {
-			lhs += cf.Value * x[cf.Var]
-		}
-		slack := tol * (1 + math.Abs(c.RHS))
-		switch c.Op {
-		case LE:
-			if lhs > c.RHS+slack {
-				return false
-			}
-		case GE:
-			if lhs < c.RHS-slack {
-				return false
-			}
-		case EQ:
-			if math.Abs(lhs-c.RHS) > slack {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // tableau is the simplex tableau B⁻¹A with its right-hand side. nz[i] is a
 // bitset over columns that covers every non-zero cell of row i (it may also
 // cover cells that have cancelled to zero), and nzCount[i] its population. A

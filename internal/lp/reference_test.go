@@ -190,3 +190,43 @@ func referenceSolve(p *Problem, bounds []Bound) Solution {
 	}
 	return Solution{Status: Optimal, Objective: p.ObjectiveValue(x), X: x}
 }
+
+// ObjectiveValue evaluates cᵀx for a candidate point (len(x) must equal
+// NumVars): the reference solver's objective.
+func (p *Problem) ObjectiveValue(x []float64) float64 {
+	v := 0.0
+	for j, c := range p.obj {
+		v += c * x[j]
+	}
+	return v
+}
+
+// Feasible reports whether x satisfies every constraint within tol (scaled
+// by the row's magnitude): the fuzz oracle's check of a returned point.
+func (p *Problem) Feasible(x []float64, tol float64) bool {
+	if len(x) != p.numVars {
+		return false
+	}
+	for _, c := range p.cons {
+		lhs := 0.0
+		for _, cf := range c.Coefs {
+			lhs += cf.Value * x[cf.Var]
+		}
+		slack := tol * (1 + math.Abs(c.RHS))
+		switch c.Op {
+		case LE:
+			if lhs > c.RHS+slack {
+				return false
+			}
+		case GE:
+			if lhs < c.RHS-slack {
+				return false
+			}
+		case EQ:
+			if math.Abs(lhs-c.RHS) > slack {
+				return false
+			}
+		}
+	}
+	return true
+}

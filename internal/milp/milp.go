@@ -43,14 +43,6 @@ type Options struct {
 	// Workers is the number of concurrent branch-and-bound workers sharing
 	// the best-first queue (0 or 1 = sequential, negative = GOMAXPROCS).
 	Workers int
-	// Incumbent, when non-nil, warm-starts the search with a feasible
-	// integral point — typically the previous solve's X under drifted
-	// inputs — which prunes from the first node. The point is validated
-	// (arity, finiteness, integrality, constraints) and silently ignored
-	// when stale or infeasible. A warm incumbent that ties the optimum may
-	// be returned even when it is not the lexicographically smallest
-	// optimum.
-	Incumbent []float64
 	// OnProgress, when non-nil, observes the search: every accepted
 	// incumbent, periodic global-bound improvements, and once at
 	// termination. Calls are serialized (never concurrent, for any worker
@@ -101,9 +93,6 @@ const (
 	// the lexicographic tie-break sees every optimal point regardless of
 	// exploration order — the determinism guarantee.
 	pruneTol = 1e-9
-	// feasTol is the constraint slack allowed when vetting a warm-start
-	// incumbent.
-	feasTol = 1e-6
 	// boundReportEvery throttles bound-only OnProgress callbacks to one per
 	// this many expansions since the last report.
 	boundReportEvery = 64
@@ -234,14 +223,6 @@ func Solve(p *lp.Problem, integers []int, opt Options) (*Solution, error) {
 	}
 
 	s.mu.Lock()
-	// Warm start: adopt a vetted feasible integral point as the initial
-	// incumbent so pruning bites from the first node.
-	if x, obj, ok := warmPoint(p, integers, opt.Incumbent); ok {
-		s.incX, s.incObj = x, obj
-		// The only proof at this point is the root relaxation; boundLocked
-		// would misread the still-empty tree as consumed.
-		s.report(progressAt(0, obj, s.bestBound, false))
-	}
 	// The root relaxation counts as the first expanded node: an integral
 	// root is immediately optimal, otherwise its children seed the queue.
 	s.nodes = 1
@@ -486,36 +467,6 @@ func materialize(n *bbNode, buf []lp.Bound) []lp.Bound {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf
-}
-
-// warmPoint vets a warm-start incumbent: correct arity, finite,
-// nonnegative, integral on the integer variables, feasible on every
-// constraint within feasTol. Returns a defensive copy with the integer
-// coordinates rounded exactly, plus its objective value.
-func warmPoint(p *lp.Problem, integers []int, x []float64) ([]float64, float64, bool) {
-	if x == nil || len(x) != p.NumVars() {
-		return nil, 0, false
-	}
-	cp := append([]float64(nil), x...)
-	for i, v := range cp {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < -feasTol {
-			return nil, 0, false
-		}
-		if v < 0 {
-			cp[i] = 0
-		}
-	}
-	for _, v := range integers {
-		r := math.Round(cp[v])
-		if math.Abs(cp[v]-r) > intTol {
-			return nil, 0, false
-		}
-		cp[v] = r
-	}
-	if !p.Feasible(cp, feasTol) {
-		return nil, 0, false
-	}
-	return cp, p.ObjectiveValue(cp), true
 }
 
 // lexLess reports whether a precedes b lexicographically, comparing exact

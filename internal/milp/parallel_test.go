@@ -180,94 +180,29 @@ func TestOnProgressSerializedParallel(t *testing.T) {
 	}
 }
 
-// TestWarmStartAdopted seeds the search with the known optimum and checks
-// that (a) the incumbent is present before any node is expanded, (b) the
-// result matches, and (c) the warm search expands no more nodes than cold.
-func TestWarmStartAdopted(t *testing.T) {
+// TestGapExit: a loose RelGap lets the search stop once the live bound
+// proves the gap, no later than the proof of optimality.
+func TestGapExit(t *testing.T) {
 	p, ints := placementInstance(t, 8, 3, 1)
-	cold, err := Solve(p, ints, Options{Workers: 1})
+	exact, err := Solve(p, ints, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first Progress
-	gotFirst := false
-	warm, err := Solve(p, ints, Options{Workers: 1, Incumbent: cold.X,
-		OnProgress: func(pr Progress) {
-			if !gotFirst {
-				first, gotFirst = pr, true
-			}
-		}})
+	gap, err := Solve(p, ints, Options{Workers: 1, RelGap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotFirst || first.Nodes != 0 || math.IsInf(first.Incumbent, 1) {
-		t.Fatalf("warm incumbent not reported before expansion: %+v", first)
-	}
-	if warm.Objective != cold.Objective {
-		t.Fatalf("warm objective %v != cold %v", warm.Objective, cold.Objective)
-	}
-	if warm.Nodes > cold.Nodes {
-		t.Fatalf("warm start expanded more nodes than cold: %d > %d", warm.Nodes, cold.Nodes)
-	}
-}
-
-// TestWarmStartRejected feeds invalid warm points: wrong arity, fractional
-// integers, constraint violations. All must be silently ignored.
-func TestWarmStartRejected(t *testing.T) {
-	p, ints := placementInstance(t, 6, 2, 1)
-	cold, err := Solve(p, ints, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := [][]float64{
-		make([]float64, 3),                // wrong arity
-		make([]float64, p.NumVars()),      // violates the ==1 rows
-		append([]float64(nil), cold.X...), // fractional (mutated below)
-		append([]float64(nil), cold.X...), // NaN (mutated below)
-		{math.Inf(1)},                     // wrong arity and non-finite
-	}
-	bad[2][0] = 0.5
-	bad[3][0] = math.NaN()
-	for i, inc := range bad {
-		var first Progress
-		gotFirst := false
-		s, err := Solve(p, ints, Options{Incumbent: inc, OnProgress: func(pr Progress) {
-			if !gotFirst {
-				first, gotFirst = pr, true
-			}
-		}})
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if s.Objective != cold.Objective {
-			t.Fatalf("case %d: objective %v != cold %v", i, s.Objective, cold.Objective)
-		}
-		if gotFirst && first.Nodes == 0 && !math.IsInf(first.Incumbent, 1) {
-			t.Fatalf("case %d: invalid warm point adopted as incumbent: %+v", i, first)
-		}
-	}
-}
-
-// TestWarmStartGapExit: a warm optimum plus a loose RelGap should let the
-// search stop almost immediately once the live bound proves the gap.
-func TestWarmStartGapExit(t *testing.T) {
-	p, ints := placementInstance(t, 8, 3, 1)
-	cold, err := Solve(p, ints, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Solve(p, ints, Options{Workers: 1, Incumbent: cold.X, RelGap: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Complete {
+	if !gap.Complete {
 		t.Fatal("gap-target search not marked complete")
 	}
-	if warm.Nodes >= cold.Nodes {
-		t.Fatalf("warm+gap search should be cheaper than cold: %d >= %d", warm.Nodes, cold.Nodes)
+	if gap.Nodes > exact.Nodes {
+		t.Fatalf("gap search expanded more nodes than the proof: %d > %d", gap.Nodes, exact.Nodes)
 	}
-	if gap := (warm.Objective - warm.Bound) / math.Abs(warm.Objective); gap > 0.05+1e-9 {
-		t.Fatalf("reported gap %g exceeds target", gap)
+	if g := (gap.Objective - gap.Bound) / math.Abs(gap.Objective); g > 0.05+1e-9 {
+		t.Fatalf("reported gap %g exceeds target", g)
+	}
+	if gap.Objective > exact.Objective*(1+0.05)+1e-9 {
+		t.Fatalf("gap objective %g more than 5%% over the optimum %g", gap.Objective, exact.Objective)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"ugache/internal/extract"
 	"ugache/internal/flight"
 	"ugache/internal/hashtable"
-	"ugache/internal/timeline"
 )
 
 // prefetchWindow is one announced lookahead window: a copy of the keys a
@@ -147,19 +146,14 @@ type prefetchScratch struct {
 	batch extract.Batch
 	rows  []byte
 	core  *core.Scratch
-	span  *timeline.Shard
 }
 
-func (s *Server) newPrefetchScratch(g int) *prefetchScratch {
-	sc := &prefetchScratch{
+func (s *Server) newPrefetchScratch() *prefetchScratch {
+	return &prefetchScratch{
 		dedup: hashtable.NewDedup(s.cfg.MaxBatchKeys),
 		batch: extract.Batch{Keys: make([][]int64, s.sys.P.N)},
 		core:  core.NewScratch(),
 	}
-	if s.tl != nil {
-		sc.span = s.tl.Shard(g)
-	}
-	return sc
 }
 
 // prefetchWorker is GPU g's staging loop: dequeue an announced window,
@@ -169,7 +163,7 @@ func (s *Server) newPrefetchScratch(g int) *prefetchScratch {
 func (s *Server) prefetchWorker(g int) {
 	defer s.wg.Done()
 	q := s.prefetchQ[g]
-	sc := s.newPrefetchScratch(g)
+	sc := s.newPrefetchScratch()
 	for {
 		select {
 		case w := <-q:
@@ -202,10 +196,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 		s.prefetchGate[g].add(-1)
 		s.putWindow(w)
 	}()
-	var tStart, tFilter, tExtract float64
-	if sc.span != nil {
-		tStart = s.tl.Now()
-	}
+	start := time.Now()
 	arena := s.staging[g]
 	pl := s.sys.Placement()
 	version := s.sys.PlacementVersion()
@@ -235,10 +226,8 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 		fetch = append(fetch, k)
 	}
 	sc.fetch = fetch
-	if sc.span != nil {
-		tFilter = s.tl.Now()
-		tExtract = tFilter
-	}
+	filtered := time.Now()
+	extracted := filtered
 
 	simTime := 0.0
 	if len(fetch) > 0 {
@@ -253,9 +242,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 			return
 		}
 		simTime = res.Time
-		if sc.span != nil {
-			tExtract = s.tl.Now()
-		}
+		extracted = time.Now()
 		var rows []byte
 		if s.functional {
 			rows = grow(&sc.rows, len(fetch)*s.entryBytes)
@@ -277,32 +264,15 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 
 	// Prefetch workers run concurrently with GPU g's serving worker, so they
 	// must not write its single-producer ring; staged windows are off the
-	// critical path and ride the mutex-guarded control ring.
-	e := flight.Event{Kind: flight.KindPrefetch, GPU: int32(g), UnixNanos: time.Now().UnixNano()}
+	// critical path and ride the mutex-guarded control ring, from which a
+	// timeline draws the window and its three stages.
+	end := time.Now()
+	e := flight.Event{Kind: flight.KindPrefetch, GPU: int32(g), UnixNanos: end.UnixNano()}
 	e.V[flight.PrefetchAnnouncedKeys] = float64(announced)
 	e.V[flight.PrefetchFetchedKeys] = float64(len(fetch))
 	e.V[flight.PrefetchSimSeconds] = simTime
+	e.V[flight.PrefetchFilterSeconds] = filtered.Sub(start).Seconds()
+	e.V[flight.PrefetchExtractSeconds] = extracted.Sub(filtered).Seconds()
+	e.V[flight.PrefetchStageSeconds] = end.Sub(extracted).Seconds()
 	s.fl.RecordControl(&e)
-
-	if sc.span != nil {
-		tEnd := s.tl.Now()
-		tid := int32(g)
-		root := timeline.Event{Name: "prefetch-window", Cat: "prefetch", Ph: timeline.PhSpan,
-			PID: timeline.ProcPrefetch, TID: tid, Start: tStart, Dur: tEnd - tStart}
-		root.AddArg("announced_keys", float64(announced))
-		root.AddArg("fetched_keys", float64(len(fetch)))
-		root.AddArg("sim_seconds", simTime)
-		sc.span.Emit(&root)
-		child := func(name string, start, end float64) {
-			if end < start {
-				end = start
-			}
-			ev := timeline.Event{Name: name, Cat: "prefetch", Ph: timeline.PhSpan,
-				PID: timeline.ProcPrefetch, TID: tid, Start: start, Dur: end - start}
-			sc.span.Emit(&ev)
-		}
-		child("filter", tStart, tFilter)
-		child("extract", tFilter, tExtract)
-		child("stage", tExtract, tEnd)
-	}
 }

@@ -118,10 +118,11 @@ type Config struct {
 	// both behind one pointer check.
 	Timeline *timeline.Recorder
 	// Flight is the recorder whose rings take the batch records (DESIGN.md
-	// §6.8) and whose control ring takes staged prefetch windows. Every
-	// worker claims a ring of its own, so a recorder shared between servers
-	// must be sized to all their workers. Nil creates a private recorder, so
-	// Trace always works.
+	// §6.8) and whose control ring takes staged prefetch windows — drawn on
+	// the prefetch track by whoever registers that ring with the timeline
+	// (flight.Recorder.DrawControl). Every worker claims a ring of its own,
+	// so a recorder shared between servers must be sized to all their
+	// workers. Nil creates a private recorder, so Trace always works.
 	Flight *flight.Recorder
 }
 

@@ -2,9 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
+	"ugache/internal/cache"
+	"ugache/internal/core"
+	"ugache/internal/flight"
+	"ugache/internal/platform"
+	"ugache/internal/rng"
+	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
+	"ugache/internal/workload"
 )
 
 // TestServeTimelineSpans drives a functional server with a timeline
@@ -98,8 +106,8 @@ func TestServeTimelineSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Names["batch"] != batches {
-		t.Fatalf("export has %d batch spans, recorder had %d", rep.Names["batch"], batches)
+	if n := rep.Names[timeline.ProcName{PID: timeline.ProcServe, Name: "batch"}]; n != batches {
+		t.Fatalf("export has %d batch spans, recorder had %d", n, batches)
 	}
 }
 
@@ -117,5 +125,84 @@ func TestServeNoTimelineNoSpans(t *testing.T) {
 	}
 	if srv.tl != nil {
 		t.Fatal("server has a recorder without one configured")
+	}
+}
+
+// TestControlTracksOutliveSpanShards: a traced run's refreshes, solves,
+// drift checks and staged prefetch windows are drawn from the flight control
+// ring, so every one of them is in the trace however often the per-batch
+// link-flow spans have wrapped the span shards.
+func TestControlTracksOutliveSpanShards(t *testing.T) {
+	const n, kpb, shift, batches = 4096, 512, 64, 160
+	wl, err := workload.NewFlashCrowd(n, 0.9, shift, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := platform.ServerA()
+	fl := flight.NewRecorder(p.N, 512)
+	tl := timeline.NewRecorder(p.N, 64)
+	fl.DrawControl(tl)
+	// Solved for the crowd to come, so the stream drifts away from the
+	// placement twice: from the start, and again at the shift.
+	sys, err := core.Build(core.Config{Platform: p, Hotness: wl.ExpectedHotness(shift, kpb),
+		EntryBytes: 64, CacheEntriesPerGPU: n / 8, Flight: fl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := cache.NewHotnessSampler(n, 1)
+	ctrl, err := core.NewController(sys, core.ControllerConfig{Mode: core.RefreshDrift, Sampler: sampler,
+		CheckEvery: 8, Drift: cache.DriftConfig{MinBatches: 16, MaxBatches: 32}, Refresh: quickRefreshConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry(p.N)
+	srv, err := New(sys, Config{MaxBatchKeys: kpb, Telemetry: reg, Sampler: sampler, Controller: ctrl,
+		Timeline: tl, Flight: fl, Lookahead: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peek, r := rng.New(3), rng.New(3) // the announce stream runs two batches ahead
+	announce := func(b int) {
+		if b < batches {
+			srv.Prefetch(b%p.N, wl.GenBatchAt(peek, b, kpb))
+			srv.WaitPrefetch(b % p.N)
+		}
+	}
+	announce(0)
+	announce(1)
+	for b := 0; b < batches; b++ {
+		announce(b + 2)
+		if _, err := srv.Lookup(b%p.N, wl.GenBatchAt(r, b, kpb)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+
+	st := ctrl.Stats()
+	if st.Refreshes < 2 || st.Errors != 0 {
+		t.Fatalf("controller stats %+v: want two refreshes or more", st)
+	}
+	if tl.Dropped() == 0 {
+		t.Fatal("the link flows never wrapped a span shard")
+	}
+	windows := int(sampleValue(t, reg, "serve_prefetch_windows_total"))
+	want := map[timeline.ProcName]int{
+		{PID: timeline.ProcControl, Name: "refresh"}:          int(st.Refreshes),
+		{PID: timeline.ProcControl, Name: "refresh-solve"}:    int(st.Refreshes),
+		{PID: timeline.ProcControl, Name: "policy-solve"}:     int(st.Refreshes),
+		{PID: timeline.ProcControl, Name: "drift-check"}:      int(st.Checks),
+		{PID: timeline.ProcPrefetch, Name: "prefetch-window"}: windows,
+		{PID: timeline.ProcPrefetch, Name: "filter"}:          windows,
+		{PID: timeline.ProcPrefetch, Name: "extract"}:         windows,
+		{PID: timeline.ProcPrefetch, Name: "stage"}:           windows,
+	}
+	got := map[timeline.ProcName]int{}
+	for _, ev := range tl.Events() {
+		if k := (timeline.ProcName{PID: int64(ev.PID), Name: ev.Name}); want[k] > 0 {
+			got[k]++
+		}
+	}
+	if windows != batches || !maps.Equal(got, want) {
+		t.Fatalf("%d windows staged; the trace holds %v, want %v", windows, got, want)
 	}
 }

@@ -113,7 +113,7 @@ func TestClusterSolveUsesNetworkFallback(t *testing.T) {
 func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 	in := microClusterInput(t, 24, 8, 4)
 	ex := Exact{MaxBlocks: 6}
-	base, err := ex.SolveOpt(in, Options{Workers: 1})
+	base, err := SolveWith(ex, in, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		pl, err := ex.SolveOpt(in, Options{Workers: w})
+		pl, err := SolveWith(ex, in, Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

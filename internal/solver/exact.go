@@ -146,78 +146,6 @@ func (bm *blockModel) integerVars() []int {
 	return ints
 }
 
-// warmIncumbent converts a previous placement into a feasible integral
-// point of this model: a block is stored on GPU j when the old placement
-// kept at least half of the block's entries there (capacity permitting),
-// every reader takes its cheapest reachable stored source (host
-// otherwise), and z is the modelled makespan of that assignment computed
-// with the same scaled coefficients as the constraint rows. Returns nil
-// when the old placement does not match the instance; milp re-validates
-// the point anyway, so a stale warm start degrades to a cold solve rather
-// than an error.
-func (bm *blockModel) warmIncumbent(in *Input, c *ctx, old *Placement) []float64 {
-	if old == nil || old.NumGPUs != bm.g || old.NumEntries() != c.numEntries() {
-		return nil
-	}
-	x := make([]float64, bm.zVar()+1)
-	capLeft := append([]int64(nil), in.Capacity...)
-	for b := range bm.blocks {
-		blk := &bm.blocks[b]
-		n := blk.Entries()
-		for j := 0; j < bm.g; j++ {
-			var stored int64
-			for r := blk.Start; r < blk.End; r++ {
-				if old.StoredOn(j, int64(c.ranked[r])) {
-					stored++
-				}
-			}
-			if stored*2 >= n && capLeft[j] >= n {
-				x[bm.sv(b, j)] = 1
-				capLeft[j] -= n
-			}
-		}
-		for i := 0; i < bm.g; i++ {
-			best := int(in.fallback())
-			bestCost := bm.m.perByteCost(i, in.fallback())
-			for j := 0; j < bm.g; j++ {
-				if x[bm.sv(b, j)] != 1 || math.IsInf(bm.m.invEff[i][j], 1) {
-					continue
-				}
-				if cost := bm.m.perByteCost(i, platform.SourceID(j)); cost < bestCost {
-					best, bestCost = j, cost
-				}
-			}
-			x[bm.av(b, i, best)] = 1
-		}
-	}
-	z := 0.0
-	for i := 0; i < bm.g; i++ {
-		packing := 0.0
-		for j := 0; j < bm.srcs; j++ {
-			if math.IsInf(bm.m.invEff[i][j], 1) {
-				continue
-			}
-			link := 0.0
-			for b := range bm.blocks {
-				if x[bm.av(b, i, j)] != 1 {
-					continue
-				}
-				bytes := bm.blocks[b].Mass() * float64(in.EntryBytes) * bm.scale
-				link += bytes * bm.m.invEff[i][j]
-				packing += bytes * bm.m.packCost[i][j]
-			}
-			if link > z {
-				z = link
-			}
-		}
-		if packing > z {
-			z = packing
-		}
-	}
-	x[bm.zVar()] = z
-	return x
-}
-
 // Exact solves the block model with integral storage and access decisions
 // by branch and bound — the stand-in for the paper's Gurobi MILP (§6.2),
 // which the paper itself only runs on reduced instances for the Fig. 16
@@ -226,9 +154,7 @@ func (bm *blockModel) warmIncumbent(in *Input, c *ctx, old *Placement) []float64
 // equals the MILP objective and LowerBound is a true optimality
 // certificate (equal to the makespan on complete solves).
 //
-// Exact implements OptionedPolicy: SolveOpt threads branch-and-bound
-// workers and a WarmStart placement down to the search, which is how
-// cache.Refresh keeps drifted-hotness re-solves cheap.
+// SolveWith hands the search its Options (workers, relative gap).
 type Exact struct {
 	// MaxBlocks caps the quantile block count (0 = Input.BlockBudget if
 	// that is smaller than 10, else 10). Each block adds G·srcs binary
@@ -240,12 +166,11 @@ type Exact struct {
 // Name implements Policy.
 func (Exact) Name() string { return "exact" }
 
-// Solve implements Policy: SolveOpt under the zero Options (sequential, cold
-// start, prove optimality).
-func (ex Exact) Solve(in *Input) (*Placement, error) { return ex.SolveOpt(in, Options{}) }
+// Solve implements Policy under the zero Options (sequential, prove
+// optimality).
+func (ex Exact) Solve(in *Input) (*Placement, error) { return ex.solve(in, Options{}) }
 
-// SolveOpt implements OptionedPolicy.
-func (ex Exact) SolveOpt(in *Input, opt Options) (*Placement, error) {
+func (ex Exact) solve(in *Input, opt Options) (*Placement, error) {
 	c, err := newCtx(in)
 	if err != nil {
 		return nil, err
@@ -262,11 +187,7 @@ func (ex Exact) SolveOpt(in *Input, opt Options) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	mopt := milp.Options{Workers: opt.Workers, RelGap: opt.RelGap}
-	if opt.WarmStart != nil {
-		mopt.Incumbent = bm.warmIncumbent(in, c, opt.WarmStart)
-	}
-	sol, err := milp.Solve(bm.prob, bm.integerVars(), mopt)
+	sol, err := milp.Solve(bm.prob, bm.integerVars(), milp.Options{Workers: opt.Workers, RelGap: opt.RelGap})
 	if err != nil {
 		return nil, fmt.Errorf("solver: exact MILP: %w", err)
 	}

@@ -60,7 +60,7 @@ func TestExactPolicyCertificate(t *testing.T) {
 func TestExactDeterminismAcrossWorkers(t *testing.T) {
 	in := microInput(t, 24, 8)
 	ex := Exact{MaxBlocks: 6}
-	base, err := ex.SolveOpt(in, Options{Workers: 1})
+	base, err := SolveWith(ex, in, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestExactDeterminismAcrossWorkers(t *testing.T) {
 	}
 	for _, w := range []int{2, 8} {
 		for rep := 0; rep < 2; rep++ {
-			pl, err := ex.SolveOpt(in, Options{Workers: w})
+			pl, err := SolveWith(ex, in, Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,108 +93,8 @@ func TestExactDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// driftHotness perturbs the hotness multiplicatively and deterministically:
-// the ranking mostly survives, the block masses shift — the refresh loop's
-// drifted re-solve input.
-func driftHotness(h workload.Hotness, strength float64) workload.Hotness {
-	out := make(workload.Hotness, len(h))
-	for e := range h {
-		// Deterministic per-entry jitter in [1-strength, 1+strength].
-		f := 1 + strength*math.Sin(float64(e)*2.39996)
-		out[e] = h[e] * f
-	}
-	return out
-}
-
-// TestExactWarmStartCheaper: re-solving a drifted instance warm-started
-// from the previous placement must not explore more nodes than a cold
-// re-solve, and must return the same placement (warm starts change the
-// work, never the answer, on complete solves with a tie-compatible warm
-// point rejected or dominated).
-func TestExactWarmStartCheaper(t *testing.T) {
-	in := microInput(t, 24, 8)
-	ex := Exact{MaxBlocks: 6}
-	old, err := ex.SolveOpt(in, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drifted := &Input{P: in.P, Hotness: driftHotness(in.Hotness, 0.15),
-		EntryBytes: in.EntryBytes, Capacity: in.Capacity}
-	cold, err := ex.SolveOpt(drifted, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ex.SolveOpt(drifted, Options{Workers: 1, WarmStart: old})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.SolveNodes > cold.SolveNodes {
-		t.Fatalf("warm re-solve explored more nodes than cold: %d > %d",
-			warm.SolveNodes, cold.SolveNodes)
-	}
-	t.Logf("cold %d nodes, warm %d nodes (%.0f%%)",
-		cold.SolveNodes, warm.SolveNodes, 100*float64(warm.SolveNodes)/float64(cold.SolveNodes))
-	if warm.LowerBound != cold.LowerBound {
-		t.Fatalf("warm LowerBound %v != cold %v", warm.LowerBound, cold.LowerBound)
-	}
-}
-
-// TestExactWarmStartGapMode pins the refresh loop's configuration: with a
-// small relative gap (online re-solves do not need a full optimality
-// proof), a warm start skips the incumbent-discovery phase entirely and
-// the drifted re-solve finishes in a fraction of the cold node count.
-func TestExactWarmStartGapMode(t *testing.T) {
-	in := microInput(t, 96, 32)
-	ex := Exact{MaxBlocks: 10}
-	opt := Options{Workers: 1, RelGap: 0.02}
-	old, err := ex.SolveOpt(in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drifted := &Input{P: in.P, Hotness: driftHotness(in.Hotness, 0.1),
-		EntryBytes: in.EntryBytes, Capacity: in.Capacity}
-	cold, err := ex.SolveOpt(drifted, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wopt := opt
-	wopt.WarmStart = old
-	warm, err := ex.SolveOpt(drifted, wopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.Validate(drifted); err != nil {
-		t.Fatal(err)
-	}
-	if warm.SolveNodes*2 > cold.SolveNodes {
-		t.Fatalf("warm gap-mode re-solve should halve the cold node count: warm %d vs cold %d",
-			warm.SolveNodes, cold.SolveNodes)
-	}
-	t.Logf("gap mode: cold %d nodes, warm %d nodes (%.0f%%)",
-		cold.SolveNodes, warm.SolveNodes, 100*float64(warm.SolveNodes)/float64(cold.SolveNodes))
-}
-
-// TestExactWarmStartStale: a warm placement from a mismatched instance is
-// ignored, not an error.
-func TestExactWarmStartStale(t *testing.T) {
-	in := microInput(t, 24, 8)
-	ex := Exact{MaxBlocks: 6}
-	smaller := microInput(t, 12, 4)
-	oldSmall, err := ex.SolveOpt(smaller, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := ex.SolveOpt(in, Options{WarmStart: oldSmall})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSolveWith dispatches through the OptionedPolicy interface when
-// available and falls back to plain Solve for approximation policies.
+// TestSolveWith hands Exact its options and falls back to plain Solve for
+// approximation policies.
 func TestSolveWith(t *testing.T) {
 	in := microInput(t, 24, 8)
 	pl, err := SolveWith(UGache{}, in, Options{Workers: 8})
@@ -209,7 +109,7 @@ func TestSolveWith(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pl.Policy != "exact" || pl.SolveNodes == 0 {
-		t.Fatalf("optioned dispatch failed: policy %q nodes %d", pl.Policy, pl.SolveNodes)
+		t.Fatalf("exact dispatch failed: policy %q nodes %d", pl.Policy, pl.SolveNodes)
 	}
 }
 
@@ -218,7 +118,7 @@ func TestSolveWith(t *testing.T) {
 func TestExactConcurrentSolves(t *testing.T) {
 	in := microInput(t, 16, 6)
 	ex := Exact{MaxBlocks: 4}
-	base, err := ex.SolveOpt(in, Options{Workers: 1})
+	base, err := SolveWith(ex, in, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +127,7 @@ func TestExactConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pl, err := ex.SolveOpt(in, Options{Workers: 4})
+			pl, err := SolveWith(ex, in, Options{Workers: 4})
 			if err != nil {
 				t.Error(err)
 				return

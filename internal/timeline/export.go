@@ -140,8 +140,15 @@ type ValidationReport struct {
 	ByPhase map[string]int
 	// ByPID counts events per process ID.
 	ByPID map[int64]int
-	// Names counts events per span name.
-	Names map[string]int
+	// Names counts events per (process ID, name): the serve and the
+	// prefetch tracks each have an "extract".
+	Names map[ProcName]int
+}
+
+// ProcName is one event name on one process.
+type ProcName struct {
+	PID  int64
+	Name string
 }
 
 // Validate parses a Chrome trace-event JSON stream (object form) and checks
@@ -163,7 +170,7 @@ func Validate(r io.Reader) (*ValidationReport, error) {
 	rep := &ValidationReport{
 		ByPhase: make(map[string]int),
 		ByPID:   make(map[int64]int),
-		Names:   make(map[string]int),
+		Names:   make(map[ProcName]int),
 	}
 	for i, ev := range doc.TraceEvents {
 		var ph, name string
@@ -201,7 +208,7 @@ func Validate(r io.Reader) (*ValidationReport, error) {
 		rep.Events++
 		rep.ByPhase[ph]++
 		rep.ByPID[pid]++
-		rep.Names[name]++
+		rep.Names[ProcName{pid, name}]++
 	}
 	return rep, nil
 }

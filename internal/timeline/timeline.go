@@ -10,8 +10,11 @@
 // The recording discipline matches DESIGN.md §6.1: events are flat structs
 // (static name/category strings, fixed arg slots, no maps, no pointers), a
 // writer emits into a preallocated per-worker ring under a short per-shard
-// mutex, and nothing on the emit path allocates. Export merges and sorts the
-// shards on demand — a slow-path, read-side operation.
+// mutex, and nothing on the emit path allocates. Only what no record
+// carries is stored that way (fluid-sim phases, router dispatches); batch
+// trees and the control tracks are sources (AddSource) rendered from the
+// flight recorder's rings. Export merges and sorts the shards and sources
+// on demand — a slow-path, read-side operation.
 package timeline
 
 import (
@@ -116,8 +119,8 @@ func (e *Event) AddArg(key string, v float64) {
 
 // Shard is one writer's preallocated event ring. A shard is owned by one
 // goroutine in steady state (serving worker g emits into Shard(g)); the
-// short per-record mutex only exists so slow-path writers (refresh, solver)
-// and the exporter can touch the same shard safely.
+// short per-record mutex only exists so the cluster router's dispatchers and
+// the exporter can touch the same shard safely.
 type Shard struct {
 	mu      sync.Mutex
 	buf     []Event
@@ -165,10 +168,10 @@ func (s *Shard) snapshot(dst []Event) []Event {
 	return dst
 }
 
-// Recorder owns the per-worker span rings and the track-name registry of
-// one process. One recorder is shared by every instrumented layer (serve,
-// core, cache, solver); nil recorders disable tracing at each layer behind
-// a single pointer check.
+// Recorder owns the per-worker span rings, the rendered sources and the
+// track-name registry of one process. One recorder is shared by every
+// instrumented layer (serve, cluster, the flight recorder's drawn tracks);
+// nil recorders disable tracing at each layer behind a single pointer check.
 type Recorder struct {
 	epoch  time.Time
 	shards []Shard
@@ -220,8 +223,9 @@ func (r *Recorder) Shard(i int) *Shard {
 
 // AddSource registers a function Events (and so WriteTrace) calls to append
 // events that are rendered on demand instead of being stored in a shard —
-// the serve batch trees, which are derived from the flight record rings at
-// export time. src must be safe to call from any goroutine.
+// the serve batch trees and the control tracks, which are derived from the
+// flight record rings at export time. src must be safe to call from any
+// goroutine.
 func (r *Recorder) AddSource(src func(dst []Event) []Event) {
 	r.mu.Lock()
 	r.sources = append(r.sources, src)

@@ -97,7 +97,7 @@ func TestWriteTraceValidates(t *testing.T) {
 	if rep.ByPhase["X"] != 4 || rep.ByPhase["i"] != 1 || rep.ByPhase["C"] != 1 || rep.ByPhase["M"] != 7 {
 		t.Fatalf("phase counts %v", rep.ByPhase)
 	}
-	if rep.Names["batch"] != 2 || rep.Names["link-flow"] != 1 {
+	if rep.Names[ProcName{ProcServe, "batch"}] != 2 || rep.Names[ProcName{ProcSim, "link-flow"}] != 1 {
 		t.Fatalf("name counts %v", rep.Names)
 	}
 	if rep.ByPID[ProcServe] != 4+3 { // 4 serve events + 3 serve metadata

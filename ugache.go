@@ -280,10 +280,11 @@ type Health = telemetry.Health
 // NewHealth returns a not-ready Health.
 func NewHealth() *Health { return telemetry.NewHealth() }
 
-// TimelineRecorder records span-based traces (serve batches, fluid-sim link
-// utilization, refresh/solver steps) and exports Chrome trace-event JSON
-// loadable in Perfetto or chrome://tracing (DESIGN.md §6.3). Share one
-// recorder across Config.Timeline and ServeConfig.Timeline.
+// TimelineRecorder records span-based traces of a server (ServeConfig.Timeline:
+// serve batch trees, fluid-sim link utilization, admission counters) and
+// exports Chrome trace-event JSON loadable in Perfetto or chrome://tracing
+// (DESIGN.md §6.3). The refresh, solver, drift and prefetch tracks are drawn
+// from a flight recorder's control ring, which the façade does not expose.
 type TimelineRecorder = timeline.Recorder
 
 // NewTimelineRecorder creates a recorder with one event ring per writer
