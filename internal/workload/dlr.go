@@ -94,7 +94,7 @@ type DLRDataset struct {
 // Build constructs the dataset at the given scale. Table sizes scale down
 // with a floor of 64 entries each.
 func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
-	if scale <= 0 {
+	if !(scale > 0) {
 		return nil, fmt.Errorf("workload: scale must be positive, got %g", scale)
 	}
 	if len(s.TableSizes) == 0 {
@@ -103,7 +103,11 @@ func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
 	tables := make([]*emb.Table, len(s.TableSizes))
 	zipfs := make([]*Zipf, len(s.TableSizes))
 	for i, base := range s.TableSizes {
-		n := int64(float64(base) * scale)
+		size := float64(base) * scale
+		if size >= math.MaxInt64 {
+			return nil, fmt.Errorf("workload: spec %q table %d has %g entries at scale %g", s.Name, i, size, scale)
+		}
+		n := int64(size)
 		if n < 64 {
 			n = 64
 		}

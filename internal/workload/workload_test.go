@@ -85,6 +85,14 @@ func TestZipfValidation(t *testing.T) {
 	if _, err := NewZipf(10, 0); err == nil {
 		t.Fatal("alpha=0 accepted")
 	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewZipf(10, alpha); err == nil {
+			t.Fatalf("alpha=%v accepted", alpha)
+		}
+	}
+	if _, err := NewZipf(math.MaxInt64, 1.2); err == nil {
+		t.Fatal("n=MaxInt64 accepted: n+1 overflows the normaliser")
+	}
 }
 
 func TestDLRBuildAndBatch(t *testing.T) {
@@ -146,8 +154,13 @@ func TestDLRSpecShapes(t *testing.T) {
 	if _, err := DLRSpecByName("SYN-C"); err == nil {
 		t.Fatal("DLRSpecByName accepted SYN-C")
 	}
-	if _, err := CR.Build(0, 1); err == nil {
-		t.Fatal("zero scale accepted")
+	for _, scale := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if _, err := CR.Build(scale, 1); err == nil {
+			t.Fatalf("scale %v accepted", scale)
+		}
+	}
+	if _, err := (DLRSpec{Name: "x", TableSizes: []int64{100}, Alpha: math.NaN()}).Build(1, 1); err == nil {
+		t.Fatal("NaN alpha accepted")
 	}
 	if _, err := (DLRSpec{Name: "x"}).Build(1, 1); err == nil {
 		t.Fatal("empty spec accepted")
@@ -301,6 +314,23 @@ func BenchmarkZipfSample(b *testing.B) {
 		sink += z.Sample(r)
 	}
 	_ = sink
+}
+
+var batchSink []int64
+
+// BenchmarkGenBatch draws one warm batch of the benchmark's train-extract
+// set-up: 2,048 samples of one key from each of CR's 26 tables at scale 0.05.
+func BenchmarkGenBatch(b *testing.B) {
+	d, err := CR.Build(0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batchSink = d.GenBatchWith(r, 2048)
+	}
 }
 
 func BenchmarkProfileBatches(b *testing.B) {

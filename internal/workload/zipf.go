@@ -13,35 +13,79 @@ import (
 	"ugache/internal/rng"
 )
 
-// Zipf draws ranks in [0, N) with P(r) ∝ 1/(r+1)^alpha using analytic
-// inversion of the continuous CDF — O(1) per draw and no per-rank tables,
-// so billion-entry key spaces cost nothing. Rank 0 is the hottest key.
+// guideBuckets is how many equal slices of u ∈ [0, 1) the guide covers. It
+// is a power of two, so every slice edge i/guideBuckets and the slice index
+// u*guideBuckets are exact in float64.
+const guideBuckets = 4096
+
+// Zipf draws ranks in [0, N) with P(r) ∝ 1/(r+1)^alpha by inverting the
+// continuous CDF: x = (u·norm+1)^(1/(1−alpha)) − 1, rank = ⌊x⌋ clamped to
+// [0, N) (x = e^(u·norm) − 1 at alpha = 1). Rank 0 is the hottest key.
+//
+// A draw is O(1) and costs one table read for most draws: a 4096-entry guide,
+// built once per sampler, holds the rank of every slice [i/4096, (i+1)/4096)
+// of u that the formula maps to a single rank; the other slices (where the
+// rank changes inside the slice) are marked and evaluate the formula. The
+// guide returns exactly the formula's rank. x is monotone in u: u·norm+1 is
+// monotone in u under round-to-nearest, and the true power (or exponential)
+// is monotone in its base. Go's Pow and Exp are within a few ulps of the true
+// value, and Pow's error grows only linearly with the exponent (it squares
+// its way to the integer part), so on a slice the computed x lies between
+// the values computed at its two edges, widened by that error. A slice is
+// stored only when both edges, widened by a margin of 1e-9 relative (plus
+// 1e-12 per unit of exponent), fall into one integer — a margin thousands of
+// times the error bound — so every u inside it truncates to that integer.
+// A stored rank holds a whole slice, so its probability is at least 1/4096
+// and, ranks being ordered by probability, it is below 4096: the guide is
+// 8 KiB of int16 per sampler whatever N is, and billion-entry key spaces
+// still cost nothing per rank.
 type Zipf struct {
 	N     int64
 	Alpha float64
 	norm  float64
 	exp   float64
 	isLog bool
+	guide []int16 // rank of each slice of u, or -1: evaluate the formula
 }
 
-// NewZipf creates a bounded Zipf sampler. alpha must be > 0 (the paper's
-// synthetic datasets use 1.2 and 1.4).
+// NewZipf creates a bounded Zipf sampler. n must be in [1, MaxInt64) and
+// alpha finite and > 0 (the paper's synthetic datasets use 1.2 and 1.4).
 func NewZipf(n int64, alpha float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: zipf needs n > 0, got %d", n)
+	if n <= 0 || n == math.MaxInt64 {
+		return nil, fmt.Errorf("workload: zipf needs 0 < n < %d, got %d", int64(math.MaxInt64), n)
 	}
-	if alpha <= 0 {
-		return nil, fmt.Errorf("workload: zipf needs alpha > 0, got %g", alpha)
+	if !(alpha > 0) || math.IsInf(alpha, 1) {
+		return nil, fmt.Errorf("workload: zipf needs a finite alpha > 0, got %g", alpha)
 	}
 	z := &Zipf{N: n, Alpha: alpha}
 	if math.Abs(1-alpha) < 1e-9 {
 		z.isLog = true
 		z.norm = math.Log(float64(n + 1))
-		return z, nil
+	} else {
+		z.norm = math.Pow(float64(n+1), 1-alpha) - 1
+		z.exp = 1 / (1 - alpha)
 	}
-	z.norm = math.Pow(float64(n+1), 1-alpha) - 1
-	z.exp = 1 / (1 - alpha)
+	z.buildGuide()
 	return z, nil
+}
+
+// buildGuide evaluates the formula at the guideBuckets+1 slice edges and
+// keeps the slices whose edges, widened by the margin, truncate to one
+// in-range rank (see Zipf).
+func (z *Zipf) buildGuide() {
+	tol := 1e-9 + 1e-12*math.Abs(z.exp)
+	z.guide = make([]int16, guideBuckets)
+	prev := z.x(0)
+	for i := range z.guide {
+		next := z.x(float64(i+1) / guideBuckets)
+		lo, hi := min(prev, next), max(prev, next)
+		k := int64(lo - tol*(lo+1))
+		if k < 0 || k >= z.N || k > math.MaxInt16 || k != int64(hi+tol*(hi+1)) {
+			k = -1
+		}
+		z.guide[i] = int16(k)
+		prev = next
+	}
 }
 
 // Sample draws one rank.
@@ -52,15 +96,20 @@ func (z *Zipf) Sample(r *rng.Rand) int64 {
 // Rank maps one uniform variate in [0, 1) to a rank through the same
 // analytic CDF inversion Sample uses. It is the deterministic form: feeding
 // the same u always yields the same rank, which is what hash-derived draws
-// (per-user key affinity in the open-loop generator) need.
+// (per-user key affinity in the open-loop generator) need. A u outside
+// [0, 1) (or NaN) skips the guide and is clamped like any other.
 func (z *Zipf) Rank(u float64) int64 {
-	var x float64
-	if z.isLog {
-		x = math.Exp(u*z.norm) - 1
-	} else {
-		x = math.Pow(u*z.norm+1, z.exp) - 1
+	if u >= 0 && u < 1 {
+		if k := z.guide[int(u*guideBuckets)]; k >= 0 {
+			return int64(k)
+		}
 	}
-	id := int64(x)
+	return z.invert(u)
+}
+
+// invert is the formula itself: the rank of u with no guide.
+func (z *Zipf) invert(u float64) int64 {
+	id := int64(z.x(u))
 	if id < 0 {
 		id = 0
 	}
@@ -68,6 +117,14 @@ func (z *Zipf) Rank(u float64) int64 {
 		id = z.N - 1
 	}
 	return id
+}
+
+// x is the continuous inverse CDF at u, before truncation to a rank.
+func (z *Zipf) x(u float64) float64 {
+	if z.isLog {
+		return math.Exp(u*z.norm) - 1
+	}
+	return math.Pow(u*z.norm+1, z.exp) - 1
 }
 
 // CDF returns the (continuous approximation of the) probability that a
