@@ -53,7 +53,7 @@ bench-harness:
 HOTPATH_BENCH = $(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
 bench:
 	$(HOTPATH_BENCH) | $(GO) run ./scripts/bench_envelope BENCH_hotpath.json "$(HOTPATH_BENCH)" \
-		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead. Budget: the serve flush allocates 5 times per operation in timing mode and 6 in functional mode (the caller-owned Result.Rows block), with either recorder; core lookups allocate nothing. The workload rows time the key sampler that generates the load: BenchmarkZipfSample is one Zipf draw (1M keys, alpha 1.2; most draws read the 4096-slice guide, the rest evaluate the inverse-CDF formula) and BenchmarkGenBatch one warm batch of the benchmark's train-extract set-up (2048 samples x CR's 26 tables at scale 0.05, one allocation: the key slice); BenchmarkRank and BenchmarkProfileBatches are the hotness ranking and presampling profile the policy solve consumes."
+		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead, and the Traced variant adds a timeline, which draws from those records at export and so leaves the flush path alone. Budget: the serve flush allocates 5 times per operation in timing mode and 6 in functional mode (the caller-owned Result.Rows block), with either recorder and with a timeline; core lookups allocate nothing. The workload rows time the key sampler that generates the load: BenchmarkZipfSample is one Zipf draw (1M keys, alpha 1.2; most draws read the 4096-slice guide, the rest evaluate the inverse-CDF formula) and BenchmarkGenBatch one warm batch of the benchmark's train-extract set-up (2048 samples x CR's 26 tables at scale 0.05, one allocation: the key slice); BenchmarkRank and BenchmarkProfileBatches are the hotness ranking and presampling profile the policy solve consumes."
 
 # Paired end-to-end runs of a base commit against the working tree, e.g.
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=serve-steady [PAIRS=10 SEED=42 KEEP=dir]

@@ -86,7 +86,7 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 	}
 	var tl *timeline.Recorder
 	if timelineF != "" {
-		tl = timeline.NewRecorder(1, 0)
+		tl = timeline.NewRecorder()
 		opt.Timeline = tl
 	}
 	failed := 0

@@ -165,18 +165,17 @@ func (e *engine) build() (err error) {
 		return err
 	}
 
-	// One registry, span recorder and flight recorder shared by the core
+	// One registry, timeline and flight recorder shared by the core
 	// (extraction tiers, refresh), every node's serving engine and the router,
 	// so /metrics, the trace and a bundle show the whole run. The two
-	// recorders come as a pair: the trace draws its control and prefetch
-	// tracks from the flight recorder's control ring, and -flight keeps the
-	// span recorder on even without -trace-out, since a bundle dumps the
-	// current timeline window and its exemplar batch resolves into that
-	// window's span trees.
+	// recorders come as a pair: the timeline draws every track from the
+	// flight recorder's rings, and -flight keeps the timeline on even without
+	// -trace-out, since a bundle dumps the trace drawn from those rings and
+	// its exemplar batch resolves into that trace's span trees.
 	workers := p.N * o.nodes
 	e.reg = telemetry.NewRegistry(workers)
 	if o.traceOut != "" || o.flight {
-		e.tl = timeline.NewRecorder(workers, 0)
+		e.tl = timeline.NewRecorder()
 		e.fl = flight.NewRecorder(workers, o.flightDepth)
 		e.fl.DrawControl(e.tl)
 	}
@@ -245,9 +244,12 @@ func (e *engine) build() (err error) {
 	}
 	srv := e.nodes[0].Srv
 	if o.nodes > 1 {
-		e.front, err = cluster.NewFront(e.nodes, cluster.FrontConfig{Seed: o.seed, Telemetry: e.reg, Timeline: e.tl, Flight: e.fl})
+		e.front, err = cluster.NewFront(e.nodes, cluster.FrontConfig{Seed: o.seed, Telemetry: e.reg, Flight: e.fl})
 		if err != nil {
 			return err
+		}
+		if e.tl != nil {
+			e.fl.DrawRouter(e.tl)
 		}
 		fmt.Fprintf(w, "built %d nodes:     cache ratio %g solved once and filled per node in %.2fs\n",
 			o.nodes, o.ratio, time.Since(t0).Seconds())
@@ -418,7 +420,7 @@ func (e *engine) shutdown(ctx context.Context) error {
 		errs = append(errs, err)
 	}
 	// The closing telemetry state: the cumulative totals plus any queue peak
-	// and per-link peak-utilization gauges the run produced.
+	// and the per-link utilization of the last extraction.
 	fmt.Fprintf(w, "\nfinal telemetry snapshot:\n")
 	for _, s := range e.reg.Samples() {
 		switch {
@@ -428,7 +430,7 @@ func (e *engine) shutdown(ctx context.Context) error {
 			s.Name == "serve_admit_wait_admitted_total" ||
 			strings.HasPrefix(s.Name, "serve_queue_depth_peak") && s.Value > 0:
 			fmt.Fprintf(w, "  %-42s %.0f\n", s.Name, s.Value)
-		case strings.HasPrefix(s.Name, "sim_link_peak_util") && s.Value > 0:
+		case strings.HasPrefix(s.Name, "sim_link_util_") && s.Value > 0:
 			fmt.Fprintf(w, "  %-42s %.3f\n", s.Name, s.Value)
 		}
 	}

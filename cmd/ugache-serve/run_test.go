@@ -72,9 +72,9 @@ var number = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?((ns|µs|ms|s)\
 // numbers, depends on the wall clock: a router leg that missed its 50 ms deadline, a
 // staged row served inside the staleness window, the last bundle's path
 // (none if the watchdog had no time to trip), and the gauges the final
-// snapshot lists only when positive (a link's peak utilisation, a queue that
-// was ever found non-empty).
-var clockLines = []string{"partial results:", "stale serving:", "flight bundle:", "  sim_link_peak_util", "  serve_queue_depth_peak",
+// snapshot lists only when positive (a link's utilisation in whichever
+// extraction came last, a queue that was ever found non-empty).
+var clockLines = []string{"partial results:", "stale serving:", "flight bundle:", "  sim_link_util_", "  serve_queue_depth_peak",
 	// Always there when the watchdog trips, but wherever in the report its
 	// goroutine finished writing the bundle; the flight-smoke case asserts it.
 	"flight:            wrote diagnostic bundle"}
@@ -186,8 +186,19 @@ func TestRunGolden(t *testing.T) {
 			}},
 		{"cluster-smoke", "-nodes 2 -scale " + smokeScale + " -clients 4 -requests 20 -trace-out TMP/trace.json -metrics-out TMP/metrics.json",
 			func(t *testing.T, dir, _ string) {
-				checkTimeline(t, filepath.Join(dir, "trace.json"))
-				checkCluster(t, readMetrics(t, filepath.Join(dir, "metrics.json")))
+				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
+				m := readMetrics(t, filepath.Join(dir, "metrics.json"))
+				checkCluster(t, m)
+				// The router track is drawn from one record per dispatch, and
+				// the default flight depth holds the whole run's.
+				dispatch := rep.Names[timeline.ProcName{PID: timeline.ProcRouter, Name: "dispatch"}]
+				queue := rep.Names[timeline.ProcName{PID: timeline.ProcRouter, Name: "router-queue"}]
+				if d := m["cluster_dispatches_total"]; d == 0 || float64(dispatch) != d || float64(queue) != d {
+					t.Errorf("trace holds %d dispatch spans and %d router-queue samples, want cluster_dispatches_total = %v of each", dispatch, queue, d)
+				}
+				if n := rep.Names[timeline.ProcName{PID: timeline.ProcSim, Name: "link-flow"}]; n == 0 {
+					t.Errorf("trace holds no link-flow spans")
+				}
 			}},
 		{"post-lookahead", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode post -lookahead 2 -stale-threshold 4", nil},
 		{"drift", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode drift", nil},

@@ -139,8 +139,8 @@ func main() {
 		}
 		fmt.Printf("  metric samples:   %d\n", rep.MetricCount)
 		fmt.Printf("  timeline events:  %d\n", rep.TimelineEvents)
-		for _, k := range sortedKeys(rep.ControlSpans) {
-			fmt.Printf("    %-16s %d records in %s, %d spans\n", k, rep.EventsByKind[k], flight.EventsFile, rep.ControlSpans[k])
+		for _, k := range sortedKeys(rep.DrawnSpans) {
+			fmt.Printf("    %-16s %d records in %s, %d spans\n", k, rep.EventsByKind[k], flight.EventsFile, rep.DrawnSpans[k])
 		}
 		for _, v := range man.Violations {
 			state := "ok"

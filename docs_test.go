@@ -23,7 +23,7 @@ import (
 // clustered platform, a default serve.New on each, a default cluster.NewFront
 // over them, and a drift-mode core.NewController — against one registry and
 // returns every metric name it registered. Per-link gauges fold into their
-// `sim_link_peak_util_<link>` pattern.
+// `sim_link_util_<link>` pattern.
 func registeredMetrics(t *testing.T) map[string]bool {
 	t.Helper()
 	const entries, machines = 2000, 2
@@ -73,8 +73,8 @@ func registeredMetrics(t *testing.T) map[string]bool {
 	for sc := bufio.NewScanner(&buf); sc.Scan(); {
 		if f := strings.Fields(sc.Text()); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
 			name := f[2]
-			if strings.HasPrefix(name, "sim_link_peak_util_") {
-				name = "sim_link_peak_util_<link>"
+			if strings.HasPrefix(name, "sim_link_util_") {
+				name = "sim_link_util_<link>"
 			}
 			names[name] = true
 		}

@@ -357,7 +357,7 @@ func drawn(rep *RefreshReport, pl *solver.Placement) []timeline.Event {
 	fl := flight.NewRecorder(1, 8)
 	e := rep.Record(pl, time.Now())
 	fl.RecordControl(&e)
-	tl := timeline.NewRecorder(1, 8)
+	tl := timeline.NewRecorder()
 	fl.DrawControl(tl)
 	return tl.Events()
 }

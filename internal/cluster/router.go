@@ -19,7 +19,6 @@ import (
 	"ugache/internal/flight"
 	"ugache/internal/serve"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
 // ErrPartial marks a lookup whose cross-node legs did not all return before
@@ -53,15 +52,15 @@ type FrontConfig struct {
 	// dispatch counts, queue depths, partial-failure counters). Nil creates
 	// a private registry.
 	Telemetry *telemetry.Registry
-	// Timeline, when non-nil, records per-node router tracks (ProcRouter):
-	// dispatch spans and queue-depth counter series, one tid per node.
-	Timeline *timeline.Recorder
 	// Flight, when non-nil, receives one control-ring event per partial
 	// lookup (Kind=partial, GPU=origin node: keys missing, remote keys
 	// asked) — the router's one slow-path fact, kept where a watchdog bundle
-	// finds it next to the refresh and drift events. Dispatch depth is
-	// per-lookup traffic and stays out of that ring: the two queue gauges
-	// and the timeline's counter track carry it.
+	// finds it next to the refresh and drift events — and one dispatch
+	// record per cross-node dispatch (Kind=dispatch: destination, keys,
+	// requests, wall seconds). Dispatches are per-lookup traffic, so they go
+	// to a dispatch ring per origin node that NewFront claims, never to the
+	// control ring; the timeline's router track is drawn from those rings
+	// (flight.Recorder.DrawRouter).
 	Flight *flight.Recorder
 }
 
@@ -142,7 +141,8 @@ type dispatcher struct {
 	f            *Front
 	origin, dest int
 	calls        chan *subCall
-	rr           atomic.Int64 // round-robin GPU pick on the destination
+	rr           atomic.Int64      // round-robin GPU pick on the destination
+	ring         *flight.EventRing // the origin's dispatch ring; nil without Flight
 }
 
 // run is the dispatcher's loop: block for the first sub-call, take the rest
@@ -184,15 +184,14 @@ func (d *dispatcher) send(batch []*subCall, keys int) {
 	g := int(d.rr.Add(1)-1) % dst.Sys.P.N
 	start := time.Now()
 	res := <-dst.Srv.Handle(g, all)
-	if d.f.tl != nil {
-		sh := d.f.tl.Shard(d.origin % d.f.tl.Shards())
-		ev := timeline.Event{Name: "dispatch", Cat: "router", Ph: timeline.PhSpan,
-			PID: timeline.ProcRouter, TID: int32(d.origin),
-			Start: d.f.tl.Since(start), Dur: time.Since(start).Seconds()}
-		ev.AddArg("dest", float64(d.dest))
-		ev.AddArg("keys", float64(keys))
-		ev.AddArg("requests", float64(len(batch)))
-		sh.Emit(&ev)
+	if d.ring != nil {
+		done := time.Now()
+		e := flight.Event{Kind: flight.KindDispatch, GPU: int32(d.origin), UnixNanos: done.UnixNano()}
+		e.V[flight.DispatchDest] = float64(d.dest)
+		e.V[flight.DispatchKeys] = float64(keys)
+		e.V[flight.DispatchRequests] = float64(len(batch))
+		e.V[flight.DispatchWallSeconds] = done.Sub(start).Seconds()
+		d.ring.Record(&e)
 	}
 	sim := res.SimSeconds + d.f.rtt
 	eb := d.f.entryBytes
@@ -216,7 +215,6 @@ type Front struct {
 	nodes      []*Node
 	out        [][]*dispatcher // out[origin][dest], nil on the diagonal
 	met        *routerMetrics
-	tl         *timeline.Recorder
 	fl         *flight.Recorder
 	entryBytes int
 	rtt        float64 // one modelled wire round trip, seconds
@@ -267,26 +265,23 @@ func NewFront(nodes []*Node, cfg FrontConfig) (*Front, error) {
 		ring:       ring,
 		nodes:      nodes,
 		met:        newRouterMetrics(reg),
-		tl:         cfg.Timeline,
 		fl:         cfg.Flight,
 		entryBytes: nodes[0].Sys.Cache.EntryBytes,
 		rtt:        2 * p.Net.LatencySec,
 		netSrc:     int(p.Network()),
 	}
-	if f.tl != nil {
-		f.tl.SetProcessName(timeline.ProcRouter, "router")
-		for i := range nodes {
-			f.tl.SetThreadName(timeline.ProcRouter, int32(i), fmt.Sprintf("node %d router", i))
-		}
-	}
 	f.out = make([][]*dispatcher, len(nodes))
 	for o := range nodes {
+		var ring *flight.EventRing
+		if f.fl != nil {
+			ring = f.fl.ClaimDispatch()
+		}
 		f.out[o] = make([]*dispatcher, len(nodes))
 		for dst := range nodes {
 			if dst == o {
 				continue
 			}
-			d := &dispatcher{f: f, origin: o, dest: dst,
+			d := &dispatcher{f: f, origin: o, dest: dst, ring: ring,
 				calls: make(chan *subCall, 4*len(nodes))}
 			f.out[o][dst] = d
 			f.wg.Add(1)
@@ -300,8 +295,7 @@ func NewFront(nodes []*Node, cfg FrontConfig) (*Front, error) {
 // predicates for the nodes' engines).
 func (f *Front) Ring() *Ring { return f.ring }
 
-// observeDispatch records one dispatch formation in telemetry and on the
-// timeline's counter track.
+// observeDispatch records one dispatch formation in telemetry.
 func (f *Front) observeDispatch(origin, keys int) {
 	f.met.dispatches.Add(origin, 1)
 	f.met.dispatchKeys.Add(origin, int64(keys))
@@ -316,32 +310,34 @@ func (f *Front) observeDispatch(origin, keys int) {
 			break
 		}
 	}
-	if f.tl != nil {
-		sh := f.tl.Shard(origin % f.tl.Shards())
-		ev := timeline.Event{Name: "router-queue", Cat: "router", Ph: timeline.PhCounter,
-			PID: timeline.ProcRouter, TID: int32(origin), Start: f.tl.Now()}
-		ev.AddArg("pending_keys", float64(keys))
-		sh.Emit(&ev)
-	}
 }
 
 // Lookup routes one request that arrived at node for GPU gpu: keys the
 // arrival node can serve from its own tiers (anything the placement does not
 // classify as network, plus network-class keys this node's host shard owns)
 // go to the local server; the rest scatter to their ring owners through the
-// coalescing dispatchers and gather back under the deadline.
+// coalescing dispatchers and gather back under the deadline. A bad node or
+// GPU index, or a key outside the table (serve.ErrBadKey), fails the lookup
+// before any counter moves or any leg is sent.
 func (f *Front) Lookup(node, gpu int, keys []int64) Result {
 	if node < 0 || node >= len(f.nodes) {
 		return Result{Err: fmt.Errorf("cluster: bad node %d", node)}
 	}
 	n := f.nodes[node]
+	if gpu < 0 || gpu >= n.Sys.P.N {
+		return Result{Err: fmt.Errorf("cluster: bad gpu %d", gpu)}
+	}
 	pl := n.Sys.Placement()
+	entries := pl.NumEntries()
 	// Split by serving side, preserving each key's caller position for the
 	// gather.
 	var localKeys []int64
 	var localIdx []int
 	var remote map[int]*subCall
 	for i, k := range keys {
+		if k < 0 || k >= entries {
+			return Result{Err: fmt.Errorf("%w: %d not in [0, %d)", serve.ErrBadKey, k, entries)}
+		}
 		local := int(pl.SourceOf(gpu, k)) != f.netSrc
 		owner := node
 		if !local {

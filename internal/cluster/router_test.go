@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/serve"
+	"ugache/internal/telemetry"
 	"ugache/internal/workload"
 )
 
@@ -205,6 +208,42 @@ func TestDispatcherCoalescesBacklog(t *testing.T) {
 				t.Fatalf("cluster_dispatch_keys_total = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestLookupRefusesBadInput: a node or GPU index out of range, or a key
+// outside the table, fails the lookup with the serve layer's errors — a key
+// with serve.ErrBadKey — before any counter moves or any leg leaves.
+func TestLookupRefusesBadInput(t *testing.T) {
+	const entries = 2000
+	f, _, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
+	for _, c := range []struct {
+		name      string
+		node, gpu int
+		keys      []int64
+		want      string
+	}{
+		{"gpu -1", 0, -1, []int64{1}, "bad gpu -1"},
+		{"gpu 99", 1, 99, []int64{1}, "bad gpu 99"},
+		{"node 2", 2, 0, []int64{1}, "bad node 2"},
+		{"key -1", 0, 0, []int64{1, -1}, "-1 not in [0, 2000)"},
+		{"key = NumEntries", 1, 1, []int64{3, entries}, "2000 not in [0, 2000)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := f.Lookup(c.node, c.gpu, c.keys)
+			if res.Err == nil || !strings.Contains(res.Err.Error(), c.want) {
+				t.Fatalf("err %v, want one saying %q", res.Err, c.want)
+			}
+			if isKey := strings.HasPrefix(c.name, "key"); errors.Is(res.Err, serve.ErrBadKey) != isKey {
+				t.Fatalf("err %v: wraps serve.ErrBadKey = %v, want %v", res.Err, !isKey, isKey)
+			}
+		})
+	}
+	m := f.met
+	for _, c := range []*telemetry.Counter{m.lookups, m.localKeys, m.remoteKeys, m.dispatches, m.partials} {
+		if c.Value() != 0 {
+			t.Fatalf("a refused lookup moved a counter to %d", c.Value())
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"ugache/internal/extract"
 	"ugache/internal/flight"
 	"ugache/internal/platform"
-	"ugache/internal/sim"
 	"ugache/internal/solver"
 	"ugache/internal/telemetry"
 	"ugache/internal/workload"
@@ -72,10 +71,9 @@ type Config struct {
 	Owned func(key int64) bool
 	// Telemetry, when non-nil, receives the engine's extraction metrics
 	// (simulated time split by source tier, per-tier cache-hit key
-	// counters) and the cache layer's refresh gauges; extractions made with
-	// a phase-recording Scratch (a traced server's) also publish per-link
-	// peak utilization gauges. Nil disables instrumentation entirely — the
-	// no-op fast path is a single nil check per extraction.
+	// counters, each link's mean utilization over the last extraction) and
+	// the cache layer's refresh gauges. Nil disables instrumentation
+	// entirely — the no-op fast path is a single nil check per extraction.
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, receives control-plane flight records into the
 	// recorder's shared control ring (DESIGN.md §6.8): every completed
@@ -135,8 +133,7 @@ type extractMetrics struct {
 	tierSecs   [4]*telemetry.FloatCounter // local, remote, host, network
 	tpb        [][]float64                // TimePerByteTable (Path allocates; this is the hot path)
 
-	// linkUtil[l] is link l's last-run peak utilization gauge, fed from
-	// extractions that carried a fluid-sim phase log (tracing on); linkCap
+	// linkUtil[l] is link l's last-run mean utilization gauge; linkCap
 	// caches capacities so the update path never touches the topology.
 	linkUtil []*telemetry.Gauge
 	linkCap  []float64
@@ -171,15 +168,15 @@ func newExtractMetrics(reg *telemetry.Registry, p *platform.Platform) *extractMe
 	}
 }
 
-// linkUtilGauges registers one saturation gauge per topology link:
-// sim_link_peak_util_<name> is the peak utilization the link reached during
-// the most recent phase-logged extraction (Fig. 6's congestion view,
-// reduced to its headline number). Registration happens once at Build.
+// linkUtilGauges registers one utilization gauge per topology link:
+// sim_link_util_<name> is the link's mean utilization over the most recent
+// extraction, LinkBytes / (capacity × makespan) — Fig. 13's measure, per
+// link. Registration happens once at Build.
 func linkUtilGauges(reg *telemetry.Registry, p *platform.Platform) []*telemetry.Gauge {
 	out := make([]*telemetry.Gauge, len(p.Topo.Links))
 	for l, link := range p.Topo.Links {
-		out[l] = reg.Gauge("sim_link_peak_util_"+sanitizeMetricName(link.Name),
-			"peak utilization of "+link.Name+" in the last phase-logged extraction")
+		out[l] = reg.Gauge("sim_link_util_"+sanitizeMetricName(link.Name),
+			"mean utilization of "+link.Name+" over the last extraction")
 	}
 	return out
 }
@@ -245,23 +242,14 @@ func (s *System) observeExtract(res *extract.Result) {
 	m.batches.Add(shard, 1)
 	m.simSeconds.Add(shard, res.Time)
 
-	// Saturation gauges: with a phase log present (tracing on), publish each
-	// link's peak phase utilization. Gauge stores are single atomics, so
-	// this adds no allocation to the instrumented path.
-	if res.Phases != nil {
-		log := res.Phases
+	// Utilization gauges: each link's mean load over this extraction. Gauge
+	// stores are single atomics, so this adds no allocation to the
+	// instrumented path.
+	if res.Time > 0 {
 		for l, g := range m.linkUtil {
-			capacity := m.linkCap[l]
-			if capacity <= 0 {
-				continue
+			if capacity := m.linkCap[l]; capacity > 0 {
+				g.Set(res.LinkBytes[l] / (capacity * res.Time))
 			}
-			peak := 0.0
-			for p := 0; p < log.Phases(); p++ {
-				if r := log.RateAt(p, sim.LinkID(l)); r > peak {
-					peak = r
-				}
-			}
-			g.Set(peak / capacity)
 		}
 	}
 }

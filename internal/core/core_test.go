@@ -275,7 +275,7 @@ func TestRefreshExactSolveStats(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry(p.N)
 	fl := flight.NewRecorder(1, 8)
-	rec := timeline.NewRecorder(1, 8)
+	rec := timeline.NewRecorder()
 	fl.DrawControl(rec)
 	sys, err := Build(Config{
 		Platform:           p,

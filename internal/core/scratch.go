@@ -26,12 +26,6 @@ func NewScratch() *Scratch {
 	return &Scratch{extract: extract.NewScratch(), gather: cache.NewGatherScratch()}
 }
 
-// RecordSimPhases toggles fluid-sim phase logging for extractions made with
-// this scratch (see extract.Scratch.RecordPhases). The serving engine turns
-// it on when a timeline recorder is attached so per-link utilization tracks
-// can be rendered; off (the default) costs nothing on the hot path.
-func (s *Scratch) RecordSimPhases(on bool) { s.extract.RecordPhases(on) }
-
 // ExtractBatchWith is ExtractBatch on a caller's scratch: the returned
 // Result aliases the scratch's buffers and is valid only until the scratch's
 // next use. A nil scratch means a fresh one of the call's own

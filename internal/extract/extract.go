@@ -95,12 +95,6 @@ type Result struct {
 	// Stalled is the average fraction of core-time lost to congestion in
 	// PeerRandom (0 for the other mechanisms).
 	Stalled float64
-	// Phases is the fluid simulation's per-phase per-link rate history,
-	// available for the Factored/FactoredStatic mechanisms when the run used
-	// a Scratch with phase recording enabled (Scratch.RecordPhases); nil
-	// otherwise. It aliases the scratch and is valid only until the
-	// scratch's next use.
-	Phases *sim.PhaseLog
 }
 
 // Utilization returns the average utilization of the given links over the
@@ -264,7 +258,6 @@ func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, vol [][]float64, 
 		PerGPU:    sc.perGPUSlice(e.P.N),
 		LinkBytes: res.LinkBytes,
 		SrcBytes:  vol,
-		Phases:    res.Phases,
 	}
 	for g, row := range idx {
 		for _, di := range row {

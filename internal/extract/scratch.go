@@ -80,12 +80,6 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// RecordPhases toggles fluid-sim phase logging for runs made with this
-// scratch: when on, Factored/FactoredStatic results carry a Phases log for
-// timeline rendering (Result.Phases). Off by default — the tracing-off hot
-// path must not pay for the log.
-func (sc *Scratch) RecordPhases(on bool) { sc.sim.Record = on }
-
 // volMatrix returns a zeroed n-by-ns matrix backed by the scratch.
 func (sc *Scratch) volMatrix(n, ns int) [][]float64 {
 	if cap(sc.volBack) < n*ns {

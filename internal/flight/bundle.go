@@ -25,8 +25,9 @@ type BundleConfig struct {
 	Recorder *Recorder
 	// Registry supplies metrics.json (a full Samples snapshot).
 	Registry *telemetry.Registry
-	// Timeline supplies timeline.json (the current span-ring window, the
-	// same Chrome trace-event document /debug/timeline serves).
+	// Timeline supplies timeline.json (the trace drawn from the rings as
+	// they are now, the same Chrome trace-event document /debug/timeline
+	// serves).
 	Timeline *timeline.Recorder
 	// SkipProfiles omits the goroutine dump and heap profile — tests use it
 	// to keep bundle writing fast; production bundles always want both.
@@ -69,8 +70,8 @@ const manifestVersion = 1
 // tree is rendered from its ring slot when the timeline is exported, so the
 // exemplar is chosen among the batches recorded before the timeline write
 // and still held after it: its tree is in the bundle's own timeline.json.
-// For the same reason flight.jsonl holds the control records recorded before
-// the timeline write, each of which timeline.json draws.
+// For the same reason flight.jsonl holds the control and dispatch records
+// recorded before the timeline write, each of which timeline.json draws.
 func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exemplarSince int64) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")

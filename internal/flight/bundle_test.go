@@ -13,13 +13,14 @@ import (
 	"ugache/internal/timeline"
 )
 
-// spanTimeline returns a span recorder whose shards hold depth events and
-// whose export renders rec's batch trees, as serve.New wires it, and its
-// control records, as ugache-serve does.
-func spanTimeline(rec *Recorder, depth int) *timeline.Recorder {
-	tl := timeline.NewRecorder(1, depth)
+// spanTimeline returns a timeline whose export renders rec's batch trees, as
+// serve.New wires it, and its control and dispatch records, as ugache-serve
+// does.
+func spanTimeline(rec *Recorder) *timeline.Recorder {
+	tl := timeline.NewRecorder()
 	tl.AddSource(func(dst []timeline.Event) []timeline.Event { return rec.Trace().AppendSpans(tl, dst) })
 	rec.DrawControl(tl)
+	rec.DrawRouter(tl)
 	return tl
 }
 
@@ -48,6 +49,9 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	} {
 		rec.RecordControl(&e)
 	}
+	dispatch := Event{Kind: KindDispatch, GPU: 1, UnixNanos: now}
+	dispatch.V[DispatchKeys], dispatch.V[DispatchRequests], dispatch.V[DispatchWallSeconds] = 12, 2, 0.001
+	rec.ClaimDispatch().Record(&dispatch)
 
 	reg := telemetry.NewRegistry(1)
 	reg.Counter("serve_requests_total", "x").Add(0, 42)
@@ -56,7 +60,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		Dir:      dir,
 		Recorder: rec,
 		Registry: reg,
-		Timeline: spanTimeline(rec, 0),
+		Timeline: spanTimeline(rec),
 	}
 	violations := []SignalState{{Name: "admitted_p99_seconds", Short: 0.025, Long: 0.020, Threshold: 0.010, Breached: true}}
 	path, err := WriteBundle(cfg, "slo:admitted_p99_seconds", violations, 0)
@@ -77,11 +81,11 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EventLines != 22 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 {
+	if rep.EventLines != 23 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 || rep.EventsByKind["dispatch"] != 1 {
 		t.Fatalf("events = %d %v", rep.EventLines, rep.EventsByKind)
 	}
-	if want := map[string]int{"refresh": 1, "drift": 1, "prefetch": 2}; !maps.Equal(rep.ControlSpans, want) {
-		t.Fatalf("control spans %v, want one per record: %v", rep.ControlSpans, want)
+	if want := map[string]int{"refresh": 1, "drift": 1, "prefetch": 2, "dispatch": 1}; !maps.Equal(rep.DrawnSpans, want) {
+		t.Fatalf("drawn spans %v, want one per record: %v", rep.DrawnSpans, want)
 	}
 	if rep.MetricCount == 0 {
 		t.Fatal("no metric samples in bundle")
@@ -97,18 +101,23 @@ func TestWriteBundleAndValidate(t *testing.T) {
 }
 
 // TestBundleExemplarHasItsSpanTree: the exemplar and its span tree come out
-// of the same ring slot, so the slowest batch resolves however short the
-// span rings are and however much else has churned through them.
+// of the same ring slot, so the slowest batch the ring still holds resolves
+// however much has churned through it — and a slower one the ring has lapped
+// is not picked.
 func TestBundleExemplarHasItsSpanTree(t *testing.T) {
-	rec := NewRecorder(1, 16)
+	rec := NewRecorder(1, 8)
 	ring := rec.Claim()
-	tl := spanTimeline(rec, 8)
-	for i, lat := range []float64{0.090, 0.010, 0.030, 0.020} {
+	tl := spanTimeline(rec)
+	for i := 0; i < 40; i++ {
+		lat := 0.010 + 0.0001*float64(i%7)
+		switch i {
+		case 0:
+			lat = 0.500 // lapped by the 39 after it
+		case 35:
+			lat = 0.090
+		}
 		b := stagedBatch(0, lat, 1+i)
 		ring.Record(&b)
-		for i := 0; i < 26; i++ { // a flush's worth of link-flow spans
-			tl.Shard(0).Emit(&timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan, PID: timeline.ProcSim})
-		}
 	}
 	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: tl, SkipProfiles: true},
 		"test", nil, 0)
@@ -119,14 +128,14 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := rep.Manifest.Exemplar; ex == nil || ex.Seq != 1 || ex.LatencySeconds < 0.0899 || rep.ExemplarSpans != 6 {
-		t.Fatalf("exemplar = %+v (%d spans), want seq 1 with its root and five stages", ex, rep.ExemplarSpans)
+	if ex := rep.Manifest.Exemplar; ex == nil || ex.Seq != 36 || ex.LatencySeconds < 0.0899 || rep.ExemplarSpans != 6 {
+		t.Fatalf("exemplar = %+v (%d spans), want seq 36 with its root and five stages", ex, rep.ExemplarSpans)
 	}
 
 	// No batch at all: no exemplar, rather than one that dangles.
 	empty := NewRecorder(1, 16)
 	empty.RecordControl(&Event{Kind: KindRefresh, GPU: -1, UnixNanos: 1})
-	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, Timeline: spanTimeline(empty, 8), SkipProfiles: true},
+	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, Timeline: spanTimeline(empty), SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +181,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim().Record(&b)
 	path, err := WriteBundle(BundleConfig{
-		Dir: dir, Recorder: rec, Timeline: spanTimeline(rec, 0), SkipProfiles: true,
+		Dir: dir, Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true,
 	}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +194,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	}
 	lapped := NewRecorder(1, 8)
 	skipTo(lapped.Claim(), 10)
-	if err := spanTimeline(lapped, 0).WriteTrace(f); err != nil {
+	if err := spanTimeline(lapped).WriteTrace(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -199,7 +208,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	rec.RecordControl(&Event{Kind: KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()})
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec, 0), SkipProfiles: true},
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +220,7 @@ func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := timeline.NewRecorder(1, 8).WriteTrace(f); err != nil {
+	if err := timeline.NewRecorder().WriteTrace(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

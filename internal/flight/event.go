@@ -2,15 +2,18 @@
 // constant-memory, zero-hot-path-allocation log held in lock-free seqlock
 // rings. Each serving worker writes one Batch record per flushed batch into a
 // ring of its own — the single store behind /debug/trace, the flight JSONL
-// and the Chrome-trace batch span trees, which are all rendered from it on
-// the read side — and slow-path writers (refresh, drift, prefetch, the
-// cluster router) share a control ring of Events, likewise the one store the
-// timeline's control and prefetch tracks are drawn from (DrawControl). On
-// top sits an SLO watchdog that evaluates rolling multi-window burn-rate
-// style objectives over the live telemetry and, on a violation, drains
-// everything the post-hoc debugger needs into a self-contained diagnostic
-// bundle (records as JSONL, a telemetry snapshot, the current span-timeline
-// window, a goroutine dump and a heap profile, tied together by a manifest).
+// and the Chrome-trace batch span trees and link flows, which are all
+// rendered from it on the read side — and slow-path writers (refresh,
+// drift, prefetch, the cluster router's partial lookups) share a control
+// ring of Events, likewise the one store the timeline's control and
+// prefetch tracks are drawn from (DrawControl); each router node's
+// dispatches go to a dispatch ring of its own, the one store of the
+// timeline's router track (DrawRouter). On top sits an SLO watchdog that
+// evaluates rolling multi-window burn-rate style objectives over the live
+// telemetry and, on a violation, drains everything the post-hoc debugger
+// needs into a self-contained diagnostic bundle (records as JSONL, a
+// telemetry snapshot, the timeline drawn from them, a goroutine dump and a
+// heap profile, tied together by a manifest).
 //
 // Where internal/telemetry answers "how many / how long on average" and
 // internal/timeline answers "when, on which track", flight answers "what
@@ -24,9 +27,9 @@ import (
 	"strconv"
 )
 
-// Kind tags one control-ring event's type; it selects which payload slots are
-// meaningful and how they are named in the JSONL export. Flushed batches are
-// not events: each is one Batch record in its worker's ring (batch.go).
+// Kind tags one event's type; it selects which payload slots are meaningful
+// and how they are named in the JSONL export. Flushed batches are not
+// events: each is one Batch record in its worker's ring (batch.go).
 type Kind uint8
 
 const (
@@ -41,9 +44,13 @@ const (
 	KindDrift
 	// KindPrefetch is one staged lookahead prefetch window.
 	KindPrefetch
+	// KindDispatch is one coalesced cross-node router dispatch (GPU = the
+	// origin node), in its origin's dispatch ring.
+	KindDispatch
 )
 
-var kindNames = [...]string{KindPartial: "partial", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch"}
+var kindNames = [...]string{KindPartial: "partial", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch",
+	KindDispatch: "dispatch"}
 
 // String returns the kind's JSONL name.
 func (k Kind) String() string {
@@ -114,6 +121,16 @@ const (
 	PrefetchStageSeconds
 )
 
+// Payload slot indices for KindDispatch events: the destination node, the
+// keys and the sub-lookups (requests) the dispatch carried, and the wall
+// seconds from its send to its reply, which ends at the record's time.
+const (
+	DispatchDest = iota
+	DispatchKeys
+	DispatchRequests
+	DispatchWallSeconds
+)
+
 // kindFields names each kind's used payload slots, in slot order; the JSONL
 // export emits exactly these, and the timeline draws the drift evaluation
 // and the storage summary under the same names. New names are only ever
@@ -126,16 +143,18 @@ var kindFields = map[Kind][]string{
 		"replicated_mass", "partitioned_mass", "uncached_mass", "est_time_max"},
 	KindDrift:    {"score", "topk_overlap", "rank_distance", "window_batches", "drifted"},
 	KindPrefetch: {"announced_keys", "fetched_keys", "sim_s", "filter_s", "extract_s", "stage_s"},
+	KindDispatch: {"dest", "keys", "requests", "wall_s"},
 }
 
-// Event is one control-ring record. The struct is flat — no pointers, no
-// slices, no strings — so recording is a copy into a preallocated ring slot
-// and never allocates.
+// Event is one control- or dispatch-ring record. The struct is flat — no
+// pointers, no slices, no strings — so recording is a copy into a
+// preallocated ring slot and never allocates.
 type Event struct {
 	// Kind selects the payload schema.
 	Kind Kind
 	// GPU is the worker/GPU the event belongs to (the origin node for
-	// KindPartial), or -1 for control-plane events that have no single GPU.
+	// KindPartial and KindDispatch), or -1 for control-plane events that
+	// have no single GPU.
 	GPU int32
 	// Seq is a kind-specific sequence: the placement version for
 	// KindRefresh, 0 otherwise.

@@ -80,17 +80,61 @@ func (r *Ring) Snapshot(dst []Batch) []Batch {
 	return dst
 }
 
-// Recorder owns one batch ring per serving worker plus a shared control ring
-// (refresh / drift / prefetch / router events: several slow-path writers and
-// slow-path readers, so a plain ring under a short mutex). Memory is fixed
-// at construction: workers x depth + depth slots, nothing grows afterwards.
+// EventRing is a fixed-capacity ring of Events under a short mutex, for
+// writers off the batch path: several of them may share one ring (the
+// control plane's refresh, drift and prefetch writers; one router node's
+// dispatchers), and every reader is on the slow path.
+type EventRing struct {
+	mu  sync.Mutex
+	buf []Event // circular; the next write goes to buf[n % len]
+	n   uint64  // events ever written
+}
+
+func newEventRing(depth int) *EventRing { return &EventRing{buf: make([]Event, depth)} }
+
+// Record copies one event in, overwriting the oldest once the ring is full.
+func (r *EventRing) Record(e *Event) {
+	r.mu.Lock()
+	r.buf[r.n%uint64(len(r.buf))] = *e
+	r.n++
+	r.mu.Unlock()
+}
+
+// Events returns the ring's current events, oldest first.
+func (r *EventRing) Events() []Event { return r.events(math.MaxUint64) }
+
+// events returns the ring's current events among the first end ever
+// recorded, oldest first.
+func (r *EventRing) events(end uint64) []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := uint64(len(r.buf))
+	start, end := r.n-min(r.n, n), min(end, r.n)
+	out := make([]Event, 0, end-min(start, end))
+	for i := start; i < end; i++ {
+		out = append(out, r.buf[i%n])
+	}
+	return out
+}
+
+// Recorded returns the number of events ever written.
+func (r *EventRing) Recorded() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+// Recorder owns one batch ring per serving worker, a shared control ring
+// (refresh / drift / prefetch / partial-lookup events) and one dispatch ring
+// per router node (ClaimDispatch). Every ring holds the last depth records
+// and nothing grows once the rings are claimed.
 type Recorder struct {
 	rings   []*Ring
 	claimed atomic.Int64
+	ctrl    *EventRing
 
-	ctrlM sync.Mutex
-	ctrl  []Event // circular; the next write goes to ctrl[ctrlN % len]
-	ctrlN uint64  // control events ever written
+	evM    sync.Mutex
+	events []*EventRing // ctrl, then the dispatch rings in claim order
 }
 
 // DefaultDepth is the per-ring depth used when NewRecorder is given a
@@ -112,7 +156,8 @@ func NewRecorder(workers, depth int) *Recorder {
 	for i := range r.rings {
 		r.rings[i] = NewRing(depth)
 	}
-	r.ctrl = make([]Event, r.rings[0].Depth())
+	r.ctrl = newEventRing(r.rings[0].Depth())
+	r.events = []*EventRing{r.ctrl}
 	return r
 }
 
@@ -130,40 +175,41 @@ func (r *Recorder) Claim() *Ring {
 	return r.rings[i]
 }
 
+// ClaimDispatch adds a dispatch ring as deep as the control ring and hands
+// it out: the router claims one per node, in node order, so that per-lookup
+// traffic never evicts a control record.
+func (r *Recorder) ClaimDispatch() *EventRing {
+	ring := newEventRing(len(r.ctrl.buf))
+	r.evM.Lock()
+	r.events = append(r.events, ring)
+	r.evM.Unlock()
+	return ring
+}
+
+// eventRings returns the control ring, then the dispatch rings claimed so
+// far.
+func (r *Recorder) eventRings() []*EventRing {
+	r.evM.Lock()
+	defer r.evM.Unlock()
+	return r.events[:len(r.events):len(r.events)]
+}
+
 // Trace returns the read-side view over every worker ring.
 func (r *Recorder) Trace() *Trace { return NewTrace(r.rings) }
 
 // RecordControl records one control-plane event (refresh, drift, prefetch,
-// router), overwriting the oldest once the control ring is full.
-func (r *Recorder) RecordControl(e *Event) {
-	r.ctrlM.Lock()
-	r.ctrl[r.ctrlN%uint64(len(r.ctrl))] = *e
-	r.ctrlN++
-	r.ctrlM.Unlock()
-}
+// partial lookup), overwriting the oldest once the control ring is full.
+func (r *Recorder) RecordControl(e *Event) { r.ctrl.Record(e) }
 
 // Events returns the control ring's current events, oldest first.
-func (r *Recorder) Events() []Event { return r.events(math.MaxUint64) }
-
-// events returns the control ring's current events among the first end ever
-// recorded, oldest first.
-func (r *Recorder) events(end uint64) []Event {
-	r.ctrlM.Lock()
-	defer r.ctrlM.Unlock()
-	n := uint64(len(r.ctrl))
-	start, end := r.ctrlN-min(r.ctrlN, n), min(end, r.ctrlN)
-	out := make([]Event, 0, end-min(start, end))
-	for i := start; i < end; i++ {
-		out = append(out, r.ctrl[i%n])
-	}
-	return out
-}
+func (r *Recorder) Events() []Event { return r.ctrl.Events() }
 
 // Recorded sums the records ever written across all rings.
 func (r *Recorder) Recorded() uint64 {
-	r.ctrlM.Lock()
-	total := r.ctrlN
-	r.ctrlM.Unlock()
+	var total uint64
+	for _, rg := range r.eventRings() {
+		total += rg.Recorded()
+	}
 	for _, rg := range r.rings {
 		total += rg.Recorded()
 	}
@@ -181,16 +227,16 @@ type Exemplar struct {
 	UnixNanos      int64   `json:"unix_nanos"`
 }
 
-// mark returns how many records each worker ring, and last the control
-// ring, has taken so far.
+// mark returns how many records each worker ring, then each event ring has
+// taken so far.
 func (r *Recorder) mark() []uint64 {
-	m := make([]uint64, len(r.rings)+1)
-	for i, rg := range r.rings {
-		m[i] = rg.Recorded()
+	var m []uint64
+	for _, rg := range r.rings {
+		m = append(m, rg.Recorded())
 	}
-	r.ctrlM.Lock()
-	m[len(r.rings)] = r.ctrlN
-	r.ctrlM.Unlock()
+	for _, rg := range r.eventRings() {
+		m = append(m, rg.Recorded())
+	}
 	return m
 }
 
@@ -218,16 +264,24 @@ func (r *Recorder) exemplar(since int64, mark []uint64) *Exemplar {
 }
 
 // lines renders the newest limit held records (limit <= 0: all of them) —
-// batches and control events, the latter only those recorded before mark
-// when it is non-nil — as one JSON object each, merged oldest first (ties:
-// batches before events).
+// batches, control events and dispatch events, the latter two only those
+// recorded before mark when it is non-nil — as one JSON object each, merged
+// oldest first (ties: batches before events).
 func (r *Recorder) lines(limit int, mark []uint64) [][]byte {
 	batches := r.Trace().Snapshot(nil)
-	end := uint64(math.MaxUint64)
-	if mark != nil {
-		end = mark[len(r.rings)]
+	end := func(i int) uint64 { // a ring claimed after the mark had taken nothing
+		switch {
+		case mark == nil:
+			return math.MaxUint64
+		case i < len(mark):
+			return mark[i]
+		}
+		return 0
 	}
-	events := r.events(end)
+	var events []Event
+	for i, rg := range r.eventRings() {
+		events = append(events, rg.events(end(len(r.rings)+i))...)
+	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].UnixNanos < events[j].UnixNanos })
 	if n := len(batches) + len(events); limit <= 0 || limit > n {
 		limit = n

@@ -1,20 +1,38 @@
 package flight
 
 import (
+	"fmt"
 	"time"
 
 	"ugache/internal/timeline"
 )
 
+// tiers names the source classes a batch record splits its extraction into
+// (§5's per-source core groups), in track order: GPU g's link flows from
+// tiers[i] are drawn on ProcSim tid g*len(tiers)+i.
+var tiers = [...]string{"local", "remote", "host", "network"}
+
+// NameLinkFlows names the link-flow process and its (GPU, source class)
+// tracks — "gpu 0 local" to "gpu <gpus-1> network".
+func NameLinkFlows(tl *timeline.Recorder, gpus int) {
+	tl.SetProcessName(timeline.ProcSim, "link flows")
+	for g := 0; g < gpus; g++ {
+		for i, tier := range tiers {
+			tl.SetThreadName(timeline.ProcSim, int32(g*len(tiers)+i), fmt.Sprintf("gpu %d %s", g, tier))
+		}
+	}
+}
+
 // AppendSpans renders every held batch as its Chrome-trace events and
 // appends them to dst: on the serve track the span tree batch → queue-wait /
 // coalesce / extract / gather / reply (the root carries the record's seq,
-// the join column an Exemplar resolves through), and on the overload track
-// the queue-depth and cumulative-shed counter samples taken at batch
-// formation, plus a shed instant wherever the count moved between two
-// consecutive batches of a worker. Register it with tl.AddSource: the trees
-// are then derived from the record rings at export time instead of being
-// stored a second time per flush.
+// the join column an Exemplar resolves through); on the link-flow tracks one
+// span per source class the batch read from, starting with its extract stage
+// and lasting that class's modelled seconds; and on the overload track the
+// queue-depth and cumulative-shed counter samples taken at batch formation,
+// plus a shed instant wherever the count moved between two consecutive
+// batches of a worker. Register it with tl.AddSource: every track is then
+// derived from the record rings at export time, never stored per flush.
 func (t *Trace) AppendSpans(tl *timeline.Recorder, dst []timeline.Event) []timeline.Event {
 	var buf []Batch
 	for _, r := range t.rings {
@@ -49,6 +67,20 @@ func (t *Trace) AppendSpans(tl *timeline.Recorder, dst []timeline.Event) []timel
 				}
 				at += st.dur
 			}
+			extract := start + b.QueueWaitSeconds + b.CoalesceSeconds
+			for i, f := range [...]struct{ bytes, seconds float64 }{
+				{b.LocalBytes, b.LocalSeconds}, {b.RemoteBytes, b.RemoteSeconds},
+				{b.HostBytes, b.HostSeconds}, {b.NetworkBytes, b.NetworkSeconds},
+			} {
+				if f.bytes == 0 {
+					continue
+				}
+				flow := timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan,
+					PID: timeline.ProcSim, TID: tid*int32(len(tiers)) + int32(i), Start: extract, Dur: f.seconds}
+				flow.AddArg("bytes", f.bytes)
+				flow.AddArg("seconds", f.seconds)
+				dst = append(dst, flow)
+			}
 
 			formed := start + b.QueueWaitSeconds
 			depth := timeline.Event{Name: "queue_depth", Cat: "overload", Ph: timeline.PhCounter,
@@ -81,9 +113,10 @@ func (t *Trace) AppendSpans(tl *timeline.Recorder, dst []timeline.Event) []timel
 // true total.
 const MaxRefreshStepSpans = 128
 
-// drawnAs names the span (or instant) each control kind is drawn as; a
+// drawnAs names the span (or instant) each event kind is drawn as; a
 // partial router lookup is not drawn.
-var drawnAs = map[string]string{"refresh": "refresh", "drift": "drift-check", "prefetch": "prefetch-window"}
+var drawnAs = map[string]string{"refresh": "refresh", "drift": "drift-check", "prefetch": "prefetch-window",
+	"dispatch": "dispatch"}
 
 // DrawControl makes tl draw the control ring at export, the way serve.New
 // registers its batch rings: the control track (the refresh → refresh-solve
@@ -110,6 +143,35 @@ func (r *Recorder) DrawControl(tl *timeline.Recorder) {
 				dst = append(dst, ev)
 			case KindPrefetch:
 				dst = appendPrefetch(dst, &e, end)
+			}
+		}
+		return dst
+	})
+}
+
+// DrawRouter makes tl draw the dispatch rings at export, the way DrawControl
+// draws the control ring: one dispatch span per record on its origin node's
+// router track (args: dest, keys, requests), with a router-queue counter
+// sample of the keys it carried at its start. The rings are their only
+// store. Call it once the router has claimed its rings.
+func (r *Recorder) DrawRouter(tl *timeline.Recorder) {
+	tl.SetProcessName(timeline.ProcRouter, "router")
+	for i := range r.eventRings()[1:] {
+		tl.SetThreadName(timeline.ProcRouter, int32(i), fmt.Sprintf("node %d router", i))
+	}
+	tl.AddSource(func(dst []timeline.Event) []timeline.Event {
+		for _, rg := range r.eventRings()[1:] {
+			for _, e := range rg.Events() {
+				start := max(0, tl.Since(time.Unix(0, e.UnixNanos))-e.V[DispatchWallSeconds])
+				span := timeline.Event{Name: "dispatch", Cat: "router", Ph: timeline.PhSpan,
+					PID: timeline.ProcRouter, TID: e.GPU, Start: start, Dur: e.V[DispatchWallSeconds]}
+				span.AddArg("dest", e.V[DispatchDest])
+				span.AddArg("keys", e.V[DispatchKeys])
+				span.AddArg("requests", e.V[DispatchRequests])
+				queue := timeline.Event{Name: "router-queue", Cat: "router", Ph: timeline.PhCounter,
+					PID: timeline.ProcRouter, TID: e.GPU, Start: start}
+				queue.AddArg("pending_keys", e.V[DispatchKeys])
+				dst = append(dst, span, queue)
 			}
 		}
 		return dst

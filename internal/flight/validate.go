@@ -32,21 +32,21 @@ type BundleReport struct {
 	// (the root "batch" span plus its children), 0 when the manifest has no
 	// exemplar.
 	ExemplarSpans int
-	// ControlSpans counts, per control kind the timeline draws (refresh,
-	// drift, prefetch), the spans timeline.json holds of it.
-	ControlSpans map[string]int
+	// DrawnSpans counts, per record kind the timeline draws (refresh, drift,
+	// prefetch, dispatch), the spans timeline.json holds of it.
+	DrawnSpans map[string]int
 }
 
 // ValidateBundle checks a diagnostic bundle directory end to end: the
 // manifest parses and every file it lists exists non-empty, flight.jsonl
 // parses line by line with the event count the manifest promised,
 // metrics.json and timeline.json parse, profiles are non-empty, the
-// timeline draws every control record flight.jsonl holds (at least as many
-// refresh, drift-check and prefetch-window spans as refresh, drift and
-// prefetch records), and — when the manifest carries an exemplar — the
-// exemplar's (GPU, batch seq) resolves to a root "batch" span with a
-// matching seq arg in the bundled timeline window, along with the child
-// spans nested under it.
+// timeline draws every control and dispatch record flight.jsonl holds (at
+// least as many refresh, drift-check, prefetch-window and dispatch spans as
+// refresh, drift, prefetch and dispatch records), and — when the manifest
+// carries an exemplar — the exemplar's (GPU, batch seq) resolves to a root
+// "batch" span with a matching seq arg in the bundled timeline, along with
+// the child spans nested under it.
 func ValidateBundle(dir string) (*BundleReport, error) {
 	rep := &BundleReport{Dir: dir, EventsByKind: make(map[string]int)}
 
@@ -166,8 +166,8 @@ func (ev *traceEvent) numArg(key string) (float64, bool) {
 	return v, true
 }
 
-// checkTimeline parses timeline.json, holds its control spans to the
-// control records checkEvents counted and, when the manifest carries an
+// checkTimeline parses timeline.json, holds its drawn spans to the control
+// and dispatch records checkEvents counted and, when the manifest carries an
 // exemplar, resolves its (GPU, seq) to the matching batch span tree.
 func (rep *BundleReport) checkTimeline(dir string) error {
 	raw, err := os.ReadFile(filepath.Join(dir, TimelineFile))
@@ -182,16 +182,16 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 	}
 	rep.TimelineEvents = len(doc.TraceEvents)
 
-	rep.ControlSpans = make(map[string]int, len(drawnAs))
+	rep.DrawnSpans = make(map[string]int, len(drawnAs))
 	for kind, name := range drawnAs {
 		for i := range doc.TraceEvents {
 			if doc.TraceEvents[i].Name == name {
-				rep.ControlSpans[kind]++
+				rep.DrawnSpans[kind]++
 			}
 		}
-		if rep.ControlSpans[kind] < rep.EventsByKind[kind] {
+		if rep.DrawnSpans[kind] < rep.EventsByKind[kind] {
 			return fmt.Errorf("flight: %s draws %d %s spans of the %d %s records in %s",
-				TimelineFile, rep.ControlSpans[kind], name, rep.EventsByKind[kind], kind, EventsFile)
+				TimelineFile, rep.DrawnSpans[kind], name, rep.EventsByKind[kind], kind, EventsFile)
 		}
 	}
 

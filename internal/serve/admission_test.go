@@ -48,7 +48,7 @@ func admissionSystem(t *testing.T) *core.System {
 // batch records: the batch formed after it carries the new total, and the
 // export renders the counter step and one shed instant from that.
 func TestAdmissionFastFail(t *testing.T) {
-	tl := timeline.NewRecorder(4, 64)
+	tl := timeline.NewRecorder()
 	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Timeline: tl})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2)

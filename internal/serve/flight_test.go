@@ -18,7 +18,7 @@ import (
 func TestServeFlightEvents(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
 	fl := flight.NewRecorder(sys.P.N, 256)
-	rec := timeline.NewRecorder(sys.P.N, 4096)
+	rec := timeline.NewRecorder()
 	srv, err := New(sys, Config{Flight: fl, Timeline: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +185,11 @@ func TestServersShareRecorder(t *testing.T) {
 
 // TestServeFlightAllocParity is the acceptance gate for the flight
 // recorder's zero-allocation claim: the steady-state flush path allocates
-// exactly as much with flight recording enabled as without it.
+// exactly as much with flight recording enabled as without it — and as much
+// again with a timeline attached, which draws from the records at export and
+// leaves the flush path alone.
 func TestServeFlightAllocParity(t *testing.T) {
-	build := func(fl *flight.Recorder) *Server {
+	build := func(fl *flight.Recorder, tl *timeline.Recorder) *Server {
 		sys, err := core.Build(core.Config{
 			Platform:   platform.ServerA(),
 			Hotness:    testHotness(3000, 1.1, 3),
@@ -197,7 +199,7 @@ func TestServeFlightAllocParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
+		srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl, Timeline: tl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,9 +220,12 @@ func TestServeFlightAllocParity(t *testing.T) {
 			}
 		})
 	}
-	off := measure(build(nil))
-	on := measure(build(flight.NewRecorder(4, 1024)))
+	off := measure(build(nil, nil))
+	on := measure(build(flight.NewRecorder(4, 1024), nil))
 	if on > off {
 		t.Fatalf("flight recording adds allocations to the flush path: %.1f with, %.1f without", on, off)
+	}
+	if traced := measure(build(flight.NewRecorder(4, 1024), timeline.NewRecorder())); traced > off {
+		t.Fatalf("a timeline adds allocations to the flush path: %.1f with, %.1f without", traced, off)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"ugache/internal/extract"
 	"ugache/internal/flight"
 	"ugache/internal/hashtable"
-	"ugache/internal/sim"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
 )
@@ -110,12 +109,11 @@ type Config struct {
 	// Async controller here — a synchronous one would run solves inline on
 	// the flush path.
 	Controller *core.Controller
-	// Timeline, when non-nil, exports every held batch record as a span tree
-	// on the serve track (queue-wait → coalesce → extract → gather → reply),
-	// rendered from the record rings when the trace is written, and records
-	// every batch's fluid-sim phases as per-link utilization spans (DESIGN.md
-	// §6.3; worker g emits those into the recorder's shard g). Nil disables
-	// both behind one pointer check.
+	// Timeline, when non-nil, draws every held batch record when the trace
+	// is written: a span tree on the serve track (queue-wait → coalesce →
+	// extract → gather → reply), one link-flow span per source class it read
+	// from, and its overload-track samples (DESIGN.md §6.3). The flush path
+	// does not see it.
 	Timeline *timeline.Recorder
 	// Flight is the recorder whose rings take the batch records (DESIGN.md
 	// §6.8) and whose control ring takes staged prefetch windows — drawn on
@@ -316,9 +314,6 @@ type Server struct {
 	fl    *flight.Recorder
 	rings []*flight.Ring
 
-	tl      *timeline.Recorder
-	linkCap []float64 // topology link capacities, for utilization span args
-
 	// Lookahead prefetch pipeline (nil/empty when Config.Lookahead == 0).
 	// servedKeys[g] counts the keys GPU g's flushes have answered; in units
 	// of MaxBatchKeys (batchClock) it is the logical clock the staging
@@ -360,19 +355,6 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	if sys.P.HasNetwork() {
 		s.netSrc = int(sys.P.Network())
 	}
-	if cfg.Timeline != nil {
-		// Register the serve and fluid-sim track names once at wiring time
-		// (Event names themselves are package literals).
-		s.tl = cfg.Timeline
-		s.nameTracks(timeline.ProcServe, "serve", "gpu %d worker")
-		s.nameTracks(timeline.ProcOverload, "overload", "gpu %d admission")
-		s.tl.SetProcessName(timeline.ProcSim, "fluid-sim links")
-		s.linkCap = make([]float64, len(sys.P.Topo.Links))
-		for l, link := range sys.P.Topo.Links {
-			s.tl.SetThreadName(timeline.ProcSim, int32(l), link.Name)
-			s.linkCap[l] = link.Capacity
-		}
-	}
 	if cfg.Lookahead > 0 {
 		n := sys.P.N
 		s.staging = make([]*cache.StagingArena, n)
@@ -392,9 +374,6 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 			s.staging[g] = arena
 			s.prefetchQ[g] = make(chan *prefetchWindow, depth)
 		}
-		if s.tl != nil {
-			s.nameTracks(timeline.ProcPrefetch, "prefetch", "gpu %d prefetch")
-		}
 	}
 	if s.fl == nil {
 		s.fl = flight.NewRecorder(sys.P.N, privateRecordDepth)
@@ -406,9 +385,17 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 				g, sys.P.N, s.fl.Workers())
 		}
 	}
-	if tl, trace := s.tl, s.Trace(); tl != nil {
-		// The source outlives the server in the recorder: it holds the rings,
-		// not the server and its cache.
+	if tl := cfg.Timeline; tl != nil {
+		// Track names once, at wiring time; the source outlives the server in
+		// the recorder: it holds the rings, not the server and its cache.
+		n := sys.P.N
+		nameTracks(tl, timeline.ProcServe, "serve", "gpu %d worker", n)
+		nameTracks(tl, timeline.ProcOverload, "overload", "gpu %d admission", n)
+		if cfg.Lookahead > 0 {
+			nameTracks(tl, timeline.ProcPrefetch, "prefetch", "gpu %d prefetch", n)
+		}
+		flight.NameLinkFlows(tl, n)
+		trace := s.Trace()
 		tl.AddSource(func(dst []timeline.Event) []timeline.Event { return trace.AppendSpans(tl, dst) })
 	}
 	for g := range s.queues {
@@ -426,10 +413,10 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 }
 
 // nameTracks names a timeline process group and its one track per GPU.
-func (s *Server) nameTracks(pid int32, process, thread string) {
-	s.tl.SetProcessName(pid, process)
-	for g := 0; g < s.sys.P.N; g++ {
-		s.tl.SetThreadName(pid, int32(g), fmt.Sprintf(thread, g))
+func nameTracks(tl *timeline.Recorder, pid int32, process, thread string, gpus int) {
+	tl.SetProcessName(pid, process)
+	for g := 0; g < gpus; g++ {
+		tl.SetThreadName(pid, int32(g), fmt.Sprintf(thread, g))
 	}
 }
 
@@ -587,7 +574,6 @@ type workerScratch struct {
 	batch extract.Batch
 	rows  []byte
 	core  *core.Scratch
-	span  *timeline.Shard // link-flow spans; nil without a Timeline
 
 	// reqs is the reusable batch-formation slice (flushNext rebuilds it in
 	// place every batch). rec is the record of the batch in hand — flushNext
@@ -619,10 +605,6 @@ func (s *Server) newWorkerScratch(g int) *workerScratch {
 	}
 	if s.staging != nil {
 		sc.batch.Staged = make([][]int64, s.sys.P.N)
-	}
-	if s.tl != nil {
-		sc.span = s.tl.Shard(g)
-		sc.core.RecordSimPhases(true)
 	}
 	return sc
 }
@@ -747,7 +729,6 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 	extractEnd := time.Now()
 	rec.SimSeconds = res.Time
 	s.tierSplit(g, res.SrcBytes[g], rec)
-	phases := res.Phases
 
 	// Feed the §7.2 hotness sampler with this batch's unique keys; shard g
 	// belongs to this worker, so the observation is race-free.
@@ -797,9 +778,6 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 	rec.ReplySeconds = done.Sub(gatherEnd).Seconds()
 	rec.UnixNanos = done.UnixNano()
 	sc.ring.Record(rec)
-	if sc.span != nil {
-		s.emitLinkFlows(sc, phases, s.tl.Since(extractStart))
-	}
 }
 
 // dedupe coalesces the batch's keys with the generation-stamped
@@ -920,35 +898,6 @@ func (s *Server) reply(g int, batch []*request, sc *workerScratch, rows []byte) 
 		}
 		r.out <- out
 		s.met.latency.Observe(g, time.Since(r.enqueued).Seconds())
-	}
-}
-
-// emitLinkFlows renders an extraction's fluid-sim phase log as
-// per-link flow spans on the sim track, anchored at the extraction's wall
-// start (seconds since the recorder epoch) so the simulated timeline nests
-// visually under the batch's extract span. All names are package literals;
-// nothing here allocates beyond the shard's ring copy.
-func (s *Server) emitLinkFlows(sc *workerScratch, phases *sim.PhaseLog, start float64) {
-	if phases == nil {
-		return
-	}
-	prev := 0.0
-	for p := 0; p < phases.Phases(); p++ {
-		end := phases.T[p]
-		for l := range s.linkCap {
-			rate := phases.RateAt(p, sim.LinkID(l))
-			if rate <= 0 {
-				continue
-			}
-			ev := timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan,
-				PID: timeline.ProcSim, TID: int32(l), Start: start + prev, Dur: end - prev}
-			if c := s.linkCap[l]; c > 0 {
-				ev.AddArg("util", rate/c)
-			}
-			ev.AddArg("rate_bytes_per_s", rate)
-			sc.span.Emit(&ev)
-		}
-		prev = end
 	}
 }
 

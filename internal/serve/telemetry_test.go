@@ -233,7 +233,8 @@ func TestServeTelemetryPrefetchFillSplit(t *testing.T) {
 
 // TestServeTelemetryTraceSampling pins what a flush records: exactly one
 // record into its worker's ring (Recorded() == N after N flushes, and nowhere
-// else), and, with a Timeline attached, the link-flow spans of every batch.
+// else), and, with a Timeline attached, the link-flow span of every batch —
+// one each, since a single key is read from a single source class.
 func TestServeTelemetryTraceSampling(t *testing.T) {
 	sys, err := core.Build(core.Config{
 		Platform:   platform.ServerA(),
@@ -244,7 +245,7 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := timeline.NewRecorder(sys.P.N, 4096)
+	tl := timeline.NewRecorder()
 	srv, err := New(sys, Config{MaxBatchKeys: 1, Timeline: tl})
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +262,8 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 			linkFlows++
 		}
 	}
-	if linkFlows < 16 {
-		t.Fatalf("%d link-flow spans for 16 batches, want at least one each", linkFlows)
+	if linkFlows != 16 {
+		t.Fatalf("%d link-flow spans for 16 single-key batches, want one each", linkFlows)
 	}
 	// 16 single-request batches on worker 0: 16 records there, none elsewhere.
 	for g, ring := range srv.rings {

@@ -41,7 +41,7 @@ func TestPhaseLogRecording(t *testing.T) {
 	for l := range topo.Links {
 		integ, start := 0.0, 0.0
 		for p := 0; p < log.Phases(); p++ {
-			rate := log.RateAt(p, LinkID(l))
+			rate := log.Rate[p*log.Links+l]
 			if rate > topo.Links[l].Capacity+1e-9 {
 				t.Fatalf("link %d phase %d rate %g exceeds capacity %g",
 					l, p, rate, topo.Links[l].Capacity)

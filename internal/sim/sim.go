@@ -119,11 +119,10 @@ type flow struct {
 // PhaseLog is the per-phase rate history of one RunWith call: the fluid
 // simulation advances in phases (rates are constant between demand
 // completions), and the log keeps each phase's end time plus the aggregate
-// allocated rate on every link during that phase. This is the information
-// the paper's timeline figures are drawn from (Fig. 6's link-congestion
-// curves) and what internal/timeline renders as per-link utilization
-// tracks. Buffers are reused across runs; a log aliases its RunScratch and
-// is valid only until the scratch's next RunWith call.
+// allocated rate on every link during that phase — the information the
+// paper's Fig. 6 link-congestion curves are drawn from. Buffers are reused
+// across runs; a log aliases its RunScratch and is valid only until the
+// scratch's next RunWith call.
 type PhaseLog struct {
 	// T[p] is the end time of phase p in seconds; phase p covers
 	// [T[p-1], T[p]) with T[-1] = 0.
@@ -138,11 +137,6 @@ type PhaseLog struct {
 
 // Phases returns the number of recorded phases.
 func (pl *PhaseLog) Phases() int { return len(pl.T) }
-
-// RateAt returns link l's aggregate allocated rate during phase p.
-func (pl *PhaseLog) RateAt(p int, l LinkID) float64 {
-	return pl.Rate[p*pl.Links+int(l)]
-}
 
 // RunScratch holds the reusable working state of RunWith so steady-state
 // simulation runs stop allocating: the flow table, the active list, the

@@ -9,11 +9,11 @@ import (
 	"strconv"
 )
 
-// WriteTrace renders the recorder's merged events as a Chrome trace-event
+// WriteTrace renders the events the sources draw as a Chrome trace-event
 // JSON object ({"traceEvents": [...]}) loadable in Perfetto and
 // chrome://tracing. Timestamps and durations are exported in microseconds
-// (the trace-event unit). Output is deterministic for identical recorded
-// content: events are sorted (see Events), track-name metadata is sorted by
+// (the trace-event unit). Output is deterministic for identical drawn
+// events: events are sorted (see Events), track-name metadata is sorted by
 // pid/tid, and floats use shortest-round-trip formatting.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)

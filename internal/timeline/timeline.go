@@ -3,18 +3,16 @@
 // consumed by Perfetto and chrome://tracing. Where internal/telemetry
 // answers "how many / how long on average", timeline answers "when, on
 // which track": each coalesced serving batch becomes a span tree
-// (queue-wait → coalesce → extract → gather → reply), each fluid-sim phase
-// becomes per-link utilization spans (the paper's Fig. 6 congestion curves),
-// and each cache refresh becomes the Fig. 17 solve/update-step timeline.
+// (queue-wait → coalesce → extract → gather → reply) with one link-flow span
+// per source class it read from (§5's per-source core groups), each router
+// dispatch becomes a span, and each cache refresh becomes the Fig. 17
+// solve/update-step timeline.
 //
-// The recording discipline matches DESIGN.md §6.1: events are flat structs
-// (static name/category strings, fixed arg slots, no maps, no pointers), a
-// writer emits into a preallocated per-worker ring under a short per-shard
-// mutex, and nothing on the emit path allocates. Only what no record
-// carries is stored that way (fluid-sim phases, router dispatches); batch
-// trees and the control tracks are sources (AddSource) rendered from the
-// flight recorder's rings. Export merges and sorts the shards and sources
-// on demand — a slow-path, read-side operation.
+// The package is a renderer, not a store: a Recorder holds track names and
+// sources (AddSource), each of which draws its events from records another
+// layer already keeps — the flight recorder's batch, control and dispatch
+// rings. Export asks every source and sorts what they drew on demand — a
+// slow-path, read-side operation; nothing is recorded on the hot path.
 package timeline
 
 import (
@@ -30,8 +28,8 @@ const (
 	// ProcServe holds the serving engine's span trees, one tid per GPU
 	// worker.
 	ProcServe = 1
-	// ProcSim holds the fluid simulator's per-link utilization tracks, one
-	// tid per topology link.
+	// ProcSim holds the extraction model's link-flow tracks, one tid per
+	// (GPU, source class) pair.
 	ProcSim = 2
 	// ProcControl holds slow-path control spans: cache refresh steps and
 	// solver introspection.
@@ -74,7 +72,7 @@ const (
 )
 
 // MaxArgs is the number of argument slots on an Event. Events keep args in
-// a fixed array so recording is a plain struct copy.
+// a fixed array so an event is a plain struct.
 const MaxArgs = 10
 
 // Arg is one key/value argument of an event. Values are numeric — the
@@ -86,19 +84,16 @@ type Arg struct {
 }
 
 // Event is one trace event. The struct is flat (static strings, fixed-size
-// arg array), so ring-buffer recording copies it without allocating. Name
-// and Cat must be interned strings that outlive the recorder — package
-// literals or strings precomputed at wiring time, never fmt output built on
-// the hot path.
+// arg array); Name and Cat are package literals, so drawing a record
+// allocates nothing but the slice it appends to.
 type Event struct {
 	Name string
 	Cat  string
 	Ph   Ph
 	PID  int32
 	TID  int32
-	// Start is seconds since the recorder's epoch for wall-clock events
-	// (Recorder.Now / Recorder.Since), or any caller-defined time base for
-	// simulated events; it must be non-negative.
+	// Start is seconds since the recorder's epoch (Recorder.Since); it must
+	// be non-negative.
 	Start float64
 	// Dur is the span length in seconds (PhSpan only).
 	Dur float64
@@ -117,64 +112,14 @@ func (e *Event) AddArg(key string, v float64) {
 	e.NArgs++
 }
 
-// Shard is one writer's preallocated event ring. A shard is owned by one
-// goroutine in steady state (serving worker g emits into Shard(g)); the
-// short per-record mutex only exists so the cluster router's dispatchers and
-// the exporter can touch the same shard safely.
-type Shard struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	n       int
-	dropped int64
-}
-
-// Emit copies one event into the ring, overwriting the oldest once full.
-func (s *Shard) Emit(e *Event) {
-	s.mu.Lock()
-	if s.n == len(s.buf) {
-		s.dropped++
-	}
-	s.buf[s.next] = *e
-	s.next = (s.next + 1) % len(s.buf)
-	if s.n < len(s.buf) {
-		s.n++
-	}
-	s.mu.Unlock()
-}
-
-// Len returns the number of events currently held.
-func (s *Shard) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Dropped returns how many events were overwritten before export.
-func (s *Shard) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// snapshot appends the held events to dst, oldest first.
-func (s *Shard) snapshot(dst []Event) []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := (s.next - s.n + len(s.buf)) % len(s.buf)
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, s.buf[(start+i)%len(s.buf)])
-	}
-	return dst
-}
-
-// Recorder owns the per-worker span rings, the rendered sources and the
-// track-name registry of one process. One recorder is shared by every
-// instrumented layer (serve, cluster, the flight recorder's drawn tracks);
-// nil recorders disable tracing at each layer behind a single pointer check.
+// Recorder is the track-name registry and the list of sources of one
+// process's trace. It holds no events: every span is drawn at export from a
+// record some other layer already keeps (the flight recorder's batch,
+// control and dispatch rings), so a trace reaches exactly as far back as
+// those records. One recorder is shared by every instrumented layer; nil
+// recorders disable tracing at each layer behind a single pointer check.
 type Recorder struct {
-	epoch  time.Time
-	shards []Shard
+	epoch time.Time
 
 	mu      sync.Mutex
 	procs   map[int32]string
@@ -182,59 +127,25 @@ type Recorder struct {
 	sources []func(dst []Event) []Event
 }
 
-// DefaultDepth is the per-shard ring depth used when NewRecorder is given
-// a non-positive depth: enough for several thousand batches' span trees
-// without unbounded growth.
-const DefaultDepth = 8192
-
-// NewRecorder creates a recorder with the given number of writer shards
-// (one per serving worker plus one for control-plane writers is typical;
-// values < 1 are raised to 1) each holding the last depth events.
-func NewRecorder(shards, depth int) *Recorder {
-	if shards < 1 {
-		shards = 1
-	}
-	if depth < 1 {
-		depth = DefaultDepth
-	}
-	r := &Recorder{
+// NewRecorder creates a recorder with no tracks and no sources; its epoch,
+// the zero of every exported timestamp, is now.
+func NewRecorder() *Recorder {
+	return &Recorder{
 		epoch:   time.Now(),
-		shards:  make([]Shard, shards),
 		procs:   make(map[int32]string),
 		threads: make(map[int64]string),
 	}
-	for i := range r.shards {
-		r.shards[i].buf = make([]Event, depth)
-	}
-	return r
-}
-
-// Shards returns the recorder's shard count.
-func (r *Recorder) Shards() int { return len(r.shards) }
-
-// Shard returns writer shard i (reduced modulo the shard count). Cache the
-// pointer next to the worker's scratch; Shard itself is cheap but not free.
-func (r *Recorder) Shard(i int) *Shard {
-	if i < 0 {
-		i = -i
-	}
-	return &r.shards[i%len(r.shards)]
 }
 
 // AddSource registers a function Events (and so WriteTrace) calls to append
-// events that are rendered on demand instead of being stored in a shard —
-// the serve batch trees and the control tracks, which are derived from the
-// flight record rings at export time. src must be safe to call from any
+// the events it renders from its records — the serve batch trees and link
+// flows, the control and router tracks. src must be safe to call from any
 // goroutine.
 func (r *Recorder) AddSource(src func(dst []Event) []Event) {
 	r.mu.Lock()
 	r.sources = append(r.sources, src)
 	r.mu.Unlock()
 }
-
-// Now returns seconds since the recorder's epoch — the Start value for a
-// wall-clock event beginning now.
-func (r *Recorder) Now() float64 { return time.Since(r.epoch).Seconds() }
 
 // Since converts an absolute time into seconds since the recorder's epoch.
 // Times predating the epoch clamp to 0 so Start stays non-negative.
@@ -260,24 +171,11 @@ func (r *Recorder) SetThreadName(pid, tid int32, name string) {
 	r.mu.Unlock()
 }
 
-// Dropped sums the events overwritten across all shards before export.
-func (r *Recorder) Dropped() int64 {
-	var total int64
-	for i := range r.shards {
-		total += r.shards[i].Dropped()
-	}
-	return total
-}
-
-// Events returns a merged snapshot of every shard and source, sorted by
-// start time (ties broken by pid, tid, name, duration so the order — and
-// therefore the exported JSON — is deterministic for identical recorded
-// content).
+// Events returns what every source draws, sorted by start time (ties
+// broken by pid, tid, name, duration so the order — and therefore the
+// exported JSON — is deterministic for identical drawn events).
 func (r *Recorder) Events() []Event {
 	var out []Event
-	for i := range r.shards {
-		out = r.shards[i].snapshot(out)
-	}
 	r.mu.Lock()
 	sources := r.sources[:len(r.sources):len(r.sources)]
 	r.mu.Unlock()

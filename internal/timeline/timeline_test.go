@@ -12,9 +12,10 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
-// fixedEvents builds a deterministic event set exercising every phase,
-// every taxonomy pid, args, and name escaping. Starts are explicit, so the
-// wall clock never enters and export is byte-stable.
+// fixedEvents names tracks and registers a source drawing a deterministic
+// event set exercising every phase, every taxonomy pid, args, and name
+// escaping. Starts are explicit, so the wall clock never enters and export
+// is byte-stable.
 func fixedEvents(r *Recorder) {
 	r.SetProcessName(ProcServe, "serve")
 	r.SetProcessName(ProcSim, "fluid-sim links")
@@ -27,26 +28,23 @@ func fixedEvents(r *Recorder) {
 	batch := Event{Name: "batch", Cat: "serve", Ph: PhSpan, PID: ProcServe, TID: 0, Start: 0.001, Dur: 0.0025}
 	batch.AddArg("requests", 3)
 	batch.AddArg("unique_keys", 1234)
-	r.Shard(0).Emit(&batch)
 	child := Event{Name: "extract", Cat: "serve", Ph: PhSpan, PID: ProcServe, TID: 0, Start: 0.0012, Dur: 0.0018}
-	r.Shard(0).Emit(&child)
 	// Same start as batch on another tid: exercises the sort tie-breaks.
 	other := Event{Name: "batch", Cat: "serve", Ph: PhSpan, PID: ProcServe, TID: 1, Start: 0.001, Dur: 0.002}
-	r.Shard(1).Emit(&other)
 	link := Event{Name: "link-flow", Cat: "sim", Ph: PhSpan, PID: ProcSim, TID: 0, Start: 0.0012, Dur: 0.0009}
 	link.AddArg("util", 0.75)
 	link.AddArg("rate_bytes_per_s", 1.8e11)
-	r.Shard(1).Emit(&link)
 	inst := Event{Name: "refresh-update-steps-truncated", Cat: "refresh", Ph: PhInstant, PID: ProcControl, TID: TIDRefresh, Start: 0.004}
 	inst.AddArg("omitted_steps", 17)
-	r.Shard(0).Emit(&inst)
 	ctr := Event{Name: "queue_depth", Cat: "serve", Ph: PhCounter, PID: ProcServe, TID: 0, Start: 0.002}
 	ctr.AddArg("depth", 5)
-	r.Shard(0).Emit(&ctr)
+	// Two sources, each drawing in its own order: the export sorts.
+	r.AddSource(func(dst []Event) []Event { return append(dst, batch, child, inst, ctr) })
+	r.AddSource(func(dst []Event) []Event { return append(dst, other, link) })
 }
 
 func TestWriteTraceGolden(t *testing.T) {
-	r := NewRecorder(2, 64)
+	r := NewRecorder()
 	fixedEvents(r)
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -66,9 +64,8 @@ func TestWriteTraceGolden(t *testing.T) {
 		t.Fatalf("export differs from golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 
-	// A second recorder fed the same events must export identical bytes —
-	// determinism does not depend on shard fill order within a shard count.
-	r2 := NewRecorder(2, 64)
+	// A second recorder drawing the same events must export identical bytes.
+	r2 := NewRecorder()
 	fixedEvents(r2)
 	var buf2 bytes.Buffer
 	if err := r2.WriteTrace(&buf2); err != nil {
@@ -80,7 +77,7 @@ func TestWriteTraceGolden(t *testing.T) {
 }
 
 func TestWriteTraceValidates(t *testing.T) {
-	r := NewRecorder(2, 64)
+	r := NewRecorder()
 	fixedEvents(r)
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -90,7 +87,7 @@ func TestWriteTraceValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 recorded events + 3 process_name + 4 thread_name metadata.
+	// 6 drawn events + 3 process_name + 4 thread_name metadata.
 	if rep.Events != 13 {
 		t.Fatalf("validated %d events, want 13", rep.Events)
 	}
@@ -127,34 +124,13 @@ func TestValidateRejectsBadTraces(t *testing.T) {
 	}
 }
 
-func TestRingOverwriteAndDropCount(t *testing.T) {
-	r := NewRecorder(1, 4)
-	sh := r.Shard(0)
-	for i := 0; i < 10; i++ {
-		ev := Event{Name: "e", Ph: PhInstant, PID: 1, TID: 0, Start: float64(i)}
-		sh.Emit(&ev)
-	}
-	if sh.Len() != 4 {
-		t.Fatalf("ring holds %d, want 4", sh.Len())
-	}
-	if r.Dropped() != 6 {
-		t.Fatalf("dropped %d, want 6", r.Dropped())
-	}
-	evs := r.Events()
-	if len(evs) != 4 || evs[0].Start != 6 || evs[3].Start != 9 {
-		t.Fatalf("survivors %v", evs)
-	}
-}
-
 func TestEventOrdering(t *testing.T) {
-	r := NewRecorder(1, 16)
-	sh := r.Shard(0)
-	// Child emitted before parent; equal starts must order parent (longer
+	r := NewRecorder()
+	// Child drawn before parent; equal starts must order parent (longer
 	// dur) first so trace viewers nest correctly.
 	child := Event{Name: "child", Ph: PhSpan, PID: 1, TID: 0, Start: 1, Dur: 0.5}
 	parent := Event{Name: "parent", Ph: PhSpan, PID: 1, TID: 0, Start: 1, Dur: 2}
-	sh.Emit(&child)
-	sh.Emit(&parent)
+	r.AddSource(func(dst []Event) []Event { return append(dst, child, parent) })
 	evs := r.Events()
 	if evs[0].Name != "parent" || evs[1].Name != "child" {
 		t.Fatalf("order %s, %s", evs[0].Name, evs[1].Name)
@@ -171,13 +147,10 @@ func TestArgOverflowDropsSilently(t *testing.T) {
 	}
 }
 
-func TestNowAndSince(t *testing.T) {
-	r := NewRecorder(1, 8)
+func TestSinceClampsToEpoch(t *testing.T) {
+	r := NewRecorder()
 	if r.Since(time.Now().Add(-time.Hour)) != 0 {
 		t.Fatal("pre-epoch time did not clamp to 0")
-	}
-	if r.Now() < 0 {
-		t.Fatal("negative Now")
 	}
 	if r.Since(time.Now().Add(time.Millisecond)) <= 0 {
 		t.Fatal("future time not positive")

@@ -280,19 +280,18 @@ type Health = telemetry.Health
 // NewHealth returns a not-ready Health.
 func NewHealth() *Health { return telemetry.NewHealth() }
 
-// TimelineRecorder records span-based traces of a server (ServeConfig.Timeline:
-// serve batch trees, fluid-sim link utilization, admission counters) and
-// exports Chrome trace-event JSON loadable in Perfetto or chrome://tracing
-// (DESIGN.md §6.3). The refresh, solver, drift and prefetch tracks are drawn
-// from a flight recorder's control ring, which the façade does not expose.
+// TimelineRecorder draws span-based traces of a server (ServeConfig.Timeline:
+// serve batch trees, per-source link flows, admission counters) from the
+// server's batch records and exports Chrome trace-event JSON loadable in
+// Perfetto or chrome://tracing (DESIGN.md §6.3). It stores no events of its
+// own. The refresh, solver, drift, prefetch and router tracks are drawn from
+// a flight recorder's control and dispatch rings, which the façade does not
+// expose.
 type TimelineRecorder = timeline.Recorder
 
-// NewTimelineRecorder creates a recorder with one event ring per writer
-// shard (use the platform's GPU count for serving; depth <= 0 picks the
-// default ring depth).
-func NewTimelineRecorder(shards, depth int) *TimelineRecorder {
-	return timeline.NewRecorder(shards, depth)
-}
+// NewTimelineRecorder creates a recorder whose epoch — the zero of every
+// exported timestamp — is now.
+func NewTimelineRecorder() *TimelineRecorder { return timeline.NewRecorder() }
 
 // ValidateTimeline parses a Chrome trace-event JSON stream and checks the
 // invariants the exporter guarantees; it backs `ugache-trace
