@@ -1,6 +1,6 @@
 GO ?= go
 
-RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster ./internal/app ./internal/telemetry ./internal/timeline ./internal/flight ./internal/milp ./internal/solver ./internal/workload ./internal/baselines ./internal/bench ./cmd/ugache-serve
+RACE_PKGS = ./internal/cache ./internal/core ./internal/serve ./internal/cluster ./internal/app ./internal/telemetry ./internal/timeline ./internal/flight ./internal/solver ./internal/workload ./internal/baselines ./internal/bench ./cmd/ugache-serve
 
 # Packages with testing.B microbenchmarks on the extraction hot path and on
 # the key sampler that generates its load.
@@ -32,11 +32,12 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzRingOwner -fuzztime 10s ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzRealizeSymmetric -fuzztime 10s ./internal/solver
+	$(GO) test -run xxx -fuzz FuzzLoadPlacement -fuzztime 10s ./internal/solver
 
 # Race coverage of the concurrent paths: lookups/extractions racing
-# refreshes, the serving engine, the parallel bench runner, the
-# multi-worker branch-and-bound search (milp is the slowest at ~15 s), and
-# ugache-serve end to end (its closed and open loops, listener and shutdown).
+# refreshes, the serving engine, the parallel bench runner (bench is the
+# slowest), and ugache-serve end to end (its closed and open loops, listener
+# and shutdown).
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -64,13 +65,12 @@ bench-pairs:
 	scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED) $(KEEP)
 
 # Solver control-plane benchmarks: the simplex on a dense and on a
-# block-shaped sparse LP, parallel branch-and-bound throughput (W=1 vs W=4),
-# and the shipped policy's whole solve on the benchmark's three problems
-# (compare against the checked-in BENCH_solver.json numbers; its description
-# says how its parent/change rows were paired).
+# block-shaped sparse LP, and the shipped policy's whole solve on the
+# benchmark's three problems (compare against the checked-in
+# BENCH_solver.json numbers; its description says how its parent/change rows
+# were paired).
 bench-solver:
 	$(GO) test -run xxx -bench 'BenchmarkSimplexMedium|BenchmarkSimplexBlockLP' -benchmem ./internal/lp
-	$(GO) test -run xxx -bench BenchmarkMILPSolve -benchmem ./internal/milp
 	$(GO) test -run xxx -bench BenchmarkPolicySolve -benchmem ./internal/solver
 
 # Drift-adaptive refresh benchmark: served p99 through a flash-crowd shift

@@ -22,7 +22,6 @@ var censusStructs = []struct{ dir, name string }{
 	{"internal/solver", "UGache"},
 	{"internal/solver", "UGacheGreedy"},
 	{"internal/solver", "OptimalLP"},
-	{"internal/solver", "Exact"},
 	{"internal/solver", "Options"},
 	{"internal/workload", "OpenLoopConfig"},
 	{"internal/app", "MemoryModel"},
@@ -31,7 +30,6 @@ var censusStructs = []struct{ dir, name string }{
 	{"internal/core", "ControllerConfig"},
 	{"internal/flight", "WatchdogConfig"},
 	{"internal/flight", "BundleConfig"},
-	{"internal/milp", "Options"},
 	{"internal/platform", "Config"},
 	{"internal/bench", "Options"},
 }
@@ -45,9 +43,6 @@ var censusAllow = map[string]string{
 	"flight.WatchdogConfig.LongWindow":  "as ShortWindow",
 	"flight.WatchdogConfig.Cooldown":    "watchdog tests trip twice without waiting out the default cooldown",
 	"flight.BundleConfig.SkipProfiles":  "bundle tests skip the heap profile and goroutine dump they do not read",
-	"milp.Options.OnProgress":           "the bound-monotonicity tests observe the search through it",
-	"milp.Options.MaxNodes":             "the truncated-search tests (incomplete result, bound reporting) cut a search short with it; solver.Options.MaxNodes was its one pass-through",
-	"solver.Exact.MaxBlocks":            "exact-policy tests solve reduced instances; PolicyByName's \"exact\" takes Input.BlockBudget instead",
 	"solver.UGacheGreedy.RefineRounds":  "the refinement test compares the search with and without its local-search pass",
 	"platform.Config.PairBW":            "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
 }
@@ -288,8 +283,6 @@ func TestOptionCensus(t *testing.T) {
 // non-test file names and that stay all the same, each with its reason.
 var funcAllow = map[string]string{
 	"flight.FillReason.MarshalJSON": "json.Marshaler: encoding/json calls it when /debug/trace encodes a Batch",
-	"milp.nodeHeap.Less":            "container/heap's interface, with Len, Push and Pop that the search does name",
-	"milp.nodeHeap.Swap":            "as Less",
 	"solver.moveHeap.Less":          "container/heap's interface, with Len, Push and Pop that the refinement does name",
 	"solver.moveHeap.Swap":          "as Less",
 	"bench.ResetCaches":             "the determinism tests and the package's benchmarks drop the report memos between two runs of one experiment",

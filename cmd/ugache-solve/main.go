@@ -31,12 +31,14 @@ func main() {
 		compare = flag.Bool("compare", false, "solve with every policy family")
 		save    = flag.String("save", "", "write the solved placement to this file")
 		seed    = flag.Uint64("seed", 42, "random seed")
-		workers = flag.Int("solver-workers", 0, "branch-and-bound workers for exact policies (0/1 sequential, -1 all cores)")
-		relgap  = flag.Float64("relgap", 0, "relative optimality gap for exact policies (0 proves optimality)")
-		blocks  = flag.Int("blocks", 0, "hotness block budget (0 = policy default; the exact policy needs a reduced count)")
+		blocks  = flag.Int("blocks", 0, "hotness block budget (0 = policy default)")
 	)
 	flag.Parse()
 
+	if *entries < 1 || *dim < 1 {
+		fmt.Fprintf(os.Stderr, "ugache-solve: -entries (%d) and -dim (%d) must be at least 1\n", *entries, *dim)
+		os.Exit(1)
+	}
 	p, err := platform.ByName(*server)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugache-solve: %v\n", err)
@@ -70,7 +72,7 @@ func main() {
 			os.Exit(1)
 		}
 		t0 := time.Now()
-		pl, err := solver.SolveWith(pol, in, solver.Options{Workers: *workers, RelGap: *relgap})
+		pl, err := pol.Solve(in)
 		if err != nil {
 			fmt.Printf("%-18s %s\n", name, err)
 			continue
@@ -107,11 +109,7 @@ func main() {
 			st.Local*100, st.Remote*100, st.Host*100, len(pl.Blocks),
 			overBound, minUsed*100, maxUsed*100)
 		if pl.LowerBound > 0 {
-			if pl.SolveNodes > 0 {
-				fmt.Printf("%-18s   (lower bound %.4gus, %d B&B nodes)\n", "", pl.LowerBound*1e6, pl.SolveNodes)
-			} else {
-				fmt.Printf("%-18s   (LP lower bound %.4gus)\n", "", pl.LowerBound*1e6)
-			}
+			fmt.Printf("%-18s   (LP lower bound %.4gus)\n", "", pl.LowerBound*1e6)
 		}
 		if *save != "" && !*compare {
 			f, err := os.Create(*save)

@@ -26,7 +26,6 @@ type refreshMetrics struct {
 	evicted       *telemetry.Gauge
 	inserted      *telemetry.Gauge
 	solveWall     *telemetry.Gauge
-	solveNodes    *telemetry.Gauge
 }
 
 // SetTelemetry registers the refresh gauges in reg and publishes every
@@ -47,7 +46,6 @@ func (s *System) SetTelemetry(reg *telemetry.Registry) {
 		evicted:       reg.Gauge("cache_refresh_last_evicted_entries", "entries evicted by the last refresh"),
 		inserted:      reg.Gauge("cache_refresh_last_inserted_entries", "entries inserted by the last refresh"),
 		solveWall:     reg.Gauge("cache_refresh_last_solve_wall_seconds", "last refresh measured policy-solve wall seconds"),
-		solveNodes:    reg.Gauge("cache_refresh_last_solve_nodes", "branch-and-bound nodes explored by the last refresh solve"),
 	})
 }
 
@@ -57,9 +55,9 @@ func (s *System) SetTelemetry(reg *telemetry.Registry) {
 // timeline's solver and refresh tracks are drawn from
 // (flight.Recorder.DrawControl). The caller sets Seq.
 func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight.Event {
-	var wall, nodes, estMax float64
+	var wall, estMax float64
 	if st := rep.Solve; st != nil {
-		wall, nodes = st.WallSeconds, float64(st.Nodes)
+		wall = st.WallSeconds
 	}
 	for _, t := range pl.EstTimes {
 		estMax = max(estMax, t)
@@ -67,7 +65,7 @@ func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight
 	sum, now := pl.StorageSummary(), time.Now()
 	return flight.Event{Kind: flight.KindRefresh, GPU: -1, UnixNanos: now.UnixNano(), V: [flight.MaxPayload]float64{
 		// In slot order, flight.RefreshSolveWallSeconds to RefreshEstTimeMax.
-		wall, rep.Duration, float64(rep.EvictedEntries + rep.InsertedEntries), rep.MeanImpact, nodes,
+		wall, rep.Duration, float64(rep.EvictedEntries + rep.InsertedEntries), rep.MeanImpact,
 		float64(rep.EvictedEntries), float64(rep.InsertedEntries), rep.SolveSeconds, rep.UpdateSeconds,
 		float64(rep.Steps), rep.StepSeconds, rep.LastStepSeconds, rep.PauseSeconds, now.Sub(trigger).Seconds(),
 		float64(len(pl.Blocks)), float64(sum.ReplicatedBlocks), float64(sum.PartialBlocks),
@@ -77,9 +75,9 @@ func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight
 }
 
 // publish pushes one refresh report into the gauges. A report without solve
-// statistics zeroes the solve-wall gauges: they describe the *last* refresh,
-// and leaving a previous MILP solve's numbers published after a heuristic or
-// LP refresh would misattribute that solve to the wrong placement.
+// statistics zeroes the solve-wall gauge: it describes the *last* refresh,
+// and leaving a previous solve's wall time published after a stat-less
+// refresh would misattribute that solve to the wrong placement.
 func (m *refreshMetrics) publish(rep *RefreshReport) {
 	m.total.Add(0, 1)
 	m.duration.Set(rep.Duration)
@@ -88,13 +86,11 @@ func (m *refreshMetrics) publish(rep *RefreshReport) {
 	m.meanImpact.Set(rep.MeanImpact)
 	m.evicted.Set(float64(rep.EvictedEntries))
 	m.inserted.Set(float64(rep.InsertedEntries))
+	wall := 0.0
 	if st := rep.Solve; st != nil {
-		m.solveWall.Set(st.WallSeconds)
-		m.solveNodes.Set(float64(st.Nodes))
-	} else {
-		m.solveWall.Set(0)
-		m.solveNodes.Set(0)
+		wall = st.WallSeconds
 	}
+	m.solveWall.Set(wall)
 }
 
 // HotnessSampler is the foreground sampling of §7.2: input batches are
@@ -272,17 +268,14 @@ func (h *HotnessSampler) Reset() {
 func (h *HotnessSampler) NumEntries() int64 { return h.numEntries }
 
 // SolveStats describes the real policy solve that produced the placement
-// being applied — measured wall time and branch-and-bound effort — as
-// opposed to RefreshConfig.SolveSeconds, which is the simulated solve
-// duration replayed into the Fig. 17 timeline. The core engine fills it
-// from the solver; it flows untouched into the report, the
-// cache_refresh_last_solve_* gauges, and the refresh's flight record.
+// being applied — its measured wall time — as opposed to
+// RefreshConfig.SolveSeconds, which is the simulated solve duration replayed
+// into the Fig. 17 timeline. The core engine fills it from the solver; it
+// flows untouched into the report, the cache_refresh_last_solve_wall_seconds
+// gauge, and the refresh's flight record.
 type SolveStats struct {
 	// WallSeconds is the measured wall-clock duration of the solve.
 	WallSeconds float64
-	// Nodes is the branch-and-bound node count (0 for LP and heuristic
-	// policies, which have no search tree).
-	Nodes int64
 }
 
 // RefreshConfig tunes the §7.2 background refresh.

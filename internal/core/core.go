@@ -419,7 +419,7 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	// Surface the real solve cost next to the simulated Fig. 17 replay: the
 	// cache layer publishes these through its solve-wall gauges, and they
 	// join the refresh's flight record.
-	cfg.Solve = &cache.SolveStats{WallSeconds: solveWall, Nodes: pl.SolveNodes}
+	cfg.Solve = &cache.SolveStats{WallSeconds: solveWall}
 	// Build every fallible piece before touching shared state, so a failed
 	// refresh leaves the old placement, caches and extractor paired.
 	ex, err := extract.New(s.P, pl)

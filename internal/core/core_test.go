@@ -255,11 +255,11 @@ func TestShouldRefreshAndRefresh(t *testing.T) {
 	}
 }
 
-// TestRefreshExactSolveStats runs the full control plane with the Exact
-// branch-and-bound policy on a reduced 2-GPU instance: the re-solve's
-// measured statistics surface in the report, the solve-wall gauges, and the
-// policy-solve span a trace draws from the refresh's flight record.
-func TestRefreshExactSolveStats(t *testing.T) {
+// TestRefreshSolveStats runs the full control plane with the OptimalLP
+// policy on a reduced 2-GPU instance: the re-solve's measured statistics
+// surface in the report, the solve-wall gauge, and the policy-solve span a
+// trace draws from the refresh's flight record.
+func TestRefreshSolveStats(t *testing.T) {
 	pair := [][]float64{{0, 50e9}, {50e9, 0}}
 	p, err := platform.New(platform.Config{
 		Name: "2xV100", Kind: platform.HardWired, GPU: platform.V100x16, N: 2,
@@ -282,18 +282,15 @@ func TestRefreshExactSolveStats(t *testing.T) {
 		Hotness:            h,
 		EntryBytes:         512,
 		CacheEntriesPerGPU: 16,
-		Policy:             solver.Exact{MaxBlocks: 6},
+		Policy:             solver.OptimalLP{},
 		Telemetry:          reg,
 		Flight:             fl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Placement().Policy != "exact" {
+	if sys.Placement().Policy != "optimal-lp" {
 		t.Fatalf("policy %q", sys.Placement().Policy)
-	}
-	if sys.Placement().SolveNodes <= 0 {
-		t.Fatal("build solve recorded no nodes")
 	}
 
 	// Drift the hotness and refresh: the re-solve's measured stats must be
@@ -312,18 +309,12 @@ func TestRefreshExactSolveStats(t *testing.T) {
 	if st == nil {
 		t.Fatal("refresh report missing solve stats")
 	}
-	if st.Nodes != sys.Placement().SolveNodes || st.Nodes <= 0 {
-		t.Fatalf("solve stats nodes %d, placement %d", st.Nodes, sys.Placement().SolveNodes)
-	}
 	if st.WallSeconds <= 0 {
 		t.Fatalf("solve wall %g", st.WallSeconds)
 	}
 	vals := map[string]float64{}
 	for _, s := range reg.Samples() {
 		vals[s.Name] = s.Value
-	}
-	if vals["cache_refresh_last_solve_nodes"] != float64(st.Nodes) {
-		t.Fatalf("solve nodes gauge %g, want %d", vals["cache_refresh_last_solve_nodes"], st.Nodes)
 	}
 	if vals["cache_refresh_last_solve_wall_seconds"] != st.WallSeconds {
 		t.Fatalf("solve wall gauge %g, want %g", vals["cache_refresh_last_solve_wall_seconds"], st.WallSeconds)
@@ -341,9 +332,6 @@ func TestRefreshExactSolveStats(t *testing.T) {
 	args := map[string]float64{}
 	for i := int32(0); i < solveSpan.NArgs; i++ {
 		args[solveSpan.Args[i].Key] = solveSpan.Args[i].Val
-	}
-	if args["solve_nodes"] != float64(st.Nodes) {
-		t.Fatalf("policy-solve span solve_nodes %g, want %d", args["solve_nodes"], st.Nodes)
 	}
 	// The record's storage summary lines up with the placement it describes.
 	pl := sys.Placement()

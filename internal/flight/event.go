@@ -61,7 +61,7 @@ func (k Kind) String() string {
 }
 
 // MaxPayload is the number of numeric payload slots on an Event.
-const MaxPayload = 23
+const MaxPayload = 22
 
 // Payload slot indices for KindPartial events.
 const (
@@ -79,7 +79,6 @@ const (
 	RefreshDurationSeconds
 	RefreshMovedEntries
 	RefreshMeanImpact
-	RefreshSolveNodes
 	RefreshEvictedEntries
 	RefreshInsertedEntries
 	RefreshSolveSeconds
@@ -133,11 +132,11 @@ const (
 
 // kindFields names each kind's used payload slots, in slot order; the JSONL
 // export emits exactly these, and the timeline draws the drift evaluation
-// and the storage summary under the same names. New names are only ever
-// appended.
+// and the storage summary under the same names. New names are appended at
+// the end.
 var kindFields = map[Kind][]string{
 	KindPartial: {"missing_keys", "remote_keys"},
-	KindRefresh: {"solve_wall_s", "duration_s", "moved_entries", "mean_impact", "solve_nodes",
+	KindRefresh: {"solve_wall_s", "duration_s", "moved_entries", "mean_impact",
 		"evicted_entries", "inserted_entries", "solve_s", "update_s", "update_steps", "step_s", "last_step_s", "pause_s", "wall_s",
 		"blocks", "replicated_blocks", "partial_blocks", "partitioned_blocks", "uncached_blocks",
 		"replicated_mass", "partitioned_mass", "uncached_mass", "est_time_max"},

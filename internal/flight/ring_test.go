@@ -114,7 +114,7 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 func TestRingNegativeGPURoundTrips(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	e := Event{Kind: KindRefresh, GPU: -1, Seq: 7, UnixNanos: 1}
-	e.V[RefreshSolveNodes] = 12
+	e.V[RefreshSteps] = 12
 	rec.RecordControl(&e)
 	got := rec.Events()
 	if len(got) != 1 || got[0] != e {

@@ -200,13 +200,11 @@ func appendRefresh(dst []timeline.Event, v *[MaxPayload]float64, start float64) 
 	sim := span("refresh-solve", start, v[RefreshSolveSeconds])
 	if wall := v[RefreshSolveWallSeconds]; wall > 0 {
 		sim.AddArg("solve_wall_seconds", wall)
-		sim.AddArg("solve_nodes", v[RefreshSolveNodes])
 		solve := timeline.Event{Name: "policy-solve", Cat: "solver", Ph: timeline.PhSpan,
 			PID: timeline.ProcControl, TID: timeline.TIDSolver, Start: start, Dur: wall}
 		for i := RefreshBlocks; i <= RefreshEstTimeMax; i++ {
 			solve.AddArg(kindFields[KindRefresh][i], v[i])
 		}
-		solve.AddArg("solve_nodes", v[RefreshSolveNodes])
 		dst = append(dst, solve)
 	}
 	dst = append(dst, root, sim)

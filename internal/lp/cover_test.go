@@ -38,15 +38,23 @@ func serverA400k(t *testing.T) *solver.Input {
 // invariant the sparse loops rest on: a row's non-zero set covers every
 // non-zero cell of the row (and its count is the set's population). The first
 // case is the policy solve's own LP on the benchmark's ServerA input, reached
-// through the shipped policy; the others put bound rows, dense rows and rows
-// that cross from sparse to dense through the same check.
+// through the shipped policy; the others put single-variable bound rows, dense
+// rows and rows that cross from sparse to dense through the same check.
 func TestNonZeroSetsCoverEveryPivot(t *testing.T) {
-	bounded := func(p *lp.Problem, bounds []lp.Bound) func(*testing.T) {
+	bounded := func(p *lp.Problem, bounds []lp.Constraint) func(*testing.T) {
 		return func(t *testing.T) {
-			if _, err := p.SolveBounded(bounds, nil); err != nil {
+			for _, bd := range bounds {
+				if err := p.AddConstraint(bd.Coefs, bd.Op, bd.RHS); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.Solve(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	bound := func(v int, op lp.Op, rhs float64) lp.Constraint {
+		return lp.Constraint{Coefs: []lp.Coef{{Var: v, Value: 1}}, Op: op, RHS: rhs}
 	}
 	cases := []struct {
 		name      string
@@ -59,7 +67,7 @@ func TestNonZeroSetsCoverEveryPivot(t *testing.T) {
 			}
 		}},
 		{"block LP under bounds", 30, bounded(lp.BlockLP(t, 40, 4),
-			[]lp.Bound{{Var: 3, Op: lp.LE, RHS: 0.5}, {Var: 11, Op: lp.GE, RHS: 0.25}, {Var: 17, Op: lp.EQ, RHS: 0}})},
+			[]lp.Constraint{bound(3, lp.LE, 0.5), bound(11, lp.GE, 0.25), bound(17, lp.EQ, 0)})},
 		{"8-GPU block LP", 30, bounded(lp.BlockLP(t, 30, 8), nil)},
 		{"dense rows", 3, bounded(lp.RandomProblem(t, rng.New(5), 12, 9), nil)},
 	}

@@ -4,11 +4,10 @@
 //	minimize   cᵀx
 //	subject to Σ aᵢⱼ xⱼ (≤ | = | ≥) bᵢ,   x ≥ 0.
 //
-// It is the LP engine behind the exact cache-policy MILP (paper §6.2,
-// solved with Gurobi in the original system) via internal/milp's branch and
-// bound, and is sized for the small block-granularity models the solver
-// builds; the full-scale path uses internal/solver's Lagrangian method
-// instead.
+// It is the engine behind internal/solver's LP policies, which solve the
+// block-granularity cache-policy model of paper §6.2 (a MILP handed to Gurobi
+// in the original system) as an LP, exact because hotness blocks are
+// divisible. It is sized for those small models.
 //
 // The implementation is a dense tableau with Dantzig pricing and a Bland's
 // rule fallback for anti-cycling, deliberately simple and heavily validated.
@@ -80,9 +79,6 @@ func NewProblem(numVars int, objective []float64) (*Problem, error) {
 	return &Problem{numVars: numVars, obj: obj}, nil
 }
 
-// NumVars returns the variable count.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // AddConstraint appends a row.
 func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) error {
 	for _, c := range coefs {
@@ -100,20 +96,6 @@ func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) error {
 	copy(cp, coefs)
 	p.cons = append(p.cons, Constraint{Coefs: cp, Op: op, RHS: rhs})
 	return nil
-}
-
-// Clone returns a deep copy; branch-and-bound adds bound constraints to
-// copies without disturbing the parent.
-func (p *Problem) Clone() *Problem {
-	cp := &Problem{numVars: p.numVars, obj: append([]float64(nil), p.obj...)}
-	cp.cons = make([]Constraint, len(p.cons))
-	for i, c := range p.cons {
-		cp.cons[i] = Constraint{
-			Coefs: append([]Coef(nil), c.Coefs...),
-			Op:    c.Op, RHS: c.RHS,
-		}
-	}
-	return cp
 }
 
 // Status reports the outcome of Solve.
@@ -158,20 +140,10 @@ const (
 	maxSize = 2000 // max rows or columns for the dense tableau
 )
 
-// Bound is a single-variable overlay row (coefficient 1 on Var): branch-
-// and-bound nodes carry a few of these instead of cloning the whole
-// problem, so a branch node costs O(1) extra state rather than a full
-// constraint-matrix copy.
-type Bound struct {
-	Var int
-	Op  Op
-	RHS float64
-}
-
 // Scratch holds the simplex working set — tableau cells and their non-zero
 // sets, bases, objective rows, pricing and result buffers — so repeated
-// solves (branch-and-bound nodes, refresh re-solves) stop allocating once the
-// buffers have grown to the instance size. A Scratch may be used by one
+// solves (refresh re-solves) stop allocating once the buffers have grown to
+// the instance size. A Scratch may be used by one
 // goroutine at a time; distinct goroutines solving the same read-only Problem
 // concurrently must use distinct Scratches.
 type Scratch struct {
@@ -210,7 +182,7 @@ func growI(buf *[]int, n int) []int {
 // Solve runs two-phase primal simplex, returning freshly allocated result
 // storage (callers may retain Solution.X indefinitely).
 func (p *Problem) Solve() (*Solution, error) {
-	sol, err := p.SolveBounded(nil, nil)
+	sol, err := p.SolveWith(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -229,25 +201,16 @@ func flipOp(op Op) Op {
 	return op
 }
 
-// SolveBounded solves the problem with the overlay bounds appended as extra
-// rows, without copying or mutating the Problem — a Problem is read-only
-// under SolveBounded, so any number of goroutines may solve the same
-// instance concurrently as long as each brings its own Scratch (nil
-// allocates a private one). Solution.X aliases sc's buffers and is valid
-// only until sc's next solve; callers that retain it must copy.
-func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
-	for _, bd := range bounds {
-		if bd.Var < 0 || bd.Var >= p.numVars {
-			return Solution{}, fmt.Errorf("lp: bound references variable %d of %d", bd.Var, p.numVars)
-		}
-		if math.IsNaN(bd.RHS) || math.IsInf(bd.RHS, 0) {
-			return Solution{}, fmt.Errorf("lp: non-finite bound rhs for variable %d", bd.Var)
-		}
-	}
+// SolveWith solves the problem in sc's buffers (nil allocates a private
+// Scratch). A Problem is read-only under SolveWith, so any number of
+// goroutines may solve the same instance concurrently as long as each brings
+// its own Scratch. Solution.X aliases sc's buffers and is valid only until
+// sc's next solve; callers that retain it must copy.
+func (p *Problem) SolveWith(sc *Scratch) (Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	m := len(p.cons) + len(bounds)
+	m := len(p.cons)
 	if m == 0 {
 		// Unconstrained: minimum of cᵀx with x ≥ 0 is 0 unless some c < 0.
 		for _, c := range p.obj {
@@ -269,8 +232,9 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 	nStruct := p.numVars
 	nSlack := 0
 	nArt := 0
-	countRow := func(op Op, rhs float64) {
-		if rhs < 0 {
+	for _, c := range p.cons {
+		op := c.Op
+		if c.RHS < 0 {
 			// Normalizing flips the operator.
 			op = flipOp(op)
 		}
@@ -284,12 +248,6 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 			nArt++
 		}
 	}
-	for _, c := range p.cons {
-		countRow(c.Op, c.RHS)
-	}
-	for _, bd := range bounds {
-		countRow(bd.Op, bd.RHS)
-	}
 	nCols := nStruct + nSlack + nArt
 	t := sc.tableau(m, nCols)
 
@@ -297,23 +255,16 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 	artAt := nStruct + nSlack
 	basis := growI(&sc.basis, m)
 	artCols := sc.boolRow(nCols)
-	// fillRow writes row i. Ordinary constraints pass their sparse Coefs;
-	// overlay bounds pass coefs == nil with the implicit single +1 on bvar.
-	fillRow := func(i int, coefs []Coef, bvar int, op Op, rhs float64) {
-		sign := 1.0
+	for i, c := range p.cons {
+		sign, op, rhs := 1.0, c.Op, c.RHS
 		if rhs < 0 {
 			sign = -1
 			rhs = -rhs
 			op = flipOp(op)
 		}
-		if coefs != nil {
-			for _, cf := range coefs {
-				t.a[i][cf.Var] += sign * cf.Value
-				t.mark(i, cf.Var)
-			}
-		} else {
-			t.a[i][bvar] += sign
-			t.mark(i, bvar)
+		for _, cf := range c.Coefs {
+			t.a[i][cf.Var] += sign * cf.Value
+			t.mark(i, cf.Var)
 		}
 		t.b[i] = rhs
 		switch op {
@@ -338,12 +289,6 @@ func (p *Problem) SolveBounded(bounds []Bound, sc *Scratch) (Solution, error) {
 			artCols[artAt] = true
 			artAt++
 		}
-	}
-	for i, c := range p.cons {
-		fillRow(i, c.Coefs, 0, c.Op, c.RHS)
-	}
-	for k, bd := range bounds {
-		fillRow(len(p.cons)+k, nil, bd.Var, bd.Op, bd.RHS)
 	}
 
 	rc := growF(&sc.rc, nCols)

@@ -337,7 +337,7 @@ func BenchmarkSimplexBlockLP(b *testing.B) {
 	p := blockLP(b, 230, 4)
 	sc := &Scratch{}
 	solveOnce := func() {
-		sol, err := p.SolveBounded(nil, sc)
+		sol, err := p.SolveWith(sc)
 		if err != nil || sol.Status != Optimal {
 			b.Fatalf("status %v err %v", sol.Status, err)
 		}

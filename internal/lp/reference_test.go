@@ -7,7 +7,7 @@ import "math"
 // every loop at full width, nothing reused between calls. It exists only for
 // the tests: the shipped tableau must reproduce its status, objective and
 // point bit for bit.
-func referenceSolve(p *Problem, bounds []Bound) Solution {
+func referenceSolve(p *Problem) Solution {
 	type row struct {
 		coefs []Coef
 		op    Op
@@ -16,9 +16,6 @@ func referenceSolve(p *Problem, bounds []Bound) Solution {
 	var rows []row
 	for _, c := range p.cons {
 		rows = append(rows, row{c.Coefs, c.Op, c.RHS})
-	}
-	for _, bd := range bounds {
-		rows = append(rows, row{[]Coef{{bd.Var, 1}}, bd.Op, bd.RHS})
 	}
 	m := len(rows)
 	if m == 0 {

@@ -107,41 +107,6 @@ func TestClusterSolveUsesNetworkFallback(t *testing.T) {
 	}
 }
 
-// TestClusterDeterminismAcrossWorkers is the multi-node acceptance
-// criterion: with the remote-machine source class enabled, any worker count
-// yields a byte-identical placement.
-func TestClusterDeterminismAcrossWorkers(t *testing.T) {
-	in := microClusterInput(t, 24, 8, 4)
-	ex := Exact{MaxBlocks: 6}
-	base, err := SolveWith(ex, in, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	var baseBuf bytes.Buffer
-	if err := base.Save(&baseBuf); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 8} {
-		pl, err := SolveWith(ex, in, Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := pl.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), baseBuf.Bytes()) {
-			t.Fatalf("W=%d: cluster placement bytes differ from W=1", w)
-		}
-		if pl.LowerBound != base.LowerBound {
-			t.Fatalf("W=%d: LowerBound %v != %v", w, pl.LowerBound, base.LowerBound)
-		}
-	}
-}
-
 // TestClusterPersistRoundTrip: Save/Load preserves Network access values
 // (the loader admits SourceID gpus+1 on cluster placements).
 func TestClusterPersistRoundTrip(t *testing.T) {

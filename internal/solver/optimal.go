@@ -202,7 +202,7 @@ func solveSymmetricLP(c *ctx) (*Placement, error) {
 
 	sc := lpScratch.Get().(*lp.Scratch)
 	defer lpScratch.Put(sc) // sol.X is sc's until the realization below has read it
-	sol, err := prob.SolveBounded(nil, sc)
+	sol, err := prob.SolveWith(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -322,8 +322,8 @@ func splitCounts(n int64, dist []float64) []int64 {
 }
 
 // solveGeneral solves the full §6.2 block model with per-reader access
-// variables for asymmetric platforms (the shared blockModel, see exact.go),
-// as a fractional LP with rounded realization.
+// variables for asymmetric platforms (blockModel, below), as a fractional LP
+// with rounded realization.
 func (o OptimalLP) solveGeneral(c *ctx) (*Placement, error) {
 	in := c.in
 	blocks := c.buildQuantile(maxGeneralBlocks)
@@ -369,4 +369,117 @@ func (o OptimalLP) solveGeneral(c *ctx) (*Placement, error) {
 	pl := newPlacement(c, "optimal-lp", blocks)
 	pl.LowerBound = sol.Objective / bm.scale
 	return pl, nil
+}
+
+// blockModel is solveGeneral's §6.2 block-granularity a/s/z formulation:
+//
+//	min z
+//	s.t. Σ_j a[b][i][j] = 1    over reachable j        (each reader sourced)
+//	     s[b][j] ≥ a[b][i][j]  for GPU sources         (access needs storage)
+//	     s[b][j] ≤ 1
+//	     Σ_b n_b·s[b][j] ≤ cap_j                       (capacity)
+//	     z ≥ Σ_b bytes_b·invEff[i][j]·a[b][i][j]       (per-link time)
+//	     z ≥ Σ_{b,j} bytes_b·packCost[i][j]·a[b][i][j] (per-reader packing)
+//
+// Coefficients are rescaled so the all-host makespan is O(1) (raw
+// seconds-per-byte sums can sit below the simplex pivot tolerance);
+// objective values divide by scale to come back to seconds.
+type blockModel struct {
+	prob  *lp.Problem
+	m     *costModel
+	g     int
+	srcs  int
+	nb    int
+	scale float64
+}
+
+func (bm *blockModel) av(b, i, j int) int { return (b*bm.g+i)*bm.srcs + j }
+func (bm *blockModel) sv(b, j int) int    { return bm.nb*bm.g*bm.srcs + b*bm.g + j }
+func (bm *blockModel) zVar() int          { return bm.nb*bm.g*bm.srcs + bm.nb*bm.g }
+
+// buildBlockModel constructs the LP over the given blocks.
+func buildBlockModel(in *Input, c *ctx, blocks []Block) (*blockModel, error) {
+	g := in.P.N
+	srcs := in.P.NumSources()
+	m := c.m
+	nb := len(blocks)
+	totalBytes := c.mass(0, c.numEntries()) * float64(in.EntryBytes)
+	scale := 1.0
+	if hostInv := m.invEff[0][int(in.fallback())]; totalBytes > 0 && hostInv > 0 {
+		scale = 1 / (totalBytes * hostInv)
+	}
+	bm := &blockModel{m: m, g: g, srcs: srcs, nb: nb, scale: scale}
+
+	obj := make([]float64, bm.zVar()+1)
+	obj[bm.zVar()] = 1
+	prob, err := lp.NewProblem(bm.zVar()+1, obj)
+	if err != nil {
+		return nil, err
+	}
+	bm.prob = prob
+
+	for b := 0; b < nb; b++ {
+		for i := 0; i < g; i++ {
+			// Σ_j a = 1 over reachable sources.
+			var coefs []lp.Coef
+			for j := 0; j < srcs; j++ {
+				if math.IsInf(m.invEff[i][j], 1) {
+					continue // unconnected: variable pruned (paper §6.2)
+				}
+				coefs = append(coefs, lp.Coef{Var: bm.av(b, i, j), Value: 1})
+			}
+			if err := prob.AddConstraint(coefs, lp.EQ, 1); err != nil {
+				return nil, err
+			}
+			// s ≥ a for GPU sources.
+			for j := 0; j < g; j++ {
+				if math.IsInf(m.invEff[i][j], 1) {
+					continue
+				}
+				if err := prob.AddConstraint([]lp.Coef{
+					{Var: bm.sv(b, j), Value: 1}, {Var: bm.av(b, i, j), Value: -1},
+				}, lp.GE, 0); err != nil {
+					return nil, err
+				}
+			}
+		}
+		// s ≤ 1.
+		for j := 0; j < g; j++ {
+			if err := prob.AddConstraint([]lp.Coef{{Var: bm.sv(b, j), Value: 1}}, lp.LE, 1); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Capacity per GPU.
+	for j := 0; j < g; j++ {
+		coefs := make([]lp.Coef, 0, nb)
+		for b := 0; b < nb; b++ {
+			coefs = append(coefs, lp.Coef{Var: bm.sv(b, j), Value: float64(blocks[b].Entries())})
+		}
+		if err := prob.AddConstraint(coefs, lp.LE, float64(in.Capacity[j])); err != nil {
+			return nil, err
+		}
+	}
+	// Time bounds: z ≥ t_i^j (link) and z ≥ packing_i.
+	for i := 0; i < g; i++ {
+		packCoefs := []lp.Coef{{Var: bm.zVar(), Value: 1}}
+		for j := 0; j < srcs; j++ {
+			if math.IsInf(m.invEff[i][j], 1) {
+				continue
+			}
+			coefs := []lp.Coef{{Var: bm.zVar(), Value: 1}}
+			for b := 0; b < nb; b++ {
+				bytes := blocks[b].Mass() * float64(in.EntryBytes) * scale
+				coefs = append(coefs, lp.Coef{Var: bm.av(b, i, j), Value: -bytes * m.invEff[i][j]})
+				packCoefs = append(packCoefs, lp.Coef{Var: bm.av(b, i, j), Value: -bytes * m.packCost[i][j]})
+			}
+			if err := prob.AddConstraint(coefs, lp.GE, 0); err != nil {
+				return nil, err
+			}
+		}
+		if err := prob.AddConstraint(packCoefs, lp.GE, 0); err != nil {
+			return nil, err
+		}
+	}
+	return bm, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"ugache/internal/platform"
 )
@@ -69,7 +70,9 @@ func (pl *Placement) Save(w io.Writer) error {
 
 // LoadPlacement reads a placement written by Save and rebuilds the derived
 // indices (Rank, the rank→block map). EstTimes and LowerBound are not
-// persisted; re-evaluate with EstimateTimes if needed.
+// persisted; re-evaluate with EstimateTimes if needed. What it allocates
+// follows the bytes it has read, so a header that promises more than the
+// input holds fails at the input's end instead of reserving the promise.
 func LoadPlacement(r io.Reader) (*Placement, error) {
 	br := bufio.NewReader(r)
 	readU64 := func() (uint64, error) {
@@ -101,30 +104,27 @@ func LoadPlacement(r io.Reader) (*Placement, error) {
 			return nil, err
 		}
 	}
-	if gpus == 0 || gpus > 1024 || entries > 1<<33 || blocks > 1<<24 {
+	// Ranks are int32, and every block holds at least one of them.
+	if gpus == 0 || gpus > 1024 || entries > math.MaxInt32 || blocks > entries {
 		return nil, fmt.Errorf("solver: implausible placement shape (%d gpus, %d entries, %d blocks)",
 			gpus, entries, blocks)
 	}
-	pl := &Placement{
-		Policy:     string(name),
-		NumGPUs:    int(gpus),
-		EntryBytes: int(entryBytes),
-		Rank:       make([]int32, entries),
-		ByRank:     make([]int32, entries),
-		Blocks:     make([]Block, blocks),
-	}
-	if err := binary.Read(br, binary.LittleEndian, pl.ByRank); err != nil {
+	pl := &Placement{Policy: string(name), NumGPUs: int(gpus), EntryBytes: int(entryBytes)}
+	if pl.ByRank, err = readRanks(br, int(entries)); err != nil {
 		return nil, err
 	}
+	pl.Rank = make([]int32, entries)
+	for e := range pl.Rank {
+		pl.Rank[e] = -1
+	}
 	for r0, e := range pl.ByRank {
-		if e < 0 || int(e) >= len(pl.Rank) {
-			return nil, fmt.Errorf("solver: rank %d maps to bad entry %d", r0, e)
+		if e < 0 || int(e) >= len(pl.Rank) || pl.Rank[e] >= 0 {
+			return nil, fmt.Errorf("solver: rank %d maps to bad or repeated entry %d", r0, e)
 		}
 		pl.Rank[e] = int32(r0)
 	}
 	var prevEnd int64
-	for bi := range pl.Blocks {
-		b := &pl.Blocks[bi]
+	for bi := 0; bi < int(blocks); bi++ {
 		start, err := readU64()
 		if err != nil {
 			return nil, err
@@ -133,7 +133,7 @@ func LoadPlacement(r io.Reader) (*Placement, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Start, b.End = int64(start), int64(end)
+		b := Block{Start: int64(start), End: int64(end)}
 		if b.Start != prevEnd || b.End <= b.Start || b.End > int64(entries) {
 			return nil, fmt.Errorf("solver: block %d range [%d, %d) does not tile", bi, b.Start, b.End)
 		}
@@ -161,6 +161,7 @@ func LoadPlacement(r io.Reader) (*Placement, error) {
 			}
 			b.Access[g] = platform.SourceID(v)
 		}
+		pl.Blocks = append(pl.Blocks, b)
 	}
 	if prevEnd != int64(entries) {
 		return nil, fmt.Errorf("solver: blocks cover %d of %d entries", prevEnd, entries)
@@ -172,4 +173,25 @@ func LoadPlacement(r io.Reader) (*Placement, error) {
 		}
 	}
 	return pl, nil
+}
+
+// rankChunk is how many ranks readRanks reads, and grows its result by, at a
+// time.
+const rankChunk = 1 << 16
+
+// readRanks reads n little-endian int32 ranks, growing the result with what
+// it has read rather than reserving n up front.
+func readRanks(r io.Reader, n int) ([]int32, error) {
+	buf := make([]byte, 4*min(n, rankChunk))
+	out := make([]int32, 0, min(n, rankChunk))
+	for len(out) < n {
+		chunk := buf[:4*min(n-len(out), rankChunk)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, fmt.Errorf("solver: placement ranks after %d of %d: %w", len(out), n, err)
+		}
+		for i := 0; i < len(chunk); i += 4 {
+			out = append(out, int32(binary.LittleEndian.Uint32(chunk[i:])))
+		}
+	}
+	return out, nil
 }

@@ -2,6 +2,9 @@ package solver
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"ugache/internal/platform"
@@ -67,4 +70,79 @@ func TestLoadPlacementRejectsGarbage(t *testing.T) {
 	if _, err := LoadPlacement(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
+}
+
+// placementBytes encodes Save's layout from its fields: the header (magic, an
+// empty policy name, gpus, entry bytes, entries, blocks), then each of tail in
+// order — uint64s, int32 ranks and accesses, float64 hotness, Store bytes.
+func placementBytes(gpus, entryBytes, entries, blocks uint64, tail ...any) []byte {
+	var b bytes.Buffer
+	for _, v := range append([]any{placementMagic, uint64(0), gpus, entryBytes, entries, blocks}, tail...) {
+		if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestLoadPlacementTruncations: a file whose header promises more than it
+// holds is refused, and refusing it costs memory in proportion to the bytes
+// there are, not to the promise. The first case is 48 bytes that used to end
+// the process in an unrecoverable out-of-memory error.
+func TestLoadPlacementTruncations(t *testing.T) {
+	const n = 1 << 18 // 1 MB of ranks: a block list this long would be 19 MB of Blocks
+	ranks := make([]int32, n)
+	for r := range ranks {
+		ranks[r] = int32(r)
+	}
+	oneBlock := []any{uint64(0), uint64(1), 1.0, uint8(1), int32(0)}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"entries beyond int32", placementBytes(1, 4, 1<<32, 0)},
+		{"more blocks than entries", placementBytes(1, 4, 2, 3, []int32{0, 1})},
+		{"cut in ByRank", placementBytes(1, 4, math.MaxInt32, 1, []int32{0, 1})},
+		{"cut in the block list", placementBytes(1, 4, n, n, append([]any{ranks}, oneBlock...)...)},
+		{"repeated rank", placementBytes(1, 4, 2, 1, []int32{0, 0}, uint64(0), uint64(2), 1.0, uint8(1), int32(0))},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadPlacement(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+			t.Errorf("%s: allocated %d bytes to refuse %d", tc.name, alloc, len(tc.data))
+		}
+	}
+}
+
+// FuzzLoadPlacement: any bytes load or fail with an error, never a panic, and
+// whatever loads saves to bytes that load and save back to themselves. The
+// seed corpus (testdata/fuzz/FuzzLoadPlacement) holds a saved 3-GPU placement,
+// its cuts in the header, the ranks and at block boundaries, and a header that
+// promises 2³² entries.
+func FuzzLoadPlacement(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pl, err := LoadPlacement(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := pl.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadPlacement(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved placement does not load: %v", err)
+		}
+		if err := back.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("save, load, save does not reproduce the saved bytes")
+		}
+	})
 }

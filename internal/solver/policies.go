@@ -295,9 +295,6 @@ func PolicyByName(name string) (Policy, error) {
 		return UGacheGreedy{}, nil
 	case "optimal", "optimal-lp":
 		return OptimalLP{}, nil
-	case "exact":
-		// Branch-and-bound MILP; only tractable on reduced instances.
-		return Exact{}, nil
 	default:
 		return nil, fmt.Errorf("solver: unknown policy %q", name)
 	}

@@ -125,13 +125,10 @@ type Placement struct {
 	EstTimes []float64
 	// LowerBound, when non-zero, is a proven lower bound on the modelled
 	// makespan of placements uniform within each block the policy solved over
-	// (set by OptimalLP and Exact); one cutting inside a block can dip under it.
+	// (set by OptimalLP); one cutting inside a block can dip under it.
 	LowerBound float64
-	// SolveNodes, when non-zero, is the number of branch-and-bound nodes the
-	// policy expanded to produce this placement (set by Exact). With
-	// parallel workers the count varies run to run even though the
-	// placement itself does not, so it is diagnostic, not part of the
-	// placement's identity, and is not persisted by Save.
+	// SolveNodes is always 0: no policy searches a tree. ROADMAP item 1(e)
+	// removes it.
 	SolveNodes int64
 }
 

@@ -421,8 +421,10 @@ func TestPolicyByName(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := PolicyByName("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"nope", "exact"} {
+		if _, err := PolicyByName(name); err == nil {
+			t.Fatalf("unknown policy %q accepted", name)
+		}
 	}
 }
 

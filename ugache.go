@@ -29,12 +29,12 @@
 //
 // The internal packages contain the full system: the fluid-flow bandwidth
 // simulator (internal/sim), platform models (internal/platform), the policy
-// solver with its LP/MILP machinery (internal/solver, internal/lp,
-// internal/milp), extraction mechanisms (internal/extract), cache state and
-// refresh (internal/cache), workload generators (internal/workload,
-// internal/graph), the paper's baseline systems (internal/baselines), the
-// GNN/DLR applications (internal/app) and the benchmark harness that
-// regenerates every table and figure (internal/bench).
+// solver with its LP machinery (internal/solver, internal/lp), extraction
+// mechanisms (internal/extract), cache state and refresh (internal/cache),
+// workload generators (internal/workload, internal/graph), the paper's
+// baseline systems (internal/baselines), the GNN/DLR applications
+// (internal/app) and the benchmark harness that regenerates every table and
+// figure (internal/bench).
 package ugache
 
 import (
