@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRingOwner -fuzztime 10s ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzRealizeSymmetric -fuzztime 10s ./internal/solver
 	$(GO) test -run xxx -fuzz FuzzLoadPlacement -fuzztime 10s ./internal/solver
+	$(GO) test -run xxx -fuzz FuzzHashtable -fuzztime 10s ./internal/hashtable
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner (bench is the

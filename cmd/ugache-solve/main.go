@@ -39,6 +39,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugache-solve: -entries (%d) and -dim (%d) must be at least 1\n", *entries, *dim)
 		os.Exit(1)
 	}
+	if !(*ratio >= 0) || math.IsInf(*ratio, 1) || *blocks < 0 {
+		fmt.Fprintf(os.Stderr, "ugache-solve: -ratio (%g) and -blocks (%d) must be finite and non-negative\n", *ratio, *blocks)
+		os.Exit(1)
+	}
 	p, err := platform.ByName(*server)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugache-solve: %v\n", err)
@@ -59,7 +63,7 @@ func main() {
 
 	names := []string{*policy}
 	if *compare {
-		names = []string{"replication", "partition", "clique-partition", "rep-part", "ugache-greedy", "ugache", "optimal"}
+		names = []string{"replication", "partition", "clique-partition", "rep-part", "ugache", "optimal"}
 	}
 	fmt.Printf("%s, %d entries, zipf %.2f, ratio %.1f%%, dim %d\n\n",
 		p.Name, *entries, *alpha, *ratio*100, *dim)

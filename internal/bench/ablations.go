@@ -88,10 +88,10 @@ func ablatePolicies(o Options) (*Result, error) {
 		n = 20000
 	}
 	t := stats.NewTable("Ablation: policy families, modelled extraction time (us)",
-		"server", "replication", "partition", "clique", "rep-part", "ugache-greedy", "ugache")
+		"server", "replication", "partition", "clique", "rep-part", "ugache")
 	for _, p := range serverSet(o) {
 		row := []string{p.Name}
-		for _, polName := range []string{"replication", "partition", "clique-partition", "rep-part", "ugache-greedy", "ugache"} {
+		for _, polName := range []string{"replication", "partition", "clique-partition", "rep-part", "ugache"} {
 			pol, err := solver.PolicyByName(polName)
 			if err != nil {
 				return nil, err

@@ -82,6 +82,7 @@ func TestBuildValidation(t *testing.T) {
 		{Platform: p, Hotness: h, CacheRatio: 0.1},
 		{Platform: p, Hotness: h, EntryBytes: 4},
 		{Platform: p, Hotness: h, EntryBytes: 4, CacheRatio: 1.5},
+		{Platform: p, Hotness: h, EntryBytes: 4, CacheRatio: 0.1, BlockBudget: -1}, // the solver's check
 	}
 	for i, cfg := range cases {
 		if _, err := Build(cfg); err == nil {

@@ -77,7 +77,7 @@ func TestClusterCostModelBlend(t *testing.T) {
 func TestClusterSolveUsesNetworkFallback(t *testing.T) {
 	in := microClusterInput(t, 4096, 256, 4)
 	host := in.P.Host()
-	for _, pol := range []Policy{UGache{}, UGacheGreedy{}, Replication{}, Partition{}, RepPart{Candidates: 9}} {
+	for _, pol := range []Policy{UGache{}, OptimalLP{}, Replication{}, Partition{}, CliquePartition{}, RepPart{Candidates: 9}} {
 		pl := mustSolve(t, pol, in)
 		if err := pl.Validate(in); err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)

@@ -39,7 +39,7 @@ func uniformCapacity(p *platform.Platform, n int, ratio float64) []int64 {
 }
 
 // The pinned solve inputs: the three problems the benchmark's set-up solves
-// (benchmark/system.go) and one asymmetric platform for the greedy path.
+// (benchmark/system.go) and one asymmetric platform, where UGache is the scan.
 var pinnedInputs = []struct {
 	name  string
 	short bool // part of the -short subset
@@ -88,7 +88,6 @@ var goldenPolicies = []struct {
 	pol  Policy
 }{
 	{"ugache", UGache{}},
-	{"ugache-greedy", UGacheGreedy{}},
 	{"rep-part-17", RepPart{}},
 	{"rep-part-33", RepPart{Candidates: 33}},
 	{"optimal-lp", OptimalLP{}},
@@ -150,7 +149,6 @@ func TestGoldenPlacements(t *testing.T) {
 // 8.704 -> 8.682 us on serverC-cr, where the LP placement now beats the scan).
 var goldenSolves = map[string]goldenSolve{
 	"serverA-400k/ugache":            {"a3d37fd59afde97db33ca37c78ff69cb2d8c772b0395cfcc13a198ad10dbbfae", 0x3eb91eb8147dd500},
-	"serverA-400k/ugache-greedy":     {"5b9af92ad42195c2076830c78e0d9f38eeaa32f5bf0996434ff7565295241385", 0x3ebb8e6ae969577f},
 	"serverA-400k/rep-part-17":       {"11a9f1d83d5b6910417a276587a68ca7e136eb93de9f2d0d3c6b610a2f31cce8", 0x3eba57619a866d86},
 	"serverA-400k/rep-part-33":       {"5f71f21d3c542d52c3072935b5dedb09553d2c8c2f693a3e5f98a811db2ee900", 0x3eb9a79fb37f1972},
 	"serverA-400k/optimal-lp":        {"dfcb999f7ece4e13f910d2f311e9db9c82911b2556836cf0537c30eac25fd019", 0x3eb91eb8147dd500},
@@ -158,7 +156,6 @@ var goldenSolves = map[string]goldenSolve{
 	"serverA-400k/partition":         {"d97daa1b3c62bf1a82208930a76f28270d5449c1b0302259e662df3f1481e0d2", 0x3ebcaeb8733ce80a},
 	"serverA-400k/clique-partition":  {"afabd61c4b0dfee51b293ef444dddd749e9de9e98d0975889c382f550e328e10", 0x3ebcaeb8733ce80a},
 	"cluster2-400k/ugache":           {"40e4e9939918467d718d154b03a99ada10f0ab35127a018a5795bd5aff48ffff", 0x3efc12ed1b6b8f02},
-	"cluster2-400k/ugache-greedy":    {"97346a21dada3f6faf73837f13aa1c2398b70b39045a14e9709f9ad9c15ee944", 0x3efc4c828f60d58a},
 	"cluster2-400k/rep-part-17":      {"12ba876e0d7e4ccc71699f9fff92b0e6c788bfa33fe288dcc1405b46abc49c0f", 0x3efd11e96a885a64},
 	"cluster2-400k/rep-part-33":      {"12ba876e0d7e4ccc71699f9fff92b0e6c788bfa33fe288dcc1405b46abc49c0f", 0x3efd11e96a885a64},
 	"cluster2-400k/optimal-lp":       {"40cd6156543c6e5c1f893809a4bdc6991ede247fba1b87ec5d5ae2d752794f27", 0x3efc12ed1b6b8f02},
@@ -166,7 +163,6 @@ var goldenSolves = map[string]goldenSolve{
 	"cluster2-400k/partition":        {"5c6328ac2e42bedbd5c38de44630a715f593b1dfe19e0b9c21af48e5c5dbc1d6", 0x3efd38254f63bf53},
 	"cluster2-400k/clique-partition": {"fe31bafc7f4d43e6e4b92bd20713dca355fac11edd59cd82f3cb5fa04d4c5d16", 0x3efd38254f63bf53},
 	"serverC-cr/ugache":              {"fe016135687fa8648c6882a1e79d9c81781f2d90a1e68fa0a1a89c0980bb0d5b", 0x3ee234e222ba4549},
-	"serverC-cr/ugache-greedy":       {"27193cc84d1875e42c2d55e67a35eb3f933085ecd5ebbb1dc9d59d6a5eb6690e", 0x3ee3be7e7c7129a9},
 	"serverC-cr/rep-part-17":         {"4aa59ab778eb2127414d2d420264a2ec035b50f2f5bd6d97c1009746f38f9a8b", 0x3ee25c34879a0e20},
 	"serverC-cr/rep-part-33":         {"cafea744c55fb91b824f6abbff3d584c20774306b42d637825912c8b7393ae9f", 0x3ee240e335c8c9dd},
 	"serverC-cr/optimal-lp":          {"55a17ba9f483dd8c02f1cbbe7c1d6256d78b618b546219be6b3bc47eff5dc165", 0x3ee234e222ba4549},
@@ -174,7 +170,6 @@ var goldenSolves = map[string]goldenSolve{
 	"serverC-cr/partition":           {"3961dd26313970f8e25856fa5b7103a1436e7f8c3d3c7bee4bcbf5fae799d20c", 0x3ef3dd2745e08eaf},
 	"serverC-cr/clique-partition":    {"5182161cc397095a7b1d4591977ed379eb3c209b23afa5c6279c48a138d9ef5a", 0x3ef3dd2745e08eaf},
 	"serverB-60k/ugache":             {"8b94b16c94cb93b4e34279b8e5cd458f36a34c69bbcfd2f4915f615447d4037c", 0x3f40ba885587c5ca},
-	"serverB-60k/ugache-greedy":      {"2006e758c7d61ebaba8a178fa5621f33682ff34e28fb00437035441b578fca15", 0x3f424735288a8a0a},
 	"serverB-60k/rep-part-17":        {"cd69ced22064794ea0a3cdd38ec2f2ed14c62d54c4cc8a826721e586f8ce784a", 0x3f40d50dae8b57a4},
 	"serverB-60k/rep-part-33":        {"fadcb582146b75e72fa956c71719e93727414a710f2414c120c61bf3e854cecb", 0x3f40ba885587c5ca},
 	"serverB-60k/optimal-lp":         {"c442753ec2a90c6e73f9d3bbf1e5203fbf5ad8bff5f9085b797c62f6a7901bab", 0x3f5fc74b8678715d},

@@ -74,9 +74,10 @@ func newCostModel(in *Input) *costModel {
 }
 
 // perByteCost returns a scalar per-byte cost of GPU i reading from source
-// j, used by greedy source selection: the packing cost plus the link-bound
-// inverse bandwidth (so slower links are avoided even when core budget is
-// not the binding term). Infinite for unreachable sources.
+// j, by which OptimalLP's rounding picks each reader's source: the packing
+// cost plus the link-bound inverse bandwidth (so slower links are avoided
+// even when core budget is not the binding term). Infinite for unreachable
+// sources.
 func (m *costModel) perByteCost(i int, j platform.SourceID) float64 {
 	return m.packCost[i][j] + m.invEff[i][j]
 }

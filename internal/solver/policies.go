@@ -163,7 +163,7 @@ func (rp RepPart) scan(c *ctx) ([]Block, float64) {
 			end := minI64(x+total, c.numEntries())
 			assignPartitionRange(in, blocks, cl, capLeft, x, end)
 		}
-		if t := maxF(c.estimate(blocks)); t < bestT {
+		if t := maxF(c.estimate(blocks)); best == nil || t < bestT {
 			bestT = t
 			best = blocks
 		}
@@ -291,8 +291,6 @@ func PolicyByName(name string) (Policy, error) {
 		return RepPart{}, nil
 	case "ugache":
 		return UGache{}, nil
-	case "ugache-greedy":
-		return UGacheGreedy{}, nil
 	case "optimal", "optimal-lp":
 		return OptimalLP{}, nil
 	default:

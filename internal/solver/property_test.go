@@ -17,7 +17,7 @@ func TestRandomInputsAllPoliciesValid(t *testing.T) {
 	platforms := []*platform.Platform{platform.ServerA(), platform.ServerB(), platform.ServerC()}
 	policies := []Policy{
 		Replication{}, Partition{}, CliquePartition{}, RepPart{Candidates: 5},
-		UGacheGreedy{}, UGache{},
+		UGache{},
 	}
 	for trial := 0; trial < 25; trial++ {
 		p := platforms[r.Intn(len(platforms))]
@@ -68,7 +68,7 @@ func TestOptimalLPNoWorseOnSymmetricInputs(t *testing.T) {
 	platforms := []*platform.Platform{platform.ServerA(), platform.ServerC()}
 	others := []Policy{
 		Replication{}, Partition{}, CliquePartition{}, RepPart{Candidates: 33},
-		UGacheGreedy{}, UGache{},
+		UGache{},
 	}
 	for trial := 0; trial < 25; trial++ {
 		p := platforms[r.Intn(len(platforms))]
@@ -109,6 +109,23 @@ func TestZeroCapacityDegradesToHost(t *testing.T) {
 	}
 }
 
+// TestOverflowingHotnessStillPlaces: hotness whose sums overflow to +Inf
+// (each entry finite, so the input is valid) prices every RepPart candidate at
+// +Inf; the scan still returns one, so RepPart — and UGache, which falls back
+// to it on Server B — emit a valid placement rather than an empty one.
+func TestOverflowingHotnessStillPlaces(t *testing.T) {
+	for _, p := range []*platform.Platform{platform.ServerA(), platform.ServerB()} {
+		h := make(workload.Hotness, 1000)
+		for i := range h {
+			h[i] = math.MaxFloat64 / 2
+		}
+		in := &Input{P: p, Hotness: h, EntryBytes: 512, Capacity: uniformCapacity(p, len(h), 0.1)}
+		for _, pol := range []Policy{RepPart{}, UGache{}} {
+			mustSolve(t, pol, in)
+		}
+	}
+}
+
 // TestFullCapacityAllLocal checks that with room for everything, UGache
 // replicates everything and never touches remote or host.
 func TestFullCapacityAllLocal(t *testing.T) {
@@ -123,19 +140,30 @@ func TestFullCapacityAllLocal(t *testing.T) {
 	}
 }
 
-// TestUGacheNeverWorseThanBaselinesOnModel sweeps random instances and
-// checks the defining guarantee: UGache's modelled makespan is never
-// (materially) worse than replication's, partition's, or rep-part's.
+// TestUGacheNeverWorseThanBaselinesOnModel sweeps random instances on the
+// three servers and their 2-node clusters and checks the defining guarantee:
+// UGache's modelled makespan is never worse than clique partition's,
+// replication's, or rep-part's — to the bit, with no slack. UGache keeps the
+// LP only where it is no slower than its 33-point scan, and at uniform
+// capacities that scan's first and last split points are CliquePartition and
+// Replication block for block, while RepPart{}'s 17 points are among its 33
+// (k/16 == 2k/32 exactly in float64).
 func TestUGacheNeverWorseThanBaselinesOnModel(t *testing.T) {
+	var platforms []*platform.Platform
+	for _, cfg := range []platform.Config{platform.ServerCConfig(), platform.ServerAConfig(), platform.ServerBConfig()} {
+		p, err := platform.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := platform.ClusterOf(cfg, platform.DefaultNetwork(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		platforms = append(platforms, p, twin)
+	}
 	r := rng.New(31)
-	for trial := 0; trial < 12; trial++ {
-		p := platform.ServerC()
-		if trial%3 == 1 {
-			p = platform.ServerA()
-		}
-		if trial%3 == 2 {
-			p = platform.ServerB()
-		}
+	for trial := 0; trial < 18; trial++ {
+		p := platforms[trial%len(platforms)]
 		n := 2000 + r.Intn(30000)
 		alpha := 0.6 + r.Float64()
 		ratio := 0.01 + r.Float64()*0.25
@@ -151,7 +179,7 @@ func TestUGacheNeverWorseThanBaselinesOnModel(t *testing.T) {
 		ug := mustSolve(t, UGache{}, in)
 		for _, pol := range []Policy{Replication{}, CliquePartition{}, RepPart{}} {
 			base := mustSolve(t, pol, in)
-			if maxF(ug.EstTimes) > maxF(base.EstTimes)*1.03 {
+			if maxF(ug.EstTimes) > maxF(base.EstTimes) {
 				t.Fatalf("trial %d on %s (n=%d α=%.2f ratio=%.2f): ugache %g worse than %s %g",
 					trial, p.Name, n, alpha, ratio,
 					maxF(ug.EstTimes), pol.Name(), maxF(base.EstTimes))
@@ -178,7 +206,8 @@ func TestLowerBoundIsABound(t *testing.T) {
 
 // TestHeterogeneousCapacities checks that unequal per-GPU budgets (e.g. a
 // deployment sharing GPUs with other jobs) are respected and still yield a
-// competitive placement via the heuristic path.
+// competitive placement from the RepPart scan, UGache's answer where the LP
+// does not apply (867 us here, against replication's 1,813).
 func TestHeterogeneousCapacities(t *testing.T) {
 	p := platform.ServerC()
 	in := testInput(t, p, 20000, 1.1, 0.08)

@@ -30,7 +30,8 @@ type Input struct {
 	EntryBytes int
 	// Capacity[g] is GPU g's cache capacity in entries.
 	Capacity []int64
-	// BlockBudget caps the number of hotness blocks (0 = DefaultBlockBudget).
+	// BlockBudget caps the number of hotness blocks (0 = DefaultBlockBudget;
+	// negative is an error).
 	BlockBudget int
 }
 
@@ -58,6 +59,9 @@ func (in *Input) validate() error {
 		if c < 0 {
 			return fmt.Errorf("solver: negative capacity on gpu %d", g)
 		}
+	}
+	if in.BlockBudget < 0 {
+		return fmt.Errorf("solver: negative block budget %d", in.BlockBudget)
 	}
 	for e, h := range in.Hotness {
 		if h < 0 || math.IsNaN(h) || math.IsInf(h, 0) {

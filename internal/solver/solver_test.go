@@ -438,14 +438,17 @@ func TestInputValidation(t *testing.T) {
 		func(in *Input) { in.Capacity = in.Capacity[:2] },
 		func(in *Input) { in.Capacity[0] = -1 },
 		func(in *Input) { in.Hotness[5] = math.NaN() },
+		func(in *Input) { in.BlockBudget = -3 },
 	}
 	for i, corrupt := range cases {
 		in := *good
 		in.Hotness = append(workload.Hotness(nil), good.Hotness...)
 		in.Capacity = append([]int64(nil), good.Capacity...)
 		corrupt(&in)
-		if _, err := (Replication{}).Solve(&in); err == nil {
-			t.Fatalf("case %d accepted", i)
+		for _, pol := range []Policy{Replication{}, UGache{}, OptimalLP{}} {
+			if _, err := pol.Solve(&in); err == nil {
+				t.Fatalf("case %d accepted by %s", i, pol.Name())
+			}
 		}
 	}
 }
@@ -483,40 +486,6 @@ func BenchmarkUGacheSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (UGache{}).Solve(in); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGreedySolve(b *testing.B) {
-	p := platform.ServerB() // asymmetric: the greedy path
-	in := &Input{
-		P:          p,
-		Hotness:    zipfHotness(200000, 1.1, 500000, 1),
-		EntryBytes: 512,
-		Capacity:   make([]int64, p.N),
-	}
-	for g := range in.Capacity {
-		in.Capacity[g] = 16000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (UGacheGreedy{}).Solve(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestGreedyRefinementHelps(t *testing.T) {
-	// On the asymmetric DGX-1 the swap refinement must never hurt and
-	// usually improves the greedy construction.
-	p := platform.ServerB()
-	for _, ratio := range []float64{0.04, 0.08, 0.15} {
-		in := testInput(t, p, 30000, 1.1, ratio)
-		raw := mustSolve(t, UGacheGreedy{RefineRounds: -1}, in)
-		ref := mustSolve(t, UGacheGreedy{RefineRounds: 6}, in)
-		if maxF(ref.EstTimes) > maxF(raw.EstTimes)*1.001 {
-			t.Fatalf("ratio %g: refinement hurt: %g -> %g",
-				ratio, maxF(raw.EstTimes), maxF(ref.EstTimes))
 		}
 	}
 }
