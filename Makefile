@@ -30,10 +30,12 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLPSolve -fuzztime 10s ./internal/lp
 	$(GO) test -run xxx -fuzz FuzzEstimatePresence -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
+	$(GO) test -run xxx -fuzz FuzzRanker -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzRingOwner -fuzztime 10s ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzRealizeSymmetric -fuzztime 10s ./internal/solver
 	$(GO) test -run xxx -fuzz FuzzLoadPlacement -fuzztime 10s ./internal/solver
 	$(GO) test -run xxx -fuzz FuzzHashtable -fuzztime 10s ./internal/hashtable
+	$(GO) test -run xxx -fuzz FuzzParseGoBench -fuzztime 10s ./internal/bench
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner (bench is the

@@ -258,6 +258,9 @@ func TestClusterSharesTheSetUp(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-admission") {
 		t.Errorf("-admission bogus under -nodes 2: error %v, want the -admission one", err)
 	}
+	if err := runArgs(context.Background(), "-nodes 2 -net-bw NaN", dir, io.Discard); err == nil || !strings.Contains(err.Error(), "NIC bandwidth") {
+		t.Errorf("-net-bw NaN under -nodes 2: error %v, want the NIC bandwidth one", err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -77,13 +77,18 @@ func main() {
 		}
 		t0 := time.Now()
 		pl, err := pol.Solve(in)
-		if err != nil {
-			fmt.Printf("%-18s %s\n", name, err)
-			continue
-		}
 		el := time.Since(t0)
-		if err := pl.Validate(in); err != nil {
-			fmt.Printf("%-18s INVALID: %v\n", name, err)
+		if err == nil {
+			if verr := pl.Validate(in); verr != nil {
+				err = fmt.Errorf("INVALID: %w", verr)
+			}
+		}
+		if err != nil {
+			if !*compare {
+				fmt.Fprintf(os.Stderr, "ugache-solve: %s: %v\n", name, err)
+				os.Exit(1)
+			}
+			fmt.Printf("%-18s %s\n", name, err)
 			continue
 		}
 		maxT := 0.0

@@ -23,10 +23,9 @@ func init() {
 
 // figure16 reproduces Figure 16: extraction time of UGache's
 // block-approximate policy versus the theoretically optimal policy (both
-// extracted with UGache's mechanism). On the symmetric servers the optimal
-// reference is the exact LP at finer granularity; on the DGX-1 the paper
-// itself had to shrink the instances ("SYN-As/Bs"), mirrored here by a
-// reduced scale and the small general-form LP.
+// extracted with UGache's mechanism), the exact LP at finer granularity. It
+// covers the symmetric servers only: the reference refuses the DGX-1, where
+// the paper itself had to shrink the instances ("SYN-As/Bs").
 func figure16(o Options) (*Result, error) {
 	optSpec := baselines.UGache.WithPolicy(solver.OptimalLP{})
 	optSpec.Name = "Optimal"
@@ -68,29 +67,6 @@ func figure16(o Options) (*Result, error) {
 		}
 	}
 
-	// Server B: reduced instances (the paper's SYN-As/Bs), small general LP.
-	// The asymmetric exact model only fits the dense simplex at ~22 blocks,
-	// so the "Optimal" here is a coarse reference that UGache's full-budget
-	// solver can legitimately dominate — the paper, too, could not obtain a
-	// true Server-B optimum and solved specially reduced instances.
-	if !o.Quick {
-		b := platform.ServerB()
-		oSmall := o
-		oSmall.Scale = o.Scale * 0.125
-		for _, ds := range []workload.DLRSpec{workload.SYNA, workload.SYNB} {
-			ds := ds
-			if err := addRow(b, "DLRM/"+ds.Name+"s (coarse ref)", func(spec baselines.Spec) (float64, error) {
-				rep, err := runDLR(oSmall, b, spec, ds, "dlrm", 0.06)
-				if err != nil {
-					return 0, err
-				}
-				return rep.PerIter.Extract, nil
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	// Server C: the GNN matrix.
 	c := platform.ServerC()
 	for _, w := range gnnWorkloads(o) {
@@ -110,10 +86,9 @@ func figure16(o Options) (*Result, error) {
 	}
 	return &Result{Name: "fig16", Text: t.String() +
 		"\nPaper shape: the approximation's gap to the optimal policy is ~2% on average.\n" +
-		"Server-B rows compare against a coarse (~22-block) exact LP — the asymmetric\n" +
-		"model does not fit the dense simplex at finer granularity, mirroring the\n" +
-		"paper's own need to reduce Server-B instances — so a negative gap there\n" +
-		"means UGache dominated the coarse reference, not a bound violation.\n"}, nil
+		"Server B has no row: its cube-mesh is not symmetric, and the exact LP covers\n" +
+		"only inputs on which every GPU pair is alike (the paper, too, had no Server-B\n" +
+		"optimum and solved specially reduced SYN-As/Bs instances instead).\n"}, nil
 }
 
 // figure17 reproduces Figure 17: the DLRM/CR inference timeline on Server C

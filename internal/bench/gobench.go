@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,8 +19,9 @@ type GoBenchRow struct {
 
 // ParseGoBench turns `go test -bench -benchmem` output into WriteBaseline
 // reports, one per package: its benchmarks in run order, the -GOMAXPROCS
-// suffix dropped from their names. A FAIL line or an input without any
-// benchmark is an error, so a broken run cannot overwrite a baseline.
+// suffix dropped from their names. A FAIL line, a negative or non-finite
+// cost, or an input without any benchmark is an error, so a broken run cannot
+// overwrite a baseline.
 func ParseGoBench(r io.Reader) (map[string]any, error) {
 	reports := map[string]any{}
 	pkg := ""
@@ -52,6 +54,9 @@ func ParseGoBench(r io.Reader) (map[string]any, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: %q: %w", sc.Text(), err)
 				}
+			}
+			if !(row.NsOp >= 0) || math.IsInf(row.NsOp, 1) || row.BytesOp < 0 || row.AllocsOp < 0 {
+				return nil, fmt.Errorf("bench: %q: a cost must be finite and non-negative", sc.Text())
 			}
 			rows, _ := reports[pkg].([]GoBenchRow)
 			reports[pkg] = append(rows, row)

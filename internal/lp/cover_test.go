@@ -48,7 +48,7 @@ func TestNonZeroSetsCoverEveryPivot(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := p.Solve(); err != nil {
+			if _, err := p.SolveWith(nil); err != nil {
 				t.Fatal(err)
 			}
 		}

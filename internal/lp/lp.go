@@ -57,7 +57,7 @@ type Constraint struct {
 }
 
 // Problem is an LP under construction. Create with NewProblem, add
-// constraints, then Solve.
+// constraints, then SolveWith.
 type Problem struct {
 	numVars int
 	obj     []float64
@@ -98,7 +98,7 @@ func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) error {
 	return nil
 }
 
-// Status reports the outcome of Solve.
+// Status reports the outcome of SolveWith.
 type Status int
 
 const (
@@ -177,16 +177,6 @@ func growI(buf *[]int, n int) []int {
 		*buf = make([]int, n)
 	}
 	return (*buf)[:n]
-}
-
-// Solve runs two-phase primal simplex, returning freshly allocated result
-// storage (callers may retain Solution.X indefinitely).
-func (p *Problem) Solve() (*Solution, error) {
-	sol, err := p.SolveWith(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &sol, nil
 }
 
 // flipOp mirrors a relation, used when normalizing a row to a nonnegative

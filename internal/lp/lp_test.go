@@ -7,16 +7,16 @@ import (
 	"ugache/internal/rng"
 )
 
-func solve(t *testing.T, p *Problem) *Solution {
+func solve(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	s, err := p.Solve()
+	s, err := p.SolveWith(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func wantObj(t *testing.T, s *Solution, want float64) {
+func wantObj(t *testing.T, s Solution, want float64) {
 	t.Helper()
 	if s.Status != Optimal {
 		t.Fatalf("status %v, want optimal", s.Status)
@@ -150,7 +150,7 @@ func TestTooLarge(t *testing.T) {
 	for i := 0; i < maxSize+1; i++ {
 		p.AddConstraint([]Coef{{0, 1}}, LE, 1)
 	}
-	if _, err := p.Solve(); err == nil {
+	if _, err := p.SolveWith(nil); err == nil {
 		t.Fatal("oversized problem accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestRandomFeasibilityProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s, err := p.Solve()
+		s, err := p.SolveWith(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkSimplexMedium(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := build().Solve()
+		s, err := build().SolveWith(nil)
 		if err != nil || s.Status != Optimal {
 			b.Fatalf("status %v err %v", s.Status, err)
 		}

@@ -86,7 +86,7 @@ func TestSolutionXAliasesScratch(t *testing.T) {
 func TestConcurrentSolveWith(t *testing.T) {
 	r := rng.New(3)
 	p := randomProblem(t, r, 10, 8)
-	want, err := p.Solve()
+	want, err := p.SolveWith(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 
 	"ugache/internal/sim"
 )
@@ -158,22 +159,22 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("platform: need at least one GPU, got %d", cfg.N)
 	}
-	if cfg.PCIeBW <= 0 || cfg.DRAMBW <= 0 {
-		return nil, fmt.Errorf("platform: PCIe/DRAM bandwidth must be positive")
+	if !rate(cfg.PCIeBW) || !rate(cfg.DRAMBW) {
+		return nil, fmt.Errorf("platform: PCIe/DRAM bandwidth must be finite and positive")
 	}
-	if cfg.GPU.SMs <= 0 || cfg.GPU.LocalBW <= 0 ||
-		cfg.GPU.RCoreLocal <= 0 || cfg.GPU.RCoreRemote <= 0 || cfg.GPU.RCoreHost <= 0 {
+	if cfg.GPU.SMs <= 0 || !rate(cfg.GPU.LocalBW) ||
+		!rate(cfg.GPU.RCoreLocal) || !rate(cfg.GPU.RCoreRemote) || !rate(cfg.GPU.RCoreHost) {
 		return nil, fmt.Errorf("platform: incomplete GPU model %q", cfg.GPU.Name)
 	}
 	if cfg.Network != nil {
 		if cfg.Network.Machines < 2 {
 			return nil, fmt.Errorf("platform: cluster needs at least 2 machines, got %d", cfg.Network.Machines)
 		}
-		if cfg.Network.LinkBW <= 0 {
-			return nil, fmt.Errorf("platform: cluster NIC bandwidth must be positive")
+		if !rate(cfg.Network.LinkBW) {
+			return nil, fmt.Errorf("platform: cluster NIC bandwidth must be finite and positive, got %g", cfg.Network.LinkBW)
 		}
-		if cfg.Network.LatencySec < 0 {
-			return nil, fmt.Errorf("platform: cluster latency must be non-negative")
+		if lat := cfg.Network.LatencySec; lat != 0 && !rate(lat) {
+			return nil, fmt.Errorf("platform: cluster latency must be finite and non-negative, got %g", lat)
 		}
 	}
 	p := &Platform{
@@ -211,14 +212,18 @@ func New(cfg Config) (*Platform, error) {
 					}
 					continue
 				}
-				if bw := cfg.PairBW[i][j]; bw > 0 {
+				bw := cfg.PairBW[i][j]
+				if bw != 0 && !rate(bw) {
+					return nil, fmt.Errorf("platform: PairBW[%d][%d] = %g must be finite and non-negative (0: no link)", i, j, bw)
+				}
+				if bw > 0 {
 					p.pair[i][j] = p.Topo.AddLink(fmt.Sprintf("nvlink-%d<-%d", i, j), bw)
 				}
 			}
 		}
 	case SwitchBased:
-		if cfg.SwitchPortBW <= 0 {
-			return nil, fmt.Errorf("platform: switch-based platform needs SwitchPortBW")
+		if !rate(cfg.SwitchPortBW) {
+			return nil, fmt.Errorf("platform: switch-based platform needs a finite, positive SwitchPortBW")
 		}
 		p.out = make([]sim.LinkID, cfg.N)
 		p.in = make([]sim.LinkID, cfg.N)
@@ -251,6 +256,10 @@ func New(cfg Config) (*Platform, error) {
 	p.ensureDegraded()
 	return p, nil
 }
+
+// rate reports whether x is a usable bandwidth or per-core rate: finite and
+// positive (NaN is neither).
+func rate(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // mustNew panics on error; used by the stock constructors whose configs are
 // known-good.

@@ -280,6 +280,57 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsHostileRates: every bandwidth and per-core rate must be finite
+// and positive, a pair bandwidth finite and non-negative (0 is "no link"), and
+// the network latency finite and non-negative. NaN passes a plain x <= 0
+// check, so the fields are tried with NaN and +Inf as well as negatives.
+func TestNewRejectsHostileRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"PCIeBW NaN", func(c *Config) { c.PCIeBW = nan }},
+		{"PCIeBW +Inf", func(c *Config) { c.PCIeBW = inf }},
+		{"DRAMBW NaN", func(c *Config) { c.DRAMBW = nan }},
+		{"DRAMBW +Inf", func(c *Config) { c.DRAMBW = inf }},
+		{"LocalBW NaN", func(c *Config) { c.GPU.LocalBW = nan }},
+		{"LocalBW +Inf", func(c *Config) { c.GPU.LocalBW = inf }},
+		{"RCoreLocal NaN", func(c *Config) { c.GPU.RCoreLocal = nan }},
+		{"RCoreRemote +Inf", func(c *Config) { c.GPU.RCoreRemote = inf }},
+		{"RCoreHost NaN", func(c *Config) { c.GPU.RCoreHost = nan }},
+		{"PairBW negative", func(c *Config) { c.PairBW[0][1] = -25e9 }},
+		{"PairBW NaN", func(c *Config) { c.PairBW[2][1] = nan }},
+		{"PairBW +Inf", func(c *Config) { c.PairBW[1][0] = inf }},
+		{"PairBW diagonal NaN", func(c *Config) { c.PairBW[3][3] = nan }},
+		{"net LinkBW NaN", func(c *Config) { c.Network = &NetworkConfig{Machines: 2, LinkBW: nan} }},
+		{"net LinkBW +Inf", func(c *Config) { c.Network = &NetworkConfig{Machines: 2, LinkBW: inf} }},
+		{"net LinkBW negative", func(c *Config) { c.Network = &NetworkConfig{Machines: 2, LinkBW: -1} }},
+		{"net latency NaN", func(c *Config) { c.Network = &NetworkConfig{Machines: 2, LinkBW: 25e9, LatencySec: nan} }},
+		{"net latency +Inf", func(c *Config) { c.Network = &NetworkConfig{Machines: 2, LinkBW: 25e9, LatencySec: inf} }},
+		{"net latency negative", func(c *Config) { c.Network = &NetworkConfig{Machines: 2, LinkBW: 25e9, LatencySec: -1e-6} }},
+		{"SwitchPortBW NaN", func(c *Config) { *c = ServerCConfig(); c.SwitchPortBW = nan }},
+		{"SwitchPortBW +Inf", func(c *Config) { *c = ServerCConfig(); c.SwitchPortBW = inf }},
+		{"switch GPU LocalBW NaN", func(c *Config) { *c = ServerCConfig(); c.GPU.LocalBW = nan }},
+	} {
+		cfg := ServerAConfig()
+		tc.edit(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	// The edges stay legal: an unconnected pair and a zero latency.
+	cfg := ServerAConfig()
+	cfg.PairBW[0][1], cfg.Network = 0, &NetworkConfig{Machines: 2, LinkBW: 25e9}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("unconnected pair with zero latency rejected: %v", err)
+	}
+	if p.Connected(0, 1) || !p.Connected(1, 0) {
+		t.Fatal("PairBW 0 must mean no link, in that direction only")
+	}
+}
+
 func TestLinkIDAccessors(t *testing.T) {
 	p := ServerB()
 	if len(p.NVLinkIDs()) != 2*(len(dgx1Double)+len(dgx1Single)) {

@@ -226,18 +226,6 @@ func numBlocks(l, n, sizeCap int64) int64 {
 	return (l + size - 1) / size
 }
 
-// buildQuantile builds at most maxBlocks equal-hotness-mass blocks with no
-// per-level fine splitting — the tiny exact models (OptimalLP's general
-// formulation) need hard control of the block count.
-func (c *ctx) buildQuantile(maxBlocks int) []Block {
-	bounds := c.bounds(c.quantileCuts(min(max(int64(maxBlocks), 1), c.numEntries())), nil)
-	blocks := make([]Block, 0, len(bounds)-1)
-	for s := 0; s+1 < len(bounds); s++ {
-		blocks = append(blocks, c.newBlock(bounds[s], bounds[s+1]))
-	}
-	return blocks
-}
-
 // newBlock returns the uncached block over ranks [start, end).
 func (c *ctx) newBlock(start, end int64) Block {
 	return Block{

@@ -140,8 +140,8 @@ func TestHotnessLevelMatchesLog2(t *testing.T) {
 // TestBuildMatchesReferenceConstruction checks the two merged-boundary
 // builders against the map-and-sort constructions they replaced, block for
 // block: precomputed levels, random mandatory cut sets (duplicates, out of
-// range, on existing boundaries), block budgets small enough to force the
-// quantile fallback, and buildQuantile's block counts.
+// range, on existing boundaries) and block budgets small enough to force the
+// quantile fallback.
 func TestBuildMatchesReferenceConstruction(t *testing.T) {
 	r := rng.New(2025)
 	platforms := []*platform.Platform{platform.ServerA(), platform.ServerB(), platform.ServerC()}
@@ -179,13 +179,6 @@ func TestBuildMatchesReferenceConstruction(t *testing.T) {
 			}
 			sameBlocks(t, "build", c.build(cuts...), referenceBuild(c, cuts), c)
 		}
-		maxBlocks := r.Intn(30)
-		var want [][2]int64
-		bounds := referenceBounds(c, min(max(int64(maxBlocks), 1), int64(n)), nil)
-		for s := 0; s+1 < len(bounds); s++ {
-			want = append(want, [2]int64{bounds[s], bounds[s+1]})
-		}
-		sameBlocks(t, "buildQuantile", c.buildQuantile(maxBlocks), want, c)
 	}
 }
 

@@ -26,19 +26,19 @@ func (m *milp) add(coefs []lp.Coef, op lp.Op, rhs float64) {
 }
 
 // relax solves the LP relaxation with the branch rows added.
-func (m *milp) relax(branch []lp.Constraint) (*lp.Solution, error) {
+func (m *milp) relax(branch []lp.Constraint) (lp.Solution, error) {
 	p, err := lp.NewProblem(len(m.obj), m.obj)
 	if err != nil {
-		return nil, err
+		return lp.Solution{}, err
 	}
 	for _, rows := range [][]lp.Constraint{m.rows, branch} {
 		for _, r := range rows {
 			if err := p.AddConstraint(r.Coefs, r.Op, r.RHS); err != nil {
-				return nil, err
+				return lp.Solution{}, err
 			}
 		}
 	}
-	return p.Solve()
+	return p.SolveWith(nil) // a private scratch: the incumbent keeps its X
 }
 
 // solveMILP is a sequential depth-first branch and bound: it branches on the
@@ -70,7 +70,7 @@ func solveMILP(m *milp) (lp.Solution, error) {
 			}
 		}
 		if v < 0 {
-			best = *sol
+			best = sol
 			return nil
 		}
 		fl := math.Floor(sol.X[v])

@@ -73,15 +73,6 @@ func newCostModel(in *Input) *costModel {
 	return m
 }
 
-// perByteCost returns a scalar per-byte cost of GPU i reading from source
-// j, by which OptimalLP's rounding picks each reader's source: the packing
-// cost plus the link-bound inverse bandwidth (so slower links are avoided
-// even when core budget is not the binding term). Infinite for unreachable
-// sources.
-func (m *costModel) perByteCost(i int, j platform.SourceID) float64 {
-	return m.packCost[i][j] + m.invEff[i][j]
-}
-
 // volumes accumulates B_{i←j} in bytes for a set of blocks whose hotness
 // masses the caller supplies.
 func volumes(in *Input, blocks []Block, mass func(b *Block) float64) [][]float64 {

@@ -9,40 +9,30 @@ import (
 	"ugache/internal/platform"
 )
 
-// OptimalLP computes the theoretically optimal cache policy of §6.2 by
-// solving the block-granularity linear program exactly (the paper solves
-// the same model with Gurobi; Fig. 16 compares UGache's approximation
-// against it). Because hotness blocks are divisible sets of interchangeable
-// entries, the LP relaxation of the MILP is itself realizable, so no
-// integrality gap is lost at block granularity.
-//
-// Two formulations are used:
-//
-//   - on symmetric platforms (uniform fully connected or switch-based, with
-//     equal capacities) the model collapses to per-block replication counts,
-//     which scales to the full default block budget and is realized exactly;
-//   - on asymmetric platforms (DGX-1) the full a/s-variable model is built;
-//     it only fits the dense simplex for small block budgets, mirroring how
-//     the paper, too, had to shrink Server B instances ("SYN-As/Bs") to
-//     obtain an optimal reference. The realized placement rounds storage
-//     fractions; LowerBound carries the exact LP objective.
+// OptimalLP is Fig. 16's reference policy: the §6.2 block model solved
+// exactly by the internal LP solver (the paper hands the MILP to Gurobi). It
+// has one formulation. On a symmetric input — every GPU pair alike (uniform
+// hard-wired like Server A, switch-based like Server C) and equal capacities —
+// the model collapses to per-block replication counts, solved at a 768-block
+// budget unless the input sets one and realized as priced. Hotness blocks are
+// divisible sets of interchangeable entries, so the LP loses no integrality
+// gap at block granularity; LowerBound carries its objective. Any other input
+// (DGX-1's cube-mesh, Server B, alone or clustered; unequal capacities) is
+// refused with an error that says which pair or capacity breaks the symmetry:
+// the paper, too, had no exact optimum there.
 type OptimalLP struct{}
-
-// maxGeneralBlocks caps the asymmetric formulation's quantile blocks: as many
-// as the dense simplex's row limit allows on an 8-GPU platform.
-const maxGeneralBlocks = 22
 
 // Name implements Policy.
 func (OptimalLP) Name() string { return "optimal-lp" }
 
 // Solve implements Policy.
-func (o OptimalLP) Solve(in *Input) (*Placement, error) {
+func (OptimalLP) Solve(in *Input) (*Placement, error) {
 	c, err := newCtx(in)
 	if err != nil {
 		return nil, err
 	}
-	if !symmetric(in) {
-		return o.solveGeneral(c)
+	if err := asymmetry(in); err != nil {
+		return nil, fmt.Errorf("solver: no exact LP for %s: %w", in.P.Name, err)
 	}
 	if in.BlockBudget == 0 {
 		c.budget = 768 // finer than UGache's default: the reference policy
@@ -50,36 +40,30 @@ func (o OptimalLP) Solve(in *Input) (*Placement, error) {
 	return solveSymmetricLP(c)
 }
 
-// symmetric reports whether every GPU sees an identical platform and
-// capacity.
-func symmetric(in *Input) bool {
-	for _, cap := range in.Capacity {
+// asymmetry returns nil when every GPU sees an identical platform and
+// capacity — the inputs the count LP answers — and otherwise says what
+// differs.
+func asymmetry(in *Input) error {
+	for g, cap := range in.Capacity {
 		if cap != in.Capacity[0] {
-			return false
+			return fmt.Errorf("GPU %d caches %d entries, GPU 0 %d", g, cap, in.Capacity[0])
 		}
 	}
 	p := in.P
-	if p.N == 1 {
-		return true
-	}
-	var bw float64
 	for i := 0; i < p.N; i++ {
 		for j := 0; j < p.N; j++ {
 			if i == j {
 				continue
 			}
 			if !p.Connected(i, j) {
-				return false
+				return fmt.Errorf("GPUs %d and %d share no link", i, j)
 			}
-			if bw == 0 {
-				bw = p.PairBW[i][j]
-			}
-			if p.PairBW[i][j] != bw {
-				return false
+			if bw, ref := p.PairBW[i][j], p.PairBW[0][1]; bw != ref {
+				return fmt.Errorf("GPU %d reads GPU %d at %g GB/s, GPU 0 reads GPU 1 at %g GB/s", i, j, bw/1e9, ref/1e9)
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // lpScratch recycles the simplex working set (a few MB at the full block
@@ -319,167 +303,4 @@ func splitCounts(n int64, dist []float64) []int64 {
 	}
 	sizes[0] = n - above
 	return sizes
-}
-
-// solveGeneral solves the full §6.2 block model with per-reader access
-// variables for asymmetric platforms (blockModel, below), as a fractional LP
-// with rounded realization.
-func (o OptimalLP) solveGeneral(c *ctx) (*Placement, error) {
-	in := c.in
-	blocks := c.buildQuantile(maxGeneralBlocks)
-	bm, err := buildBlockModel(in, c, blocks)
-	if err != nil {
-		return nil, err
-	}
-	g := in.P.N
-
-	sol, err := bm.prob.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("solver: general optimal LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("solver: general optimal LP %v", sol.Status)
-	}
-
-	// Round: store where s ≥ 0.5, then greedy-repair capacity and reassign
-	// access by cheapest reachable source.
-	capLeft := append([]int64(nil), in.Capacity...)
-	for b := 0; b < bm.nb; b++ {
-		blk := &blocks[b]
-		for j := 0; j < g; j++ {
-			if sol.X[bm.sv(b, j)] >= 0.5 && capLeft[j] >= blk.Entries() {
-				blk.Store[j] = true
-				capLeft[j] -= blk.Entries()
-			}
-		}
-		for i := 0; i < g; i++ {
-			best := in.fallback()
-			bestCost := bm.m.perByteCost(i, best)
-			for j := 0; j < g; j++ {
-				if !blk.Store[j] || (i != j && !in.P.Connected(i, j)) {
-					continue
-				}
-				if cost := bm.m.perByteCost(i, platform.SourceID(j)); cost < bestCost {
-					best, bestCost = platform.SourceID(j), cost
-				}
-			}
-			blk.Access[i] = best
-		}
-	}
-	pl := newPlacement(c, "optimal-lp", blocks)
-	pl.LowerBound = sol.Objective / bm.scale
-	return pl, nil
-}
-
-// blockModel is solveGeneral's §6.2 block-granularity a/s/z formulation:
-//
-//	min z
-//	s.t. Σ_j a[b][i][j] = 1    over reachable j        (each reader sourced)
-//	     s[b][j] ≥ a[b][i][j]  for GPU sources         (access needs storage)
-//	     s[b][j] ≤ 1
-//	     Σ_b n_b·s[b][j] ≤ cap_j                       (capacity)
-//	     z ≥ Σ_b bytes_b·invEff[i][j]·a[b][i][j]       (per-link time)
-//	     z ≥ Σ_{b,j} bytes_b·packCost[i][j]·a[b][i][j] (per-reader packing)
-//
-// Coefficients are rescaled so the all-host makespan is O(1) (raw
-// seconds-per-byte sums can sit below the simplex pivot tolerance);
-// objective values divide by scale to come back to seconds.
-type blockModel struct {
-	prob  *lp.Problem
-	m     *costModel
-	g     int
-	srcs  int
-	nb    int
-	scale float64
-}
-
-func (bm *blockModel) av(b, i, j int) int { return (b*bm.g+i)*bm.srcs + j }
-func (bm *blockModel) sv(b, j int) int    { return bm.nb*bm.g*bm.srcs + b*bm.g + j }
-func (bm *blockModel) zVar() int          { return bm.nb*bm.g*bm.srcs + bm.nb*bm.g }
-
-// buildBlockModel constructs the LP over the given blocks.
-func buildBlockModel(in *Input, c *ctx, blocks []Block) (*blockModel, error) {
-	g := in.P.N
-	srcs := in.P.NumSources()
-	m := c.m
-	nb := len(blocks)
-	totalBytes := c.mass(0, c.numEntries()) * float64(in.EntryBytes)
-	scale := 1.0
-	if hostInv := m.invEff[0][int(in.fallback())]; totalBytes > 0 && hostInv > 0 {
-		scale = 1 / (totalBytes * hostInv)
-	}
-	bm := &blockModel{m: m, g: g, srcs: srcs, nb: nb, scale: scale}
-
-	obj := make([]float64, bm.zVar()+1)
-	obj[bm.zVar()] = 1
-	prob, err := lp.NewProblem(bm.zVar()+1, obj)
-	if err != nil {
-		return nil, err
-	}
-	bm.prob = prob
-
-	for b := 0; b < nb; b++ {
-		for i := 0; i < g; i++ {
-			// Σ_j a = 1 over reachable sources.
-			var coefs []lp.Coef
-			for j := 0; j < srcs; j++ {
-				if math.IsInf(m.invEff[i][j], 1) {
-					continue // unconnected: variable pruned (paper §6.2)
-				}
-				coefs = append(coefs, lp.Coef{Var: bm.av(b, i, j), Value: 1})
-			}
-			if err := prob.AddConstraint(coefs, lp.EQ, 1); err != nil {
-				return nil, err
-			}
-			// s ≥ a for GPU sources.
-			for j := 0; j < g; j++ {
-				if math.IsInf(m.invEff[i][j], 1) {
-					continue
-				}
-				if err := prob.AddConstraint([]lp.Coef{
-					{Var: bm.sv(b, j), Value: 1}, {Var: bm.av(b, i, j), Value: -1},
-				}, lp.GE, 0); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// s ≤ 1.
-		for j := 0; j < g; j++ {
-			if err := prob.AddConstraint([]lp.Coef{{Var: bm.sv(b, j), Value: 1}}, lp.LE, 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Capacity per GPU.
-	for j := 0; j < g; j++ {
-		coefs := make([]lp.Coef, 0, nb)
-		for b := 0; b < nb; b++ {
-			coefs = append(coefs, lp.Coef{Var: bm.sv(b, j), Value: float64(blocks[b].Entries())})
-		}
-		if err := prob.AddConstraint(coefs, lp.LE, float64(in.Capacity[j])); err != nil {
-			return nil, err
-		}
-	}
-	// Time bounds: z ≥ t_i^j (link) and z ≥ packing_i.
-	for i := 0; i < g; i++ {
-		packCoefs := []lp.Coef{{Var: bm.zVar(), Value: 1}}
-		for j := 0; j < srcs; j++ {
-			if math.IsInf(m.invEff[i][j], 1) {
-				continue
-			}
-			coefs := []lp.Coef{{Var: bm.zVar(), Value: 1}}
-			for b := 0; b < nb; b++ {
-				bytes := blocks[b].Mass() * float64(in.EntryBytes) * scale
-				coefs = append(coefs, lp.Coef{Var: bm.av(b, i, j), Value: -bytes * m.invEff[i][j]})
-				packCoefs = append(packCoefs, lp.Coef{Var: bm.av(b, i, j), Value: -bytes * m.packCost[i][j]})
-			}
-			if err := prob.AddConstraint(coefs, lp.GE, 0); err != nil {
-				return nil, err
-			}
-		}
-		if err := prob.AddConstraint(packCoefs, lp.GE, 0); err != nil {
-			return nil, err
-		}
-	}
-	return bm, nil
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ugache/internal/platform"
@@ -358,25 +359,35 @@ func TestOptimalLPSymmetric(t *testing.T) {
 	}
 }
 
-func TestOptimalLPGeneralDGX1(t *testing.T) {
-	p := platform.ServerB()
-	in := testInput(t, p, 5000, 1.2, 0.06)
-	opt, err := (OptimalLP{}).Solve(in)
+// TestOptimalLPRefusesAsymmetricInputs: the reference has one formulation,
+// the count LP, and refuses every input it does not cover — DGX-1's
+// cube-mesh, alone and clustered, and unequal capacities — with an error that
+// names what differs, while UGache still places each of them.
+func TestOptimalLPRefusesAsymmetricInputs(t *testing.T) {
+	cluster, err := platform.ClusterOf(platform.ServerBConfig(), platform.DefaultNetwork(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := opt.Validate(in); err != nil {
+	apart, err := platform.New(platform.Config{Name: "2xV100-apart", Kind: platform.HardWired, GPU: platform.V100x16, N: 2,
+		PCIeBW: 12e9, DRAMBW: 140e9, PairBW: [][]float64{{0, 0}, {0, 0}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.LowerBound <= 0 {
-		t.Fatal("no lower bound")
-	}
-	// The bound is a valid lower bound for UGache's achieved model time at
-	// the same (coarse) granularity or finer.
-	ug := mustSolve(t, UGache{}, in)
-	if maxF(ug.EstTimes) < opt.LowerBound*0.7 {
-		t.Fatalf("ugache %g implausibly below optimal bound %g",
-			maxF(ug.EstTimes), opt.LowerBound)
+	unequal := testInput(t, platform.ServerC(), 5000, 1.2, 0.06)
+	unequal.Capacity[3]++
+	for _, tc := range []struct {
+		in   *Input
+		want string
+	}{
+		{testInput(t, platform.ServerB(), 5000, 1.2, 0.06), "no exact LP for ServerB-8xV100: GPU 0 reads GPU 3 at 50 GB/s, GPU 0 reads GPU 1 at 25 GB/s"},
+		{testInput(t, cluster, 5000, 1.2, 0.06), "no exact LP for ServerB-8xV100-x2: GPU 0 reads GPU 3 at 50 GB/s"},
+		{testInput(t, apart, 5000, 1.2, 0.06), "no exact LP for 2xV100-apart: GPUs 0 and 1 share no link"},
+		{unequal, "no exact LP for ServerC-8xA100: GPU 3 caches 301 entries, GPU 0 300"},
+	} {
+		if pl, err := (OptimalLP{}).Solve(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: placement %v, error %v; want an error naming %q", tc.in.P.Name, pl != nil, err, tc.want)
+		}
+		mustSolve(t, UGache{}, tc.in)
 	}
 }
 

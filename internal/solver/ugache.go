@@ -26,7 +26,7 @@ func (UGache) Solve(in *Input) (*Placement, error) {
 		return nil, err
 	}
 	var lpPl *Placement
-	if symmetric(in) {
+	if asymmetry(in) == nil {
 		lpPl, _ = solveSymmetricLP(c) // an LP that fails leaves the scan
 	}
 	blocks, t := (RepPart{Candidates: 33}).scan(c)

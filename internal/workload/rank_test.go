@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -76,6 +77,55 @@ func TestRankerMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRanker checks Ranker.Rank against sort.SliceStable over the entry
+// indices by descending hotness — ties, −0 with +0 among them, keep ascending
+// index. The raw bytes decode into a non-negative finite vector: an even tag
+// byte picks a value from a small palette (so ties are common), an odd one
+// takes the next eight bytes as a float's bits, sign cleared, non-finite
+// folded to MaxFloat64. One Ranker ranks the vector and then its first cut
+// entries, so a reused Ranker is handed a longer vector and then a shorter
+// one.
+func FuzzRanker(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	palette := []float64{0, negZero, 1, 0.5, math.SmallestNonzeroFloat64, math.MaxFloat64,
+		math.Nextafter(1, 2), 0x1p-1022, 255, 256}
+	f.Fuzz(func(t *testing.T, cut byte, raw []byte) {
+		var h Hotness
+		for len(raw) > 0 {
+			tag := raw[0]
+			raw = raw[1:]
+			if tag%2 == 0 || len(raw) < 8 {
+				h = append(h, palette[int(tag/2)%len(palette)])
+				continue
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw) &^ (1 << 63))
+			raw = raw[8:]
+			if math.IsNaN(v) || math.IsInf(v, 1) {
+				v = math.MaxFloat64
+			}
+			h = append(h, v)
+		}
+		var rk Ranker
+		for _, v := range []Hotness{h, h[:int(cut)%(len(h)+1)]} {
+			want := make([]int64, len(v))
+			for i := range want {
+				want[i] = int64(i)
+			}
+			sort.SliceStable(want, func(i, j int) bool { return v[want[i]] > v[want[j]] })
+			got := rk.Rank(v)
+			if len(got) != len(want) {
+				t.Fatalf("%d ranks for %d entries", len(got), len(want))
+			}
+			for i, k := range got {
+				if k.Entry != want[i] || k.Hotness() != v[k.Entry] {
+					t.Fatalf("n=%d: rank %d is entry %d (hotness %g), sort.SliceStable says %d (%g)",
+						len(v), i, k.Entry, k.Hotness(), want[i], v[want[i]])
+				}
+			}
+		}
+	})
 }
 
 var rankSink []RankedEntry

@@ -136,7 +136,9 @@ var (
 	PolicyPartition Policy = solver.Partition{}
 	// PolicyCliquePartition is Quiver's clique partition.
 	PolicyCliquePartition Policy = solver.CliquePartition{}
-	// PolicyOptimal is the exact LP reference (Fig. 16).
+	// PolicyOptimal is the exact LP reference (Fig. 16): one formulation, the
+	// replication-count LP of a symmetric platform with equal capacities. It
+	// refuses any other input (Server B, unequal capacities) with the reason.
 	PolicyOptimal Policy = solver.OptimalLP{}
 )
 
