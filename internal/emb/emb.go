@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // DType is the element type of an embedding table.
@@ -62,22 +64,32 @@ func New(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error
 }
 
 // NewMaterialized creates a table with real backing bytes, filled with the
-// same deterministic values a procedural table would generate.
+// same deterministic values a procedural table would generate. The rows are
+// split into GOMAXPROCS contiguous key ranges, one goroutine each, and every
+// row is generated in place by exactly one of them, so the bytes do not
+// depend on the worker count.
 func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error) {
 	t, err := New(name, n, dim, dtype, seed)
 	if err != nil {
 		return nil, err
 	}
-	total := n * int64(t.EntryBytes())
-	if total > 1<<31 {
-		return nil, fmt.Errorf("emb: materialized table %q would need %d bytes; use a procedural table", name, total)
+	eb := int64(t.EntryBytes())
+	if n > (1<<31)/eb {
+		return nil, fmt.Errorf("emb: materialized table %q would need %d rows of %d bytes, over 2 GiB; use a procedural table", name, n, eb)
 	}
-	t.data = make([]byte, total)
-	buf := make([]byte, t.EntryBytes())
-	for k := int64(0); k < n; k++ {
-		t.generate(k, buf)
-		copy(t.data[k*int64(t.EntryBytes()):], buf)
+	t.data = make([]byte, n*eb)
+	workers := min(int64(runtime.GOMAXPROCS(0)), n)
+	var wg sync.WaitGroup
+	for w := int64(0); w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int64) {
+			defer wg.Done()
+			for k := lo; k < hi; k++ {
+				t.generate(k, t.data[k*eb:(k+1)*eb])
+			}
+		}(n*w/workers, n*(w+1)/workers)
 	}
+	wg.Wait()
 	return t, nil
 }
 
@@ -104,30 +116,32 @@ func (t *Table) ReadRow(key int64, dst []byte) error {
 }
 
 // generate fills dst with the deterministic row for key. Values are small
-// floats in [-1, 1), a realistic range for trained embeddings.
+// floats in [-1, 1), a realistic range for trained embeddings. Element c is
+// a 64-bit finalizer of seed ^ key·φ ^ c·K; the per-row half of that XOR and
+// the dtype are fixed for the row, so both are settled outside the loop.
 func (t *Table) generate(key int64, dst []byte) {
-	es := t.DType.Size()
-	for c := 0; c < t.Dim; c++ {
-		h := mix(t.seed, uint64(key), uint64(c))
-		// Map 23 bits of hash to [-1, 1).
-		v := float32(int32(h&0x7fffff)-0x400000) / float32(0x400000)
-		switch t.DType {
-		case Float16:
-			binary.LittleEndian.PutUint16(dst[c*es:], Float32ToFloat16(v))
-		default:
-			binary.LittleEndian.PutUint32(dst[c*es:], math.Float32bits(v))
+	row := t.seed ^ uint64(key)*0x9e3779b97f4a7c15
+	if t.DType == Float16 {
+		dst = dst[:2*t.Dim]
+		for c := 0; c < t.Dim; c++ {
+			binary.LittleEndian.PutUint16(dst[2*c:], Float32ToFloat16(unit(row^uint64(c)*0xc2b2ae3d27d4eb4f)))
 		}
+		return
+	}
+	dst = dst[:4*t.Dim]
+	for c := 0; c < t.Dim; c++ {
+		binary.LittleEndian.PutUint32(dst[4*c:], math.Float32bits(unit(row^uint64(c)*0xc2b2ae3d27d4eb4f)))
 	}
 }
 
-func mix(a, b, c uint64) uint64 {
-	x := a ^ (b * 0x9e3779b97f4a7c15) ^ (c * 0xc2b2ae3d27d4eb4f)
+// unit finalizes x and maps 23 bits of the hash to [-1, 1).
+func unit(x uint64) float32 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
-	return x
+	return float32(int32(x&0x7fffff)-0x400000) / float32(0x400000)
 }
 
 // DecodeFloats decodes raw row bytes of the given dtype into out.

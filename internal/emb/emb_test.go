@@ -2,7 +2,9 @@ package emb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -34,23 +36,86 @@ func TestProceduralDeterminism(t *testing.T) {
 	}
 }
 
-func TestMaterializedMatchesProcedural(t *testing.T) {
-	p, _ := New("p", 64, 16, Float32, 3)
-	m, err := NewMaterialized("p", 64, 16, Float32, 3)
-	if err != nil {
-		t.Fatal(err)
+// referenceRow is the row generator as first written: one mix per element,
+// the dtype chosen per element, and the row built in a scratch buffer and
+// copied out. The shipped generator must produce the same bytes.
+func referenceRow(tb *Table, key int64, dst []byte) {
+	mix := func(a, b, c uint64) uint64 {
+		x := a ^ (b * 0x9e3779b97f4a7c15) ^ (c * 0xc2b2ae3d27d4eb4f)
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		return x
 	}
-	if m.data == nil || p.data != nil {
-		t.Fatal("only the materialized table should hold bytes")
-	}
-	bp := make([]byte, p.EntryBytes())
-	bm := make([]byte, m.EntryBytes())
-	for k := int64(0); k < 64; k++ {
-		p.ReadRow(k, bp)
-		m.ReadRow(k, bm)
-		if !bytes.Equal(bp, bm) {
-			t.Fatalf("row %d differs", k)
+	es := tb.DType.Size()
+	buf := make([]byte, tb.EntryBytes())
+	for c := 0; c < tb.Dim; c++ {
+		h := mix(tb.seed, uint64(key), uint64(c))
+		v := float32(int32(h&0x7fffff)-0x400000) / float32(0x400000)
+		switch tb.DType {
+		case Float16:
+			binary.LittleEndian.PutUint16(buf[c*es:], Float32ToFloat16(v))
+		default:
+			binary.LittleEndian.PutUint32(buf[c*es:], math.Float32bits(v))
 		}
+	}
+	copy(dst, buf)
+}
+
+// TestMaterializedMatchesProcedural checks that the materialized bytes are
+// the reference generator's, row for row, for both dtypes, at dims and row
+// counts that do not divide evenly among the workers, with one worker and
+// with three; and that a procedural table reads back the same rows.
+func TestMaterializedMatchesProcedural(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, dtype := range []DType{Float32, Float16} {
+			for _, dim := range []int{1, 7, 32, 128} {
+				for _, n := range []int64{1, 3, 1001} {
+					m, err := NewMaterialized("m", n, dim, dtype, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, _ := New("p", n, dim, dtype, 3)
+					if m.data == nil || p.data != nil {
+						t.Fatal("only the materialized table should hold bytes")
+					}
+					eb := int64(m.EntryBytes())
+					want := make([]byte, n*eb)
+					for k := int64(0); k < n; k++ {
+						referenceRow(m, k, want[k*eb:(k+1)*eb])
+					}
+					if !bytes.Equal(m.data, want) {
+						t.Fatalf("GOMAXPROCS %d %v dim %d n %d: materialized bytes differ from the reference", procs, dtype, dim, n)
+					}
+					row := make([]byte, eb)
+					for k := int64(0); k < n; k++ {
+						p.ReadRow(k, row)
+						if !bytes.Equal(row, want[k*eb:(k+1)*eb]) {
+							t.Fatalf("GOMAXPROCS %d %v dim %d n %d: procedural row %d differs", procs, dtype, dim, n, k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+var tableSink *Table
+
+// BenchmarkNewMaterialized builds the benchmark harness's common table:
+// 400,000 rows of 32 float32.
+func BenchmarkNewMaterialized(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tb, err := NewMaterialized("bench", 400_000, 32, Float32, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tableSink = tb
 	}
 }
 
@@ -119,6 +184,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := NewMaterialized("x", 1<<40, 128, Float32, 1); err == nil {
 		t.Fatal("huge materialized table accepted")
+	}
+	// 2^55 rows of 512 bytes: the byte count wraps to 0 in int64.
+	if _, err := NewMaterialized("x", 1<<55, 128, Float32, 1); err == nil {
+		t.Fatal("materialized table whose size wraps accepted")
 	}
 }
 

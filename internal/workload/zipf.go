@@ -45,6 +45,7 @@ type Zipf struct {
 	norm  float64
 	exp   float64
 	isLog bool
+	short float64 // |1−α| when it is below 0.5 (CDF's short path), else 0
 	guide []int16 // rank of each slice of u, or -1: evaluate the formula
 }
 
@@ -64,6 +65,9 @@ func NewZipf(n int64, alpha float64) (*Zipf, error) {
 	} else {
 		z.norm = math.Pow(float64(n+1), 1-alpha) - 1
 		z.exp = 1 / (1 - alpha)
+		if y := math.Abs(1 - alpha); y < 0.5 {
+			z.short = y
+		}
 	}
 	z.buildGuide()
 	return z, nil
@@ -128,7 +132,18 @@ func (z *Zipf) x(u float64) float64 {
 }
 
 // CDF returns the (continuous approximation of the) probability that a
-// sample is < r; used to size caches analytically in tests.
+// sample is < r; used to size caches analytically in tests and by hotness
+// models that sum it over every rank.
+//
+// It is ((r+1)^(1−α) − 1)/norm, and for 0 < |1−α| < 0.5 it computes the
+// power the way Go's math.Pow does, step for step, so the result is the
+// same bits: Pow splits |y| into an integer part, here 0, and a fraction,
+// here |y| itself, takes Exp(fraction·Log(x)), multiplies in no integer
+// powers, inverts for y < 0 and scales by 2^0, which leaves the value alone
+// (x = r+1 ≥ 2 and |y| < 0.5 keep it normal). Calling Exp and Log directly skips Pow's special-case switch,
+// Modf, Frexp and Ldexp. At |1−α| = 0.5 Pow takes a Sqrt instead and above
+// it the integer loop runs, so every other α keeps math.Pow. (The
+// equivalence is with the pure-Go Pow, which every port but s390x uses.)
 func (z *Zipf) CDF(rank int64) float64 {
 	if rank <= 0 {
 		return 0
@@ -139,6 +154,13 @@ func (z *Zipf) CDF(rank int64) float64 {
 	x := float64(rank)
 	if z.isLog {
 		return math.Log(x+1) / z.norm
+	}
+	if z.short > 0 {
+		e := math.Exp(z.short * math.Log(x+1))
+		if z.Alpha > 1 {
+			e = 1 / e
+		}
+		return (e - 1) / z.norm
 	}
 	return (math.Pow(x+1, 1-z.Alpha) - 1) / z.norm
 }

@@ -62,11 +62,13 @@ func TestZipfRankMatchesFormula(t *testing.T) {
 // FuzzZipfRank checks, for any sampler NewZipf accepts and any u, that Rank
 // is the formula's rank — at u itself and, for u in [0, 1), at the edges of
 // its guide slice and the last u inside it — and that a u outside [0, 1) or
-// NaN is clamped into [0, n) instead of indexing past the guide. NewZipf
-// must refuse exactly the parameters outside its domain. The seed corpus is
-// in testdata/fuzz/FuzzZipfRank.
+// NaN is clamped into [0, n) instead of indexing past the guide; and that CDF
+// at rank is, bit for bit, the math.Pow formula its short path replays.
+// NewZipf must refuse exactly the parameters outside its domain. The seed
+// corpus is in testdata/fuzz/FuzzZipfRank; its cdf-* seeds sit on both sides
+// of |1−α| = 0.5, where Pow switches to Sqrt.
 func FuzzZipfRank(f *testing.F) {
-	f.Fuzz(func(t *testing.T, n int64, alpha, u float64) {
+	f.Fuzz(func(t *testing.T, n int64, alpha, u float64, rank int64) {
 		z, err := NewZipf(n, alpha)
 		valid := n > 0 && n < math.MaxInt64 && alpha > 0 && !math.IsInf(alpha, 1)
 		if (err == nil) != valid {
@@ -85,5 +87,50 @@ func FuzzZipfRank(f *testing.F) {
 				sameAsFormula(t, z, hi)
 			}
 		}
+		if !z.isLog && rank > 0 && rank < z.N {
+			sameAsPow(t, z, rank)
+		}
 	})
+}
+
+// sameAsPow fails unless CDF(rank) is the math.Pow formula's value, bit for
+// bit (NaN included).
+func sameAsPow(t *testing.T, z *Zipf, rank int64) {
+	got, want := z.CDF(rank), (math.Pow(float64(rank)+1, 1-z.Alpha)-1)/z.norm
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("n %d alpha %v: CDF(%d) = %v, math.Pow gives %v", z.N, z.Alpha, rank, got, want)
+	}
+}
+
+// TestZipfCDFShortPathIsPow checks every rank of the benchmark harness's
+// 400,000-entry table at its two skews, both of which take the short path.
+func TestZipfCDFShortPathIsPow(t *testing.T) {
+	for _, alpha := range []float64{0.9, 1.2} {
+		z, err := NewZipf(400_000, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if z.short == 0 {
+			t.Fatalf("alpha %v does not take the short path", alpha)
+		}
+		for r := int64(1); r < z.N; r++ {
+			sameAsPow(t, z, r)
+		}
+	}
+}
+
+var cdfSink float64
+
+// BenchmarkZipfCDF is one sweep of rank probabilities CDF(r+1) − CDF(r) over
+// the benchmark harness's 400,000 ranks at alpha 1.2, the analytic hotness
+// loop of its serving workloads.
+func BenchmarkZipfCDF(b *testing.B) {
+	z, _ := NewZipf(400_000, 1.2)
+	for i := 0; i < b.N; i++ {
+		var sum float64
+		for r := int64(0); r < z.N; r++ {
+			sum += z.CDF(r+1) - z.CDF(r)
+		}
+		cdfSink = sum
+	}
 }
