@@ -95,6 +95,9 @@ func (e *engine) check() (err error) {
 	if o.nodes < 1 {
 		return fmt.Errorf("-nodes must be >= 1, got %d", o.nodes)
 	}
+	if o.batch < 1 {
+		return fmt.Errorf("-batch must be >= 1, got %d", o.batch)
+	}
 	if !strings.EqualFold(o.admission, "fastfail") {
 		if e.admitWait, err = time.ParseDuration(o.admission); err != nil || e.admitWait <= 0 {
 			return fmt.Errorf("-admission: want fastfail or a positive wait bound like 500us, got %q", o.admission)

@@ -341,3 +341,15 @@ func TestParseDroppedFlags(t *testing.T) {
 		t.Errorf("parse(nil) = %+v, %v", o, err)
 	}
 }
+
+// TestRunRefusesEmptyRequests: a request of no samples (or fewer) is
+// refused by name before anything is built, not a panic in the profiling
+// draw.
+func TestRunRefusesEmptyRequests(t *testing.T) {
+	for _, batch := range []string{"0", "-1"} {
+		err := runArgs(context.Background(), "-batch "+batch, "", io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-batch must be >= 1") {
+			t.Errorf("-batch %s: run = %v, want a -batch error", batch, err)
+		}
+	}
+}

@@ -37,6 +37,9 @@ func main() {
 
 	switch {
 	case *gen != "":
+		if err := checkGen(*batches, *batch); err != nil {
+			fatal("%v", err)
+		}
 		spec, err := workload.DLRSpecByName(*dataset)
 		if err != nil {
 			fatal("%v", err)
@@ -159,6 +162,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// checkGen refuses -gen sizes that make no trace.
+func checkGen(batches, batch int) error {
+	if batches < 1 {
+		return fmt.Errorf("-batches must be >= 1, got %d", batches)
+	}
+	if batch < 1 {
+		return fmt.Errorf("-batch must be >= 1, got %d", batch)
+	}
+	return nil
 }
 
 // sortedKeys returns m's keys in order.

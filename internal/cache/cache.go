@@ -16,8 +16,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,22 +87,73 @@ func (c *GPUCache) insert(key int64, src RowSource, buf []byte) error {
 	return c.Table.Insert(key, hashtable.Location{GPU: int32(c.GPU), Offset: off})
 }
 
-// fill caches every entry of the placement's blocks stored on this GPU, in
-// block order.
-func (c *GPUCache) fill(pl *solver.Placement, src RowSource) error {
-	buf := make([]byte, c.EntryBytes)
+// fill registers every entry of the placement's blocks stored on this GPU,
+// in block order, each in a fresh slot; writeRows copies the bytes.
+func (c *GPUCache) fill(pl *solver.Placement) error {
 	for bi := range pl.Blocks {
 		b := &pl.Blocks[bi]
 		if !b.Store[c.GPU] {
 			continue
 		}
 		for _, e := range pl.ByRank[b.Start:b.End] {
-			if err := c.insert(int64(e), src, buf); err != nil {
+			if err := c.insert(int64(e), nil, nil); err != nil {
 				return fmt.Errorf("cache: gpu %d: %w", c.GPU, err)
 			}
 		}
 	}
 	return nil
+}
+
+// writeRows copies every stored row from src into the slots fill laid out:
+// the distinct stored rows, in block order, are split into GOMAXPROCS
+// contiguous ranges whose goroutines read each row once and write it to
+// every holder, so every slot has one writer. The first range's error wins.
+func writeRows(caches []*GPUCache, pl *solver.Placement, src RowSource) error {
+	eb := int64(pl.EntryBytes)
+	// Block bi holds distinct rows [at[bi], at[bi+1]); its first rank sits
+	// at byte offs[bi][g] on each GPU g storing it.
+	at := make([]int64, len(pl.Blocks)+1)
+	offs := make([][]int64, len(pl.Blocks))
+	next := make([]int64, len(caches))
+	for bi := range pl.Blocks {
+		b := &pl.Blocks[bi]
+		offs[bi], at[bi+1] = slices.Clone(next), at[bi]
+		for g, stored := range b.Store {
+			if stored {
+				next[g] += (b.End - b.Start) * eb
+				at[bi+1] = at[bi] + b.End - b.Start
+			}
+		}
+	}
+	rows := at[len(pl.Blocks)]
+	workers := min(int64(runtime.GOMAXPROCS(0)), rows)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(lo, hi int64) {
+			defer wg.Done()
+			buf := make([]byte, eb)
+			for bi := range pl.Blocks {
+				b := &pl.Blocks[bi]
+				for i := max(lo, at[bi]); i < min(hi, at[bi+1]); i++ {
+					r := b.Start + i - at[bi]
+					if errs[w] = src.ReadRow(int64(pl.ByRank[r]), buf); errs[w] != nil {
+						return
+					}
+					for g, stored := range b.Store {
+						if stored {
+							if errs[w] = caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, buf); errs[w] != nil {
+								return
+							}
+						}
+					}
+				}
+			}
+		}(rows*w/workers, rows*(w+1)/workers)
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 // clone deep-copies the cache, pointing its arena into the given clone of
@@ -181,7 +234,7 @@ type FillOptions struct {
 
 // Fill materializes a placement: for every GPU, each stored block's entries
 // are allocated in the arena and registered in the hash table (the Filler
-// of §4). In functional mode the bytes are copied from the host source.
+// of §4). In functional mode writeRows then copies the bytes from the host.
 func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System, error) {
 	if p == nil || pl == nil {
 		return nil, fmt.Errorf("cache: nil platform or placement")
@@ -194,60 +247,44 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 	}
 	eb := pl.EntryBytes
 	sys := &System{P: p, EntryBytes: eb, source: opt.Source}
-	sn := &snapshot{placement: pl, caches: make([]*GPUCache, p.N)}
-	var err error
-	if opt.Source != nil {
-		var total int64
-		for _, c := range opt.CapacityEntries {
-			if c > total {
-				total = c
-			}
-		}
-		sn.space, err = memsim.NewBackedSpace(p.N, total*int64(eb))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		maxCap := int64(0)
-		for _, c := range opt.CapacityEntries {
-			if c > maxCap {
-				maxCap = c
-			}
-		}
-		sn.space = memsim.NewSpace(p.N, maxCap*int64(eb))
-	}
+	sn := &snapshot{placement: pl, caches: make([]*GPUCache, p.N), space: &memsim.Space{GPUs: make([]*memsim.Arena, p.N)}}
+	arenaBytes := slices.Max(opt.CapacityEntries) * int64(eb)
 	used := pl.CapacityUsed()
 	for g := 0; g < p.N; g++ {
 		if used[g] > opt.CapacityEntries[g] {
 			return nil, fmt.Errorf("cache: gpu %d placement uses %d entries, capacity %d",
 				g, used[g], opt.CapacityEntries[g])
 		}
-		sn.caches[g] = &GPUCache{
-			GPU:        g,
-			Table:      hashtable.New(int(used[g]) + 16),
-			Arena:      sn.space.GPUs[g],
-			EntryBytes: eb,
-		}
 	}
-	// Insert every stored entry, GPUs side by side: each cache owns its
-	// table and arena, and a GPU's blocks go in block order as before, so
-	// every offset and table layout is the sequential fill's.
+	// Lay out every GPU side by side, each goroutine making (and zeroing)
+	// its own arena: a GPU's blocks go in block order as before, so every
+	// offset and table layout is the sequential fill's.
 	errs := make([]error, p.N)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for _, c := range sn.caches {
+	for g := range sn.caches {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
-			defer wg.Done()
-			errs[c.GPU] = c.fill(pl, opt.Source)
-			<-sem
+			defer func() { <-sem; wg.Done() }()
+			a := memsim.NewArena(fmt.Sprintf("gpu%d", g), arenaBytes)
+			if opt.Source != nil {
+				if a, errs[g] = memsim.NewBackedArena(a.Name, arenaBytes); errs[g] != nil {
+					return
+				}
+			}
+			sn.space.GPUs[g] = a
+			sn.caches[g] = &GPUCache{GPU: g, Table: hashtable.New(int(used[g]) + 16), Arena: a, EntryBytes: eb}
+			errs[g] = sn.caches[g].fill(pl)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	if opt.Source != nil {
+		if err := writeRows(sn.caches, pl, opt.Source); err != nil {
+			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
 	sys.snap.Store(sn)

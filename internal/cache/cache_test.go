@@ -2,8 +2,11 @@ package cache
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ugache/internal/emb"
@@ -343,16 +346,16 @@ func TestRepeatedRefreshReusesSlots(t *testing.T) {
 }
 
 // sequentialFill is the Filler as it ran before GPUs were filled side by
-// side: one goroutine, blocks outermost.
-func sequentialFill(t *testing.T, p *platform.Platform, pl *solver.Placement, capacity int64, src RowSource) []*GPUCache {
+// side: one goroutine, blocks outermost, every row read once per holder.
+func sequentialFill(t *testing.T, p *platform.Platform, pl *solver.Placement, capacity []int64, src RowSource) []*GPUCache {
 	t.Helper()
-	space, err := memsim.NewBackedSpace(p.N, capacity*int64(pl.EntryBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
 	caches := make([]*GPUCache, p.N)
 	for g, used := range pl.CapacityUsed() {
-		caches[g] = &GPUCache{GPU: g, Table: hashtable.New(int(used) + 16), Arena: space.GPUs[g], EntryBytes: pl.EntryBytes}
+		a, err := memsim.NewBackedArena("seq", slices.Max(capacity)*int64(pl.EntryBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[g] = &GPUCache{GPU: g, Table: hashtable.New(int(used) + 16), Arena: a, EntryBytes: pl.EntryBytes}
 	}
 	buf := make([]byte, pl.EntryBytes)
 	for bi := range pl.Blocks {
@@ -368,45 +371,155 @@ func sequentialFill(t *testing.T, p *platform.Platform, pl *solver.Placement, ca
 	return caches
 }
 
-// TestFillMatchesSequentialFill: filling GPUs concurrently must leave every
-// GPU's table and arena exactly as the sequential Filler did — same keys at
-// the same offsets holding the same bytes — at any parallelism.
-func TestFillMatchesSequentialFill(t *testing.T) {
-	p := platform.ServerC()
-	pl, in := testPlacement(t, p, 6000, 0.1)
-	table, err := emb.NewMaterialized("t", 6000, 16, emb.Float32, 5)
-	if err != nil {
-		t.Fatal(err)
+// failingSource is a RowSource that refuses one key.
+type failingSource struct {
+	RowSource
+	bad int64
+}
+
+var errBadRow = errors.New("bad row")
+
+func (f failingSource) ReadRow(key int64, dst []byte) error {
+	if key == f.bad {
+		return errBadRow
 	}
-	want := sequentialFill(t, p, pl, in.Capacity[0], table)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 3, 8} {
-		runtime.GOMAXPROCS(procs)
-		sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Source: table})
+	return f.RowSource.ReadRow(key, dst)
+}
+
+// TestFillMatchesSequentialFill: laying out GPUs side by side and writing
+// each distinct row once from many workers must leave every GPU's table and
+// arena exactly as the sequential Filler did — same keys at the same offsets
+// holding the same bytes — at any parallelism: for a materialized and a
+// procedural multi-table source (what train-extract fills from), and for
+// placements that mix replicas and partitions, replicate every row on every
+// GPU, and store every row once. A row the source refuses fails the fill
+// with the source's error and returns no system.
+func TestFillMatchesSequentialFill(t *testing.T) {
+	const n = 6000
+	p := platform.ServerC()
+	mixed, in := testPlacement(t, p, n, 0.1)
+	solve := func(pol solver.Policy, perGPU int64) (*solver.Placement, []int64) {
+		cp := *in
+		cp.Capacity = make([]int64, p.N)
+		for g := range cp.Capacity {
+			cp.Capacity[g] = perGPU
+		}
+		pl, err := pol.Solve(&cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ref := make([]byte, pl.EntryBytes), make([]byte, pl.EntryBytes)
-		for g, c := range sys.Caches() {
-			if c.Table.Len() != want[g].Table.Len() || arenaUsed(c.Arena) != arenaUsed(want[g].Arena) {
-				t.Fatalf("procs %d gpu %d: %d keys in %d bytes, sequential fill has %d in %d", procs, g,
-					c.Table.Len(), arenaUsed(c.Arena), want[g].Table.Len(), arenaUsed(want[g].Arena))
+		return pl, cp.Capacity
+	}
+	replicated, repCaps := solve(solver.Replication{}, n)
+	partitioned, partCaps := solve(solver.Partition{}, n/int64(p.N)+100)
+	var repUsed, partUsed int64
+	for g := range p.N {
+		repUsed += replicated.CapacityUsed()[g]
+		partUsed += partitioned.CapacityUsed()[g]
+	}
+	if repUsed != n*int64(p.N) || partUsed != n {
+		t.Fatalf("replication stores %d entries, partition %d; want every row on every GPU (%d) and every row once (%d)",
+			repUsed, partUsed, n*int64(p.N), n)
+	}
+	materialized, err := emb.NewMaterialized("t", n, 16, emb.Float32, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []*emb.Table
+	for i, size := range []int64{3500, 1500, 700, 300} {
+		tab, err := emb.New(fmt.Sprintf("t%d", i), size, 16, emb.Float32, uint64(11+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, tab)
+	}
+	procedural, err := emb.NewMultiTable(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		pl   *solver.Placement
+		caps []int64
+		src  RowSource
+	}{
+		{"ugache/materialized", mixed, in.Capacity, materialized},
+		{"ugache/procedural", mixed, in.Capacity, procedural},
+		{"replication", replicated, repCaps, procedural},
+		{"partition", partitioned, partCaps, materialized},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		want := sequentialFill(t, p, c.pl, c.caps, c.src)
+		// A key halfway through the hottest block, which every case stores.
+		bad := failingSource{RowSource: c.src, bad: int64(c.pl.ByRank[c.pl.Blocks[0].End/2])}
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			sys, err := Fill(p, c.pl, FillOptions{CapacityEntries: c.caps, Source: c.src})
+			if err != nil {
+				t.Fatal(err)
 			}
-			want[g].Table.Range(func(key int64, loc hashtable.Location) bool {
-				if l, ok := c.Table.Lookup(key); !ok || l != loc {
-					t.Fatalf("procs %d gpu %d key %d: at %+v (found %v), sequential fill put it at %+v", procs, g, key, l, ok, loc)
+			got, ref := make([]byte, c.pl.EntryBytes), make([]byte, c.pl.EntryBytes)
+			for g, gc := range sys.Caches() {
+				if gc.Table.Len() != want[g].Table.Len() || arenaUsed(gc.Arena) != arenaUsed(want[g].Arena) {
+					t.Fatalf("%s procs %d gpu %d: %d keys in %d bytes, sequential fill has %d in %d", c.name, procs, g,
+						gc.Table.Len(), arenaUsed(gc.Arena), want[g].Table.Len(), arenaUsed(want[g].Arena))
 				}
-				if err := c.Arena.Read(loc.Offset, got); err != nil {
-					t.Fatal(err)
-				}
-				if err := want[g].Arena.Read(loc.Offset, ref); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("procs %d gpu %d key %d: row bytes differ from the sequential fill", procs, g, key)
-				}
-				return true
-			})
+				want[g].Table.Range(func(key int64, loc hashtable.Location) bool {
+					if l, ok := gc.Table.Lookup(key); !ok || l != loc {
+						t.Fatalf("%s procs %d gpu %d key %d: at %+v (found %v), sequential fill put it at %+v", c.name, procs, g, key, l, ok, loc)
+					}
+					if err := gc.Arena.Read(loc.Offset, got); err != nil {
+						t.Fatal(err)
+					}
+					if err := want[g].Arena.Read(loc.Offset, ref); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, ref) {
+						t.Fatalf("%s procs %d gpu %d key %d: row bytes differ from the sequential fill", c.name, procs, g, key)
+					}
+					return true
+				})
+			}
+			if sys, err := Fill(p, c.pl, FillOptions{CapacityEntries: c.caps, Source: bad}); !errors.Is(err, errBadRow) || sys != nil {
+				t.Fatalf("%s procs %d: Fill over a source refusing key %d = %v, %v; want no system and %v",
+					c.name, procs, bad.bad, sys, err, errBadRow)
+			}
+		}
+	}
+}
+
+// BenchmarkFill fills the benchmark's train-extract caches: ServerC, CR at
+// scale 0.05 as procedural tables, a 10 % cache ratio per GPU and the UGache
+// placement of 96 warm batches' presampled hotness.
+func BenchmarkFill(b *testing.B) {
+	p := platform.ServerC()
+	ds, err := workload.CR.Build(0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(42).Split("train-warm")
+	warm := make([][]int64, 96)
+	for i := range warm {
+		warm[i] = ds.GenBatchWith(r, 2048)
+	}
+	hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	caps := make([]int64, p.N)
+	for g := range caps {
+		caps[g] = int64(math.Ceil(0.10 * float64(len(hot))))
+	}
+	pl, err := (solver.UGache{}).Solve(&solver.Input{P: p, Hotness: hot, EntryBytes: ds.MT.MaxEntryBytes(), Capacity: caps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fill(p, pl, FillOptions{CapacityEntries: caps, Source: ds.MT}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -52,10 +52,6 @@ func (a *Arena) Alloc(n int64) (int64, error) {
 	return off, nil
 }
 
-// Reset releases every allocation (the cache refill path frees whole caches
-// at once; a general free list is not needed).
-func (a *Arena) Reset() { a.used = 0 }
-
 // Clone returns a deep copy of the arena. The background Refresher applies
 // cache updates to a clone so concurrent readers keep a consistent view of
 // the published arena until the new snapshot is swapped in (§7.2).
@@ -100,28 +96,6 @@ func (a *Arena) Read(off int64, b []byte) error {
 // emb.Table, which is effectively unbounded.
 type Space struct {
 	GPUs []*Arena
-}
-
-// NewSpace creates a space with n unbacked GPU arenas of the given capacity.
-func NewSpace(n int, capacityEach int64) *Space {
-	s := &Space{GPUs: make([]*Arena, n)}
-	for i := range s.GPUs {
-		s.GPUs[i] = NewArena(fmt.Sprintf("gpu%d", i), capacityEach)
-	}
-	return s
-}
-
-// NewBackedSpace creates a space with real backing bytes on every GPU.
-func NewBackedSpace(n int, capacityEach int64) (*Space, error) {
-	s := &Space{GPUs: make([]*Arena, n)}
-	for i := range s.GPUs {
-		a, err := NewBackedArena(fmt.Sprintf("gpu%d", i), capacityEach)
-		if err != nil {
-			return nil, err
-		}
-		s.GPUs[i] = a
-	}
-	return s, nil
 }
 
 // Clone returns a deep copy of the space (every arena cloned).

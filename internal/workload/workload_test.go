@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ugache/internal/rng"
@@ -302,6 +304,48 @@ func TestDLRDeterminism(t *testing.T) {
 	for i := range ba {
 		if ba[i] != bb[i] || ba[i] != again[i] {
 			t.Fatalf("batch differs at %d", i)
+		}
+	}
+}
+
+// referenceBatch is GenBatchWith as one loop: one key at a time, sample
+// then table, each drawn straight from r.
+func referenceBatch(d *DLRDataset, r *rng.Rand, batchSize int) []int64 {
+	keys := make([]int64, 0, batchSize*len(d.zipfs))
+	for s := 0; s < batchSize; s++ {
+		for t, z := range d.zipfs {
+			keys = append(keys, d.MT.Offset(t)+z.Sample(r))
+		}
+	}
+	return keys
+}
+
+// TestGenBatchMatchesReference: drawing a batch's uniforms first and ranking
+// them on several goroutines gives the same keys as the one-key-at-a-time
+// loop, and leaves the generator where that loop leaves it, at any
+// parallelism and batch size — small batches that stay inline, and a warm
+// batch that fans out over an uneven split.
+func TestGenBatchMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, spec := range DLRDatasets {
+		d, err := spec.Build(0.05, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 3, 7} {
+			runtime.GOMAXPROCS(procs)
+			for _, size := range []int{0, 1, 5, 2048} {
+				want, got := rng.New(7), rng.New(7)
+				for call := range 4 {
+					w, g := referenceBatch(d, want, size), d.GenBatchWith(got, size)
+					if !slices.Equal(w, g) {
+						t.Fatalf("%s procs %d batch %d call %d: keys differ from the one-at-a-time loop", spec.Name, procs, size, call)
+					}
+				}
+				if w, g := want.Uint64(), got.Uint64(); w != g {
+					t.Fatalf("%s procs %d batch %d: generator continues with %#x, the loop's with %#x", spec.Name, procs, size, g, w)
+				}
+			}
 		}
 	}
 }
