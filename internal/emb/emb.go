@@ -17,6 +17,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DType is the element type of an embedding table.
@@ -51,7 +52,9 @@ type Table struct {
 	Dim        int
 	DType      DType
 	seed       uint64
-	data       []byte // nil for procedural tables
+	data       []byte        // nil for procedural tables; written by the build until built is closed
+	built      chan struct{} // closed once every row of data is written; nil for procedural tables
+	ready      atomic.Bool   // built is closed
 }
 
 // New creates a procedural table: rows are generated deterministically from
@@ -60,14 +63,21 @@ func New(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error
 	if n <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("emb: table %q needs positive shape, got %d×%d", name, n, dim)
 	}
+	if dtype != Float32 && dtype != Float16 {
+		return nil, fmt.Errorf("emb: table %q has unknown dtype %d", name, int(dtype))
+	}
 	return &Table{Name: name, NumEntries: n, Dim: dim, DType: dtype, seed: seed}, nil
 }
 
 // NewMaterialized creates a table with real backing bytes, filled with the
-// same deterministic values a procedural table would generate. The rows are
-// split into GOMAXPROCS contiguous key ranges, one goroutine each, and every
-// row is generated in place by exactly one of them, so the bytes do not
-// depend on the worker count.
+// same deterministic values a procedural table would generate. It returns
+// once the shape is checked and builds the rows in the background, over
+// what the caller does next (profiling hotness, solving); the first ReadRow
+// waits for the whole table, and as the Filler is that reader, core.Build
+// returns with its table complete. The rows are split into GOMAXPROCS−1
+// contiguous key ranges (at least one; the last processor is the caller's),
+// one goroutine each, and every row is generated in place by exactly one of
+// them, so the bytes do not depend on the worker count.
 func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error) {
 	t, err := New(name, n, dim, dtype, seed)
 	if err != nil {
@@ -77,8 +87,16 @@ func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*
 	if n > (1<<31)/eb {
 		return nil, fmt.Errorf("emb: materialized table %q would need %d rows of %d bytes, over 2 GiB; use a procedural table", name, n, eb)
 	}
+	workers := min(max(int64(runtime.GOMAXPROCS(0))-1, 1), n)
+	t.built = make(chan struct{})
+	go t.build(workers)
+	return t, nil
+}
+
+// build generates the rows on workers goroutines, then marks the table ready.
+func (t *Table) build(workers int64) {
+	n, eb := t.NumEntries, int64(t.EntryBytes())
 	t.data = make([]byte, n*eb)
-	workers := min(int64(runtime.GOMAXPROCS(0)), n)
 	var wg sync.WaitGroup
 	for w := int64(0); w < workers; w++ {
 		wg.Add(1)
@@ -90,7 +108,8 @@ func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*
 		}(n*w/workers, n*(w+1)/workers)
 	}
 	wg.Wait()
-	return t, nil
+	t.ready.Store(true)
+	close(t.built)
 }
 
 // EntryBytes returns the byte size of one row.
@@ -100,6 +119,7 @@ func (t *Table) EntryBytes() int { return t.Dim * t.DType.Size() }
 func (t *Table) TotalBytes() int64 { return t.NumEntries * int64(t.EntryBytes()) }
 
 // ReadRow copies row key into dst, which must be at least EntryBytes long.
+// On a materialized table still being built it waits for the whole build.
 func (t *Table) ReadRow(key int64, dst []byte) error {
 	if key < 0 || key >= t.NumEntries {
 		return fmt.Errorf("emb: key %d out of range [0, %d)", key, t.NumEntries)
@@ -107,7 +127,10 @@ func (t *Table) ReadRow(key int64, dst []byte) error {
 	if len(dst) < t.EntryBytes() {
 		return fmt.Errorf("emb: dst too small: %d < %d", len(dst), t.EntryBytes())
 	}
-	if t.data != nil {
+	if t.built != nil {
+		if !t.ready.Load() {
+			<-t.built
+		}
 		copy(dst, t.data[key*int64(t.EntryBytes()):(key+1)*int64(t.EntryBytes())])
 		return nil
 	}

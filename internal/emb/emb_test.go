@@ -3,8 +3,12 @@ package emb
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -64,13 +68,14 @@ func referenceRow(tb *Table, key int64, dst []byte) {
 	copy(dst, buf)
 }
 
-// TestMaterializedMatchesProcedural checks that the materialized bytes are
-// the reference generator's, row for row, for both dtypes, at dims and row
-// counts that do not divide evenly among the workers, with one worker and
-// with three; and that a procedural table reads back the same rows.
+// TestMaterializedMatchesProcedural checks that the materialized rows are
+// the reference generator's, read back through ReadRow, for both dtypes, at
+// dims and row counts that do not divide evenly among the workers, with one
+// worker (GOMAXPROCS 1) and with three (GOMAXPROCS 4); and that a procedural
+// table reads back the same rows.
 func TestMaterializedMatchesProcedural(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 3} {
+	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, dtype := range []DType{Float32, Float16} {
 			for _, dim := range []int{1, 7, 32, 128} {
@@ -80,21 +85,18 @@ func TestMaterializedMatchesProcedural(t *testing.T) {
 						t.Fatal(err)
 					}
 					p, _ := New("p", n, dim, dtype, 3)
-					if m.data == nil || p.data != nil {
-						t.Fatal("only the materialized table should hold bytes")
-					}
 					eb := int64(m.EntryBytes())
-					want := make([]byte, n*eb)
+					want, row := make([]byte, eb), make([]byte, eb)
 					for k := int64(0); k < n; k++ {
-						referenceRow(m, k, want[k*eb:(k+1)*eb])
-					}
-					if !bytes.Equal(m.data, want) {
-						t.Fatalf("GOMAXPROCS %d %v dim %d n %d: materialized bytes differ from the reference", procs, dtype, dim, n)
-					}
-					row := make([]byte, eb)
-					for k := int64(0); k < n; k++ {
+						referenceRow(m, k, want)
+						if err := m.ReadRow(k, row); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(row, want) {
+							t.Fatalf("GOMAXPROCS %d %v dim %d n %d: materialized row %d differs from the reference", procs, dtype, dim, n, k)
+						}
 						p.ReadRow(k, row)
-						if !bytes.Equal(row, want[k*eb:(k+1)*eb]) {
+						if !bytes.Equal(row, want) {
 							t.Fatalf("GOMAXPROCS %d %v dim %d n %d: procedural row %d differs", procs, dtype, dim, n, k)
 						}
 					}
@@ -104,15 +106,59 @@ func TestMaterializedMatchesProcedural(t *testing.T) {
 	}
 }
 
+// TestReadsRaceTheBuild reads every row of a materialized table from several
+// goroutines as soon as NewMaterialized returns, while GOMAXPROCS changes
+// under the build: every read waits for the build and sees the reference
+// bytes, whatever the worker count was at the call.
+func TestReadsRaceTheBuild(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n, dim, readers = 20_011, 16, 4
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		m, err := NewMaterialized("m", n, dim, Float32, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GOMAXPROCS(4 - procs)
+		bad := make(chan int64, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				want, row := make([]byte, m.EntryBytes()), make([]byte, m.EntryBytes())
+				for i := int64(0); i < n; i++ {
+					k := (i + int64(r)*n/readers) % n // each reader starts elsewhere
+					referenceRow(m, k, want)
+					if err := m.ReadRow(k, row); err != nil || !bytes.Equal(row, want) {
+						bad <- k
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		close(bad)
+		for k := range bad {
+			t.Errorf("GOMAXPROCS %d at the call: row %d read during the build differs from the reference", procs, k)
+		}
+	}
+}
+
 var tableSink *Table
 
-// BenchmarkNewMaterialized builds the benchmark harness's common table:
-// 400,000 rows of 32 float32.
+// BenchmarkNewMaterialized builds the benchmark harness's common table,
+// 400,000 rows of 32 float32, and reads its last row, so each iteration
+// times the whole background build and not only its launch.
 func BenchmarkNewMaterialized(b *testing.B) {
 	b.ReportAllocs()
+	row := make([]byte, 32*4)
 	for i := 0; i < b.N; i++ {
 		tb, err := NewMaterialized("bench", 400_000, 32, Float32, 42)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tb.ReadRow(400_000-1, row); err != nil {
 			b.Fatal(err)
 		}
 		tableSink = tb
@@ -181,6 +227,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New("x", 4, 0, Float32, 1); err == nil {
 		t.Fatal("zero dim accepted")
+	}
+	for _, d := range []DType{-1, 2, 7} {
+		if _, err := New("x", 4, 4, d, 1); err == nil {
+			t.Fatalf("dtype %d accepted", int(d))
+		}
+		if _, err := NewMaterialized("x", 4, 4, d, 1); err == nil {
+			t.Fatalf("materialized dtype %d accepted", int(d))
+		}
 	}
 	if _, err := NewMaterialized("x", 1<<40, 128, Float32, 1); err == nil {
 		t.Fatal("huge materialized table accepted")
@@ -288,5 +342,14 @@ func TestMultiTableValidation(t *testing.T) {
 	t2, _ := New("t2", 10, 4, Float16, 1)
 	if _, err := NewMultiTable([]*Table{t1, t2}); err == nil {
 		t.Fatal("mixed dtypes accepted")
+	}
+	for _, tables := range [][]*Table{{t1, nil}, {nil, t1}} {
+		_, err := NewMultiTable(tables)
+		if err == nil {
+			t.Fatal("nil table accepted")
+		}
+		if i := slices.Index(tables, nil); !strings.Contains(err.Error(), fmt.Sprintf("table %d ", i)) {
+			t.Fatalf("error %q does not name index %d", err, i)
+		}
 	}
 }

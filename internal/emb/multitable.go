@@ -19,6 +19,9 @@ func NewMultiTable(tables []*Table) (*MultiTable, error) {
 	}
 	m := &MultiTable{Tables: tables, offsets: make([]int64, len(tables)+1)}
 	for i, t := range tables {
+		if t == nil {
+			return nil, fmt.Errorf("emb: MultiTable table %d is nil", i)
+		}
 		if t.DType != tables[0].DType {
 			return nil, fmt.Errorf("emb: table %q dtype %v differs from %v", t.Name, t.DType, tables[0].DType)
 		}

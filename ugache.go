@@ -112,7 +112,9 @@ func NewTable(name string, n int64, dim int, dtype DType, seed uint64) (*Table, 
 	return emb.New(name, n, dim, dtype, seed)
 }
 
-// NewMaterializedTable creates a table with real backing bytes.
+// NewMaterializedTable creates a table with real backing bytes. The rows
+// build in the background while the caller profiles hotness and solves; the
+// first row read (New's cache fill) waits for the whole table.
 func NewMaterializedTable(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error) {
 	return emb.NewMaterialized(name, n, dim, dtype, seed)
 }
