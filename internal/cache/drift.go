@@ -99,10 +99,12 @@ type driftMetrics struct {
 //     that keeps the head's identity but rebalances its mass shows up here.
 //
 // The measured side merges incrementally from the sampler's existing
-// per-worker shards into a reused buffer — a check allocates nothing in
-// steady state and never blocks a worker's observation for longer than one
-// pass over its shard (a sampler with a single shard is estimated in place,
-// and holds it for the estimate).
+// per-worker shards into a reused buffer and never blocks a worker's
+// observation for longer than one pass over its shard (a sampler with a single
+// shard is estimated in place, and holds it for the estimate). In steady state
+// a check allocates only what the ranking's worker goroutines do: nothing on
+// one processor, about 4 allocations on two over 400k entries (measured; see
+// workload.Ranker), none below 2¹⁶ entries, which rank inline.
 type DriftDetector struct {
 	cfg     DriftConfig
 	topK    int // driftTopK of the entry space

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -13,9 +14,10 @@ import (
 // ctx is the shared per-solve state, built once per top-level solve: the
 // validated input, its cost model, the hotness ranking in both directions,
 // the rank-ordered hotness with its prefix sums, and the log2-level
-// boundaries. Building it is the solve's only per-entry work (one
-// O(E log E)-equivalent rank and one O(E) scan); policies then build blocks
-// and score candidates from it at block granularity.
+// boundaries. Building it is the solve's only per-entry work (a radix rank
+// and one O(E) fill, both on up to GOMAXPROCS goroutines, then one serial
+// prefix-sum pass); policies then build blocks and score candidates from it
+// at block granularity.
 type ctx struct {
 	in     *Input
 	m      *costModel
@@ -26,13 +28,18 @@ type ctx struct {
 	prefix []float64 // prefix[r] = Σ hotness of ranks [0, r)
 	levels []int64   // ascending ranks in (0, E) where floor(log2(hotness)) changes
 	// sums memoises rangeSum: candidates of one solve share most of their
-	// blocks, so each distinct rank range is summed once.
+	// blocks, so each distinct rank range is summed once. It is a plain map:
+	// a branch of the solve that runs beside another takes a fork.
 	sums map[[2]int64]float64
 }
 
 // rankers recycles the ranking's sort buffers (32 bytes per entry) between
 // solves; a refresh re-solve ranks a vector the size of the last one.
 var rankers = sync.Pool{New: func() any { return new(workload.Ranker) }}
+
+// minRanksPerWorker is the fewest ranks newCtx's fill hands one goroutine: a
+// start (~1 µs) is under 1 % of their time, and small solves fill inline.
+const minRanksPerWorker = 1 << 15
 
 func newCtx(in *Input) (*ctx, error) {
 	if err := in.validate(); err != nil {
@@ -45,19 +52,52 @@ func newCtx(in *Input) (*ctx, error) {
 		sums: make(map[[2]int64]float64)}
 	rk := rankers.Get().(*workload.Ranker)
 	defer rankers.Put(rk)
+	ranking := rk.Rank(in.Hotness)
+	// The rank arrays and the level boundaries fill from contiguous rank
+	// ranges, one goroutine each: every slot has one writer, and the ranges'
+	// boundaries join in rank order. The prefix sums stay one serial pass, so
+	// their additions keep their order.
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/minRanksPerWorker))
+	levels := make([][]int64, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			levels[w] = c.fill(ranking, n*w/workers, n*(w+1)/workers)
+		}()
+	}
+	levels[0] = c.fill(ranking, 0, n/workers)
+	wg.Wait()
+	c.levels = slices.Concat(levels...)
+	sum := 0.0
+	for r, h := range c.hot {
+		sum += h
+		c.prefix[r+1] = sum
+	}
+	return c, nil
+}
+
+// fill writes ranks [lo, hi) of ranking into the rank arrays and returns the
+// ranks among them where the hotness level changes from the rank before.
+func (c *ctx) fill(ranking []workload.RankedEntry, lo, hi int) []int64 {
+	var levels []int64
 	level := 0
-	for r, k := range rk.Rank(in.Hotness) {
+	if lo > 0 {
+		level = hotnessLevel(ranking[lo-1].Hotness())
+	}
+	for r := lo; r < hi; r++ {
+		k := ranking[r]
 		h := k.Hotness()
 		c.ranked[r], c.rankOf[k.Entry], c.hot[r] = int32(k.Entry), int32(r), h
-		c.prefix[r+1] = c.prefix[r] + h
 		if l := hotnessLevel(h); l != level {
 			if r > 0 {
-				c.levels = append(c.levels, int64(r))
+				levels = append(levels, int64(r))
 			}
 			level = l
 		}
 	}
-	return c, nil
+	return levels
 }
 
 // hotnessLevel is the §6.3 log-scale level floor(log2(h)) exactly as
@@ -95,6 +135,14 @@ func (c *ctx) rangeSum(start, end int64) float64 {
 		c.sums[key] = sum
 	}
 	return sum
+}
+
+// fork returns a context that shares c's read-only state and has a memo of
+// its own, for a branch of the solve that runs beside c's.
+func (c *ctx) fork() *ctx {
+	f := *c
+	f.sums = make(map[[2]int64]float64)
+	return &f
 }
 
 // numEntries returns the entry count.

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ugache/internal/platform"
@@ -100,41 +102,80 @@ var goldenPolicies = []struct {
 // goldenShort forces the -short subset (set in race builds, see race_test.go).
 var goldenShort bool
 
+// goldenProcs are the GOMAXPROCS settings every golden solve runs at: every
+// step inline, the benchmark box's two processors, uneven shares, and more
+// workers than the pinned inputs have minimum-sized ranges for. A solve's
+// bytes may not depend on them.
+var goldenProcs = []int{1, 2, 3, 8}
+
 type goldenSolve struct {
 	saveSHA string // SHA-256 of Placement.Save bytes
 	estBits uint64 // math.Float64bits(max(EstTimes))
 }
 
-// TestGoldenPlacements pins every policy's output on the pinned inputs to the
-// bytes recorded before the single-pass solve rewrite: the same Save stream
-// and the same modelled makespan to the last bit. To re-record after an
-// intended placement change, empty goldenSolves, run the test and paste the
-// lines it prints.
+// TestGoldenPlacements pins every policy's output on the pinned inputs, at
+// every goldenProcs setting, to the bytes recorded before the single-pass
+// solve rewrite: the same Save stream and the same modelled makespan to the
+// last bit. To re-record after an intended placement change, empty
+// goldenSolves, run the test and paste the lines it prints (once per setting;
+// they must agree).
 func TestGoldenPlacements(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	short := testing.Short() || goldenShort
 	for _, pi := range pinnedInputs {
 		if short && !pi.short {
 			continue
 		}
 		in := pi.build(t)
-		for _, gp := range goldenPolicies {
-			key := pi.name + "/" + gp.name
-			if gp.name == "optimal-lp" && (short || asymmetry(in) != nil) {
-				continue // the reference LP is most of the full run's time, and it refuses Server B
+		for _, procs := range goldenProcs {
+			runtime.GOMAXPROCS(procs)
+			for _, gp := range goldenPolicies {
+				key := pi.name + "/" + gp.name
+				if gp.name == "optimal-lp" && (short || asymmetry(in) != nil) {
+					continue // the reference LP is most of the full run's time, and it refuses Server B
+				}
+				if got := goldenOf(t, gp.pol, in); got != goldenSolves[key] {
+					t.Errorf("golden mismatch at GOMAXPROCS %d:\n\t%q: {%q, %#x},", procs, key, got.saveSHA, got.estBits)
+				}
 			}
-			pl, err := gp.pol.Solve(in)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			var buf bytes.Buffer
-			if err := pl.Save(&buf); err != nil {
-				t.Fatalf("%s: save: %v", key, err)
-			}
-			sum := sha256.Sum256(buf.Bytes())
-			got := goldenSolve{hex.EncodeToString(sum[:]), math.Float64bits(maxF(pl.EstTimes))}
-			if want, ok := goldenSolves[key]; !ok || got != want {
-				t.Errorf("golden mismatch (have %v):\n\t%q: {%q, %#x},", ok, key, got.saveSHA, got.estBits)
-			}
+		}
+	}
+}
+
+// goldenOf solves in with pol and returns the placement's golden record.
+func goldenOf(tb testing.TB, pol Policy, in *Input) goldenSolve {
+	tb.Helper()
+	pl, err := pol.Solve(in)
+	if err != nil {
+		tb.Fatalf("%s: %v", pol.Name(), err)
+	}
+	var buf bytes.Buffer
+	if err := pl.Save(&buf); err != nil {
+		tb.Fatalf("%s: save: %v", pol.Name(), err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return goldenSolve{hex.EncodeToString(sum[:]), math.Float64bits(maxF(pl.EstTimes))}
+}
+
+// TestConcurrentSolvesShareInput solves one shared Input from four goroutines
+// at once, as the two nodes of a cluster and a refresh do, each solve itself
+// parallel: every placement must be the golden one.
+func TestConcurrentSolvesShareInput(t *testing.T) {
+	in := pinnedInputs[0].build(t)
+	want := goldenSolves[pinnedInputs[0].name+"/ugache"]
+	got := make([]goldenSolve, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = goldenOf(t, UGache{}, in)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("solve %d of 4: %+v, golden %+v", i, g, want)
 		}
 	}
 }
@@ -178,11 +219,33 @@ var goldenSolves = map[string]goldenSolve{
 	"serverB-60k/clique-partition":   {"b6738bcc5adf6f894f9712d00210a126c2b26e52ab5acb9ba9e6bf12a41e018f", 0x3f574bb9608b4928},
 }
 
+// TestBranchesSideBySideMatchInTurn solves small symmetric inputs, where the
+// LP and the RepPart scan take about as long, so that the two branches'
+// range-sum memos are in use at the same moment, many times at GOMAXPROCS 2:
+// every placement must be the one the branches give in turn on one processor
+// (and under the race detector, no memo may be shared).
+func TestBranchesSideBySideMatchInTurn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	p := platform.ServerA()
+	for _, n := range []int{500, 2000, 8000} {
+		in := &Input{P: p, Hotness: zipfHotness(n, 1.1, 2000, 5), EntryBytes: 128,
+			Capacity: uniformCapacity(p, n, 0.1), BlockBudget: 32}
+		runtime.GOMAXPROCS(1)
+		want := goldenOf(t, UGache{}, in)
+		runtime.GOMAXPROCS(2)
+		for i := 0; i < 50; i++ {
+			if got := goldenOf(t, UGache{}, in); got != want {
+				t.Fatalf("n=%d, solve %d: %+v side by side, %+v in turn", n, i, got, want)
+			}
+		}
+	}
+}
+
 var benchPlacement *Placement
 
 // BenchmarkPolicySolve times the shipped policy's whole solve on the three
-// problems the benchmark's set-up solves (BENCH_solver.json records the
-// numbers before and after the single-pass rewrite).
+// problems the benchmark's set-up solves (BENCH_solver.json records it at
+// -cpu 1 and 2, paired against the commit before the last change to move it).
 func BenchmarkPolicySolve(b *testing.B) {
 	for _, pi := range pinnedInputs[:3] {
 		b.Run(pi.name, func(b *testing.B) {

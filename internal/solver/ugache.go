@@ -1,5 +1,7 @@
 package solver
 
+import "sync"
+
 // UGache is the paper's cache-policy solver (§6): the §6.2 model built at
 // hotness-block granularity (§6.3) and solved to (near-)optimality. The
 // original hands the block MILP to Gurobi; here the same model is solved
@@ -13,6 +15,12 @@ package solver
 // cube-mesh (Server B), which the paper itself could not solve exactly, or
 // unequal capacities — the scan, which partitions within cliques, is the
 // placement.
+//
+// A solve uses every processor and returns the same bytes at any GOMAXPROCS.
+// The solve context ranks the entries and fills the rank arrays on up to
+// GOMAXPROCS goroutines (newCtx); the LP runs on a goroutine of its own beside
+// the scan, each with its own memo of range sums, and the winner is chosen
+// exactly as if they had run in turn.
 type UGache struct{}
 
 // Name implements Policy.
@@ -26,10 +34,17 @@ func (UGache) Solve(in *Input) (*Placement, error) {
 		return nil, err
 	}
 	var lpPl *Placement
+	var wg sync.WaitGroup
 	if asymmetry(in) == nil {
-		lpPl, _ = solveSymmetricLP(c) // an LP that fails leaves the scan
+		lc := c.fork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lpPl, _ = solveSymmetricLP(lc) // an LP that fails leaves the scan
+		}()
 	}
 	blocks, t := (RepPart{Candidates: 33}).scan(c)
+	wg.Wait()
 	if lpPl != nil && maxF(lpPl.EstTimes) <= t {
 		lpPl.Policy = "ugache"
 		return lpPl, nil

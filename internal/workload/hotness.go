@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Hotness is the paper's §6.1 metric: the expected number of accesses per
 // iteration for each embedding entry, indexed by key. The solver consumes
@@ -230,83 +227,4 @@ func (h Hotness) TopShare(fraction float64) float64 {
 		top += h[ranked[i]]
 	}
 	return top / total
-}
-
-// Rank returns entry indices sorted by descending hotness (stable in index
-// for ties, so results are deterministic).
-func (h Hotness) Rank() []int64 {
-	var rk Ranker
-	idx := make([]int64, len(h))
-	for r, k := range rk.Rank(h) {
-		idx[r] = k.Entry
-	}
-	return idx
-}
-
-// RankedEntry is one position of a ranking: the entry and, packed so that
-// sorting compares integers and touches no other memory, its hotness.
-type RankedEntry struct {
-	key   uint64 // ^Float64bits(hotness): ascending key is descending hotness
-	Entry int64
-}
-
-// Hotness returns the entry's hotness (a −0 input reads back as +0).
-func (e RankedEntry) Hotness() float64 { return math.Float64frombits(^e.key) }
-
-// Ranker orders entries by descending hotness, ties by ascending index — the
-// one ranking every consumer (solver, drift detector) shares. It keeps its two
-// sort buffers, so ranking same-sized vectors repeatedly allocates nothing.
-type Ranker struct{ keys, spare []RankedEntry }
-
-// The ranking's radix sort takes the 64-bit key in six 11-bit digits (the
-// last holds the 9 bits left over): two passes fewer over the 16-byte entries
-// than byte digits, with the six count tables still within the L2 cache.
-const (
-	rankDigitBits = 11
-	rankDigits    = (64 + rankDigitBits - 1) / rankDigitBits
-	rankRadix     = 1 << rankDigitBits
-)
-
-// Rank returns h's ranking, hottest first; the result is valid until the
-// next call. Hotness must be non-negative and finite (the solver validates
-// this), which makes the IEEE bit pattern order the numeric order: an LSD
-// radix sort over the key digits, stable and seeded in index order, leaves
-// ties in ascending index.
-func (rk *Ranker) Rank(h Hotness) []RankedEntry {
-	n := len(h)
-	if cap(rk.keys) < n {
-		rk.keys, rk.spare = make([]RankedEntry, n), make([]RankedEntry, n)
-	}
-	keys, spare := rk.keys[:n], rk.spare[:n]
-	var counts [rankDigits][rankRadix]int
-	for i, v := range h {
-		bits := math.Float64bits(v)
-		if v == 0 {
-			bits = 0 // −0 ties with +0
-		}
-		k := ^bits
-		keys[i] = RankedEntry{k, int64(i)}
-		for p := range counts {
-			counts[p][k>>(rankDigitBits*p)&(rankRadix-1)]++
-		}
-	}
-	for p := range counts {
-		c := &counts[p]
-		shift := uint(rankDigitBits * p)
-		if n == 0 || c[keys[0].key>>shift&(rankRadix-1)] == n {
-			continue // every key shares this digit
-		}
-		sum := 0
-		for d, cnt := range c {
-			c[d], sum = sum, sum+cnt
-		}
-		for _, k := range keys {
-			d := k.key >> shift & (rankRadix - 1)
-			spare[c[d]] = k
-			c[d]++
-		}
-		keys, spare = spare, keys
-	}
-	rk.keys, rk.spare = keys, spare
-	return keys
 }
