@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -87,27 +88,19 @@ func (c *GPUCache) insert(key int64, src RowSource, buf []byte) error {
 	return c.Table.Insert(key, hashtable.Location{GPU: int32(c.GPU), Offset: off})
 }
 
-// fill registers every entry of the placement's blocks stored on this GPU,
-// in block order, each in a fresh slot; writeRows copies the bytes.
-func (c *GPUCache) fill(pl *solver.Placement) error {
-	for bi := range pl.Blocks {
-		b := &pl.Blocks[bi]
-		if !b.Store[c.GPU] {
-			continue
-		}
-		for _, e := range pl.ByRank[b.Start:b.End] {
-			if err := c.insert(int64(e), nil, nil); err != nil {
-				return fmt.Errorf("cache: gpu %d: %w", c.GPU, err)
-			}
-		}
-	}
-	return nil
-}
+// rowsPerChunk is how many distinct rows writeRows hands a worker at a time:
+// small enough that the hot rows' extra holders and whatever else runs
+// beside the copy even out over the workers, large enough that a claim
+// (one atomic add) is nothing next to generating the rows.
+const rowsPerChunk = 1024
 
-// writeRows copies every stored row from src into the slots fill laid out:
-// the distinct stored rows, in block order, are split into GOMAXPROCS
-// contiguous ranges whose goroutines read each row once and write it to
-// every holder, so every slot has one writer. The first range's error wins.
+// writeRows copies every stored row from src into the slots Fill laid out
+// (GPU g's stored blocks, in block order, from offset 0). The distinct
+// stored rows, in block order, are cut into chunks of rowsPerChunk that
+// GOMAXPROCS workers claim in order; a worker reads each row once and writes
+// it to every holder, so every slot has one writer. A worker stops at its
+// first error and the error of the earliest chunk wins: every chunk before a
+// failed one was claimed, so which error that is does not depend on timing.
 func writeRows(caches []*GPUCache, pl *solver.Placement, src RowSource) error {
 	eb := int64(pl.EntryBytes)
 	// Block bi holds distinct rows [at[bi], at[bi+1]); its first rank sits
@@ -126,32 +119,45 @@ func writeRows(caches []*GPUCache, pl *solver.Placement, src RowSource) error {
 		}
 	}
 	rows := at[len(pl.Blocks)]
-	workers := min(int64(runtime.GOMAXPROCS(0)), rows)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			buf := make([]byte, eb)
-			for bi := range pl.Blocks {
+	chunks := (rows + rowsPerChunk - 1) / rowsPerChunk
+	errs := make([]error, chunks)
+	var claimed atomic.Int64
+	work := func() {
+		buf := make([]byte, eb)
+		for {
+			c := claimed.Add(1) - 1
+			if c >= chunks {
+				return
+			}
+			lo, hi := c*rowsPerChunk, min((c+1)*rowsPerChunk, rows)
+			// The first block holding row lo; empty blocks are skipped.
+			for bi := sort.Search(len(pl.Blocks), func(bi int) bool { return at[bi+1] > lo }); bi < len(pl.Blocks) && at[bi] < hi; bi++ {
 				b := &pl.Blocks[bi]
 				for i := max(lo, at[bi]); i < min(hi, at[bi+1]); i++ {
 					r := b.Start + i - at[bi]
-					if errs[w] = src.ReadRow(int64(pl.ByRank[r]), buf); errs[w] != nil {
+					if errs[c] = src.ReadRow(int64(pl.ByRank[r]), buf); errs[c] != nil {
 						return
 					}
 					for g, stored := range b.Store {
 						if stored {
-							if errs[w] = caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, buf); errs[w] != nil {
+							if errs[c] = caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, buf); errs[c] != nil {
 								return
 							}
 						}
 					}
 				}
 			}
-		}(rows*w/workers, rows*(w+1)/workers)
+		}
 	}
+	var wg sync.WaitGroup
+	for range min(int64(runtime.GOMAXPROCS(0)), chunks) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	return cmp.Or(errs...)
 }
@@ -230,11 +236,64 @@ type FillOptions struct {
 	// Source, when non-nil, enables functional mode: rows are actually
 	// copied into backed arenas so Gather can verify content.
 	Source RowSource
+	// Arenas, in functional mode, are the backed arenas to fill — one per
+	// GPU, each max(CapacityEntries)·EntryBytes bytes with nothing
+	// allocated, as NewArenas makes them — so that a caller can make them
+	// while it solves. Nil makes them here.
+	Arenas []*memsim.Arena
 }
 
-// Fill materializes a placement: for every GPU, each stored block's entries
-// are allocated in the arena and registered in the hash table (the Filler
-// of §4). In functional mode writeRows then copies the bytes from the host.
+// NewArenas makes one backed arena of the given size per GPU, side by side,
+// for FillOptions.Arenas. Making one faults in and zeroes every byte of it.
+func NewArenas(gpus int, bytes int64) ([]*memsim.Arena, error) {
+	arenas := make([]*memsim.Arena, gpus)
+	errs := make([]error, gpus)
+	var wg sync.WaitGroup
+	for g := range arenas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arenas[g], errs[g] = memsim.NewBackedArena(fmt.Sprintf("gpu%d", g), bytes)
+		}()
+	}
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	return arenas, nil
+}
+
+// fillArenas returns the arenas a fill of the given size uses: the handed
+// ones, checked, or new ones — backed in functional mode, size-only else.
+func fillArenas(gpus int, bytes int64, opt *FillOptions) ([]*memsim.Arena, error) {
+	if opt.Source == nil {
+		arenas := make([]*memsim.Arena, gpus)
+		for g := range arenas {
+			arenas[g] = memsim.NewArena(fmt.Sprintf("gpu%d", g), bytes)
+		}
+		return arenas, nil
+	}
+	if opt.Arenas == nil {
+		return NewArenas(gpus, bytes)
+	}
+	if len(opt.Arenas) != gpus {
+		return nil, fmt.Errorf("cache: %d arenas for %d GPUs", len(opt.Arenas), gpus)
+	}
+	for g, a := range opt.Arenas {
+		if a == nil || !a.Backed() || a.Capacity != bytes || a.Free() != bytes {
+			return nil, fmt.Errorf("cache: gpu %d: arena is not an empty backed arena of %d bytes", g, bytes)
+		}
+	}
+	return opt.Arenas, nil
+}
+
+// Fill materializes a placement (the Filler of §4): each GPU's stored
+// blocks take consecutive slots of its arena in block order and are
+// registered in its hash table, which is where a slot-by-slot fill puts
+// them, as nothing is freed during a fill. So each GPU's used range is
+// allocated at once, every GPU's table is laid out on its own goroutine,
+// and in functional mode writeRows copies the bytes from the host at the
+// same time: it computes every slot's offset itself.
 func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System, error) {
 	if p == nil || pl == nil {
 		return nil, fmt.Errorf("cache: nil platform or placement")
@@ -245,10 +304,7 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 	if len(opt.CapacityEntries) != p.N {
 		return nil, fmt.Errorf("cache: %d capacities for %d GPUs", len(opt.CapacityEntries), p.N)
 	}
-	eb := pl.EntryBytes
-	sys := &System{P: p, EntryBytes: eb, source: opt.Source}
-	sn := &snapshot{placement: pl, caches: make([]*GPUCache, p.N), space: &memsim.Space{GPUs: make([]*memsim.Arena, p.N)}}
-	arenaBytes := slices.Max(opt.CapacityEntries) * int64(eb)
+	eb := int64(pl.EntryBytes)
 	used := pl.CapacityUsed()
 	for g := 0; g < p.N; g++ {
 		if used[g] > opt.CapacityEntries[g] {
@@ -256,39 +312,59 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 				g, used[g], opt.CapacityEntries[g])
 		}
 	}
-	// Lay out every GPU side by side, each goroutine making (and zeroing)
-	// its own arena: a GPU's blocks go in block order as before, so every
-	// offset and table layout is the sequential fill's.
-	errs := make([]error, p.N)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	arenas, err := fillArenas(p.N, slices.Max(opt.CapacityEntries)*eb, &opt)
+	if err != nil {
+		return nil, err
+	}
+	sn := &snapshot{placement: pl, caches: make([]*GPUCache, p.N), space: &memsim.Space{GPUs: arenas}}
+	for g, a := range arenas {
+		if _, err := a.Alloc(used[g] * eb); err != nil {
+			return nil, fmt.Errorf("cache: gpu %d: %w", g, err)
+		}
+		sn.caches[g] = &GPUCache{GPU: g, Arena: a, EntryBytes: int(eb)}
+	}
+	errs := make([]error, p.N+1)
 	var wg sync.WaitGroup
-	for g := range sn.caches {
+	for g, c := range sn.caches {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
-			defer func() { <-sem; wg.Done() }()
-			a := memsim.NewArena(fmt.Sprintf("gpu%d", g), arenaBytes)
-			if opt.Source != nil {
-				if a, errs[g] = memsim.NewBackedArena(a.Name, arenaBytes); errs[g] != nil {
-					return
-				}
-			}
-			sn.space.GPUs[g] = a
-			sn.caches[g] = &GPUCache{GPU: g, Table: hashtable.New(int(used[g]) + 16), Arena: a, EntryBytes: eb}
-			errs[g] = sn.caches[g].fill(pl)
+			defer wg.Done()
+			c.Table, errs[g] = layoutTable(pl, g, used[g])
 		}()
+	}
+	if opt.Source != nil {
+		if err := writeRows(sn.caches, pl, opt.Source); err != nil {
+			errs[p.N] = fmt.Errorf("cache: %w", err)
+		}
 	}
 	wg.Wait()
 	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
-	if opt.Source != nil {
-		if err := writeRows(sn.caches, pl, opt.Source); err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
-		}
-	}
+	sys := &System{P: p, EntryBytes: int(eb), source: opt.Source}
 	sys.snap.Store(sn)
 	return sys, nil
+}
+
+// layoutTable registers the entries of the placement's blocks stored on GPU
+// g, of which there are `entries`, in a new table: in block order, at
+// consecutive slots from offset 0.
+func layoutTable(pl *solver.Placement, g int, entries int64) (*hashtable.Table, error) {
+	t := hashtable.New(int(entries) + 16)
+	off := int64(0)
+	for bi := range pl.Blocks {
+		b := &pl.Blocks[bi]
+		if !b.Store[g] {
+			continue
+		}
+		for _, e := range pl.ByRank[b.Start:b.End] {
+			if err := t.Insert(int64(e), hashtable.Location{GPU: int32(g), Offset: off}); err != nil {
+				return nil, fmt.Errorf("cache: gpu %d: %w", g, err)
+			}
+			off += int64(pl.EntryBytes)
+		}
+	}
+	return t, nil
 }
 
 // locate resolves where GPU dst finds a key within one snapshot.

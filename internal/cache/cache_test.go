@@ -173,6 +173,55 @@ func TestFillValidation(t *testing.T) {
 	}
 }
 
+// TestFillChecksHandedArenas: arenas handed to the Filler in the wrong
+// number, of the wrong size, unbacked, already in use or missing fail the
+// fill with an error instead of a panic; the right ones fill, and a
+// timing-only fill ignores them.
+func TestFillChecksHandedArenas(t *testing.T) {
+	p := platform.ServerC()
+	pl, in := testPlacement(t, p, 1000, 0.1)
+	table, err := emb.NewMaterialized("t", 1000, 16, emb.Float32, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := slices.Max(in.Capacity) * int64(pl.EntryBytes)
+	arenas := func(n int, bytes int64) []*memsim.Arena {
+		a, err := NewArenas(n, bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	used := arenas(p.N, size)
+	if _, err := used[3].Alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	unbacked := arenas(p.N, size)
+	unbacked[5] = memsim.NewArena("gpu5", size)
+	missing := arenas(p.N, size)
+	missing[0] = nil
+	for name, a := range map[string][]*memsim.Arena{
+		"too few":   arenas(p.N-1, size),
+		"too many":  arenas(p.N+1, size),
+		"too small": arenas(p.N, size-1),
+		"too large": arenas(p.N, size+int64(pl.EntryBytes)),
+		"in use":    used,
+		"unbacked":  unbacked,
+		"missing":   missing,
+		"none":      {},
+	} {
+		if sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Source: table, Arenas: a}); err == nil || sys != nil {
+			t.Fatalf("%s: Fill = %v, %v; want an error", name, sys, err)
+		}
+	}
+	if _, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Source: table, Arenas: arenas(p.N, size)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Arenas: arenas(p.N-1, size)}); err != nil {
+		t.Fatalf("timing-only fill with arenas handed: %v", err)
+	}
+}
+
 func TestHotnessSampler(t *testing.T) {
 	s := NewHotnessSampler(10, 2)
 	s.Observe([]int64{1, 1, 2}) // recorded
@@ -386,10 +435,12 @@ func (f failingSource) ReadRow(key int64, dst []byte) error {
 	return f.RowSource.ReadRow(key, dst)
 }
 
-// TestFillMatchesSequentialFill: laying out GPUs side by side and writing
-// each distinct row once from many workers must leave every GPU's table and
-// arena exactly as the sequential Filler did — same keys at the same offsets
-// holding the same bytes — at any parallelism: for a materialized and a
+// TestFillMatchesSequentialFill: taking each GPU's used range at once,
+// laying out the tables side by side and writing each distinct row once from
+// many workers at the same time must leave every GPU's table and arena
+// exactly as the slot-by-slot sequential Filler did — same keys at the same
+// offsets holding the same bytes — at any parallelism, into arenas Fill makes
+// and into arenas handed to it: for a materialized and a
 // procedural multi-table source (what train-extract fills from), and for
 // placements that mix replicas and partitions, replicate every row on every
 // GPU, and store every row once. A row the source refuses fails the fill
@@ -455,31 +506,41 @@ func TestFillMatchesSequentialFill(t *testing.T) {
 		bad := failingSource{RowSource: c.src, bad: int64(c.pl.ByRank[c.pl.Blocks[0].End/2])}
 		for _, procs := range []int{1, 3, 8} {
 			runtime.GOMAXPROCS(procs)
-			sys, err := Fill(p, c.pl, FillOptions{CapacityEntries: c.caps, Source: c.src})
+			arenas, err := NewArenas(p.N, slices.Max(c.caps)*int64(c.pl.EntryBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, ref := make([]byte, c.pl.EntryBytes), make([]byte, c.pl.EntryBytes)
-			for g, gc := range sys.Caches() {
-				if gc.Table.Len() != want[g].Table.Len() || arenaUsed(gc.Arena) != arenaUsed(want[g].Arena) {
-					t.Fatalf("%s procs %d gpu %d: %d keys in %d bytes, sequential fill has %d in %d", c.name, procs, g,
-						gc.Table.Len(), arenaUsed(gc.Arena), want[g].Table.Len(), arenaUsed(want[g].Arena))
+			for _, opt := range []FillOptions{
+				{CapacityEntries: c.caps, Source: c.src},
+				{CapacityEntries: c.caps, Source: c.src, Arenas: arenas},
+			} {
+				sys, err := Fill(p, c.pl, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want[g].Table.Range(func(key int64, loc hashtable.Location) bool {
-					if l, ok := gc.Table.Lookup(key); !ok || l != loc {
-						t.Fatalf("%s procs %d gpu %d key %d: at %+v (found %v), sequential fill put it at %+v", c.name, procs, g, key, l, ok, loc)
+				handed := opt.Arenas != nil
+				got, ref := make([]byte, c.pl.EntryBytes), make([]byte, c.pl.EntryBytes)
+				for g, gc := range sys.Caches() {
+					if gc.Table.Len() != want[g].Table.Len() || arenaUsed(gc.Arena) != arenaUsed(want[g].Arena) {
+						t.Fatalf("%s procs %d arenas handed %v gpu %d: %d keys in %d bytes, sequential fill has %d in %d", c.name, procs, handed, g,
+							gc.Table.Len(), arenaUsed(gc.Arena), want[g].Table.Len(), arenaUsed(want[g].Arena))
 					}
-					if err := gc.Arena.Read(loc.Offset, got); err != nil {
-						t.Fatal(err)
-					}
-					if err := want[g].Arena.Read(loc.Offset, ref); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, ref) {
-						t.Fatalf("%s procs %d gpu %d key %d: row bytes differ from the sequential fill", c.name, procs, g, key)
-					}
-					return true
-				})
+					want[g].Table.Range(func(key int64, loc hashtable.Location) bool {
+						if l, ok := gc.Table.Lookup(key); !ok || l != loc {
+							t.Fatalf("%s procs %d arenas handed %v gpu %d key %d: at %+v (found %v), sequential fill put it at %+v", c.name, procs, handed, g, key, l, ok, loc)
+						}
+						if err := gc.Arena.Read(loc.Offset, got); err != nil {
+							t.Fatal(err)
+						}
+						if err := want[g].Arena.Read(loc.Offset, ref); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, ref) {
+							t.Fatalf("%s procs %d arenas handed %v gpu %d key %d: row bytes differ from the sequential fill", c.name, procs, handed, g, key)
+						}
+						return true
+					})
+				}
 			}
 			if sys, err := Fill(p, c.pl, FillOptions{CapacityEntries: c.caps, Source: bad}); !errors.Is(err, errBadRow) || sys != nil {
 				t.Fatalf("%s procs %d: Fill over a source refusing key %d = %v, %v; want no system and %v",
@@ -491,7 +552,8 @@ func TestFillMatchesSequentialFill(t *testing.T) {
 
 // BenchmarkFill fills the benchmark's train-extract caches: ServerC, CR at
 // scale 0.05 as procedural tables, a 10 % cache ratio per GPU and the UGache
-// placement of 96 warm batches' presampled hotness.
+// placement of 96 warm batches' presampled hotness. Fill makes its own
+// arenas here; core.Build makes them beside the solve.
 func BenchmarkFill(b *testing.B) {
 	p := platform.ServerC()
 	ds, err := workload.CR.Build(0.05, 42)

@@ -254,7 +254,12 @@ func (s *System) observeExtract(res *extract.Result) {
 	}
 }
 
-// Build solves the policy and fills the caches.
+// Build solves the policy and fills the caches. In functional mode (a
+// Source) the Filler's backed arenas do not depend on the placement, so a
+// goroutine makes them — faulting in and zeroing every byte — while the
+// policy solves, and Fill receives them; a timing-only build makes none.
+// On a failed solve or validation Build waits for that goroutine and drops
+// what it made, so it returns with nothing of its own still running.
 func Build(cfg Config) (*System, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("core: Platform is required")
@@ -295,23 +300,31 @@ func Build(cfg Config) (*System, error) {
 		Capacity:    capacity,
 		BlockBudget: cfg.BlockBudget,
 	}
-	pl := cfg.Placement
-	if pl == nil {
-		solved, err := policy.Solve(&in)
-		if err != nil {
-			return nil, fmt.Errorf("core: policy %s: %w", policy.Name(), err)
+	fill := cache.FillOptions{CapacityEntries: capacity, Source: cfg.Source}
+	var arenaErr error
+	var making sync.WaitGroup // the goroutine setting fill.Arenas and arenaErr
+	if cfg.Source != nil {
+		// The Filler sizes its arenas by the placement's row size; a
+		// pre-solved placement states its own.
+		entryBytes := int64(cfg.EntryBytes)
+		if cfg.Placement != nil {
+			entryBytes = int64(cfg.Placement.EntryBytes)
 		}
-		pl = solved
-	} else if len(pl.EstTimes) == 0 {
-		pl.EstTimes = solver.EstimateTimes(&in, pl)
+		making.Add(1)
+		go func() {
+			defer making.Done()
+			fill.Arenas, arenaErr = cache.NewArenas(cfg.Platform.N, capPer*entryBytes)
+		}()
 	}
-	if err := pl.Validate(&in); err != nil {
-		return nil, fmt.Errorf("core: policy %s produced invalid placement: %w", policy.Name(), err)
+	pl, err := placementFor(&cfg, &in, policy)
+	making.Wait()
+	if err != nil {
+		return nil, err
 	}
-	cs, err := cache.Fill(cfg.Platform, pl, cache.FillOptions{
-		CapacityEntries: capacity,
-		Source:          cfg.Source,
-	})
+	if arenaErr != nil {
+		return nil, fmt.Errorf("core: %w", arenaErr)
+	}
+	cs, err := cache.Fill(cfg.Platform, pl, fill)
 	if err != nil {
 		return nil, err
 	}
@@ -337,6 +350,25 @@ func Build(cfg Config) (*System, error) {
 	}
 	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: 1})
 	return s, nil
+}
+
+// placementFor solves the policy, or takes cfg.Placement, and validates the
+// result against in.
+func placementFor(cfg *Config, in *solver.Input, policy solver.Policy) (*solver.Placement, error) {
+	pl := cfg.Placement
+	if pl == nil {
+		solved, err := policy.Solve(in)
+		if err != nil {
+			return nil, fmt.Errorf("core: policy %s: %w", policy.Name(), err)
+		}
+		pl = solved
+	} else if len(pl.EstTimes) == 0 {
+		pl.EstTimes = solver.EstimateTimes(in, pl)
+	}
+	if err := pl.Validate(in); err != nil {
+		return nil, fmt.Errorf("core: policy %s produced invalid placement: %w", policy.Name(), err)
+	}
+	return pl, nil
 }
 
 // Placement returns the currently active placement.

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"ugache/internal/cache"
 	"ugache/internal/emb"
@@ -185,6 +189,68 @@ func TestFunctionalLookup(t *testing.T) {
 		if !bytes.Equal(out[i*table.EntryBytes():(i+1)*table.EntryBytes()], want) {
 			t.Fatalf("lookup row %d wrong", k)
 		}
+	}
+}
+
+// failingPolicy fails its solve, or, with invalid set, returns a placement
+// that fails Validate.
+type failingPolicy struct{ invalid bool }
+
+var errSolve = errors.New("solve refused")
+
+func (failingPolicy) Name() string { return "failing" }
+
+func (f failingPolicy) Solve(in *solver.Input) (*solver.Placement, error) {
+	if f.invalid {
+		return &solver.Placement{NumGPUs: in.P.N, EntryBytes: in.EntryBytes}, nil
+	}
+	return nil, errSolve
+}
+
+// TestBuildFailureLeavesNothingRunning: a functional Build whose policy fails,
+// or whose placement fails Validate, returns that error and drops the arenas
+// it was making beside the solve — the goroutine count comes back to where it
+// was — and one whose arenas cannot be made says so.
+func TestBuildFailureLeavesNothingRunning(t *testing.T) {
+	p := platform.ServerC()
+	table, err := emb.NewMaterialized("t", 3000, 8, emb.Float32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: p, Hotness: testHotness(3000, 1.2, 3), EntryBytes: table.EntryBytes(), CacheRatio: 0.1, Source: table}
+	if _, err := Build(cfg); err != nil { // the table's build is done, and a working Build leaves nothing either
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	settled := func() int { // the count once it stops falling to before, or after 5 s
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	for _, c := range []struct {
+		policy solver.Policy
+		want   string
+	}{
+		{failingPolicy{}, errSolve.Error()},
+		{failingPolicy{invalid: true}, "invalid placement"},
+	} {
+		cfg.Policy = c.policy
+		sys, err := Build(cfg)
+		if err == nil || sys != nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("invalid %v: Build = %v, %v; want an error naming %q", c.policy, sys, err, c.want)
+		}
+		if n := settled(); n > before {
+			t.Fatalf("invalid %v: %d goroutines after the failed Build, %d before", c.policy, n, before)
+		}
+	}
+	cfg.Policy, cfg.CacheRatio = nil, 1
+	cfg.EntryBytes = 1 << 20 // 3,000 rows of a MiB: over the 2 GiB a backed arena may hold
+	if sys, err := Build(cfg); err == nil || sys != nil || !strings.Contains(err.Error(), "too large") {
+		t.Fatalf("Build with 3 GB arenas = %v, %v; want the arena's error", sys, err)
 	}
 }
 

@@ -97,3 +97,32 @@ func BenchmarkExtractBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuild is the benchmark's train-extract core.Build: ServerC, CR at
+// scale 0.05 as procedural tables, hotness profiled from 96 warm batches of
+// 2,048 samples, a 10 % cache ratio per GPU, functional. The arenas are made
+// beside the UGache solve, then filled.
+func BenchmarkBuild(b *testing.B) {
+	p := platform.ServerC()
+	ds, err := workload.CR.Build(0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(42).Split("train-warm")
+	warm := make([][]int64, 96)
+	for i := range warm {
+		warm[i] = ds.GenBatchWith(r, 2048)
+	}
+	hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Platform: p, Hotness: hot, EntryBytes: ds.MT.MaxEntryBytes(), CacheRatio: 0.10, Source: ds.MT}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -141,19 +141,32 @@ func (t *Table) ReadRow(key int64, dst []byte) error {
 // generate fills dst with the deterministic row for key. Values are small
 // floats in [-1, 1), a realistic range for trained embeddings. Element c is
 // a 64-bit finalizer of seed ^ key·φ ^ c·K; the per-row half of that XOR and
-// the dtype are fixed for the row, so both are settled outside the loop.
+// the dtype are fixed for the row, so both are settled outside the loop, and
+// c·K is kept as a running sum. Float32 rows store two elements per 64-bit
+// little-endian write, which lays them out as two 32-bit writes would.
 func (t *Table) generate(key int64, dst []byte) {
+	const k = 0xc2b2ae3d27d4eb4f
 	row := t.seed ^ uint64(key)*0x9e3779b97f4a7c15
+	ck := uint64(0) // c·K
 	if t.DType == Float16 {
 		dst = dst[:2*t.Dim]
 		for c := 0; c < t.Dim; c++ {
-			binary.LittleEndian.PutUint16(dst[2*c:], Float32ToFloat16(unit(row^uint64(c)*0xc2b2ae3d27d4eb4f)))
+			binary.LittleEndian.PutUint16(dst[2*c:], Float32ToFloat16(unit(row^ck)))
+			ck += k
 		}
 		return
 	}
 	dst = dst[:4*t.Dim]
-	for c := 0; c < t.Dim; c++ {
-		binary.LittleEndian.PutUint32(dst[4*c:], math.Float32bits(unit(row^uint64(c)*0xc2b2ae3d27d4eb4f)))
+	c := 0
+	for ; c+1 < t.Dim; c += 2 {
+		lo := math.Float32bits(unit(row ^ ck))
+		ck += k
+		hi := math.Float32bits(unit(row ^ ck))
+		ck += k
+		binary.LittleEndian.PutUint64(dst[4*c:], uint64(hi)<<32|uint64(lo))
+	}
+	if c < t.Dim {
+		binary.LittleEndian.PutUint32(dst[4*c:], math.Float32bits(unit(row^ck)))
 	}
 }
 

@@ -12,6 +12,7 @@ package hashtable
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Location is a cached entry's source: the GPU holding it and the byte
@@ -170,14 +171,11 @@ func (t *Table) Range(fn func(key int64, loc Location) bool) {
 // Clone returns a deep copy of the table. The background Refresher mutates
 // a clone while concurrent readers keep probing the published table.
 func (t *Table) Clone() *Table {
-	cp := &Table{
-		keys: make([]int64, len(t.keys)),
-		locs: make([]Location, len(t.locs)),
+	return &Table{
+		keys: slices.Clone(t.keys),
+		locs: slices.Clone(t.locs),
 		mask: t.mask, used: t.used, dirty: t.dirty,
 	}
-	copy(cp.keys, t.keys)
-	copy(cp.locs, t.locs)
-	return cp
 }
 
 func (t *Table) grow() {

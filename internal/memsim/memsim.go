@@ -6,6 +6,7 @@
 package memsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -36,6 +37,9 @@ func NewBackedArena(name string, capacity int64) (*Arena, error) {
 	return &Arena{Name: name, Capacity: capacity, data: make([]byte, capacity)}, nil
 }
 
+// Backed reports whether the arena holds real bytes.
+func (a *Arena) Backed() bool { return a.data != nil }
+
 // Free returns the unallocated byte count.
 func (a *Arena) Free() int64 { return a.Capacity - a.used }
 
@@ -57,10 +61,7 @@ func (a *Arena) Alloc(n int64) (int64, error) {
 // the published arena until the new snapshot is swapped in (§7.2).
 func (a *Arena) Clone() *Arena {
 	cp := *a
-	if a.data != nil {
-		cp.data = make([]byte, len(a.data))
-		copy(cp.data, a.data)
-	}
+	cp.data = bytes.Clone(a.data)
 	return &cp
 }
 

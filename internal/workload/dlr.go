@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -94,7 +95,10 @@ type DLRDataset struct {
 }
 
 // Build constructs the dataset at the given scale. Table sizes scale down
-// with a floor of 64 entries each.
+// with a floor of 64 entries each. The tables and their samplers (each
+// sampler's guide costs guideBuckets+1 powers) are built on up to GOMAXPROCS
+// goroutines, each a contiguous range of tables; the first table's error,
+// in table order, wins, as it would building them one by one.
 func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
 	if !(scale > 0) {
 		return nil, fmt.Errorf("workload: scale must be positive, got %g", scale)
@@ -104,31 +108,39 @@ func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
 	}
 	tables := make([]*emb.Table, len(s.TableSizes))
 	zipfs := make([]*Zipf, len(s.TableSizes))
-	for i, base := range s.TableSizes {
-		size := float64(base) * scale
-		if size >= math.MaxInt64 {
-			return nil, fmt.Errorf("workload: spec %q table %d has %g entries at scale %g", s.Name, i, size, scale)
+	errs := make([]error, len(s.TableSizes))
+	workers := min(runtime.GOMAXPROCS(0), len(s.TableSizes))
+	parallel(workers, func(w int) {
+		for i := len(tables) * w / workers; i < len(tables)*(w+1)/workers; i++ {
+			tables[i], zipfs[i], errs[i] = s.buildTable(i, scale, seed)
 		}
-		n := int64(size)
-		if n < 64 {
-			n = 64
-		}
-		t, err := emb.New(fmt.Sprintf("%s-t%d", s.Name, i), n, s.Dim, s.DType, seed+uint64(i)*7919)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = t
-		z, err := NewZipf(n, s.Alpha)
-		if err != nil {
-			return nil, err
-		}
-		zipfs[i] = z
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	mt, err := emb.NewMultiTable(tables)
 	if err != nil {
 		return nil, err
 	}
 	return &DLRDataset{Spec: s, MT: mt, zipfs: zipfs}, nil
+}
+
+// buildTable builds table i of the spec at the given scale and its sampler.
+func (s DLRSpec) buildTable(i int, scale float64, seed uint64) (*emb.Table, *Zipf, error) {
+	size := float64(s.TableSizes[i]) * scale
+	if size >= math.MaxInt64 {
+		return nil, nil, fmt.Errorf("workload: spec %q table %d has %g entries at scale %g", s.Name, i, size, scale)
+	}
+	n := max(int64(size), 64)
+	t, err := emb.New(fmt.Sprintf("%s-t%d", s.Name, i), n, s.Dim, s.DType, seed+uint64(i)*7919)
+	if err != nil {
+		return nil, nil, err
+	}
+	z, err := NewZipf(n, s.Alpha)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, z, nil
 }
 
 // NumEntries returns the flattened entry count.
@@ -140,30 +152,45 @@ const minKeysPerWorker = 4096
 
 // GenBatchWith draws one inference batch of batchSize ≥ 0 samples from r (0
 // gives an empty batch) and returns the flattened keys (batchSize ×
-// numTables keys, duplicates possible; the extractor deduplicates). Every
-// uniform is drawn from r in order, then ranked in place on up to GOMAXPROCS
-// goroutines, so keys and r's state are those of drawing one key at a time.
+// numTables keys, duplicates possible; the extractor deduplicates). The
+// uniforms are drawn from r in order, in chunks of whole samples of at least
+// minKeysPerWorker keys, and each chunk is ranked in place on a goroutine of
+// its own as soon as it is drawn, the last on the caller, so ranking runs
+// beside the drawing; keys and r's state are those of drawing one key at a
+// time. On one processor, or a batch of less than two chunks, it draws the
+// whole batch and then ranks it.
 func (d *DLRDataset) GenBatchWith(r *rng.Rand, batchSize int) []int64 {
 	nt := len(d.zipfs)
 	keys := make([]int64, batchSize*nt)
-	for i := range keys {
-		keys[i] = int64(math.Float64bits(r.Float64()))
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(keys)/minKeysPerWorker)
-	if workers <= 1 {
+	per := (minKeysPerWorker + nt - 1) / nt * nt // keys in a chunk
+	if runtime.GOMAXPROCS(0) == 1 || len(keys) < 2*per {
+		drawInto(r, keys)
 		d.rankDraws(keys)
 		return keys
 	}
 	var wg sync.WaitGroup
-	for w := range workers {
+	for lo := 0; lo < len(keys); lo += per {
+		chunk := keys[lo:min(lo+per, len(keys))]
+		drawInto(r, chunk)
+		if lo+per >= len(keys) {
+			d.rankDraws(chunk)
+			break
+		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			d.rankDraws(keys[lo*nt : hi*nt])
-		}(batchSize*w/workers, batchSize*(w+1)/workers)
+			d.rankDraws(chunk)
+		}()
 	}
 	wg.Wait()
 	return keys
+}
+
+// drawInto parks the next len(dst) uniforms of r in dst, as their bits.
+func drawInto(r *rng.Rand, dst []int64) {
+	for i := range dst {
+		dst[i] = int64(math.Float64bits(r.Float64()))
+	}
 }
 
 // rankDraws turns whole samples of parked uniforms into keys in place.

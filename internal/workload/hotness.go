@@ -1,6 +1,11 @@
 package workload
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"runtime"
+	"sync"
+)
 
 // Hotness is the paper's §6.1 metric: the expected number of accesses per
 // iteration for each embedding entry, indexed by key. The solver consumes
@@ -25,7 +30,18 @@ func ProfileBatches(numEntries int64, batches [][]int64) (Hotness, error) {
 	return h, nil
 }
 
-// countPresence returns, per key, how many of the batches hold it.
+// minKeysPerCounter is the fewest keys countPresence hands one worker. A
+// worker also costs two zeroed arrays of numEntries (its counts and stamps)
+// and a pass summing its counts, so it takes at least numEntries keys too.
+const minKeysPerCounter = 1 << 18
+
+// countPresence returns, per key, how many of the batches hold it. The
+// batches are split into up to GOMAXPROCS contiguous ranges of equal batch
+// counts; each worker counts its range into counts and stamps of its own,
+// and the counts are then summed over key ranges. Counts are integers, so
+// the sum is the one-worker count whatever the split. A key outside
+// [0, numEntries) fails the count; the error names the first such key in
+// batch order, which is the first one the earliest failing range found.
 func countPresence(numEntries int64, batches [][]int64) ([]uint32, error) {
 	if numEntries <= 0 {
 		return nil, fmt.Errorf("workload: numEntries must be positive")
@@ -33,6 +49,49 @@ func countPresence(numEntries int64, batches [][]int64) ([]uint32, error) {
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("workload: need at least one batch to profile")
 	}
+	total := int64(0)
+	for _, b := range batches {
+		total += int64(len(b))
+	}
+	workers := int(max(1, min(int64(runtime.GOMAXPROCS(0)), int64(len(batches)), total/max(minKeysPerCounter, numEntries))))
+	counts := make([][]uint32, workers)
+	errs := make([]error, workers)
+	parallel(workers, func(w int) {
+		counts[w], errs[w] = countRange(numEntries, batches[len(batches)*w/workers:len(batches)*(w+1)/workers])
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	parallel(workers, func(w int) {
+		lo, hi := numEntries*int64(w)/int64(workers), numEntries*int64(w+1)/int64(workers)
+		sum := counts[0][lo:hi]
+		for _, c := range counts[1:] {
+			for k, n := range c[lo:hi] {
+				sum[k] += n
+			}
+		}
+	})
+	return counts[0], nil
+}
+
+// parallel runs f(0), …, f(n-1) side by side, f(0) on the caller, and
+// returns when all have.
+func parallel(n int, f func(int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
+
+// countRange counts, per key, how many of the batches hold it, stopping at
+// the first key outside [0, numEntries).
+func countRange(numEntries int64, batches [][]int64) ([]uint32, error) {
 	counts := make([]uint32, numEntries)
 	// seenIn[k] is the stamp of the last batch k was counted in: one array
 	// lookup per key instead of a set rebuilt per batch.

@@ -2,9 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ugache/internal/rng"
@@ -320,11 +323,13 @@ func referenceBatch(d *DLRDataset, r *rng.Rand, batchSize int) []int64 {
 	return keys
 }
 
-// TestGenBatchMatchesReference: drawing a batch's uniforms first and ranking
-// them on several goroutines gives the same keys as the one-key-at-a-time
-// loop, and leaves the generator where that loop leaves it, at any
-// parallelism and batch size — small batches that stay inline, and a warm
-// batch that fans out over an uneven split.
+// TestGenBatchMatchesReference: drawing a batch's uniforms in chunks and
+// ranking each chunk on a goroutine of its own as soon as it is drawn gives
+// the same keys as the one-key-at-a-time loop, and leaves the generator where
+// that loop leaves it, at any parallelism and batch size — batches too small
+// to split into two chunks (five samples, and 200 of CR's 26 keys), exactly
+// two of CR's chunks (316 samples), and a warm batch whose last chunk is
+// short.
 func TestGenBatchMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, spec := range DLRDatasets {
@@ -334,7 +339,7 @@ func TestGenBatchMatchesReference(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 3, 7} {
 			runtime.GOMAXPROCS(procs)
-			for _, size := range []int{0, 1, 5, 2048} {
+			for _, size := range []int{0, 1, 5, 200, 316, 2048} {
 				want, got := rng.New(7), rng.New(7)
 				for call := range 4 {
 					w, g := referenceBatch(d, want, size), d.GenBatchWith(got, size)
@@ -377,6 +382,10 @@ func BenchmarkGenBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileBatches profiles presence counts into hotness: zipf is
+// 16 batches of 50,000 draws over 100,000 entries, train the benchmark's
+// train-extract presampling, 96 warm batches of 53,248 keys (2,048 samples of
+// CR's 26 tables at scale 0.05) over its 441,337 entries.
 func BenchmarkProfileBatches(b *testing.B) {
 	z, _ := NewZipf(100000, 1.2)
 	r := rng.New(1)
@@ -388,11 +397,31 @@ func BenchmarkProfileBatches(b *testing.B) {
 		}
 		batches[i] = keys
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ProfileBatches(100000, batches); err != nil {
-			b.Fatal(err)
-		}
+	d, err := CR.Build(0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm := make([][]int64, 96)
+	wr := rng.New(42).Split("train-warm")
+	for i := range warm {
+		warm[i] = d.GenBatchWith(wr, 2048)
+	}
+	for _, c := range []struct {
+		name    string
+		entries int64
+		batches [][]int64
+	}{
+		{"zipf", 100000, batches},
+		{"train", d.NumEntries(), warm},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ProfileBatches(c.entries, c.batches); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -450,6 +479,125 @@ func TestProfileBatchesMatchesSetReference(t *testing.T) {
 			if _, err := ProfileBatches(n, spoiled); err == nil {
 				t.Fatalf("trial %d: key %d outside [0, %d) accepted", trial, bad, n)
 			}
+		}
+	}
+}
+
+// referencePresence counts, per key, the batches holding it, with one
+// cleared seen-set per batch.
+func referencePresence(n int64, batches [][]int64) []uint32 {
+	counts := make([]uint32, n)
+	seen := make([]bool, n)
+	for _, b := range batches {
+		clear(seen)
+		for _, k := range b {
+			if !seen[k] {
+				seen[k] = true
+				counts[k]++
+			}
+		}
+	}
+	return counts
+}
+
+// TestCountPresenceAtAnyWorkerCount: counting presence on GOMAXPROCS workers
+// (each over a contiguous range of batches, the counts summed over key
+// ranges) gives the sequential reference's counts and hotness at 1, 2 and 3
+// processors, on batches large enough that every processor gets a range and
+// with empty batches inside and at the end; and a key outside the table fails
+// the profile with the first such key in batch order wherever the ranges
+// fall — in a later batch of the same range, in a later range, and twice in
+// one batch.
+func TestCountPresenceAtAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n = 5000
+	z, _ := NewZipf(n, 1.1)
+	r := rng.New(23)
+	batches := make([][]int64, 12)
+	for i := range batches {
+		if i == 4 || i == len(batches)-1 {
+			continue // empty
+		}
+		keys := make([]int64, 100_000)
+		for j := range keys {
+			keys[j] = z.Sample(r)
+		}
+		batches[i] = keys
+	}
+	want := referencePresence(n, batches)
+	wantHot := estimate(want, len(batches))
+	spoil := func(at map[[2]int]int64) [][]int64 {
+		out := slices.Clone(batches)
+		for pos, k := range at {
+			out[pos[0]] = slices.Clone(out[pos[0]])
+			out[pos[0]][pos[1]] = k
+		}
+		return out
+	}
+	bad := []struct {
+		batches [][]int64
+		first   int64
+	}{
+		{spoil(map[[2]int]int64{{9, 70_000}: n}), n},
+		{spoil(map[[2]int]int64{{2, 90_000}: -1, {3, 5}: n + 1, {10, 0}: n + 2}), -1},
+		{spoil(map[[2]int]int64{{6, 99_999}: n + 3, {8, 1}: -2}), n + 3},
+		{spoil(map[[2]int]int64{{7, 40}: -3, {7, 20}: n + 4}), n + 4},
+	}
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		got, err := countPresence(n, batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS %d: counts differ from the sequential reference", procs)
+		}
+		h, err := ProfileBatches(n, batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(h, wantHot) {
+			t.Fatalf("GOMAXPROCS %d: hotness differs from the estimate of the reference counts", procs)
+		}
+		for i, c := range bad {
+			_, err := ProfileBatches(n, c.batches)
+			if wantErr := fmt.Sprintf("workload: key %d outside [0, %d)", c.first, n); err == nil || err.Error() != wantErr {
+				t.Fatalf("GOMAXPROCS %d, spoiled input %d: error %v, want %q", procs, i, err, wantErr)
+			}
+		}
+	}
+}
+
+// TestDLRBuildAtAnyWorkerCount: building the tables and samplers on several
+// goroutines gives the one-goroutine build's tables and guides, and the first
+// failing table, in table order, names the error.
+func TestDLRBuildAtAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(spec DLRSpec, procs int) (*DLRDataset, error) {
+		runtime.GOMAXPROCS(procs)
+		return spec.Build(0.05, 42)
+	}
+	for _, spec := range DLRDatasets {
+		one, err := build(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		three, err := build(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(one, three) {
+			t.Fatalf("%s: the build on 3 processors differs from the build on 1", spec.Name)
+		}
+	}
+	spoiled := CR
+	spoiled.TableSizes = slices.Clone(CR.TableSizes)
+	spoiled.TableSizes[9], spoiled.TableSizes[20] = math.MaxInt64, math.MaxInt64
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		_, err := spoiled.Build(2, 42)
+		if err == nil || !strings.Contains(err.Error(), "table 9 ") {
+			t.Fatalf("GOMAXPROCS %d: error %v, want table 9's", procs, err)
 		}
 	}
 }
