@@ -8,6 +8,7 @@ import (
 	"ugache/internal/app"
 	"ugache/internal/baselines"
 	"ugache/internal/graph"
+	"ugache/internal/par"
 	"ugache/internal/platform"
 	"ugache/internal/workload"
 )
@@ -81,18 +82,11 @@ func matrix(render func(Options) (*Result, error)) func(Options) (*Result, error
 			dry.plan = &plan{keys: map[string]bool{}}
 			// The dry render's own result and error mean nothing: it read blanks.
 			_, _ = render(dry)
-			sem := make(chan struct{}, workers)
-			var wg sync.WaitGroup
-			for _, run := range dry.plan.runs {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(run func()) {
-					defer wg.Done()
-					run()
-					<-sem
-				}(run)
-			}
-			wg.Wait()
+			// The runs memoise their errors, so Each has none to return.
+			_ = par.Each(len(dry.plan.runs), workers, func(_, i int) error {
+				dry.plan.runs[i]()
+				return nil
+			})
 		}
 		return render(o)
 	}

@@ -16,9 +16,7 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -26,6 +24,7 @@ import (
 
 	"ugache/internal/hashtable"
 	"ugache/internal/memsim"
+	"ugache/internal/par"
 	"ugache/internal/platform"
 	"ugache/internal/solver"
 )
@@ -88,20 +87,18 @@ func (c *GPUCache) insert(key int64, src RowSource, buf []byte) error {
 	return c.Table.Insert(key, hashtable.Location{GPU: int32(c.GPU), Offset: off})
 }
 
-// rowsPerChunk is how many distinct rows writeRows hands a worker at a time:
+// rowsPerChunk is how many distinct rows Fill hands a worker at a time:
 // small enough that the hot rows' extra holders and whatever else runs
 // beside the copy even out over the workers, large enough that a claim
 // (one atomic add) is nothing next to generating the rows.
 const rowsPerChunk = 1024
 
-// writeRows copies every stored row from src into the slots Fill laid out
-// (GPU g's stored blocks, in block order, from offset 0). The distinct
-// stored rows, in block order, are cut into chunks of rowsPerChunk that
-// GOMAXPROCS workers claim in order; a worker reads each row once and writes
-// it to every holder, so every slot has one writer. A worker stops at its
-// first error and the error of the earliest chunk wins: every chunk before a
-// failed one was claimed, so which error that is does not depend on timing.
-func writeRows(caches []*GPUCache, pl *solver.Placement, src RowSource) error {
+// rowChunks cuts the distinct stored rows of the placement, in block order,
+// into chunks of rowsPerChunk and returns how many there are and the
+// function that copies chunk c from src into the slots Fill laid out (GPU
+// g's stored blocks, in block order, from offset 0). It reads each row once,
+// into buf, and writes it to every holder, so every slot has one writer.
+func rowChunks(caches []*GPUCache, pl *solver.Placement, src RowSource) (int, func(c int, buf []byte) error) {
 	eb := int64(pl.EntryBytes)
 	// Block bi holds distinct rows [at[bi], at[bi+1]); its first rank sits
 	// at byte offs[bi][g] on each GPU g storing it.
@@ -119,47 +116,27 @@ func writeRows(caches []*GPUCache, pl *solver.Placement, src RowSource) error {
 		}
 	}
 	rows := at[len(pl.Blocks)]
-	chunks := (rows + rowsPerChunk - 1) / rowsPerChunk
-	errs := make([]error, chunks)
-	var claimed atomic.Int64
-	work := func() {
-		buf := make([]byte, eb)
-		for {
-			c := claimed.Add(1) - 1
-			if c >= chunks {
-				return
-			}
-			lo, hi := c*rowsPerChunk, min((c+1)*rowsPerChunk, rows)
-			// The first block holding row lo; empty blocks are skipped.
-			for bi := sort.Search(len(pl.Blocks), func(bi int) bool { return at[bi+1] > lo }); bi < len(pl.Blocks) && at[bi] < hi; bi++ {
-				b := &pl.Blocks[bi]
-				for i := max(lo, at[bi]); i < min(hi, at[bi+1]); i++ {
-					r := b.Start + i - at[bi]
-					if errs[c] = src.ReadRow(int64(pl.ByRank[r]), buf); errs[c] != nil {
-						return
-					}
-					for g, stored := range b.Store {
-						if stored {
-							if errs[c] = caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, buf); errs[c] != nil {
-								return
-							}
+	return int((rows + rowsPerChunk - 1) / rowsPerChunk), func(c int, buf []byte) error {
+		lo, hi := int64(c)*rowsPerChunk, min(int64(c+1)*rowsPerChunk, rows)
+		// The first block holding row lo; empty blocks are skipped.
+		for bi := sort.Search(len(pl.Blocks), func(bi int) bool { return at[bi+1] > lo }); bi < len(pl.Blocks) && at[bi] < hi; bi++ {
+			b := &pl.Blocks[bi]
+			for i := max(lo, at[bi]); i < min(hi, at[bi+1]); i++ {
+				r := b.Start + i - at[bi]
+				if err := src.ReadRow(int64(pl.ByRank[r]), buf); err != nil {
+					return fmt.Errorf("cache: %w", err)
+				}
+				for g, stored := range b.Store {
+					if stored {
+						if err := caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, buf); err != nil {
+							return fmt.Errorf("cache: %w", err)
 						}
 					}
 				}
 			}
 		}
+		return nil
 	}
-	var wg sync.WaitGroup
-	for range min(int64(runtime.GOMAXPROCS(0)), chunks) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return cmp.Or(errs...)
 }
 
 // clone deep-copies the cache, pointing its arena into the given clone of
@@ -247,17 +224,11 @@ type FillOptions struct {
 // for FillOptions.Arenas. Making one faults in and zeroes every byte of it.
 func NewArenas(gpus int, bytes int64) ([]*memsim.Arena, error) {
 	arenas := make([]*memsim.Arena, gpus)
-	errs := make([]error, gpus)
-	var wg sync.WaitGroup
-	for g := range arenas {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arenas[g], errs[g] = memsim.NewBackedArena(fmt.Sprintf("gpu%d", g), bytes)
-		}()
-	}
-	wg.Wait()
-	if err := cmp.Or(errs...); err != nil {
+	err := par.Each(gpus, gpus, func(_, g int) (err error) {
+		arenas[g], err = memsim.NewBackedArena(fmt.Sprintf("gpu%d", g), bytes)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return arenas, nil
@@ -291,9 +262,8 @@ func fillArenas(gpus int, bytes int64, opt *FillOptions) ([]*memsim.Arena, error
 // blocks take consecutive slots of its arena in block order and are
 // registered in its hash table, which is where a slot-by-slot fill puts
 // them, as nothing is freed during a fill. So each GPU's used range is
-// allocated at once, every GPU's table is laid out on its own goroutine,
-// and in functional mode writeRows copies the bytes from the host at the
-// same time: it computes every slot's offset itself.
+// allocated at once, and the tables are laid out beside the copy of the
+// rows (rowChunks, in functional mode), which computes each slot's offset.
 func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System, error) {
 	if p == nil || pl == nil {
 		return nil, fmt.Errorf("cache: nil platform or placement")
@@ -323,22 +293,23 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 		}
 		sn.caches[g] = &GPUCache{GPU: g, Arena: a, EntryBytes: int(eb)}
 	}
-	errs := make([]error, p.N+1)
-	var wg sync.WaitGroup
-	for g, c := range sn.caches {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Table, errs[g] = layoutTable(pl, g, used[g])
-		}()
-	}
+	// Index g < N lays out GPU g's table and the rest copy a chunk of rows
+	// each, so a layout error beats a row error; a worker has its own buffer.
+	chunks, writeChunk := 0, func(int, []byte) error { return nil }
 	if opt.Source != nil {
-		if err := writeRows(sn.caches, pl, opt.Source); err != nil {
-			errs[p.N] = fmt.Errorf("cache: %w", err)
-		}
+		chunks, writeChunk = rowChunks(sn.caches, pl, opt.Source)
 	}
-	wg.Wait()
-	if err := cmp.Or(errs...); err != nil {
+	workers := par.Workers(p.N+chunks, 1)
+	bufs := make([]byte, int64(workers)*eb)
+	err = par.Each(p.N+chunks, workers, func(w, i int) error {
+		if i < p.N {
+			var err error
+			sn.caches[i].Table, err = layoutTable(pl, i, used[i])
+			return err
+		}
+		return writeChunk(i-p.N, bufs[int64(w)*eb:int64(w+1)*eb])
+	})
+	if err != nil {
 		return nil, err
 	}
 	sys := &System{P: p, EntryBytes: int(eb), source: opt.Source}

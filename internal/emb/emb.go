@@ -16,8 +16,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"ugache/internal/par"
 )
 
 // DType is the element type of an embedding table.
@@ -74,10 +75,8 @@ func New(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error
 // once the shape is checked and builds the rows in the background, over
 // what the caller does next (profiling hotness, solving); the first ReadRow
 // waits for the whole table, and as the Filler is that reader, core.Build
-// returns with its table complete. The rows are split into GOMAXPROCS−1
-// contiguous key ranges (at least one; the last processor is the caller's),
-// one goroutine each, and every row is generated in place by exactly one of
-// them, so the bytes do not depend on the worker count.
+// returns with its table complete. The rows are generated in place over
+// GOMAXPROCS−1 key ranges (at least one; the last processor is the caller's).
 func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*Table, error) {
 	t, err := New(name, n, dim, dtype, seed)
 	if err != nil {
@@ -87,27 +86,21 @@ func NewMaterialized(name string, n int64, dim int, dtype DType, seed uint64) (*
 	if n > (1<<31)/eb {
 		return nil, fmt.Errorf("emb: materialized table %q would need %d rows of %d bytes, over 2 GiB; use a procedural table", name, n, eb)
 	}
-	workers := min(max(int64(runtime.GOMAXPROCS(0))-1, 1), n)
+	workers := int(min(max(int64(runtime.GOMAXPROCS(0))-1, 1), n))
 	t.built = make(chan struct{})
 	go t.build(workers)
 	return t, nil
 }
 
 // build generates the rows on workers goroutines, then marks the table ready.
-func (t *Table) build(workers int64) {
-	n, eb := t.NumEntries, int64(t.EntryBytes())
-	t.data = make([]byte, n*eb)
-	var wg sync.WaitGroup
-	for w := int64(0); w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			for k := lo; k < hi; k++ {
-				t.generate(k, t.data[k*eb:(k+1)*eb])
-			}
-		}(n*w/workers, n*(w+1)/workers)
-	}
-	wg.Wait()
+func (t *Table) build(workers int) {
+	eb := int64(t.EntryBytes())
+	t.data = make([]byte, t.NumEntries*eb)
+	par.Ranges(int(t.NumEntries), workers, func(_, lo, hi int) {
+		for k := int64(lo); k < int64(hi); k++ {
+			t.generate(k, t.data[k*eb:(k+1)*eb])
+		}
+	})
 	t.ready.Store(true)
 	close(t.built)
 }

@@ -2,10 +2,8 @@ package extract
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"ugache/internal/par"
 	"ugache/internal/platform"
 	"ugache/internal/sim"
 )
@@ -73,7 +71,6 @@ type Scratch struct {
 	idxBack []int
 	idx     [][]int
 	perGPU  []float64
-	errs    []error
 	sim     sim.RunScratch
 }
 
@@ -160,9 +157,7 @@ func (e *Extractor) groupGPU(g int, keys []int64, row []float64, eb float64, n i
 // pulls from source j under the placement's access arrangement. Staged keys
 // (Batch.Staged, the lookahead prefetch hits) bypass the placement and are
 // charged as local HBM reads — the staged-source plan. Large batches are
-// grouped in parallel, one GPU per worker; each matrix row is written by
-// exactly one worker and rows are merged in GPU order, so the result is
-// bit-identical to the sequential pass.
+// grouped one GPU per par.Each index, so each matrix row has one writer.
 func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 	if len(b.Keys) != e.P.N {
 		return nil, fmt.Errorf("extract: batch has %d GPUs, platform %d", len(b.Keys), e.P.N)
@@ -190,10 +185,7 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 			nonEmpty++
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nonEmpty {
-		workers = nonEmpty
-	}
+	workers := par.Workers(nonEmpty, 1)
 	if total < groupParallelThreshold || workers < 2 {
 		for g := range out {
 			if err := e.groupGPU(g, b.Keys[g], out[g], eb, n); err != nil {
@@ -202,33 +194,11 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 		}
 		return out, nil
 	}
-	if cap(sc.errs) < e.P.N {
-		sc.errs = make([]error, e.P.N)
-	}
-	errs := sc.errs[:e.P.N]
-	for i := range errs {
-		errs[i] = nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= e.P.N {
-					return
-				}
-				errs[g] = e.groupGPU(g, b.Keys[g], out[g], eb, n)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Each(e.P.N, workers, func(_, g int) error {
+		return e.groupGPU(g, b.Keys[g], out[g], eb, n)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

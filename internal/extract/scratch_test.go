@@ -3,6 +3,7 @@ package extract
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"ugache/internal/platform"
@@ -70,6 +71,48 @@ func TestParallelGroupingKeyError(t *testing.T) {
 		_, parErr := ex.Run(Factored, b)
 		if parErr == nil || seqErr == nil || parErr.Error() != seqErr.Error() {
 			t.Fatalf("parallel error %v != sequential error %v", parErr, seqErr)
+		}
+	}
+}
+
+// TestParallelGroupingAllocations holds RunWith on a warm scratch to its
+// allocation budget: 2 a run on the sequential path, and on the parallel
+// grouping 6.1 at GOMAXPROCS 2 and 7.2 at 3, what the grouping's own
+// per-call worker pool allocated before it moved onto par.Each.
+// (testing.AllocsPerRun runs on one processor, so the parallel rows read
+// the heap's counter around the calls themselves.)
+func TestParallelGroupingAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	p := platform.ServerC()
+	pl, _ := buildPlacement(t, p, 20000, 0.08, solver.UGache{})
+	ex, err := New(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := genBatch(t, 20000, 2000, p.N, 7)
+	sc := NewScratch()
+	old := groupParallelThreshold
+	defer func() { groupParallelThreshold = old }()
+	for _, c := range []struct {
+		procs, threshold int
+		budget           float64
+	}{{1, math.MaxInt, 2}, {2, 0, 6.1}, {3, 0, 7.2}} {
+		runtime.GOMAXPROCS(c.procs)
+		groupParallelThreshold = c.threshold
+		if _, err := ex.RunWith(Factored, b, sc); err != nil { // warms the scratch
+			t.Fatal(err)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			_, _ = ex.RunWith(Factored, b, sc)
+		}
+		runtime.ReadMemStats(&after)
+		if n := float64(after.Mallocs-before.Mallocs) / runs; n > c.budget {
+			t.Errorf("GOMAXPROCS %d, threshold %d: RunWith allocates %.1f times, budget %.1f", c.procs, c.threshold, n, c.budget)
+		} else {
+			t.Logf("GOMAXPROCS %d, threshold %d: RunWith allocates %.1f times", c.procs, c.threshold, n)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package solver
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 
+	"ugache/internal/par"
 	"ugache/internal/platform"
 	"ugache/internal/workload"
 )
@@ -53,22 +53,14 @@ func newCtx(in *Input) (*ctx, error) {
 	rk := rankers.Get().(*workload.Ranker)
 	defer rankers.Put(rk)
 	ranking := rk.Rank(in.Hotness)
-	// The rank arrays and the level boundaries fill from contiguous rank
-	// ranges, one goroutine each: every slot has one writer, and the ranges'
+	// The rank arrays and the level boundaries fill from rank ranges, whose
 	// boundaries join in rank order. The prefix sums stay one serial pass, so
 	// their additions keep their order.
-	workers := max(1, min(runtime.GOMAXPROCS(0), n/minRanksPerWorker))
+	workers := par.Workers(n, minRanksPerWorker)
 	levels := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			levels[w] = c.fill(ranking, n*w/workers, n*(w+1)/workers)
-		}()
-	}
-	levels[0] = c.fill(ranking, 0, n/workers)
-	wg.Wait()
+	par.Ranges(n, workers, func(w, lo, hi int) {
+		levels[w] = c.fill(ranking, lo, hi)
+	})
 	c.levels = slices.Concat(levels...)
 	sum := 0.0
 	for r, h := range c.hot {

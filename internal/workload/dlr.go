@@ -1,13 +1,13 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 
 	"ugache/internal/emb"
+	"ugache/internal/par"
 	"ugache/internal/rng"
 )
 
@@ -96,9 +96,9 @@ type DLRDataset struct {
 
 // Build constructs the dataset at the given scale. Table sizes scale down
 // with a floor of 64 entries each. The tables and their samplers (each
-// sampler's guide costs guideBuckets+1 powers) are built on up to GOMAXPROCS
-// goroutines, each a contiguous range of tables; the first table's error,
-// in table order, wins, as it would building them one by one.
+// sampler's guide costs guideBuckets+1 powers) are built by up to GOMAXPROCS
+// workers claiming them in order; the first table's error, in table order,
+// wins, as it would building them one by one.
 func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
 	if !(scale > 0) {
 		return nil, fmt.Errorf("workload: scale must be positive, got %g", scale)
@@ -108,14 +108,11 @@ func (s DLRSpec) Build(scale float64, seed uint64) (*DLRDataset, error) {
 	}
 	tables := make([]*emb.Table, len(s.TableSizes))
 	zipfs := make([]*Zipf, len(s.TableSizes))
-	errs := make([]error, len(s.TableSizes))
-	workers := min(runtime.GOMAXPROCS(0), len(s.TableSizes))
-	parallel(workers, func(w int) {
-		for i := len(tables) * w / workers; i < len(tables)*(w+1)/workers; i++ {
-			tables[i], zipfs[i], errs[i] = s.buildTable(i, scale, seed)
-		}
+	err := par.Each(len(tables), par.Workers(len(tables), 1), func(_, i int) (err error) {
+		tables[i], zipfs[i], err = s.buildTable(i, scale, seed)
+		return err
 	})
-	if err := cmp.Or(errs...); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	mt, err := emb.NewMultiTable(tables)

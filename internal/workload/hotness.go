@@ -1,10 +1,9 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
-	"runtime"
-	"sync"
+
+	"ugache/internal/par"
 )
 
 // Hotness is the paper's §6.1 metric: the expected number of accesses per
@@ -35,13 +34,11 @@ func ProfileBatches(numEntries int64, batches [][]int64) (Hotness, error) {
 // and a pass summing its counts, so it takes at least numEntries keys too.
 const minKeysPerCounter = 1 << 18
 
-// countPresence returns, per key, how many of the batches hold it. The
-// batches are split into up to GOMAXPROCS contiguous ranges of equal batch
-// counts; each worker counts its range into counts and stamps of its own,
-// and the counts are then summed over key ranges. Counts are integers, so
-// the sum is the one-worker count whatever the split. A key outside
-// [0, numEntries) fails the count; the error names the first such key in
-// batch order, which is the first one the earliest failing range found.
+// countPresence returns, per key, how many of the batches hold it. Up to
+// GOMAXPROCS contiguous ranges of equal batch counts are counted into counts
+// and stamps of their own, then summed over key ranges: counts are integers,
+// so the sum is the one-worker count. A key outside [0, numEntries) fails
+// the count; the error names the first such key in batch order.
 func countPresence(numEntries int64, batches [][]int64) ([]uint32, error) {
 	if numEntries <= 0 {
 		return nil, fmt.Errorf("workload: numEntries must be positive")
@@ -53,17 +50,16 @@ func countPresence(numEntries int64, batches [][]int64) ([]uint32, error) {
 	for _, b := range batches {
 		total += int64(len(b))
 	}
-	workers := int(max(1, min(int64(runtime.GOMAXPROCS(0)), int64(len(batches)), total/max(minKeysPerCounter, numEntries))))
+	workers := min(par.Workers(int(total), int(max(minKeysPerCounter, numEntries))), len(batches))
 	counts := make([][]uint32, workers)
-	errs := make([]error, workers)
-	parallel(workers, func(w int) {
-		counts[w], errs[w] = countRange(numEntries, batches[len(batches)*w/workers:len(batches)*(w+1)/workers])
+	err := par.Each(workers, workers, func(_, w int) (err error) {
+		counts[w], err = countRange(numEntries, batches[len(batches)*w/workers:len(batches)*(w+1)/workers])
+		return err
 	})
-	if err := cmp.Or(errs...); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	parallel(workers, func(w int) {
-		lo, hi := numEntries*int64(w)/int64(workers), numEntries*int64(w+1)/int64(workers)
+	par.Ranges(int(numEntries), workers, func(_, lo, hi int) {
 		sum := counts[0][lo:hi]
 		for _, c := range counts[1:] {
 			for k, n := range c[lo:hi] {
@@ -72,21 +68,6 @@ func countPresence(numEntries int64, batches [][]int64) ([]uint32, error) {
 		}
 	})
 	return counts[0], nil
-}
-
-// parallel runs f(0), …, f(n-1) side by side, f(0) on the caller, and
-// returns when all have.
-func parallel(n int, f func(int)) {
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(i)
-		}()
-	}
-	f(0)
-	wg.Wait()
 }
 
 // countRange counts, per key, how many of the batches hold it, stopping at

@@ -3,9 +3,10 @@ package workload
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 	"sync"
+
+	"ugache/internal/par"
 )
 
 // Rank returns entry indices sorted by descending hotness (stable in index
@@ -124,7 +125,7 @@ func (rk *Ranker) Rank(h Hotness) []RankedEntry {
 	}
 	rk.h = h
 	defer func() { rk.h = nil }() // a pooled Ranker must not keep h alive
-	rk.workers = max(1, min(runtime.GOMAXPROCS(0), n/rankMinPerWorker))
+	rk.workers = par.Workers(n, rankMinPerWorker)
 	for len(rk.work) < rk.workers {
 		rk.work = append(rk.work, rankWorker{})
 	}
