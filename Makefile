@@ -9,7 +9,8 @@ BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve ./internal/wo
 
 .PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check figures figures-golden loc
 
-check: fmt vet build test fuzz-smoke race bench-harness
+# Every step CI gates on, so a local `make check` fails where CI would.
+check: fmt vet build test fuzz-smoke race bench-harness bench-sim-check
 
 build:
 	$(GO) build ./...
@@ -104,9 +105,9 @@ bench-drift:
 bench-prefetch:
 	$(GO) run ./cmd/ugache-bench -exp prefetch -scale 0.25 -json-out BENCH_prefetch.json
 
-# The gate on those two (CI runs it): both are simulated-clock sweeps and
-# regenerate byte for byte, so regenerate each to a temporary file and
-# compare it with the checked-in one — everything but the `command` line
+# The gate on those two (CI and `make check` run it): both are
+# simulated-clock sweeps and regenerate byte for byte, so regenerate each to
+# a temporary file and compare it with the checked-in one — everything but the `command` line
 # (it names the output path) and the `go` line (it follows the runner's
 # patch release).
 BENCH_BODY = grep -v -e '^  "command": ' -e '^  "go": '

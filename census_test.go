@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -47,6 +48,8 @@ var censusAllow = map[string]string{
 
 type censusFile struct {
 	path, dir string
+	test      bool // a _test.go file
+	src       []byte
 	ast       *ast.File
 	imports   map[string]string // local package name -> directory under the repo root
 }
@@ -54,6 +57,13 @@ type censusFile struct {
 // parseTree parses every non-test Go file of the module, cmd/, examples/ and
 // benchmark/ (its own module, but the same tree).
 func parseTree(t *testing.T) []*censusFile {
+	t.Helper()
+	return parseGo(t, false)
+}
+
+// parseGo is parseTree's walk, reading the _test.go files too when withTests
+// is set.
+func parseGo(t *testing.T, withTests bool) []*censusFile {
 	t.Helper()
 	var files []*censusFile
 	fset := token.NewFileSet()
@@ -67,14 +77,19 @@ func parseTree(t *testing.T) []*censusFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		test := strings.HasSuffix(path, "_test.go")
+		if !strings.HasSuffix(path, ".go") || (test && !withTests) {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		cf := &censusFile{path: filepath.ToSlash(path), dir: filepath.ToSlash(filepath.Dir(path)), ast: f, imports: map[string]string{}}
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		cf := &censusFile{path: filepath.ToSlash(path), dir: filepath.ToSlash(filepath.Dir(path)), test: test, src: src, ast: f, imports: map[string]string{}}
 		for _, imp := range f.Imports {
 			ipath, _ := strconv.Unquote(imp.Path.Value)
 			dir, ok := strings.CutPrefix(ipath, "ugache")

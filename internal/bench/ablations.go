@@ -232,7 +232,7 @@ func ablatePadding(o Options) (*Result, error) {
 		"per-batch raggedness that a static split cannot track on real hardware;\n" +
 		"the deterministic simulator cannot exhibit that variance, so this\n" +
 		"ablation bounds the padding benefit rather than reproducing it\n" +
-		"(a documented limitation; see DESIGN.md §6).\n"}, nil
+		"(a documented limitation; see EXPERIMENTS.md, Known deviations).\n"}, nil
 }
 
 // ablationBatch draws one Zipf batch for every GPU.

@@ -6,7 +6,7 @@ import (
 )
 
 // StagingArena is the transient GPU-side landing zone of the lookahead
-// prefetch pipeline (DESIGN.md §6.6): the serve layer's prefetch worker
+// prefetch pipeline (DESIGN.md §6.4): the serve layer's prefetch worker
 // extracts a future batch's would-be misses ahead of time and commits the
 // rows here, so that when the batch actually flushes those keys are local
 // staged hits instead of remote/host reads on the critical path.

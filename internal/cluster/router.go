@@ -5,7 +5,7 @@
 // shard), coalesces the cross-node legs queued for one destination so under
 // load many requests ride one wire dispatch, and reassembles the scattered
 // results under a per-node deadline — a missing leg fails partial instead of
-// stalling the whole lookup (DESIGN.md §6.9).
+// stalling the whole lookup (DESIGN.md §6.7).
 package cluster
 
 import (

@@ -76,7 +76,7 @@ type Config struct {
 	// entirely — the no-op fast path is a single nil check per extraction.
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, receives control-plane flight records into the
-	// recorder's shared control ring (DESIGN.md §6.8): every completed
+	// recorder's shared control ring (DESIGN.md §6.6): every completed
 	// Refresh (cache.RefreshReport.Record: the solve, the applied delta and
 	// its Fig. 17 layout, the placement's storage summary) and every drift
 	// evaluation from an attached controller. They are the only store of

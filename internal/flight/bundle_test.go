@@ -203,6 +203,52 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	}
 }
 
+// TestValidateBundleRejectsNegativeSpan: timeline.json goes through
+// timeline.Validate, so one span with a negative ts fails the bundle.
+func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
+	rec := NewRecorder(1, 8)
+	b := stagedBatch(0, 0.001, 1)
+	rec.Claim().Record(&b)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true},
+		"test", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateBundle(path); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(path, TimelineFile)
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	broken := false
+	for _, ev := range doc.TraceEvents {
+		if ev["ph"] == "X" && ev["name"] == "reply" {
+			ev["ts"], broken = -1.0, true
+			break
+		}
+	}
+	if !broken {
+		t.Fatal("the timeline draws no reply span")
+	}
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateBundle(path); err == nil || !strings.Contains(err.Error(), "negative ts") {
+		t.Fatalf("ValidateBundle on a negative span: %v", err)
+	}
+}
+
 // TestValidateBundleRejectsUndrawnControl: a bundle whose timeline does not
 // draw the control records flight.jsonl holds fails validation.
 func TestValidateBundleRejectsUndrawnControl(t *testing.T) {

@@ -19,7 +19,7 @@
 // internal/timeline answers "when, on which track", flight answers "what
 // exactly happened in the seconds before things went wrong" — and it keeps
 // answering after the fact, because recording never stops and tripping the
-// watchdog freezes the evidence on disk (DESIGN.md §6.8).
+// watchdog freezes the evidence on disk (DESIGN.md §6.6).
 package flight
 
 import (

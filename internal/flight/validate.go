@@ -138,54 +138,25 @@ func (rep *BundleReport) checkEvents(dir string) error {
 	return nil
 }
 
-// traceEvent is the subset of a Chrome trace event the exemplar resolution
-// needs.
-type traceEvent struct {
-	Ph   string  `json:"ph"`
-	PID  int64   `json:"pid"`
-	TID  int64   `json:"tid"`
-	Name string  `json:"name"`
-	TS   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	// Args values are numeric on span events but strings on metadata ("M")
-	// events (process/thread names), so they stay raw until needed.
-	Args map[string]json.RawMessage `json:"args"`
-}
-
-// numArg extracts a numeric arg value; non-numeric or absent args report
-// false.
-func (ev *traceEvent) numArg(key string) (float64, bool) {
-	raw, ok := ev.Args[key]
-	if !ok {
-		return 0, false
-	}
-	var v float64
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// checkTimeline parses timeline.json, holds its drawn spans to the control
+// checkTimeline validates timeline.json, holds its drawn spans to the control
 // and dispatch records checkEvents counted and, when the manifest carries an
 // exemplar, resolves its (GPU, seq) to the matching batch span tree.
 func (rep *BundleReport) checkTimeline(dir string) error {
-	raw, err := os.ReadFile(filepath.Join(dir, TimelineFile))
+	f, err := os.Open(filepath.Join(dir, TimelineFile))
 	if err != nil {
 		return fmt.Errorf("flight: %s: %w", TimelineFile, err)
 	}
-	var doc struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
+	defer f.Close()
+	tl, err := timeline.Validate(f)
+	if err != nil {
+		return fmt.Errorf("flight: %s: %w", TimelineFile, err)
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("flight: %s does not parse: %w", TimelineFile, err)
-	}
-	rep.TimelineEvents = len(doc.TraceEvents)
+	rep.TimelineEvents = tl.Events
 
 	rep.DrawnSpans = make(map[string]int, len(drawnAs))
 	for kind, name := range drawnAs {
-		for i := range doc.TraceEvents {
-			if doc.TraceEvents[i].Name == name {
+		for i := range tl.Trace {
+			if tl.Trace[i].Name == name {
 				rep.DrawnSpans[kind]++
 			}
 		}
@@ -201,14 +172,14 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 	}
 	// The root: a complete ("X") span named "batch" on the serve process,
 	// on the exemplar GPU's track, whose seq arg matches the exemplar.
-	var root *traceEvent
-	for i := range doc.TraceEvents {
-		ev := &doc.TraceEvents[i]
+	var root *timeline.TraceEvent
+	for i := range tl.Trace {
+		ev := &tl.Trace[i]
 		if ev.Ph != "X" || ev.Name != "batch" ||
 			ev.PID != timeline.ProcServe || ev.TID != int64(ex.GPU) {
 			continue
 		}
-		if seq, ok := ev.numArg("seq"); ok && int64(seq) == ex.Seq {
+		if seq, ok := ev.NumArg("seq"); ok && int64(seq) == ex.Seq {
 			root = ev
 			break
 		}
@@ -220,8 +191,8 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 	// Children: spans on the same track nested inside the root's interval.
 	rep.ExemplarSpans = 1
 	end := root.TS + root.Dur
-	for i := range doc.TraceEvents {
-		ev := &doc.TraceEvents[i]
+	for i := range tl.Trace {
+		ev := &tl.Trace[i]
 		if ev == root || ev.Ph != "X" ||
 			ev.PID != root.PID || ev.TID != root.TID {
 			continue

@@ -9,7 +9,7 @@ import (
 // callers) reserve slots with a CAS on the enqueue ticket and never block: a
 // full ring fails the push immediately, which is what turns overload into an
 // explicit shed decision instead of an unbounded caller park (DESIGN.md
-// §6.7). The single consumer is GPU g's worker goroutine.
+// §6.5). The single consumer is GPU g's worker goroutine.
 //
 // The layout is the classic sequence-stamped bounded queue (Vyukov): each
 // cell carries a sequence number that encodes whether it is free for the

@@ -112,11 +112,11 @@ type Config struct {
 	// Timeline, when non-nil, draws every held batch record when the trace
 	// is written: a span tree on the serve track (queue-wait → coalesce →
 	// extract → gather → reply), one link-flow span per source class it read
-	// from, and its overload-track samples (DESIGN.md §6.3). The flush path
+	// from, and its overload-track samples (DESIGN.md §6.6). The flush path
 	// does not see it.
 	Timeline *timeline.Recorder
 	// Flight is the recorder whose rings take the batch records (DESIGN.md
-	// §6.8) and whose control ring takes staged prefetch windows — drawn on
+	// §6.6) and whose control ring takes staged prefetch windows — drawn on
 	// the prefetch track by whoever registers that ring with the timeline
 	// (flight.Recorder.DrawControl). Every worker claims a ring of its own,
 	// so a recorder shared between servers must be sized to all their
@@ -205,7 +205,7 @@ type metrics struct {
 	latency       *telemetry.Histogram
 	queueWait     *telemetry.Histogram
 
-	// Admission-control observability (DESIGN.md §6.7): requests shed by
+	// Admission-control observability (DESIGN.md §6.5): requests shed by
 	// the bounded ring, requests that were admitted only after a bounded
 	// wait, and the last/peak queue depth a worker observed at batch
 	// formation.

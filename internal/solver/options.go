@@ -1,8 +1,8 @@
 package solver
 
-// Options is empty: no policy takes solve options any more. ROADMAP item 1(e)
-// removes it with SolveWith.
+// Options is empty: no policy takes solve options any more. It goes with
+// SolveWith once benchmark/ stops calling it.
 type Options struct{}
 
-// SolveWith solves as pol.Solve does. ROADMAP item 1(e) removes it.
+// SolveWith solves as pol.Solve does. It goes once benchmark/ stops calling it.
 func SolveWith(pol Policy, in *Input, _ Options) (*Placement, error) { return pol.Solve(in) }

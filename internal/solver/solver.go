@@ -131,8 +131,8 @@ type Placement struct {
 	// makespan of placements uniform within each block the policy solved over
 	// (set by OptimalLP); one cutting inside a block can dip under it.
 	LowerBound float64
-	// SolveNodes is always 0: no policy searches a tree. ROADMAP item 1(e)
-	// removes it.
+	// SolveNodes is always 0: no policy searches a tree. It goes once
+	// benchmark/ stops reading it.
 	SolveNodes int64
 }
 

@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer of the serving stack:
 // allocation-conscious counters, gauges and fixed-bucket latency histograms,
-// plus a per-batch trace ring (trace.go) and a plain-text /metrics +
-// JSON /debug/trace HTTP handler (http.go).
+// plus a plain-text /metrics + JSON /debug/trace HTTP handler (http.go); the
+// batch records behind /debug/trace are the flight recorder's.
 //
 // The design follows the hot-path memory discipline of DESIGN.md §6.1: a
 // metric is registered once (get-or-create, so independently built systems

@@ -143,6 +143,30 @@ type ValidationReport struct {
 	// Names counts events per (process ID, name): the serve and the
 	// prefetch tracks each have an "extract".
 	Names map[ProcName]int
+	// Trace is the decoded events, in file order.
+	Trace []TraceEvent
+}
+
+// TraceEvent is one decoded event of a validated trace.
+type TraceEvent struct {
+	Ph, Name string
+	PID, TID int64
+	// TS and Dur are in microseconds, 0 where the event has none.
+	TS, Dur float64
+	// Args values are numeric on span events but strings on metadata events
+	// (process and thread names), so they stay raw until read.
+	Args map[string]json.RawMessage
+}
+
+// NumArg returns a numeric arg value; a non-numeric or absent arg reports
+// false.
+func (ev *TraceEvent) NumArg(key string) (float64, bool) {
+	raw, ok := ev.Args[key]
+	var v float64
+	if !ok || json.Unmarshal(raw, &v) != nil {
+		return 0, false
+	}
+	return v, true
 }
 
 // ProcName is one event name on one process.
@@ -173,42 +197,46 @@ func Validate(r io.Reader) (*ValidationReport, error) {
 		Names:   make(map[ProcName]int),
 	}
 	for i, ev := range doc.TraceEvents {
-		var ph, name string
-		if err := unmarshalField(ev, "ph", &ph); err != nil {
+		var te TraceEvent
+		if err := unmarshalField(ev, "ph", &te.Ph); err != nil {
 			return nil, fmt.Errorf("timeline: event %d: %v", i, err)
 		}
-		if err := unmarshalField(ev, "name", &name); err != nil {
+		if err := unmarshalField(ev, "name", &te.Name); err != nil {
 			return nil, fmt.Errorf("timeline: event %d: %v", i, err)
 		}
-		var pid, tid int64
-		if err := unmarshalField(ev, "pid", &pid); err != nil {
+		name := te.Name
+		if err := unmarshalField(ev, "pid", &te.PID); err != nil {
 			return nil, fmt.Errorf("timeline: event %d (%s): %v", i, name, err)
 		}
-		if err := unmarshalField(ev, "tid", &tid); err != nil {
+		if err := unmarshalField(ev, "tid", &te.TID); err != nil {
 			return nil, fmt.Errorf("timeline: event %d (%s): %v", i, name, err)
 		}
-		if ph != "M" {
-			var ts float64
-			if err := unmarshalField(ev, "ts", &ts); err != nil {
+		if te.Ph != "M" {
+			if err := unmarshalField(ev, "ts", &te.TS); err != nil {
 				return nil, fmt.Errorf("timeline: event %d (%s): %v", i, name, err)
 			}
-			if ts < 0 {
-				return nil, fmt.Errorf("timeline: event %d (%s): negative ts %g", i, name, ts)
+			if te.TS < 0 {
+				return nil, fmt.Errorf("timeline: event %d (%s): negative ts %g", i, name, te.TS)
 			}
 		}
 		if raw, ok := ev["dur"]; ok {
-			var dur float64
-			if err := json.Unmarshal(raw, &dur); err != nil {
+			if err := json.Unmarshal(raw, &te.Dur); err != nil {
 				return nil, fmt.Errorf("timeline: event %d (%s): bad dur: %v", i, name, err)
 			}
-			if dur < 0 {
-				return nil, fmt.Errorf("timeline: event %d (%s): negative dur %g", i, name, dur)
+			if te.Dur < 0 {
+				return nil, fmt.Errorf("timeline: event %d (%s): negative dur %g", i, name, te.Dur)
+			}
+		}
+		if raw, ok := ev["args"]; ok {
+			if err := json.Unmarshal(raw, &te.Args); err != nil {
+				return nil, fmt.Errorf("timeline: event %d (%s): bad args: %v", i, name, err)
 			}
 		}
 		rep.Events++
-		rep.ByPhase[ph]++
-		rep.ByPID[pid]++
-		rep.Names[ProcName{pid, name}]++
+		rep.ByPhase[te.Ph]++
+		rep.ByPID[te.PID]++
+		rep.Names[ProcName{te.PID, name}]++
+		rep.Trace = append(rep.Trace, te)
 	}
 	return rep, nil
 }

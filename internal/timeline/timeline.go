@@ -21,7 +21,7 @@ import (
 	"time"
 )
 
-// Conventional process IDs for the span taxonomy (DESIGN.md §6.3). Chrome
+// Conventional process IDs for the span taxonomy (DESIGN.md §6.6). Chrome
 // trace events group tracks by pid; keeping the assignment fixed makes
 // exported pids stable across runs and binaries.
 const (

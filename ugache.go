@@ -222,7 +222,7 @@ type ServeResult = serve.Result
 // ServeStats are the engine's cumulative counters.
 type ServeStats = serve.Stats
 
-// Admission outcomes (DESIGN.md §6.7): a request against a full bounded
+// Admission outcomes (DESIGN.md §6.5): a request against a full bounded
 // queue is shed with ErrOverload (immediately, or after ServeConfig's
 // AdmitWait bound); requests racing shutdown observe ErrClosed; a request
 // naming a key outside the table is refused with ErrBadKey before it can
@@ -287,7 +287,7 @@ func NewHealth() *Health { return telemetry.NewHealth() }
 // TimelineRecorder draws span-based traces of a server (ServeConfig.Timeline:
 // serve batch trees, per-source link flows, admission counters) from the
 // server's batch records and exports Chrome trace-event JSON loadable in
-// Perfetto or chrome://tracing (DESIGN.md §6.3). It stores no events of its
+// Perfetto or chrome://tracing (DESIGN.md §6.6). It stores no events of its
 // own. The refresh, solver, drift, prefetch and router tracks are drawn from
 // a flight recorder's control and dispatch rings, which the façade does not
 // expose.
