@@ -10,7 +10,10 @@
 // dispatchers: arrivals are scheduled by -qps alone (Poisson or bursty
 // MMPP), never by completions, so the engine can be pushed past its
 // admission knee and the run reports sheds alongside the latency of
-// admitted requests (measured from intended arrival time).
+// admitted requests (measured from intended arrival time). A dispatcher
+// settles each reply as it lands, also while it waits for its next arrival;
+// what the printed latency has over serve_request_latency_seconds is the
+// dispatcher's timer wake-up lag before it calls Handle.
 //
 // Usage:
 //

@@ -251,9 +251,6 @@ func (e *engine) build() (err error) {
 		if err != nil {
 			return err
 		}
-		if e.tl != nil {
-			e.fl.DrawRouter(e.tl)
-		}
 		fmt.Fprintf(w, "built %d nodes:     cache ratio %g solved once and filled per node in %.2fs\n",
 			o.nodes, o.ratio, time.Since(t0).Seconds())
 	} else {
@@ -551,12 +548,11 @@ func (e *engine) closedLoop(ctx context.Context) error {
 			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, tiersOf)
 	}
 	if e.front != nil {
-		fmt.Fprintf(w, "router:            %.0f lookups; %.0f keys local, %.0f cross-node (%.0f dispatches, %.1f keys/dispatch)\n",
+		fmt.Fprintf(w, "router:            %.0f lookups; %.0f keys local, %.0f cross-node (%.0f legs, %.1f keys/leg)\n",
 			metric("cluster_lookups_total"), metric("cluster_local_keys_total"),
 			metric("cluster_remote_keys_total"), metric("cluster_dispatches_total"),
 			metric("cluster_dispatch_keys_total")/max(metric("cluster_dispatches_total"), 1))
-		fmt.Fprintf(w, "cross-node bytes:  %.1f MB over the wire (queue peak %.0f keys)\n",
-			metric("cluster_cross_node_bytes_total")/1e6, metric("cluster_router_queue_depth_peak"))
+		fmt.Fprintf(w, "cross-node bytes:  %.1f MB over the wire\n", metric("cluster_cross_node_bytes_total")/1e6)
 		if partials := metric("cluster_partial_lookups_total"); partials > 0 {
 			fmt.Fprintf(w, "partial results:   %.0f lookups returned partial (%.0f keys missed the deadline)\n",
 				partials, metric("cluster_missing_keys_total"))
@@ -672,6 +668,31 @@ func (e *engine) openLoop(ctx context.Context) error {
 					}
 				}
 			}
+			// await settles replies as they land until intended, so each is
+			// timed on arrival rather than at the next dispatch; false when ctx
+			// ended first.
+			await := func(intended time.Time) bool {
+				wait := time.Until(intended)
+				if wait <= 0 {
+					return true
+				}
+				timer := time.NewTimer(wait)
+				defer timer.Stop()
+				for {
+					var head <-chan serve.Result // nil, never ready, with nothing in flight
+					if len(q) > 0 {
+						head = q[0].ch
+					}
+					select {
+					case res := <-head:
+						settle(res)
+					case <-timer.C:
+						return true
+					case <-ctx.Done():
+						return false
+					}
+				}
+			}
 			var req workload.OpenLoopRequest
 			for ctx.Err() == nil {
 				gen.Next(&req)
@@ -679,12 +700,8 @@ func (e *engine) openLoop(ctx context.Context) error {
 					break
 				}
 				intended := epoch.Add(req.At)
-				if wait := time.Until(intended); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-ctx.Done():
-						continue
-					}
+				if !await(intended) {
+					break
 				}
 				keys := append([]int64(nil), req.Keys...)
 				q = append(q, pending{ch: srv.Handle(d, keys), intended: intended})

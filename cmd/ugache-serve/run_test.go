@@ -189,12 +189,19 @@ func TestRunGolden(t *testing.T) {
 				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
 				m := readMetrics(t, filepath.Join(dir, "metrics.json"))
 				checkCluster(t, m)
-				// The router track is drawn from one record per dispatch, and
-				// the default flight depth holds the whole run's.
-				dispatch := rep.Names[timeline.ProcName{PID: timeline.ProcRouter, Name: "dispatch"}]
-				queue := rep.Names[timeline.ProcName{PID: timeline.ProcRouter, Name: "router-queue"}]
-				if d := m["cluster_dispatches_total"]; d == 0 || float64(dispatch) != d || float64(queue) != d {
-					t.Errorf("trace holds %d dispatch spans and %d router-queue samples, want cluster_dispatches_total = %v of each", dispatch, queue, d)
+				// A cross-node leg is a request in its owner's batch records,
+				// and the default flight depth holds the whole run's: the
+				// batch spans answer every request, legs included.
+				var requests float64
+				for i := range rep.Trace {
+					if ev := &rep.Trace[i]; ev.PID == timeline.ProcServe && ev.Name == "batch" {
+						n, _ := ev.NumArg("requests")
+						requests += n
+					}
+				}
+				if served := m["serve_requests_total"]; m["cluster_dispatches_total"] == 0 || requests != served {
+					t.Errorf("trace's batch spans answer %v requests, want serve_requests_total = %v (%v cross-node legs)",
+						requests, served, m["cluster_dispatches_total"])
 				}
 				if n := rep.Names[timeline.ProcName{PID: timeline.ProcSim, Name: "link-flow"}]; n == 0 {
 					t.Errorf("trace holds no link-flow spans")

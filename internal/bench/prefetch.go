@@ -119,7 +119,7 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 			}
 		}
 	}
-	srv.Close() // a flush writes its record after its replies: wait for the last one
+	srv.Close()
 	traces := srv.Trace().Snapshot(nil)
 
 	q := stats.Quantiles(append([]float64(nil), lats...), 0.50, 0.99)

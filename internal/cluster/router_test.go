@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,18 +23,23 @@ import (
 )
 
 // heldSource is a node's RowSource with a one-shot hold: once armed, the
-// node's next host read blocks until open. A serve worker blocked there is
-// inside a flush, so the leg it carries cannot answer before the test says
-// so — a slow peer without a clock.
+// node's next host read blocks until open, and says so on held. A serve
+// worker blocked there is inside a flush, so the leg it carries cannot
+// answer before the test says so — a slow peer without a clock.
 type heldSource struct {
 	cache.RowSource
 	armed atomic.Bool
+	held  chan struct{} // a token per hold taken, if the last was received
 	gate  chan struct{}
 	once  sync.Once
 }
 
 func (h *heldSource) ReadRow(key int64, dst []byte) error {
 	if h.armed.CompareAndSwap(true, false) {
+		select {
+		case h.held <- struct{}{}:
+		default:
+		}
 		<-h.gate
 	}
 	return h.RowSource.ReadRow(key, dst)
@@ -65,7 +71,7 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 	ns := make([]*Node, nodes)
 	holds := make([]*heldSource, nodes)
 	for i := 0; i < nodes; i++ {
-		holds[i] = &heldSource{RowSource: table, gate: make(chan struct{})}
+		holds[i] = &heldSource{RowSource: table, held: make(chan struct{}, 1), gate: make(chan struct{})}
 		p, err := platform.New(platform.Config{
 			Name: "2xV100", Kind: platform.HardWired, GPU: platform.V100x16, N: 2,
 			PCIeBW: 12e9, DRAMBW: 140e9, PairBW: pair, Network: &net,
@@ -152,62 +158,88 @@ func TestFrontFunctionalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDispatcherCoalescesBacklog: sub-calls queued ahead of a dispatcher
-// leave as one dispatch — the wire is paid per backlog, not per lookup — cut
-// only by maxSubKeys, and each caller gets its own rows back.
-func TestDispatcherCoalescesBacklog(t *testing.T) {
-	const entries = 2000
-	for _, c := range []struct {
-		name        string
-		calls       int
-		keysPerCall int
-		dispatches  int64
-	}{
-		{"one dispatch", 6, 2, 1},
-		// Two half-cap sub-calls reach the cap and leave; the third follows alone.
-		{"cut at the cap", 3, maxSubKeys / 2, 2},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			f, table, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
-			// A dispatcher of the test's own, so that its queue can be filled
-			// before its loop starts.
-			d := &dispatcher{f: f, origin: 0, dest: 1, calls: make(chan *subCall, c.calls)}
-			calls := make([]*subCall, c.calls)
-			for i := range calls {
-				keys := make([]int64, c.keysPerCall)
-				for j := range keys {
-					keys[j] = int64((i + 1000*j) % entries)
-				}
-				calls[i] = &subCall{keys: keys, done: make(chan subResult, 1)}
-				d.calls <- calls[i]
-			}
-			close(d.calls)
-			f.wg.Add(1)
-			d.run()
+// remoteKeys returns n keys that node 0 reads, on GPU 0, from node 1's host
+// shard: a lookup of them is one cross-node leg and nothing else.
+func remoteKeys(t *testing.T, f *Front, n int) []int64 {
+	t.Helper()
+	pl := f.nodes[0].Sys.Placement()
+	var keys []int64
+	for k := int64(0); k < pl.NumEntries() && len(keys) < n; k++ {
+		if int(pl.SourceOf(0, k)) == f.netSrc && f.ring.Owner(k) == 1 {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < n {
+		t.Fatalf("%d keys of node 1's shard read over the network, want %d", len(keys), n)
+	}
+	return keys
+}
 
-			eb := table.EntryBytes()
-			want := make([]byte, eb)
-			for i, call := range calls {
-				sub := <-call.done
-				if sub.err != nil {
-					t.Fatalf("sub-call %d: %v", i, sub.err)
-				}
-				for j, k := range call.keys {
-					if err := table.ReadRow(k, want); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(sub.rows[j*eb:(j+1)*eb], want) {
-						t.Fatalf("sub-call %d key %d: row mismatch", i, k)
-					}
-				}
+// TestLegsCoalesceInTheOwnersWorker: the router sends each cross-node leg as
+// its own request, and the owner's serve worker is where legs queued behind
+// a flush ride one batch together. Both of node 1's workers are held inside
+// the flush of one leg each while the other legs queue, so the K legs are
+// answered in four flushes, each caller with its own rows.
+func TestLegsCoalesceInTheOwnersWorker(t *testing.T) {
+	const entries, k, perLeg = 3000, 8, 2
+	f, table, holds := buildFront(t, 2, entries, FrontConfig{Seed: 1, Deadline: time.Minute})
+	keys := remoteKeys(t, f, k*perLeg)
+	results := make([]Result, k)
+	var wg sync.WaitGroup
+	lookup := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = f.Lookup(0, 0, keys[i*perLeg:(i+1)*perLeg])
+		}()
+	}
+	// The round-robin pick sends the first leg to node 1's GPU 0 and the
+	// second to its GPU 1: hold each worker in turn.
+	for i := 0; i < 2; i++ {
+		holds[1].armed.Store(true)
+		lookup(i)
+		<-holds[1].held
+	}
+	for i := 2; i < k; i++ {
+		lookup(i)
+	}
+	// A leg is counted once node 1's admission has taken it; none is shed
+	// (the queues hold 256), so all k are queued or held when this reads k.
+	for f.met.dispatches.Value() < k {
+		runtime.Gosched()
+	}
+	holds[1].open()
+	wg.Wait()
+
+	eb := table.EntryBytes()
+	want := make([]byte, eb)
+	for i, res := range results {
+		if res.Err != nil || res.Missing != 0 || res.RemoteKeys != perLeg {
+			t.Fatalf("lookup %d: err %v, %d missing, %d remote keys", i, res.Err, res.Missing, res.RemoteKeys)
+		}
+		for j, key := range keys[i*perLeg : (i+1)*perLeg] {
+			if err := table.ReadRow(key, want); err != nil {
+				t.Fatal(err)
 			}
-			if got := f.met.dispatches.Value(); got != c.dispatches {
-				t.Fatalf("cluster_dispatches_total = %d for %d queued sub-calls, want %d", got, c.calls, c.dispatches)
+			if !bytes.Equal(res.Rows[j*eb:(j+1)*eb], want) {
+				t.Fatalf("lookup %d key %d: row mismatch", i, key)
 			}
-			if got, want := f.met.dispatchKeys.Value(), int64(c.calls*c.keysPerCall); got != want {
-				t.Fatalf("cluster_dispatch_keys_total = %d, want %d", got, want)
-			}
-		})
+		}
+	}
+	if got := f.met.dispatches.Value(); got != k {
+		t.Fatalf("cluster_dispatches_total = %d, want one per leg: %d", got, k)
+	}
+	if got, want := f.met.dispatchKeys.Value(), int64(k*perLeg); got != want {
+		t.Fatalf("cluster_dispatch_keys_total = %d, want %d", got, want)
+	}
+	// Each Result was sent after its batch's record was written.
+	recs := f.nodes[1].Srv.Trace().Snapshot(nil)
+	requests := 0
+	for _, b := range recs {
+		requests += b.Requests
+	}
+	if requests != k || len(recs) >= k {
+		t.Fatalf("node 1's batch records answer %d requests in %d flushes, want the %d legs in fewer", requests, len(recs), k)
 	}
 }
 
@@ -294,7 +326,7 @@ func TestFrontPartialDeadline(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no local keys to check")
 	}
-	// The expired leg must not wedge the dispatchers.
+	// The expired leg must not wedge the front.
 	holds[1].open()
 	res2 := f.Lookup(1, 0, keys[:32])
 	if res2.Err != nil && res2.Err != ErrPartial {
@@ -302,22 +334,43 @@ func TestFrontPartialDeadline(t *testing.T) {
 	}
 }
 
-// TestFrontClose: lookups with cross-node legs fail fast after Close, and
-// Close is idempotent.
+// TestFrontClose: Close stops routing — every later lookup gets ErrClosed —
+// and is idempotent, while a leg its owner had already admitted is still
+// answered: the lookup waiting on it returns its rows once the owner is
+// released.
 func TestFrontClose(t *testing.T) {
 	const entries = 2000
-	f, _, _ := buildFront(t, 2, entries, FrontConfig{Seed: 1})
+	f, table, holds := buildFront(t, 2, entries, FrontConfig{Seed: 1, Deadline: time.Minute})
+	keys := remoteKeys(t, f, 4)
+	holds[1].armed.Store(true)
+	inFlight := make(chan Result, 1)
+	go func() { inFlight <- f.Lookup(0, 0, keys) }()
+	<-holds[1].held
 	f.Close()
 	f.Close()
-	z, _ := workload.NewZipf(entries, 1.05)
-	r := rng.New(9)
-	var keys []int64
-	for len(keys) < 256 {
-		keys = append(keys, z.Sample(r))
+	later := zipfKeys(t, rng.New(9), entries, 256)
+	for node := range f.nodes {
+		if res := f.Lookup(node, 0, later); res.Err != ErrClosed {
+			t.Fatalf("lookup at node %d after Close: %v, want ErrClosed", node, res.Err)
+		}
 	}
-	res := f.Lookup(0, 0, keys)
-	if res.Err != ErrClosed && res.Err == nil {
-		t.Fatalf("expected ErrClosed on a routed lookup, got %v", res.Err)
+	holds[1].open()
+	res := <-inFlight
+	if res.Err != nil || res.Missing != 0 {
+		t.Fatalf("the lookup in flight at Close: err %v, %d missing", res.Err, res.Missing)
+	}
+	eb := table.EntryBytes()
+	want := make([]byte, eb)
+	for j, k := range keys {
+		if err := table.ReadRow(k, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Rows[j*eb:(j+1)*eb], want) {
+			t.Fatalf("key %d: row mismatch in the lookup in flight at Close", k)
+		}
+	}
+	if got := f.met.lookups.Value(); got != 1 {
+		t.Fatalf("cluster_lookups_total = %d, want the one routed before Close", got)
 	}
 }
 
@@ -383,8 +436,8 @@ func TestRouterLeavesControlRingToSlowPath(t *testing.T) {
 // identities across healthy lookups and lookups cut short by a held peer:
 // every key sent is counted local or remote, every Result accounts for every
 // key it was asked (rows returned + Missing), and the nodes' servers answered
-// exactly the local legs plus the dispatches — a dispatch whose lookup gave
-// up on it is still a request its destination serves.
+// exactly the local legs plus the cross-node legs (cluster_dispatches_total)
+// — a leg whose lookup gave up on it is still a request its owner serves.
 func TestClusterCounterConservation(t *testing.T) {
 	const entries = 3000
 	f, table, holds := buildFront(t, 2, entries, FrontConfig{Seed: 1, Deadline: time.Minute})
@@ -437,8 +490,8 @@ func TestClusterCounterConservation(t *testing.T) {
 		t.Fatal("no partial lookup under a held peer: the test is vacuous")
 	}
 
-	// Let the held dispatch through and wait for every send and every flush,
-	// so that the servers' counters are final.
+	// Let the held leg through and wait for every flush, so that the
+	// servers' counters are final.
 	holds[1].open()
 	f.Close()
 	var served int64

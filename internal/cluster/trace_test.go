@@ -21,13 +21,14 @@ import (
 // TestTraceCountsEqualRecordCounts: the timeline stores nothing; every track
 // is drawn from a flight record at export. So a traced two-node run — node 0
 // with a drift-triggered refresh controller and lookahead prefetch, both
-// nodes dispatching across the router — draws exactly what its rings hold,
+// nodes sending legs across the router — draws exactly what its rings hold,
 // kind by kind: a batch tree per batch record and a link flow per source
-// class each record read from (carrying its bytes), a dispatch span and a
-// router-queue sample per dispatch record (one per cluster_dispatches_total,
-// the ring being deep enough not to wrap), and a refresh, solve, drift check
-// or prefetch window per control record. The router lives here, so this is
-// the lowest package where every writer meets.
+// class each record read from (carrying its bytes), and a refresh, solve,
+// drift check or prefetch window per control record. A cross-node leg is a
+// request in its owner's batch records, so the batch trees' requests sum to
+// serve_requests_total, every leg included (the rings being deep enough not
+// to wrap). The router lives here, so this is the lowest package where every
+// writer meets.
 func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	const n, kpb, shift, batches = 4096, 512, 64, 160
 	wl, err := workload.NewFlashCrowd(n, 0.9, shift, 0)
@@ -79,7 +80,6 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.DrawRouter(tl)
 
 	srv0 := nodes[0].Srv
 	peek, r := rng.New(3), rng.New(3) // the announce stream runs two batches ahead
@@ -97,7 +97,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 		if res := f.Lookup(0, b%p.N, keys); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		if b%4 == 0 { // node 1 dispatches too, on its own router track
+		if b%4 == 0 { // node 1 sends legs too
 			if res := f.Lookup(1, b%p.N, keys[:kpb/4]); res.Err != nil {
 				t.Fatal(res.Err)
 			}
@@ -105,7 +105,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	}
 	f.Close()
 	for _, nd := range nodes {
-		nd.Srv.Close() // a flush writes its record after its replies
+		nd.Srv.Close() // the prefetch windows and the last flushes finish
 	}
 
 	st := ctrl.Stats()
@@ -139,19 +139,8 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 		}
 	}
 
-	var perOrigin [2]int
-	for o := range perOrigin {
-		perOrigin[o] = len(f.out[o][1-o].ring.Events()) // one ring per origin, shared by its dispatchers
-	}
-	dispatched := perOrigin[0] + perOrigin[1]
-	if total := int(f.met.dispatches.Value()); perOrigin[0] == 0 || perOrigin[1] == 0 || dispatched != total {
-		t.Fatalf("%v dispatch records per origin node of %d dispatches, want all, from both nodes", perOrigin, total)
-	}
-	want[timeline.ProcName{PID: timeline.ProcRouter, Name: "dispatch"}] = dispatched
-	want[timeline.ProcName{PID: timeline.ProcRouter, Name: "router-queue"}] = dispatched
-
 	got := map[timeline.ProcName]int{}
-	var flowBytes, dispatchKeys float64
+	var flowBytes, requests float64
 	for _, ev := range tl.Events() {
 		k := timeline.ProcName{PID: int64(ev.PID), Name: ev.Name}
 		if want[k] == 0 {
@@ -161,8 +150,8 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 		switch ev.Name {
 		case "link-flow":
 			flowBytes += ev.Args[0].Val
-		case "dispatch":
-			dispatchKeys += ev.Args[1].Val
+		case "batch":
+			requests += ev.Args[1].Val
 		}
 	}
 	if !maps.Equal(got, want) {
@@ -171,8 +160,9 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	if flowBytes != tierBytes {
 		t.Fatalf("link flows carry %g bytes, the batch records %g", flowBytes, tierBytes)
 	}
-	if keys := reg.Value("cluster_dispatch_keys_total"); dispatchKeys != keys {
-		t.Fatalf("dispatch spans carry %g keys, cluster_dispatch_keys_total = %g", dispatchKeys, keys)
+	if served := reg.Value("serve_requests_total"); requests != served || reg.Value("cluster_dispatches_total") == 0 {
+		t.Fatalf("batch spans answer %g requests, serve_requests_total = %g (%g cross-node legs)",
+			requests, served, reg.Value("cluster_dispatches_total"))
 	}
 
 	var buf bytes.Buffer

@@ -46,8 +46,9 @@ type Batch struct {
 	Seq int64 `json:"seq"`
 	// GPU is the destination GPU the batch was extracted for.
 	GPU int `json:"gpu"`
-	// UnixNanos is the wall-clock time the flush completed (last reply
-	// sent); the batch began LatencySeconds earlier.
+	// UnixNanos is the wall-clock time the flush had every reply ready,
+	// just before the record was written and the replies sent; the batch
+	// began LatencySeconds earlier.
 	UnixNanos int64 `json:"unix_nanos"`
 	// QueueWaitSeconds is how long the first request of the batch sat in
 	// the queue before its worker picked it up.
@@ -88,7 +89,9 @@ type Batch struct {
 	ShedTotal  int64 `json:"shed_total"`
 	// The wall-clock stages after the queue wait, in order: dedup and
 	// staging consume, the simulated extraction, the functional gather (zero
-	// in timing-only mode), and the fan-out of replies.
+	// in timing-only mode), and the row fan-out into the replies. The record
+	// is written before the replies are sent, so a caller holding its Result
+	// finds its batch in the ring; the sends themselves are in no stage.
 	CoalesceSeconds float64 `json:"coalesce_seconds"`
 	ExtractSeconds  float64 `json:"extract_seconds"`
 	GatherSeconds   float64 `json:"gather_seconds"`
@@ -104,8 +107,9 @@ func (b *Batch) DedupRatio() float64 {
 }
 
 // LatencySeconds is the batch's wall time from its first request's enqueue
-// to its last reply — the five stages summed, and an upper bound on every
-// coalesced request's latency (the first request is the oldest).
+// to its replies being ready — the five stages summed. The first request
+// is the oldest, so it is every coalesced request's latency short of the
+// reply's send.
 func (b *Batch) LatencySeconds() float64 {
 	return b.QueueWaitSeconds + b.CoalesceSeconds + b.ExtractSeconds + b.GatherSeconds + b.ReplySeconds
 }

@@ -70,8 +70,8 @@ const manifestVersion = 1
 // tree is rendered from its ring slot when the timeline is exported, so the
 // exemplar is chosen among the batches recorded before the timeline write
 // and still held after it: its tree is in the bundle's own timeline.json.
-// For the same reason flight.jsonl holds the control and dispatch records
-// recorded before the timeline write, each of which timeline.json draws.
+// For the same reason flight.jsonl holds the control records recorded
+// before the timeline write, each of which timeline.json draws.
 func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exemplarSince int64) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")

@@ -14,13 +14,11 @@ import (
 )
 
 // spanTimeline returns a timeline whose export renders rec's batch trees, as
-// serve.New wires it, and its control and dispatch records, as ugache-serve
-// does.
+// serve.New wires it, and its control records, as ugache-serve does.
 func spanTimeline(rec *Recorder) *timeline.Recorder {
 	tl := timeline.NewRecorder()
 	tl.AddSource(func(dst []timeline.Event) []timeline.Event { return rec.Trace().AppendSpans(tl, dst) })
 	rec.DrawControl(tl)
-	rec.DrawRouter(tl)
 	return tl
 }
 
@@ -49,9 +47,6 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	} {
 		rec.RecordControl(&e)
 	}
-	dispatch := Event{Kind: KindDispatch, GPU: 1, UnixNanos: now}
-	dispatch.V[DispatchKeys], dispatch.V[DispatchRequests], dispatch.V[DispatchWallSeconds] = 12, 2, 0.001
-	rec.ClaimDispatch().Record(&dispatch)
 
 	reg := telemetry.NewRegistry(1)
 	reg.Counter("serve_requests_total", "x").Add(0, 42)
@@ -81,10 +76,10 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EventLines != 23 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 || rep.EventsByKind["dispatch"] != 1 {
+	if rep.EventLines != 22 || rep.EventsByKind["batch"] != 17 || rep.EventsByKind["partial"] != 1 {
 		t.Fatalf("events = %d %v", rep.EventLines, rep.EventsByKind)
 	}
-	if want := map[string]int{"refresh": 1, "drift": 1, "prefetch": 2, "dispatch": 1}; !maps.Equal(rep.DrawnSpans, want) {
+	if want := map[string]int{"refresh": 1, "drift": 1, "prefetch": 2}; !maps.Equal(rep.DrawnSpans, want) {
 		t.Fatalf("drawn spans %v, want one per record: %v", rep.DrawnSpans, want)
 	}
 	if rep.MetricCount == 0 {

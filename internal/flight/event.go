@@ -6,13 +6,11 @@
 // rendered from it on the read side — and slow-path writers (refresh,
 // drift, prefetch, the cluster router's partial lookups) share a control
 // ring of Events, likewise the one store the timeline's control and
-// prefetch tracks are drawn from (DrawControl); each router node's
-// dispatches go to a dispatch ring of its own, the one store of the
-// timeline's router track (DrawRouter). On top sits an SLO watchdog that
-// evaluates rolling multi-window burn-rate style objectives over the live
-// telemetry and, on a violation, drains everything the post-hoc debugger
-// needs into a self-contained diagnostic bundle (records as JSONL, a
-// telemetry snapshot, the timeline drawn from them, a goroutine dump and a
+// prefetch tracks are drawn from (DrawControl). On top sits an SLO watchdog
+// that evaluates rolling multi-window burn-rate style objectives over the
+// live telemetry and, on a violation, drains everything the post-hoc
+// debugger needs into a self-contained diagnostic bundle (records as JSONL,
+// a telemetry snapshot, the timeline drawn from them, a goroutine dump and a
 // heap profile, tied together by a manifest).
 //
 // Where internal/telemetry answers "how many / how long on average" and
@@ -44,13 +42,9 @@ const (
 	KindDrift
 	// KindPrefetch is one staged lookahead prefetch window.
 	KindPrefetch
-	// KindDispatch is one coalesced cross-node router dispatch (GPU = the
-	// origin node), in its origin's dispatch ring.
-	KindDispatch
 )
 
-var kindNames = [...]string{KindPartial: "partial", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch",
-	KindDispatch: "dispatch"}
+var kindNames = [...]string{KindPartial: "partial", KindRefresh: "refresh", KindDrift: "drift", KindPrefetch: "prefetch"}
 
 // String returns the kind's JSONL name.
 func (k Kind) String() string {
@@ -120,16 +114,6 @@ const (
 	PrefetchStageSeconds
 )
 
-// Payload slot indices for KindDispatch events: the destination node, the
-// keys and the sub-lookups (requests) the dispatch carried, and the wall
-// seconds from its send to its reply, which ends at the record's time.
-const (
-	DispatchDest = iota
-	DispatchKeys
-	DispatchRequests
-	DispatchWallSeconds
-)
-
 // kindFields names each kind's used payload slots, in slot order; the JSONL
 // export emits exactly these, and the timeline draws the drift evaluation
 // and the storage summary under the same names. New names are appended at
@@ -142,17 +126,16 @@ var kindFields = map[Kind][]string{
 		"replicated_mass", "partitioned_mass", "uncached_mass", "est_time_max"},
 	KindDrift:    {"score", "topk_overlap", "rank_distance", "window_batches", "drifted"},
 	KindPrefetch: {"announced_keys", "fetched_keys", "sim_s", "filter_s", "extract_s", "stage_s"},
-	KindDispatch: {"dest", "keys", "requests", "wall_s"},
 }
 
-// Event is one control- or dispatch-ring record. The struct is flat — no
+// Event is one control-ring record. The struct is flat — no
 // pointers, no slices, no strings — so recording is a copy into a
 // preallocated ring slot and never allocates.
 type Event struct {
 	// Kind selects the payload schema.
 	Kind Kind
 	// GPU is the worker/GPU the event belongs to (the origin node for
-	// KindPartial and KindDispatch), or -1 for control-plane events that
+	// KindPartial), or -1 for control-plane events that
 	// have no single GPU.
 	GPU int32
 	// Seq is a kind-specific sequence: the placement version for

@@ -80,32 +80,28 @@ func (r *Ring) Snapshot(dst []Batch) []Batch {
 	return dst
 }
 
-// EventRing is a fixed-capacity ring of Events under a short mutex, for
-// writers off the batch path: several of them may share one ring (the
-// control plane's refresh, drift and prefetch writers; one router node's
-// dispatchers), and every reader is on the slow path.
-type EventRing struct {
+// eventRing is the control ring: a fixed-capacity ring of Events under a
+// short mutex, for writers off the batch path. The refresh, drift, prefetch
+// and partial-lookup writers share it, and every reader is on the slow path.
+type eventRing struct {
 	mu  sync.Mutex
 	buf []Event // circular; the next write goes to buf[n % len]
 	n   uint64  // events ever written
 }
 
-func newEventRing(depth int) *EventRing { return &EventRing{buf: make([]Event, depth)} }
+func newEventRing(depth int) *eventRing { return &eventRing{buf: make([]Event, depth)} }
 
 // Record copies one event in, overwriting the oldest once the ring is full.
-func (r *EventRing) Record(e *Event) {
+func (r *eventRing) record(e *Event) {
 	r.mu.Lock()
 	r.buf[r.n%uint64(len(r.buf))] = *e
 	r.n++
 	r.mu.Unlock()
 }
 
-// Events returns the ring's current events, oldest first.
-func (r *EventRing) Events() []Event { return r.events(math.MaxUint64) }
-
 // events returns the ring's current events among the first end ever
 // recorded, oldest first.
-func (r *EventRing) events(end uint64) []Event {
+func (r *eventRing) events(end uint64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := uint64(len(r.buf))
@@ -117,24 +113,20 @@ func (r *EventRing) events(end uint64) []Event {
 	return out
 }
 
-// Recorded returns the number of events ever written.
-func (r *EventRing) Recorded() uint64 {
+// recorded returns the number of events ever written.
+func (r *eventRing) recorded() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
 }
 
-// Recorder owns one batch ring per serving worker, a shared control ring
-// (refresh / drift / prefetch / partial-lookup events) and one dispatch ring
-// per router node (ClaimDispatch). Every ring holds the last depth records
-// and nothing grows once the rings are claimed.
+// Recorder owns one batch ring per serving worker and a shared control ring
+// (refresh / drift / prefetch / partial-lookup events). Every ring holds the
+// last depth records and nothing grows.
 type Recorder struct {
 	rings   []*Ring
 	claimed atomic.Int64
-	ctrl    *EventRing
-
-	evM    sync.Mutex
-	events []*EventRing // ctrl, then the dispatch rings in claim order
+	ctrl    *eventRing
 }
 
 // DefaultDepth is the per-ring depth used when NewRecorder is given a
@@ -157,7 +149,6 @@ func NewRecorder(workers, depth int) *Recorder {
 		r.rings[i] = NewRing(depth)
 	}
 	r.ctrl = newEventRing(r.rings[0].Depth())
-	r.events = []*EventRing{r.ctrl}
 	return r
 }
 
@@ -175,41 +166,19 @@ func (r *Recorder) Claim() *Ring {
 	return r.rings[i]
 }
 
-// ClaimDispatch adds a dispatch ring as deep as the control ring and hands
-// it out: the router claims one per node, in node order, so that per-lookup
-// traffic never evicts a control record.
-func (r *Recorder) ClaimDispatch() *EventRing {
-	ring := newEventRing(len(r.ctrl.buf))
-	r.evM.Lock()
-	r.events = append(r.events, ring)
-	r.evM.Unlock()
-	return ring
-}
-
-// eventRings returns the control ring, then the dispatch rings claimed so
-// far.
-func (r *Recorder) eventRings() []*EventRing {
-	r.evM.Lock()
-	defer r.evM.Unlock()
-	return r.events[:len(r.events):len(r.events)]
-}
-
 // Trace returns the read-side view over every worker ring.
 func (r *Recorder) Trace() *Trace { return NewTrace(r.rings) }
 
 // RecordControl records one control-plane event (refresh, drift, prefetch,
 // partial lookup), overwriting the oldest once the control ring is full.
-func (r *Recorder) RecordControl(e *Event) { r.ctrl.Record(e) }
+func (r *Recorder) RecordControl(e *Event) { r.ctrl.record(e) }
 
 // Events returns the control ring's current events, oldest first.
-func (r *Recorder) Events() []Event { return r.ctrl.Events() }
+func (r *Recorder) Events() []Event { return r.ctrl.events(math.MaxUint64) }
 
 // Recorded sums the records ever written across all rings.
 func (r *Recorder) Recorded() uint64 {
-	var total uint64
-	for _, rg := range r.eventRings() {
-		total += rg.Recorded()
-	}
+	total := r.ctrl.recorded()
 	for _, rg := range r.rings {
 		total += rg.Recorded()
 	}
@@ -227,17 +196,14 @@ type Exemplar struct {
 	UnixNanos      int64   `json:"unix_nanos"`
 }
 
-// mark returns how many records each worker ring, then each event ring has
+// mark returns how many records each worker ring, then the control ring has
 // taken so far.
 func (r *Recorder) mark() []uint64 {
 	var m []uint64
 	for _, rg := range r.rings {
 		m = append(m, rg.Recorded())
 	}
-	for _, rg := range r.eventRings() {
-		m = append(m, rg.Recorded())
-	}
-	return m
+	return append(m, r.ctrl.recorded())
 }
 
 // exemplar returns the slowest batch the rings hold that completed at or
@@ -264,24 +230,16 @@ func (r *Recorder) exemplar(since int64, mark []uint64) *Exemplar {
 }
 
 // lines renders the newest limit held records (limit <= 0: all of them) —
-// batches, control events and dispatch events, the latter two only those
-// recorded before mark when it is non-nil — as one JSON object each, merged
-// oldest first (ties: batches before events).
+// batches and control events, the latter only those recorded before mark
+// when it is non-nil — as one JSON object each, merged oldest first (ties:
+// batches before events).
 func (r *Recorder) lines(limit int, mark []uint64) [][]byte {
 	batches := r.Trace().Snapshot(nil)
-	end := func(i int) uint64 { // a ring claimed after the mark had taken nothing
-		switch {
-		case mark == nil:
-			return math.MaxUint64
-		case i < len(mark):
-			return mark[i]
-		}
-		return 0
+	end := uint64(math.MaxUint64)
+	if mark != nil {
+		end = mark[len(r.rings)]
 	}
-	var events []Event
-	for i, rg := range r.eventRings() {
-		events = append(events, rg.events(end(len(r.rings)+i))...)
-	}
+	events := r.ctrl.events(end)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].UnixNanos < events[j].UnixNanos })
 	if n := len(batches) + len(events); limit <= 0 || limit > n {
 		limit = n

@@ -177,8 +177,6 @@ func TestRecorderSnapshotMergesSorted(t *testing.T) {
 	r1.Record(&b)
 	ctrl := Event{Kind: KindRefresh, GPU: -1, Seq: 2, UnixNanos: 20}
 	rec.RecordControl(&ctrl)
-	disp := Event{Kind: KindDispatch, GPU: 1, UnixNanos: 25}
-	rec.ClaimDispatch().Record(&disp)
 	got := rec.Trace().Snapshot(nil)
 	if len(got) != 2 || got[0].GPU != 1 || got[1].GPU != 0 {
 		t.Fatalf("merged snapshot not time-sorted: %+v", got)
@@ -186,8 +184,8 @@ func TestRecorderSnapshotMergesSorted(t *testing.T) {
 	if own := NewTrace([]*Ring{r1}).Snapshot(nil); len(own) != 1 || own[0].GPU != 1 {
 		t.Fatalf("a view over one ring holds %+v", own)
 	}
-	if rec.Recorded() != 4 {
-		t.Fatalf("Recorded() = %d, want 4", rec.Recorded())
+	if rec.Recorded() != 3 {
+		t.Fatalf("Recorded() = %d, want 3", rec.Recorded())
 	}
 	if evs := rec.Events(); len(evs) != 1 || evs[0] != ctrl {
 		t.Fatalf("control ring holds %+v, want the refresh alone", evs)
@@ -228,9 +226,6 @@ func TestWriteJSONLParses(t *testing.T) {
 	d.V[DriftScore] = 0.42
 	d.V[DriftDrifted] = 1
 	rec.RecordControl(&d)
-	disp := Event{Kind: KindDispatch, GPU: 1, UnixNanos: 3}
-	disp.V[DispatchDest], disp.V[DispatchKeys], disp.V[DispatchRequests], disp.V[DispatchWallSeconds] = 0, 40, 3, 0.002
-	rec.ClaimDispatch().Record(&disp)
 
 	var buf bytes.Buffer
 	if err := writeLines(&buf, rec.lines(0, nil)); err != nil {
@@ -259,80 +254,62 @@ func TestWriteJSONLParses(t *testing.T) {
 			if obj["gpu"].(float64) != -1 {
 				t.Fatalf("drift gpu = %v, want -1", obj["gpu"])
 			}
-		case obj["kind"] == "dispatch":
-			if obj["gpu"].(float64) != 1 || obj["dest"].(float64) != 0 || obj["keys"].(float64) != 40 ||
-				obj["requests"].(float64) != 3 || obj["wall_s"].(float64) != 0.002 {
-				t.Fatalf("dispatch line = %v", obj)
-			}
 		}
 	}
-	if strings.Join(kinds, ",") != "batch,drift,dispatch" {
+	if strings.Join(kinds, ",") != "batch,drift" {
 		t.Fatalf("kinds = %v", kinds)
 	}
 }
 
-// TestEventRingConcurrent: a dispatch ring is shared by its node's
-// dispatchers while a bundle or an export reads it and the router claims the
-// other nodes' rings; under -race this is the proof the mutex ring and the
-// claim list are sound, and in any mode no write is lost and a snapshot
-// never holds more than the ring's depth.
+// TestEventRingConcurrent: the control ring is shared by the refresh,
+// drift, prefetch and partial-lookup writers while a bundle or an export
+// reads it; under -race this is the proof the mutex ring is sound, and in any
+// mode no write is lost and a snapshot never holds more than the ring's
+// depth.
 func TestEventRingConcurrent(t *testing.T) {
 	const writers, writes = 4, 500
 	rec := NewRecorder(1, 64)
-	ring := rec.ClaimDispatch()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < writes; i++ {
-				ring.Record(&Event{Kind: KindDispatch, GPU: int32(w), UnixNanos: int64(i)})
+				rec.RecordControl(&Event{Kind: KindPartial, GPU: int32(w), UnixNanos: int64(i)})
 			}
 		}()
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if n := len(ring.Events()); n > 64 {
+			if n := len(rec.Events()); n > 64 {
 				t.Errorf("snapshot of %d events from a 64-deep ring", n)
 				return
 			}
 			_ = rec.lines(0, rec.mark())
 		}
 	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			rec.ClaimDispatch()
-			_ = rec.Recorded()
-		}
-	}()
 	wg.Wait()
-	if got := ring.Recorded(); got != writers*writes {
+	if got := rec.Recorded(); got != writers*writes {
 		t.Fatalf("ring recorded %d events, want %d", got, writers*writes)
 	}
 }
 
-// TestLinesStopAtTheMark: a bundle's JSONL holds the control and dispatch
-// records taken before its mark, the ones its timeline was drawn from — none
-// recorded after it, whether into a ring the mark counted or one claimed
-// later.
+// TestLinesStopAtTheMark: a bundle's JSONL holds the control records taken
+// before its mark, the ones its timeline was drawn from — none recorded
+// after it.
 func TestLinesStopAtTheMark(t *testing.T) {
 	rec := NewRecorder(1, 8)
-	early := rec.ClaimDispatch()
-	for _, ring := range []*EventRing{rec.ctrl, early} {
-		ring.Record(&Event{Kind: KindDispatch, UnixNanos: 1})
-	}
+	rec.RecordControl(&Event{Kind: KindPartial, UnixNanos: 1})
 	mark := rec.mark()
 	rec.RecordControl(&Event{Kind: KindDrift, UnixNanos: 2})
-	early.Record(&Event{Kind: KindDispatch, UnixNanos: 3})
-	rec.ClaimDispatch().Record(&Event{Kind: KindDispatch, UnixNanos: 4})
-	if got := len(rec.lines(0, mark)); got != 2 {
-		t.Fatalf("%d lines up to the mark, want the 2 recorded before it", got)
+	rec.RecordControl(&Event{Kind: KindPartial, UnixNanos: 3})
+	if got := len(rec.lines(0, mark)); got != 1 {
+		t.Fatalf("%d lines up to the mark, want the 1 recorded before it", got)
 	}
-	if got := len(rec.lines(0, nil)); got != 5 {
-		t.Fatalf("%d lines without a mark, want all 5", got)
+	if got := len(rec.lines(0, nil)); got != 3 {
+		t.Fatalf("%d lines without a mark, want all 3", got)
 	}
 }
 
@@ -403,9 +380,5 @@ func TestRecordNoAlloc(t *testing.T) {
 	e := Event{Kind: KindPrefetch, UnixNanos: 1}
 	if n := testing.AllocsPerRun(1000, func() { rec.RecordControl(&e) }); n != 0 {
 		t.Fatalf("RecordControl allocates %.1f per op, want 0", n)
-	}
-	disp := rec.ClaimDispatch()
-	if n := testing.AllocsPerRun(1000, func() { disp.Record(&e) }); n != 0 {
-		t.Fatalf("a dispatch ring's Record allocates %.1f per op, want 0", n)
 	}
 }

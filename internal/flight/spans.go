@@ -115,8 +115,7 @@ const MaxRefreshStepSpans = 128
 
 // drawnAs names the span (or instant) each event kind is drawn as; a
 // partial router lookup is not drawn.
-var drawnAs = map[string]string{"refresh": "refresh", "drift": "drift-check", "prefetch": "prefetch-window",
-	"dispatch": "dispatch"}
+var drawnAs = map[string]string{"refresh": "refresh", "drift": "drift-check", "prefetch": "prefetch-window"}
 
 // DrawControl makes tl draw the control ring at export, the way serve.New
 // registers its batch rings: the control track (the refresh → refresh-solve
@@ -143,35 +142,6 @@ func (r *Recorder) DrawControl(tl *timeline.Recorder) {
 				dst = append(dst, ev)
 			case KindPrefetch:
 				dst = appendPrefetch(dst, &e, end)
-			}
-		}
-		return dst
-	})
-}
-
-// DrawRouter makes tl draw the dispatch rings at export, the way DrawControl
-// draws the control ring: one dispatch span per record on its origin node's
-// router track (args: dest, keys, requests), with a router-queue counter
-// sample of the keys it carried at its start. The rings are their only
-// store. Call it once the router has claimed its rings.
-func (r *Recorder) DrawRouter(tl *timeline.Recorder) {
-	tl.SetProcessName(timeline.ProcRouter, "router")
-	for i := range r.eventRings()[1:] {
-		tl.SetThreadName(timeline.ProcRouter, int32(i), fmt.Sprintf("node %d router", i))
-	}
-	tl.AddSource(func(dst []timeline.Event) []timeline.Event {
-		for _, rg := range r.eventRings()[1:] {
-			for _, e := range rg.Events() {
-				start := max(0, tl.Since(time.Unix(0, e.UnixNanos))-e.V[DispatchWallSeconds])
-				span := timeline.Event{Name: "dispatch", Cat: "router", Ph: timeline.PhSpan,
-					PID: timeline.ProcRouter, TID: e.GPU, Start: start, Dur: e.V[DispatchWallSeconds]}
-				span.AddArg("dest", e.V[DispatchDest])
-				span.AddArg("keys", e.V[DispatchKeys])
-				span.AddArg("requests", e.V[DispatchRequests])
-				queue := timeline.Event{Name: "router-queue", Cat: "router", Ph: timeline.PhCounter,
-					PID: timeline.ProcRouter, TID: e.GPU, Start: start}
-				queue.AddArg("pending_keys", e.V[DispatchKeys])
-				dst = append(dst, span, queue)
 			}
 		}
 		return dst

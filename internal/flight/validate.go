@@ -33,7 +33,7 @@ type BundleReport struct {
 	// exemplar.
 	ExemplarSpans int
 	// DrawnSpans counts, per record kind the timeline draws (refresh, drift,
-	// prefetch, dispatch), the spans timeline.json holds of it.
+	// prefetch), the spans timeline.json holds of it.
 	DrawnSpans map[string]int
 }
 
@@ -41,9 +41,9 @@ type BundleReport struct {
 // manifest parses and every file it lists exists non-empty, flight.jsonl
 // parses line by line with the event count the manifest promised,
 // metrics.json and timeline.json parse, profiles are non-empty, the
-// timeline draws every control and dispatch record flight.jsonl holds (at
-// least as many refresh, drift-check, prefetch-window and dispatch spans as
-// refresh, drift, prefetch and dispatch records), and — when the manifest
+// timeline draws every control record flight.jsonl holds (at least as many
+// refresh, drift-check and prefetch-window spans as refresh, drift and
+// prefetch records), and — when the manifest
 // carries an exemplar — the exemplar's (GPU, batch seq) resolves to a root
 // "batch" span with a matching seq arg in the bundled timeline, along with
 // the child spans nested under it.
@@ -139,7 +139,7 @@ func (rep *BundleReport) checkEvents(dir string) error {
 }
 
 // checkTimeline validates timeline.json, holds its drawn spans to the control
-// and dispatch records checkEvents counted and, when the manifest carries an
+// records checkEvents counted and, when the manifest carries an
 // exemplar, resolves its (GPU, seq) to the matching batch span tree.
 func (rep *BundleReport) checkTimeline(dir string) error {
 	f, err := os.Open(filepath.Join(dir, TimelineFile))

@@ -74,6 +74,34 @@ func TestServeFlightEvents(t *testing.T) {
 	}
 }
 
+// TestResultFindsItsBatchInTrace: a flush writes its record before it sends
+// the replies, so a caller holding its Result finds its batch in Trace — no
+// Close, no wait. Sequential requests on one GPU are one flush each, so the
+// i-th request's batch is the ring's i-th record.
+func TestResultFindsItsBatchInTrace(t *testing.T) {
+	sys, _ := buildFunctional(t, 2000)
+	srv, err := New(sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 1; i <= 200; i++ {
+		keys := []int64{int64(i), int64(i), 1999}
+		res, err := srv.Lookup(0, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := srv.Trace().Snapshot(nil)
+		if len(recs) == 0 {
+			t.Fatalf("request %d: Trace holds no record after its Result arrived", i)
+		}
+		b := recs[len(recs)-1]
+		if b.Seq != int64(i) || b.Requests != 1 || b.RequestedKeys != len(keys) || b.UniqueKeys != res.BatchKeys {
+			t.Fatalf("request %d (batch of %d unique keys): the newest record is %+v", i, res.BatchKeys, b)
+		}
+	}
+}
+
 // TestServeFlightConcurrent hammers lookups on every GPU while a reader
 // drains snapshots — the -race proof that worker rings (single producer) and
 // concurrent Snapshot readers coexist, mirroring the live /debug/trace
@@ -167,7 +195,7 @@ func TestServersShareRecorder(t *testing.T) {
 	}
 	wg.Wait()
 	for i, srv := range servers {
-		srv.Close() // a flush writes its record after its replies
+		srv.Close()
 		got := srv.Trace().Snapshot(nil)
 		if len(got) != rounds*n {
 			t.Fatalf("server %d holds %d records, want %d", i, len(got), rounds*n)

@@ -189,10 +189,9 @@ func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A flush bumps its counters and writes its record after it has replied,
-	// so nothing is read until Close has waited for the worker. The records
-	// then say which flushes the staged rows served: the first eight, not the
-	// ninth.
+	// A flush bumps its counters and writes its record before it replies,
+	// so the records of every answered lookup are there. They say which
+	// flushes the staged rows served: the first eight, not the ninth.
 	srv.Close()
 	records := srv.Trace().Snapshot(nil)
 	if len(records) != len(keys) {

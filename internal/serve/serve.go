@@ -576,12 +576,14 @@ type workerScratch struct {
 	core  *core.Scratch
 
 	// reqs is the reusable batch-formation slice (flushNext rebuilds it in
-	// place every batch). rec is the record of the batch in hand — flushNext
-	// fills in how it formed, flush the rest — and ring this worker's own
-	// ring, which takes it once the flush is done.
-	reqs []*request
-	rec  flight.Batch
-	ring *flight.Ring
+	// place every batch) and replies its Results, ready before any is sent.
+	// rec is the record of the batch in hand — flushNext fills in how it
+	// formed, flush the rest — and ring this worker's own ring, which takes
+	// it once the replies are ready and before they are sent.
+	reqs    []*request
+	replies []Result
+	rec     flight.Batch
+	ring    *flight.Ring
 
 	// Staging-consume buffers, used only when the prefetch pipeline is on:
 	// the per-unique-key hit mask, the residual demand keys with their
@@ -701,7 +703,8 @@ func (s *Server) observeQueue(q *gpuQueue) int {
 // scratch; the only steady-state allocation is the batch-sized Rows block
 // handed to the callers (see Result.Rows). What it observes goes to
 // lock-free telemetry shards and, once, into sc.rec — the one record of this
-// batch, written to the worker's ring as the last step.
+// batch, written to the worker's ring once the replies are ready and before
+// they are sent, so a caller holding its Result finds its batch in Trace.
 func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time.Time) {
 	rec := &sc.rec
 	uniq := sc.dedupe(batch)
@@ -748,8 +751,9 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 		gatherEnd = time.Now()
 	}
 	// Counted before the replies go out: a caller holding its Result finds
-	// itself in Stats, and requests + rejected + failed equals what admission
-	// was asked to take at every instant a caller can observe.
+	// itself in Stats (and its batch in Trace, below), and requests +
+	// rejected + failed equals what admission was asked to take at every
+	// instant a caller can observe.
 	m := s.met
 	m.requests.Add(g, int64(len(batch)))
 	m.batches.Add(g, 1)
@@ -769,15 +773,16 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 		// row is measured against it.
 		s.servedKeys[g].Add(int64(rec.RequestedKeys))
 	}
-	s.reply(g, batch, sc, rows)
+	s.fanOut(batch, sc, rows)
 
-	done := time.Now()
+	ready := time.Now()
 	rec.CoalesceSeconds = extractStart.Sub(dequeued).Seconds()
 	rec.ExtractSeconds = extractEnd.Sub(extractStart).Seconds()
 	rec.GatherSeconds = gatherEnd.Sub(extractEnd).Seconds()
-	rec.ReplySeconds = done.Sub(gatherEnd).Seconds()
-	rec.UnixNanos = done.UnixNano()
+	rec.ReplySeconds = ready.Sub(gatherEnd).Seconds()
+	rec.UnixNanos = ready.UnixNano()
 	sc.ring.Record(rec)
+	s.send(g, batch, sc)
 }
 
 // dedupe coalesces the batch's keys with the generation-stamped
@@ -877,15 +882,17 @@ func (s *Server) gather(g int, sc *workerScratch, uniq, demand []int64, rows []b
 	return nil
 }
 
-// reply fans the results back out: one caller-owned allocation for the whole
+// fanOut readies every request's Result in sc.replies, copying its rows out
+// of the batch's unique rows into one caller-owned allocation for the whole
 // batch, carved into full-capacity-clipped per-request sub-slices.
-func (s *Server) reply(g int, batch []*request, sc *workerScratch, rows []byte) {
+func (s *Server) fanOut(batch []*request, sc *workerScratch, rows []byte) {
+	replies := grow(&sc.replies, len(batch))
 	var outBuf []byte
 	if rows != nil {
 		outBuf = make([]byte, sc.rec.RequestedKeys*s.entryBytes)
 	}
 	off := 0
-	for _, r := range batch {
+	for n, r := range batch {
 		out := Result{SimSeconds: sc.rec.SimSeconds, BatchKeys: sc.rec.UniqueKeys}
 		if rows != nil {
 			end := off + len(r.keys)*s.entryBytes
@@ -896,7 +903,16 @@ func (s *Server) reply(g int, batch []*request, sc *workerScratch, rows []byte) 
 			}
 			off = end
 		}
-		r.out <- out
+		replies[n] = out
+	}
+}
+
+// send hands each request the Result fanOut readied, dropping the worker's
+// reference to its rows.
+func (s *Server) send(g int, batch []*request, sc *workerScratch) {
+	for n, r := range batch {
+		r.out <- sc.replies[n]
+		sc.replies[n] = Result{}
 		s.met.latency.Observe(g, time.Since(r.enqueued).Seconds())
 	}
 }

@@ -4,14 +4,12 @@
 // answers "how many / how long on average", timeline answers "when, on
 // which track": each coalesced serving batch becomes a span tree
 // (queue-wait → coalesce → extract → gather → reply) with one link-flow span
-// per source class it read from (§5's per-source core groups), each router
-// dispatch becomes a span, and each cache refresh becomes the Fig. 17
-// solve/update-step timeline.
+// per source class it read from (§5's per-source core groups), and each
+// cache refresh becomes the Fig. 17 solve/update-step timeline.
 //
 // The package is a renderer, not a store: a Recorder holds track names and
 // sources (AddSource), each of which draws its events from records another
-// layer already keeps — the flight recorder's batch, control and dispatch
-// rings. Export asks every source and sorts what they drew on demand — a
+// layer already keeps — the flight recorder's batch and control rings. Export asks every source and sorts what they drew on demand — a
 // slow-path, read-side operation; nothing is recorded on the hot path.
 package timeline
 
@@ -44,11 +42,6 @@ const (
 	// formation, plus shed instants, so the onset of overload lines up
 	// visually with the serve batch trees it throttles.
 	ProcOverload = 5
-	// ProcRouter holds the cluster front end's tracks, one tid per node:
-	// router queue-depth counter series plus scatter/gather dispatch spans,
-	// so cross-node fan-out lines up visually against the per-node serve
-	// trees it feeds.
-	ProcRouter = 6
 )
 
 // Conventional ProcControl thread IDs.
@@ -114,8 +107,8 @@ func (e *Event) AddArg(key string, v float64) {
 
 // Recorder is the track-name registry and the list of sources of one
 // process's trace. It holds no events: every span is drawn at export from a
-// record some other layer already keeps (the flight recorder's batch,
-// control and dispatch rings), so a trace reaches exactly as far back as
+// record some other layer already keeps (the flight recorder's batch and
+// control rings), so a trace reaches exactly as far back as
 // those records. One recorder is shared by every instrumented layer; nil
 // recorders disable tracing at each layer behind a single pointer check.
 type Recorder struct {
@@ -139,7 +132,7 @@ func NewRecorder() *Recorder {
 
 // AddSource registers a function Events (and so WriteTrace) calls to append
 // the events it renders from its records — the serve batch trees and link
-// flows, the control and router tracks. src must be safe to call from any
+// flows, the control and prefetch tracks. src must be safe to call from any
 // goroutine.
 func (r *Recorder) AddSource(src func(dst []Event) []Event) {
 	r.mu.Lock()
