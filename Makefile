@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/par ./internal/emb ./internal/cache ./internal/extract ./
 # table, its hotness and the filled caches.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve ./internal/workload ./internal/emb ./internal/cache
 
-.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check figures figures-golden loc
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check figures figures-golden loc openloop-table
 
 # Every step CI gates on, so a local `make check` fails where CI would.
 check: fmt vet build test fuzz-smoke race bench-harness bench-sim-check
@@ -119,6 +119,12 @@ bench-sim-check:
 			{ echo "BENCH_$$e.json no longer regenerates (want <, got >): make bench-$$e re-records it if the move is meant"; exit 1; }; \
 		echo "BENCH_$$e.json regenerates unchanged"; \
 	done
+
+# ugache-serve's open-loop latency table: median lag, engine and observed
+# p50 over three 2 s runs at each of 5k, 20k and 80k req/s (about 25 s; not
+# part of check or CI). scripts/openloop_table.sh DIR tables another tree.
+openloop-table:
+	scripts/openloop_table.sh
 
 # Regenerate the paper's tables and figures (minutes at full scale).
 figures:

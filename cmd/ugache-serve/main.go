@@ -6,14 +6,16 @@
 // coalesced batches. With -nodes N the same clients run against N in-process
 // nodes behind the consistent-hash router.
 //
-// With -open-loop the closed-loop clients are replaced by rate-driven
-// dispatchers: arrivals are scheduled by -qps alone (Poisson or bursty
-// MMPP), never by completions, so the engine can be pushed past its
-// admission knee and the run reports sheds alongside the latency of
-// admitted requests (measured from intended arrival time). A dispatcher
-// settles each reply as it lands, also while it waits for its next arrival;
-// what the printed latency has over serve_request_latency_seconds is the
-// dispatcher's timer wake-up lag before it calls Handle.
+// With -open-loop the clients are replaced by one poller
+// (workload.DriveOpenLoop) that offers every GPU its share of -qps: arrivals
+// are scheduled by -qps alone (Poisson or bursty MMPP), never by completions,
+// so the engine can be pushed past its admission knee. The run reports sheds
+// and three p50/p99 latencies of the admitted requests: lag (intended arrival
+// to Handle, which includes earlier sends' -admission waits), engine (enqueue
+// to reply, serve_request_latency_seconds) and observed (intended arrival to
+// the reply noticed), and how often over 25 ms lost outside Handle (a machine
+// stall) shifted the schedule. The placement is profiled from a stream of
+// the same config, seeded apart.
 //
 // Usage:
 //
@@ -94,7 +96,7 @@ func parse(args []string) (options, error) {
 	fs.Float64Var(&o.ratio, "ratio", 0.10, "per-GPU cache ratio")
 	fs.IntVar(&o.clients, "clients", 8, "concurrent closed-loop clients")
 	fs.IntVar(&o.requests, "requests", 100, "requests per client")
-	fs.IntVar(&o.batch, "batch", 16, "inference samples per request")
+	fs.IntVar(&o.batch, "batch", 16, "inference samples per request (under -open-loop: keys per request)")
 	fs.IntVar(&o.maxBatch, "max-batch", 8192, "cap on one coalesced batch, in pending keys")
 	fs.Uint64Var(&o.seed, "seed", 42, "random seed")
 	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/trace, /debug/timeline, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
@@ -105,7 +107,7 @@ func parse(args []string) (options, error) {
 	fs.IntVar(&o.period, "refresh-period", 0, "batches between periodic-mode re-solves (0 = controller default 512)")
 	fs.IntVar(&o.lookahead, "lookahead", 0, "lookahead prefetch depth L: clients announce request i+L before issuing request i (0 disables the prefetch pipeline)")
 	fs.IntVar(&o.staleThr, "stale-threshold", 0, "bounded-staleness window S in batches: staged rows from an outgoing placement snapshot stay servable up to S batches past their commit (0 = staged rows die with their snapshot)")
-	fs.BoolVar(&o.openLoop, "open-loop", false, "replace the closed-loop clients with open-loop dispatchers that offer load at -qps regardless of completions")
+	fs.BoolVar(&o.openLoop, "open-loop", false, "replace the closed-loop clients with one open-loop poller that offers load at -qps regardless of completions and reports lag (intended arrival -> Handle), engine (enqueue -> reply) and observed (intended arrival -> reply) latency")
 	fs.Float64Var(&o.qps, "qps", 50_000, "open-loop offered request rate across all GPUs")
 	fs.StringVar(&o.arrivals, "arrivals", "poisson", "open-loop arrival process: poisson or mmpp (bursty)")
 	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (per-user key affinity is hash-derived, so millions cost nothing)")

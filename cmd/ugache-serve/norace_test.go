@@ -4,3 +4,6 @@ package main
 
 // The scale `make trace-smoke`, `flight-smoke` and `cluster-smoke` ran at.
 const smokeScale = "0.02"
+
+// An open-loop rate that saturates the engine.
+const saturateQPS = "100000"

@@ -158,9 +158,25 @@ func (e *engine) build() (err error) {
 		fmt.Fprintf(w, "cluster:           %d nodes of %s, wire %.0f GB/s, %.0fus one-way\n",
 			o.nodes, p.Name, o.netBW/1e9, o.netLatency.Seconds()*1e6)
 	}
-	r := rng.New(o.seed).Split("dlr-" + spec.Name)
+	// The open loop serves workload.OpenLoop's stream, one Zipf over the
+	// flattened key space rather than the dataset's per-table heads, so it
+	// profiles 64 batches of openLoopProfile requests from a stream of its own
+	// config, seeded apart from the one served.
 	var rec [][]int64
-	for i := 0; i < 64; i++ {
+	if o.openLoop {
+		gens, err := e.streams(o.seed + 1)
+		if err != nil {
+			return err
+		}
+		rec = make([][]int64, 64)
+		var req workload.OpenLoopRequest
+		for i := range len(rec) * openLoopProfile {
+			gens[i%len(gens)].Next(&req)
+			rec[i/openLoopProfile] = append(rec[i/openLoopProfile], req.Keys...)
+		}
+	}
+	r := rng.New(o.seed).Split("dlr-" + spec.Name)
+	for len(rec) < 64 {
 		rec = append(rec, ds.GenBatchWith(r, o.batch*o.clients))
 	}
 	hot, err := workload.ProfileBatches(ds.NumEntries(), rec)
@@ -596,142 +612,50 @@ func (e *engine) closedLoop(ctx context.Context) error {
 	return nil
 }
 
-// openLoop drives the one server with rate-scheduled arrivals: one
-// dispatcher per GPU offers its share of -qps whether or not the server
-// keeps up, which is what exposes the admission knee — a closed loop slows
-// its own offer the moment the server saturates. Sheds (ErrOverload) are an
-// expected outcome and are reported, not treated as failures; latency of
-// admitted requests is measured from each request's intended arrival time,
-// so dispatcher lag cannot hide queueing delay (coordinated omission).
+// openLoop drives the one server with rate-scheduled arrivals: one poller
+// offers every GPU its share of -qps whether or not the server keeps up,
+// which is what exposes the admission knee — a closed loop slows its own
+// offer the moment the server saturates. Sheds (ErrOverload) are reported,
+// not treated as failures, and admitted requests are timed three ways (see
+// the package comment), so the driver's delay is not mistaken for the server's.
 func (e *engine) openLoop(ctx context.Context) error {
-	o, w, p, srv := e.o, e.w, e.p, e.nodes[0].Srv
-	// One pending-queue entry per in-flight request. Each GPU has one
-	// dispatcher and its driver completes requests FIFO, so polling the head
-	// of the queue collects results without a goroutine per request.
-	type pending struct {
-		ch       <-chan serve.Result
-		intended time.Time
-	}
-	// What dispatcher d counted and measured, written by dispatcher d alone.
-	type lane struct {
-		lats                     []float64 // nanoseconds from intended arrival
-		dispatched, served, shed int64
-		err                      error
-	}
-	lanes := make([]lane, p.N)
-	fmt.Fprintf(w, "\nopen loop:         %s arrivals at %.0f qps offered for %v (%d users, %d keys/request, admission %s)\n",
-		e.arrivals, o.qps, o.duration, o.users, o.batch, o.admission)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for d := 0; d < p.N; d++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			my := &lanes[d]
-			gen, err := workload.NewOpenLoop(workload.OpenLoopConfig{
-				QPS:            o.qps / float64(p.N),
-				Arrivals:       e.arrivals,
-				Users:          o.users,
-				NumKeys:        e.ds.NumEntries(),
-				KeysPerRequest: o.batch,
-			}, o.seed+uint64(d)*7919)
-			if err != nil {
-				my.err = err
-				return
-			}
-			epoch := time.Now()
-			var q []pending
-			// settle books the result of the oldest in-flight request.
-			settle := func(res serve.Result) {
-				switch {
-				case res.Err == nil:
-					my.served++
-					my.lats = append(my.lats, float64(time.Since(q[0].intended)))
-				case errors.Is(res.Err, serve.ErrOverload):
-					my.shed++
-				case my.err == nil:
-					my.err = res.Err
-				}
-				q = q[1:]
-			}
-			// collect settles what has completed, or with block everything.
-			collect := func(block bool) {
-				for len(q) > 0 {
-					select {
-					case res := <-q[0].ch:
-						settle(res)
-					default:
-						if !block {
-							return
-						}
-						settle(<-q[0].ch)
-					}
-				}
-			}
-			// await settles replies as they land until intended, so each is
-			// timed on arrival rather than at the next dispatch; false when ctx
-			// ended first.
-			await := func(intended time.Time) bool {
-				wait := time.Until(intended)
-				if wait <= 0 {
-					return true
-				}
-				timer := time.NewTimer(wait)
-				defer timer.Stop()
-				for {
-					var head <-chan serve.Result // nil, never ready, with nothing in flight
-					if len(q) > 0 {
-						head = q[0].ch
-					}
-					select {
-					case res := <-head:
-						settle(res)
-					case <-timer.C:
-						return true
-					case <-ctx.Done():
-						return false
-					}
-				}
-			}
-			var req workload.OpenLoopRequest
-			for ctx.Err() == nil {
-				gen.Next(&req)
-				if req.At >= o.duration {
-					break
-				}
-				intended := epoch.Add(req.At)
-				if !await(intended) {
-					break
-				}
-				keys := append([]int64(nil), req.Keys...)
-				q = append(q, pending{ch: srv.Handle(d, keys), intended: intended})
-				my.dispatched++
-				collect(false)
-			}
-			collect(true)
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	var lats []float64
-	var dispatched, served, shed int64
-	var errs []error
-	for i := range lanes {
-		lats = append(lats, lanes[i].lats...)
-		dispatched += lanes[i].dispatched
-		served += lanes[i].served
-		shed += lanes[i].shed
-		errs = append(errs, lanes[i].err)
-	}
-	if err := errors.Join(errs...); err != nil || ctx.Err() != nil {
+	o, w, srv := e.o, e.w, e.nodes[0].Srv
+	gens, err := e.streams(o.seed)
+	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "\nopen loop:         %s arrivals at %.0f qps offered for %v (%d users, %d keys/request, admission %s)\n",
+		e.arrivals, o.qps, o.duration, o.users, o.batch, o.admission)
+	var lags, observed []float64 // nanoseconds, of the served requests
+	var sent, shed int
+	var failed error
+	start := time.Now()
+	stalls := workload.DriveOpenLoop(ctx, gens, o.duration,
+		func(gpu int, keys []int64) <-chan serve.Result {
+			sent++
+			return srv.Handle(gpu, keys)
+		},
+		func(_ int, res serve.Result, lag, obs time.Duration) {
+			switch {
+			case res.Err == nil:
+				lags = append(lags, float64(lag))
+				observed = append(observed, float64(obs))
+			case errors.Is(res.Err, serve.ErrOverload):
+				shed++
+			case failed == nil:
+				failed = res.Err
+			}
+		})
+	wall := time.Since(start)
+	if failed != nil || ctx.Err() != nil {
+		return failed
+	}
 
-	lq := stats.Quantiles(lats, 0.50, 0.99, 1)
+	served := len(observed)
 	fmt.Fprintf(w, "offered:           %d requests, %.0f qps measured (target %.0f)\n",
-		dispatched, float64(dispatched)/o.duration.Seconds(), o.qps)
+		sent, float64(sent)/o.duration.Seconds(), o.qps)
 	fmt.Fprintf(w, "served:            %d requests, %.0f qps; shed %d (%.1f%%) via ErrOverload\n",
-		served, float64(served)/wall.Seconds(), shed, 100*float64(shed)/float64(max(dispatched, 1)))
+		served, float64(served)/wall.Seconds(), shed, 100*float64(shed)/float64(max(sent, 1)))
 	if e.admitWait > 0 {
 		fmt.Fprintf(w, "admission:         bounded wait %v; %.0f requests admitted after waiting (serve_admit_wait_admitted_total)\n",
 			e.admitWait, e.reg.Value("serve_admit_wait_admitted_total"))
@@ -741,10 +665,41 @@ func (e *engine) openLoop(ctx context.Context) error {
 	}
 	fmt.Fprintf(w, "queue:             peak depth %.0f of %d (serve_queue_depth_peak)\n",
 		e.reg.Value("serve_queue_depth_peak"), srv.QueueCapacity())
-	fmt.Fprintf(w, "latency (from intended arrival): p50 %v  p99 %v  max %v\n",
-		time.Duration(lq[0]), time.Duration(lq[1]), time.Duration(lq[2]))
+	lq, oq := stats.Quantiles(lags, 0.50, 0.99), stats.Quantiles(observed, 0.50, 0.99)
+	engine := e.reg.Find("serve_request_latency_seconds").(*telemetry.Histogram)
+	sec := func(q float64) time.Duration { return time.Duration(engine.Quantile(q) * float64(time.Second)) }
+	fmt.Fprintf(w, "lag:               p50 %v  p99 %v  (intended arrival -> Handle; %d stalls shifted the schedule)\n",
+		time.Duration(lq[0]), time.Duration(lq[1]), stalls)
+	fmt.Fprintf(w, "engine:            p50 %v  p99 %v  (enqueue -> reply, serve_request_latency_seconds)\n", sec(0.50), sec(0.99))
+	fmt.Fprintf(w, "observed:          p50 %v  p99 %v  (intended arrival -> reply noticed)\n", time.Duration(oq[0]), time.Duration(oq[1]))
 	if e.post {
 		fmt.Fprintln(w, "note: -refresh-mode post is a closed-loop report; skipped in open-loop mode")
 	}
 	return nil
+}
+
+// openLoopProfile is how many requests, of -batch keys each, one profiled
+// batch of the open loop holds: as many as the closed loop's batch of
+// -clients x -batch samples at the default flags, whatever -clients is.
+const openLoopProfile = 128
+
+// streams builds the open loop's generators, GPU d's share of -qps drawn
+// from seed+d*7919: the stream the poller serves, and a stream of the same
+// config seeded apart that build profiles the placement from.
+func (e *engine) streams(seed uint64) ([]*workload.OpenLoop, error) {
+	gens := make([]*workload.OpenLoop, e.p.N)
+	for d := range gens {
+		var err error
+		gens[d], err = workload.NewOpenLoop(workload.OpenLoopConfig{
+			QPS:            e.o.qps / float64(e.p.N),
+			Arrivals:       e.arrivals,
+			Users:          e.o.users,
+			NumKeys:        e.ds.NumEntries(),
+			KeysPerRequest: e.o.batch,
+		}, seed+uint64(d)*7919)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return gens, nil
 }

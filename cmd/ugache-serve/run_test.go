@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -301,9 +302,9 @@ func TestClusterSharesTheSetUp(t *testing.T) {
 	}
 }
 
-// TestCancelMidOpenLoop cancels the context while the dispatchers are
-// offering load: run stops them, shuts down as a finished run does, and
-// returns nil — what a SIGINT does to the command.
+// TestCancelMidOpenLoop cancels the context while the poller is offering
+// load: run stops it, shuts down as a finished run does, and returns nil —
+// what a SIGINT does to the command.
 func TestCancelMidOpenLoop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -335,6 +336,84 @@ func TestCancelMidOpenLoop(t *testing.T) {
 	}
 	if !strings.Contains(text, "interrupted; flushing") || strings.Contains(text, "offered:") {
 		t.Errorf("want the interrupt noted and no summary of the cut-short run:\n%s", text)
+	}
+}
+
+// TestOpenLoopLedger runs the open loop and holds its report to its own
+// counters: the lag and observed p50 are over the same served requests, so
+// the first cannot exceed the second; every offered request was served or
+// shed, as the engine counted them; and the placement, profiled from a
+// stream of the served config, keeps the host tier's key share small (it
+// read 9 % when the profile was the closed loop's per-table draws). The
+// engine line is parsed, not compared: a histogram quantile can sit a
+// bucket away from the exact observed one.
+//
+// The second run offers a saturating rate to a one-slot queue under a
+// bounded admission wait, so sends block in Handle, and the ledger must
+// still close. That the time blocked stays in the lag rather than shifting
+// the schedule is TestDriveOpenLoopBlockedSend's to hold: a run here can
+// count a real stall when other tests load the machine.
+func TestOpenLoopLedger(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ name, args string }{
+		{"fastfail", "-qps 5000 -duration 1s"},
+		{"admission", "-batch 64 -qps " + saturateQPS + " -duration 100ms -admission 500us -queue-depth 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out := newOutput()
+			args := "-scale " + smokeScale + " -open-loop -metrics-out TMP/metrics.json " + tc.args
+			if err := runArgs(context.Background(), args, dir, out); err != nil {
+				t.Fatalf("run: %v\n%s", err, out)
+			}
+			text := out.String()
+			find := func(re string) []string {
+				t.Helper()
+				m := regexp.MustCompile(`(?m)^` + re).FindStringSubmatch(text)
+				if m == nil {
+					t.Fatalf("no %q in the report:\n%s", re, text)
+				}
+				return m[1:]
+			}
+			p50 := func(line string) time.Duration {
+				t.Helper()
+				d, err := time.ParseDuration(find(line + `: +p50 (\S+) +p99 \S+`)[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			lag, observed := p50("lag"), p50("observed")
+			p50("engine")
+			if lag > observed {
+				t.Errorf("lag p50 %v > observed p50 %v over the same requests", lag, observed)
+			}
+			count := func(re string) float64 {
+				t.Helper()
+				n, err := strconv.ParseFloat(find(re)[0], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			offered, served, shed := count(`offered: +(\d+) requests`), count(`served: +(\d+) requests`), count(`served: .* shed (\d+) `)
+			m := readMetrics(t, filepath.Join(dir, "metrics.json"))
+			if offered == 0 || offered != served+shed || served != m["serve_requests_total"] || shed != m["serve_rejected_total"] {
+				t.Errorf("offered %v, served %v + shed %v; serve_requests_total %v + serve_rejected_total %v: want one ledger",
+					offered, served, shed, m["serve_requests_total"], m["serve_rejected_total"])
+			}
+			t.Logf("%v stalls, %v requests admitted after waiting", count(`lag: .*; (\d+) stalls shifted the schedule`),
+				m["serve_admit_wait_admitted_total"])
+			var keys float64
+			for _, tier := range []string{"local", "remote", "host", "network"} {
+				keys += m["core_hit_"+tier+"_keys_total"]
+			}
+			host := m["core_hit_host_keys_total"] / keys
+			t.Logf("host tier share %.2f%%", 100*host)
+			if !(host < 0.05) {
+				t.Errorf("host tier served %.1f%% of the keys, want < 5%%", 100*host)
+			}
+		})
 	}
 }
 

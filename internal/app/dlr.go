@@ -97,7 +97,7 @@ func NewDLR(cfg DLRConfig) (*DLRApp, error) {
 		Platform:           cfg.P,
 		Hotness:            hot,
 		EntryBytes:         entryBytes,
-		CacheEntriesPerGPU: maxI64(capacity, 1),
+		CacheEntriesPerGPU: max(capacity, 1),
 		Policy:             cfg.Spec.Policy,
 		Mechanism:          cfg.Spec.Mechanism,
 	})

@@ -171,7 +171,7 @@ func NewGNN(cfg GNNConfig) (*GNNApp, error) {
 		Platform:           cfg.P,
 		Hotness:            hot,
 		EntryBytes:         entryBytes,
-		CacheEntriesPerGPU: maxI64(capacity, 1),
+		CacheEntriesPerGPU: max(capacity, 1),
 		Policy:             cfg.Spec.Policy,
 		Mechanism:          cfg.Spec.Mechanism,
 	})
@@ -196,13 +196,6 @@ func NewGNN(cfg GNNConfig) (*GNNApp, error) {
 func batchOr(b int) int {
 	if b <= 0 {
 		return 8192
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
 	}
 	return b
 }
@@ -250,7 +243,7 @@ func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sampleSec = float64(edges) / SampleRate / float64(maxInt(a.Trainers, 1))
+		sampleSec = float64(edges) / SampleRate / float64(max(a.Trainers, 1))
 		var queueSec float64
 		if a.Cfg.Spec.DedicatedSamplers {
 			// Dedicated samplers pipeline the sampling itself; the cost
@@ -262,7 +255,7 @@ func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 			}
 			bytes := nodes*4 + float64(edges)*8
 			queueSec = bytes / a.Cfg.P.PCIeBW
-			demand := sampleSec * float64(a.Trainers) / float64(maxInt(a.Samplers, 1))
+			demand := sampleSec * float64(a.Trainers) / float64(max(a.Samplers, 1))
 			overlap := res.Time + denseSec
 			if demand > overlap {
 				queueSec += demand - overlap
@@ -301,7 +294,7 @@ func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 		EpochIters:        epochIters,
 		CapacityEntries:   capUsed[0],
 		CacheRatio:        float64(capUsed[0]) / float64(n),
-		UniqueKeysPerIter: keysSum / float64(iters) / float64(maxInt(a.Trainers, 1)),
+		UniqueKeysPerIter: keysSum / float64(iters) / float64(max(a.Trainers, 1)),
 		HitLocal:          hitL / tot, HitRemote: hitR / tot, HitHost: hitH / tot,
 		LinkUtilPCIe: utilP * inv, LinkUtilNVLink: utilN * inv,
 	}, nil
@@ -393,11 +386,4 @@ func (a *GNNApp) measureHits(b *extract.Batch) (local, remote, host float64) {
 		}
 	}
 	return
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

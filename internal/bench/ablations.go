@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ugache/internal/app"
@@ -67,7 +68,7 @@ func ablateBlocks(o Options) (*Result, error) {
 			return nil, err
 		}
 		el := time.Since(t0)
-		got := maxFloat(pl.EstTimes)
+		got := slices.Max(pl.EstTimes)
 		gap := "-"
 		if refPl.LowerBound > 0 {
 			gap = fmt.Sprintf("%+.2f%%", 100*(got/refPl.LowerBound-1))
@@ -102,7 +103,7 @@ func ablatePolicies(o Options) (*Result, error) {
 				row = append(row, "fail")
 				continue
 			}
-			row = append(row, fmt.Sprintf("%.4g", maxFloat(pl.EstTimes)*1e6))
+			row = append(row, fmt.Sprintf("%.4g", slices.Max(pl.EstTimes)*1e6))
 		}
 		t.AddRow(row...)
 	}
@@ -176,16 +177,6 @@ func factoredWithHostCores(p *platform.Platform, hostCores int) (float64, error)
 		return 0, err
 	}
 	return res.Makespan, nil
-}
-
-func maxFloat(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // ablatePadding compares full FEM against the static no-padding variant

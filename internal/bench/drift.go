@@ -112,7 +112,7 @@ func (sc *driftScenario) stream() *rng.Rand {
 func (sc *driftScenario) refreshConfig(baseIter float64) cache.RefreshConfig {
 	cfg := cache.DefaultRefreshConfig()
 	cfg.SolveSeconds = 2 * baseIter
-	cfg.BatchEntries = maxI64b(sc.n/64, 1)
+	cfg.BatchEntries = max(sc.n/64, 1)
 	cfg.PauseSeconds = baseIter
 	// Size the bandwidth so turning over one GPU's full cache costs ~8
 	// iterations of update time.

@@ -120,7 +120,7 @@ func figure17(o Options) (*Result, error) {
 		Platform:           p,
 		Hotness:            hot,
 		EntryBytes:         ds.MT.MaxEntryBytes(),
-		CacheEntriesPerGPU: maxI64b(capacity, 1),
+		CacheEntriesPerGPU: max(capacity, 1),
 		Telemetry:          o.Telemetry,
 		Flight:             o.flight(1, 8), // its two refreshes
 	})
@@ -159,7 +159,7 @@ func figure17(o Options) (*Result, error) {
 	// lands at the paper's ~10%.
 	aggCapBytes := float64(int64(p.N) * capacity * int64(ds.MT.MaxEntryBytes()))
 	cfg.UpdateBandwidth = aggCapBytes * 1.3 * 2.5 / 18.0
-	cfg.BatchEntries = maxI64b(n/256, 1)
+	cfg.BatchEntries = max(n/256, 1)
 	perStep := float64(cfg.BatchEntries*int64(ds.MT.MaxEntryBytes())) / cfg.UpdateBandwidth
 	cfg.PauseSeconds = 1.5 * perStep
 	cfg.SamplePeriod = 1.0
@@ -248,11 +248,4 @@ func summary(o Options) (*Result, error) {
 	t.AddRow("DLR vs partition (SOK)",
 		fmt.Sprintf("%.2fx", stats.GeoMean(partDLR)), fmt.Sprintf("%.2fx", maxOf(partDLR)), "2.07x", "3.45x")
 	return &Result{Name: "summary", Text: t.String()}, nil
-}
-
-func maxI64b(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -73,7 +73,7 @@ func figure6(o Options) (*Result, error) {
 	var parts []string
 	for _, p := range []*platform.Platform{platform.ServerA(), platform.ServerC()} {
 		var counts []int
-		for c := 1; c <= p.GPU.SMs; c += maxIntB(1, p.GPU.SMs/16) {
+		for c := 1; c <= p.GPU.SMs; c += max(1, p.GPU.SMs/16) {
 			counts = append(counts, c)
 		}
 		cpu := &stats.Series{Name: "CPU(GB/s)"}
@@ -111,11 +111,4 @@ func figure6(o Options) (*Result, error) {
 			"capacity; CPU saturates below 10% of cores; concurrent readers split a source's\n"+
 			"outbound port.\n")
 	return &Result{Name: "fig6", Text: joinResults(parts...)}, nil
-}
-
-func maxIntB(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

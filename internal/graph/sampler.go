@@ -144,10 +144,3 @@ func EpochBatches(train []int32, batchSize int, r *rng.Rand) [][]int32 {
 	}
 	return batches
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

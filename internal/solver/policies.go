@@ -23,7 +23,7 @@ func (Replication) Solve(in *Input) (*Placement, error) {
 	}
 	cuts := make([]int64, 0, in.P.N)
 	for _, cap := range in.Capacity {
-		cuts = append(cuts, minI64(cap, c.numEntries()))
+		cuts = append(cuts, min(cap, c.numEntries()))
 	}
 	blocks := c.build(cuts...)
 	for bi := range blocks {
@@ -59,7 +59,7 @@ func (Partition) Solve(in *Input) (*Placement, error) {
 	for _, cap := range in.Capacity {
 		total += cap
 	}
-	total = minI64(total, c.numEntries())
+	total = min(total, c.numEntries())
 	blocks := c.build(total)
 	assignPartition(in, blocks, allGPUs(in.P.N), append([]int64(nil), in.Capacity...), total)
 	return newPlacement(c, "partition", blocks), nil
@@ -87,7 +87,7 @@ func (CliquePartition) Solve(in *Input) (*Placement, error) {
 		for _, g := range cl {
 			total += in.Capacity[g]
 		}
-		cuts = append(cuts, minI64(total, c.numEntries()))
+		cuts = append(cuts, min(total, c.numEntries()))
 	}
 	blocks := c.build(cuts...)
 	for ci, cl := range cliques {
@@ -130,7 +130,7 @@ func (rp RepPart) scan(c *ctx) ([]Block, float64) {
 	}
 	minCap := in.Capacity[0]
 	for _, cap := range in.Capacity {
-		minCap = minI64(minCap, cap)
+		minCap = min(minCap, cap)
 	}
 	cliques := CliqueCover(in.P)
 	var best []Block
@@ -138,7 +138,7 @@ func (rp RepPart) scan(c *ctx) ([]Block, float64) {
 	for k := 0; k < cands; k++ {
 		x := int64(0) // a single candidate is the pure-partition split
 		if cands > 1 {
-			x = minI64(int64(float64(minCap)*float64(k)/float64(cands-1)), c.numEntries())
+			x = min(int64(float64(minCap)*float64(k)/float64(cands-1)), c.numEntries())
 		}
 		blocks := c.build(repPartCuts(in, cliques, x, c.numEntries())...)
 		// Replicated prefix.
@@ -160,7 +160,7 @@ func (rp RepPart) scan(c *ctx) ([]Block, float64) {
 				capLeft[g] = in.Capacity[g] - x
 				total += capLeft[g]
 			}
-			end := minI64(x+total, c.numEntries())
+			end := min(x+total, c.numEntries())
 			assignPartitionRange(in, blocks, cl, capLeft, x, end)
 		}
 		if t := maxF(c.estimate(blocks)); best == nil || t < bestT {
@@ -172,13 +172,13 @@ func (rp RepPart) scan(c *ctx) ([]Block, float64) {
 }
 
 func repPartCuts(in *Input, cliques [][]int, x, e int64) []int64 {
-	cuts := []int64{minI64(x, e)}
+	cuts := []int64{min(x, e)}
 	for _, cl := range cliques {
 		var total int64
 		for _, g := range cl {
 			total += in.Capacity[g] - x
 		}
-		cuts = append(cuts, minI64(x+total, e))
+		cuts = append(cuts, min(x+total, e))
 	}
 	return cuts
 }
@@ -259,13 +259,6 @@ func allGPUs(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func maxF(xs []float64) float64 {

@@ -43,11 +43,11 @@ func RenderChart(title, xlabel, ylabel string, series ...*Series) string {
 	}
 	col := func(x float64) int {
 		c := int(math.Round((x - xmin) / (xmax - xmin) * float64(chartWidth-1)))
-		return clampInt(c, 0, chartWidth-1)
+		return min(max(c, 0), chartWidth-1)
 	}
 	row := func(y float64) int {
 		r := int(math.Round(y / ymax * float64(chartHeight-1)))
-		return clampInt(chartHeight-1-r, 0, chartHeight-1)
+		return min(max(chartHeight-1-r, 0), chartHeight-1)
 	}
 	for si, s := range series {
 		marker := seriesMarkers[si%len(seriesMarkers)]
@@ -55,7 +55,7 @@ func RenderChart(title, xlabel, ylabel string, series ...*Series) string {
 		for i := 0; i+1 < len(s.X); i++ {
 			c0, r0 := col(s.X[i]), row(s.Y[i])
 			c1, r1 := col(s.X[i+1]), row(s.Y[i+1])
-			steps := maxInt(absInt(c1-c0), absInt(r1-r0))
+			steps := max(absInt(c1-c0), absInt(r1-r0))
 			if steps == 0 {
 				steps = 1
 			}
@@ -91,23 +91,6 @@ func RenderChart(title, xlabel, ylabel string, series ...*Series) string {
 		fmt.Fprintf(&b, "  %c %s\n", seriesMarkers[si%len(seriesMarkers)], s.Name)
 	}
 	return b.String()
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func absInt(a int) int {
