@@ -137,5 +137,14 @@ figures-golden:
 	$(GO) test ./internal/bench -run TestExperimentsSmoke -update
 
 # Non-test Go lines outside benchmark/: the count a simplicity PR reports.
+# `make loc BASE=<ref>` also counts <ref>, from a git archive of it with the
+# same filter, and prints the working tree's difference from it.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
+ifndef BASE
+	@$(LOC_FILES) | xargs wc -l | tail -1
+else
+	@base=$$(mktemp -d) && trap 'rm -rf $$base' EXIT && git archive $(BASE) | tar -x -C $$base && \
+	tree_loc=$$($(LOC_FILES) | xargs cat | wc -l) && base_loc=$$(cd $$base && $(LOC_FILES) | xargs cat | wc -l) && \
+	printf '%8d  working tree\n%8d  $(BASE)\n%+8d  difference\n' $$tree_loc $$base_loc $$((tree_loc - base_loc))
+endif

@@ -9,12 +9,12 @@
 // With -open-loop the clients are replaced by one poller
 // (workload.DriveOpenLoop) that offers every GPU its share of -qps: arrivals
 // are scheduled by -qps alone (Poisson or bursty MMPP), never by completions,
-// so the engine can be pushed past its admission knee. The run reports sheds
-// and three p50/p99 latencies of the admitted requests: lag (intended arrival
-// to Handle, which includes earlier sends' -admission waits), engine (enqueue
-// to reply, serve_request_latency_seconds) and observed (intended arrival to
-// the reply noticed), and how often over 25 ms lost outside Handle (a machine
-// stall) shifted the schedule. The placement is profiled from a stream of
+// so the engine can be pushed past its admission knee, where a full queue
+// sheds at once. The run reports sheds and three p50/p99 latencies of the
+// admitted requests: lag (intended arrival to Handle), engine (enqueue to
+// reply, serve_request_latency_seconds) and observed (intended arrival to the
+// reply noticed), and how often falling over 25 ms behind (a machine stall)
+// shifted the schedule. The placement is profiled from a stream of
 // the same config, seeded apart.
 //
 // Usage:
@@ -23,7 +23,6 @@
 //	ugache-serve -dataset CR -scale 0.1 -ratio 0.08 -max-batch 4096
 //	ugache-serve -refresh-mode post -trace-out trace.json   # Perfetto-loadable spans
 //	ugache-serve -open-loop -qps 200000 -arrivals mmpp -duration 5s
-//	ugache-serve -open-loop -qps 300000 -admission 500us   # bounded wait
 //
 // The command is a flag parser (parse) around one function, run (run.go).
 package main
@@ -67,7 +66,6 @@ type options struct {
 	arrivals   string
 	users      int64
 	duration   time.Duration
-	admission  string
 	queueDepth int
 
 	flight      bool
@@ -112,8 +110,7 @@ func parse(args []string) (options, error) {
 	fs.StringVar(&o.arrivals, "arrivals", "poisson", "open-loop arrival process: poisson or mmpp (bursty)")
 	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (per-user key affinity is hash-derived, so millions cost nothing)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
-	fs.StringVar(&o.admission, "admission", "fastfail", "admission policy when the per-GPU queue is full: fastfail (shed immediately with ErrOverload) or a wait bound like 500us (shed only after waiting that long for space)")
-	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth (0 = engine default 256)")
+	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth; a request that finds it full is shed with ErrOverload (0 = engine default 256)")
 	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with its SLO watchdog and diagnostic bundles (-trace-out runs the recorder alone: its control ring is the trace's refresh, drift and prefetch tracks; the per-batch records behind /debug/trace are kept either way, 256 deep without either)")
 	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches: how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
 	fs.Float64Var(&o.sloP99Ms, "slo-p99-ms", 0, "admitted-request p99 SLO in milliseconds; > 0 arms the watchdog (p99, shed ratio, queue saturation, solve wall, prefetch drops) to write a diagnostic bundle on violation")

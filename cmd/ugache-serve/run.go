@@ -66,10 +66,9 @@ type engine struct {
 	o options
 	w io.Writer
 
-	admitWait time.Duration    // -admission; 0 is fast-fail
-	mode      core.RefreshMode // the controller's in-loop policy
-	post      bool             // -refresh-mode post: one refresh after the closed loop, the command's own policy
-	arrivals  workload.Arrival // -arrivals, open loop only
+	mode     core.RefreshMode // the controller's in-loop policy
+	post     bool             // -refresh-mode post: one refresh after the closed loop, the command's own policy
+	arrivals workload.Arrival // -arrivals, open loop only
 
 	p       *platform.Platform // one machine's; the clustered twin under -nodes N
 	ds      *workload.DLRDataset
@@ -97,11 +96,6 @@ func (e *engine) check() (err error) {
 	}
 	if o.batch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", o.batch)
-	}
-	if !strings.EqualFold(o.admission, "fastfail") {
-		if e.admitWait, err = time.ParseDuration(o.admission); err != nil || e.admitWait <= 0 {
-			return fmt.Errorf("-admission: want fastfail or a positive wait bound like 500us, got %q", o.admission)
-		}
 	}
 	if e.post = strings.EqualFold(o.mode, "post"); !e.post {
 		if e.mode, err = core.ParseRefreshMode(o.mode); err != nil {
@@ -254,7 +248,6 @@ func (e *engine) build() (err error) {
 			Lookahead:    o.lookahead,
 			StaleBatches: o.staleThr,
 			QueueDepth:   o.queueDepth,
-			AdmitWait:    e.admitWait,
 		})
 		if err != nil {
 			return fmt.Errorf("node %d: %w", i, err)
@@ -443,7 +436,6 @@ func (e *engine) shutdown(ctx context.Context) error {
 		case s.Name == "serve_requests_total" || s.Name == "serve_batches_total" ||
 			s.Name == "serve_unique_keys_total" || s.Name == "cache_refresh_total" ||
 			s.Name == "core_extract_total" || s.Name == "serve_rejected_total" ||
-			s.Name == "serve_admit_wait_admitted_total" ||
 			strings.HasPrefix(s.Name, "serve_queue_depth_peak") && s.Value > 0:
 			fmt.Fprintf(w, "  %-42s %.0f\n", s.Name, s.Value)
 		case strings.HasPrefix(s.Name, "sim_link_util_") && s.Value > 0:
@@ -624,8 +616,8 @@ func (e *engine) openLoop(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nopen loop:         %s arrivals at %.0f qps offered for %v (%d users, %d keys/request, admission %s)\n",
-		e.arrivals, o.qps, o.duration, o.users, o.batch, o.admission)
+	fmt.Fprintf(w, "\nopen loop:         %s arrivals at %.0f qps offered for %v (%d users, %d keys/request)\n",
+		e.arrivals, o.qps, o.duration, o.users, o.batch)
 	var lags, observed []float64 // nanoseconds, of the served requests
 	var sent, shed int
 	var failed error
@@ -656,13 +648,8 @@ func (e *engine) openLoop(ctx context.Context) error {
 		sent, float64(sent)/o.duration.Seconds(), o.qps)
 	fmt.Fprintf(w, "served:            %d requests, %.0f qps; shed %d (%.1f%%) via ErrOverload\n",
 		served, float64(served)/wall.Seconds(), shed, 100*float64(shed)/float64(max(sent, 1)))
-	if e.admitWait > 0 {
-		fmt.Fprintf(w, "admission:         bounded wait %v; %.0f requests admitted after waiting (serve_admit_wait_admitted_total)\n",
-			e.admitWait, e.reg.Value("serve_admit_wait_admitted_total"))
-	} else {
-		fmt.Fprintf(w, "admission:         fast-fail (queue full sheds immediately; serve_rejected_total %.0f)\n",
-			e.reg.Value("serve_rejected_total"))
-	}
+	fmt.Fprintf(w, "admission:         fast-fail (queue full sheds immediately; serve_rejected_total %.0f)\n",
+		e.reg.Value("serve_rejected_total"))
 	fmt.Fprintf(w, "queue:             peak depth %.0f of %d (serve_queue_depth_peak)\n",
 		e.reg.Value("serve_queue_depth_peak"), srv.QueueCapacity())
 	lq, oq := stats.Quantiles(lags, 0.50, 0.99), stats.Quantiles(observed, 0.50, 0.99)

@@ -190,12 +190,31 @@ func TestRunGolden(t *testing.T) {
 				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
 				m := readMetrics(t, filepath.Join(dir, "metrics.json"))
 				checkCluster(t, m)
+				// Every worker of both nodes (Server C: 8 GPUs each) draws on a
+				// track of its own, named apart.
+				tracks, names := map[int64]bool{}, map[string]bool{}
+				for _, ev := range rep.Trace {
+					if ev.PID == timeline.ProcServe && ev.Ph == "M" && ev.Name == "thread_name" {
+						var name string
+						if err := json.Unmarshal(ev.Args["name"], &name); err != nil {
+							t.Fatal(err)
+						}
+						tracks[ev.TID], names[name] = true, true
+					}
+				}
+				if len(tracks) != 2*8 || len(names) != 2*8 {
+					t.Errorf("serve process: %d named tracks, %d distinct names; want one per worker of 2 nodes x 8 GPUs: %v",
+						len(tracks), len(names), names)
+				}
 				// A cross-node leg is a request in its owner's batch records,
 				// and the default flight depth holds the whole run's: the
 				// batch spans answer every request, legs included.
 				var requests float64
 				for i := range rep.Trace {
 					if ev := &rep.Trace[i]; ev.PID == timeline.ProcServe && ev.Name == "batch" {
+						if !tracks[ev.TID] {
+							t.Errorf("batch span on unnamed serve track %d", ev.TID)
+						}
 						n, _ := ev.NumArg("requests")
 						requests += n
 					}
@@ -256,16 +275,12 @@ func get(t *testing.T, url string) (int, string) {
 
 // TestClusterSharesTheSetUp is what the private cluster path hid: under
 // -nodes 2 the listener, the watchdog and the shared shutdown's -metrics-out
-// and final snapshot all exist, and a bad -admission is refused.
+// and final snapshot all exist, and a bad -net-bw is refused.
 func TestClusterSharesTheSetUp(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0 -slo-p99-ms 0.01 -bundle-dir TMP/bundles -metrics-out TMP/metrics.json"
 
-	err := runArgs(context.Background(), args+" -admission bogus", dir, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-admission") {
-		t.Errorf("-admission bogus under -nodes 2: error %v, want the -admission one", err)
-	}
 	if err := runArgs(context.Background(), "-nodes 2 -net-bw NaN", dir, io.Discard); err == nil || !strings.Contains(err.Error(), "NIC bandwidth") {
 		t.Errorf("-net-bw NaN under -nodes 2: error %v, want the NIC bandwidth one", err)
 	}
@@ -288,6 +303,24 @@ func TestClusterSharesTheSetUp(t *testing.T) {
 	}
 	if code, _ := get(t, base+"/debug/flight"); code != http.StatusOK {
 		t.Errorf("/debug/flight: %d, want the watchdog's state", code)
+	}
+	// A bundle of both nodes validates, and its exemplar resolves to its own
+	// worker's tree (root and at most five stages), not to one holding the
+	// other node's same-numbered batch.
+	resp, err := http.Post(base+"/debug/flight/bundle", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle struct{ Bundle string }
+	err = json.NewDecoder(resp.Body).Decode(&bundle)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := flight.ValidateBundle(bundle.Bundle); err != nil {
+		t.Errorf("bundle %q: %v", bundle.Bundle, err)
+	} else if rep.Manifest.Exemplar == nil || rep.ExemplarSpans > 6 {
+		t.Errorf("bundle exemplar %+v resolved to %d spans, want its own tree", rep.Manifest.Exemplar, rep.ExemplarSpans)
 	}
 	cancel()
 	if err := <-done; err != nil {
@@ -348,16 +381,13 @@ func TestCancelMidOpenLoop(t *testing.T) {
 // engine line is parsed, not compared: a histogram quantile can sit a
 // bucket away from the exact observed one.
 //
-// The second run offers a saturating rate to a one-slot queue under a
-// bounded admission wait, so sends block in Handle, and the ledger must
-// still close. That the time blocked stays in the lag rather than shifting
-// the schedule is TestDriveOpenLoopBlockedSend's to hold: a run here can
-// count a real stall when other tests load the machine.
+// The second run offers a saturating rate to a one-slot queue, so many sends
+// are shed, and the ledger must still close.
 func TestOpenLoopLedger(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct{ name, args string }{
 		{"fastfail", "-qps 5000 -duration 1s"},
-		{"admission", "-batch 64 -qps " + saturateQPS + " -duration 100ms -admission 500us -queue-depth 1"},
+		{"admission", "-batch 64 -qps " + saturateQPS + " -duration 100ms -queue-depth 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -402,8 +432,7 @@ func TestOpenLoopLedger(t *testing.T) {
 				t.Errorf("offered %v, served %v + shed %v; serve_requests_total %v + serve_rejected_total %v: want one ledger",
 					offered, served, shed, m["serve_requests_total"], m["serve_rejected_total"])
 			}
-			t.Logf("%v stalls, %v requests admitted after waiting", count(`lag: .*; (\d+) stalls shifted the schedule`),
-				m["serve_admit_wait_admitted_total"])
+			t.Logf("%v stalls", count(`lag: .*; (\d+) stalls shifted the schedule`))
 			var keys float64
 			for _, tier := range []string{"local", "remote", "host", "network"} {
 				keys += m["core_hit_"+tier+"_keys_total"]
@@ -417,11 +446,13 @@ func TestOpenLoopLedger(t *testing.T) {
 	}
 }
 
-// TestParseDroppedFlags: -refresh, which reached nothing, is gone, not
-// ignored.
+// TestParseDroppedFlags: -refresh, which reached nothing, and -admission,
+// whose bounded wait is gone, are refused, not ignored.
 func TestParseDroppedFlags(t *testing.T) {
-	if _, err := parse([]string{"-refresh"}); err == nil {
-		t.Error("parse(-refresh) succeeded, want an unknown-flag error")
+	for _, args := range [][]string{{"-refresh"}, {"-admission", "500us"}} {
+		if _, err := parse(args); err == nil {
+			t.Errorf("parse(%v) succeeded, want an unknown-flag error", args)
+		}
 	}
 	if o, err := parse(nil); err != nil || o.nodes != 1 || o.mode != "off" || !o.flight {
 		t.Errorf("parse(nil) = %+v, %v", o, err)

@@ -154,8 +154,8 @@ func main() {
 				v.Name, state, v.Short, v.Long, v.Threshold)
 		}
 		if ex := man.Exemplar; ex != nil {
-			fmt.Printf("  exemplar:         batch seq %d on gpu %d (%.3fms) -> span tree of %d spans\n",
-				ex.Seq, ex.GPU, ex.LatencySeconds*1e3, rep.ExemplarSpans)
+			fmt.Printf("  exemplar:         batch seq %d on gpu %d, track %d (%.3fms) -> span tree of %d spans\n",
+				ex.Seq, ex.GPU, ex.Track, ex.LatencySeconds*1e3, rep.ExemplarSpans)
 		}
 
 	default:

@@ -125,8 +125,8 @@ type Front struct {
 
 	// closeMu fences Lookup's sends against Close: legs are sent under the
 	// read lock after checking closed, and Close sets closed under the write
-	// lock, so no leg leaves once Close has returned. Handle blocks at most
-	// for its owner's admission wait, so Close waits no longer than that.
+	// lock, so no leg leaves once Close has returned. Handle never blocks, so
+	// Close waits only for sends already under way.
 	closeMu sync.RWMutex
 	closed  bool
 }

@@ -143,6 +143,31 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	}
 }
 
+// TestExemplarResolvesOnItsRing: servers sharing a recorder number their
+// batches per ring, so two nodes' GPU 0 workers both write a seq 1 batch.
+// Each ring draws on its own track and the exemplar names that track, so it
+// resolves to its own batch's tree, not to one with the other's spans nested
+// in it.
+func TestExemplarResolvesOnItsRing(t *testing.T) {
+	rec := NewRecorder(2, 8)
+	fast, slow := rec.Claim(), rec.Claim()
+	a, b := stagedBatch(0, 0.010, 1), stagedBatch(0, 0.050, 1)
+	fast.Record(&a)
+	slow.Record(&b)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true},
+		"test", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ValidateBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rep.Manifest.Exemplar; ex == nil || ex.Track != 1 || ex.GPU != 0 || ex.Seq != 1 || rep.ExemplarSpans != 6 {
+		t.Fatalf("exemplar = %+v (%d spans), want the slow ring's seq 1 on track 1 with its root and five stages", ex, rep.ExemplarSpans)
+	}
+}
+
 func TestWriteBundleSkipProfiles(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)

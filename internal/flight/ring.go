@@ -27,6 +27,7 @@ type Ring struct {
 	slots []slot
 	mask  uint64
 	head  atomic.Uint64 // total batches ever written; next slot = head & mask
+	track int32         // the ring's index in its Recorder: its tid on the batch tracks
 }
 
 // NewRing returns a ring holding the last depth batches (rounded up to a
@@ -147,6 +148,7 @@ func NewRecorder(workers, depth int) *Recorder {
 	r := &Recorder{rings: make([]*Ring, workers)}
 	for i := range r.rings {
 		r.rings[i] = NewRing(depth)
+		r.rings[i].track = int32(i)
 	}
 	r.ctrl = newEventRing(r.rings[0].Depth())
 	return r
@@ -185,11 +187,12 @@ func (r *Recorder) Recorded() uint64 {
 	return total
 }
 
-// Exemplar references one batch record: its (GPU, Seq) pair resolves to the
-// batch's span tree in a timeline export (the root "batch" span carries a
-// matching seq arg), linking the flight records, the metrics and the
-// timeline.
+// Exemplar references one batch record: its (Track, Seq) pair resolves to
+// the batch's span tree in a timeline export (the root "batch" span on serve
+// tid Track carries a matching seq arg), linking the flight records, the
+// metrics and the timeline. GPU is the batch's GPU on its node.
 type Exemplar struct {
+	Track          int32   `json:"track"`
 	GPU            int32   `json:"gpu"`
 	Seq            int64   `json:"seq"`
 	LatencySeconds float64 `json:"latency_seconds"`
@@ -222,7 +225,7 @@ func (r *Recorder) exemplar(since int64, mark []uint64) *Exemplar {
 				continue
 			}
 			if lat := b.LatencySeconds(); best == nil || lat > best.LatencySeconds {
-				best = &Exemplar{GPU: int32(b.GPU), Seq: b.Seq, LatencySeconds: lat, UnixNanos: b.UnixNanos}
+				best = &Exemplar{Track: rg.track, GPU: int32(b.GPU), Seq: b.Seq, LatencySeconds: lat, UnixNanos: b.UnixNanos}
 			}
 		}
 	}

@@ -8,38 +8,51 @@ import (
 )
 
 // tiers names the source classes a batch record splits its extraction into
-// (§5's per-source core groups), in track order: GPU g's link flows from
-// tiers[i] are drawn on ProcSim tid g*len(tiers)+i.
+// (§5's per-source core groups), in track order: the link flows from
+// tiers[i] of the ring on track k are drawn on ProcSim tid k*len(tiers)+i.
 var tiers = [...]string{"local", "remote", "host", "network"}
 
-// NameLinkFlows names the link-flow process and its (GPU, source class)
-// tracks — "gpu 0 local" to "gpu <gpus-1> network".
-func NameLinkFlows(tl *timeline.Recorder, gpus int) {
+// NameTracks names the serve, overload and link-flow processes and the
+// tracks t's rings draw on, reading ring g as GPU g's worker, as a server's
+// Trace does: "gpu 0 worker", "gpu 0 admission", "gpu 0 local" and so on. A
+// ring is drawn on the track of its index in the recorder, so servers that
+// share one recorder draw apart; the tracks of every server after the first
+// are named after its node, "node 1 gpu 0 worker".
+func (t *Trace) NameTracks(tl *timeline.Recorder) {
+	tl.SetProcessName(timeline.ProcServe, "serve")
+	tl.SetProcessName(timeline.ProcOverload, "overload")
 	tl.SetProcessName(timeline.ProcSim, "link flows")
-	for g := 0; g < gpus; g++ {
+	for g, r := range t.rings {
+		gpu := fmt.Sprintf("gpu %d", g)
+		if node := int(r.track) / len(t.rings); node > 0 {
+			gpu = fmt.Sprintf("node %d %s", node, gpu)
+		}
+		tl.SetThreadName(timeline.ProcServe, r.track, gpu+" worker")
+		tl.SetThreadName(timeline.ProcOverload, r.track, gpu+" admission")
 		for i, tier := range tiers {
-			tl.SetThreadName(timeline.ProcSim, int32(g*len(tiers)+i), fmt.Sprintf("gpu %d %s", g, tier))
+			tl.SetThreadName(timeline.ProcSim, r.track*int32(len(tiers))+int32(i), gpu+" "+tier)
 		}
 	}
 }
 
 // AppendSpans renders every held batch as its Chrome-trace events and
-// appends them to dst: on the serve track the span tree batch → queue-wait /
-// coalesce / extract / gather / reply (the root carries the record's seq,
-// the join column an Exemplar resolves through); on the link-flow tracks one
-// span per source class the batch read from, starting with its extract stage
-// and lasting that class's modelled seconds; and on the overload track the
-// queue-depth and cumulative-shed counter samples taken at batch formation,
-// plus a shed instant wherever the count moved between two consecutive
-// batches of a worker. Register it with tl.AddSource: every track is then
-// derived from the record rings at export time, never stored per flush.
+// appends them to dst, on its ring's tracks (see NameTracks): on the serve
+// track the span tree batch → queue-wait / coalesce / extract / gather /
+// reply (the root carries the record's seq, the join column an Exemplar
+// resolves through); on the link-flow tracks one span per source class the
+// batch read from, starting with its extract stage and lasting that class's
+// modelled seconds; and on the overload track the queue-depth and
+// cumulative-shed counter samples taken at batch formation, plus a shed
+// instant wherever the count moved between two consecutive batches of a
+// worker. Register it with tl.AddSource: every track is then derived from
+// the record rings at export time, never stored per flush.
 func (t *Trace) AppendSpans(tl *timeline.Recorder, dst []timeline.Event) []timeline.Event {
 	var buf []Batch
 	for _, r := range t.rings {
 		buf = r.Snapshot(buf[:0])
+		tid := r.track
 		for i := range buf {
 			b := &buf[i]
-			tid := int32(b.GPU)
 			lat := b.LatencySeconds()
 			start := max(0, tl.Since(time.Unix(0, b.UnixNanos))-lat)
 			root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,

@@ -171,12 +171,12 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 		return nil
 	}
 	// The root: a complete ("X") span named "batch" on the serve process,
-	// on the exemplar GPU's track, whose seq arg matches the exemplar.
+	// on the exemplar's track, whose seq arg matches the exemplar.
 	var root *timeline.TraceEvent
 	for i := range tl.Trace {
 		ev := &tl.Trace[i]
 		if ev.Ph != "X" || ev.Name != "batch" ||
-			ev.PID != timeline.ProcServe || ev.TID != int64(ex.GPU) {
+			ev.PID != timeline.ProcServe || ev.TID != int64(ex.Track) {
 			continue
 		}
 		if seq, ok := ev.NumArg("seq"); ok && int64(seq) == ex.Seq {
@@ -185,8 +185,8 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 		}
 	}
 	if root == nil {
-		return fmt.Errorf("flight: exemplar batch seq=%d gpu=%d has no matching span in %s",
-			ex.Seq, ex.GPU, TimelineFile)
+		return fmt.Errorf("flight: exemplar batch seq=%d track=%d has no matching span in %s",
+			ex.Seq, ex.Track, TimelineFile)
 	}
 	// Children: spans on the same track nested inside the root's interval.
 	rep.ExemplarSpans = 1
@@ -202,8 +202,8 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 		}
 	}
 	if rep.ExemplarSpans < 2 {
-		return fmt.Errorf("flight: exemplar batch seq=%d gpu=%d resolved to a bare root span (no children) in %s",
-			ex.Seq, ex.GPU, TimelineFile)
+		return fmt.Errorf("flight: exemplar batch seq=%d track=%d resolved to a bare root span (no children) in %s",
+			ex.Seq, ex.Track, TimelineFile)
 	}
 	return nil
 }

@@ -21,8 +21,8 @@ type Config struct {
 	MemProfile string
 	// BlockProfileRate, when > 0, is passed to runtime.SetBlockProfileRate
 	// for the process lifetime (nanoseconds of blocking per sampled event;
-	// 1 samples everything). Needed to see where admission-ring waiters and
-	// channel parks spend their time.
+	// 1 samples everything). Needed to see where channel parks — workers
+	// waiting for requests, callers waiting for replies — spend their time.
 	BlockProfileRate int
 	// MutexProfileFraction, when > 0, is passed to
 	// runtime.SetMutexProfileFraction (sample 1/n of contended mutex

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"ugache/internal/core"
 	"ugache/internal/flight"
 	"ugache/internal/platform"
+	"ugache/internal/rng"
 	"ugache/internal/timeline"
 )
 
@@ -42,26 +44,44 @@ func admissionSystem(t *testing.T) *core.System {
 	return sys
 }
 
-// TestAdmissionFastFail: with AdmitWait unset, a full ring sheds
-// immediately with ErrOverload, counts the shed, and later-drained requests
-// still complete. The shed reaches the timeline's overload track through the
-// batch records: the batch formed after it carries the new total, and the
-// export renders the counter step and one shed instant from that.
+// TestAdmissionFastFail: a full ring sheds with ErrOverload, and Handle
+// never waits for space: every shed, from any number of goroutines, is
+// already in its channel when Handle returns. The sheds are counted, and the
+// requests queued before them still complete. The sheds reach the timeline's
+// overload track through the batch records: the batch formed after them
+// carries the new total, and the export renders the counter step and one
+// shed instant from that.
 func TestAdmissionFastFail(t *testing.T) {
+	const shedders, perShedder = 4, 25
 	tl := timeline.NewRecorder()
 	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Timeline: tl})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2)
 
-	res := <-srv.Handle(0, []int64{7})
-	if !errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("full ring: got err %v, want ErrOverload", res.Err)
+	var wg sync.WaitGroup
+	for c := 0; c < shedders; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perShedder; i++ {
+				select {
+				case res := <-srv.Handle(0, []int64{int64(c*perShedder + i)}):
+					if !errors.Is(res.Err, ErrOverload) {
+						t.Errorf("full ring: got err %v, want ErrOverload", res.Err)
+					}
+				default:
+					t.Errorf("shedder %d request %d: Handle returned before its shed was in the channel", c, i)
+				}
+			}
+		}(c)
 	}
-	if got := srv.met.rejected.Value(); got != 1 {
-		t.Fatalf("serve_rejected_total = %d, want 1", got)
+	wg.Wait()
+	const sheds = shedders * perShedder
+	if got := srv.met.rejected.Value(); got != sheds {
+		t.Fatalf("serve_rejected_total = %d, want %d", got, sheds)
 	}
 	if got := srv.queues[0].depth(); got != 2 {
-		t.Fatalf("queue depth %d after the shed, want 2", got)
+		t.Fatalf("queue depth %d after the sheds, want 2", got)
 	}
 
 	gate.open()
@@ -82,67 +102,8 @@ func TestAdmissionFastFail(t *testing.T) {
 			newSheds = append(newSheds, ev.Args[0].Val)
 		}
 	}
-	if !slices.Equal(shedTotals, []float64{0, 1}) || !slices.Equal(newSheds, []float64{1}) {
-		t.Fatalf("overload track: shed_total samples %v, shed instants %v; want [0 1] and [1]", shedTotals, newSheds)
-	}
-}
-
-// TestAdmitWaitAdmits: a bounded-wait admission parked on a full ring is
-// admitted once the worker's flushes free space, and the late admit is
-// counted.
-func TestAdmitWaitAdmits(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: time.Minute})
-	parked := parkWorker(t, srv, gate)
-	queued := fillRing(t, srv, 2)
-
-	// The worker may only be let go once the admission below has found the
-	// ring full. The space-token slot holds one token and only an admission
-	// whose push already failed receives from it, so a second blocking send
-	// completing proves that point was passed. The tokens themselves are
-	// harmless: the admitter retries, finds the ring still full, parks again.
-	go func() {
-		space := srv.queues[0].space
-		space <- struct{}{}
-		space <- struct{}{}
-		gate.open()
-	}()
-	res := <-srv.Handle(0, []int64{9})
-	if res.Err != nil {
-		t.Fatalf("bounded-wait admission failed: %v", res.Err)
-	}
-	if got := srv.met.admitWaitAdmitted.Value(); got != 1 {
-		t.Fatalf("serve_admit_wait_admitted_total = %d, want 1", got)
-	}
-	if got := srv.met.rejected.Value(); got != 0 {
-		t.Fatalf("serve_rejected_total = %d, want 0", got)
-	}
-	for _, ch := range append([]<-chan Result{parked}, queued...) {
-		if r := <-ch; r.Err != nil {
-			t.Fatalf("queued request failed: %v", r.Err)
-		}
-	}
-}
-
-// TestAdmitWaitExpires: with the worker held nothing frees space, so a
-// bounded wait sheds with ErrOverload once its deadline fires.
-func TestAdmitWaitExpires(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, AdmitWait: 50 * time.Millisecond})
-	parked := parkWorker(t, srv, gate)
-	queued := fillRing(t, srv, 2)
-
-	start := time.Now()
-	res := <-srv.Handle(0, []int64{3})
-	if !errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("expired bounded wait: got err %v, want ErrOverload", res.Err)
-	}
-	if waited := time.Since(start); waited < 40*time.Millisecond || waited > 5*time.Second {
-		t.Fatalf("bounded wait lasted %v, want ~50ms", waited)
-	}
-	gate.open()
-	for _, ch := range append([]<-chan Result{parked}, queued...) {
-		if r := <-ch; r.Err != nil {
-			t.Fatalf("queued request failed: %v", r.Err)
-		}
+	if !slices.Equal(shedTotals, []float64{0, sheds}) || !slices.Equal(newSheds, []float64{sheds}) {
+		t.Fatalf("overload track: shed_total samples %v, shed instants %v; want [0 %d] and [%d]", shedTotals, newSheds, sheds, sheds)
 	}
 }
 
@@ -196,75 +157,69 @@ func TestDrainCoalesces(t *testing.T) {
 
 // TestOverloadCloseFlood is the shutdown/overload interaction test: many
 // goroutines flood Handle against deliberately tiny queues while Close races
-// them, in both fast-fail and bounded-wait admission modes. No caller may be
-// stranded, Close must return promptly, and every accepted-before-Close
-// request must get a Result. Run with -race.
+// them, entering after a seeded number of scheduler yields so the rounds
+// land at different points of the flood. No caller may be stranded, Close
+// must return promptly, and every accepted-before-Close request must get a
+// Result. Run with -race.
 func TestOverloadCloseFlood(t *testing.T) {
-	sys := admissionSystem(t)
-	for _, mode := range []struct {
-		name      string
-		admitWait time.Duration
-	}{
-		{"fast-fail", 0},
-		{"bounded-wait", 2 * time.Millisecond},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for round := 0; round < 10; round++ {
-				srv, err := New(sys, Config{
-					MaxBatchKeys: 8,
-					QueueDepth:   2,
-					AdmitWait:    mode.admitWait,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				const clients = 8
-				const perClient = 50
-				var chans [clients * perClient]<-chan Result
-				var wg sync.WaitGroup
-				start := make(chan struct{})
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						<-start
-						for i := 0; i < perClient; i++ {
-							chans[c*perClient+i] = srv.Handle((c+i)%sys.P.N, []int64{int64(i % 200)})
-						}
-					}(c)
-				}
-				closed := make(chan time.Duration, 1)
-				go func() {
+	// Admission is fast-fail: a full queue sheds with ErrOverload at once.
+	t.Run("fast-fail", func(t *testing.T) {
+		sys := admissionSystem(t)
+		yields := rng.New(37)
+		for round := 0; round < 10; round++ {
+			srv, err := New(sys, Config{MaxBatchKeys: 8, QueueDepth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const clients = 8
+			const perClient = 50
+			var chans [clients * perClient]<-chan Result
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
 					<-start
-					time.Sleep(time.Duration(round*37) * time.Microsecond)
-					t0 := time.Now()
-					srv.Close()
-					closed <- time.Since(t0)
-				}()
-				close(start)
-				wg.Wait()
-				select {
-				case d := <-closed:
-					if d > 5*time.Second {
-						t.Fatalf("Close took %v under flood", d)
+					for i := 0; i < perClient; i++ {
+						chans[c*perClient+i] = srv.Handle((c+i)%sys.P.N, []int64{int64(i % 200)})
 					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("Close stalled under flood")
+				}(c)
+			}
+			closed := make(chan time.Duration, 1)
+			n := yields.Intn(64 * (round + 1))
+			go func() {
+				<-start
+				for i := 0; i < n; i++ {
+					runtime.Gosched()
 				}
-				deadline := time.After(10 * time.Second)
-				for i, ch := range chans {
-					select {
-					case res := <-ch:
-						if res.Err != nil && !errors.Is(res.Err, ErrClosed) && !errors.Is(res.Err, ErrOverload) {
-							t.Fatalf("round %d request %d: unexpected error %v", round, i, res.Err)
-						}
-					case <-deadline:
-						t.Fatalf("round %d: request %d stranded", round, i)
+				t0 := time.Now()
+				srv.Close()
+				closed <- time.Since(t0)
+			}()
+			close(start)
+			wg.Wait()
+			select {
+			case d := <-closed:
+				if d > 5*time.Second {
+					t.Fatalf("Close took %v under flood", d)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close stalled under flood")
+			}
+			deadline := time.After(10 * time.Second)
+			for i, ch := range chans {
+				select {
+				case res := <-ch:
+					if res.Err != nil && !errors.Is(res.Err, ErrClosed) && !errors.Is(res.Err, ErrOverload) {
+						t.Fatalf("round %d request %d: unexpected error %v", round, i, res.Err)
 					}
+				case <-deadline:
+					t.Fatalf("round %d: request %d stranded", round, i)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestWindowPoolable pins the prefetch pool's retention bound.

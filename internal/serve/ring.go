@@ -52,7 +52,7 @@ func newRing(capacity int) *mpscRing {
 func (r *mpscRing) capacity() int { return len(r.cells) }
 
 // push attempts to enqueue without blocking. Returns false when the ring is
-// full — the caller decides whether that is a shed or a bounded wait.
+// full, which the caller turns into a shed.
 func (r *mpscRing) push(req *request) bool {
 	pos := r.enq.Load()
 	for {
@@ -103,37 +103,24 @@ func (r *mpscRing) depth() int {
 	return int(d)
 }
 
-// gpuQueue is one GPU's admission state: the ring plus the worker-wakeup and
-// space-freed notification channels. Both channels are buffered(1) token
-// slots — a producer's failed non-blocking send means a token is already
-// pending, and the receiver re-checks the ring after every token, so wakeups
-// are never lost (see the worker loop).
+// gpuQueue is one GPU's admission state: the ring plus the worker-wakeup
+// channel. The channel is a buffered(1) token slot — a producer's failed
+// non-blocking send means a token is already pending, and the worker
+// re-checks the ring after every token, so wakeups are never lost (see the
+// worker loop).
 type gpuQueue struct {
 	*mpscRing
 	notify chan struct{}
-	space  chan struct{}
 }
 
 func newGPUQueue(depth int) *gpuQueue {
-	return &gpuQueue{
-		mpscRing: newRing(depth),
-		notify:   make(chan struct{}, 1),
-		space:    make(chan struct{}, 1),
-	}
+	return &gpuQueue{mpscRing: newRing(depth), notify: make(chan struct{}, 1)}
 }
 
 // wake posts the worker-wakeup token (no-op if one is already pending).
 func (q *gpuQueue) wake() {
 	select {
 	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-// freed posts the space-freed token bounded-wait admitters sleep on.
-func (q *gpuQueue) freed() {
-	select {
-	case q.space <- struct{}{}:
 	default:
 	}
 }

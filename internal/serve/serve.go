@@ -48,11 +48,10 @@ var ErrClosed = errors.New("serve: server closed")
 var ErrBadKey = errors.New("serve: key out of range")
 
 // ErrOverload is returned by requests the admission controller sheds: the
-// destination GPU's queue was full and either the server runs fast-fail
-// admission (Config.AdmitWait == 0) or the bounded wait expired without
-// space freeing up. Overload is a first-class serving state, not a fault —
-// callers are expected to retry with backoff, degrade, or drop, and the
-// shed is counted in serve_rejected_total.
+// destination GPU's queue was full when the request arrived. Overload is a
+// first-class serving state, not a fault — callers are expected to retry
+// with backoff, degrade, or drop, and the shed is counted in
+// serve_rejected_total.
 var ErrOverload = errors.New("serve: overloaded, request shed")
 
 // Config tunes the coalescer.
@@ -63,16 +62,9 @@ type Config struct {
 	// — it leaves as soon as the queue is empty.
 	MaxBatchKeys int
 	// QueueDepth bounds the per-GPU admission ring (default 256, rounded up
-	// to a power of two). A full ring sheds instead of blocking: see
-	// AdmitWait.
+	// to a power of two). A request that finds its ring full is shed at once
+	// with ErrOverload; Handle never waits for space.
 	QueueDepth int
-	// AdmitWait bounds how long an admission may wait for queue space before
-	// shedding with ErrOverload. 0 (the default) is fast-fail admission: a
-	// full ring sheds immediately. A positive value lets Handle park — off
-	// the worker's critical path and outside any lock — until space frees or
-	// the deadline expires, trading a little latency for fewer sheds near
-	// the saturation knee.
-	AdmitWait time.Duration
 
 	// Lookahead enables the prefetch pipeline: L is how many batches ahead
 	// clients announce upcoming keys via Prefetch. Here and in StaleBatches a
@@ -134,9 +126,6 @@ func (c Config) normalize() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.AdmitWait < 0 {
-		c.AdmitWait = 0
 	}
 	if c.Lookahead < 0 {
 		c.Lookahead = 0
@@ -206,13 +195,11 @@ type metrics struct {
 	queueWait     *telemetry.Histogram
 
 	// Admission-control observability (DESIGN.md §6.5): requests shed by
-	// the bounded ring, requests that were admitted only after a bounded
-	// wait, and the last/peak queue depth a worker observed at batch
-	// formation.
-	rejected          *telemetry.Counter
-	admitWaitAdmitted *telemetry.Counter
-	queueDepth        *telemetry.Gauge
-	queueDepthPeak    *telemetry.Gauge
+	// the bounded ring, and the last/peak queue depth a worker observed at
+	// batch formation.
+	rejected       *telemetry.Counter
+	queueDepth     *telemetry.Gauge
+	queueDepthPeak *telemetry.Gauge
 
 	// Fill-source split: every unique key a flush resolves is either a
 	// prefetch hit (served from the staging arena) or a demand miss (paid
@@ -254,10 +241,9 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		latency:   reg.Histogram("serve_request_latency_seconds", "request latency from enqueue to reply", latencyBuckets),
 		queueWait: reg.Histogram("serve_queue_wait_seconds", "queue wait of a batch's first request", latencyBuckets),
 
-		rejected:          reg.Counter("serve_rejected_total", "requests shed by bounded admission (fast-fail or expired bounded wait)"),
-		admitWaitAdmitted: reg.Counter("serve_admit_wait_admitted_total", "requests admitted after a bounded wait on a full queue"),
-		queueDepth:        reg.Gauge("serve_queue_depth_last", "queued requests observed at the last batch formation"),
-		queueDepthPeak:    reg.Gauge("serve_queue_depth_peak", "peak queued requests observed at any batch formation"),
+		rejected:       reg.Counter("serve_rejected_total", "requests shed because their GPU's admission queue was full"),
+		queueDepth:     reg.Gauge("serve_queue_depth_last", "queued requests observed at the last batch formation"),
+		queueDepthPeak: reg.Gauge("serve_queue_depth_peak", "peak queued requests observed at any batch formation"),
 
 		fillPrefetchHit: reg.Counter("serve_fill_prefetch_hit", "unique keys served from the lookahead staging arena"),
 		fillDemandMiss:  reg.Counter("serve_fill_demand_miss", "unique keys paid for by the batch's own demand extraction"),
@@ -294,11 +280,9 @@ type Server struct {
 	// admission pushes under the read lock after checking closed; Close sets
 	// closed under the write lock before closing done. Pushes never block
 	// (bounded rings fail fast), so the write lock is only ever a few
-	// instructions away — Close cannot stall behind parked callers. Taking
-	// the write lock excludes every in-flight push, so once done is closed
-	// no further request can appear and the workers' final drain provably
-	// empties the rings. Bounded waits park outside the lock and re-enter
-	// it per attempt.
+	// instructions away. Taking the write lock excludes every in-flight
+	// push, so once done is closed no further request can appear and the
+	// workers' final drain provably empties the rings.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -388,14 +372,14 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	if tl := cfg.Timeline; tl != nil {
 		// Track names once, at wiring time; the source outlives the server in
 		// the recorder: it holds the rings, not the server and its cache.
-		n := sys.P.N
-		nameTracks(tl, timeline.ProcServe, "serve", "gpu %d worker", n)
-		nameTracks(tl, timeline.ProcOverload, "overload", "gpu %d admission", n)
-		if cfg.Lookahead > 0 {
-			nameTracks(tl, timeline.ProcPrefetch, "prefetch", "gpu %d prefetch", n)
-		}
-		flight.NameLinkFlows(tl, n)
 		trace := s.Trace()
+		trace.NameTracks(tl)
+		if cfg.Lookahead > 0 {
+			tl.SetProcessName(timeline.ProcPrefetch, "prefetch")
+			for g := 0; g < sys.P.N; g++ {
+				tl.SetThreadName(timeline.ProcPrefetch, int32(g), fmt.Sprintf("gpu %d prefetch", g))
+			}
+		}
 		tl.AddSource(func(dst []timeline.Event) []timeline.Event { return trace.AppendSpans(tl, dst) })
 	}
 	for g := range s.queues {
@@ -412,14 +396,6 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// nameTracks names a timeline process group and its one track per GPU.
-func nameTracks(tl *timeline.Recorder, pid int32, process, thread string, gpus int) {
-	tl.SetProcessName(pid, process)
-	for g := 0; g < gpus; g++ {
-		tl.SetThreadName(pid, int32(g), fmt.Sprintf(thread, g))
-	}
-}
-
 // Metrics returns the server's telemetry registry (the one passed in
 // Config.Telemetry, or the private default).
 func (s *Server) Metrics() *telemetry.Registry { return s.tel }
@@ -431,11 +407,11 @@ func (s *Server) Trace() *flight.Trace { return flight.NewTrace(s.rings) }
 // Handle enqueues one request for GPU gpu and returns the channel its Result
 // will arrive on (buffered; the caller need not be ready). The keys slice is
 // not retained past completion but must not be mutated until the result
-// arrives. Admission is bounded: a full queue sheds with ErrOverload (after
-// Config.AdmitWait, when set) instead of blocking the caller. A key outside
-// the table fails this request alone, with ErrBadKey. Every request admitted
-// before Close returns is guaranteed a Result; requests racing Close get
-// ErrClosed.
+// arrives. Handle never blocks: a full queue sheds the request with
+// ErrOverload, already in the returned channel when Handle returns. A key
+// outside the table fails this request alone, with ErrBadKey. Every request
+// admitted before Close returns is guaranteed a Result; requests racing
+// Close get ErrClosed.
 func (s *Server) Handle(gpu int, keys []int64) <-chan Result {
 	out := make(chan Result, 1)
 	if gpu < 0 || gpu >= len(s.queues) {
@@ -462,11 +438,9 @@ func (s *Server) Handle(gpu int, keys []int64) <-chan Result {
 	return out
 }
 
-// admit pushes one request through the bounded admission path: a lock-free
-// ring push under the close fence, then — when Config.AdmitWait allows — a
-// deadline-bounded park on the space-freed signal with a retry per wakeup.
-// Returns nil once the request is queued, ErrOverload on a shed, ErrClosed
-// when the server shut down first.
+// admit pushes one request onto its GPU's ring under the close fence.
+// Returns nil once the request is queued, ErrOverload (a counted shed) when
+// the ring is full, ErrClosed when the server shut down first.
 func (s *Server) admit(gpu int, r *request) error {
 	q := s.queues[gpu]
 	s.closeMu.RLock()
@@ -476,40 +450,11 @@ func (s *Server) admit(gpu int, r *request) error {
 	}
 	ok := q.push(r)
 	s.closeMu.RUnlock()
-	if ok {
-		q.wake()
-		return nil
-	}
-	if s.cfg.AdmitWait <= 0 {
+	if !ok {
 		return s.reject(gpu)
 	}
-	// Bounded wait: park outside the close fence so Close never stalls
-	// behind waiters, re-attempt the push on every space signal, and shed
-	// when the deadline fires. The timer allocation is fine — this is the
-	// overload slow path by definition.
-	timer := time.NewTimer(s.cfg.AdmitWait)
-	defer timer.Stop()
-	for {
-		select {
-		case <-q.space:
-		case <-timer.C:
-			return s.reject(gpu)
-		case <-s.done:
-			return ErrClosed
-		}
-		s.closeMu.RLock()
-		if s.closed {
-			s.closeMu.RUnlock()
-			return ErrClosed
-		}
-		ok := q.push(r)
-		s.closeMu.RUnlock()
-		if ok {
-			q.wake()
-			s.met.admitWaitAdmitted.Add(gpu, 1)
-			return nil
-		}
-	}
+	q.wake()
+	return nil
 }
 
 // reject records one shed and returns ErrOverload.
@@ -533,8 +478,7 @@ func (s *Server) QueueCapacity() int { return s.queues[0].capacity() }
 // Close stops accepting requests, flushes everything already queued, and
 // waits for the workers to exit. Safe to call more than once; concurrent
 // Handle calls either complete normally or observe ErrClosed/ErrOverload —
-// none are stranded, and because admission never blocks inside the close
-// fence (bounded waits park outside it and watch done), Close cannot stall
+// none are stranded, and because admission never blocks, Close cannot stall
 // behind a saturated queue.
 func (s *Server) Close() {
 	s.closeMu.Lock()
@@ -677,9 +621,6 @@ func (s *Server) flushNext(g int, q *gpuQueue, sc *workerScratch, draining bool)
 		QueueDepth: s.observeQueue(q), ShedTotal: s.shed[g].Load(),
 		QueueWaitSeconds: dequeued.Sub(first.enqueued).Seconds()}
 	s.flush(g, batch, sc, dequeued)
-	// The batch formation freed ring space: wake one bounded-wait admitter,
-	// if any are parked.
-	q.freed()
 	return true
 }
 

@@ -23,11 +23,12 @@ import (
 // trace events group tracks by pid; keeping the assignment fixed makes
 // exported pids stable across runs and binaries.
 const (
-	// ProcServe holds the serving engine's span trees, one tid per GPU
-	// worker.
+	// ProcServe holds the serving engine's span trees, one tid per worker:
+	// its ring's index in the flight recorder, which is its GPU on a single
+	// node.
 	ProcServe = 1
 	// ProcSim holds the extraction model's link-flow tracks, one tid per
-	// (GPU, source class) pair.
+	// (worker, source class) pair.
 	ProcSim = 2
 	// ProcControl holds slow-path control spans: cache refresh steps and
 	// solver introspection.
@@ -37,7 +38,7 @@ const (
 	// the prefetch/extraction overlap directly visible against the ProcServe
 	// batch trees in Perfetto.
 	ProcPrefetch = 4
-	// ProcOverload holds the admission-control track, one tid per GPU:
+	// ProcOverload holds the admission-control track, one tid per worker:
 	// queue-depth and cumulative-shed counter series sampled at every batch
 	// formation, plus shed instants, so the onset of overload lines up
 	// visually with the serve batch trees it throttles.

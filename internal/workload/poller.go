@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// generatorStall is how far behind, outside send, DriveOpenLoop must be to
-// conclude that the machine, not the server, stopped it: past the 10 ms the
-// Go scheduler can take to preempt a busy goroutine. idleSleepOver is the gap
-// to the next arrival above which, with nothing outstanding, it sleeps; it
+// generatorStall is how far behind DriveOpenLoop must be to conclude that
+// the machine, not the server, stopped it: past the 10 ms the Go scheduler
+// can take to preempt a busy goroutine. idleSleepOver is the gap to the next
+// arrival above which, with nothing outstanding, it sleeps; it
 // wakes with half of it to spare, which covers a coarse kernel timer.
 // yieldEvery is how many empty polls it makes per yield: a server goroutine
 // that a send just woke goes on the poller's own processor, and the runtime
@@ -36,13 +36,12 @@ const (
 // kernel timer that wakes a sleeping Go process can tick only once a
 // millisecond on a virtual machine, and a driver that late would put its own
 // lag into every latency it reports. A GPU's replies are taken in send order,
-// so only the oldest outstanding one per GPU is polled. send may block, as a
-// bounded admission wait does: that time is the server's, so it stays in the
-// lag and observed latency of what follows. Time lost outside send is not: a
-// driver more than generatorStall behind for it was paused with the whole
-// machine, and firing the backlog at once would overflow the server's
-// admission for the pause's sake, so the rest of the schedule shifts by the
-// time lost, and the count of such stalls is returned.
+// so only the oldest outstanding one per GPU is polled. send must not block
+// (serve.Server.Handle never does), so a driver more than generatorStall
+// behind was paused with the whole machine, and firing the backlog at once
+// would overflow the server's admission for the pause's sake: the rest of
+// the schedule shifts by the time lost, and the count of such stalls is
+// returned.
 func DriveOpenLoop[R any](ctx context.Context, gens []*OpenLoop, span time.Duration,
 	send func(gpu int, keys []int64) <-chan R, settle func(gpu int, reply R, lag, observed time.Duration)) (stalls int) {
 	type pending struct {
@@ -55,7 +54,7 @@ func DriveOpenLoop[R any](ctx context.Context, gens []*OpenLoop, span time.Durat
 	}
 	queues := make([][]pending, len(gens))
 	outstanding, empty, start := 0, 0, time.Now()
-	var shift, blocked time.Duration // blocked: in send since the driver was last on time
+	var shift time.Duration
 	for ctx.Err() == nil {
 		polled := outstanding
 		for g, q := range queues {
@@ -80,19 +79,16 @@ func DriveOpenLoop[R any](ctx context.Context, gens []*OpenLoop, span time.Durat
 		}
 		if g >= 0 {
 			wait := next[g].At + shift - time.Since(start)
-			if lost := -wait - blocked; lost > generatorStall {
-				shift, stalls = shift+lost, stalls+1
+			if -wait > generatorStall {
+				shift, stalls = shift-wait, stalls+1
 			}
 			if wait <= 0 {
 				p := pending{intended: next[g].At + shift}
-				now := time.Since(start)
-				p.lag, p.reply = now-p.intended, send(g, append([]int64(nil), next[g].Keys...))
-				blocked += time.Since(start) - now
+				p.lag, p.reply = time.Since(start)-p.intended, send(g, append([]int64(nil), next[g].Keys...))
 				queues[g], outstanding = append(queues[g], p), outstanding+1
 				gens[g].Next(&next[g])
 				continue
 			}
-			blocked = 0
 			if outstanding == 0 && wait > idleSleepOver {
 				select {
 				case <-time.After(wait - idleSleepOver/2):

@@ -223,8 +223,8 @@ type ServeResult = serve.Result
 type ServeStats = serve.Stats
 
 // Admission outcomes (DESIGN.md §6.5): a request against a full bounded
-// queue is shed with ErrOverload (immediately, or after ServeConfig's
-// AdmitWait bound); requests racing shutdown observe ErrClosed; a request
+// queue is shed at once with ErrOverload (Handle never blocks; retry with
+// backoff to wait); requests racing shutdown observe ErrClosed; a request
 // naming a key outside the table is refused with ErrBadKey before it can
 // share a batch with anyone else's.
 var (
