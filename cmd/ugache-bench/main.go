@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"ugache/internal/bench"
+	"ugache/internal/flight"
 	"ugache/internal/prof"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
@@ -40,7 +41,7 @@ func main() {
 		jsonOut    = flag.String("json-out", "", "write the machine-readable reports of experiments that produce one (e.g. drift, prefetch) to this JSON file")
 		lookahead  = flag.Int("lookahead", 0, "narrow the prefetch experiment's lookahead sweep to {0, L} (0 = default {0, 2, 8})")
 		staleThr   = flag.Int("stale-threshold", 0, "bounded-staleness window S in batches for the prefetch experiment (0 = experiment default 16)")
-		timelineF  = flag.String("timeline", "", "record the experiments' serve, refresh, solver, drift and prefetch tracks and write Chrome trace-event JSON to this file")
+		timelineF  = flag.String("timeline", "", "draw the flight recorders of every experiment run (their serve, refresh, solver, drift and prefetch tracks) on one time axis and write Chrome trace-event JSON to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -84,11 +85,7 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 		reg = telemetry.NewRegistry(8)
 		opt.Telemetry = reg
 	}
-	var tl *timeline.Recorder
-	if timelineF != "" {
-		tl = timeline.NewRecorder()
-		opt.Timeline = tl
-	}
+	var recs []*flight.Recorder // every run's, for -timeline
 	failed := 0
 	jsonReports := map[string]any{}
 	for _, name := range names {
@@ -103,6 +100,9 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 		fmt.Printf("### %s (%.1fs)\n\n%s\n", name, time.Since(t0).Seconds(), res.Text)
 		if res.JSON != nil {
 			jsonReports[res.Name] = res.JSON
+		}
+		if timelineF != "" {
+			recs = append(recs, res.Flight...)
 		}
 	}
 	if jsonOut != "" {
@@ -130,12 +130,13 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 			fmt.Printf("### telemetry\n\n%s\n", t.String())
 		}
 	}
-	if tl != nil {
-		if err := writeTimeline(tl, timelineF); err != nil {
+	if timelineF != "" {
+		tracks, events := flight.Draw(recs...)
+		if err := writeTimeline(timelineF, tracks, events); err != nil {
 			fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
 			failed++
 		} else {
-			fmt.Printf("### timeline\n\nwrote %d spans to %s (open in https://ui.perfetto.dev; fig17 emits the refresh/solver tracks)\n", len(tl.Events()), timelineF)
+			fmt.Printf("### timeline\n\nwrote %d spans to %s (open in https://ui.perfetto.dev; fig17 emits the refresh/solver tracks)\n", len(events), timelineF)
 		}
 	}
 	if failed > 0 {
@@ -155,13 +156,13 @@ func sortedKeys(m map[string]any) []string {
 	return out
 }
 
-// writeTimeline exports the recorder's spans as Chrome trace-event JSON.
-func writeTimeline(tl *timeline.Recorder, path string) error {
+// writeTimeline writes a drawn trace as Chrome trace-event JSON.
+func writeTimeline(path string, tracks timeline.Tracks, events []timeline.Event) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tl.WriteTrace(f); err != nil {
+	if err := timeline.Write(f, tracks, events); err != nil {
 		f.Close()
 		return err
 	}

@@ -98,7 +98,7 @@ func parse(args []string) (options, error) {
 	fs.IntVar(&o.maxBatch, "max-batch", 8192, "cap on one coalesced batch, in pending keys")
 	fs.Uint64Var(&o.seed, "seed", 42, "random seed")
 	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/trace, /debug/timeline, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
-	fs.StringVar(&o.traceOut, "trace-out", "", "record a span timeline and write Chrome trace-event JSON (Perfetto / chrome://tracing) to this file at exit")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the span timeline the flight recorder draws from its rings as Chrome trace-event JSON (Perfetto / chrome://tracing) to this file at exit")
 	fs.StringVar(&o.mode, "refresh-mode", "off", "refresh policy: off, post (one refresh after the client loop), periodic (blind cadence) or drift (re-solve when measured hotness drifts)")
 	fs.Float64Var(&o.driftThr, "drift-threshold", 0, "drift score above which a re-solve triggers (0 = detector default 0.3)")
 	fs.IntVar(&o.checkEvery, "drift-check-every", 0, "batches between drift checks (0 = controller default 32)")
@@ -111,7 +111,7 @@ func parse(args []string) (options, error) {
 	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (per-user key affinity is hash-derived, so millions cost nothing)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth; a request that finds it full is shed with ErrOverload (0 = engine default 256)")
-	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with its SLO watchdog and diagnostic bundles (-trace-out runs the recorder alone: its control ring is the trace's refresh, drift and prefetch tracks; the per-batch records behind /debug/trace are kept either way, 256 deep without either)")
+	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with its SLO watchdog and diagnostic bundles (-trace-out runs the recorder alone: it draws the whole trace, and /debug/timeline, from its rings; the per-batch records behind /debug/trace are kept either way, 256 deep per worker without either)")
 	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches: how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
 	fs.Float64Var(&o.sloP99Ms, "slo-p99-ms", 0, "admitted-request p99 SLO in milliseconds; > 0 arms the watchdog (p99, shed ratio, queue saturation, solve wall, prefetch drops) to write a diagnostic bundle on violation")
 	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (watchdog trips, SIGQUIT, POST /debug/flight/bundle)")

@@ -61,7 +61,7 @@ func run(ctx context.Context, o options, w io.Writer) (err error) {
 
 // engine is one run: what check resolves the flag values to, and what build
 // makes and shutdown takes down — -nodes serving nodes (one, unless it is
-// cluster mode) over one registry, span timeline and flight recorder.
+// cluster mode) over one registry and flight recorder.
 type engine struct {
 	o options
 	w io.Writer
@@ -73,9 +73,8 @@ type engine struct {
 	p       *platform.Platform // one machine's; the clustered twin under -nodes N
 	ds      *workload.DLRDataset
 	reg     *telemetry.Registry
-	tl      *timeline.Recorder // nil without -trace-out or -flight
-	fl      *flight.Recorder   // as tl
-	wd      *flight.Watchdog   // nil without -flight
+	fl      *flight.Recorder // nil without -trace-out or -flight
+	wd      *flight.Watchdog // nil without -flight
 	health  *telemetry.Health
 	nodes   []*cluster.Node
 	front   *cluster.Front // nil with one node
@@ -178,19 +177,16 @@ func (e *engine) build() (err error) {
 		return err
 	}
 
-	// One registry, timeline and flight recorder shared by the core
-	// (extraction tiers, refresh), every node's serving engine and the router,
-	// so /metrics, the trace and a bundle show the whole run. The two
-	// recorders come as a pair: the timeline draws every track from the
-	// flight recorder's rings, and -flight keeps the timeline on even without
-	// -trace-out, since a bundle dumps the trace drawn from those rings and
-	// its exemplar batch resolves into that trace's span trees.
+	// One registry and flight recorder shared by the core (extraction tiers,
+	// refresh), every node's serving engine and the router, so /metrics, the
+	// trace and a bundle show the whole run. The recorder draws the trace
+	// from its rings, so -trace-out runs it even under -flight=false, and
+	// -flight keeps it for the trace a bundle dumps, whose exemplar batch
+	// resolves into that trace's span trees.
 	workers := p.N * o.nodes
 	e.reg = telemetry.NewRegistry(workers)
 	if o.traceOut != "" || o.flight {
-		e.tl = timeline.NewRecorder()
 		e.fl = flight.NewRecorder(workers, o.flightDepth)
-		e.fl.DrawControl(e.tl)
 	}
 	if e.post || e.mode != core.RefreshOff {
 		e.sampler = cache.NewHotnessSampler(ds.NumEntries(), 1)
@@ -243,7 +239,6 @@ func (e *engine) build() (err error) {
 			Telemetry:    e.reg,
 			Sampler:      e.sampler,
 			Controller:   e.ctrl,
-			Timeline:     e.tl,
 			Flight:       e.fl,
 			Lookahead:    o.lookahead,
 			StaleBatches: o.staleThr,
@@ -279,7 +274,13 @@ func (e *engine) build() (err error) {
 	// The watchdog rides the flight recorder: -slo-p99-ms > 0 arms the full
 	// SLO signal set (bundles on sustained violation); otherwise the recorder
 	// still runs and manual triggers (SIGQUIT, the /debug endpoint) work.
-	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: srv.Trace(), Timeline: e.tl, Health: e.health, EnablePprof: o.pprofOn}
+	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: srv.Trace(), Health: e.health, EnablePprof: o.pprofOn}
+	if e.fl != nil {
+		// Every node's rings. Assigned only when there is a recorder: a
+		// typed-nil *Recorder in the interface would pass the handler's nil
+		// check.
+		hcfg.Trace, hcfg.Timeline = e.fl.Trace(), e.fl
+	}
 	if o.flight {
 		slo, armed := flight.SLO{}, "disarmed (SIGQUIT or POST /debug/flight/bundle for a manual bundle)"
 		if o.sloP99Ms > 0 {
@@ -297,7 +298,7 @@ func (e *engine) build() (err error) {
 			Registry:      e.reg,
 			Recorder:      e.fl,
 			QueueCapacity: srv.QueueCapacity(),
-			Bundle:        flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg, Timeline: e.tl},
+			Bundle:        flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg},
 			OnBundle: func(path string, err error) {
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "ugache-serve: flight bundle: %v\n", err)
@@ -324,9 +325,8 @@ func (e *engine) build() (err error) {
 				e.wd.TriggerBundle("sigquit") // OnBundle says where it went, or why not
 			}
 		}()
-		// Every node's rings, and the watchdog — assigned only when there is one:
-		// a typed-nil *Watchdog in the interface would pass the handler's nil check.
-		hcfg.Trace, hcfg.Flight = e.fl.Trace(), e.wd
+		// The watchdog, assigned only when there is one, as the recorder.
+		hcfg.Flight = e.wd
 	}
 	e.health.SetReady(true)
 
@@ -397,9 +397,10 @@ func (e *engine) shutdown(ctx context.Context) error {
 	}
 	var errs []error
 	if e.o.traceOut != "" {
-		err := writeFile(e.o.traceOut, e.tl.WriteTrace)
+		tracks, events := flight.Draw(e.fl)
+		err := writeFile(e.o.traceOut, func(f io.Writer) error { return timeline.Write(f, tracks, events) })
 		if err == nil {
-			fmt.Fprintf(w, "timeline:          %d spans -> %s (open in https://ui.perfetto.dev)\n", len(e.tl.Events()), e.o.traceOut)
+			fmt.Fprintf(w, "timeline:          %d spans -> %s (open in https://ui.perfetto.dev)\n", len(events), e.o.traceOut)
 		}
 		errs = append(errs, err)
 	}

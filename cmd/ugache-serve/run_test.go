@@ -335,6 +335,46 @@ func TestClusterSharesTheSetUp(t *testing.T) {
 	}
 }
 
+// TestClusterTraceWithoutWatchdog: under -flight=false, -trace-out still
+// runs the shared recorder, so /debug/trace serves every node's batch
+// records from it, one per batch served, as /debug/timeline draws them.
+func TestClusterTraceWithoutWatchdog(t *testing.T) {
+	t.Parallel()
+	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -flight=false -trace-out TMP/trace.json -listen 127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := newOutput()
+	done := make(chan error, 1)
+	go func() { done <- runArgs(ctx, args, t.TempDir(), out) }()
+	base := "http://" + out.waitFor(t, `telemetry: +http://([^/]+)/metrics`)[1]
+	out.waitFor(t, `run complete; telemetry still live`)
+
+	_, body := get(t, base+"/metrics")
+	m := regexp.MustCompile(`(?m)^serve_batches_total (\d+)$`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("/metrics has no serve_batches_total:\n%s", body)
+	}
+	batches, _ := strconv.Atoi(m[1])
+	_, body = get(t, base+"/debug/trace")
+	var records []json.RawMessage
+	if err := json.Unmarshal([]byte(body), &records); err != nil {
+		t.Fatalf("/debug/trace: %v", err)
+	}
+	_, body = get(t, base+"/debug/timeline")
+	rep, err := timeline.Validate(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("/debug/timeline: %v", err)
+	}
+	spans := rep.Names[timeline.ProcName{PID: timeline.ProcServe, Name: "batch"}]
+	if len(records) != batches || spans != batches {
+		t.Errorf("/debug/trace holds %d records and /debug/timeline %d batch spans; serve_batches_total = %d", len(records), spans, batches)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+}
+
 // TestCancelMidOpenLoop cancels the context while the poller is offering
 // load: run stops it, shuts down as a finished run does, and returns nil —
 // what a SIGINT does to the command.

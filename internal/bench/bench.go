@@ -18,7 +18,6 @@ import (
 	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
 // Options tunes an experiment run.
@@ -42,12 +41,6 @@ type Options struct {
 	// experiment builds so the caller can render the accumulated samples
 	// after the run. Nil (the default) leaves instrumentation disabled.
 	Telemetry *telemetry.Registry
-	// Timeline, when non-nil, receives a Chrome trace (cmd/ugache-bench
-	// -timeline): the serving engines an experiment builds record into it,
-	// and it draws the control ring of every flight recorder an experiment
-	// hands its core systems — their refreshes, solves, drift checks and
-	// prefetch windows (see flight).
-	Timeline *timeline.Recorder
 	// Lookahead, when positive, narrows the prefetch experiment's sweep to
 	// {0, Lookahead} instead of the default {0, 2, 8} (cmd/ugache-bench
 	// -lookahead).
@@ -59,6 +52,9 @@ type Options struct {
 
 	// plan, when non-nil, marks a planning pass (see matrix).
 	plan *plan
+	// flights, when non-nil, collects the flight recorders a Run makes
+	// (Result.Flight). The experiments that make one make them in turn.
+	flights *[]*flight.Recorder
 }
 
 func (o Options) normalize() Options {
@@ -74,12 +70,12 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// flight returns a flight recorder of workers rings depth deep whose control
-// ring the run's timeline draws, when there is one.
+// flight returns a flight recorder of workers rings depth deep, noted in
+// the run's Result.Flight.
 func (o Options) flight(workers, depth int) *flight.Recorder {
 	fl := flight.NewRecorder(workers, depth)
-	if o.Timeline != nil {
-		fl.DrawControl(o.Timeline)
+	if o.flights != nil {
+		*o.flights = append(*o.flights, fl)
 	}
 	return fl
 }
@@ -97,6 +93,11 @@ type Result struct {
 	// JSON, when non-nil, is a machine-readable report of the same run
 	// (cmd/ugache-bench -json-out marshals it; BENCH_drift.json is one).
 	JSON any
+	// Flight holds the flight recorders the run handed its core systems and
+	// serving engines, in the order it made them: their refreshes, solves,
+	// drift checks, prefetch windows and batches, which flight.Draw draws
+	// (cmd/ugache-bench -timeline).
+	Flight []*flight.Recorder
 }
 
 // Experiment is a registry entry.
@@ -140,7 +141,13 @@ func Run(name string, opt Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have: %s)", name, strings.Join(Names(), ", "))
 	}
-	return exp.Run(opt.normalize())
+	var recs []*flight.Recorder
+	opt.flights = &recs
+	res, err := exp.Run(opt.normalize())
+	if res != nil {
+		res.Flight = recs
+	}
+	return res, err
 }
 
 // serverSet returns the evaluation platforms, trimmed under Quick.

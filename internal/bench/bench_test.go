@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ugache/internal/flight"
+	"ugache/internal/timeline"
 )
 
 // -update re-records testdata/*.golden from this tree (make figures-golden).
@@ -151,6 +155,33 @@ func TestExperimentDeterminism(t *testing.T) {
 		}
 		if a.Text != b.Text {
 			t.Fatalf("%s is nondeterministic", name)
+		}
+	}
+}
+
+// TestRunHandsBackItsRecorders is ugache-bench -timeline's path: fig17 run
+// through Run hands back the flight recorder it made, and its draw is a
+// valid trace holding the figure's two refreshes with their solves.
+func TestRunHandsBackItsRecorders(t *testing.T) {
+	res, err := Run("fig17", quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Flight) != 1 {
+		t.Fatalf("fig17 handed back %d flight recorders, want 1", len(res.Flight))
+	}
+	tracks, events := flight.Draw(res.Flight...)
+	var buf bytes.Buffer
+	if err := timeline.Write(&buf, tracks, events); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := timeline.Validate(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"refresh", "refresh-solve", "policy-solve"} {
+		if n := rep.Names[timeline.ProcName{PID: timeline.ProcControl, Name: name}]; n != 2 {
+			t.Errorf("the trace holds %d %s spans, want one per refresh: 2", n, name)
 		}
 	}
 }

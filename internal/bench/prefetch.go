@@ -77,7 +77,6 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 		Flight:       fl,
 		Lookahead:    lookahead,
 		StaleBatches: stale,
-		Timeline:     o.Timeline,
 	})
 	if err != nil {
 		return rep, err

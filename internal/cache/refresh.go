@@ -52,8 +52,8 @@ func (s *System) SetTelemetry(reg *telemetry.Registry) {
 // Record returns the report as the refresh's flight control record, stamped
 // now: the measured solve, the Fig. 17 layout, the wall seconds since
 // trigger (the solve's start) and pl's storage summary — everything the
-// timeline's solver and refresh tracks are drawn from
-// (flight.Recorder.DrawControl). The caller sets Seq.
+// trace's solver and refresh tracks are drawn from (flight.Draw). The
+// caller sets Seq.
 func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight.Event {
 	var wall, estMax float64
 	if st := rep.Solve; st != nil {

@@ -344,14 +344,13 @@ func TestHotnessSamplerSharesProfileEstimator(t *testing.T) {
 }
 
 // drawn returns the spans a trace draws from rep's flight record: the one
-// store of a refresh's Fig. 17 layout (flight.Recorder.DrawControl).
+// store of a refresh's Fig. 17 layout (flight.Draw).
 func drawn(rep *RefreshReport, pl *solver.Placement) []timeline.Event {
 	fl := flight.NewRecorder(1, 8)
 	e := rep.Record(pl, time.Now())
 	fl.RecordControl(&e)
-	tl := timeline.NewRecorder()
-	fl.DrawControl(tl)
-	return tl.Events()
+	_, events := flight.Draw(fl)
+	return events
 }
 
 // TestRefreshTimelineSpans checks a refresh's record draws the Fig.-17 span

@@ -18,8 +18,8 @@ import (
 	"ugache/internal/workload"
 )
 
-// TestTraceCountsEqualRecordCounts: the timeline stores nothing; every track
-// is drawn from a flight record at export. So a traced two-node run — node 0
+// TestTraceCountsEqualRecordCounts: the trace stores nothing; every track
+// is drawn from a flight record (flight.Draw). So a traced two-node run — node 0
 // with a drift-triggered refresh controller and lookahead prefetch, both
 // nodes sending legs across the router — draws exactly what its rings hold,
 // kind by kind: a batch tree per batch record and a link flow per source
@@ -40,8 +40,6 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := flight.NewRecorder(2*p.N, 1024)
-	tl := timeline.NewRecorder()
-	fl.DrawControl(tl)
 	reg := telemetry.NewRegistry(p.N)
 	ring := MustRing(2, DefaultVnodes, 1)
 
@@ -58,7 +56,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		placement = sys.Placement()
-		cfg := serve.Config{MaxBatchKeys: kpb, Telemetry: reg, Timeline: tl, Flight: fl}
+		cfg := serve.Config{MaxBatchKeys: kpb, Telemetry: reg, Flight: fl}
 		if i == 0 {
 			refresh := cache.DefaultRefreshConfig()
 			refresh.BatchEntries = 500
@@ -141,7 +139,8 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 
 	got := map[timeline.ProcName]int{}
 	var flowBytes, requests float64
-	for _, ev := range tl.Events() {
+	_, events := flight.Draw(fl)
+	for _, ev := range events {
 		k := timeline.ProcName{PID: int64(ev.PID), Name: ev.Name}
 		if want[k] == 0 {
 			continue
@@ -166,7 +165,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tl.WriteTrace(&buf); err != nil {
+	if err := fl.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := timeline.Validate(&buf); err != nil {

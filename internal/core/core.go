@@ -80,8 +80,8 @@ type Config struct {
 	// Refresh (cache.RefreshReport.Record: the solve, the applied delta and
 	// its Fig. 17 layout, the placement's storage summary) and every drift
 	// evaluation from an attached controller. They are the only store of
-	// those facts: a timeline draws its control track from the ring
-	// (flight.Recorder.DrawControl).
+	// those facts: the recorder's trace draws its control track from the
+	// ring (flight.Draw).
 	Flight *flight.Recorder
 }
 

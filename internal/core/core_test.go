@@ -342,8 +342,6 @@ func TestRefreshSolveStats(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry(p.N)
 	fl := flight.NewRecorder(1, 8)
-	rec := timeline.NewRecorder()
-	fl.DrawControl(rec)
 	sys, err := Build(Config{
 		Platform:           p,
 		Hotness:            h,
@@ -387,7 +385,8 @@ func TestRefreshSolveStats(t *testing.T) {
 		t.Fatalf("solve wall gauge %g, want %g", vals["cache_refresh_last_solve_wall_seconds"], st.WallSeconds)
 	}
 	var solveSpan *timeline.Event
-	for _, ev := range rec.Events() {
+	_, events := flight.Draw(fl)
+	for _, ev := range events {
 		if ev.Name == "policy-solve" {
 			ev := ev
 			solveSpan = &ev

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
 // BundleConfig describes what a diagnostic bundle captures. Any nil source
@@ -21,14 +20,12 @@ type BundleConfig struct {
 	// Dir is the directory bundles are created under (one timestamped
 	// subdirectory per bundle). Created if missing.
 	Dir string
-	// Recorder supplies flight.jsonl (the drained event rings).
+	// Recorder supplies flight.jsonl (the drained event rings) and
+	// timeline.json (the trace drawn from the rings as they are now, the
+	// same Chrome trace-event document /debug/timeline serves).
 	Recorder *Recorder
 	// Registry supplies metrics.json (a full Samples snapshot).
 	Registry *telemetry.Registry
-	// Timeline supplies timeline.json (the trace drawn from the rings as
-	// they are now, the same Chrome trace-event document /debug/timeline
-	// serves).
-	Timeline *timeline.Recorder
 	// SkipProfiles omits the goroutine dump and heap profile — tests use it
 	// to keep bundle writing fast; production bundles always want both.
 	SkipProfiles bool
@@ -109,16 +106,11 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exem
 		return nil
 	}
 
-	var mark []uint64
 	if cfg.Recorder != nil {
-		mark = cfg.Recorder.mark()
-	}
-	if cfg.Timeline != nil {
-		if err := writeFile(TimelineFile, cfg.Timeline.WriteTrace); err != nil {
+		mark := cfg.Recorder.mark()
+		if err := writeFile(TimelineFile, cfg.Recorder.WriteTrace); err != nil {
 			return "", err
 		}
-	}
-	if cfg.Recorder != nil {
 		man.Exemplar = cfg.Recorder.exemplar(exemplarSince, mark)
 		lines := cfg.Recorder.lines(0, mark)
 		man.FlightEvents = len(lines)

@@ -10,17 +10,7 @@ import (
 	"time"
 
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
-
-// spanTimeline returns a timeline whose export renders rec's batch trees, as
-// serve.New wires it, and its control records, as ugache-serve does.
-func spanTimeline(rec *Recorder) *timeline.Recorder {
-	tl := timeline.NewRecorder()
-	tl.AddSource(func(dst []timeline.Event) []timeline.Event { return rec.Trace().AppendSpans(tl, dst) })
-	rec.DrawControl(tl)
-	return tl
-}
 
 // stagedBatch is a functional-mode batch on gpu completing in seconds from
 // now (past any span recorder's epoch) whose five stages share lat equally.
@@ -33,7 +23,7 @@ func stagedBatch(gpu int, lat float64, in int) Batch {
 func TestWriteBundleAndValidate(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 32)
-	ring := rec.Claim()
+	ring := rec.Claim(1)[0]
 	skipTo(ring, 17)
 	b := stagedBatch(3, 0.025, 1)
 	ring.Record(&b)
@@ -55,7 +45,6 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		Dir:      dir,
 		Recorder: rec,
 		Registry: reg,
-		Timeline: spanTimeline(rec),
 	}
 	violations := []SignalState{{Name: "admitted_p99_seconds", Short: 0.025, Long: 0.020, Threshold: 0.010, Breached: true}}
 	path, err := WriteBundle(cfg, "slo:admitted_p99_seconds", violations, 0)
@@ -101,8 +90,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 // is not picked.
 func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	rec := NewRecorder(1, 8)
-	ring := rec.Claim()
-	tl := spanTimeline(rec)
+	ring := rec.Claim(1)[0]
 	for i := 0; i < 40; i++ {
 		lat := 0.010 + 0.0001*float64(i%7)
 		switch i {
@@ -114,7 +102,7 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 		b := stagedBatch(0, lat, 1+i)
 		ring.Record(&b)
 	}
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: tl, SkipProfiles: true},
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +118,7 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	// No batch at all: no exemplar, rather than one that dangles.
 	empty := NewRecorder(1, 16)
 	empty.RecordControl(&Event{Kind: KindRefresh, GPU: -1, UnixNanos: 1})
-	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, Timeline: spanTimeline(empty), SkipProfiles: true},
+	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +138,12 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 // in it.
 func TestExemplarResolvesOnItsRing(t *testing.T) {
 	rec := NewRecorder(2, 8)
-	fast, slow := rec.Claim(), rec.Claim()
+	rings := rec.Claim(2)
+	fast, slow := rings[0], rings[1]
 	a, b := stagedBatch(0, 0.010, 1), stagedBatch(0, 0.050, 1)
 	fast.Record(&a)
 	slow.Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true},
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +161,7 @@ func TestWriteBundleSkipProfiles(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
-	rec.Claim().Record(&b)
+	rec.Claim(1)[0].Record(&b)
 	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -199,9 +188,9 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
-	rec.Claim().Record(&b)
+	rec.Claim(1)[0].Record(&b)
 	path, err := WriteBundle(BundleConfig{
-		Dir: dir, Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true,
+		Dir: dir, Recorder: rec, SkipProfiles: true,
 	}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +202,8 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 		t.Fatal(err)
 	}
 	lapped := NewRecorder(1, 8)
-	skipTo(lapped.Claim(), 10)
-	if err := spanTimeline(lapped).WriteTrace(f); err != nil {
+	skipTo(lapped.Claim(1)[0], 10)
+	if err := lapped.WriteTrace(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -228,8 +217,8 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
-	rec.Claim().Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true},
+	rec.Claim(1)[0].Record(&b)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +263,7 @@ func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
 func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	rec.RecordControl(&Event{Kind: KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()})
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, Timeline: spanTimeline(rec), SkipProfiles: true},
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
 		"test", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +275,7 @@ func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := timeline.NewRecorder().WriteTrace(f); err != nil {
+	if err := NewRecorder(1, 8).WriteTrace(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -299,7 +288,7 @@ func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 	dir := t.TempDir()
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
-	rec.Claim().Record(&b)
+	rec.Claim(1)[0].Record(&b)
 	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
 	if err != nil {
 		t.Fatal(err)

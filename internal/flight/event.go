@@ -5,8 +5,10 @@
 // and the Chrome-trace batch span trees and link flows, which are all
 // rendered from it on the read side — and slow-path writers (refresh,
 // drift, prefetch, the cluster router's partial lookups) share a control
-// ring of Events, likewise the one store the timeline's control and
-// prefetch tracks are drawn from (DrawControl). On top sits an SLO watchdog
+// ring of Events, likewise the one store the trace's control and prefetch
+// tracks are drawn from. The recorder owns that trace: Draw renders its
+// rings as Chrome trace events, timed from its creation, and WriteTrace
+// writes them through internal/timeline's format. On top sits an SLO watchdog
 // that evaluates rolling multi-window burn-rate style objectives over the
 // live telemetry and, on a violation, drains everything the post-hoc
 // debugger needs into a self-contained diagnostic bundle (records as JSONL,
@@ -14,7 +16,7 @@
 // heap profile, tied together by a manifest).
 //
 // Where internal/telemetry answers "how many / how long on average" and
-// internal/timeline answers "when, on which track", flight answers "what
+// the trace answers "when, on which track", flight answers "what
 // exactly happened in the seconds before things went wrong" — and it keeps
 // answering after the fact, because recording never stops and tripping the
 // watchdog freezes the evidence on disk (DESIGN.md §6.6).

@@ -1,11 +1,13 @@
 package flight
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // slot is one ring entry, stored entirely in atomic words so a writer and
@@ -28,6 +30,7 @@ type Ring struct {
 	mask  uint64
 	head  atomic.Uint64 // total batches ever written; next slot = head & mask
 	track int32         // the ring's index in its Recorder: its tid on the batch tracks
+	name  string        // its worker's name on those tracks, "gpu 0"; set by Claim
 }
 
 // NewRing returns a ring holding the last depth batches (rounded up to a
@@ -123,11 +126,15 @@ func (r *eventRing) recorded() uint64 {
 
 // Recorder owns one batch ring per serving worker and a shared control ring
 // (refresh / drift / prefetch / partial-lookup events). Every ring holds the
-// last depth records and nothing grows.
+// last depth records and nothing grows. It is the one owner of the Chrome
+// trace (Draw, WriteTrace), whose zero is the recorder's creation.
 type Recorder struct {
 	rings   []*Ring
-	claimed atomic.Int64
 	ctrl    *eventRing
+	created int64 // unix nanos
+
+	mu      sync.Mutex
+	claimed int // rings handed out, rings[:claimed]
 }
 
 // DefaultDepth is the per-ring depth used when NewRecorder is given a
@@ -145,7 +152,7 @@ func NewRecorder(workers, depth int) *Recorder {
 	if depth < 1 {
 		depth = DefaultDepth
 	}
-	r := &Recorder{rings: make([]*Ring, workers)}
+	r := &Recorder{rings: make([]*Ring, workers), created: time.Now().UnixNano()}
 	for i := range r.rings {
 		r.rings[i] = NewRing(depth)
 		r.rings[i].track = int32(i)
@@ -157,15 +164,27 @@ func NewRecorder(workers, depth int) *Recorder {
 // Workers returns the number of per-worker rings.
 func (r *Recorder) Workers() int { return len(r.rings) }
 
-// Claim hands out the next unclaimed worker ring, or nil when every ring has
-// an owner. A ring has exactly one producer for the recorder's lifetime, so
-// a worker claims once and keeps the pointer next to its scratch.
-func (r *Recorder) Claim() *Ring {
-	i := r.claimed.Add(1) - 1
-	if i >= int64(len(r.rings)) {
+// Claim hands one server n unclaimed worker rings at once, ring g for its
+// GPU g, or nil, taking none, when fewer than n are left. A ring has exactly
+// one producer for the recorder's lifetime, so a worker keeps its ring next
+// to its scratch. The trace names the tracks of ring g after its GPU,
+// "gpu g", and past the first server's after its node too, "node k gpu g":
+// servers sharing a recorder are the nodes of one cluster.
+func (r *Recorder) Claim(n int) []*Ring {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n < 1 || r.claimed+n > len(r.rings) {
 		return nil
 	}
-	return r.rings[i]
+	rings := r.rings[r.claimed : r.claimed+n : r.claimed+n]
+	for g, rg := range rings {
+		rg.name = fmt.Sprintf("gpu %d", g)
+		if node := r.claimed / n; node > 0 {
+			rg.name = fmt.Sprintf("node %d %s", node, rg.name)
+		}
+	}
+	r.claimed += n
+	return rings
 }
 
 // Trace returns the read-side view over every worker ring.

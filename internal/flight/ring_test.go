@@ -167,8 +167,9 @@ func TestRecorderSnapshotMergesSorted(t *testing.T) {
 	if rec.Workers() != 2 {
 		t.Fatalf("workers = %d", rec.Workers())
 	}
-	r0, r1 := rec.Claim(), rec.Claim()
-	if r0 == nil || r1 == nil || r0 == r1 || rec.Claim() != nil {
+	rings := rec.Claim(2)
+	r0, r1 := rings[0], rings[1]
+	if r0 == r1 || rec.Claim(1) != nil {
 		t.Fatal("Claim must hand out each ring once, then nil")
 	}
 	b := testBatch(0, 0, 30)
@@ -194,7 +195,7 @@ func TestRecorderSnapshotMergesSorted(t *testing.T) {
 
 func TestRecorderSlowestBatch(t *testing.T) {
 	rec := NewRecorder(2, 8)
-	rings := []*Ring{rec.Claim(), rec.Claim()}
+	rings := rec.Claim(2)
 	for i, lat := range []float64{0.001, 0.050, 0.002} {
 		b := testBatch(i%2, lat, int64(100+i))
 		rings[i%2].Record(&b)
@@ -218,7 +219,7 @@ func TestRecorderSlowestBatch(t *testing.T) {
 
 func TestWriteJSONLParses(t *testing.T) {
 	rec := NewRecorder(1, 8)
-	ring := rec.Claim()
+	ring := rec.Claim(1)[0]
 	skipTo(ring, 9)
 	b := testBatch(0, 0.004, 1)
 	ring.Record(&b)
@@ -372,7 +373,7 @@ func sortedWords(s string) string {
 // TestRecordNoAlloc pins the zero-allocation contract of the recording path.
 func TestRecordNoAlloc(t *testing.T) {
 	rec := NewRecorder(1, 64)
-	ring := rec.Claim()
+	ring := rec.Claim(1)[0]
 	b := testBatch(0, 0.001, 123)
 	if n := testing.AllocsPerRun(1000, func() { ring.Record(&b) }); n != 0 {
 		t.Fatalf("Record allocates %.1f per op, want 0", n)

@@ -2,6 +2,8 @@ package flight
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"time"
 
 	"ugache/internal/timeline"
@@ -12,109 +14,143 @@ import (
 // tiers[i] of the ring on track k are drawn on ProcSim tid k*len(tiers)+i.
 var tiers = [...]string{"local", "remote", "host", "network"}
 
-// NameTracks names the serve, overload and link-flow processes and the
-// tracks t's rings draw on, reading ring g as GPU g's worker, as a server's
-// Trace does: "gpu 0 worker", "gpu 0 admission", "gpu 0 local" and so on. A
-// ring is drawn on the track of its index in the recorder, so servers that
-// share one recorder draw apart; the tracks of every server after the first
-// are named after its node, "node 1 gpu 0 worker".
-func (t *Trace) NameTracks(tl *timeline.Recorder) {
-	tl.SetProcessName(timeline.ProcServe, "serve")
-	tl.SetProcessName(timeline.ProcOverload, "overload")
-	tl.SetProcessName(timeline.ProcSim, "link flows")
-	for g, r := range t.rings {
-		gpu := fmt.Sprintf("gpu %d", g)
-		if node := int(r.track) / len(t.rings); node > 0 {
-			gpu = fmt.Sprintf("node %d %s", node, gpu)
+// Draw draws what recs hold as one Chrome trace: the names of their tracks
+// and their events, sorted (timeline.Sort), timed from the earliest
+// recorder's creation (an older record draws at 0). Each claimed batch ring
+// draws on its own tracks (see Claim) every held batch: its span tree
+// batch → queue-wait / coalesce / extract / gather / reply (the root's seq
+// arg is the column an Exemplar resolves through), one link-flow span per
+// source class it read from, from its extract stage, and its overload
+// counters. The control ring draws the Fig. 17 refresh trees, the policy
+// solves, the drift checks and each staged prefetch window's tree. Nothing
+// is stored: a trace reaches exactly as far back as the rings.
+func Draw(recs ...*Recorder) (timeline.Tracks, []timeline.Event) {
+	tracks := timeline.Tracks{Procs: map[int32]string{timeline.ProcControl: "control"}, Threads: map[[2]int32]string{}}
+	name := func(pid, tid int32, s string) { tracks.Threads[[2]int32{pid, tid}] = s }
+	name(timeline.ProcControl, timeline.TIDRefresh, "cache refresh")
+	name(timeline.ProcControl, timeline.TIDSolver, "policy solver")
+	name(timeline.ProcControl, timeline.TIDDrift, "drift detector")
+	zero := int64(math.MaxInt64)
+	for _, r := range recs {
+		zero = min(zero, r.created)
+	}
+	since := func(unixNanos int64) float64 { return max(0, time.Duration(unixNanos-zero).Seconds()) }
+
+	var dst []timeline.Event
+	var buf []Batch
+	for _, r := range recs {
+		r.mu.Lock()
+		rings := r.rings[:r.claimed]
+		r.mu.Unlock()
+		for _, rg := range rings {
+			tracks.Procs[timeline.ProcServe] = "serve"
+			tracks.Procs[timeline.ProcOverload] = "overload"
+			tracks.Procs[timeline.ProcSim] = "link flows"
+			name(timeline.ProcServe, rg.track, rg.name+" worker")
+			name(timeline.ProcOverload, rg.track, rg.name+" admission")
+			for i, tier := range tiers {
+				name(timeline.ProcSim, rg.track*int32(len(tiers))+int32(i), rg.name+" "+tier)
+			}
+			buf = rg.Snapshot(buf[:0])
+			dst = appendBatches(dst, buf, rg.track, since)
 		}
-		tl.SetThreadName(timeline.ProcServe, r.track, gpu+" worker")
-		tl.SetThreadName(timeline.ProcOverload, r.track, gpu+" admission")
-		for i, tier := range tiers {
-			tl.SetThreadName(timeline.ProcSim, r.track*int32(len(tiers))+int32(i), gpu+" "+tier)
+		for _, e := range r.Events() {
+			end := since(e.UnixNanos)
+			switch e.Kind {
+			case KindRefresh:
+				dst = appendRefresh(dst, &e.V, max(0, end-e.V[RefreshWallSeconds]))
+			case KindDrift:
+				ev := timeline.Event{Name: "drift-check", Cat: "refresh", Ph: timeline.PhInstant,
+					PID: timeline.ProcControl, TID: timeline.TIDDrift, Start: end}
+				for i, name := range kindFields[KindDrift] {
+					ev.AddArg(name, e.V[i])
+				}
+				dst = append(dst, ev)
+			case KindPrefetch:
+				tracks.Procs[timeline.ProcPrefetch] = "prefetch"
+				name(timeline.ProcPrefetch, e.GPU, fmt.Sprintf("gpu %d prefetch", e.GPU))
+				dst = appendPrefetch(dst, &e, end)
+			}
 		}
 	}
+	timeline.Sort(dst)
+	return tracks, dst
 }
 
-// AppendSpans renders every held batch as its Chrome-trace events and
-// appends them to dst, on its ring's tracks (see NameTracks): on the serve
-// track the span tree batch → queue-wait / coalesce / extract / gather /
-// reply (the root carries the record's seq, the join column an Exemplar
-// resolves through); on the link-flow tracks one span per source class the
-// batch read from, starting with its extract stage and lasting that class's
-// modelled seconds; and on the overload track the queue-depth and
-// cumulative-shed counter samples taken at batch formation, plus a shed
-// instant wherever the count moved between two consecutive batches of a
-// worker. Register it with tl.AddSource: every track is then derived from
-// the record rings at export time, never stored per flush.
-func (t *Trace) AppendSpans(tl *timeline.Recorder, dst []timeline.Event) []timeline.Event {
-	var buf []Batch
-	for _, r := range t.rings {
-		buf = r.Snapshot(buf[:0])
-		tid := r.track
-		for i := range buf {
-			b := &buf[i]
-			lat := b.LatencySeconds()
-			start := max(0, tl.Since(time.Unix(0, b.UnixNanos))-lat)
-			root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,
-				PID: timeline.ProcServe, TID: tid, Start: start, Dur: lat}
-			root.AddArg("seq", float64(b.Seq))
-			root.AddArg("requests", float64(b.Requests))
-			root.AddArg("requested_keys", float64(b.RequestedKeys))
-			root.AddArg("unique_keys", float64(b.UniqueKeys))
-			root.AddArg("sim_seconds", b.SimSeconds)
-			root.AddArg("fill_reason", float64(b.Reason))
-			root.AddArg("prefetch_hits", float64(b.PrefetchHits))
-			root.AddArg("staleness_batches", float64(b.StaleBatches))
-			dst = append(dst, root)
-			at := start
-			for _, st := range [...]struct {
-				name string
-				dur  float64
-			}{
-				{"queue-wait", b.QueueWaitSeconds}, {"coalesce", b.CoalesceSeconds},
-				{"extract", b.ExtractSeconds}, {"gather", b.GatherSeconds}, {"reply", b.ReplySeconds},
-			} {
-				if st.name != "gather" || st.dur > 0 { // no gather in timing-only mode
-					dst = append(dst, timeline.Event{Name: st.name, Cat: "serve", Ph: timeline.PhSpan,
-						PID: timeline.ProcServe, TID: tid, Start: at, Dur: st.dur})
-				}
-				at += st.dur
-			}
-			extract := start + b.QueueWaitSeconds + b.CoalesceSeconds
-			for i, f := range [...]struct{ bytes, seconds float64 }{
-				{b.LocalBytes, b.LocalSeconds}, {b.RemoteBytes, b.RemoteSeconds},
-				{b.HostBytes, b.HostSeconds}, {b.NetworkBytes, b.NetworkSeconds},
-			} {
-				if f.bytes == 0 {
-					continue
-				}
-				flow := timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan,
-					PID: timeline.ProcSim, TID: tid*int32(len(tiers)) + int32(i), Start: extract, Dur: f.seconds}
-				flow.AddArg("bytes", f.bytes)
-				flow.AddArg("seconds", f.seconds)
-				dst = append(dst, flow)
-			}
+// WriteTrace writes Draw(r) as Chrome trace-event JSON (timeline.Write):
+// /debug/timeline, a bundle's timeline.json, ugache-serve -trace-out.
+func (r *Recorder) WriteTrace(w io.Writer) error {
+	tracks, events := Draw(r)
+	return timeline.Write(w, tracks, events)
+}
 
-			formed := start + b.QueueWaitSeconds
-			depth := timeline.Event{Name: "queue_depth", Cat: "overload", Ph: timeline.PhCounter,
-				PID: timeline.ProcOverload, TID: tid, Start: formed}
-			depth.AddArg("requests", float64(b.QueueDepth))
-			shed := timeline.Event{Name: "shed_total", Cat: "overload", Ph: timeline.PhCounter,
-				PID: timeline.ProcOverload, TID: tid, Start: formed}
-			shed.AddArg("requests", float64(b.ShedTotal))
-			dst = append(dst, depth, shed)
-			before := int64(0) // sheds known before this batch; unknown past the window's edge
-			if i > 0 {
-				before = buf[i-1].ShedTotal
-			} else if b.Seq > 1 {
-				before = b.ShedTotal
+// appendBatches draws one ring's batches, buf, on its tracks tid (see Draw):
+// the serve span tree, the link flows and the overload samples, plus a shed
+// instant wherever the count moved between two consecutive batches.
+func appendBatches(dst []timeline.Event, buf []Batch, tid int32, since func(unixNanos int64) float64) []timeline.Event {
+	for i := range buf {
+		b := &buf[i]
+		lat := b.LatencySeconds()
+		start := max(0, since(b.UnixNanos)-lat)
+		root := timeline.Event{Name: "batch", Cat: "serve", Ph: timeline.PhSpan,
+			PID: timeline.ProcServe, TID: tid, Start: start, Dur: lat}
+		root.AddArg("seq", float64(b.Seq))
+		root.AddArg("requests", float64(b.Requests))
+		root.AddArg("requested_keys", float64(b.RequestedKeys))
+		root.AddArg("unique_keys", float64(b.UniqueKeys))
+		root.AddArg("sim_seconds", b.SimSeconds)
+		root.AddArg("fill_reason", float64(b.Reason))
+		root.AddArg("prefetch_hits", float64(b.PrefetchHits))
+		root.AddArg("staleness_batches", float64(b.StaleBatches))
+		dst = append(dst, root)
+		at := start
+		for _, st := range [...]struct {
+			name string
+			dur  float64
+		}{
+			{"queue-wait", b.QueueWaitSeconds}, {"coalesce", b.CoalesceSeconds},
+			{"extract", b.ExtractSeconds}, {"gather", b.GatherSeconds}, {"reply", b.ReplySeconds},
+		} {
+			if st.name != "gather" || st.dur > 0 { // no gather in timing-only mode
+				dst = append(dst, timeline.Event{Name: st.name, Cat: "serve", Ph: timeline.PhSpan,
+					PID: timeline.ProcServe, TID: tid, Start: at, Dur: st.dur})
 			}
-			if b.ShedTotal > before {
-				inst := timeline.Event{Name: "overload-shed", Cat: "overload", Ph: timeline.PhInstant,
-					PID: timeline.ProcOverload, TID: tid, Start: formed}
-				inst.AddArg("new_sheds", float64(b.ShedTotal-before))
-				dst = append(dst, inst)
+			at += st.dur
+		}
+		extract := start + b.QueueWaitSeconds + b.CoalesceSeconds
+		for i, f := range [...]struct{ bytes, seconds float64 }{
+			{b.LocalBytes, b.LocalSeconds}, {b.RemoteBytes, b.RemoteSeconds},
+			{b.HostBytes, b.HostSeconds}, {b.NetworkBytes, b.NetworkSeconds},
+		} {
+			if f.bytes == 0 {
+				continue
 			}
+			flow := timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan,
+				PID: timeline.ProcSim, TID: tid*int32(len(tiers)) + int32(i), Start: extract, Dur: f.seconds}
+			flow.AddArg("bytes", f.bytes)
+			flow.AddArg("seconds", f.seconds)
+			dst = append(dst, flow)
+		}
+
+		formed := start + b.QueueWaitSeconds
+		depth := timeline.Event{Name: "queue_depth", Cat: "overload", Ph: timeline.PhCounter,
+			PID: timeline.ProcOverload, TID: tid, Start: formed}
+		depth.AddArg("requests", float64(b.QueueDepth))
+		shed := timeline.Event{Name: "shed_total", Cat: "overload", Ph: timeline.PhCounter,
+			PID: timeline.ProcOverload, TID: tid, Start: formed}
+		shed.AddArg("requests", float64(b.ShedTotal))
+		dst = append(dst, depth, shed)
+		before := int64(0) // sheds known before this batch; unknown past the window's edge
+		if i > 0 {
+			before = buf[i-1].ShedTotal
+		} else if b.Seq > 1 {
+			before = b.ShedTotal
+		}
+		if b.ShedTotal > before {
+			inst := timeline.Event{Name: "overload-shed", Cat: "overload", Ph: timeline.PhInstant,
+				PID: timeline.ProcOverload, TID: tid, Start: formed}
+			inst.AddArg("new_sheds", float64(b.ShedTotal-before))
+			dst = append(dst, inst)
 		}
 	}
 	return dst
@@ -129,37 +165,6 @@ const MaxRefreshStepSpans = 128
 // drawnAs names the span (or instant) each event kind is drawn as; a
 // partial router lookup is not drawn.
 var drawnAs = map[string]string{"refresh": "refresh", "drift": "drift-check", "prefetch": "prefetch-window"}
-
-// DrawControl makes tl draw the control ring at export, the way serve.New
-// registers its batch rings: the control track (the refresh → refresh-solve
-// / refresh-update-step trees of the Fig. 17 duty cycle, the policy solves
-// and the drift checks) and the prefetch track's window trees. The ring is
-// their only store. Call it once per recorder pair, from whoever builds both.
-func (r *Recorder) DrawControl(tl *timeline.Recorder) {
-	tl.SetProcessName(timeline.ProcControl, "control")
-	tl.SetThreadName(timeline.ProcControl, timeline.TIDRefresh, "cache refresh")
-	tl.SetThreadName(timeline.ProcControl, timeline.TIDSolver, "policy solver")
-	tl.SetThreadName(timeline.ProcControl, timeline.TIDDrift, "drift detector")
-	tl.AddSource(func(dst []timeline.Event) []timeline.Event {
-		for _, e := range r.Events() {
-			end := tl.Since(time.Unix(0, e.UnixNanos))
-			switch e.Kind {
-			case KindRefresh:
-				dst = appendRefresh(dst, &e.V, max(0, end-e.V[RefreshWallSeconds]))
-			case KindDrift:
-				ev := timeline.Event{Name: "drift-check", Cat: "refresh", Ph: timeline.PhInstant,
-					PID: timeline.ProcControl, TID: timeline.TIDDrift, Start: end}
-				for i, name := range kindFields[KindDrift] {
-					ev.AddArg(name, e.V[i])
-				}
-				dst = append(dst, ev)
-			case KindPrefetch:
-				dst = appendPrefetch(dst, &e, end)
-			}
-		}
-		return dst
-	})
-}
 
 // appendRefresh draws one refresh record from start, its trigger: the real
 // policy solve on the solver track, and on the refresh track the simulated

@@ -241,7 +241,7 @@ func TestWatchdogExemplarTracksSlowestBatch(t *testing.T) {
 	wd, _, _ := testWatchdog(t, SLO{P99: 10 * time.Millisecond},
 		func(cfg *WatchdogConfig) { cfg.Recorder = rec; cfg.Bundle.Recorder = rec })
 	wd.Tick() // window opens at this snapshot's timestamp
-	ring := rec.Claim()
+	ring := rec.Claim(1)[0]
 	skipTo(ring, 7)
 	b := testBatch(2, 0.080, wd.now().UnixNano())
 	ring.Record(&b)
@@ -257,7 +257,7 @@ func TestTriggerBundleBypassesCooldownAndArming(t *testing.T) {
 	wd, _, _ := testWatchdog(t, SLO{},
 		func(cfg *WatchdogConfig) { cfg.Recorder = rec; cfg.Bundle.Recorder = rec })
 	b := testBatch(0, 0.001, 1)
-	rec.Claim().Record(&b)
+	rec.Claim(1)[0].Record(&b)
 	path, err := wd.TriggerBundle("sigquit")
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestWriteFlightStateJSON(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	wd, _, _ := testWatchdog(t, SLO{P99: time.Millisecond},
 		func(cfg *WatchdogConfig) { cfg.Recorder = rec })
-	ring := rec.Claim()
+	ring := rec.Claim(1)[0]
 	skipTo(ring, 3)
 	b := testBatch(1, 0.002, 5)
 	ring.Record(&b)
@@ -323,7 +323,7 @@ func TestWatchdogConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ring := rec.Claim()
+			ring := rec.Claim(1)[0]
 			for {
 				select {
 				case <-stop:

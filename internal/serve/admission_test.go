@@ -47,14 +47,14 @@ func admissionSystem(t *testing.T) *core.System {
 // TestAdmissionFastFail: a full ring sheds with ErrOverload, and Handle
 // never waits for space: every shed, from any number of goroutines, is
 // already in its channel when Handle returns. The sheds are counted, and the
-// requests queued before them still complete. The sheds reach the timeline's
+// requests queued before them still complete. The sheds reach the trace's
 // overload track through the batch records: the batch formed after them
-// carries the new total, and the export renders the counter step and one
+// carries the new total, and the recorder draws the counter step and one
 // shed instant from that.
 func TestAdmissionFastFail(t *testing.T) {
 	const shedders, perShedder = 4, 25
-	tl := timeline.NewRecorder()
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Timeline: tl})
+	fl := flight.NewRecorder(platform.ServerA().N, 8)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Flight: fl})
 	parked := parkWorker(t, srv, gate)
 	queued := fillRing(t, srv, 2)
 
@@ -93,7 +93,8 @@ func TestAdmissionFastFail(t *testing.T) {
 
 	srv.Close() // both flushes are over: their records are in the ring
 	var shedTotals, newSheds []float64
-	for _, ev := range tl.Events() {
+	_, events := flight.Draw(fl)
+	for _, ev := range events {
 		switch {
 		case ev.PID != timeline.ProcOverload || ev.TID != 0:
 		case ev.Name == "shed_total":

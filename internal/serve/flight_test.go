@@ -18,8 +18,7 @@ import (
 func TestServeFlightEvents(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
 	fl := flight.NewRecorder(sys.P.N, 256)
-	rec := timeline.NewRecorder()
-	srv, err := New(sys, Config{Flight: fl, Timeline: rec})
+	srv, err := New(sys, Config{Flight: fl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestServeFlightEvents(t *testing.T) {
 
 	// Every record resolves into the timeline: a "batch" root span on the
 	// same GPU track carrying a matching seq arg, as long as its latency.
-	spans := rec.Events()
+	_, spans := flight.Draw(fl)
 	for _, b := range batches {
 		found := false
 		for _, sp := range spans {
@@ -213,11 +212,9 @@ func TestServersShareRecorder(t *testing.T) {
 
 // TestServeFlightAllocParity is the acceptance gate for the flight
 // recorder's zero-allocation claim: the steady-state flush path allocates
-// exactly as much with flight recording enabled as without it — and as much
-// again with a timeline attached, which draws from the records at export and
-// leaves the flush path alone.
+// exactly as much with a caller's flight recorder as with the private one.
 func TestServeFlightAllocParity(t *testing.T) {
-	build := func(fl *flight.Recorder, tl *timeline.Recorder) *Server {
+	build := func(fl *flight.Recorder) *Server {
 		sys, err := core.Build(core.Config{
 			Platform:   platform.ServerA(),
 			Hotness:    testHotness(3000, 1.1, 3),
@@ -227,7 +224,7 @@ func TestServeFlightAllocParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl, Timeline: tl})
+		srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,12 +245,9 @@ func TestServeFlightAllocParity(t *testing.T) {
 			}
 		})
 	}
-	off := measure(build(nil, nil))
-	on := measure(build(flight.NewRecorder(4, 1024), nil))
+	off := measure(build(nil))
+	on := measure(build(flight.NewRecorder(4, 1024)))
 	if on > off {
 		t.Fatalf("flight recording adds allocations to the flush path: %.1f with, %.1f without", on, off)
-	}
-	if traced := measure(build(flight.NewRecorder(4, 1024), timeline.NewRecorder())); traced > off {
-		t.Fatalf("a timeline adds allocations to the flush path: %.1f with, %.1f without", traced, off)
 	}
 }

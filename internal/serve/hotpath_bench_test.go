@@ -8,7 +8,6 @@ import (
 	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
-	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
 
@@ -18,7 +17,7 @@ import (
 // batch (MaxBatchKeys 1: every request is its own flush).
 // Results are tracked in BENCH_hotpath.json at the repo root.
 
-func buildBenchServer(b *testing.B, n int, functional bool, fl *flight.Recorder, tl *timeline.Recorder) *Server {
+func buildBenchServer(b *testing.B, n int, functional bool, fl *flight.Recorder) *Server {
 	b.Helper()
 	cfg := core.Config{
 		Platform:   platform.ServerA(),
@@ -38,7 +37,7 @@ func buildBenchServer(b *testing.B, n int, functional bool, fl *flight.Recorder,
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl, Timeline: tl})
+	srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func benchRequests(n int64, reqs, keysPer int, seed uint64) [][]int64 {
 // BenchmarkServeCoalescedTiming is the timing-only serve path: one request
 // per coalesced batch, no functional gather.
 func BenchmarkServeCoalescedTiming(b *testing.B) {
-	srv := buildBenchServer(b, 20000, false, nil, nil)
+	srv := buildBenchServer(b, 20000, false, nil)
 	reqs := benchRequests(20000, 64, 256, 11)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -76,7 +75,7 @@ func BenchmarkServeCoalescedTiming(b *testing.B) {
 // BenchmarkServeCoalescedFunctional is the full serve path: dedup,
 // simulated extraction, functional gather and per-request row fan-out.
 func BenchmarkServeCoalescedFunctional(b *testing.B) {
-	srv := buildBenchServer(b, 20000, true, nil, nil)
+	srv := buildBenchServer(b, 20000, true, nil)
 	reqs := benchRequests(20000, 64, 256, 11)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -92,23 +91,7 @@ func BenchmarkServeCoalescedFunctional(b *testing.B) {
 // (the recorder's zero-allocation contract, also pinned by
 // TestServeFlightAllocParity).
 func BenchmarkServeCoalescedTimingFlight(b *testing.B) {
-	srv := buildBenchServer(b, 20000, false, flight.NewRecorder(4, flight.DefaultDepth), nil)
-	reqs := benchRequests(20000, 64, 256, 11)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.Lookup(0, reqs[i%len(reqs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeCoalescedTimingTraced is the timing path with the flight
-// recorder and a timeline attached, the way ugache-serve runs by default:
-// the timeline draws from the records at export, so the flush path — and
-// its allocs/op — should read as the Flight row's.
-func BenchmarkServeCoalescedTimingTraced(b *testing.B) {
-	srv := buildBenchServer(b, 20000, false, flight.NewRecorder(4, flight.DefaultDepth), timeline.NewRecorder())
+	srv := buildBenchServer(b, 20000, false, flight.NewRecorder(4, flight.DefaultDepth))
 	reqs := benchRequests(20000, 64, 256, 11)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -122,7 +105,7 @@ func BenchmarkServeCoalescedTimingTraced(b *testing.B) {
 // BenchmarkServeCoalescedFunctionalFlight is the full serve path with the
 // flight recorder attached.
 func BenchmarkServeCoalescedFunctionalFlight(b *testing.B) {
-	srv := buildBenchServer(b, 20000, true, flight.NewRecorder(4, flight.DefaultDepth), nil)
+	srv := buildBenchServer(b, 20000, true, flight.NewRecorder(4, flight.DefaultDepth))
 	reqs := benchRequests(20000, 64, 256, 11)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -265,7 +265,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 	// Prefetch workers run concurrently with GPU g's serving worker, so they
 	// must not write its single-producer ring; staged windows are off the
 	// critical path and ride the mutex-guarded control ring, from which a
-	// timeline draws the window and its three stages.
+	// the recorder's trace draws the window and its three stages.
 	end := time.Now()
 	e := flight.Event{Kind: flight.KindPrefetch, GPU: int32(g), UnixNanos: end.UnixNano()}
 	e.V[flight.PrefetchAnnouncedKeys] = float64(announced)

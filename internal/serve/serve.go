@@ -34,7 +34,6 @@ import (
 	"ugache/internal/flight"
 	"ugache/internal/hashtable"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
 // ErrClosed is returned by requests that reach a closed (or closing)
@@ -101,18 +100,11 @@ type Config struct {
 	// Async controller here — a synchronous one would run solves inline on
 	// the flush path.
 	Controller *core.Controller
-	// Timeline, when non-nil, draws every held batch record when the trace
-	// is written: a span tree on the serve track (queue-wait → coalesce →
-	// extract → gather → reply), one link-flow span per source class it read
-	// from, and its overload-track samples (DESIGN.md §6.6). The flush path
-	// does not see it.
-	Timeline *timeline.Recorder
 	// Flight is the recorder whose rings take the batch records (DESIGN.md
-	// §6.6) and whose control ring takes staged prefetch windows — drawn on
-	// the prefetch track by whoever registers that ring with the timeline
-	// (flight.Recorder.DrawControl). Every worker claims a ring of its own,
-	// so a recorder shared between servers must be sized to all their
-	// workers. Nil creates a private recorder, so Trace always works.
+	// §6.6) and whose control ring takes staged prefetch windows; its trace
+	// (flight.Draw) draws them all. The server claims one ring per worker
+	// at once, so a recorder shared between servers must be sized to all
+	// their workers. Nil creates a private recorder, so Trace always works.
 	Flight *flight.Recorder
 }
 
@@ -362,25 +354,9 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	if s.fl == nil {
 		s.fl = flight.NewRecorder(sys.P.N, privateRecordDepth)
 	}
-	s.rings = make([]*flight.Ring, sys.P.N)
-	for g := range s.rings {
-		if s.rings[g] = s.fl.Claim(); s.rings[g] == nil {
-			return nil, fmt.Errorf("serve: flight recorder has no unclaimed ring left for worker %d of %d (it has %d; size it to every worker recording into it)",
-				g, sys.P.N, s.fl.Workers())
-		}
-	}
-	if tl := cfg.Timeline; tl != nil {
-		// Track names once, at wiring time; the source outlives the server in
-		// the recorder: it holds the rings, not the server and its cache.
-		trace := s.Trace()
-		trace.NameTracks(tl)
-		if cfg.Lookahead > 0 {
-			tl.SetProcessName(timeline.ProcPrefetch, "prefetch")
-			for g := 0; g < sys.P.N; g++ {
-				tl.SetThreadName(timeline.ProcPrefetch, int32(g), fmt.Sprintf("gpu %d prefetch", g))
-			}
-		}
-		tl.AddSource(func(dst []timeline.Event) []timeline.Event { return trace.AppendSpans(tl, dst) })
+	if s.rings = s.fl.Claim(sys.P.N); s.rings == nil {
+		return nil, fmt.Errorf("serve: flight recorder has fewer than the %d unclaimed rings its workers need (it has %d; size it to every worker recording into it)",
+			sys.P.N, s.fl.Workers())
 	}
 	for g := range s.queues {
 		s.queues[g] = newGPUQueue(s.cfg.QueueDepth)

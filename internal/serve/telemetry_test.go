@@ -6,9 +6,9 @@ import (
 
 	"ugache/internal/cache"
 	"ugache/internal/core"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
 func sampleValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
@@ -233,7 +233,7 @@ func TestServeTelemetryPrefetchFillSplit(t *testing.T) {
 
 // TestServeTelemetryTraceSampling pins what a flush records: exactly one
 // record into its worker's ring (Recorded() == N after N flushes, and nowhere
-// else), and, with a Timeline attached, the link-flow span of every batch —
+// else), and, the link-flow span its recorder draws of every batch —
 // one each, since a single key is read from a single source class.
 func TestServeTelemetryTraceSampling(t *testing.T) {
 	sys, err := core.Build(core.Config{
@@ -245,8 +245,8 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := timeline.NewRecorder()
-	srv, err := New(sys, Config{MaxBatchKeys: 1, Timeline: tl})
+	fl := flight.NewRecorder(sys.P.N, 256)
+	srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,8 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 	}
 	srv.Close()
 	linkFlows := 0
-	for _, ev := range tl.Events() {
+	_, events := flight.Draw(fl)
+	for _, ev := range events {
 		if ev.Name == "link-flow" {
 			linkFlows++
 		}

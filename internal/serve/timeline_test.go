@@ -4,18 +4,19 @@ import (
 	"bytes"
 	"testing"
 
+	"ugache/internal/flight"
 	"ugache/internal/timeline"
 )
 
-// TestServeTimelineSpans drives a functional server with a timeline
-// recorder attached and checks the exported span trees: every flushed batch
+// TestServeTimelineSpans drives a functional server with a flight recorder
+// attached and checks the span trees it draws: every flushed batch
 // is a parent span with its phase children nested inside, each link flow
 // sits on its GPU's source-class track and starts with that GPU's extract
 // span, and the whole export passes the Chrome trace validator.
 func TestServeTimelineSpans(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
-	rec := timeline.NewRecorder()
-	srv, err := New(sys, Config{Timeline: rec})
+	fl := flight.NewRecorder(sys.P.N, 256)
+	srv, err := New(sys, Config{Flight: fl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestServeTimelineSpans(t *testing.T) {
 	children := map[spanKey]int{}
 	var linkFlows []timeline.Event
 	var root *timeline.Event
-	events := rec.Events()
+	_, events := flight.Draw(fl)
 	for _, ev := range events {
 		ev := ev
 		switch {
@@ -97,7 +98,7 @@ func TestServeTimelineSpans(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
+	if err := fl.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := timeline.Validate(&buf)

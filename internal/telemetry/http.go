@@ -17,8 +17,9 @@ type TraceWriter interface {
 }
 
 // TimelineWriter is anything that can export a Chrome trace-event JSON
-// document — in practice *timeline.Recorder, accepted as an interface so
-// telemetry does not import the timeline package.
+// document — in practice *flight.Recorder, which draws the trace from its
+// rings, accepted as an interface so telemetry does not import the flight
+// package.
 type TimelineWriter interface {
 	WriteTrace(w io.Writer) error
 }

@@ -2,20 +2,21 @@ package timeline
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 )
 
-// WriteTrace renders the events the sources draw as a Chrome trace-event
-// JSON object ({"traceEvents": [...]}) loadable in Perfetto and
-// chrome://tracing. Timestamps and durations are exported in microseconds
-// (the trace-event unit). Output is deterministic for identical drawn
-// events: events are sorted (see Events), track-name metadata is sorted by
-// pid/tid, and floats use shortest-round-trip formatting.
-func (r *Recorder) WriteTrace(w io.Writer) error {
+// Write renders tracks and events, in the order given (see Sort), as a
+// Chrome trace-event JSON object ({"traceEvents": [...]}) loadable in
+// Perfetto and chrome://tracing: the track-name metadata first, sorted by
+// pid and tid, then one line per event. Timestamps and durations are
+// written in microseconds (the trace-event unit), other floats in
+// shortest-round-trip form, so the output is deterministic.
+func Write(w io.Writer, tracks Tracks, events []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -32,46 +33,34 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		return err
 	}
 
-	// Track-name metadata first, in (pid, tid) order.
-	r.mu.Lock()
-	procIDs := make([]int32, 0, len(r.procs))
-	for pid := range r.procs {
-		procIDs = append(procIDs, pid)
+	var procs []int32
+	for pid := range tracks.Procs {
+		procs = append(procs, pid)
 	}
-	threadKeys := make([]int64, 0, len(r.threads))
-	for k := range r.threads {
-		threadKeys = append(threadKeys, k)
+	var threads [][2]int32
+	for k := range tracks.Threads {
+		threads = append(threads, k)
 	}
-	procs := make(map[int32]string, len(r.procs))
-	for k, v := range r.procs {
-		procs[k] = v
-	}
-	threads := make(map[int64]string, len(r.threads))
-	for k, v := range r.threads {
-		threads[k] = v
-	}
-	r.mu.Unlock()
-	sort.Slice(procIDs, func(i, j int) bool { return procIDs[i] < procIDs[j] })
-	sort.Slice(threadKeys, func(i, j int) bool { return threadKeys[i] < threadKeys[j] })
-	for _, pid := range procIDs {
+	slices.Sort(procs)
+	slices.SortFunc(threads, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	for _, pid := range procs {
 		line := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-			pid, quote(procs[pid]))
+			pid, quote(tracks.Procs[pid]))
 		if err := emit([]byte(line)); err != nil {
 			return err
 		}
 	}
-	for _, k := range threadKeys {
-		pid, tid := int32(k>>32), int32(uint32(k))
+	for _, k := range threads {
 		line := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-			pid, tid, quote(threads[k]))
+			k[0], k[1], quote(tracks.Threads[k]))
 		if err := emit([]byte(line)); err != nil {
 			return err
 		}
 	}
 
 	var buf []byte
-	for _, ev := range r.Events() {
-		buf = appendEvent(buf[:0], &ev)
+	for i := range events {
+		buf = appendEvent(buf[:0], &events[i])
 		if err := emit(buf); err != nil {
 			return err
 		}

@@ -1,23 +1,16 @@
-// Package timeline is the time-axis half of the observability stack: a
-// span-based tracing subsystem whose output is the Chrome trace-event JSON
-// consumed by Perfetto and chrome://tracing. Where internal/telemetry
-// answers "how many / how long on average", timeline answers "when, on
-// which track": each coalesced serving batch becomes a span tree
+// Package timeline is the Chrome trace-event format of the observability
+// stack and its validator: the JSON Perfetto and chrome://tracing load. Where
+// internal/telemetry answers "how many / how long on average", a trace
+// answers "when, on which track". The package holds no events and draws
+// none: the flight recorder draws every span from its batch and control
+// rings (flight.Draw) — each coalesced serving batch as a span tree
 // (queue-wait → coalesce → extract → gather → reply) with one link-flow span
-// per source class it read from (§5's per-source core groups), and each
-// cache refresh becomes the Fig. 17 solve/update-step timeline.
-//
-// The package is a renderer, not a store: a Recorder holds track names and
-// sources (AddSource), each of which draws its events from records another
-// layer already keeps — the flight recorder's batch and control rings. Export asks every source and sorts what they drew on demand — a
-// slow-path, read-side operation; nothing is recorded on the hot path.
+// per source class it read from (§5's per-source core groups), each cache
+// refresh as the Fig. 17 solve/update-step timeline — and Write renders what
+// it drew. Validate checks a written trace.
 package timeline
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "sort"
 
 // Conventional process IDs for the span taxonomy (DESIGN.md §6.6). Chrome
 // trace events group tracks by pid; keeping the assignment fixed makes
@@ -86,8 +79,8 @@ type Event struct {
 	Ph   Ph
 	PID  int32
 	TID  int32
-	// Start is seconds since the recorder's epoch (Recorder.Since); it must
-	// be non-negative.
+	// Start is seconds since the trace's zero (the drawing flight
+	// recorder's creation); it must be non-negative.
 	Start float64
 	// Dur is the span length in seconds (PhSpan only).
 	Dur float64
@@ -106,78 +99,19 @@ func (e *Event) AddArg(key string, v float64) {
 	e.NArgs++
 }
 
-// Recorder is the track-name registry and the list of sources of one
-// process's trace. It holds no events: every span is drawn at export from a
-// record some other layer already keeps (the flight recorder's batch and
-// control rings), so a trace reaches exactly as far back as
-// those records. One recorder is shared by every instrumented layer; nil
-// recorders disable tracing at each layer behind a single pointer check.
-type Recorder struct {
-	epoch time.Time
-
-	mu      sync.Mutex
-	procs   map[int32]string
-	threads map[int64]string // pid<<32 | tid
-	sources []func(dst []Event) []Event
+// Tracks names a trace's process groups (Procs, by pid) and the tracks in
+// them (Threads, by pid and tid).
+type Tracks struct {
+	Procs   map[int32]string
+	Threads map[[2]int32]string
 }
 
-// NewRecorder creates a recorder with no tracks and no sources; its epoch,
-// the zero of every exported timestamp, is now.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		epoch:   time.Now(),
-		procs:   make(map[int32]string),
-		threads: make(map[int64]string),
-	}
-}
-
-// AddSource registers a function Events (and so WriteTrace) calls to append
-// the events it renders from its records — the serve batch trees and link
-// flows, the control and prefetch tracks. src must be safe to call from any
-// goroutine.
-func (r *Recorder) AddSource(src func(dst []Event) []Event) {
-	r.mu.Lock()
-	r.sources = append(r.sources, src)
-	r.mu.Unlock()
-}
-
-// Since converts an absolute time into seconds since the recorder's epoch.
-// Times predating the epoch clamp to 0 so Start stays non-negative.
-func (r *Recorder) Since(t time.Time) float64 {
-	d := t.Sub(r.epoch).Seconds()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// SetProcessName names a pid's track group in the exported trace.
-func (r *Recorder) SetProcessName(pid int32, name string) {
-	r.mu.Lock()
-	r.procs[pid] = name
-	r.mu.Unlock()
-}
-
-// SetThreadName names one (pid, tid) track in the exported trace.
-func (r *Recorder) SetThreadName(pid, tid int32, name string) {
-	r.mu.Lock()
-	r.threads[int64(pid)<<32|int64(uint32(tid))] = name
-	r.mu.Unlock()
-}
-
-// Events returns what every source draws, sorted by start time (ties
-// broken by pid, tid, name, duration so the order — and therefore the
-// exported JSON — is deterministic for identical drawn events).
-func (r *Recorder) Events() []Event {
-	var out []Event
-	r.mu.Lock()
-	sources := r.sources[:len(r.sources):len(r.sources)]
-	r.mu.Unlock()
-	for _, src := range sources {
-		out = src(out)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
+// Sort orders events by start time, ties broken by pid, tid, longer
+// duration first (parents before children at equal start) and name, so the
+// written JSON is deterministic for identical events.
+func Sort(events []Event) {
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := &events[i], &events[j]
 		if a.Start != b.Start {
 			return a.Start < b.Start
 		}
@@ -188,9 +122,8 @@ func (r *Recorder) Events() []Event {
 			return a.TID < b.TID
 		}
 		if a.Dur != b.Dur {
-			return a.Dur > b.Dur // parents before children at equal start
+			return a.Dur > b.Dur
 		}
 		return a.Name < b.Name
 	})
-	return out
 }

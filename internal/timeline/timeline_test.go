@@ -5,26 +5,25 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
-// fixedEvents names tracks and registers a source drawing a deterministic
-// event set exercising every phase, every taxonomy pid, args, and name
-// escaping. Starts are explicit, so the wall clock never enters and export
-// is byte-stable.
-func fixedEvents(r *Recorder) {
-	r.SetProcessName(ProcServe, "serve")
-	r.SetProcessName(ProcSim, "fluid-sim links")
-	r.SetProcessName(ProcControl, "control")
-	r.SetThreadName(ProcServe, 0, "gpu 0 worker")
-	r.SetThreadName(ProcServe, 1, "gpu 1 worker")
-	r.SetThreadName(ProcSim, 0, `nvlink "a"-"b"`)
-	r.SetThreadName(ProcControl, TIDRefresh, "cache refresh")
-
+// fixedTrace names tracks and returns, in no particular order, a
+// deterministic event set exercising every phase, every taxonomy pid, args,
+// and name escaping. Starts are explicit, so the wall clock never enters and
+// the output is byte-stable.
+func fixedTrace() (Tracks, []Event) {
+	tracks := Tracks{
+		Procs: map[int32]string{ProcServe: "serve", ProcSim: "fluid-sim links", ProcControl: "control"},
+		Threads: map[[2]int32]string{
+			{ProcServe, 0}: "gpu 0 worker", {ProcServe, 1}: "gpu 1 worker",
+			{ProcSim, 0}: `nvlink "a"-"b"`, {ProcControl, TIDRefresh}: "cache refresh",
+		},
+	}
 	batch := Event{Name: "batch", Cat: "serve", Ph: PhSpan, PID: ProcServe, TID: 0, Start: 0.001, Dur: 0.0025}
 	batch.AddArg("requests", 3)
 	batch.AddArg("unique_keys", 1234)
@@ -38,21 +37,26 @@ func fixedEvents(r *Recorder) {
 	inst.AddArg("omitted_steps", 17)
 	ctr := Event{Name: "queue_depth", Cat: "serve", Ph: PhCounter, PID: ProcServe, TID: 0, Start: 0.002}
 	ctr.AddArg("depth", 5)
-	// Two sources, each drawing in its own order: the export sorts.
-	r.AddSource(func(dst []Event) []Event { return append(dst, batch, child, inst, ctr) })
-	r.AddSource(func(dst []Event) []Event { return append(dst, other, link) })
+	return tracks, []Event{batch, child, inst, ctr, other, link}
+}
+
+// written sorts events and writes them with tracks.
+func written(t *testing.T, tracks Tracks, events []Event) []byte {
+	t.Helper()
+	Sort(events)
+	var buf bytes.Buffer
+	if err := Write(&buf, tracks, events); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestWriteTraceGolden(t *testing.T) {
-	r := NewRecorder()
-	fixedEvents(r)
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
+	tracks, events := fixedTrace()
+	got := written(t, tracks, events)
 	golden := filepath.Join("testdata", "trace.golden.json")
 	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,30 +64,21 @@ func TestWriteTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run go test ./internal/timeline -update-golden to create)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("export differs from golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("export differs from golden file.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	// A second recorder drawing the same events must export identical bytes.
-	r2 := NewRecorder()
-	fixedEvents(r2)
-	var buf2 bytes.Buffer
-	if err := r2.WriteTrace(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("two identical recorders exported different bytes")
+	// The same events in reverse order sort to identical bytes.
+	tracks, events = fixedTrace()
+	slices.Reverse(events)
+	if !bytes.Equal(written(t, tracks, events), want) {
+		t.Fatal("the same events drawn in another order wrote different bytes")
 	}
 }
 
 func TestWriteTraceValidates(t *testing.T) {
-	r := NewRecorder()
-	fixedEvents(r)
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Validate(bytes.NewReader(buf.Bytes()))
+	tracks, events := fixedTrace()
+	rep, err := Validate(bytes.NewReader(written(t, tracks, events)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +120,13 @@ func TestValidateRejectsBadTraces(t *testing.T) {
 }
 
 func TestEventOrdering(t *testing.T) {
-	r := NewRecorder()
 	// Child drawn before parent; equal starts must order parent (longer
 	// dur) first so trace viewers nest correctly.
-	child := Event{Name: "child", Ph: PhSpan, PID: 1, TID: 0, Start: 1, Dur: 0.5}
-	parent := Event{Name: "parent", Ph: PhSpan, PID: 1, TID: 0, Start: 1, Dur: 2}
-	r.AddSource(func(dst []Event) []Event { return append(dst, child, parent) })
-	evs := r.Events()
+	evs := []Event{
+		{Name: "child", Ph: PhSpan, PID: 1, TID: 0, Start: 1, Dur: 0.5},
+		{Name: "parent", Ph: PhSpan, PID: 1, TID: 0, Start: 1, Dur: 2},
+	}
+	Sort(evs)
 	if evs[0].Name != "parent" || evs[1].Name != "child" {
 		t.Fatalf("order %s, %s", evs[0].Name, evs[1].Name)
 	}
@@ -144,15 +139,5 @@ func TestArgOverflowDropsSilently(t *testing.T) {
 	}
 	if ev.NArgs != MaxArgs {
 		t.Fatalf("NArgs %d", ev.NArgs)
-	}
-}
-
-func TestSinceClampsToEpoch(t *testing.T) {
-	r := NewRecorder()
-	if r.Since(time.Now().Add(-time.Hour)) != 0 {
-		t.Fatal("pre-epoch time did not clamp to 0")
-	}
-	if r.Since(time.Now().Add(time.Millisecond)) <= 0 {
-		t.Fatal("future time not positive")
 	}
 }

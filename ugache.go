@@ -284,18 +284,19 @@ type Health = telemetry.Health
 // NewHealth returns a not-ready Health.
 func NewHealth() *Health { return telemetry.NewHealth() }
 
-// TimelineRecorder draws span-based traces of a server (ServeConfig.Timeline:
-// serve batch trees, per-source link flows, admission counters) from the
-// server's batch records and exports Chrome trace-event JSON loadable in
-// Perfetto or chrome://tracing (DESIGN.md §6.6). It stores no events of its
-// own. The refresh, solver, drift, prefetch and router tracks are drawn from
-// a flight recorder's control and dispatch rings, which the façade does not
-// expose.
-type TimelineRecorder = timeline.Recorder
+// FlightRecorder is the flight recorder (DESIGN.md §6.6): constant-memory
+// rings of every served batch and of the control plane's refreshes, solves,
+// drift checks and prefetch windows. Hand it to Config.Flight and
+// ServeConfig.Flight; its WriteTrace draws all of it as Chrome trace-event
+// JSON loadable in Perfetto or chrome://tracing — serve batch trees,
+// per-source link flows, admission counters, and the control and prefetch
+// tracks — timed from the recorder's creation.
+type FlightRecorder = flight.Recorder
 
-// NewTimelineRecorder creates a recorder whose epoch — the zero of every
-// exported timestamp — is now.
-func NewTimelineRecorder() *TimelineRecorder { return timeline.NewRecorder() }
+// NewFlightRecorder creates a recorder with one ring per serving worker
+// (size it to every server it is handed to) plus the control ring, each
+// holding the last depth records (4096 when depth < 1).
+func NewFlightRecorder(workers, depth int) *FlightRecorder { return flight.NewRecorder(workers, depth) }
 
 // ValidateTimeline parses a Chrome trace-event JSON stream and checks the
 // invariants the exporter guarantees; it backs `ugache-trace
