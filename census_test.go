@@ -28,7 +28,6 @@ var censusStructs = []struct{ dir, name string }{
 	{"internal/app", "GNNConfig"},
 	{"internal/core", "Config"},
 	{"internal/core", "ControllerConfig"},
-	{"internal/flight", "WatchdogConfig"},
 	{"internal/flight", "BundleConfig"},
 	{"internal/platform", "Config"},
 	{"internal/bench", "Options"},
@@ -38,12 +37,8 @@ var censusStructs = []struct{ dir, name string }{
 // the same, each with its reason — but for the last, a seam that a test of
 // other behaviour needs.
 var censusAllow = map[string]string{
-	"flight.WatchdogConfig.Interval":    "watchdog tests tick in milliseconds instead of the 200 ms default",
-	"flight.WatchdogConfig.ShortWindow": "watchdog tests fill a burn-rate window in a few ticks",
-	"flight.WatchdogConfig.LongWindow":  "as ShortWindow",
-	"flight.WatchdogConfig.Cooldown":    "watchdog tests trip twice without waiting out the default cooldown",
-	"flight.BundleConfig.SkipProfiles":  "bundle tests skip the heap profile and goroutine dump they do not read",
-	"platform.Config.PairBW":            "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
+	"flight.BundleConfig.SkipProfiles": "bundle tests skip the heap profile and goroutine dump they do not read",
+	"platform.Config.PairBW":           "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
 }
 
 type censusFile struct {
@@ -369,6 +364,51 @@ func TestFuncCensus(t *testing.T) {
 	for id := range funcAllow {
 		if !used[id] {
 			problems = append(problems, id+": on the allowlist, but not an unnamed exported function under internal/")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// sleepAllow lists the test files outside benchmark/ that may call
+// time.Sleep, each with its reason. A sleep that waits for a state is a race
+// with the machine's speed: order by a channel, a counter or a wait group
+// instead, and keep a sleep only where the wall clock is what is tested.
+var sleepAllow = map[string]string{
+	"internal/serve/close_race_test.go": "a random sub-millisecond pause lands Close at a varying point of the Handle storm: the jitter is the test",
+	"internal/workload/poller_test.go":  "TestDriveOpenLoopStall stalls the poller's settle past generatorStall, the wall-clock lag the poller is meant to count",
+	"internal/core/core_test.go":        "a goroutine-leak check polls runtime.NumGoroutine, which has no event to wait on, until it falls back to its count before Build",
+	"cmd/ugache-serve/run_test.go":      "TestCancelMidOpenLoop polls the live /metrics until a request is served, so the cancel lands mid-run",
+}
+
+// TestSleepCensus holds every time.Sleep in a _test.go file outside
+// benchmark/ to sleepAllow.
+func TestSleepCensus(t *testing.T) {
+	var problems []string
+	sleeps := map[string]bool{}
+	for _, f := range parseGo(t, true) {
+		if !f.test || strings.HasPrefix(f.path, "benchmark/") {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+					sleeps[f.path] = true
+				}
+			}
+			return true
+		})
+	}
+	for path := range sleeps {
+		if _, ok := sleepAllow[path]; !ok {
+			problems = append(problems, path+": calls time.Sleep — order the test by a channel, counter or wait group, or give sleepAllow the reason it stays")
+		}
+	}
+	for path := range sleepAllow {
+		if !sleeps[path] {
+			problems = append(problems, path+": on the allowlist, but it calls no time.Sleep — drop the entry")
 		}
 	}
 	sort.Strings(problems)

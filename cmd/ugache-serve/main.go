@@ -8,7 +8,7 @@
 //
 // With -open-loop the clients are replaced by one poller
 // (workload.DriveOpenLoop) that offers every GPU its share of -qps: arrivals
-// are scheduled by -qps alone (Poisson or bursty MMPP), never by completions,
+// are Poisson at -qps, scheduled by the rate alone, never by completions,
 // so the engine can be pushed past its admission knee, where a full queue
 // sheds at once. The run reports sheds and three p50/p99 latencies of the
 // admitted requests: lag (intended arrival to Handle), engine (enqueue to
@@ -22,7 +22,7 @@
 //	ugache-serve -dataset SYN-A -clients 16 -requests 200
 //	ugache-serve -dataset CR -scale 0.1 -ratio 0.08 -max-batch 4096
 //	ugache-serve -refresh-mode post -trace-out trace.json   # Perfetto-loadable spans
-//	ugache-serve -open-loop -qps 200000 -arrivals mmpp -duration 5s
+//	ugache-serve -open-loop -qps 200000 -duration 5s
 //
 // The command is a flag parser (parse) around one function, run (run.go).
 package main
@@ -63,14 +63,12 @@ type options struct {
 
 	openLoop   bool
 	qps        float64
-	arrivals   string
 	users      int64
 	duration   time.Duration
 	queueDepth int
 
 	flight      bool
 	flightDepth int
-	sloP99Ms    float64
 	bundleDir   string
 	metricsOut  string
 	pprofOn     bool
@@ -106,15 +104,13 @@ func parse(args []string) (options, error) {
 	fs.IntVar(&o.lookahead, "lookahead", 0, "lookahead prefetch depth L: clients announce request i+L before issuing request i (0 disables the prefetch pipeline)")
 	fs.IntVar(&o.staleThr, "stale-threshold", 0, "bounded-staleness window S in batches: staged rows from an outgoing placement snapshot stay servable up to S batches past their commit (0 = staged rows die with their snapshot)")
 	fs.BoolVar(&o.openLoop, "open-loop", false, "replace the closed-loop clients with one open-loop poller that offers load at -qps regardless of completions and reports lag (intended arrival -> Handle), engine (enqueue -> reply) and observed (intended arrival -> reply) latency")
-	fs.Float64Var(&o.qps, "qps", 50_000, "open-loop offered request rate across all GPUs")
-	fs.StringVar(&o.arrivals, "arrivals", "poisson", "open-loop arrival process: poisson or mmpp (bursty)")
+	fs.Float64Var(&o.qps, "qps", 50_000, "open-loop offered request rate across all GPUs (Poisson arrivals)")
 	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (per-user key affinity is hash-derived, so millions cost nothing)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth; a request that finds it full is shed with ErrOverload (0 = engine default 256)")
-	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with its SLO watchdog and diagnostic bundles (-trace-out runs the recorder alone: it draws the whole trace, and /debug/timeline, from its rings; the per-batch records behind /debug/trace are kept either way, 256 deep per worker without either)")
+	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with /debug/flight and on-demand diagnostic bundles (SIGQUIT, POST /debug/flight/bundle; -trace-out runs the recorder alone: it draws the whole trace, and /debug/timeline, from its rings; the per-batch records behind /debug/trace are kept either way, 256 deep per worker without either)")
 	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches: how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
-	fs.Float64Var(&o.sloP99Ms, "slo-p99-ms", 0, "admitted-request p99 SLO in milliseconds; > 0 arms the watchdog (p99, shed ratio, queue saturation, solve wall, prefetch drops) to write a diagnostic bundle on violation")
-	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (watchdog trips, SIGQUIT, POST /debug/flight/bundle)")
+	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (SIGQUIT, POST /debug/flight/bundle)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final telemetry snapshot as JSON to this file at exit")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")
 	fs.IntVar(&o.nodes, "nodes", 1, "cluster mode: run N in-process nodes behind the consistent-hash router (closed-loop only)")

@@ -34,8 +34,9 @@ import (
 // drive the load, report, shut down. Cancelling ctx stops the load where it
 // is (the summary of an interrupted run is not printed) and, under -listen,
 // ends the wait after the run; either way the shutdown is the same and run
-// returns nil. The report goes to w, which the watchdog also writes to from
-// its own goroutine when it trips, so w must take concurrent writes.
+// returns nil. The report goes to w, which the SIGQUIT handler also writes to
+// from its own goroutine when it writes a bundle, so w must take concurrent
+// writes.
 func run(ctx context.Context, o options, w io.Writer) (err error) {
 	e := &engine{o: o, w: w, health: telemetry.NewHealth()}
 	if err := e.check(); err != nil {
@@ -66,15 +67,13 @@ type engine struct {
 	o options
 	w io.Writer
 
-	mode     core.RefreshMode // the controller's in-loop policy
-	post     bool             // -refresh-mode post: one refresh after the closed loop, the command's own policy
-	arrivals workload.Arrival // -arrivals, open loop only
+	mode core.RefreshMode // the controller's in-loop policy
+	post bool             // -refresh-mode post: one refresh after the closed loop, the command's own policy
 
 	p       *platform.Platform // one machine's; the clustered twin under -nodes N
 	ds      *workload.DLRDataset
 	reg     *telemetry.Registry
 	fl      *flight.Recorder // nil without -trace-out or -flight
-	wd      *flight.Watchdog // nil without -flight
 	health  *telemetry.Health
 	nodes   []*cluster.Node
 	front   *cluster.Front // nil with one node
@@ -106,13 +105,8 @@ func (e *engine) check() (err error) {
 	if o.nodes > 1 && (o.openLoop || e.post || e.mode != core.RefreshOff || o.lookahead > 0) {
 		return fmt.Errorf("-nodes > 1 supports the closed-loop client mode only (no -open-loop, -refresh-mode, -lookahead)")
 	}
-	if o.openLoop {
-		if e.arrivals, err = workload.ParseArrival(o.arrivals); err != nil {
-			return err
-		}
-		if o.qps <= 0 {
-			return fmt.Errorf("-open-loop needs -qps > 0, got %g", o.qps)
-		}
+	if o.openLoop && o.qps <= 0 {
+		return fmt.Errorf("-open-loop needs -qps > 0, got %g", o.qps)
 	}
 	return nil
 }
@@ -120,8 +114,8 @@ func (e *engine) check() (err error) {
 // build makes the platform (the clustered twin of -server under -nodes N),
 // the -dataset at -scale and the hotness of 64 profiling batches of one
 // iteration's worth of requests each; solves and fills the nodes; and starts
-// everything a run serves with: workers, router, watchdog, listener. When it
-// fails part-way, stop ends what it had started.
+// everything a run serves with: workers, router, SIGQUIT handler, listener.
+// When it fails part-way, stop ends what it had started.
 func (e *engine) build() (err error) {
 	o, w := e.o, e.w
 	spec, err := workload.DLRSpecByName(o.dataset)
@@ -271,9 +265,6 @@ func (e *engine) build() (err error) {
 			o.lookahead, o.staleThr, srv.StagingArena(0).Capacity())
 	}
 
-	// The watchdog rides the flight recorder: -slo-p99-ms > 0 arms the full
-	// SLO signal set (bundles on sustained violation); otherwise the recorder
-	// still runs and manual triggers (SIGQUIT, the /debug endpoint) work.
 	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: srv.Trace(), Health: e.health, EnablePprof: o.pprofOn}
 	if e.fl != nil {
 		// Every node's rings. Assigned only when there is a recorder: a
@@ -282,51 +273,26 @@ func (e *engine) build() (err error) {
 		hcfg.Trace, hcfg.Timeline = e.fl.Trace(), e.fl
 	}
 	if o.flight {
-		slo, armed := flight.SLO{}, "disarmed (SIGQUIT or POST /debug/flight/bundle for a manual bundle)"
-		if o.sloP99Ms > 0 {
-			armed = fmt.Sprintf("armed (p99 %gms, bundles -> %s)", o.sloP99Ms, o.bundleDir)
-			slo = flight.SLO{
-				P99:                  time.Duration(o.sloP99Ms * float64(time.Millisecond)),
-				MaxShedRatio:         0.05,
-				MaxQueueFrac:         0.9,
-				MaxSolveWall:         2 * time.Second,
-				MaxPrefetchDropRatio: 0.5,
-			}
-		}
-		e.wd, err = flight.NewWatchdog(flight.WatchdogConfig{
-			SLO:           slo,
-			Registry:      e.reg,
-			Recorder:      e.fl,
-			QueueCapacity: srv.QueueCapacity(),
-			Bundle:        flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg},
-			OnBundle: func(path string, err error) {
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ugache-serve: flight bundle: %v\n", err)
-					return
-				}
-				fmt.Fprintf(w, "flight:            wrote diagnostic bundle %s\n", path)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		e.wd.Start()
-		fmt.Fprintf(w, "flight:            %d rings x %d records; watchdog %s\n", e.fl.Workers(), o.flightDepth, armed)
-		// SIGQUIT freezes the evidence without killing the run: drain the
-		// flight rings and profiles into a bundle and keep serving (the default
-		// Go SIGQUIT behaviour — stack dump and exit — is preempted by the
-		// Notify).
+		// Bundles are written on demand: SIGQUIT freezes the evidence without
+		// killing the run (the Notify preempts Go's default stack dump and
+		// exit), and so does POST /debug/flight/bundle.
+		bundle := flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg}
+		fmt.Fprintf(w, "flight:            %d rings x %d records; bundles on SIGQUIT or POST /debug/flight/bundle -> %s\n",
+			e.fl.Workers(), o.flightDepth, o.bundleDir)
 		e.sigq = make(chan os.Signal, 1)
 		signal.Notify(e.sigq, syscall.SIGQUIT)
 		e.bg.Add(1)
 		go func() {
 			defer e.bg.Done()
 			for range e.sigq {
-				e.wd.TriggerBundle("sigquit") // OnBundle says where it went, or why not
+				if path, err := bundle.TriggerBundle("sigquit"); err != nil {
+					fmt.Fprintf(os.Stderr, "ugache-serve: flight bundle: %v\n", err)
+				} else {
+					fmt.Fprintf(w, "flight:            wrote diagnostic bundle %s\n", path)
+				}
 			}
 		}()
-		// The watchdog, assigned only when there is one, as the recorder.
-		hcfg.Flight = e.wd
+		hcfg.Flight = bundle
 	}
 	e.health.SetReady(true)
 
@@ -358,9 +324,6 @@ func (e *engine) stop() {
 	}
 	for _, nd := range e.nodes {
 		nd.Srv.Close()
-	}
-	if e.wd != nil {
-		e.wd.Close()
 	}
 	if e.sigq != nil {
 		signal.Stop(e.sigq)
@@ -404,12 +367,8 @@ func (e *engine) shutdown(ctx context.Context) error {
 		}
 		errs = append(errs, err)
 	}
-	if e.wd != nil {
-		st := e.wd.State()
-		fmt.Fprintf(w, "flight:            %d records, %d watchdog trips\n", e.fl.Recorded(), st.Trips)
-		if st.LastBundlePath != "" {
-			fmt.Fprintf(w, "flight bundle:     %s\n", st.LastBundlePath)
-		}
+	if e.o.flight {
+		fmt.Fprintf(w, "flight:            %d records\n", e.fl.Recorded())
 	}
 	if e.o.metricsOut != "" {
 		// The registry's Samples as one flat JSON object (name -> value): the
@@ -617,8 +576,8 @@ func (e *engine) openLoop(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nopen loop:         %s arrivals at %.0f qps offered for %v (%d users, %d keys/request)\n",
-		e.arrivals, o.qps, o.duration, o.users, o.batch)
+	fmt.Fprintf(w, "\nopen loop:         poisson arrivals at %.0f qps offered for %v (%d users, %d keys/request)\n",
+		o.qps, o.duration, o.users, o.batch)
 	var lags, observed []float64 // nanoseconds, of the served requests
 	var sent, shed int
 	var failed error
@@ -680,7 +639,6 @@ func (e *engine) streams(seed uint64) ([]*workload.OpenLoop, error) {
 		var err error
 		gens[d], err = workload.NewOpenLoop(workload.OpenLoopConfig{
 			QPS:            e.o.qps / float64(e.p.N),
-			Arrivals:       e.arrivals,
 			Users:          e.o.users,
 			NumKeys:        e.ds.NumEntries(),
 			KeysPerRequest: e.o.batch,

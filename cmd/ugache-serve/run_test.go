@@ -22,8 +22,8 @@ import (
 
 var update = flag.Bool("update", false, "re-record testdata/*.golden from this tree's output")
 
-// output is run's writer in these tests: safe for the watchdog's concurrent
-// writes, and something a test can wait on.
+// output is run's writer in these tests: safe for concurrent writes, and
+// something a test can wait on.
 type output struct {
 	mu   sync.Mutex
 	buf  bytes.Buffer
@@ -71,14 +71,10 @@ var number = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?((ns|µs|ms|s)\
 
 // clockLines are the report lines whose presence or place, not just their
 // numbers, depends on the wall clock: a router leg that missed its 50 ms deadline, a
-// staged row served inside the staleness window, the last bundle's path
-// (none if the watchdog had no time to trip), and the gauges the final
+// staged row served inside the staleness window, and the gauges the final
 // snapshot lists only when positive (a link's utilisation in whichever
 // extraction came last, a queue that was ever found non-empty).
-var clockLines = []string{"partial results:", "stale serving:", "flight bundle:", "  sim_link_util_", "  serve_queue_depth_peak",
-	// Always there when the watchdog trips, but wherever in the report its
-	// goroutine finished writing the bundle; the flight-smoke case asserts it.
-	"flight:            wrote diagnostic bundle"}
+var clockLines = []string{"partial results:", "stale serving:", "  sim_link_util_", "  serve_queue_depth_peak"}
 
 // mask is the report with its numbers masked, its clock lines dropped and
 // the test's directory named TMP.
@@ -103,6 +99,45 @@ func runArgs(ctx context.Context, args, dir string, w io.Writer) error {
 		return err
 	}
 	return run(ctx, o, w)
+}
+
+// startLive runs an argument list that holds -listen until the run is
+// complete and its telemetry still live, and returns the listener's base URL
+// and finish, which cancels the run and returns what it returned.
+func startLive(t *testing.T, args, dir string, out *output) (base string, finish func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	done := make(chan error, 1)
+	go func() { done <- runArgs(ctx, args, dir, out) }()
+	base = "http://" + out.waitFor(t, `telemetry: +http://([^/]+)/metrics`)[1]
+	out.waitFor(t, `run complete; telemetry still live`)
+	return base, func() error {
+		cancel()
+		return <-done
+	}
+}
+
+// postBundle asks the run behind base for a diagnostic bundle and validates
+// it; its exemplar must resolve to one batch's span tree: a root and at most
+// five stages.
+func postBundle(t *testing.T, base string) {
+	t.Helper()
+	resp, err := http.Post(base+"/debug/flight/bundle", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle struct{ Bundle string }
+	err = json.NewDecoder(resp.Body).Decode(&bundle)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := flight.ValidateBundle(bundle.Bundle); err != nil {
+		t.Errorf("bundle %q: %v", bundle.Bundle, err)
+	} else if rep.Manifest.Exemplar == nil || rep.ExemplarSpans == 0 || rep.ExemplarSpans > 6 {
+		t.Errorf("bundle exemplar %+v resolved to %d spans, want its own tree", rep.Manifest.Exemplar, rep.ExemplarSpans)
+	}
 }
 
 func checkTimeline(t *testing.T, path string) *timeline.ValidationReport {
@@ -151,15 +186,17 @@ func checkCluster(t *testing.T, m map[string]float64) {
 // three former make smokes (trace-smoke with -refresh spelled -refresh-mode
 // post; at smokeScale), and the README's closed-loop prefetch and drift shapes — and holds
 // each report, masked, to its golden, first recorded from the binary that
-// still had a private cluster path. The smokes' own checks run in-process on
-// the files the run left.
+// still had a private cluster path. The smokes' own checks run in-process:
+// live against a -listen case's listener once its run is complete, then
+// check on the files the run left.
 func TestRunGolden(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		name, args string
+		live       func(t *testing.T, base string)
 		check      func(t *testing.T, dir, out string)
 	}{
-		{"trace-smoke", "-scale " + smokeScale + " -clients 4 -requests 20 -refresh-mode post -trace-out TMP/trace.json",
+		{"trace-smoke", "-scale " + smokeScale + " -clients 4 -requests 20 -refresh-mode post -trace-out TMP/trace.json", nil,
 			func(t *testing.T, dir, _ string) {
 				// The one post-run refresh is one tree on the control track.
 				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
@@ -169,23 +206,18 @@ func TestRunGolden(t *testing.T) {
 					}
 				}
 			}},
-		{"flight-smoke", "-scale " + smokeScale + " -open-loop -qps 4000 -duration 3s -slo-p99-ms 0.01 -bundle-dir TMP/bundles",
-			func(t *testing.T, dir, out string) {
-				// The unmeetable SLO trips the watchdog once (its cooldown
-				// outlasts the run); the bundle must validate, exemplar included.
-				bundles, _ := filepath.Glob(filepath.Join(dir, "bundles", "flight-*"))
-				if len(bundles) != 1 || !strings.Contains(out, "wrote diagnostic bundle "+bundles[0]) {
-					t.Fatalf("bundles written: %v, want one, and the report to say so:\n%s", bundles, out)
+		{"flight-smoke", "-scale " + smokeScale + " -open-loop -qps 4000 -duration 300ms -listen 127.0.0.1:0 -bundle-dir TMP/bundles",
+			func(t *testing.T, base string) {
+				// A bundle asked for over HTTP validates, exemplar included, and
+				// /debug/flight serves the recent records.
+				postBundle(t, base)
+				code, body := get(t, base+"/debug/flight")
+				var state struct{ Events []json.RawMessage }
+				if err := json.Unmarshal([]byte(body), &state); code != http.StatusOK || err != nil || len(state.Events) == 0 {
+					t.Errorf("/debug/flight: %d with %d records (%v), want 200 and the recent records", code, len(state.Events), err)
 				}
-				rep, err := flight.ValidateBundle(bundles[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Manifest.Exemplar == nil || rep.ExemplarSpans == 0 {
-					t.Errorf("bundle exemplar %+v resolved to %d spans, want a span tree", rep.Manifest.Exemplar, rep.ExemplarSpans)
-				}
-			}},
-		{"cluster-smoke", "-nodes 2 -scale " + smokeScale + " -clients 4 -requests 20 -trace-out TMP/trace.json -metrics-out TMP/metrics.json",
+			}, nil},
+		{"cluster-smoke", "-nodes 2 -scale " + smokeScale + " -clients 4 -requests 20 -trace-out TMP/trace.json -metrics-out TMP/metrics.json", nil,
 			func(t *testing.T, dir, _ string) {
 				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
 				m := readMetrics(t, filepath.Join(dir, "metrics.json"))
@@ -227,15 +259,23 @@ func TestRunGolden(t *testing.T) {
 					t.Errorf("trace holds no link-flow spans")
 				}
 			}},
-		{"post-lookahead", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode post -lookahead 2 -stale-threshold 4", nil},
-		{"drift", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode drift", nil},
+		{"post-lookahead", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode post -lookahead 2 -stale-threshold 4", nil, nil},
+		{"drift", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode drift", nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			out := newOutput()
-			if err := runArgs(context.Background(), tc.args, dir, out); err != nil {
+			var err error
+			if tc.live == nil {
+				err = runArgs(context.Background(), tc.args, dir, out)
+			} else {
+				base, finish := startLive(t, tc.args, dir, out)
+				tc.live(t, base)
+				err = finish()
+			}
+			if err != nil {
 				t.Fatalf("run: %v\n%s", err, out)
 			}
 			if tc.check != nil {
@@ -274,27 +314,19 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // TestClusterSharesTheSetUp is what the private cluster path hid: under
-// -nodes 2 the listener, the watchdog and the shared shutdown's -metrics-out
-// and final snapshot all exist, and a bad -net-bw is refused.
+// -nodes 2 the listener, the flight endpoints and the shared shutdown's
+// -metrics-out and final snapshot all exist, and a bad -net-bw is refused.
 func TestClusterSharesTheSetUp(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0 -slo-p99-ms 0.01 -bundle-dir TMP/bundles -metrics-out TMP/metrics.json"
+	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0 -bundle-dir TMP/bundles -metrics-out TMP/metrics.json"
 
 	if err := runArgs(context.Background(), "-nodes 2 -net-bw NaN", dir, io.Discard); err == nil || !strings.Contains(err.Error(), "NIC bandwidth") {
 		t.Errorf("-net-bw NaN under -nodes 2: error %v, want the NIC bandwidth one", err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	out := newOutput()
-	done := make(chan error, 1)
-	go func() { done <- runArgs(ctx, args, dir, out) }()
-	base := "http://" + out.waitFor(t, `telemetry: +http://([^/]+)/metrics`)[1]
-	out.waitFor(t, `run complete; telemetry still live`)
-	if !strings.Contains(out.String(), "watchdog armed (p99 0.01ms") {
-		t.Errorf("-slo-p99-ms did not arm the watchdog:\n%s", out)
-	}
+	base, finish := startLive(t, args, dir, out)
 	if code, _ := get(t, base+"/readyz"); code != http.StatusOK {
 		t.Errorf("/readyz while the run is live: %d, want 200", code)
 	}
@@ -302,28 +334,12 @@ func TestClusterSharesTheSetUp(t *testing.T) {
 		t.Errorf("/metrics: %d, without cluster_lookups_total 80", code)
 	}
 	if code, _ := get(t, base+"/debug/flight"); code != http.StatusOK {
-		t.Errorf("/debug/flight: %d, want the watchdog's state", code)
+		t.Errorf("/debug/flight: %d, want the recent records", code)
 	}
 	// A bundle of both nodes validates, and its exemplar resolves to its own
-	// worker's tree (root and at most five stages), not to one holding the
-	// other node's same-numbered batch.
-	resp, err := http.Post(base+"/debug/flight/bundle", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bundle struct{ Bundle string }
-	err = json.NewDecoder(resp.Body).Decode(&bundle)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := flight.ValidateBundle(bundle.Bundle); err != nil {
-		t.Errorf("bundle %q: %v", bundle.Bundle, err)
-	} else if rep.Manifest.Exemplar == nil || rep.ExemplarSpans > 6 {
-		t.Errorf("bundle exemplar %+v resolved to %d spans, want its own tree", rep.Manifest.Exemplar, rep.ExemplarSpans)
-	}
-	cancel()
-	if err := <-done; err != nil {
+	// worker's tree, not to one holding the other node's same-numbered batch.
+	postBundle(t, base)
+	if err := finish(); err != nil {
 		t.Fatalf("run: %v\n%s", err, out)
 	}
 	checkCluster(t, readMetrics(t, filepath.Join(dir, "metrics.json")))
@@ -335,19 +351,14 @@ func TestClusterSharesTheSetUp(t *testing.T) {
 	}
 }
 
-// TestClusterTraceWithoutWatchdog: under -flight=false, -trace-out still
+// TestClusterTraceWithoutFlight: under -flight=false, -trace-out still
 // runs the shared recorder, so /debug/trace serves every node's batch
 // records from it, one per batch served, as /debug/timeline draws them.
-func TestClusterTraceWithoutWatchdog(t *testing.T) {
+func TestClusterTraceWithoutFlight(t *testing.T) {
 	t.Parallel()
 	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -flight=false -trace-out TMP/trace.json -listen 127.0.0.1:0"
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	out := newOutput()
-	done := make(chan error, 1)
-	go func() { done <- runArgs(ctx, args, t.TempDir(), out) }()
-	base := "http://" + out.waitFor(t, `telemetry: +http://([^/]+)/metrics`)[1]
-	out.waitFor(t, `run complete; telemetry still live`)
+	base, finish := startLive(t, args, t.TempDir(), out)
 
 	_, body := get(t, base+"/metrics")
 	m := regexp.MustCompile(`(?m)^serve_batches_total (\d+)$`).FindStringSubmatch(body)
@@ -369,8 +380,7 @@ func TestClusterTraceWithoutWatchdog(t *testing.T) {
 	if len(records) != batches || spans != batches {
 		t.Errorf("/debug/trace holds %d records and /debug/timeline %d batch spans; serve_batches_total = %d", len(records), spans, batches)
 	}
-	cancel()
-	if err := <-done; err != nil {
+	if err := finish(); err != nil {
 		t.Fatalf("run: %v\n%s", err, out)
 	}
 }

@@ -145,14 +145,6 @@ func main() {
 		for _, k := range sortedKeys(rep.DrawnSpans) {
 			fmt.Printf("    %-16s %d records in %s, %d spans\n", k, rep.EventsByKind[k], flight.EventsFile, rep.DrawnSpans[k])
 		}
-		for _, v := range man.Violations {
-			state := "ok"
-			if v.Breached {
-				state = "BREACHED"
-			}
-			fmt.Printf("  signal %-28s %s (short %.4g, long %.4g, threshold %.4g)\n",
-				v.Name, state, v.Short, v.Long, v.Threshold)
-		}
 		if ex := man.Exemplar; ex != nil {
 			fmt.Printf("  exemplar:         batch seq %d on gpu %d, track %d (%.3fms) -> span tree of %d spans\n",
 				ex.Seq, ex.GPU, ex.Track, ex.LatencySeconds*1e3, rep.ExemplarSpans)

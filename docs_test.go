@@ -645,3 +645,56 @@ func TestDocsResolve(t *testing.T) {
 		t.Error(p)
 	}
 }
+
+// TestCalibrationConstantsDocumented holds EXPERIMENTS.md's Known deviations
+// to the calibration constants under internal/: every non-test constant named
+// …Efficiency or DivergenceFactor is listed there, by its qualified name and
+// its value, as "`pkg.Name` (value)".
+func TestCalibrationConstantsDocumented(t *testing.T) {
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Known deviations")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Known deviations section")
+	}
+	if i := strings.Index(section, "\n## "); i >= 0 {
+		section = section[:i]
+	}
+	section = strings.Join(strings.Fields(section), " ")
+	found := 0
+	for _, f := range parseTree(t) {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !strings.HasSuffix(name.Name, "Efficiency") && name.Name != "DivergenceFactor" {
+						continue
+					}
+					found++
+					value := "?"
+					if i < len(vs.Values) {
+						if lit, ok := vs.Values[i].(*ast.BasicLit); ok {
+							value = lit.Value
+						}
+					}
+					want := fmt.Sprintf("`%s.%s` (%s)", filepath.Base(f.dir), name.Name, value)
+					if !strings.Contains(section, want) {
+						t.Errorf("%s: EXPERIMENTS.md's Known deviations do not list %s", f.path, want)
+					}
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("no calibration constant found under internal/")
+	}
+}

@@ -64,7 +64,8 @@ func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight
 	}
 	sum, now := pl.StorageSummary(), time.Now()
 	return flight.Event{Kind: flight.KindRefresh, GPU: -1, UnixNanos: now.UnixNano(), V: [flight.MaxPayload]float64{
-		// In slot order, flight.RefreshSolveWallSeconds to RefreshEstTimeMax.
+		// In slot order: flight's kindFields[KindRefresh], solve_wall_s to
+		// est_time_max.
 		wall, rep.Duration, float64(rep.EvictedEntries + rep.InsertedEntries), rep.MeanImpact,
 		float64(rep.EvictedEntries), float64(rep.InsertedEntries), rep.SolveSeconds, rep.UpdateSeconds,
 		float64(rep.Steps), rep.StepSeconds, rep.LastStepSeconds, rep.PauseSeconds, now.Sub(trigger).Seconds(),

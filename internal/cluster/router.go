@@ -53,8 +53,8 @@ type FrontConfig struct {
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, receives one control-ring event per partial
 	// lookup (Kind=partial, GPU=origin node: keys missing, remote keys
-	// asked) — the router's one slow-path fact, kept where a watchdog bundle
-	// finds it next to the refresh and drift events. A leg needs no record
+	// asked) — the router's one slow-path fact, kept where a diagnostic
+	// bundle finds it next to the refresh and drift events. A leg needs no record
 	// of its own: it is a request in its owner's batch records.
 	Flight *flight.Recorder
 }

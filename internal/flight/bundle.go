@@ -44,15 +44,14 @@ const (
 
 // Manifest indexes one diagnostic bundle.
 type Manifest struct {
-	Version          int           `json:"version"`
-	CreatedUnixNanos int64         `json:"created_unix_nanos"`
-	Created          string        `json:"created"`
-	Reason           string        `json:"reason"`
-	Violations       []SignalState `json:"violations,omitempty"`
-	Exemplar         *Exemplar     `json:"exemplar,omitempty"`
-	Files            []string      `json:"files"`
-	FlightEvents     int           `json:"flight_events"`
-	MetricSamples    int           `json:"metric_samples"`
+	Version          int       `json:"version"`
+	CreatedUnixNanos int64     `json:"created_unix_nanos"`
+	Created          string    `json:"created"`
+	Reason           string    `json:"reason"`
+	Exemplar         *Exemplar `json:"exemplar,omitempty"`
+	Files            []string  `json:"files"`
+	FlightEvents     int       `json:"flight_events"`
+	MetricSamples    int       `json:"metric_samples"`
 }
 
 // manifestVersion is bumped when the bundle layout changes incompatibly.
@@ -62,14 +61,13 @@ const manifestVersion = 1
 // cfg.Dir and returns the bundle path. The manifest is written last, so
 // readers may treat its presence as a completeness marker.
 //
-// The manifest's exemplar is the slowest batch that completed at or after
-// exemplarSince (unix nanos; 0 = everything the rings hold). A batch's span
-// tree is rendered from its ring slot when the timeline is exported, so the
-// exemplar is chosen among the batches recorded before the timeline write
-// and still held after it: its tree is in the bundle's own timeline.json.
-// For the same reason flight.jsonl holds the control records recorded
-// before the timeline write, each of which timeline.json draws.
-func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exemplarSince int64) (string, error) {
+// The manifest's exemplar is the slowest batch the rings hold. A batch's
+// span tree is rendered from its ring slot when the timeline is exported, so
+// the exemplar is chosen among the batches recorded before the timeline
+// write and still held after it: its tree is in the bundle's own
+// timeline.json. For the same reason flight.jsonl holds the control records
+// recorded before the timeline write, each of which timeline.json draws.
+func WriteBundle(cfg BundleConfig, reason string) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")
 	}
@@ -83,7 +81,6 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exem
 		CreatedUnixNanos: now.UnixNano(),
 		Created:          now.UTC().Format(time.RFC3339Nano),
 		Reason:           reason,
-		Violations:       violations,
 	}
 	writeFile := func(name string, fill func(io.Writer) error) error {
 		f, err := os.Create(filepath.Join(dir, name))
@@ -111,7 +108,7 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exem
 		if err := writeFile(TimelineFile, cfg.Recorder.WriteTrace); err != nil {
 			return "", err
 		}
-		man.Exemplar = cfg.Recorder.exemplar(exemplarSince, mark)
+		man.Exemplar = cfg.Recorder.exemplar(mark)
 		lines := cfg.Recorder.lines(0, mark)
 		man.FlightEvents = len(lines)
 		if err := writeFile(EventsFile, func(w io.Writer) error { return writeLines(w, lines) }); err != nil {
@@ -154,4 +151,31 @@ func WriteBundle(cfg BundleConfig, reason string, violations []SignalState, exem
 		return "", err
 	}
 	return dir, nil
+}
+
+// TriggerBundle writes a bundle now: the on-demand trigger behind SIGQUIT
+// and POST /debug/flight/bundle. With WriteFlightState it makes a
+// BundleConfig the telemetry.FlightDebug those endpoints serve.
+func (cfg BundleConfig) TriggerBundle(reason string) (string, error) {
+	return WriteBundle(cfg, reason)
+}
+
+// recentRecords caps how many trailing records WriteFlightState embeds.
+const recentRecords = 256
+
+// WriteFlightState renders the newest records the recorder holds (batches
+// and control events, oldest first) as one JSON document, the /debug/flight
+// body.
+func (cfg BundleConfig) WriteFlightState(out io.Writer) error {
+	body := struct {
+		Events []json.RawMessage `json:"events"`
+	}{Events: []json.RawMessage{}}
+	if cfg.Recorder != nil {
+		for _, l := range cfg.Recorder.lines(recentRecords, nil) {
+			body.Events = append(body.Events, json.RawMessage(l))
+		}
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(&body)
 }

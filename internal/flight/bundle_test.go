@@ -1,11 +1,13 @@
 package flight
 
 import (
+	"bytes"
 	"encoding/json"
 	"maps"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,7 +32,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 	now := time.Now().UnixNano()
 	for _, e := range []Event{
 		{Kind: KindPartial, GPU: 3, UnixNanos: 101, V: [MaxPayload]float64{PartialMissingKeys: 5}},
-		{Kind: KindRefresh, GPU: -1, UnixNanos: now, V: [MaxPayload]float64{RefreshSteps: 3, RefreshSolveWallSeconds: 0.01}},
+		{Kind: KindRefresh, GPU: -1, UnixNanos: now, V: [MaxPayload]float64{refreshSteps: 3, refreshSolveWallSeconds: 0.01}},
 		{Kind: KindDrift, GPU: -1, UnixNanos: now},
 		{Kind: KindPrefetch, GPU: 2, UnixNanos: now},
 		{Kind: KindPrefetch, GPU: 3, UnixNanos: now},
@@ -46,8 +48,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		Recorder: rec,
 		Registry: reg,
 	}
-	violations := []SignalState{{Name: "admitted_p99_seconds", Short: 0.025, Long: 0.020, Threshold: 0.010, Breached: true}}
-	path, err := WriteBundle(cfg, "slo:admitted_p99_seconds", violations, 0)
+	path, err := WriteBundle(cfg, "sigquit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,7 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		t.Fatalf("exemplar resolved to %d spans, want 6 (root + five stages)", rep.ExemplarSpans)
 	}
 	man := rep.Manifest
-	if man.Reason != "slo:admitted_p99_seconds" || len(man.Violations) != 1 ||
-		!man.Violations[0].Breached || man.Exemplar == nil || man.Exemplar.Seq != 17 || man.Exemplar.GPU != 3 {
+	if man.Reason != "sigquit" || man.Exemplar == nil || man.Exemplar.Seq != 17 || man.Exemplar.GPU != 3 {
 		t.Fatalf("manifest = %+v", man)
 	}
 }
@@ -102,8 +102,7 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 		b := stagedBatch(0, lat, 1+i)
 		ring.Record(&b)
 	}
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
-		"test", nil, 0)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +117,7 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	// No batch at all: no exemplar, rather than one that dangles.
 	empty := NewRecorder(1, 16)
 	empty.RecordControl(&Event{Kind: KindRefresh, GPU: -1, UnixNanos: 1})
-	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, SkipProfiles: true},
-		"test", nil, 0)
+	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +141,7 @@ func TestExemplarResolvesOnItsRing(t *testing.T) {
 	a, b := stagedBatch(0, 0.010, 1), stagedBatch(0, 0.050, 1)
 	fast.Record(&a)
 	slow.Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
-		"test", nil, 0)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +159,7 @@ func TestWriteBundleSkipProfiles(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
+	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestWriteBundleSkipProfiles(t *testing.T) {
 }
 
 func TestWriteBundleNoDir(t *testing.T) {
-	if _, err := WriteBundle(BundleConfig{}, "x", nil, 0); err == nil {
+	if _, err := WriteBundle(BundleConfig{}, "x"); err == nil {
 		t.Fatal("WriteBundle without a directory succeeded")
 	}
 }
@@ -191,7 +188,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	rec.Claim(1)[0].Record(&b)
 	path, err := WriteBundle(BundleConfig{
 		Dir: dir, Recorder: rec, SkipProfiles: true,
-	}, "test", nil, 0)
+	}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +215,7 @@ func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
-		"test", nil, 0)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +259,7 @@ func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
 func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	rec.RecordControl(&Event{Kind: KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()})
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true},
-		"test", nil, 0)
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +284,7 @@ func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test", nil, 0)
+	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +315,144 @@ func TestManifestRoundTripsJSON(t *testing.T) {
 	}
 	if back.Exemplar == nil || back.Exemplar.Seq != 2 {
 		t.Fatalf("round trip lost the exemplar: %+v", back)
+	}
+}
+
+// TestTriggerBundleBypassesCooldownAndArming: a manual bundle (SIGQUIT,
+// POST /debug/flight/bundle) is written at once under the caller's reason,
+// and a second trigger straight after the first writes its own bundle: no
+// cooldown or arming gates it.
+func TestTriggerBundleBypassesCooldownAndArming(t *testing.T) {
+	rec := NewRecorder(1, 8)
+	b := stagedBatch(0, 0.001, 1)
+	rec.Claim(1)[0].Record(&b)
+	cfg := BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}
+	path, err := cfg.TriggerBundle("sigquit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ValidateBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Manifest.Reason != "sigquit" || rep.EventLines != 1 {
+		t.Fatalf("manual bundle = %+v with %d records", rep.Manifest, rep.EventLines)
+	}
+	again, err := cfg.TriggerBundle("http")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == path {
+		t.Fatalf("second trigger reused bundle %s", path)
+	}
+	if rep, err := ValidateBundle(again); err != nil || rep.Manifest.Reason != "http" {
+		t.Fatalf("second manual bundle = %+v, %v", rep, err)
+	}
+}
+
+// TestWatchdogExemplarTracksSlowestBatch (named for the SLO watchdog that
+// once chose the exemplar): a manual bundle's exemplar is the slowest batch
+// the rings still hold, however old, and resolves to its span tree.
+func TestWatchdogExemplarTracksSlowestBatch(t *testing.T) {
+	rec := NewRecorder(1, 16)
+	ring := rec.Claim(1)[0]
+	skipTo(ring, 7)
+	for i, lat := range []float64{0.080, 0.001, 0.002} {
+		b := stagedBatch(2, lat, 1+i)
+		ring.Record(&b)
+	}
+	path, err := BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}.TriggerBundle("sigquit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ValidateBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rep.Manifest.Exemplar; ex == nil || ex.Seq != 7 || ex.GPU != 2 || rep.ExemplarSpans != 6 {
+		t.Fatalf("exemplar = %+v (%d spans), want the oldest, slowest batch seq 7 on gpu 2 with its tree", ex, rep.ExemplarSpans)
+	}
+}
+
+func TestWriteFlightStateJSON(t *testing.T) {
+	rec := NewRecorder(1, 8)
+	ring := rec.Claim(1)[0]
+	skipTo(ring, 3)
+	b := testBatch(1, 0.002, 5)
+	ring.Record(&b)
+	rec.RecordControl(&Event{Kind: KindDrift, GPU: -1, UnixNanos: 6})
+	var buf bytes.Buffer
+	if err := (BundleConfig{Recorder: rec}).WriteFlightState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Events []json.RawMessage `json:"events"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &body); err != nil {
+		t.Fatalf("flight state does not parse: %v\n%s", err, buf.String())
+	}
+	if len(body.Events) != 4 {
+		t.Fatalf("flight state holds %d records, want 4", len(body.Events))
+	}
+	for i, want := range []struct {
+		kind string
+		seq  float64
+	}{{"batch", 3}, {"drift", 0}} {
+		var ev map[string]any
+		if err := json.Unmarshal(body.Events[2+i], &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev["kind"] != want.kind || ev["seq"].(float64) != want.seq {
+			t.Fatalf("record %d = %v, want a %s of seq %v", 2+i, ev, want.kind, want.seq)
+		}
+	}
+
+	// No recorder: an empty list, not null.
+	buf.Reset()
+	if err := (BundleConfig{}).WriteFlightState(&buf); err != nil || !strings.Contains(buf.String(), `"events": []`) {
+		t.Fatalf("flight state without a recorder = %q, %v", buf.String(), err)
+	}
+}
+
+// TestFlightDebugConcurrent reads /debug/flight's body and writes a manual
+// bundle while two workers record: the -race coverage of the on-demand
+// surface over live rings.
+func TestFlightDebugConcurrent(t *testing.T) {
+	rec := NewRecorder(2, 32)
+	dbg := BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}
+	rings := rec.Claim(2)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w, ring := range rings {
+		b := testBatch(w, 0.002, time.Now().UnixNano())
+		ring.Record(&b) // the bundle holds records however the writers are scheduled
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b := testBatch(w, 0.002, time.Now().UnixNano())
+				ring.Record(&b)
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := dbg.WriteFlightState(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, err := dbg.TriggerBundle("concurrent-test")
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("manual bundle under load: %v", err)
+	}
+	if _, err := ValidateBundle(path); err != nil {
+		t.Fatal(err)
 	}
 }

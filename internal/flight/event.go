@@ -8,18 +8,17 @@
 // ring of Events, likewise the one store the trace's control and prefetch
 // tracks are drawn from. The recorder owns that trace: Draw renders its
 // rings as Chrome trace events, timed from its creation, and WriteTrace
-// writes them through internal/timeline's format. On top sits an SLO watchdog
-// that evaluates rolling multi-window burn-rate style objectives over the
-// live telemetry and, on a violation, drains everything the post-hoc
-// debugger needs into a self-contained diagnostic bundle (records as JSONL,
-// a telemetry snapshot, the timeline drawn from them, a goroutine dump and a
-// heap profile, tied together by a manifest).
+// writes them through internal/timeline's format. On demand (SIGQUIT, POST
+// /debug/flight/bundle) it drains everything the post-hoc debugger needs
+// into a self-contained diagnostic bundle (records as JSONL, a telemetry
+// snapshot, the timeline drawn from them, a goroutine dump and a heap
+// profile, tied together by a manifest).
 //
 // Where internal/telemetry answers "how many / how long on average" and
 // the trace answers "when, on which track", flight answers "what
-// exactly happened in the seconds before things went wrong" — and it keeps
-// answering after the fact, because recording never stops and tripping the
-// watchdog freezes the evidence on disk (DESIGN.md §6.6).
+// exactly happened in the seconds before a bundle was asked for" — and it
+// keeps answering after the fact, because recording never stops and a
+// bundle freezes the evidence on disk (DESIGN.md §6.6).
 package flight
 
 import (
@@ -66,33 +65,36 @@ const (
 )
 
 // Payload slot indices for KindRefresh events: the measured solve, the
-// report's simulated Fig. 17 layout (Steps update steps of StepSeconds busy
-// time, the last one LastStepSeconds, each followed by PauseSeconds), the
-// wall seconds from the trigger to the record, and the solved placement's
-// storage summary in solver.StorageSummary's order.
+// report's simulated Fig. 17 layout (refreshSteps update steps of
+// refreshStepSeconds busy time, the last one refreshLastStepSeconds, each
+// followed by refreshPauseSeconds), the wall seconds from the trigger to the
+// record, and the solved placement's storage summary in
+// solver.StorageSummary's order. Only the trace reads them by index; the
+// writer (cache.RefreshReport.Record) fills the slots in the order
+// kindFields[KindRefresh] names them.
 const (
-	RefreshSolveWallSeconds = iota
-	RefreshDurationSeconds
-	RefreshMovedEntries
-	RefreshMeanImpact
-	RefreshEvictedEntries
-	RefreshInsertedEntries
-	RefreshSolveSeconds
-	RefreshUpdateSeconds
-	RefreshSteps
-	RefreshStepSeconds
-	RefreshLastStepSeconds
-	RefreshPauseSeconds
-	RefreshWallSeconds
-	RefreshBlocks
-	RefreshReplicatedBlocks
-	RefreshPartialBlocks
-	RefreshPartitionedBlocks
-	RefreshUncachedBlocks
-	RefreshReplicatedMass
-	RefreshPartitionedMass
-	RefreshUncachedMass
-	RefreshEstTimeMax
+	refreshSolveWallSeconds = iota
+	refreshDurationSeconds
+	refreshMovedEntries
+	refreshMeanImpact
+	refreshEvictedEntries
+	refreshInsertedEntries
+	refreshSolveSeconds
+	refreshUpdateSeconds
+	refreshSteps
+	refreshStepSeconds
+	refreshLastStepSeconds
+	refreshPauseSeconds
+	refreshWallSeconds
+	refreshBlocks
+	refreshReplicatedBlocks
+	refreshPartialBlocks
+	refreshPartitionedBlocks
+	refreshUncachedBlocks
+	refreshReplicatedMass
+	refreshPartitionedMass
+	refreshUncachedMass
+	refreshEstTimeMax
 )
 
 // Payload slot indices for KindDrift events.

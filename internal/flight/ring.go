@@ -228,19 +228,17 @@ func (r *Recorder) mark() []uint64 {
 	return append(m, r.ctrl.recorded())
 }
 
-// exemplar returns the slowest batch the rings hold that completed at or
-// after since (unix nanos; 0 = everything), or nil when there is none — the
-// one picker behind the watchdog state and the bundle manifest. A non-nil
-// mark (see mark) also bounds each ring to the batches recorded before it
-// was taken.
-func (r *Recorder) exemplar(since int64, mark []uint64) *Exemplar {
+// exemplar returns the slowest batch the rings hold, or nil when there is
+// none: a bundle manifest's exemplar. A non-nil mark (see mark) bounds each
+// ring to the batches recorded before it was taken.
+func (r *Recorder) exemplar(mark []uint64) *Exemplar {
 	var best *Exemplar
 	var buf []Batch
 	for i, rg := range r.rings {
 		buf = rg.Snapshot(buf[:0])
 		for j := range buf {
 			b := &buf[j]
-			if b.UnixNanos < since || (mark != nil && uint64(b.Seq) > mark[i]) {
+			if mark != nil && uint64(b.Seq) > mark[i] {
 				continue
 			}
 			if lat := b.LatencySeconds(); best == nil || lat > best.LatencySeconds {

@@ -114,7 +114,7 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 func TestRingNegativeGPURoundTrips(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	e := Event{Kind: KindRefresh, GPU: -1, Seq: 7, UnixNanos: 1}
-	e.V[RefreshSteps] = 12
+	e.V[refreshSteps] = 12
 	rec.RecordControl(&e)
 	got := rec.Events()
 	if len(got) != 1 || got[0] != e {
@@ -200,20 +200,17 @@ func TestRecorderSlowestBatch(t *testing.T) {
 		b := testBatch(i%2, lat, int64(100+i))
 		rings[i%2].Record(&b)
 	}
-	ex := rec.exemplar(0, nil)
+	ex := rec.exemplar(nil)
 	if ex == nil || ex.GPU != 1 || ex.Seq != 1 || ex.LatencySeconds != 0.050 {
 		t.Fatalf("exemplar = %+v, want gpu 1 seq 1 at 50ms", ex)
 	}
-	// The since bound excludes the slowest; the later, faster one wins.
-	if ex = rec.exemplar(102, nil); ex == nil || ex.GPU != 0 || ex.Seq != 2 {
-		t.Fatalf("exemplar(since) = %+v, want gpu 0 seq 2", ex)
-	}
-	// So does a mark taken before it was recorded.
-	if ex = rec.exemplar(0, []uint64{2, 0}); ex == nil || ex.GPU != 0 || ex.Seq != 2 {
+	// A mark taken before the slowest was recorded excludes it; the later,
+	// faster one wins.
+	if ex = rec.exemplar([]uint64{2, 0}); ex == nil || ex.GPU != 0 || ex.Seq != 2 {
 		t.Fatalf("exemplar(mark) = %+v, want gpu 0 seq 2", ex)
 	}
-	if ex = rec.exemplar(1000, nil); ex != nil {
-		t.Fatalf("exemplar past the end found %+v", ex)
+	if ex = rec.exemplar([]uint64{0, 0}); ex != nil {
+		t.Fatalf("exemplar before any batch found %+v", ex)
 	}
 }
 

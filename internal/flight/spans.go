@@ -58,7 +58,7 @@ func Draw(recs ...*Recorder) (timeline.Tracks, []timeline.Event) {
 			end := since(e.UnixNanos)
 			switch e.Kind {
 			case KindRefresh:
-				dst = appendRefresh(dst, &e.V, max(0, end-e.V[RefreshWallSeconds]))
+				dst = appendRefresh(dst, &e.V, max(0, end-e.V[refreshWallSeconds]))
 			case KindDrift:
 				ev := timeline.Event{Name: "drift-check", Cat: "refresh", Ph: timeline.PhInstant,
 					PID: timeline.ProcControl, TID: timeline.TIDDrift, Start: end}
@@ -178,31 +178,31 @@ func appendRefresh(dst []timeline.Event, v *[MaxPayload]float64, start float64) 
 		return timeline.Event{Name: name, Cat: "refresh", Ph: timeline.PhSpan,
 			PID: timeline.ProcControl, TID: timeline.TIDRefresh, Start: start, Dur: dur}
 	}
-	root := span("refresh", start, v[RefreshDurationSeconds])
-	root.AddArg("evicted_entries", v[RefreshEvictedEntries])
-	root.AddArg("inserted_entries", v[RefreshInsertedEntries])
-	root.AddArg("mean_impact", v[RefreshMeanImpact])
-	root.AddArg("solve_seconds", v[RefreshSolveSeconds])
-	root.AddArg("update_seconds", v[RefreshUpdateSeconds])
-	root.AddArg("update_steps", v[RefreshSteps])
-	sim := span("refresh-solve", start, v[RefreshSolveSeconds])
-	if wall := v[RefreshSolveWallSeconds]; wall > 0 {
+	root := span("refresh", start, v[refreshDurationSeconds])
+	root.AddArg("evicted_entries", v[refreshEvictedEntries])
+	root.AddArg("inserted_entries", v[refreshInsertedEntries])
+	root.AddArg("mean_impact", v[refreshMeanImpact])
+	root.AddArg("solve_seconds", v[refreshSolveSeconds])
+	root.AddArg("update_seconds", v[refreshUpdateSeconds])
+	root.AddArg("update_steps", v[refreshSteps])
+	sim := span("refresh-solve", start, v[refreshSolveSeconds])
+	if wall := v[refreshSolveWallSeconds]; wall > 0 {
 		sim.AddArg("solve_wall_seconds", wall)
 		solve := timeline.Event{Name: "policy-solve", Cat: "solver", Ph: timeline.PhSpan,
 			PID: timeline.ProcControl, TID: timeline.TIDSolver, Start: start, Dur: wall}
-		for i := RefreshBlocks; i <= RefreshEstTimeMax; i++ {
+		for i := refreshBlocks; i <= refreshEstTimeMax; i++ {
 			solve.AddArg(kindFields[KindRefresh][i], v[i])
 		}
 		dst = append(dst, solve)
 	}
 	dst = append(dst, root, sim)
 
-	steps, at := int64(v[RefreshSteps]), start+v[RefreshSolveSeconds]
-	stepLen := v[RefreshStepSeconds] + v[RefreshPauseSeconds]
+	steps, at := int64(v[refreshSteps]), start+v[refreshSolveSeconds]
+	stepLen := v[refreshStepSeconds] + v[refreshPauseSeconds]
 	for i := int64(0); i < min(steps, MaxRefreshStepSpans); i++ {
-		busy := v[RefreshStepSeconds]
+		busy := v[refreshStepSeconds]
 		if i == steps-1 {
-			busy = v[RefreshLastStepSeconds]
+			busy = v[refreshLastStepSeconds]
 		}
 		ev := span("refresh-update-step", at+float64(i)*stepLen, busy)
 		ev.AddArg("step", float64(i))

@@ -46,6 +46,10 @@ var ErrClosed = errors.New("serve: server closed")
 // else's.
 var ErrBadKey = errors.New("serve: key out of range")
 
+// ErrBadGPU is returned (wrapped, with the offending index) to the caller of
+// a request for a GPU the server does not have.
+var ErrBadGPU = errors.New("serve: bad gpu")
+
 // ErrOverload is returned by requests the admission controller sheds: the
 // destination GPU's queue was full when the request arrived. Overload is a
 // first-class serving state, not a fault — callers are expected to retry
@@ -384,14 +388,15 @@ func (s *Server) Trace() *flight.Trace { return flight.NewTrace(s.rings) }
 // will arrive on (buffered; the caller need not be ready). The keys slice is
 // not retained past completion but must not be mutated until the result
 // arrives. Handle never blocks: a full queue sheds the request with
-// ErrOverload, already in the returned channel when Handle returns. A key
-// outside the table fails this request alone, with ErrBadKey. Every request
+// ErrOverload, already in the returned channel when Handle returns. A GPU
+// index out of range fails the request with ErrBadGPU, and a key outside the
+// table fails this request alone, with ErrBadKey. Every request
 // admitted before Close returns is guaranteed a Result; requests racing
 // Close get ErrClosed.
 func (s *Server) Handle(gpu int, keys []int64) <-chan Result {
 	out := make(chan Result, 1)
 	if gpu < 0 || gpu >= len(s.queues) {
-		out <- Result{Err: fmt.Errorf("serve: bad gpu %d", gpu)}
+		out <- Result{Err: fmt.Errorf("%w %d not in [0, %d)", ErrBadGPU, gpu, len(s.queues))}
 		return out
 	}
 	if len(keys) == 0 {

@@ -141,8 +141,10 @@ func TestServeEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := <-srv.Handle(99, []int64{1}); res.Err == nil {
-		t.Fatal("bad gpu accepted")
+	for _, gpu := range []int{-1, sys.P.N} {
+		if res := <-srv.Handle(gpu, []int64{1}); !errors.Is(res.Err, ErrBadGPU) {
+			t.Fatalf("gpu %d: err %v, want ErrBadGPU", gpu, res.Err)
+		}
 	}
 	if res := <-srv.Handle(0, nil); res.Err != nil || res.Rows != nil {
 		t.Fatalf("empty request: %+v", res)

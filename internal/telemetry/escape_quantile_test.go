@@ -78,27 +78,26 @@ func TestQuantileEdgeCases(t *testing.T) {
 func TestQuantileFromBuckets(t *testing.T) {
 	bounds := []float64{1, 2, 4}
 	// Degenerate inputs all read 0.
-	if got := QuantileFromBuckets(nil, nil, 0.99); got != 0 {
+	if got := quantileFromBuckets(nil, nil, 0.99); got != 0 {
 		t.Fatalf("nil/nil = %g", got)
 	}
-	if got := QuantileFromBuckets(bounds, nil, 0.99); got != 0 {
+	if got := quantileFromBuckets(bounds, nil, 0.99); got != 0 {
 		t.Fatalf("nil counts = %g", got)
 	}
-	if got := QuantileFromBuckets(bounds, []uint64{0, 0, 0, 0}, 0.99); got != 0 {
+	if got := quantileFromBuckets(bounds, []uint64{0, 0, 0, 0}, 0.99); got != 0 {
 		t.Fatalf("all-zero counts = %g", got)
 	}
 	// 10 samples uniformly in (1, 2]: the median interpolates to ~1.5.
-	if got := QuantileFromBuckets(bounds, []uint64{0, 10, 0, 0}, 0.5); got != 1.5 {
+	if got := quantileFromBuckets(bounds, []uint64{0, 10, 0, 0}, 0.5); got != 1.5 {
 		t.Fatalf("median of one full bucket = %g, want 1.5", got)
 	}
 	// Mass reaching the +Inf bucket reports the highest finite bound.
-	if got := QuantileFromBuckets(bounds, []uint64{0, 0, 0, 5}, 0.99); got != 4 {
+	if got := quantileFromBuckets(bounds, []uint64{0, 0, 0, 5}, 0.99); got != 4 {
 		t.Fatalf("+Inf mass = %g, want 4", got)
 	}
-	// Windowed use: the diff between two cumulative snapshots. 99 fast then
-	// 100 slow samples — the p99 of the diff window sits in the slow bucket.
-	if got := QuantileFromBuckets(bounds, []uint64{1, 0, 99, 0}, 0.99); got <= 2 || got > 4 {
-		t.Fatalf("windowed p99 = %g, want in (2, 4]", got)
+	// One fast and 99 slow samples: the p99 sits in the slow bucket.
+	if got := quantileFromBuckets(bounds, []uint64{1, 0, 99, 0}, 0.99); got <= 2 || got > 4 {
+		t.Fatalf("p99 = %g, want in (2, 4]", got)
 	}
 }
 
@@ -139,18 +138,14 @@ func TestHistogramBucketsMerged(t *testing.T) {
 	h.Observe(0, 0.5)
 	h.Observe(1, 1.5)
 	h.Observe(1, 9)
-	bounds, counts := h.Buckets()
-	if len(bounds) != 2 || len(counts) != 3 {
-		t.Fatalf("Buckets() = %v %v", bounds, counts)
-	}
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
+	counts := h.merged()
+	if len(counts) != 3 || counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
 		t.Fatalf("merged counts = %v, want one per bucket across shards", counts)
 	}
-	// The returned slices are copies; mutating them must not corrupt the
+	// The returned slice is a copy; mutating it must not corrupt the
 	// histogram.
 	counts[0] = 99
-	bounds[0] = -1
-	if _, again := h.Buckets(); again[0] != 1 {
-		t.Fatalf("Buckets() exposes internal state: %v", again)
+	if again := h.merged(); again[0] != 1 {
+		t.Fatalf("merged() exposes internal state: %v", again)
 	}
 }

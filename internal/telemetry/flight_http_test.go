@@ -27,7 +27,7 @@ func (f *fakeFlight) TriggerBundle(reason string) (string, error) {
 }
 
 func TestFlightEndpoints(t *testing.T) {
-	fl := &fakeFlight{state: `{"state":{"armed":true},"events":[]}`, bundleDir: "/tmp/bundles/flight-1"}
+	fl := &fakeFlight{state: `{"events":[]}`, bundleDir: "/tmp/bundles/flight-1"}
 	srv := httptest.NewServer(NewHandler(HandlerConfig{Flight: fl}))
 	defer srv.Close()
 
@@ -86,7 +86,7 @@ func TestFlightEndpointsNil404(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(HandlerConfig{}))
 	defer srv.Close()
 	if resp, _ := get(t, srv, "/debug/flight"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("flight without watchdog: %d", resp.StatusCode)
+		t.Fatalf("flight without a recorder: %d", resp.StatusCode)
 	}
 	resp, err := http.Post(srv.URL+"/debug/flight/bundle", "", nil)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestFlightEndpointsNil404(t *testing.T) {
 	}
 	readBody(t, resp)
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("bundle without watchdog: %d", resp.StatusCode)
+		t.Fatalf("bundle without a recorder: %d", resp.StatusCode)
 	}
 }
 

@@ -25,11 +25,11 @@ type TimelineWriter interface {
 }
 
 // FlightDebug is the flight-recorder surface the handler exposes — in
-// practice *flight.Watchdog, accepted as an interface so telemetry does not
-// import the flight package.
+// practice flight.BundleConfig, accepted as an interface so telemetry does
+// not import the flight package.
 type FlightDebug interface {
-	// WriteFlightState renders the watchdog state plus recent flight events
-	// as one JSON document (the /debug/flight body).
+	// WriteFlightState renders the recent flight records as one JSON
+	// document (the /debug/flight body).
 	WriteFlightState(w io.Writer) error
 	// TriggerBundle writes a diagnostic bundle now and returns its path.
 	TriggerBundle(reason string) (string, error)
@@ -45,7 +45,7 @@ type HandlerConfig struct {
 	// Timeline backs /debug/timeline (Chrome trace-event JSON for
 	// Perfetto / chrome://tracing).
 	Timeline TimelineWriter
-	// Flight backs /debug/flight (recent events + watchdog state, JSON) and
+	// Flight backs /debug/flight (recent flight records, JSON) and
 	// POST /debug/flight/bundle (write a diagnostic bundle on demand).
 	Flight FlightDebug
 	// Health backs /healthz and /readyz. /healthz answers 200 whenever the
@@ -171,7 +171,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			"/metrics              plain-text counters, gauges, latency histograms\n"+
 			"/debug/trace          last-N per-batch trace records (JSON)\n"+
 			"/debug/timeline       Chrome trace-event JSON (open in Perfetto)\n"+
-			"/debug/flight         flight-recorder events + SLO watchdog state (JSON)\n"+
+			"/debug/flight         recent flight-recorder records (JSON)\n"+
 			"/debug/flight/bundle  POST: write a diagnostic bundle now\n"+
 			"/debug/pprof/         runtime profiles (only with pprof enabled)\n"+
 			"/healthz              liveness probe\n"+

@@ -141,29 +141,18 @@ func (h *Histogram) merged() []uint64 {
 	return out
 }
 
-// Buckets returns the histogram's upper bucket edges and a merged copy of
-// the per-bucket counts (one more count than bounds: the final entry is the
-// implicit +Inf bucket). The caller owns both slices; callers that poll —
-// the flight watchdog diffs successive merges to get windowed counts — may
-// cache the bounds, which never change after registration.
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	return append([]float64(nil), h.bounds...), h.merged()
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
 // inside the covering bucket. Samples in the +Inf bucket report the highest
 // finite bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	return QuantileFromBuckets(h.bounds, h.merged(), q)
+	return quantileFromBuckets(h.bounds, h.merged(), q)
 }
 
-// QuantileFromBuckets estimates the q-quantile of an arbitrary bucket-count
-// vector over sorted upper edges (len(counts) = len(bounds)+1, the extra
-// entry being the +Inf bucket). It is Histogram.Quantile with the counts
-// supplied by the caller, so windowed quantiles can be computed from
-// bucket-count diffs between two snapshots. An empty or all-zero vector
-// reports 0; mass in the +Inf bucket reports the highest finite bound.
-func QuantileFromBuckets(bounds []float64, counts []uint64, q float64) float64 {
+// quantileFromBuckets estimates the q-quantile of a bucket-count vector over
+// sorted upper edges (len(counts) = len(bounds)+1, the extra entry being the
+// +Inf bucket). An empty or all-zero vector reports 0; mass in the +Inf
+// bucket reports the highest finite bound.
+func quantileFromBuckets(bounds []float64, counts []uint64, q float64) float64 {
 	if len(bounds) == 0 || len(counts) == 0 {
 		return 0
 	}
@@ -248,9 +237,8 @@ func (r *Registry) lookup(name string, mk func() interface{}) interface{} {
 
 // Find returns the metric registered under name (a *Counter, *FloatCounter,
 // *Gauge or *Histogram), or nil when nothing is registered yet. It never
-// creates — consumers that observe metrics owned by other subsystems (the
-// flight watchdog) use it to resolve handles lazily without fixing a
-// registration order.
+// creates — consumers that observe metrics owned by other subsystems use it
+// to resolve handles lazily without fixing a registration order.
 func (r *Registry) Find(name string) interface{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()

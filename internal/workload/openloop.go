@@ -7,48 +7,14 @@ import (
 	"ugache/internal/rng"
 )
 
-// Arrival selects the arrival process of an open-loop stream.
-type Arrival int
-
-const (
-	// Poisson arrivals: exponential inter-arrival times at the offered
-	// rate — the memoryless baseline every queueing result is stated in.
-	Poisson Arrival = iota
-	// MMPP arrivals: a 2-state Markov-modulated Poisson process that
-	// alternates between a quiet state and a burst state with exponential
-	// sojourns. Same long-run offered rate as Poisson, far burstier — the
-	// arrival pattern that actually finds a serving system's knee.
-	MMPP
-)
-
-// String names the arrival process for flags and reports.
-func (a Arrival) String() string {
-	if a == MMPP {
-		return "mmpp"
-	}
-	return "poisson"
-}
-
-// ParseArrival parses a flag value ("poisson" or "mmpp").
-func ParseArrival(s string) (Arrival, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "mmpp":
-		return MMPP, nil
-	}
-	return 0, fmt.Errorf("workload: unknown arrival process %q (want poisson or mmpp)", s)
-}
-
 // OpenLoopConfig parameterizes an open-loop request stream: arrivals are
 // scheduled by the offered rate alone, never by service completions, so
 // unlike a closed loop the generator keeps offering load to a saturated
 // server — the regime where shed counts and the latency knee are measured.
 type OpenLoopConfig struct {
-	// QPS is the long-run offered request rate (required, > 0).
+	// QPS is the offered request rate of the Poisson arrivals (required,
+	// > 0).
 	QPS float64
-	// Arrivals selects Poisson (default) or bursty MMPP arrivals.
-	Arrivals Arrival
 
 	// Users is the simulated user population (default 1M). Users carry no
 	// per-user state — a user's working set is derived by hashing, so
@@ -63,9 +29,8 @@ type OpenLoopConfig struct {
 	NumKeys int64
 }
 
-// The shape of the simulated population and of the bursty arrival process.
-// Nothing sets these per stream: one population and one burst shape are what
-// the serving experiments are stated against.
+// The shape of the simulated population. Nothing sets these per stream: one
+// population is what the serving experiments are stated against.
 const (
 	// userAlpha is the Zipf skew of user activity: a few users issue most
 	// requests, the long tail is nearly idle.
@@ -82,15 +47,6 @@ const (
 	// SYN-A), applied both to global draws and, through the hash, to affinity
 	// sets — hot keys appear in many users' working sets.
 	keyAlpha = 1.2
-	// burstRatio is the MMPP burst-state rate multiplier over the quiet
-	// state, and burstFraction the long-run fraction of time spent in the
-	// burst state; the quiet/burst rates are solved so the long-run offered
-	// rate stays exactly QPS.
-	burstRatio    = 8.0
-	burstFraction = 0.1
-	// quietSojourn is the mean dwell time in the quiet state, in seconds;
-	// the burst dwell follows from burstFraction.
-	quietSojourn = 1.0
 )
 
 func (c OpenLoopConfig) normalize() (OpenLoopConfig, error) {
@@ -133,15 +89,6 @@ type OpenLoop struct {
 
 	now float64 // seconds since stream start
 
-	// MMPP state: current state's rate and when it ends.
-	burst    bool
-	rate     float64
-	stateEnd float64
-	rateLo   float64
-	rateHi   float64
-	meanLo   float64 // mean quiet sojourn, seconds
-	meanHi   float64 // mean burst sojourn, seconds
-
 	keyBuf []int64
 }
 
@@ -160,30 +107,13 @@ func NewOpenLoop(cfg OpenLoopConfig, seed uint64) (*OpenLoop, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &OpenLoop{
+	return &OpenLoop{
 		cfg:    cfg,
 		r:      rng.New(seed).Split("open-loop"),
 		users:  users,
 		keys:   keys,
 		keyBuf: make([]int64, cfg.KeysPerRequest),
-	}
-	if cfg.Arrivals == MMPP {
-		// Stationary split pi_hi = burstFraction with exponential sojourns,
-		// and rate_hi = burstRatio * rate_lo; solve rate_lo so the long-run
-		// offered rate is exactly QPS:
-		//   QPS = (1-f)*rate_lo + f*burstRatio*rate_lo.
-		const f = burstFraction
-		o.rateLo = cfg.QPS / ((1 - f) + f*burstRatio)
-		o.rateHi = burstRatio * o.rateLo
-		o.meanLo = quietSojourn
-		o.meanHi = o.meanLo * f / (1 - f)
-		o.burst = false
-		o.rate = o.rateLo
-		o.stateEnd = o.r.Exp() * o.meanLo
-	} else {
-		o.rate = cfg.QPS
-	}
-	return o, nil
+	}, nil
 }
 
 // splitmix64 is the stateless mixer behind per-user key affinity: hashing
@@ -201,10 +131,11 @@ func unit(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// Next advances the stream and fills req with the next arrival. The Keys
-// slice aliases the generator's buffer.
+// Next advances the stream by one exponential inter-arrival time at the
+// offered rate and fills req with the next arrival. The Keys slice aliases
+// the generator's buffer.
 func (o *OpenLoop) Next(req *OpenLoopRequest) {
-	o.advanceClock()
+	o.now += o.r.Exp() / o.cfg.QPS
 	user := o.users.Sample(o.r)
 	keys := o.keyBuf[:o.cfg.KeysPerRequest]
 	for i := range keys {
@@ -222,30 +153,4 @@ func (o *OpenLoop) Next(req *OpenLoopRequest) {
 	req.At = time.Duration(o.now * float64(time.Second))
 	req.User = user
 	req.Keys = keys
-}
-
-// advanceClock draws the next inter-arrival time. For MMPP the exponential
-// draw is redrawn whenever it crosses a state switch — exact by
-// memorylessness, no thinning or discretization.
-func (o *OpenLoop) advanceClock() {
-	if o.cfg.Arrivals != MMPP {
-		o.now += o.r.Exp() / o.rate
-		return
-	}
-	for {
-		dt := o.r.Exp() / o.rate
-		if o.now+dt <= o.stateEnd {
-			o.now += dt
-			return
-		}
-		o.now = o.stateEnd
-		o.burst = !o.burst
-		if o.burst {
-			o.rate = o.rateHi
-			o.stateEnd = o.now + o.r.Exp()*o.meanHi
-		} else {
-			o.rate = o.rateLo
-			o.stateEnd = o.now + o.r.Exp()*o.meanLo
-		}
-	}
 }

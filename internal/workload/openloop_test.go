@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -30,7 +31,7 @@ func TestZipfRankMatchesSample(t *testing.T) {
 }
 
 func TestOpenLoopDeterministic(t *testing.T) {
-	cfg := OpenLoopConfig{QPS: 5000, NumKeys: 50_000, Arrivals: MMPP}
+	cfg := OpenLoopConfig{QPS: 5000, NumKeys: 50_000}
 	a, err := NewOpenLoop(cfg, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,33 @@ func TestOpenLoopDeterministic(t *testing.T) {
 			if ra.Keys[j] != rb.Keys[j] {
 				t.Fatalf("keys diverged at request %d slot %d", i, j)
 			}
+		}
+	}
+}
+
+// TestOpenLoopPinned holds the first arrivals of one seed to the values the
+// stream produced when it also had a bursty arrival process: dropping that
+// process left the Poisson stream draw for draw as it was.
+func TestOpenLoopPinned(t *testing.T) {
+	o, err := NewOpenLoop(OpenLoopConfig{QPS: 5000, NumKeys: 50_000, KeysPerRequest: 4}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		at   time.Duration
+		user int64
+		keys []int64
+	}{
+		{223989, 7440, []int64{4089, 3050, 7, 5}},
+		{406240, 11443, []int64{14, 763, 8, 151}},
+		{509977, 2916, []int64{26, 730, 2, 21}},
+		{809054, 75280, []int64{13, 2, 11, 39983}},
+	}
+	var req OpenLoopRequest
+	for i, w := range want {
+		o.Next(&req)
+		if req.At != w.at || req.User != w.user || !slices.Equal(req.Keys, w.keys) {
+			t.Fatalf("arrival %d = %v user %d keys %v, want %v user %d keys %v", i, req.At, req.User, req.Keys, w.at, w.user, w.keys)
 		}
 	}
 }
@@ -79,57 +107,38 @@ func TestOpenLoopPoissonRate(t *testing.T) {
 	}
 }
 
-// TestOpenLoopMMPP checks the modulated process keeps the configured
-// long-run rate while being measurably burstier than Poisson: the index of
-// dispersion (variance/mean of per-window arrival counts) is ~1 for Poisson
-// and must rise well above it under MMPP.
-func TestOpenLoopMMPP(t *testing.T) {
-	// 400k arrivals at 2000 qps are 200 s of stream: some 180 quiet/burst
-	// cycles at the one-second mean quiet sojourn, enough for the long-run
-	// rate to show (2040 here; 20 s of stream read 16 % low).
+// TestOpenLoopPoissonDispersion checks the arrivals are Poisson in count, not
+// only in rate: the index of dispersion (variance/mean of per-window arrival
+// counts) of a Poisson process is 1.
+func TestOpenLoopPoissonDispersion(t *testing.T) {
 	const qps = 2_000.0
-	dispersion := func(arrivals Arrival) (rate, idx float64) {
-		o, err := NewOpenLoop(OpenLoopConfig{
-			QPS: qps, NumKeys: 10_000, Arrivals: arrivals,
-		}, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 400_000
-		const window = 10 * time.Millisecond
-		counts := make(map[int64]int)
-		var req OpenLoopRequest
-		for i := 0; i < n; i++ {
-			o.Next(&req)
-			counts[int64(req.At/window)]++
-		}
-		lastWin := int64(req.At / window)
-		mean, m2 := 0.0, 0.0
-		for w := int64(0); w < lastWin; w++ { // include empty windows
-			mean += float64(counts[w])
-		}
-		mean /= float64(lastWin)
-		for w := int64(0); w < lastWin; w++ {
-			d := float64(counts[w]) - mean
-			m2 += d * d
-		}
-		variance := m2 / float64(lastWin)
-		return float64(n) / req.At.Seconds(), variance / mean
+	o, err := NewOpenLoop(OpenLoopConfig{QPS: qps, NumKeys: 10_000}, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	rate, poissonIdx := dispersion(Poisson)
-	if math.Abs(rate-qps)/qps > 0.05 {
-		t.Fatalf("poisson long-run rate %.0f, want ~%.0f", rate, qps)
+	const n = 100_000
+	const window = 10 * time.Millisecond
+	counts := make(map[int64]int)
+	var req OpenLoopRequest
+	for i := 0; i < n; i++ {
+		o.Next(&req)
+		counts[int64(req.At/window)]++
 	}
-	rate, mmppIdx := dispersion(MMPP)
-	if math.Abs(rate-qps)/qps > 0.10 {
-		t.Fatalf("mmpp long-run rate %.0f, want ~%.0f", rate, qps)
+	lastWin := int64(req.At / window)
+	mean, m2 := 0.0, 0.0
+	for w := int64(0); w < lastWin; w++ { // include empty windows
+		mean += float64(counts[w])
 	}
-	if poissonIdx > 2 {
-		t.Fatalf("poisson dispersion index %.2f, want ~1", poissonIdx)
+	mean /= float64(lastWin)
+	for w := int64(0); w < lastWin; w++ {
+		d := float64(counts[w]) - mean
+		m2 += d * d
 	}
-	if mmppIdx < 3*poissonIdx {
-		t.Fatalf("mmpp dispersion %.2f not burstier than poisson %.2f", mmppIdx, poissonIdx)
+	if idx := m2 / float64(lastWin) / mean; idx < 0.8 || idx > 1.2 {
+		t.Fatalf("dispersion index %.2f, want ~1", idx)
+	}
+	if rate := float64(n) / req.At.Seconds(); math.Abs(rate-qps)/qps > 0.05 {
+		t.Fatalf("long-run rate %.0f, want ~%.0f", rate, qps)
 	}
 }
 
@@ -200,14 +209,5 @@ func TestOpenLoopConfigErrors(t *testing.T) {
 	}
 	if _, err := NewOpenLoop(OpenLoopConfig{QPS: 100}, 1); err == nil {
 		t.Fatal("accepted NumKeys <= 0")
-	}
-	if _, err := ParseArrival("bogus"); err == nil {
-		t.Fatal("parsed bogus arrival process")
-	}
-	for _, s := range []string{"poisson", "mmpp"} {
-		a, err := ParseArrival(s)
-		if err != nil || a.String() != s {
-			t.Fatalf("ParseArrival(%q) = %v, %v", s, a, err)
-		}
 	}
 }

@@ -225,12 +225,14 @@ type ServeStats = serve.Stats
 // Admission outcomes (DESIGN.md §6.5): a request against a full bounded
 // queue is shed at once with ErrOverload (Handle never blocks; retry with
 // backoff to wait); requests racing shutdown observe ErrClosed; a request
-// naming a key outside the table is refused with ErrBadKey before it can
-// share a batch with anyone else's.
+// naming a GPU the server does not have is refused with ErrBadGPU, and one
+// naming a key outside the table with ErrBadKey, before it can share a batch
+// with anyone else's.
 var (
 	ErrOverload = serve.ErrOverload
 	ErrClosed   = serve.ErrClosed
 	ErrBadKey   = serve.ErrBadKey
+	ErrBadGPU   = serve.ErrBadGPU
 )
 
 // Serve starts the serving engine on a built system. Close the returned
