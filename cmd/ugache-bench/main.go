@@ -47,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	stopProf, err := prof.Start(prof.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
 		os.Exit(1)

@@ -3,8 +3,8 @@
 // requests for Zipf-drawn embedding keys, the per-GPU coalescer batches
 // them into iteration-sized extractions, and the run reports throughput,
 // request latency percentiles, and the simulated extraction times of the
-// coalesced batches. With -nodes N the same clients run against N in-process
-// nodes behind the consistent-hash router.
+// coalesced batches. It serves one machine, as the paper evaluates; the
+// multi-node router is measured by benchmark/'s cluster-scatter workload.
 //
 // With -open-loop the clients are replaced by one poller
 // (workload.DriveOpenLoop) that offers every GPU its share of -qps: arrivals
@@ -73,10 +73,6 @@ type options struct {
 	metricsOut  string
 	pprofOn     bool
 
-	nodes      int
-	netBW      float64
-	netLatency time.Duration
-
 	prof prof.Config
 }
 
@@ -113,9 +109,6 @@ func parse(args []string) (options, error) {
 	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (SIGQUIT, POST /debug/flight/bundle)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final telemetry snapshot as JSON to this file at exit")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")
-	fs.IntVar(&o.nodes, "nodes", 1, "cluster mode: run N in-process nodes behind the consistent-hash router (closed-loop only)")
-	fs.Float64Var(&o.netBW, "net-bw", 25e9, "cluster inter-machine link bandwidth in bytes/s")
-	fs.DurationVar(&o.netLatency, "net-latency", 10*time.Microsecond, "cluster inter-machine one-way latency")
 	fs.StringVar(&o.prof.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.prof.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
 	fs.StringVar(&o.prof.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this file at exit")
@@ -133,7 +126,7 @@ func main() {
 	if err != nil {
 		os.Exit(2) // the flag set has said what was wrong
 	}
-	stopProf, err := prof.StartWith(o.prof)
+	stopProf, err := prof.Start(o.prof)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugache-serve: %v\n", err)
 		os.Exit(1)

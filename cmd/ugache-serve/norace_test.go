@@ -2,7 +2,7 @@
 
 package main
 
-// The scale `make trace-smoke`, `flight-smoke` and `cluster-smoke` ran at.
+// The scale `make trace-smoke` and `flight-smoke` ran at.
 const smokeScale = "0.02"
 
 // An open-loop rate that saturates the engine.

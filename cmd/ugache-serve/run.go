@@ -17,13 +17,11 @@ import (
 	"time"
 
 	"ugache/internal/cache"
-	"ugache/internal/cluster"
 	"ugache/internal/core"
 	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/serve"
-	"ugache/internal/solver"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
@@ -61,8 +59,8 @@ func run(ctx context.Context, o options, w io.Writer) (err error) {
 }
 
 // engine is one run: what check resolves the flag values to, and what build
-// makes and shutdown takes down — -nodes serving nodes (one, unless it is
-// cluster mode) over one registry and flight recorder.
+// makes and shutdown takes down — one system and its serving engine over one
+// registry and flight recorder.
 type engine struct {
 	o options
 	w io.Writer
@@ -70,13 +68,13 @@ type engine struct {
 	mode core.RefreshMode // the controller's in-loop policy
 	post bool             // -refresh-mode post: one refresh after the closed loop, the command's own policy
 
-	p       *platform.Platform // one machine's; the clustered twin under -nodes N
+	p       *platform.Platform
 	ds      *workload.DLRDataset
 	reg     *telemetry.Registry
 	fl      *flight.Recorder // nil without -trace-out or -flight
 	health  *telemetry.Health
-	nodes   []*cluster.Node
-	front   *cluster.Front // nil with one node
+	sys     *core.System
+	srv     *serve.Server
 	sampler *cache.HotnessSampler
 	ctrl    *core.Controller
 
@@ -89,9 +87,6 @@ type engine struct {
 // combinations the command does not run, before anything is built.
 func (e *engine) check() (err error) {
 	o := e.o
-	if o.nodes < 1 {
-		return fmt.Errorf("-nodes must be >= 1, got %d", o.nodes)
-	}
 	if o.batch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", o.batch)
 	}
@@ -100,21 +95,16 @@ func (e *engine) check() (err error) {
 			return err
 		}
 	}
-	// Refresh and prefetch act on one system, and the router has no
-	// asynchronous entry point for an open loop to offer load through.
-	if o.nodes > 1 && (o.openLoop || e.post || e.mode != core.RefreshOff || o.lookahead > 0) {
-		return fmt.Errorf("-nodes > 1 supports the closed-loop client mode only (no -open-loop, -refresh-mode, -lookahead)")
-	}
 	if o.openLoop && o.qps <= 0 {
 		return fmt.Errorf("-open-loop needs -qps > 0, got %g", o.qps)
 	}
 	return nil
 }
 
-// build makes the platform (the clustered twin of -server under -nodes N),
-// the -dataset at -scale and the hotness of 64 profiling batches of one
-// iteration's worth of requests each; solves and fills the nodes; and starts
-// everything a run serves with: workers, router, SIGQUIT handler, listener.
+// build makes the -server platform, the -dataset at -scale and the hotness
+// of 64 profiling batches of one iteration's worth of requests each; solves
+// and fills the system; and starts everything a run serves with: workers,
+// SIGQUIT handler, listener.
 // When it fails part-way, stop ends what it had started.
 func (e *engine) build() (err error) {
 	o, w := e.o, e.w
@@ -122,17 +112,7 @@ func (e *engine) build() (err error) {
 	if err != nil {
 		return err
 	}
-	if o.nodes > 1 {
-		// The same GPUs and intra-machine links, joined to nodes-1 peers over
-		// the configured network fabric.
-		var cfg platform.Config
-		if cfg, err = platform.ConfigByName(o.server); err == nil {
-			e.p, err = platform.ClusterOf(cfg, platform.NetworkConfig{Machines: o.nodes, LinkBW: o.netBW, LatencySec: o.netLatency.Seconds()})
-		}
-	} else {
-		e.p, err = platform.ByName(o.server)
-	}
-	if err != nil {
+	if e.p, err = platform.ByName(o.server); err != nil {
 		return err
 	}
 	if e.ds, err = spec.Build(o.scale, o.seed); err != nil {
@@ -141,10 +121,6 @@ func (e *engine) build() (err error) {
 	p, ds := e.p, e.ds
 	fmt.Fprintf(w, "dataset %s at scale %g: %d tables, %d entries, %d B rows\n",
 		spec.Name, o.scale, ds.KeysPerSample(), ds.NumEntries(), ds.MT.MaxEntryBytes())
-	if o.nodes > 1 {
-		fmt.Fprintf(w, "cluster:           %d nodes of %s, wire %.0f GB/s, %.0fus one-way\n",
-			o.nodes, p.Name, o.netBW/1e9, o.netLatency.Seconds()*1e6)
-	}
 	// The open loop serves workload.OpenLoop's stream, one Zipf over the
 	// flattened key space rather than the dataset's per-table heads, so it
 	// profiles 64 batches of openLoopProfile requests from a stream of its own
@@ -172,88 +148,62 @@ func (e *engine) build() (err error) {
 	}
 
 	// One registry and flight recorder shared by the core (extraction tiers,
-	// refresh), every node's serving engine and the router, so /metrics, the
-	// trace and a bundle show the whole run. The recorder draws the trace
-	// from its rings, so -trace-out runs it even under -flight=false, and
-	// -flight keeps it for the trace a bundle dumps, whose exemplar batch
-	// resolves into that trace's span trees.
-	workers := p.N * o.nodes
-	e.reg = telemetry.NewRegistry(workers)
+	// refresh) and the serving engine, so /metrics, the trace and a bundle
+	// show the whole run. The recorder draws the trace from its rings, so
+	// -trace-out runs it even under -flight=false, and -flight keeps it for
+	// the trace a bundle dumps, whose exemplar batch resolves into that
+	// trace's span trees.
+	e.reg = telemetry.NewRegistry(p.N)
 	if o.traceOut != "" || o.flight {
-		e.fl = flight.NewRecorder(workers, o.flightDepth)
+		e.fl = flight.NewRecorder(p.N, o.flightDepth)
 	}
 	if e.post || e.mode != core.RefreshOff {
 		e.sampler = cache.NewHotnessSampler(ds.NumEntries(), 1)
 	}
 
-	// The systems are built in functional mode, so lookups return (and verify
-	// against) real bytes. Every node solves the same platform, hotness and
-	// capacity, so node 0 solves and the rest take its placement; what differs
-	// is the shard of the ring a node owns, and the ring is a function of
-	// (nodes, vnodes, seed), so the router's own is its twin.
-	ring := cluster.MustRing(o.nodes, cluster.DefaultVnodes, o.seed)
+	// The system is built in functional mode, so lookups return (and verify
+	// against) real bytes.
 	t0 := time.Now()
-	var placement *solver.Placement
-	for i := 0; i < o.nodes; i++ {
-		var owned func(int64) bool
-		if o.nodes > 1 {
-			owned = func(k int64) bool { return ring.Owner(k) == i }
-		}
-		sys, err := core.Build(core.Config{
-			Platform:   p,
-			Hotness:    hot,
-			EntryBytes: ds.MT.MaxEntryBytes(),
-			CacheRatio: o.ratio,
-			Source:     ds.MT,
-			Placement:  placement,
-			Owned:      owned,
-			Telemetry:  e.reg,
-			Flight:     e.fl,
-		})
-		if err != nil {
-			return fmt.Errorf("node %d: %w", i, err)
-		}
-		placement = sys.Placement()
-		if e.mode != core.RefreshOff { // one node: check refused the rest
-			e.ctrl, err = core.NewController(sys, core.ControllerConfig{
-				Mode:          e.mode,
-				Sampler:       e.sampler,
-				CheckEvery:    o.checkEvery,
-				PeriodBatches: o.period,
-				Drift:         cache.DriftConfig{Threshold: o.driftThr},
-				Telemetry:     e.reg,
-				Async:         true,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		srv, err := serve.New(sys, serve.Config{
-			MaxBatchKeys: o.maxBatch,
-			Telemetry:    e.reg,
-			Sampler:      e.sampler,
-			Controller:   e.ctrl,
-			Flight:       e.fl,
-			Lookahead:    o.lookahead,
-			StaleBatches: o.staleThr,
-			QueueDepth:   o.queueDepth,
-		})
-		if err != nil {
-			return fmt.Errorf("node %d: %w", i, err)
-		}
-		e.nodes = append(e.nodes, &cluster.Node{Sys: sys, Srv: srv})
+	e.sys, err = core.Build(core.Config{
+		Platform:   p,
+		Hotness:    hot,
+		EntryBytes: ds.MT.MaxEntryBytes(),
+		CacheRatio: o.ratio,
+		Source:     ds.MT,
+		Telemetry:  e.reg,
+		Flight:     e.fl,
+	})
+	if err != nil {
+		return err
 	}
-	srv := e.nodes[0].Srv
-	if o.nodes > 1 {
-		e.front, err = cluster.NewFront(e.nodes, cluster.FrontConfig{Seed: o.seed, Telemetry: e.reg, Flight: e.fl})
+	if e.mode != core.RefreshOff {
+		e.ctrl, err = core.NewController(e.sys, core.ControllerConfig{
+			Mode:          e.mode,
+			Sampler:       e.sampler,
+			CheckEvery:    o.checkEvery,
+			PeriodBatches: o.period,
+			Drift:         cache.DriftConfig{Threshold: o.driftThr},
+			Telemetry:     e.reg,
+			Async:         true,
+		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "built %d nodes:     cache ratio %g solved once and filled per node in %.2fs\n",
-			o.nodes, o.ratio, time.Since(t0).Seconds())
-	} else {
-		fmt.Fprintf(w, "built %s: cache ratio %g solved and filled in %.2fs\n", p.Name, o.ratio, time.Since(t0).Seconds())
 	}
+	e.srv, err = serve.New(e.sys, serve.Config{
+		MaxBatchKeys: o.maxBatch,
+		Telemetry:    e.reg,
+		Sampler:      e.sampler,
+		Controller:   e.ctrl,
+		Flight:       e.fl,
+		Lookahead:    o.lookahead,
+		StaleBatches: o.staleThr,
+		QueueDepth:   o.queueDepth,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "built %s: cache ratio %g solved and filled in %.2fs\n", p.Name, o.ratio, time.Since(t0).Seconds())
 	switch {
 	case e.mode == core.RefreshDrift:
 		fmt.Fprintf(w, "refresh mode drift: top-1/16 overlap + rank distance, threshold %.2f\n", e.ctrl.Detector().Config().Threshold)
@@ -262,14 +212,13 @@ func (e *engine) build() (err error) {
 	}
 	if o.lookahead > 0 {
 		fmt.Fprintf(w, "prefetch:          lookahead %d, staleness window %d batches, %d staged rows/GPU\n",
-			o.lookahead, o.staleThr, srv.StagingArena(0).Capacity())
+			o.lookahead, o.staleThr, e.srv.StagingArena(0).Capacity())
 	}
 
-	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: srv.Trace(), Health: e.health, EnablePprof: o.pprofOn}
+	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: e.srv.Trace(), Health: e.health, EnablePprof: o.pprofOn}
 	if e.fl != nil {
-		// Every node's rings. Assigned only when there is a recorder: a
-		// typed-nil *Recorder in the interface would pass the handler's nil
-		// check.
+		// Assigned only when there is a recorder: a typed-nil *Recorder in the
+		// interface would pass the handler's nil check.
 		hcfg.Trace, hcfg.Timeline = e.fl.Trace(), e.fl
 	}
 	if o.flight {
@@ -315,15 +264,12 @@ func (e *engine) build() (err error) {
 }
 
 // stop is the quiet half of the shutdown, and all of it when build fails
-// part-way: stop advertising readiness, drain the router and the workers,
-// and end the goroutines build started.
+// part-way: stop advertising readiness, drain the workers, and end the
+// goroutines build started.
 func (e *engine) stop() {
 	e.health.SetReady(false)
-	if e.front != nil {
-		e.front.Close()
-	}
-	for _, nd := range e.nodes {
-		nd.Srv.Close()
+	if e.srv != nil {
+		e.srv.Close()
 	}
 	if e.sigq != nil {
 		signal.Stop(e.sigq)
@@ -418,26 +364,9 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// lookup issues one closed-loop request through the run's front door — the
-// router with several nodes, the one server without — and returns the
-// modelled seconds of the batch it rode in. A partial result is an outcome,
-// not an error: the router counts it and the summary reports it.
-func (e *engine) lookup(node, gpu int, keys []int64) (sim float64, err error) {
-	if e.front == nil {
-		res, err := e.nodes[0].Srv.Lookup(gpu, keys)
-		return res.SimSeconds, err
-	}
-	res := e.front.Lookup(node, gpu, keys)
-	if errors.Is(res.Err, cluster.ErrPartial) {
-		return res.SimSeconds, nil
-	}
-	return res.SimSeconds, res.Err
-}
-
 // closedLoop is the default load: each client issues its next request as
-// soon as the previous one completes, sticking to node c%N (session
-// affinity) and round-robining that node's GPUs; then the summary, and
-// under -refresh-mode post the one refresh.
+// soon as the previous one completes, round-robining the GPUs; then the
+// summary, and under -refresh-mode post the one refresh.
 func (e *engine) closedLoop(ctx context.Context) error {
 	o, w, p := e.o, e.w, e.p
 	// What client c measured, written by client c alone.
@@ -450,7 +379,6 @@ func (e *engine) closedLoop(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			node := c % o.nodes
 			r := rng.New(o.seed).Split(fmt.Sprintf("client%d", c))
 			// The peek stream is a same-seeded replica of r running L requests
 			// ahead: announcing request i+L's exact keys before issuing request
@@ -458,7 +386,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 			peekR := rng.New(o.seed).Split(fmt.Sprintf("client%d", c))
 			announce := func(i int) {
 				if o.lookahead > 0 && i < o.requests {
-					e.nodes[node].Srv.Prefetch((c+i)%p.N, e.ds.GenBatchWith(peekR, o.batch))
+					e.srv.Prefetch((c+i)%p.N, e.ds.GenBatchWith(peekR, o.batch))
 				}
 			}
 			for i := 0; i < o.lookahead; i++ {
@@ -469,13 +397,13 @@ func (e *engine) closedLoop(ctx context.Context) error {
 				announce(i + o.lookahead)
 				keys := e.ds.GenBatchWith(r, o.batch)
 				reqStart := time.Now()
-				sim, err := e.lookup(node, (c+i)%p.N, keys)
+				res, err := e.srv.Lookup((c+i)%p.N, keys)
 				if err != nil {
 					errs[c] = fmt.Errorf("client %d: %w", c, err)
 					return
 				}
 				lats[c] = append(lats[c], float64(time.Since(reqStart)))
-				sims[c] += sim
+				sims[c] += res.SimSeconds
 			}
 		}()
 	}
@@ -489,46 +417,27 @@ func (e *engine) closedLoop(ctx context.Context) error {
 		simSum += sim
 	}
 
-	// The registry is shared, so one node's Stats are the run's.
-	st := e.nodes[0].Srv.Stats()
+	st := e.srv.Stats()
 	batches := float64(max(st.Batches, 1))
 	metric := e.reg.Value
 	all := slices.Concat(lats...)
 	q := stats.Quantiles(all, 0.50, 0.99, 1)
-	// The two headings that name what they count, per mode.
-	over, tiersOf := fmt.Sprintf(" over %d nodes", o.nodes), ""
-	if e.front == nil {
-		over, tiersOf = "", fmt.Sprintf(" (of %d unique keys)", st.UniqueKeys)
-	}
-	fmt.Fprintf(w, "\n%d clients x %d requests (%d samples each)%s in %.2fs\n", o.clients, o.requests, o.batch, over, wall)
+	fmt.Fprintf(w, "\n%d clients x %d requests (%d samples each) in %.2fs\n", o.clients, o.requests, o.batch, wall)
 	fmt.Fprintf(w, "throughput:        %.0f req/s, %.0f keys/s\n", float64(len(all))/wall, float64(st.RequestedKeys)/wall)
 	fmt.Fprintf(w, "latency:           p50 %v  p99 %v  max %v\n", time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2]))
-	if e.front == nil {
-		fmt.Fprintf(w, "coalescing:        %d batches, %.1f unique keys/batch (%.1f requested)\n",
-			st.Batches, st.MeanBatchKeys(), float64(st.RequestedKeys)/batches)
-		fmt.Fprintf(w, "simulated extract: %.3f ms/batch mean, %.1f ms total per request stream\n",
-			st.SimSeconds/batches*1e3, simSum/float64(max(o.clients, 1))*1e3)
-	}
+	fmt.Fprintf(w, "coalescing:        %d batches, %.1f unique keys/batch (%.1f requested)\n",
+		st.Batches, st.MeanBatchKeys(), float64(st.RequestedKeys)/batches)
+	fmt.Fprintf(w, "simulated extract: %.3f ms/batch mean, %.1f ms total per request stream\n",
+		st.SimSeconds/batches*1e3, simSum/float64(max(o.clients, 1))*1e3)
 	local, remote, host, network := metric("core_hit_local_keys_total"), metric("core_hit_remote_keys_total"),
 		metric("core_hit_host_keys_total"), metric("core_hit_network_keys_total")
 	if sum := local + remote + host + network; sum > 0 {
-		fmt.Fprintf(w, "hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network%s\n",
-			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, tiersOf)
-	}
-	if e.front != nil {
-		fmt.Fprintf(w, "router:            %.0f lookups; %.0f keys local, %.0f cross-node (%.0f legs, %.1f keys/leg)\n",
-			metric("cluster_lookups_total"), metric("cluster_local_keys_total"),
-			metric("cluster_remote_keys_total"), metric("cluster_dispatches_total"),
-			metric("cluster_dispatch_keys_total")/max(metric("cluster_dispatches_total"), 1))
-		fmt.Fprintf(w, "cross-node bytes:  %.1f MB over the wire\n", metric("cluster_cross_node_bytes_total")/1e6)
-		if partials := metric("cluster_partial_lookups_total"); partials > 0 {
-			fmt.Fprintf(w, "partial results:   %.0f lookups returned partial (%.0f keys missed the deadline)\n",
-				partials, metric("cluster_missing_keys_total"))
-		}
+		fmt.Fprintf(w, "hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network (of %d unique keys)\n",
+			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, st.UniqueKeys)
 	}
 	if o.lookahead > 0 {
 		for g := 0; g < p.N; g++ { // the last announced windows may still be staging
-			e.nodes[0].Srv.WaitPrefetch(g)
+			e.srv.WaitPrefetch(g)
 		}
 		hits := metric("serve_fill_prefetch_hit")
 		fmt.Fprintf(w, "prefetch:          %.0f windows staged %.0f keys; %.0f staged hits (%.1f%% of unique), %.0f dropped windows\n",
@@ -552,7 +461,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 	if baseIter <= 0 {
 		baseIter = 1e-3
 	}
-	rep, err := e.nodes[0].Sys.Refresh(measured, baseIter, cache.DefaultRefreshConfig())
+	rep, err := e.sys.Refresh(measured, baseIter, cache.DefaultRefreshConfig())
 	if err != nil {
 		return fmt.Errorf("refresh: %w", err)
 	}
@@ -571,7 +480,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 // not treated as failures, and admitted requests are timed three ways (see
 // the package comment), so the driver's delay is not mistaken for the server's.
 func (e *engine) openLoop(ctx context.Context) error {
-	o, w, srv := e.o, e.w, e.nodes[0].Srv
+	o, w, srv := e.o, e.w, e.srv
 	gens, err := e.streams(o.seed)
 	if err != nil {
 		return err

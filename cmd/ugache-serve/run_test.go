@@ -70,11 +70,11 @@ func (o *output) waitFor(t *testing.T, re string) []string {
 var number = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?((ns|µs|ms|s)\b)?`)
 
 // clockLines are the report lines whose presence or place, not just their
-// numbers, depends on the wall clock: a router leg that missed its 50 ms deadline, a
-// staged row served inside the staleness window, and the gauges the final
-// snapshot lists only when positive (a link's utilisation in whichever
-// extraction came last, a queue that was ever found non-empty).
-var clockLines = []string{"partial results:", "stale serving:", "  sim_link_util_", "  serve_queue_depth_peak"}
+// numbers, depends on the wall clock: a staged row served inside the
+// staleness window, and the gauges the final snapshot lists only when
+// positive (a link's utilisation in whichever extraction came last, a queue
+// that was ever found non-empty).
+var clockLines = []string{"stale serving:", "  sim_link_util_", "  serve_queue_depth_peak"}
 
 // mask is the report with its numbers masked, its clock lines dropped and
 // the test's directory named TMP.
@@ -170,25 +170,13 @@ func readMetrics(t *testing.T, path string) map[string]float64 {
 	return m
 }
 
-// checkCluster is what `make cluster-smoke` grepped for: the router counted
-// every lookup (4 clients x 20 requests) and keys crossed nodes.
-func checkCluster(t *testing.T, m map[string]float64) {
-	t.Helper()
-	if got := m["cluster_lookups_total"]; got != 4*20 {
-		t.Errorf("cluster_lookups_total = %v, want clients x requests = 80", got)
-	}
-	if got := m["cluster_remote_keys_total"]; got <= 0 {
-		t.Errorf("cluster_remote_keys_total = %v, want > 0", got)
-	}
-}
-
 // TestRunGolden runs the command's known traffic — the argument lists of the
-// three former make smokes (trace-smoke with -refresh spelled -refresh-mode
-// post; at smokeScale), and the README's closed-loop prefetch and drift shapes — and holds
-// each report, masked, to its golden, first recorded from the binary that
-// still had a private cluster path. The smokes' own checks run in-process:
-// live against a -listen case's listener once its run is complete, then
-// check on the files the run left.
+// former make smokes (trace-smoke with -refresh spelled -refresh-mode post;
+// at smokeScale), and the README's closed-loop prefetch and drift shapes — and
+// holds each report, masked, to its golden. The smokes' own checks run
+// in-process: live against a -listen case's listener once its run is
+// complete, then check on the files the run left; a -listen case's listener
+// must be closed once the run has returned.
 func TestRunGolden(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -205,25 +193,9 @@ func TestRunGolden(t *testing.T) {
 						t.Errorf("trace holds %d %s spans, want the one refresh's", n, name)
 					}
 				}
-			}},
-		{"flight-smoke", "-scale " + smokeScale + " -open-loop -qps 4000 -duration 300ms -listen 127.0.0.1:0 -bundle-dir TMP/bundles",
-			func(t *testing.T, base string) {
-				// A bundle asked for over HTTP validates, exemplar included, and
-				// /debug/flight serves the recent records.
-				postBundle(t, base)
-				code, body := get(t, base+"/debug/flight")
-				var state struct{ Events []json.RawMessage }
-				if err := json.Unmarshal([]byte(body), &state); code != http.StatusOK || err != nil || len(state.Events) == 0 {
-					t.Errorf("/debug/flight: %d with %d records (%v), want 200 and the recent records", code, len(state.Events), err)
-				}
-			}, nil},
-		{"cluster-smoke", "-nodes 2 -scale " + smokeScale + " -clients 4 -requests 20 -trace-out TMP/trace.json -metrics-out TMP/metrics.json", nil,
-			func(t *testing.T, dir, _ string) {
-				rep := checkTimeline(t, filepath.Join(dir, "trace.json"))
-				m := readMetrics(t, filepath.Join(dir, "metrics.json"))
-				checkCluster(t, m)
-				// Every worker of both nodes (Server C: 8 GPUs each) draws on a
-				// track of its own, named apart.
+				// Every worker (Server C: 8 GPUs) draws on a track of its own,
+				// named apart, and the default flight depth holds the whole
+				// run's batch records: the batch spans answer every request.
 				tracks, names := map[int64]bool{}, map[string]bool{}
 				for _, ev := range rep.Trace {
 					if ev.PID == timeline.ProcServe && ev.Ph == "M" && ev.Name == "thread_name" {
@@ -234,13 +206,10 @@ func TestRunGolden(t *testing.T) {
 						tracks[ev.TID], names[name] = true, true
 					}
 				}
-				if len(tracks) != 2*8 || len(names) != 2*8 {
-					t.Errorf("serve process: %d named tracks, %d distinct names; want one per worker of 2 nodes x 8 GPUs: %v",
+				if len(tracks) != 8 || len(names) != 8 {
+					t.Errorf("serve process: %d named tracks, %d distinct names; want one per worker of 8 GPUs: %v",
 						len(tracks), len(names), names)
 				}
-				// A cross-node leg is a request in its owner's batch records,
-				// and the default flight depth holds the whole run's: the
-				// batch spans answer every request, legs included.
 				var requests float64
 				for i := range rep.Trace {
 					if ev := &rep.Trace[i]; ev.PID == timeline.ProcServe && ev.Name == "batch" {
@@ -251,14 +220,28 @@ func TestRunGolden(t *testing.T) {
 						requests += n
 					}
 				}
-				if served := m["serve_requests_total"]; m["cluster_dispatches_total"] == 0 || requests != served {
-					t.Errorf("trace's batch spans answer %v requests, want serve_requests_total = %v (%v cross-node legs)",
-						requests, served, m["cluster_dispatches_total"])
+				if requests != 4*20 {
+					t.Errorf("trace's batch spans answer %v requests, want clients x requests = 80", requests)
 				}
 				if n := rep.Names[timeline.ProcName{PID: timeline.ProcSim, Name: "link-flow"}]; n == 0 {
 					t.Errorf("trace holds no link-flow spans")
 				}
 			}},
+		{"flight-smoke", "-scale " + smokeScale + " -open-loop -qps 4000 -duration 300ms -listen 127.0.0.1:0 -bundle-dir TMP/bundles",
+			func(t *testing.T, base string) {
+				// The run is ready while live, a bundle asked for over HTTP
+				// validates, exemplar included, and /debug/flight serves the
+				// recent records.
+				if code, _ := get(t, base+"/readyz"); code != http.StatusOK {
+					t.Errorf("/readyz while the run is live: %d, want 200", code)
+				}
+				postBundle(t, base)
+				code, body := get(t, base+"/debug/flight")
+				var state struct{ Events []json.RawMessage }
+				if err := json.Unmarshal([]byte(body), &state); code != http.StatusOK || err != nil || len(state.Events) == 0 {
+					t.Errorf("/debug/flight: %d with %d records (%v), want 200 and the recent records", code, len(state.Events), err)
+				}
+			}, nil},
 		{"post-lookahead", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode post -lookahead 2 -stale-threshold 4", nil, nil},
 		{"drift", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode drift", nil, nil},
 	}
@@ -273,7 +256,11 @@ func TestRunGolden(t *testing.T) {
 			} else {
 				base, finish := startLive(t, tc.args, dir, out)
 				tc.live(t, base)
-				err = finish()
+				if err = finish(); err == nil {
+					if _, gerr := http.Get(base + "/readyz"); gerr == nil {
+						t.Errorf("the listener outlived the run")
+					}
+				}
 			}
 			if err != nil {
 				t.Fatalf("run: %v\n%s", err, out)
@@ -313,50 +300,12 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestClusterSharesTheSetUp is what the private cluster path hid: under
-// -nodes 2 the listener, the flight endpoints and the shared shutdown's
-// -metrics-out and final snapshot all exist, and a bad -net-bw is refused.
-func TestClusterSharesTheSetUp(t *testing.T) {
+// TestTraceWithoutFlight: under -flight=false, -trace-out still runs the
+// recorder, so /debug/trace serves every worker's batch records from it, one
+// per batch served, as /debug/timeline draws them.
+func TestTraceWithoutFlight(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0 -bundle-dir TMP/bundles -metrics-out TMP/metrics.json"
-
-	if err := runArgs(context.Background(), "-nodes 2 -net-bw NaN", dir, io.Discard); err == nil || !strings.Contains(err.Error(), "NIC bandwidth") {
-		t.Errorf("-net-bw NaN under -nodes 2: error %v, want the NIC bandwidth one", err)
-	}
-
-	out := newOutput()
-	base, finish := startLive(t, args, dir, out)
-	if code, _ := get(t, base+"/readyz"); code != http.StatusOK {
-		t.Errorf("/readyz while the run is live: %d, want 200", code)
-	}
-	if code, body := get(t, base+"/metrics"); code != http.StatusOK || !strings.Contains(body, "cluster_lookups_total 80") {
-		t.Errorf("/metrics: %d, without cluster_lookups_total 80", code)
-	}
-	if code, _ := get(t, base+"/debug/flight"); code != http.StatusOK {
-		t.Errorf("/debug/flight: %d, want the recent records", code)
-	}
-	// A bundle of both nodes validates, and its exemplar resolves to its own
-	// worker's tree, not to one holding the other node's same-numbered batch.
-	postBundle(t, base)
-	if err := finish(); err != nil {
-		t.Fatalf("run: %v\n%s", err, out)
-	}
-	checkCluster(t, readMetrics(t, filepath.Join(dir, "metrics.json")))
-	if n := strings.Count(out.String(), "final telemetry snapshot:"); n != 1 {
-		t.Errorf("final snapshot printed %d times, want once:\n%s", n, out)
-	}
-	if _, err := http.Get(base + "/readyz"); err == nil {
-		t.Errorf("the listener outlived the run")
-	}
-}
-
-// TestClusterTraceWithoutFlight: under -flight=false, -trace-out still
-// runs the shared recorder, so /debug/trace serves every node's batch
-// records from it, one per batch served, as /debug/timeline draws them.
-func TestClusterTraceWithoutFlight(t *testing.T) {
-	t.Parallel()
-	const args = "-nodes 2 -scale 0.002 -batch 4 -clients 4 -requests 20 -flight=false -trace-out TMP/trace.json -listen 127.0.0.1:0"
+	const args = "-scale 0.002 -batch 4 -clients 4 -requests 20 -flight=false -trace-out TMP/trace.json -listen 127.0.0.1:0"
 	out := newOutput()
 	base, finish := startLive(t, args, t.TempDir(), out)
 
@@ -496,15 +445,16 @@ func TestOpenLoopLedger(t *testing.T) {
 	}
 }
 
-// TestParseDroppedFlags: -refresh, which reached nothing, and -admission,
-// whose bounded wait is gone, are refused, not ignored.
+// TestParseDroppedFlags: -refresh, which reached nothing, -admission, whose
+// bounded wait is gone, and the cluster mode's -nodes, -net-bw and
+// -net-latency are refused, not ignored.
 func TestParseDroppedFlags(t *testing.T) {
-	for _, args := range [][]string{{"-refresh"}, {"-admission", "500us"}} {
-		if _, err := parse(args); err == nil {
-			t.Errorf("parse(%v) succeeded, want an unknown-flag error", args)
+	for _, args := range [][]string{{"-refresh"}, {"-admission", "500us"}, {"-nodes", "2"}, {"-net-bw", "1e9"}, {"-net-latency", "1us"}} {
+		if _, err := parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("parse(%v) = %v, want an unknown-flag error", args, err)
 		}
 	}
-	if o, err := parse(nil); err != nil || o.nodes != 1 || o.mode != "off" || !o.flight {
+	if o, err := parse(nil); err != nil || o.mode != "off" || !o.flight {
 		t.Errorf("parse(nil) = %+v, %v", o, err)
 	}
 }

@@ -43,7 +43,10 @@ func registeredMetrics(t *testing.T) map[string]bool {
 		hot[i] = math.Pow(float64(i+1), -1.1)
 	}
 	reg := telemetry.NewRegistry(p.N * machines)
-	ring := cluster.MustRing(machines, 0, 1)
+	ring, err := cluster.NewRing(machines, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var nodes []*cluster.Node
 	for i := 0; i < machines; i++ {
 		self := i

@@ -28,7 +28,7 @@ func FuzzRingOwner(f *testing.F) {
 	f.Add(byte(1), byte(31), ^uint64(0), append(keys(123456789), 0xff, 0x01)) // a short tail
 	f.Fuzz(func(t *testing.T, nb, vb byte, seed uint64, raw []byte) {
 		n, vnodes := 1+int(nb)%16, 1+int(vb)%64
-		ring, twin, grown := MustRing(n, vnodes, seed), MustRing(n, vnodes, seed), MustRing(n+1, vnodes, seed)
+		ring, twin, grown := newRing(t, n, vnodes, seed), newRing(t, n, vnodes, seed), newRing(t, n+1, vnodes, seed)
 		pts := ring.points
 		if len(pts) != n*vnodes {
 			t.Fatalf("%d points for %d nodes x %d vnodes", len(pts), n, vnodes)

@@ -83,15 +83,6 @@ func NewRing(n, vnodes int, seed uint64) (*Ring, error) {
 	return r, nil
 }
 
-// MustRing is NewRing for known-good parameters.
-func MustRing(n, vnodes int, seed uint64) *Ring {
-	r, err := NewRing(n, vnodes, seed)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Owner returns the node owning key: the node of the first point at or
 // after the key's hash, wrapping at the top of the circle.
 func (r *Ring) Owner(key int64) int {

@@ -5,8 +5,8 @@ import "testing"
 // TestRingDeterministic: two rings built with identical parameters answer
 // identically for every key — there is no hidden global state.
 func TestRingDeterministic(t *testing.T) {
-	a := MustRing(5, 0, 42)
-	b := MustRing(5, 0, 42)
+	a := newRing(t, 5, 0, 42)
+	b := newRing(t, 5, 0, 42)
 	for k := int64(0); k < 50_000; k++ {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("key %d: owner %d vs %d across identical rings", k, a.Owner(k), b.Owner(k))
@@ -18,7 +18,7 @@ func TestRingDeterministic(t *testing.T) {
 // the hash functions, the point layout, or the tie-break silently reshuffles
 // every deployed shard map; this test makes that a loud diff instead.
 func TestRingGolden(t *testing.T) {
-	r := MustRing(4, 0, 0xC0FFEE)
+	r := newRing(t, 4, 0, 0xC0FFEE)
 	want := []int{
 		2, 0, 0, 3, 1, 3, 2, 0, 1, 3, 3, 3, 0, 2, 2, 0,
 		0, 3, 3, 1, 3, 3, 0, 3, 1, 3, 2, 1, 1, 2, 3, 2,
@@ -35,7 +35,7 @@ func TestRingGolden(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	const keys = 100_000
 	for _, n := range []int{2, 4, 8} {
-		r := MustRing(n, 0, 7)
+		r := newRing(t, n, 0, 7)
 		counts := make([]int, n)
 		for k := int64(0); k < keys; k++ {
 			counts[r.Owner(k)]++
@@ -56,8 +56,8 @@ func TestRingBalance(t *testing.T) {
 func TestRingBoundedMovement(t *testing.T) {
 	const keys = 200_000
 	for _, n := range []int{2, 4, 8} {
-		old := MustRing(n, 0, 99)
-		grown := MustRing(n+1, 0, 99)
+		old := newRing(t, n, 0, 99)
+		grown := newRing(t, n+1, 0, 99)
 		moved := 0
 		for k := int64(0); k < keys; k++ {
 			was, is := old.Owner(k), grown.Owner(k)
@@ -79,4 +79,14 @@ func TestRingBoundedMovement(t *testing.T) {
 			t.Fatalf("n=%d→%d: no keys moved to the new node", n, n+1)
 		}
 	}
+}
+
+// newRing is NewRing for parameters a test knows to be good.
+func newRing(t testing.TB, n, vnodes int, seed uint64) *Ring {
+	t.Helper()
+	r, err := NewRing(n, vnodes, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -59,7 +59,7 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 	}
 	// The Owned predicates need the ring before the Front exists; rings are
 	// deterministic in (n, vnodes, seed), so building a twin is exact.
-	ring := MustRing(nodes, DefaultVnodes, cfg.Seed)
+	ring := newRing(t, nodes, DefaultVnodes, cfg.Seed)
 	pair := [][]float64{{0, 50e9}, {50e9, 0}}
 	net := platform.DefaultNetwork(nodes)
 	r := rng.New(11)

@@ -58,16 +58,17 @@ type Config struct {
 	// BlockBudget caps solver blocks (0 = solver default).
 	BlockBudget int
 	// Placement, when non-nil, skips solving and uses this pre-solved
-	// placement — loaded with solver.LoadPlacement, or another System's
-	// (the nodes of a cluster solve once and share it: a placement is
-	// read-only once built, and the Owned shard is not part of it). It is
-	// validated against the rest of the config.
+	// placement: the solve-once path, where a placement written by
+	// Placement.Save (ugache-solve -save) is read back with
+	// solver.LoadPlacement (the façade's ugache.LoadPlacement). A placement
+	// is read-only once built, so Systems may share one; the Owned shard is
+	// not part of it. It is validated against the rest of the config.
 	Placement *solver.Placement
 	// Owned, on clustered platforms, reports whether this machine's host
 	// shard owns a key: owned network-class keys are served over the local
-	// host path instead of crossing the wire (extract.Extractor.Owned). The
-	// serve layer's cluster router passes its hash-ring shard predicate
-	// here. Ignored on single-machine platforms.
+	// host path instead of crossing the wire (extract.Extractor.Owned). A
+	// cluster passes each machine its shard of the hash ring
+	// (cluster.Ring.Owner). Ignored on single-machine platforms.
 	Owned func(key int64) bool
 	// Telemetry, when non-nil, receives the engine's extraction metrics
 	// (simulated time split by source tier, per-tier cache-hit key

@@ -480,10 +480,11 @@ func TestPreSolvedPlacement(t *testing.T) {
 		t.Fatalf("oversized placement accepted: %v", tiny.Placement().CapacityUsed())
 	}
 
-	// Two nodes of a cluster share one solve (ugache-serve -nodes N solves on
-	// node 0 and hands the placement on): the same *Placement under different
-	// Owned shards serves the table's bytes on both, and each node counts as
-	// network-tier exactly the network-class keys the other one owns.
+	// Two nodes of a cluster can share one solve (a placement is read-only
+	// once built, and the Owned shard is not part of it): the same *Placement
+	// under different Owned shards serves the table's bytes on both, and each
+	// node counts as network-tier exactly the network-class keys the other
+	// one owns.
 	cp, err := platform.ClusterOf(platform.ServerAConfig(), platform.DefaultNetwork(2))
 	if err != nil {
 		t.Fatal(err)

@@ -296,6 +296,43 @@ func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 	}
 }
 
+// TestValidateBundleBeforeTheFirstBatch: a bundle of a recorder that holds
+// no record yet (a SIGQUIT before the first batch) has an empty flight.jsonl
+// and validates; the same file under a manifest promising events does not.
+func TestValidateBundleBeforeTheFirstBatch(t *testing.T) {
+	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: NewRecorder(2, 8)}, "sigquit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ValidateBundle(path)
+	if err != nil {
+		t.Fatalf("bundle of an empty recorder: %v", err)
+	}
+	if rep.EventLines != 0 || rep.Manifest.FlightEvents != 0 || rep.Manifest.Exemplar != nil {
+		t.Fatalf("events %d, manifest %d, exemplar %+v; want none", rep.EventLines, rep.Manifest.FlightEvents, rep.Manifest.Exemplar)
+	}
+
+	manifest := filepath.Join(path, ManifestFile)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.FlightEvents = 3
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateBundle(path); err == nil || !strings.Contains(err.Error(), EventsFile+" is empty") {
+		t.Fatalf("empty %s under a manifest promising 3 events: %v, want it refused as empty", EventsFile, err)
+	}
+}
+
 func TestValidateBundleMissingManifest(t *testing.T) {
 	if _, err := ValidateBundle(t.TempDir()); err == nil {
 		t.Fatal("ValidateBundle without a manifest succeeded")

@@ -38,7 +38,8 @@ type BundleReport struct {
 }
 
 // ValidateBundle checks a diagnostic bundle directory end to end: the
-// manifest parses and every file it lists exists non-empty, flight.jsonl
+// manifest parses and every file it lists exists, non-empty but for a
+// flight.jsonl of the 0 events the manifest promised; flight.jsonl
 // parses line by line with the event count the manifest promised,
 // metrics.json and timeline.json parse, profiles are non-empty, the
 // timeline draws every control record flight.jsonl holds (at least as many
@@ -66,7 +67,10 @@ func ValidateBundle(dir string) (*BundleReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("flight: bundle file %s: %w", name, err)
 		}
-		if st.Size() == 0 {
+		// flight.jsonl is held to the event count checkEvents reads against
+		// the manifest: a bundle of a recorder that holds no record yet is
+		// empty there and valid.
+		if st.Size() == 0 && (name != EventsFile || rep.Manifest.FlightEvents != 0) {
 			return nil, fmt.Errorf("flight: bundle file %s is empty", name)
 		}
 	}

@@ -139,7 +139,7 @@ func FuzzLPSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzLP(data)
 		watchCover(t)
-		got, err := p.SolveWith(sc)
+		got, err := p.Solve(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

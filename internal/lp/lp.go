@@ -57,7 +57,7 @@ type Constraint struct {
 }
 
 // Problem is an LP under construction. Create with NewProblem, add
-// constraints, then SolveWith.
+// constraints, then Solve.
 type Problem struct {
 	numVars int
 	obj     []float64
@@ -98,7 +98,7 @@ func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) error {
 	return nil
 }
 
-// Status reports the outcome of SolveWith.
+// Status reports the outcome of Solve.
 type Status int
 
 const (
@@ -191,12 +191,12 @@ func flipOp(op Op) Op {
 	return op
 }
 
-// SolveWith solves the problem in sc's buffers (nil allocates a private
-// Scratch). A Problem is read-only under SolveWith, so any number of
+// Solve solves the problem in sc's buffers (nil allocates a private
+// Scratch). A Problem is read-only under Solve, so any number of
 // goroutines may solve the same instance concurrently as long as each brings
 // its own Scratch. Solution.X aliases sc's buffers and is valid only until
 // sc's next solve; callers that retain it must copy.
-func (p *Problem) SolveWith(sc *Scratch) (Solution, error) {
+func (p *Problem) Solve(sc *Scratch) (Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}

@@ -9,7 +9,7 @@ import (
 
 func solve(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	s, err := p.SolveWith(nil)
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTooLarge(t *testing.T) {
 	for i := 0; i < maxSize+1; i++ {
 		p.AddConstraint([]Coef{{0, 1}}, LE, 1)
 	}
-	if _, err := p.SolveWith(nil); err == nil {
+	if _, err := p.Solve(nil); err == nil {
 		t.Fatal("oversized problem accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestRandomFeasibilityProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s, err := p.SolveWith(nil)
+		s, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkSimplexMedium(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := build().SolveWith(nil)
+		s, err := build().Solve(nil)
 		if err != nil || s.Status != Optimal {
 			b.Fatalf("status %v err %v", s.Status, err)
 		}
@@ -337,7 +337,7 @@ func BenchmarkSimplexBlockLP(b *testing.B) {
 	p := blockLP(b, 230, 4)
 	sc := &Scratch{}
 	solveOnce := func() {
-		sol, err := p.SolveWith(sc)
+		sol, err := p.Solve(sc)
 		if err != nil || sol.Status != Optimal {
 			b.Fatalf("status %v err %v", sol.Status, err)
 		}

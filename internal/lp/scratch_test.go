@@ -41,16 +41,16 @@ func TestScratchReuseAllocFree(t *testing.T) {
 		"blocks": blockLP(t, 24, 4),
 	} {
 		sc := &Scratch{}
-		if _, err := p.SolveWith(sc); err != nil {
+		if _, err := p.Solve(sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := p.SolveWith(sc); err != nil {
+			if _, err := p.Solve(sc); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 0 {
-			t.Fatalf("%s: warm SolveWith allocates %.1f times per run, want 0", name, allocs)
+			t.Fatalf("%s: warm Solve allocates %.1f times per run, want 0", name, allocs)
 		}
 	}
 }
@@ -61,17 +61,17 @@ func TestSolutionXAliasesScratch(t *testing.T) {
 	p, _ := NewProblem(2, []float64{-1, -1})
 	p.AddConstraint([]Coef{{0, 1}, {1, 1}}, LE, 4)
 	sc := &Scratch{}
-	first, err := p.SolveWith(sc)
+	first, err := p.Solve(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := first.X
 	q, _ := NewProblem(2, []float64{-2, -1})
 	q.AddConstraint([]Coef{{0, 1}}, LE, 1)
-	if _, err := q.SolveWith(sc); err != nil {
+	if _, err := q.Solve(sc); err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.SolveWith(sc)
+	second, err := p.Solve(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestSolutionXAliasesScratch(t *testing.T) {
 	}
 }
 
-// TestConcurrentSolveWith hammers one shared Problem from many goroutines,
+// TestConcurrentSolve hammers one shared Problem from many goroutines,
 // each with its own scratch that it also spends on a problem of another
 // shape between solves (run under -race).
-func TestConcurrentSolveWith(t *testing.T) {
+func TestConcurrentSolve(t *testing.T) {
 	r := rng.New(3)
 	p := randomProblem(t, r, 10, 8)
-	want, err := p.SolveWith(nil)
+	want, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestConcurrentSolveWith(t *testing.T) {
 			defer wg.Done()
 			sc := &Scratch{}
 			for it := 0; it < 50; it++ {
-				if _, err := others[g].SolveWith(sc); err != nil {
+				if _, err := others[g].Solve(sc); err != nil {
 					t.Error(err)
 					return
 				}
-				sol, err := p.SolveWith(sc)
+				sol, err := p.Solve(sc)
 				if err != nil {
 					t.Error(err)
 					return
@@ -135,11 +135,11 @@ func TestIterationLimitIsNotOptimal(t *testing.T) {
 	defer func() { iterationCap = shipped }()
 	for name, p := range map[string]*Problem{"phase 1": phase1, "phase 2": phase2} {
 		iterationCap = shipped
-		if sol, err := p.SolveWith(nil); err != nil || sol.Status != Optimal {
+		if sol, err := p.Solve(nil); err != nil || sol.Status != Optimal {
 			t.Fatalf("%s, shipped cap: %v, %v", name, sol.Status, err)
 		}
 		iterationCap = func(m, n int) int { return 1 }
-		sol, err := p.SolveWith(nil)
+		sol, err := p.Solve(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -31,26 +31,19 @@ type Config struct {
 	MutexProfileFraction int
 	// BlockProfile and MutexProfile are output paths for the corresponding
 	// profiles, written at stop time. Setting a path without its rate gets
-	// an empty profile; StartWith raises a zero rate to a useful default
+	// an empty profile; Start raises a zero rate to a useful default
 	// when only the path was given.
 	BlockProfile string
 	MutexProfile string
 }
 
-// Start begins profiling according to the two flag values (either may be
-// empty). It returns a stop function that must run before the process
-// exits: it stops the CPU profile and writes the heap profile. Callers that
+// Start begins profiling as cfg selects: CPU, heap, and the runtime
+// block/mutex contention profiles. It returns a stop function that must run
+// before the process exits: it stops the CPU profile, writes the requested
+// dump files, and resets the block/mutex sampling rates it set. Callers that
 // exit through os.Exit must call stop explicitly first — a deferred call
 // never runs.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
-	return StartWith(Config{CPUProfile: cpuPath, MemProfile: memPath})
-}
-
-// StartWith is Start with the full profile set: CPU, heap, and the runtime
-// block/mutex contention profiles. The returned stop function stops the CPU
-// profile, writes the requested dump files, and resets the block/mutex
-// sampling rates it set.
-func StartWith(cfg Config) (stop func() error, err error) {
+func Start(cfg Config) (stop func() error, err error) {
 	if cfg.BlockProfile != "" && cfg.BlockProfileRate <= 0 {
 		cfg.BlockProfileRate = 1
 	}

@@ -38,7 +38,7 @@ func (m *milp) relax(branch []lp.Constraint) (lp.Solution, error) {
 			}
 		}
 	}
-	return p.SolveWith(nil) // a private scratch: the incumbent keeps its X
+	return p.Solve(nil) // a private scratch: the incumbent keeps its X
 }
 
 // solveMILP is a sequential depth-first branch and bound: it branches on the

@@ -186,7 +186,7 @@ func solveSymmetricLP(c *ctx) (*Placement, error) {
 
 	sc := lpScratch.Get().(*lp.Scratch)
 	defer lpScratch.Put(sc) // sol.X is sc's until the realization below has read it
-	sol, err := prob.SolveWith(sc)
+	sol, err := prob.Solve(sc)
 	if err != nil {
 		return nil, err
 	}
