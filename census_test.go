@@ -309,8 +309,10 @@ var funcAllow = map[string]string{
 //
 // Like the option census it is syntactic and name-level: any identifier
 // spelled like the function, other than its own declaration, counts as a
-// reference. So two declarations sharing a name can hide an unused one, but
-// nothing that is used is ever reported.
+// reference — except, under internal/, one inside a function declaration of
+// the same name, so a Forward that only other Forwards call is reported. Two
+// declarations sharing a name can still hide an unused one, and a method
+// reached only through an interface needs a funcAllow entry.
 func TestFuncCensus(t *testing.T) {
 	files := parseTree(t)
 	named := map[string]bool{}
@@ -342,12 +344,20 @@ func TestFuncCensus(t *testing.T) {
 			}
 			decls = append(decls, decl{id + fd.Name.Name, fd.Name.Name})
 		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if x, ok := n.(*ast.Ident); ok && !own[x] {
-				named[x.Name] = true
+		for _, d := range f.ast.Decls {
+			// Under internal/, a function's own name inside its body (a
+			// method calling its namesake on a field, or itself) is no use.
+			self := ""
+			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(f.dir, "internal/") {
+				self = fd.Name.Name
 			}
-			return true
-		})
+			ast.Inspect(d, func(n ast.Node) bool {
+				if x, ok := n.(*ast.Ident); ok && !own[x] && x.Name != self {
+					named[x.Name] = true
+				}
+				return true
+			})
+		}
 	}
 
 	var problems []string

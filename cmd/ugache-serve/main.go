@@ -111,10 +111,8 @@ func parse(args []string) (options, error) {
 	fs.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")
 	fs.StringVar(&o.prof.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.prof.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.StringVar(&o.prof.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this file at exit")
-	fs.StringVar(&o.prof.MutexProfile, "mutexprofile", "", "write a mutex contention profile to this file at exit")
-	fs.IntVar(&o.prof.BlockProfileRate, "block-profile-rate", 0, "runtime block profile rate in ns per sampled event (0 off; 1 samples every block)")
-	fs.IntVar(&o.prof.MutexProfileFraction, "mutex-profile-fraction", 0, "runtime mutex profile fraction (sample 1/n contended events; 0 off)")
+	fs.StringVar(&o.prof.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this file at exit (samples every blocking event)")
+	fs.StringVar(&o.prof.MutexProfile, "mutexprofile", "", "write a mutex contention profile to this file at exit (samples every contended event)")
 	return o, fs.Parse(args)
 }
 

@@ -446,10 +446,15 @@ func TestOpenLoopLedger(t *testing.T) {
 }
 
 // TestParseDroppedFlags: -refresh, which reached nothing, -admission, whose
-// bounded wait is gone, and the cluster mode's -nodes, -net-bw and
-// -net-latency are refused, not ignored.
+// bounded wait is gone, the cluster mode's -nodes, -net-bw and -net-latency,
+// and the sampling rates -block-profile-rate and -mutex-profile-fraction
+// (a -blockprofile or -mutexprofile path samples every event) are refused,
+// not ignored.
 func TestParseDroppedFlags(t *testing.T) {
-	for _, args := range [][]string{{"-refresh"}, {"-admission", "500us"}, {"-nodes", "2"}, {"-net-bw", "1e9"}, {"-net-latency", "1us"}} {
+	for _, args := range [][]string{
+		{"-refresh"}, {"-admission", "500us"}, {"-nodes", "2"}, {"-net-bw", "1e9"}, {"-net-latency", "1us"},
+		{"-block-profile-rate", "1"}, {"-mutex-profile-fraction", "1"},
+	} {
 		if _, err := parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("parse(%v) = %v, want an unknown-flag error", args, err)
 		}

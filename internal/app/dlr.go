@@ -6,7 +6,6 @@ import (
 	"ugache/internal/baselines"
 	"ugache/internal/core"
 	"ugache/internal/extract"
-	"ugache/internal/nn"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/workload"
@@ -45,10 +44,10 @@ type DLRApp struct {
 	// r is the app's own request stream, derived from the seed and the
 	// dataset's name alone: every system of a comparison reads the same
 	// requests, whatever ran before it.
-	r       *rng.Rand
-	dlrm    *nn.DLRM
-	dcn     *nn.DCN
-	tm      nn.TimeModel
+	r *rng.Rand
+	// dense is the seconds of one iteration's dense part: a function of the
+	// model's shape and the batch size alone.
+	dense   float64
 	scratch map[int64]struct{}
 }
 
@@ -104,18 +103,16 @@ func NewDLR(cfg DLRConfig) (*DLRApp, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &DLRApp{Sys: sys, cfg: cfg, r: reqs, tm: nn.TimeModelFor(cfg.P.GPU), scratch: make(map[int64]struct{})}
-	r := rng.New(cfg.Seed).Split("dlr-model")
-	switch cfg.Model {
-	case "dlrm":
-		a.dlrm, err = nn.NewDLRM(cfg.DS.KeysPerSample(), cfg.DS.Spec.Dim, r)
-	case "dcn":
-		a.dcn, err = nn.NewDCN(cfg.DS.KeysPerSample(), cfg.DS.Spec.Dim, r)
+	cost := dlrmCost
+	if cfg.Model == "dcn" {
+		cost = dcnCost
 	}
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	flops, kernels := cost(cfg.BatchSize, cfg.DS.KeysPerSample(), cfg.DS.Spec.Dim)
+	return &DLRApp{
+		Sys: sys, cfg: cfg, r: reqs,
+		dense:   denseSeconds(cfg.P.GPU, flops, kernels),
+		scratch: make(map[int64]struct{}),
+	}, nil
 }
 
 // RunIters simulates n inference iterations and reports the mean.
@@ -143,11 +140,10 @@ func (a *DLRApp) RunIters(iters int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		dense := a.denseTime()
 		evict := a.evictionTime(res, b)
 		sum.Extract += res.Time
 		sum.Eviction += evict
-		sum.Dense += dense
+		sum.Dense += a.dense
 		utilP += res.Utilization(a.cfg.P, a.cfg.P.PCIeIDs())
 		utilN += res.Utilization(a.cfg.P, a.cfg.P.NVLinkIDs())
 		for g, keys := range b.Keys {
@@ -185,15 +181,6 @@ func (a *DLRApp) RunIters(iters int) (*Report, error) {
 		HitLocal:          hitL / tot, HitRemote: hitR / tot, HitHost: hitH / tot,
 		LinkUtilPCIe: utilP * inv, LinkUtilNVLink: utilN * inv,
 	}, nil
-}
-
-func (a *DLRApp) denseTime() float64 {
-	switch {
-	case a.dlrm != nil:
-		return a.tm.Seconds(a.dlrm.FLOPs(a.cfg.BatchSize), a.dlrm.Kernels())
-	default:
-		return a.tm.Seconds(a.dcn.FLOPs(a.cfg.BatchSize), a.dcn.Kernels())
-	}
 }
 
 func (a *DLRApp) evictionTime(res *extract.Result, b *extract.Batch) float64 {

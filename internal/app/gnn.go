@@ -8,7 +8,6 @@ import (
 	"ugache/internal/core"
 	"ugache/internal/extract"
 	"ugache/internal/graph"
-	"ugache/internal/nn"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/workload"
@@ -48,8 +47,6 @@ type GNNApp struct {
 	Samplers int
 
 	sampler *graph.Sampler
-	model   *nn.GNN
-	tm      nn.TimeModel
 	batches [][]int32
 	nextB   int
 	r       *rng.Rand
@@ -178,15 +175,10 @@ func NewGNN(cfg GNNConfig) (*GNNApp, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := nn.NewGNN(cfg.Model, []int{cfg.DS.Table.Dim, gnnHidden, gnnHidden}, r.Split("model"))
-	if err != nil {
-		return nil, err
-	}
 	return &GNNApp{
 		Cfg: cfg, Sys: sys,
 		Trainers: trainers, Samplers: samplers,
-		sampler: sampler, model: model,
-		tm:      nn.TimeModelFor(cfg.P.GPU),
+		sampler: sampler,
 		batches: graph.EpochBatches(cfg.DS.Train, cfg.BatchSize, r.Split("epoch")),
 		r:       r,
 		scratch: make(map[int64]struct{}),
@@ -237,7 +229,7 @@ func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 			keysSum += float64(len(kb))
 			// Dense compute: per-hop frontiers feed the layers innermost
 			// first (all sampled nodes transform in layer 0).
-			denseSec = math.Max(denseSec, a.denseTime(a.sampler.LastHopCounts, len(keys)))
+			denseSec = math.Max(denseSec, a.denseTime(a.sampler.LastHopCounts))
 		}
 		res, err := a.Sys.ExtractBatch(b)
 		if err != nil {
@@ -317,14 +309,15 @@ func (a *GNNApp) nextSeedBatch() []int32 {
 // why the paper's Table 1 shows a 113 ms embedding layer against a 10 ms
 // MLP: extraction touches the million-node frontier, dense compute only
 // the inner hops.)
-func (a *GNNApp) denseTime(hopCounts []int, totalNodes int) float64 {
+func (a *GNNApp) denseTime(hopCounts []int) float64 {
 	hops := len(a.sampler.Fanouts)
 	// hopCounts: [seeds, hop1, ..., hopK (, negatives)].
 	negatives := 0
 	if !a.Cfg.Supervised && len(hopCounts) > hops+1 {
 		negatives = hopCounts[len(hopCounts)-1]
 	}
-	layers := len(a.model.Layers)
+	dims := []int{a.Cfg.DS.Table.Dim, gnnHidden, gnnHidden}
+	layers := len(dims) - 1
 	nodes := make([]int, layers)
 	for l := 0; l < layers; l++ {
 		// Layer l transforms nodes in hops [0, hops-1-l].
@@ -342,12 +335,11 @@ func (a *GNNApp) denseTime(hopCounts []int, totalNodes int) float64 {
 		}
 		nodes[l] = cnt
 	}
-	flops := a.model.FLOPs(nodes)
+	flops, kernels := gnnCost(a.Cfg.Model == "sage", dims, nodes)
 	if !a.Cfg.Supervised {
 		flops *= 1.3 // link-prediction loss over positive/negative pairs
 	}
-	_ = totalNodes
-	return a.tm.Seconds(flops, a.model.Kernels())
+	return denseSeconds(a.Cfg.P.GPU, flops, kernels)
 }
 
 func (a *GNNApp) evictionTime(res *extract.Result, b *extract.Batch) float64 {

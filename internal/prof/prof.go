@@ -19,20 +19,10 @@ type Config struct {
 	// stop time after a GC).
 	CPUProfile string
 	MemProfile string
-	// BlockProfileRate, when > 0, is passed to runtime.SetBlockProfileRate
-	// for the process lifetime (nanoseconds of blocking per sampled event;
-	// 1 samples everything). Needed to see where channel parks — workers
-	// waiting for requests, callers waiting for replies — spend their time.
-	BlockProfileRate int
-	// MutexProfileFraction, when > 0, is passed to
-	// runtime.SetMutexProfileFraction (sample 1/n of contended mutex
-	// events) — the knob that makes contention on the flight control ring
-	// and staging arenas inspectable.
-	MutexProfileFraction int
-	// BlockProfile and MutexProfile are output paths for the corresponding
-	// profiles, written at stop time. Setting a path without its rate gets
-	// an empty profile; Start raises a zero rate to a useful default
-	// when only the path was given.
+	// BlockProfile and MutexProfile are output paths for the runtime's
+	// goroutine-blocking and mutex-contention profiles, written at stop
+	// time. Setting one samples every such event while profiling runs:
+	// where channel parks and contended locks spend their time.
 	BlockProfile string
 	MutexProfile string
 }
@@ -40,16 +30,10 @@ type Config struct {
 // Start begins profiling as cfg selects: CPU, heap, and the runtime
 // block/mutex contention profiles. It returns a stop function that must run
 // before the process exits: it stops the CPU profile, writes the requested
-// dump files, and resets the block/mutex sampling rates it set. Callers that
-// exit through os.Exit must call stop explicitly first — a deferred call
-// never runs.
+// dump files, and turns off the block/mutex sampling it turned on. Callers
+// that exit through os.Exit must call stop explicitly first — a deferred
+// call never runs.
 func Start(cfg Config) (stop func() error, err error) {
-	if cfg.BlockProfile != "" && cfg.BlockProfileRate <= 0 {
-		cfg.BlockProfileRate = 1
-	}
-	if cfg.MutexProfile != "" && cfg.MutexProfileFraction <= 0 {
-		cfg.MutexProfileFraction = 1
-	}
 	var cpuFile *os.File
 	if cfg.CPUProfile != "" {
 		cpuFile, err = os.Create(cfg.CPUProfile)
@@ -61,11 +45,11 @@ func Start(cfg Config) (stop func() error, err error) {
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 	}
-	if cfg.BlockProfileRate > 0 {
-		runtime.SetBlockProfileRate(cfg.BlockProfileRate)
+	if cfg.BlockProfile != "" {
+		runtime.SetBlockProfileRate(1)
 	}
-	if cfg.MutexProfileFraction > 0 {
-		runtime.SetMutexProfileFraction(cfg.MutexProfileFraction)
+	if cfg.MutexProfile != "" {
+		runtime.SetMutexProfileFraction(1)
 	}
 	writeLookup := func(name, path string) error {
 		if path == "" {
@@ -109,10 +93,10 @@ func Start(cfg Config) (stop func() error, err error) {
 		if err := writeLookup("mutex", cfg.MutexProfile); err != nil {
 			return err
 		}
-		if cfg.BlockProfileRate > 0 {
+		if cfg.BlockProfile != "" {
 			runtime.SetBlockProfileRate(0)
 		}
-		if cfg.MutexProfileFraction > 0 {
+		if cfg.MutexProfile != "" {
 			runtime.SetMutexProfileFraction(0)
 		}
 		return nil

@@ -257,23 +257,13 @@ type BatchTrace = flight.Batch
 // workers hold (Server.Trace).
 type TraceRing = flight.Trace
 
-// TelemetryHandler serves /metrics (Prometheus text format) and
-// /debug/trace (JSON) for a registry and an optional trace view.
-func TelemetryHandler(reg *TelemetryRegistry, ring *TraceRing) http.Handler {
-	cfg := telemetry.HandlerConfig{Registry: reg}
-	if ring != nil {
-		// Assigned only when non-nil: a typed-nil view in the interface
-		// field would pass the handler's nil check and panic.
-		cfg.Trace = ring
-	}
-	return telemetry.NewHandler(cfg)
-}
-
 // TelemetryHandlerConfig selects the endpoints of NewTelemetryHandler:
 // /metrics, /debug/trace, /debug/timeline, /healthz and /readyz.
 type TelemetryHandlerConfig = telemetry.HandlerConfig
 
-// NewTelemetryHandler serves the full observability endpoint set.
+// NewTelemetryHandler serves the full observability endpoint set. Leave
+// Trace unset rather than a nil *TraceRing: a typed nil in the interface
+// field passes the handler's nil check and panics.
 func NewTelemetryHandler(cfg TelemetryHandlerConfig) http.Handler {
 	return telemetry.NewHandler(cfg)
 }
