@@ -7,10 +7,10 @@ RACE_PKGS = ./internal/par ./internal/emb ./internal/cache ./internal/extract ./
 # table, its hotness and the filled caches.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve ./internal/workload ./internal/emb ./internal/cache
 
-.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check figures figures-golden loc openloop-table
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check examples figures figures-golden loc openloop-table
 
 # Every step CI gates on, so a local `make check` fails where CI would.
-check: fmt vet build test fuzz-smoke race bench-harness bench-sim-check
+check: fmt vet build test fuzz-smoke race bench-harness bench-sim-check examples
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Run every program under examples/ (about 5 s together): go build only
+# compiles them, and a non-zero exit fails here.
+examples:
+	@for e in examples/*/; do e=$${e%/}; echo "$(GO) run ./$$e"; $(GO) run ./$$e >/dev/null || exit 1; done
 
 # Ten seconds of each fuzz target beyond its seed corpus (go test alone runs
 # only the seeds). A failure writes its input under the package's

@@ -289,12 +289,30 @@ func TestOptionCensus(t *testing.T) {
 	}
 }
 
+// funcID names a function declaration as the censuses report it:
+// pkg.Func, or pkg.Type.Method.
+func funcID(f *censusFile, fd *ast.FuncDecl) string {
+	id := filepath.Base(f.dir) + "."
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		recv := fd.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if ix, ok := recv.(*ast.IndexExpr); ok { // a generic receiver
+			recv = ix.X
+		}
+		if tn, ok := recv.(*ast.Ident); ok {
+			id += tn.Name + "."
+		}
+	}
+	return id + fd.Name.Name
+}
+
 // funcAllow lists the exported functions and methods under internal/ that no
 // non-test file names and that stay all the same, each with its reason.
 var funcAllow = map[string]string{
 	"flight.FillReason.MarshalJSON": "json.Marshaler: encoding/json calls it when /debug/trace encodes a Batch",
 	"bench.ResetCaches":             "the determinism tests and the package's benchmarks drop the report memos between two runs of one experiment",
-	"emb.DecodeFloats":              "the inverse of the row generator's encoding: the value-range and float16 tests read rows back through it",
 	"hashtable.Table.Len":           "the map-model tests, FuzzHashtable and the cache's parallel-fill test hold the live count to their model",
 	"hashtable.Dedup.Len":           "the dedup tests and FuzzHashtable hold the distinct-key count to their model",
 	"cache.StagingArena.Len":        "the staging tests check residency after commits and after ring eviction",
@@ -329,20 +347,7 @@ func TestFuncCensus(t *testing.T) {
 			if !fd.Name.IsExported() || !strings.HasPrefix(f.dir, "internal/") {
 				continue
 			}
-			id := filepath.Base(f.dir) + "."
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if ix, ok := recv.(*ast.IndexExpr); ok { // a generic receiver
-					recv = ix.X
-				}
-				if tn, ok := recv.(*ast.Ident); ok {
-					id += tn.Name + "."
-				}
-			}
-			decls = append(decls, decl{id + fd.Name.Name, fd.Name.Name})
+			decls = append(decls, decl{funcID(f, fd), fd.Name.Name})
 		}
 		for _, d := range f.ast.Decls {
 			// Under internal/, a function's own name inside its body (a
@@ -376,6 +381,172 @@ func TestFuncCensus(t *testing.T) {
 	for id := range funcAllow {
 		if !used[id] {
 			problems = append(problems, id+": on the allowlist, but not an unnamed exported function under internal/")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestForwarderCensus holds the …With names under internal/ to what they are
+// kept for. Each is a one-statement forwarder to its plain form — the one
+// method of its operation, whose scratch parameter may be nil — and stays
+// only because benchmark/ still calls it: no other file names it, tests
+// included, so each goes in the change that stops benchmark/ calling it
+// (TestFuncCensus reports it then).
+func TestForwarderCensus(t *testing.T) {
+	files := parseGo(t, true)
+	forwarders := map[string]string{} // name -> id
+	decl := map[*ast.Ident]bool{}
+	var problems []string
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || !strings.HasSuffix(fd.Name.Name, "With") {
+				continue
+			}
+			id := funcID(f, fd)
+			forwarders[fd.Name.Name] = id
+			decl[fd.Name] = true
+			if fd.Body == nil || len(fd.Body.List) != 1 {
+				problems = append(problems, id+": a …With function is one statement that forwards to its plain form — move the logic there")
+			}
+		}
+	}
+	for _, f := range files {
+		if strings.HasPrefix(f.path, "benchmark/") {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if x, ok := n.(*ast.Ident); ok && !decl[x] && forwarders[x.Name] != "" {
+				problems = append(problems, f.path+": names "+forwarders[x.Name]+", a forwarder kept for benchmark/ — call the plain form")
+			}
+			return true
+		})
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// visibleAllow lists the exported functions, methods and values under
+// internal/ that no file outside their package names and that stay exported,
+// each with its reason.
+var visibleAllow = map[string]string{}
+
+// ruleMethods are the methods exported by rule whatever reads them: they
+// satisfy a standard-library interface or are an encoding/json hook, so
+// their callers are in the standard library.
+var ruleMethods = map[string]bool{"Error": true, "String": true, "ServeHTTP": true, "MarshalJSON": true}
+
+// TestVisibilityCensus holds every exported function, method and value
+// declared in a non-test file under internal/ to a reader outside its
+// package: a file in another directory — anywhere in the module, cmd/,
+// examples/ or benchmark/, tests included — that names it, or visibleAllow
+// says why it stays exported. One that fails is read only by its own
+// package: unexport it. Functions and values count as named when written
+// pkg.Name through an import of their package; methods count when any
+// selector outside the package spells their name, and a method named by an
+// interface declared in the tree, or in ruleMethods, is exported by rule.
+// Types are out of scope, and fields are the option census's.
+func TestVisibilityCensus(t *testing.T) {
+	files := parseGo(t, true)
+	type decl struct{ id, dir, name string }
+	var funcs, methods []decl
+	byInterface := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						byInterface[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				switch {
+				case !d.Name.IsExported():
+				case d.Recv == nil:
+					funcs = append(funcs, decl{funcID(f, d), f.dir, d.Name.Name})
+				default:
+					methods = append(methods, decl{funcID(f, d), f.dir, d.Name.Name})
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.CONST && d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						if name.IsExported() {
+							funcs = append(funcs, decl{filepath.Base(f.dir) + "." + name.Name, f.dir, name.Name})
+						}
+					}
+				}
+			}
+		}
+	}
+	qualified := map[string]bool{}           // dir + "." + name, written pkg.Name outside dir
+	selected := map[string]map[string]bool{} // name -> dirs with a selector .name
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok {
+				if dir, ok := f.imports[pkg.Name]; ok && dir != f.dir {
+					qualified[dir+"."+sel.Sel.Name] = true
+				}
+			}
+			if selected[sel.Sel.Name] == nil {
+				selected[sel.Sel.Name] = map[string]bool{}
+			}
+			selected[sel.Sel.Name][f.dir] = true
+			return true
+		})
+	}
+
+	var problems []string
+	used := map[string]bool{}
+	check := func(d decl, read bool) {
+		switch _, allowed := visibleAllow[d.id]; {
+		case read && allowed:
+			used[d.id] = true
+			problems = append(problems, d.id+": on the allowlist, but a file outside its package names it now — drop the entry")
+		case allowed:
+			used[d.id] = true
+		case !read:
+			problems = append(problems, d.id+": no file outside its package names it — unexport it, or give visibleAllow the reason it stays")
+		}
+	}
+	for _, d := range funcs {
+		check(d, qualified[d.dir+"."+d.name])
+	}
+	for _, d := range methods {
+		if byInterface[d.name] || ruleMethods[d.name] {
+			continue
+		}
+		read := false
+		for dir := range selected[d.name] {
+			read = read || dir != d.dir
+		}
+		check(d, read)
+	}
+	for id := range visibleAllow {
+		if !used[id] {
+			problems = append(problems, id+": on the allowlist, but not an exported name under internal/ that only its package reads")
 		}
 	}
 	sort.Strings(problems)

@@ -94,18 +94,18 @@ func parse(args []string) (options, error) {
 	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/trace, /debug/timeline, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the span timeline the flight recorder draws from its rings as Chrome trace-event JSON (Perfetto / chrome://tracing) to this file at exit")
 	fs.StringVar(&o.mode, "refresh-mode", "off", "refresh policy: off, post (one refresh after the client loop), periodic (blind cadence) or drift (re-solve when measured hotness drifts)")
-	fs.Float64Var(&o.driftThr, "drift-threshold", 0, "drift score above which a re-solve triggers (0 = detector default 0.3)")
+	fs.Float64Var(&o.driftThr, "drift-threshold", 0, "drift score above which a re-solve triggers, in [0, 1) (0 = detector default 0.3)")
 	fs.IntVar(&o.checkEvery, "drift-check-every", 0, "batches between drift checks (0 = controller default 32)")
 	fs.IntVar(&o.period, "refresh-period", 0, "batches between periodic-mode re-solves (0 = controller default 512)")
 	fs.IntVar(&o.lookahead, "lookahead", 0, "lookahead prefetch depth L: clients announce request i+L before issuing request i (0 disables the prefetch pipeline)")
 	fs.IntVar(&o.staleThr, "stale-threshold", 0, "bounded-staleness window S in batches: staged rows from an outgoing placement snapshot stay servable up to S batches past their commit (0 = staged rows die with their snapshot)")
 	fs.BoolVar(&o.openLoop, "open-loop", false, "replace the closed-loop clients with one open-loop poller that offers load at -qps regardless of completions and reports lag (intended arrival -> Handle), engine (enqueue -> reply) and observed (intended arrival -> reply) latency")
 	fs.Float64Var(&o.qps, "qps", 50_000, "open-loop offered request rate across all GPUs (Poisson arrivals)")
-	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (per-user key affinity is hash-derived, so millions cost nothing)")
+	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (0 = 1,000,000; per-user key affinity is hash-derived, so millions cost nothing)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth; a request that finds it full is shed with ErrOverload (0 = engine default 256)")
 	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with /debug/flight and on-demand diagnostic bundles (SIGQUIT, POST /debug/flight/bundle; -trace-out runs the recorder alone: it draws the whole trace, and /debug/timeline, from its rings; the per-batch records behind /debug/trace are kept either way, 256 deep per worker without either)")
-	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches: how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
+	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches, rounded up to a power of two (0 = 4096): how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
 	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (SIGQUIT, POST /debug/flight/bundle)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final telemetry snapshot as JSON to this file at exit")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")

@@ -83,12 +83,29 @@ type engine struct {
 	bg   sync.WaitGroup // the SIGQUIT and HTTP goroutines
 }
 
-// check resolves the flag values that need parsing and refuses the
-// combinations the command does not run, before anything is built.
+// check resolves the flag values that need parsing and refuses the values
+// and combinations the command does not run, before anything is built: a
+// negative size or cadence (0 picks the default, and the report names the
+// value in use), and a drift threshold the score in [0, 1] cannot exceed.
 func (e *engine) check() (err error) {
 	o := e.o
 	if o.batch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", o.batch)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"-max-batch", int64(o.maxBatch)}, {"-queue-depth", int64(o.queueDepth)}, {"-lookahead", int64(o.lookahead)},
+		{"-stale-threshold", int64(o.staleThr)}, {"-refresh-period", int64(o.period)},
+		{"-drift-check-every", int64(o.checkEvery)}, {"-flight-depth", int64(o.flightDepth)}, {"-users", o.users},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	if !(o.driftThr >= 0 && o.driftThr < 1) {
+		return fmt.Errorf("-drift-threshold must be in [0, 1), got %g: a drift score lies in [0, 1] and triggers above it", o.driftThr)
 	}
 	if e.post = strings.EqualFold(o.mode, "post"); !e.post {
 		if e.mode, err = core.ParseRefreshMode(o.mode); err != nil {
@@ -140,7 +157,7 @@ func (e *engine) build() (err error) {
 	}
 	r := rng.New(o.seed).Split("dlr-" + spec.Name)
 	for len(rec) < 64 {
-		rec = append(rec, ds.GenBatchWith(r, o.batch*o.clients))
+		rec = append(rec, ds.GenBatch(r, o.batch*o.clients))
 	}
 	hot, err := workload.ProfileBatches(ds.NumEntries(), rec)
 	if err != nil {
@@ -227,7 +244,7 @@ func (e *engine) build() (err error) {
 		// exit), and so does POST /debug/flight/bundle.
 		bundle := flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg}
 		fmt.Fprintf(w, "flight:            %d rings x %d records; bundles on SIGQUIT or POST /debug/flight/bundle -> %s\n",
-			e.fl.Workers(), o.flightDepth, o.bundleDir)
+			e.fl.Workers(), e.fl.Depth(), o.bundleDir)
 		e.sigq = make(chan os.Signal, 1)
 		signal.Notify(e.sigq, syscall.SIGQUIT)
 		e.bg.Add(1)
@@ -386,7 +403,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 			peekR := rng.New(o.seed).Split(fmt.Sprintf("client%d", c))
 			announce := func(i int) {
 				if o.lookahead > 0 && i < o.requests {
-					e.srv.Prefetch((c+i)%p.N, e.ds.GenBatchWith(peekR, o.batch))
+					e.srv.Prefetch((c+i)%p.N, e.ds.GenBatch(peekR, o.batch))
 				}
 			}
 			for i := 0; i < o.lookahead; i++ {
@@ -395,7 +412,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 			lats[c] = make([]float64, 0, o.requests)
 			for i := 0; i < o.requests && ctx.Err() == nil; i++ {
 				announce(i + o.lookahead)
-				keys := e.ds.GenBatchWith(r, o.batch)
+				keys := e.ds.GenBatch(r, o.batch)
 				reqStart := time.Now()
 				res, err := e.srv.Lookup((c+i)%p.N, keys)
 				if err != nil {
@@ -429,11 +446,10 @@ func (e *engine) closedLoop(ctx context.Context) error {
 		st.Batches, st.MeanBatchKeys(), float64(st.RequestedKeys)/batches)
 	fmt.Fprintf(w, "simulated extract: %.3f ms/batch mean, %.1f ms total per request stream\n",
 		st.SimSeconds/batches*1e3, simSum/float64(max(o.clients, 1))*1e3)
-	local, remote, host, network := metric("core_hit_local_keys_total"), metric("core_hit_remote_keys_total"),
-		metric("core_hit_host_keys_total"), metric("core_hit_network_keys_total")
-	if sum := local + remote + host + network; sum > 0 {
-		fmt.Fprintf(w, "hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host, %.1f%% network (of %d unique keys)\n",
-			100*local/sum, 100*remote/sum, 100*host/sum, 100*network/sum, st.UniqueKeys)
+	local, remote, host := metric("core_hit_local_keys_total"), metric("core_hit_remote_keys_total"), metric("core_hit_host_keys_total")
+	if sum := local + remote + host; sum > 0 {
+		fmt.Fprintf(w, "hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host (of %d unique keys)\n",
+			100*local/sum, 100*remote/sum, 100*host/sum, st.UniqueKeys)
 	}
 	if o.lookahead > 0 {
 		for g := 0; g < p.N; g++ { // the last announced windows may still be staging
@@ -486,7 +502,7 @@ func (e *engine) openLoop(ctx context.Context) error {
 		return err
 	}
 	fmt.Fprintf(w, "\nopen loop:         poisson arrivals at %.0f qps offered for %v (%d users, %d keys/request)\n",
-		o.qps, o.duration, o.users, o.batch)
+		o.qps, o.duration, gens[0].Users(), o.batch)
 	var lags, observed []float64 // nanoseconds, of the served requests
 	var sent, shed int
 	var failed error

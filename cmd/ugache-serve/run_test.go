@@ -475,3 +475,49 @@ func TestRunRefusesEmptyRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesBadSizes: a negative size or cadence, which the engine would
+// silently read as its default, and a drift threshold the score in [0, 1]
+// can never exceed are refused by name before anything is built.
+func TestRunRefusesBadSizes(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-max-batch -1", "-max-batch must be >= 0"},
+		{"-queue-depth -1", "-queue-depth must be >= 0"},
+		{"-lookahead -1", "-lookahead must be >= 0"},
+		{"-stale-threshold -1", "-stale-threshold must be >= 0"},
+		{"-refresh-period -1", "-refresh-period must be >= 0"},
+		{"-drift-check-every -1", "-drift-check-every must be >= 0"},
+		{"-flight-depth -1", "-flight-depth must be >= 0"},
+		{"-users -1", "-users must be >= 0"},
+		{"-drift-threshold -0.1", "-drift-threshold must be in [0, 1)"},
+		{"-drift-threshold 1", "-drift-threshold must be in [0, 1)"},
+		{"-drift-threshold 1.5", "-drift-threshold must be in [0, 1)"},
+		{"-drift-threshold NaN", "-drift-threshold must be in [0, 1)"},
+	} {
+		err := runArgs(context.Background(), c.args, "", io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: run = %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestReportNamesDefaultsInUse: where 0 picks a default, the report prints
+// the value the run uses, not the 0.
+func TestReportNamesDefaultsInUse(t *testing.T) {
+	for args, want := range map[string][]string{
+		"-scale 0.002 -batch 4 -clients 2 -requests 4 -flight-depth 0": {" rings x 4096 records;"},
+		// A depth is rounded up to a power of two.
+		"-scale 0.002 -batch 4 -flight-depth 5000 -open-loop -qps 2000 -duration 20ms -users 0": {
+			" rings x 8192 records;", "(1000000 users, 4 keys/request)"},
+	} {
+		var out strings.Builder
+		if err := runArgs(context.Background(), args, "", &out); err != nil {
+			t.Fatalf("%s: %v", args, err)
+		}
+		for _, w := range want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s: report lacks %q:\n%s", args, w, out.String())
+			}
+		}
+	}
+}

@@ -50,7 +50,7 @@ func main() {
 		}
 		r := rng.New(*seed).Split("dlr-" + spec.Name)
 		tr := workload.Record(ds.NumEntries(), *batches, func() []int64 {
-			return ds.GenBatchWith(r, *batch)
+			return ds.GenBatch(r, *batch)
 		})
 		f, err := os.Create(*gen)
 		if err != nil {

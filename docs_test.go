@@ -651,8 +651,8 @@ func TestDocsResolve(t *testing.T) {
 
 // TestCalibrationConstantsDocumented holds EXPERIMENTS.md's Known deviations
 // to the calibration constants under internal/: every non-test constant named
-// …Efficiency or DivergenceFactor is listed there, by its qualified name and
-// its value, as "`pkg.Name` (value)".
+// …Efficiency or divergenceFactor is listed there, by its qualified name and
+// its value, as "`pkg.name` (value)".
 func TestCalibrationConstantsDocumented(t *testing.T) {
 	raw, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -679,7 +679,7 @@ func TestCalibrationConstantsDocumented(t *testing.T) {
 			for _, spec := range gd.Specs {
 				vs := spec.(*ast.ValueSpec)
 				for i, name := range vs.Names {
-					if !strings.HasSuffix(name.Name, "Efficiency") && name.Name != "DivergenceFactor" {
+					if !strings.HasSuffix(name.Name, "Efficiency") && name.Name != "divergenceFactor" {
 						continue
 					}
 					found++

@@ -83,7 +83,7 @@ func main() {
 		for g := range b.Keys {
 			b.Keys[g] = genBatch()
 		}
-		res, err := sys.ExtractBatch(b)
+		res, err := sys.ExtractBatch(b, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

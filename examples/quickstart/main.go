@@ -69,7 +69,7 @@ func main() {
 	// the bytes match the host table exactly.
 	keys := []int64{0, 7, 99_999, 12_345}
 	out := make([]byte, len(keys)*table.EntryBytes())
-	if err := sys.Lookup(3, keys, out); err != nil {
+	if err := sys.Lookup(3, keys, out, nil); err != nil {
 		log.Fatal(err)
 	}
 	row := make([]byte, table.EntryBytes())
@@ -90,7 +90,7 @@ func main() {
 		batch.Keys[g] = genBatch(200_000)
 	}
 	for _, m := range []ugache.Mechanism{ugache.MessageBased, ugache.PeerRandom, ugache.Factored} {
-		res, err := sys.ExtractWith(m, batch)
+		res, err := sys.Extractor().Run(m, batch, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -97,9 +97,9 @@ type Report struct {
 	LinkUtilPCIe, LinkUtilNVLink float64
 }
 
-// SampleRate is the modelled GPU graph-sampling throughput in adjacency
+// sampleRate is the modelled GPU graph-sampling throughput in adjacency
 // entries per second (GPU-based neighbour sampling à la WholeGraph).
-const SampleRate = 600e6
+const sampleRate = 600e6
 
 // validateCommon checks shared config fields.
 func validateCommon(p *platform.Platform, batch int) error {

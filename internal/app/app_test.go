@@ -119,7 +119,7 @@ func TestGNNLabShape(t *testing.T) {
 		}
 		return ap
 	}
-	if mk(baselines.GNNLab).EpochIterations() <= mk(baselines.UGache).EpochIterations() {
+	if mk(baselines.GNNLab).epochIterations() <= mk(baselines.UGache).epochIterations() {
 		t.Fatal("GNNLab should need more iterations with fewer trainers")
 	}
 }

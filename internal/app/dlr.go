@@ -85,7 +85,7 @@ func NewDLR(cfg DLRConfig) (*DLRApp, error) {
 	reqs := rng.New(cfg.Seed).Split("dlr-" + cfg.DS.Spec.Name)
 	var rec [][]int64
 	for i := 0; i < cfg.ProfileBatches; i++ {
-		rec = append(rec, cfg.DS.GenBatchWith(reqs, cfg.BatchSize))
+		rec = append(rec, cfg.DS.GenBatch(reqs, cfg.BatchSize))
 	}
 	hot, err := workload.ProfileBatches(n, rec)
 	if err != nil {
@@ -131,12 +131,12 @@ func (a *DLRApp) RunIters(iters int) (*Report, error) {
 			}
 		} else {
 			for g := 0; g < a.cfg.P.N; g++ {
-				raw := a.cfg.DS.GenBatchWith(a.r, a.cfg.BatchSize)
+				raw := a.cfg.DS.GenBatch(a.r, a.cfg.BatchSize)
 				b.Keys[g] = workload.Unique(raw, a.scratch)
 				keysSum += float64(len(b.Keys[g]))
 			}
 		}
-		res, err := a.Sys.ExtractBatch(b)
+		res, err := a.Sys.ExtractBatch(b, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +211,7 @@ func (a *DLRApp) dispatchBatch(b *extract.Batch) {
 	assigned := make([]int, g)
 	raw := make([][]int64, 0, g*a.cfg.BatchSize)
 	for i := 0; i < g*a.cfg.BatchSize; i++ {
-		raw = append(raw, a.cfg.DS.GenBatchWith(a.r, 1)[:per])
+		raw = append(raw, a.cfg.DS.GenBatch(a.r, 1)[:per])
 	}
 	perGPU := make([][]int64, g)
 	for _, sample := range raw {

@@ -192,16 +192,16 @@ func batchOr(b int) int {
 	return b
 }
 
-// EpochIterations returns the iterations of a full epoch on this system
+// epochIterations returns the iterations of a full epoch on this system
 // (the training set split across trainer GPUs).
-func (a *GNNApp) EpochIterations() int {
+func (a *GNNApp) epochIterations() int {
 	per := a.Cfg.BatchSize * a.Trainers
 	return (len(a.Cfg.DS.Train) + per - 1) / per
 }
 
 // RunIters simulates up to maxIters iterations and extrapolates the epoch.
 func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
-	epochIters := a.EpochIterations()
+	epochIters := a.epochIterations()
 	iters := epochIters
 	if maxIters > 0 && iters > maxIters {
 		iters = maxIters
@@ -231,11 +231,11 @@ func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 			// first (all sampled nodes transform in layer 0).
 			denseSec = math.Max(denseSec, a.denseTime(a.sampler.LastHopCounts))
 		}
-		res, err := a.Sys.ExtractBatch(b)
+		res, err := a.Sys.ExtractBatch(b, nil)
 		if err != nil {
 			return nil, err
 		}
-		sampleSec = float64(edges) / SampleRate / float64(max(a.Trainers, 1))
+		sampleSec = float64(edges) / sampleRate / float64(max(a.Trainers, 1))
 		var queueSec float64
 		if a.Cfg.Spec.DedicatedSamplers {
 			// Dedicated samplers pipeline the sampling itself; the cost

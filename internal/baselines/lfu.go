@@ -115,15 +115,15 @@ func (l *OnlineLFU) adjust() {
 	}
 }
 
-// Cached reports whether a key is currently held.
-func (l *OnlineLFU) Cached(k int64) bool {
+// holds reports whether a key is currently held.
+func (l *OnlineLFU) holds(k int64) bool {
 	return k >= 0 && k < int64(len(l.cached)) && l.cached[k]
 }
 
-// Classify splits a batch into cached hits and host misses.
-func (l *OnlineLFU) Classify(keys []int64) (hits, misses int) {
+// classify splits a batch into cached hits and host misses.
+func (l *OnlineLFU) classify(keys []int64) (hits, misses int) {
 	for _, k := range keys {
-		if l.Cached(k) {
+		if l.holds(k) {
 			hits++
 		} else {
 			misses++
@@ -143,7 +143,7 @@ func (l *OnlineLFU) Churn() (admitted, evicted int64) { return l.admitted, l.evi
 // platform.TimePerByteTable(), host the platform's Host() index). keys
 // should be the batch's unique keys, as the extractor deduplicates.
 func (l *OnlineLFU) ServeTime(tpb [][]float64, g, host int, keys []int64, entryBytes int) float64 {
-	hits, misses := l.Classify(keys)
+	hits, misses := l.classify(keys)
 	eb := float64(entryBytes)
 	return float64(hits)*eb*tpb[g][g] + float64(misses)*eb*tpb[g][host]
 }

@@ -39,14 +39,14 @@ func TestOnlineLFUAdaptsToShift(t *testing.T) {
 		l.Observe([]int64{0, 1, 2, 3, 4})
 	}
 	for k := int64(0); k < 5; k++ {
-		if !l.Cached(k) {
+		if !l.holds(k) {
 			t.Fatalf("hot key %d not cached", k)
 		}
 	}
-	if l.Cached(50) {
+	if l.holds(50) {
 		t.Fatal("cold key cached")
 	}
-	hits, misses := l.Classify([]int64{0, 1, 2, 3, 4, 50})
+	hits, misses := l.classify([]int64{0, 1, 2, 3, 4, 50})
 	if hits != 5 || misses != 1 {
 		t.Fatalf("classify %d/%d, want 5/1", hits, misses)
 	}
@@ -61,11 +61,11 @@ func TestOnlineLFUAdaptsToShift(t *testing.T) {
 		l.Observe([]int64{50, 51, 52, 53, 54})
 	}
 	for k := int64(50); k < 55; k++ {
-		if !l.Cached(k) {
+		if !l.holds(k) {
 			t.Fatalf("post-shift hot key %d not cached", k)
 		}
 	}
-	if l.Cached(0) {
+	if l.holds(0) {
 		t.Fatal("pre-shift key still cached after the swap")
 	}
 	admitted, evicted = l.Churn()
@@ -82,13 +82,13 @@ func TestOnlineLFUPresenceAndTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Observe([]int64{5, 5, 5, 6, -1, 1000})
-	if !l.Cached(5) || !l.Cached(6) {
+	if !l.holds(5) || !l.holds(6) {
 		t.Fatal("observed keys not cached")
 	}
 	// Key 7 ties keys 5 and 6 at count 1; the ascending tie-break keeps the
 	// incumbents, so membership (and churn) must not move.
 	l.Observe([]int64{7})
-	if l.Cached(7) {
+	if l.holds(7) {
 		t.Fatal("tied key displaced a lower incumbent")
 	}
 	admitted, evicted := l.Churn()

@@ -172,7 +172,7 @@ func factoredWithHostCores(p *platform.Platform, hostCores int) (float64, error)
 			})
 		}
 	}
-	res, err := p.Topo.Run(demands)
+	res, err := p.Topo.Run(demands, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -203,11 +203,11 @@ func ablatePadding(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, err := ex.Run(extract.Factored, b)
+		full, err := ex.Run(extract.Factored, b, nil)
 		if err != nil {
 			return nil, err
 		}
-		static, err := ex.Run(extract.FactoredStatic, b)
+		static, err := ex.Run(extract.FactoredStatic, b, nil)
 		if err != nil {
 			return nil, err
 		}

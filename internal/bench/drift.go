@@ -163,7 +163,7 @@ func runControllerMode(o Options, sc *driftScenario, mode core.RefreshMode) (Dri
 	extractTime := func(b int, keys []int64) (float64, error) {
 		g := b % sc.p.N
 		batch.Keys[g] = keys
-		res, err := sys.ExtractBatch(batch)
+		res, err := sys.ExtractBatch(batch, nil)
 		batch.Keys[g] = nil
 		if err != nil {
 			return 0, err

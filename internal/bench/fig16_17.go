@@ -105,7 +105,7 @@ func figure17(o Options) (*Result, error) {
 	reqs := rng.New(o.Seed).Split("dlr-" + ds.Spec.Name)
 	var rec [][]int64
 	for i := 0; i < 64; i++ {
-		rec = append(rec, ds.GenBatchWith(reqs, batchSize(o)))
+		rec = append(rec, ds.GenBatch(reqs, batchSize(o)))
 	}
 	hot, err := workload.ProfileBatches(n, rec)
 	if err != nil {
@@ -133,11 +133,11 @@ func figure17(o Options) (*Result, error) {
 	batch := func() *extract.Batch {
 		b := &extract.Batch{Keys: make([][]int64, p.N)}
 		for g := 0; g < p.N; g++ {
-			b.Keys[g] = workload.Unique(ds.GenBatchWith(reqs, batchSize(o)), scratch)
+			b.Keys[g] = workload.Unique(ds.GenBatch(reqs, batchSize(o)), scratch)
 		}
 		return b
 	}
-	res, err := sys.ExtractBatch(batch())
+	res, err := sys.ExtractBatch(batch(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@
 //
 // Concurrency model: all placement state (hash tables, arenas, the
 // placement itself) lives in an immutable snapshot behind an atomic
-// pointer. Readers (Locate, GatherWith) load the snapshot once per
+// pointer. Readers (Locate, Gather) load the snapshot once per
 // call and never observe mutation; the Refresher builds the next snapshot
 // off to the side — cloning the tables and arenas, applying the eviction/
 // insertion diff in small batches — and publishes it with a single atomic

@@ -89,7 +89,7 @@ func TestFunctionalGatherMatchesTable(t *testing.T) {
 	}
 	out := make([]byte, len(keys)*table.EntryBytes())
 	for dst := 0; dst < p.N; dst++ {
-		if err := sys.GatherWith(dst, keys, out, nil); err != nil {
+		if err := sys.Gather(dst, keys, out, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, table.EntryBytes())
@@ -110,7 +110,7 @@ func TestGatherRequiresFunctionalMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.GatherWith(0, []int64{1}, make([]byte, 64), nil); err == nil {
+	if err := sys.Gather(0, []int64{1}, make([]byte, 64), nil); err == nil {
 		t.Fatal("size-only gather accepted")
 	}
 }
@@ -308,7 +308,7 @@ func TestRefresh(t *testing.T) {
 	}
 	keys := []int64{0, 1, 2, 3999}
 	out := make([]byte, len(keys)*table.EntryBytes())
-	if err := sys.GatherWith(0, keys, out, nil); err != nil {
+	if err := sys.Gather(0, keys, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, table.EntryBytes())
@@ -388,7 +388,7 @@ func TestRepeatedRefreshReusesSlots(t *testing.T) {
 		}
 		// Content still correct.
 		out := make([]byte, 4*table.EntryBytes())
-		if err := sys.GatherWith(1, []int64{0, 1, 2998, 2999}, out, nil); err != nil {
+		if err := sys.Gather(1, []int64{0, 1, 2998, 2999}, out, nil); err != nil {
 			t.Fatalf("round %d gather: %v", round, err)
 		}
 	}
@@ -563,7 +563,7 @@ func BenchmarkFill(b *testing.B) {
 	r := rng.New(42).Split("train-warm")
 	warm := make([][]int64, 96)
 	for i := range warm {
-		warm[i] = ds.GenBatchWith(r, 2048)
+		warm[i] = ds.GenBatch(r, 2048)
 	}
 	hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"ugache/internal/platform"
 )
 
-// GatherScratch holds the reusable buffers of one GatherWith call: the
+// GatherScratch holds the reusable buffers of one Gather call: the
 // per-source key groups, the destination row index of every grouped key,
 // and the bulk-probe location/found slices. Reusing one scratch per worker
 // (or recycling through the System's internal pool) makes the steady-state
@@ -24,7 +24,7 @@ type GatherScratch struct {
 // NewGatherScratch returns an empty scratch; buffers grow on first use.
 func NewGatherScratch() *GatherScratch { return &GatherScratch{} }
 
-// gatherGroupMin is the batch size below which GatherWith resolves keys one
+// gatherGroupMin is the batch size below which Gather resolves keys one
 // locate at a time instead of grouping per owner for a bulk probe.
 const gatherGroupMin = 8
 
@@ -51,7 +51,7 @@ func (sc *GatherScratch) probeBuffers(n int) ([]hashtable.Location, []bool) {
 	return sc.locs[:n], sc.found[:n]
 }
 
-// GatherWith functionally extracts keys for GPU dst into out (len(keys) rows
+// Gather functionally extracts keys for GPU dst into out (len(keys) rows
 // of EntryBytes): cached rows are peer-read from the owning GPU's arena,
 // misses fall back to the host source. Requires functional mode. The whole
 // gather resolves against a single snapshot, so concurrent refreshes never
@@ -63,7 +63,7 @@ func (sc *GatherScratch) probeBuffers(n int) ([]hashtable.Location, []bool) {
 // probe (hashtable.BulkLookup, the locate() step of §3.2) and peer-read
 // into the caller's buffer. out is caller-owned; the scratch retains no
 // reference to it.
-func (s *System) GatherWith(dst int, keys []int64, out []byte, sc *GatherScratch) error {
+func (s *System) Gather(dst int, keys []int64, out []byte, sc *GatherScratch) error {
 	if s.source == nil {
 		return fmt.Errorf("cache: Gather requires functional mode (FillOptions.Source)")
 	}
@@ -153,4 +153,10 @@ func (s *System) GatherWith(dst int, keys []int64, out []byte, sc *GatherScratch
 		}
 	}
 	return nil
+}
+
+// GatherWith gathers as Gather does. It goes once benchmark/ stops calling
+// it.
+func (s *System) GatherWith(dst int, keys []int64, out []byte, sc *GatherScratch) error {
+	return s.Gather(dst, keys, out, sc)
 }

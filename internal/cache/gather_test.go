@@ -45,7 +45,7 @@ func TestGatherWithReusedScratch(t *testing.T) {
 		}
 		dst := round % sys.P.N
 		out := make([]byte, len(keys)*eb)
-		if err := sys.GatherWith(dst, keys, out, sc); err != nil {
+		if err := sys.Gather(dst, keys, out, sc); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for i, k := range keys {
@@ -62,23 +62,23 @@ func TestGatherWithValidation(t *testing.T) {
 	eb := table.EntryBytes()
 	sc := NewGatherScratch()
 	out := make([]byte, 4*eb)
-	if err := sys.GatherWith(-1, []int64{1}, out, sc); err == nil {
+	if err := sys.Gather(-1, []int64{1}, out, sc); err == nil {
 		t.Fatal("negative gpu accepted")
 	}
-	if err := sys.GatherWith(99, []int64{1}, out, sc); err == nil {
+	if err := sys.Gather(99, []int64{1}, out, sc); err == nil {
 		t.Fatal("out-of-range gpu accepted")
 	}
-	if err := sys.GatherWith(0, []int64{-5}, out, sc); err == nil {
+	if err := sys.Gather(0, []int64{-5}, out, sc); err == nil {
 		t.Fatal("negative key accepted")
 	}
-	if err := sys.GatherWith(0, []int64{5000}, out, sc); err == nil {
+	if err := sys.Gather(0, []int64{5000}, out, sc); err == nil {
 		t.Fatal("out-of-range key accepted")
 	}
-	if err := sys.GatherWith(0, []int64{1, 2, 3, 4, 5}, out, sc); err == nil {
+	if err := sys.Gather(0, []int64{1, 2, 3, 4, 5}, out, sc); err == nil {
 		t.Fatal("short output buffer accepted")
 	}
 	// The scratch stays usable after errors.
-	if err := sys.GatherWith(0, []int64{1, 2, 3, 4}, out, sc); err != nil {
+	if err := sys.Gather(0, []int64{1, 2, 3, 4}, out, sc); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -64,7 +64,7 @@ func TestConcurrentGatherDuringRefresh(t *testing.T) {
 					keys[i] = z.Sample(r)
 				}
 				dst := w % p.N
-				if err := sys.GatherWith(dst, keys, out, nil); err != nil {
+				if err := sys.Gather(dst, keys, out, nil); err != nil {
 					t.Errorf("gather: %v", err)
 					return
 				}

@@ -15,10 +15,10 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is the stock per-node virtual-point count. 160 points per
+// defaultVnodes is the stock per-node virtual-point count. 160 points per
 // node (the ketama convention) keeps the max/mean shard-size ratio within a
 // few percent at the node counts we model.
-const DefaultVnodes = 160
+const defaultVnodes = 160
 
 type point struct {
 	hash uint64
@@ -53,14 +53,14 @@ func keyHash(seed uint64, key int64) uint64 {
 }
 
 // NewRing builds a ring over nodes 0..n-1 with vnodes points each (0 means
-// DefaultVnodes). The seed makes distinct rings (e.g. test fixtures vs the
+// defaultVnodes). The seed makes distinct rings (e.g. test fixtures vs the
 // live router) independent while keeping each fully deterministic.
 func NewRing(n, vnodes int, seed uint64) (*Ring, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node, got %d", n)
 	}
 	if vnodes == 0 {
-		vnodes = DefaultVnodes
+		vnodes = defaultVnodes
 	}
 	if vnodes < 1 {
 		return nil, fmt.Errorf("cluster: vnodes must be positive, got %d", vnodes)

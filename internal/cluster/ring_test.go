@@ -30,7 +30,7 @@ func TestRingGolden(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with DefaultVnodes the shard sizes stay within a modest
+// TestRingBalance: with defaultVnodes the shard sizes stay within a modest
 // factor of the mean (the reason for vnodes in the first place).
 func TestRingBalance(t *testing.T) {
 	const keys = 100_000

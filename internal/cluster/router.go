@@ -28,8 +28,8 @@ import (
 // or degrade.
 var ErrPartial = errors.New("cluster: partial result, sub-lookup deadline expired")
 
-// ErrClosed is returned by lookups that reach a closed front end.
-var ErrClosed = errors.New("cluster: front closed")
+// errClosed is returned by lookups that reach a closed front end.
+var errClosed = errors.New("cluster: front closed")
 
 // Node couples one machine's engine and serving front: the System solved on
 // the clustered platform (network tier enabled, Owned predicate set to this
@@ -153,7 +153,7 @@ func NewFront(nodes []*Node, cfg FrontConfig) (*Front, error) {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 50 * time.Millisecond
 	}
-	ring, err := NewRing(len(nodes), DefaultVnodes, cfg.Seed)
+	ring, err := NewRing(len(nodes), defaultVnodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (f *Front) Ring() *Ring { return f.ring }
 // per owner on a round-robin GPU of it, and gather back under the deadline. A
 // bad node or GPU index, or a key outside the table (serve.ErrBadKey), fails
 // the lookup before any counter moves or any leg is sent; so does a closed
-// front, with ErrClosed.
+// front, with errClosed.
 func (f *Front) Lookup(node, gpu int, keys []int64) Result {
 	if node < 0 || node >= len(f.nodes) {
 		return Result{Err: fmt.Errorf("cluster: bad node %d", node)}
@@ -220,7 +220,7 @@ func (f *Front) Lookup(node, gpu int, keys []int64) Result {
 	f.closeMu.RLock()
 	if f.closed {
 		f.closeMu.RUnlock()
-		return Result{Err: ErrClosed}
+		return Result{Err: errClosed}
 	}
 	f.met.lookups.Add(node, 1)
 	f.met.localKeys.Add(node, int64(out.LocalKeys))
@@ -315,7 +315,7 @@ func (f *Front) Lookup(node, gpu int, keys []int64) Result {
 }
 
 // Close stops routing: once it returns the front sends no more legs, and
-// every later lookup gets ErrClosed. Legs sent before it are answered by
+// every later lookup gets errClosed. Legs sent before it are answered by
 // their owners' servers — serve.Server.Close drains what they admitted — so
 // a lookup in flight completes. The nodes' servers stay up: the caller owns
 // them. Safe to call more than once.

@@ -59,7 +59,7 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 	}
 	// The Owned predicates need the ring before the Front exists; rings are
 	// deterministic in (n, vnodes, seed), so building a twin is exact.
-	ring := newRing(t, nodes, DefaultVnodes, cfg.Seed)
+	ring := newRing(t, nodes, defaultVnodes, cfg.Seed)
 	pair := [][]float64{{0, 50e9}, {50e9, 0}}
 	net := platform.DefaultNetwork(nodes)
 	r := rng.New(11)
@@ -334,7 +334,7 @@ func TestFrontPartialDeadline(t *testing.T) {
 	}
 }
 
-// TestFrontClose: Close stops routing — every later lookup gets ErrClosed —
+// TestFrontClose: Close stops routing — every later lookup gets errClosed —
 // and is idempotent, while a leg its owner had already admitted is still
 // answered: the lookup waiting on it returns its rows once the owner is
 // released.
@@ -350,8 +350,8 @@ func TestFrontClose(t *testing.T) {
 	f.Close()
 	later := zipfKeys(t, rng.New(9), entries, 256)
 	for node := range f.nodes {
-		if res := f.Lookup(node, 0, later); res.Err != ErrClosed {
-			t.Fatalf("lookup at node %d after Close: %v, want ErrClosed", node, res.Err)
+		if res := f.Lookup(node, 0, later); res.Err != errClosed {
+			t.Fatalf("lookup at node %d after Close: %v, want errClosed", node, res.Err)
 		}
 	}
 	holds[1].open()

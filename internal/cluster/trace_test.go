@@ -41,7 +41,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	}
 	fl := flight.NewRecorder(2*p.N, 1024)
 	reg := telemetry.NewRegistry(p.N)
-	ring := newRing(t, 2, DefaultVnodes, 1)
+	ring := newRing(t, 2, defaultVnodes, 1)
 
 	// Node 0 is solved for the crowd to come, so the stream drifts away from
 	// its placement twice: from the start, and again at the shift.

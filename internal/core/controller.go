@@ -139,7 +139,7 @@ type Controller struct {
 	inflight atomic.Bool
 	wg       sync.WaitGroup
 
-	// mu serializes the check-and-refresh critical section (Tick callers
+	// mu serializes the check-and-refresh critical section (tick callers
 	// racing the async path).
 	mu            sync.Mutex
 	lastRefreshAt int64 // batch count at the last successful refresh
@@ -220,7 +220,7 @@ func (c *Controller) BatchObserved() bool {
 		return false
 	}
 	if !c.cfg.Async {
-		refreshed, _ := c.Tick()
+		refreshed, _ := c.tick()
 		return refreshed
 	}
 	// Single-flight: if a previous check or refresh is still running, skip
@@ -232,14 +232,14 @@ func (c *Controller) BatchObserved() bool {
 	go func() {
 		defer c.wg.Done()
 		defer c.inflight.Store(false)
-		c.Tick()
+		c.tick()
 	}()
 	return false
 }
 
-// Tick evaluates the trigger policy once, synchronously, and performs the
+// tick evaluates the trigger policy once, synchronously, and performs the
 // refresh when it fires. Benches and tests drive the loop with it directly.
-func (c *Controller) Tick() (refreshed bool, err error) {
+func (c *Controller) tick() (refreshed bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch c.cfg.Mode {

@@ -228,8 +228,8 @@ func TestControllerValidationAndModes(t *testing.T) {
 			t.Fatal("off-mode controller refreshed")
 		}
 	}
-	if refreshed, err := off.Tick(); refreshed || err != nil {
-		t.Fatalf("off-mode Tick: %v %v", refreshed, err)
+	if refreshed, err := off.tick(); refreshed || err != nil {
+		t.Fatalf("off-mode tick: %v %v", refreshed, err)
 	}
 	st := off.Stats()
 	if st.Batches != 0 || st.Checks != 0 || st.Refreshes != 0 {

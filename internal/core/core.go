@@ -388,24 +388,6 @@ func (s *System) Extractor() *extract.Extractor { return s.state.Load().extracto
 // attached at Build time).
 func (s *System) Functional() bool { return s.Cache.Functional() }
 
-// ExtractBatch simulates one iteration's extraction with the configured
-// mechanism and returns the timing result, which the caller owns.
-func (s *System) ExtractBatch(b *extract.Batch) (*extract.Result, error) {
-	return s.ExtractBatchWith(b, nil)
-}
-
-// ExtractWith simulates one extraction with an explicit mechanism
-// (baseline comparisons). Telemetry only tracks the configured mechanism,
-// so baseline sweeps do not pollute the serving counters.
-func (s *System) ExtractWith(m extract.Mechanism, b *extract.Batch) (*extract.Result, error) {
-	return s.state.Load().extractor.Run(m, b)
-}
-
-// Lookup functionally gathers rows for GPU dst into out; requires a Source.
-func (s *System) Lookup(dst int, keys []int64, out []byte) error {
-	return s.LookupWith(dst, keys, out, nil)
-}
-
 // Stats returns the modelled per-GPU access split.
 func (s *System) Stats() []solver.HitStats {
 	st := s.state.Load()

@@ -53,7 +53,7 @@ func TestBuildAndExtract(t *testing.T) {
 		}
 		b.Keys[g] = workload.Unique(keys, scratch)
 	}
-	res, err := sys.ExtractBatch(b)
+	res, err := sys.ExtractBatch(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBuildAndExtract(t *testing.T) {
 		t.Fatal("no time")
 	}
 	// Factored (default) must beat an explicit peer-random run.
-	peer, err := sys.ExtractWith(extract.PeerRandom, b)
+	peer, err := sys.Extractor().Run(extract.PeerRandom, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFunctionalLookup(t *testing.T) {
 	}
 	keys := []int64{0, 5, 2999, 17}
 	out := make([]byte, len(keys)*table.EntryBytes())
-	if err := sys.Lookup(2, keys, out); err != nil {
+	if err := sys.Lookup(2, keys, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, table.EntryBytes())
@@ -516,11 +516,11 @@ func TestPreSolvedPlacement(t *testing.T) {
 		}
 		b := &extract.Batch{Keys: make([][]int64, cp.N)}
 		b.Keys[0] = keys
-		if _, err := sys.ExtractBatch(b); err != nil {
+		if _, err := sys.ExtractBatch(b, nil); err != nil {
 			t.Fatal(err)
 		}
 		rows, want := make([]byte, len(keys)*eb), make([]byte, eb)
-		if err := sys.Lookup(0, keys, rows); err != nil {
+		if err := sys.Lookup(0, keys, rows, nil); err != nil {
 			t.Fatal(err)
 		}
 		notOwned := 0

@@ -36,7 +36,7 @@ func TestHeldOutHotnessIsHonest(t *testing.T) {
 	r := rng.New(seed).Split("train-warm")
 	warm := make([][]int64, 96)
 	for i := range warm {
-		warm[i] = ds.GenBatchWith(r, samples)
+		warm[i] = ds.GenBatch(r, samples)
 	}
 	hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
 	if err != nil {
@@ -56,9 +56,9 @@ func TestHeldOutHotnessIsHonest(t *testing.T) {
 	for i := 0; i < iterations; i++ {
 		b := extract.Batch{Keys: make([][]int64, p.N)}
 		for g := range b.Keys {
-			b.Keys[g] = workload.Unique(ds.GenBatchWith(fresh, samples), seen)
+			b.Keys[g] = workload.Unique(ds.GenBatch(fresh, samples), seen)
 		}
-		res, err := sys.ExtractBatch(&b)
+		res, err := sys.ExtractBatch(&b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func BenchmarkLookup1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sys.Lookup(0, keys, out); err != nil {
+		if err := sys.Lookup(0, keys, out, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkLookup256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sys.Lookup(0, keys, out); err != nil {
+		if err := sys.Lookup(0, keys, out, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkExtractBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ExtractBatch(batch); err != nil {
+		if _, err := sys.ExtractBatch(batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkBuild(b *testing.B) {
 	r := rng.New(42).Split("train-warm")
 	warm := make([][]int64, 96)
 	for i := range warm {
-		warm[i] = ds.GenBatchWith(r, 2048)
+		warm[i] = ds.GenBatch(r, 2048)
 	}
 	hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
 	if err != nil {

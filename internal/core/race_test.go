@@ -56,7 +56,7 @@ func TestConcurrentLookupDuringRefresh(t *testing.T) {
 				for i := range keys {
 					keys[i] = z.Sample(r)
 				}
-				if err := sys.Lookup(w%p.N, keys, out); err != nil {
+				if err := sys.Lookup(w%p.N, keys, out, nil); err != nil {
 					t.Errorf("lookup: %v", err)
 					return
 				}
@@ -69,7 +69,7 @@ func TestConcurrentLookupDuringRefresh(t *testing.T) {
 				}
 				b := &extract.Batch{Keys: make([][]int64, p.N)}
 				b.Keys[w%p.N] = keys
-				if res, err := sys.ExtractBatch(b); err != nil || res.Time <= 0 {
+				if res, err := sys.ExtractBatch(b, nil); err != nil || res.Time <= 0 {
 					t.Errorf("extract: %v", err)
 					return
 				}

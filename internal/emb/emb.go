@@ -144,7 +144,7 @@ func (t *Table) generate(key int64, dst []byte) {
 	if t.DType == Float16 {
 		dst = dst[:2*t.Dim]
 		for c := 0; c < t.Dim; c++ {
-			binary.LittleEndian.PutUint16(dst[2*c:], Float32ToFloat16(unit(row^ck)))
+			binary.LittleEndian.PutUint16(dst[2*c:], float32ToFloat16(unit(row^ck)))
 			ck += k
 		}
 		return
@@ -173,22 +173,9 @@ func unit(x uint64) float32 {
 	return float32(int32(x&0x7fffff)-0x400000) / float32(0x400000)
 }
 
-// DecodeFloats decodes raw row bytes of the given dtype into out.
-func DecodeFloats(raw []byte, dtype DType, out []float32) {
-	es := dtype.Size()
-	for i := range out {
-		switch dtype {
-		case Float16:
-			out[i] = Float16ToFloat32(binary.LittleEndian.Uint16(raw[i*es:]))
-		default:
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*es:]))
-		}
-	}
-}
-
-// Float32ToFloat16 converts to IEEE 754 half precision (round-to-nearest-
+// float32ToFloat16 converts to IEEE 754 half precision (round-to-nearest-
 // even), sufficient for embedding values; NaN maps to a quiet NaN.
-func Float32ToFloat16(f float32) uint16 {
+func float32ToFloat16(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
 	exp := int32(b>>23)&0xff - 127 + 15
@@ -221,30 +208,5 @@ func Float32ToFloat16(f float32) uint16 {
 			return sign | 0x7c00
 		}
 		return sign | uint16(exp)<<10
-	}
-}
-
-// Float16ToFloat32 converts from IEEE 754 half precision.
-func Float16ToFloat32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1f
-	mant := uint32(h & 0x3ff)
-	switch {
-	case exp == 0:
-		if mant == 0 {
-			return math.Float32frombits(sign)
-		}
-		// Subnormal: normalize.
-		e := uint32(127 - 15 + 1)
-		for mant&0x400 == 0 {
-			mant <<= 1
-			e--
-		}
-		mant &= 0x3ff
-		return math.Float32frombits(sign | e<<23 | mant<<13)
-	case exp == 0x1f:
-		return math.Float32frombits(sign | 0xff<<23 | mant<<13)
-	default:
-		return math.Float32frombits(sign | (exp-15+127)<<23 | mant<<13)
 	}
 }

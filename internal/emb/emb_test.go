@@ -60,7 +60,7 @@ func referenceRow(tb *Table, key int64, dst []byte) {
 		v := float32(int32(h&0x7fffff)-0x400000) / float32(0x400000)
 		switch tb.DType {
 		case Float16:
-			binary.LittleEndian.PutUint16(buf[c*es:], Float32ToFloat16(v))
+			binary.LittleEndian.PutUint16(buf[c*es:], float32ToFloat16(v))
 		default:
 			binary.LittleEndian.PutUint32(buf[c*es:], math.Float32bits(v))
 		}
@@ -172,7 +172,7 @@ func rowFloats(tb *Table, key int64) ([]float32, error) {
 		return nil, err
 	}
 	out := make([]float32, tb.Dim)
-	DecodeFloats(buf, tb.DType, out)
+	decodeFloats(buf, tb.DType, out)
 	return out, nil
 }
 
@@ -248,32 +248,32 @@ func TestNewValidation(t *testing.T) {
 func TestFloat16RoundTrip(t *testing.T) {
 	cases := []float32{0, 1, -1, 0.5, -0.25, 0.999, 1.0 / 3.0, 65504}
 	for _, f := range cases {
-		got := Float16ToFloat32(Float32ToFloat16(f))
+		got := float16ToFloat32(float32ToFloat16(f))
 		rel := math.Abs(float64(got-f)) / math.Max(1e-6, math.Abs(float64(f)))
 		if rel > 1e-3 {
 			t.Errorf("roundtrip %v -> %v (rel err %g)", f, got, rel)
 		}
 	}
 	// Specials.
-	if v := Float16ToFloat32(Float32ToFloat16(float32(math.Inf(1)))); !math.IsInf(float64(v), 1) {
+	if v := float16ToFloat32(float32ToFloat16(float32(math.Inf(1)))); !math.IsInf(float64(v), 1) {
 		t.Error("+Inf roundtrip")
 	}
-	if v := Float16ToFloat32(Float32ToFloat16(float32(math.NaN()))); !math.IsNaN(float64(v)) {
+	if v := float16ToFloat32(float32ToFloat16(float32(math.NaN()))); !math.IsNaN(float64(v)) {
 		t.Error("NaN roundtrip")
 	}
 	// Overflow saturates to Inf.
-	if v := Float16ToFloat32(Float32ToFloat16(1e10)); !math.IsInf(float64(v), 1) {
+	if v := float16ToFloat32(float32ToFloat16(1e10)); !math.IsInf(float64(v), 1) {
 		t.Error("overflow should map to Inf")
 	}
 }
 
 func TestFloat16RoundTripProperty(t *testing.T) {
 	f := func(u uint16) bool {
-		v := Float16ToFloat32(u)
+		v := float16ToFloat32(u)
 		if math.IsNaN(float64(v)) {
 			return true // NaN payloads need not roundtrip exactly
 		}
-		return Float32ToFloat16(v) == u
+		return float32ToFloat16(v) == u
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -351,5 +351,45 @@ func TestMultiTableValidation(t *testing.T) {
 		if i := slices.Index(tables, nil); !strings.Contains(err.Error(), fmt.Sprintf("table %d ", i)) {
 			t.Fatalf("error %q does not name index %d", err, i)
 		}
+	}
+}
+
+// decodeFloats decodes raw row bytes of the given dtype into out: the
+// inverse of the row generator's encoding, which the value-range and float16
+// tests read rows back through.
+func decodeFloats(raw []byte, dtype DType, out []float32) {
+	es := dtype.Size()
+	for i := range out {
+		switch dtype {
+		case Float16:
+			out[i] = float16ToFloat32(binary.LittleEndian.Uint16(raw[i*es:]))
+		default:
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*es:]))
+		}
+	}
+}
+
+// float16ToFloat32 converts from IEEE 754 half precision.
+func float16ToFloat32(h uint16) float32 {
+	sign := uint32(h&0x8000) << 16
+	exp := uint32(h>>10) & 0x1f
+	mant := uint32(h & 0x3ff)
+	switch {
+	case exp == 0:
+		if mant == 0 {
+			return math.Float32frombits(sign)
+		}
+		// Subnormal: normalize.
+		e := uint32(127 - 15 + 1)
+		for mant&0x400 == 0 {
+			mant <<= 1
+			e--
+		}
+		mant &= 0x3ff
+		return math.Float32frombits(sign | e<<23 | mant<<13)
+	case exp == 0x1f:
+		return math.Float32frombits(sign | 0xff<<23 | mant<<13)
+	default:
+		return math.Float32frombits(sign | (exp-15+127)<<23 | mant<<13)
 	}
 }

@@ -36,7 +36,7 @@ func TestClusterExtraction(t *testing.T) {
 	b := genBatch(t, 20000, 50000, p.N, 3)
 	net, host := p.Network(), p.Host()
 	for _, m := range []Mechanism{Factored, PeerRandom, MessageBased} {
-		res, err := ex.Run(m, b)
+		res, err := ex.Run(m, b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -75,7 +75,7 @@ func TestClusterOwnedSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := genBatch(t, 20000, 50000, p.N, 3)
-	base, err := ex.Run(Factored, b)
+	base, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestClusterOwnedSplit(t *testing.T) {
 	// Own every fourth key — a deterministic stand-in for the hash ring's
 	// 1/M shard.
 	ex.Owned = func(k int64) bool { return k%4 == 0 }
-	split, err := ex.Run(Factored, b)
+	split, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestClusterScaleOutFacts(t *testing.T) {
 			}
 			batch := &Batch{Keys: make([][]int64, p.N)}
 			batch.Keys[b%p.N] = workload.Unique(keys, scratch)
-			res, err := ex.RunWith(Factored, batch, sc)
+			res, err := ex.Run(Factored, batch, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

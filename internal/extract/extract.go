@@ -56,17 +56,17 @@ func (m Mechanism) String() string {
 	}
 }
 
-// DivergenceFactor is the per-core issue-rate penalty of randomly
+// divergenceFactor is the per-core issue-rate penalty of randomly
 // dispatched, mixed-source extraction (PeerRandom): a warp that interleaves
 // local, remote and host keys cannot keep its full complement of
 // outstanding loads on any one link. Calibrated so FEM's improvement over
 // naive peer access matches the paper's Fig. 4 / Fig. 13 (1.5–2× extraction
 // speedup, ~2–3.5× link-utilization gain).
-const DivergenceFactor = 0.55
+const divergenceFactor = 0.55
 
-// NCCLEfficiency discounts the AllToAll exchange bandwidth relative to raw
+// ncclEfficiency discounts the AllToAll exchange bandwidth relative to raw
 // link capacity (protocol and chunking overheads).
-const NCCLEfficiency = 0.8
+const ncclEfficiency = 0.8
 
 // Batch is one iteration's unique keys for every destination GPU
 // (data-parallel deployment: each GPU has its own input batch).
@@ -150,20 +150,14 @@ func (e *Extractor) entryBytes() float64 {
 	return float64(e.Pl.EntryBytes)
 }
 
-// Run simulates one extraction with the given mechanism. Every slice in the
-// Result is freshly allocated and owned by the caller.
-func (e *Extractor) Run(m Mechanism, b *Batch) (*Result, error) {
-	return e.RunWith(m, b, nil)
-}
-
-// RunWith is Run on a caller's scratch: the Factored and FactoredStatic
-// mechanisms reuse its buffers, so the returned Result (SrcBytes, PerGPU,
-// LinkBytes) aliases the scratch and is valid only until the scratch's next
+// Run simulates one extraction with the given mechanism. The Factored and
+// FactoredStatic mechanisms reuse sc's buffers, so the returned Result
+// (SrcBytes, PerGPU, LinkBytes) aliases sc and is valid only until its next
 // use. PeerRandom and MessageBased take the scratch for the grouping step but
 // still allocate their stage plans (they are comparison baselines, not the
-// serving hot path). A nil scratch means a fresh one of the call's own, which
-// is what makes Run's Result the caller's to keep.
-func (e *Extractor) RunWith(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
+// serving hot path). A nil sc means a fresh one of the call's own, so the
+// Result is the caller's to keep.
+func (e *Extractor) Run(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
 	}
@@ -183,6 +177,11 @@ func (e *Extractor) RunWith(m Mechanism, b *Batch, sc *Scratch) (*Result, error)
 	default:
 		return nil, fmt.Errorf("extract: unknown mechanism %d", m)
 	}
+}
+
+// RunWith runs as Run does. It goes once benchmark/ stops calling it.
+func (e *Extractor) RunWith(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
+	return e.Run(m, b, sc)
 }
 
 // runFactored implements §5.3: per-source dedicated core groups with local
@@ -249,7 +248,7 @@ func (e *Extractor) runFactored(vol [][]float64, sc *Scratch) (*Result, error) {
 // times through the plan's (gpu, source) -> demand index table.
 func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, vol [][]float64, sc *Scratch) (*Result, error) {
 	sc.demands = demands // keep grown capacity for the next run
-	res, err := e.P.Topo.RunWith(demands, &sc.sim)
+	res, err := e.P.Topo.Run(demands, &sc.sim)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +291,7 @@ func (e *Extractor) runPeerRandom(vol [][]float64) (*Result, error) {
 			demands = append(demands, sim.PoolDemand{
 				Label: fmt.Sprintf("g%d<-%d", g, j),
 				Pool:  g, Bytes: vol[g][j],
-				RCore: DivergenceFactor * e.P.RCore(g, src),
+				RCore: divergenceFactor * e.P.RCore(g, src),
 				Path:  path,
 			})
 		}
@@ -388,7 +387,7 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 		if len(demands) == 0 {
 			return 0, make([]float64, len(e.P.Topo.Links)), nil
 		}
-		res, err := e.P.Topo.Run(demands)
+		res, err := e.P.Topo.Run(demands, nil)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -432,7 +431,7 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 				path, _ = e.P.Path(i, e.P.Host())
 			}
 			d2 = append(d2, sim.Demand{Label: fmt.Sprintf("exch%d<-%d", i, j),
-				Bytes: exchBytes[i][j] / NCCLEfficiency, Cores: cores / float64(e.P.N),
+				Bytes: exchBytes[i][j] / ncclEfficiency, Cores: cores / float64(e.P.N),
 				RCore: e.P.GPU.RCoreRemote, Path: path, PadTo: -1})
 		}
 	}

@@ -63,7 +63,7 @@ func TestFactoredBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := genBatch(t, 20000, 50000, p.N, 1)
-	res, err := ex.Run(Factored, b)
+	res, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +101,15 @@ func TestFactoredBeatsPeerRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := genBatch(t, 20000, 80000, p.N, 2)
-		tf, err := ex.Run(Factored, b)
+		tf, err := ex.Run(Factored, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := ex.Run(PeerRandom, b)
+		tp, err := ex.Run(PeerRandom, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm, err := ex.Run(MessageBased, b)
+		tm, err := ex.Run(MessageBased, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +131,11 @@ func TestFactoredImprovesLinkUtilization(t *testing.T) {
 	pl, _ := buildPlacement(t, p, 20000, 0.115, solver.Partition{})
 	ex, _ := New(p, pl)
 	b := genBatch(t, 20000, 80000, p.N, 3)
-	tf, err := ex.Run(Factored, b)
+	tf, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, err := ex.Run(PeerRandom, b)
+	tp, err := ex.Run(PeerRandom, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMechanismsOnAllPlacements(t *testing.T) {
 			}
 			b := genBatch(t, 8000, 20000, p.N, 4)
 			for _, m := range []Mechanism{Factored, PeerRandom, MessageBased} {
-				res, err := ex.Run(m, b)
+				res, err := ex.Run(m, b, nil)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", p.Name, pol.Name(), m, err)
 				}
@@ -190,7 +190,7 @@ func TestLocalOnlyBatch(t *testing.T) {
 	for g := range b.Keys {
 		b.Keys[g] = keys
 	}
-	res, err := ex.Run(Factored, b)
+	res, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestBatchValidation(t *testing.T) {
 	p := platform.ServerC()
 	pl, _ := buildPlacement(t, p, 1000, 0.1, solver.Replication{})
 	ex, _ := New(p, pl)
-	if _, err := ex.Run(Factored, &Batch{Keys: [][]int64{{1}}}); err == nil {
+	if _, err := ex.Run(Factored, &Batch{Keys: [][]int64{{1}}}, nil); err == nil {
 		t.Fatal("wrong GPU count accepted")
 	}
 	bad := &Batch{Keys: make([][]int64, p.N)}
 	bad.Keys[0] = []int64{99999}
-	if _, err := ex.Run(Factored, bad); err == nil {
+	if _, err := ex.Run(Factored, bad, nil); err == nil {
 		t.Fatal("out-of-range key accepted")
 	}
 	if _, err := New(nil, pl); err == nil {
@@ -227,7 +227,7 @@ func TestPeerRandomStallReported(t *testing.T) {
 	pl, _ := buildPlacement(t, p, 20000, 0.04, solver.Partition{})
 	ex, _ := New(p, pl)
 	b := genBatch(t, 20000, 60000, p.N, 5)
-	res, err := ex.Run(PeerRandom, b)
+	res, err := ex.Run(PeerRandom, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestDeterministicExtraction(t *testing.T) {
 	pl, _ := buildPlacement(t, p, 5000, 0.08, solver.UGache{})
 	ex, _ := New(p, pl)
 	b := genBatch(t, 5000, 10000, p.N, 6)
-	r1, err := ex.Run(Factored, b)
+	r1, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ex.Run(Factored, b)
+	r2, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,14 @@ func TestFactoredStaticAblation(t *testing.T) {
 	pl, _ := buildPlacement(t, p, 10000, 0.1, solver.CliquePartition{})
 	ex, _ := New(p, pl)
 	b := genBatch(t, 10000, 40000, p.N, 9)
-	static, err := ex.Run(FactoredStatic, b)
+	static, err := ex.Run(FactoredStatic, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if static.Time <= 0 || math.IsNaN(static.Time) {
 		t.Fatalf("static time %g", static.Time)
 	}
-	full, err := ex.Run(Factored, b)
+	full, err := ex.Run(Factored, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func BenchmarkFactoredExtraction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Run(Factored, batch); err != nil {
+		if _, err := ex.Run(Factored, batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +364,7 @@ func TestModelPredictsSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := genBatch(t, n, draws, tc.p.N, 11)
-		res, err := ex.Run(Factored, b)
+		res, err := ex.Run(Factored, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

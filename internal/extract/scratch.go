@@ -57,8 +57,8 @@ func newPlanCache(p *platform.Platform) *planCache {
 // Scratch holds the reusable buffers of one extraction run — the per-GPU
 // source-volume matrix, the demand plan, the demand-index table, and the
 // fluid simulator's working state. Every run has one: keeping a Scratch and
-// passing it to RunWith makes the steady-state Factored/FactoredStatic
-// extraction path allocation-free; Run (RunWith with nil) makes one per call.
+// passing it to Run makes the steady-state Factored/FactoredStatic
+// extraction path allocation-free; a nil scratch makes one per call.
 //
 // A Scratch is owned by one goroutine at a time. The Result returned by a
 // scratch-backed run aliases the scratch (SrcBytes, PerGPU, LinkBytes) and

@@ -35,12 +35,12 @@ func TestParallelGroupingGolden(t *testing.T) {
 	defer func() { groupParallelThreshold = old }()
 	for _, m := range []Mechanism{Factored, FactoredStatic, PeerRandom, MessageBased} {
 		groupParallelThreshold = math.MaxInt // force sequential
-		seq, err := ex.Run(m, b)
+		seq, err := ex.Run(m, b, nil)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", m, err)
 		}
 		groupParallelThreshold = 0 // force parallel
-		par, err := ex.Run(m, b)
+		par, err := ex.Run(m, b, nil)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", m, err)
 		}
@@ -65,17 +65,17 @@ func TestParallelGroupingKeyError(t *testing.T) {
 	old := groupParallelThreshold
 	defer func() { groupParallelThreshold = old }()
 	groupParallelThreshold = math.MaxInt
-	_, seqErr := ex.Run(Factored, b)
+	_, seqErr := ex.Run(Factored, b, nil)
 	groupParallelThreshold = 0
 	for i := 0; i < 10; i++ { // schedule-independence: same error every run
-		_, parErr := ex.Run(Factored, b)
+		_, parErr := ex.Run(Factored, b, nil)
 		if parErr == nil || seqErr == nil || parErr.Error() != seqErr.Error() {
 			t.Fatalf("parallel error %v != sequential error %v", parErr, seqErr)
 		}
 	}
 }
 
-// TestParallelGroupingAllocations holds RunWith on a warm scratch to its
+// TestParallelGroupingAllocations holds Run on a warm scratch to its
 // allocation budget: 2 a run on the sequential path, and on the parallel
 // grouping 6.1 at GOMAXPROCS 2 and 7.2 at 3, what the grouping's own
 // per-call worker pool allocated before it moved onto par.Each.
@@ -99,31 +99,31 @@ func TestParallelGroupingAllocations(t *testing.T) {
 	}{{1, math.MaxInt, 2}, {2, 0, 6.1}, {3, 0, 7.2}} {
 		runtime.GOMAXPROCS(c.procs)
 		groupParallelThreshold = c.threshold
-		if _, err := ex.RunWith(Factored, b, sc); err != nil { // warms the scratch
+		if _, err := ex.Run(Factored, b, sc); err != nil { // warms the scratch
 			t.Fatal(err)
 		}
 		const runs = 50
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			_, _ = ex.RunWith(Factored, b, sc)
+			_, _ = ex.Run(Factored, b, sc)
 		}
 		runtime.ReadMemStats(&after)
 		if n := float64(after.Mallocs-before.Mallocs) / runs; n > c.budget {
-			t.Errorf("GOMAXPROCS %d, threshold %d: RunWith allocates %.1f times, budget %.1f", c.procs, c.threshold, n, c.budget)
+			t.Errorf("GOMAXPROCS %d, threshold %d: Run allocates %.1f times, budget %.1f", c.procs, c.threshold, n, c.budget)
 		} else {
-			t.Logf("GOMAXPROCS %d, threshold %d: RunWith allocates %.1f times", c.procs, c.threshold, n)
+			t.Logf("GOMAXPROCS %d, threshold %d: Run allocates %.1f times", c.procs, c.threshold, n)
 		}
 	}
 }
 
 // TestRunWithScratchMatchesRun re-runs mixed batches through one shared
-// Scratch and checks every Result matches Run's, proving no state leaks
-// between scratch reuses (including across batch sizes). Run is RunWith on a
-// scratch of the call's own, so what it allocates is that scratch's first-use
-// buffers: BenchmarkExtractBatch reads 27 allocs/op on this platform (339
-// when nil-scratch was a second implementation with a flow per demand), and
-// the last line holds it there.
+// Scratch and checks every Result matches a nil-scratch Run's, proving no
+// state leaks between scratch reuses (including across batch sizes). A nil
+// scratch is a fresh one of the call's own, so what it allocates is that
+// scratch's first-use buffers: BenchmarkExtractBatch reads 27 allocs/op on
+// this platform (339 when nil-scratch was a second implementation with a
+// flow per demand), and the last line holds it there.
 func TestRunWithScratchMatchesRun(t *testing.T) {
 	p := platform.ServerC()
 	pl, _ := buildPlacement(t, p, 20000, 0.08, solver.UGache{})
@@ -139,11 +139,11 @@ func TestRunWithScratchMatchesRun(t *testing.T) {
 				b.Keys[g] = nil
 			}
 		}
-		want, err := ex.Run(m, b)
+		want, err := ex.Run(m, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ex.RunWith(m, b, sc)
+		got, err := ex.Run(m, b, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestRunWithScratchMatchesRun(t *testing.T) {
 		}
 	}
 	b := genBatch(t, 20000, 1000, p.N, 10)
-	if allocs := testing.AllocsPerRun(10, func() { _, _ = ex.Run(Factored, b) }); allocs > 27 {
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = ex.Run(Factored, b, nil) }); allocs > 27 {
 		t.Fatalf("Run (nil scratch) allocates %.0f times per call, want <= 27", allocs)
 	}
 }

@@ -98,8 +98,8 @@ type Batch struct {
 	ReplySeconds    float64 `json:"reply_seconds"`
 }
 
-// DedupRatio is requested/unique keys (1.0 = no sharing across requests).
-func (b *Batch) DedupRatio() float64 {
+// dedupRatio is requested/unique keys (1.0 = no sharing across requests).
+func (b *Batch) dedupRatio() float64 {
 	if b.UniqueKeys == 0 {
 		return 0
 	}
@@ -223,7 +223,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	batches := t.Snapshot(nil)
 	out := make([]jsonBatch, len(batches))
 	for i := range batches {
-		out[i] = jsonBatch{batches[i], batches[i].DedupRatio(), batches[i].LatencySeconds()}
+		out[i] = jsonBatch{batches[i], batches[i].dedupRatio(), batches[i].LatencySeconds()}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -34,12 +34,12 @@ type BundleConfig struct {
 // Bundle file names. The manifest is written last so a manifest's presence
 // means the bundle is complete.
 const (
-	ManifestFile   = "manifest.json"
+	manifestFile   = "manifest.json"
 	EventsFile     = "flight.jsonl"
-	MetricsFile    = "metrics.json"
-	TimelineFile   = "timeline.json"
-	GoroutinesFile = "goroutines.txt"
-	HeapFile       = "heap.pprof"
+	metricsFile    = "metrics.json"
+	timelineFile   = "timeline.json"
+	goroutinesFile = "goroutines.txt"
+	heapFile       = "heap.pprof"
 )
 
 // Manifest indexes one diagnostic bundle.
@@ -57,7 +57,7 @@ type Manifest struct {
 // manifestVersion is bumped when the bundle layout changes incompatibly.
 const manifestVersion = 1
 
-// WriteBundle drains cfg's sources into a new timestamped directory under
+// writeBundle drains cfg's sources into a new timestamped directory under
 // cfg.Dir and returns the bundle path. The manifest is written last, so
 // readers may treat its presence as a completeness marker.
 //
@@ -67,7 +67,7 @@ const manifestVersion = 1
 // write and still held after it: its tree is in the bundle's own
 // timeline.json. For the same reason flight.jsonl holds the control records
 // recorded before the timeline write, each of which timeline.json draws.
-func WriteBundle(cfg BundleConfig, reason string) (string, error) {
+func writeBundle(cfg BundleConfig, reason string) (string, error) {
 	if cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle needs a directory")
 	}
@@ -105,7 +105,7 @@ func WriteBundle(cfg BundleConfig, reason string) (string, error) {
 
 	if cfg.Recorder != nil {
 		mark := cfg.Recorder.mark()
-		if err := writeFile(TimelineFile, cfg.Recorder.WriteTrace); err != nil {
+		if err := writeFile(timelineFile, cfg.Recorder.WriteTrace); err != nil {
 			return "", err
 		}
 		man.Exemplar = cfg.Recorder.exemplar(mark)
@@ -118,7 +118,7 @@ func WriteBundle(cfg BundleConfig, reason string) (string, error) {
 	if cfg.Registry != nil {
 		samples := cfg.Registry.Samples()
 		man.MetricSamples = len(samples)
-		if err := writeFile(MetricsFile, func(w io.Writer) error {
+		if err := writeFile(metricsFile, func(w io.Writer) error {
 			out := make(map[string]float64, len(samples))
 			for _, s := range samples {
 				out[s.Name] = s.Value
@@ -131,19 +131,19 @@ func WriteBundle(cfg BundleConfig, reason string) (string, error) {
 		}
 	}
 	if !cfg.SkipProfiles {
-		if err := writeFile(GoroutinesFile, func(w io.Writer) error {
+		if err := writeFile(goroutinesFile, func(w io.Writer) error {
 			return pprof.Lookup("goroutine").WriteTo(w, 1)
 		}); err != nil {
 			return "", err
 		}
-		if err := writeFile(HeapFile, func(w io.Writer) error {
+		if err := writeFile(heapFile, func(w io.Writer) error {
 			runtime.GC() // up-to-date live-heap statistics
 			return pprof.WriteHeapProfile(w)
 		}); err != nil {
 			return "", err
 		}
 	}
-	if err := writeFile(ManifestFile, func(w io.Writer) error {
+	if err := writeFile(manifestFile, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&man)
@@ -157,7 +157,7 @@ func WriteBundle(cfg BundleConfig, reason string) (string, error) {
 // and POST /debug/flight/bundle. With WriteFlightState it makes a
 // BundleConfig the telemetry.FlightDebug those endpoints serve.
 func (cfg BundleConfig) TriggerBundle(reason string) (string, error) {
-	return WriteBundle(cfg, reason)
+	return writeBundle(cfg, reason)
 }
 
 // recentRecords caps how many trailing records WriteFlightState embeds.

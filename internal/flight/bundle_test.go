@@ -48,14 +48,14 @@ func TestWriteBundleAndValidate(t *testing.T) {
 		Recorder: rec,
 		Registry: reg,
 	}
-	path, err := WriteBundle(cfg, "sigquit")
+	path, err := writeBundle(cfg, "sigquit")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(filepath.Base(path), "flight-") {
 		t.Fatalf("bundle dir %q not timestamped", path)
 	}
-	for _, name := range []string{ManifestFile, EventsFile, MetricsFile, TimelineFile, GoroutinesFile, HeapFile} {
+	for _, name := range []string{manifestFile, EventsFile, metricsFile, timelineFile, goroutinesFile, heapFile} {
 		st, err := os.Stat(filepath.Join(path, name))
 		if err != nil || st.Size() == 0 {
 			t.Fatalf("bundle file %s missing or empty (err=%v)", name, err)
@@ -102,7 +102,7 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 		b := stagedBatch(0, lat, 1+i)
 		ring.Record(&b)
 	}
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
+	path, err := writeBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBundleExemplarHasItsSpanTree(t *testing.T) {
 	// No batch at all: no exemplar, rather than one that dangles.
 	empty := NewRecorder(1, 16)
 	empty.RecordControl(&Event{Kind: KindRefresh, GPU: -1, UnixNanos: 1})
-	path, err = WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, SkipProfiles: true}, "test")
+	path, err = writeBundle(BundleConfig{Dir: t.TempDir(), Recorder: empty, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestExemplarResolvesOnItsRing(t *testing.T) {
 	a, b := stagedBatch(0, 0.010, 1), stagedBatch(0, 0.050, 1)
 	fast.Record(&a)
 	slow.Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
+	path, err := writeBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestWriteBundleSkipProfiles(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test")
+	path, err := writeBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(path, HeapFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(path, heapFile)); !os.IsNotExist(err) {
 		t.Fatalf("heap profile written despite SkipProfiles (err=%v)", err)
 	}
 	rep, err := ValidateBundle(path)
@@ -176,8 +176,8 @@ func TestWriteBundleSkipProfiles(t *testing.T) {
 }
 
 func TestWriteBundleNoDir(t *testing.T) {
-	if _, err := WriteBundle(BundleConfig{}, "x"); err == nil {
-		t.Fatal("WriteBundle without a directory succeeded")
+	if _, err := writeBundle(BundleConfig{}, "x"); err == nil {
+		t.Fatal("writeBundle without a directory succeeded")
 	}
 }
 
@@ -186,7 +186,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{
+	path, err := writeBundle(BundleConfig{
 		Dir: dir, Recorder: rec, SkipProfiles: true,
 	}, "test")
 	if err != nil {
@@ -194,7 +194,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	}
 	// Swap in the timeline of a ring that has lapped seq 1: the manifest's
 	// exemplar now dangles, and resolution must fail.
-	f, err := os.Create(filepath.Join(path, TimelineFile))
+	f, err := os.Create(filepath.Join(path, timelineFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +215,14 @@ func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
+	path, err := writeBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateBundle(path); err != nil {
 		t.Fatal(err)
 	}
-	file := filepath.Join(path, TimelineFile)
+	file := filepath.Join(path, timelineFile)
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
@@ -259,14 +259,14 @@ func TestValidateBundleRejectsNegativeSpan(t *testing.T) {
 func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	rec.RecordControl(&Event{Kind: KindDrift, GPU: -1, UnixNanos: time.Now().UnixNano()})
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
+	path, err := writeBundle(BundleConfig{Dir: t.TempDir(), Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateBundle(path); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(filepath.Join(path, TimelineFile))
+	f, err := os.Create(filepath.Join(path, timelineFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	b := stagedBatch(0, 0.001, 1)
 	rec.Claim(1)[0].Record(&b)
-	path, err := WriteBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test")
+	path, err := writeBundle(BundleConfig{Dir: dir, Recorder: rec, SkipProfiles: true}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestValidateBundleRejectsCorruptJSONL(t *testing.T) {
 // no record yet (a SIGQUIT before the first batch) has an empty flight.jsonl
 // and validates; the same file under a manifest promising events does not.
 func TestValidateBundleBeforeTheFirstBatch(t *testing.T) {
-	path, err := WriteBundle(BundleConfig{Dir: t.TempDir(), Recorder: NewRecorder(2, 8)}, "sigquit")
+	path, err := writeBundle(BundleConfig{Dir: t.TempDir(), Recorder: NewRecorder(2, 8)}, "sigquit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestValidateBundleBeforeTheFirstBatch(t *testing.T) {
 		t.Fatalf("events %d, manifest %d, exemplar %+v; want none", rep.EventLines, rep.Manifest.FlightEvents, rep.Manifest.Exemplar)
 	}
 
-	manifest := filepath.Join(path, ManifestFile)
+	manifest := filepath.Join(path, manifestFile)
 	raw, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)

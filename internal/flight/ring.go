@@ -33,18 +33,15 @@ type Ring struct {
 	name  string        // its worker's name on those tracks, "gpu 0"; set by Claim
 }
 
-// NewRing returns a ring holding the last depth batches (rounded up to a
+// newRing returns a ring holding the last depth batches (rounded up to a
 // power of two, min 8).
-func NewRing(depth int) *Ring {
+func newRing(depth int) *Ring {
 	cap := 8
 	for cap < depth {
 		cap <<= 1
 	}
 	return &Ring{slots: make([]slot, cap), mask: uint64(cap - 1)}
 }
-
-// Depth returns the ring capacity in batches.
-func (r *Ring) Depth() int { return len(r.slots) }
 
 // Record numbers the batch (b.Seq becomes its 1-based position in this ring)
 // and copies it in, overwriting the oldest once full. Single producer per
@@ -66,7 +63,7 @@ func (r *Ring) Recorded() uint64 { return r.head.Load() }
 // Snapshot appends the ring's current batches to dst, oldest first, and
 // returns it. Runs concurrently with Record: slots being overwritten during
 // the copy are dropped rather than surfaced torn, so a snapshot under a hot
-// writer may hold slightly fewer than Depth batches.
+// writer may hold slightly fewer than its capacity.
 func (r *Ring) Snapshot(dst []Batch) []Batch {
 	h := r.head.Load()
 	for i := h - min(h, uint64(len(r.slots))); i < h; i++ {
@@ -154,12 +151,17 @@ func NewRecorder(workers, depth int) *Recorder {
 	}
 	r := &Recorder{rings: make([]*Ring, workers), created: time.Now().UnixNano()}
 	for i := range r.rings {
-		r.rings[i] = NewRing(depth)
+		r.rings[i] = newRing(depth)
 		r.rings[i].track = int32(i)
 	}
-	r.ctrl = newEventRing(r.rings[0].Depth())
+	r.ctrl = newEventRing(r.Depth())
 	return r
 }
+
+// Depth returns the records each ring holds: the depth NewRecorder was
+// given, or DefaultDepth for a non-positive one, rounded up to a power of
+// two (at least 8).
+func (r *Recorder) Depth() int { return len(r.rings[0].slots) }
 
 // Workers returns the number of per-worker rings.
 func (r *Recorder) Workers() int { return len(r.rings) }

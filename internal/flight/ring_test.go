@@ -50,9 +50,9 @@ func randomBatch(rnd *rand.Rand) Batch {
 }
 
 func TestRingRoundTrip(t *testing.T) {
-	r := NewRing(16)
-	if r.Depth() != 16 {
-		t.Fatalf("depth = %d, want 16", r.Depth())
+	r := newRing(16)
+	if len(r.slots) != 16 {
+		t.Fatalf("depth = %d, want 16", len(r.slots))
 	}
 	rnd := rand.New(rand.NewSource(1))
 	var want []Batch
@@ -81,14 +81,14 @@ func TestRingRoundTrip(t *testing.T) {
 
 func TestRingDepthRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{{0, 8}, {1, 8}, {9, 16}, {4096, 4096}, {5000, 8192}} {
-		if got := NewRing(tc.ask).Depth(); got != tc.want {
-			t.Errorf("NewRing(%d).Depth() = %d, want %d", tc.ask, got, tc.want)
+		if got := len(newRing(tc.ask).slots); got != tc.want {
+			t.Errorf("newRing(%d) holds %d, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
 
 func TestRingOverwriteKeepsNewest(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	for i := 0; i < 20; i++ {
 		b := testBatch(0, 0, int64(i))
 		b.RequestedKeys, b.UniqueKeys = 2*i, i
@@ -98,7 +98,7 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("snapshot holds %d batches, want 8", len(got))
 	}
-	if dr := got[0].DedupRatio(); dr != 2 {
+	if dr := got[0].dedupRatio(); dr != 2 {
 		t.Fatalf("dedup ratio %g, want 2", dr)
 	}
 	for i, b := range got {
@@ -126,7 +126,7 @@ func TestRingNegativeGPURoundTrips(t *testing.T) {
 // readers; under -race this is the proof the seqlock slots are sound, and in
 // any mode every surfaced batch must be internally consistent (never torn).
 func TestRingConcurrentSnapshot(t *testing.T) {
-	r := NewRing(64)
+	r := newRing(64)
 	const writes = 20000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -319,7 +319,7 @@ func TestBatchViewKeysGolden(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	b := randomBatch(rnd)
 	b.PrefetchHits, b.StaleBatches = 1, 1 // omitempty fields show
-	ring := NewRing(8)
+	ring := newRing(8)
 	ring.Record(&b)
 
 	keysOf := func(raw []byte) string {

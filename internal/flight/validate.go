@@ -51,7 +51,7 @@ type BundleReport struct {
 func ValidateBundle(dir string) (*BundleReport, error) {
 	rep := &BundleReport{Dir: dir, EventsByKind: make(map[string]int)}
 
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("flight: bundle manifest: %w", err)
 	}
@@ -80,22 +80,22 @@ func ValidateBundle(dir string) (*BundleReport, error) {
 			return nil, err
 		}
 	}
-	if slices.Contains(rep.Manifest.Files, MetricsFile) {
+	if slices.Contains(rep.Manifest.Files, metricsFile) {
 		var metrics map[string]float64
-		raw, err := os.ReadFile(filepath.Join(dir, MetricsFile))
+		raw, err := os.ReadFile(filepath.Join(dir, metricsFile))
 		if err != nil {
-			return nil, fmt.Errorf("flight: %s: %w", MetricsFile, err)
+			return nil, fmt.Errorf("flight: %s: %w", metricsFile, err)
 		}
 		if err := json.Unmarshal(raw, &metrics); err != nil {
-			return nil, fmt.Errorf("flight: %s does not parse: %w", MetricsFile, err)
+			return nil, fmt.Errorf("flight: %s does not parse: %w", metricsFile, err)
 		}
 		rep.MetricCount = len(metrics)
 		if rep.MetricCount != rep.Manifest.MetricSamples {
 			return nil, fmt.Errorf("flight: %s holds %d samples, manifest says %d",
-				MetricsFile, rep.MetricCount, rep.Manifest.MetricSamples)
+				metricsFile, rep.MetricCount, rep.Manifest.MetricSamples)
 		}
 	}
-	if slices.Contains(rep.Manifest.Files, TimelineFile) {
+	if slices.Contains(rep.Manifest.Files, timelineFile) {
 		if err := rep.checkTimeline(dir); err != nil {
 			return nil, err
 		}
@@ -146,14 +146,14 @@ func (rep *BundleReport) checkEvents(dir string) error {
 // records checkEvents counted and, when the manifest carries an
 // exemplar, resolves its (GPU, seq) to the matching batch span tree.
 func (rep *BundleReport) checkTimeline(dir string) error {
-	f, err := os.Open(filepath.Join(dir, TimelineFile))
+	f, err := os.Open(filepath.Join(dir, timelineFile))
 	if err != nil {
-		return fmt.Errorf("flight: %s: %w", TimelineFile, err)
+		return fmt.Errorf("flight: %s: %w", timelineFile, err)
 	}
 	defer f.Close()
 	tl, err := timeline.Validate(f)
 	if err != nil {
-		return fmt.Errorf("flight: %s: %w", TimelineFile, err)
+		return fmt.Errorf("flight: %s: %w", timelineFile, err)
 	}
 	rep.TimelineEvents = tl.Events
 
@@ -166,7 +166,7 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 		}
 		if rep.DrawnSpans[kind] < rep.EventsByKind[kind] {
 			return fmt.Errorf("flight: %s draws %d %s spans of the %d %s records in %s",
-				TimelineFile, rep.DrawnSpans[kind], name, rep.EventsByKind[kind], kind, EventsFile)
+				timelineFile, rep.DrawnSpans[kind], name, rep.EventsByKind[kind], kind, EventsFile)
 		}
 	}
 
@@ -190,7 +190,7 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 	}
 	if root == nil {
 		return fmt.Errorf("flight: exemplar batch seq=%d track=%d has no matching span in %s",
-			ex.Seq, ex.Track, TimelineFile)
+			ex.Seq, ex.Track, timelineFile)
 	}
 	// Children: spans on the same track nested inside the root's interval.
 	rep.ExemplarSpans = 1
@@ -207,7 +207,7 @@ func (rep *BundleReport) checkTimeline(dir string) error {
 	}
 	if rep.ExemplarSpans < 2 {
 		return fmt.Errorf("flight: exemplar batch seq=%d track=%d resolved to a bare root span (no children) in %s",
-			ex.Seq, ex.Track, TimelineFile)
+			ex.Seq, ex.Track, timelineFile)
 	}
 	return nil
 }

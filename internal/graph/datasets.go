@@ -59,7 +59,7 @@ func (s DatasetSpec) Build(scale float64, seed uint64) (*Dataset, error) {
 		n = 1000
 	}
 	r := rng.New(seed).Split("dataset-" + s.Name)
-	g, err := GenPowerLaw(n, s.AvgDeg, s.Gamma, r.Split("graph"))
+	g, err := genPowerLaw(n, s.AvgDeg, s.Gamma, r.Split("graph"))
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func (s DatasetSpec) Build(scale float64, seed uint64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := TrainSet(n, s.TrainFrac, r.Split("train"))
+	train := trainSet(n, s.TrainFrac, r.Split("train"))
 	return &Dataset{Spec: s, G: g, Table: table, Train: train}, nil
 }
 

@@ -26,9 +26,9 @@ func (g *CSR) NumNodes() int { return len(g.IndPtr) - 1 }
 // NumEdges returns the edge count.
 func (g *CSR) NumEdges() int64 { return g.IndPtr[len(g.IndPtr)-1] }
 
-// Neighbors returns node v's adjacency slice (shared storage; do not
+// neighbors returns node v's adjacency slice (shared storage; do not
 // modify).
-func (g *CSR) Neighbors(v int32) []int32 {
+func (g *CSR) neighbors(v int32) []int32 {
 	return g.Indices[g.IndPtr[v]:g.IndPtr[v+1]]
 }
 
@@ -57,7 +57,7 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// GenPowerLaw generates a Chung–Lu style power-law graph: node v's expected
+// genPowerLaw generates a Chung–Lu style power-law graph: node v's expected
 // degree follows w_v ∝ (v+1)^{-1/(γ-1)} (a power law with exponent γ in the
 // degree distribution), and each of the round(w_v) out-edges of v targets a
 // node drawn proportionally to the target's weight. Low node IDs are the
@@ -66,7 +66,7 @@ func (g *CSR) Validate() error {
 //
 // avgDeg is the desired mean out-degree; gamma is the degree-distribution
 // exponent (2 < gamma <= 3.5 covers real social/citation graphs).
-func GenPowerLaw(n int, avgDeg float64, gamma float64, r *rng.Rand) (*CSR, error) {
+func genPowerLaw(n int, avgDeg float64, gamma float64, r *rng.Rand) (*CSR, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: need positive node count, got %d", n)
 	}
@@ -157,11 +157,11 @@ func (s *powerTargetSampler) sample(r *rng.Rand) int32 {
 	return id
 }
 
-// TrainSet returns a deterministic pseudo-random subset of nodes of the
+// trainSet returns a deterministic pseudo-random subset of nodes of the
 // given fraction, the training vertices a GNN epoch iterates over (the
 // paper randomly selects a small portion for CF; OGB ships ~1% train
 // splits).
-func TrainSet(n int, fraction float64, r *rng.Rand) []int32 {
+func trainSet(n int, fraction float64, r *rng.Rand) []int32 {
 	if fraction <= 0 || fraction > 1 {
 		fraction = 0.01
 	}

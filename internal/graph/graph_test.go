@@ -10,7 +10,7 @@ import (
 
 func testGraph(t *testing.T, n int, avg, gamma float64) *CSR {
 	t.Helper()
-	g, err := GenPowerLaw(n, avg, gamma, rng.New(1))
+	g, err := genPowerLaw(n, avg, gamma, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGenPowerLawSkew(t *testing.T) {
 	g := testGraph(t, n, 10, 2.2)
 	topOut := int64(0)
 	for v := 0; v < n/100; v++ {
-		topOut += int64(len(g.Neighbors(int32(v))))
+		topOut += int64(len(g.neighbors(int32(v))))
 	}
 	if frac := float64(topOut) / float64(g.NumEdges()); frac < 0.10 {
 		t.Fatalf("top-1%% out-degree share %g, want >= 0.10", frac)
@@ -59,8 +59,8 @@ func TestGenPowerLawSkew(t *testing.T) {
 }
 
 func TestGenPowerLawDeterminism(t *testing.T) {
-	a, _ := GenPowerLaw(5000, 8, 2.5, rng.New(7))
-	b, _ := GenPowerLaw(5000, 8, 2.5, rng.New(7))
+	a, _ := genPowerLaw(5000, 8, 2.5, rng.New(7))
+	b, _ := genPowerLaw(5000, 8, 2.5, rng.New(7))
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("edge counts differ")
 	}
@@ -73,13 +73,13 @@ func TestGenPowerLawDeterminism(t *testing.T) {
 
 func TestGenPowerLawValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, err := GenPowerLaw(0, 10, 2.5, r); err == nil {
+	if _, err := genPowerLaw(0, 10, 2.5, r); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := GenPowerLaw(10, 0, 2.5, r); err == nil {
+	if _, err := genPowerLaw(10, 0, 2.5, r); err == nil {
 		t.Fatal("avgDeg=0 accepted")
 	}
-	if _, err := GenPowerLaw(10, 5, 2.0, r); err == nil {
+	if _, err := genPowerLaw(10, 5, 2.0, r); err == nil {
 		t.Fatal("gamma=2 accepted")
 	}
 }
@@ -87,7 +87,7 @@ func TestGenPowerLawValidation(t *testing.T) {
 func TestNoSelfLoops(t *testing.T) {
 	g := testGraph(t, 3000, 6, 2.4)
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		for _, tgt := range g.Neighbors(v) {
+		for _, tgt := range g.neighbors(v) {
 			if tgt == v {
 				t.Fatalf("self loop at %d", v)
 			}
@@ -97,7 +97,7 @@ func TestNoSelfLoops(t *testing.T) {
 
 func TestTrainSet(t *testing.T) {
 	r := rng.New(3)
-	train := TrainSet(10000, 0.01, r)
+	train := trainSet(10000, 0.01, r)
 	if len(train) != 100 {
 		t.Fatalf("train size %d", len(train))
 	}
@@ -112,7 +112,7 @@ func TestTrainSet(t *testing.T) {
 		seen[v] = true
 	}
 	// Bad fraction falls back to 1%.
-	if got := TrainSet(1000, -1, rng.New(4)); len(got) != 10 {
+	if got := trainSet(1000, -1, rng.New(4)); len(got) != 10 {
 		t.Fatalf("fallback train size %d", len(got))
 	}
 	// Train nodes should be spread over the ID range, not clustered.
@@ -161,7 +161,7 @@ func TestSamplerSkewedAccess(t *testing.T) {
 	r := rng.New(5)
 	s, _ := NewSampler(g, []int{10, 5}, 0, r.Split("sampler"))
 	counts := make([]int64, n)
-	tr := TrainSet(n, 0.05, r.Split("train"))
+	tr := trainSet(n, 0.05, r.Split("train"))
 	for _, batch := range EpochBatches(tr, 100, r.Split("epoch")) {
 		for _, v := range s.SampleBatch(batch) {
 			counts[v]++
@@ -186,7 +186,7 @@ func TestSamplerNegativeReducesSkew(t *testing.T) {
 		r := rng.New(5)
 		s, _ := NewSampler(g, []int{10, 5}, neg, r.Split("sampler"))
 		counts := make([]int64, n)
-		tr := TrainSet(n, 0.05, r.Split("train"))
+		tr := trainSet(n, 0.05, r.Split("train"))
 		for _, batch := range EpochBatches(tr, 100, r.Split("epoch")) {
 			for _, v := range s.SampleBatch(batch) {
 				counts[v]++
@@ -292,14 +292,14 @@ func TestDatasetSpecsDistinct(t *testing.T) {
 
 func BenchmarkGenPowerLaw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := GenPowerLaw(100000, 12, 2.2, rng.New(uint64(i))); err != nil {
+		if _, err := genPowerLaw(100000, 12, 2.2, rng.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSampleBatch(b *testing.B) {
-	g, err := GenPowerLaw(100000, 12, 2.2, rng.New(1))
+	g, err := genPowerLaw(100000, 12, 2.2, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

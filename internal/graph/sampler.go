@@ -81,7 +81,7 @@ func (s *Sampler) SampleBatch(seeds []int32) []int32 {
 	for _, fanout := range s.Fanouts {
 		next := make([]int32, 0, len(frontier)*min(fanout, 8))
 		for _, v := range frontier {
-			adj := s.G.Neighbors(v)
+			adj := s.G.neighbors(v)
 			if len(adj) == 0 {
 				continue
 			}

@@ -104,10 +104,10 @@ type Status int
 const (
 	Optimal Status = iota
 	Infeasible
-	Unbounded
-	// IterationLimit means the simplex stopped at its iteration cap without
+	unbounded
+	// iterationLimit means the simplex stopped at its iteration cap without
 	// proving anything: there is no objective, no point and no bound.
-	IterationLimit
+	iterationLimit
 )
 
 func (s Status) String() string {
@@ -116,7 +116,7 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
+	case unbounded:
 		return "unbounded"
 	default:
 		return "iteration limit"
@@ -131,9 +131,9 @@ type Solution struct {
 	X         []float64
 }
 
-// ErrTooLarge guards against accidentally feeding the dense tableau a
+// errTooLarge guards against accidentally feeding the dense tableau a
 // full-scale model.
-var ErrTooLarge = errors.New("lp: problem too large for the dense solver")
+var errTooLarge = errors.New("lp: problem too large for the dense solver")
 
 const (
 	eps     = 1e-9
@@ -205,7 +205,7 @@ func (p *Problem) Solve(sc *Scratch) (Solution, error) {
 		// Unconstrained: minimum of cᵀx with x ≥ 0 is 0 unless some c < 0.
 		for _, c := range p.obj {
 			if c < -eps {
-				return Solution{Status: Unbounded}, nil
+				return Solution{Status: unbounded}, nil
 			}
 		}
 		x := growF(&sc.x, p.numVars)
@@ -215,7 +215,7 @@ func (p *Problem) Solve(sc *Scratch) (Solution, error) {
 		return Solution{Status: Optimal, X: x}, nil
 	}
 	if m > maxSize || p.numVars > maxSize*4 {
-		return Solution{}, fmt.Errorf("%w: %d rows × %d vars", ErrTooLarge, m, p.numVars)
+		return Solution{}, fmt.Errorf("%w: %d rows × %d vars", errTooLarge, m, p.numVars)
 	}
 
 	// Column layout: [structural | slack/surplus | artificial].
@@ -294,10 +294,10 @@ func (p *Problem) Solve(sc *Scratch) (Solution, error) {
 			}
 		}
 		switch t.run(phase1, basis, nil, rc) {
-		case Unbounded:
+		case unbounded:
 			return Solution{}, fmt.Errorf("lp: phase 1 unbounded (internal error)")
-		case IterationLimit:
-			return Solution{Status: IterationLimit}, nil
+		case iterationLimit:
+			return Solution{Status: iterationLimit}, nil
 		}
 		if t.objective(phase1, basis) > 1e-7 {
 			return Solution{Status: Infeasible}, nil
@@ -504,13 +504,13 @@ func (t *tableau) run(c []float64, basis []int, blocked []bool, rc []float64) St
 			}
 		}
 		if leave < 0 {
-			return Unbounded
+			return unbounded
 		}
 		t.pivot(leave, enter, basis)
 	}
 	// Not converged: the current point is neither optimal nor a bound, and
 	// callers must not read it as either.
-	return IterationLimit
+	return iterationLimit
 }
 
 // subScaled computes dst -= f·src over the full width. It and subScaledAt

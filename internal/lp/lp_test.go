@@ -70,7 +70,7 @@ func TestUnbounded(t *testing.T) {
 	p, _ := NewProblem(2, []float64{-1, 0})
 	p.AddConstraint([]Coef{{1, 1}}, LE, 5) // y <= 5, x free upward
 	s := solve(t, p)
-	if s.Status != Unbounded {
+	if s.Status != unbounded {
 		t.Fatalf("status %v", s.Status)
 	}
 }
@@ -81,7 +81,7 @@ func TestUnconstrained(t *testing.T) {
 	wantObj(t, s, 0)
 	p2, _ := NewProblem(1, []float64{-1})
 	s2 := solve(t, p2)
-	if s2.Status != Unbounded {
+	if s2.Status != unbounded {
 		t.Fatalf("status %v", s2.Status)
 	}
 }
@@ -225,8 +225,8 @@ func TestRandomFeasibilityProperty(t *testing.T) {
 }
 
 func TestStatusStrings(t *testing.T) {
-	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || Unbounded.String() != "unbounded" ||
-		IterationLimit.String() != "iteration limit" {
+	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || unbounded.String() != "unbounded" ||
+		iterationLimit.String() != "iteration limit" {
 		t.Fatal("status strings")
 	}
 	if LE.String() != "<=" || EQ.String() != "=" || GE.String() != ">=" {

@@ -21,7 +21,7 @@ func referenceSolve(p *Problem) Solution {
 	if m == 0 {
 		for _, c := range p.obj {
 			if c < -eps {
-				return Solution{Status: Unbounded}
+				return Solution{Status: unbounded}
 			}
 		}
 		return Solution{Status: Optimal, X: make([]float64, p.numVars)}
@@ -135,11 +135,11 @@ func referenceSolve(p *Problem) Solution {
 				}
 			}
 			if leave < 0 {
-				return Unbounded
+				return unbounded
 			}
 			pivot(leave, enter)
 		}
-		return IterationLimit
+		return iterationLimit
 	}
 
 	if nArt > 0 {
@@ -150,10 +150,10 @@ func referenceSolve(p *Problem) Solution {
 			}
 		}
 		switch run(phase1, nil) {
-		case Unbounded:
+		case unbounded:
 			panic("reference: phase 1 unbounded")
-		case IterationLimit:
-			return Solution{Status: IterationLimit}
+		case iterationLimit:
+			return Solution{Status: iterationLimit}
 		}
 		infeas := 0.0
 		for i, bv := range basis {

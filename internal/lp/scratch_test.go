@@ -143,7 +143,7 @@ func TestIterationLimitIsNotOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if sol.Status != IterationLimit || sol.X != nil || sol.Objective != 0 {
+		if sol.Status != iterationLimit || sol.X != nil || sol.Objective != 0 {
 			t.Fatalf("%s: status %v, objective %v, point %v; want a bare iteration limit", name, sol.Status, sol.Objective, sol.X)
 		}
 		sameSolution(t, sol, referenceSolve(p))

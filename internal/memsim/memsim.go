@@ -11,10 +11,10 @@ import (
 	"fmt"
 )
 
-// ErrOutOfMemory is returned when an allocation exceeds the arena capacity;
+// errOutOfMemory is returned when an allocation exceeds the arena capacity;
 // it corresponds to the OOM conditions §8.1 works around by shrinking batch
 // sizes.
-var ErrOutOfMemory = errors.New("memsim: out of device memory")
+var errOutOfMemory = errors.New("memsim: out of device memory")
 
 // Arena is one device's memory: a bump allocator with optional backing.
 type Arena struct {
@@ -49,7 +49,7 @@ func (a *Arena) Alloc(n int64) (int64, error) {
 		return 0, fmt.Errorf("memsim: negative allocation %d", n)
 	}
 	if a.used+n > a.Capacity {
-		return 0, fmt.Errorf("%w: %q needs %d, free %d", ErrOutOfMemory, a.Name, n, a.Free())
+		return 0, fmt.Errorf("%w: %q needs %d, free %d", errOutOfMemory, a.Name, n, a.Free())
 	}
 	off := a.used
 	a.used += n

@@ -19,7 +19,7 @@ func TestArenaAllocAccounting(t *testing.T) {
 	if a.used != 100 || a.Free() != 0 {
 		t.Fatalf("used=%d free=%d", a.used, a.Free())
 	}
-	if _, err := a.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := a.Alloc(1); !errors.Is(err, errOutOfMemory) {
 		t.Fatalf("expected OOM, got %v", err)
 	}
 	if _, err := a.Alloc(-1); err == nil {

@@ -6,16 +6,16 @@ import (
 	"ugache/internal/sim"
 )
 
-// PeerLinkEfficiency is the fraction of an NVLink/NVSwitch link's capacity
+// peerLinkEfficiency is the fraction of an NVLink/NVSwitch link's capacity
 // that unorganized, randomly dispatched extraction achieves (§5.2): mixed
 // warps issue uncoalesced, short transfers, so the achieved bandwidth sits
 // well below the link's capability even when enough cores are parked on
 // it. FEM's dedicated, coalesced core groups drive the full-capacity
 // links, while naive peer access drives the degraded twins below; this
 // reproduces the paper's Fig. 4/13 mechanism gaps.
-const PeerLinkEfficiency = 0.55
+const peerLinkEfficiency = 0.55
 
-// PeerPCIeEfficiency is the corresponding factor for zero-copy host reads
+// peerPCIeEfficiency is the corresponding factor for zero-copy host reads
 // over PCIe. It is much milder: PCIe transfers of whole embedding rows
 // stay reasonably coalesced even under random dispatch, and the paper's
 // Fig. 4 ordering (peer always beats message-based, including on the
@@ -23,13 +23,13 @@ const PeerLinkEfficiency = 0.55
 // the message-based staged host fetch. The paper's 1.9× PCIe-utilization
 // gain from FEM (Fig. 13) comes mostly from shortening the makespan, not
 // from raw PCIe inefficiency.
-const PeerPCIeEfficiency = 0.85
+const peerPCIeEfficiency = 0.85
 
-// PeerNetworkEfficiency is the corresponding factor for the inter-machine
+// peerNetworkEfficiency is the corresponding factor for the inter-machine
 // NIC. Unorganized cross-machine access loses the large coalesced RDMA
 // reads that make the wire efficient, but the staging path (whole rows
 // through host memory) keeps the penalty milder than NVLink's.
-const PeerNetworkEfficiency = 0.7
+const peerNetworkEfficiency = 0.7
 
 // ensureDegraded builds the degraded twin links (one per PCIe lane,
 // NVLink pair, and NVSwitch port). HBM and host DRAM have no twins: on-die
@@ -43,19 +43,19 @@ func (p *Platform) ensureDegraded() {
 	}
 	p.pcieDeg = make([]sim.LinkID, p.N)
 	for g := 0; g < p.N; g++ {
-		p.pcieDeg[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-pcie-unorg", g), p.PCIeBW*PeerPCIeEfficiency)
+		p.pcieDeg[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-pcie-unorg", g), p.PCIeBW*peerPCIeEfficiency)
 	}
 	p.nicDeg = -1
 	if p.hasNet {
-		p.nicDeg = p.Topo.AddLink("nic-unorg", p.Net.LinkBW*PeerNetworkEfficiency)
+		p.nicDeg = p.Topo.AddLink("nic-unorg", p.Net.LinkBW*peerNetworkEfficiency)
 	}
 	switch p.Kind {
 	case SwitchBased:
 		p.outDeg = make([]sim.LinkID, p.N)
 		p.inDeg = make([]sim.LinkID, p.N)
 		for g := 0; g < p.N; g++ {
-			p.outDeg[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-out-unorg", g), p.SwitchPortBW*PeerLinkEfficiency)
-			p.inDeg[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-in-unorg", g), p.SwitchPortBW*PeerLinkEfficiency)
+			p.outDeg[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-out-unorg", g), p.SwitchPortBW*peerLinkEfficiency)
+			p.inDeg[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-in-unorg", g), p.SwitchPortBW*peerLinkEfficiency)
 		}
 	case HardWired:
 		p.pairDeg = make([][]sim.LinkID, p.N)
@@ -65,7 +65,7 @@ func (p *Platform) ensureDegraded() {
 				p.pairDeg[i][j] = -1
 				if i != j && p.pair[i][j] >= 0 {
 					p.pairDeg[i][j] = p.Topo.AddLink(
-						fmt.Sprintf("nvlink-%d<-%d-unorg", i, j), p.PairBW[i][j]*PeerLinkEfficiency)
+						fmt.Sprintf("nvlink-%d<-%d-unorg", i, j), p.PairBW[i][j]*peerLinkEfficiency)
 				}
 			}
 		}

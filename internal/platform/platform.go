@@ -341,9 +341,9 @@ func ServerCConfig() Config {
 // effective per-GPU port bandwidth.
 func ServerC() *Platform { return mustNew(ServerCConfig()) }
 
-// ConfigByName returns the config of the paper's server "A", "B" or "C"
+// configByName returns the config of the paper's server "A", "B" or "C"
 // (either case) — what the commands' -server flag names.
-func ConfigByName(name string) (Config, error) {
+func configByName(name string) (Config, error) {
 	switch name {
 	case "A", "a":
 		return ServerAConfig(), nil
@@ -355,9 +355,9 @@ func ConfigByName(name string) (Config, error) {
 	return Config{}, fmt.Errorf("unknown server %q (have A, B, C)", name)
 }
 
-// ByName builds the server ConfigByName names.
+// ByName builds the server configByName names.
 func ByName(name string) (*Platform, error) {
-	cfg, err := ConfigByName(name)
+	cfg, err := configByName(name)
 	if err != nil {
 		return nil, err
 	}
@@ -493,11 +493,11 @@ func (p *Platform) Tolerance(dst int, src SourceID) (cores float64, ok bool) {
 	return bw / p.RCore(dst, src), true
 }
 
-// TimePerByte returns the solver's T_{dst←src} (paper §6.2): seconds to move
+// timePerByte returns the solver's T_{dst←src} (paper §6.2): seconds to move
 // one byte at the path's plateau bandwidth. ok=false for unconnected pairs
 // (the paper sets T to infinity and prunes the variable; callers should do
 // the same).
-func (p *Platform) TimePerByte(dst int, src SourceID) (t float64, ok bool) {
+func (p *Platform) timePerByte(dst int, src SourceID) (t float64, ok bool) {
 	bw, ok := p.LinkBW(dst, src)
 	if !ok {
 		return 0, false
@@ -505,17 +505,17 @@ func (p *Platform) TimePerByte(dst int, src SourceID) (t float64, ok bool) {
 	return 1 / bw, true
 }
 
-// TimePerByteTable materializes TimePerByte as an N x NumSources matrix —
+// TimePerByteTable materializes timePerByte as an N x NumSources matrix —
 // tbl[dst][src] in seconds per byte, 0 for unconnected pairs. Path lookups
 // allocate; per-batch hot paths (telemetry's per-tier second estimates)
-// index this table instead of calling TimePerByte.
+// index this table instead of calling timePerByte.
 func (p *Platform) TimePerByteTable() [][]float64 {
 	ns := p.NumSources()
 	tbl := make([][]float64, p.N)
 	for g := range tbl {
 		tbl[g] = make([]float64, ns)
 		for j := 0; j < ns; j++ {
-			if t, ok := p.TimePerByte(g, SourceID(j)); ok {
+			if t, ok := p.timePerByte(g, SourceID(j)); ok {
 				tbl[g][j] = t
 			}
 		}

@@ -95,12 +95,12 @@ func TestServerBDGX1Topology(t *testing.T) {
 			}
 		}
 	}
-	// Unconnected pairs have no path and no TimePerByte.
+	// Unconnected pairs have no path and no timePerByte.
 	if _, ok := p.Path(0, 5); ok {
 		t.Fatal("path for unconnected pair")
 	}
-	if _, ok := p.TimePerByte(0, 5); ok {
-		t.Fatal("TimePerByte for unconnected pair")
+	if _, ok := p.timePerByte(0, 5); ok {
+		t.Fatal("timePerByte for unconnected pair")
 	}
 }
 
@@ -154,9 +154,9 @@ func TestHostBandwidthBoundedByPCIe(t *testing.T) {
 	if !ok || bw != p.PCIeBW {
 		t.Fatalf("host bw %g, want PCIe %g", bw, p.PCIeBW)
 	}
-	tb, ok := p.TimePerByte(0, p.Host())
+	tb, ok := p.timePerByte(0, p.Host())
 	if !ok || math.Abs(tb-1/p.PCIeBW) > 1e-30 {
-		t.Fatalf("TimePerByte %g", tb)
+		t.Fatalf("timePerByte %g", tb)
 	}
 }
 

@@ -32,7 +32,7 @@ func (p *Platform) ProfileBandwidth(dst int, src SourceID, coreCounts []int) ([]
 		res, err := p.Topo.Run([]sim.Demand{{
 			Label: "profile", Bytes: bytes, Cores: float64(c), RCore: rcore,
 			Path: path, PadTo: -1,
-		}})
+		}}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func (p *Platform) ProfileMultiReader(src int, readers []int, coresEach int) (ma
 			RCore: p.RCore(r, SourceID(src)), Path: path, PadTo: -1,
 		})
 	}
-	res, err := p.Topo.Run(demands)
+	res, err := p.Topo.Run(demands, nil)
 	if err != nil {
 		return nil, err
 	}

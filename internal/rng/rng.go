@@ -118,12 +118,12 @@ func (r *Rand) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.ShuffleInts(p)
+	r.shuffleInts(p)
 	return p
 }
 
-// ShuffleInts shuffles s in place (Fisher–Yates).
-func (r *Rand) ShuffleInts(s []int) {
+// shuffleInts shuffles s in place (Fisher–Yates).
+func (r *Rand) shuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]

@@ -235,7 +235,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 		// early move; it lands on the prefetch metrics/track, not on any
 		// request's SimSeconds — that is the whole point of the overlap.
 		sc.batch.Keys[g] = fetch
-		res, err := s.sys.ExtractBatchWith(&sc.batch, sc.core)
+		res, err := s.sys.ExtractBatch(&sc.batch, sc.core)
 		sc.batch.Keys[g] = nil
 		if err != nil {
 			s.met.prefetchErrors.Add(g, 1)
@@ -246,7 +246,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 		var rows []byte
 		if s.functional {
 			rows = grow(&sc.rows, len(fetch)*s.entryBytes)
-			if err := s.sys.LookupWith(g, fetch, rows, sc.core); err != nil {
+			if err := s.sys.Lookup(g, fetch, rows, sc.core); err != nil {
 				s.met.prefetchErrors.Add(g, 1)
 				return
 			}

@@ -642,7 +642,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 	// gather below reuses the scratch.
 	sc.batch.Keys[g] = extractKeys
 	extractStart := time.Now()
-	res, err := s.sys.ExtractBatchWith(&sc.batch, sc.core)
+	res, err := s.sys.ExtractBatch(&sc.batch, sc.core)
 	sc.batch.Keys[g] = nil
 	if sc.batch.Staged != nil {
 		sc.batch.Staged[g] = nil
@@ -789,13 +789,13 @@ func (s *Server) tierSplit(g int, srcBytes []float64, rec *flight.Batch) {
 // staged rows were already copied by Consume.
 func (s *Server) gather(g int, sc *workerScratch, uniq, demand []int64, rows []byte) error {
 	if sc.rec.PrefetchHits == 0 {
-		return s.sys.LookupWith(g, uniq, rows, sc.core)
+		return s.sys.Lookup(g, uniq, rows, sc.core)
 	}
 	if len(demand) == 0 {
 		return nil
 	}
 	dr := grow(&sc.demandRows, len(demand)*s.entryBytes)
-	if err := s.sys.LookupWith(g, demand, dr, sc.core); err != nil {
+	if err := s.sys.Lookup(g, demand, dr, sc.core); err != nil {
 		return err
 	}
 	for j, i := range sc.demandIdx {

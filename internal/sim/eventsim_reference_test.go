@@ -133,7 +133,7 @@ func (t *Topology) RunEvent(demands []Demand, chunkBytes float64) (*Result, erro
 			}
 		}
 		if math.IsInf(dt, 1) {
-			return nil, ErrStarved
+			return nil, errStarved
 		}
 		now += dt
 		for i := range cores {
@@ -168,7 +168,7 @@ func (t *Topology) RunEvent(demands []Demand, chunkBytes float64) (*Result, erro
 	}
 	for i := range demands {
 		if !done[i] {
-			return nil, ErrStarved
+			return nil, errStarved
 		}
 	}
 	res := &Result{Finish: finish, LinkBytes: make([]float64, len(t.Links))}

@@ -37,7 +37,7 @@ func TestEventSimAgreesWithFluid(t *testing.T) {
 				PadTo: padTo,
 			})
 		}
-		fluid, err := topo.Run(append([]Demand(nil), demands...))
+		fluid, err := topo.Run(append([]Demand(nil), demands...), nil)
 		if err != nil {
 			t.Fatalf("trial %d fluid: %v", trial, err)
 		}
@@ -69,7 +69,7 @@ func TestEventSimConvergesToFluid(t *testing.T) {
 		{Bytes: 3000, Cores: 10, RCore: 3, Path: []LinkID{a}, PadTo: 1},
 		{Bytes: 5000, Cores: 6, RCore: 4, Path: []LinkID{b}, PadTo: -1},
 	}
-	fluid, err := topo.Run(append([]Demand(nil), demands...))
+	fluid, err := topo.Run(append([]Demand(nil), demands...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestPhaseLogRecording checks that a recording RunWith reproduces the
+// TestPhaseLogRecording checks that a recording Run reproduces the
 // run's structure: phase boundaries cover [0, makespan], per-link phase
 // rates integrate back to LinkBytes, and no rate exceeds link capacity.
 func TestPhaseLogRecording(t *testing.T) {
@@ -17,7 +17,7 @@ func TestPhaseLogRecording(t *testing.T) {
 		{Label: "remote", Bytes: 100, Cores: 100, RCore: 1, Path: []LinkID{nv, hbm}, PadTo: 0},
 	}
 	sc := &RunScratch{Record: true}
-	res, err := topo.RunWith(demands, sc)
+	res, err := topo.Run(demands, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestPhaseLogReusedAcrossRuns(t *testing.T) {
 	link := topo.AddLink("l", 10)
 	sc := &RunScratch{Record: true}
 	one := []Demand{{Bytes: 100, Cores: 10, RCore: 1, Path: []LinkID{link}, PadTo: -1}}
-	if _, err := topo.RunWith(one, sc); err != nil {
+	if _, err := topo.Run(one, sc); err != nil {
 		t.Fatal(err)
 	}
 	firstPhases := sc.Log.Phases()
-	res, err := topo.RunWith(one, sc)
+	res, err := topo.Run(one, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPhaseLogReusedAcrossRuns(t *testing.T) {
 			res.Phases.Phases(), firstPhases)
 	}
 	sc.Record = false
-	res, err = topo.RunWith(one, sc)
+	res, err = topo.Run(one, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

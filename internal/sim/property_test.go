@@ -39,7 +39,7 @@ func TestRunPhysicalBounds(t *testing.T) {
 				PadTo: padTo,
 			})
 		}
-		res, err := topo.Run(demands)
+		res, err := topo.Run(demands, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -92,14 +92,14 @@ func TestRunMonotoneInBytes(t *testing.T) {
 			{Bytes: 100 + r.Float64()*400, Cores: 8, RCore: 2, Path: []LinkID{a, b}, PadTo: -1},
 			{Bytes: 100 + r.Float64()*400, Cores: 8, RCore: 2, Path: []LinkID{b}, PadTo: -1},
 		}
-		r1, err := topo.Run(append([]Demand(nil), base...))
+		r1, err := topo.Run(append([]Demand(nil), base...), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bigger := append([]Demand(nil), base...)
 		idx := r.Intn(len(bigger))
 		bigger[idx].Bytes *= 1.5
-		r2, err := topo.Run(bigger)
+		r2, err := topo.Run(bigger, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

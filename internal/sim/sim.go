@@ -77,7 +77,7 @@ type Result struct {
 	LinkBytes []float64
 	// Phases points at the scratch's phase log when the run was made with a
 	// RunScratch whose Record flag is set; nil otherwise. It aliases the
-	// scratch and is valid only until the scratch's next RunWith call.
+	// scratch and is valid only until the scratch's next Run call.
 	Phases *PhaseLog
 }
 
@@ -100,9 +100,9 @@ func (r *Result) Utilization(topo *Topology, l LinkID) float64 {
 	return u
 }
 
-// ErrStarved reports a demand that can never complete because it has bytes
+// errStarved reports a demand that can never complete because it has bytes
 // to move but no cores and no padding source.
-var ErrStarved = errors.New("sim: demand has bytes but can never receive cores")
+var errStarved = errors.New("sim: demand has bytes but can never receive cores")
 
 type flow struct {
 	idx    int     // demand index
@@ -116,13 +116,13 @@ type flow struct {
 	frozen bool    // scratch for the allocator
 }
 
-// PhaseLog is the per-phase rate history of one RunWith call: the fluid
+// PhaseLog is the per-phase rate history of one Run call: the fluid
 // simulation advances in phases (rates are constant between demand
 // completions), and the log keeps each phase's end time plus the aggregate
 // allocated rate on every link during that phase — the information the
 // paper's Fig. 6 link-congestion curves are drawn from. Buffers are reused
 // across runs; a log aliases its RunScratch and is valid only until the
-// scratch's next RunWith call.
+// scratch's next Run call.
 type PhaseLog struct {
 	// T[p] is the end time of phase p in seconds; phase p covers
 	// [T[p-1], T[p]) with T[-1] = 0.
@@ -138,7 +138,7 @@ type PhaseLog struct {
 // Phases returns the number of recorded phases.
 func (pl *PhaseLog) Phases() int { return len(pl.T) }
 
-// RunScratch holds the reusable working state of RunWith so steady-state
+// RunScratch holds the reusable working state of Run so steady-state
 // simulation runs stop allocating: the flow table, the active list, the
 // allocator's residual/weight buffers, and the result slices. A RunScratch
 // is owned by one goroutine at a time (workers keep their own, or recycle
@@ -152,7 +152,7 @@ type RunScratch struct {
 	finish []float64
 	bytes  []float64
 
-	// Record enables phase logging: each RunWith call then resets and
+	// Record enables phase logging: each Run call then resets and
 	// refills Log, and the returned Result points at it. Off (the default)
 	// the only cost is one boolean check per phase, preserving the
 	// BENCH_hotpath.json allocation budget of the tracing-off serving path.
@@ -175,18 +175,11 @@ func growF64(buf []float64, n int) []float64 {
 
 // Run simulates the demands to completion and returns per-demand finish
 // times. Demands run concurrently from t=0 (subject to having cores; a
-// demand with zero cores waits for padding). Every slice in the Result is
-// freshly allocated and owned by the caller.
-func (t *Topology) Run(demands []Demand) (*Result, error) {
-	return t.RunWith(demands, nil)
-}
-
-// RunWith is Run on a caller's scratch: the returned Result's Finish and
-// LinkBytes slices are scratch-owned, valid only until the scratch's next
-// RunWith call, and callers that need them longer must copy. A nil scratch
-// means a fresh one of the call's own, which is what makes Run's Result the
-// caller's to keep.
-func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
+// demand with zero cores waits for padding). The Result's Finish and
+// LinkBytes slices are sc's, valid only until its next Run, and callers that
+// need them longer must copy. A nil sc means a fresh one of the call's own,
+// so the Result is the caller's to keep.
+func (t *Topology) Run(demands []Demand, sc *RunScratch) (*Result, error) {
 	if sc == nil {
 		sc = new(RunScratch)
 	}
@@ -263,7 +256,7 @@ func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
 		}
 		if !moving {
 			// Remaining demands have no cores and nothing left to pad them.
-			return nil, ErrStarved
+			return nil, errStarved
 		}
 
 		// Record this phase's boundary and per-link aggregate rates. The
@@ -339,6 +332,11 @@ func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// RunWith runs as Run does. It goes once benchmark/ stops calling it.
+func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
+	return t.Run(demands, sc)
 }
 
 // appendActive filters the not-yet-done flows into buf (reused across

@@ -16,7 +16,7 @@ func TestSingleDemandCoreBound(t *testing.T) {
 	var topo Topology
 	hbm := topo.AddLink("hbm", 1000)
 	// 10 cores at 1 B/s each over a 1000 B/s link: core-bound, rate 10.
-	res, err := topo.Run([]Demand{{Label: "local", Bytes: 100, Cores: 10, RCore: 1, Path: []LinkID{hbm}, PadTo: -1}})
+	res, err := topo.Run([]Demand{{Label: "local", Bytes: 100, Cores: 10, RCore: 1, Path: []LinkID{hbm}, PadTo: -1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSingleDemandLinkBound(t *testing.T) {
 	var topo Topology
 	pcie := topo.AddLink("pcie", 5)
 	// 100 cores want 100 B/s but the link caps at 5.
-	res, err := topo.Run([]Demand{{Bytes: 50, Cores: 100, RCore: 1, Path: []LinkID{pcie}, PadTo: -1}})
+	res, err := topo.Run([]Demand{{Bytes: 50, Cores: 100, RCore: 1, Path: []LinkID{pcie}, PadTo: -1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestToleranceCurve(t *testing.T) {
 	link := topo.AddLink("nvlink", 50)
 	prev := 0.0
 	for cores := 1; cores <= 100; cores += 7 {
-		res, err := topo.Run([]Demand{{Bytes: 1000, Cores: float64(cores), RCore: 1, Path: []LinkID{link}, PadTo: -1}})
+		res, err := topo.Run([]Demand{{Bytes: 1000, Cores: float64(cores), RCore: 1, Path: []LinkID{link}, PadTo: -1}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestWeightedFairShare(t *testing.T) {
 	res, err := topo.Run([]Demand{
 		{Bytes: 200, Cores: 20, RCore: 100, Path: []LinkID{link}, PadTo: -1},
 		{Bytes: 100, Cores: 10, RCore: 100, Path: []LinkID{link}, PadTo: -1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCapFrozenFlowReleasesBandwidth(t *testing.T) {
 	res, err := topo.Run([]Demand{
 		{Bytes: 100, Cores: 1, RCore: 10, Path: []LinkID{link}, PadTo: -1},
 		{Bytes: 900, Cores: 4, RCore: 100, Path: []LinkID{link}, PadTo: -1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPaddingTransfersCores(t *testing.T) {
 	res, err := topo.Run([]Demand{
 		{Label: "remote", Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{remote}, PadTo: 1},
 		{Label: "local", Bytes: 30, Cores: 10, RCore: 1, Path: []LinkID{local}, PadTo: -1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPaddingTransfersCores(t *testing.T) {
 	res2, err := topo.Run([]Demand{
 		{Label: "remote", Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{remote}, PadTo: -1},
 		{Label: "local", Bytes: 30, Cores: 10, RCore: 1, Path: []LinkID{local}, PadTo: -1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPaddingIntoZeroCoreDemand(t *testing.T) {
 	res, err := topo.Run([]Demand{
 		{Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{l}, PadTo: 1},
 		{Bytes: 10, Cores: 0, Path: []LinkID{l}, PadTo: -1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +135,16 @@ func TestPaddingIntoZeroCoreDemand(t *testing.T) {
 func TestStarvedDemand(t *testing.T) {
 	var topo Topology
 	l := topo.AddLink("hbm", 1000)
-	_, err := topo.Run([]Demand{{Bytes: 10, Cores: 0, Path: []LinkID{l}, PadTo: -1}})
-	if err != ErrStarved {
-		t.Fatalf("got %v, want ErrStarved", err)
+	_, err := topo.Run([]Demand{{Bytes: 10, Cores: 0, Path: []LinkID{l}, PadTo: -1}}, nil)
+	if err != errStarved {
+		t.Fatalf("got %v, want errStarved", err)
 	}
 }
 
 func TestZeroByteDemand(t *testing.T) {
 	var topo Topology
 	l := topo.AddLink("hbm", 1000)
-	res, err := topo.Run([]Demand{{Bytes: 0, Cores: 0, Path: []LinkID{l}, PadTo: -1}})
+	res, err := topo.Run([]Demand{{Bytes: 0, Cores: 0, Path: []LinkID{l}, PadTo: -1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMultiLinkPathBottleneck(t *testing.T) {
 	var topo Topology
 	wide := topo.AddLink("src-hbm", 100)
 	narrow := topo.AddLink("nvlink", 10)
-	res, err := topo.Run([]Demand{{Bytes: 100, Cores: 50, RCore: 1, Path: []LinkID{wide, narrow}, PadTo: -1}})
+	res, err := topo.Run([]Demand{{Bytes: 100, Cores: 50, RCore: 1, Path: []LinkID{wide, narrow}, PadTo: -1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	t1, d1 := build()
 	t2, d2 := build()
-	r1, err1 := t1.Run(d1)
-	r2, err2 := t2.Run(d2)
+	r1, err1 := t1.Run(d1, nil)
+	r2, err2 := t2.Run(d2, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -202,7 +202,7 @@ func TestInvalidDemands(t *testing.T) {
 		{Bytes: 1, Cores: 1, RCore: 1, Path: []LinkID{l}, PadTo: 5},
 	}
 	for i, d := range cases {
-		if _, err := topo.Run([]Demand{d}); err == nil {
+		if _, err := topo.Run([]Demand{d}, nil); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -269,7 +269,7 @@ func TestProportionalMixedQueueFixedPoint(t *testing.T) {
 	fact, err := topo.Run([]Demand{
 		{Bytes: hostBytes, Cores: 5, RCore: rcore, Path: []LinkID{pcie}, PadTo: 1},
 		{Bytes: localBytes, Cores: cores - 5, RCore: rcore, Path: []LinkID{hbm}, PadTo: -1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func BenchmarkRunEightGPUExtraction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topo.Run(demands); err != nil {
+		if _, err := topo.Run(demands, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,7 +70,7 @@ var pinnedInputs = []struct {
 		r := rng.New(42).Split("train-warm")
 		warm := make([][]int64, 96)
 		for i := range warm {
-			warm[i] = ds.GenBatchWith(r, 2048)
+			warm[i] = ds.GenBatch(r, 2048)
 		}
 		hot, err := workload.ProfileBatches(ds.NumEntries(), warm)
 		if err != nil {

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -312,23 +311,4 @@ func TestUGacheMatchesEntryMILP(t *testing.T) {
 	}
 	t.Logf("exact entry-MILP optimum %.4g, UGache %.4g (gap %.2f%%)",
 		exact, got, 100*(got/exact-1))
-}
-
-// TestSolveWith: the shim solves as Solve does.
-func TestSolveWith(t *testing.T) {
-	in := microInput(t, 24, 8)
-	var got, want bytes.Buffer
-	pl, err := SolveWith(UGache{}, in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Save(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustSolve(t, UGache{}, in).Save(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) || pl.SolveNodes != 0 {
-		t.Fatalf("SolveWith's placement differs from Solve's (solve nodes %d)", pl.SolveNodes)
-	}
 }

@@ -145,7 +145,7 @@ func solveSymmetricLP(c *ctx) (*Placement, error) {
 	addTimeBound := func(weight func(b, cnt int) float64) error {
 		coefs := []lp.Coef{{Var: zVar, Value: 1}}
 		for b := 0; b < nb; b++ {
-			bytes := blocks[b].Mass() * float64(in.EntryBytes)
+			bytes := blocks[b].mass() * float64(in.EntryBytes)
 			for cnt := 0; cnt <= g; cnt++ {
 				if w := weight(b, cnt); w != 0 {
 					coefs = append(coefs, lp.Coef{Var: xv(b, cnt), Value: -bytes * w})
@@ -258,7 +258,7 @@ func realizeSymmetric(c *ctx, blocks []Block, x []float64) ([]Block, error) {
 						}
 					}
 					nb.Access[i] = platform.SourceID(src)
-					vol[i*g+src] += nb.Mass()
+					vol[i*g+src] += nb.mass()
 				}
 				out = append(out, nb)
 				s += n

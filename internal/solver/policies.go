@@ -80,7 +80,7 @@ func (CliquePartition) Solve(in *Input) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	cliques := CliqueCover(in.P)
+	cliques := cliqueCover(in.P)
 	cuts := make([]int64, 0, len(cliques))
 	for _, cl := range cliques {
 		var total int64
@@ -132,7 +132,7 @@ func (rp RepPart) scan(c *ctx) ([]Block, float64) {
 	for _, cap := range in.Capacity {
 		minCap = min(minCap, cap)
 	}
-	cliques := CliqueCover(in.P)
+	cliques := cliqueCover(in.P)
 	var best []Block
 	bestT := math.Inf(1)
 	for k := 0; k < cands; k++ {
@@ -220,10 +220,10 @@ func assignPartitionRange(in *Input, blocks []Block, members []int, capLeft []in
 	}
 }
 
-// CliqueCover greedily groups GPUs into fully connected cliques (Quiver's
+// cliqueCover greedily groups GPUs into fully connected cliques (Quiver's
 // approach for platforms with unconnected pairs). Fully connected platforms
 // yield a single clique.
-func CliqueCover(p *platform.Platform) [][]int {
+func cliqueCover(p *platform.Platform) [][]int {
 	assigned := make([]bool, p.N)
 	var cliques [][]int
 	for g := 0; g < p.N; g++ {

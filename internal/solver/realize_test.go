@@ -59,7 +59,7 @@ func TestSymmetricRealisationMeetsBound(t *testing.T) {
 						}
 						tight := false
 						for _, b := range pl.Blocks {
-							tight = tight || b.Mass() > 0 && b.Access[0] == in.fallback()
+							tight = tight || b.mass() > 0 && b.Access[0] == in.fallback()
 						}
 						for g, used := range pl.CapacityUsed() {
 							if tight && float64(used) < 0.99*float64(in.Capacity[g]) {
@@ -84,7 +84,7 @@ func TestRemoteReadsSpreadPerReader(t *testing.T) {
 	} {
 		pl := mustSolve(t, UGache{}, in)
 		g := in.P.N
-		vol := volumes(in, pl.Blocks, (*Block).Mass)
+		vol := volumes(in, pl.Blocks, (*Block).mass)
 		for i := range vol {
 			remote := 0.0
 			for j := 0; j < g; j++ {

@@ -107,8 +107,8 @@ type Block struct {
 // Entries returns the block's entry count.
 func (b *Block) Entries() int64 { return b.End - b.Start }
 
-// Mass returns the block's total hotness (expected accesses/iteration).
-func (b *Block) Mass() float64 { return b.HotPerEntry * float64(b.Entries()) }
+// mass returns the block's total hotness (expected accesses/iteration).
+func (b *Block) mass() float64 { return b.HotPerEntry * float64(b.Entries()) }
 
 // Placement is a solved cache policy: the coordination structure between
 // Solver, Filler, and Extractor (paper §4).
@@ -139,19 +139,19 @@ type Placement struct {
 // NumEntries returns the entry count.
 func (pl *Placement) NumEntries() int64 { return int64(len(pl.Rank)) }
 
-// BlockOf returns the block index covering an entry.
-func (pl *Placement) BlockOf(entry int64) int32 {
+// blockOf returns the block index covering an entry.
+func (pl *Placement) blockOf(entry int64) int32 {
 	return pl.blockOfRank[pl.Rank[entry]]
 }
 
 // SourceOf returns where GPU dst reads the given entry from.
 func (pl *Placement) SourceOf(dst int, entry int64) platform.SourceID {
-	return pl.Blocks[pl.BlockOf(entry)].Access[dst]
+	return pl.Blocks[pl.blockOf(entry)].Access[dst]
 }
 
 // StoredOn reports whether GPU g caches the entry.
 func (pl *Placement) StoredOn(g int, entry int64) bool {
-	return pl.Blocks[pl.BlockOf(entry)].Store[g]
+	return pl.Blocks[pl.blockOf(entry)].Store[g]
 }
 
 // StorageSummary classifies a placement's hotness blocks by storage
@@ -190,7 +190,7 @@ func (pl *Placement) StorageSummary() StorageSummary {
 				stored++
 			}
 		}
-		entries, mass := b.Entries(), b.Mass()
+		entries, mass := b.Entries(), b.mass()
 		switch {
 		case stored == 0:
 			out.UncachedBlocks++

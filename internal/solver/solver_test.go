@@ -203,12 +203,12 @@ func TestCliqueCover(t *testing.T) {
 		{platform.ServerB(), 2},
 		{platform.ServerC(), 1},
 	} {
-		cl := CliqueCover(tc.p)
+		cl := cliqueCover(tc.p)
 		if len(cl) != tc.want {
 			t.Fatalf("%s: %d cliques, want %d", tc.p.Name, len(cl), tc.want)
 		}
 	}
-	cl := CliqueCover(platform.ServerB())
+	cl := cliqueCover(platform.ServerB())
 	if len(cl[0]) != 4 || len(cl[1]) != 4 {
 		t.Fatalf("DGX-1 cliques %v", cl)
 	}
@@ -219,7 +219,7 @@ func TestCliquePartitionNoCrossCliqueAccess(t *testing.T) {
 	in := testInput(t, p, 20000, 1.1, 0.05)
 	pl := mustSolve(t, CliquePartition{}, in)
 	cliqueOf := map[int]int{}
-	for ci, cl := range CliqueCover(p) {
+	for ci, cl := range cliqueCover(p) {
 		for _, g := range cl {
 			cliqueOf[g] = ci
 		}
@@ -398,7 +398,7 @@ func TestPlacementQueries(t *testing.T) {
 	// SourceOf is consistent with blocks.
 	for e := int64(0); e < 10000; e += 997 {
 		src := pl.SourceOf(3, e)
-		b := pl.Blocks[pl.BlockOf(e)]
+		b := pl.Blocks[pl.blockOf(e)]
 		if b.Access[3] != src {
 			t.Fatalf("SourceOf mismatch at %d", e)
 		}
@@ -536,7 +536,7 @@ func TestStorageSummary(t *testing.T) {
 	}
 	totalMass := 0.0
 	for bi := range upl.Blocks {
-		totalMass += upl.Blocks[bi].Mass()
+		totalMass += upl.Blocks[bi].mass()
 	}
 	gotMass := us.ReplicatedMass + us.PartialMass + us.PartitionedMass + us.UncachedMass
 	if math.Abs(gotMass-totalMass) > 1e-6*totalMass {

@@ -16,6 +16,3 @@ func NewHealth() *Health { return &Health{} }
 
 // SetReady flips the readiness bit.
 func (h *Health) SetReady(ready bool) { h.ready.Store(ready) }
-
-// Ready reports the readiness bit.
-func (h *Health) Ready() bool { return h.ready.Load() }

@@ -49,7 +49,7 @@ type HandlerConfig struct {
 	// POST /debug/flight/bundle (write a diagnostic bundle on demand).
 	Flight FlightDebug
 	// Health backs /healthz and /readyz. /healthz answers 200 whenever the
-	// process is alive; /readyz answers 200 or 503 from Health.Ready.
+	// process is alive; /readyz answers 200 or 503 from Health's readiness bit.
 	Health *Health
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiles expose stacks and heap contents, so the flag is
@@ -156,7 +156,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		if cfg.Health.Ready() {
+		if cfg.Health.ready.Load() {
 			statusJSON(w, http.StatusOK, `{"status":"ready"}`)
 			return
 		}

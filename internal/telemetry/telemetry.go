@@ -125,9 +125,6 @@ func (h *Histogram) Count() int64 {
 	return int64(n)
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
 // merged returns the per-bucket counts summed over shards. The caller owns
 // the returned slice (read path only).
 func (h *Histogram) merged() []uint64 {
@@ -348,7 +345,7 @@ func (r *Registry) Samples() []Sample {
 		case *Histogram:
 			out = append(out,
 				Sample{name + "_count", float64(m.Count())},
-				Sample{name + "_sum", m.Sum()},
+				Sample{name + "_sum", m.sum.Value()},
 				Sample{name + "_p50", m.Quantile(0.50)},
 				Sample{name + "_p90", m.Quantile(0.90)},
 				Sample{name + "_p99", m.Quantile(0.99)},
@@ -432,7 +429,7 @@ func writeHistogram(w io.Writer, h *Histogram) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", h.name, fmtValue(h.Sum()), h.name, cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", h.name, fmtValue(h.sum.Value()), h.name, cum); err != nil {
 		return err
 	}
 	for _, q := range []float64{0.50, 0.90, 0.99} {

@@ -73,7 +73,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count %d", h.Count())
 	}
-	if s := h.Sum(); math.Abs(s-500.5e-3) > 1e-9 {
+	if s := h.sum.Value(); math.Abs(s-500.5e-3) > 1e-9 {
 		t.Fatalf("sum %g", s)
 	}
 	p50 := h.Quantile(0.50)

@@ -58,9 +58,9 @@ const (
 	PhCounter Ph = 'C'
 )
 
-// MaxArgs is the number of argument slots on an Event. Events keep args in
+// maxArgs is the number of argument slots on an Event. Events keep args in
 // a fixed array so an event is a plain struct.
-const MaxArgs = 10
+const maxArgs = 10
 
 // Arg is one key/value argument of an event. Values are numeric — the
 // span taxonomy only needs counts, bytes, and seconds, and numbers keep the
@@ -85,14 +85,14 @@ type Event struct {
 	// Dur is the span length in seconds (PhSpan only).
 	Dur float64
 	// Args holds the first NArgs argument slots.
-	Args  [MaxArgs]Arg
+	Args  [maxArgs]Arg
 	NArgs int32
 }
 
 // AddArg appends one argument, silently dropping it once the fixed slots
 // are full (trace args are best-effort annotations, not data storage).
 func (e *Event) AddArg(key string, v float64) {
-	if int(e.NArgs) >= MaxArgs {
+	if int(e.NArgs) >= maxArgs {
 		return
 	}
 	e.Args[e.NArgs] = Arg{Key: key, Val: v}

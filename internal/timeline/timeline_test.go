@@ -134,10 +134,10 @@ func TestEventOrdering(t *testing.T) {
 
 func TestArgOverflowDropsSilently(t *testing.T) {
 	var ev Event
-	for i := 0; i < MaxArgs+5; i++ {
+	for i := 0; i < maxArgs+5; i++ {
 		ev.AddArg("k", float64(i))
 	}
-	if ev.NArgs != MaxArgs {
+	if ev.NArgs != maxArgs {
 		t.Fatalf("NArgs %d", ev.NArgs)
 	}
 }

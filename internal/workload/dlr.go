@@ -86,7 +86,7 @@ func DLRSpecByName(name string) (DLRSpec, error) {
 
 // DLRDataset is a built DLR workload: the flattened tables plus per-table
 // key samplers. It is immutable once built: every reader draws batches from
-// a generator of its own (GenBatchWith), so what one reader sees never
+// a generator of its own (GenBatch), so what one reader sees never
 // depends on who else has read.
 type DLRDataset struct {
 	Spec  DLRSpec
@@ -143,11 +143,11 @@ func (s DLRSpec) buildTable(i int, scale float64, seed uint64) (*emb.Table, *Zip
 // NumEntries returns the flattened entry count.
 func (d *DLRDataset) NumEntries() int64 { return d.MT.NumEntries() }
 
-// minKeysPerWorker is the fewest draws GenBatchWith hands one goroutine: a
+// minKeysPerWorker is the fewest draws GenBatch hands one goroutine: a
 // start (~1 µs) is under 1 % of their time, and a request's draws stay inline.
 const minKeysPerWorker = 4096
 
-// GenBatchWith draws one inference batch of batchSize ≥ 0 samples from r (0
+// GenBatch draws one inference batch of batchSize ≥ 0 samples from r (0
 // gives an empty batch) and returns the flattened keys (batchSize ×
 // numTables keys, duplicates possible; the extractor deduplicates). The
 // uniforms are drawn from r in order, in chunks of whole samples of at least
@@ -156,7 +156,7 @@ const minKeysPerWorker = 4096
 // beside the drawing; keys and r's state are those of drawing one key at a
 // time. On one processor, or a batch of less than two chunks, it draws the
 // whole batch and then ranks it.
-func (d *DLRDataset) GenBatchWith(r *rng.Rand, batchSize int) []int64 {
+func (d *DLRDataset) GenBatch(r *rng.Rand, batchSize int) []int64 {
 	nt := len(d.zipfs)
 	keys := make([]int64, batchSize*nt)
 	per := (minKeysPerWorker + nt - 1) / nt * nt // keys in a chunk
@@ -181,6 +181,12 @@ func (d *DLRDataset) GenBatchWith(r *rng.Rand, batchSize int) []int64 {
 	}
 	wg.Wait()
 	return keys
+}
+
+// GenBatchWith draws as GenBatch does. It goes once benchmark/ stops calling
+// it.
+func (d *DLRDataset) GenBatchWith(r *rng.Rand, batchSize int) []int64 {
+	return d.GenBatch(r, batchSize)
 }
 
 // drawInto parks the next len(dst) uniforms of r in dst, as their bits.

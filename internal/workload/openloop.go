@@ -116,6 +116,10 @@ func NewOpenLoop(cfg OpenLoopConfig, seed uint64) (*OpenLoop, error) {
 	}, nil
 }
 
+// Users returns the simulated user population in use (1M when the config
+// left it 0).
+func (o *OpenLoop) Users() int64 { return o.cfg.Users }
+
 // splitmix64 is the stateless mixer behind per-user key affinity: hashing
 // (user, slot) to a uniform variate gives every user a stable working set
 // with zero per-user storage.

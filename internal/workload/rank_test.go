@@ -215,7 +215,7 @@ func trainHotness(tb testing.TB) Hotness {
 	r := rng.New(42).Split("train-warm")
 	warm := make([][]int64, 96)
 	for i := range warm {
-		warm[i] = ds.GenBatchWith(r, 2048)
+		warm[i] = ds.GenBatch(r, 2048)
 	}
 	h, err := ProfileBatches(ds.NumEntries(), warm)
 	if err != nil {

@@ -48,9 +48,6 @@ func NewFlashCrowd(n int64, alpha float64, shiftAtBatch int, rotate int64) (*Shi
 // NumEntries returns the key-space size.
 func (s *ShiftingZipf) NumEntries() int64 { return s.z.N }
 
-// ShiftBatch returns the flash-crowd shift index.
-func (s *ShiftingZipf) ShiftBatch() int { return s.shiftAt }
-
 // keyAt maps a hotness rank to a key under the mapping in effect at the
 // given batch index.
 func (s *ShiftingZipf) keyAt(batch int, rank int64) int64 {

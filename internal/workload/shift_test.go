@@ -12,8 +12,8 @@ func TestFlashCrowdRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wl.ShiftBatch() != 10 {
-		t.Fatalf("shift batch %d", wl.ShiftBatch())
+	if wl.shiftAt != 10 {
+		t.Fatalf("shift batch %d", wl.shiftAt)
 	}
 	pre := wl.ExpectedHotness(9, 50)
 	post := wl.ExpectedHotness(10, 50)

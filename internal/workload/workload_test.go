@@ -108,7 +108,7 @@ func TestDLRBuildAndBatch(t *testing.T) {
 	if d.KeysPerSample() != 26 {
 		t.Fatalf("keys per sample %d", d.KeysPerSample())
 	}
-	batch := d.GenBatchWith(rng.New(11), 100)
+	batch := d.GenBatch(rng.New(11), 100)
 	if len(batch) != 2600 {
 		t.Fatalf("batch len %d", len(batch))
 	}
@@ -303,7 +303,7 @@ func TestDLRDeterminism(t *testing.T) {
 	// batch from same-seeded generators: a dataset keeps no stream of its own.
 	a, _ := SYNA.Build(0.01, 5)
 	b, _ := SYNA.Build(0.01, 5)
-	ba, bb, again := a.GenBatchWith(rng.New(5), 10), b.GenBatchWith(rng.New(5), 10), a.GenBatchWith(rng.New(5), 10)
+	ba, bb, again := a.GenBatch(rng.New(5), 10), b.GenBatch(rng.New(5), 10), a.GenBatch(rng.New(5), 10)
 	for i := range ba {
 		if ba[i] != bb[i] || ba[i] != again[i] {
 			t.Fatalf("batch differs at %d", i)
@@ -311,7 +311,7 @@ func TestDLRDeterminism(t *testing.T) {
 	}
 }
 
-// referenceBatch is GenBatchWith as one loop: one key at a time, sample
+// referenceBatch is GenBatch as one loop: one key at a time, sample
 // then table, each drawn straight from r.
 func referenceBatch(d *DLRDataset, r *rng.Rand, batchSize int) []int64 {
 	keys := make([]int64, 0, batchSize*len(d.zipfs))
@@ -342,7 +342,7 @@ func TestGenBatchMatchesReference(t *testing.T) {
 			for _, size := range []int{0, 1, 5, 200, 316, 2048} {
 				want, got := rng.New(7), rng.New(7)
 				for call := range 4 {
-					w, g := referenceBatch(d, want, size), d.GenBatchWith(got, size)
+					w, g := referenceBatch(d, want, size), d.GenBatch(got, size)
 					if !slices.Equal(w, g) {
 						t.Fatalf("%s procs %d batch %d call %d: keys differ from the one-at-a-time loop", spec.Name, procs, size, call)
 					}
@@ -378,7 +378,7 @@ func BenchmarkGenBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batchSink = d.GenBatchWith(r, 2048)
+		batchSink = d.GenBatch(r, 2048)
 	}
 }
 
@@ -404,7 +404,7 @@ func BenchmarkProfileBatches(b *testing.B) {
 	warm := make([][]int64, 96)
 	wr := rng.New(42).Split("train-warm")
 	for i := range warm {
-		warm[i] = d.GenBatchWith(wr, 2048)
+		warm[i] = d.GenBatch(wr, 2048)
 	}
 	for _, c := range []struct {
 		name    string

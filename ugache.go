@@ -24,8 +24,8 @@
 //		Source:     table,
 //	})
 //	out := make([]byte, len(keys)*table.EntryBytes())
-//	_ = sys.Lookup(0, keys, out)                      // real bytes
-//	res, _ := sys.ExtractBatch(batch)                 // simulated timing
+//	_ = sys.Lookup(0, keys, out, nil)                 // real bytes
+//	res, _ := sys.ExtractBatch(batch, nil)            // simulated timing
 //
 // The internal packages contain the full system: the fluid-flow bandwidth
 // simulator (internal/sim), platform models (internal/platform), the policy
@@ -181,9 +181,9 @@ type System = core.System
 func New(cfg Config) (*System, error) { return core.Build(cfg) }
 
 // Scratch holds the reusable buffers of the per-iteration hot path. Pass
-// one to System.ExtractBatchWith / System.LookupWith from a single
-// goroutine to make steady-state lookups and extractions allocation-free;
-// see the core package for the aliasing contract.
+// one to System.ExtractBatch / System.Lookup from a single goroutine to make
+// steady-state lookups and extractions allocation-free (nil makes one per
+// call); see the core package for the aliasing contract.
 type Scratch = core.Scratch
 
 // NewScratch returns an empty Scratch; buffers grow on first use.

@@ -51,7 +51,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// Functional lookup matches the host table.
 	keys := []int64{0, 1, 4999, 1234}
 	out := make([]byte, len(keys)*table.EntryBytes())
-	if err := sys.Lookup(2, keys, out); err != nil {
+	if err := sys.Lookup(2, keys, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, table.EntryBytes())
@@ -67,11 +67,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	for g := range b.Keys {
 		b.Keys[g] = genBatch()
 	}
-	res, err := sys.ExtractBatch(b)
+	res, err := sys.ExtractBatch(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := sys.ExtractWith(ugache.PeerRandom, b)
+	peer, err := sys.Extractor().Run(ugache.PeerRandom, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
