@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLoadPlacement -fuzztime 10s ./internal/solver
 	$(GO) test -run xxx -fuzz FuzzHashtable -fuzztime 10s ./internal/hashtable
 	$(GO) test -run xxx -fuzz FuzzParseGoBench -fuzztime 10s ./internal/bench
+	$(GO) test -run xxx -fuzz FuzzFlightLines -fuzztime 10s ./internal/flight
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner (bench is the

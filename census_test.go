@@ -311,11 +311,10 @@ func funcID(f *censusFile, fd *ast.FuncDecl) string {
 // funcAllow lists the exported functions and methods under internal/ that no
 // non-test file names and that stay all the same, each with its reason.
 var funcAllow = map[string]string{
-	"flight.FillReason.MarshalJSON": "json.Marshaler: encoding/json calls it when /debug/trace encodes a Batch",
-	"bench.ResetCaches":             "the determinism tests and the package's benchmarks drop the report memos between two runs of one experiment",
-	"hashtable.Table.Len":           "the map-model tests, FuzzHashtable and the cache's parallel-fill test hold the live count to their model",
-	"hashtable.Dedup.Len":           "the dedup tests and FuzzHashtable hold the distinct-key count to their model",
-	"cache.StagingArena.Len":        "the staging tests check residency after commits and after ring eviction",
+	"bench.ResetCaches":      "the determinism tests and the package's benchmarks drop the report memos between two runs of one experiment",
+	"hashtable.Table.Len":    "the map-model tests, FuzzHashtable and the cache's parallel-fill test hold the live count to their model",
+	"hashtable.Dedup.Len":    "the dedup tests and FuzzHashtable hold the distinct-key count to their model",
+	"cache.StagingArena.Len": "the staging tests check residency after commits and after ring eviction",
 }
 
 // TestFuncCensus is the option census's rule applied to code: every exported

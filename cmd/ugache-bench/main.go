@@ -39,8 +39,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		telem      = flag.Bool("telemetry", false, "instrument the experiments' core systems and print a summary table of all collected metrics")
 		jsonOut    = flag.String("json-out", "", "write the machine-readable reports of experiments that produce one (e.g. drift, prefetch) to this JSON file")
-		lookahead  = flag.Int("lookahead", 0, "narrow the prefetch experiment's lookahead sweep to {0, L} (0 = default {0, 2, 8})")
-		staleThr   = flag.Int("stale-threshold", 0, "bounded-staleness window S in batches for the prefetch experiment (0 = experiment default 16)")
 		timelineF  = flag.String("timeline", "", "draw the flight recorders of every experiment run (their serve, refresh, solver, drift and prefetch tracks) on one time axis and write Chrome trace-event JSON to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -52,7 +50,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
 		os.Exit(1)
 	}
-	code := run(*exps, *scale, *iters, *seed, *quick, *workers, *lookahead, *staleThr, *list, *telem, *timelineF, *jsonOut)
+	code := run(*exps, *scale, *iters, *seed, *quick, *workers, *list, *telem, *timelineF, *jsonOut)
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
 		if code == 0 {
@@ -62,7 +60,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(exps string, scale float64, iters int, seed uint64, quick bool, workers, lookahead, staleThr int, list, telem bool, timelineF, jsonOut string) int {
+func run(exps string, scale float64, iters int, seed uint64, quick bool, workers int, list, telem bool, timelineF, jsonOut string) int {
 	if list {
 		names := bench.Names()
 		sort.Strings(names)
@@ -76,10 +74,7 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 	if exps != "all" {
 		names = strings.Split(exps, ",")
 	}
-	opt := bench.Options{
-		Scale: scale, Iters: iters, Seed: seed, Quick: quick, Workers: workers,
-		Lookahead: lookahead, StaleBatches: staleThr,
-	}
+	opt := bench.Options{Scale: scale, Iters: iters, Seed: seed, Quick: quick, Workers: workers}
 	var reg *telemetry.Registry
 	if telem {
 		reg = telemetry.NewRegistry(8)

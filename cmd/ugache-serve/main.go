@@ -67,7 +67,6 @@ type options struct {
 	duration   time.Duration
 	queueDepth int
 
-	flight      bool
 	flightDepth int
 	bundleDir   string
 	metricsOut  string
@@ -91,7 +90,7 @@ func parse(args []string) (options, error) {
 	fs.IntVar(&o.batch, "batch", 16, "inference samples per request (under -open-loop: keys per request)")
 	fs.IntVar(&o.maxBatch, "max-batch", 8192, "cap on one coalesced batch, in pending keys")
 	fs.Uint64Var(&o.seed, "seed", 42, "random seed")
-	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/trace, /debug/timeline, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
+	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/flight, /debug/timeline, POST /debug/flight/bundle, /healthz and /readyz on this address (e.g. :9090); keeps the process alive after the run until interrupted")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the span timeline the flight recorder draws from its rings as Chrome trace-event JSON (Perfetto / chrome://tracing) to this file at exit")
 	fs.StringVar(&o.mode, "refresh-mode", "off", "refresh policy: off, post (one refresh after the client loop), periodic (blind cadence) or drift (re-solve when measured hotness drifts)")
 	fs.Float64Var(&o.driftThr, "drift-threshold", 0, "drift score above which a re-solve triggers, in [0, 1) (0 = detector default 0.3)")
@@ -104,8 +103,7 @@ func parse(args []string) (options, error) {
 	fs.Int64Var(&o.users, "users", 1_000_000, "open-loop simulated user population (0 = 1,000,000; per-user key affinity is hash-derived, so millions cost nothing)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "open-loop run length")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-GPU admission queue depth; a request that finds it full is shed with ErrOverload (0 = engine default 256)")
-	fs.BoolVar(&o.flight, "flight", true, "run the flight recorder with /debug/flight and on-demand diagnostic bundles (SIGQUIT, POST /debug/flight/bundle; -trace-out runs the recorder alone: it draws the whole trace, and /debug/timeline, from its rings; the per-batch records behind /debug/trace are kept either way, 256 deep per worker without either)")
-	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker record ring depth in batches, rounded up to a power of two (0 = 4096): how far back /debug/trace, the flight JSONL and the timeline's batch trees reach")
+	fs.IntVar(&o.flightDepth, "flight-depth", 4096, "per-worker flight record ring depth in batches, rounded up to a power of two (0 = 4096): how far back /debug/flight, a bundle and the timeline's batch trees reach")
 	fs.StringVar(&o.bundleDir, "bundle-dir", "ugache-bundles", "directory diagnostic bundles are written under (SIGQUIT, POST /debug/flight/bundle)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final telemetry snapshot as JSON to this file at exit")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the -listen address")

@@ -71,7 +71,7 @@ type engine struct {
 	p       *platform.Platform
 	ds      *workload.DLRDataset
 	reg     *telemetry.Registry
-	fl      *flight.Recorder // nil without -trace-out or -flight
+	fl      *flight.Recorder
 	health  *telemetry.Health
 	sys     *core.System
 	srv     *serve.Server
@@ -165,15 +165,10 @@ func (e *engine) build() (err error) {
 	}
 
 	// One registry and flight recorder shared by the core (extraction tiers,
-	// refresh) and the serving engine, so /metrics, the trace and a bundle
-	// show the whole run. The recorder draws the trace from its rings, so
-	// -trace-out runs it even under -flight=false, and -flight keeps it for
-	// the trace a bundle dumps, whose exemplar batch resolves into that
-	// trace's span trees.
+	// refresh) and the serving engine, so /metrics, the flight records, the
+	// trace drawn from them and a bundle show the whole run.
 	e.reg = telemetry.NewRegistry(p.N)
-	if o.traceOut != "" || o.flight {
-		e.fl = flight.NewRecorder(p.N, o.flightDepth)
-	}
+	e.fl = flight.NewRecorder(p.N, o.flightDepth)
 	if e.post || e.mode != core.RefreshOff {
 		e.sampler = cache.NewHotnessSampler(ds.NumEntries(), 1)
 	}
@@ -221,45 +216,36 @@ func (e *engine) build() (err error) {
 		return err
 	}
 	fmt.Fprintf(w, "built %s: cache ratio %g solved and filled in %.2fs\n", p.Name, o.ratio, time.Since(t0).Seconds())
-	switch {
-	case e.mode == core.RefreshDrift:
+	switch e.mode {
+	case core.RefreshDrift:
 		fmt.Fprintf(w, "refresh mode drift: top-1/16 overlap + rank distance, threshold %.2f\n", e.ctrl.Detector().Config().Threshold)
-	case e.mode == core.RefreshPeriodic && o.period > 0: // a cadence left to the controller's default is the controller's to name
-		fmt.Fprintf(w, "refresh mode periodic: re-solve every %d batches\n", o.period)
+	case core.RefreshPeriodic:
+		fmt.Fprintf(w, "refresh mode periodic: re-solve every %d batches\n", e.ctrl.Config().PeriodBatches)
 	}
 	if o.lookahead > 0 {
 		fmt.Fprintf(w, "prefetch:          lookahead %d, staleness window %d batches, %d staged rows/GPU\n",
 			o.lookahead, o.staleThr, e.srv.StagingArena(0).Capacity())
 	}
 
-	hcfg := telemetry.HandlerConfig{Registry: e.reg, Trace: e.srv.Trace(), Health: e.health, EnablePprof: o.pprofOn}
-	if e.fl != nil {
-		// Assigned only when there is a recorder: a typed-nil *Recorder in the
-		// interface would pass the handler's nil check.
-		hcfg.Trace, hcfg.Timeline = e.fl.Trace(), e.fl
-	}
-	if o.flight {
-		// Bundles are written on demand: SIGQUIT freezes the evidence without
-		// killing the run (the Notify preempts Go's default stack dump and
-		// exit), and so does POST /debug/flight/bundle.
-		bundle := flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg}
-		fmt.Fprintf(w, "flight:            %d rings x %d records; bundles on SIGQUIT or POST /debug/flight/bundle -> %s\n",
-			e.fl.Workers(), e.fl.Depth(), o.bundleDir)
-		e.sigq = make(chan os.Signal, 1)
-		signal.Notify(e.sigq, syscall.SIGQUIT)
-		e.bg.Add(1)
-		go func() {
-			defer e.bg.Done()
-			for range e.sigq {
-				if path, err := bundle.TriggerBundle("sigquit"); err != nil {
-					fmt.Fprintf(os.Stderr, "ugache-serve: flight bundle: %v\n", err)
-				} else {
-					fmt.Fprintf(w, "flight:            wrote diagnostic bundle %s\n", path)
-				}
+	// Bundles are written on demand: SIGQUIT freezes the evidence without
+	// killing the run (the Notify preempts Go's default stack dump and exit),
+	// and so does POST /debug/flight/bundle.
+	bundle := flight.BundleConfig{Dir: o.bundleDir, Recorder: e.fl, Registry: e.reg}
+	fmt.Fprintf(w, "flight:            %d rings x %d records; bundles on SIGQUIT or POST /debug/flight/bundle -> %s\n",
+		e.fl.Workers(), e.fl.Depth(), o.bundleDir)
+	e.sigq = make(chan os.Signal, 1)
+	signal.Notify(e.sigq, syscall.SIGQUIT)
+	e.bg.Add(1)
+	go func() {
+		defer e.bg.Done()
+		for range e.sigq {
+			if path, err := bundle.TriggerBundle("sigquit"); err != nil {
+				fmt.Fprintf(os.Stderr, "ugache-serve: flight bundle: %v\n", err)
+			} else {
+				fmt.Fprintf(w, "flight:            wrote diagnostic bundle %s\n", path)
 			}
-		}()
-		hcfg.Flight = bundle
-	}
+		}
+	}()
 	e.health.SetReady(true)
 
 	if o.listen != "" {
@@ -267,7 +253,8 @@ func (e *engine) build() (err error) {
 		if err != nil {
 			return fmt.Errorf("telemetry listener: %w", err)
 		}
-		e.http = &http.Server{Handler: telemetry.NewHandler(hcfg)}
+		e.http = &http.Server{Handler: telemetry.NewHandler(telemetry.HandlerConfig{
+			Registry: e.reg, Flight: bundle, Health: e.health, EnablePprof: o.pprofOn})}
 		e.bg.Add(1)
 		go func() {
 			defer e.bg.Done()
@@ -275,7 +262,7 @@ func (e *engine) build() (err error) {
 				fmt.Fprintf(os.Stderr, "ugache-serve: telemetry server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(w, "telemetry:         http://%s/metrics (also /debug/trace, /debug/timeline, /debug/flight, /healthz, /readyz)\n", ln.Addr())
+		fmt.Fprintf(w, "telemetry:         http://%s/metrics (also /debug/flight, /debug/timeline, /healthz, /readyz)\n", ln.Addr())
 	}
 	return nil
 }
@@ -330,9 +317,7 @@ func (e *engine) shutdown(ctx context.Context) error {
 		}
 		errs = append(errs, err)
 	}
-	if e.o.flight {
-		fmt.Fprintf(w, "flight:            %d records\n", e.fl.Recorded())
-	}
+	fmt.Fprintf(w, "flight:            %d records\n", e.fl.Recorded())
 	if e.o.metricsOut != "" {
 		// The registry's Samples as one flat JSON object (name -> value): the
 		// machine-readable form of the final telemetry, so a short run keeps

@@ -231,15 +231,13 @@ func TestRunGolden(t *testing.T) {
 			func(t *testing.T, base string) {
 				// The run is ready while live, a bundle asked for over HTTP
 				// validates, exemplar included, and /debug/flight serves the
-				// recent records.
+				// held records.
 				if code, _ := get(t, base+"/readyz"); code != http.StatusOK {
 					t.Errorf("/readyz while the run is live: %d, want 200", code)
 				}
 				postBundle(t, base)
-				code, body := get(t, base+"/debug/flight")
-				var state struct{ Events []json.RawMessage }
-				if err := json.Unmarshal([]byte(body), &state); code != http.StatusOK || err != nil || len(state.Events) == 0 {
-					t.Errorf("/debug/flight: %d with %d records (%v), want 200 and the recent records", code, len(state.Events), err)
+				if code, kinds := flightKinds(t, base); code != http.StatusOK || kinds["batch"] == 0 {
+					t.Errorf("/debug/flight: %d with records %v, want 200 and the batches", code, kinds)
 				}
 			}, nil},
 		{"post-lookahead", "-scale 0.002 -batch 4 -clients 4 -requests 20 -refresh-mode post -lookahead 2 -stale-threshold 4", nil, nil},
@@ -300,12 +298,28 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestTraceWithoutFlight: under -flight=false, -trace-out still runs the
-// recorder, so /debug/trace serves every worker's batch records from it, one
-// per batch served, as /debug/timeline draws them.
+// flightKinds reads /debug/flight, one JSON object a line, and counts its
+// records by kind.
+func flightKinds(t *testing.T, base string) (int, map[string]int) {
+	t.Helper()
+	code, body := get(t, base+"/debug/flight")
+	kinds := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		var rec struct{ Kind string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("/debug/flight line %q: %v", line, err)
+		}
+		kinds[rec.Kind]++
+	}
+	return code, kinds
+}
+
+// TestTraceWithoutFlight: a default run records every batch it serves, so
+// /debug/flight holds one batch line per batch served and /debug/timeline,
+// drawn from the same rings, one batch span tree per batch.
 func TestTraceWithoutFlight(t *testing.T) {
 	t.Parallel()
-	const args = "-scale 0.002 -batch 4 -clients 4 -requests 20 -flight=false -trace-out TMP/trace.json -listen 127.0.0.1:0"
+	const args = "-scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0"
 	out := newOutput()
 	base, finish := startLive(t, args, t.TempDir(), out)
 
@@ -315,19 +329,15 @@ func TestTraceWithoutFlight(t *testing.T) {
 		t.Fatalf("/metrics has no serve_batches_total:\n%s", body)
 	}
 	batches, _ := strconv.Atoi(m[1])
-	_, body = get(t, base+"/debug/trace")
-	var records []json.RawMessage
-	if err := json.Unmarshal([]byte(body), &records); err != nil {
-		t.Fatalf("/debug/trace: %v", err)
-	}
+	_, kinds := flightKinds(t, base)
 	_, body = get(t, base+"/debug/timeline")
 	rep, err := timeline.Validate(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("/debug/timeline: %v", err)
 	}
 	spans := rep.Names[timeline.ProcName{PID: timeline.ProcServe, Name: "batch"}]
-	if len(records) != batches || spans != batches {
-		t.Errorf("/debug/trace holds %d records and /debug/timeline %d batch spans; serve_batches_total = %d", len(records), spans, batches)
+	if kinds["batch"] != batches || spans != batches {
+		t.Errorf("/debug/flight holds %d batch lines and /debug/timeline %d batch spans; serve_batches_total = %d", kinds["batch"], spans, batches)
 	}
 	if err := finish(); err != nil {
 		t.Fatalf("run: %v\n%s", err, out)
@@ -447,19 +457,19 @@ func TestOpenLoopLedger(t *testing.T) {
 
 // TestParseDroppedFlags: -refresh, which reached nothing, -admission, whose
 // bounded wait is gone, the cluster mode's -nodes, -net-bw and -net-latency,
-// and the sampling rates -block-profile-rate and -mutex-profile-fraction
-// (a -blockprofile or -mutexprofile path samples every event) are refused,
-// not ignored.
+// the sampling rates -block-profile-rate and -mutex-profile-fraction
+// (a -blockprofile or -mutexprofile path samples every event) and -flight
+// (the flight recorder always runs) are refused, not ignored.
 func TestParseDroppedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-refresh"}, {"-admission", "500us"}, {"-nodes", "2"}, {"-net-bw", "1e9"}, {"-net-latency", "1us"},
-		{"-block-profile-rate", "1"}, {"-mutex-profile-fraction", "1"},
+		{"-block-profile-rate", "1"}, {"-mutex-profile-fraction", "1"}, {"-flight=false"},
 	} {
 		if _, err := parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("parse(%v) = %v, want an unknown-flag error", args, err)
 		}
 	}
-	if o, err := parse(nil); err != nil || o.mode != "off" || !o.flight {
+	if o, err := parse(nil); err != nil || o.mode != "off" {
 		t.Errorf("parse(nil) = %+v, %v", o, err)
 	}
 }
@@ -506,6 +516,8 @@ func TestRunRefusesBadSizes(t *testing.T) {
 func TestReportNamesDefaultsInUse(t *testing.T) {
 	for args, want := range map[string][]string{
 		"-scale 0.002 -batch 4 -clients 2 -requests 4 -flight-depth 0": {" rings x 4096 records;"},
+		// The periodic cadence left to the controller is the one it uses.
+		"-scale 0.002 -batch 4 -clients 2 -requests 4 -refresh-mode periodic": {"refresh mode periodic: re-solve every 512 batches"},
 		// A depth is rounded up to a power of two.
 		"-scale 0.002 -batch 4 -flight-depth 5000 -open-loop -qps 2000 -duration 20ms -users 0": {
 			" rings x 8192 records;", "(1000000 users, 4 keys/request)"},

@@ -41,14 +41,6 @@ type Options struct {
 	// experiment builds so the caller can render the accumulated samples
 	// after the run. Nil (the default) leaves instrumentation disabled.
 	Telemetry *telemetry.Registry
-	// Lookahead, when positive, narrows the prefetch experiment's sweep to
-	// {0, Lookahead} instead of the default {0, 2, 8} (cmd/ugache-bench
-	// -lookahead).
-	Lookahead int
-	// StaleBatches is the bounded-staleness window S the prefetch
-	// experiment serves under (0 = the experiment default of 16;
-	// cmd/ugache-bench -stale-threshold).
-	StaleBatches int
 
 	// plan, when non-nil, marks a planning pass (see matrix).
 	plan *plan

@@ -55,8 +55,9 @@ type PrefetchReport struct {
 // GenBatchAt replay contract), so every batch's keys are announced exactly
 // L batches before they are requested — the BagPipe-style lookahead oracle.
 // A mid-stream Refresh (same batch for every mode) swaps the placement to
-// the post-shift hotness, exercising the bounded-staleness window.
-func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (PrefetchModeReport, error) {
+// the post-shift hotness, exercising the bounded-staleness window of
+// prefetchStale batches.
+func runPrefetchMode(o Options, sc *driftScenario, lookahead int) (PrefetchModeReport, error) {
 	rep := PrefetchModeReport{Lookahead: lookahead}
 	reg := telemetry.NewRegistry(sc.p.N)
 	fl := o.flight(sc.p.N, sc.batches) // every batch's record is read back
@@ -76,7 +77,7 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 		Telemetry:    reg,
 		Flight:       fl,
 		Lookahead:    lookahead,
-		StaleBatches: stale,
+		StaleBatches: prefetchStale,
 	})
 	if err != nil {
 		return rep, err
@@ -143,30 +144,27 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead, stale int) (Prefet
 	return rep, nil
 }
 
-// prefetchBench sweeps the lookahead depth over one flash-crowd schedule
-// (the Fig. 16/17 analogue for the prefetch pipeline): L=0 is the
-// demand-only baseline, deeper lookahead converts would-be remote/host
-// misses into staged local hits and the served tail collapses accordingly.
+// prefetchStale is the bounded-staleness window S, in batches, the prefetch
+// experiment serves under.
+const prefetchStale = 16
+
+// prefetchBench sweeps the lookahead depth L over {0, 2, 8} on one
+// flash-crowd schedule (the Fig. 16/17 analogue for the prefetch pipeline):
+// L=0 is the demand-only baseline, deeper lookahead converts would-be
+// remote/host misses into staged local hits and the served tail collapses
+// accordingly.
 func prefetchBench(o Options) (*Result, error) {
 	sc := newDriftScenario(o)
-	stale := o.StaleBatches
-	if stale <= 0 {
-		stale = 16
-	}
-	sweep := []int{0, 2, 8}
-	if o.Lookahead > 0 {
-		sweep = []int{0, o.Lookahead}
-	}
 	report := &PrefetchReport{
 		Server:       sc.p.Name,
 		Entries:      sc.n,
 		KeysPerBatch: sc.keysPerBatch,
 		Batches:      sc.batches,
 		ShiftBatch:   sc.shiftAt,
-		StaleBatches: stale,
+		StaleBatches: prefetchStale,
 	}
-	for _, L := range sweep {
-		m, err := runPrefetchMode(o, sc, L, stale)
+	for _, L := range []int{0, 2, 8} {
+		m, err := runPrefetchMode(o, sc, L)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +173,7 @@ func prefetchBench(o Options) (*Result, error) {
 
 	t := stats.NewTable(
 		fmt.Sprintf("Prefetch: lookahead sweep, flash-crowd at batch %d/%d, %s, %d entries, S=%d",
-			sc.shiftAt, sc.batches, sc.p.Name, sc.n, stale),
+			sc.shiftAt, sc.batches, sc.p.Name, sc.n, prefetchStale),
 		"lookahead", "p50(ms)", "p99(ms)", "local-hit", "pf-hit", "staged", "stale", "overlap(s)")
 	for _, m := range report.Modes {
 		t.AddRow(fmt.Sprintf("L=%d", m.Lookahead),

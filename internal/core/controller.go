@@ -202,6 +202,10 @@ func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 	return c, nil
 }
 
+// Config returns the configuration the controller runs with: the one it was
+// given, its zero cadences and refresh settings filled with their defaults.
+func (c *Controller) Config() ControllerConfig { return c.cfg }
+
 // Detector returns the drift detector (nil outside drift mode).
 func (c *Controller) Detector() *cache.DriftDetector { return c.det }
 

@@ -1,8 +1,6 @@
 package flight
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -26,84 +24,70 @@ func (f FillReason) String() string {
 	return [...]string{FillFull: "full", FillIdle: "idle", FillDrain: "drain"}[min(f, FillDrain)]
 }
 
-// MarshalJSON renders the reason as its string form.
-func (f FillReason) MarshalJSON() ([]byte, error) {
-	return json.Marshal(f.String())
-}
-
 // Batch is the one record a flushed batch leaves behind: how it formed
 // (queue state, coalesce size, dedup, flush trigger), where its wall time
 // went stage by stage, and what the extraction model said it cost, split by
 // source tier (§5.3/§6.2 — the local/remote/host breakdown is the quantity
 // UGache's solver optimizes). The serving worker writes it once, into its own
-// ring; /debug/trace, the flight JSONL, the bundle exemplar and the
+// ring; its flight-JSONL line (appendJSON), the bundle exemplar and the
 // Chrome-trace span tree are all read-side renderings of it. The struct is
-// flat (no pointers, no slices) and packs into batchWords ring words. The
-// JSON tags are the /debug/trace schema.
+// flat (no pointers, no slices) and packs into batchWords ring words.
 type Batch struct {
 	// Seq numbers the batches of one worker ring from 1; Ring.Record
 	// assigns it, so it is also the record's position in its ring.
-	Seq int64 `json:"seq"`
+	Seq int64
 	// GPU is the destination GPU the batch was extracted for.
-	GPU int `json:"gpu"`
+	GPU int
 	// UnixNanos is the wall-clock time the flush had every reply ready,
 	// just before the record was written and the replies sent; the batch
 	// began LatencySeconds earlier.
-	UnixNanos int64 `json:"unix_nanos"`
+	UnixNanos int64
 	// QueueWaitSeconds is how long the first request of the batch sat in
 	// the queue before its worker picked it up.
-	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
+	QueueWaitSeconds float64
 	// Requests is the number of client requests coalesced into the batch.
-	Requests int `json:"requests"`
+	Requests int
 	// RequestedKeys counts keys before dedup, UniqueKeys after.
-	RequestedKeys int `json:"requested_keys"`
-	UniqueKeys    int `json:"unique_keys"`
+	RequestedKeys int
+	UniqueKeys    int
 	// Reason is the flush trigger (full / idle / drain).
-	Reason FillReason `json:"reason"`
+	Reason FillReason
 	// SimSeconds is the modelled extraction time of the batch.
-	SimSeconds float64 `json:"sim_seconds"`
+	SimSeconds float64
 	// PrefetchHits is how many unique keys were served from the lookahead
 	// staging arena instead of the placement's source tier.
-	PrefetchHits int `json:"prefetch_hits,omitempty"`
+	PrefetchHits int
 	// StaleBatches is the maximum bounded-staleness (in batches) among the
 	// staged rows this batch consumed — non-zero only when rows committed
 	// under an outgoing placement version were served inside the staleness
 	// window.
-	StaleBatches int64 `json:"stale_batches,omitempty"`
+	StaleBatches int64
 	// Per-tier bytes moved, from the extractor's source-volume matrix. The
 	// network tier is the cluster's remote-machine class; zero off-cluster.
-	LocalBytes   float64 `json:"local_bytes"`
-	RemoteBytes  float64 `json:"remote_bytes"`
-	HostBytes    float64 `json:"host_bytes"`
-	NetworkBytes float64 `json:"network_bytes,omitempty"`
+	LocalBytes   float64
+	RemoteBytes  float64
+	HostBytes    float64
+	NetworkBytes float64
 	// Per-tier modelled seconds (§6.2 serial estimate: bytes x time-per-
 	// byte; tiers overlap in the real schedule, so the parts may sum to
 	// more than SimSeconds).
-	LocalSeconds   float64 `json:"local_seconds"`
-	RemoteSeconds  float64 `json:"remote_seconds"`
-	HostSeconds    float64 `json:"host_seconds"`
-	NetworkSeconds float64 `json:"network_seconds,omitempty"`
+	LocalSeconds   float64
+	RemoteSeconds  float64
+	HostSeconds    float64
+	NetworkSeconds float64
 	// QueueDepth is the combined queued-request count the worker saw when it
 	// formed the batch, ShedTotal the GPU's cumulative admission sheds then.
-	QueueDepth int   `json:"queue_depth"`
-	ShedTotal  int64 `json:"shed_total"`
+	QueueDepth int
+	ShedTotal  int64
 	// The wall-clock stages after the queue wait, in order: dedup and
 	// staging consume, the simulated extraction, the functional gather (zero
 	// in timing-only mode), and the row fan-out into the replies. The record
 	// is written before the replies are sent, so a caller holding its Result
 	// finds its batch in the ring; the sends themselves are in no stage.
-	CoalesceSeconds float64 `json:"coalesce_seconds"`
-	ExtractSeconds  float64 `json:"extract_seconds"`
-	GatherSeconds   float64 `json:"gather_seconds"`
-	ReplySeconds    float64 `json:"reply_seconds"`
-}
-
-// dedupRatio is requested/unique keys (1.0 = no sharing across requests).
-func (b *Batch) dedupRatio() float64 {
-	if b.UniqueKeys == 0 {
-		return 0
-	}
-	return float64(b.RequestedKeys) / float64(b.UniqueKeys)
+	CoalesceSeconds float64
+	ExtractSeconds  float64
+	GatherSeconds   float64
+	ReplySeconds    float64
 }
 
 // LatencySeconds is the batch's wall time from its first request's enqueue
@@ -163,23 +147,33 @@ func (b *Batch) load(w *[batchWords]atomic.Uint64) {
 }
 
 // appendJSON renders the record as one flight-JSONL object (no trailing
-// newline). The key names are this view's own — shorter than /debug/trace's,
-// and kept as they were when batches were packed into Events; new keys are
-// only ever appended.
+// newline): the line /debug/flight and a bundle's flight.jsonl carry. The
+// keys were fixed when batches were packed into Events; new keys are only
+// ever appended (TestBatchViewKeysGolden). Counts render as integers, so
+// every value reads back exactly.
 func (b *Batch) appendJSON(buf []byte) []byte {
 	buf = appendHead(buf, "batch", b.UnixNanos, int64(b.GPU), b.Seq)
 	for _, f := range [...]struct {
 		key string
+		v   int64
+	}{
+		{"requests", int64(b.Requests)}, {"unique_keys", int64(b.UniqueKeys)},
+		{"prefetch_hits", int64(b.PrefetchHits)}, {"requested_keys", int64(b.RequestedKeys)},
+		{"stale_batches", b.StaleBatches}, {"queue_depth", int64(b.QueueDepth)}, {"shed_total", b.ShedTotal},
+	} {
+		buf = appendInt(buf, f.key, f.v)
+	}
+	for _, f := range [...]struct {
+		key string
 		v   float64
 	}{
-		{"latency_s", b.LatencySeconds()}, {"requests", float64(b.Requests)},
-		{"unique_keys", float64(b.UniqueKeys)}, {"prefetch_hits", float64(b.PrefetchHits)},
+		{"latency_s", b.LatencySeconds()},
 		{"sim_s", b.SimSeconds}, {"local_s", b.LocalSeconds}, {"remote_s", b.RemoteSeconds},
 		{"host_s", b.HostSeconds}, {"network_s", b.NetworkSeconds},
-		{"requested_keys", float64(b.RequestedKeys)}, {"stale_batches", float64(b.StaleBatches)},
-		{"queue_depth", float64(b.QueueDepth)}, {"shed_total", float64(b.ShedTotal)},
 		{"queue_wait_s", b.QueueWaitSeconds}, {"coalesce_s", b.CoalesceSeconds},
 		{"extract_s", b.ExtractSeconds}, {"gather_s", b.GatherSeconds}, {"reply_s", b.ReplySeconds},
+		{"local_bytes", b.LocalBytes}, {"remote_bytes", b.RemoteBytes},
+		{"host_bytes", b.HostBytes}, {"network_bytes", b.NetworkBytes},
 	} {
 		buf = appendFloat(buf, f.key, f.v)
 	}
@@ -210,22 +204,4 @@ func (t *Trace) Snapshot(dst []Batch) []Batch {
 	added := dst[start:]
 	sort.SliceStable(added, func(i, j int) bool { return added[i].UnixNanos < added[j].UnixNanos })
 	return dst
-}
-
-// WriteJSON renders the held records (oldest first) as a JSON array, each
-// with its derived dedup_ratio and latency_seconds — the /debug/trace body.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	type jsonBatch struct {
-		Batch
-		DedupRatio     float64 `json:"dedup_ratio"`
-		LatencySeconds float64 `json:"latency_seconds"`
-	}
-	batches := t.Snapshot(nil)
-	out := make([]jsonBatch, len(batches))
-	for i := range batches {
-		out[i] = jsonBatch{batches[i], batches[i].dedupRatio(), batches[i].LatencySeconds()}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -12,17 +12,20 @@ import (
 	"time"
 
 	"ugache/internal/telemetry"
+	"ugache/internal/timeline"
 )
 
-// BundleConfig describes what a diagnostic bundle captures. Any nil source
-// simply omits its file; the manifest records what was written.
+// BundleConfig describes what a diagnostic bundle captures, and is the
+// flight surface the telemetry handler serves: /debug/flight,
+// /debug/timeline and POST /debug/flight/bundle. Any nil source simply
+// omits its file; the manifest records what was written.
 type BundleConfig struct {
 	// Dir is the directory bundles are created under (one timestamped
 	// subdirectory per bundle). Created if missing.
 	Dir string
-	// Recorder supplies flight.jsonl (the drained event rings) and
-	// timeline.json (the trace drawn from the rings as they are now, the
-	// same Chrome trace-event document /debug/timeline serves).
+	// Recorder supplies flight.jsonl (every record the rings hold, the
+	// lines /debug/flight serves) and timeline.json (the trace drawn from
+	// the rings as they are now, the document /debug/timeline serves).
 	Recorder *Recorder
 	// Registry supplies metrics.json (a full Samples snapshot).
 	Registry *telemetry.Registry
@@ -109,7 +112,7 @@ func writeBundle(cfg BundleConfig, reason string) (string, error) {
 			return "", err
 		}
 		man.Exemplar = cfg.Recorder.exemplar(mark)
-		lines := cfg.Recorder.lines(0, mark)
+		lines := cfg.Recorder.lines(mark)
 		man.FlightEvents = len(lines)
 		if err := writeFile(EventsFile, func(w io.Writer) error { return writeLines(w, lines) }); err != nil {
 			return "", err
@@ -154,28 +157,30 @@ func writeBundle(cfg BundleConfig, reason string) (string, error) {
 }
 
 // TriggerBundle writes a bundle now: the on-demand trigger behind SIGQUIT
-// and POST /debug/flight/bundle. With WriteFlightState it makes a
-// BundleConfig the telemetry.FlightDebug those endpoints serve.
+// and POST /debug/flight/bundle. With WriteFlightState and WriteTrace it
+// makes a BundleConfig the telemetry.FlightDebug the handler serves.
 func (cfg BundleConfig) TriggerBundle(reason string) (string, error) {
 	return writeBundle(cfg, reason)
 }
 
-// recentRecords caps how many trailing records WriteFlightState embeds.
-const recentRecords = 256
-
-// WriteFlightState renders the newest records the recorder holds (batches
-// and control events, oldest first) as one JSON document, the /debug/flight
-// body.
-func (cfg BundleConfig) WriteFlightState(out io.Writer) error {
-	body := struct {
-		Events []json.RawMessage `json:"events"`
-	}{Events: []json.RawMessage{}}
-	if cfg.Recorder != nil {
-		for _, l := range cfg.Recorder.lines(recentRecords, nil) {
-			body.Events = append(body.Events, json.RawMessage(l))
-		}
+// WriteFlightState writes every record the recorder holds (batches and
+// control events, oldest first) one JSON object a line, as a bundle's
+// flight.jsonl holds them: the /debug/flight body. No recorder writes none.
+func (cfg BundleConfig) WriteFlightState(w io.Writer) error {
+	if cfg.Recorder == nil {
+		return nil
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&body)
+	return writeLines(w, cfg.Recorder.lines(nil))
+}
+
+// WriteTrace writes the trace drawn from the recorder's rings as they are
+// now, as a bundle's timeline.json holds it: the /debug/timeline body. No
+// recorder draws a trace of no events.
+func (cfg BundleConfig) WriteTrace(w io.Writer) error {
+	var recs []*Recorder
+	if cfg.Recorder != nil {
+		recs = append(recs, cfg.Recorder)
+	}
+	tracks, events := Draw(recs...)
+	return timeline.Write(w, tracks, events)
 }

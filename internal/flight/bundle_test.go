@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ugache/internal/telemetry"
+	"ugache/internal/timeline"
 )
 
 // stagedBatch is a functional-mode batch on gpu completing in seconds from
@@ -411,6 +412,9 @@ func TestWatchdogExemplarTracksSlowestBatch(t *testing.T) {
 	}
 }
 
+// TestWriteFlightStateJSON: /debug/flight's body is the flight JSONL, every
+// held record one object a line, oldest first, and /debug/timeline's is the
+// trace the same rings draw.
 func TestWriteFlightStateJSON(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	ring := rec.Claim(1)[0]
@@ -422,37 +426,45 @@ func TestWriteFlightStateJSON(t *testing.T) {
 	if err := (BundleConfig{Recorder: rec}).WriteFlightState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var body struct {
-		Events []json.RawMessage `json:"events"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &body); err != nil {
-		t.Fatalf("flight state does not parse: %v\n%s", err, buf.String())
-	}
-	if len(body.Events) != 4 {
-		t.Fatalf("flight state holds %d records, want 4", len(body.Events))
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("flight state holds %d records, want 4:\n%s", len(lines), buf.String())
 	}
 	for i, want := range []struct {
 		kind string
 		seq  float64
 	}{{"batch", 3}, {"drift", 0}} {
 		var ev map[string]any
-		if err := json.Unmarshal(body.Events[2+i], &ev); err != nil {
-			t.Fatal(err)
+		if err := json.Unmarshal([]byte(lines[2+i]), &ev); err != nil {
+			t.Fatalf("line %d does not parse: %v", 2+i, err)
 		}
 		if ev["kind"] != want.kind || ev["seq"].(float64) != want.seq {
 			t.Fatalf("record %d = %v, want a %s of seq %v", 2+i, ev, want.kind, want.seq)
 		}
 	}
-
-	// No recorder: an empty list, not null.
 	buf.Reset()
-	if err := (BundleConfig{}).WriteFlightState(&buf); err != nil || !strings.Contains(buf.String(), `"events": []`) {
+	if err := (BundleConfig{Recorder: rec}).WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := timeline.Validate(&buf); err != nil || rep.Names[timeline.ProcName{PID: timeline.ProcServe, Name: "batch"}] != 3 {
+		t.Fatalf("trace of the same rings: %v, want its 3 batch trees", err)
+	}
+
+	// No recorder: no lines, and a trace of no events.
+	buf.Reset()
+	if err := (BundleConfig{}).WriteFlightState(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("flight state without a recorder = %q, %v", buf.String(), err)
+	}
+	if err := (BundleConfig{}).WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := timeline.Validate(&buf); err != nil {
+		t.Fatalf("trace without a recorder: %v", err)
 	}
 }
 
-// TestFlightDebugConcurrent reads /debug/flight's body and writes a manual
-// bundle while two workers record: the -race coverage of the on-demand
+// TestFlightDebugConcurrent reads /debug/flight's and /debug/timeline's
+// bodies and writes a manual bundle while two workers record: the -race coverage of the on-demand
 // surface over live rings.
 func TestFlightDebugConcurrent(t *testing.T) {
 	rec := NewRecorder(2, 32)
@@ -480,6 +492,9 @@ func TestFlightDebugConcurrent(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		var buf bytes.Buffer
 		if err := dbg.WriteFlightState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := dbg.WriteTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,10 @@
 // Package flight is the serving stack's always-on flight recorder: a
 // constant-memory, zero-hot-path-allocation log held in lock-free seqlock
 // rings. Each serving worker writes one Batch record per flushed batch into a
-// ring of its own — the single store behind /debug/trace, the flight JSONL
-// and the Chrome-trace batch span trees and link flows, which are all
-// rendered from it on the read side — and slow-path writers (refresh,
+// ring of its own — the single store behind the flight JSONL (/debug/flight,
+// a bundle's flight.jsonl) and the Chrome-trace batch span trees and link
+// flows, which are all rendered from it on the read side — and slow-path
+// writers (refresh,
 // drift, prefetch, the cluster router's partial lookups) share a control
 // ring of Events, likewise the one store the trace's control and prefetch
 // tracks are drawn from. The recorder owns that trace: Draw renders its

@@ -251,11 +251,10 @@ func (r *Recorder) exemplar(mark []uint64) *Exemplar {
 	return best
 }
 
-// lines renders the newest limit held records (limit <= 0: all of them) —
-// batches and control events, the latter only those recorded before mark
-// when it is non-nil — as one JSON object each, merged oldest first (ties:
-// batches before events).
-func (r *Recorder) lines(limit int, mark []uint64) [][]byte {
+// lines renders every held record — batches and control events, the latter
+// only those recorded before mark when it is non-nil — as one JSON object
+// each, merged oldest first (ties: batches before events).
+func (r *Recorder) lines(mark []uint64) [][]byte {
 	batches := r.Trace().Snapshot(nil)
 	end := uint64(math.MaxUint64)
 	if mark != nil {
@@ -263,11 +262,8 @@ func (r *Recorder) lines(limit int, mark []uint64) [][]byte {
 	}
 	events := r.ctrl.events(end)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].UnixNanos < events[j].UnixNanos })
-	if n := len(batches) + len(events); limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([][]byte, limit)
-	for k := limit - 1; k >= 0; k-- { // newest first, filling from the back
+	out := make([][]byte, len(batches)+len(events))
+	for k := len(out) - 1; k >= 0; k-- { // newest first, filling from the back
 		nb, ne := len(batches), len(events)
 		if nb == 0 || (ne > 0 && events[ne-1].UnixNanos >= batches[nb-1].UnixNanos) {
 			out[k], events = events[ne-1].appendJSON(nil), events[:ne-1]

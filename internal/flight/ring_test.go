@@ -98,8 +98,8 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("snapshot holds %d batches, want 8", len(got))
 	}
-	if dr := got[0].dedupRatio(); dr != 2 {
-		t.Fatalf("dedup ratio %g, want 2", dr)
+	if b := got[0]; b.RequestedKeys != 2*b.UniqueKeys {
+		t.Fatalf("oldest held batch %d requested keys for %d unique, want twice as many", b.RequestedKeys, b.UniqueKeys)
 	}
 	for i, b := range got {
 		if want := int64(13 + i); b.Seq != want || b.UnixNanos != want-1 {
@@ -214,7 +214,9 @@ func TestRecorderSlowestBatch(t *testing.T) {
 	}
 }
 
-func TestWriteJSONLParses(t *testing.T) {
+// TestFlightLinesParse: every rendered line, batch and control event alike,
+// is one JSON object under its kind's keys.
+func TestFlightLinesParse(t *testing.T) {
 	rec := NewRecorder(1, 8)
 	ring := rec.Claim(1)[0]
 	skipTo(ring, 9)
@@ -226,7 +228,7 @@ func TestWriteJSONLParses(t *testing.T) {
 	rec.RecordControl(&d)
 
 	var buf bytes.Buffer
-	if err := writeLines(&buf, rec.lines(0, nil)); err != nil {
+	if err := writeLines(&buf, rec.lines(nil)); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -285,7 +287,7 @@ func TestEventRingConcurrent(t *testing.T) {
 				t.Errorf("snapshot of %d events from a 64-deep ring", n)
 				return
 			}
-			_ = rec.lines(0, rec.mark())
+			_ = rec.lines(rec.mark())
 		}
 	}()
 	wg.Wait()
@@ -303,60 +305,36 @@ func TestLinesStopAtTheMark(t *testing.T) {
 	mark := rec.mark()
 	rec.RecordControl(&Event{Kind: KindDrift, UnixNanos: 2})
 	rec.RecordControl(&Event{Kind: KindPartial, UnixNanos: 3})
-	if got := len(rec.lines(0, mark)); got != 1 {
+	if got := len(rec.lines(mark)); got != 1 {
 		t.Fatalf("%d lines up to the mark, want the 1 recorded before it", got)
 	}
-	if got := len(rec.lines(0, nil)); got != 3 {
+	if got := len(rec.lines(nil)); got != 3 {
 		t.Fatalf("%d lines without a mark, want all 3", got)
 	}
 }
 
-// TestBatchViewKeysGolden pins the key sets of the two JSON views of a batch
-// record to the ones they had as separate stores (telemetry.BatchTrace behind
-// /debug/trace, a KindBatch Event in the flight JSONL) plus what has been
-// appended since. Tools parse these: append keys, never rename or drop one.
+// TestBatchViewKeysGolden pins the key set of a batch record's one JSON
+// view, its flight-JSONL line, to the one it had as a KindBatch Event plus
+// what has been appended since. Tools parse these: append keys, never
+// rename or drop one.
 func TestBatchViewKeysGolden(t *testing.T) {
-	rnd := rand.New(rand.NewSource(2))
-	b := randomBatch(rnd)
-	b.PrefetchHits, b.StaleBatches = 1, 1 // omitempty fields show
-	ring := newRing(8)
-	ring.Record(&b)
-
-	keysOf := func(raw []byte) string {
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			t.Fatalf("%s: %v", raw, err)
-		}
-		var keys []string
-		for k := range obj {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, " ")
-	}
-
-	var buf bytes.Buffer
-	if err := NewTrace([]*Ring{ring}).WriteJSON(&buf); err != nil {
+	b := randomBatch(rand.New(rand.NewSource(2)))
+	var obj map[string]any
+	if err := json.Unmarshal(b.appendJSON(nil), &obj); err != nil {
 		t.Fatal(err)
 	}
-	var arr []json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil || len(arr) != 1 {
-		t.Fatalf("/debug/trace body: %v\n%s", err, buf.String())
+	var keys []string
+	for k := range obj {
+		keys = append(keys, k)
 	}
-	const traceKeys = "dedup_ratio gpu host_bytes host_seconds local_bytes local_seconds " +
-		"network_bytes network_seconds prefetch_hits queue_wait_seconds reason remote_bytes " +
-		"remote_seconds requested_keys requests seq sim_seconds stale_batches unique_keys unix_nanos" +
-		// appended by the one-record change
-		" coalesce_seconds extract_seconds gather_seconds latency_seconds queue_depth reply_seconds shed_total"
-	if got, want := keysOf(arr[0]), sortedWords(traceKeys); got != want {
-		t.Errorf("/debug/trace keys\n got %s\nwant %s", got, want)
-	}
-
+	sort.Strings(keys)
 	const jsonlKeys = "kind unix_nanos gpu seq latency_s requests unique_keys prefetch_hits " +
 		"sim_s local_s remote_s host_s network_s" +
 		// appended by the one-record change
-		" requested_keys reason stale_batches queue_depth shed_total queue_wait_s coalesce_s extract_s gather_s reply_s"
-	if got, want := keysOf(b.appendJSON(nil)), sortedWords(jsonlKeys); got != want {
+		" requested_keys reason stale_batches queue_depth shed_total queue_wait_s coalesce_s extract_s gather_s reply_s" +
+		// appended when the trace endpoint's JSON array folded into this line
+		" local_bytes remote_bytes host_bytes network_bytes"
+	if got, want := strings.Join(keys, " "), sortedWords(jsonlKeys); got != want {
 		t.Errorf("flight JSONL batch keys\n got %s\nwant %s", got, want)
 	}
 }

@@ -103,7 +103,7 @@ func TestResultFindsItsBatchInTrace(t *testing.T) {
 
 // TestServeFlightConcurrent hammers lookups on every GPU while a reader
 // drains snapshots — the -race proof that worker rings (single producer) and
-// concurrent Snapshot readers coexist, mirroring the live /debug/trace
+// concurrent Snapshot readers coexist, mirroring the live /debug/flight
 // endpoint scraping a serving process.
 func TestServeFlightConcurrent(t *testing.T) {
 	sys, _ := buildFunctional(t, 2000)

@@ -11,6 +11,7 @@ import (
 
 type fakeFlight struct {
 	state      string
+	trace      string
 	bundleDir  string
 	err        error
 	lastReason string
@@ -21,13 +22,18 @@ func (f *fakeFlight) WriteFlightState(w io.Writer) error {
 	return err
 }
 
+func (f *fakeFlight) WriteTrace(w io.Writer) error {
+	_, err := io.WriteString(w, f.trace)
+	return err
+}
+
 func (f *fakeFlight) TriggerBundle(reason string) (string, error) {
 	f.lastReason = reason
 	return f.bundleDir, f.err
 }
 
 func TestFlightEndpoints(t *testing.T) {
-	fl := &fakeFlight{state: `{"events":[]}`, bundleDir: "/tmp/bundles/flight-1"}
+	fl := &fakeFlight{state: `{"kind":"batch"}` + "\n", bundleDir: "/tmp/bundles/flight-1"}
 	srv := httptest.NewServer(NewHandler(HandlerConfig{Flight: fl}))
 	defer srv.Close()
 
@@ -35,7 +41,7 @@ func TestFlightEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || body != fl.state {
 		t.Fatalf("flight state: %d %q", resp.StatusCode, body)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("flight Content-Type %q", ct)
 	}
 

@@ -9,28 +9,16 @@ import (
 	"strconv"
 )
 
-// TraceWriter renders the last-N per-batch records as a JSON array — in
-// practice *flight.Trace (serve.Server.Trace), accepted as an interface so
-// telemetry does not import the flight package.
-type TraceWriter interface {
-	WriteJSON(w io.Writer) error
-}
-
-// TimelineWriter is anything that can export a Chrome trace-event JSON
-// document — in practice *flight.Recorder, which draws the trace from its
-// rings, accepted as an interface so telemetry does not import the flight
-// package.
-type TimelineWriter interface {
-	WriteTrace(w io.Writer) error
-}
-
 // FlightDebug is the flight-recorder surface the handler exposes — in
-// practice flight.BundleConfig, accepted as an interface so telemetry does
-// not import the flight package.
+// practice flight.BundleConfig, a value over the process's one recorder,
+// accepted as an interface so telemetry does not import the flight package.
 type FlightDebug interface {
-	// WriteFlightState renders the recent flight records as one JSON
-	// document (the /debug/flight body).
+	// WriteFlightState writes every record the rings hold, one JSON object
+	// a line (the /debug/flight body: a bundle's flight.jsonl).
 	WriteFlightState(w io.Writer) error
+	// WriteTrace writes the Chrome trace-event JSON drawn from the rings
+	// (the /debug/timeline body: a bundle's timeline.json).
+	WriteTrace(w io.Writer) error
 	// TriggerBundle writes a diagnostic bundle now and returns its path.
 	TriggerBundle(reason string) (string, error)
 }
@@ -40,12 +28,8 @@ type FlightDebug interface {
 type HandlerConfig struct {
 	// Registry backs /metrics (plain-text exposition format).
 	Registry *Registry
-	// Trace backs /debug/trace (last-N batch records, JSON).
-	Trace TraceWriter
-	// Timeline backs /debug/timeline (Chrome trace-event JSON for
-	// Perfetto / chrome://tracing).
-	Timeline TimelineWriter
-	// Flight backs /debug/flight (recent flight records, JSON) and
+	// Flight backs /debug/flight (the flight JSONL), /debug/timeline
+	// (Chrome trace-event JSON for Perfetto / chrome://tracing) and
 	// POST /debug/flight/bundle (write a diagnostic bundle on demand).
 	Flight FlightDebug
 	// Health backs /healthz and /readyz. /healthz answers 200 whenever the
@@ -82,24 +66,14 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			fmt.Fprintf(w, "# write error: %v\n", err)
 		}
 	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
-		if cfg.Trace == nil {
-			http.NotFound(w, req)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := cfg.Trace.WriteJSON(w); err != nil {
-			fmt.Fprintf(w, "// write error: %v\n", err)
-		}
-	})
 	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, req *http.Request) {
-		if cfg.Timeline == nil {
+		if cfg.Flight == nil {
 			http.NotFound(w, req)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
-		if err := cfg.Timeline.WriteTrace(w); err != nil {
+		if err := cfg.Flight.WriteTrace(w); err != nil {
 			fmt.Fprintf(w, "// write error: %v\n", err)
 		}
 	})
@@ -108,7 +82,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/x-ndjson")
 		if err := cfg.Flight.WriteFlightState(w); err != nil {
 			fmt.Fprintf(w, "// write error: %v\n", err)
 		}
@@ -169,9 +143,8 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 		}
 		fmt.Fprint(w, "ugache telemetry\n\n"+
 			"/metrics              plain-text counters, gauges, latency histograms\n"+
-			"/debug/trace          last-N per-batch trace records (JSON)\n"+
-			"/debug/timeline       Chrome trace-event JSON (open in Perfetto)\n"+
-			"/debug/flight         recent flight-recorder records (JSON)\n"+
+			"/debug/flight         every held flight record, one JSON object a line\n"+
+			"/debug/timeline       Chrome trace-event JSON drawn from them (open in Perfetto)\n"+
 			"/debug/flight/bundle  POST: write a diagnostic bundle now\n"+
 			"/debug/pprof/         runtime profiles (only with pprof enabled)\n"+
 			"/healthz              liveness probe\n"+

@@ -9,13 +9,6 @@ import (
 	"testing"
 )
 
-type fakeTimeline struct{ doc string }
-
-func (f fakeTimeline) WriteTrace(w io.Writer) error {
-	_, err := io.WriteString(w, f.doc)
-	return err
-}
-
 func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Get(srv.URL + path)
@@ -63,7 +56,7 @@ func TestHealthEndpoints(t *testing.T) {
 
 func TestTimelineEndpoint(t *testing.T) {
 	doc := `{"displayTimeUnit":"ms","traceEvents":[]}`
-	srv := httptest.NewServer(NewHandler(HandlerConfig{Timeline: fakeTimeline{doc}}))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Flight: &fakeFlight{trace: doc}}))
 	defer srv.Close()
 	resp, body := get(t, srv, "/debug/timeline")
 	if resp.StatusCode != http.StatusOK || body != doc {
@@ -77,7 +70,7 @@ func TestTimelineEndpoint(t *testing.T) {
 func TestHandlerNilEndpoints404(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(HandlerConfig{}))
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/debug/trace", "/debug/timeline", "/healthz", "/readyz", "/nope"} {
+	for _, path := range []string{"/metrics", "/debug/flight", "/debug/timeline", "/healthz", "/readyz", "/nope"} {
 		if resp, _ := get(t, srv, path); resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s: %d, want 404", path, resp.StatusCode)
 		}

@@ -1,7 +1,8 @@
 // Package telemetry is the observability layer of the serving stack:
 // allocation-conscious counters, gauges and fixed-bucket latency histograms,
-// plus a plain-text /metrics + JSON /debug/trace HTTP handler (http.go); the
-// batch records behind /debug/trace are the flight recorder's.
+// plus the HTTP handler (http.go) that serves them as plain-text /metrics
+// beside the flight recorder's views (/debug/flight, /debug/timeline, on-demand
+// bundles) and the health probes.
 //
 // The design follows the hot-path memory discipline of DESIGN.md §6.1: a
 // metric is registered once (get-or-create, so independently built systems

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"net/http/httptest"
@@ -148,19 +147,10 @@ func TestSamples(t *testing.T) {
 	}
 }
 
-// fakeTrace stands in for *flight.Trace, which this package cannot import.
-type fakeTrace struct{ doc string }
-
-func (f fakeTrace) WriteJSON(w io.Writer) error {
-	_, err := io.WriteString(w, f.doc)
-	return err
-}
-
 func TestHTTPEndpoints(t *testing.T) {
 	r := NewRegistry(1)
 	r.Counter("serve_requests_total", "requests").Add(0, 7)
-	trace := fakeTrace{`[{"seq":1,"gpu":2,"reason":"idle","dedup_ratio":1.5}]`}
-	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: r, Trace: trace}))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: r}))
 	defer srv.Close()
 
 	res, err := srv.Client().Get(srv.URL + "/metrics")
@@ -174,19 +164,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "serve_requests_total 7") {
 		t.Fatalf("metrics endpoint output:\n%s", body)
-	}
-
-	res, err = srv.Client().Get(srv.URL + "/debug/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traces []map[string]interface{}
-	if err := json.NewDecoder(res.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if len(traces) != 1 || traces[0]["reason"] != "idle" || traces[0]["dedup_ratio"].(float64) != 1.5 {
-		t.Fatalf("trace endpoint %+v", traces)
 	}
 
 	res, err = srv.Client().Get(srv.URL + "/nope")

@@ -253,20 +253,22 @@ func NewTelemetryRegistry(shards int) *TelemetryRegistry { return telemetry.NewR
 // where its wall time went, and its modelled cost split by source tier.
 type BatchTrace = flight.Batch
 
-// TraceRing is the read-side view over the last-N batch records a Server's
-// workers hold (Server.Trace).
-type TraceRing = flight.Trace
-
 // TelemetryHandlerConfig selects the endpoints of NewTelemetryHandler:
-// /metrics, /debug/trace, /debug/timeline, /healthz and /readyz.
+// /metrics from its Registry; /debug/flight, /debug/timeline and POST
+// /debug/flight/bundle from its Flight (a FlightBundleConfig over the
+// recorder handed to Config.Flight and ServeConfig.Flight); /healthz and
+// /readyz from its Health.
 type TelemetryHandlerConfig = telemetry.HandlerConfig
 
-// NewTelemetryHandler serves the full observability endpoint set. Leave
-// Trace unset rather than a nil *TraceRing: a typed nil in the interface
-// field passes the handler's nil check and panics.
+// NewTelemetryHandler serves the full observability endpoint set.
 func NewTelemetryHandler(cfg TelemetryHandlerConfig) http.Handler {
 	return telemetry.NewHandler(cfg)
 }
+
+// FlightBundleConfig is the flight surface of TelemetryHandlerConfig.Flight:
+// every record its Recorder holds as JSONL, the trace drawn from them, and
+// diagnostic bundles written under Dir on demand (DESIGN.md §6.6).
+type FlightBundleConfig = flight.BundleConfig
 
 // Health is the liveness/readiness state behind /healthz and /readyz: flip
 // SetReady(true) once the first cache build commits, SetReady(false) before

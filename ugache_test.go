@@ -2,6 +2,9 @@ package ugache_test
 
 import (
 	"bytes"
+	"io"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ugache"
@@ -117,7 +120,8 @@ func TestFacadeServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ugache.Serve(sys, ugache.ServeConfig{})
+	rec := ugache.NewFlightRecorder(p.N, 0)
+	srv, err := ugache.Serve(sys, ugache.ServeConfig{Flight: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +142,19 @@ func TestFacadeServe(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Requests != 1 || st.Batches < 1 {
 		t.Fatalf("stats %+v", st)
+	}
+	// The handler's one flight field serves the recorder's batch line.
+	h := httptest.NewServer(ugache.NewTelemetryHandler(ugache.TelemetryHandlerConfig{
+		Flight: ugache.FlightBundleConfig{Recorder: rec}}))
+	defer h.Close()
+	resp, err := h.Client().Get(h.URL + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(string(body), `{"kind":"batch"`) || !strings.Contains(string(body), `"requests":1,`) {
+		t.Fatalf("/debug/flight: %v\n%s", err, body)
 	}
 }
 
