@@ -112,6 +112,29 @@ func parseGo(t *testing.T, withTests bool) []*censusFile {
 	return files
 }
 
+// observers are the packages under internal/ whose non-test files may import
+// internal/telemetry or internal/flight: the layers that write observations,
+// and flight itself. The layers below them return values (a refresh report,
+// a drift status), and core records them once.
+var observers = map[string]bool{
+	"internal/core": true, "internal/serve": true, "internal/cluster": true, "internal/bench": true, "internal/flight": true,
+}
+
+// TestObserverLayering holds the non-test files under internal/ to
+// observers.
+func TestObserverLayering(t *testing.T) {
+	for _, f := range parseTree(t) {
+		if !strings.HasPrefix(f.path, "internal/") || observers[f.dir] {
+			continue
+		}
+		for _, dir := range f.imports {
+			if dir == "internal/telemetry" || dir == "internal/flight" {
+				t.Errorf("%s imports %s: return the value and let core record it, or add the package to observers with the reason", f.path, dir)
+			}
+		}
+	}
+}
+
 // TestOptionCensus holds every exported field of the option structs above to
 // the simplicity rule for options: something that is not a test sets it — a
 // composite-literal key or a `.Field =` assignment in a non-test file other

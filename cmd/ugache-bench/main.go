@@ -116,7 +116,7 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 	if reg != nil {
 		samples := reg.Samples()
 		if len(samples) == 0 {
-			fmt.Println("### telemetry\n\n(no instrumented experiment ran; fig17 builds the instrumented core)")
+			fmt.Println("### telemetry\n\n(no instrumented experiment ran; drift, prefetch and fig17 build the instrumented core)")
 		} else {
 			t := stats.NewTable("Telemetry: accumulated metrics across the run", "metric", "value")
 			for _, s := range samples {

@@ -195,7 +195,6 @@ func (e *engine) build() (err error) {
 			CheckEvery:    o.checkEvery,
 			PeriodBatches: o.period,
 			Drift:         cache.DriftConfig{Threshold: o.driftThr},
-			Telemetry:     e.reg,
 			Async:         true,
 		})
 		if err != nil {
@@ -301,11 +300,11 @@ func (e *engine) shutdown(ctx context.Context) error {
 			cst.Batches, cst.Checks, cst.Refreshes, cst.Errors)
 		if e.mode == core.RefreshDrift {
 			fmt.Fprintf(w, "drift:             last score %.3f (overlap %.3f, rank distance %.3f)\n",
-				cst.LastScore, cst.LastOverlap, cst.LastRankDistance)
+				cst.LastDrift.Score, cst.LastDrift.TopKOverlap, cst.LastDrift.RankDistance)
 		}
-		if cst.Refreshes > 0 {
+		if last := cst.LastRefresh; last != nil {
 			fmt.Fprintf(w, "incremental delta: last refresh moved %d entries (full rebuild: %d)\n",
-				cst.LastMoved, cst.LastRebuild)
+				last.EvictedEntries+last.InsertedEntries, last.RebuildEntries)
 		}
 	}
 	var errs []error
@@ -468,9 +467,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 	}
 	fmt.Fprintf(w, "refresh:           %d evicted, %d inserted in %.1fs simulated (%.1f%% mean impact)\n",
 		rep.EvictedEntries, rep.InsertedEntries, rep.Duration, 100*rep.MeanImpact)
-	if rep.Solve != nil {
-		fmt.Fprintf(w, "refresh solve:     %.3fs wall\n", rep.Solve.WallSeconds)
-	}
+	fmt.Fprintf(w, "refresh solve:     %.3fs wall\n", rep.Solve.WallSeconds)
 	return nil
 }
 

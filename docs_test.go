@@ -70,7 +70,7 @@ func registeredMetrics(t *testing.T) map[string]bool {
 	}
 	defer front.Close()
 	if _, err := core.NewController(nodes[0].Sys, core.ControllerConfig{
-		Mode: core.RefreshDrift, Sampler: cache.NewHotnessSampler(entries, 1), Telemetry: reg,
+		Mode: core.RefreshDrift, Sampler: cache.NewHotnessSampler(entries, 1),
 	}); err != nil {
 		t.Fatal(err)
 	}

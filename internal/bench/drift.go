@@ -185,7 +185,6 @@ func runControllerMode(o Options, sc *driftScenario, mode core.RefreshMode) (Dri
 		Drift:         cache.DriftConfig{MinBatches: 16, MaxBatches: 32},
 		Refresh:       sc.refreshConfig(baseIter),
 		BaseIterTime:  baseIter,
-		Telemetry:     o.Telemetry,
 	})
 	if err != nil {
 		return rep, err
@@ -205,11 +204,12 @@ func runControllerMode(o Options, sc *driftScenario, mode core.RefreshMode) (Dri
 		lats = append(lats, iter)
 		sampler.Shard(0).Observe(uniq)
 		if ctrl.BatchObserved() {
-			st := ctrl.Stats()
+			last := ctrl.Stats().LastRefresh
 			// The refresh runs in the background from the next batch on; its
 			// foreground impact covers the iterations that overlap it.
-			impactUntil = b + 1 + int(math.Ceil(st.LastDuration/baseIter))
-			impactFactor = 1 + st.LastImpact
+			impactUntil = b + 1 + int(math.Ceil(last.Duration/baseIter))
+			impactFactor = 1 + last.MeanImpact
+			rep.TotalSolves++
 			if b < sc.shiftAt {
 				rep.StationarySolves++
 			} else if rep.TriggerDelay < 0 {
@@ -221,9 +221,10 @@ func runControllerMode(o Options, sc *driftScenario, mode core.RefreshMode) (Dri
 	if st.Errors > 0 {
 		return rep, fmt.Errorf("bench: %s controller reported %d errors", mode, st.Errors)
 	}
-	rep.TotalSolves = int(st.Refreshes)
-	rep.MovedEntries = st.LastMoved
-	rep.RebuildEntries = st.LastRebuild
+	if last := st.LastRefresh; last != nil {
+		rep.MovedEntries = last.EvictedEntries + last.InsertedEntries
+		rep.RebuildEntries = last.RebuildEntries
+	}
 	rep.P50Ms, rep.P99Ms, rep.StationaryMs, rep.DriftMs, rep.RecoveredMs = scaleMS(sc.phases(lats))
 	return rep, nil
 }

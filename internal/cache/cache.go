@@ -188,9 +188,6 @@ type System struct {
 	// gatherPool recycles GatherScratch buffers for callers that use the
 	// plain Gather entry point instead of carrying their own scratch.
 	gatherPool sync.Pool
-	// refreshMet, when set via SetTelemetry, receives each refresh report
-	// as gauges (§7.2 impact timeline).
-	refreshMet atomic.Pointer[refreshMetrics]
 }
 
 // Placement returns the currently published placement.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ugache/internal/telemetry"
 	"ugache/internal/workload"
 )
 
@@ -76,15 +75,6 @@ type DriftStatus struct {
 	Measured workload.Hotness
 }
 
-// driftMetrics are the detector's telemetry gauges, published per check.
-type driftMetrics struct {
-	checks   *telemetry.Counter
-	score    *telemetry.Gauge
-	overlap  *telemetry.Gauge
-	rankDist *telemetry.Gauge
-	batches  *telemetry.Gauge
-}
-
 // DriftDetector decides when the sampled hotness has moved far enough from
 // the distribution the current placement was solved against to justify a
 // re-solve (the closed-loop replacement for §7.2's fixed-cadence refresh).
@@ -120,8 +110,6 @@ type DriftDetector struct {
 	measured workload.Hotness
 	measRank []int32         // entry -> measured rank
 	ranker   workload.Ranker // keeps the sort buffers between checks
-
-	met *driftMetrics
 }
 
 // NewDriftDetector builds a detector over the sampler's measured stream,
@@ -151,24 +139,6 @@ func NewDriftDetector(sampler *HotnessSampler, reference workload.Hotness, cfg D
 
 // Config returns the normalized configuration the detector runs with.
 func (d *DriftDetector) Config() DriftConfig { return d.cfg }
-
-// SetTelemetry registers the detector's gauges in reg and publishes every
-// later Check through them. Pass nil to detach.
-func (d *DriftDetector) SetTelemetry(reg *telemetry.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if reg == nil {
-		d.met = nil
-		return
-	}
-	d.met = &driftMetrics{
-		checks:   reg.Counter("cache_drift_checks_total", "hotness-drift checks performed"),
-		score:    reg.Gauge("cache_drift_score", "last drift check's score: max(1 - top-K overlap, weighted rank distance)"),
-		overlap:  reg.Gauge("cache_drift_topk_overlap", "last drift check's top-K hotness overlap with the placement's reference"),
-		rankDist: reg.Gauge("cache_drift_rank_distance", "last drift check's reference-weighted normalized rank displacement"),
-		batches:  reg.Gauge("cache_drift_window_batches", "sampled batches the last drift check's window covered"),
-	}
-}
 
 // Rebase replaces the reference distribution — call after a refresh, with
 // the hotness the new placement was solved against, so subsequent checks
@@ -250,13 +220,6 @@ func (d *DriftDetector) Check() (DriftStatus, error) {
 	// buffer itself stays valid — Reset clears the shards, not our merge).
 	if batches >= d.cfg.MaxBatches {
 		d.sampler.Reset()
-	}
-	if m := d.met; m != nil {
-		m.checks.Add(0, 1)
-		m.score.Set(st.Score)
-		m.overlap.Set(st.TopKOverlap)
-		m.rankDist.Set(st.RankDistance)
-		m.batches.Set(float64(batches))
 	}
 	return st, nil
 }

@@ -4,95 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
-	"ugache/internal/flight"
 	"ugache/internal/hashtable"
 	"ugache/internal/solver"
-	"ugache/internal/telemetry"
 	"ugache/internal/workload"
 )
-
-// refreshMetrics is the §7.2 impact timeline surfaced as gauges: the last
-// refresh's phase durations, diff size and mean foreground inflation, plus
-// a live in-progress flag. Updated only on the (slow) refresh path.
-type refreshMetrics struct {
-	total         *telemetry.Counter
-	active        *telemetry.Gauge
-	duration      *telemetry.Gauge
-	solveSeconds  *telemetry.Gauge
-	updateSeconds *telemetry.Gauge
-	meanImpact    *telemetry.Gauge
-	evicted       *telemetry.Gauge
-	inserted      *telemetry.Gauge
-	solveWall     *telemetry.Gauge
-}
-
-// SetTelemetry registers the refresh gauges in reg and publishes every
-// later Refresh's report through them. Call before serving; replaces any
-// earlier registry.
-func (s *System) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		s.refreshMet.Store(nil)
-		return
-	}
-	s.refreshMet.Store(&refreshMetrics{
-		total:         reg.Counter("cache_refresh_total", "completed placement refreshes"),
-		active:        reg.Gauge("cache_refresh_active", "1 while a refresh is being applied"),
-		duration:      reg.Gauge("cache_refresh_last_duration_seconds", "last refresh trigger-to-completion seconds"),
-		solveSeconds:  reg.Gauge("cache_refresh_last_solve_seconds", "last refresh background-solve seconds"),
-		updateSeconds: reg.Gauge("cache_refresh_last_update_seconds", "last refresh small-batch update seconds"),
-		meanImpact:    reg.Gauge("cache_refresh_last_mean_impact", "last refresh mean foreground iteration-time inflation"),
-		evicted:       reg.Gauge("cache_refresh_last_evicted_entries", "entries evicted by the last refresh"),
-		inserted:      reg.Gauge("cache_refresh_last_inserted_entries", "entries inserted by the last refresh"),
-		solveWall:     reg.Gauge("cache_refresh_last_solve_wall_seconds", "last refresh measured policy-solve wall seconds"),
-	})
-}
-
-// Record returns the report as the refresh's flight control record, stamped
-// now: the measured solve, the Fig. 17 layout, the wall seconds since
-// trigger (the solve's start) and pl's storage summary — everything the
-// trace's solver and refresh tracks are drawn from (flight.Draw). The
-// caller sets Seq.
-func (rep *RefreshReport) Record(pl *solver.Placement, trigger time.Time) flight.Event {
-	var wall, estMax float64
-	if st := rep.Solve; st != nil {
-		wall = st.WallSeconds
-	}
-	for _, t := range pl.EstTimes {
-		estMax = max(estMax, t)
-	}
-	sum, now := pl.StorageSummary(), time.Now()
-	return flight.Event{Kind: flight.KindRefresh, GPU: -1, UnixNanos: now.UnixNano(), V: [flight.MaxPayload]float64{
-		// In slot order: flight's kindFields[KindRefresh], solve_wall_s to
-		// est_time_max.
-		wall, rep.Duration, float64(rep.EvictedEntries + rep.InsertedEntries), rep.MeanImpact,
-		float64(rep.EvictedEntries), float64(rep.InsertedEntries), rep.SolveSeconds, rep.UpdateSeconds,
-		float64(rep.Steps), rep.StepSeconds, rep.LastStepSeconds, rep.PauseSeconds, now.Sub(trigger).Seconds(),
-		float64(len(pl.Blocks)), float64(sum.ReplicatedBlocks), float64(sum.PartialBlocks),
-		float64(sum.PartitionedBlocks), float64(sum.UncachedBlocks),
-		sum.ReplicatedMass, sum.PartitionedMass, sum.UncachedMass, estMax,
-	}}
-}
-
-// publish pushes one refresh report into the gauges. A report without solve
-// statistics zeroes the solve-wall gauge: it describes the *last* refresh,
-// and leaving a previous solve's wall time published after a stat-less
-// refresh would misattribute that solve to the wrong placement.
-func (m *refreshMetrics) publish(rep *RefreshReport) {
-	m.total.Add(0, 1)
-	m.duration.Set(rep.Duration)
-	m.solveSeconds.Set(rep.SolveSeconds)
-	m.updateSeconds.Set(rep.UpdateSeconds)
-	m.meanImpact.Set(rep.MeanImpact)
-	m.evicted.Set(float64(rep.EvictedEntries))
-	m.inserted.Set(float64(rep.InsertedEntries))
-	wall := 0.0
-	if st := rep.Solve; st != nil {
-		wall = st.WallSeconds
-	}
-	m.solveWall.Set(wall)
-}
 
 // HotnessSampler is the foreground sampling of §7.2: input batches are
 // sampled (every Nth batch) and counted on the CPU so the background
@@ -271,9 +187,8 @@ func (h *HotnessSampler) NumEntries() int64 { return h.numEntries }
 // SolveStats describes the real policy solve that produced the placement
 // being applied — its measured wall time — as opposed to
 // RefreshConfig.SolveSeconds, which is the simulated solve duration replayed
-// into the Fig. 17 timeline. The core engine fills it from the solver; it
-// flows untouched into the report, the cache_refresh_last_solve_wall_seconds
-// gauge, and the refresh's flight record.
+// into the Fig. 17 timeline. core.System.Refresh measures it and attaches it
+// to the report it returns.
 type SolveStats struct {
 	// WallSeconds is the measured wall-clock duration of the solve.
 	WallSeconds float64
@@ -295,10 +210,6 @@ type RefreshConfig struct {
 	UpdateBandwidth float64
 	// SamplePeriod is the timeline sampling period in seconds.
 	SamplePeriod float64
-	// Solve, when non-nil, attaches the real solve's statistics to the
-	// report and gauges (the simulated impact replay above is driven by
-	// SolveSeconds regardless).
-	Solve *SolveStats
 }
 
 // Foreground slowdown factors of the §7.2 replay (Fig. 17's shape).
@@ -349,9 +260,10 @@ type RefreshReport struct {
 	// and followed by PauseSeconds.
 	Steps                                      int64
 	StepSeconds, LastStepSeconds, PauseSeconds float64
-	// Solve carries the real solve's statistics when the caller provided
-	// them in RefreshConfig.Solve; nil otherwise.
-	Solve *SolveStats
+	// Solve is the measured policy solve behind the new placement. The
+	// caller that ran the solve fills it (core.System.Refresh does); this
+	// package leaves it zero.
+	Solve SolveStats
 }
 
 // Refresh re-points the system at a new placement, simulating the §7.2
@@ -370,10 +282,6 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 	}
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	if m := s.refreshMet.Load(); m != nil {
-		m.active.Set(1)
-		defer m.active.Set(0)
-	}
 	old := s.snap.Load()
 	if newPl.NumGPUs != s.P.N || newPl.NumEntries() != old.placement.NumEntries() {
 		return nil, fmt.Errorf("cache: new placement shape mismatch")
@@ -422,7 +330,6 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 		EvictedEntries:  evicted,
 		InsertedEntries: inserted,
 		RebuildEntries:  storedEntries(old.placement) + storedEntries(newPl),
-		Solve:           cfg.Solve,
 		Steps:           fullSteps,
 		StepSeconds:     perStep,
 		LastStepSeconds: perStep,
@@ -494,9 +401,6 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 		}
 	}
 	s.snap.Store(next)
-	if m := s.refreshMet.Load(); m != nil {
-		m.publish(rep)
-	}
 	return rep, nil
 }
 

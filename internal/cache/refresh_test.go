@@ -4,14 +4,10 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
-	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/solver"
-	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
 
@@ -133,140 +129,6 @@ func TestHotnessSamplerShardsConcurrent(t *testing.T) {
 	}
 }
 
-// TestRefreshTelemetryGauges checks SetTelemetry publishes the report.
-func TestRefreshTelemetryGauges(t *testing.T) {
-	p := platform.ServerC()
-	pl, in := testPlacement(t, p, 2000, 0.1)
-	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry(2)
-	sys.SetTelemetry(reg)
-
-	h2 := make(workload.Hotness, 2000)
-	for i := range h2 {
-		h2[i] = in.Hotness[2000-1-i]
-	}
-	in2 := *in
-	in2.Hotness = h2
-	pl2, err := (solver.UGache{}).Solve(&in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultRefreshConfig()
-	cfg.BatchEntries = 100
-	rep, err := sys.Refresh(pl2, 0.001, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := map[string]float64{}
-	for _, s := range reg.Samples() {
-		vals[s.Name] = s.Value
-	}
-	if vals["cache_refresh_total"] != 1 {
-		t.Fatalf("refresh counter %g", vals["cache_refresh_total"])
-	}
-	if vals["cache_refresh_active"] != 0 {
-		t.Fatal("refresh still marked active")
-	}
-	if vals["cache_refresh_last_duration_seconds"] != rep.Duration ||
-		vals["cache_refresh_last_update_seconds"] != rep.UpdateSeconds ||
-		vals["cache_refresh_last_evicted_entries"] != float64(rep.EvictedEntries) {
-		t.Fatalf("gauges %v do not match report %+v", vals, rep)
-	}
-}
-
-// TestRefreshSolveStats: a SolveStats attached to the config flows into the
-// report, the solve-wall gauges, and the refresh-solve span args drawn from
-// the refresh's flight record — the channel the core engine uses to surface
-// real (measured) solve cost next to the simulated Fig. 17 replay.
-func TestRefreshSolveStats(t *testing.T) {
-	p := platform.ServerC()
-	pl, in := testPlacement(t, p, 2000, 0.1)
-	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry(2)
-	sys.SetTelemetry(reg)
-
-	h2 := make(workload.Hotness, 2000)
-	for i := range h2 {
-		h2[i] = in.Hotness[2000-1-i]
-	}
-	in2 := *in
-	in2.Hotness = h2
-	pl2, err := (solver.UGache{}).Solve(&in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultRefreshConfig()
-	cfg.BatchEntries = 200
-	cfg.Solve = &SolveStats{WallSeconds: 0.042}
-	rep, err := sys.Refresh(pl2, 0.001, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Solve != cfg.Solve {
-		t.Fatalf("report Solve %+v, want the config's stats", rep.Solve)
-	}
-	vals := map[string]float64{}
-	for _, s := range reg.Samples() {
-		vals[s.Name] = s.Value
-	}
-	if vals["cache_refresh_last_solve_wall_seconds"] != 0.042 {
-		t.Fatalf("solve wall gauge %g", vals["cache_refresh_last_solve_wall_seconds"])
-	}
-	var solve *timeline.Event
-	for _, ev := range drawn(rep, pl2) {
-		if ev.Name == "refresh-solve" {
-			ev := ev
-			solve = &ev
-		}
-	}
-	if solve == nil {
-		t.Fatal("missing refresh-solve span")
-	}
-	args := map[string]float64{}
-	for i := int32(0); i < solve.NArgs; i++ {
-		args[solve.Args[i].Key] = solve.Args[i].Val
-	}
-	if args["solve_wall_seconds"] != 0.042 || solve.NArgs != 1 {
-		t.Fatalf("refresh-solve span args %v", args)
-	}
-
-	// Without stats the span carries no solve args and the gauge is zeroed:
-	// it describes the *last* refresh, and a stat-less refresh must not leave
-	// the previous solve's wall time published against the wrong placement.
-	cfg.Solve = nil
-	rep, err = sys.Refresh(pl, 0.001, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *timeline.Event
-	for _, ev := range drawn(rep, pl) {
-		if ev.Name == "refresh-solve" {
-			ev := ev
-			last = &ev
-		}
-	}
-	if last.NArgs != 0 {
-		t.Fatalf("stat-less refresh-solve span has %d args", last.NArgs)
-	}
-	vals = map[string]float64{}
-	for _, s := range reg.Samples() {
-		vals[s.Name] = s.Value
-	}
-	if vals["cache_refresh_last_solve_wall_seconds"] != 0 {
-		t.Fatalf("stale solve wall gauge %g after stat-less refresh",
-			vals["cache_refresh_last_solve_wall_seconds"])
-	}
-	if vals["cache_refresh_total"] != 2 {
-		t.Fatalf("refresh counter %g after two refreshes", vals["cache_refresh_total"])
-	}
-}
-
 // TestHotnessSamplerEvery pins the per-shard sampling cadence (the old
 // single-threaded behaviour, now via shard 0).
 func TestHotnessSamplerEvery(t *testing.T) {
@@ -343,96 +205,6 @@ func TestHotnessSamplerSharesProfileEstimator(t *testing.T) {
 	}
 }
 
-// drawn returns the spans a trace draws from rep's flight record: the one
-// store of a refresh's Fig. 17 layout (flight.Draw).
-func drawn(rep *RefreshReport, pl *solver.Placement) []timeline.Event {
-	fl := flight.NewRecorder(1, 8)
-	e := rep.Record(pl, time.Now())
-	fl.RecordControl(&e)
-	_, events := flight.Draw(fl)
-	return events
-}
-
-// TestRefreshTimelineSpans checks a refresh's record draws the Fig.-17 span
-// layout: one parent refresh span, one solve child starting with it, and
-// per-update-step spans whose busy time tiles the update phase with pause
-// gaps.
-func TestRefreshTimelineSpans(t *testing.T) {
-	p := platform.ServerC()
-	pl, in := testPlacement(t, p, 2000, 0.1)
-	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h2 := make(workload.Hotness, 2000)
-	for i := range h2 {
-		h2[i] = in.Hotness[2000-1-i]
-	}
-	in2 := *in
-	in2.Hotness = h2
-	pl2, err := (solver.UGache{}).Solve(&in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultRefreshConfig()
-	cfg.BatchEntries = 200
-	cfg.UpdateBandwidth = 1e6
-	rep, err := sys.Refresh(pl2, 0.001, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var root, solve *timeline.Event
-	var steps []timeline.Event
-	for _, ev := range drawn(rep, pl2) {
-		if ev.PID != timeline.ProcControl || ev.TID != timeline.TIDRefresh {
-			t.Fatalf("refresh span on wrong track: pid %d tid %d", ev.PID, ev.TID)
-		}
-		ev := ev
-		switch ev.Name {
-		case "refresh":
-			root = &ev
-		case "refresh-solve":
-			solve = &ev
-		case "refresh-update-step":
-			steps = append(steps, ev)
-		}
-	}
-	if root == nil || solve == nil {
-		t.Fatal("missing refresh or refresh-solve span")
-	}
-	if math.Abs(root.Dur-rep.Duration) > 1e-9 || math.Abs(solve.Dur-rep.SolveSeconds) > 1e-9 {
-		t.Fatalf("durations: refresh %g (want %g), solve %g (want %g)",
-			root.Dur, rep.Duration, solve.Dur, rep.SolveSeconds)
-	}
-	if solve.Start != root.Start {
-		t.Fatalf("solve starts at %g, refresh at %g", solve.Start, root.Start)
-	}
-	moved := rep.EvictedEntries + rep.InsertedEntries
-	wantSteps := int(moved / cfg.BatchEntries)
-	if moved%cfg.BatchEntries != 0 {
-		wantSteps++
-	}
-	if wantSteps > flight.MaxRefreshStepSpans {
-		wantSteps = flight.MaxRefreshStepSpans
-	}
-	if len(steps) != wantSteps {
-		t.Fatalf("%d update-step spans, want %d (moved %d)", len(steps), wantSteps, moved)
-	}
-	for i, st := range steps {
-		if st.Start < root.Start+rep.SolveSeconds-1e-9 {
-			t.Fatalf("step %d starts at %g inside the solve phase", i, st.Start)
-		}
-		if st.Start+st.Dur > root.Start+root.Dur+1e-9 {
-			t.Fatalf("step %d ends at %g past refresh end %g", i, st.Start+st.Dur, root.Start+root.Dur)
-		}
-		if i > 0 && st.Start < steps[i-1].Start+steps[i-1].Dur {
-			t.Fatalf("step %d overlaps step %d", i, i-1)
-		}
-	}
-}
-
 // reversedPlacement solves the input with its hotness reversed — the large,
 // mostly-disjoint second placement the refresh tests diff against.
 func reversedPlacement(t *testing.T, in *solver.Input) *solver.Placement {
@@ -492,8 +264,9 @@ func TestRefreshTimelineIntegerIndexing(t *testing.T) {
 	}
 }
 
-// TestRefreshTimelineRemainderStep: with a non-multiple diff the final
-// update-step span's busy time must be the remainder transfer, not a full
+// TestRefreshTimelineRemainderStep: with a non-multiple diff the report's
+// update-step layout — what the trace draws one refresh-update-step span per
+// step from — charges the final step its remainder transfer, not a full
 // BatchEntries step.
 func TestRefreshTimelineRemainderStep(t *testing.T) {
 	p := platform.ServerC()
@@ -516,94 +289,16 @@ func TestRefreshTimelineRemainderStep(t *testing.T) {
 	if rem == 0 {
 		t.Fatalf("diff of %d entries is a multiple of %d; test needs a remainder", moved, cfg.BatchEntries)
 	}
-	var steps []timeline.Event
-	for _, ev := range drawn(rep, pl2) {
-		if ev.Name == "refresh-update-step" {
-			steps = append(steps, ev)
-		}
-	}
-	wantSteps := int(moved/cfg.BatchEntries) + 1
-	if wantSteps > flight.MaxRefreshStepSpans {
-		t.Fatalf("%d steps would truncate; shrink the diff or raise BatchEntries", wantSteps)
-	}
-	if len(steps) != wantSteps {
-		t.Fatalf("%d update-step spans, want %d", len(steps), wantSteps)
+	if want := moved/cfg.BatchEntries + 1; rep.Steps != want {
+		t.Fatalf("%d update steps, want %d", rep.Steps, want)
 	}
 	perStep := float64(cfg.BatchEntries*int64(sys.EntryBytes)) / cfg.UpdateBandwidth
 	remStep := float64(rem*int64(sys.EntryBytes)) / cfg.UpdateBandwidth
-	for i, st := range steps[:len(steps)-1] {
-		if math.Abs(st.Dur-perStep) > 1e-12 {
-			t.Fatalf("full step %d busy %g, want %g", i, st.Dur, perStep)
-		}
+	if math.Abs(rep.StepSeconds-perStep) > 1e-12 || rep.PauseSeconds != cfg.PauseSeconds {
+		t.Fatalf("full steps busy %g then pause %g, want %g then %g", rep.StepSeconds, rep.PauseSeconds, perStep, cfg.PauseSeconds)
 	}
-	if tail := steps[len(steps)-1]; math.Abs(tail.Dur-remStep) > 1e-12 {
-		t.Fatalf("remainder step busy %g, want %g (rem %d entries)", tail.Dur, remStep, rem)
-	}
-}
-
-// TestRefreshTimelineTruncation: a diff spanning more than
-// flight.MaxRefreshStepSpans update steps draws exactly the cap in step spans plus
-// one refresh-update-steps-truncated instant carrying the omitted count; the
-// root span's update_steps arg still reports the true total.
-func TestRefreshTimelineTruncation(t *testing.T) {
-	p := platform.ServerC()
-	pl, in := testPlacement(t, p, 2000, 0.1)
-	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2 := reversedPlacement(t, in)
-
-	cfg := DefaultRefreshConfig()
-	cfg.BatchEntries = 7 // tiny steps force the span cap
-	cfg.UpdateBandwidth = 1e9
-	rep, err := sys.Refresh(pl2, 0.001, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := rep.EvictedEntries + rep.InsertedEntries
-	totalSteps := moved / cfg.BatchEntries
-	if moved%cfg.BatchEntries != 0 {
-		totalSteps++
-	}
-	if totalSteps <= flight.MaxRefreshStepSpans {
-		t.Fatalf("only %d steps; test needs more than %d", totalSteps, flight.MaxRefreshStepSpans)
-	}
-	var root, trunc *timeline.Event
-	stepSpans := 0
-	for _, ev := range drawn(rep, pl2) {
-		ev := ev
-		switch ev.Name {
-		case "refresh":
-			root = &ev
-		case "refresh-update-step":
-			stepSpans++
-		case "refresh-update-steps-truncated":
-			trunc = &ev
-		}
-	}
-	if stepSpans != flight.MaxRefreshStepSpans {
-		t.Fatalf("%d update-step spans, want the %d cap", stepSpans, flight.MaxRefreshStepSpans)
-	}
-	if trunc == nil {
-		t.Fatal("missing refresh-update-steps-truncated instant")
-	}
-	args := map[string]float64{}
-	for i := int32(0); i < trunc.NArgs; i++ {
-		args[trunc.Args[i].Key] = trunc.Args[i].Val
-	}
-	if want := float64(totalSteps - flight.MaxRefreshStepSpans); args["omitted_steps"] != want {
-		t.Fatalf("omitted_steps %g, want %g", args["omitted_steps"], want)
-	}
-	if root == nil {
-		t.Fatal("missing refresh span")
-	}
-	rootArgs := map[string]float64{}
-	for i := int32(0); i < root.NArgs; i++ {
-		rootArgs[root.Args[i].Key] = root.Args[i].Val
-	}
-	if rootArgs["update_steps"] != float64(totalSteps) {
-		t.Fatalf("root update_steps %g, want %d", rootArgs["update_steps"], totalSteps)
+	if math.Abs(rep.LastStepSeconds-remStep) > 1e-12 {
+		t.Fatalf("remainder step busy %g, want %g (rem %d entries)", rep.LastStepSeconds, remStep, rem)
 	}
 }
 

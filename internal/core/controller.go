@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,9 +79,6 @@ type ControllerConfig struct {
 	// boundary never blocks on a solve. Synchronous mode (false) runs them
 	// inline in BatchObserved — what benches and tests want.
 	Async bool
-	// Telemetry, when non-nil, receives the controller's counters and the
-	// detector's gauges.
-	Telemetry *telemetry.Registry
 }
 
 func (c ControllerConfig) normalize() ControllerConfig {
@@ -101,26 +97,28 @@ func (c ControllerConfig) normalize() ControllerConfig {
 	return c
 }
 
-// ControllerStats is a snapshot of the controller's counters.
+// ControllerStats is a snapshot of the controller. Checks, Refreshes and
+// Errors are read from the system's registry, so controllers of systems that
+// share one registry read their sum (as serve.Stats does); the Last fields
+// are this controller's own.
 type ControllerStats struct {
 	// Batches observed so far.
 	Batches int64
-	// Checks run (drift mode: detector evaluations; periodic: cadence
-	// evaluations that found the period elapsed).
+	// Checks run over a non-empty window (drift mode: detector evaluations;
+	// periodic: cadence evaluations that found the period elapsed, each a
+	// refresh attempt, so Refreshes + Errors).
 	Checks int64
 	// Refreshes triggered and completed successfully.
 	Refreshes int64
-	// Errors from failed checks or refreshes.
+	// Errors from failed refreshes. An empty sampling window is neither a
+	// check nor an error: the controller waits for traffic.
 	Errors int64
-	// LastScore, LastOverlap and LastRankDistance mirror the detector's
-	// last evaluation (drift mode; zero otherwise).
-	LastScore, LastOverlap, LastRankDistance float64
-	// LastMoved and LastRebuild are the last refresh's incremental delta
-	// size vs the full-rebuild volume it avoided.
-	LastMoved, LastRebuild int64
-	// LastDuration and LastImpact are the last refresh's simulated length
-	// (seconds) and mean foreground inflation fraction.
-	LastDuration, LastImpact float64
+	// LastDrift is the detector's last evaluation, Measured cleared (drift
+	// mode; zero otherwise).
+	LastDrift cache.DriftStatus
+	// LastRefresh is the report of the last refresh the controller
+	// triggered, nil before the first.
+	LastRefresh *cache.RefreshReport
 }
 
 // Controller closes the §7.2 loop: it watches the serving stream through
@@ -153,18 +151,20 @@ type Controller struct {
 	// with each re-solve using a strictly cleaner hotness estimate.
 	minWindow int
 
-	checks, refreshes, errs atomic.Int64
-	lastStatus              atomic.Pointer[cache.DriftStatus]
-	lastMoved, lastRebuild  atomic.Int64
-	lastDuration            atomic.Uint64 // float64 bits
-	lastImpact              atomic.Uint64 // float64 bits
+	lastDrift   atomic.Pointer[cache.DriftStatus]
+	lastRefresh atomic.Pointer[cache.RefreshReport]
 
-	met *controllerMetrics
+	refreshes, errs *telemetry.Counter
+	drift           *driftSeries // drift mode only
 }
 
-type controllerMetrics struct {
-	refreshes *telemetry.Counter
-	errors    *telemetry.Counter
+// driftSeries are the drift checks' series; recordCheck is their one writer.
+type driftSeries struct {
+	checks   *telemetry.Counter
+	score    *telemetry.Gauge
+	overlap  *telemetry.Gauge
+	rankDist *telemetry.Gauge
+	batches  *telemetry.Gauge
 }
 
 // NewController builds a controller for a built system. The detector's
@@ -189,16 +189,17 @@ func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 		}
 		c.det = det
 		c.minWindow = det.Config().MinBatches
-		if cfg.Telemetry != nil {
-			det.SetTelemetry(cfg.Telemetry)
+		reg := sys.reg
+		c.drift = &driftSeries{
+			checks:   reg.Counter("cache_drift_checks_total", "hotness-drift checks performed"),
+			score:    reg.Gauge("cache_drift_score", "last drift check's score: max(1 - top-K overlap, weighted rank distance)"),
+			overlap:  reg.Gauge("cache_drift_topk_overlap", "last drift check's top-K hotness overlap with the placement's reference"),
+			rankDist: reg.Gauge("cache_drift_rank_distance", "last drift check's reference-weighted normalized rank displacement"),
+			batches:  reg.Gauge("cache_drift_window_batches", "sampled batches the last drift check's window covered"),
 		}
 	}
-	if cfg.Telemetry != nil {
-		c.met = &controllerMetrics{
-			refreshes: cfg.Telemetry.Counter("cache_refresh_triggered_total", "refreshes triggered by the controller"),
-			errors:    cfg.Telemetry.Counter("cache_refresh_controller_errors_total", "controller check/refresh failures"),
-		}
-	}
+	c.refreshes = sys.reg.Counter("cache_refresh_triggered_total", "refreshes triggered by the controller")
+	c.errs = sys.reg.Counter("cache_refresh_controller_errors_total", "controller check/refresh failures")
 	return c, nil
 }
 
@@ -246,19 +247,16 @@ func (c *Controller) BatchObserved() bool {
 func (c *Controller) tick() (refreshed bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch c.cfg.Mode {
-	case RefreshPeriodic:
+	if c.cfg.Mode == RefreshOff || c.cfg.Sampler.Batches() == 0 {
+		return false, nil // nothing sampled yet: wait for traffic
+	}
+	if c.cfg.Mode == RefreshPeriodic {
 		refreshed, err = c.tickPeriodic()
-	case RefreshDrift:
+	} else {
 		refreshed, err = c.tickDrift()
-	default:
-		return false, nil
 	}
 	if err != nil {
-		c.errs.Add(1)
-		if c.met != nil {
-			c.met.errors.Add(0, 1)
-		}
+		c.errs.Add(0, 1)
 	}
 	return refreshed, err
 }
@@ -269,25 +267,20 @@ func (c *Controller) tickPeriodic() (bool, error) {
 	if n-c.lastRefreshAt < int64(c.cfg.PeriodBatches) {
 		return false, nil
 	}
-	c.checks.Add(1)
 	measured, err := c.cfg.Sampler.Hotness()
-	if err != nil {
-		return false, err // nothing sampled yet; not worth counting as failure
+	if err == nil {
+		err = c.refresh(measured, n)
 	}
-	return true, c.refresh(measured, n)
+	return err == nil, err
 }
 
 // tickDrift checks the detector and fires on drift.
 func (c *Controller) tickDrift() (bool, error) {
-	c.checks.Add(1)
 	st, err := c.det.Check()
 	if err != nil {
 		return false, err
 	}
-	stCopy := st
-	stCopy.Measured = nil // the buffer is reused; don't leak it via Stats
-	c.lastStatus.Store(&stCopy)
-	c.recordCheck(&st)
+	c.recordCheck(st)
 	if !st.Drifted {
 		c.minWindow = c.det.Config().MinBatches // quiet: re-arm fast reaction
 		return false, nil
@@ -322,14 +315,8 @@ func (c *Controller) refresh(measured workload.Hotness, atBatch int64) error {
 		return err
 	}
 	c.lastRefreshAt = atBatch
-	c.refreshes.Add(1)
-	c.lastMoved.Store(rep.EvictedEntries + rep.InsertedEntries)
-	c.lastRebuild.Store(rep.RebuildEntries)
-	c.lastDuration.Store(math.Float64bits(rep.Duration))
-	c.lastImpact.Store(math.Float64bits(rep.MeanImpact))
-	if c.met != nil {
-		c.met.refreshes.Add(0, 1)
-	}
+	c.lastRefresh.Store(rep)
+	c.refreshes.Add(0, 1)
 	c.cfg.Sampler.Reset()
 	if c.det != nil {
 		if err := c.det.Rebase(measured); err != nil {
@@ -339,10 +326,20 @@ func (c *Controller) refresh(measured workload.Hotness, atBatch int64) error {
 	return nil
 }
 
-// recordCheck records one drift evaluation into the flight control ring,
-// when the system has one: the detector's last evaluations survive into
-// diagnostic bundles, and a timeline draws them as drift-check instants.
-func (c *Controller) recordCheck(st *cache.DriftStatus) {
+// recordCheck is the one writer of a drift evaluation: it keeps the status
+// for Stats (its Measured buffer is the detector's, reused by the next
+// Check), sets the drift series and records it into the flight control
+// ring, when the system has one, where it survives into diagnostic bundles
+// and a timeline draws it as a drift-check instant.
+func (c *Controller) recordCheck(st cache.DriftStatus) {
+	st.Measured = nil
+	c.lastDrift.Store(&st)
+	m := c.drift
+	m.checks.Add(0, 1)
+	m.score.Set(st.Score)
+	m.overlap.Set(st.TopKOverlap)
+	m.rankDist.Set(st.RankDistance)
+	m.batches.Set(float64(st.Batches))
 	fl := c.sys.fl
 	if fl == nil {
 		return
@@ -362,20 +359,19 @@ func (c *Controller) recordCheck(st *cache.DriftStatus) {
 // shutdown before reading final stats.
 func (c *Controller) Wait() { c.wg.Wait() }
 
-// Stats snapshots the controller's counters.
+// Stats snapshots the controller.
 func (c *Controller) Stats() ControllerStats {
-	st := ControllerStats{
-		Batches:      c.batches.Load(),
-		Checks:       c.checks.Load(),
-		Refreshes:    c.refreshes.Load(),
-		Errors:       c.errs.Load(),
-		LastMoved:    c.lastMoved.Load(),
-		LastRebuild:  c.lastRebuild.Load(),
-		LastDuration: math.Float64frombits(c.lastDuration.Load()),
-		LastImpact:   math.Float64frombits(c.lastImpact.Load()),
+	st := ControllerStats{Batches: c.batches.Load(), LastRefresh: c.lastRefresh.Load()}
+	if c.cfg.Mode == RefreshOff {
+		return st
 	}
-	if ds := c.lastStatus.Load(); ds != nil {
-		st.LastScore, st.LastOverlap, st.LastRankDistance = ds.Score, ds.TopKOverlap, ds.RankDistance
+	st.Refreshes, st.Errors = c.refreshes.Value(), c.errs.Value()
+	st.Checks = st.Refreshes + st.Errors
+	if c.drift != nil {
+		st.Checks = c.drift.checks.Value()
+	}
+	if ds := c.lastDrift.Load(); ds != nil {
+		st.LastDrift = *ds
 	}
 	return st
 }

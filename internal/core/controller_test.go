@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"ugache/internal/cache"
+	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
+	"ugache/internal/telemetry"
 	"ugache/internal/workload"
 )
 
@@ -96,11 +101,12 @@ func TestControllerDriftBoundedTrigger(t *testing.T) {
 	if st.Refreshes > 2 {
 		t.Fatalf("%d refreshes for one shift", st.Refreshes)
 	}
-	if st.LastMoved <= 0 || st.LastMoved >= st.LastRebuild {
-		t.Fatalf("incremental delta %d not strictly below rebuild %d", st.LastMoved, st.LastRebuild)
+	last := st.LastRefresh
+	if moved := last.EvictedEntries + last.InsertedEntries; moved <= 0 || moved >= last.RebuildEntries {
+		t.Fatalf("incremental delta %d not strictly below rebuild %d", moved, last.RebuildEntries)
 	}
-	if st.LastDuration <= 0 {
-		t.Fatalf("refresh duration %g", st.LastDuration)
+	if last.Duration <= 0 {
+		t.Fatalf("refresh duration %g", last.Duration)
 	}
 }
 
@@ -151,8 +157,11 @@ func TestControllerPeriodic(t *testing.T) {
 	if ctrl.Detector() != nil {
 		t.Fatal("periodic controller grew a detector")
 	}
-	if st.LastScore != 0 {
-		t.Fatalf("periodic LastScore %g", st.LastScore)
+	if st.LastDrift.Score != 0 || st.LastDrift.Batches != 0 {
+		t.Fatalf("periodic LastDrift %+v", st.LastDrift)
+	}
+	if st.Checks != 3 || st.LastRefresh == nil {
+		t.Fatalf("periodic stats %+v: want three checks, each a refresh", st)
 	}
 }
 
@@ -255,6 +264,134 @@ func TestControllerValidationAndModes(t *testing.T) {
 		back, err := ParseRefreshMode(m.String())
 		if err != nil || back != m {
 			t.Fatalf("mode %d round-trips to %v, %v", m, back, err)
+		}
+	}
+}
+
+// TestEmptyWindowIsNoCheck: a controller whose sampler saw nothing neither
+// checks nor errs when its cadence comes round, in either mode: it waits for
+// traffic.
+func TestEmptyWindowIsNoCheck(t *testing.T) {
+	const n = 256
+	for _, mode := range []RefreshMode{RefreshPeriodic, RefreshDrift} {
+		sys := driftTestSystem(t, testHotness(n, 1.1, 1))
+		ctrl, err := NewController(sys, ControllerConfig{
+			Mode: mode, Sampler: cache.NewHotnessSampler(n, 1), CheckEvery: 4, PeriodBatches: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if ctrl.BatchObserved() {
+				t.Fatalf("%s: refreshed on an empty window", mode)
+			}
+		}
+		st := ctrl.Stats()
+		if st.Batches != 4 || st.Checks != 0 || st.Errors != 0 {
+			t.Fatalf("%s: stats %+v, want 4 batches, no check and no error", mode, st)
+		}
+		if errs := sys.reg.Value("cache_refresh_controller_errors_total"); errs != 0 {
+			t.Fatalf("%s: error counter %g", mode, errs)
+		}
+	}
+}
+
+// TestOneWriterPerControlFact: a drift check that triggers a refresh is
+// written once, and every surface reads that write: the registry's
+// cache_refresh_* and cache_drift_* series, the refresh and drift lines of
+// the flight JSONL, and ControllerStats' LastRefresh and LastDrift agree
+// value for value.
+func TestOneWriterPerControlFact(t *testing.T) {
+	const n, kpb, shift = 4096, 512, 16
+	wl, err := workload.NewFlashCrowd(n, 0.9, shift, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry(1)
+	fl := flight.NewRecorder(1, 8)
+	// Solved against the post-shift hotness, the system sees the pre-shift
+	// stream as drift on its first check.
+	sys, err := Build(Config{
+		Platform: platform.ServerA(), Hotness: wl.ExpectedHotness(shift, kpb), EntryBytes: 64,
+		CacheEntriesPerGPU: n / 8, Telemetry: reg, Flight: fl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := cache.NewHotnessSampler(n, 1)
+	ctrl, err := NewController(sys, ControllerConfig{
+		Mode: RefreshDrift, Sampler: sampler, CheckEvery: shift, Drift: cache.DriftConfig{MinBatches: shift},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := driveController(t, ctrl, sampler, wl, rng.New(3), 0, shift, kpb); first != shift-1 {
+		t.Fatalf("first refresh at batch %d, want %d", first, shift-1)
+	}
+	st := ctrl.Stats()
+	r, d := st.LastRefresh, st.LastDrift
+	if st.Checks != 1 || st.Refreshes != 1 || st.Errors != 0 || r == nil || !d.Drifted || d.Measured != nil {
+		t.Fatalf("stats %+v, want one drifted check that refreshed", st)
+	}
+
+	series := map[string]float64{}
+	for _, s := range reg.Samples() {
+		series[s.Name] = s.Value
+	}
+	var buf bytes.Buffer
+	if err := (flight.BundleConfig{Recorder: fl}).WriteFlightState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	records, kinds := map[string]map[string]float64{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		kind, _ := rec["kind"].(string)
+		kinds[kind]++
+		records[kind] = map[string]float64{}
+		for k, v := range rec {
+			if f, ok := v.(float64); ok {
+				records[kind][k] = f
+			}
+		}
+	}
+	if kinds["refresh"] != int(st.Refreshes) || kinds["drift"] != int(st.Checks) {
+		t.Fatalf("flight holds %v, Stats say %d refreshes and %d checks", kinds, st.Refreshes, st.Checks)
+	}
+	drifted := 0.0
+	if d.Drifted {
+		drifted = 1
+	}
+	for _, c := range []struct {
+		series    string // the registry's series, or ""
+		kind, key string // the flight line's kind and key, or ""
+		want      float64
+	}{
+		{"cache_refresh_total", "", "", float64(st.Refreshes)},
+		{"cache_refresh_triggered_total", "", "", float64(st.Refreshes)},
+		{"cache_refresh_active", "", "", 0},
+		{"cache_refresh_last_solve_wall_seconds", "refresh", "solve_wall_s", r.Solve.WallSeconds},
+		{"cache_refresh_last_duration_seconds", "refresh", "duration_s", r.Duration},
+		{"cache_refresh_last_solve_seconds", "refresh", "solve_s", r.SolveSeconds},
+		{"cache_refresh_last_update_seconds", "refresh", "update_s", r.UpdateSeconds},
+		{"cache_refresh_last_mean_impact", "refresh", "mean_impact", r.MeanImpact},
+		{"cache_refresh_last_evicted_entries", "refresh", "evicted_entries", float64(r.EvictedEntries)},
+		{"cache_refresh_last_inserted_entries", "refresh", "inserted_entries", float64(r.InsertedEntries)},
+		{"", "refresh", "moved_entries", float64(r.EvictedEntries + r.InsertedEntries)},
+		{"cache_drift_checks_total", "", "", float64(st.Checks)},
+		{"cache_drift_score", "drift", "score", d.Score},
+		{"cache_drift_topk_overlap", "drift", "topk_overlap", d.TopKOverlap},
+		{"cache_drift_rank_distance", "drift", "rank_distance", d.RankDistance},
+		{"cache_drift_window_batches", "drift", "window_batches", float64(d.Batches)},
+		{"", "drift", "drifted", drifted},
+	} {
+		if c.series != "" && series[c.series] != c.want {
+			t.Errorf("%s = %g, Stats say %g", c.series, series[c.series], c.want)
+		}
+		if c.key != "" && records[c.kind][c.key] != c.want {
+			t.Errorf("%s line's %s = %g, Stats say %g", c.kind, c.key, records[c.kind][c.key], c.want)
 		}
 	}
 }

@@ -55,8 +55,6 @@ type Config struct {
 	// Source, when non-nil, enables functional mode: Lookup returns real
 	// embedding bytes verified against this host store.
 	Source cache.RowSource
-	// BlockBudget caps solver blocks (0 = solver default).
-	BlockBudget int
 	// Placement, when non-nil, skips solving and uses this pre-solved
 	// placement: the solve-once path, where a placement written by
 	// Placement.Save (ugache-solve -save) is read back with
@@ -70,19 +68,20 @@ type Config struct {
 	// cluster passes each machine its shard of the hash ring
 	// (cluster.Ring.Owner). Ignored on single-machine platforms.
 	Owned func(key int64) bool
-	// Telemetry, when non-nil, receives the engine's extraction metrics
+	// Telemetry receives the engine's metrics: the extraction series
 	// (simulated time split by source tier, per-tier cache-hit key
-	// counters, each link's mean utilization over the last extraction) and
-	// the cache layer's refresh gauges. Nil disables instrumentation
-	// entirely — the no-op fast path is a single nil check per extraction.
+	// counters, each link's mean utilization over the last extraction), the
+	// refresh series every Refresh publishes, and an attached controller's
+	// counters and drift gauges. Nil creates a private registry (sharded per
+	// GPU), as serve.Config.Telemetry does, so the system is always
+	// instrumented; pass one registry to both to read them on one surface.
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, receives control-plane flight records into the
 	// recorder's shared control ring (DESIGN.md §6.6): every completed
-	// Refresh (cache.RefreshReport.Record: the solve, the applied delta and
-	// its Fig. 17 layout, the placement's storage summary) and every drift
-	// evaluation from an attached controller. They are the only store of
-	// those facts: the recorder's trace draws its control track from the
-	// ring (flight.Draw).
+	// Refresh (the solve, the applied delta and its Fig. 17 layout, the
+	// placement's storage summary) and every drift evaluation from an
+	// attached controller. The recorder's trace draws its control track
+	// from the ring (flight.Draw).
 	Flight *flight.Recorder
 }
 
@@ -115,12 +114,76 @@ type System struct {
 	refreshMu sync.Mutex
 	state     atomic.Pointer[engineState]
 
-	// met is nil unless Config.Telemetry was set; every extraction then
-	// reports its per-tier split through lock-free shard updates.
-	met *extractMetrics
+	// reg holds every series of the system and its controllers:
+	// Config.Telemetry, or a private registry. Every extraction reports its
+	// per-tier split into met through lock-free shard updates, and every
+	// Refresh its report into refreshed.
+	reg       *telemetry.Registry
+	met       *extractMetrics
+	refreshed *refreshSeries
 	// fl is nil unless Config.Flight was set; Refresh and any attached
 	// controller then record control-plane flight events.
 	fl *flight.Recorder
+}
+
+// refreshSeries is the §7.2 impact timeline surfaced as series: the last
+// refresh's phase durations, diff size, mean foreground inflation and
+// measured solve, plus a live in-progress flag. Refresh is their one writer.
+type refreshSeries struct {
+	total         *telemetry.Counter
+	active        *telemetry.Gauge
+	duration      *telemetry.Gauge
+	solveSeconds  *telemetry.Gauge
+	updateSeconds *telemetry.Gauge
+	meanImpact    *telemetry.Gauge
+	evicted       *telemetry.Gauge
+	inserted      *telemetry.Gauge
+	solveWall     *telemetry.Gauge
+}
+
+func newRefreshSeries(reg *telemetry.Registry) *refreshSeries {
+	return &refreshSeries{
+		total:         reg.Counter("cache_refresh_total", "completed placement refreshes"),
+		active:        reg.Gauge("cache_refresh_active", "1 while a refresh is being applied"),
+		duration:      reg.Gauge("cache_refresh_last_duration_seconds", "last refresh trigger-to-completion seconds"),
+		solveSeconds:  reg.Gauge("cache_refresh_last_solve_seconds", "last refresh background-solve seconds"),
+		updateSeconds: reg.Gauge("cache_refresh_last_update_seconds", "last refresh small-batch update seconds"),
+		meanImpact:    reg.Gauge("cache_refresh_last_mean_impact", "last refresh mean foreground iteration-time inflation"),
+		evicted:       reg.Gauge("cache_refresh_last_evicted_entries", "entries evicted by the last refresh"),
+		inserted:      reg.Gauge("cache_refresh_last_inserted_entries", "entries inserted by the last refresh"),
+		solveWall:     reg.Gauge("cache_refresh_last_solve_wall_seconds", "last refresh measured policy-solve wall seconds"),
+	}
+}
+
+// set publishes one committed refresh's report.
+func (m *refreshSeries) set(rep *cache.RefreshReport) {
+	m.total.Add(0, 1)
+	m.duration.Set(rep.Duration)
+	m.solveSeconds.Set(rep.SolveSeconds)
+	m.updateSeconds.Set(rep.UpdateSeconds)
+	m.meanImpact.Set(rep.MeanImpact)
+	m.evicted.Set(float64(rep.EvictedEntries))
+	m.inserted.Set(float64(rep.InsertedEntries))
+	m.solveWall.Set(rep.Solve.WallSeconds)
+}
+
+// refreshRecord returns a committed refresh as its flight control record,
+// stamped now: the measured solve, the Fig. 17 layout, the wall seconds since
+// trigger (the solve's start) and pl's storage summary — everything the
+// trace's solver and refresh tracks are drawn from (flight.Draw). The caller
+// sets Seq.
+func refreshRecord(rep *cache.RefreshReport, pl *solver.Placement, trigger time.Time) flight.Event {
+	sum, now := pl.StorageSummary(), time.Now()
+	return flight.Event{Kind: flight.KindRefresh, GPU: -1, UnixNanos: now.UnixNano(), V: [flight.MaxPayload]float64{
+		// In slot order: flight's kindFields[KindRefresh], solve_wall_s to
+		// est_time_max.
+		rep.Solve.WallSeconds, rep.Duration, float64(rep.EvictedEntries + rep.InsertedEntries), rep.MeanImpact,
+		float64(rep.EvictedEntries), float64(rep.InsertedEntries), rep.SolveSeconds, rep.UpdateSeconds,
+		float64(rep.Steps), rep.StepSeconds, rep.LastStepSeconds, rep.PauseSeconds, now.Sub(trigger).Seconds(),
+		float64(len(pl.Blocks)), float64(sum.ReplicatedBlocks), float64(sum.PartialBlocks),
+		float64(sum.PartitionedBlocks), float64(sum.UncachedBlocks),
+		sum.ReplicatedMass, sum.PartitionedMass, sum.UncachedMass, maxOf(pl.EstTimes),
+	}}
 }
 
 // extractMetrics splits the modelled extraction work by source tier — the
@@ -295,11 +358,10 @@ func Build(cfg Config) (*System, error) {
 		capacity[g] = capPer
 	}
 	in := solver.Input{
-		P:           cfg.Platform,
-		Hotness:     cfg.Hotness,
-		EntryBytes:  cfg.EntryBytes,
-		Capacity:    capacity,
-		BlockBudget: cfg.BlockBudget,
+		P:          cfg.Platform,
+		Hotness:    cfg.Hotness,
+		EntryBytes: cfg.EntryBytes,
+		Capacity:   capacity,
 	}
 	fill := cache.FillOptions{CapacityEntries: capacity, Source: cfg.Source}
 	var arenaErr error
@@ -333,21 +395,24 @@ func Build(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := cfg.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry(cfg.Platform.N)
+	}
 	s := &System{
 		P:         cfg.Platform,
 		Cache:     cs,
 		Mechanism: cfg.Mechanism,
 		policy:    policy,
 		capacity:  capacity,
+		reg:       reg,
+		met:       newExtractMetrics(reg, cfg.Platform),
+		refreshed: newRefreshSeries(reg),
 		fl:        cfg.Flight,
 	}
 	if cfg.Platform.HasNetwork() {
 		s.owned = cfg.Owned
 		ex.Owned = s.owned
-	}
-	if cfg.Telemetry != nil {
-		s.met = newExtractMetrics(cfg.Telemetry, cfg.Platform)
-		cs.SetTelemetry(cfg.Telemetry)
 	}
 	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: 1})
 	return s, nil
@@ -427,14 +492,10 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	if err != nil {
 		return nil, err
 	}
-	solveWall := time.Since(solveStart).Seconds()
+	solve := cache.SolveStats{WallSeconds: time.Since(solveStart).Seconds()}
 	if err := pl.Validate(&in); err != nil {
 		return nil, err
 	}
-	// Surface the real solve cost next to the simulated Fig. 17 replay: the
-	// cache layer publishes these through its solve-wall gauges, and they
-	// join the refresh's flight record.
-	cfg.Solve = &cache.SolveStats{WallSeconds: solveWall}
 	// Build every fallible piece before touching shared state, so a failed
 	// refresh leaves the old placement, caches and extractor paired.
 	ex, err := extract.New(s.P, pl)
@@ -442,16 +503,22 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 		return nil, err
 	}
 	ex.Owned = s.owned
+	s.refreshed.active.Set(1)
 	rep, err := s.Cache.Refresh(pl, baseIterTime, cfg)
+	s.refreshed.active.Set(0)
 	if err != nil {
 		return nil, err
 	}
+	// The real solve cost joins the simulated Fig. 17 replay in the one
+	// report the series, the flight record and the caller all read.
+	rep.Solve = solve
 	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: old.version + 1})
+	s.refreshed.set(rep)
 	if s.fl != nil {
 		// One control record per applied refresh, its solve included; Seq is
 		// the new placement version, so bundle readers can line refreshes up
 		// against the staging arena's staleness decisions.
-		e := rep.Record(pl, solveStart)
+		e := refreshRecord(rep, pl, solveStart)
 		e.Seq = int64(old.version + 1)
 		s.fl.RecordControl(&e)
 	}

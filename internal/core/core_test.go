@@ -86,7 +86,6 @@ func TestBuildValidation(t *testing.T) {
 		{Platform: p, Hotness: h, CacheRatio: 0.1},
 		{Platform: p, Hotness: h, EntryBytes: 4},
 		{Platform: p, Hotness: h, EntryBytes: 4, CacheRatio: 1.5},
-		{Platform: p, Hotness: h, EntryBytes: 4, CacheRatio: 0.1, BlockBudget: -1}, // the solver's check
 	}
 	for i, cfg := range cases {
 		if _, err := Build(cfg); err == nil {
@@ -308,7 +307,7 @@ func TestShouldRefreshAndRefresh(t *testing.T) {
 	if rep.Duration <= 0 || rep.InsertedEntries == 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	if rep.Solve == nil || rep.Solve.WallSeconds <= 0 {
+	if rep.Solve.WallSeconds <= 0 {
 		t.Fatalf("solve stats %+v: want the measured re-solve", rep.Solve)
 	}
 	// After refresh the new placement is as good for h2 as the old one was
@@ -324,8 +323,8 @@ func TestShouldRefreshAndRefresh(t *testing.T) {
 
 // TestRefreshSolveStats runs the full control plane with the OptimalLP
 // policy on a reduced 2-GPU instance: the re-solve's measured statistics
-// surface in the report, the solve-wall gauge, and the policy-solve span a
-// trace draws from the refresh's flight record.
+// surface in the report, the solve-wall gauge, and the policy-solve and
+// refresh-solve spans a trace draws from the refresh's flight record.
 func TestRefreshSolveStats(t *testing.T) {
 	pair := [][]float64{{0, 50e9}, {50e9, 0}}
 	p, err := platform.New(platform.Config{
@@ -371,9 +370,6 @@ func TestRefreshSolveStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rep.Solve
-	if st == nil {
-		t.Fatal("refresh report missing solve stats")
-	}
 	if st.WallSeconds <= 0 {
 		t.Fatalf("solve wall %g", st.WallSeconds)
 	}
@@ -384,16 +380,21 @@ func TestRefreshSolveStats(t *testing.T) {
 	if vals["cache_refresh_last_solve_wall_seconds"] != st.WallSeconds {
 		t.Fatalf("solve wall gauge %g, want %g", vals["cache_refresh_last_solve_wall_seconds"], st.WallSeconds)
 	}
-	var solveSpan *timeline.Event
+	var solveSpan, simSpan *timeline.Event
 	_, events := flight.Draw(fl)
 	for _, ev := range events {
-		if ev.Name == "policy-solve" {
-			ev := ev
+		switch ev := ev; ev.Name {
+		case "policy-solve":
 			solveSpan = &ev
+		case "refresh-solve":
+			simSpan = &ev
 		}
 	}
-	if solveSpan == nil {
-		t.Fatal("missing policy-solve span")
+	if solveSpan == nil || simSpan == nil {
+		t.Fatal("missing policy-solve or refresh-solve span")
+	}
+	if simSpan.NArgs != 1 || simSpan.Args[0].Key != "solve_wall_seconds" || simSpan.Args[0].Val != st.WallSeconds {
+		t.Fatalf("refresh-solve span args %v, want solve_wall_seconds %g", simSpan.Args[:simSpan.NArgs], st.WallSeconds)
 	}
 	args := map[string]float64{}
 	for i := int32(0); i < solveSpan.NArgs; i++ {
@@ -538,5 +539,156 @@ func TestPreSolvedPlacement(t *testing.T) {
 		if got := reg.Value("core_hit_network_keys_total"); notOwned == 0 || got != float64(notOwned) {
 			t.Fatalf("node %d: core_hit_network_keys_total = %g, want its %d network-class keys of the other shard", node, got, notOwned)
 		}
+	}
+}
+
+// refreshDrawn refreshes a ServerC system of 2000 Zipf entries onto the
+// reversed hotness under cfg and returns the report with the refresh spans
+// the trace draws from the refresh's flight record.
+func refreshDrawn(t *testing.T, cfg cache.RefreshConfig) (*cache.RefreshReport, []timeline.Event) {
+	t.Helper()
+	h := testHotness(2000, 1.1, 9)
+	fl := flight.NewRecorder(1, 8)
+	sys, err := Build(Config{Platform: platform.ServerC(), Hotness: h, EntryBytes: 64, CacheRatio: 0.1, Flight: fl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2 := make(workload.Hotness, len(h))
+	for i := range h2 {
+		h2[i] = h[len(h)-1-i]
+	}
+	rep, err := sys.Refresh(h2, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []timeline.Event
+	_, events := flight.Draw(fl)
+	for _, ev := range events {
+		if ev.TID == timeline.TIDRefresh {
+			spans = append(spans, ev)
+		}
+	}
+	return rep, spans
+}
+
+// TestRefreshTimelineSpans checks a refresh's record draws the Fig.-17 span
+// layout: one parent refresh span, one solve child starting with it, and
+// per-update-step spans whose busy time tiles the update phase with pause
+// gaps, the last one its remainder transfer.
+func TestRefreshTimelineSpans(t *testing.T) {
+	cfg := cache.DefaultRefreshConfig()
+	cfg.BatchEntries = 200
+	cfg.UpdateBandwidth = 1e6
+	rep, events := refreshDrawn(t, cfg)
+
+	var root, solve *timeline.Event
+	var steps []timeline.Event
+	for _, ev := range events {
+		if ev.PID != timeline.ProcControl {
+			t.Fatalf("refresh span on wrong track: pid %d tid %d", ev.PID, ev.TID)
+		}
+		ev := ev
+		switch ev.Name {
+		case "refresh":
+			root = &ev
+		case "refresh-solve":
+			solve = &ev
+		case "refresh-update-step":
+			steps = append(steps, ev)
+		}
+	}
+	if root == nil || solve == nil {
+		t.Fatal("missing refresh or refresh-solve span")
+	}
+	if math.Abs(root.Dur-rep.Duration) > 1e-9 || math.Abs(solve.Dur-rep.SolveSeconds) > 1e-9 {
+		t.Fatalf("durations: refresh %g (want %g), solve %g (want %g)",
+			root.Dur, rep.Duration, solve.Dur, rep.SolveSeconds)
+	}
+	if solve.Start != root.Start {
+		t.Fatalf("solve starts at %g, refresh at %g", solve.Start, root.Start)
+	}
+	moved := rep.EvictedEntries + rep.InsertedEntries
+	wantSteps := int(moved / cfg.BatchEntries)
+	if moved%cfg.BatchEntries != 0 {
+		wantSteps++
+	}
+	if wantSteps > flight.MaxRefreshStepSpans {
+		wantSteps = flight.MaxRefreshStepSpans
+	}
+	if len(steps) != wantSteps {
+		t.Fatalf("%d update-step spans, want %d (moved %d)", len(steps), wantSteps, moved)
+	}
+	for i, st := range steps {
+		if st.Start < root.Start+rep.SolveSeconds-1e-9 {
+			t.Fatalf("step %d starts at %g inside the solve phase", i, st.Start)
+		}
+		if st.Start+st.Dur > root.Start+root.Dur+1e-9 {
+			t.Fatalf("step %d ends at %g past refresh end %g", i, st.Start+st.Dur, root.Start+root.Dur)
+		}
+		if i > 0 && st.Start < steps[i-1].Start+steps[i-1].Dur {
+			t.Fatalf("step %d overlaps step %d", i, i-1)
+		}
+		busy := rep.StepSeconds
+		if int64(i) == rep.Steps-1 {
+			busy = rep.LastStepSeconds
+		}
+		if st.Dur != busy {
+			t.Fatalf("step %d busy %g, want %g", i, st.Dur, busy)
+		}
+	}
+}
+
+// TestRefreshTimelineTruncation: a diff spanning more than
+// flight.MaxRefreshStepSpans update steps draws exactly the cap in step spans plus
+// one refresh-update-steps-truncated instant carrying the omitted count; the
+// root span's update_steps arg still reports the true total.
+func TestRefreshTimelineTruncation(t *testing.T) {
+	cfg := cache.DefaultRefreshConfig()
+	cfg.BatchEntries = 7 // tiny steps force the span cap
+	cfg.UpdateBandwidth = 1e9
+	rep, events := refreshDrawn(t, cfg)
+	moved := rep.EvictedEntries + rep.InsertedEntries
+	totalSteps := moved / cfg.BatchEntries
+	if moved%cfg.BatchEntries != 0 {
+		totalSteps++
+	}
+	if totalSteps <= flight.MaxRefreshStepSpans {
+		t.Fatalf("only %d steps; test needs more than %d", totalSteps, flight.MaxRefreshStepSpans)
+	}
+	var root, trunc *timeline.Event
+	stepSpans := 0
+	for _, ev := range events {
+		ev := ev
+		switch ev.Name {
+		case "refresh":
+			root = &ev
+		case "refresh-update-step":
+			stepSpans++
+		case "refresh-update-steps-truncated":
+			trunc = &ev
+		}
+	}
+	if stepSpans != flight.MaxRefreshStepSpans {
+		t.Fatalf("%d update-step spans, want the %d cap", stepSpans, flight.MaxRefreshStepSpans)
+	}
+	if trunc == nil {
+		t.Fatal("missing refresh-update-steps-truncated instant")
+	}
+	args := map[string]float64{}
+	for i := int32(0); i < trunc.NArgs; i++ {
+		args[trunc.Args[i].Key] = trunc.Args[i].Val
+	}
+	if want := float64(totalSteps - flight.MaxRefreshStepSpans); args["omitted_steps"] != want {
+		t.Fatalf("omitted_steps %g, want %g", args["omitted_steps"], want)
+	}
+	if root == nil {
+		t.Fatal("missing refresh span")
+	}
+	rootArgs := map[string]float64{}
+	for i := int32(0); i < root.NArgs; i++ {
+		rootArgs[root.Args[i].Key] = root.Args[i].Val
+	}
+	if rootArgs["update_steps"] != float64(totalSteps) {
+		t.Fatalf("root update_steps %g, want %d", rootArgs["update_steps"], totalSteps)
 	}
 }

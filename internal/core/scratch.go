@@ -38,7 +38,7 @@ func (s *System) ExtractBatch(b *extract.Batch, sc *Scratch) (*extract.Result, e
 		esc = sc.extract
 	}
 	res, err := s.state.Load().extractor.Run(s.Mechanism, b, esc)
-	if err == nil && s.met != nil {
+	if err == nil {
 		s.observeExtract(res)
 	}
 	return res, err

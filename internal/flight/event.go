@@ -71,7 +71,7 @@ const (
 // followed by refreshPauseSeconds), the wall seconds from the trigger to the
 // record, and the solved placement's storage summary in
 // solver.StorageSummary's order. Only the trace reads them by index; the
-// writer (cache.RefreshReport.Record) fills the slots in the order
+// writer (core.System.Refresh) fills the slots in the order
 // kindFields[KindRefresh] names them.
 const (
 	refreshSolveWallSeconds = iota

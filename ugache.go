@@ -240,7 +240,7 @@ var (
 func Serve(sys *System, cfg ServeConfig) (*Server, error) { return serve.New(sys, cfg) }
 
 // TelemetryRegistry collects counters, gauges and latency histograms from
-// the core, cache and serve layers (DESIGN.md §6.2). Share one registry
+// the core and serve layers (DESIGN.md §6.2). Share one registry
 // across Config.Telemetry and ServeConfig.Telemetry to get a unified
 // /metrics surface.
 type TelemetryRegistry = telemetry.Registry
