@@ -1,9 +1,13 @@
 package ugache_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -331,8 +335,83 @@ func funcID(f *censusFile, fd *ast.FuncDecl) string {
 	return id + fd.Name.Name
 }
 
+// typedTree type-checks the non-test files of every package in the module,
+// cmd/, examples/ and benchmark/ from source, with the standard library only:
+// an import under ugache resolves to its directory here, any other through
+// go/importer's source importer. It returns the checked packages' files by
+// directory and what the checker resolved in them.
+func typedTree(t *testing.T) (map[string][]*ast.File, *types.Info) {
+	t.Helper()
+	im := &treeImporter{
+		fset:  token.NewFileSet(),
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	im.std = importer.ForCompiler(im.fset, "source", nil)
+	dirs := map[string]bool{}
+	for _, f := range parseTree(t) {
+		dirs[f.dir] = true
+	}
+	for dir := range dirs {
+		path := "ugache"
+		if dir != "." {
+			path += "/" + dir
+		}
+		if _, err := im.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
+		}
+	}
+	return im.files, im.info
+}
+
+// treeImporter is typedTree's importer; see there.
+type treeImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package // by import path; nil while being checked
+	files map[string][]*ast.File    // by directory
+	info  *types.Info
+}
+
+func (im *treeImporter) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, "ugache")
+	if !ok || (rel != "" && rel[0] != '/') {
+		return im.std.Import(path)
+	}
+	if pkg, seen := im.pkgs[path]; seen {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	im.pkgs[path] = nil
+	dir := strings.TrimPrefix(rel, "/")
+	if dir == "" {
+		dir = "."
+	}
+	bp, err := build.ImportDir(dir, 0) // the files the build constraints select
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: im}).Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path], im.files[dir] = pkg, files
+	return pkg, nil
+}
+
 // funcAllow lists the exported functions and methods under internal/ that no
-// non-test file names and that stay all the same, each with its reason.
+// non-test file uses and that stay all the same, each with its reason.
 var funcAllow = map[string]string{
 	"bench.ResetCaches":      "the determinism tests and the package's benchmarks drop the report memos between two runs of one experiment",
 	"hashtable.Table.Len":    "the map-model tests, FuzzHashtable and the cache's parallel-fill test hold the live count to their model",
@@ -341,68 +420,83 @@ var funcAllow = map[string]string{
 }
 
 // TestFuncCensus is the option census's rule applied to code: every exported
-// function or method declared in a non-test file under internal/ is named by
+// function or method declared in a non-test file under internal/ is used by
 // some non-test file — anywhere in the module, cmd/, examples/ or benchmark/,
 // the façade ugache.go (the public API) included — or funcAllow says why it
 // stays. One that fails is called by tests alone: delete it, and point its
 // tests at the form callers use.
 //
-// Like the option census it is syntactic and name-level: any identifier
-// spelled like the function, other than its own declaration, counts as a
-// reference — except, under internal/, one inside a function declaration of
-// the same name, so a Forward that only other Forwards call is reported. Two
-// declarations sharing a name can still hide an unused one, and a method
-// reached only through an interface needs a funcAllow entry.
+// The census resolves identity, not spelling (typedTree; about 3 s on two
+// cores, most of it the standard library's source): a use is an
+// identifier the type checker resolves to the declared function or method
+// itself, so a namesake on another type hides nothing. A function's uses in
+// its own body do not count, so one that only calls itself is reported. A
+// method also counts when a non-test file calls the method of an interface
+// its receiver implements, and the ruleMethods pass, since their callers are
+// in the standard library.
 func TestFuncCensus(t *testing.T) {
-	files := parseTree(t)
-	named := map[string]bool{}
-	type decl struct{ id, name string }
+	files, info := typedTree(t)
+	used := map[*types.Func]bool{}
+	viaInterface := map[string][]*types.Interface{} // method name -> interfaces whose method of that name is called
+	type decl struct {
+		id string
+		fn *types.Func
+	}
 	var decls []decl
-	for _, f := range files {
-		own := map[*ast.Ident]bool{}
-		for _, d := range f.ast.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			own[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(f.dir, "internal/") {
-				continue
-			}
-			decls = append(decls, decl{funcID(f, fd), fd.Name.Name})
-		}
-		for _, d := range f.ast.Decls {
-			// Under internal/, a function's own name inside its body (a
-			// method calling its namesake on a field, or itself) is no use.
-			self := ""
-			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(f.dir, "internal/") {
-				self = fd.Name.Name
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if x, ok := n.(*ast.Ident); ok && !own[x] && x.Name != self {
-					named[x.Name] = true
+	for dir, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				var self types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = info.Defs[fd.Name]
+					if fd.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
+						decls = append(decls, decl{funcID(&censusFile{dir: dir}, fd), self.(*types.Func)})
+					}
 				}
-				return true
-			})
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok || fn == self {
+						return true
+					}
+					used[fn.Origin()] = true
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+							viaInterface[fn.Name()] = append(viaInterface[fn.Name()], it)
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 
 	var problems []string
-	used := map[string]bool{}
+	allowed := map[string]bool{}
 	for _, d := range decls {
-		switch _, allowed := funcAllow[d.id]; {
-		case named[d.name] && allowed:
-			used[d.id] = true
-			problems = append(problems, d.id+": on the allowlist, but a non-test file names it now — drop the entry")
-		case allowed:
-			used[d.id] = true
-		case !named[d.name]:
-			problems = append(problems, d.id+": no non-test file names it — delete it (tests call the form callers use), or give funcAllow the reason it stays")
+		inUse := used[d.fn]
+		if recv := d.fn.Type().(*types.Signature).Recv(); recv != nil && !inUse {
+			inUse = ruleMethods[d.fn.Name()]
+			for _, it := range viaInterface[d.fn.Name()] {
+				inUse = inUse || types.Implements(recv.Type(), it)
+			}
+		}
+		switch _, allow := funcAllow[d.id]; {
+		case inUse && allow:
+			allowed[d.id] = true
+			problems = append(problems, d.id+": on the allowlist, but a non-test file uses it now — drop the entry")
+		case allow:
+			allowed[d.id] = true
+		case !inUse:
+			problems = append(problems, d.id+": no non-test file uses it — delete it (tests call the form callers use), or give funcAllow the reason it stays")
 		}
 	}
 	for id := range funcAllow {
-		if !used[id] {
-			problems = append(problems, id+": on the allowlist, but not an unnamed exported function under internal/")
+		if !allowed[id] {
+			problems = append(problems, id+": on the allowlist, but not an unused exported function under internal/")
 		}
 	}
 	sort.Strings(problems)

@@ -340,9 +340,7 @@ func (e *engine) shutdown(ctx context.Context) error {
 	fmt.Fprintf(w, "\nfinal telemetry snapshot:\n")
 	for _, s := range e.reg.Samples() {
 		switch {
-		case s.Name == "serve_requests_total" || s.Name == "serve_batches_total" ||
-			s.Name == "serve_unique_keys_total" || s.Name == "cache_refresh_total" ||
-			s.Name == "core_extract_total" || s.Name == "serve_rejected_total" ||
+		case slices.Contains(snapshotTotals, s.Name) ||
 			strings.HasPrefix(s.Name, "serve_queue_depth_peak") && s.Value > 0:
 			fmt.Fprintf(w, "  %-42s %.0f\n", s.Name, s.Value)
 		case strings.HasPrefix(s.Name, "sim_link_util_") && s.Value > 0:
@@ -350,6 +348,14 @@ func (e *engine) shutdown(ctx context.Context) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// snapshotTotals are the cumulative totals the final telemetry snapshot
+// prints, by exact name; every run registers each of them
+// (TestSnapshotTotalsRegistered).
+var snapshotTotals = []string{
+	"serve_requests_total", "serve_batches_total", "serve_unique_keys_total",
+	"cache_refresh_total", "core_extract_batches_total", "serve_rejected_total",
 }
 
 // writeFile creates path and fills it with write; every failure names path.
@@ -418,22 +424,22 @@ func (e *engine) closedLoop(ctx context.Context) error {
 		simSum += sim
 	}
 
-	st := e.srv.Stats()
-	batches := float64(max(st.Batches, 1))
 	metric := e.reg.Value
+	batches, requested, unique := metric("serve_batches_total"), metric("serve_requested_keys_total"), metric("serve_unique_keys_total")
+	perBatch, simTotal := max(batches, 1), metric("serve_sim_seconds_total")
 	all := slices.Concat(lats...)
 	q := stats.Quantiles(all, 0.50, 0.99, 1)
 	fmt.Fprintf(w, "\n%d clients x %d requests (%d samples each) in %.2fs\n", o.clients, o.requests, o.batch, wall)
-	fmt.Fprintf(w, "throughput:        %.0f req/s, %.0f keys/s\n", float64(len(all))/wall, float64(st.RequestedKeys)/wall)
+	fmt.Fprintf(w, "throughput:        %.0f req/s, %.0f keys/s\n", float64(len(all))/wall, requested/wall)
 	fmt.Fprintf(w, "latency:           p50 %v  p99 %v  max %v\n", time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2]))
-	fmt.Fprintf(w, "coalescing:        %d batches, %.1f unique keys/batch (%.1f requested)\n",
-		st.Batches, st.MeanBatchKeys(), float64(st.RequestedKeys)/batches)
+	fmt.Fprintf(w, "coalescing:        %.0f batches, %.1f unique keys/batch (%.1f requested)\n",
+		batches, unique/perBatch, requested/perBatch)
 	fmt.Fprintf(w, "simulated extract: %.3f ms/batch mean, %.1f ms total per request stream\n",
-		st.SimSeconds/batches*1e3, simSum/float64(max(o.clients, 1))*1e3)
+		simTotal/perBatch*1e3, simSum/float64(max(o.clients, 1))*1e3)
 	local, remote, host := metric("core_hit_local_keys_total"), metric("core_hit_remote_keys_total"), metric("core_hit_host_keys_total")
 	if sum := local + remote + host; sum > 0 {
-		fmt.Fprintf(w, "hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host (of %d unique keys)\n",
-			100*local/sum, 100*remote/sum, 100*host/sum, st.UniqueKeys)
+		fmt.Fprintf(w, "hit tiers:         %.1f%% local, %.1f%% remote, %.1f%% host (of %.0f unique keys)\n",
+			100*local/sum, 100*remote/sum, 100*host/sum, unique)
 	}
 	if o.lookahead > 0 {
 		for g := 0; g < p.N; g++ { // the last announced windows may still be staging
@@ -442,7 +448,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 		hits := metric("serve_fill_prefetch_hit")
 		fmt.Fprintf(w, "prefetch:          %.0f windows staged %.0f keys; %.0f staged hits (%.1f%% of unique), %.0f dropped windows\n",
 			metric("serve_prefetch_windows_total"), metric("serve_prefetch_staged_keys_total"),
-			hits, 100*hits/float64(max(st.UniqueKeys, 1)), metric("serve_prefetch_dropped_windows_total"))
+			hits, 100*hits/max(unique, 1), metric("serve_prefetch_dropped_windows_total"))
 		if stale := metric("serve_stale_served_keys_total"); stale > 0 {
 			fmt.Fprintf(w, "stale serving:     %.0f keys served from outgoing snapshots within S=%d\n", stale, o.staleThr)
 		}
@@ -457,7 +463,7 @@ func (e *engine) closedLoop(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("refresh: %w", err)
 	}
-	baseIter := st.SimSeconds / batches
+	baseIter := simTotal / perBatch
 	if baseIter <= 0 {
 		baseIter = 1e-3
 	}

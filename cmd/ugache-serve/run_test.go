@@ -317,6 +317,23 @@ func flightKinds(t *testing.T, base string) (int, map[string]int) {
 // TestTraceWithoutFlight: a default run records every batch it serves, so
 // /debug/flight holds one batch line per batch served and /debug/timeline,
 // drawn from the same rings, one batch span tree per batch.
+// TestSnapshotTotalsRegistered: every total the final snapshot prints by
+// name is a metric a run registers, so none of them is silently absent.
+func TestSnapshotTotalsRegistered(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	out := newOutput()
+	if err := runArgs(context.Background(), "-scale 0.002 -batch 4 -clients 4 -requests 20 -metrics-out TMP/metrics.json", dir, out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	m := readMetrics(t, filepath.Join(dir, "metrics.json"))
+	for _, name := range snapshotTotals {
+		if _, ok := m[name]; !ok {
+			t.Errorf("the final snapshot prints %s, which the run does not register", name)
+		}
+	}
+}
+
 func TestTraceWithoutFlight(t *testing.T) {
 	t.Parallel()
 	const args = "-scale 0.002 -batch 4 -clients 4 -requests 20 -listen 127.0.0.1:0"

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"ugache/internal/extract"
 	"ugache/internal/platform"
 )
 
@@ -110,4 +111,18 @@ func validateCommon(p *platform.Platform, batch int) error {
 		return fmt.Errorf("app: batch size must be positive")
 	}
 	return nil
+}
+
+// hits counts an extraction's keys by tier from the extractor's split, each
+// tier's bytes over the entry size (a whole number of keys, so the counts
+// are exact). Network-tier keys, which only clustered platforms have, are
+// staged through host memory and count as host.
+func hits(res *extract.Result, entryBytes int) (local, remote, host float64) {
+	eb := float64(entryBytes)
+	for _, tb := range res.TierBytes {
+		local += tb[platform.TierLocal] / eb
+		remote += tb[platform.TierRemote] / eb
+		host += (tb[platform.TierHost] + tb[platform.TierNetwork]) / eb
+	}
+	return local, remote, host
 }

@@ -146,19 +146,10 @@ func (a *DLRApp) RunIters(iters int) (*Report, error) {
 		sum.Dense += a.dense
 		utilP += res.Utilization(a.cfg.P, a.cfg.P.PCIeIDs())
 		utilN += res.Utilization(a.cfg.P, a.cfg.P.NVLinkIDs())
-		for g, keys := range b.Keys {
-			for _, k := range keys {
-				src := a.Sys.Placement().SourceOf(g, k)
-				switch {
-				case src == a.cfg.P.Host():
-					hitH++
-				case int(src) == g:
-					hitL++
-				default:
-					hitR++
-				}
-			}
-		}
+		l, r, h := hits(res, a.Sys.Cache.EntryBytes)
+		hitL += l
+		hitR += r
+		hitH += h
 	}
 	inv := 1 / float64(iters)
 	per := Breakdown{

@@ -262,7 +262,7 @@ func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 		sum.Dense += denseSec
 		utilP += res.Utilization(a.Cfg.P, a.Cfg.P.PCIeIDs())
 		utilN += res.Utilization(a.Cfg.P, a.Cfg.P.NVLinkIDs())
-		l, r2, h := a.measureHits(b)
+		l, r2, h := hits(res, a.Sys.Cache.EntryBytes)
 		hitL += l
 		hitR += r2
 		hitH += h
@@ -357,25 +357,4 @@ func (a *GNNApp) evictionTime(res *extract.Result, b *extract.Batch) float64 {
 		t += res.Time * (a.Cfg.Spec.EvictionFactor - 1)
 	}
 	return t
-}
-
-// measureHits classifies the batch's bytes by source for reporting.
-func (a *GNNApp) measureHits(b *extract.Batch) (local, remote, host float64) {
-	for g, keys := range b.Keys {
-		if len(keys) == 0 {
-			continue
-		}
-		for _, k := range keys {
-			src := a.Sys.Placement().SourceOf(g, k)
-			switch {
-			case src == a.Cfg.P.Host():
-				host++
-			case int(src) == g:
-				local++
-			default:
-				remote++
-			}
-		}
-	}
-	return
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ugache/internal/core"
+	"ugache/internal/platform"
 	"ugache/internal/serve"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
@@ -126,8 +127,9 @@ func runPrefetchMode(o Options, sc *driftScenario, lookahead int) (PrefetchModeR
 	rep.P50Ms, rep.P99Ms = q[0]*1e3, q[1]*1e3
 	var local, total float64
 	for _, tr := range traces {
-		local += tr.LocalBytes
-		total += tr.LocalBytes + tr.RemoteBytes + tr.HostBytes
+		tb := &tr.TierBytes
+		local += tb[platform.TierLocal]
+		total += tb[platform.TierLocal] + tb[platform.TierRemote] + tb[platform.TierHost]
 	}
 	if total > 0 {
 		rep.LocalHitRate = local / total

@@ -190,9 +190,6 @@ type System struct {
 	gatherPool sync.Pool
 }
 
-// Placement returns the currently published placement.
-func (s *System) Placement() *solver.Placement { return s.snap.Load().placement }
-
 // Caches returns the currently published per-GPU caches. The returned
 // snapshot is immutable; a concurrent Refresh publishes new caches rather
 // than mutating these.
@@ -356,11 +353,4 @@ func (sn *snapshot) locate(p *platform.Platform, dst int, key int64) (src platfo
 		return 0, loc, fmt.Errorf("cache: placement says gpu %d holds key %d but the hashtable disagrees", src, key)
 	}
 	return src, l, nil
-}
-
-// Locate resolves where GPU dst finds a key: its access-arrangement source
-// and, when that source is a GPU, the concrete <GPU, Offset> location from
-// the owner's hash table (the locate() step of the extract function, §3.2).
-func (s *System) Locate(dst int, key int64) (src platform.SourceID, loc hashtable.Location, err error) {
-	return s.snap.Load().locate(s.P, dst, key)
 }

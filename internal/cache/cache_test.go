@@ -45,10 +45,10 @@ func TestFillAndLocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every entry of every stored block must be locatable, and Locate must
+	// Every entry of every stored block must be locatable, and locate must
 	// agree with the placement.
 	for e := int64(0); e < 4000; e += 7 {
-		src, loc, err := sys.Locate(0, e)
+		src, loc, err := locate(sys, 0, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,12 +59,18 @@ func TestFillAndLocate(t *testing.T) {
 			t.Fatalf("location GPU %d, source %d", loc.GPU, src)
 		}
 	}
-	if _, _, err := sys.Locate(99, 0); err == nil {
+	if _, _, err := locate(sys, 99, 0); err == nil {
 		t.Fatal("bad gpu accepted")
 	}
-	if _, _, err := sys.Locate(0, -1); err == nil {
+	if _, _, err := locate(sys, 0, -1); err == nil {
 		t.Fatal("bad key accepted")
 	}
+}
+
+// locate is the gather's locate step (§3.2) against the published snapshot:
+// GPU dst's source for key and, for a GPU source, its hash-table location.
+func locate(sys *System, dst int, key int64) (platform.SourceID, hashtable.Location, error) {
+	return sys.snap.Load().locate(sys.P, dst, key)
 }
 
 // arenaUsed is the arena's allocated byte count.
@@ -116,11 +122,11 @@ func TestGatherRequiresFunctionalMode(t *testing.T) {
 }
 
 // hitCounts classifies a batch of keys for one GPU (local, remote, host) by
-// where Locate finds each — the measured counterpart of
+// where locate finds each — the measured counterpart of
 // solver.Placement.Stats.
 func hitCounts(sys *System, dst int, keys []int64) (local, remote, host int, err error) {
 	for _, key := range keys {
-		src, _, err := sys.Locate(dst, key)
+		src, _, err := locate(sys, dst, key)
 		switch {
 		case err != nil:
 			return 0, 0, 0, err
@@ -303,7 +309,7 @@ func TestRefresh(t *testing.T) {
 	}
 
 	// The system now serves the new placement, and gathers still match.
-	if cur := sys.Placement(); cur != pl2 && cur.Policy == "" {
+	if cur := sys.snap.Load().placement; cur != pl2 && cur.Policy == "" {
 		t.Fatal("placement not switched")
 	}
 	keys := []int64{0, 1, 2, 3999}

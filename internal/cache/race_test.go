@@ -15,7 +15,7 @@ import (
 // TestConcurrentGatherDuringRefresh hammers Gather/Locate/HitCounts from
 // many goroutines while Refresh repeatedly flips between two placements.
 // Run with -race. Every gathered row must match the host table exactly
-// (reads are never torn), and every Locate must agree with one of the two
+// (reads are never torn), and every locate must agree with one of the two
 // placements in play (old or new, never a mix).
 func TestConcurrentGatherDuringRefresh(t *testing.T) {
 	const n = 3000
@@ -75,9 +75,9 @@ func TestConcurrentGatherDuringRefresh(t *testing.T) {
 						return
 					}
 				}
-				// Locate must agree with one of the two placements in full.
+				// locate must agree with one of the two placements in full.
 				k := keys[0]
-				src, _, err := sys.Locate(dst, k)
+				src, _, err := locate(sys, dst, k)
 				if err != nil {
 					t.Errorf("locate: %v", err)
 					return

@@ -39,9 +39,6 @@ type StagingArena struct {
 	data       []byte          // slots*entryBytes backing rows; nil in timing-only mode
 	idx        map[int64]int32 // key -> slot, maintained under mu
 	clock      int             // ring eviction cursor
-
-	committed int64 // cumulative rows committed
-	evicted   int64 // cumulative rows displaced by the ring
 }
 
 // NewStaging creates a staging arena with the given slot count. With backed
@@ -79,13 +76,6 @@ func (a *StagingArena) Len() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return len(a.idx)
-}
-
-// Stats returns the cumulative commit and ring-eviction counts.
-func (a *StagingArena) Stats() (committed, evicted int64) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.committed, a.evicted
 }
 
 // servable reports whether slot s may be consumed at batch `now` under the
@@ -132,7 +122,6 @@ func (a *StagingArena) Commit(keys []int64, rows []byte, version uint64, stamp i
 			a.clock = (a.clock + 1) % len(a.keys)
 			if a.live[s] {
 				delete(a.idx, a.keys[s])
-				a.evicted++
 			}
 			a.idx[k] = s
 			a.keys[s] = k
@@ -143,7 +132,6 @@ func (a *StagingArena) Commit(keys []int64, rows []byte, version uint64, stamp i
 		if a.data != nil && rows != nil {
 			copy(a.data[int(s)*a.entryBytes:(int(s)+1)*a.entryBytes], rows[i*a.entryBytes:(i+1)*a.entryBytes])
 		}
-		a.committed++
 	}
 	return nil
 }

@@ -49,8 +49,10 @@ func (h *heldSource) open() { h.once.Do(func() { close(h.gate) }) }
 
 // buildFront assembles an in-process N-node cluster: each node solves the
 // same clustered platform with its own ring-shard Owned predicate, serves
-// it behind a serve.Server, and the Front routes across them. Returns the
-// front, the shared backing table, and each node's holdable view of it.
+// it behind a serve.Server, and the Front routes across them; the front and
+// every server record into one registry (cfg.Telemetry, or a new one).
+// Returns the front, the shared backing table, and each node's holdable
+// view of it.
 func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb.Table, []*heldSource) {
 	t.Helper()
 	table, err := emb.NewMaterialized("t", int64(entries), 8, emb.Float32, 7)
@@ -67,6 +69,9 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 	h := make(workload.Hotness, entries)
 	for rank := 0; rank < entries; rank++ {
 		h[perm[rank]] = math.Pow(float64(rank+1), -1.1)
+	}
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry(nodes)
 	}
 	ns := make([]*Node, nodes)
 	holds := make([]*heldSource, nodes)
@@ -91,7 +96,7 @@ func buildFront(t *testing.T, nodes, entries int, cfg FrontConfig) (*Front, *emb
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := serve.New(sys, serve.Config{})
+		srv, err := serve.New(sys, serve.Config{Telemetry: cfg.Telemetry})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,11 +499,10 @@ func TestClusterCounterConservation(t *testing.T) {
 	// servers' counters are final.
 	holds[1].open()
 	f.Close()
-	var served int64
 	for _, n := range f.nodes {
 		n.Srv.Close()
-		served += n.Srv.Stats().Requests
 	}
+	served := int64(f.cfg.Telemetry.Value("serve_requests_total"))
 	m := f.met
 	if got := m.localKeys.Value() + m.remoteKeys.Value(); got != sent {
 		t.Fatalf("cluster_local_keys_total + cluster_remote_keys_total = %d, %d keys sent", got, sent)

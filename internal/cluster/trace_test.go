@@ -129,7 +129,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	want[timeline.ProcName{PID: timeline.ProcServe, Name: "batch"}] = len(records)
 	var tierBytes float64
 	for _, b := range records {
-		for _, v := range []float64{b.LocalBytes, b.RemoteBytes, b.HostBytes, b.NetworkBytes} {
+		for _, v := range b.TierBytes {
 			if v != 0 {
 				want[timeline.ProcName{PID: timeline.ProcSim, Name: "link-flow"}]++
 				tierBytes += v

@@ -193,9 +193,8 @@ func refreshRecord(rep *cache.RefreshReport, pl *solver.Placement, trigger time.
 type extractMetrics struct {
 	batches    *telemetry.Counter
 	simSeconds *telemetry.FloatCounter
-	tierKeys   [4]*telemetry.Counter      // local, remote, host, network
-	tierSecs   [4]*telemetry.FloatCounter // local, remote, host, network
-	tpb        [][]float64                // TimePerByteTable (Path allocates; this is the hot path)
+	tierKeys   [platform.NumTiers]*telemetry.Counter      // indexed by platform.Tier
+	tierSecs   [platform.NumTiers]*telemetry.FloatCounter // indexed by platform.Tier
 
 	// linkUtil[l] is link l's last-run mean utilization gauge; linkCap
 	// caches capacities so the update path never touches the topology.
@@ -203,29 +202,21 @@ type extractMetrics struct {
 	linkCap  []float64
 }
 
-const (
-	tierLocal = iota
-	tierRemote
-	tierHost
-	tierNetwork
-)
-
 func newExtractMetrics(reg *telemetry.Registry, p *platform.Platform) *extractMetrics {
 	return &extractMetrics{
-		tpb:        p.TimePerByteTable(),
 		batches:    reg.Counter("core_extract_batches_total", "simulated extraction batches"),
 		simSeconds: reg.FloatCounter("core_extract_sim_seconds_total", "simulated extraction makespan seconds"),
-		tierKeys: [4]*telemetry.Counter{
-			tierLocal:   reg.Counter("core_hit_local_keys_total", "keys served from the local GPU cache partition"),
-			tierRemote:  reg.Counter("core_hit_remote_keys_total", "keys served from peer GPU caches"),
-			tierHost:    reg.Counter("core_hit_host_keys_total", "keys falling through to host memory"),
-			tierNetwork: reg.Counter("core_hit_network_keys_total", "keys fetched from remote machines over the network tier"),
+		tierKeys: [platform.NumTiers]*telemetry.Counter{
+			platform.TierLocal:   reg.Counter("core_hit_local_keys_total", "keys served from the local GPU cache partition"),
+			platform.TierRemote:  reg.Counter("core_hit_remote_keys_total", "keys served from peer GPU caches"),
+			platform.TierHost:    reg.Counter("core_hit_host_keys_total", "keys falling through to host memory"),
+			platform.TierNetwork: reg.Counter("core_hit_network_keys_total", "keys fetched from remote machines over the network tier"),
 		},
-		tierSecs: [4]*telemetry.FloatCounter{
-			tierLocal:   reg.FloatCounter("core_extract_local_seconds_total", "modelled seconds moving local-tier bytes"),
-			tierRemote:  reg.FloatCounter("core_extract_remote_seconds_total", "modelled seconds moving remote-tier bytes"),
-			tierHost:    reg.FloatCounter("core_extract_host_seconds_total", "modelled seconds moving host-tier bytes"),
-			tierNetwork: reg.FloatCounter("core_extract_network_seconds_total", "modelled seconds moving network-tier bytes"),
+		tierSecs: [platform.NumTiers]*telemetry.FloatCounter{
+			platform.TierLocal:   reg.FloatCounter("core_extract_local_seconds_total", "modelled seconds moving local-tier bytes"),
+			platform.TierRemote:  reg.FloatCounter("core_extract_remote_seconds_total", "modelled seconds moving remote-tier bytes"),
+			platform.TierHost:    reg.FloatCounter("core_extract_host_seconds_total", "modelled seconds moving host-tier bytes"),
+			platform.TierNetwork: reg.FloatCounter("core_extract_network_seconds_total", "modelled seconds moving network-tier bytes"),
 		},
 		linkUtil: linkUtilGauges(reg, p),
 		linkCap:  linkCapacities(p),
@@ -267,37 +258,23 @@ func sanitizeMetricName(name string) string {
 }
 
 // observeExtract records one extraction result: the makespan plus, per
-// destination GPU, the per-tier key counts and serial time estimates
-// derived from the source-volume matrix (which reflects the placement
-// snapshot the batch resolved against). Counter updates shard by
-// destination GPU, so concurrent serving workers do not contend.
+// destination GPU, the per-tier key counts and serial time estimates of the
+// extractor's tier split (which reflects the placement snapshot the batch
+// resolved against). Counter updates shard by destination GPU, so
+// concurrent serving workers do not contend.
 func (s *System) observeExtract(res *extract.Result) {
 	m := s.met
 	entryBytes := float64(s.Cache.EntryBytes)
-	host := int(s.P.Host())
-	network := -1
-	if s.P.HasNetwork() {
-		network = int(s.P.Network())
-	}
 	shard := 0 // first active destination; serving batches have exactly one
-	for g, row := range res.SrcBytes {
+	for g, row := range res.TierBytes {
 		active := false
-		for j, bytes := range row {
+		for t, bytes := range row {
 			if bytes == 0 {
 				continue
 			}
 			active = true
-			tier := tierRemote
-			switch j {
-			case g:
-				tier = tierLocal
-			case host:
-				tier = tierHost
-			case network:
-				tier = tierNetwork
-			}
-			m.tierKeys[tier].Add(g, int64(bytes/entryBytes))
-			m.tierSecs[tier].Add(g, bytes*m.tpb[g][j])
+			m.tierKeys[t].Add(g, int64(bytes/entryBytes))
+			m.tierSecs[t].Add(g, res.TierSeconds[g][t])
 		}
 		if active && shard == 0 {
 			shard = g

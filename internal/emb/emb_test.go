@@ -329,8 +329,8 @@ func TestMultiTable(t *testing.T) {
 	if !bytes.Equal(direct, via) {
 		t.Fatal("flattened read differs from direct read")
 	}
-	if eb, _ := m.EntryBytes(17); eb != 32 {
-		t.Fatalf("EntryBytes(17) = %d", eb)
+	if tab, _, _ := m.Locate(17); m.Tables[tab].EntryBytes() != 32 {
+		t.Fatalf("key 17's table has %d-byte rows, want 32", m.Tables[tab].EntryBytes())
 	}
 }
 

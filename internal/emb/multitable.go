@@ -54,15 +54,6 @@ func (m *MultiTable) Locate(key int64) (table int, local int64, err error) {
 	return lo, key - m.offsets[lo], nil
 }
 
-// EntryBytes returns the row size for a global key's table.
-func (m *MultiTable) EntryBytes(key int64) (int, error) {
-	t, _, err := m.Locate(key)
-	if err != nil {
-		return 0, err
-	}
-	return m.Tables[t].EntryBytes(), nil
-}
-
 // MaxEntryBytes returns the largest row size across tables; caches size
 // their slots by this.
 func (m *MultiTable) MaxEntryBytes() int {

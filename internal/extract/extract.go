@@ -92,6 +92,12 @@ type Result struct {
 	LinkBytes []float64
 	// SrcBytes[g][j] is the bytes GPU g pulled from source j.
 	SrcBytes [][]float64
+	// TierBytes[g][t] is the bytes GPU g pulled from tier t (a
+	// platform.Tier), and TierSeconds[g][t] their §6.2 serial estimate, the
+	// sum of bytes × time-per-byte over the tier's sources. Tiers overlap in
+	// the simulated schedule, so a row's seconds may sum to more than Time.
+	TierBytes   [][]float64
+	TierSeconds [][]float64
 	// Stalled is the average fraction of core-time lost to congestion in
 	// PeerRandom (0 for the other mechanisms).
 	Stalled float64
@@ -150,10 +156,10 @@ func (e *Extractor) entryBytes() float64 {
 	return float64(e.Pl.EntryBytes)
 }
 
-// Run simulates one extraction with the given mechanism. The Factored and
-// FactoredStatic mechanisms reuse sc's buffers, so the returned Result
-// (SrcBytes, PerGPU, LinkBytes) aliases sc and is valid only until its next
-// use. PeerRandom and MessageBased take the scratch for the grouping step but
+// Run simulates one extraction with the given mechanism. Every mechanism's
+// SrcBytes, TierBytes and TierSeconds alias sc, and the Factored and
+// FactoredStatic mechanisms' PerGPU and LinkBytes too, so the returned
+// Result is valid only until sc's next use. PeerRandom and MessageBased
 // still allocate their stage plans (they are comparison baselines, not the
 // serving hot path). A nil sc means a fresh one of the call's own, so the
 // Result is the caller's to keep.
@@ -161,22 +167,26 @@ func (e *Extractor) Run(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	vol, err := e.srcBytes(b, sc)
+	res, err := e.srcBytes(b, sc)
 	if err != nil {
 		return nil, err
 	}
 	switch m {
 	case Factored:
-		return e.runFactored(vol, sc)
+		err = e.runFactored(res, sc)
 	case PeerRandom:
-		return e.runPeerRandom(vol)
+		err = e.runPeerRandom(res)
 	case MessageBased:
-		return e.runMessageBased(vol, b)
+		err = e.runMessageBased(res)
 	case FactoredStatic:
-		return e.runFactoredStatic(vol, sc)
+		err = e.runFactoredStatic(res, sc)
 	default:
-		return nil, fmt.Errorf("extract: unknown mechanism %d", m)
+		err = fmt.Errorf("extract: unknown mechanism %d", m)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RunWith runs as Run does. It goes once benchmark/ stops calling it.
@@ -187,7 +197,8 @@ func (e *Extractor) RunWith(m Mechanism, b *Batch, sc *Scratch) (*Result, error)
 // runFactored implements §5.3: per-source dedicated core groups with local
 // padding. The demand plan, index table and simulator state are the
 // scratch's, reused across runs.
-func (e *Extractor) runFactored(vol [][]float64, sc *Scratch) (*Result, error) {
+func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
+	vol := out.SrcBytes
 	ns := e.P.NumSources()
 	demands := sc.demands[:0]
 	idx := sc.idxMatrix(e.P.N, ns) // demand index per (gpu, source)
@@ -209,10 +220,10 @@ func (e *Extractor) runFactored(vol [][]float64, sc *Scratch) (*Result, error) {
 			}
 			if vol[g][j] > 0 {
 				if !pc.pathOK[g][j] {
-					return nil, fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
+					return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
 				}
 				if ded[j] <= 0 {
-					return nil, fmt.Errorf("extract: gpu %d has bytes for source %d but no dedicated cores", g, j)
+					return fmt.Errorf("extract: gpu %d has bytes for source %d but no dedicated cores", g, j)
 				}
 				idx[g][j] = len(demands)
 				demands = append(demands, sim.Demand{
@@ -240,24 +251,19 @@ func (e *Extractor) runFactored(vol [][]float64, sc *Scratch) (*Result, error) {
 			}
 		}
 	}
-	return e.runPlan(demands, idx, vol, sc)
+	return e.runPlan(demands, idx, out, sc)
 }
 
 // runPlan is the shared tail of the two factored mechanisms: simulate the
 // demand plan and fold the per-demand finish times into per-GPU completion
 // times through the plan's (gpu, source) -> demand index table.
-func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, vol [][]float64, sc *Scratch) (*Result, error) {
+func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, out *Result, sc *Scratch) error {
 	sc.demands = demands // keep grown capacity for the next run
 	res, err := e.P.Topo.Run(demands, &sc.sim)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := &Result{
-		Time:      res.Makespan,
-		PerGPU:    sc.perGPUSlice(e.P.N),
-		LinkBytes: res.LinkBytes,
-		SrcBytes:  vol,
-	}
+	out.Time, out.PerGPU, out.LinkBytes = res.Makespan, sc.perGPUSlice(e.P.N), res.LinkBytes
 	for g, row := range idx {
 		for _, di := range row {
 			if di >= 0 && res.Finish[di] > out.PerGPU[g] {
@@ -265,13 +271,14 @@ func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, vol [][]float64, 
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // runPeerRandom implements the unorganized peer-based extraction of §5.2:
 // one mixed queue per GPU, proportional drain, divergence-degraded per-core
 // rates.
-func (e *Extractor) runPeerRandom(vol [][]float64) (*Result, error) {
+func (e *Extractor) runPeerRandom(out *Result) error {
+	vol := out.SrcBytes
 	var demands []sim.PoolDemand
 	pools := make([]sim.Pool, e.P.N)
 	for g := 0; g < e.P.N; g++ {
@@ -286,7 +293,7 @@ func (e *Extractor) runPeerRandom(vol [][]float64) (*Result, error) {
 			// of link capacity) and pays the divergence penalty per core.
 			path, ok := e.P.PathUnorganized(g, src)
 			if !ok {
-				return nil, fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
+				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
 			}
 			demands = append(demands, sim.PoolDemand{
 				Label: fmt.Sprintf("g%d<-%d", g, j),
@@ -298,7 +305,7 @@ func (e *Extractor) runPeerRandom(vol [][]float64) (*Result, error) {
 	}
 	res, err := e.P.Topo.RunProportional(demands, pools)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.P.FoldDegraded(res.LinkBytes)
 	// Stall estimate: fraction of core share parked on link-bound sources
@@ -314,13 +321,8 @@ func (e *Extractor) runPeerRandom(vol [][]float64) (*Result, error) {
 	if e.P.N > 0 {
 		stalled /= float64(e.P.N)
 	}
-	return &Result{
-		Time:      res.Makespan,
-		PerGPU:    res.PoolTime,
-		LinkBytes: res.LinkBytes,
-		SrcBytes:  vol,
-		Stalled:   stalled,
-	}, nil
+	out.Time, out.PerGPU, out.LinkBytes, out.Stalled = res.Makespan, res.PoolTime, res.LinkBytes, stalled
+	return nil
 }
 
 // sourceOfLabelDemand recovers the source of a pool demand from its path
@@ -351,7 +353,8 @@ func sourceOfLabelDemand(p *platform.Platform, d sim.PoolDemand) platform.Source
 // CPU-side fallback). Stage 2: buffers are exchanged pairwise at
 // NCCL-discounted link bandwidth. Stage 3: received buffers are reordered
 // into the output tensor (one more local pass over all bytes).
-func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) {
+func (e *Extractor) runMessageBased(out *Result) error {
+	vol := out.SrcBytes
 	// gatherBytes[j]: bytes GPU j reads locally on behalf of all readers.
 	gatherBytes := make([]float64, e.P.N)
 	// exchBytes[i][j]: bytes moving j -> i in the exchange.
@@ -365,15 +368,13 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 			if v == 0 {
 				continue
 			}
-			switch {
-			case j == int(e.P.Host()):
-				hostBytes[i] += v
-			case e.P.HasNetwork() && j == int(e.P.Network()):
+			switch e.plan.tier[i][j] {
+			case platform.TierHost, platform.TierNetwork:
 				// Cross-machine fetches stage through host memory; the
 				// message-based baseline models them as host fetches (it has
 				// no cross-machine exchange phase of its own).
 				hostBytes[i] += v
-			case j == i:
+			case platform.TierLocal:
 				gatherBytes[i] += v // local gather straight to output
 			default:
 				gatherBytes[j] += v
@@ -414,7 +415,7 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 	}
 	t1, lb1, err := stage(d1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Stage 2: AllToAll exchange at NCCL-discounted bandwidth.
@@ -437,7 +438,7 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 	}
 	t2, lb2, err := stage(d2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Stage 3: reorder received buffers (local read+write pass).
@@ -452,7 +453,7 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 	}
 	t3, lb3, err := stage(d3)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	linkBytes := make([]float64, len(e.P.Topo.Links))
@@ -464,12 +465,14 @@ func (e *Extractor) runMessageBased(vol [][]float64, b *Batch) (*Result, error) 
 	for g := range per {
 		per[g] = total // barrier semantics of collective exchange
 	}
-	return &Result{Time: total, PerGPU: per, LinkBytes: linkBytes, SrcBytes: vol}, nil
+	out.Time, out.PerGPU, out.LinkBytes = total, per, linkBytes
+	return nil
 }
 
 // runFactoredStatic is the padding ablation: per-source groups sized
 // proportionally to their byte volume (at least one core), no handoff.
-func (e *Extractor) runFactoredStatic(vol [][]float64, sc *Scratch) (*Result, error) {
+func (e *Extractor) runFactoredStatic(out *Result, sc *Scratch) error {
+	vol := out.SrcBytes
 	ns := e.P.NumSources()
 	demands := sc.demands[:0]
 	owner := sc.idxMatrix(e.P.N, ns)
@@ -484,7 +487,7 @@ func (e *Extractor) runFactoredStatic(vol [][]float64, sc *Scratch) (*Result, er
 				continue
 			}
 			if !pc.pathOK[g][j] {
-				return nil, fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
+				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
 			}
 			cores := float64(e.P.GPU.SMs) * vol[g][j] / total
 			if cores < 1 {
@@ -498,5 +501,5 @@ func (e *Extractor) runFactoredStatic(vol [][]float64, sc *Scratch) (*Result, er
 			})
 		}
 	}
-	return e.runPlan(demands, owner, vol, sc)
+	return e.runPlan(demands, owner, out, sc)
 }

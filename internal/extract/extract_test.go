@@ -6,6 +6,7 @@ import (
 
 	"ugache/internal/platform"
 	"ugache/internal/rng"
+	"ugache/internal/sim"
 	"ugache/internal/solver"
 	"ugache/internal/workload"
 )
@@ -199,6 +200,23 @@ func TestLocalOnlyBatch(t *testing.T) {
 	}
 	if u := res.Utilization(p, p.NVLinkIDs()); u != 0 {
 		t.Fatalf("NVLink used on local-only batch: %g", u)
+	}
+}
+
+// TestUtilizationGuards: links with no capacity, or a result with no
+// makespan, read 0 utilization, never ±Inf or NaN.
+func TestUtilizationGuards(t *testing.T) {
+	p := &platform.Platform{Topo: sim.Topology{Links: []sim.Link{{Name: "dead"}, {Name: "live", Capacity: 10}}}}
+	res := &Result{Time: 2, LinkBytes: []float64{5, 10}}
+	if u := res.Utilization(p, []sim.LinkID{0}); u != 0 {
+		t.Fatalf("zero-capacity link utilization = %g, want 0", u)
+	}
+	if u := res.Utilization(p, []sim.LinkID{1}); u != 0.5 {
+		t.Fatalf("live link utilization = %g, want 0.5", u)
+	}
+	empty := &Result{LinkBytes: []float64{0, 0}}
+	if u := empty.Utilization(p, []sim.LinkID{0, 1}); u != 0 {
+		t.Fatalf("zero-makespan utilization = %g, want 0", u)
 	}
 }
 

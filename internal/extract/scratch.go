@@ -10,14 +10,17 @@ import (
 
 // planCache holds the batch-invariant planning constants of one
 // (platform, placement) pair: routed paths, per-source core dedications,
-// issue rates, and demand labels. Extraction runs once per training or
-// inference iteration, so re-deriving these per run (Path and FEMDedication
-// allocate; labels went through fmt.Sprintf) put avoidable allocation and
-// CPU time on the §3.2 critical path. New computes the cache once.
+// issue rates, source tiers, time per byte, and demand labels. Extraction
+// runs once per training or inference iteration, so re-deriving these per
+// run (Path and FEMDedication allocate; labels went through fmt.Sprintf) put
+// avoidable allocation and CPU time on the §3.2 critical path. New computes
+// the cache once.
 type planCache struct {
 	paths        [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
 	pathOK       [][]bool
 	rcore        [][]float64 // rcore[g][j]: per-core issue rate on that route
+	tier         [][]platform.Tier
+	tpb          [][]float64 // platform.TimePerByteTable
 	ded          [][]float64 // ded[g]: §5.3 core dedication for GPU g
 	labels       [][]string  // "g<g><-<j>"
 	localLabels  []string    // "g<g><-local"
@@ -30,6 +33,8 @@ func newPlanCache(p *platform.Platform) *planCache {
 		paths:        make([][][]sim.LinkID, p.N),
 		pathOK:       make([][]bool, p.N),
 		rcore:        make([][]float64, p.N),
+		tier:         make([][]platform.Tier, p.N),
+		tpb:          p.TimePerByteTable(),
 		ded:          make([][]float64, p.N),
 		labels:       make([][]string, p.N),
 		localLabels:  make([]string, p.N),
@@ -39,6 +44,7 @@ func newPlanCache(p *platform.Platform) *planCache {
 		pc.paths[g] = make([][]sim.LinkID, ns)
 		pc.pathOK[g] = make([]bool, ns)
 		pc.rcore[g] = make([]float64, ns)
+		pc.tier[g] = make([]platform.Tier, ns)
 		pc.ded[g] = p.FEMDedication(g)
 		pc.labels[g] = make([]string, ns)
 		pc.staticLabels[g] = make([]string, ns)
@@ -47,6 +53,7 @@ func newPlanCache(p *platform.Platform) *planCache {
 			src := platform.SourceID(j)
 			pc.paths[g][j], pc.pathOK[g][j] = p.Path(g, src)
 			pc.rcore[g][j] = p.RCore(g, src)
+			pc.tier[g][j] = p.Tier(g, src)
 			pc.labels[g][j] = fmt.Sprintf("g%d<-%d", g, j)
 			pc.staticLabels[g][j] = fmt.Sprintf("g%d<-%d-static", g, j)
 		}
@@ -55,18 +62,19 @@ func newPlanCache(p *platform.Platform) *planCache {
 }
 
 // Scratch holds the reusable buffers of one extraction run — the per-GPU
-// source-volume matrix, the demand plan, the demand-index table, and the
-// fluid simulator's working state. Every run has one: keeping a Scratch and
-// passing it to Run makes the steady-state Factored/FactoredStatic
-// extraction path allocation-free; a nil scratch makes one per call.
+// source-volume matrix and its per-tier split, the demand plan, the
+// demand-index table, and the fluid simulator's working state. Every run
+// has one: keeping a Scratch and passing it to Run makes the steady-state
+// Factored/FactoredStatic extraction path allocation-free; a nil scratch
+// makes one per call.
 //
 // A Scratch is owned by one goroutine at a time. The Result returned by a
-// scratch-backed run aliases the scratch (SrcBytes, PerGPU, LinkBytes) and
-// is valid only until the scratch's next use; copy anything that must
-// outlive it.
+// scratch-backed run aliases the scratch (SrcBytes, TierBytes, TierSeconds,
+// PerGPU, LinkBytes) and is valid only until the scratch's next use; copy
+// anything that must outlive it.
 type Scratch struct {
-	volBack []float64
-	vol     [][]float64
+	volBack []float64   // the volume matrix, then the two tier matrices
+	vol     [][]float64 // their rows, in the same order
 	demands []sim.Demand
 	idxBack []int
 	idx     [][]int
@@ -77,21 +85,27 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// volMatrix returns a zeroed n-by-ns matrix backed by the scratch.
-func (sc *Scratch) volMatrix(n, ns int) [][]float64 {
-	if cap(sc.volBack) < n*ns {
-		sc.volBack = make([]float64, n*ns)
-		sc.vol = make([][]float64, n)
+// volMatrix returns a zeroed n-by-ns volume matrix and two zeroed
+// n-by-NumTiers tier matrices, all carved from one scratch buffer.
+func (sc *Scratch) volMatrix(n, ns int) (vol, tierBytes, tierSeconds [][]float64) {
+	size := n * (ns + 2*platform.NumTiers)
+	if cap(sc.volBack) < size {
+		sc.volBack = make([]float64, size)
+		sc.vol = make([][]float64, 3*n)
 	}
-	back := sc.volBack[:n*ns]
+	back := sc.volBack[:size]
 	for i := range back {
 		back[i] = 0
 	}
-	vol := sc.vol[:n]
-	for g := range vol {
-		vol[g] = back[g*ns : (g+1)*ns : (g+1)*ns]
+	rows := sc.vol[:3*n]
+	for r := range rows {
+		w, off := ns, r*ns
+		if r >= n {
+			w, off = platform.NumTiers, n*ns+(r-n)*platform.NumTiers
+		}
+		rows[r] = back[off : off+w : off+w]
 	}
-	return vol
+	return rows[:n], rows[n : 2*n], rows[2*n:]
 }
 
 // idxMatrix returns an n-by-ns matrix filled with -1, backed by the scratch.
@@ -158,7 +172,9 @@ func (e *Extractor) groupGPU(g int, keys []int64, row []float64, eb float64, n i
 // (Batch.Staged, the lookahead prefetch hits) bypass the placement and are
 // charged as local HBM reads — the staged-source plan. Large batches are
 // grouped one GPU per par.Each index, so each matrix row has one writer.
-func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
+// The grouped matrix is then split by tier (splitTiers) into res, which
+// holds the three scratch-backed matrices for the mechanism to finish.
+func (e *Extractor) srcBytes(b *Batch, sc *Scratch) (*Result, error) {
 	if len(b.Keys) != e.P.N {
 		return nil, fmt.Errorf("extract: batch has %d GPUs, platform %d", len(b.Keys), e.P.N)
 	}
@@ -167,7 +183,8 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 	}
 	eb := e.entryBytes()
 	n := e.Pl.NumEntries()
-	out := sc.volMatrix(e.P.N, e.P.NumSources())
+	out, tierBytes, tierSeconds := sc.volMatrix(e.P.N, e.P.NumSources())
+	res := &Result{SrcBytes: out, TierBytes: tierBytes, TierSeconds: tierSeconds}
 	// Staged keys are few (bounded by the staging arena) and need only a
 	// range check, so they are folded in up front on the sequential path.
 	for g, staged := range b.Staged {
@@ -192,13 +209,27 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) ([][]float64, error) {
 				return nil, err
 			}
 		}
-		return out, nil
-	}
-	err := par.Each(e.P.N, workers, func(_, g int) error {
+	} else if err := par.Each(e.P.N, workers, func(_, g int) error {
 		return e.groupGPU(g, b.Keys[g], out[g], eb, n)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	e.splitTiers(res)
+	return res, nil
+}
+
+// splitTiers folds each GPU's per-source volumes into its per-tier bytes
+// and modelled seconds: the one place an extraction is split by tier.
+func (e *Extractor) splitTiers(res *Result) {
+	pc := e.plan
+	for g, row := range res.SrcBytes {
+		for j, bytes := range row {
+			if bytes == 0 {
+				continue
+			}
+			t := pc.tier[g][j]
+			res.TierBytes[g][t] += bytes
+			res.TierSeconds[g][t] += bytes * pc.tpb[g][j]
+		}
+	}
 }

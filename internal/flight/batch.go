@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+
+	"ugache/internal/platform"
 )
 
 // FillReason says why a coalesced batch was flushed.
@@ -62,19 +64,15 @@ type Batch struct {
 	// under an outgoing placement version were served inside the staleness
 	// window.
 	StaleBatches int64
-	// Per-tier bytes moved, from the extractor's source-volume matrix. The
-	// network tier is the cluster's remote-machine class; zero off-cluster.
-	LocalBytes   float64
-	RemoteBytes  float64
-	HostBytes    float64
-	NetworkBytes float64
-	// Per-tier modelled seconds (§6.2 serial estimate: bytes x time-per-
-	// byte; tiers overlap in the real schedule, so the parts may sum to
-	// more than SimSeconds).
-	LocalSeconds   float64
-	RemoteSeconds  float64
-	HostSeconds    float64
-	NetworkSeconds float64
+	// TierBytes[t] is the bytes moved from tier t (indexed by platform.Tier:
+	// local, remote, host, network), copied from the extractor's tier split
+	// (extract.Result.TierBytes). The network tier is the cluster's
+	// remote-machine class; zero off-cluster.
+	TierBytes [platform.NumTiers]float64
+	// TierSeconds[t] is tier t's modelled seconds (§6.2 serial estimate:
+	// bytes x time-per-byte; tiers overlap in the real schedule, so the parts
+	// may sum to more than SimSeconds).
+	TierSeconds [platform.NumTiers]float64
 	// QueueDepth is the combined queued-request count the worker saw when it
 	// formed the batch, ShedTotal the GPU's cumulative admission sheds then.
 	QueueDepth int
@@ -107,8 +105,8 @@ func (b *Batch) floats() [14]*float64 {
 	return [...]*float64{
 		&b.QueueWaitSeconds, &b.CoalesceSeconds, &b.ExtractSeconds, &b.GatherSeconds, &b.ReplySeconds,
 		&b.SimSeconds,
-		&b.LocalBytes, &b.RemoteBytes, &b.HostBytes, &b.NetworkBytes,
-		&b.LocalSeconds, &b.RemoteSeconds, &b.HostSeconds, &b.NetworkSeconds,
+		&b.TierBytes[0], &b.TierBytes[1], &b.TierBytes[2], &b.TierBytes[3],
+		&b.TierSeconds[0], &b.TierSeconds[1], &b.TierSeconds[2], &b.TierSeconds[3],
 	}
 }
 
@@ -168,12 +166,13 @@ func (b *Batch) appendJSON(buf []byte) []byte {
 		v   float64
 	}{
 		{"latency_s", b.LatencySeconds()},
-		{"sim_s", b.SimSeconds}, {"local_s", b.LocalSeconds}, {"remote_s", b.RemoteSeconds},
-		{"host_s", b.HostSeconds}, {"network_s", b.NetworkSeconds},
+		{"sim_s", b.SimSeconds}, {"local_s", b.TierSeconds[platform.TierLocal]},
+		{"remote_s", b.TierSeconds[platform.TierRemote]},
+		{"host_s", b.TierSeconds[platform.TierHost]}, {"network_s", b.TierSeconds[platform.TierNetwork]},
 		{"queue_wait_s", b.QueueWaitSeconds}, {"coalesce_s", b.CoalesceSeconds},
 		{"extract_s", b.ExtractSeconds}, {"gather_s", b.GatherSeconds}, {"reply_s", b.ReplySeconds},
-		{"local_bytes", b.LocalBytes}, {"remote_bytes", b.RemoteBytes},
-		{"host_bytes", b.HostBytes}, {"network_bytes", b.NetworkBytes},
+		{"local_bytes", b.TierBytes[platform.TierLocal]}, {"remote_bytes", b.TierBytes[platform.TierRemote]},
+		{"host_bytes", b.TierBytes[platform.TierHost]}, {"network_bytes", b.TierBytes[platform.TierNetwork]},
 	} {
 		buf = appendFloat(buf, f.key, f.v)
 	}

@@ -8,11 +8,16 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"ugache/internal/platform"
 )
 
 // batchLineKeys maps every Batch field to the key its flight-JSONL line
 // carries it under. A field added to Batch must be added here and to
 // appendJSON (TestBatchFieldsReachTheLine); latency_s and kind are derived.
+// A per-tier array maps to a suffix: element t is carried under tier t's
+// name (platform.Tier.String) with the suffix, so the line's tier keys hold
+// the array to platform.Tier's order.
 var batchLineKeys = map[string]string{
 	"Seq": "seq", "GPU": "gpu", "UnixNanos": "unix_nanos", "Reason": "reason",
 	"Requests": "requests", "RequestedKeys": "requested_keys", "UniqueKeys": "unique_keys",
@@ -20,8 +25,7 @@ var batchLineKeys = map[string]string{
 	"QueueDepth": "queue_depth", "ShedTotal": "shed_total",
 	"SimSeconds": "sim_s", "QueueWaitSeconds": "queue_wait_s", "CoalesceSeconds": "coalesce_s",
 	"ExtractSeconds": "extract_s", "GatherSeconds": "gather_s", "ReplySeconds": "reply_s",
-	"LocalBytes": "local_bytes", "RemoteBytes": "remote_bytes", "HostBytes": "host_bytes", "NetworkBytes": "network_bytes",
-	"LocalSeconds": "local_s", "RemoteSeconds": "remote_s", "HostSeconds": "host_s", "NetworkSeconds": "network_s",
+	"TierBytes": "_bytes", "TierSeconds": "_s",
 }
 
 // parseLine decodes one rendered line, numbers kept as their text.
@@ -63,6 +67,10 @@ func checkBatchLine(t *testing.T, b *Batch, obj map[string]any) {
 		switch f := v.Field(i); f.Kind() {
 		case reflect.Float64:
 			float(key, f.Float())
+		case reflect.Array:
+			for t := platform.Tier(0); t < platform.NumTiers; t++ {
+				float(t.String()+key, f.Index(int(t)).Float())
+			}
 		case reflect.Int, reflect.Int64:
 			if n, ok := obj[key].(json.Number); !ok || string(n) != strconv.FormatInt(f.Int(), 10) {
 				t.Errorf("batch line %s = %v, want %d", key, obj[key], f.Int())
@@ -85,10 +93,14 @@ func checkBatchLine(t *testing.T, b *Batch, obj map[string]any) {
 func TestBatchFieldsReachTheLine(t *testing.T) {
 	var b Batch
 	v := reflect.ValueOf(&b).Elem()
-	for i := 0; i < v.NumField(); i++ { // a value of its own in every field
+	for i := 0; i < v.NumField(); i++ { // a value of its own in every field and element
 		switch f := v.Field(i); f.Kind() {
 		case reflect.Float64:
 			f.SetFloat(float64(i) + 0.25)
+		case reflect.Array:
+			for e := 0; e < f.Len(); e++ {
+				f.Index(e).SetFloat(float64(i) + float64(e+1)/8)
+			}
 		case reflect.Int, reflect.Int64:
 			f.SetInt(int64(i) + 1)
 		case reflect.Uint8:
@@ -125,6 +137,10 @@ func FuzzFlightLines(f *testing.F) {
 			switch fv := v.Field(i); fv.Kind() {
 			case reflect.Float64:
 				fv.SetFloat(math.Float64frombits(next()))
+			case reflect.Array:
+				for e := 0; e < fv.Len(); e++ {
+					fv.Index(e).SetFloat(math.Float64frombits(next()))
+				}
 			case reflect.Int, reflect.Int64:
 				fv.SetInt(int64(next()))
 			case reflect.Uint8:

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ugache/internal/platform"
 )
 
 // testBatch is a batch on gpu that completed at nanos after lat seconds, all
@@ -26,9 +28,10 @@ func skipTo(r *Ring, seq int64) {
 	}
 }
 
-// randomBatch fills every field of a Batch with a random value of its kind,
-// through reflection, so a field added to the struct but forgotten in
-// store/load fails the round trip.
+// randomBatch fills every field of a Batch, and every element of its
+// per-tier arrays, with a random value of its kind, through reflection, so
+// a field added to the struct but forgotten in store/load fails the round
+// trip.
 func randomBatch(rnd *rand.Rand) Batch {
 	var b Batch
 	v := reflect.ValueOf(&b).Elem()
@@ -40,6 +43,10 @@ func randomBatch(rnd *rand.Rand) Batch {
 			f.SetInt(rnd.Int63() - 1<<62)
 		case reflect.Float64:
 			f.SetFloat(rnd.NormFloat64() * 1e3)
+		case reflect.Array:
+			for e := 0; e < f.Len(); e++ {
+				f.Index(e).SetFloat(rnd.NormFloat64() * 1e3)
+			}
 		case reflect.Uint8:
 			f.SetUint(uint64(rnd.Intn(3)))
 		default:
@@ -73,9 +80,17 @@ func TestRingRoundTrip(t *testing.T) {
 			t.Fatalf("batch %d read back\n %+v, wrote\n %+v", i, got[i], want[i])
 		}
 	}
-	// GPU and Reason share a word; every other field has one of its own.
-	if n := reflect.TypeOf(Batch{}).NumField(); n-1 != batchWords {
-		t.Fatalf("Batch has %d fields for %d ring words", n, batchWords)
+	// GPU and Reason share a word; every other field, and every element of
+	// an array field, has one of its own.
+	typ, n := reflect.TypeOf(Batch{}), 0
+	for i := 0; i < typ.NumField(); i++ {
+		n++
+		if f := typ.Field(i).Type; f.Kind() == reflect.Array {
+			n += f.Len() - 1
+		}
+	}
+	if n-1 != batchWords {
+		t.Fatalf("Batch has %d field words for %d ring words", n, batchWords)
 	}
 }
 
@@ -146,7 +161,7 @@ func TestRingConcurrentSnapshot(t *testing.T) {
 					// The writer keeps the first and the last ring word, and
 					// some in between, equal; a torn read would mix words
 					// from different writes.
-					if b.Seq != b.UnixNanos || b.Seq != int64(b.UniqueKeys) || float64(b.Seq) != b.NetworkSeconds {
+					if b.Seq != b.UnixNanos || b.Seq != int64(b.UniqueKeys) || float64(b.Seq) != b.TierSeconds[platform.TierNetwork] {
 						t.Errorf("torn batch: %+v", b)
 						return
 					}
@@ -155,7 +170,8 @@ func TestRingConcurrentSnapshot(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= writes; i++ {
-		b := Batch{UnixNanos: int64(i), UniqueKeys: i, NetworkSeconds: float64(i)}
+		b := Batch{UnixNanos: int64(i), UniqueKeys: i}
+		b.TierSeconds[platform.TierNetwork] = float64(i)
 		r.Record(&b)
 	}
 	close(stop)

@@ -6,13 +6,9 @@ import (
 	"math"
 	"time"
 
+	"ugache/internal/platform"
 	"ugache/internal/timeline"
 )
-
-// tiers names the source classes a batch record splits its extraction into
-// (§5's per-source core groups), in track order: the link flows from
-// tiers[i] of the ring on track k are drawn on ProcSim tid k*len(tiers)+i.
-var tiers = [...]string{"local", "remote", "host", "network"}
 
 // Draw draws what recs hold as one Chrome trace: the names of their tracks
 // and their events, sorted (timeline.Sort), timed from the earliest
@@ -48,8 +44,10 @@ func Draw(recs ...*Recorder) (timeline.Tracks, []timeline.Event) {
 			tracks.Procs[timeline.ProcSim] = "link flows"
 			name(timeline.ProcServe, rg.track, rg.name+" worker")
 			name(timeline.ProcOverload, rg.track, rg.name+" admission")
-			for i, tier := range tiers {
-				name(timeline.ProcSim, rg.track*int32(len(tiers))+int32(i), rg.name+" "+tier)
+			// The link flows from tier t (§5's per-source core groups) of the
+			// ring on track k are drawn on ProcSim tid k*NumTiers+t.
+			for t := platform.Tier(0); t < platform.NumTiers; t++ {
+				name(timeline.ProcSim, rg.track*platform.NumTiers+int32(t), rg.name+" "+t.String())
 			}
 			buf = rg.Snapshot(buf[:0])
 			dst = appendBatches(dst, buf, rg.track, since)
@@ -118,17 +116,14 @@ func appendBatches(dst []timeline.Event, buf []Batch, tid int32, since func(unix
 			at += st.dur
 		}
 		extract := start + b.QueueWaitSeconds + b.CoalesceSeconds
-		for i, f := range [...]struct{ bytes, seconds float64 }{
-			{b.LocalBytes, b.LocalSeconds}, {b.RemoteBytes, b.RemoteSeconds},
-			{b.HostBytes, b.HostSeconds}, {b.NetworkBytes, b.NetworkSeconds},
-		} {
-			if f.bytes == 0 {
+		for t, bytes := range b.TierBytes {
+			if bytes == 0 {
 				continue
 			}
 			flow := timeline.Event{Name: "link-flow", Cat: "sim", Ph: timeline.PhSpan,
-				PID: timeline.ProcSim, TID: tid*int32(len(tiers)) + int32(i), Start: extract, Dur: f.seconds}
-			flow.AddArg("bytes", f.bytes)
-			flow.AddArg("seconds", f.seconds)
+				PID: timeline.ProcSim, TID: tid*platform.NumTiers + int32(t), Start: extract, Dur: b.TierSeconds[t]}
+			flow.AddArg("bytes", bytes)
+			flow.AddArg("seconds", b.TierSeconds[t])
 			dst = append(dst, flow)
 		}
 

@@ -32,31 +32,6 @@ func (g *CSR) neighbors(v int32) []int32 {
 	return g.Indices[g.IndPtr[v]:g.IndPtr[v+1]]
 }
 
-// Validate checks structural invariants; tests call it after generation.
-func (g *CSR) Validate() error {
-	if len(g.IndPtr) < 1 {
-		return fmt.Errorf("graph: empty IndPtr")
-	}
-	if g.IndPtr[0] != 0 {
-		return fmt.Errorf("graph: IndPtr[0] = %d", g.IndPtr[0])
-	}
-	n := int32(g.NumNodes())
-	for v := 0; v < int(n); v++ {
-		if g.IndPtr[v+1] < g.IndPtr[v] {
-			return fmt.Errorf("graph: IndPtr decreases at %d", v)
-		}
-	}
-	if g.IndPtr[n] != int64(len(g.Indices)) {
-		return fmt.Errorf("graph: IndPtr tail %d != len(Indices) %d", g.IndPtr[n], len(g.Indices))
-	}
-	for i, t := range g.Indices {
-		if t < 0 || t >= n {
-			return fmt.Errorf("graph: edge %d targets %d outside [0, %d)", i, t, n)
-		}
-	}
-	return nil
-}
-
 // genPowerLaw generates a Chung–Lu style power-law graph: node v's expected
 // degree follows w_v ∝ (v+1)^{-1/(γ-1)} (a power law with exponent γ in the
 // degree distribution), and each of the round(w_v) out-edges of v targets a

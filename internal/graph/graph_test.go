@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -8,13 +9,38 @@ import (
 	"ugache/internal/rng"
 )
 
+// validateCSR checks a generated graph's structural invariants.
+func validateCSR(g *CSR) error {
+	if len(g.IndPtr) < 1 {
+		return fmt.Errorf("graph: empty IndPtr")
+	}
+	if g.IndPtr[0] != 0 {
+		return fmt.Errorf("graph: IndPtr[0] = %d", g.IndPtr[0])
+	}
+	n := int32(g.NumNodes())
+	for v := 0; v < int(n); v++ {
+		if g.IndPtr[v+1] < g.IndPtr[v] {
+			return fmt.Errorf("graph: IndPtr decreases at %d", v)
+		}
+	}
+	if g.IndPtr[n] != int64(len(g.Indices)) {
+		return fmt.Errorf("graph: IndPtr tail %d != len(Indices) %d", g.IndPtr[n], len(g.Indices))
+	}
+	for i, t := range g.Indices {
+		if t < 0 || t >= n {
+			return fmt.Errorf("graph: edge %d targets %d outside [0, %d)", i, t, n)
+		}
+	}
+	return nil
+}
+
 func testGraph(t *testing.T, n int, avg, gamma float64) *CSR {
 	t.Helper()
 	g, err := genPowerLaw(n, avg, gamma, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := validateCSR(g); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -254,7 +280,7 @@ func TestDatasetBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.G.Validate(); err != nil {
+	if err := validateCSR(d.G); err != nil {
 		t.Fatal(err)
 	}
 	if d.G.NumNodes() < 10000 {

@@ -384,6 +384,39 @@ func (p *Platform) Network() SourceID { return SourceID(p.N + 1) }
 // HasNetwork reports whether this platform is one machine of a cluster.
 func (p *Platform) HasNetwork() bool { return p.hasNet }
 
+// Tier classes a source by where it sits relative to the destination GPU:
+// the local/remote/host split that FEM organises cores around (§5.1) and
+// the §6.2 model prices, plus the cluster's network tier. Its values index
+// every per-tier array, in this order.
+type Tier int
+
+const (
+	TierLocal Tier = iota
+	TierRemote
+	TierHost
+	TierNetwork
+	// NumTiers is the length of a per-tier array.
+	NumTiers = 4
+)
+
+func (t Tier) String() string {
+	return [NumTiers]string{"local", "remote", "host", "network"}[t]
+}
+
+// Tier returns src's tier as seen from GPU dst.
+func (p *Platform) Tier(dst int, src SourceID) Tier {
+	switch {
+	case int(src) == dst:
+		return TierLocal
+	case src == p.Host():
+		return TierHost
+	case p.hasNet && src == p.Network():
+		return TierNetwork
+	default:
+		return TierRemote
+	}
+}
+
 // Machines returns the cluster width (1 for single-machine platforms).
 func (p *Platform) Machines() int {
 	if !p.hasNet {

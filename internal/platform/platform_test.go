@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -348,5 +349,41 @@ func TestLinkIDAccessors(t *testing.T) {
 	}
 	if c.pair != nil {
 		t.Fatal("switch platform should not have pair links")
+	}
+}
+
+// TestTierClasses: every source of a platform falls in exactly the tier its
+// place names — the GPU itself local, host memory host, the cluster's remote
+// machines network, any other GPU remote — and the tiers are named in
+// index order.
+func TestTierClasses(t *testing.T) {
+	twin, err := ClusterOf(ServerAConfig(), DefaultNetwork(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Platform{ServerA(), ServerB(), ServerC(), twin} {
+		for dst := 0; dst < p.N; dst++ {
+			for j := 0; j < p.NumSources(); j++ {
+				src, want := SourceID(j), TierRemote
+				switch {
+				case j == dst:
+					want = TierLocal
+				case src == p.Host():
+					want = TierHost
+				case p.HasNetwork() && src == p.Network():
+					want = TierNetwork
+				}
+				if got := p.Tier(dst, src); got != want {
+					t.Fatalf("%s: gpu %d reads source %d from tier %v, want %v", p.Name, dst, j, got, want)
+				}
+			}
+		}
+	}
+	names := []string{}
+	for tier := Tier(0); tier < NumTiers; tier++ {
+		names = append(names, tier.String())
+	}
+	if got := fmt.Sprint(names); got != "[local remote host network]" {
+		t.Fatalf("tier names %s", got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"ugache/internal/flight"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
+	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
 )
 
@@ -113,9 +114,11 @@ func TestAdmissionFastFail(t *testing.T) {
 // flush, like any other backlog. 20 requests x 4 keys against MaxBatchKeys 16
 // must drain in exactly ceil(80/16) = 5 batches, not 20.
 func TestDrainCoalesces(t *testing.T) {
+	reg := telemetry.NewRegistry(1)
 	srv, err := New(admissionSystem(t), Config{
 		MaxBatchKeys: 16,
 		QueueDepth:   32,
+		Telemetry:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,12 +150,11 @@ func TestDrainCoalesces(t *testing.T) {
 			t.Fatalf("drained request %d got no result", i)
 		}
 	}
-	st := srv.Stats()
-	if st.Batches != 5 {
-		t.Fatalf("drain flushed %d batches for %d requests, want 5 coalesced", st.Batches, reqs)
+	if got := reg.Value("serve_batches_total"); got != 5 {
+		t.Fatalf("drain flushed %g batches for %d requests, want 5 coalesced", got, reqs)
 	}
-	if got := srv.met.fill[flight.FillDrain].Value(); got != 5 {
-		t.Fatalf("serve_batch_fill_drain_total = %d, want 5", got)
+	if got := reg.Value("serve_batch_fill_drain_total"); got != 5 {
+		t.Fatalf("serve_batch_fill_drain_total = %g, want 5", got)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestServeFlightEvents(t *testing.T) {
 			b.GatherSeconds <= 0 || b.ReplySeconds <= 0 {
 			t.Fatalf("record stages = %+v", b)
 		}
-		if split := b.LocalSeconds + b.RemoteSeconds + b.HostSeconds; split <= 0 || b.SimSeconds <= 0 {
+		if split := b.TierSeconds[platform.TierLocal] + b.TierSeconds[platform.TierRemote] + b.TierSeconds[platform.TierHost]; split <= 0 || b.SimSeconds <= 0 {
 			t.Fatalf("record tier split = %+v", b)
 		}
 	}

@@ -10,8 +10,8 @@ import (
 	"ugache/internal/cache"
 	"ugache/internal/core"
 	"ugache/internal/emb"
-	"ugache/internal/flight"
 	"ugache/internal/platform"
+	"ugache/internal/telemetry"
 )
 
 // gatedSource is the tests' handle on a live worker: a RowSource whose next
@@ -119,7 +119,8 @@ func checkRows(t *testing.T, table *emb.Table, keys []int64, rows []byte) {
 // TestLoneRequestFlushesOnIdle: a request that finds its worker idle leaves
 // alone, flushed because the queue ran empty — there is no timer to wait for.
 func TestLoneRequestFlushesOnIdle(t *testing.T) {
-	srv, _, _ := heldServer(t, Config{})
+	reg := telemetry.NewRegistry(1)
+	srv, _, _ := heldServer(t, Config{Telemetry: reg})
 	res, err := srv.Lookup(0, []int64{3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,6 @@ func TestLoneRequestFlushesOnIdle(t *testing.T) {
 	if res.BatchKeys != 3 {
 		t.Fatalf("lone request rode a batch of %d unique keys, want its own 3", res.BatchKeys)
 	}
-	reg := srv.Metrics()
 	if idle, batches := sampleValue(t, reg, "serve_batch_fill_idle_total"), sampleValue(t, reg, "serve_batches_total"); idle != 1 || batches != 1 {
 		t.Fatalf("serve_batch_fill_idle_total = %g, serve_batches_total = %g, want 1 and 1", idle, batches)
 	}
@@ -136,7 +136,8 @@ func TestLoneRequestFlushesOnIdle(t *testing.T) {
 // TestBacklogCoalesces: k requests that queue up while the worker is busy
 // leave as one batch of k with one dedup, and every one gets its own rows.
 func TestBacklogCoalesces(t *testing.T) {
-	srv, gate, table := heldServer(t, Config{})
+	reg := telemetry.NewRegistry(1)
+	srv, gate, table := heldServer(t, Config{Telemetry: reg})
 	parked := parkWorker(t, srv, gate)
 
 	const k = 12
@@ -161,12 +162,11 @@ func TestBacklogCoalesces(t *testing.T) {
 		}
 		checkRows(t, table, keys[i], res.Rows)
 	}
-	st := srv.Stats()
-	if st.Batches != 2 || st.Requests != k+1 {
-		t.Fatalf("%d batches for %d requests, want 2 (the parking flush and the backlog) for %d", st.Batches, st.Requests, k+1)
+	if batches, reqs := reg.Value("serve_batches_total"), reg.Value("serve_requests_total"); batches != 2 || reqs != k+1 {
+		t.Fatalf("%g batches for %g requests, want 2 (the parking flush and the backlog) for %d", batches, reqs, k+1)
 	}
-	if got := srv.met.fill[flight.FillIdle].Value(); got != 2 {
-		t.Fatalf("serve_batch_fill_idle_total = %d, want 2", got)
+	if got := reg.Value("serve_batch_fill_idle_total"); got != 2 {
+		t.Fatalf("serve_batch_fill_idle_total = %g, want 2", got)
 	}
 }
 
@@ -174,7 +174,8 @@ func TestBacklogCoalesces(t *testing.T) {
 // first (MaxBatchKeys 2 here, three single-key requests queued behind a held
 // worker).
 func TestBatchCutAtMaxBatchKeys(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{MaxBatchKeys: 2})
+	reg := telemetry.NewRegistry(1)
+	srv, gate, _ := heldServer(t, Config{MaxBatchKeys: 2, Telemetry: reg})
 	parked := parkWorker(t, srv, gate)
 
 	first := srv.Handle(0, []int64{10})
@@ -199,7 +200,6 @@ func TestBatchCutAtMaxBatchKeys(t *testing.T) {
 			t.Fatalf("%s request rode a batch of %d keys, want %d", c.name, res.BatchKeys, c.keys)
 		}
 	}
-	reg := srv.Metrics()
 	if full, idle := sampleValue(t, reg, "serve_batch_fill_full_total"), sampleValue(t, reg, "serve_batch_fill_idle_total"); full != 1 || idle != 2 {
 		t.Fatalf("fill reasons: %g full, %g idle; want 1 (the capped batch) and 2 (the parking flush, the last request)", full, idle)
 	}

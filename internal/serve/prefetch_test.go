@@ -136,10 +136,12 @@ func TestServePrefetchStaleServing(t *testing.T) {
 	}
 
 	// With S=0 the same sequence must instead discard the staged rows.
+	reg0 := telemetry.NewRegistry(sys.P.N)
 	srv0, err := New(sys, Config{
 		MaxBatchKeys: 1 << 20,
 		Lookahead:    2,
 		StaleBatches: 0,
+		Telemetry:    reg0,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestServePrefetchStaleServing(t *testing.T) {
 	if _, err := srv0.Lookup(0, keys); err != nil {
 		t.Fatal(err)
 	}
-	if got := sampleValue(t, srv0.Metrics(), "serve_stale_served_keys_total"); got != 0 {
+	if got := sampleValue(t, reg0, "serve_stale_served_keys_total"); got != 0 {
 		t.Fatalf("S=0 served %g stale keys", got)
 	}
 }
@@ -167,7 +169,8 @@ func TestServePrefetchStaleServing(t *testing.T) {
 // in flushes they would have died at the third.
 func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
 	sys, _ := buildFunctional(t, 3000)
-	srv, err := New(sys, Config{MaxBatchKeys: 4, Lookahead: 4, StaleBatches: 1})
+	reg := telemetry.NewRegistry(sys.P.N)
+	srv, err := New(sys, Config{MaxBatchKeys: 4, Lookahead: 4, StaleBatches: 1, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
 		t.Fatal("prefetch rejected")
 	}
 	srv.WaitPrefetch(0)
-	if staged := sampleValue(t, srv.Metrics(), "serve_prefetch_staged_keys_total"); int(staged) != len(keys) {
+	if staged := sampleValue(t, reg, "serve_prefetch_staged_keys_total"); int(staged) != len(keys) {
 		t.Fatalf("staged %g of %d keys; pick colder keys", staged, len(keys))
 	}
 	if _, err := sys.Refresh(testHotness(3000, 0.8, 99), 0.001, quickRefreshConfig()); err != nil {
@@ -206,7 +209,7 @@ func TestStaleWindowCountsKeysNotFlushes(t *testing.T) {
 			t.Fatalf("one-key flush %d: %d staged hits, want %d (record %+v)", i+1, b.PrefetchHits, want, b)
 		}
 	}
-	if got := sampleValue(t, srv.Metrics(), "serve_stale_served_keys_total"); got != 8 {
+	if got := sampleValue(t, reg, "serve_stale_served_keys_total"); got != 8 {
 		t.Fatalf("%g keys served stale over %d one-key flushes, want 8", got, len(keys))
 	}
 }

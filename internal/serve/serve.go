@@ -89,10 +89,11 @@ type Config struct {
 	// discarded. 0 means staged rows die with their snapshot.
 	StaleBatches int
 
-	// Telemetry receives the engine's metrics. Nil creates a private
-	// registry (sharded per GPU), so Metrics and Stats always work; pass
-	// the same registry to core.Config.Telemetry to get the extraction and
-	// refresh metrics alongside.
+	// Telemetry receives the engine's metrics, the one read path for its
+	// counts. Nil keeps them in a private registry (sharded per GPU) that
+	// nothing reads, as core.Config.Telemetry does; pass the same registry
+	// to core.Config.Telemetry to get the extraction and refresh metrics
+	// alongside.
 	Telemetry *telemetry.Registry
 	// Sampler, when non-nil, observes every coalesced batch's unique keys
 	// for §7.2 hotness re-estimation. Worker g feeds the sampler's shard g,
@@ -152,23 +153,6 @@ type Result struct {
 	BatchKeys int
 	// Err is set when the lookup failed (bad key, closed server, ...).
 	Err error
-}
-
-// Stats are cumulative serving counters, read from the telemetry registry.
-type Stats struct {
-	Requests      int64   // requests completed
-	Batches       int64   // coalesced batches flushed
-	RequestedKeys int64   // keys requested (before dedup)
-	UniqueKeys    int64   // unique keys actually extracted
-	SimSeconds    float64 // total simulated extraction time
-}
-
-// MeanBatchKeys is the mean unique-key size of a coalesced batch.
-func (s Stats) MeanBatchKeys() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.UniqueKeys) / float64(s.Batches)
 }
 
 type request struct {
@@ -282,12 +266,9 @@ type Server struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	tel     *telemetry.Registry
 	met     *metrics
 	sampler *cache.HotnessSampler
 	ctrl    *core.Controller
-	tpb     [][]float64 // platform.TimePerByteTable, for the records' tier split
-	netSrc  int         // cluster network SourceID as int, -1 off-cluster
 
 	// fl is the flight recorder (Config.Flight or a private one), rings the
 	// worker rings claimed from it (ring g is worker g's).
@@ -324,16 +305,10 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		queues:     make([]*gpuQueue, sys.P.N),
 		shed:       make([]atomic.Int64, sys.P.N),
 		done:       make(chan struct{}),
-		tel:        reg,
 		met:        newMetrics(reg),
 		sampler:    cfg.Sampler,
 		ctrl:       cfg.Controller,
-		tpb:        sys.P.TimePerByteTable(),
-		netSrc:     -1,
 		fl:         cfg.Flight,
-	}
-	if sys.P.HasNetwork() {
-		s.netSrc = int(sys.P.Network())
 	}
 	if cfg.Lookahead > 0 {
 		n := sys.P.N
@@ -375,10 +350,6 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Metrics returns the server's telemetry registry (the one passed in
-// Config.Telemetry, or the private default).
-func (s *Server) Metrics() *telemetry.Registry { return s.tel }
 
 // Trace returns the read-side view over this server's batch records: the
 // last ring-depth flushes of each worker.
@@ -474,17 +445,6 @@ func (s *Server) Close() {
 	// and exit.
 	close(s.done)
 	s.wg.Wait()
-}
-
-// Stats returns a copy of the cumulative counters.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Requests:      s.met.requests.Value(),
-		Batches:       s.met.batches.Value(),
-		RequestedKeys: s.met.requestedKeys.Value(),
-		UniqueKeys:    s.met.uniqueKeys.Value(),
-		SimSeconds:    s.met.simSeconds.Value(),
-	}
 }
 
 // workerScratch is one worker's reusable flush state: the open-addressing
@@ -653,7 +613,8 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 	}
 	extractEnd := time.Now()
 	rec.SimSeconds = res.Time
-	s.tierSplit(g, res.SrcBytes[g], rec)
+	copy(rec.TierBytes[:], res.TierBytes[g])
+	copy(rec.TierSeconds[:], res.TierSeconds[g])
 
 	// Feed the §7.2 hotness sampler with this batch's unique keys; shard g
 	// belongs to this worker, so the observation is race-free.
@@ -673,7 +634,7 @@ func (s *Server) flush(g int, batch []*request, sc *workerScratch, dequeued time
 		gatherEnd = time.Now()
 	}
 	// Counted before the replies go out: a caller holding its Result finds
-	// itself in Stats (and its batch in Trace, below), and requests +
+	// itself in serve_*_total (and its batch in Trace, below), and requests +
 	// rejected + failed equals what admission was asked to take at every
 	// instant a caller can observe.
 	m := s.met
@@ -755,32 +716,6 @@ func (s *Server) consumeStaged(g int, sc *workerScratch, uniq []int64, rows []by
 	sc.demand, sc.demandIdx, sc.staged = demand, demandIdx, stagedKeys
 	sc.batch.Staged[g] = stagedKeys
 	return demand, staleServed
-}
-
-// tierSplit is the one place an extraction's per-source volumes become the
-// record's local / remote / host / network bytes and modelled seconds.
-func (s *Server) tierSplit(g int, srcBytes []float64, rec *flight.Batch) {
-	host, network := int(s.sys.P.Host()), s.netSrc
-	for j, bytes := range srcBytes {
-		if bytes == 0 {
-			continue
-		}
-		sec := bytes * s.tpb[g][j]
-		switch {
-		case j == host:
-			rec.HostBytes += bytes
-			rec.HostSeconds += sec
-		case j == network:
-			rec.NetworkBytes += bytes
-			rec.NetworkSeconds += sec
-		case j == g:
-			rec.LocalBytes += bytes
-			rec.LocalSeconds += sec
-		default:
-			rec.RemoteBytes += bytes
-			rec.RemoteSeconds += sec
-		}
-	}
 }
 
 // gather is the one functional gather into the worker's row buffer. With

@@ -12,6 +12,7 @@ import (
 	"ugache/internal/emb"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
+	"ugache/internal/telemetry"
 	"ugache/internal/workload"
 )
 
@@ -52,7 +53,8 @@ func buildFunctional(t *testing.T, n int) (*core.System, *emb.Table) {
 
 func TestServeFunctionalRows(t *testing.T) {
 	sys, table := buildFunctional(t, 3000)
-	srv, err := New(sys, Config{})
+	reg := telemetry.NewRegistry(sys.P.N)
+	srv, err := New(sys, Config{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +101,11 @@ func TestServeFunctionalRows(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.Requests != clients*perClient {
-		t.Fatalf("stats count %d requests, want %d", st.Requests, clients*perClient)
+	if got := reg.Value("serve_requests_total"); got != clients*perClient {
+		t.Fatalf("serve_requests_total %g, want %d", got, clients*perClient)
 	}
-	if st.UniqueKeys > st.RequestedKeys {
-		t.Fatalf("dedup increased keys: %d > %d", st.UniqueKeys, st.RequestedKeys)
+	if uniq, req := reg.Value("serve_unique_keys_total"), reg.Value("serve_requested_keys_total"); uniq > req {
+		t.Fatalf("dedup increased keys: %g > %g", uniq, req)
 	}
 }
 

@@ -59,9 +59,6 @@ func TestServeTelemetry(t *testing.T) {
 	}
 	srv.Close()
 
-	if srv.Metrics() != reg {
-		t.Fatal("Metrics() did not return the shared registry")
-	}
 	if got := sampleValue(t, reg, "serve_requests_total"); got != reqs {
 		t.Fatalf("serve_requests_total %g, want %d", got, reqs)
 	}
@@ -126,7 +123,7 @@ func TestServeTelemetry(t *testing.T) {
 		if tr.UniqueKeys <= 0 || tr.RequestedKeys < tr.UniqueKeys {
 			t.Fatalf("inconsistent trace %+v", tr)
 		}
-		gotBytes := tr.LocalBytes + tr.RemoteBytes + tr.HostBytes
+		gotBytes := tr.TierBytes[platform.TierLocal] + tr.TierBytes[platform.TierRemote] + tr.TierBytes[platform.TierHost]
 		if want := float64(tr.UniqueKeys * 64); gotBytes != want {
 			t.Fatalf("trace tier bytes %g, want %g", gotBytes, want)
 		}
@@ -152,7 +149,8 @@ func TestServeTelemetry(t *testing.T) {
 // once, as served, shed or failed. The failures are injected host-read
 // errors under one coalesced batch.
 func TestServeCounterConservation(t *testing.T) {
-	srv, gate, _ := heldServer(t, Config{QueueDepth: 2})
+	reg := telemetry.NewRegistry(1)
+	srv, gate, _ := heldServer(t, Config{QueueDepth: 2, Telemetry: reg})
 	parked := parkWorker(t, srv, gate)
 	host := hostKey(t, srv)
 	doomed := []<-chan Result{srv.Handle(0, []int64{1}), srv.Handle(0, []int64{host})}
@@ -171,7 +169,6 @@ func TestServeCounterConservation(t *testing.T) {
 		}
 	}
 	const sent = 4
-	reg := srv.Metrics()
 	served := sampleValue(t, reg, "serve_requests_total")
 	shed := sampleValue(t, reg, "serve_rejected_total")
 	failed := sampleValue(t, reg, "serve_failed_total")
@@ -245,8 +242,8 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := flight.NewRecorder(sys.P.N, 256)
-	srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl})
+	fl, reg := flight.NewRecorder(sys.P.N, 256), telemetry.NewRegistry(sys.P.N)
+	srv, err := New(sys, Config{MaxBatchKeys: 1, Flight: fl, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +278,7 @@ func TestServeTelemetryTraceSampling(t *testing.T) {
 			t.Fatalf("record %d = %+v", i, tr)
 		}
 	}
-	st := srv.Stats()
-	if st.Requests != 16 || st.Batches != 16 {
-		t.Fatalf("stats %+v", st)
+	if reqs, batches := reg.Value("serve_requests_total"), reg.Value("serve_batches_total"); reqs != 16 || batches != 16 {
+		t.Fatalf("serve_requests_total %g, serve_batches_total %g, want 16 and 16", reqs, batches)
 	}
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestPhaseLogRecording checks that a recording Run reproduces the
 // run's structure: phase boundaries cover [0, makespan], per-link phase
@@ -79,22 +76,5 @@ func TestPhaseLogReusedAcrossRuns(t *testing.T) {
 	}
 	if res.Phases != nil {
 		t.Fatal("non-recording run still exposed a phase log")
-	}
-}
-
-// TestUtilizationGuards checks the zero-capacity and zero-makespan guards:
-// utilization must report 0, never ±Inf or NaN.
-func TestUtilizationGuards(t *testing.T) {
-	topo := &Topology{Links: []Link{{Name: "dead", Capacity: 0}, {Name: "live", Capacity: 10}}}
-	res := &Result{Makespan: 2, LinkBytes: []float64{5, 10}}
-	if u := res.Utilization(topo, 0); u != 0 {
-		t.Fatalf("zero-capacity link utilization = %g, want 0", u)
-	}
-	almost(t, res.Utilization(topo, 1), 0.5, 1e-9, "live link utilization")
-	empty := &Result{Makespan: 0, LinkBytes: []float64{0, 0}}
-	for l := range topo.Links {
-		if u := empty.Utilization(topo, LinkID(l)); u != 0 || math.IsNaN(u) {
-			t.Fatalf("zero-makespan utilization = %g, want 0", u)
-		}
 	}
 }

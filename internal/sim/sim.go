@@ -81,25 +81,6 @@ type Result struct {
 	Phases *PhaseLog
 }
 
-// Utilization returns the average utilization of link l over the run, in
-// [0, 1]. It returns 0 if the makespan is zero or the link has no usable
-// capacity (hand-built topologies may carry zero-capacity placeholder
-// links; dividing through them would report ±Inf/NaN).
-func (r *Result) Utilization(topo *Topology, l LinkID) float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	den := topo.Links[l].Capacity * r.Makespan
-	if den <= 0 {
-		return 0
-	}
-	u := r.LinkBytes[l] / den
-	if math.IsNaN(u) || math.IsInf(u, 0) {
-		return 0
-	}
-	return u
-}
-
 // errStarved reports a demand that can never complete because it has bytes
 // to move but no cores and no padding source.
 var errStarved = errors.New("sim: demand has bytes but can never receive cores")

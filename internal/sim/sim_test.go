@@ -33,7 +33,7 @@ func TestSingleDemandLinkBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	almost(t, res.Finish[0], 10, 1e-9, "finish")
-	almost(t, res.Utilization(&topo, pcie), 1, 1e-9, "utilization")
+	almost(t, res.LinkBytes[pcie]/(topo.Links[pcie].Capacity*res.Makespan), 1, 1e-9, "utilization")
 }
 
 func TestToleranceCurve(t *testing.T) {

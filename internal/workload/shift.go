@@ -45,9 +45,6 @@ func NewFlashCrowd(n int64, alpha float64, shiftAtBatch int, rotate int64) (*Shi
 	return &ShiftingZipf{z: z, shiftAt: shiftAtBatch, rotate: rotate}, nil
 }
 
-// NumEntries returns the key-space size.
-func (s *ShiftingZipf) NumEntries() int64 { return s.z.N }
-
 // keyAt maps a hotness rank to a key under the mapping in effect at the
 // given batch index.
 func (s *ShiftingZipf) keyAt(batch int, rank int64) int64 {

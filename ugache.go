@@ -219,9 +219,6 @@ type Server = serve.Server
 // plus the simulated extraction cost of the coalesced batch it rode in.
 type ServeResult = serve.Result
 
-// ServeStats are the engine's cumulative counters.
-type ServeStats = serve.Stats
-
 // Admission outcomes (DESIGN.md §6.5): a request against a full bounded
 // queue is shed at once with ErrOverload (Handle never blocks; retry with
 // backoff to wait); requests racing shutdown observe ErrClosed; a request

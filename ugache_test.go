@@ -120,8 +120,8 @@ func TestFacadeServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := ugache.NewFlightRecorder(p.N, 0)
-	srv, err := ugache.Serve(sys, ugache.ServeConfig{Flight: rec})
+	rec, reg := ugache.NewFlightRecorder(p.N, 0), ugache.NewTelemetryRegistry(p.N)
+	srv, err := ugache.Serve(sys, ugache.ServeConfig{Flight: rec, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestFacadeServe(t *testing.T) {
 			t.Fatalf("served row %d wrong", k)
 		}
 	}
-	if st := srv.Stats(); st.Requests != 1 || st.Batches < 1 {
-		t.Fatalf("stats %+v", st)
+	if reqs, batches := reg.Value("serve_requests_total"), reg.Value("serve_batches_total"); reqs != 1 || batches < 1 {
+		t.Fatalf("serve_requests_total %g, serve_batches_total %g", reqs, batches)
 	}
 	// The handler's one flight field serves the recorder's batch line.
 	h := httptest.NewServer(ugache.NewTelemetryHandler(ugache.TelemetryHandlerConfig{
