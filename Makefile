@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/par ./internal/emb ./internal/cache ./internal/extract ./
 # table, its hotness and the filled caches.
 BENCH_PKGS = ./internal/hashtable ./internal/core ./internal/serve ./internal/workload ./internal/emb ./internal/cache
 
-.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check examples figures figures-golden loc openloop-table
+.PHONY: check build test vet fmt fuzz-smoke race bench-harness bench bench-pairs bench-solver bench-setup bench-drift bench-prefetch bench-sim-check examples figures figures-golden figures-diff loc openloop-table
 
 # Every step CI gates on, so a local `make check` fails where CI would.
 check: fmt vet build test fuzz-smoke race bench-harness bench-sim-check examples
@@ -141,6 +141,32 @@ figures:
 # a change is meant to move a cell, and review the diff.
 figures-golden:
 	$(GO) test ./internal/bench -run TestExperimentsSmoke -update
+
+# Recorded-scale figure bodies of a base commit against the working tree:
+# the numbers EXPERIMENTS.md quotes are read at -scale 0.25 -iters 3, where
+# no golden pins them (the goldens are at the test scale). Builds
+# ugache-bench from a git archive of BASE and from the tree, runs both on
+# EXP, masks the "### name (N.Ns)" timing headers and diffs the rest; any
+# body difference fails. EXP defaults to the experiments a PeerRandom or
+# MessageBased run feeds. About five minutes on two cores; not part of
+# check or CI, e.g.
+#   make figures-diff BASE=HEAD~1 [EXP=fig4,fig13]
+EXP ?= fig2,fig4,fig10,fig11,fig12,fig13,fig14,fig15,summary,ablate-dispatch
+FIGURES_MASK = sed -E 's/^(\#\#\# [^ ]+) \([0-9.]+s\)$$/\1/'
+figures-diff:
+ifndef BASE
+	@echo "usage: make figures-diff BASE=<ref> [EXP=fig4,...]"; exit 2
+else
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/base" && \
+	git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-base" ./cmd/ugache-bench) && \
+	$(GO) build -o "$$tmp/bench-tree" ./cmd/ugache-bench && \
+	for side in base tree; do \
+		"$$tmp/bench-$$side" -exp $(EXP) -scale 0.25 -iters 3 >"$$tmp/$$side.out" || exit 1; \
+		$(FIGURES_MASK) "$$tmp/$$side.out" >"$$tmp/$$side.txt"; \
+	done && \
+	diff "$$tmp/base.txt" "$$tmp/tree.txt" && echo "figure bodies identical to $(BASE): $(EXP)"
+endif
 
 # Non-test Go lines outside benchmark/: the count a simplicity PR reports.
 # `make loc BASE=<ref>` also counts <ref>, from a git archive of it with the

@@ -409,6 +409,27 @@ func TestRefreshSolveStats(t *testing.T) {
 	}
 }
 
+// TestLinkGaugesArePhysical: Build registers one sim_link_util_ gauge per
+// physical link of the platform — 33 on Server C — and none for the
+// degraded capacities unorganized extraction sees on those same links.
+func TestLinkGaugesArePhysical(t *testing.T) {
+	reg := telemetry.NewRegistry(8)
+	if _, err := Build(Config{
+		Platform: platform.ServerC(), Hotness: testHotness(1000, 1.1, 1), EntryBytes: 64, CacheRatio: 0.1, Telemetry: reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var gauges []string
+	for _, s := range reg.Samples() {
+		if strings.HasPrefix(s.Name, "sim_link_util_") {
+			gauges = append(gauges, s.Name)
+		}
+	}
+	if len(gauges) != 33 {
+		t.Fatalf("%d link gauges, want 33: %v", len(gauges), gauges)
+	}
+}
+
 func TestRefreshHotnessLengthMismatch(t *testing.T) {
 	p := platform.ServerA()
 	sys, err := Build(Config{

@@ -49,11 +49,12 @@ func (m Mechanism) String() string {
 		return "factored"
 	case PeerRandom:
 		return "peer-random"
+	case MessageBased:
+		return "message-based"
 	case FactoredStatic:
 		return "factored-static"
-	default:
-		return "message-based"
 	}
+	return fmt.Sprintf("mechanism(%d)", int(m))
 }
 
 // divergenceFactor is the per-core issue-rate penalty of randomly
@@ -98,9 +99,6 @@ type Result struct {
 	// the simulated schedule, so a row's seconds may sum to more than Time.
 	TierBytes   [][]float64
 	TierSeconds [][]float64
-	// Stalled is the average fraction of core-time lost to congestion in
-	// PeerRandom (0 for the other mechanisms).
-	Stalled float64
 }
 
 // Utilization returns the average utilization of the given links over the
@@ -124,8 +122,6 @@ func (r *Result) Utilization(p *platform.Platform, links []sim.LinkID) float64 {
 type Extractor struct {
 	P  *platform.Platform
 	Pl *solver.Placement
-	// EntryBytes overrides the placement's entry size when non-zero.
-	EntryBytes int
 	// Owned, on clustered platforms, reports whether this machine's host
 	// shard holds the key. Network-class keys the predicate accepts are
 	// regrouped onto the host path (the local 1/M shard serves them without
@@ -134,7 +130,7 @@ type Extractor struct {
 	// crosses the NIC).
 	Owned func(key int64) bool
 	// plan caches the batch-invariant planning constants (paths, core
-	// dedications, labels); see planCache.
+	// dedications, tiers); see planCache.
 	plan *planCache
 }
 
@@ -149,12 +145,7 @@ func New(p *platform.Platform, pl *solver.Placement) (*Extractor, error) {
 	return &Extractor{P: p, Pl: pl, plan: newPlanCache(p)}, nil
 }
 
-func (e *Extractor) entryBytes() float64 {
-	if e.EntryBytes > 0 {
-		return float64(e.EntryBytes)
-	}
-	return float64(e.Pl.EntryBytes)
-}
+func (e *Extractor) entryBytes() float64 { return float64(e.Pl.EntryBytes) }
 
 // Run simulates one extraction with the given mechanism. Every mechanism's
 // SrcBytes, TierBytes and TierSeconds alias sc, and the Factored and
@@ -207,7 +198,6 @@ func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
 	for g := 0; g < e.P.N; g++ {
 		idx[g][g] = len(demands)
 		demands = append(demands, sim.Demand{
-			Label: pc.localLabels[g],
 			Bytes: vol[g][g], Cores: 0, RCore: e.P.GPU.RCoreLocal,
 			Path: pc.paths[g][g], PadTo: -1,
 		})
@@ -227,7 +217,6 @@ func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
 				}
 				idx[g][j] = len(demands)
 				demands = append(demands, sim.Demand{
-					Label: pc.labels[g][j],
 					Bytes: vol[g][j], Cores: ded[j], RCore: pc.rcore[g][j],
 					Path: pc.paths[g][j], PadTo: idx[g][g],
 				})
@@ -276,9 +265,12 @@ func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, out *Result, sc *
 
 // runPeerRandom implements the unorganized peer-based extraction of §5.2:
 // one mixed queue per GPU, proportional drain, divergence-degraded per-core
-// rates.
+// rates. The routes are Factored's; they run on the platform's unorganized
+// topology (§5.2: uncoalesced transfers achieve only a fraction of link
+// capacity), whose link IDs are the physical ones.
 func (e *Extractor) runPeerRandom(out *Result) error {
 	vol := out.SrcBytes
+	pc := e.plan
 	var demands []sim.PoolDemand
 	pools := make([]sim.Pool, e.P.N)
 	for g := 0; g < e.P.N; g++ {
@@ -287,63 +279,22 @@ func (e *Extractor) runPeerRandom(out *Result) error {
 			if vol[g][j] == 0 {
 				continue
 			}
-			src := platform.SourceID(j)
-			// Unorganized access routes over the degraded interconnect
-			// twins (§5.2: uncoalesced transfers achieve only a fraction
-			// of link capacity) and pays the divergence penalty per core.
-			path, ok := e.P.PathUnorganized(g, src)
-			if !ok {
+			if !pc.pathOK[g][j] {
 				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
 			}
 			demands = append(demands, sim.PoolDemand{
-				Label: fmt.Sprintf("g%d<-%d", g, j),
-				Pool:  g, Bytes: vol[g][j],
-				RCore: divergenceFactor * e.P.RCore(g, src),
-				Path:  path,
+				Pool: g, Bytes: vol[g][j],
+				RCore: divergenceFactor * pc.rcore[g][j],
+				Path:  pc.paths[g][j],
 			})
 		}
 	}
-	res, err := e.P.Topo.RunProportional(demands, pools)
+	res, err := e.P.Unorganized().RunProportional(demands, pools)
 	if err != nil {
 		return err
 	}
-	e.P.FoldDegraded(res.LinkBytes)
-	// Stall estimate: fraction of core share parked on link-bound sources
-	// beyond their tolerance.
-	stalled := 0.0
-	for i, d := range demands {
-		bw, _ := e.P.LinkBW(d.Pool, sourceOfLabelDemand(e.P, d))
-		cores := res.CoreShare[i] * pools[d.Pool].Cores
-		if cores*d.RCore > bw {
-			stalled += res.CoreShare[i] * (1 - bw/(cores*d.RCore))
-		}
-	}
-	if e.P.N > 0 {
-		stalled /= float64(e.P.N)
-	}
-	out.Time, out.PerGPU, out.LinkBytes, out.Stalled = res.Makespan, res.PoolTime, res.LinkBytes, stalled
+	out.Time, out.PerGPU, out.LinkBytes = res.Makespan, res.PoolTime, res.LinkBytes
 	return nil
-}
-
-// sourceOfLabelDemand recovers the source of a pool demand from its path
-// head; kept simple by re-deriving from the placement volumes instead would
-// need extra bookkeeping.
-func sourceOfLabelDemand(p *platform.Platform, d sim.PoolDemand) platform.SourceID {
-	// Host path starts at the DRAM link; the network path is the 3-hop
-	// DRAM→NIC→PCIe staging route; local path is a single HBM link of the
-	// pool GPU; remote path starts at the source GPU's HBM.
-	if len(d.Path) == 2 && d.Path[0] == p.DRAMLink() {
-		return p.Host()
-	}
-	if len(d.Path) == 3 && d.Path[0] == p.DRAMLink() {
-		return p.Network()
-	}
-	for g := 0; g < p.N; g++ {
-		if d.Path[0] == p.HBMLink(g) {
-			return platform.SourceID(g)
-		}
-	}
-	return p.Host()
 }
 
 // runMessageBased implements the AllToAll scheme of §3.2 in three stages.
@@ -355,6 +306,8 @@ func sourceOfLabelDemand(p *platform.Platform, d sim.PoolDemand) platform.Source
 // into the output tensor (one more local pass over all bytes).
 func (e *Extractor) runMessageBased(out *Result) error {
 	vol := out.SrcBytes
+	pc := e.plan
+	host := int(e.P.Host())
 	// gatherBytes[j]: bytes GPU j reads locally on behalf of all readers.
 	gatherBytes := make([]float64, e.P.N)
 	// exchBytes[i][j]: bytes moving j -> i in the exchange.
@@ -368,7 +321,7 @@ func (e *Extractor) runMessageBased(out *Result) error {
 			if v == 0 {
 				continue
 			}
-			switch e.plan.tier[i][j] {
+			switch pc.tier[i][j] {
 			case platform.TierHost, platform.TierNetwork:
 				// Cross-machine fetches stage through host memory; the
 				// message-based baseline models them as host fetches (it has
@@ -400,17 +353,15 @@ func (e *Extractor) runMessageBased(out *Result) error {
 	var d1 []sim.Demand
 	for g := 0; g < e.P.N; g++ {
 		if gatherBytes[g] > 0 {
-			path, _ := e.P.Path(g, platform.SourceID(g))
-			d1 = append(d1, sim.Demand{Label: fmt.Sprintf("gather%d", g),
+			d1 = append(d1, sim.Demand{
 				Bytes: gatherBytes[g], Cores: cores, RCore: e.P.GPU.RCoreLocal,
-				Path: path, PadTo: -1})
+				Path: pc.paths[g][g], PadTo: -1})
 		}
 		if hostBytes[g] > 0 {
-			path, _ := e.P.Path(g, e.P.Host())
 			tol, _ := e.P.Tolerance(g, e.P.Host())
-			d1 = append(d1, sim.Demand{Label: fmt.Sprintf("host%d", g),
+			d1 = append(d1, sim.Demand{
 				Bytes: hostBytes[g], Cores: math.Ceil(tol), RCore: e.P.GPU.RCoreHost,
-				Path: path, PadTo: -1})
+				Path: pc.paths[g][host], PadTo: -1})
 		}
 	}
 	t1, lb1, err := stage(d1)
@@ -425,13 +376,13 @@ func (e *Extractor) runMessageBased(out *Result) error {
 			if exchBytes[i][j] == 0 {
 				continue
 			}
-			path, ok := e.P.Path(i, platform.SourceID(j))
-			if !ok {
+			path := pc.paths[i][j]
+			if !pc.pathOK[i][j] {
 				// NCCL routes unconnected pairs through host; model as a
 				// host bounce (two PCIe legs simplified to one host read).
-				path, _ = e.P.Path(i, e.P.Host())
+				path = pc.paths[i][host]
 			}
-			d2 = append(d2, sim.Demand{Label: fmt.Sprintf("exch%d<-%d", i, j),
+			d2 = append(d2, sim.Demand{
 				Bytes: exchBytes[i][j] / ncclEfficiency, Cores: cores / float64(e.P.N),
 				RCore: e.P.GPU.RCoreRemote, Path: path, PadTo: -1})
 		}
@@ -445,10 +396,9 @@ func (e *Extractor) runMessageBased(out *Result) error {
 	var d3 []sim.Demand
 	for g := 0; g < e.P.N; g++ {
 		if recvBytes[g] > 0 {
-			path, _ := e.P.Path(g, platform.SourceID(g))
-			d3 = append(d3, sim.Demand{Label: fmt.Sprintf("reorder%d", g),
+			d3 = append(d3, sim.Demand{
 				Bytes: 2 * recvBytes[g], Cores: cores, RCore: e.P.GPU.RCoreLocal,
-				Path: path, PadTo: -1})
+				Path: pc.paths[g][g], PadTo: -1})
 		}
 	}
 	t3, lb3, err := stage(d3)
@@ -495,7 +445,6 @@ func (e *Extractor) runFactoredStatic(out *Result, sc *Scratch) error {
 			}
 			owner[g][j] = len(demands)
 			demands = append(demands, sim.Demand{
-				Label: pc.staticLabels[g][j],
 				Bytes: vol[g][j], Cores: cores, RCore: pc.rcore[g][j],
 				Path: pc.paths[g][j], PadTo: -1,
 			})

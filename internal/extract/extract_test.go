@@ -240,17 +240,50 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-func TestPeerRandomStallReported(t *testing.T) {
-	p := platform.ServerA()
-	pl, _ := buildPlacement(t, p, 20000, 0.04, solver.Partition{})
-	ex, _ := New(p, pl)
-	b := genBatch(t, 20000, 60000, p.N, 5)
-	res, err := ex.Run(PeerRandom, b, nil)
+// TestPeerRandomLinkBytesOnPhysicalLinks: PeerRandom runs on the
+// platform's unorganized topology, whose link IDs are Topo's, so every byte
+// it moves lands on a physical link. Over Servers A, B, C and a two-machine
+// cluster of Server A, its LinkBytes has one slot per Topo link and totals
+// the sum over demands of bytes × path hops.
+func TestPeerRandomLinkBytesOnPhysicalLinks(t *testing.T) {
+	twin, err := platform.ClusterOf(platform.ServerAConfig(), platform.DefaultNetwork(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stalled < 0 || res.Stalled > 1 {
-		t.Fatalf("stall fraction %g", res.Stalled)
+	for _, p := range []*platform.Platform{platform.ServerA(), platform.ServerB(), platform.ServerC(), twin} {
+		pl, _ := buildPlacement(t, p, 20000, 0.04, solver.UGache{})
+		ex, _ := New(p, pl)
+		res, err := ex.Run(PeerRandom, genBatch(t, 20000, 60000, p.N, 5), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.LinkBytes) != len(p.Topo.Links) {
+			t.Fatalf("%s: %d link slots, topology has %d links", p.Name, len(res.LinkBytes), len(p.Topo.Links))
+		}
+		want, got := 0.0, 0.0
+		for g, row := range res.SrcBytes {
+			for j, bytes := range row {
+				path, _ := p.Path(g, platform.SourceID(j))
+				want += bytes * float64(len(path))
+			}
+		}
+		for _, b := range res.LinkBytes {
+			got += b
+		}
+		if want == 0 || math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("%s: links carry %g bytes, demands × hops = %g", p.Name, got, want)
+		}
+	}
+}
+
+func TestMechanismNames(t *testing.T) {
+	for m, want := range map[Mechanism]string{
+		Factored: "factored", PeerRandom: "peer-random", MessageBased: "message-based",
+		FactoredStatic: "factored-static", 7: "mechanism(7)", -1: "mechanism(-1)",
+	} {
+		if got := m.String(); got != want {
+			t.Errorf("Mechanism(%d).String() = %q, want %q", int(m), got, want)
+		}
 	}
 }
 
@@ -297,9 +330,6 @@ func TestFactoredStaticAblation(t *testing.T) {
 				t.Fatal("mechanisms disagree on volumes")
 			}
 		}
-	}
-	if FactoredStatic.String() != "factored-static" {
-		t.Fatal("name")
 	}
 }
 

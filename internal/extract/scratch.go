@@ -10,35 +10,28 @@ import (
 
 // planCache holds the batch-invariant planning constants of one
 // (platform, placement) pair: routed paths, per-source core dedications,
-// issue rates, source tiers, time per byte, and demand labels. Extraction
-// runs once per training or inference iteration, so re-deriving these per
-// run (Path and FEMDedication allocate; labels went through fmt.Sprintf) put
-// avoidable allocation and CPU time on the §3.2 critical path. New computes
-// the cache once.
+// issue rates, source tiers and time per byte. Extraction runs once per
+// training or inference iteration, so re-deriving these per run (Path and
+// FEMDedication allocate) put avoidable allocation and CPU time on the §3.2
+// critical path. New computes the cache once.
 type planCache struct {
-	paths        [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
-	pathOK       [][]bool
-	rcore        [][]float64 // rcore[g][j]: per-core issue rate on that route
-	tier         [][]platform.Tier
-	tpb          [][]float64 // platform.TimePerByteTable
-	ded          [][]float64 // ded[g]: §5.3 core dedication for GPU g
-	labels       [][]string  // "g<g><-<j>"
-	localLabels  []string    // "g<g><-local"
-	staticLabels [][]string  // "g<g><-<j>-static"
+	paths  [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
+	pathOK [][]bool
+	rcore  [][]float64 // rcore[g][j]: per-core issue rate on that route
+	tier   [][]platform.Tier
+	tpb    [][]float64 // platform.TimePerByteTable
+	ded    [][]float64 // ded[g]: §5.3 core dedication for GPU g
 }
 
 func newPlanCache(p *platform.Platform) *planCache {
 	ns := p.NumSources()
 	pc := &planCache{
-		paths:        make([][][]sim.LinkID, p.N),
-		pathOK:       make([][]bool, p.N),
-		rcore:        make([][]float64, p.N),
-		tier:         make([][]platform.Tier, p.N),
-		tpb:          p.TimePerByteTable(),
-		ded:          make([][]float64, p.N),
-		labels:       make([][]string, p.N),
-		localLabels:  make([]string, p.N),
-		staticLabels: make([][]string, p.N),
+		paths:  make([][][]sim.LinkID, p.N),
+		pathOK: make([][]bool, p.N),
+		rcore:  make([][]float64, p.N),
+		tier:   make([][]platform.Tier, p.N),
+		tpb:    p.TimePerByteTable(),
+		ded:    make([][]float64, p.N),
 	}
 	for g := 0; g < p.N; g++ {
 		pc.paths[g] = make([][]sim.LinkID, ns)
@@ -46,16 +39,11 @@ func newPlanCache(p *platform.Platform) *planCache {
 		pc.rcore[g] = make([]float64, ns)
 		pc.tier[g] = make([]platform.Tier, ns)
 		pc.ded[g] = p.FEMDedication(g)
-		pc.labels[g] = make([]string, ns)
-		pc.staticLabels[g] = make([]string, ns)
-		pc.localLabels[g] = fmt.Sprintf("g%d<-local", g)
 		for j := 0; j < ns; j++ {
 			src := platform.SourceID(j)
 			pc.paths[g][j], pc.pathOK[g][j] = p.Path(g, src)
 			pc.rcore[g][j] = p.RCore(g, src)
 			pc.tier[g][j] = p.Tier(g, src)
-			pc.labels[g][j] = fmt.Sprintf("g%d<-%d", g, j)
-			pc.staticLabels[g][j] = fmt.Sprintf("g%d<-%d-static", g, j)
 		}
 	}
 	return pc

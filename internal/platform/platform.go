@@ -64,10 +64,13 @@ const (
 )
 
 func (k Kind) String() string {
-	if k == HardWired {
+	switch k {
+	case HardWired:
 		return "hard-wired"
+	case SwitchBased:
+		return "switch-based"
 	}
-	return "switch-based"
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // SourceID identifies a source location: 0..N-1 are GPUs, Host(N) is host
@@ -79,8 +82,8 @@ type SourceID int
 // NetworkConfig describes the inter-machine fabric joining M identical
 // single-machine platforms into a cluster. Each machine owns one NIC whose
 // effective gather bandwidth and base one-way latency are modelled like
-// any other link; a degraded twin (see degraded.go) covers unorganized
-// extraction over the wire.
+// any other link; unorganized extraction sees it at a degraded capacity
+// (see degraded.go).
 type NetworkConfig struct {
 	// Machines is the number of machines in the cluster (≥ 2).
 	Machines int
@@ -129,13 +132,8 @@ type Platform struct {
 	hasNet bool
 	nic    sim.LinkID // clustered platforms only
 
-	// Degraded twins for unorganized extraction (built lazily; see
-	// degraded.go).
-	pcieDeg []sim.LinkID
-	outDeg  []sim.LinkID
-	inDeg   []sim.LinkID
-	pairDeg [][]sim.LinkID
-	nicDeg  sim.LinkID
+	// unorg is Topo at unorganized extraction's capacities (degraded.go).
+	unorg sim.Topology
 }
 
 // Config describes a platform to build; use the ServerA/B/C constructors
@@ -250,10 +248,7 @@ func New(cfg Config) (*Platform, error) {
 		p.Net = *cfg.Network
 		p.nic = p.Topo.AddLink("nic", cfg.Network.LinkBW)
 	}
-	// Build the degraded twins now so the platform (and its topology) is
-	// immutable once published — concurrent readers never race a lazy
-	// AddLink from the first unorganized-extraction path query.
-	p.ensureDegraded()
+	p.buildUnorganized()
 	return p, nil
 }
 
@@ -555,10 +550,6 @@ func (p *Platform) TimePerByteTable() [][]float64 {
 	}
 	return tbl
 }
-
-// HBMLink and DRAMLink expose link IDs for utilization reporting (Fig. 13).
-func (p *Platform) HBMLink(g int) sim.LinkID { return p.hbm[g] }
-func (p *Platform) DRAMLink() sim.LinkID     { return p.dram }
 
 // NVLinkIDs returns every NVLink/NVSwitch link ID, for aggregate
 // utilization reporting.

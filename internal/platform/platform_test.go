@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"ugache/internal/sim"
 )
 
 func TestStockServers(t *testing.T) {
@@ -385,5 +387,56 @@ func TestTierClasses(t *testing.T) {
 	}
 	if got := fmt.Sprint(names); got != "[local remote host network]" {
 		t.Fatalf("tier names %s", got)
+	}
+}
+
+// TestUnorganizedTopology: the unorganized topology has Topo's links in
+// Topo's order under Topo's names, each at Topo's capacity times its link
+// class's efficiency — PCIe, NVLink/NVSwitch and the NIC degraded, HBM and
+// host DRAM exact — on Servers A, B and C and on a two-machine cluster of
+// Server A (the NIC).
+func TestUnorganizedTopology(t *testing.T) {
+	cluster, err := ClusterOf(ServerAConfig(), DefaultNetwork(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p     *Platform
+		links int
+	}{{ServerA(), 21}, {ServerB(), 49}, {ServerC(), 33}, {cluster, 22}} {
+		p := tc.p
+		factor := make([]float64, len(p.Topo.Links)) // 1 on HBM and host DRAM
+		for l := range factor {
+			factor[l] = 1
+		}
+		for _, l := range p.PCIeIDs() {
+			factor[l] = peerPCIeEfficiency
+		}
+		for _, l := range p.NVLinkIDs() {
+			factor[l] = peerLinkEfficiency
+		}
+		if p.HasNetwork() {
+			factor[p.nic] = peerNetworkEfficiency
+		}
+		unorg := p.Unorganized().Links
+		if len(p.Topo.Links) != tc.links || len(unorg) != tc.links {
+			t.Fatalf("%s: %d links, %d unorganized; want %d", p.Name, len(p.Topo.Links), len(unorg), tc.links)
+		}
+		for l, link := range p.Topo.Links {
+			want := sim.Link{Name: link.Name, Capacity: link.Capacity * factor[l]}
+			if unorg[l] != want {
+				t.Errorf("%s: unorganized link %d is %+v, want %+v", p.Name, l, unorg[l], want)
+			}
+		}
+	}
+}
+
+func TestKindNames(t *testing.T) {
+	for k, want := range map[Kind]string{
+		HardWired: "hard-wired", SwitchBased: "switch-based", 7: "kind(7)", -1: "kind(-1)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func (p *Platform) ProfileBandwidth(dst int, src SourceID, coreCounts []int) ([]
 			return nil, fmt.Errorf("platform: core count %d out of range [1, %d]", c, p.GPU.SMs)
 		}
 		res, err := p.Topo.Run([]sim.Demand{{
-			Label: "profile", Bytes: bytes, Cores: float64(c), RCore: rcore,
+			Bytes: bytes, Cores: float64(c), RCore: rcore,
 			Path: path, PadTo: -1,
 		}}, nil)
 		if err != nil {
@@ -61,7 +61,6 @@ func (p *Platform) ProfileMultiReader(src int, readers []int, coresEach int) (ma
 			return nil, fmt.Errorf("platform: gpu%d cannot reach gpu%d", r, src)
 		}
 		demands = append(demands, sim.Demand{
-			Label: fmt.Sprintf("g%d<-g%d", r, src),
 			Bytes: bytes, Cores: float64(coresEach),
 			RCore: p.RCore(r, SourceID(src)), Path: path, PadTo: -1,
 		})

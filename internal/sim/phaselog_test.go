@@ -10,8 +10,8 @@ func TestPhaseLogRecording(t *testing.T) {
 	hbm := topo.AddLink("hbm", 1000)
 	nv := topo.AddLink("nvlink", 50)
 	demands := []Demand{
-		{Label: "local", Bytes: 400, Cores: 10, RCore: 1, Path: []LinkID{hbm}, PadTo: -1},
-		{Label: "remote", Bytes: 100, Cores: 100, RCore: 1, Path: []LinkID{nv, hbm}, PadTo: 0},
+		{Bytes: 400, Cores: 10, RCore: 1, Path: []LinkID{hbm}, PadTo: -1},
+		{Bytes: 100, Cores: 100, RCore: 1, Path: []LinkID{nv, hbm}, PadTo: 0},
 	}
 	sc := &RunScratch{Record: true}
 	res, err := topo.Run(demands, sc)

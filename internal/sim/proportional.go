@@ -10,7 +10,6 @@ import (
 // groups, has no fixed core count — cores distribute across the pool's
 // demands the way randomly dispatched cores do.
 type PoolDemand struct {
-	Label string
 	Pool  int // core pool (destination GPU) index
 	Bytes float64
 	RCore float64
@@ -30,9 +29,6 @@ type ProportionalResult struct {
 	Makespan float64
 	// LinkBytes[l] is the total bytes carried by link l.
 	LinkBytes []float64
-	// CoreShare[i] is the converged fraction of the pool's cores occupied by
-	// demand i; cores beyond a link's tolerance show up here as stall.
-	CoreShare []float64
 }
 
 // RunProportional models the peer-based, randomly dispatched extraction of
@@ -46,7 +42,6 @@ func (t *Topology) RunProportional(demands []PoolDemand, pools []Pool) (*Proport
 	res := &ProportionalResult{
 		PoolTime:  make([]float64, len(pools)),
 		LinkBytes: make([]float64, len(t.Links)),
-		CoreShare: make([]float64, n),
 	}
 	if n == 0 {
 		return res, nil
@@ -54,17 +49,17 @@ func (t *Topology) RunProportional(demands []PoolDemand, pools []Pool) (*Proport
 	poolBytes := make([]float64, len(pools))
 	for i, d := range demands {
 		if d.Pool < 0 || d.Pool >= len(pools) {
-			return nil, fmt.Errorf("sim: demand %d (%s) references unknown pool %d", i, d.Label, d.Pool)
+			return nil, fmt.Errorf("sim: demand %d references unknown pool %d", i, d.Pool)
 		}
 		if d.Bytes < 0 {
-			return nil, fmt.Errorf("sim: demand %d (%s) has negative bytes", i, d.Label)
+			return nil, fmt.Errorf("sim: demand %d has negative bytes", i)
 		}
 		if d.RCore <= 0 {
-			return nil, fmt.Errorf("sim: demand %d (%s) has RCore %g", i, d.Label, d.RCore)
+			return nil, fmt.Errorf("sim: demand %d has RCore %g", i, d.RCore)
 		}
 		for _, l := range d.Path {
 			if int(l) < 0 || int(l) >= len(t.Links) {
-				return nil, fmt.Errorf("sim: demand %d (%s) references unknown link %d", i, d.Label, l)
+				return nil, fmt.Errorf("sim: demand %d references unknown link %d", i, l)
 			}
 		}
 		poolBytes[d.Pool] += d.Bytes
@@ -154,12 +149,11 @@ func (t *Topology) RunProportional(demands []PoolDemand, pools []Pool) (*Proport
 	}
 	t.allocate(active, resid, weight)
 	for i, d := range demands {
-		res.CoreShare[i] = share[i]
 		if d.Bytes == 0 {
 			continue
 		}
 		if flows[i].rate <= 0 {
-			return nil, fmt.Errorf("sim: demand %d (%s) starved at fixed point", i, d.Label)
+			return nil, fmt.Errorf("sim: demand %d starved at fixed point", i)
 		}
 		tNeed := d.Bytes / flows[i].rate
 		if tNeed > res.PoolTime[d.Pool] {

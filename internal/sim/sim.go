@@ -54,7 +54,6 @@ func (t *Topology) AddLink(name string, capacity float64) LinkID {
 
 // Demand is one core group moving bytes from a source over a path of links.
 type Demand struct {
-	Label string
 	Bytes float64 // bytes to move; >= 0
 	Cores float64 // dedicated cores; may be fractional; >= 0
 	RCore float64 // per-core issue rate cap in bytes/s; > 0 if Cores > 0
@@ -189,21 +188,21 @@ func (t *Topology) Run(demands []Demand, sc *RunScratch) (*Result, error) {
 	}
 	for i, d := range demands {
 		if d.Bytes < 0 {
-			return nil, fmt.Errorf("sim: demand %d (%s) has negative bytes", i, d.Label)
+			return nil, fmt.Errorf("sim: demand %d has negative bytes", i)
 		}
 		if d.Cores < 0 {
-			return nil, fmt.Errorf("sim: demand %d (%s) has negative cores", i, d.Label)
+			return nil, fmt.Errorf("sim: demand %d has negative cores", i)
 		}
 		if d.Cores > 0 && d.RCore <= 0 {
-			return nil, fmt.Errorf("sim: demand %d (%s) has cores but RCore %g", i, d.Label, d.RCore)
+			return nil, fmt.Errorf("sim: demand %d has cores but RCore %g", i, d.RCore)
 		}
 		for _, l := range d.Path {
 			if int(l) < 0 || int(l) >= len(t.Links) {
-				return nil, fmt.Errorf("sim: demand %d (%s) references unknown link %d", i, d.Label, l)
+				return nil, fmt.Errorf("sim: demand %d references unknown link %d", i, l)
 			}
 		}
 		if d.PadTo >= len(demands) {
-			return nil, fmt.Errorf("sim: demand %d (%s) pads into unknown demand %d", i, d.Label, d.PadTo)
+			return nil, fmt.Errorf("sim: demand %d pads into unknown demand %d", i, d.PadTo)
 		}
 		*flows[i] = flow{
 			idx: i, rem: d.Bytes, cores: d.Cores, rcore: d.RCore,

@@ -16,7 +16,7 @@ func TestSingleDemandCoreBound(t *testing.T) {
 	var topo Topology
 	hbm := topo.AddLink("hbm", 1000)
 	// 10 cores at 1 B/s each over a 1000 B/s link: core-bound, rate 10.
-	res, err := topo.Run([]Demand{{Label: "local", Bytes: 100, Cores: 10, RCore: 1, Path: []LinkID{hbm}, PadTo: -1}}, nil)
+	res, err := topo.Run([]Demand{{Bytes: 100, Cores: 10, RCore: 1, Path: []LinkID{hbm}, PadTo: -1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestPaddingTransfersCores(t *testing.T) {
 	// Remote group: 10 cores, finishes at t=1 (link-bound at 10 B/s).
 	// Local demand starts with 10 cores (rate 10); after t=1 it has 20.
 	res, err := topo.Run([]Demand{
-		{Label: "remote", Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{remote}, PadTo: 1},
-		{Label: "local", Bytes: 30, Cores: 10, RCore: 1, Path: []LinkID{local}, PadTo: -1},
+		{Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{remote}, PadTo: 1},
+		{Bytes: 30, Cores: 10, RCore: 1, Path: []LinkID{local}, PadTo: -1},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestPaddingTransfersCores(t *testing.T) {
 
 	// Without padding the local demand takes 3s.
 	res2, err := topo.Run([]Demand{
-		{Label: "remote", Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{remote}, PadTo: -1},
-		{Label: "local", Bytes: 30, Cores: 10, RCore: 1, Path: []LinkID{local}, PadTo: -1},
+		{Bytes: 10, Cores: 10, RCore: 1, Path: []LinkID{remote}, PadTo: -1},
+		{Bytes: 30, Cores: 10, RCore: 1, Path: []LinkID{local}, PadTo: -1},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
