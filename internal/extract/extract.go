@@ -22,7 +22,6 @@ package extract
 
 import (
 	"fmt"
-	"math"
 
 	"ugache/internal/platform"
 	"ugache/internal/sim"
@@ -147,13 +146,13 @@ func New(p *platform.Platform, pl *solver.Placement) (*Extractor, error) {
 
 func (e *Extractor) entryBytes() float64 { return float64(e.Pl.EntryBytes) }
 
-// Run simulates one extraction with the given mechanism. Every mechanism's
-// SrcBytes, TierBytes and TierSeconds alias sc, and the Factored and
-// FactoredStatic mechanisms' PerGPU and LinkBytes too, so the returned
-// Result is valid only until sc's next use. PeerRandom and MessageBased
-// still allocate their stage plans (they are comparison baselines, not the
-// serving hot path). A nil sc means a fresh one of the call's own, so the
-// Result is the caller's to keep.
+// Run simulates one extraction with the given mechanism. Every mechanism
+// plans on sc and runs on its simulator, so the returned Result's slices all
+// alias sc and are valid only until its next use, and a warm sc allocates
+// nothing but Results, this one and the simulator's. A nil sc means a fresh
+// one of the call's own, so the Result is the caller's to keep. A batch
+// whose placement routes a key to a source its GPU cannot reach is refused,
+// the same way by every mechanism.
 func (e *Extractor) Run(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
@@ -166,9 +165,9 @@ func (e *Extractor) Run(m Mechanism, b *Batch, sc *Scratch) (*Result, error) {
 	case Factored:
 		err = e.runFactored(res, sc)
 	case PeerRandom:
-		err = e.runPeerRandom(res)
+		err = e.runPeerRandom(res, sc)
 	case MessageBased:
-		err = e.runMessageBased(res)
+		err = e.runMessageBased(res, sc)
 	case FactoredStatic:
 		err = e.runFactoredStatic(res, sc)
 	default:
@@ -209,9 +208,6 @@ func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
 				continue
 			}
 			if vol[g][j] > 0 {
-				if !pc.pathOK[g][j] {
-					return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
-				}
 				if ded[j] <= 0 {
 					return fmt.Errorf("extract: gpu %d has bytes for source %d but no dedicated cores", g, j)
 				}
@@ -244,15 +240,22 @@ func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
 }
 
 // runPlan is the shared tail of the two factored mechanisms: simulate the
-// demand plan and fold the per-demand finish times into per-GPU completion
-// times through the plan's (gpu, source) -> demand index table.
+// demand plan on the scratch and fold it into out.
 func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, out *Result, sc *Scratch) error {
 	sc.demands = demands // keep grown capacity for the next run
 	res, err := e.P.Topo.Run(demands, &sc.sim)
 	if err != nil {
 		return err
 	}
-	out.Time, out.PerGPU, out.LinkBytes = res.Makespan, sc.perGPUSlice(e.P.N), res.LinkBytes
+	e.fold(res, idx, out, sc)
+	return nil
+}
+
+// fold sets out's time and link bytes from a simulated plan and folds the
+// per-demand finish times into per-GPU completion times through the plan's
+// (gpu, source) -> demand index table.
+func (e *Extractor) fold(res *sim.Result, idx [][]int, out *Result, sc *Scratch) {
+	out.Time, out.PerGPU, out.LinkBytes = res.Makespan, zeroed(&sc.perGPU, e.P.N), res.LinkBytes
 	for g, row := range idx {
 		for _, di := range row {
 			if di >= 0 && res.Finish[di] > out.PerGPU[g] {
@@ -260,7 +263,6 @@ func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, out *Result, sc *
 			}
 		}
 	}
-	return nil
 }
 
 // runPeerRandom implements the unorganized peer-based extraction of §5.2:
@@ -268,154 +270,124 @@ func (e *Extractor) runPlan(demands []sim.Demand, idx [][]int, out *Result, sc *
 // rates. The routes are Factored's; they run on the platform's unorganized
 // topology (§5.2: uncoalesced transfers achieve only a fraction of link
 // capacity), whose link IDs are the physical ones.
-func (e *Extractor) runPeerRandom(out *Result) error {
+func (e *Extractor) runPeerRandom(out *Result, sc *Scratch) error {
 	vol := out.SrcBytes
+	demands := sc.demands[:0]
+	idx := sc.idxMatrix(e.P.N, e.P.NumSources())
 	pc := e.plan
-	var demands []sim.PoolDemand
-	pools := make([]sim.Pool, e.P.N)
-	for g := 0; g < e.P.N; g++ {
-		pools[g].Cores = float64(e.P.GPU.SMs)
-		for j := 0; j < e.P.NumSources(); j++ {
-			if vol[g][j] == 0 {
+	for g, row := range vol {
+		for j, bytes := range row {
+			if bytes == 0 {
 				continue
 			}
-			if !pc.pathOK[g][j] {
-				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
-			}
-			demands = append(demands, sim.PoolDemand{
-				Pool: g, Bytes: vol[g][j],
+			idx[g][j] = len(demands)
+			demands = append(demands, sim.Demand{
+				Pool: g, Bytes: bytes,
 				RCore: divergenceFactor * pc.rcore[g][j],
 				Path:  pc.paths[g][j],
 			})
 		}
 	}
-	res, err := e.P.Unorganized().RunProportional(demands, pools)
+	sc.demands = demands
+	res, err := e.P.Unorganized().RunProportional(demands, float64(e.P.GPU.SMs), &sc.sim)
 	if err != nil {
 		return err
 	}
-	out.Time, out.PerGPU, out.LinkBytes = res.Makespan, res.PoolTime, res.LinkBytes
+	e.fold(res, idx, out, sc)
 	return nil
 }
 
-// runMessageBased implements the AllToAll scheme of §3.2 in three stages.
+// runMessageBased implements the AllToAll scheme of §3.2 in three stages,
+// run in turn on the scratch's simulator with their link bytes summed.
 // Stage 1: every GPU gathers the entries it owns that anyone requested into
 // contiguous send buffers (local reads at full parallelism). Host-resident
 // keys are fetched by the requester itself over PCIe (as SOK does for its
-// CPU-side fallback). Stage 2: buffers are exchanged pairwise at
-// NCCL-discounted link bandwidth. Stage 3: received buffers are reordered
-// into the output tensor (one more local pass over all bytes).
-func (e *Extractor) runMessageBased(out *Result) error {
+// CPU-side fallback); cross-machine fetches stage through host memory, so
+// the baseline, which has no cross-machine exchange of its own, counts them
+// as host fetches. Stage 2: buffers are exchanged pairwise at
+// NCCL-discounted link bandwidth. Stage 3: received buffers (the remote
+// tier) are reordered into the output tensor (one more local pass over all
+// bytes).
+func (e *Extractor) runMessageBased(out *Result, sc *Scratch) error {
 	vol := out.SrcBytes
 	pc := e.plan
-	host := int(e.P.Host())
-	// gatherBytes[j]: bytes GPU j reads locally on behalf of all readers.
-	gatherBytes := make([]float64, e.P.N)
-	// exchBytes[i][j]: bytes moving j -> i in the exchange.
-	exchBytes := make([][]float64, e.P.N)
-	hostBytes := make([]float64, e.P.N)
-	recvBytes := make([]float64, e.P.N)
-	for i := 0; i < e.P.N; i++ {
-		exchBytes[i] = make([]float64, e.P.N)
-		for j := 0; j < e.P.NumSources(); j++ {
-			v := vol[i][j]
-			if v == 0 {
-				continue
-			}
-			switch pc.tier[i][j] {
-			case platform.TierHost, platform.TierNetwork:
-				// Cross-machine fetches stage through host memory; the
-				// message-based baseline models them as host fetches (it has
-				// no cross-machine exchange phase of its own).
-				hostBytes[i] += v
-			case platform.TierLocal:
-				gatherBytes[i] += v // local gather straight to output
-			default:
-				gatherBytes[j] += v
-				exchBytes[i][j] = v
-				recvBytes[i] += v
-			}
-		}
-	}
-
-	stage := func(demands []sim.Demand) (float64, []float64, error) {
-		if len(demands) == 0 {
-			return 0, make([]float64, len(e.P.Topo.Links)), nil
-		}
-		res, err := e.P.Topo.Run(demands, nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Makespan, res.LinkBytes, nil
-	}
 	cores := float64(e.P.GPU.SMs)
+	// gather[j]: bytes GPU j reads locally on behalf of all readers.
+	gather := zeroed(&sc.gather, e.P.N)
+	for i, row := range vol {
+		for j, v := range row {
+			switch pc.tier[i][j] {
+			case platform.TierLocal:
+				gather[i] += v // local gather straight to output
+			case platform.TierRemote:
+				gather[j] += v
+			}
+		}
+	}
+	out.LinkBytes = zeroed(&sc.links, len(e.P.Topo.Links))
+	stage := func(demands []sim.Demand) error {
+		sc.demands = demands
+		res, err := e.P.Topo.Run(demands, &sc.sim)
+		if err != nil {
+			return err
+		}
+		out.Time += res.Makespan
+		for l, b := range res.LinkBytes {
+			out.LinkBytes[l] += b
+		}
+		return nil
+	}
 
 	// Stage 1: gather + host fetch, concurrently.
-	var d1 []sim.Demand
-	for g := 0; g < e.P.N; g++ {
-		if gatherBytes[g] > 0 {
-			d1 = append(d1, sim.Demand{
-				Bytes: gatherBytes[g], Cores: cores, RCore: e.P.GPU.RCoreLocal,
+	demands := sc.demands[:0]
+	for g, tiers := range out.TierBytes {
+		if gather[g] > 0 {
+			demands = append(demands, sim.Demand{
+				Bytes: gather[g], Cores: cores, RCore: e.P.GPU.RCoreLocal,
 				Path: pc.paths[g][g], PadTo: -1})
 		}
-		if hostBytes[g] > 0 {
-			tol, _ := e.P.Tolerance(g, e.P.Host())
-			d1 = append(d1, sim.Demand{
-				Bytes: hostBytes[g], Cores: math.Ceil(tol), RCore: e.P.GPU.RCoreHost,
-				Path: pc.paths[g][host], PadTo: -1})
+		if host := tiers[platform.TierHost] + tiers[platform.TierNetwork]; host > 0 {
+			demands = append(demands, sim.Demand{
+				Bytes: host, Cores: pc.hostCores[g], RCore: e.P.GPU.RCoreHost,
+				Path: pc.paths[g][e.P.Host()], PadTo: -1})
 		}
 	}
-	t1, lb1, err := stage(d1)
-	if err != nil {
+	if err := stage(demands); err != nil {
 		return err
 	}
 
 	// Stage 2: AllToAll exchange at NCCL-discounted bandwidth.
-	var d2 []sim.Demand
-	for i := 0; i < e.P.N; i++ {
-		for j := 0; j < e.P.N; j++ {
-			if exchBytes[i][j] == 0 {
-				continue
+	demands = demands[:0]
+	for i, row := range vol {
+		for j, v := range row {
+			if v != 0 && pc.tier[i][j] == platform.TierRemote {
+				demands = append(demands, sim.Demand{
+					Bytes: v / ncclEfficiency, Cores: cores / float64(e.P.N),
+					RCore: e.P.GPU.RCoreRemote, Path: pc.paths[i][j], PadTo: -1})
 			}
-			path := pc.paths[i][j]
-			if !pc.pathOK[i][j] {
-				// NCCL routes unconnected pairs through host; model as a
-				// host bounce (two PCIe legs simplified to one host read).
-				path = pc.paths[i][host]
-			}
-			d2 = append(d2, sim.Demand{
-				Bytes: exchBytes[i][j] / ncclEfficiency, Cores: cores / float64(e.P.N),
-				RCore: e.P.GPU.RCoreRemote, Path: path, PadTo: -1})
 		}
 	}
-	t2, lb2, err := stage(d2)
-	if err != nil {
+	if err := stage(demands); err != nil {
 		return err
 	}
 
 	// Stage 3: reorder received buffers (local read+write pass).
-	var d3 []sim.Demand
-	for g := 0; g < e.P.N; g++ {
-		if recvBytes[g] > 0 {
-			d3 = append(d3, sim.Demand{
-				Bytes: 2 * recvBytes[g], Cores: cores, RCore: e.P.GPU.RCoreLocal,
+	demands = demands[:0]
+	for g, tiers := range out.TierBytes {
+		if recv := tiers[platform.TierRemote]; recv > 0 {
+			demands = append(demands, sim.Demand{
+				Bytes: 2 * recv, Cores: cores, RCore: e.P.GPU.RCoreLocal,
 				Path: pc.paths[g][g], PadTo: -1})
 		}
 	}
-	t3, lb3, err := stage(d3)
-	if err != nil {
+	if err := stage(demands); err != nil {
 		return err
 	}
 
-	linkBytes := make([]float64, len(e.P.Topo.Links))
-	for l := range linkBytes {
-		linkBytes[l] = lb1[l] + lb2[l] + lb3[l]
+	out.PerGPU = zeroed(&sc.perGPU, e.P.N)
+	for g := range out.PerGPU {
+		out.PerGPU[g] = out.Time // barrier semantics of collective exchange
 	}
-	total := t1 + t2 + t3
-	per := make([]float64, e.P.N)
-	for g := range per {
-		per[g] = total // barrier semantics of collective exchange
-	}
-	out.Time, out.PerGPU, out.LinkBytes = total, per, linkBytes
 	return nil
 }
 
@@ -435,9 +407,6 @@ func (e *Extractor) runFactoredStatic(out *Result, sc *Scratch) error {
 		for j := 0; j < ns; j++ {
 			if vol[g][j] == 0 {
 				continue
-			}
-			if !pc.pathOK[g][j] {
-				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
 			}
 			cores := float64(e.P.GPU.SMs) * vol[g][j] / total
 			if cores < 1 {

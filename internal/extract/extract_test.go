@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -333,7 +334,10 @@ func TestFactoredStaticAblation(t *testing.T) {
 	}
 }
 
-func BenchmarkFactoredExtraction(b *testing.B) {
+// BenchmarkMechanisms times one extraction per mechanism on a kept scratch:
+// 8xA100 (Server C), a UGache placement of 100,000 entries at an 8% cache
+// ratio, 400,000 Zipf draws per GPU deduplicated.
+func BenchmarkMechanisms(b *testing.B) {
 	p := platform.ServerC()
 	r := rng.New(7)
 	n := 100000
@@ -362,10 +366,58 @@ func BenchmarkFactoredExtraction(b *testing.B) {
 		}
 		batch.Keys[g] = workload.Unique(keys, scratch)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.Run(Factored, batch, nil); err != nil {
-			b.Fatal(err)
+	for _, m := range []Mechanism{Factored, FactoredStatic, PeerRandom, MessageBased} {
+		b.Run(m.String(), func(b *testing.B) {
+			sc := NewScratch()
+			if _, err := ex.Run(m, batch, sc); err != nil { // warms the scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Run(m, batch, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestUnreachableRouteRefused points every block's GPU 0 access at a Server
+// B GPU that GPU 0 has no NVLink to, a placement Validate rejects, and
+// checks every mechanism refuses the batch rather than simulate a route the
+// topology does not have.
+func TestUnreachableRouteRefused(t *testing.T) {
+	p := platform.ServerB()
+	pl, in := buildPlacement(t, p, 20000, 0.08, solver.UGache{})
+	far := -1
+	for j := p.N - 1; j > 0 && far < 0; j-- {
+		if !p.Connected(0, j) {
+			far = j
+		}
+	}
+	if far < 0 {
+		t.Fatal("GPU 0 of Server B reaches every GPU")
+	}
+	for bi := range pl.Blocks {
+		pl.Blocks[bi].Access[0] = platform.SourceID(far)
+	}
+	if err := pl.Validate(in); err == nil {
+		t.Fatal("Validate accepts an access to an unconnected GPU")
+	}
+	ex, err := New(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := genBatch(t, 20000, 2000, p.N, 3)
+	want := fmt.Sprintf("extract: gpu 0 routed to unreachable source %d", far)
+	for _, m := range []Mechanism{Factored, FactoredStatic, PeerRandom, MessageBased} {
+		res, err := ex.Run(m, b, NewScratch())
+		if err == nil {
+			t.Errorf("%s: ran an unreachable route: %.3g ms, %g bytes gpu0<-gpu%d",
+				m, res.Time*1e3, res.SrcBytes[0][far], far)
+		} else if err.Error() != want {
+			t.Errorf("%s: error %q, want %q", m, err, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"math"
 
 	"ugache/internal/par"
 	"ugache/internal/platform"
@@ -15,23 +16,25 @@ import (
 // FEMDedication allocate) put avoidable allocation and CPU time on the §3.2
 // critical path. New computes the cache once.
 type planCache struct {
-	paths  [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
-	pathOK [][]bool
-	rcore  [][]float64 // rcore[g][j]: per-core issue rate on that route
-	tier   [][]platform.Tier
-	tpb    [][]float64 // platform.TimePerByteTable
-	ded    [][]float64 // ded[g]: §5.3 core dedication for GPU g
+	paths     [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
+	pathOK    [][]bool
+	rcore     [][]float64 // rcore[g][j]: per-core issue rate on that route
+	tier      [][]platform.Tier
+	tpb       [][]float64 // platform.TimePerByteTable
+	ded       [][]float64 // ded[g]: §5.3 core dedication for GPU g
+	hostCores []float64   // ⌈host-read tolerance⌉: MessageBased's host-fetch cores
 }
 
 func newPlanCache(p *platform.Platform) *planCache {
 	ns := p.NumSources()
 	pc := &planCache{
-		paths:  make([][][]sim.LinkID, p.N),
-		pathOK: make([][]bool, p.N),
-		rcore:  make([][]float64, p.N),
-		tier:   make([][]platform.Tier, p.N),
-		tpb:    p.TimePerByteTable(),
-		ded:    make([][]float64, p.N),
+		paths:     make([][][]sim.LinkID, p.N),
+		pathOK:    make([][]bool, p.N),
+		rcore:     make([][]float64, p.N),
+		tier:      make([][]platform.Tier, p.N),
+		tpb:       p.TimePerByteTable(),
+		ded:       make([][]float64, p.N),
+		hostCores: make([]float64, p.N),
 	}
 	for g := 0; g < p.N; g++ {
 		pc.paths[g] = make([][]sim.LinkID, ns)
@@ -39,6 +42,8 @@ func newPlanCache(p *platform.Platform) *planCache {
 		pc.rcore[g] = make([]float64, ns)
 		pc.tier[g] = make([]platform.Tier, ns)
 		pc.ded[g] = p.FEMDedication(g)
+		tol, _ := p.Tolerance(g, p.Host())
+		pc.hostCores[g] = math.Ceil(tol)
 		for j := 0; j < ns; j++ {
 			src := platform.SourceID(j)
 			pc.paths[g][j], pc.pathOK[g][j] = p.Path(g, src)
@@ -51,15 +56,16 @@ func newPlanCache(p *platform.Platform) *planCache {
 
 // Scratch holds the reusable buffers of one extraction run — the per-GPU
 // source-volume matrix and its per-tier split, the demand plan, the
-// demand-index table, and the fluid simulator's working state. Every run
-// has one: keeping a Scratch and passing it to Run makes the steady-state
-// Factored/FactoredStatic extraction path allocation-free; a nil scratch
+// demand-index table, the message-based stages' gather volumes and link
+// sums, and the fluid simulator's working state. Every run has one: keeping
+// a Scratch and passing it to Run makes every mechanism's steady-state
+// extraction allocate only its Result and the simulator's; a nil scratch
 // makes one per call.
 //
 // A Scratch is owned by one goroutine at a time. The Result returned by a
 // scratch-backed run aliases the scratch (SrcBytes, TierBytes, TierSeconds,
-// PerGPU, LinkBytes) and is valid only until the scratch's next use; copy
-// anything that must outlive it.
+// PerGPU, LinkBytes), whatever the mechanism, and is valid only until the
+// scratch's next use; copy anything that must outlive it.
 type Scratch struct {
 	volBack []float64   // the volume matrix, then the two tier matrices
 	vol     [][]float64 // their rows, in the same order
@@ -67,6 +73,8 @@ type Scratch struct {
 	idxBack []int
 	idx     [][]int
 	perGPU  []float64
+	gather  []float64 // MessageBased: per-GPU gather bytes
+	links   []float64 // MessageBased: link bytes summed over the stages
 	sim     sim.RunScratch
 }
 
@@ -113,15 +121,13 @@ func (sc *Scratch) idxMatrix(n, ns int) [][]int {
 	return idx
 }
 
-// perGPUSlice returns a zeroed length-n slice backed by the scratch.
-func (sc *Scratch) perGPUSlice(n int) []float64 {
-	if cap(sc.perGPU) < n {
-		sc.perGPU = make([]float64, n)
+// zeroed returns (*buf)[:n] zeroed, growing *buf first when it is short.
+func zeroed(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	out := sc.perGPU[:n]
-	for i := range out {
-		out[i] = 0
-	}
+	out := (*buf)[:n]
+	clear(out)
 	return out
 }
 
@@ -202,22 +208,30 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	e.splitTiers(res)
+	if err := e.splitTiers(res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
 // splitTiers folds each GPU's per-source volumes into its per-tier bytes
-// and modelled seconds: the one place an extraction is split by tier.
-func (e *Extractor) splitTiers(res *Result) {
+// and modelled seconds: the one place an extraction is split by tier, and
+// the one walk over every (GPU, source) volume, so it is also where a route
+// to a source the GPU cannot reach is refused, for every mechanism.
+func (e *Extractor) splitTiers(res *Result) error {
 	pc := e.plan
 	for g, row := range res.SrcBytes {
 		for j, bytes := range row {
 			if bytes == 0 {
 				continue
 			}
+			if !pc.pathOK[g][j] {
+				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
+			}
 			t := pc.tier[g][j]
 			res.TierBytes[g][t] += bytes
 			res.TierSeconds[g][t] += bytes * pc.tpb[g][j]
 		}
 	}
+	return nil
 }

@@ -156,3 +156,31 @@ func TestRunWithScratchMatchesRun(t *testing.T) {
 		t.Fatalf("Run (nil scratch) allocates %.0f times per call, want <= 27", allocs)
 	}
 }
+
+// TestMechanismAllocations holds every mechanism on a warm scratch to its
+// allocation budget on Servers A, B and C with 6,000 Zipf keys per GPU:
+// Factored and FactoredStatic allocate the Result and the simulator's (2),
+// PeerRandom the same (2) and MessageBased the Result and one per stage (4).
+func TestMechanismAllocations(t *testing.T) {
+	budget := map[Mechanism]float64{Factored: 2, FactoredStatic: 2, PeerRandom: 2, MessageBased: 4}
+	for _, p := range []*platform.Platform{platform.ServerA(), platform.ServerB(), platform.ServerC()} {
+		pl, _ := buildPlacement(t, p, 20000, 0.08, solver.UGache{})
+		ex, err := New(p, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := genBatch(t, 20000, 6000, p.N, 8)
+		for _, m := range []Mechanism{Factored, FactoredStatic, PeerRandom, MessageBased} {
+			sc := NewScratch()
+			if _, err := ex.Run(m, b, sc); err != nil { // warms the scratch
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() { _, _ = ex.Run(m, b, sc) })
+			if allocs > budget[m] {
+				t.Errorf("%s %s: %.0f allocs/run on a warm scratch, budget %.0f", p.Name, m, allocs, budget[m])
+			} else {
+				t.Logf("%s %s: %.0f allocs/run", p.Name, m, allocs)
+			}
+		}
+	}
+}

@@ -123,10 +123,10 @@ func TestProportionalAtLeastAsSlowAsDedicated(t *testing.T) {
 		slowB := 20 + r.Float64()*80
 		cores := 16.0
 
-		prop, err := topo.RunProportional([]PoolDemand{
+		prop, err := topo.RunProportional([]Demand{
 			{Pool: 0, Bytes: fastB, RCore: 2, Path: []LinkID{fast}},
 			{Pool: 0, Bytes: slowB, RCore: 2, Path: []LinkID{slow}},
-		}, []Pool{{Cores: cores}})
+		}, cores, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,9 +134,77 @@ func TestProportionalAtLeastAsSlowAsDedicated(t *testing.T) {
 		coreBound := (fastB + slowB) / (cores * 2)
 		linkBound := math.Max(fastB/100, slowB/topo.Links[slow].Capacity)
 		lb := math.Max(coreBound, linkBound)
-		if prop.PoolTime[0] < lb*(1-1e-6) {
+		if prop.Makespan < lb*(1-1e-6) {
 			t.Fatalf("trial %d: proportional %g beat the physical bound %g",
-				trial, prop.PoolTime[0], lb)
+				trial, prop.Makespan, lb)
+		}
+	}
+}
+
+// TestRunScratchReuse alternates Run and RunProportional on one RunScratch
+// over demand sets of different sizes and pool counts, and checks every
+// result is bit-identical to the same call on a fresh scratch: neither entry
+// point reads a buffer the other, or an earlier larger run, left behind.
+func TestRunScratchReuse(t *testing.T) {
+	r := rng.New(91)
+	var topo Topology
+	links := make([]LinkID, 6)
+	for i := range links {
+		links[i] = topo.AddLink("l", 20+r.Float64()*200)
+	}
+	path := func() []LinkID {
+		p := []LinkID{links[r.Intn(len(links))]}
+		if r.Intn(2) == 0 {
+			p = append(p, links[r.Intn(len(links))])
+		}
+		return p
+	}
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	var sc RunScratch
+	for round := 0; round < 16; round++ {
+		n := 2 + (round*5)%11
+		proportional := round%2 == 1
+		pools := 1 + (round/2)%4
+		demands := make([]Demand, n)
+		for i := range demands {
+			demands[i] = Demand{Bytes: 100 + r.Float64()*900, RCore: 1 + r.Float64()*4, Path: path(), PadTo: -1}
+			if r.Intn(5) == 0 {
+				demands[i].Bytes = 0
+			}
+			if proportional {
+				demands[i].Pool = r.Intn(pools)
+			} else {
+				demands[i].Cores = 1 + float64(r.Intn(8))
+			}
+		}
+		run := func(sc *RunScratch) (*Result, error) {
+			if proportional {
+				return topo.RunProportional(demands, 16, sc)
+			}
+			return topo.Run(demands, sc)
+		}
+		want, err := run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) ||
+			!sameBits(got.Finish, want.Finish) || !sameBits(got.LinkBytes, want.LinkBytes) {
+			t.Fatalf("round %d (proportional %v, %d demands, %d pools): reused scratch gives makespan %v finish %v links %v, fresh gives %v %v %v",
+				round, proportional, n, pools, got.Makespan, got.Finish, got.LinkBytes, want.Makespan, want.Finish, want.LinkBytes)
 		}
 	}
 }

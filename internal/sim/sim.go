@@ -62,9 +62,12 @@ type Demand struct {
 	// inherits this demand's cores on completion. Cores accumulate: several
 	// non-local groups may pad into the same local group.
 	PadTo int
+	// Pool is the core pool (destination GPU) whose mixed queue the demand
+	// sits in under RunProportional; Run does not read it.
+	Pool int
 }
 
-// Result reports the outcome of a Run.
+// Result reports the outcome of a Run or RunProportional call.
 type Result struct {
 	// Finish[i] is the completion time of demand i in seconds. A demand with
 	// zero bytes finishes at 0.
@@ -74,7 +77,7 @@ type Result struct {
 	// LinkBytes[l] is the total bytes carried by link l; utilization over the
 	// run is LinkBytes[l] / (Capacity[l] * Makespan).
 	LinkBytes []float64
-	// Phases points at the scratch's phase log when the run was made with a
+	// Phases points at the scratch's phase log when Run was called with a
 	// RunScratch whose Record flag is set; nil otherwise. It aliases the
 	// scratch and is valid only until the scratch's next Run call.
 	Phases *PhaseLog
@@ -118,11 +121,12 @@ type PhaseLog struct {
 // Phases returns the number of recorded phases.
 func (pl *PhaseLog) Phases() int { return len(pl.T) }
 
-// RunScratch holds the reusable working state of Run so steady-state
-// simulation runs stop allocating: the flow table, the active list, the
-// allocator's residual/weight buffers, and the result slices. A RunScratch
-// is owned by one goroutine at a time (workers keep their own, or recycle
-// through a sync.Pool).
+// RunScratch holds the reusable working state of Run and RunProportional so
+// steady-state simulation runs stop allocating: the flow table, the active
+// list, the allocator's residual/weight buffers, the result slices, and the
+// fixed point's shares and per-pool sums. A RunScratch is owned by one
+// goroutine at a time (workers keep their own, or recycle through a
+// sync.Pool).
 type RunScratch struct {
 	flows  []flow  // value-allocated flow table, one per demand
 	ptrs   []*flow // stable pointers into flows, reused across runs
@@ -131,6 +135,9 @@ type RunScratch struct {
 	weight []float64
 	finish []float64
 	bytes  []float64
+	share  []float64 // RunProportional: each demand's share of its pool
+	next   []float64 // RunProportional: each demand's next-share weight
+	pool   []float64 // RunProportional: per-pool bytes, then weight sums
 
 	// Record enables phase logging: each Run call then resets and
 	// refills Log, and the returned Result points at it. Off (the default)
@@ -163,54 +170,16 @@ func (t *Topology) Run(demands []Demand, sc *RunScratch) (*Result, error) {
 	if sc == nil {
 		sc = new(RunScratch)
 	}
-	if cap(sc.flows) < len(demands) {
-		sc.flows = make([]flow, len(demands))
-		sc.ptrs = make([]*flow, len(demands))
-		for i := range sc.flows {
-			sc.ptrs[i] = &sc.flows[i]
-		}
-		sc.active = make([]*flow, 0, len(demands))
+	flows, res, err := t.load(demands, sc)
+	if err != nil {
+		return nil, err
 	}
-	sc.flows = sc.flows[:len(demands)]
-	flows := sc.ptrs[:len(demands)]
-	activeBuf := sc.active[:0]
-	sc.resid = growF64(sc.resid, len(t.Links))
-	sc.weight = growF64(sc.weight, len(t.Links))
-	resid, weight := sc.resid, sc.weight
-	sc.finish = growF64(sc.finish, len(demands))
-	sc.bytes = growF64(sc.bytes, len(t.Links))
-	res := &Result{Finish: sc.finish, LinkBytes: sc.bytes}
+	activeBuf, resid, weight := sc.active, sc.resid, sc.weight
 	if sc.Record {
 		sc.Log.T = sc.Log.T[:0]
 		sc.Log.Rate = sc.Log.Rate[:0]
 		sc.Log.Links = len(t.Links)
 		res.Phases = &sc.Log
-	}
-	for i, d := range demands {
-		if d.Bytes < 0 {
-			return nil, fmt.Errorf("sim: demand %d has negative bytes", i)
-		}
-		if d.Cores < 0 {
-			return nil, fmt.Errorf("sim: demand %d has negative cores", i)
-		}
-		if d.Cores > 0 && d.RCore <= 0 {
-			return nil, fmt.Errorf("sim: demand %d has cores but RCore %g", i, d.RCore)
-		}
-		for _, l := range d.Path {
-			if int(l) < 0 || int(l) >= len(t.Links) {
-				return nil, fmt.Errorf("sim: demand %d references unknown link %d", i, l)
-			}
-		}
-		if d.PadTo >= len(demands) {
-			return nil, fmt.Errorf("sim: demand %d pads into unknown demand %d", i, d.PadTo)
-		}
-		*flows[i] = flow{
-			idx: i, rem: d.Bytes, cores: d.Cores, rcore: d.RCore,
-			path: d.Path, padTo: d.PadTo,
-		}
-		if d.Bytes == 0 {
-			flows[i].done = true
-		}
 	}
 
 	now := 0.0
@@ -305,7 +274,6 @@ func (t *Topology) Run(demands []Demand, sc *RunScratch) (*Result, error) {
 			return nil, fmt.Errorf("sim: simulation did not converge (%d flows stuck)", len(appendActive(nil, flows)))
 		}
 	}
-	res.Makespan = 0
 	for _, ft := range res.Finish {
 		if ft > res.Makespan {
 			res.Makespan = ft
@@ -317,6 +285,50 @@ func (t *Topology) Run(demands []Demand, sc *RunScratch) (*Result, error) {
 // RunWith runs as Run does. It goes once benchmark/ stops calling it.
 func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
 	return t.Run(demands, sc)
+}
+
+// load is the set-up Run and RunProportional share: it sizes sc for the
+// demands and t's links, validates every demand and writes its flow, and
+// returns the flow table and a zeroed Result over sc's slices.
+func (t *Topology) load(demands []Demand, sc *RunScratch) ([]*flow, *Result, error) {
+	if cap(sc.flows) < len(demands) {
+		sc.flows = make([]flow, len(demands))
+		sc.ptrs = make([]*flow, len(demands))
+		for i := range sc.flows {
+			sc.ptrs[i] = &sc.flows[i]
+		}
+		sc.active = make([]*flow, 0, len(demands))
+	}
+	sc.flows = sc.flows[:len(demands)]
+	flows := sc.ptrs[:len(demands)]
+	sc.resid = growF64(sc.resid, len(t.Links))
+	sc.weight = growF64(sc.weight, len(t.Links))
+	sc.finish = growF64(sc.finish, len(demands))
+	sc.bytes = growF64(sc.bytes, len(t.Links))
+	for i, d := range demands {
+		if d.Bytes < 0 {
+			return nil, nil, fmt.Errorf("sim: demand %d has negative bytes", i)
+		}
+		if d.Cores < 0 {
+			return nil, nil, fmt.Errorf("sim: demand %d has negative cores", i)
+		}
+		if d.Cores > 0 && d.RCore <= 0 {
+			return nil, nil, fmt.Errorf("sim: demand %d has cores but RCore %g", i, d.RCore)
+		}
+		for _, l := range d.Path {
+			if int(l) < 0 || int(l) >= len(t.Links) {
+				return nil, nil, fmt.Errorf("sim: demand %d references unknown link %d", i, l)
+			}
+		}
+		if d.PadTo >= len(demands) {
+			return nil, nil, fmt.Errorf("sim: demand %d pads into unknown demand %d", i, d.PadTo)
+		}
+		*flows[i] = flow{
+			idx: i, rem: d.Bytes, cores: d.Cores, rcore: d.RCore,
+			path: d.Path, padTo: d.PadTo, done: d.Bytes == 0,
+		}
+	}
+	return flows, &Result{Finish: sc.finish, LinkBytes: sc.bytes}, nil
 }
 
 // appendActive filters the not-yet-done flows into buf (reused across

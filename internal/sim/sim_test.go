@@ -212,13 +212,12 @@ func TestProportionalSingleSource(t *testing.T) {
 	var topo Topology
 	hbm := topo.AddLink("hbm", 1000)
 	res, err := topo.RunProportional(
-		[]PoolDemand{{Pool: 0, Bytes: 100, RCore: 1, Path: []LinkID{hbm}}},
-		[]Pool{{Cores: 10}},
-	)
+		[]Demand{{Pool: 0, Bytes: 100, RCore: 1, Path: []LinkID{hbm}}}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, res.PoolTime[0], 10, 1e-6, "single source pool time")
+	almost(t, res.Finish[0], 10, 1e-6, "single source finish")
+	almost(t, res.Makespan, 10, 1e-6, "single source makespan")
 }
 
 func TestProportionalMixedQueueFixedPoint(t *testing.T) {
@@ -236,32 +235,28 @@ func TestProportionalMixedQueueFixedPoint(t *testing.T) {
 	localBytes, hostBytes := 900.0, 50.0
 
 	prop, err := topo.RunProportional(
-		[]PoolDemand{
+		[]Demand{
 			{Pool: 0, Bytes: localBytes, RCore: rcore, Path: []LinkID{hbm}},
 			{Pool: 0, Bytes: hostBytes, RCore: rcore, Path: []LinkID{pcie}},
-		},
-		[]Pool{{Cores: cores}},
-	)
+		}, cores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Work-conserving bound: (900+50)/80 = 11.875 (host link untouched:
 	// only ~4 cores land on PCIe, below its 5-core tolerance).
-	almost(t, prop.PoolTime[0], 11.875, 0.2, "undegraded fixed point")
+	almost(t, prop.Makespan, 11.875, 0.2, "undegraded fixed point")
 
 	// Degraded per-core rate (divergence factor 0.6) slows the mixed queue.
 	degraded, err := topo.RunProportional(
-		[]PoolDemand{
+		[]Demand{
 			{Pool: 0, Bytes: localBytes, RCore: 0.6 * rcore, Path: []LinkID{hbm}},
 			{Pool: 0, Bytes: hostBytes, RCore: 0.6 * rcore, Path: []LinkID{pcie}},
-		},
-		[]Pool{{Cores: cores}},
-	)
+		}, cores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if degraded.PoolTime[0] <= prop.PoolTime[0]*1.2 {
-		t.Fatalf("divergence penalty had no effect: %g vs %g", degraded.PoolTime[0], prop.PoolTime[0])
+	if degraded.Makespan <= prop.Makespan*1.2 {
+		t.Fatalf("divergence penalty had no effect: %g vs %g", degraded.Makespan, prop.Makespan)
 	}
 
 	// Factored with full-rate dedicated cores beats the degraded mixed
@@ -274,9 +269,9 @@ func TestProportionalMixedQueueFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	almost(t, fact.Makespan, 12, 0.5, "factored near optimal")
-	if fact.Makespan >= degraded.PoolTime[0] {
+	if fact.Makespan >= degraded.Makespan {
 		t.Fatalf("factored (%g) not faster than degraded random dispatch (%g)",
-			fact.Makespan, degraded.PoolTime[0])
+			fact.Makespan, degraded.Makespan)
 	}
 }
 
@@ -285,40 +280,36 @@ func TestProportionalConservation(t *testing.T) {
 	a := topo.AddLink("a", 10)
 	b := topo.AddLink("b", 10)
 	res, err := topo.RunProportional(
-		[]PoolDemand{
+		[]Demand{
 			{Pool: 0, Bytes: 40, RCore: 1, Path: []LinkID{a}},
 			{Pool: 1, Bytes: 60, RCore: 1, Path: []LinkID{a, b}},
-		},
-		[]Pool{{Cores: 8}, {Cores: 8}},
-	)
+		}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, res.LinkBytes[a], 100, 1e-9, "link a bytes")
 	almost(t, res.LinkBytes[b], 60, 1e-9, "link b bytes")
-	if res.Makespan <= 0 {
-		t.Fatal("makespan must be positive")
+	if res.Makespan <= 0 || res.Makespan != max(res.Finish[0], res.Finish[1]) {
+		t.Fatalf("makespan %g, finishes %v", res.Makespan, res.Finish)
 	}
 }
 
 func TestProportionalValidation(t *testing.T) {
 	var topo Topology
 	l := topo.AddLink("l", 1)
-	bad := [][]PoolDemand{
-		{{Pool: 5, Bytes: 1, RCore: 1, Path: []LinkID{l}}},
-		{{Pool: 0, Bytes: -1, RCore: 1, Path: []LinkID{l}}},
-		{{Pool: 0, Bytes: 1, RCore: 0, Path: []LinkID{l}}},
-		{{Pool: 0, Bytes: 1, RCore: 1, Path: []LinkID{42}}},
+	bad := []Demand{
+		{Pool: -1, Bytes: 1, RCore: 1, Path: []LinkID{l}},
+		{Pool: 0, Bytes: -1, RCore: 1, Path: []LinkID{l}},
+		{Pool: 0, Bytes: 1, RCore: 0, Path: []LinkID{l}},
+		{Pool: 0, Bytes: 1, RCore: 1, Path: []LinkID{42}},
 	}
-	for i, ds := range bad {
-		if _, err := topo.RunProportional(ds, []Pool{{Cores: 4}}); err == nil {
+	for i, d := range bad {
+		if _, err := topo.RunProportional([]Demand{d}, 4, nil); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 	if _, err := topo.RunProportional(
-		[]PoolDemand{{Pool: 0, Bytes: 1, RCore: 1, Path: []LinkID{l}}},
-		[]Pool{{Cores: 0}},
-	); err == nil {
+		[]Demand{{Pool: 0, Bytes: 1, RCore: 1, Path: []LinkID{l}}}, 0, nil); err == nil {
 		t.Error("zero-core pool with bytes: expected error")
 	}
 }
