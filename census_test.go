@@ -30,6 +30,7 @@ var censusStructs = []struct{ dir, name string }{
 	{"internal/workload", "OpenLoopConfig"},
 	{"internal/app", "MemoryModel"},
 	{"internal/app", "GNNConfig"},
+	{"internal/app", "DLRConfig"},
 	{"internal/core", "Config"},
 	{"internal/core", "ControllerConfig"},
 	{"internal/flight", "BundleConfig"},
@@ -45,6 +46,7 @@ var censusAllow = map[string]string{
 	"core.Config.Placement":            "the façade's solve-once path: ugache-solve -save writes what ugache.LoadPlacement reads and ugache.Config.Placement takes back (TestPreSolvedPlacement)",
 	"flight.BundleConfig.SkipProfiles": "bundle tests skip the heap profile and goroutine dump they do not read",
 	"platform.Config.PairBW":           "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
+	"platform.Config.Network":          "set beside the declaration by ClusterOf, which benchmark/'s cluster-scatter calls: nil is one machine, a fabric is one machine of a cluster",
 }
 
 type censusFile struct {
@@ -141,168 +143,94 @@ func TestObserverLayering(t *testing.T) {
 
 // TestOptionCensus holds every exported field of the option structs above to
 // the simplicity rule for options: something that is not a test sets it — a
-// composite-literal key or a `.Field =` assignment in a non-test file other
+// composite-literal key or an assignment to the field in a non-test file other
 // than the one that declares the struct, anywhere in the module, cmd/,
 // examples/ or benchmark/ — or censusAllow says why it stays. A field that
 // fails has one value in use and wants to be a constant.
 //
-// The census is syntactic (go/parser, no type checker). A literal whose type
-// is written out (`serve.Config{…}`, `Config{…}` in the struct's own package,
-// either through the façade's aliases) counts for that struct alone; a
-// literal with its type elided and every `x.Field = …` assignment count for
-// any struct with a field of that name. So a name two structs share can hide
-// an unset field, but nothing that is set is ever reported.
+// The census resolves identity, not spelling (typedTree): a literal key or an
+// assigned selector counts for the field the type checker resolves it to,
+// through the façade's aliases and elided literal types alike, so a field of
+// the same name on another struct sets nothing here.
 func TestOptionCensus(t *testing.T) {
-	files := parseTree(t)
+	files, info := typedTree(t)
 
-	// Declarations: where each struct lives and what it exports; and the
-	// aliases (`type ServeConfig = serve.Config`) that name them elsewhere.
-	type typeKey struct{ dir, name string }
-	declFile := map[typeKey]string{}
-	fields := map[typeKey][]string{}
-	alias := map[typeKey]typeKey{}
-	want := map[typeKey]bool{}
+	// The census structs' exported fields, by the checker's field object.
+	ids := map[*types.Var]string{}
 	for _, s := range censusStructs {
-		want[typeKey{s.dir, s.name}] = true
-	}
-	resolve := func(f *censusFile, e ast.Expr) (typeKey, bool) {
-		var k typeKey
-		switch x := e.(type) {
-		case *ast.Ident:
-			k = typeKey{f.dir, x.Name}
-		case *ast.SelectorExpr:
-			pkg, ok := x.X.(*ast.Ident)
-			if !ok {
-				return k, false
-			}
-			dir, ok := f.imports[pkg.Name]
-			if !ok {
-				return k, false
-			}
-			k = typeKey{dir, x.Sel.Name}
-		default:
-			return k, false
-		}
-		for hops := 0; hops < 4; hops++ {
-			next, ok := alias[k]
-			if !ok {
-				break
-			}
-			k = next
-		}
-		return k, true
-	}
-	for pass := 0; pass < 2; pass++ { // aliases first: resolve follows them
-		for _, f := range files {
-			for _, decl := range f.ast.Decls {
+		found := false
+		for _, f := range files[s.dir] {
+			for _, decl := range f.Decls {
 				gd, ok := decl.(*ast.GenDecl)
 				if !ok || gd.Tok != token.TYPE {
 					continue
 				}
 				for _, spec := range gd.Specs {
 					ts := spec.(*ast.TypeSpec)
-					k := typeKey{f.dir, ts.Name.Name}
-					if pass == 0 {
-						if ts.Assign.IsValid() {
-							if target, ok := resolve(f, ts.Type); ok {
-								alias[k] = target
-							}
-						}
+					if ts.Name.Name != s.name {
 						continue
 					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok || !want[k] {
+					st, ok := info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+					if !ok {
 						continue
 					}
-					declFile[k] = f.path
-					fields[k] = []string{}
-					for _, fl := range st.Fields.List {
-						for _, n := range fl.Names {
-							if n.IsExported() {
-								fields[k] = append(fields[k], n.Name)
-							}
+					found = true
+					for i := 0; i < st.NumFields(); i++ {
+						if v := st.Field(i); v.Exported() {
+							ids[v] = filepath.Base(s.dir) + "." + s.name + "." + v.Name()
 						}
 					}
 				}
 			}
 		}
-	}
-	for k := range want {
-		if _, ok := declFile[k]; !ok {
-			t.Errorf("census struct %s.%s not found", k.dir, k.name)
+		if !found {
+			t.Errorf("census struct %s.%s not found", s.dir, s.name)
 		}
 	}
 
-	// Setters: typed[k][field] from literals of a known type, and per file the
-	// names set with the type unknown (they count outside k's declaring file).
-	typed := map[typeKey]map[string]bool{}
-	untyped := map[string]map[string]bool{} // field name -> files setting it
-	setUntyped := func(f *censusFile, name string) {
-		if untyped[name] == nil {
-			untyped[name] = map[string]bool{}
-		}
-		untyped[name][f.path] = true
-	}
-	for _, f := range files {
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CompositeLit:
-				k, known := typeKey{}, false
-				if x.Type != nil {
-					k, known = resolve(f, x.Type)
+	// Setters: a key or an assigned selector that resolves to a census
+	// field, in a file other than the one declaring it.
+	set := map[string]bool{}
+	for _, fs := range files {
+		for _, f := range fs {
+			note := func(id *ast.Ident) {
+				v, ok := info.Uses[id].(*types.Var)
+				if !ok || (f.FileStart <= v.Pos() && v.Pos() <= f.FileEnd) {
+					return // not a field, or the declaring file's own defaults
 				}
-				if known && declFile[k] == f.path {
-					return true // the declaring file's own defaults do not count
-				}
-				for _, el := range x.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					if x.Type == nil {
-						setUntyped(f, key.Name)
-					} else if known && want[k] {
-						if typed[k] == nil {
-							typed[k] = map[string]bool{}
-						}
-						typed[k][key.Name] = true
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						setUntyped(f, sel.Sel.Name)
-					}
+				if name, ok := ids[v.Origin()]; ok {
+					set[name] = true
 				}
 			}
-			return true
-		})
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.KeyValueExpr:
+					if key, ok := x.Key.(*ast.Ident); ok {
+						note(key)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							note(sel.Sel)
+						}
+					}
+				}
+				return true
+			})
+		}
 	}
 
 	var problems []string
 	used := map[string]bool{}
-	for k, names := range fields {
-		for _, name := range names {
-			set := typed[k][name]
-			for path := range untyped[name] {
-				if path != declFile[k] {
-					set = true
-				}
-			}
-			id := filepath.Base(k.dir) + "." + k.name + "." + name
-			switch _, allowed := censusAllow[id]; {
-			case set && allowed:
-				used[id] = true
-				problems = append(problems, id+": on the allowlist, but a non-test file sets it now — drop the entry")
-			case allowed:
-				used[id] = true
-			case !set:
-				problems = append(problems, id+": no non-test file outside "+declFile[k]+" sets it — make it a constant, or give censusAllow the reason it stays")
-			}
+	for _, id := range ids {
+		switch _, allowed := censusAllow[id]; {
+		case set[id] && allowed:
+			used[id] = true
+			problems = append(problems, id+": on the allowlist, but a non-test file sets it now — drop the entry")
+		case allowed:
+			used[id] = true
+		case !set[id]:
+			problems = append(problems, id+": no non-test file but the one declaring it sets it — make it a constant, or give censusAllow the reason it stays")
 		}
 	}
 	for id := range censusAllow {

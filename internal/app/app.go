@@ -1,27 +1,23 @@
 // Package app builds the two EmbDL applications of the evaluation — GNN
-// training and DLR inference — on top of the core cache system, with the
-// per-iteration accounting (sampling, host queues, extraction, eviction
-// overhead, dense compute) that the end-to-end figures report.
+// training and DLR inference — on top of the core cache system. The two
+// share one set-up (build: cache sizing, the launch check, the app's
+// hotness profile and core.Build) and one per-iteration ledger (ledger:
+// extraction, the spec's eviction term, tier hits and link utilization,
+// closed into the Report). Each app keeps only what differs: its batch
+// source and its own cost terms (DLR: dense; GNN: sampling, host queues,
+// dense).
 package app
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
+	"ugache/internal/baselines"
+	"ugache/internal/core"
 	"ugache/internal/extract"
 	"ugache/internal/platform"
+	"ugache/internal/workload"
 )
-
-// ratioEntries converts a cache ratio into a per-GPU entry count, rounding
-// up so tiny ratios yield a usable (>= 1 entry) cache instead of silently
-// truncating to zero.
-func ratioEntries(ratio float64, n int64) int64 {
-	c := int64(math.Ceil(ratio * float64(n)))
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
 
 // MemoryModel derives per-GPU cache capacity from (scaled) GPU memory the
 // way the evaluation does: datasets are built at 1/100 of the paper's
@@ -38,23 +34,16 @@ type MemoryModel struct {
 // buffers; the cache sizes of every figure are stated against it.
 const workspaceFrac = 0.25
 
-func (m MemoryModel) normalize() MemoryModel {
-	if m.MemScale <= 0 {
-		m.MemScale = 0.01
-	}
-	return m
-}
-
 // CapacityEntries returns the cache capacity of one GPU in embedding
 // entries, after reserving workspace and any co-resident bytes (graph
 // topology for GNN systems that store it on the GPU).
 func (m MemoryModel) CapacityEntries(p *platform.Platform, entryBytes int, residentBytes int64) int64 {
-	m = m.normalize()
-	budget := int64(float64(p.GPU.MemBytes)*m.MemScale*(1-workspaceFrac)) - residentBytes
-	if budget < 0 {
-		budget = 0
+	scale := m.MemScale
+	if scale <= 0 {
+		scale = 0.01
 	}
-	return budget / int64(entryBytes)
+	budget := int64(float64(p.GPU.MemBytes)*scale*(1-workspaceFrac)) - residentBytes
+	return max(budget, 0) / int64(entryBytes)
 }
 
 // Breakdown is the per-iteration time split, in seconds.
@@ -73,22 +62,14 @@ func (b Breakdown) Iter() float64 {
 
 // Report summarizes a run.
 type Report struct {
-	System     string
-	App        string // "gnn" or "dlr"
-	Dataset    string
-	Platform   string
 	Iterations int
 	// PerIter is the mean per-iteration breakdown.
 	PerIter Breakdown
 	// EpochSeconds extrapolates one full epoch (GNN) from the measured
 	// iterations; for DLR it equals PerIter.Iter().
 	EpochSeconds float64
-	// EpochIters is the iteration count of a full epoch (GNN).
-	EpochIters int
 	// CapacityEntries is the per-GPU cache size used.
 	CapacityEntries int64
-	// CacheRatio is capacity over total entries.
-	CacheRatio float64
 	// UniqueKeysPerIter is the mean unique keys extracted per GPU.
 	UniqueKeysPerIter float64
 	// HitLocal/HitRemote/HitHost are measured access fractions (bytes).
@@ -102,15 +83,130 @@ type Report struct {
 // entries per second (GPU-based neighbour sampling à la WholeGraph).
 const sampleRate = 600e6
 
-// validateCommon checks shared config fields.
-func validateCommon(p *platform.Platform, batch int) error {
-	if p == nil {
-		return fmt.Errorf("app: platform is required")
+// errIters refuses a run of no iterations.
+var errIters = errors.New("app: iterations must be positive")
+
+func batchOr(b int) int {
+	if b <= 0 {
+		return 8192
 	}
-	if batch <= 0 {
-		return fmt.Errorf("app: batch size must be positive")
+	return b
+}
+
+// pipeline is what both apps are built into: the system and the spec it
+// runs.
+type pipeline struct {
+	sys  *core.System
+	spec baselines.Spec
+}
+
+// build is the set-up both apps share. It sizes the per-GPU cache — ratio
+// > 0 pins it to that share of the n entries, otherwise mem derives it from
+// GPU memory less the resident bytes that share it — clamped to n, checks
+// that spec launches at that size, profiles the hotness and builds the
+// system.
+func build(p *platform.Platform, spec baselines.Spec, ratio float64, mem MemoryModel, resident int64,
+	n int64, entryBytes int, profile func() (workload.Hotness, error)) (pipeline, error) {
+	capacity := mem.CapacityEntries(p, entryBytes, resident)
+	if ratio > 0 {
+		// Rounded up, so a tiny ratio still caches one entry.
+		capacity = max(int64(math.Ceil(ratio*float64(n))), 1)
 	}
-	return nil
+	capacity = min(capacity, n)
+	if err := spec.Launchable(p, n, capacity); err != nil {
+		return pipeline{}, err
+	}
+	hot, err := profile()
+	if err != nil {
+		return pipeline{}, err
+	}
+	sys, err := core.Build(core.Config{
+		Platform:           p,
+		Hotness:            hot,
+		EntryBytes:         entryBytes,
+		CacheEntriesPerGPU: max(capacity, 1),
+		Policy:             spec.Policy,
+		Mechanism:          spec.Mechanism,
+	})
+	return pipeline{sys: sys, spec: spec}, err
+}
+
+// source is what differs between the apps: where an iteration's keys come
+// from and what the iteration costs beyond its extraction.
+type source interface {
+	// next draws one iteration's batch.
+	next() *extract.Batch
+	// terms prices the iteration's own terms (Sample, Queue, Dense) once
+	// its extraction is known.
+	terms(b *extract.Batch, res *extract.Result) Breakdown
+}
+
+// run measures iters iterations of src: an epoch is epochIters of them, and
+// the unique keys are averaged over the gpus that draw them.
+func (pl pipeline) run(src source, iters, epochIters, gpus int) (*Report, error) {
+	if iters <= 0 {
+		return nil, errIters
+	}
+	var l ledger
+	for it := 0; it < iters; it++ {
+		b := src.next()
+		res, err := pl.sys.ExtractBatch(b, nil)
+		if err != nil {
+			return nil, err
+		}
+		l.add(pl, b, res, src.terms(b, res))
+	}
+	return l.report(pl, iters, epochIters, gpus), nil
+}
+
+// ledger sums a run's iterations: the breakdown, the unique keys, the keys
+// by tier and the PCIe/NVLink utilizations.
+type ledger struct {
+	sum                                  Breakdown
+	keys, hitL, hitR, hitH, utilP, utilN float64
+}
+
+// add records one iteration: the extraction res of batch b, the spec's
+// eviction term, and the app's own terms.
+func (l *ledger) add(pl pipeline, b *extract.Batch, res *extract.Result, terms Breakdown) {
+	most := 0
+	for _, k := range b.Keys {
+		l.keys += float64(len(k))
+		most = max(most, len(k))
+	}
+	p := pl.sys.P
+	l.sum.Sample += terms.Sample
+	l.sum.Queue += terms.Queue
+	l.sum.Extract += res.Time
+	l.sum.Eviction += pl.spec.Eviction(most, res.Time)
+	l.sum.Dense += terms.Dense
+	l.utilP += res.Utilization(p, p.PCIeIDs())
+	l.utilN += res.Utilization(p, p.NVLinkIDs())
+	local, remote, host := hits(res, pl.sys.Cache.EntryBytes)
+	l.hitL += local
+	l.hitR += remote
+	l.hitH += host
+}
+
+// report closes the ledger over iters iterations.
+func (l *ledger) report(pl pipeline, iters, epochIters, gpus int) *Report {
+	inv := 1 / float64(iters)
+	per := Breakdown{
+		Sample: l.sum.Sample * inv, Queue: l.sum.Queue * inv, Extract: l.sum.Extract * inv,
+		Eviction: l.sum.Eviction * inv, Dense: l.sum.Dense * inv,
+	}
+	tot := l.hitL + l.hitR + l.hitH
+	if tot == 0 {
+		tot = 1
+	}
+	return &Report{
+		Iterations: iters, PerIter: per,
+		EpochSeconds:      per.Iter() * float64(epochIters),
+		CapacityEntries:   pl.sys.Placement().CapacityUsed()[0],
+		UniqueKeysPerIter: l.keys / float64(iters) / float64(gpus),
+		HitLocal:          l.hitL / tot, HitRemote: l.hitR / tot, HitHost: l.hitH / tot,
+		LinkUtilPCIe: l.utilP * inv, LinkUtilNVLink: l.utilN * inv,
+	}
 }
 
 // hits counts an extraction's keys by tier from the extractor's split, each

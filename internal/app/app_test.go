@@ -1,10 +1,12 @@
 package app
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"ugache/internal/baselines"
+	"ugache/internal/extract"
 	"ugache/internal/graph"
 	"ugache/internal/platform"
 	"ugache/internal/workload"
@@ -207,6 +209,15 @@ func TestGNNValidation(t *testing.T) {
 	if _, err := NewGNN(GNNConfig{DS: ds, Model: "sage", BatchSize: 1, Spec: baselines.UGache}); err == nil {
 		t.Fatal("nil platform accepted")
 	}
+	a, err := NewGNN(GNNConfig{P: p, DS: ds, Model: "sage", Supervised: true, BatchSize: 64, Spec: baselines.UGache, CacheRatio: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		if rep, err := a.RunIters(n); !errors.Is(err, errIters) {
+			t.Fatalf("RunIters(%d) = %+v, %v; want errIters", n, rep, err)
+		}
+	}
 }
 
 func TestDLREndToEnd(t *testing.T) {
@@ -312,6 +323,79 @@ func TestDLRValidation(t *testing.T) {
 	}
 	if _, err := NewDLR(DLRConfig{P: p, DS: ds, Model: "bert", Spec: baselines.UGache}); err == nil {
 		t.Fatal("bad model accepted")
+	}
+	a, err := NewDLR(DLRConfig{P: p, DS: ds, Model: "dlrm", BatchSize: 256, Spec: baselines.UGache, CacheRatio: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		if rep, err := a.RunIters(n); !errors.Is(err, errIters) {
+			t.Fatalf("RunIters(%d) = %+v, %v; want errIters", n, rep, err)
+		}
+	}
+}
+
+// TestEvictionTerm pins the one eviction term in both apps: under HPS an
+// iteration's Eviction is its busiest GPU's keys × EvictionPerKey plus its
+// Extract × (EvictionFactor − 1), bit for bit, and under every other stock
+// spec it is exactly 0. A one-iteration run's PerIter is that iteration, and
+// a twin built from the same configuration draws the same first batch.
+func TestEvictionTerm(t *testing.T) {
+	p := platform.ServerC()
+	dlrDS, err := workload.SYNA.Build(0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gnnDS, err := graph.PA.Build(0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type iterApp interface {
+		next() *extract.Batch
+		RunIters(int) (*Report, error)
+	}
+	apps := []struct {
+		name  string
+		build func(baselines.Spec) (iterApp, error)
+	}{
+		{"dlr", func(spec baselines.Spec) (iterApp, error) {
+			return NewDLR(DLRConfig{P: p, DS: dlrDS, Model: "dlrm", BatchSize: 512, Spec: spec, CacheRatio: 0.2, Seed: 2})
+		}},
+		{"gnn", func(spec baselines.Spec) (iterApp, error) {
+			return NewGNN(GNNConfig{P: p, DS: gnnDS, Model: "sage", Supervised: true, BatchSize: 256, Spec: spec, CacheRatio: 0.2, Seed: 1})
+		}},
+	}
+	specs := []baselines.Spec{baselines.GNNLab, baselines.WholeGraph, baselines.PartU, baselines.RepU,
+		baselines.HPS, baselines.SOK, baselines.UGache}
+	for _, ap := range apps {
+		for _, spec := range specs {
+			a, err := ap.build(spec)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", ap.name, spec.Name, err)
+			}
+			rep, err := a.RunIters(1)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", ap.name, spec.Name, err)
+			}
+			want := 0.0
+			if spec.Name == baselines.HPS.Name {
+				twin, err := ap.build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				most := 0
+				for _, k := range twin.next().Keys {
+					most = max(most, len(k))
+				}
+				want = float64(most)*spec.EvictionPerKey + rep.PerIter.Extract*(spec.EvictionFactor-1)
+				if want <= 0 {
+					t.Fatalf("%s/HPS: no eviction to pin (%d keys, extract %g)", ap.name, most, rep.PerIter.Extract)
+				}
+			}
+			if rep.PerIter.Eviction != want {
+				t.Errorf("%s/%s: eviction %v, want %v", ap.name, spec.Name, rep.PerIter.Eviction, want)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ugache/internal/baselines"
-	"ugache/internal/core"
 	"ugache/internal/extract"
 	"ugache/internal/graph"
 	"ugache/internal/platform"
@@ -30,9 +29,6 @@ type GNNConfig struct {
 	// ratio-sweep figures).
 	CacheRatio float64
 	Mem        MemoryModel
-	// ProfileBatches presamples this many batches for hotness (default 32,
-	// the "first epoch profiling" of §6.1).
-	ProfileBatches int
 	// DegreeHotness uses the vertex in-degree proxy of §6.1 (PaGraph-style)
 	// instead of presampling.
 	DegreeHotness bool
@@ -41,8 +37,8 @@ type GNNConfig struct {
 
 // GNNApp is a built GNN training pipeline.
 type GNNApp struct {
+	pipeline
 	Cfg      GNNConfig
-	Sys      *core.System
 	Trainers int
 	Samplers int
 
@@ -50,12 +46,19 @@ type GNNApp struct {
 	batches [][]int32
 	nextB   int
 	r       *rng.Rand
-	scratch map[int64]struct{}
+	// edges and dense are the iteration in flight's adjacency entries
+	// sampled and dense seconds: next sets them, terms reads them.
+	edges int64
+	dense float64
 }
 
 // gnnHidden is the hidden width of both GNN models, the value every figure
 // was produced with.
 const gnnHidden = 256
+
+// gnnProfileBatches is the presampled batches that measure GNN hotness (the
+// "first epoch profiling" of §6.1).
+const gnnProfileBatches = 32
 
 func gnnFanouts(model string) ([]int, error) {
 	switch model {
@@ -68,19 +71,13 @@ func gnnFanouts(model string) ([]int, error) {
 	}
 }
 
-// NewGNN builds the pipeline: presample hotness, size the cache, solve the
+// NewGNN builds the pipeline: size the cache, presample hotness, solve the
 // policy, fill the cache.
 func NewGNN(cfg GNNConfig) (*GNNApp, error) {
-	if err := validateCommon(cfg.P, batchOr(cfg.BatchSize)); err != nil {
-		return nil, err
-	}
-	if cfg.DS == nil {
-		return nil, fmt.Errorf("app: dataset is required")
+	if cfg.P == nil || cfg.DS == nil {
+		return nil, fmt.Errorf("app: a platform and a dataset are required")
 	}
 	cfg.BatchSize = batchOr(cfg.BatchSize)
-	if cfg.ProfileBatches <= 0 {
-		cfg.ProfileBatches = 32
-	}
 	fanouts, err := gnnFanouts(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -100,96 +97,63 @@ func NewGNN(cfg GNNConfig) (*GNNApp, error) {
 	// Sampler/trainer split (GNNLab dedicates ~1/4 of GPUs to sampling).
 	trainers, samplers := cfg.P.N, 0
 	if cfg.Spec.DedicatedSamplers && cfg.P.N > 1 {
-		samplers = cfg.P.N / 4
-		if samplers < 1 {
-			samplers = 1
-		}
+		samplers = max(cfg.P.N/4, 1)
 		trainers = cfg.P.N - samplers
 	}
 
-	// Capacity.
 	n := int64(cfg.DS.G.NumNodes())
-	entryBytes := cfg.DS.Table.EntryBytes()
-	var capacity int64
-	if cfg.CacheRatio > 0 {
-		capacity = ratioEntries(cfg.CacheRatio, n)
-	} else {
-		resident := cfg.DS.VolumeG()
-		if cfg.Spec.ReclaimGraphMemory {
-			resident = 0 // graph lives on the dedicated sampler GPUs
-		}
-		capacity = cfg.Mem.CapacityEntries(cfg.P, entryBytes, resident)
+	resident := cfg.DS.VolumeG()
+	if cfg.Spec.ReclaimGraphMemory {
+		resident = 0 // graph lives on the dedicated sampler GPUs
 	}
-	if capacity > n {
-		capacity = n
-	}
-	if err := cfg.Spec.Launchable(cfg.P, n, capacity); err != nil {
-		return nil, err
-	}
-
 	// Hotness (§6.1): either presample the first epoch's batches (cycling
 	// across epochs when one epoch has fewer batches than the budget — the
 	// neighbour sampling varies per batch, so extra epochs keep adding
 	// information), or use the vertex-degree proxy.
-	var hot workload.Hotness
-	if cfg.DegreeHotness {
-		// In-degree approximates how often a vertex is drawn as a sampled
-		// neighbour. One probe batch scales the proxy to keys/iteration.
-		indeg := make([]int64, n)
-		for _, tgt := range cfg.DS.G.Indices {
-			indeg[tgt]++
+	profile := func() (workload.Hotness, error) {
+		if cfg.DegreeHotness {
+			// In-degree approximates how often a vertex is drawn as a
+			// sampled neighbour. One probe batch scales the proxy to
+			// keys/iteration.
+			indeg := make([]int64, n)
+			for _, tgt := range cfg.DS.G.Indices {
+				indeg[tgt]++
+			}
+			probe := sampler.SampleBatch(graph.EpochBatches(cfg.DS.Train, cfg.BatchSize, r.Split("probe"))[0])
+			return workload.DegreeHotness(indeg, float64(len(probe))), nil
 		}
-		probe := sampler.SampleBatch(graph.EpochBatches(cfg.DS.Train, cfg.BatchSize, r.Split("probe"))[0])
-		hot = workload.DegreeHotness(indeg, float64(len(probe)))
-	} else {
 		profR := r.Split("profile")
 		var rec [][]int64
-		for epoch := 0; len(rec) < cfg.ProfileBatches; epoch++ {
+		for epoch := 0; len(rec) < gnnProfileBatches; epoch++ {
 			for _, b := range graph.EpochBatches(cfg.DS.Train, cfg.BatchSize, profR.Split(fmt.Sprintf("e%d", epoch))) {
-				keys := sampler.SampleBatch(b)
-				kb := make([]int64, len(keys))
-				for i, k := range keys {
-					kb[i] = int64(k)
-				}
-				rec = append(rec, kb)
-				if len(rec) == cfg.ProfileBatches {
+				rec = append(rec, keys64(sampler.SampleBatch(b)))
+				if len(rec) == gnnProfileBatches {
 					break
 				}
 			}
 		}
-		var err error
-		hot, err = workload.ProfileBatches(n, rec)
-		if err != nil {
-			return nil, err
-		}
+		return workload.ProfileBatches(n, rec)
 	}
-
-	sys, err := core.Build(core.Config{
-		Platform:           cfg.P,
-		Hotness:            hot,
-		EntryBytes:         entryBytes,
-		CacheEntriesPerGPU: max(capacity, 1),
-		Policy:             cfg.Spec.Policy,
-		Mechanism:          cfg.Spec.Mechanism,
-	})
+	pl, err := build(cfg.P, cfg.Spec, cfg.CacheRatio, cfg.Mem, resident, n, cfg.DS.Table.EntryBytes(), profile)
 	if err != nil {
 		return nil, err
 	}
 	return &GNNApp{
-		Cfg: cfg, Sys: sys,
+		pipeline: pl, Cfg: cfg,
 		Trainers: trainers, Samplers: samplers,
 		sampler: sampler,
 		batches: graph.EpochBatches(cfg.DS.Train, cfg.BatchSize, r.Split("epoch")),
 		r:       r,
-		scratch: make(map[int64]struct{}),
 	}, nil
 }
 
-func batchOr(b int) int {
-	if b <= 0 {
-		return 8192
+// keys64 widens sampled vertex IDs to embedding keys.
+func keys64(keys []int32) []int64 {
+	kb := make([]int64, len(keys))
+	for i, k := range keys {
+		kb[i] = int64(k)
 	}
-	return b
+	return kb
 }
 
 // epochIterations returns the iterations of a full epoch on this system
@@ -202,94 +166,46 @@ func (a *GNNApp) epochIterations() int {
 // RunIters simulates up to maxIters iterations and extrapolates the epoch.
 func (a *GNNApp) RunIters(maxIters int) (*Report, error) {
 	epochIters := a.epochIterations()
-	iters := epochIters
-	if maxIters > 0 && iters > maxIters {
-		iters = maxIters
-	}
-	if iters == 0 {
+	if epochIters == 0 {
 		return nil, fmt.Errorf("app: empty training set")
 	}
-	var sum Breakdown
-	var keysSum float64
-	var hitL, hitR, hitH float64
-	var utilP, utilN float64
-	for it := 0; it < iters; it++ {
-		b := &extract.Batch{Keys: make([][]int64, a.Cfg.P.N)}
-		var sampleSec, denseSec float64
-		var edges int64
-		for g := 0; g < a.Trainers; g++ {
-			seeds := a.nextSeedBatch()
-			keys := a.sampler.SampleBatch(seeds)
-			edges += a.sampler.LastEdgesTouched
-			kb := make([]int64, len(keys))
-			for i, k := range keys {
-				kb[i] = int64(k)
-			}
-			b.Keys[g] = kb
-			keysSum += float64(len(kb))
-			// Dense compute: per-hop frontiers feed the layers innermost
-			// first (all sampled nodes transform in layer 0).
-			denseSec = math.Max(denseSec, a.denseTime(a.sampler.LastHopCounts))
-		}
-		res, err := a.Sys.ExtractBatch(b, nil)
-		if err != nil {
-			return nil, err
-		}
-		sampleSec = float64(edges) / sampleRate / float64(max(a.Trainers, 1))
-		var queueSec float64
-		if a.Cfg.Spec.DedicatedSamplers {
-			// Dedicated samplers pipeline the sampling itself; the cost
-			// that remains on the critical path is the host-queue transfer
-			// of the sampled subgraph plus any throughput shortfall.
-			nodes := 0.0
-			for g := 0; g < a.Trainers; g++ {
-				nodes += float64(len(b.Keys[g]))
-			}
-			bytes := nodes*4 + float64(edges)*8
-			queueSec = bytes / a.Cfg.P.PCIeBW
-			demand := sampleSec * float64(a.Trainers) / float64(max(a.Samplers, 1))
-			overlap := res.Time + denseSec
-			if demand > overlap {
-				queueSec += demand - overlap
-			}
-			sampleSec = 0
-		}
-		evict := a.evictionTime(res, b)
-		sum.Sample += sampleSec
-		sum.Queue += queueSec
-		sum.Extract += res.Time
-		sum.Eviction += evict
-		sum.Dense += denseSec
-		utilP += res.Utilization(a.Cfg.P, a.Cfg.P.PCIeIDs())
-		utilN += res.Utilization(a.Cfg.P, a.Cfg.P.NVLinkIDs())
-		l, r2, h := hits(res, a.Sys.Cache.EntryBytes)
-		hitL += l
-		hitR += r2
-		hitH += h
+	return a.run(a, min(maxIters, epochIters), epochIters, a.Trainers)
+}
+
+// next samples each trainer's seed batch and prices its dense compute: the
+// per-hop frontiers feed the layers innermost first (all sampled nodes
+// transform in layer 0).
+func (a *GNNApp) next() *extract.Batch {
+	b := &extract.Batch{Keys: make([][]int64, a.Cfg.P.N)}
+	a.edges, a.dense = 0, 0
+	for g := 0; g < a.Trainers; g++ {
+		b.Keys[g] = keys64(a.sampler.SampleBatch(a.nextSeedBatch()))
+		a.edges += a.sampler.LastEdgesTouched
+		a.dense = math.Max(a.dense, a.denseTime(a.sampler.LastHopCounts))
 	}
-	inv := 1 / float64(iters)
-	per := Breakdown{
-		Sample: sum.Sample * inv, Queue: sum.Queue * inv, Extract: sum.Extract * inv,
-		Eviction: sum.Eviction * inv, Dense: sum.Dense * inv,
+	return b
+}
+
+// terms prices sampling, inline on the trainers or, with dedicated
+// samplers, as the host-queue transfer the trainers wait on.
+func (a *GNNApp) terms(b *extract.Batch, res *extract.Result) Breakdown {
+	sample := float64(a.edges) / sampleRate / float64(a.Trainers)
+	if !a.Cfg.Spec.DedicatedSamplers {
+		return Breakdown{Sample: sample, Dense: a.dense}
 	}
-	n := int64(a.Cfg.DS.G.NumNodes())
-	capUsed := a.Sys.Placement().CapacityUsed()
-	tot := hitL + hitR + hitH
-	if tot == 0 {
-		tot = 1
+	// Dedicated samplers pipeline the sampling itself; the cost that
+	// remains on the critical path is the host-queue transfer of the
+	// sampled subgraph plus any throughput shortfall.
+	nodes := 0.0
+	for g := 0; g < a.Trainers; g++ {
+		nodes += float64(len(b.Keys[g]))
 	}
-	return &Report{
-		System: a.Cfg.Spec.Name, App: "gnn",
-		Dataset: a.Cfg.DS.Spec.Name, Platform: a.Cfg.P.Name,
-		Iterations: iters, PerIter: per,
-		EpochSeconds:      per.Iter() * float64(epochIters),
-		EpochIters:        epochIters,
-		CapacityEntries:   capUsed[0],
-		CacheRatio:        float64(capUsed[0]) / float64(n),
-		UniqueKeysPerIter: keysSum / float64(iters) / float64(max(a.Trainers, 1)),
-		HitLocal:          hitL / tot, HitRemote: hitR / tot, HitHost: hitH / tot,
-		LinkUtilPCIe: utilP * inv, LinkUtilNVLink: utilN * inv,
-	}, nil
+	queue := (nodes*4 + float64(a.edges)*8) / a.Cfg.P.PCIeBW
+	demand := sample * float64(a.Trainers) / float64(max(a.Samplers, 1))
+	if overlap := res.Time + a.dense; demand > overlap {
+		queue += demand - overlap
+	}
+	return Breakdown{Queue: queue, Dense: a.dense}
 }
 
 func (a *GNNApp) nextSeedBatch() []int32 {
@@ -340,21 +256,4 @@ func (a *GNNApp) denseTime(hopCounts []int) float64 {
 		flops *= 1.3 // link-prediction loss over positive/negative pairs
 	}
 	return denseSeconds(a.Cfg.P.GPU, flops, kernels)
-}
-
-func (a *GNNApp) evictionTime(res *extract.Result, b *extract.Batch) float64 {
-	if a.Cfg.Spec.EvictionFactor <= 1 && a.Cfg.Spec.EvictionPerKey <= 0 {
-		return 0
-	}
-	keys := 0
-	for _, k := range b.Keys {
-		if len(k) > keys {
-			keys = len(k)
-		}
-	}
-	t := float64(keys) * a.Cfg.Spec.EvictionPerKey
-	if a.Cfg.Spec.EvictionFactor > 1 {
-		t += res.Time * (a.Cfg.Spec.EvictionFactor - 1)
-	}
-	return t
 }

@@ -107,6 +107,18 @@ func (s Spec) Launchable(p *platform.Platform, totalEntries int64, capacityPerGP
 	return nil
 }
 
+// Eviction is one iteration's online cache maintenance (HPS): LRU
+// bookkeeping for the keys the busiest GPU looks up, plus the extraction's
+// extract seconds stretched by the factor beyond 1. It is 0 for a spec
+// without eviction.
+func (s Spec) Eviction(keys int, extract float64) float64 {
+	t := float64(keys) * s.EvictionPerKey
+	if s.EvictionFactor > 1 {
+		t += extract * (s.EvictionFactor - 1)
+	}
+	return t
+}
+
 // WithMechanism returns a copy running a different extraction mechanism
 // (Fig. 12/15 apply UGache's extractor to baseline policies).
 func (s Spec) WithMechanism(m extract.Mechanism) Spec {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ugache/internal/app"
 	"ugache/internal/baselines"
 	"ugache/internal/graph"
 	"ugache/internal/platform"
@@ -37,23 +36,11 @@ func table1(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(ratio float64) (*app.Report, error) {
-		a, err := app.NewGNN(app.GNNConfig{
-			P: p, DS: ds, Model: "sage", Supervised: false,
-			BatchSize: batchSize(o), Spec: baselines.UGache, CacheRatio: ratio,
-			Mem:  app.MemoryModel{MemScale: o.memScale()},
-			Seed: o.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return a.RunIters(o.Iters)
-	}
-	noCache, err := run(1e-12) // effectively uncached
+	noCache, err := runGNN(o, p, baselines.UGache, graph.MAG, "sage", false, 1e-12) // effectively uncached
 	if err != nil {
 		return nil, err
 	}
-	cached, err := run(0) // memory-derived capacity, as on the real GPU
+	cached, err := runGNN(o, p, baselines.UGache, graph.MAG, "sage", false, 0) // memory-derived capacity, as on the real GPU
 	if err != nil {
 		return nil, err
 	}

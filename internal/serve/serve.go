@@ -17,7 +17,7 @@
 // flight.Batch record per flushed batch, written once into the worker's own
 // seqlock ring; both update through lock-free per-worker state, so
 // instrumentation keeps the flush path at its BENCH_hotpath.json allocation
-// budget (DESIGN.md §6.2). Server.Trace, the flight JSONL and the Chrome-trace
+// budget: 4 allocations a flush, 5 with a gather (DESIGN.md §6.2). Server.Trace, the flight JSONL and the Chrome-trace
 // batch trees are read-side views of those rings.
 package serve
 

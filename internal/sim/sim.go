@@ -67,7 +67,9 @@ type Demand struct {
 	Pool int
 }
 
-// Result reports the outcome of a Run or RunProportional call.
+// Result reports the outcome of a Run or RunProportional call. It is the
+// RunScratch's own and, like its slices, valid only until the scratch's next
+// call.
 type Result struct {
 	// Finish[i] is the completion time of demand i in seconds. A demand with
 	// zero bytes finishes at 0.
@@ -123,8 +125,8 @@ func (pl *PhaseLog) Phases() int { return len(pl.T) }
 
 // RunScratch holds the reusable working state of Run and RunProportional so
 // steady-state simulation runs stop allocating: the flow table, the active
-// list, the allocator's residual/weight buffers, the result slices, and the
-// fixed point's shares and per-pool sums. A RunScratch is owned by one
+// list, the allocator's residual/weight buffers, the Result and its slices,
+// and the fixed point's shares and per-pool sums. A RunScratch is owned by one
 // goroutine at a time (workers keep their own, or recycle through a
 // sync.Pool).
 type RunScratch struct {
@@ -138,6 +140,7 @@ type RunScratch struct {
 	share  []float64 // RunProportional: each demand's share of its pool
 	next   []float64 // RunProportional: each demand's next-share weight
 	pool   []float64 // RunProportional: per-pool bytes, then weight sums
+	res    Result    // the Result each call returns, over finish and bytes
 
 	// Record enables phase logging: each Run call then resets and
 	// refills Log, and the returned Result points at it. Off (the default)
@@ -162,7 +165,7 @@ func growF64(buf []float64, n int) []float64 {
 
 // Run simulates the demands to completion and returns per-demand finish
 // times. Demands run concurrently from t=0 (subject to having cores; a
-// demand with zero cores waits for padding). The Result's Finish and
+// demand with zero cores waits for padding). The Result and its Finish and
 // LinkBytes slices are sc's, valid only until its next Run, and callers that
 // need them longer must copy. A nil sc means a fresh one of the call's own,
 // so the Result is the caller's to keep.
@@ -289,7 +292,7 @@ func (t *Topology) RunWith(demands []Demand, sc *RunScratch) (*Result, error) {
 
 // load is the set-up Run and RunProportional share: it sizes sc for the
 // demands and t's links, validates every demand and writes its flow, and
-// returns the flow table and a zeroed Result over sc's slices.
+// returns the flow table and sc's Result, zeroed over sc's slices.
 func (t *Topology) load(demands []Demand, sc *RunScratch) ([]*flow, *Result, error) {
 	if cap(sc.flows) < len(demands) {
 		sc.flows = make([]flow, len(demands))
@@ -328,7 +331,8 @@ func (t *Topology) load(demands []Demand, sc *RunScratch) ([]*flow, *Result, err
 			path: d.Path, padTo: d.PadTo, done: d.Bytes == 0,
 		}
 	}
-	return flows, &Result{Finish: sc.finish, LinkBytes: sc.bytes}, nil
+	sc.res = Result{Finish: sc.finish, LinkBytes: sc.bytes}
+	return flows, &sc.res, nil
 }
 
 // appendActive filters the not-yet-done flows into buf (reused across
