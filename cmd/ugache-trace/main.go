@@ -1,10 +1,11 @@
-// ugache-trace generates, inspects, and replays DLR key traces so identical
-// access streams can be fed to different systems.
+// ugache-trace checks what the system estimates and writes: the hotness
+// estimate against batches it never saw, span timelines, and flight-recorder
+// bundles. A DLR key stream needs no file; it is a pure function of its
+// dataset, scale and seed.
 //
 // Usage:
 //
-//	ugache-trace -gen trace.bin -dataset SYN-A -batches 64 -batch 8192
-//	ugache-trace -info trace.bin
+//	ugache-trace -hotness -dataset CR -scale 0.05 -batches 96 -batch 2048
 //	ugache-trace -check-timeline trace.json   # validate a span timeline
 //	ugache-trace -check-bundle bundles/flight-20260809-120000.000000000
 package main
@@ -12,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -23,8 +25,7 @@ import (
 
 func main() {
 	var (
-		gen      = flag.String("gen", "", "write a trace to this file")
-		info     = flag.String("info", "", "print a trace's summary")
+		hot      = flag.Bool("hotness", false, "draw -batches batches and print their skew and the held-out check of their hotness profile")
 		checkTL  = flag.String("check-timeline", "", "validate a Chrome trace-event JSON file written by -trace-out / /debug/timeline")
 		checkBun = flag.String("check-bundle", "", "validate a flight-recorder diagnostic bundle directory (manifest, JSONL events, exemplar span resolution)")
 		dataset  = flag.String("dataset", "SYN-A", "CR, SYN-A, or SYN-B")
@@ -36,70 +37,9 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *gen != "":
-		if err := checkGen(*batches, *batch); err != nil {
+	case *hot:
+		if err := hotness(os.Stdout, *dataset, *scale, *batches, *batch, *seed); err != nil {
 			fatal("%v", err)
-		}
-		spec, err := workload.DLRSpecByName(*dataset)
-		if err != nil {
-			fatal("%v", err)
-		}
-		ds, err := spec.Build(*scale, *seed)
-		if err != nil {
-			fatal("%v", err)
-		}
-		r := rng.New(*seed).Split("dlr-" + spec.Name)
-		tr := workload.Record(ds.NumEntries(), *batches, func() []int64 {
-			return ds.GenBatch(r, *batch)
-		})
-		f, err := os.Create(*gen)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		if err := tr.Save(f); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("wrote %d batches (%d keys each) over %d entries to %s\n",
-			len(tr.Batches), len(tr.Batches[0]), tr.NumEntries, *gen)
-
-	case *info != "":
-		f, err := os.Open(*info)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		tr, err := workload.LoadTrace(f)
-		if err != nil {
-			fatal("%v", err)
-		}
-		hot, err := workload.ProfileBatches(tr.NumEntries, tr.Batches)
-		if err != nil {
-			fatal("%v", err)
-		}
-		total := 0
-		for _, b := range tr.Batches {
-			total += len(b)
-		}
-		fmt.Printf("%s: %d batches, %d keys total, %d entries\n",
-			*info, len(tr.Batches), total, tr.NumEntries)
-		fracs := []float64{0.001, 0.01, 0.1}
-		for _, frac := range fracs {
-			fmt.Printf("  top %5.1f%% of entries cover %5.1f%% of accesses\n",
-				frac*100, hot.TopShare(frac)*100)
-		}
-		// The estimate checks itself: what a profile of the first half says
-		// its hottest entries cover, next to what they cover in the second.
-		if predicted, delivered, err := tr.HeldOutCoverage(fracs); err != nil {
-			fmt.Printf("  no held-out check: %v\n", err)
-		} else {
-			half := len(tr.Batches) / 2
-			fmt.Printf("  profile of batches 1-%d against batches %d-%d, share of a batch's distinct keys:\n",
-				half, half+1, len(tr.Batches))
-			fmt.Printf("    hottest entries  predicted  delivered\n")
-			for i, frac := range fracs {
-				fmt.Printf("    %14.1f%%  %8.1f%%  %8.1f%%\n", frac*100, predicted[i]*100, delivered[i]*100)
-			}
 		}
 
 	case *checkTL != "":
@@ -156,13 +96,55 @@ func main() {
 	}
 }
 
-// checkGen refuses -gen sizes that make no trace.
-func checkGen(batches, batch int) error {
+// hotness draws `batches` DLR batches of `batch` samples each from the named
+// dataset and writes their skew and how a profile of the first half holds on
+// the second.
+func hotness(w io.Writer, dataset string, scale float64, batches, batch int, seed uint64) error {
 	if batches < 1 {
 		return fmt.Errorf("-batches must be >= 1, got %d", batches)
 	}
 	if batch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", batch)
+	}
+	spec, err := workload.DLRSpecByName(dataset)
+	if err != nil {
+		return err
+	}
+	ds, err := spec.Build(scale, seed)
+	if err != nil {
+		return err
+	}
+	r := rng.New(seed).Split("dlr-" + spec.Name)
+	bs := make([][]int64, batches)
+	total := 0
+	for i := range bs {
+		bs[i] = ds.GenBatch(r, batch)
+		total += len(bs[i])
+	}
+	hot, err := workload.ProfileBatches(ds.NumEntries(), bs)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s at scale %g, seed %d: %d batches, %d keys total, %d entries\n",
+		spec.Name, scale, seed, batches, total, ds.NumEntries())
+	fracs := []float64{0.001, 0.01, 0.1}
+	for _, frac := range fracs {
+		fmt.Fprintf(w, "  top %5.1f%% of entries cover %5.1f%% of accesses\n",
+			frac*100, hot.TopShare(frac)*100)
+	}
+	// The estimate checks itself: what a profile of the first half says
+	// its hottest entries cover, next to what they cover in the second.
+	predicted, delivered, err := workload.HeldOutCoverage(ds.NumEntries(), bs, fracs)
+	if err != nil {
+		fmt.Fprintf(w, "  no held-out check: %v\n", err)
+		return nil
+	}
+	half := batches / 2
+	fmt.Fprintf(w, "  profile of batches 1-%d against batches %d-%d, share of a batch's distinct keys:\n",
+		half, half+1, batches)
+	fmt.Fprintf(w, "    hottest entries  predicted  delivered\n")
+	for i, frac := range fracs {
+		fmt.Fprintf(w, "    %14.1f%%  %8.1f%%  %8.1f%%\n", frac*100, predicted[i]*100, delivered[i]*100)
 	}
 	return nil
 }

@@ -27,16 +27,18 @@ const (
 	RefreshDrift
 )
 
-// String renders the mode the way the -refresh-mode flag spells it.
+// String renders the mode the way the -refresh-mode flag spells it, and an
+// unknown mode by its number.
 func (m RefreshMode) String() string {
 	switch m {
+	case RefreshOff:
+		return "off"
 	case RefreshPeriodic:
 		return "periodic"
 	case RefreshDrift:
 		return "drift"
-	default:
-		return "off"
 	}
+	return fmt.Sprintf("refresh-mode(%d)", int(m))
 }
 
 // ParseRefreshMode parses a -refresh-mode flag value.
@@ -173,6 +175,9 @@ type driftSeries struct {
 func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("core: controller needs a system")
+	}
+	if cfg.Mode < RefreshOff || cfg.Mode > RefreshDrift {
+		return nil, fmt.Errorf("core: unknown refresh mode %s (have off, periodic, drift)", cfg.Mode)
 	}
 	cfg = cfg.normalize()
 	c := &Controller{sys: sys, cfg: cfg}

@@ -268,6 +268,25 @@ func TestControllerValidationAndModes(t *testing.T) {
 	}
 }
 
+// TestControllerRefusesUnknownMode: a mode outside off, periodic and drift
+// is refused at construction, sampler or not, where it once built a
+// controller whose first check panicked on its missing detector; and it
+// prints by its number, which no flag parses.
+func TestControllerRefusesUnknownMode(t *testing.T) {
+	sys := driftTestSystem(t, testHotness(256, 1.1, 1))
+	for _, mode := range []RefreshMode{RefreshDrift + 1, 7, -1} {
+		if _, err := NewController(sys, ControllerConfig{Mode: mode, Sampler: cache.NewHotnessSampler(256, 1)}); err == nil {
+			t.Errorf("mode %d accepted", int(mode))
+		}
+	}
+	if got := RefreshMode(7).String(); got != "refresh-mode(7)" {
+		t.Errorf("RefreshMode(7).String() = %q, want refresh-mode(7)", got)
+	}
+	if _, err := ParseRefreshMode(RefreshMode(7).String()); err == nil {
+		t.Error("an unknown mode's name parses")
+	}
+}
+
 // TestEmptyWindowIsNoCheck: a controller whose sampler saw nothing neither
 // checks nor errs when its cadence comes round, in either mode: it waits for
 // traffic.

@@ -9,12 +9,13 @@ import (
 	"ugache/internal/sim"
 )
 
-// planCache holds the batch-invariant planning constants of one
-// (platform, placement) pair: routed paths, per-source core dedications,
-// issue rates, source tiers and time per byte. Extraction runs once per
-// training or inference iteration, so re-deriving these per run (Path and
-// FEMDedication allocate) put avoidable allocation and CPU time on the §3.2
-// critical path. New computes the cache once.
+// planCache holds the batch-invariant planning constants of one platform:
+// routed paths, per-source core dedications, issue rates, source tiers and
+// time per byte. Extraction runs once per training or inference iteration,
+// so re-deriving these per run (Path and FEMDedication allocate) put
+// avoidable allocation and CPU time on the §3.2 critical path. New computes
+// the cache once per extractor; it reads only the platform, yet every
+// placement's extractor builds its own.
 type planCache struct {
 	paths     [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
 	pathOK    [][]bool

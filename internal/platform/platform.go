@@ -128,6 +128,9 @@ type Platform struct {
 	in   []sim.LinkID // switch-based
 	pair [][]sim.LinkID
 	dram sim.LinkID
+	// nvlink lists every NVLink/NVSwitch link: each connected pair in
+	// row-major order, or each GPU's switch ports out then in.
+	nvlink []sim.LinkID
 
 	hasNet bool
 	nic    sim.LinkID // clustered platforms only
@@ -216,6 +219,7 @@ func New(cfg Config) (*Platform, error) {
 				}
 				if bw > 0 {
 					p.pair[i][j] = p.Topo.AddLink(fmt.Sprintf("nvlink-%d<-%d", i, j), bw)
+					p.nvlink = append(p.nvlink, p.pair[i][j])
 				}
 			}
 		}
@@ -228,6 +232,7 @@ func New(cfg Config) (*Platform, error) {
 		for g := 0; g < cfg.N; g++ {
 			p.out[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-nvswitch-out", g), cfg.SwitchPortBW)
 			p.in[g] = p.Topo.AddLink(fmt.Sprintf("gpu%d-nvswitch-in", g), cfg.SwitchPortBW)
+			p.nvlink = append(p.nvlink, p.out[g], p.in[g])
 		}
 		// Derive a uniform PairBW view so callers can treat both kinds
 		// alike; the per-pair capacity on a switch is the full port rate.
@@ -395,6 +400,9 @@ const (
 )
 
 func (t Tier) String() string {
+	if t < 0 || t >= NumTiers {
+		return fmt.Sprintf("tier(%d)", int(t))
+	}
 	return [NumTiers]string{"local", "remote", "host", "network"}[t]
 }
 
@@ -552,30 +560,10 @@ func (p *Platform) TimePerByteTable() [][]float64 {
 }
 
 // NVLinkIDs returns every NVLink/NVSwitch link ID, for aggregate
-// utilization reporting.
-func (p *Platform) NVLinkIDs() []sim.LinkID {
-	var ids []sim.LinkID
-	if p.Kind == SwitchBased {
-		for g := 0; g < p.N; g++ {
-			ids = append(ids, p.out[g], p.in[g])
-		}
-		return ids
-	}
-	for i := 0; i < p.N; i++ {
-		for j := 0; j < p.N; j++ {
-			if i != j && p.pair[i][j] >= 0 {
-				ids = append(ids, p.pair[i][j])
-			}
-		}
-	}
-	return ids
-}
+// utilization reporting. The slice is the platform's own: read it, do not
+// write it.
+func (p *Platform) NVLinkIDs() []sim.LinkID { return p.nvlink }
 
-// PCIeIDs returns all PCIe link IDs.
-func (p *Platform) PCIeIDs() []sim.LinkID {
-	ids := make([]sim.LinkID, p.N)
-	for g := 0; g < p.N; g++ {
-		ids[g] = p.pcie[g]
-	}
-	return ids
-}
+// PCIeIDs returns all PCIe link IDs, GPU by GPU. The slice is the
+// platform's own: read it, do not write it.
+func (p *Platform) PCIeIDs() []sim.LinkID { return p.pcie }

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ugache/internal/sim"
@@ -354,10 +355,46 @@ func TestLinkIDAccessors(t *testing.T) {
 	}
 }
 
+// TestLinkIDListsBuiltOnce: PCIeIDs and NVLinkIDs list, by link name, each
+// GPU's PCIe link in GPU order and each NVLink in row-major pair order (a
+// switch's ports out then in, GPU by GPU), and return them without
+// allocating: the application ledger reads both every iteration.
+func TestLinkIDListsBuiltOnce(t *testing.T) {
+	cluster, err := ClusterOf(ServerAConfig(), DefaultNetwork(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Platform{ServerA(), ServerB(), ServerC(), cluster} {
+		id := map[string]sim.LinkID{}
+		for l, link := range p.Topo.Links {
+			id[link.Name] = sim.LinkID(l)
+		}
+		var pcie, nvlink []sim.LinkID
+		for i := 0; i < p.N; i++ {
+			pcie = append(pcie, id[fmt.Sprintf("gpu%d-pcie", i)])
+			if p.Kind == SwitchBased {
+				nvlink = append(nvlink, id[fmt.Sprintf("gpu%d-nvswitch-out", i)], id[fmt.Sprintf("gpu%d-nvswitch-in", i)])
+				continue
+			}
+			for j := 0; j < p.N; j++ {
+				if l, ok := id[fmt.Sprintf("nvlink-%d<-%d", i, j)]; ok {
+					nvlink = append(nvlink, l)
+				}
+			}
+		}
+		if !slices.Equal(p.PCIeIDs(), pcie) || !slices.Equal(p.NVLinkIDs(), nvlink) {
+			t.Errorf("%s: PCIeIDs %v, NVLinkIDs %v; want %v and %v", p.Name, p.PCIeIDs(), p.NVLinkIDs(), pcie, nvlink)
+		}
+		if n := testing.AllocsPerRun(10, func() { p.PCIeIDs(); p.NVLinkIDs() }); n != 0 {
+			t.Errorf("%s: PCIeIDs and NVLinkIDs allocate %v times a call", p.Name, n)
+		}
+	}
+}
+
 // TestTierClasses: every source of a platform falls in exactly the tier its
 // place names — the GPU itself local, host memory host, the cluster's remote
 // machines network, any other GPU remote — and the tiers are named in
-// index order.
+// index order, a tier out of range by its number.
 func TestTierClasses(t *testing.T) {
 	twin, err := ClusterOf(ServerAConfig(), DefaultNetwork(2))
 	if err != nil {
@@ -387,6 +424,14 @@ func TestTierClasses(t *testing.T) {
 	}
 	if got := fmt.Sprint(names); got != "[local remote host network]" {
 		t.Fatalf("tier names %s", got)
+	}
+	for _, c := range []struct {
+		tier Tier
+		want string
+	}{{NumTiers, "tier(4)"}, {7, "tier(7)"}, {-1, "tier(-1)"}} {
+		if got := c.tier.String(); got != c.want {
+			t.Errorf("Tier(%d).String() = %q, want %q", int(c.tier), got, c.want)
+		}
 	}
 }
 

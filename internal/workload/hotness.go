@@ -268,3 +268,38 @@ func (h Hotness) TopShare(fraction float64) float64 {
 	}
 	return top / total
 }
+
+// HeldOutCoverage checks a hotness estimate against batches it never saw:
+// it profiles the first half of the batches over numEntries entries and,
+// for the hottest `fraction` of entries by that estimate, returns the share
+// of a batch's distinct keys the estimate says they hold next to the share
+// they do hold in the second half. The two agree when the estimate is
+// honest about batches outside its sample.
+func HeldOutCoverage(numEntries int64, batches [][]int64, fractions []float64) (predicted, delivered []float64, err error) {
+	half := len(batches) / 2
+	if half == 0 {
+		return nil, nil, fmt.Errorf("workload: a held-out check needs two batches, got %d", len(batches))
+	}
+	hot, err := ProfileBatches(numEntries, batches[:half])
+	if err != nil {
+		return nil, nil, err
+	}
+	later, err := countPresence(numEntries, batches[half:])
+	if err != nil {
+		return nil, nil, err
+	}
+	laterTotal := 0.0
+	for _, c := range later {
+		laterTotal += float64(c)
+	}
+	ranked := hot.Rank()
+	for _, f := range fractions {
+		got := 0.0
+		for _, e := range ranked[:min(len(ranked), int(float64(len(ranked))*f))] {
+			got += float64(later[e])
+		}
+		predicted = append(predicted, hot.TopShare(f))
+		delivered = append(delivered, got/max(laterTotal, 1))
+	}
+	return predicted, delivered, nil
+}

@@ -251,16 +251,21 @@ func TestPresenceLocalTailAgainstTruth(t *testing.T) {
 	}
 }
 
-// TestHeldOutCoverage checks the trace's self-check (ugache-trace -info): on a
-// recording of concatenated tables, what a profile of the first half predicts
-// for its hottest entries is what the second half delivers to within two
-// points (raw counts predict 35.0% for the hottest 1% here and get 39.8%).
+// TestHeldOutCoverage checks the estimate's self-check (ugache-trace
+// -hotness): on batches of concatenated tables, what a profile of the first
+// half predicts for its hottest entries is what the second half delivers to
+// within two points (raw counts predict 35.0% for the hottest 1% here and
+// get 39.8%).
 func TestHeldOutCoverage(t *testing.T) {
 	z := newZipfTables(t, []int64{60_000, 16_000, 4_000, 1_000}, 1024)
 	r := rng.New(9)
-	tr := Record(int64(len(z.truth)), 64, func() []int64 { return z.batch(r, nil) })
+	batches := make([][]int64, 64)
+	for i := range batches {
+		batches[i] = z.batch(r, nil)
+	}
+	n := int64(len(z.truth))
 	fracs := []float64{0.001, 0.01, 0.1}
-	predicted, delivered, err := tr.HeldOutCoverage(fracs)
+	predicted, delivered, err := HeldOutCoverage(n, batches, fracs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +275,8 @@ func TestHeldOutCoverage(t *testing.T) {
 			t.Errorf("hottest %.1f%% of entries: predicted %.4f of a batch, delivered %.4f", f*100, predicted[i], delivered[i])
 		}
 	}
-	tr.Batches = tr.Batches[:1]
-	if _, _, err := tr.HeldOutCoverage(fracs); err == nil {
-		t.Fatal("a one-batch trace has no held-out half")
+	if _, _, err := HeldOutCoverage(n, batches[:1], fracs); err == nil {
+		t.Fatal("one batch has no held-out half")
 	}
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -246,55 +245,6 @@ func TestDegreeHotness(t *testing.T) {
 	}
 	if z := DegreeHotness([]int64{0, 0}, 8); z.Total() != 0 {
 		t.Fatal("zero degrees")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := &Trace{NumEntries: 100, Batches: [][]int64{{1, 2, 3}, {4}, {}}}
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEntries != 100 || len(got.Batches) != 3 {
-		t.Fatalf("header %+v", got)
-	}
-	for i := range tr.Batches {
-		if len(got.Batches[i]) != len(tr.Batches[i]) {
-			t.Fatalf("batch %d len", i)
-		}
-		for j := range tr.Batches[i] {
-			if got.Batches[i][j] != tr.Batches[i][j] {
-				t.Fatalf("batch %d key %d", i, j)
-			}
-		}
-	}
-}
-
-func TestTraceRejectsGarbage(t *testing.T) {
-	if _, err := LoadTrace(bytes.NewReader([]byte("not a trace at all....."))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Key outside range.
-	bad := &Trace{NumEntries: 2, Batches: [][]int64{{5}}}
-	var buf bytes.Buffer
-	bad.Save(&buf)
-	if _, err := LoadTrace(&buf); err == nil {
-		t.Fatal("out-of-range key accepted on load")
-	}
-}
-
-func TestRecord(t *testing.T) {
-	i := 0
-	tr := Record(10, 3, func() []int64 {
-		i++
-		return []int64{int64(i)}
-	})
-	if len(tr.Batches) != 3 || tr.Batches[2][0] != 3 {
-		t.Fatalf("record %+v", tr.Batches)
 	}
 }
 

@@ -2,8 +2,8 @@
 // two application families: DLR inference requests over many embedding
 // tables with power-law key popularity, and GNN training batches produced
 // by graph sampling. It also implements the hotness profiling ("presampling
-// the first epoch", §6.1) that feeds the cache policy solver, and trace
-// record/replay.
+// the first epoch", §6.1) that feeds the cache policy solver, and its check
+// against batches the profile never saw.
 package workload
 
 import (
