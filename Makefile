@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzHashtable -fuzztime 10s ./internal/hashtable
 	$(GO) test -run xxx -fuzz FuzzParseGoBench -fuzztime 10s ./internal/bench
 	$(GO) test -run xxx -fuzz FuzzFlightLines -fuzztime 10s ./internal/flight
+	$(GO) test -run xxx -fuzz FuzzPlatformConfig -fuzztime 10s ./internal/platform
 
 # Race coverage of the concurrent paths: lookups/extractions racing
 # refreshes, the serving engine, the parallel bench runner (bench is the

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	ugache-solve -server C -entries 1000000 -alpha 1.2 -ratio 0.08
-//	ugache-solve -policy partition -compare
+//	ugache-solve -policy partition
+//	ugache-solve -server B -compare    # every stock policy; -policy is ignored
 package main
 
 import (
@@ -61,20 +62,21 @@ func main() {
 	}
 	in := &solver.Input{P: p, Hotness: h, EntryBytes: *dim * 4, Capacity: caps, BlockBudget: *blocks}
 
-	names := []string{*policy}
-	if *compare {
-		names = []string{"replication", "partition", "clique-partition", "rep-part", "ugache", "optimal"}
+	pols := solver.Policies()
+	if !*compare {
+		pol, err := solver.PolicyByName(*policy)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ugache-solve:", err)
+			os.Exit(1)
+		}
+		pols = []solver.Policy{pol}
 	}
 	fmt.Printf("%s, %d entries, zipf %.2f, ratio %.1f%%, dim %d\n\n",
 		p.Name, *entries, *alpha, *ratio*100, *dim)
 	fmt.Printf("%-18s %12s %10s %8s %8s %8s %10s %9s %13s\n",
 		"policy", "est time", "solve", "local", "remote", "host", "blocks", "est/bound", "cap used")
-	for _, name := range names {
-		pol, err := solver.PolicyByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ugache-solve:", err)
-			os.Exit(1)
-		}
+	for _, pol := range pols {
+		name := pol.Name()
 		t0 := time.Now()
 		pl, err := pol.Solve(in)
 		el := time.Since(t0)

@@ -1,5 +1,6 @@
-// ugache-topo prints the simulated platform topologies and the Fig. 6
-// bandwidth-profile microbenchmark.
+// ugache-topo prints the simulated platform topologies: link bandwidths,
+// each path's core tolerance and the §5.3 FEM core dedication. The Fig. 6
+// bandwidth-profile microbenchmark is `ugache-bench -exp fig6`.
 //
 // Usage:
 //
@@ -10,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ugache/internal/platform"
@@ -28,55 +30,55 @@ func main() {
 		return p
 	}
 	if *server != "" {
-		show(build(*server))
+		show(os.Stdout, build(*server))
 		return
 	}
 	for _, k := range []string{"A", "B", "C"} {
-		show(build(k))
+		show(os.Stdout, build(k))
 		fmt.Println()
 	}
 }
 
-func show(p *platform.Platform) {
-	fmt.Printf("%s: %d × %s, %s\n", p.Name, p.N, p.GPU.Name, p.Kind)
-	fmt.Printf("  per-GPU PCIe %.0f GB/s, host DRAM %.0f GB/s shared\n", p.PCIeBW/1e9, p.DRAMBW/1e9)
+func show(w io.Writer, p *platform.Platform) {
+	fmt.Fprintf(w, "%s: %d × %s, %s\n", p.Name, p.N, p.GPU.Name, p.Kind)
+	fmt.Fprintf(w, "  per-GPU PCIe %.0f GB/s, host DRAM %.0f GB/s shared\n", p.PCIeBW/1e9, p.DRAMBW/1e9)
 	if p.Kind == platform.SwitchBased {
-		fmt.Printf("  NVSwitch port %.0f GB/s per GPU (out and in)\n", p.SwitchPortBW/1e9)
+		fmt.Fprintf(w, "  NVSwitch port %.0f GB/s per GPU (out and in)\n", p.SwitchPortBW/1e9)
 	} else {
-		fmt.Println("  NVLink pair bandwidth (GB/s; '-' = unconnected):")
-		fmt.Print("      ")
+		fmt.Fprintln(w, "  NVLink pair bandwidth (GB/s; '-' = unconnected):")
+		fmt.Fprint(w, "      ")
 		for j := 0; j < p.N; j++ {
-			fmt.Printf("g%-4d", j)
+			fmt.Fprintf(w, "g%-4d", j)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for i := 0; i < p.N; i++ {
-			fmt.Printf("  g%-2d ", i)
+			fmt.Fprintf(w, "  g%-2d ", i)
 			for j := 0; j < p.N; j++ {
 				switch {
 				case i == j:
-					fmt.Printf("%-5s", ".")
+					fmt.Fprintf(w, "%-5s", ".")
 				case p.PairBW[i][j] > 0:
-					fmt.Printf("%-5.0f", p.PairBW[i][j]/1e9)
+					fmt.Fprintf(w, "%-5.0f", p.PairBW[i][j]/1e9)
 				default:
-					fmt.Printf("%-5s", "-")
+					fmt.Fprintf(w, "%-5s", "-")
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 	// Tolerances (Fig. 6's knees).
 	hostTol, _ := p.Tolerance(0, p.Host())
 	locTol, _ := p.Tolerance(0, 0)
-	fmt.Printf("  core tolerance: host %.1f, local %.1f", hostTol, locTol)
+	fmt.Fprintf(w, "  core tolerance: host %.1f, local %.1f", hostTol, locTol)
 	if p.N > 1 {
 		if remTol, ok := p.Tolerance(0, 1); ok {
-			fmt.Printf(", remote(g1) %.1f", remTol)
+			fmt.Fprintf(w, ", remote(g1) %.1f", remTol)
 		}
 	}
-	fmt.Printf(" of %d SMs\n", p.GPU.SMs)
+	fmt.Fprintf(w, " of %d SMs\n", p.GPU.SMs)
 	// FEM dedication for GPU 0 (§5.3).
 	ded := p.FEMDedication(0)
-	fmt.Print("  FEM dedication (gpu0): ")
+	fmt.Fprint(w, "  FEM dedication (gpu0): ")
 	for j, c := range ded {
 		if c == 0 {
 			continue
@@ -85,7 +87,7 @@ func show(p *platform.Platform) {
 		if j == int(p.Host()) {
 			name = "host"
 		}
-		fmt.Printf("%s=%.1f ", name, c)
+		fmt.Fprintf(w, "%s=%.1f ", name, c)
 	}
-	fmt.Println("(local = padding)")
+	fmt.Fprintln(w, "(local = padding)")
 }

@@ -189,17 +189,16 @@ func refreshRecord(rep *cache.RefreshReport, pl *solver.Placement, trigger time.
 // extractMetrics splits the modelled extraction work by source tier — the
 // quantity the §6.2 model predicts and Fig. 13/14 report. Second splits are
 // the serial per-tier estimates (bytes x time-per-byte); tiers overlap in
-// the simulated schedule, so they sum to more than the makespan.
+// the simulated schedule, so they sum to more than the makespan. Link
+// utilization divides by the platform's own link capacities, read in place.
 type extractMetrics struct {
 	batches    *telemetry.Counter
 	simSeconds *telemetry.FloatCounter
 	tierKeys   [platform.NumTiers]*telemetry.Counter      // indexed by platform.Tier
 	tierSecs   [platform.NumTiers]*telemetry.FloatCounter // indexed by platform.Tier
 
-	// linkUtil[l] is link l's last-run mean utilization gauge; linkCap
-	// caches capacities so the update path never touches the topology.
+	// linkUtil[l] is link l's last-run mean utilization gauge.
 	linkUtil []*telemetry.Gauge
-	linkCap  []float64
 }
 
 func newExtractMetrics(reg *telemetry.Registry, p *platform.Platform) *extractMetrics {
@@ -219,7 +218,6 @@ func newExtractMetrics(reg *telemetry.Registry, p *platform.Platform) *extractMe
 			platform.TierNetwork: reg.FloatCounter("core_extract_network_seconds_total", "modelled seconds moving network-tier bytes"),
 		},
 		linkUtil: linkUtilGauges(reg, p),
-		linkCap:  linkCapacities(p),
 	}
 }
 
@@ -232,14 +230,6 @@ func linkUtilGauges(reg *telemetry.Registry, p *platform.Platform) []*telemetry.
 	for l, link := range p.Topo.Links {
 		out[l] = reg.Gauge("sim_link_util_"+sanitizeMetricName(link.Name),
 			"mean utilization of "+link.Name+" over the last extraction")
-	}
-	return out
-}
-
-func linkCapacities(p *platform.Platform) []float64 {
-	out := make([]float64, len(p.Topo.Links))
-	for l, link := range p.Topo.Links {
-		out[l] = link.Capacity
 	}
 	return out
 }
@@ -288,7 +278,7 @@ func (s *System) observeExtract(res *extract.Result) {
 	// instrumented path.
 	if res.Time > 0 {
 		for l, g := range m.linkUtil {
-			if capacity := m.linkCap[l]; capacity > 0 {
+			if capacity := s.P.Topo.Links[l].Capacity; capacity > 0 {
 				g.Set(res.LinkBytes[l] / (capacity * res.Time))
 			}
 		}

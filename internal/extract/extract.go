@@ -22,6 +22,7 @@ package extract
 
 import (
 	"fmt"
+	"math"
 
 	"ugache/internal/platform"
 	"ugache/internal/sim"
@@ -117,7 +118,10 @@ func (r *Result) Utilization(p *platform.Platform, links []sim.LinkID) float64 {
 	return num / den
 }
 
-// Extractor runs extractions against a placement.
+// Extractor runs extractions against a placement. It holds no plan of its
+// own: routes, core dedications, tiers and time per byte are the
+// platform's, derived once by platform.New, and every mechanism reads them
+// there.
 type Extractor struct {
 	P  *platform.Platform
 	Pl *solver.Placement
@@ -128,9 +132,6 @@ type Extractor struct {
 	// network column. Nil means no local shard (every network-class key
 	// crosses the NIC).
 	Owned func(key int64) bool
-	// plan caches the batch-invariant planning constants (paths, core
-	// dedications, tiers); see planCache.
-	plan *planCache
 }
 
 // New creates an extractor.
@@ -141,10 +142,18 @@ func New(p *platform.Platform, pl *solver.Placement) (*Extractor, error) {
 	if pl.NumGPUs != p.N {
 		return nil, fmt.Errorf("extract: placement for %d GPUs on %d-GPU platform", pl.NumGPUs, p.N)
 	}
-	return &Extractor{P: p, Pl: pl, plan: newPlanCache(p)}, nil
+	return &Extractor{P: p, Pl: pl}, nil
 }
 
 func (e *Extractor) entryBytes() float64 { return float64(e.Pl.EntryBytes) }
+
+// route returns the platform's path from GPU g to source j. The mechanisms
+// read it only for routes splitTiers has let through, so it is never nil
+// there.
+func (e *Extractor) route(g, j int) []sim.LinkID {
+	path, _ := e.P.Path(g, platform.SourceID(j))
+	return path
+}
 
 // Run simulates one extraction with the given mechanism. Every mechanism
 // plans on sc and runs on its simulator, so the returned Result's slices all
@@ -192,17 +201,16 @@ func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
 	ns := e.P.NumSources()
 	demands := sc.demands[:0]
 	idx := sc.idxMatrix(e.P.N, ns) // demand index per (gpu, source)
-	pc := e.plan
 	// Local demands first so non-local groups can pad into them.
 	for g := 0; g < e.P.N; g++ {
 		idx[g][g] = len(demands)
 		demands = append(demands, sim.Demand{
 			Bytes: vol[g][g], Cores: 0, RCore: e.P.GPU.RCoreLocal,
-			Path: pc.paths[g][g], PadTo: -1,
+			Path: e.route(g, g), PadTo: -1,
 		})
 	}
 	for g := 0; g < e.P.N; g++ {
-		ded := pc.ded[g]
+		ded := e.P.FEMDedication(g)
 		for j := 0; j < ns; j++ {
 			if j == g {
 				continue
@@ -213,8 +221,8 @@ func (e *Extractor) runFactored(out *Result, sc *Scratch) error {
 				}
 				idx[g][j] = len(demands)
 				demands = append(demands, sim.Demand{
-					Bytes: vol[g][j], Cores: ded[j], RCore: pc.rcore[g][j],
-					Path: pc.paths[g][j], PadTo: idx[g][g],
+					Bytes: vol[g][j], Cores: ded[j], RCore: e.P.RCore(g, platform.SourceID(j)),
+					Path: e.route(g, j), PadTo: idx[g][g],
 				})
 			} else if ded[j] > 0 {
 				// An empty group's cores join local extraction immediately.
@@ -274,7 +282,6 @@ func (e *Extractor) runPeerRandom(out *Result, sc *Scratch) error {
 	vol := out.SrcBytes
 	demands := sc.demands[:0]
 	idx := sc.idxMatrix(e.P.N, e.P.NumSources())
-	pc := e.plan
 	for g, row := range vol {
 		for j, bytes := range row {
 			if bytes == 0 {
@@ -283,8 +290,8 @@ func (e *Extractor) runPeerRandom(out *Result, sc *Scratch) error {
 			idx[g][j] = len(demands)
 			demands = append(demands, sim.Demand{
 				Pool: g, Bytes: bytes,
-				RCore: divergenceFactor * pc.rcore[g][j],
-				Path:  pc.paths[g][j],
+				RCore: divergenceFactor * e.P.RCore(g, platform.SourceID(j)),
+				Path:  e.route(g, j),
 			})
 		}
 	}
@@ -310,13 +317,12 @@ func (e *Extractor) runPeerRandom(out *Result, sc *Scratch) error {
 // bytes).
 func (e *Extractor) runMessageBased(out *Result, sc *Scratch) error {
 	vol := out.SrcBytes
-	pc := e.plan
 	cores := float64(e.P.GPU.SMs)
 	// gather[j]: bytes GPU j reads locally on behalf of all readers.
 	gather := zeroed(&sc.gather, e.P.N)
 	for i, row := range vol {
 		for j, v := range row {
-			switch pc.tier[i][j] {
+			switch e.P.Tier(i, platform.SourceID(j)) {
 			case platform.TierLocal:
 				gather[i] += v // local gather straight to output
 			case platform.TierRemote:
@@ -344,12 +350,15 @@ func (e *Extractor) runMessageBased(out *Result, sc *Scratch) error {
 		if gather[g] > 0 {
 			demands = append(demands, sim.Demand{
 				Bytes: gather[g], Cores: cores, RCore: e.P.GPU.RCoreLocal,
-				Path: pc.paths[g][g], PadTo: -1})
+				Path: e.route(g, g), PadTo: -1})
 		}
 		if host := tiers[platform.TierHost] + tiers[platform.TierNetwork]; host > 0 {
+			// SOK's own host fetch saturates PCIe on ⌈host tolerance⌉
+			// cores; FEM's dedication plays no part in this baseline.
+			tol, _ := e.P.Tolerance(g, e.P.Host())
 			demands = append(demands, sim.Demand{
-				Bytes: host, Cores: pc.hostCores[g], RCore: e.P.GPU.RCoreHost,
-				Path: pc.paths[g][e.P.Host()], PadTo: -1})
+				Bytes: host, Cores: math.Ceil(tol), RCore: e.P.GPU.RCoreHost,
+				Path: e.route(g, int(e.P.Host())), PadTo: -1})
 		}
 	}
 	if err := stage(demands); err != nil {
@@ -360,10 +369,10 @@ func (e *Extractor) runMessageBased(out *Result, sc *Scratch) error {
 	demands = demands[:0]
 	for i, row := range vol {
 		for j, v := range row {
-			if v != 0 && pc.tier[i][j] == platform.TierRemote {
+			if v != 0 && e.P.Tier(i, platform.SourceID(j)) == platform.TierRemote {
 				demands = append(demands, sim.Demand{
 					Bytes: v / ncclEfficiency, Cores: cores / float64(e.P.N),
-					RCore: e.P.GPU.RCoreRemote, Path: pc.paths[i][j], PadTo: -1})
+					RCore: e.P.GPU.RCoreRemote, Path: e.route(i, j), PadTo: -1})
 			}
 		}
 	}
@@ -377,7 +386,7 @@ func (e *Extractor) runMessageBased(out *Result, sc *Scratch) error {
 		if recv := tiers[platform.TierRemote]; recv > 0 {
 			demands = append(demands, sim.Demand{
 				Bytes: 2 * recv, Cores: cores, RCore: e.P.GPU.RCoreLocal,
-				Path: pc.paths[g][g], PadTo: -1})
+				Path: e.route(g, g), PadTo: -1})
 		}
 	}
 	if err := stage(demands); err != nil {
@@ -398,7 +407,6 @@ func (e *Extractor) runFactoredStatic(out *Result, sc *Scratch) error {
 	ns := e.P.NumSources()
 	demands := sc.demands[:0]
 	owner := sc.idxMatrix(e.P.N, ns)
-	pc := e.plan
 	for g := 0; g < e.P.N; g++ {
 		total := 0.0
 		for _, v := range vol[g] {
@@ -414,8 +422,8 @@ func (e *Extractor) runFactoredStatic(out *Result, sc *Scratch) error {
 			}
 			owner[g][j] = len(demands)
 			demands = append(demands, sim.Demand{
-				Bytes: vol[g][j], Cores: cores, RCore: pc.rcore[g][j],
-				Path: pc.paths[g][j], PadTo: -1,
+				Bytes: vol[g][j], Cores: cores, RCore: e.P.RCore(g, platform.SourceID(j)),
+				Path: e.route(g, j), PadTo: -1,
 			})
 		}
 	}

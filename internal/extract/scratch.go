@@ -2,66 +2,20 @@ package extract
 
 import (
 	"fmt"
-	"math"
 
 	"ugache/internal/par"
 	"ugache/internal/platform"
 	"ugache/internal/sim"
 )
 
-// planCache holds the batch-invariant planning constants of one platform:
-// routed paths, per-source core dedications, issue rates, source tiers and
-// time per byte. Extraction runs once per training or inference iteration,
-// so re-deriving these per run (Path and FEMDedication allocate) put
-// avoidable allocation and CPU time on the §3.2 critical path. New computes
-// the cache once per extractor; it reads only the platform, yet every
-// placement's extractor builds its own.
-type planCache struct {
-	paths     [][][]sim.LinkID // paths[g][j]: route GPU g -> source j
-	pathOK    [][]bool
-	rcore     [][]float64 // rcore[g][j]: per-core issue rate on that route
-	tier      [][]platform.Tier
-	tpb       [][]float64 // platform.TimePerByteTable
-	ded       [][]float64 // ded[g]: §5.3 core dedication for GPU g
-	hostCores []float64   // ⌈host-read tolerance⌉: MessageBased's host-fetch cores
-}
-
-func newPlanCache(p *platform.Platform) *planCache {
-	ns := p.NumSources()
-	pc := &planCache{
-		paths:     make([][][]sim.LinkID, p.N),
-		pathOK:    make([][]bool, p.N),
-		rcore:     make([][]float64, p.N),
-		tier:      make([][]platform.Tier, p.N),
-		tpb:       p.TimePerByteTable(),
-		ded:       make([][]float64, p.N),
-		hostCores: make([]float64, p.N),
-	}
-	for g := 0; g < p.N; g++ {
-		pc.paths[g] = make([][]sim.LinkID, ns)
-		pc.pathOK[g] = make([]bool, ns)
-		pc.rcore[g] = make([]float64, ns)
-		pc.tier[g] = make([]platform.Tier, ns)
-		pc.ded[g] = p.FEMDedication(g)
-		tol, _ := p.Tolerance(g, p.Host())
-		pc.hostCores[g] = math.Ceil(tol)
-		for j := 0; j < ns; j++ {
-			src := platform.SourceID(j)
-			pc.paths[g][j], pc.pathOK[g][j] = p.Path(g, src)
-			pc.rcore[g][j] = p.RCore(g, src)
-			pc.tier[g][j] = p.Tier(g, src)
-		}
-	}
-	return pc
-}
-
 // Scratch holds the reusable buffers of one extraction run — the per-GPU
 // source-volume matrix and its per-tier split, the demand plan, the
 // demand-index table, the message-based stages' gather volumes and link
-// sums, and the fluid simulator's working state. Every run has one: keeping
-// a Scratch and passing it to Run makes every mechanism's steady-state
-// extraction allocate only its Result and the simulator's; a nil scratch
-// makes one per call.
+// sums, and the fluid simulator's working state: what varies by batch. What
+// does not (routes, dedications, time per byte) is the platform's, read in
+// place. Every run has one: keeping a Scratch and passing it to Run makes
+// every mechanism's steady-state extraction allocate only its Result; a nil
+// scratch makes one per call.
 //
 // A Scratch is owned by one goroutine at a time. The Result returned by a
 // scratch-backed run aliases the scratch (SrcBytes, TierBytes, TierSeconds,
@@ -220,18 +174,19 @@ func (e *Extractor) srcBytes(b *Batch, sc *Scratch) (*Result, error) {
 // the one walk over every (GPU, source) volume, so it is also where a route
 // to a source the GPU cannot reach is refused, for every mechanism.
 func (e *Extractor) splitTiers(res *Result) error {
-	pc := e.plan
+	tpb := e.P.TimePerByteTable()
 	for g, row := range res.SrcBytes {
 		for j, bytes := range row {
 			if bytes == 0 {
 				continue
 			}
-			if !pc.pathOK[g][j] {
+			src := platform.SourceID(j)
+			if _, ok := e.P.Path(g, src); !ok {
 				return fmt.Errorf("extract: gpu %d routed to unreachable source %d", g, j)
 			}
-			t := pc.tier[g][j]
+			t := e.P.Tier(g, src)
 			res.TierBytes[g][t] += bytes
-			res.TierSeconds[g][t] += bytes * pc.tpb[g][j]
+			res.TierSeconds[g][t] += bytes * tpb[g][j]
 		}
 	}
 	return nil

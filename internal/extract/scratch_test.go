@@ -184,3 +184,15 @@ func TestMechanismAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocatesOnce: an extractor is its Extractor value alone; routes,
+// dedications, tiers and time per byte are the platform's, derived once at
+// platform.New, so a placement's extractor rebuilds none of them.
+func TestNewAllocatesOnce(t *testing.T) {
+	for _, p := range []*platform.Platform{platform.ServerA(), platform.ServerB(), platform.ServerC()} {
+		pl, _ := buildPlacement(t, p, 2000, 0.08, solver.Replication{})
+		if n := testing.AllocsPerRun(10, func() { _, _ = New(p, pl) }); n != 1 {
+			t.Errorf("%s: New allocates %v times, want 1", p.Name, n)
+		}
+	}
+}

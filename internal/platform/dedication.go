@@ -1,11 +1,18 @@
 package platform
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// FEMDedication computes the paper's §5.3 core dedication strategy for one
-// destination GPU: how many cores to dedicate to each source location.
-// Index by SourceID; the local entry is always 0 because local extraction
-// runs purely on padding (cores handed over as non-local groups finish).
+// FEMDedication returns the paper's §5.3 core dedication for destination GPU
+// dst: how many cores to dedicate to each source location. Index by
+// SourceID; the local entry is always 0 because local extraction runs
+// purely on padding (cores handed over as non-local groups finish). The row
+// is the platform's own, derived once by New: read it, do not write it.
+func (p *Platform) FEMDedication(dst int) []float64 { return p.ded[dst] }
+
+// dedication computes FEMDedication's row for New.
 //
 // Strategy, verbatim from the paper:
 //   - host first gets a small number of cores — its PCIe tolerance — to
@@ -16,7 +23,7 @@ import "math"
 //     among the N−1 remote GPUs, which bounds each reader to 1/(N−1) of any
 //     source's outbound port and makes concurrent readers collision-free
 //     without synchronization.
-func (p *Platform) FEMDedication(dst int) []float64 {
+func (p *Platform) dedication(dst int) []float64 {
 	cores := make([]float64, p.NumSources())
 	total := float64(p.GPU.SMs)
 
@@ -53,19 +60,20 @@ func (p *Platform) FEMDedication(dst int) []float64 {
 			}
 		}
 	case HardWired:
-		sum := 0.0
-		for j := 0; j < p.N; j++ {
-			if j != dst && p.PairBW[dst][j] > 0 {
-				sum += p.PairBW[dst][j]
-			}
-		}
-		if sum == 0 {
+		// Shares are taken relative to the widest link, so neither the sum
+		// nor a product overflows (PairBW is 0 on the diagonal and for
+		// unconnected pairs, which get nothing).
+		row := p.PairBW[dst]
+		widest := slices.Max(row)
+		if widest == 0 {
 			return cores
 		}
-		for j := 0; j < p.N; j++ {
-			if j != dst && p.PairBW[dst][j] > 0 {
-				cores[j] = remaining * p.PairBW[dst][j] / sum
-			}
+		sum := 0.0
+		for _, bw := range row {
+			sum += bw / widest
+		}
+		for j, bw := range row {
+			cores[j] = remaining * (bw / widest) / sum
 		}
 	}
 	return cores
@@ -103,8 +111,7 @@ func (p *Platform) EffectiveBW(dst int, src SourceID) (bw float64, ok bool) {
 		rate := float64(p.GPU.SMs) * p.GPU.RCoreLocal
 		return math.Min(link, rate), true
 	}
-	ded := p.FEMDedication(dst)
-	rate := ded[src] * p.RCore(dst, src)
+	rate := p.ded[dst][src] * p.RCore(dst, src)
 	if rate <= 0 {
 		return 0, false
 	}

@@ -18,6 +18,7 @@ package platform
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ugache/internal/sim"
 )
@@ -103,7 +104,11 @@ func DefaultNetwork(machines int) NetworkConfig {
 	return NetworkConfig{Machines: machines, LinkBW: 25e9, LatencySec: 10e-6}
 }
 
-// Platform is one multi-GPU server.
+// Platform is one multi-GPU server. A platform is immutable after New: New
+// derives every per-(GPU, source) route fact once — each route's link path,
+// each GPU's §5.3 core dedication and the §6.2 T_{i←j} matrix — and the
+// accessors hand out those tables, so no caller writes a field or a
+// returned slice.
 type Platform struct {
 	Name   string
 	Kind   Kind
@@ -137,6 +142,13 @@ type Platform struct {
 
 	// unorg is Topo at unorganized extraction's capacities (degraded.go).
 	unorg sim.Topology
+
+	// Derived by New from the links above, indexed [dst][src]: paths holds
+	// each route (nil when unreachable), ded each GPU's FEMDedication row and
+	// tpb the TimePerByteTable.
+	paths [][][]sim.LinkID
+	ded   [][]float64
+	tpb   [][]float64
 }
 
 // Config describes a platform to build; use the ServerA/B/C constructors
@@ -194,12 +206,13 @@ func New(cfg Config) (*Platform, error) {
 		if len(cfg.PairBW) != cfg.N {
 			return nil, fmt.Errorf("platform: PairBW must be %d×%d", cfg.N, cfg.N)
 		}
-		p.PairBW = cfg.PairBW
+		p.PairBW = make([][]float64, cfg.N) // the platform's own copy
 		p.pair = make([][]sim.LinkID, cfg.N)
 		for i := range p.pair {
 			if len(cfg.PairBW[i]) != cfg.N {
 				return nil, fmt.Errorf("platform: PairBW must be %d×%d", cfg.N, cfg.N)
 			}
+			p.PairBW[i] = slices.Clone(cfg.PairBW[i])
 			p.pair[i] = make([]sim.LinkID, cfg.N)
 			for j := range p.pair[i] {
 				p.pair[i][j] = -1
@@ -254,7 +267,26 @@ func New(cfg Config) (*Platform, error) {
 		p.nic = p.Topo.AddLink("nic", cfg.Network.LinkBW)
 	}
 	p.buildUnorganized()
+	p.deriveRoutes()
 	return p, nil
+}
+
+// deriveRoutes fills the route tables every accessor reads, GPU by GPU:
+// each path, T_{i←j} = 1/LinkBW from it, and then the dedication row, which
+// reads the row's tolerances.
+func (p *Platform) deriveRoutes() {
+	ns := p.NumSources()
+	p.paths, p.tpb, p.ded = make([][][]sim.LinkID, p.N), make([][]float64, p.N), make([][]float64, p.N)
+	for g := range p.paths {
+		p.paths[g], p.tpb[g] = make([][]sim.LinkID, ns), make([]float64, ns)
+		for j := range p.paths[g] {
+			p.paths[g][j] = p.route(g, SourceID(j))
+			if bw, ok := p.LinkBW(g, SourceID(j)); ok {
+				p.tpb[g][j] = 1 / bw
+			}
+		}
+		p.ded[g] = p.dedication(g)
+	}
 }
 
 // rate reports whether x is a usable bandwidth or per-core rate: finite and
@@ -444,45 +476,43 @@ func (p *Platform) Connected(i, j int) bool {
 	if i == j {
 		return true
 	}
-	if i < 0 || j < 0 || i >= p.N || j >= p.N {
-		return false
-	}
-	if p.Kind == SwitchBased {
-		return true
-	}
-	return p.pair[i][j] >= 0
+	_, ok := p.Path(i, SourceID(j))
+	return ok && j < p.N
 }
 
 // Path returns the link path for GPU dst reading from src, or ok=false when
 // the pair is unreachable (hard-wired unconnected GPUs must fall back to
-// host; that fallback is a policy decision, not a path).
+// host; that fallback is a policy decision, not a path). The slice is the
+// platform's own: read it, do not write it.
 func (p *Platform) Path(dst int, src SourceID) (path []sim.LinkID, ok bool) {
-	if dst < 0 || dst >= p.N {
+	if dst < 0 || dst >= p.N || src < 0 || int(src) >= len(p.paths[dst]) {
 		return nil, false
 	}
+	path = p.paths[dst][src]
+	return path, path != nil
+}
+
+// route builds the link path of one (dst, src) pair for New's table; nil
+// when the pair is unreachable.
+func (p *Platform) route(dst int, src SourceID) []sim.LinkID {
 	switch {
 	case src == p.Host():
-		return []sim.LinkID{p.dram, p.pcie[dst]}, true
+		return []sim.LinkID{p.dram, p.pcie[dst]}
 	case p.hasNet && src == p.Network():
 		// A cross-machine gather lands in this machine's DRAM staging area
 		// and crosses PCIe into the GPU; charging our own DRAM (not the
 		// remote machine's) models the reciprocal load of serving the other
 		// machines' requests in the symmetric steady state, the same trick
 		// the NVSwitch model uses with out/in ports.
-		return []sim.LinkID{p.dram, p.nic, p.pcie[dst]}, true
+		return []sim.LinkID{p.dram, p.nic, p.pcie[dst]}
 	case int(src) == dst:
-		return []sim.LinkID{p.hbm[dst]}, true
-	case int(src) >= 0 && int(src) < p.N:
-		j := int(src)
-		if p.Kind == SwitchBased {
-			return []sim.LinkID{p.hbm[j], p.out[j], p.in[dst]}, true
-		}
-		if p.pair[dst][j] < 0 {
-			return nil, false
-		}
-		return []sim.LinkID{p.hbm[j], p.pair[dst][j]}, true
+		return []sim.LinkID{p.hbm[dst]}
+	case p.Kind == SwitchBased:
+		return []sim.LinkID{p.hbm[src], p.out[src], p.in[dst]}
+	case p.pair[dst][src] < 0:
+		return nil
 	}
-	return nil, false
+	return []sim.LinkID{p.hbm[src], p.pair[dst][src]}
 }
 
 // RCore returns the per-core sustained gather rate for dst reading src.
@@ -529,35 +559,12 @@ func (p *Platform) Tolerance(dst int, src SourceID) (cores float64, ok bool) {
 	return bw / p.RCore(dst, src), true
 }
 
-// timePerByte returns the solver's T_{dst←src} (paper §6.2): seconds to move
-// one byte at the path's plateau bandwidth. ok=false for unconnected pairs
-// (the paper sets T to infinity and prunes the variable; callers should do
-// the same).
-func (p *Platform) timePerByte(dst int, src SourceID) (t float64, ok bool) {
-	bw, ok := p.LinkBW(dst, src)
-	if !ok {
-		return 0, false
-	}
-	return 1 / bw, true
-}
-
-// TimePerByteTable materializes timePerByte as an N x NumSources matrix —
-// tbl[dst][src] in seconds per byte, 0 for unconnected pairs. Path lookups
-// allocate; per-batch hot paths (telemetry's per-tier second estimates)
-// index this table instead of calling timePerByte.
-func (p *Platform) TimePerByteTable() [][]float64 {
-	ns := p.NumSources()
-	tbl := make([][]float64, p.N)
-	for g := range tbl {
-		tbl[g] = make([]float64, ns)
-		for j := 0; j < ns; j++ {
-			if t, ok := p.timePerByte(g, SourceID(j)); ok {
-				tbl[g][j] = t
-			}
-		}
-	}
-	return tbl
-}
+// TimePerByteTable returns the solver's T_{dst←src} (paper §6.2) as an
+// N x NumSources matrix — tbl[dst][src], seconds to move one byte at the
+// path's plateau bandwidth, 1/LinkBW; 0 for unconnected pairs (the paper
+// sets T to infinity and prunes the variable; callers should do the same).
+// The matrix is the platform's own: read it, do not write it.
+func (p *Platform) TimePerByteTable() [][]float64 { return p.tpb }
 
 // NVLinkIDs returns every NVLink/NVSwitch link ID, for aggregate
 // utilization reporting. The slice is the platform's own: read it, do not

@@ -99,12 +99,12 @@ func TestServerBDGX1Topology(t *testing.T) {
 			}
 		}
 	}
-	// Unconnected pairs have no path and no timePerByte.
+	// Unconnected pairs have no path and a 0 time per byte.
 	if _, ok := p.Path(0, 5); ok {
 		t.Fatal("path for unconnected pair")
 	}
-	if _, ok := p.timePerByte(0, 5); ok {
-		t.Fatal("timePerByte for unconnected pair")
+	if tb := p.TimePerByteTable()[0][5]; tb != 0 {
+		t.Fatalf("time per byte %g for unconnected pair", tb)
 	}
 }
 
@@ -158,9 +158,8 @@ func TestHostBandwidthBoundedByPCIe(t *testing.T) {
 	if !ok || bw != p.PCIeBW {
 		t.Fatalf("host bw %g, want PCIe %g", bw, p.PCIeBW)
 	}
-	tb, ok := p.timePerByte(0, p.Host())
-	if !ok || math.Abs(tb-1/p.PCIeBW) > 1e-30 {
-		t.Fatalf("timePerByte %g", tb)
+	if tb := p.TimePerByteTable()[0][p.Host()]; math.Abs(tb-1/p.PCIeBW) > 1e-30 {
+		t.Fatalf("time per byte %g", tb)
 	}
 }
 
@@ -358,7 +357,8 @@ func TestLinkIDAccessors(t *testing.T) {
 // TestLinkIDListsBuiltOnce: PCIeIDs and NVLinkIDs list, by link name, each
 // GPU's PCIe link in GPU order and each NVLink in row-major pair order (a
 // switch's ports out then in, GPU by GPU), and return them without
-// allocating: the application ledger reads both every iteration.
+// allocating: the application ledger reads both every iteration. The route
+// accessors read the tables New derived and allocate nothing either.
 func TestLinkIDListsBuiltOnce(t *testing.T) {
 	cluster, err := ClusterOf(ServerAConfig(), DefaultNetwork(2))
 	if err != nil {
@@ -388,6 +388,42 @@ func TestLinkIDListsBuiltOnce(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { p.PCIeIDs(); p.NVLinkIDs() }); n != 0 {
 			t.Errorf("%s: PCIeIDs and NVLinkIDs allocate %v times a call", p.Name, n)
 		}
+		ns := p.NumSources()
+		for name, read := range map[string]func(g int, src SourceID){
+			"Path":             func(g int, src SourceID) { p.Path(g, src) },
+			"FEMDedication":    func(g int, _ SourceID) { p.FEMDedication(g) },
+			"TimePerByteTable": func(int, SourceID) { p.TimePerByteTable() },
+			"LinkBW":           func(g int, src SourceID) { p.LinkBW(g, src) },
+			"Tolerance":        func(g int, src SourceID) { p.Tolerance(g, src) },
+			"EffectiveBW":      func(g int, src SourceID) { p.EffectiveBW(g, src) },
+		} {
+			n := testing.AllocsPerRun(10, func() {
+				for g := 0; g < p.N; g++ {
+					for j := 0; j < ns; j++ {
+						read(g, SourceID(j))
+					}
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s: %s allocates %v times over every (GPU, source)", p.Name, name, n)
+			}
+		}
+	}
+}
+
+// TestPlatformOwnsItsConfig: a platform is immutable after New, so writing
+// the config's pair matrix afterwards moves neither its PairBW nor the
+// dedication derived from it.
+func TestPlatformOwnsItsConfig(t *testing.T) {
+	cfg := ServerBConfig()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ded := slices.Clone(p.FEMDedication(0))
+	cfg.PairBW[0][1], cfg.PairBW[0][3] = 0, 1
+	if p.PairBW[0][1] != 25e9 || p.PairBW[0][3] != 50e9 || !slices.Equal(p.FEMDedication(0), ded) {
+		t.Fatalf("writing the config moved the platform: PairBW[0] %v, dedication %v", p.PairBW[0], p.FEMDedication(0))
 	}
 }
 

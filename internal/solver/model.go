@@ -6,8 +6,10 @@ import (
 	"ugache/internal/platform"
 )
 
-// costModel caches the per-(destination, source) constants of the §6.2
-// extraction-time model for one platform:
+// costModel holds the per-(destination, source) constants of the §6.2
+// extraction-time model for one platform, inverted from the platform's
+// EffectiveBW and RCore (themselves read from the tables platform.New
+// derived):
 //
 //	t_i^j     = B_{i←j} / effBW(i, j)              (link-bound time)
 //	packing_i = Σ_j B_{i←j} / (rcore(i,j) · SMs)   (core-seconds, ≙ the

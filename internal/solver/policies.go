@@ -271,22 +271,18 @@ func maxF(xs []float64) float64 {
 	return m
 }
 
-// PolicyByName returns a stock policy.
+// Policies returns every stock policy, in the order ugache-solve -compare
+// prints them; PolicyByName resolves exactly their names.
+func Policies() []Policy {
+	return []Policy{Replication{}, Partition{}, CliquePartition{}, RepPart{}, UGache{}, OptimalLP{}}
+}
+
+// PolicyByName returns the stock policy whose Name is name.
 func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "replication", "rep":
-		return Replication{}, nil
-	case "partition", "part":
-		return Partition{}, nil
-	case "clique-partition", "clique":
-		return CliquePartition{}, nil
-	case "rep-part", "reppart":
-		return RepPart{}, nil
-	case "ugache":
-		return UGache{}, nil
-	case "optimal", "optimal-lp":
-		return OptimalLP{}, nil
-	default:
-		return nil, fmt.Errorf("solver: unknown policy %q", name)
+	for _, pol := range Policies() {
+		if pol.Name() == name {
+			return pol, nil
+		}
 	}
+	return nil, fmt.Errorf("solver: unknown policy %q", name)
 }

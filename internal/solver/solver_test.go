@@ -426,13 +426,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	t.Skip("no uncached block to corrupt")
 }
 
+// TestPolicyByName: every stock policy's Name resolves to that policy, and
+// nothing else does — no alias, no unknown name.
 func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"replication", "partition", "clique-partition", "rep-part", "ugache", "optimal"} {
-		if _, err := PolicyByName(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, pol := range Policies() {
+		got, err := PolicyByName(pol.Name())
+		if err != nil || got.Name() != pol.Name() {
+			t.Fatalf("%s: resolved %v, %v", pol.Name(), got, err)
 		}
 	}
-	for _, name := range []string{"nope", "exact"} {
+	for _, name := range []string{"nope", "exact", "rep", "part", "clique", "reppart", "optimal"} {
 		if _, err := PolicyByName(name); err == nil {
 			t.Fatalf("unknown policy %q accepted", name)
 		}

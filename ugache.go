@@ -144,7 +144,7 @@ var (
 	PolicyOptimal Policy = solver.OptimalLP{}
 )
 
-// PolicyByName resolves a policy by its registry name.
+// PolicyByName resolves a stock policy by its Name.
 func PolicyByName(name string) (Policy, error) { return solver.PolicyByName(name) }
 
 // Placement is a solved cache policy. Placements serialize with

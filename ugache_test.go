@@ -159,7 +159,7 @@ func TestFacadeServe(t *testing.T) {
 }
 
 func TestFacadePolicies(t *testing.T) {
-	for _, name := range []string{"ugache", "replication", "partition", "clique-partition", "optimal"} {
+	for _, name := range []string{"ugache", "replication", "partition", "clique-partition", "optimal-lp"} {
 		if _, err := ugache.PolicyByName(name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
