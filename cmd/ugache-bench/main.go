@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -25,58 +26,61 @@ import (
 	"ugache/internal/prof"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
-func main() {
-	var (
-		exps       = flag.String("exp", "all", "comma-separated experiment names, or 'all'")
-		scale      = flag.Float64("scale", 0.25, "dataset scale multiplier (1.0 = full stand-in scale)")
-		iters      = flag.Int("iters", 3, "measured iterations per configuration")
-		seed       = flag.Uint64("seed", 42, "random seed")
-		quick      = flag.Bool("quick", false, "trim the configuration matrix")
-		workers    = flag.Int("workers", 0, "workers computing a figure's configurations (0 = one per CPU, 1 = sequential); output is the same at any value")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		telem      = flag.Bool("telemetry", false, "instrument the experiments' core systems and print a summary table of all collected metrics")
-		jsonOut    = flag.String("json-out", "", "write the machine-readable reports of experiments that produce one (e.g. drift, prefetch) to this JSON file")
-		timelineF  = flag.String("timeline", "", "draw the flight recorders of every experiment run (their serve, refresh, solver, drift and prefetch tracks) on one time axis and write Chrome trace-event JSON to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the command on an argument list: reports go to w, errors to errw,
+// and it returns the exit code.
+func run(args []string, w, errw io.Writer) (code int) {
+	fs := flag.NewFlagSet("ugache-bench", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var (
+		exps       = fs.String("exp", "all", "comma-separated experiment names, or 'all'")
+		scale      = fs.Float64("scale", 0.25, "dataset scale multiplier (1.0 = full stand-in scale)")
+		iters      = fs.Int("iters", 3, "measured iterations per configuration")
+		seed       = fs.Uint64("seed", 42, "random seed")
+		quick      = fs.Bool("quick", false, "trim the configuration matrix")
+		workers    = fs.Int("workers", 0, "workers computing a figure's configurations (0 = one per CPU, 1 = sequential); output is the same at any value")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		telem      = fs.Bool("telemetry", false, "instrument the experiments' core systems and print a summary table of all collected metrics")
+		jsonOut    = fs.String("json-out", "", "write the machine-readable reports of experiments that produce one (e.g. drift, prefetch) to this JSON file")
+		timelineF  = fs.String("timeline", "", "draw the flight recorders of every experiment run (their serve, refresh, solver, drift and prefetch tracks) on one time axis and write Chrome trace-event JSON to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	stopProf, err := prof.Start(prof.Config{CPUProfile: *cpuprofile, MemProfile: *memprofile})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(errw, "ugache-bench: %v\n", err)
+		return 1
 	}
-	code := run(*exps, *scale, *iters, *seed, *quick, *workers, *list, *telem, *timelineF, *jsonOut)
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
-		if code == 0 {
-			code = 1
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintf(errw, "ugache-bench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
 		}
-	}
-	os.Exit(code)
-}
-
-func run(exps string, scale float64, iters int, seed uint64, quick bool, workers int, list, telem bool, timelineF, jsonOut string) int {
-	if list {
+	}()
+	if *list {
 		names := bench.Names()
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Printf("%-18s %s\n", n, bench.Registry[n].Brief)
+			fmt.Fprintf(w, "%-18s %s\n", n, bench.Registry[n].Brief)
 		}
 		return 0
 	}
 
 	names := bench.Names()
-	if exps != "all" {
-		names = strings.Split(exps, ",")
+	if *exps != "all" {
+		names = strings.Split(*exps, ",")
 	}
-	opt := bench.Options{Scale: scale, Iters: iters, Seed: seed, Quick: quick, Workers: workers}
+	opt := bench.Options{Scale: *scale, Iters: *iters, Seed: *seed, Quick: *quick, Workers: *workers}
 	var reg *telemetry.Registry
-	if telem {
+	if *telem {
 		reg = telemetry.NewRegistry(8)
 		opt.Telemetry = reg
 	}
@@ -88,50 +92,57 @@ func run(exps string, scale float64, iters int, seed uint64, quick bool, workers
 		t0 := time.Now()
 		res, err := bench.Run(name, opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ugache-bench: %s: %v\n", name, err)
+			fmt.Fprintf(errw, "ugache-bench: %s: %v\n", name, err)
 			failed++
 			continue
 		}
-		fmt.Printf("### %s (%.1fs)\n\n%s\n", name, time.Since(t0).Seconds(), res.Text)
+		fmt.Fprintf(w, "### %s (%.1fs)\n\n%s\n", name, time.Since(t0).Seconds(), res.Text)
 		if res.JSON != nil {
 			jsonReports[res.Name] = res.JSON
 		}
-		if timelineF != "" {
+		if *timelineF != "" {
 			recs = append(recs, res.Flight...)
 		}
 	}
-	if jsonOut != "" {
+	if *jsonOut != "" {
 		var briefs []string
 		for _, name := range sortedKeys(jsonReports) {
 			briefs = append(briefs, fmt.Sprintf("%s: %s", name, bench.Registry[name].Brief))
 		}
-		command := "ugache-bench " + strings.Join(os.Args[1:], " ")
-		if err := bench.WriteBaseline(jsonOut, strings.Join(briefs, "; "), command, jsonReports); err != nil {
-			fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
+		command := "ugache-bench " + strings.Join(args, " ")
+		if err := bench.WriteBaseline(*jsonOut, strings.Join(briefs, "; "), command, jsonReports); err != nil {
+			fmt.Fprintf(errw, "ugache-bench: %v\n", err)
 			failed++
 		} else {
-			fmt.Printf("### json\n\nwrote %d report(s) to %s\n", len(jsonReports), jsonOut)
+			fmt.Fprintf(w, "### json\n\nwrote %d report(s) to %s\n", len(jsonReports), *jsonOut)
 		}
 	}
 	if reg != nil {
 		samples := reg.Samples()
 		if len(samples) == 0 {
-			fmt.Println("### telemetry\n\n(no instrumented experiment ran; drift, prefetch and fig17 build the instrumented core)")
+			fmt.Fprintln(w, "### telemetry\n\n(no instrumented experiment ran; drift, prefetch and fig17 build the instrumented core)")
 		} else {
 			t := stats.NewTable("Telemetry: accumulated metrics across the run", "metric", "value")
 			for _, s := range samples {
 				t.AddRow(s.Name, fmt.Sprintf("%g", s.Value))
 			}
-			fmt.Printf("### telemetry\n\n%s\n", t.String())
+			fmt.Fprintf(w, "### telemetry\n\n%s\n", t.String())
 		}
 	}
-	if timelineF != "" {
-		tracks, events := flight.Draw(recs...)
-		if err := writeTimeline(timelineF, tracks, events); err != nil {
-			fmt.Fprintf(os.Stderr, "ugache-bench: %v\n", err)
+	if *timelineF != "" {
+		f, err := os.Create(*timelineF)
+		spans := 0
+		if err == nil {
+			spans, err = flight.WriteTrace(f, recs...)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "ugache-bench: %v\n", err)
 			failed++
 		} else {
-			fmt.Printf("### timeline\n\nwrote %d spans to %s (open in https://ui.perfetto.dev; fig17 emits the refresh/solver tracks)\n", len(events), timelineF)
+			fmt.Fprintf(w, "### timeline\n\nwrote %d spans to %s (open in https://ui.perfetto.dev; fig17 emits the refresh/solver tracks)\n", spans, *timelineF)
 		}
 	}
 	if failed > 0 {
@@ -149,17 +160,4 @@ func sortedKeys(m map[string]any) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// writeTimeline writes a drawn trace as Chrome trace-event JSON.
-func writeTimeline(path string, tracks timeline.Tracks, events []timeline.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := timeline.Write(f, tracks, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

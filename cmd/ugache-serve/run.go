@@ -24,7 +24,6 @@ import (
 	"ugache/internal/serve"
 	"ugache/internal/stats"
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 	"ugache/internal/workload"
 )
 
@@ -309,10 +308,13 @@ func (e *engine) shutdown(ctx context.Context) error {
 	}
 	var errs []error
 	if e.o.traceOut != "" {
-		tracks, events := flight.Draw(e.fl)
-		err := writeFile(e.o.traceOut, func(f io.Writer) error { return timeline.Write(f, tracks, events) })
+		var spans int
+		err := writeFile(e.o.traceOut, func(f io.Writer) (err error) {
+			spans, err = flight.WriteTrace(f, e.fl)
+			return err
+		})
 		if err == nil {
-			fmt.Fprintf(w, "timeline:          %d spans -> %s (open in https://ui.perfetto.dev)\n", len(events), e.o.traceOut)
+			fmt.Fprintf(w, "timeline:          %d spans -> %s (open in https://ui.perfetto.dev)\n", spans, e.o.traceOut)
 		}
 		errs = append(errs, err)
 	}

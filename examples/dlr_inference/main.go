@@ -48,11 +48,16 @@ func main() {
 	}
 	r := ugache.NewRand(7)
 	scratch := make(map[int64]struct{})
+	drifted := false // once set, each table's Zipf rank i is its key entriesPer-1-i
 	genBatch := func() []int64 {
 		raw := make([]int64, 0, batchSize*numTables)
 		for s := 0; s < batchSize; s++ {
 			for t := 0; t < numTables; t++ {
-				raw = append(raw, mt.Offset(t)+zipf.Sample(r))
+				k := zipf.Sample(r)
+				if drifted {
+					k = entriesPer - 1 - k
+				}
+				raw = append(raw, mt.Offset(t)+k)
 			}
 		}
 		return ugache.UniqueKeys(raw, scratch)
@@ -96,21 +101,19 @@ func main() {
 	base /= 5
 	fmt.Printf("steady-state extraction: %.3f ms/iteration\n", base*1e3)
 
-	// The foreground sampler keeps recording hotness (§7.2)...
+	// One day the trace drifts: yesterday's cold keys are hot. The
+	// foreground sampler records the drifted stream (§7.2), and its hotness
+	// is what the trigger checks and the refresh solves against.
+	drifted = true
 	sampler := ugache.NewHotnessSampler(mt.NumEntries(), 4)
 	for i := 0; i < 32; i++ {
 		sampler.Observe(genBatch())
 	}
-
-	// ... and one day the trace drifts: yesterday's cold keys are hot.
-	drifted := make(ugache.Hotness, len(hot))
-	for t := 0; t < numTables; t++ {
-		off := mt.Offset(t)
-		for k := int64(0); k < entriesPer; k++ {
-			drifted[off+k] = hot[off+(entriesPer-1-k)]
-		}
+	measured, err := sampler.Hotness()
+	if err != nil {
+		log.Fatal(err)
 	}
-	trigger, err := sys.ShouldRefresh(drifted, 0.10)
+	trigger, err := sys.ShouldRefresh(measured, 0.10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func main() {
 	cfg.UpdateBandwidth = float64(2*mt.NumEntries()*int64(mt.MaxEntryBytes())) * 2.5 / 20
 	perStep := float64(cfg.BatchEntries*int64(mt.MaxEntryBytes())) / cfg.UpdateBandwidth
 	cfg.PauseSeconds = 1.5 * perStep
-	rep, err := sys.Refresh(drifted, base, cfg)
+	rep, err := sys.Refresh(measured, base, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,14 +5,15 @@
 // periodically re-solves the policy and applies the diff in small batches
 // with bounded foreground impact (§7.2, Fig. 17).
 //
-// Concurrency model: all placement state (hash tables, arenas, the
-// placement itself) lives in an immutable snapshot behind an atomic
-// pointer. Readers (Locate, Gather) load the snapshot once per
-// call and never observe mutation; the Refresher builds the next snapshot
+// Concurrency model: a placement and everything derived from it (its
+// extractor, the hotness it was solved against, its version, every GPU's
+// hash table and arena) is one immutable Snapshot behind one atomic pointer.
+// Readers (Gather, core's extraction and model queries) load the snapshot
+// once per call and never observe mutation; Refresh builds the next snapshot
 // off to the side — cloning the tables and arenas, applying the eviction/
 // insertion diff in small batches — and publishes it with a single atomic
-// swap. Any individual read therefore sees either the old or the new
-// placement in full, never a torn mix.
+// swap under the one writer lock. Any individual read therefore sees either
+// the old or the new placement in full, never a torn mix.
 package cache
 
 import (
@@ -22,11 +23,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ugache/internal/extract"
 	"ugache/internal/hashtable"
 	"ugache/internal/memsim"
 	"ugache/internal/par"
 	"ugache/internal/platform"
 	"ugache/internal/solver"
+	"ugache/internal/workload"
 )
 
 // RowSource supplies embedding rows from (simulated) host memory; both
@@ -139,37 +142,31 @@ func rowChunks(caches []*GPUCache, pl *solver.Placement, src RowSource) (int, fu
 	}
 }
 
-// clone deep-copies the cache, pointing its arena into the given clone of
-// the snapshot's space.
-func (c *GPUCache) clone(arena *memsim.Arena) *GPUCache {
+// clone deep-copies the cache, arena included.
+func (c *GPUCache) clone() *GPUCache {
 	return &GPUCache{
 		GPU:        c.GPU,
 		Table:      c.Table.Clone(),
-		Arena:      arena,
+		Arena:      c.Arena.Clone(),
 		EntryBytes: c.EntryBytes,
 		freeSlots:  append([]int64(nil), c.freeSlots...),
 	}
 }
 
-// snapshot is one immutable view of the multi-GPU cache: the placement it
-// materializes plus the per-GPU tables and arenas holding it.
-type snapshot struct {
-	placement *solver.Placement
-	caches    []*GPUCache
-	space     *memsim.Space
-}
-
-// clone deep-copies the snapshot so the Refresher can mutate it privately.
-func (sn *snapshot) clone() *snapshot {
-	cp := &snapshot{
-		placement: sn.placement,
-		caches:    make([]*GPUCache, len(sn.caches)),
-		space:     sn.space.Clone(),
-	}
-	for g, c := range sn.caches {
-		cp.caches[g] = c.clone(cp.space.GPUs[g])
-	}
-	return cp
+// Snapshot is one published placement and everything derived from it. It is
+// immutable once published, so what one load returns is consistent: every
+// key the placement stores on a GPU is in that GPU's table, at a slot of its
+// arena holding the row.
+type Snapshot struct {
+	// Extractor plans batches on the placement; its Pl is the placement,
+	// held nowhere else.
+	Extractor *extract.Extractor
+	// Hotness is what the placement was solved against (nil: none given).
+	Hotness workload.Hotness
+	// Version is 1 from Fill and one more from every Refresh (the staleness
+	// clock of staged rows, DESIGN.md §6.4).
+	Version uint64
+	Caches  []*GPUCache // indexed by GPU
 }
 
 // System is the multi-GPU cache state for one placement. It is safe for
@@ -180,8 +177,8 @@ type System struct {
 	EntryBytes int
 
 	source RowSource // nil in size-only mode
-	snap   atomic.Pointer[snapshot]
-	// refreshMu serializes writers: Refresh clones the current snapshot,
+	snap   atomic.Pointer[Snapshot]
+	// refreshMu is the one writer lock: Refresh clones the current snapshot,
 	// mutates the clone, and publishes it; two concurrent refreshes must not
 	// both clone the same base.
 	refreshMu sync.Mutex
@@ -190,10 +187,14 @@ type System struct {
 	gatherPool sync.Pool
 }
 
+// Snapshot returns the published snapshot. Load it once per operation: two
+// loads may straddle a Refresh.
+func (s *System) Snapshot() *Snapshot { return s.snap.Load() }
+
 // Caches returns the currently published per-GPU caches. The returned
 // snapshot is immutable; a concurrent Refresh publishes new caches rather
 // than mutating these.
-func (s *System) Caches() []*GPUCache { return s.snap.Load().caches }
+func (s *System) Caches() []*GPUCache { return s.snap.Load().Caches }
 
 // Functional reports whether the system holds real bytes (a RowSource was
 // attached at Fill time).
@@ -212,6 +213,12 @@ type FillOptions struct {
 	// allocated, as NewArenas makes them — so that a caller can make them
 	// while it solves. Nil makes them here.
 	Arenas []*memsim.Arena
+	// Hotness is what the placement was solved against; the snapshot keeps
+	// it for readers of the model (nil: none).
+	Hotness workload.Hotness
+	// Owned is the extractor's shard-ownership predicate
+	// (extract.Extractor.Owned); every refreshed extractor inherits it.
+	Owned func(key int64) bool
 }
 
 // NewArenas makes one backed arena of the given size per GPU, side by side,
@@ -276,29 +283,34 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 				g, used[g], opt.CapacityEntries[g])
 		}
 	}
+	ex, err := extract.New(p, pl)
+	if err != nil {
+		return nil, err
+	}
+	ex.Owned = opt.Owned
 	arenas, err := fillArenas(p.N, slices.Max(opt.CapacityEntries)*eb, &opt)
 	if err != nil {
 		return nil, err
 	}
-	sn := &snapshot{placement: pl, caches: make([]*GPUCache, p.N), space: &memsim.Space{GPUs: arenas}}
+	sn := &Snapshot{Extractor: ex, Hotness: opt.Hotness, Version: 1, Caches: make([]*GPUCache, p.N)}
 	for g, a := range arenas {
 		if _, err := a.Alloc(used[g] * eb); err != nil {
 			return nil, fmt.Errorf("cache: gpu %d: %w", g, err)
 		}
-		sn.caches[g] = &GPUCache{GPU: g, Arena: a, EntryBytes: int(eb)}
+		sn.Caches[g] = &GPUCache{GPU: g, Arena: a, EntryBytes: int(eb)}
 	}
 	// Index g < N lays out GPU g's table and the rest copy a chunk of rows
 	// each, so a layout error beats a row error; a worker has its own buffer.
 	chunks, writeChunk := 0, func(int, []byte) error { return nil }
 	if opt.Source != nil {
-		chunks, writeChunk = rowChunks(sn.caches, pl, opt.Source)
+		chunks, writeChunk = rowChunks(sn.Caches, pl, opt.Source)
 	}
 	workers := par.Workers(p.N+chunks, 1)
 	bufs := make([]byte, int64(workers)*eb)
 	err = par.Each(p.N+chunks, workers, func(w, i int) error {
 		if i < p.N {
 			var err error
-			sn.caches[i].Table, err = layoutTable(pl, i, used[i])
+			sn.Caches[i].Table, err = layoutTable(pl, i, used[i])
 			return err
 		}
 		return writeChunk(i-p.N, bufs[int64(w)*eb:int64(w+1)*eb])
@@ -333,14 +345,15 @@ func layoutTable(pl *solver.Placement, g int, entries int64) (*hashtable.Table, 
 }
 
 // locate resolves where GPU dst finds a key within one snapshot.
-func (sn *snapshot) locate(p *platform.Platform, dst int, key int64) (src platform.SourceID, loc hashtable.Location, err error) {
+func (sn *Snapshot) locate(p *platform.Platform, dst int, key int64) (src platform.SourceID, loc hashtable.Location, err error) {
 	if dst < 0 || dst >= p.N {
 		return 0, loc, fmt.Errorf("cache: bad gpu %d", dst)
 	}
-	if key < 0 || key >= sn.placement.NumEntries() {
+	pl := sn.Extractor.Pl
+	if key < 0 || key >= pl.NumEntries() {
 		return 0, loc, fmt.Errorf("cache: key %d out of range", key)
 	}
-	src = sn.placement.SourceOf(dst, key)
+	src = pl.SourceOf(dst, key)
 	// Host and the cluster's network tier both resolve outside the GPU
 	// caches: the row is read from the backing source (on a cluster the
 	// owning machine's host shard holds the same immutable bytes; the wire
@@ -348,7 +361,7 @@ func (sn *snapshot) locate(p *platform.Platform, dst int, key int64) (src platfo
 	if src == p.Host() || (p.HasNetwork() && src == p.Network()) {
 		return src, loc, nil
 	}
-	l, ok := sn.caches[src].Table.Lookup(key)
+	l, ok := sn.Caches[src].Table.Lookup(key)
 	if !ok {
 		return 0, loc, fmt.Errorf("cache: placement says gpu %d holds key %d but the hashtable disagrees", src, key)
 	}

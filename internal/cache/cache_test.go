@@ -70,7 +70,7 @@ func TestFillAndLocate(t *testing.T) {
 // locate is the gather's locate step (§3.2) against the published snapshot:
 // GPU dst's source for key and, for a GPU source, its hash-table location.
 func locate(sys *System, dst int, key int64) (platform.SourceID, hashtable.Location, error) {
-	return sys.snap.Load().locate(sys.P, dst, key)
+	return sys.Snapshot().locate(sys.P, dst, key)
 }
 
 // arenaUsed is the arena's allocated byte count.
@@ -281,7 +281,7 @@ func TestRefresh(t *testing.T) {
 	cfg.BatchEntries = 200
 	cfg.UpdateBandwidth = 16 * 200 / 0.050 // 50 ms per update batch
 	base := 0.002
-	rep, err := sys.Refresh(pl2, base, cfg)
+	rep, err := sys.Refresh(pl2, nil, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRefresh(t *testing.T) {
 	}
 
 	// The system now serves the new placement, and gathers still match.
-	if cur := sys.snap.Load().placement; cur != pl2 && cur.Policy == "" {
+	if cur := sys.Snapshot().Extractor.Pl; cur != pl2 && cur.Policy == "" {
 		t.Fatal("placement not switched")
 	}
 	keys := []int64{0, 1, 2, 3999}
@@ -333,15 +333,15 @@ func TestRefreshValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Refresh(nil, 1, DefaultRefreshConfig()); err == nil {
+	if _, err := sys.Refresh(nil, nil, 1, DefaultRefreshConfig()); err == nil {
 		t.Fatal("nil placement accepted")
 	}
-	if _, err := sys.Refresh(pl, 0, DefaultRefreshConfig()); err == nil {
+	if _, err := sys.Refresh(pl, nil, 0, DefaultRefreshConfig()); err == nil {
 		t.Fatal("zero base time accepted")
 	}
 	bad := DefaultRefreshConfig()
 	bad.BatchEntries = 0
-	if _, err := sys.Refresh(pl, 1, bad); err == nil {
+	if _, err := sys.Refresh(pl, nil, 1, bad); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -382,7 +382,7 @@ func TestRepeatedRefreshReusesSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sys.Refresh(target, 0.001, cfg); err != nil {
+		if _, err := sys.Refresh(target, nil, 0.001, cfg); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		used := arenaUsed(sys.Caches()[0].Arena)

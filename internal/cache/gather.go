@@ -91,7 +91,7 @@ func (s *System) Gather(dst int, keys []int64, out []byte, sc *GatherScratch) er
 				}
 				continue
 			}
-			if err := sn.space.PeerRead(int(src), loc.Offset, row); err != nil {
+			if err := sn.Caches[src].Arena.Read(loc.Offset, row); err != nil {
 				return err
 			}
 		}
@@ -106,7 +106,7 @@ func (s *System) Gather(dst int, keys []int64, out []byte, sc *GatherScratch) er
 		sc = pooled
 	}
 	sn := s.snap.Load()
-	pl := sn.placement
+	pl := sn.Extractor.Pl
 	n := pl.NumEntries()
 	eb := s.EntryBytes
 	host := s.P.Host()
@@ -118,7 +118,7 @@ func (s *System) Gather(dst int, keys []int64, out []byte, sc *GatherScratch) er
 	// Pass 1: classify by source. Host (and, on clusters, network-tier)
 	// rows are served straight from the backing source; GPU rows are
 	// grouped for the batched probe.
-	sc.reset(len(sn.caches))
+	sc.reset(len(sn.Caches))
 	for i, key := range keys {
 		if key < 0 || key >= n {
 			return fmt.Errorf("cache: key %d out of range", key)
@@ -141,13 +141,13 @@ func (s *System) Gather(dst int, keys []int64, out []byte, sc *GatherScratch) er
 			continue
 		}
 		locs, found := sc.probeBuffers(len(group))
-		sn.caches[src].Table.BulkLookup(group, locs, found)
+		sn.Caches[src].Table.BulkLookup(group, locs, found)
 		for i, ok := range found {
 			if !ok {
 				return fmt.Errorf("cache: placement says gpu %d holds key %d but the hashtable disagrees", src, group[i])
 			}
 			row := int(sc.rows[src][i])
-			if err := sn.space.PeerRead(src, locs[i].Offset, out[row*eb:(row+1)*eb]); err != nil {
+			if err := sn.Caches[src].Arena.Read(locs[i].Offset, out[row*eb:(row+1)*eb]); err != nil {
 				return err
 			}
 		}

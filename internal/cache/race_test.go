@@ -105,7 +105,7 @@ func TestConcurrentGatherDuringRefresh(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sys.Refresh(target, 0.001, cfg); err != nil {
+		if _, err := sys.Refresh(target, nil, 0.001, cfg); err != nil {
 			t.Fatalf("refresh round %d: %v", round, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"ugache/internal/extract"
 	"ugache/internal/hashtable"
 	"ugache/internal/solver"
 	"ugache/internal/workload"
@@ -264,26 +265,33 @@ type RefreshReport struct {
 	// caller that ran the solve fills it (core.System.Refresh does); this
 	// package leaves it zero.
 	Solve SolveStats
+	// Version is the placement version the refresh published.
+	Version uint64
 }
 
 // Refresh re-points the system at a new placement, simulating the §7.2
 // procedure: background solve, then eviction/insertion applied in small
-// batches interleaved with foreground batches. baseIterTime is the
-// foreground iteration latency before the refresh (afterIterTime may
-// differ; the timeline uses base during and after — callers re-measure).
+// batches interleaved with foreground batches. hot is the hotness newPl was
+// solved against, kept in the snapshot for readers of the model (nil: none).
+// baseIterTime is the foreground iteration latency before the refresh
+// (afterIterTime may differ; the timeline uses base during and after —
+// callers re-measure).
 //
 // Refresh is safe to run concurrently with readers: the diff is applied to
-// a private clone of the current snapshot and published with one atomic
-// swap, only after every batch applied cleanly. On error the published
-// snapshot is untouched. Concurrent Refresh calls serialize.
-func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg RefreshConfig) (*RefreshReport, error) {
+// a private clone of the current snapshot, and the clone, newPl's extractor
+// (inheriting the shard-ownership predicate) and the next version are
+// published with one atomic swap, only after every batch applied cleanly. On
+// error the published snapshot is untouched. Concurrent Refresh calls
+// serialize on the one writer lock.
+func (s *System) Refresh(newPl *solver.Placement, hot workload.Hotness, baseIterTime float64, cfg RefreshConfig) (*RefreshReport, error) {
 	if newPl == nil {
 		return nil, fmt.Errorf("cache: nil new placement")
 	}
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	old := s.snap.Load()
-	if newPl.NumGPUs != s.P.N || newPl.NumEntries() != old.placement.NumEntries() {
+	oldPl := old.Extractor.Pl
+	if newPl.NumGPUs != s.P.N || newPl.NumEntries() != oldPl.NumEntries() {
 		return nil, fmt.Errorf("cache: new placement shape mismatch")
 	}
 	if baseIterTime <= 0 {
@@ -292,6 +300,11 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 	if cfg.BatchEntries <= 0 || cfg.UpdateBandwidth <= 0 || cfg.SamplePeriod <= 0 {
 		return nil, fmt.Errorf("cache: invalid refresh config")
 	}
+	ex, err := extract.New(s.P, newPl)
+	if err != nil {
+		return nil, err
+	}
+	ex.Owned = old.Extractor.Owned
 
 	// Diff old vs new storage per GPU, once: the same per-GPU evict/insert
 	// lists drive the update-phase accounting below AND the apply phase, so
@@ -299,7 +312,7 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 	// maps per GPU twice). The delta is computed entry-wise against both
 	// placements' block tables — no per-GPU key sets are materialized at
 	// all, which is what makes the apply incremental rather than a rebuild.
-	delta := placementDelta(old.placement, newPl, s.P.N)
+	delta := placementDelta(oldPl, newPl, s.P.N)
 	var evicted, inserted int64
 	for g := range delta {
 		evicted += int64(len(delta[g].evict))
@@ -329,7 +342,8 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 		UpdateSeconds:   updateSeconds,
 		EvictedEntries:  evicted,
 		InsertedEntries: inserted,
-		RebuildEntries:  storedEntries(old.placement) + storedEntries(newPl),
+		RebuildEntries:  storedEntries(oldPl) + storedEntries(newPl),
+		Version:         old.Version + 1,
 		Steps:           fullSteps,
 		StepSeconds:     perStep,
 		LastStepSeconds: perStep,
@@ -384,11 +398,11 @@ func (s *System) Refresh(newPl *solver.Placement, baseIterTime float64, cfg Refr
 	// updates go to a private clone of the snapshot, so foreground reads
 	// keep resolving against the old tables and arenas until the clone is
 	// published below.
-	next := old.clone()
-	next.placement = newPl
+	next := &Snapshot{Extractor: ex, Hotness: hot, Version: rep.Version, Caches: make([]*GPUCache, s.P.N)}
 	buf := make([]byte, s.EntryBytes)
 	for g := 0; g < s.P.N; g++ {
-		c := next.caches[g]
+		c := old.Caches[g].clone()
+		next.Caches[g] = c
 		for _, k := range delta[g].evict {
 			if !c.evict(k) {
 				return nil, fmt.Errorf("cache: refresh eviction missed key %d on gpu %d", k, g)

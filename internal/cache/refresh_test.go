@@ -41,7 +41,7 @@ func TestRefreshUpdateSecondsPartialBatch(t *testing.T) {
 	cfg.PauseSeconds = 0.1
 	cfg.UpdateBandwidth = 1e6
 	base := 0.002
-	rep, err := sys.Refresh(pl2, base, cfg)
+	rep, err := sys.Refresh(pl2, nil, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRefreshTimelineIntegerIndexing(t *testing.T) {
 	// A period with no exact binary representation, so any accumulation
 	// error would be visible immediately.
 	cfg.SamplePeriod = 0.1
-	rep, err := sys.Refresh(pl2, 0.001, cfg)
+	rep, err := sys.Refresh(pl2, nil, 0.001, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRefreshTimelineRemainderStep(t *testing.T) {
 	cfg := DefaultRefreshConfig()
 	cfg.BatchEntries = 301
 	cfg.UpdateBandwidth = 1e6
-	rep, err := sys.Refresh(pl2, 0.001, cfg)
+	rep, err := sys.Refresh(pl2, nil, 0.001, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestPlacementDeltaIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Refresh(pl2, 0.001, DefaultRefreshConfig())
+	rep, err := sys.Refresh(pl2, nil, 0.001, DefaultRefreshConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,5 +376,58 @@ func TestPlacementDeltaIncremental(t *testing.T) {
 	}
 	if rep.RebuildEntries != rebuild {
 		t.Fatalf("report rebuild %d, want %d", rep.RebuildEntries, rebuild)
+	}
+}
+
+// TestRefreshPublishesOneSnapshot: a refresh publishes the new placement's
+// extractor (with the fill's shard-ownership predicate), the hotness it was
+// handed and the next version as one new snapshot, leaves the snapshot a
+// reader already holds as it was, and a failed refresh publishes nothing.
+func TestRefreshPublishesOneSnapshot(t *testing.T) {
+	p := platform.ServerC()
+	pl, in := testPlacement(t, p, 2000, 0.1)
+	owned := func(key int64) bool { return key%2 == 0 }
+	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Hotness: in.Hotness, Owned: owned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sys.Snapshot()
+	if first.Version != 1 || first.Extractor.Pl != pl || &first.Hotness[0] != &in.Hotness[0] {
+		t.Fatalf("Fill published version %d, its placement %v, its hotness %v", first.Version, first.Extractor.Pl == pl, &first.Hotness[0] == &in.Hotness[0])
+	}
+	h2 := make(workload.Hotness, len(in.Hotness))
+	for i := range h2 {
+		h2[i] = in.Hotness[len(h2)-1-i]
+	}
+	in2 := *in
+	in2.Hotness = h2
+	pl2, err := (solver.UGache{}).Solve(&in2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := DefaultRefreshConfig()
+	bad.BatchEntries = 0
+	if _, err := sys.Refresh(pl2, h2, 0.001, bad); err == nil || sys.Snapshot() != first {
+		t.Fatalf("failed refresh: err %v, snapshot replaced %v", err, sys.Snapshot() != first)
+	}
+	rep, err := sys.Refresh(pl2, h2, 0.001, DefaultRefreshConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := sys.Snapshot()
+	if next.Version != 2 || rep.Version != 2 || next.Extractor.Pl != pl2 || &next.Hotness[0] != &h2[0] {
+		t.Fatalf("refresh published version %d (reported %d), its placement %v, its hotness %v",
+			next.Version, rep.Version, next.Extractor.Pl == pl2, &next.Hotness[0] == &h2[0])
+	}
+	if next.Extractor.Owned == nil || !next.Extractor.Owned(4) || next.Extractor.Owned(5) {
+		t.Fatal("the refreshed extractor lost the fill's shard-ownership predicate")
+	}
+	if first.Version != 1 || first.Extractor.Pl != pl || &first.Hotness[0] != &in.Hotness[0] {
+		t.Fatal("the refresh changed the snapshot a reader held")
+	}
+	for g, c := range first.Caches {
+		if c == next.Caches[g] || c.Table == next.Caches[g].Table || c.Arena == next.Caches[g].Arena {
+			t.Fatalf("gpu %d: the new snapshot shares the old one's cache, table or arena", g)
+		}
 	}
 }

@@ -165,7 +165,7 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := fl.WriteTrace(&buf); err != nil {
+	if _, err := flight.WriteTrace(&buf, fl); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := timeline.Validate(&buf); err != nil {

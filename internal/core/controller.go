@@ -188,7 +188,7 @@ func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 		return nil, fmt.Errorf("core: %s refresh mode needs a sampler", cfg.Mode)
 	}
 	if cfg.Mode == RefreshDrift {
-		det, err := cache.NewDriftDetector(cfg.Sampler, sys.state.Load().input.Hotness, cfg.Drift)
+		det, err := cache.NewDriftDetector(cfg.Sampler, sys.Cache.Snapshot().Hotness, cfg.Drift)
 		if err != nil {
 			return nil, err
 		}

@@ -5,11 +5,11 @@
 // new hotness in the background and applies the diff with bounded
 // foreground impact (§7.2).
 //
-// A built System is safe for concurrent use: lookups and extractions read
-// an immutable engine state (placement + extractor) behind an atomic
-// pointer, and Refresh publishes a fully built replacement state only
-// after every fallible step succeeded. The cache layer underneath applies
-// the same snapshot-swap discipline to its hash tables and arenas.
+// A built System is safe for concurrent use: lookups, extractions and model
+// queries read the cache layer's one published snapshot (placement,
+// extractor, hotness, version, tables and arenas: cache.Snapshot), and
+// Refresh has it publish a fully built replacement only after every
+// fallible step succeeded.
 //
 // This package is the internal engine behind the public ugache package at
 // the module root.
@@ -20,7 +20,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ugache/internal/cache"
@@ -85,34 +84,17 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// engineState is the immutable placement-derived state one extraction or
-// model query reads. Refresh swaps the whole struct at once.
-type engineState struct {
-	placement *solver.Placement
-	extractor *extract.Extractor
-	input     solver.Input
-	// version counts published placements: Build stores 1, every Refresh
-	// increments. Consumers holding data derived from an older version (the
-	// serve layer's staging arena) use it to enforce the bounded-staleness
-	// contract: rows gathered under version v remain servable after a swap to
-	// v+1 only within the caller's staleness window of S batches, instead of
-	// stalling every in-flight prefetch behind the new snapshot.
-	version uint64
-}
-
-// System is a built UGache instance.
+// System is a built UGache instance. Everything derived from the placement
+// is the cache layer's snapshot (cache.System.Snapshot); the System holds
+// only what no refresh changes.
 type System struct {
 	P         *platform.Platform
 	Cache     *cache.System
 	Mechanism extract.Mechanism
 
-	policy   solver.Policy
-	capacity []int64
-	owned    func(key int64) bool // cluster shard-ownership predicate, nil off-cluster
-
-	// refreshMu serializes Refresh calls; readers never take it.
-	refreshMu sync.Mutex
-	state     atomic.Pointer[engineState]
+	policy solver.Policy
+	// in is every solve's input but its hotness, which the snapshot holds.
+	in solver.Input
 
 	// reg holds every series of the system and its controllers:
 	// Config.Telemetry, or a private registry. Every extraction reports its
@@ -330,7 +312,7 @@ func Build(cfg Config) (*System, error) {
 		EntryBytes: cfg.EntryBytes,
 		Capacity:   capacity,
 	}
-	fill := cache.FillOptions{CapacityEntries: capacity, Source: cfg.Source}
+	fill := cache.FillOptions{CapacityEntries: capacity, Source: cfg.Source, Hotness: cfg.Hotness, Owned: cfg.Owned}
 	var arenaErr error
 	var making sync.WaitGroup // the goroutine setting fill.Arenas and arenaErr
 	if cfg.Source != nil {
@@ -358,31 +340,22 @@ func Build(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, err := extract.New(cfg.Platform, pl)
-	if err != nil {
-		return nil, err
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry(cfg.Platform.N)
 	}
-	s := &System{
+	in.Hotness = nil
+	return &System{
 		P:         cfg.Platform,
 		Cache:     cs,
 		Mechanism: cfg.Mechanism,
 		policy:    policy,
-		capacity:  capacity,
+		in:        in,
 		reg:       reg,
 		met:       newExtractMetrics(reg, cfg.Platform),
 		refreshed: newRefreshSeries(reg),
 		fl:        cfg.Flight,
-	}
-	if cfg.Platform.HasNetwork() {
-		s.owned = cfg.Owned
-		ex.Owned = s.owned
-	}
-	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: 1})
-	return s, nil
+	}, nil
 }
 
 // placementFor solves the policy, or takes cfg.Placement, and validates the
@@ -405,16 +378,21 @@ func placementFor(cfg *Config, in *solver.Input, policy solver.Policy) (*solver.
 }
 
 // Placement returns the currently active placement.
-func (s *System) Placement() *solver.Placement { return s.state.Load().placement }
+func (s *System) Placement() *solver.Placement { return s.Cache.Snapshot().Extractor.Pl }
 
-// PlacementVersion returns the published placement's version: 1 after Build,
-// incremented by every successful Refresh. Data gathered under an older
-// version (staged prefetch rows) is subject to the bounded-staleness
-// contract documented on engineState.
-func (s *System) PlacementVersion() uint64 { return s.state.Load().version }
+// PlacementVersion returns the published placement and its version from one
+// load: version 1 after Build, incremented by every successful Refresh. Data
+// gathered under an older version (staged prefetch rows) is subject to the
+// bounded-staleness contract (DESIGN.md §6.4): it stays servable after a swap
+// only within the caller's staleness window, instead of stalling every
+// in-flight prefetch behind the new snapshot.
+func (s *System) PlacementVersion() (*solver.Placement, uint64) {
+	sn := s.Cache.Snapshot()
+	return sn.Extractor.Pl, sn.Version
+}
 
 // Extractor returns the extractor for the currently active placement.
-func (s *System) Extractor() *extract.Extractor { return s.state.Load().extractor }
+func (s *System) Extractor() *extract.Extractor { return s.Cache.Snapshot().Extractor }
 
 // Functional reports whether Lookup can return real bytes (a Source was
 // attached at Build time).
@@ -422,37 +400,34 @@ func (s *System) Functional() bool { return s.Cache.Functional() }
 
 // Stats returns the modelled per-GPU access split.
 func (s *System) Stats() []solver.HitStats {
-	st := s.state.Load()
-	return st.placement.Stats(st.input.Hotness)
+	sn := s.Cache.Snapshot()
+	return sn.Extractor.Pl.Stats(sn.Hotness)
 }
 
 // EstimatedTimes returns the §6.2 model's per-GPU extraction estimate.
 func (s *System) EstimatedTimes() []float64 {
-	return s.state.Load().placement.EstTimes
+	return s.Placement().EstTimes
 }
 
 // Refresh re-solves the policy against new hotness and applies it per §7.2,
 // returning the Fig.-17-style report. The system's placement, caches and
 // extractor all switch to the new solution.
 //
-// Refresh is atomic with respect to failures: the new extractor is built
-// before anything is committed, and the placement/input/extractor triple is
-// published in one swap only after the cache refresh succeeded. Concurrent
-// lookups and extractions keep running against the old state throughout.
-// The swap bumps PlacementVersion; consumers holding rows gathered under
-// the outgoing placement (the serve layer's staging arena) may keep serving
-// them for up to their configured staleness window of S batches instead of
-// stalling behind the new snapshot — embedding content is immutable here,
-// so staleness only affects tier classification, never row bytes.
+// Refresh is atomic with respect to failures: the solve and its validation
+// run before anything is touched, and the cache layer publishes the new
+// snapshot (placement, extractor, hotness, tables, arenas and the next
+// version) in one swap under its writer lock, only after every batch applied
+// cleanly. Concurrent lookups and extractions keep running against the old
+// snapshot throughout. Consumers holding rows gathered under the outgoing
+// placement (the serve layer's staging arena) may keep serving them for up
+// to their configured staleness window of S batches instead of stalling
+// behind the new snapshot — embedding content is immutable here, so
+// staleness only affects tier classification, never row bytes.
 func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg cache.RefreshConfig) (*cache.RefreshReport, error) {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	old := s.state.Load()
-	if int64(len(newHotness)) != old.placement.NumEntries() {
-		return nil, fmt.Errorf("core: hotness for %d entries, placement has %d",
-			len(newHotness), old.placement.NumEntries())
+	if n := s.Placement().NumEntries(); int64(len(newHotness)) != n {
+		return nil, fmt.Errorf("core: hotness for %d entries, placement has %d", len(newHotness), n)
 	}
-	in := old.input
+	in := s.in
 	in.Hotness = newHotness
 	solveStart := time.Now()
 	pl, err := s.policy.Solve(&in)
@@ -463,15 +438,8 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	if err := pl.Validate(&in); err != nil {
 		return nil, err
 	}
-	// Build every fallible piece before touching shared state, so a failed
-	// refresh leaves the old placement, caches and extractor paired.
-	ex, err := extract.New(s.P, pl)
-	if err != nil {
-		return nil, err
-	}
-	ex.Owned = s.owned
 	s.refreshed.active.Set(1)
-	rep, err := s.Cache.Refresh(pl, baseIterTime, cfg)
+	rep, err := s.Cache.Refresh(pl, newHotness, baseIterTime, cfg)
 	s.refreshed.active.Set(0)
 	if err != nil {
 		return nil, err
@@ -479,14 +447,13 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 	// The real solve cost joins the simulated Fig. 17 replay in the one
 	// report the series, the flight record and the caller all read.
 	rep.Solve = solve
-	s.state.Store(&engineState{placement: pl, extractor: ex, input: in, version: old.version + 1})
 	s.refreshed.set(rep)
 	if s.fl != nil {
 		// One control record per applied refresh, its solve included; Seq is
 		// the new placement version, so bundle readers can line refreshes up
 		// against the staging arena's staleness decisions.
 		e := refreshRecord(rep, pl, solveStart)
-		e.Seq = int64(old.version + 1)
+		e.Seq = int64(rep.Version)
 		s.fl.RecordControl(&e)
 	}
 	return rep, nil
@@ -496,14 +463,14 @@ func (s *System) Refresh(newHotness workload.Hotness, baseIterTime float64, cfg 
 // hotness under the current placement and report whether the estimated
 // extraction time degraded by more than threshold (e.g. 0.1 = 10%).
 func (s *System) ShouldRefresh(newHotness workload.Hotness, threshold float64) (bool, error) {
-	st := s.state.Load()
-	if int64(len(newHotness)) != st.placement.NumEntries() {
+	pl := s.Placement()
+	if int64(len(newHotness)) != pl.NumEntries() {
 		return false, fmt.Errorf("core: hotness length mismatch")
 	}
-	in := st.input
+	in := s.in
 	in.Hotness = newHotness
-	cur := maxOf(solver.EstimateTimes(&in, st.placement))
-	old := maxOf(st.placement.EstTimes)
+	cur := maxOf(solver.EstimateTimes(&in, pl))
+	old := maxOf(pl.EstTimes)
 	if old == 0 {
 		return cur > 0, nil
 	}

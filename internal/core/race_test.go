@@ -10,6 +10,7 @@ import (
 	"ugache/internal/extract"
 	"ugache/internal/platform"
 	"ugache/internal/rng"
+	"ugache/internal/solver"
 	"ugache/internal/workload"
 )
 
@@ -102,4 +103,112 @@ func TestConcurrentLookupDuringRefresh(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSnapshotIsOneLoad flips Refresh between two hotness vectors while
+// readers take the published snapshot in one load and check it whole: every
+// key its placement stores on a GPU is in that GPU's table, which holds
+// nothing else, and the placement's version and hotness are the ones the
+// writer recorded for it, as is the version PlacementVersion pairs with it.
+// Run with -race.
+func TestSnapshotIsOneLoad(t *testing.T) {
+	const n = 2000
+	p := platform.ServerC()
+	hot := [2]workload.Hotness{testHotness(n, 1.2, 5), testHotness(n, 1.2, 6)}
+	sys, err := Build(Config{Platform: p, Hotness: hot[0], EntryBytes: 64, CacheRatio: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// published is a placement's version and the hotness it was solved
+	// against: what the one writer recorded, and what a reader saw.
+	type published struct {
+		version uint64
+		hot     workload.Hotness
+	}
+	recorded := map[*solver.Placement]published{sys.Placement(): {1, hot[0]}}
+	type reader struct {
+		snaps map[*solver.Placement]published // from Cache.Snapshot
+		pairs map[*solver.Placement]uint64    // from PlacementVersion
+	}
+
+	stop := make(chan struct{})
+	readers := make([]reader, 4)
+	var wg sync.WaitGroup
+	for r := range readers {
+		rd := reader{map[*solver.Placement]published{}, map[*solver.Placement]uint64{}}
+		readers[r] = rd
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sn := sys.Cache.Snapshot()
+				pl := sn.Extractor.Pl
+				for g, c := range sn.Caches {
+					stored := 0
+					for e := int64(0); e < n; e++ {
+						if !pl.StoredOn(g, e) {
+							continue
+						}
+						stored++
+						if _, ok := c.Table.Lookup(e); !ok {
+							t.Errorf("version %d: gpu %d stores key %d, its table lacks it", sn.Version, g, e)
+							return
+						}
+					}
+					if c.Table.Len() != stored {
+						t.Errorf("version %d: gpu %d stores %d keys, its table holds %d", sn.Version, g, stored, c.Table.Len())
+						return
+					}
+				}
+				rd.snaps[pl] = published{sn.Version, sn.Hotness}
+				pl, v := sys.PlacementVersion()
+				rd.pairs[pl] = v
+			}
+		}()
+	}
+
+	cfg := cache.DefaultRefreshConfig()
+	cfg.BatchEntries = 500
+	for round := 1; round <= 8; round++ {
+		h := hot[round%2]
+		rep, err := sys.Refresh(h, 0.001, cfg)
+		if err != nil {
+			t.Errorf("refresh %d: %v", round, err)
+			break
+		}
+		// The one writer reads back what it published.
+		pl, v := sys.PlacementVersion()
+		if want := uint64(round + 1); v != want || rep.Version != want {
+			t.Errorf("refresh %d published version %d, reported %d; want %d", round, v, rep.Version, want)
+			break
+		}
+		recorded[pl] = published{v, h}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for _, rd := range readers {
+		for pl, got := range rd.snaps {
+			want, ok := recorded[pl]
+			if !ok {
+				t.Fatalf("a reader saw a placement the writer never published (version %d)", got.version)
+			}
+			if got.version != want.version || &got.hot[0] != &want.hot[0] {
+				t.Fatalf("a reader saw version %d for the placement published as %d, or another refresh's hotness", got.version, want.version)
+			}
+		}
+		for pl, v := range rd.pairs {
+			if want := recorded[pl].version; v != want {
+				t.Fatalf("PlacementVersion paired version %d with the placement published as %d", v, want)
+			}
+		}
+	}
 }

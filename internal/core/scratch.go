@@ -37,7 +37,7 @@ func (s *System) ExtractBatch(b *extract.Batch, sc *Scratch) (*extract.Result, e
 	if sc != nil {
 		esc = sc.extract
 	}
-	res, err := s.state.Load().extractor.Run(s.Mechanism, b, esc)
+	res, err := s.Extractor().Run(s.Mechanism, b, esc)
 	if err == nil {
 		s.observeExtract(res)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ugache/internal/telemetry"
-	"ugache/internal/timeline"
 )
 
 // BundleConfig describes what a diagnostic bundle captures, and is the
@@ -108,7 +107,7 @@ func writeBundle(cfg BundleConfig, reason string) (string, error) {
 
 	if cfg.Recorder != nil {
 		mark := cfg.Recorder.mark()
-		if err := writeFile(timelineFile, cfg.Recorder.WriteTrace); err != nil {
+		if err := writeFile(timelineFile, cfg.WriteTrace); err != nil {
 			return "", err
 		}
 		man.Exemplar = cfg.Recorder.exemplar(mark)
@@ -181,6 +180,6 @@ func (cfg BundleConfig) WriteTrace(w io.Writer) error {
 	if cfg.Recorder != nil {
 		recs = append(recs, cfg.Recorder)
 	}
-	tracks, events := Draw(recs...)
-	return timeline.Write(w, tracks, events)
+	_, err := WriteTrace(w, recs...)
+	return err
 }

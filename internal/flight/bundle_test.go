@@ -201,7 +201,7 @@ func TestValidateBundleRejectsBrokenExemplar(t *testing.T) {
 	}
 	lapped := NewRecorder(1, 8)
 	skipTo(lapped.Claim(1)[0], 10)
-	if err := lapped.WriteTrace(f); err != nil {
+	if _, err := WriteTrace(f, lapped); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -271,7 +271,7 @@ func TestValidateBundleRejectsUndrawnControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewRecorder(1, 8).WriteTrace(f); err != nil {
+	if _, err := WriteTrace(f, NewRecorder(1, 8)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -75,11 +75,13 @@ func Draw(recs ...*Recorder) (timeline.Tracks, []timeline.Event) {
 	return tracks, dst
 }
 
-// WriteTrace writes Draw(r) as Chrome trace-event JSON (timeline.Write):
-// /debug/timeline, a bundle's timeline.json, ugache-serve -trace-out.
-func (r *Recorder) WriteTrace(w io.Writer) error {
-	tracks, events := Draw(r)
-	return timeline.Write(w, tracks, events)
+// WriteTrace writes Draw(recs...) as Chrome trace-event JSON
+// (timeline.Write) and returns how many spans it wrote. It is the one trace
+// writer: /debug/timeline, a bundle's timeline.json, ugache-serve -trace-out
+// and ugache-bench -timeline.
+func WriteTrace(w io.Writer, recs ...*Recorder) (spans int, err error) {
+	tracks, events := Draw(recs...)
+	return len(events), timeline.Write(w, tracks, events)
 }
 
 // appendBatches draws one ring's batches, buf, on its tracks tid (see Draw):

@@ -91,28 +91,3 @@ func (a *Arena) Read(off int64, b []byte) error {
 	copy(b, a.data[off:])
 	return nil
 }
-
-// Space is the unified address space of one platform: one arena per GPU.
-// Host memory is not an arena here — host embedding tables live in
-// emb.Table, which is effectively unbounded.
-type Space struct {
-	GPUs []*Arena
-}
-
-// Clone returns a deep copy of the space (every arena cloned).
-func (s *Space) Clone() *Space {
-	cp := &Space{GPUs: make([]*Arena, len(s.GPUs))}
-	for i, a := range s.GPUs {
-		cp.GPUs[i] = a.Clone()
-	}
-	return cp
-}
-
-// PeerRead reads from any GPU's arena — the zero-copy unified-addressing
-// primitive that peer-based extraction relies on.
-func (s *Space) PeerRead(gpu int, off int64, b []byte) error {
-	if gpu < 0 || gpu >= len(s.GPUs) {
-		return fmt.Errorf("memsim: no gpu %d", gpu)
-	}
-	return s.GPUs[gpu].Read(off, b)
-}

@@ -74,26 +74,3 @@ func TestBackedArenaTooLarge(t *testing.T) {
 		t.Fatal("huge backed arena accepted")
 	}
 }
-
-func TestSpacePeerRead(t *testing.T) {
-	s := &Space{GPUs: make([]*Arena, 2)}
-	for i := range s.GPUs {
-		a, err := NewBackedArena("g", 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.GPUs[i] = a
-	}
-	off, _ := s.GPUs[1].Alloc(4)
-	s.GPUs[1].Write(off, []byte{1, 2, 3, 4})
-	got := make([]byte, 4)
-	if err := s.PeerRead(1, off, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Fatalf("got %v", got)
-	}
-	if err := s.PeerRead(5, 0, got); err == nil {
-		t.Fatal("bad gpu accepted")
-	}
-}

@@ -23,15 +23,15 @@ func (p *Platform) FEMDedication(dst int) []float64 { return p.ded[dst] }
 //     among the N−1 remote GPUs, which bounds each reader to 1/(N−1) of any
 //     source's outbound port and makes concurrent readers collision-free
 //     without synchronization.
+//
+// Host and network take at most half the cores left, which is a fraction of
+// one on a GPU with too few SMs (as remote groups take fractions), so no
+// source a path reaches gets none.
 func (p *Platform) dedication(dst int) []float64 {
 	cores := make([]float64, p.NumSources())
 	total := float64(p.GPU.SMs)
 
-	hostTol, _ := p.Tolerance(dst, p.Host())
-	hostCores := math.Ceil(hostTol)
-	if hostCores > total/2 {
-		hostCores = math.Floor(total / 2)
-	}
+	hostCores := math.Min(p.toleranceCores(dst, p.Host()), total/2)
 	cores[p.Host()] = hostCores
 	remaining := total - hostCores
 
@@ -39,11 +39,7 @@ func (p *Platform) dedication(dst int) []float64 {
 		// The network tier gets its tolerance, like host: enough cores to
 		// saturate the (slow) staged path without starving the NVLink
 		// groups that carry the bulk of the traffic.
-		netTol, _ := p.Tolerance(dst, p.Network())
-		netCores := math.Ceil(netTol)
-		if netCores > remaining/2 {
-			netCores = math.Floor(remaining / 2)
-		}
+		netCores := math.Min(p.toleranceCores(dst, p.Network()), remaining/2)
 		cores[p.Network()] = netCores
 		remaining -= netCores
 	}
@@ -77,6 +73,17 @@ func (p *Platform) dedication(dst int) []float64 {
 		}
 	}
 	return cores
+}
+
+// toleranceCores is the tolerance of the path from src to dst rounded up to
+// whole cores, at least one (a tolerance that underflows to 0 still names a
+// source to read), and 0 when no path reaches src.
+func (p *Platform) toleranceCores(dst int, src SourceID) float64 {
+	tol, ok := p.Tolerance(dst, src)
+	if !ok {
+		return 0
+	}
+	return math.Max(math.Ceil(tol), 1)
 }
 
 // EffectiveBW returns the bandwidth a FEM-dedicated core group actually

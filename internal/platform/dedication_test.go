@@ -102,3 +102,35 @@ func TestEffectiveBW(t *testing.T) {
 		t.Fatalf("hard-wired remote bw %g exceeds link", bwB)
 	}
 }
+
+// TestFewSMsStillReachEverySource: a GPU with too few SMs to spare a whole
+// core still dedicates a fraction of one to every source its paths reach,
+// as remote groups already take fractions, so no reachable source prices at
+// +Inf: a 1-SM Server A reaches host, a 2-SM clustered one the network.
+func TestFewSMsStillReachEverySource(t *testing.T) {
+	one := ServerAConfig()
+	one.GPU.SMs = 1
+	a, err := New(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := ServerAConfig()
+	two.GPU.SMs = 2
+	cl, err := ClusterOf(two, DefaultNetwork(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Platform{a, cl} {
+		for g := 0; g < p.N; g++ {
+			for j := 0; j < p.NumSources(); j++ {
+				if _, reached := p.Path(g, SourceID(j)); !reached || j == g {
+					continue
+				}
+				if bw, ok := p.EffectiveBW(g, SourceID(j)); !ok || !(bw > 0) {
+					t.Fatalf("%s: gpu %d reaches source %d with %g cores, EffectiveBW %g %v",
+						p.Name, g, j, p.FEMDedication(g)[j], bw, ok)
+				}
+			}
+		}
+	}
+}

@@ -10,7 +10,8 @@ import (
 // refuses the config or returns a platform whose route tables agree. LinkBW
 // is the narrowest capacity on Path, TimePerByteTable is 1/LinkBW (0 when
 // unreachable), every dedication is a non-negative core count and a GPU's
-// sum to at most its SMs, and EffectiveBW never exceeds LinkBW.
+// sum to at most its SMs, EffectiveBW never exceeds LinkBW, and every
+// non-local source a Path reaches has an EffectiveBW.
 //
 // A pair's rate is one byte of pairs, a pick from a palette around link:
 // 0 (no link), link, link/2, NaN, +Inf, -Inf and -link.
@@ -104,8 +105,13 @@ func FuzzPlatformConfig(f *testing.F) {
 				if tpb[g][j] != want {
 					t.Fatalf("gpu %d source %d: time per byte %g, want %g", g, j, tpb[g][j], want)
 				}
-				if eff, okEff := p.EffectiveBW(g, src); okEff && (!ok || !(eff <= bw)) {
+				eff, okEff := p.EffectiveBW(g, src)
+				if okEff && (!ok || !(eff <= bw)) {
 					t.Fatalf("gpu %d source %d: EffectiveBW %g above LinkBW %g (path %v)", g, j, eff, bw, ok)
+				}
+				if ok && j != g && !okEff {
+					t.Fatalf("gpu %d reaches source %d with %g cores, but EffectiveBW reports it unreachable",
+						g, j, p.FEMDedication(g)[j])
 				}
 			}
 		}

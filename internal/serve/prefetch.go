@@ -190,7 +190,11 @@ func (s *Server) prefetchWorker(g int) {
 // local tier under the current placement, keys already staged and still
 // servable, and duplicate/out-of-range keys are filtered out; the remainder
 // is extracted (charged to the prefetch track, not serving latency) and
-// committed under the placement version the rows were gathered against.
+// committed under the placement version the filter read. The filter takes
+// the placement and its version from one load (core.System.PlacementVersion),
+// so a refresh cannot fall between them; a refresh after it only makes the
+// commit's version older than the rows, which staleness treats as stale, and
+// row bytes never change.
 func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 	defer func() {
 		s.prefetchGate[g].add(-1)
@@ -198,8 +202,7 @@ func (s *Server) prefetchWindow(g int, w *prefetchWindow, sc *prefetchScratch) {
 	}()
 	start := time.Now()
 	arena := s.staging[g]
-	pl := s.sys.Placement()
-	version := s.sys.PlacementVersion()
+	pl, version := s.sys.PlacementVersion()
 	now := s.batchClock(g)
 	stale := int64(s.cfg.StaleBatches)
 	n := pl.NumEntries()

@@ -83,10 +83,11 @@ type Config struct {
 	// workers, and a flush path identical to a non-prefetching server.
 	Lookahead int
 	// StaleBatches is the bounded-staleness window S: after a Refresh swaps
-	// the placement, staged rows committed under the outgoing version may
-	// still be served until S batches of keys (S x MaxBatchKeys, see
-	// Lookahead) have been served since their commit, instead of being
-	// discarded. 0 means staged rows die with their snapshot.
+	// the placement, staged rows committed under the outgoing placement
+	// version (core.System.PlacementVersion) may still be served until S
+	// batches of keys (S x MaxBatchKeys, see Lookahead) have been served
+	// since their commit, instead of being discarded. 0 means staged rows
+	// die with their snapshot.
 	StaleBatches int
 
 	// Telemetry receives the engine's metrics, the one read path for its
@@ -697,8 +698,9 @@ func (s *Server) consumeStaged(g int, sc *workerScratch, uniq []int64, rows []by
 	}
 	hitMask := grow(&sc.hit, len(uniq))
 	rec := &sc.rec
+	_, version := s.sys.PlacementVersion()
 	rec.PrefetchHits, staleServed, rec.StaleBatches = s.staging[g].Consume(
-		uniq, s.batchClock(g), int64(s.cfg.StaleBatches), s.sys.PlacementVersion(), rows, hitMask)
+		uniq, s.batchClock(g), int64(s.cfg.StaleBatches), version, rows, hitMask)
 	if rec.PrefetchHits == 0 {
 		return uniq, staleServed
 	}

@@ -98,7 +98,7 @@ func TestServeTimelineSpans(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := fl.WriteTrace(&buf); err != nil {
+	if _, err := flight.WriteTrace(&buf, fl); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := timeline.Validate(&buf)

@@ -278,11 +278,16 @@ func NewHealth() *Health { return telemetry.NewHealth() }
 // FlightRecorder is the flight recorder (DESIGN.md §6.6): constant-memory
 // rings of every served batch and of the control plane's refreshes, solves,
 // drift checks and prefetch windows. Hand it to Config.Flight and
-// ServeConfig.Flight; its WriteTrace draws all of it as Chrome trace-event
-// JSON loadable in Perfetto or chrome://tracing — serve batch trees,
-// per-source link flows, admission counters, and the control and prefetch
-// tracks — timed from the recorder's creation.
+// ServeConfig.Flight; WriteTrace draws all of it.
 type FlightRecorder = flight.Recorder
+
+// WriteTrace draws the recorders' rings as Chrome trace-event JSON loadable
+// in Perfetto or chrome://tracing — serve batch trees, per-source link
+// flows, admission counters, and the control and prefetch tracks — timed
+// from the earliest recorder's creation, and returns the span count.
+func WriteTrace(w io.Writer, recs ...*FlightRecorder) (spans int, err error) {
+	return flight.WriteTrace(w, recs...)
+}
 
 // NewFlightRecorder creates a recorder with one ring per serving worker
 // (size it to every server it is handed to) plus the control ring, each
