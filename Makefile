@@ -40,7 +40,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRanker -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzRingOwner -fuzztime 10s ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzRealizeSymmetric -fuzztime 10s ./internal/solver
-	$(GO) test -run xxx -fuzz FuzzLoadPlacement -fuzztime 10s ./internal/solver
 	$(GO) test -run xxx -fuzz FuzzHashtable -fuzztime 10s ./internal/hashtable
 	$(GO) test -run xxx -fuzz FuzzParseGoBench -fuzztime 10s ./internal/bench
 	$(GO) test -run xxx -fuzz FuzzFlightLines -fuzztime 10s ./internal/flight

@@ -43,7 +43,6 @@ var censusStructs = []struct{ dir, name string }{
 // drive, a seam that a test of other behaviour needs, or values in use beside
 // the declaration.
 var censusAllow = map[string]string{
-	"core.Config.Placement":            "the façade's solve-once path: ugache-solve -save writes what ugache.LoadPlacement reads and ugache.Config.Placement takes back (TestPreSolvedPlacement)",
 	"flight.BundleConfig.SkipProfiles": "bundle tests skip the heap profile and goroutine dump they do not read",
 	"platform.Config.PairBW":           "two values in use, both beside the declaration: ServerAConfig's uniform mesh and ServerBConfig's DGX-1 cube",
 	"platform.Config.Network":          "set beside the declaration by ClusterOf, which benchmark/'s cluster-scatter calls: nil is one machine, a fabric is one machine of a cluster",

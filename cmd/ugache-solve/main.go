@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -21,33 +22,40 @@ import (
 	"ugache/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on an argument list: the summary goes to w, errors to
+// errw, and it returns the exit code.
+func run(args []string, w, errw io.Writer) int {
+	fs := flag.NewFlagSet("ugache-solve", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		server  = flag.String("server", "C", "platform: A, B, or C")
-		entries = flag.Int("entries", 200000, "embedding entries")
-		alpha   = flag.Float64("alpha", 1.2, "Zipf skew of the synthetic hotness")
-		ratio   = flag.Float64("ratio", 0.08, "per-GPU cache ratio")
-		dim     = flag.Int("dim", 128, "embedding dimension (float32)")
-		policy  = flag.String("policy", "ugache", "policy name (see -compare for all)")
-		compare = flag.Bool("compare", false, "solve with every policy family")
-		save    = flag.String("save", "", "write the solved placement to this file")
-		seed    = flag.Uint64("seed", 42, "random seed")
-		blocks  = flag.Int("blocks", 0, "hotness block budget (0 = policy default)")
+		server  = fs.String("server", "C", "platform: A, B, or C")
+		entries = fs.Int("entries", 200000, "embedding entries")
+		alpha   = fs.Float64("alpha", 1.2, "Zipf skew of the synthetic hotness")
+		ratio   = fs.Float64("ratio", 0.08, "per-GPU cache ratio")
+		dim     = fs.Int("dim", 128, "embedding dimension (float32)")
+		policy  = fs.String("policy", "ugache", "policy name (see -compare for all)")
+		compare = fs.Bool("compare", false, "solve with every policy family")
+		seed    = fs.Uint64("seed", 42, "random seed")
+		blocks  = fs.Int("blocks", 0, "hotness block budget (0 = policy default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *entries < 1 || *dim < 1 {
-		fmt.Fprintf(os.Stderr, "ugache-solve: -entries (%d) and -dim (%d) must be at least 1\n", *entries, *dim)
-		os.Exit(1)
+		fmt.Fprintf(errw, "ugache-solve: -entries (%d) and -dim (%d) must be at least 1\n", *entries, *dim)
+		return 1
 	}
 	if !(*ratio >= 0) || math.IsInf(*ratio, 1) || *blocks < 0 {
-		fmt.Fprintf(os.Stderr, "ugache-solve: -ratio (%g) and -blocks (%d) must be finite and non-negative\n", *ratio, *blocks)
-		os.Exit(1)
+		fmt.Fprintf(errw, "ugache-solve: -ratio (%g) and -blocks (%d) must be finite and non-negative\n", *ratio, *blocks)
+		return 1
 	}
 	p, err := platform.ByName(*server)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ugache-solve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(errw, "ugache-solve: %v\n", err)
+		return 1
 	}
 
 	r := rng.New(*seed)
@@ -66,14 +74,14 @@ func main() {
 	if !*compare {
 		pol, err := solver.PolicyByName(*policy)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ugache-solve:", err)
-			os.Exit(1)
+			fmt.Fprintln(errw, "ugache-solve:", err)
+			return 1
 		}
 		pols = []solver.Policy{pol}
 	}
-	fmt.Printf("%s, %d entries, zipf %.2f, ratio %.1f%%, dim %d\n\n",
+	fmt.Fprintf(w, "%s, %d entries, zipf %.2f, ratio %.1f%%, dim %d\n\n",
 		p.Name, *entries, *alpha, *ratio*100, *dim)
-	fmt.Printf("%-18s %12s %10s %8s %8s %8s %10s %9s %13s\n",
+	fmt.Fprintf(w, "%-18s %12s %10s %8s %8s %8s %10s %9s %13s\n",
 		"policy", "est time", "solve", "local", "remote", "host", "blocks", "est/bound", "cap used")
 	for _, pol := range pols {
 		name := pol.Name()
@@ -87,10 +95,10 @@ func main() {
 		}
 		if err != nil {
 			if !*compare {
-				fmt.Fprintf(os.Stderr, "ugache-solve: %s: %v\n", name, err)
-				os.Exit(1)
+				fmt.Fprintf(errw, "ugache-solve: %s: %v\n", name, err)
+				return 1
 			}
-			fmt.Printf("%-18s %s\n", name, err)
+			fmt.Fprintf(w, "%-18s %s\n", name, err)
 			continue
 		}
 		maxT := 0.0
@@ -115,28 +123,13 @@ func main() {
 			}
 			minUsed, maxUsed = min(minUsed, share), max(maxUsed, share)
 		}
-		fmt.Printf("%-18s %10.4gus %10s %7.1f%% %7.1f%% %7.1f%% %10d %9s %5.1f-%.1f%%\n",
+		fmt.Fprintf(w, "%-18s %10.4gus %10s %7.1f%% %7.1f%% %7.1f%% %10d %9s %5.1f-%.1f%%\n",
 			name, maxT*1e6, el.Round(time.Millisecond),
 			st.Local*100, st.Remote*100, st.Host*100, len(pl.Blocks),
 			overBound, minUsed*100, maxUsed*100)
 		if pl.LowerBound > 0 {
-			fmt.Printf("%-18s   (LP lower bound %.4gus)\n", "", pl.LowerBound*1e6)
-		}
-		if *save != "" && !*compare {
-			f, err := os.Create(*save)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ugache-solve:", err)
-				os.Exit(1)
-			}
-			if err := pl.Save(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ugache-solve:", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "ugache-solve:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("placement saved to %s\n", *save)
+			fmt.Fprintf(w, "%-18s   (LP lower bound %.4gus)\n", "", pl.LowerBound*1e6)
 		}
 	}
+	return 0
 }

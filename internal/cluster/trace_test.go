@@ -12,7 +12,6 @@ import (
 	"ugache/internal/platform"
 	"ugache/internal/rng"
 	"ugache/internal/serve"
-	"ugache/internal/solver"
 	"ugache/internal/telemetry"
 	"ugache/internal/timeline"
 	"ugache/internal/workload"
@@ -47,15 +46,13 @@ func TestTraceCountsEqualRecordCounts(t *testing.T) {
 	// its placement twice: from the start, and again at the shift.
 	nodes := make([]*Node, 2)
 	var ctrl *core.Controller
-	var placement *solver.Placement
 	for i := range nodes {
 		sys, err := core.Build(core.Config{Platform: p, Hotness: wl.ExpectedHotness(shift, kpb),
-			EntryBytes: 64, CacheEntriesPerGPU: n / 8, Placement: placement, Flight: fl,
+			EntryBytes: 64, CacheEntriesPerGPU: n / 8, Flight: fl,
 			Owned: func(k int64) bool { return ring.Owner(k) == i }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		placement = sys.Placement()
 		cfg := serve.Config{MaxBatchKeys: kpb, Telemetry: reg, Flight: fl}
 		if i == 0 {
 			refresh := cache.DefaultRefreshConfig()

@@ -54,13 +54,6 @@ type Config struct {
 	// Source, when non-nil, enables functional mode: Lookup returns real
 	// embedding bytes verified against this host store.
 	Source cache.RowSource
-	// Placement, when non-nil, skips solving and uses this pre-solved
-	// placement: the solve-once path, where a placement written by
-	// Placement.Save (ugache-solve -save) is read back with
-	// solver.LoadPlacement (the façade's ugache.LoadPlacement). A placement
-	// is read-only once built, so Systems may share one; the Owned shard is
-	// not part of it. It is validated against the rest of the config.
-	Placement *solver.Placement
 	// Owned, on clustered platforms, reports whether this machine's host
 	// shard owns a key: owned network-class keys are served over the local
 	// host path instead of crossing the wire (extract.Extractor.Owned). A
@@ -316,19 +309,18 @@ func Build(cfg Config) (*System, error) {
 	var arenaErr error
 	var making sync.WaitGroup // the goroutine setting fill.Arenas and arenaErr
 	if cfg.Source != nil {
-		// The Filler sizes its arenas by the placement's row size; a
-		// pre-solved placement states its own.
-		entryBytes := int64(cfg.EntryBytes)
-		if cfg.Placement != nil {
-			entryBytes = int64(cfg.Placement.EntryBytes)
-		}
 		making.Add(1)
 		go func() {
 			defer making.Done()
-			fill.Arenas, arenaErr = cache.NewArenas(cfg.Platform.N, capPer*entryBytes)
+			fill.Arenas, arenaErr = cache.NewArenas(cfg.Platform.N, capPer*int64(cfg.EntryBytes))
 		}()
 	}
-	pl, err := placementFor(&cfg, &in, policy)
+	pl, err := policy.Solve(&in)
+	if err != nil {
+		err = fmt.Errorf("core: policy %s: %w", policy.Name(), err)
+	} else if verr := pl.Validate(&in); verr != nil {
+		err = fmt.Errorf("core: policy %s produced invalid placement: %w", policy.Name(), verr)
+	}
 	making.Wait()
 	if err != nil {
 		return nil, err
@@ -356,25 +348,6 @@ func Build(cfg Config) (*System, error) {
 		refreshed: newRefreshSeries(reg),
 		fl:        cfg.Flight,
 	}, nil
-}
-
-// placementFor solves the policy, or takes cfg.Placement, and validates the
-// result against in.
-func placementFor(cfg *Config, in *solver.Input, policy solver.Policy) (*solver.Placement, error) {
-	pl := cfg.Placement
-	if pl == nil {
-		solved, err := policy.Solve(in)
-		if err != nil {
-			return nil, fmt.Errorf("core: policy %s: %w", policy.Name(), err)
-		}
-		pl = solved
-	} else if len(pl.EstTimes) == 0 {
-		pl.EstTimes = solver.EstimateTimes(in, pl)
-	}
-	if err := pl.Validate(in); err != nil {
-		return nil, fmt.Errorf("core: policy %s produced invalid placement: %w", policy.Name(), err)
-	}
-	return pl, nil
 }
 
 // Placement returns the currently active placement.

@@ -465,48 +465,12 @@ func TestExplicitCapacityOverridesRatio(t *testing.T) {
 	}
 }
 
-func TestPreSolvedPlacement(t *testing.T) {
-	p := platform.ServerA()
+// TestOwnedShardsServeOneTable: two nodes of a cluster solve the same inputs
+// to the same placement (the Owned shard is not part of it), serve the
+// table's bytes under their different shards, and each counts as network-tier
+// exactly the network-class keys the other one owns.
+func TestOwnedShardsServeOneTable(t *testing.T) {
 	h := testHotness(2000, 1.1, 3)
-	base, err := Build(Config{Platform: p, Hotness: h, EntryBytes: 64, CacheRatio: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Roundtrip the placement through the binary format and rebuild.
-	var buf bytes.Buffer
-	if err := base.Placement().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := solver.LoadPlacement(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := Build(Config{
-		Platform: p, Hotness: h, EntryBytes: 64, CacheRatio: 0.1,
-		Placement: loaded,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := int64(0); e < 2000; e += 101 {
-		if sys.Placement().SourceOf(1, e) != base.Placement().SourceOf(1, e) {
-			t.Fatal("pre-solved placement not used")
-		}
-	}
-	// A placement that violates the capacity must be rejected.
-	tiny, err := Build(Config{
-		Platform: p, Hotness: h, EntryBytes: 64, CacheEntriesPerGPU: 1,
-		Placement: loaded,
-	})
-	if err == nil {
-		t.Fatalf("oversized placement accepted: %v", tiny.Placement().CapacityUsed())
-	}
-
-	// Two nodes of a cluster can share one solve (a placement is read-only
-	// once built, and the Owned shard is not part of it): the same *Placement
-	// under different Owned shards serves the table's bytes on both, and each
-	// node counts as network-tier exactly the network-class keys the other
-	// one owns.
 	cp, err := platform.ClusterOf(platform.ServerAConfig(), platform.DefaultNetwork(2))
 	if err != nil {
 		t.Fatal(err)
@@ -520,21 +484,19 @@ func TestPreSolvedPlacement(t *testing.T) {
 		keys[k] = int64(k)
 	}
 	eb := table.EntryBytes()
-	var shared *solver.Placement
+	var first *solver.Placement
 	for node := int64(0); node < 2; node++ {
 		reg := telemetry.NewRegistry(cp.N)
 		sys, err := Build(Config{
-			Platform: cp, Hotness: h, EntryBytes: eb, CacheRatio: 0.1, Source: table,
-			Placement: shared, Telemetry: reg,
+			Platform: cp, Hotness: h, EntryBytes: eb, CacheRatio: 0.1, Source: table, Telemetry: reg,
 			Owned: func(k int64) bool { return k%2 == node },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shared == nil {
-			shared = sys.Placement()
-		} else if sys.Placement() != shared {
-			t.Fatal("node 1 did not take node 0's placement")
+		pl := sys.Placement()
+		if first == nil {
+			first = pl
 		}
 		b := &extract.Batch{Keys: make([][]int64, cp.N)}
 		b.Keys[0] = keys
@@ -553,7 +515,10 @@ func TestPreSolvedPlacement(t *testing.T) {
 			if !bytes.Equal(rows[int(k)*eb:int(k+1)*eb], want) {
 				t.Fatalf("node %d key %d: row differs from the table", node, k)
 			}
-			if shared.SourceOf(0, k) == cp.Network() && k%2 != node {
+			if pl.SourceOf(0, k) != first.SourceOf(0, k) {
+				t.Fatalf("node %d key %d: placement differs from node 0's", node, k)
+			}
+			if pl.SourceOf(0, k) == cp.Network() && k%2 != node {
 				notOwned++
 			}
 		}

@@ -1,8 +1,8 @@
 package solver
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"runtime"
@@ -109,16 +109,16 @@ var goldenShort bool
 var goldenProcs = []int{1, 2, 3, 8}
 
 type goldenSolve struct {
-	saveSHA string // SHA-256 of Placement.Save bytes
+	saveSHA string // SHA-256 of encodePlacement's bytes
 	estBits uint64 // math.Float64bits(max(EstTimes))
 }
 
 // TestGoldenPlacements pins every policy's output on the pinned inputs, at
 // every goldenProcs setting, to the bytes recorded before the single-pass
-// solve rewrite: the same Save stream and the same modelled makespan to the
-// last bit. To re-record after an intended placement change, empty
-// goldenSolves, run the test and paste the lines it prints (once per setting;
-// they must agree).
+// solve rewrite: the same encodePlacement stream and the same modelled
+// makespan to the last bit. To re-record after an intended placement change,
+// empty goldenSolves, run the test and paste the lines it prints (once per
+// setting; they must agree).
 func TestGoldenPlacements(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	short := testing.Short() || goldenShort
@@ -149,12 +149,43 @@ func goldenOf(tb testing.TB, pol Policy, in *Input) goldenSolve {
 	if err != nil {
 		tb.Fatalf("%s: %v", pol.Name(), err)
 	}
-	var buf bytes.Buffer
-	if err := pl.Save(&buf); err != nil {
-		tb.Fatalf("%s: save: %v", pol.Name(), err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(encodePlacement(pl))
 	return goldenSolve{hex.EncodeToString(sum[:]), math.Float64bits(maxF(pl.EstTimes))}
+}
+
+// encodePlacement is the byte stream the golden hashes cover, every field
+// little-endian: a magic ("UGAC" "PL01"), the policy name behind its length,
+// the GPU count, row size, entry count and block count, ByRank as int32s,
+// then per block its [Start, End), HotPerEntry, one byte per GPU for Store and
+// one int32 per GPU for Access. It is the stream the goldens were recorded
+// over, so a placement that encodes the same is the same placement.
+func encodePlacement(pl *Placement) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint64(nil, 0x55474143_504c3031)
+	out = le.AppendUint64(out, uint64(len(pl.Policy)))
+	out = append(out, pl.Policy...)
+	for _, v := range []int{pl.NumGPUs, pl.EntryBytes, len(pl.Rank), len(pl.Blocks)} {
+		out = le.AppendUint64(out, uint64(v))
+	}
+	for _, e := range pl.ByRank {
+		out = le.AppendUint32(out, uint32(e))
+	}
+	for _, b := range pl.Blocks {
+		out = le.AppendUint64(out, uint64(b.Start))
+		out = le.AppendUint64(out, uint64(b.End))
+		out = le.AppendUint64(out, math.Float64bits(b.HotPerEntry))
+		for g := 0; g < pl.NumGPUs; g++ {
+			stored := byte(0)
+			if b.Store[g] {
+				stored = 1
+			}
+			out = append(out, stored)
+		}
+		for g := 0; g < pl.NumGPUs; g++ {
+			out = le.AppendUint32(out, uint32(int32(b.Access[g])))
+		}
+	}
+	return out
 }
 
 // TestConcurrentSolvesShareInput solves one shared Input from four goroutines

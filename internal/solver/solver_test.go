@@ -412,6 +412,15 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	p := platform.ServerC()
 	in := testInput(t, p, 10000, 1.1, 0.1)
 	pl := mustSolve(t, Replication{}, in)
+	// The same placement against caches of one entry is over capacity.
+	small := *in
+	small.Capacity = make([]int64, p.N)
+	for g := range small.Capacity {
+		small.Capacity[g] = 1
+	}
+	if err := pl.Validate(&small); err == nil || !strings.Contains(err.Error(), "uses") {
+		t.Fatalf("over-capacity placement: %v, want a capacity error", err)
+	}
 	// Point an access at a non-storing GPU.
 	for bi := range pl.Blocks {
 		b := &pl.Blocks[bi]

@@ -147,13 +147,10 @@ var (
 // PolicyByName resolves a stock policy by its Name.
 func PolicyByName(name string) (Policy, error) { return solver.PolicyByName(name) }
 
-// Placement is a solved cache policy. Placements serialize with
-// Placement.Save and LoadPlacement, so a deployment can solve once and
-// reuse the result across restarts.
+// Placement is a solved cache policy: a function of its inputs (platform,
+// hotness, row size and capacities), which Build solves and Refresh re-solves
+// (§7.2). Read a system's with System.Placement.
 type Placement = solver.Placement
-
-// LoadPlacement reads a placement written by Placement.Save.
-func LoadPlacement(r io.Reader) (*Placement, error) { return solver.LoadPlacement(r) }
 
 // Mechanism selects the extraction scheme (§5).
 type Mechanism = extract.Mechanism
