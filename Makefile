@@ -65,7 +65,7 @@ bench-harness:
 HOTPATH_BENCH = $(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
 bench:
 	$(HOTPATH_BENCH) | $(GO) run ./scripts/bench_envelope BENCH_hotpath.json "$(HOTPATH_BENCH)" \
-		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead. Budget: the serve flush allocates 4 times per operation in timing mode and 5 in functional mode (the caller-owned Result.Rows block), with either recorder; core lookups allocate nothing. The workload rows time the key sampler that generates the load: BenchmarkZipfSample is one Zipf draw (1M keys, alpha 1.2; most draws read the 4096-slice guide, the rest evaluate the inverse-CDF formula) and BenchmarkGenBatch one warm batch of the benchmark's train-extract set-up (2048 samples x CR's 26 tables at scale 0.05: the uniforms are drawn in order into the key slice in 13 chunks of 158 samples, and each chunk is ranked in place on a goroutine of its own as soon as it is drawn, the last on the caller; 14 allocations at -cpu 2 - the key slice, the wait group and 12 goroutines - and 1, the key slice, on one processor); BenchmarkRank is the hotness ranking the policy solve and the drift detector share, a bucketed radix sort on up to GOMAXPROCS goroutines (4 allocations at -cpu 2, the goroutines' closures; none on one processor), on 400k scattered noise values and on the two vectors the shipped solves rank: serving (400k distinct presence values, Zipf 1.2) and train (train-extract's 96-batch profile, heavy ties); BenchmarkProfileBatches is the presampling profile the solve consumes, on 16 Zipf batches of 50,000 keys over 100,000 entries (zipf) and on train-extract's 96 warm batches over its 441,337 entries (train): contiguous batch ranges counted on up to GOMAXPROCS workers with counts and stamps of their own, then summed over key ranges. Four rows time set-up: BenchmarkZipfCDF is one CDF(r+1)-CDF(r) sweep over the benchmark's 400,000 ranks at alpha 1.2 (the analytic hotness of its serving workloads), BenchmarkNewMaterialized builds its 400,000 x 32 float32 table (NewMaterialized returns once the shape is checked and generates the rows in the background on GOMAXPROCS-1 workers, at least one, leaving a processor to the caller; each iteration reads the last row, which waits for the whole build, so the row times the build and not its launch: one worker at -cpu 2), BenchmarkFill fills train-extract's caches (ServerC, CR at scale 0.05 as procedural tables, ratio 0.10, the UGache placement of 96 warm batches): the eight backed arenas are made side by side, each GPU's used range is taken at once, and GOMAXPROCS workers claim, in order, the eight hash-table layouts and then 1,024-row chunks, reading each distinct stored row once (two float32 values per 64-bit store) into a buffer of their own and writing it to every holder; and BenchmarkBuild (internal/core) is train-extract's whole core.Build on that input, the arenas made on a goroutine beside the UGache solve and handed to the Filler."
+		"Hot-path microbenchmarks (make bench): flat hash table probes and dedup, core lookups and one 8-GPU extraction, and the serve flush end to end - one synchronous request per flush (MaxBatchKeys 1) through dedup, simulated extraction, functional gather and fan-out, with the telemetry layer live at its defaults (registry, one batch record per flush into the private 256-deep recorder); the Flight variants hand the server a caller-supplied 4096-deep flight recorder instead. Budget: the serve flush allocates 4 times per operation in timing mode and 5 in functional mode (the caller-owned Result.Rows block), with either recorder; core lookups allocate nothing. The workload rows time the key sampler that generates the load: BenchmarkZipfSample is one Zipf draw (1M keys, alpha 1.2; most draws read the 4096-slice guide, the rest take a cheap power, b^-5 by squaring, and evaluate the inverse-CDF formula through math.Pow only where its margin straddles a rank) and BenchmarkGenBatch one warm batch of the benchmark's train-extract set-up (2048 samples x CR's 26 tables at scale 0.05: the uniforms are drawn in order into the key slice in 13 chunks of 158 samples, and each chunk is ranked in place on a goroutine of its own as soon as it is drawn, the last on the caller; 14 allocations at -cpu 2 - the key slice, the wait group and 12 goroutines - and 1, the key slice, on one processor); BenchmarkRank is the hotness ranking the policy solve and the drift detector share, a bucketed radix sort on up to GOMAXPROCS goroutines (4 allocations at -cpu 2, the goroutines' closures; none on one processor), on 400k scattered noise values and on the two vectors the shipped solves rank: serving (400k distinct presence values, Zipf 1.2) and train (train-extract's 96-batch profile, heavy ties); BenchmarkProfileBatches is the presampling profile the solve consumes, on 16 Zipf batches of 50,000 keys over 100,000 entries (zipf) and on train-extract's 96 warm batches over its 441,337 entries (train): contiguous batch ranges counted on up to GOMAXPROCS workers with counts and stamps of their own, then summed over key ranges. Four rows time set-up: BenchmarkZipfCDF is one CDF(r+1)-CDF(r) sweep over the benchmark's 400,000 ranks at alpha 1.2 (the analytic hotness of its serving workloads), BenchmarkNewMaterialized builds its 400,000 x 32 float32 table (NewMaterialized returns once the shape is checked and generates the rows in the background on GOMAXPROCS-1 workers, at least one, leaving a processor to the caller; each iteration reads the last row, which waits for the whole build, so the row times the build and not its launch: one worker at -cpu 2), BenchmarkFill fills train-extract's caches (ServerC, CR at scale 0.05 as procedural tables, ratio 0.10, the UGache placement of 96 warm batches): the eight backed arenas are made side by side, each GPU's used range is taken at once, and GOMAXPROCS workers claim, in order, the eight hash-table layouts and then 1,024-row chunks, reading each distinct stored row once (two float32 values per 64-bit store) straight into its first holder's slot and copying it from there to the other holders; and BenchmarkBuild (internal/core) is train-extract's whole core.Build on that input, the arenas made on a goroutine beside the UGache solve and handed to the Filler."
 
 # Paired end-to-end runs of a base commit against the working tree, e.g.
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=serve-steady [PAIRS=10 SEED=42 KEEP=dir]

@@ -370,10 +370,20 @@ var (
 // resolvePath checks a backticked path or file name: some file or directory
 // of the tree ends in it (`*` matches within a path element, `…` across
 // them, `<name>` one whole element), or a string constant of the code spells
-// it.
+// it. A `:N` or `:N–M` suffix cites lines, which a file it names must have.
 func (ix *codeIndex) resolvePath(s string) string {
-	s = strings.TrimSuffix(strings.TrimPrefix(lineSuffix.ReplaceAllString(s, ""), "./"), "/")
-	if ix.consts[s] {
+	cited := lineSuffix.FindString(s)
+	var first, last int
+	if cited != "" {
+		lo, hi, isRange := strings.Cut(strings.ReplaceAll(cited[1:], "–", "-"), "-")
+		first, _ = strconv.Atoi(lo)
+		last = first
+		if isRange {
+			last, _ = strconv.Atoi(hi)
+		}
+	}
+	s = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSuffix(s, cited), "./"), "/")
+	if ix.consts[s] && cited == "" {
 		return ""
 	}
 	var pat strings.Builder
@@ -394,12 +404,45 @@ func (ix *codeIndex) resolvePath(s string) string {
 		}
 	}
 	re := regexp.MustCompile(`(?:^|/)` + pat.String() + `$`)
+	short := ""
 	for _, p := range ix.paths {
-		if re.MatchString(p) {
+		if !re.MatchString(p) {
+			continue
+		}
+		if cited == "" {
 			return ""
 		}
+		if raw, err := os.ReadFile(p); err == nil {
+			n := strings.Count(strings.TrimSuffix(string(raw), "\n")+"\n", "\n")
+			if 1 <= first && first <= last && last <= n {
+				return ""
+			}
+			short = fmt.Sprintf("%s has %d lines, so %s cites none of them", p, n, cited[1:])
+		}
+	}
+	if short != "" {
+		return short
 	}
 	return "no file or directory of the tree, and no string constant, is " + s
+}
+
+// TestResolvePathChecksCitedLines holds a cited line or range to the lines
+// the file has.
+func TestResolvePathChecksCitedLines(t *testing.T) {
+	raw, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := strings.Count(string(raw), "\n")
+	ix := &codeIndex{paths: []string{".", "go.mod"}}
+	for cite, ok := range map[string]bool{
+		"go.mod": true, "go.mod:1": true, fmt.Sprintf("./go.mod:1–%d", n): true, fmt.Sprintf("go.mod:%d-%d", n, n): true,
+		"go.mod:0": false, fmt.Sprintf("go.mod:%d", n+1): false, "go.mod:2–1": false, fmt.Sprintf("go.mod:1-%d", n+1): false,
+	} {
+		if p := ix.resolvePath(cite); (p == "") != ok {
+			t.Errorf("`%s`: resolves %v (%q), want %v", cite, p == "", p, ok)
+		}
+	}
 }
 
 // resolveName checks a backticked Go name: pkg.Name names a top-level

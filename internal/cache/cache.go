@@ -100,8 +100,9 @@ const rowsPerChunk = 1024
 // into chunks of rowsPerChunk and returns how many there are and the
 // function that copies chunk c from src into the slots Fill laid out (GPU
 // g's stored blocks, in block order, from offset 0). It reads each row once,
-// into buf, and writes it to every holder, so every slot has one writer.
-func rowChunks(caches []*GPUCache, pl *solver.Placement, src RowSource) (int, func(c int, buf []byte) error) {
+// straight into its first holder's slot, and copies it from there to the
+// other holders, so every slot has one writer.
+func rowChunks(caches []*GPUCache, pl *solver.Placement, src RowSource) (int, func(c int) error) {
 	eb := int64(pl.EntryBytes)
 	// Block bi holds distinct rows [at[bi], at[bi+1]); its first rank sits
 	// at byte offs[bi][g] on each GPU g storing it.
@@ -119,22 +120,25 @@ func rowChunks(caches []*GPUCache, pl *solver.Placement, src RowSource) (int, fu
 		}
 	}
 	rows := at[len(pl.Blocks)]
-	return int((rows + rowsPerChunk - 1) / rowsPerChunk), func(c int, buf []byte) error {
+	return int((rows + rowsPerChunk - 1) / rowsPerChunk), func(c int) error {
 		lo, hi := int64(c)*rowsPerChunk, min(int64(c+1)*rowsPerChunk, rows)
 		// The first block holding row lo; empty blocks are skipped.
 		for bi := sort.Search(len(pl.Blocks), func(bi int) bool { return at[bi+1] > lo }); bi < len(pl.Blocks) && at[bi] < hi; bi++ {
 			b := &pl.Blocks[bi]
+			first := slices.Index(b.Store, true)
 			for i := max(lo, at[bi]); i < min(hi, at[bi+1]); i++ {
 				r := b.Start + i - at[bi]
-				if err := src.ReadRow(int64(pl.ByRank[r]), buf); err != nil {
-					return fmt.Errorf("cache: %w", err)
+				row, err := caches[first].Arena.Slot(offs[bi][first]+(r-b.Start)*eb, eb)
+				if err == nil {
+					err = src.ReadRow(int64(pl.ByRank[r]), row)
 				}
-				for g, stored := range b.Store {
-					if stored {
-						if err := caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, buf); err != nil {
-							return fmt.Errorf("cache: %w", err)
-						}
+				for g := first + 1; err == nil && g < len(b.Store); g++ {
+					if b.Store[g] {
+						err = caches[g].Arena.Write(offs[bi][g]+(r-b.Start)*eb, row)
 					}
+				}
+				if err != nil {
+					return fmt.Errorf("cache: %w", err)
 				}
 			}
 		}
@@ -300,20 +304,18 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 		sn.Caches[g] = &GPUCache{GPU: g, Arena: a, EntryBytes: int(eb)}
 	}
 	// Index g < N lays out GPU g's table and the rest copy a chunk of rows
-	// each, so a layout error beats a row error; a worker has its own buffer.
-	chunks, writeChunk := 0, func(int, []byte) error { return nil }
+	// each, so a layout error beats a row error.
+	chunks, writeChunk := 0, func(int) error { return nil }
 	if opt.Source != nil {
 		chunks, writeChunk = rowChunks(sn.Caches, pl, opt.Source)
 	}
-	workers := par.Workers(p.N+chunks, 1)
-	bufs := make([]byte, int64(workers)*eb)
-	err = par.Each(p.N+chunks, workers, func(w, i int) error {
+	err = par.Each(p.N+chunks, par.Workers(p.N+chunks, 1), func(_, i int) error {
 		if i < p.N {
 			var err error
 			sn.Caches[i].Table, err = layoutTable(pl, i, used[i])
 			return err
 		}
-		return writeChunk(i-p.N, bufs[int64(w)*eb:int64(w+1)*eb])
+		return writeChunk(i - p.N)
 	})
 	if err != nil {
 		return nil, err

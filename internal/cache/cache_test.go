@@ -442,10 +442,11 @@ func (f failingSource) ReadRow(key int64, dst []byte) error {
 }
 
 // TestFillMatchesSequentialFill: taking each GPU's used range at once,
-// laying out the tables side by side and writing each distinct row once from
-// many workers at the same time must leave every GPU's table and arena
-// exactly as the slot-by-slot sequential Filler did — same keys at the same
-// offsets holding the same bytes — at any parallelism, into arenas Fill makes
+// laying out the tables side by side and reading each distinct row once, into
+// its first holder's slot, then copying it to the other holders, from many
+// workers at the same time must leave every GPU's table and arena exactly as
+// the slot-by-slot sequential Filler did — same keys at the same offsets
+// holding the same bytes — at any parallelism, into arenas Fill makes
 // and into arenas handed to it: for a materialized and a
 // procedural multi-table source (what train-extract fills from), and for
 // placements that mix replicas and partitions, replicate every row on every
@@ -510,7 +511,7 @@ func TestFillMatchesSequentialFill(t *testing.T) {
 		want := sequentialFill(t, p, c.pl, c.caps, c.src)
 		// A key halfway through the hottest block, which every case stores.
 		bad := failingSource{RowSource: c.src, bad: int64(c.pl.ByRank[c.pl.Blocks[0].End/2])}
-		for _, procs := range []int{1, 3, 8} {
+		for _, procs := range []int{1, 3, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			arenas, err := NewArenas(p.N, slices.Max(c.caps)*int64(c.pl.EntryBytes))
 			if err != nil {

@@ -78,16 +78,23 @@ func (a *Arena) Write(off int64, b []byte) error {
 	return nil
 }
 
+// Slot returns the n bytes at off of a backed arena, bounds-checked like
+// Write: the arena's own bytes, to fill only before readers can see them.
+func (a *Arena) Slot(off, n int64) ([]byte, error) {
+	if off < 0 || n < 0 || off+n > a.used {
+		return nil, fmt.Errorf("memsim: slot [%d, %d) outside allocated %d bytes of %q",
+			off, off+n, a.used, a.Name)
+	}
+	if a.data == nil {
+		return nil, fmt.Errorf("memsim: arena %q is not backed", a.Name)
+	}
+	return a.data[off : off+n : off+n], nil
+}
+
 // Read copies from the given offset into b. Reading from an unbacked arena
 // is an error: timing-only runs must not depend on content.
 func (a *Arena) Read(off int64, b []byte) error {
-	if off < 0 || off+int64(len(b)) > a.used {
-		return fmt.Errorf("memsim: read [%d, %d) outside allocated %d bytes of %q",
-			off, off+int64(len(b)), a.used, a.Name)
-	}
-	if a.data == nil {
-		return fmt.Errorf("memsim: arena %q is not backed", a.Name)
-	}
-	copy(b, a.data[off:])
-	return nil
+	s, err := a.Slot(off, int64(len(b)))
+	copy(b, s)
+	return err
 }

@@ -69,6 +69,39 @@ func TestBoundsChecking(t *testing.T) {
 	}
 }
 
+// TestSlotBounds holds Slot to Write's bounds: a slot is the arena's own
+// bytes, a negative offset or a range past the allocation fails as the same
+// write would, and an unbacked arena has no bytes to hand out.
+func TestSlotBounds(t *testing.T) {
+	a, _ := NewBackedArena("g0", 64)
+	a.Alloc(16)
+	s, err := a.Slot(8, 8)
+	if err != nil || len(s) != 8 || cap(s) != 8 {
+		t.Fatalf("slot [8, 16): len %d cap %d err %v", len(s), cap(s), err)
+	}
+	copy(s, "embedded")
+	got := make([]byte, 8)
+	if err := a.Read(8, got); err != nil || string(got) != "embedded" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	for _, r := range [][2]int64{{-1, 8}, {12, 8}, {16, 1}} {
+		if _, err := a.Slot(r[0], r[1]); err == nil {
+			t.Fatalf("slot at %d of %d bytes accepted", r[0], r[1])
+		}
+		if err := a.Write(r[0], make([]byte, r[1])); err == nil {
+			t.Fatalf("write at %d of %d bytes accepted", r[0], r[1])
+		}
+	}
+	if _, err := a.Slot(0, -1); err == nil {
+		t.Fatal("negative slot accepted")
+	}
+	u := NewArena("u", 64)
+	u.Alloc(16)
+	if _, err := u.Slot(0, 8); err == nil {
+		t.Fatal("slot of an unbacked arena accepted")
+	}
+}
+
 func TestBackedArenaTooLarge(t *testing.T) {
 	if _, err := NewBackedArena("big", 1<<40); err == nil {
 		t.Fatal("huge backed arena accepted")

@@ -39,6 +39,16 @@ const guideBuckets = 4096
 // and, ranks being ordered by probability, it is below 4096: the guide is
 // 8 KiB of int16 per sampler whatever N is, and billion-entry key spaces
 // still cost nothing per rank.
+//
+// Where the guide misses and 1/(1−α) is an integer n up to a fraction f
+// (α = 1.2 gives −5.000000000000001), Rank first takes b^n by squaring, with
+// b = u·norm+1 (cheapX). With ε = 2⁻⁵³ and b in [2⁻⁵³, 2⁶³], Pow and the
+// squared power are each within (2|exp|+100)ε of the true power; dropping f
+// scales it by e^(f·ln b), and |ln b| ≤ L, its value at the last u below 1
+// (about |1−α|·ln(N+1)). So n is taken only where |f|·L ≤ 1e-12, and
+// tol = 64(|exp|+64)ε + 2|f|·L bounds the gap to Pow's x relative to x+1:
+// where x ± tol·(x+1) truncate to one in-range rank, Pow's x truncates to it
+// too. Elsewhere, and at every other α, Rank evaluates Pow.
 type Zipf struct {
 	N     int64
 	Alpha float64
@@ -47,6 +57,8 @@ type Zipf struct {
 	isLog bool
 	short float64 // |1−α| when it is below 0.5 (CDF's short path), else 0
 	guide []int16 // rank of each slice of u, or -1: evaluate the formula
+	ipow  int64   // n ≠ 0: cheapX takes b^n; 0: Rank evaluates Pow
+	tol   float64 // cheapX's and Pow's joint relative margin
 }
 
 // NewZipf creates a bounded Zipf sampler. n must be in [1, MaxInt64) and
@@ -67,6 +79,11 @@ func NewZipf(n int64, alpha float64) (*Zipf, error) {
 		z.exp = 1 / (1 - alpha)
 		if y := math.Abs(1 - alpha); y < 0.5 {
 			z.short = y
+		}
+		const eps = 0x1p-53 // tol and ipow: see Zipf
+		whole := math.Round(z.exp)
+		if drop := math.Abs(z.exp-whole) * math.Abs(math.Log(math.Nextafter(1, 0)*z.norm+1)); whole != 0 && drop <= 1e-12 {
+			z.ipow, z.tol = int64(whole), 64*eps*(math.Abs(z.exp)+64)+2*drop
 		}
 	}
 	z.buildGuide()
@@ -107,8 +124,32 @@ func (z *Zipf) Rank(u float64) int64 {
 		if k := z.guide[int(u*guideBuckets)]; k >= 0 {
 			return int64(k)
 		}
+		if z.ipow != 0 {
+			x := z.cheapX(u)
+			d := z.tol * (x + 1)
+			if k := int64(x - d); k == int64(x+d) && k >= 0 && k < z.N {
+				return k
+			}
+		}
 	}
 	return z.invert(u)
+}
+
+// cheapX is x(u) within tol·(x+1), without math.Pow (see Zipf); it needs
+// ipow ≠ 0.
+func (z *Zipf) cheapX(u float64) float64 {
+	b := u*z.norm + 1
+	p := 1.0
+	for n := max(z.ipow, -z.ipow); n > 0; n >>= 1 {
+		if n&1 == 1 {
+			p *= b
+		}
+		b *= b
+	}
+	if z.ipow < 0 {
+		return 1/p - 1
+	}
+	return p - 1
 }
 
 // invert is the formula itself: the rank of u with no guide.

@@ -59,6 +59,48 @@ func TestZipfRankMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestZipfRankAtRankBoundaries checks Rank against the formula where the
+// cheap power's margin matters: at the first u (bisected over float64 bit
+// patterns, which order non-negative floats) at which the formula reaches
+// rank k, and 8 ulps either side, for every k in [1, 4096) (the guide's
+// ranks) and 4,096 seeded ranks above — on skews whose exponent 1/(1−α) is an integer
+// (0.5, 1.25, 2.0), an integer up to rounding (0.8, 0.9, 1.05, 1.2) or
+// neither (1.4, where Rank evaluates Pow).
+func TestZipfRankAtRankBoundaries(t *testing.T) {
+	r := rng.New(62)
+	one := math.Float64bits(1)
+	for _, alpha := range []float64{0.5, 0.8, 0.9, 1.05, 1.2, 1.25, 1.4, 2.0} {
+		for _, n := range []int64{64, 150_000, 1_000_000, 3_000_000_000} {
+			z, err := NewZipf(n, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranks := make([]int64, 0, 2*guideBuckets)
+			for k := int64(1); k < min(n, guideBuckets); k++ {
+				ranks = append(ranks, k)
+			}
+			for i := 0; n > guideBuckets && i < guideBuckets; i++ {
+				ranks = append(ranks, guideBuckets+int64(r.Uint64n(uint64(n-guideBuckets))))
+			}
+			for _, k := range ranks {
+				lo, hi := uint64(0), one // invert(lo) < k; hi is the first u known to reach it
+				for lo+1 < hi {
+					if mid := lo + (hi-lo)/2; z.invert(math.Float64frombits(mid)) >= k {
+						hi = mid
+					} else {
+						lo = mid
+					}
+				}
+				for d := -8; d <= 8; d++ {
+					if b := int64(hi) + int64(d); b >= 0 && uint64(b) < one {
+						sameAsFormula(t, z, math.Float64frombits(uint64(b)))
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzZipfRank checks, for any sampler NewZipf accepts and any u, that Rank
 // is the formula's rank — at u itself and, for u in [0, 1), at the edges of
 // its guide slice and the last u inside it — and that a u outside [0, 1) or
@@ -66,7 +108,11 @@ func TestZipfRankMatchesFormula(t *testing.T) {
 // at rank is, bit for bit, the math.Pow formula its short path replays.
 // NewZipf must refuse exactly the parameters outside its domain. The seed
 // corpus is in testdata/fuzz/FuzzZipfRank; its cdf-* seeds sit on both sides
-// of |1−α| = 0.5, where Pow switches to Sqrt.
+// of |1−α| = 0.5, where Pow switches to Sqrt, and each cheap-* seed's u is
+// where the formula reaches rank 5000 (the cheap power defers to it) in a
+// slice the guide misses (its edges take the cheap power): exponents that
+// are integers, integers up to rounding, and α = 1.2 ± 1e-10, too far off
+// an integer for its bound, where Rank evaluates Pow.
 func FuzzZipfRank(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n int64, alpha, u float64, rank int64) {
 		z, err := NewZipf(n, alpha)
