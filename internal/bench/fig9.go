@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"ugache/internal/graph"
 	"ugache/internal/platform"
@@ -49,7 +50,7 @@ func figure9(o Options) (*Result, error) {
 	levels := map[int]*level{}
 	order := []int{}
 	for _, b := range pl.Blocks {
-		lv := hotLevel(b.HotPerEntry)
+		lv := solver.HotnessLevel(b.HotPerEntry)
 		l, ok := levels[lv]
 		if !ok {
 			l = &level{minBlock: 1 << 62}
@@ -71,7 +72,7 @@ func figure9(o Options) (*Result, error) {
 	for _, lv := range order {
 		l := levels[lv]
 		label := fmt.Sprintf("%d", lv)
-		if lv == -1<<31 {
+		if lv == math.MinInt32 {
 			label = "unseen"
 		}
 		t.AddRow(label,
@@ -86,18 +87,4 @@ func figure9(o Options) (*Result, error) {
 			"into ≥N fine blocks; low levels capped at 0.5%% of entries per block;\n"+
 			"E shrinks from millions of entries to <1000 blocks.\n",
 			len(pl.Blocks), solver.DefaultBlockBudget)}, nil
-}
-
-func hotLevel(h float64) int {
-	if h <= 0 {
-		return -1 << 31
-	}
-	lv := 0
-	for x := h; x >= 2; x /= 2 {
-		lv++
-	}
-	for x := h; x < 1; x *= 2 {
-		lv--
-	}
-	return lv
 }

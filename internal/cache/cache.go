@@ -1,5 +1,7 @@
 // Package cache holds the runtime cache state of UGache (paper §4, §7):
-// per-GPU hash tables mapping cached keys to <GPU, Offset> source locations,
+// per-GPU hash tables mapping each cached key to its row's offset in that
+// GPU's arena (the placement names the source GPU; together they are the
+// paper's <GPU, offset>),
 // the Filler that materializes a solved placement into simulated GPU
 // memory, the foreground hotness sampler, and the background Refresher that
 // periodically re-solves the policy and applies the diff in small batches
@@ -44,7 +46,6 @@ type RowSource interface {
 // a free list (the arena itself is a bump allocator). A GPUCache belongs to
 // exactly one snapshot; once the snapshot is published it is never mutated.
 type GPUCache struct {
-	GPU        int
 	Table      *hashtable.Table
 	Arena      *memsim.Arena
 	EntryBytes int
@@ -87,7 +88,7 @@ func (c *GPUCache) insert(key int64, src RowSource, buf []byte) error {
 			return err
 		}
 	}
-	return c.Table.Insert(key, hashtable.Location{GPU: int32(c.GPU), Offset: off})
+	return c.Table.Insert(key, hashtable.Location{Offset: off})
 }
 
 // rowsPerChunk is how many distinct rows Fill hands a worker at a time:
@@ -149,7 +150,6 @@ func rowChunks(caches []*GPUCache, pl *solver.Placement, src RowSource) (int, fu
 // clone deep-copies the cache, arena included.
 func (c *GPUCache) clone() *GPUCache {
 	return &GPUCache{
-		GPU:        c.GPU,
 		Table:      c.Table.Clone(),
 		Arena:      c.Arena.Clone(),
 		EntryBytes: c.EntryBytes,
@@ -301,7 +301,7 @@ func Fill(p *platform.Platform, pl *solver.Placement, opt FillOptions) (*System,
 		if _, err := a.Alloc(used[g] * eb); err != nil {
 			return nil, fmt.Errorf("cache: gpu %d: %w", g, err)
 		}
-		sn.Caches[g] = &GPUCache{GPU: g, Arena: a, EntryBytes: int(eb)}
+		sn.Caches[g] = &GPUCache{Arena: a, EntryBytes: int(eb)}
 	}
 	// Index g < N lays out GPU g's table and the rest copy a chunk of rows
 	// each, so a layout error beats a row error.
@@ -337,7 +337,7 @@ func layoutTable(pl *solver.Placement, g int, entries int64) (*hashtable.Table, 
 			continue
 		}
 		for _, e := range pl.ByRank[b.Start:b.End] {
-			if err := t.Insert(int64(e), hashtable.Location{GPU: int32(g), Offset: off}); err != nil {
+			if err := t.Insert(int64(e), hashtable.Location{Offset: off}); err != nil {
 				return nil, fmt.Errorf("cache: gpu %d: %w", g, err)
 			}
 			off += int64(pl.EntryBytes)

@@ -41,12 +41,18 @@ func testPlacement(t *testing.T, p *platform.Platform, n int, ratio float64) (*s
 func TestFillAndLocate(t *testing.T) {
 	p := platform.ServerC()
 	pl, in := testPlacement(t, p, 4000, 0.1)
-	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity})
+	table, err := emb.NewMaterialized("t", 4000, 16, emb.Float32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every entry of every stored block must be locatable, and locate must
-	// agree with the placement.
+	sys, err := Fill(p, pl, FillOptions{CapacityEntries: in.Capacity, Source: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every entry of every stored block must be locatable, locate must agree
+	// with the placement, and the source GPU's arena must hold the entry's
+	// row at the located offset.
+	want, got := make([]byte, pl.EntryBytes), make([]byte, pl.EntryBytes)
 	for e := int64(0); e < 4000; e += 7 {
 		src, loc, err := locate(sys, 0, e)
 		if err != nil {
@@ -55,8 +61,17 @@ func TestFillAndLocate(t *testing.T) {
 		if src != pl.SourceOf(0, e) {
 			t.Fatalf("Locate source %d, placement %d", src, pl.SourceOf(0, e))
 		}
-		if src != p.Host() && loc.GPU != int32(src) {
-			t.Fatalf("location GPU %d, source %d", loc.GPU, src)
+		if src == p.Host() {
+			continue
+		}
+		if err := table.ReadRow(e, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Snapshot().Caches[src].Arena.Read(loc.Offset, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("entry %d: gpu %d's arena at offset %d does not hold its row", e, src, loc.Offset)
 		}
 	}
 	if _, _, err := locate(sys, 99, 0); err == nil {
@@ -410,7 +425,7 @@ func sequentialFill(t *testing.T, p *platform.Platform, pl *solver.Placement, ca
 		if err != nil {
 			t.Fatal(err)
 		}
-		caches[g] = &GPUCache{GPU: g, Table: hashtable.New(int(used) + 16), Arena: a, EntryBytes: pl.EntryBytes}
+		caches[g] = &GPUCache{Table: hashtable.New(int(used) + 16), Arena: a, EntryBytes: pl.EntryBytes}
 	}
 	buf := make([]byte, pl.EntryBytes)
 	for bi := range pl.Blocks {

@@ -426,8 +426,8 @@ type gpuDelta struct {
 }
 
 // placementDelta computes the per-GPU evict/insert lists between two
-// placements by walking the entry space once and comparing both block
-// tables' StoredOn answers (two O(1) rank lookups per entry per GPU). No
+// placements by walking the entry space once and comparing both placements'
+// StoredOn answers (one entry→block load each per entry per GPU). No
 // per-GPU key sets are built — the delta is exactly the entries whose
 // storage changed, in ascending key order (deterministic apply).
 func placementDelta(old, new *solver.Placement, numGPUs int) []gpuDelta {

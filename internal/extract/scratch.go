@@ -88,9 +88,8 @@ func zeroed(buf *[]float64, n int) []float64 {
 
 // groupParallelThreshold is the minimum total key count at which srcBytes
 // fans the per-GPU grouping loops out across a worker pool; below it the
-// goroutine handoff costs more than the scan. Tests override it to force
-// either path.
-var groupParallelThreshold = 1 << 12
+// goroutine handoff costs more than the scan.
+const groupParallelThreshold = 1 << 12
 
 // groupGPU accumulates GPU g's per-source byte volume for one key slice —
 // the grouping step of the factored extraction (§5.1).

@@ -2,7 +2,6 @@ package extract
 
 import (
 	"encoding/json"
-	"math"
 	"runtime"
 	"testing"
 
@@ -20,26 +19,47 @@ func resultBytes(t *testing.T, r *Result) []byte {
 	return b
 }
 
+// batchKeys is a batch's total key count, the number srcBytes compares with
+// groupParallelThreshold.
+func batchKeys(b *Batch) int {
+	n := 0
+	for _, keys := range b.Keys {
+		n += len(keys)
+	}
+	return n
+}
+
+// groupingBatch is a batch of at least groupParallelThreshold keys, which
+// srcBytes groups in parallel whenever GOMAXPROCS is 2 or more.
+func groupingBatch(t *testing.T, p *platform.Platform, keysPerGPU int, seed uint64) *Batch {
+	t.Helper()
+	b := genBatch(t, 20000, keysPerGPU, p.N, seed)
+	if n := batchKeys(b); n < groupParallelThreshold {
+		t.Fatalf("batch of %d keys is below the grouping's parallel threshold %d", n, groupParallelThreshold)
+	}
+	return b
+}
+
 // TestParallelGroupingGolden is the determinism contract of the parallel
-// per-GPU planning pool: forcing the parallel path must produce a Result
-// byte-identical to the forced-sequential path, for every mechanism.
+// per-GPU planning pool: the parallel grouping (GOMAXPROCS 2) must produce
+// a Result byte-identical to the sequential one (GOMAXPROCS 1), for every
+// mechanism.
 func TestParallelGroupingGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := platform.ServerC()
 	pl, _ := buildPlacement(t, p, 20000, 0.08, solver.UGache{})
 	ex, err := New(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := genBatch(t, 20000, 6000, p.N, 5)
-	old := groupParallelThreshold
-	defer func() { groupParallelThreshold = old }()
+	b := groupingBatch(t, p, 6000, 5)
 	for _, m := range []Mechanism{Factored, FactoredStatic, PeerRandom, MessageBased} {
-		groupParallelThreshold = math.MaxInt // force sequential
+		runtime.GOMAXPROCS(1)
 		seq, err := ex.Run(m, b, nil)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", m, err)
 		}
-		groupParallelThreshold = 0 // force parallel
+		runtime.GOMAXPROCS(2)
 		par, err := ex.Run(m, b, nil)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", m, err)
@@ -53,20 +73,19 @@ func TestParallelGroupingGolden(t *testing.T) {
 // TestParallelGroupingKeyError checks the parallel path reports
 // out-of-range keys deterministically (first failing GPU in index order).
 func TestParallelGroupingKeyError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := platform.ServerC()
 	pl, _ := buildPlacement(t, p, 20000, 0.08, solver.UGache{})
 	ex, err := New(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := genBatch(t, 20000, 2000, p.N, 6)
+	b := groupingBatch(t, p, 2000, 6)
 	b.Keys[3] = append(b.Keys[3], 99999999) // out of range
 	b.Keys[5] = append(b.Keys[5], -4)       // also bad, higher GPU index
-	old := groupParallelThreshold
-	defer func() { groupParallelThreshold = old }()
-	groupParallelThreshold = math.MaxInt
+	runtime.GOMAXPROCS(1)
 	_, seqErr := ex.Run(Factored, b, nil)
-	groupParallelThreshold = 0
+	runtime.GOMAXPROCS(2)
 	for i := 0; i < 10; i++ { // schedule-independence: same error every run
 		_, parErr := ex.Run(Factored, b, nil)
 		if parErr == nil || seqErr == nil || parErr.Error() != seqErr.Error() {
@@ -76,11 +95,12 @@ func TestParallelGroupingKeyError(t *testing.T) {
 }
 
 // TestParallelGroupingAllocations holds Run on a warm scratch to its
-// allocation budget: 2 a run on the sequential path, and on the parallel
-// grouping 6.1 at GOMAXPROCS 2 and 7.2 at 3, what the grouping's own
-// per-call worker pool allocated before it moved onto par.Each.
-// (testing.AllocsPerRun runs on one processor, so the parallel rows read
-// the heap's counter around the calls themselves.)
+// allocation budget: 2 a run on the sequential path (GOMAXPROCS 1, or a
+// batch below groupParallelThreshold at 2), and on the parallel grouping
+// 6.1 at GOMAXPROCS 2 and 7.2 at 3, what the grouping's own per-call worker
+// pool allocated before it moved onto par.Each. (testing.AllocsPerRun runs
+// on one processor, so the rows read the heap's counter around the calls
+// themselves.)
 func TestParallelGroupingAllocations(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := platform.ServerC()
@@ -89,30 +109,32 @@ func TestParallelGroupingAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := genBatch(t, 20000, 2000, p.N, 7)
+	large := groupingBatch(t, p, 2000, 7)
+	small := genBatch(t, 20000, 200, p.N, 7)
+	if n := batchKeys(small); n >= groupParallelThreshold {
+		t.Fatalf("small batch of %d keys reaches the parallel threshold %d", n, groupParallelThreshold)
+	}
 	sc := NewScratch()
-	old := groupParallelThreshold
-	defer func() { groupParallelThreshold = old }()
 	for _, c := range []struct {
-		procs, threshold int
-		budget           float64
-	}{{1, math.MaxInt, 2}, {2, 0, 6.1}, {3, 0, 7.2}} {
+		procs  int
+		b      *Batch
+		budget float64
+	}{{1, large, 2}, {2, small, 2}, {2, large, 6.1}, {3, large, 7.2}} {
 		runtime.GOMAXPROCS(c.procs)
-		groupParallelThreshold = c.threshold
-		if _, err := ex.Run(Factored, b, sc); err != nil { // warms the scratch
+		if _, err := ex.Run(Factored, c.b, sc); err != nil { // warms the scratch
 			t.Fatal(err)
 		}
 		const runs = 50
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			_, _ = ex.Run(Factored, b, sc)
+			_, _ = ex.Run(Factored, c.b, sc)
 		}
 		runtime.ReadMemStats(&after)
 		if n := float64(after.Mallocs-before.Mallocs) / runs; n > c.budget {
-			t.Errorf("GOMAXPROCS %d, threshold %d: Run allocates %.1f times, budget %.1f", c.procs, c.threshold, n, c.budget)
+			t.Errorf("GOMAXPROCS %d, %d keys: Run allocates %.1f times, budget %.1f", c.procs, batchKeys(c.b), n, c.budget)
 		} else {
-			t.Logf("GOMAXPROCS %d, threshold %d: Run allocates %.1f times", c.procs, c.threshold, n)
+			t.Logf("GOMAXPROCS %d, %d keys: Run allocates %.1f times", c.procs, batchKeys(c.b), n)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func FuzzHashtable(f *testing.F) {
 			return b
 		}
 		key := func() int64 { return int64(next()) - 2 }
-		loc := func() Location { b := next(); return Location{GPU: int32(b % 8), Offset: int64(b) * 64} }
+		loc := func() Location { b := next(); return Location{Offset: int64(b) * 64} }
 
 		tbl, d := New(int(capacity%16)), NewDedup(int(capacity%16))
 		model, dmodel := map[int64]Location{}, map[int64]int{}

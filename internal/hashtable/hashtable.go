@@ -1,9 +1,12 @@
 // Package hashtable implements the flat, open-addressing hash table that
-// coordinates UGache's Extractor and Solver (paper §4): each cached
-// embedding key maps to its source location <GPU, offset>. The layout
-// mirrors a GPU hash table — two flat arrays, linear probing, power-of-two
-// capacity — because the Extractor's locate() step (paper §3.2) does exactly
-// this lookup per key on device.
+// coordinates UGache's Extractor and Solver (paper §4). The paper's table
+// maps each cached embedding key to its source location <GPU, offset>; here
+// each GPU owns one table, which maps a key to the byte offset of its row in
+// that GPU's cache arena, and the placement's access arrangement names the
+// GPU (solver.Placement.SourceOf). The layout mirrors a GPU hash table — two
+// flat arrays, linear probing, power-of-two capacity — because the
+// Extractor's locate() step (paper §3.2) does exactly this lookup per key on
+// device.
 //
 // The Refresher deletes and reinserts entries in place (paper §7.2), so the
 // table supports tombstone deletion.
@@ -15,10 +18,9 @@ import (
 	"slices"
 )
 
-// Location is a cached entry's source: the GPU holding it and the byte
-// offset of the row within that GPU's cache arena.
+// Location is where a cached entry sits in the arena of the GPU whose table
+// holds it: the byte offset of its row.
 type Location struct {
-	GPU    int32
 	Offset int64
 }
 

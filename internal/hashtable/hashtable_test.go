@@ -10,7 +10,7 @@ import (
 func TestInsertLookup(t *testing.T) {
 	ht := New(16)
 	for k := int64(0); k < 100; k++ {
-		if err := ht.Insert(k, Location{GPU: int32(k % 4), Offset: k * 512}); err != nil {
+		if err := ht.Insert(k, Location{Offset: k * 512}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -19,7 +19,7 @@ func TestInsertLookup(t *testing.T) {
 	}
 	for k := int64(0); k < 100; k++ {
 		loc, ok := ht.Lookup(k)
-		if !ok || loc.GPU != int32(k%4) || loc.Offset != k*512 {
+		if !ok || loc.Offset != k*512 {
 			t.Fatalf("Lookup(%d) = %+v ok=%v", k, loc, ok)
 		}
 	}
@@ -33,13 +33,13 @@ func TestInsertLookup(t *testing.T) {
 
 func TestOverwrite(t *testing.T) {
 	ht := New(4)
-	ht.Insert(7, Location{GPU: 0, Offset: 1})
-	ht.Insert(7, Location{GPU: 3, Offset: 99})
+	ht.Insert(7, Location{Offset: 1})
+	ht.Insert(7, Location{Offset: 99})
 	if ht.Len() != 1 {
 		t.Fatalf("Len = %d", ht.Len())
 	}
 	loc, _ := ht.Lookup(7)
-	if loc.GPU != 3 || loc.Offset != 99 {
+	if loc.Offset != 99 {
 		t.Fatalf("overwrite lost: %+v", loc)
 	}
 }
@@ -154,7 +154,7 @@ func TestAgainstMapModel(t *testing.T) {
 		k := int64(r.Intn(500))
 		switch r.Intn(3) {
 		case 0, 1:
-			loc := Location{GPU: int32(r.Intn(8)), Offset: int64(r.Uint64n(1e9))}
+			loc := Location{Offset: int64(r.Uint64n(1e9))}
 			ht.Insert(k, loc)
 			model[k] = loc
 		case 2:

@@ -12,7 +12,7 @@ import (
 )
 
 // ctx is the shared per-solve state, built once per top-level solve: the
-// validated input, its cost model, the hotness ranking in both directions,
+// validated input, its cost model, the hotness ranking (rank -> entry),
 // the rank-ordered hotness with its prefix sums, and the log2-level
 // boundaries. Building it is the solve's only per-entry work (a radix rank
 // and one O(E) fill, both on up to GOMAXPROCS goroutines, then one serial
@@ -23,7 +23,6 @@ type ctx struct {
 	m      *costModel
 	budget int64     // block budget build works to
 	ranked []int32   // rank -> entry; every placement of this solve shares it as ByRank
-	rankOf []int32   // entry -> rank; shared as Rank
 	hot    []float64 // rank -> hotness
 	prefix []float64 // prefix[r] = Σ hotness of ranks [0, r)
 	levels []int64   // ascending ranks in (0, E) where floor(log2(hotness)) changes
@@ -47,13 +46,12 @@ func newCtx(in *Input) (*ctx, error) {
 	}
 	n := len(in.Hotness)
 	c := &ctx{in: in, m: newCostModel(in), budget: int64(in.blockBudget()),
-		ranked: make([]int32, n), rankOf: make([]int32, n),
-		hot: make([]float64, n), prefix: make([]float64, n+1),
+		ranked: make([]int32, n), hot: make([]float64, n), prefix: make([]float64, n+1),
 		sums: make(map[[2]int64]float64)}
 	rk := rankers.Get().(*workload.Ranker)
 	defer rankers.Put(rk)
 	ranking := rk.Rank(in.Hotness)
-	// The rank arrays and the level boundaries fill from rank ranges, whose
+	// ranked, hot and the level boundaries fill from rank ranges, whose
 	// boundaries join in rank order. The prefix sums stay one serial pass, so
 	// their additions keep their order.
 	workers := par.Workers(n, minRanksPerWorker)
@@ -70,19 +68,19 @@ func newCtx(in *Input) (*ctx, error) {
 	return c, nil
 }
 
-// fill writes ranks [lo, hi) of ranking into the rank arrays and returns the
+// fill writes ranks [lo, hi) of ranking into ranked and hot and returns the
 // ranks among them where the hotness level changes from the rank before.
 func (c *ctx) fill(ranking []workload.RankedEntry, lo, hi int) []int64 {
 	var levels []int64
 	level := 0
 	if lo > 0 {
-		level = hotnessLevel(ranking[lo-1].Hotness())
+		level = HotnessLevel(ranking[lo-1].Hotness())
 	}
 	for r := lo; r < hi; r++ {
 		k := ranking[r]
 		h := k.Hotness()
-		c.ranked[r], c.rankOf[k.Entry], c.hot[r] = int32(k.Entry), int32(r), h
-		if l := hotnessLevel(h); l != level {
+		c.ranked[r], c.hot[r] = int32(k.Entry), h
+		if l := HotnessLevel(h); l != level {
 			if r > 0 {
 				levels = append(levels, int64(r))
 			}
@@ -92,13 +90,14 @@ func (c *ctx) fill(ranking []workload.RankedEntry, lo, hi int) []int64 {
 	return levels
 }
 
-// hotnessLevel is the §6.3 log-scale level floor(log2(h)) exactly as
+// HotnessLevel is the §6.3 log-scale level floor(log2(h)) exactly as
 // math.Floor(math.Log2(h)) computes it (rounding quirks just under a power
-// of two included — block boundaries depend on it). A normal h whose
-// mantissa is not within 2^-8 of either end of its binade has log2 at least
-// 0.0028 away from an integer, far beyond Log2's rounding error, so the
-// level is the exponent field; only the rest pays for the logarithm.
-func hotnessLevel(h float64) int {
+// of two included — block boundaries depend on it), and math.MinInt32 for
+// h ≤ 0. A normal h whose mantissa is not within 2^-8 of either end of its
+// binade has log2 at least 0.0028 away from an integer, far beyond Log2's
+// rounding error, so the level is the exponent field; only the rest pays
+// for the logarithm.
+func HotnessLevel(h float64) int {
 	if h <= 0 {
 		return math.MinInt32
 	}

@@ -111,7 +111,7 @@ func sameBlocks(t *testing.T, what string, got []Block, want [][2]int64, c *ctx)
 func TestHotnessLevelMatchesLog2(t *testing.T) {
 	check := func(h float64) {
 		t.Helper()
-		if got, want := hotnessLevel(h), referenceLevel(h); got != want {
+		if got, want := HotnessLevel(h), referenceLevel(h); got != want {
 			t.Fatalf("level of %g (%#x) = %d, floor(log2) computes %d", h, math.Float64bits(h), got, want)
 		}
 	}

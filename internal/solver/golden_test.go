@@ -164,7 +164,7 @@ func encodePlacement(pl *Placement) []byte {
 	out := le.AppendUint64(nil, 0x55474143_504c3031)
 	out = le.AppendUint64(out, uint64(len(pl.Policy)))
 	out = append(out, pl.Policy...)
-	for _, v := range []int{pl.NumGPUs, pl.EntryBytes, len(pl.Rank), len(pl.Blocks)} {
+	for _, v := range []int{pl.NumGPUs, pl.EntryBytes, int(pl.NumEntries()), len(pl.Blocks)} {
 		out = le.AppendUint64(out, uint64(v))
 	}
 	for _, e := range pl.ByRank {

@@ -116,14 +116,12 @@ type Placement struct {
 	Policy     string
 	NumGPUs    int
 	EntryBytes int
-	// Rank maps entry -> hotness rank (0 = hottest).
-	Rank []int32
-	// ByRank maps rank -> entry (inverse of Rank).
+	// ByRank maps hotness rank (0 = hottest) -> entry.
 	ByRank []int32
 	// Blocks are ordered by Start and tile [0, NumEntries).
 	Blocks []Block
-	// blockOfRank maps rank -> index into Blocks.
-	blockOfRank []int32
+	// blockOf maps entry -> index into Blocks.
+	blockOf []int32
 	// EstTimes[g] is the model-estimated extraction time per iteration
 	// (§6.2), filled by policies that plan with the model.
 	EstTimes []float64
@@ -137,21 +135,16 @@ type Placement struct {
 }
 
 // NumEntries returns the entry count.
-func (pl *Placement) NumEntries() int64 { return int64(len(pl.Rank)) }
-
-// blockOf returns the block index covering an entry.
-func (pl *Placement) blockOf(entry int64) int32 {
-	return pl.blockOfRank[pl.Rank[entry]]
-}
+func (pl *Placement) NumEntries() int64 { return int64(len(pl.blockOf)) }
 
 // SourceOf returns where GPU dst reads the given entry from.
 func (pl *Placement) SourceOf(dst int, entry int64) platform.SourceID {
-	return pl.Blocks[pl.blockOf(entry)].Access[dst]
+	return pl.Blocks[pl.blockOf[entry]].Access[dst]
 }
 
 // StoredOn reports whether GPU g caches the entry.
 func (pl *Placement) StoredOn(g int, entry int64) bool {
-	return pl.Blocks[pl.blockOf(entry)].Store[g]
+	return pl.Blocks[pl.blockOf[entry]].Store[g]
 }
 
 // StorageSummary classifies a placement's hotness blocks by storage
@@ -331,25 +324,23 @@ type Policy interface {
 }
 
 // newPlacement builds the shared skeleton from a solve context: the ranking
-// is the context's own (placements of one solve share those two slices, which
-// nothing writes after the solve), the rank→block map is filled in one pass,
-// and Store/Access come from the blocks (which tile the rank space) as the
-// policy populated them.
+// is the context's own (placements of one solve share it, and nothing writes
+// it after the solve), the entry→block map is filled in one pass over the
+// blocks' rank ranges, and Store/Access come from the blocks (which tile the
+// rank space) as the policy populated them.
 func newPlacement(c *ctx, policy string, blocks []Block) *Placement {
 	pl := &Placement{
-		Policy:      policy,
-		NumGPUs:     c.in.P.N,
-		EntryBytes:  c.in.EntryBytes,
-		Rank:        c.rankOf,
-		ByRank:      c.ranked,
-		Blocks:      blocks,
-		blockOfRank: make([]int32, len(c.ranked)),
-		EstTimes:    c.estimate(blocks),
+		Policy:     policy,
+		NumGPUs:    c.in.P.N,
+		EntryBytes: c.in.EntryBytes,
+		ByRank:     c.ranked,
+		Blocks:     blocks,
+		blockOf:    make([]int32, len(c.ranked)),
+		EstTimes:   c.estimate(blocks),
 	}
 	for bi := range blocks {
-		of := pl.blockOfRank[blocks[bi].Start:blocks[bi].End]
-		for r := range of {
-			of[r] = int32(bi)
+		for _, e := range c.ranked[blocks[bi].Start:blocks[bi].End] {
+			pl.blockOf[e] = int32(bi)
 		}
 	}
 	return pl

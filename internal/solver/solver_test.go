@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -391,19 +392,38 @@ func TestOptimalLPRefusesAsymmetricInputs(t *testing.T) {
 	}
 }
 
+// TestPlacementQueries: on every pinned input and policy, each entry's
+// block is the one whose rank range holds the entry's rank (ByRank inverted
+// here), and SourceOf and StoredOn answer that block's Access and Store for
+// every GPU.
 func TestPlacementQueries(t *testing.T) {
-	p := platform.ServerC()
-	in := testInput(t, p, 10000, 1.1, 0.1)
-	pl := mustSolve(t, UGache{}, in)
-	// SourceOf is consistent with blocks.
-	for e := int64(0); e < 10000; e += 997 {
-		src := pl.SourceOf(3, e)
-		b := pl.Blocks[pl.blockOf(e)]
-		if b.Access[3] != src {
-			t.Fatalf("SourceOf mismatch at %d", e)
+	short := testing.Short() || goldenShort
+	for _, pi := range pinnedInputs {
+		if short && !pi.short {
+			continue
 		}
-		if src != p.Host() && int(src) == 3 && !pl.StoredOn(3, e) {
-			t.Fatal("local access without storage")
+		in := pi.build(t)
+		for _, gp := range goldenPolicies {
+			if gp.name == "optimal-lp" && (short || asymmetry(in) != nil) {
+				continue
+			}
+			pl := mustSolve(t, gp.pol, in)
+			rank := make([]int64, len(pl.ByRank))
+			for r, e := range pl.ByRank {
+				rank[e] = int64(r)
+			}
+			if pl.NumEntries() != int64(len(rank)) {
+				t.Fatalf("%s/%s: NumEntries %d, %d ranks", pi.name, gp.name, pl.NumEntries(), len(rank))
+			}
+			for e, r := range rank {
+				b := &pl.Blocks[sort.Search(len(pl.Blocks), func(i int) bool { return pl.Blocks[i].End > r })]
+				for g := 0; g < pl.NumGPUs; g++ {
+					if src, stored := pl.SourceOf(g, int64(e)), pl.StoredOn(g, int64(e)); src != b.Access[g] || stored != b.Store[g] {
+						t.Fatalf("%s/%s: entry %d (rank %d) on gpu %d: SourceOf %d StoredOn %v, block [%d, %d) says %d %v",
+							pi.name, gp.name, e, r, g, src, stored, b.Start, b.End, b.Access[g], b.Store[g])
+					}
+				}
+			}
 		}
 	}
 }

@@ -21,6 +21,8 @@ const guideBuckets = 4096
 // Zipf draws ranks in [0, N) with P(r) ∝ 1/(r+1)^alpha by inverting the
 // continuous CDF: x = (u·norm+1)^(1/(1−alpha)) − 1, rank = ⌊x⌋ clamped to
 // [0, N) (x = e^(u·norm) − 1 at alpha = 1). Rank 0 is the hottest key.
+// The clamp is taken on u, in floating point: a u ≥ 1 (+Inf included) is
+// rank N−1, a u ≤ 0 (−Inf included) rank 0, and NaN rank 0.
 //
 // A draw is O(1) and costs one table read for most draws: a 4096-entry guide,
 // built once per sampler, holds the rank of every slice [i/4096, (i+1)/4096)
@@ -118,7 +120,7 @@ func (z *Zipf) Sample(r *rng.Rand) int64 {
 // analytic CDF inversion Sample uses. It is the deterministic form: feeding
 // the same u always yields the same rank, which is what hash-derived draws
 // (per-user key affinity in the open-loop generator) need. A u outside
-// [0, 1) (or NaN) skips the guide and is clamped like any other.
+// [0, 1), or NaN, skips the guide and is clamped (see Zipf).
 func (z *Zipf) Rank(u float64) int64 {
 	if u >= 0 && u < 1 {
 		if k := z.guide[int(u*guideBuckets)]; k >= 0 {
@@ -152,16 +154,17 @@ func (z *Zipf) cheapX(u float64) float64 {
 	return p - 1
 }
 
-// invert is the formula itself: the rank of u with no guide.
+// invert is the formula itself: the rank of u with no guide. It clamps u
+// before evaluating x, because past [0, 1) x can be NaN or outside int64's
+// range, and converting such a float64 to int64 is implementation-defined.
 func (z *Zipf) invert(u float64) int64 {
-	id := int64(z.x(u))
-	if id < 0 {
-		id = 0
+	switch {
+	case !(u > 0):
+		return 0 // u ≤ 0, and NaN
+	case u >= 1:
+		return z.N - 1
 	}
-	if id >= z.N {
-		id = z.N - 1
-	}
-	return id
+	return min(max(int64(z.x(u)), 0), z.N-1)
 }
 
 // x is the continuous inverse CDF at u, before truncation to a rank.

@@ -101,10 +101,33 @@ func TestZipfRankAtRankBoundaries(t *testing.T) {
 	}
 }
 
+// TestZipfRankClampsOutsideUnit: a u at or past 1 is the last rank, a u at
+// or below 0 the first, and NaN the first, at every skew (1.0 is the
+// exponential branch; at 1.2 and above u·norm+1 goes negative past u = 1).
+func TestZipfRankClampsOutsideUnit(t *testing.T) {
+	for _, alpha := range []float64{0.5, 0.9, 1.0, 1.2, 1.4, 2.0} {
+		z, err := NewZipf(1000, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			u    float64
+			want int64
+		}{
+			{1, 999}, {2, 999}, {1e300, 999}, {math.Inf(1), 999},
+			{0, 0}, {math.Copysign(0, -1), 0}, {-0.5, 0}, {math.Inf(-1), 0}, {math.NaN(), 0},
+		} {
+			if got := z.Rank(tc.u); got != tc.want {
+				t.Errorf("alpha %v: Rank(%v) = %d, want %d", alpha, tc.u, got, tc.want)
+			}
+		}
+	}
+}
+
 // FuzzZipfRank checks, for any sampler NewZipf accepts and any u, that Rank
 // is the formula's rank — at u itself and, for u in [0, 1), at the edges of
-// its guide slice and the last u inside it — and that a u outside [0, 1) or
-// NaN is clamped into [0, n) instead of indexing past the guide; and that CDF
+// its guide slice and the last u inside it — and that a u ≥ 1 is rank n−1
+// and a u ≤ 0 or NaN rank 0, without indexing past the guide; and that CDF
 // at rank is, bit for bit, the math.Pow formula its short path replays.
 // NewZipf must refuse exactly the parameters outside its domain. The seed
 // corpus is in testdata/fuzz/FuzzZipfRank; its cdf-* seeds sit on both sides
@@ -112,7 +135,9 @@ func TestZipfRankAtRankBoundaries(t *testing.T) {
 // where the formula reaches rank 5000 (the cheap power defers to it) in a
 // slice the guide misses (its edges take the cheap power): exponents that
 // are integers, integers up to rounding, and α = 1.2 ± 1e-10, too far off
-// an integer for its bound, where Rank evaluates Pow.
+// an integer for its bound, where Rank evaluates Pow. The u-*-n1000 seeds
+// hold the clamp at u = 2 (where u·norm+1 is negative at α 1.2), +Inf and
+// NaN.
 func FuzzZipfRank(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n int64, alpha, u float64, rank int64) {
 		z, err := NewZipf(n, alpha)
@@ -124,6 +149,9 @@ func FuzzZipfRank(f *testing.F) {
 			return
 		}
 		sameAsFormula(t, z, u)
+		if got := z.Rank(u); (u >= 1 && got != z.N-1) || (!(u > 0) && got != 0) {
+			t.Fatalf("n %d alpha %v: Rank(%v) = %d, want it clamped", z.N, z.Alpha, u, got)
+		}
 		if u >= 0 && u < 1 {
 			i := math.Floor(u * guideBuckets)
 			lo, hi := i/guideBuckets, (i+1)/guideBuckets
